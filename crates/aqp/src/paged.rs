@@ -612,7 +612,7 @@ mod tests {
         }
         let pred = Predicate::between("x", 200.0, 2_600.0);
         let cols = vec!["g".to_owned()];
-        let keys = s.paged_distinct_group_keys(&pred, &cols).unwrap();
+        let keys = s.distinct_group_keys(&pred, &cols).unwrap();
         assert_eq!(
             keys,
             distinct_group_keys(resident.table(), &pred, &cols).unwrap()
@@ -691,7 +691,7 @@ mod tests {
         let prims = vec![AggregateFn::Avg(Expr::col("v")), AggregateFn::Freq];
         let run = |budget: u64| {
             let s = paged_fixture(&t, vec![600.0, 1_200.0, 1_800.0], 0.5, 48, budget);
-            let keys = s.paged_distinct_group_keys(&pred, &cols).unwrap();
+            let keys = s.distinct_group_keys(&pred, &cols).unwrap();
             let spec = ScanSpec {
                 predicate: &pred,
                 group_cols: &cols,
@@ -727,7 +727,7 @@ mod tests {
         let s = paged_fixture(&t, vec![1_000.0, 2_000.0], 0.6, 40, u64::MAX);
         let pred = Predicate::between("x", 50.0, 2_900.0);
         let cols = vec!["g".to_owned()];
-        let keys = s.paged_distinct_group_keys(&pred, &cols).unwrap();
+        let keys = s.distinct_group_keys(&pred, &cols).unwrap();
         let prims = vec![AggregateFn::Avg(Expr::col("v")), AggregateFn::Freq];
         let spec = ScanSpec {
             predicate: &pred,
@@ -797,7 +797,7 @@ mod tests {
         assert_eq!(resident.len(), s.len());
         let pred = Predicate::True;
         let cols = vec!["g".to_owned()];
-        let keys = s.paged_distinct_group_keys(&pred, &cols).unwrap();
+        let keys = s.distinct_group_keys(&pred, &cols).unwrap();
         assert_eq!(
             keys,
             distinct_group_keys(resident.table(), &pred, &cols).unwrap()

@@ -601,28 +601,29 @@ impl Sample {
         Ok(admitted)
     }
 
-    /// Enumerates the distinct group keys of a paged sample's rows
-    /// matching `predicate`, faulting in one partition segment at a time
-    /// (never more than one non-tail segment resident on this path).
-    /// Partitions whose base summaries provably reject the predicate are
-    /// skipped without I/O — sound because no row of theirs can match.
-    ///
-    /// The result is key-sorted, exactly what one-pass enumeration over
-    /// the materialized sample yields.
-    pub fn paged_distinct_group_keys(
+    /// Enumerates the distinct group keys among the sample rows matching
+    /// `predicate`, key-sorted. A resident sample is one fragment; a paged
+    /// sample faults in one partition segment at a time (never more than
+    /// one non-tail segment resident on this path), skipping without I/O
+    /// the partitions whose base summaries provably reject the predicate
+    /// — sound because no row of theirs can match. Either way the result
+    /// is exactly what one-pass enumeration over the materialized sample
+    /// yields.
+    pub fn distinct_group_keys(
         &self,
         predicate: &Predicate,
         group_cols: &[String],
     ) -> Result<Vec<GroupKey>> {
+        let mut collector = GroupKeyCollector::new(group_cols);
         let Some(rep) = &self.paged else {
-            return Err(AqpError::InvalidConfig(
-                "paged_distinct_group_keys called on a resident sample".into(),
-            ));
+            collector
+                .observe(&self.table, predicate)
+                .map_err(AqpError::Storage)?;
+            return Ok(collector.finish());
         };
         let pruned = rep
             .pruned_partitions(predicate, &self.table)
             .map_err(AqpError::Storage)?;
-        let mut collector = GroupKeyCollector::new(group_cols);
         for (p, want) in rep.layout.part_want.iter().enumerate() {
             if *want == 0 || pruned[p] {
                 continue;
@@ -638,16 +639,15 @@ impl Sample {
         Ok(collector.finish())
     }
 
-    /// Streams every resident-at-the-time fragment of a paged sample —
-    /// each partition's segment in partition-id order, then the ingest
-    /// tail — through `f`, pinning one segment at a time. Fragment
-    /// boundaries are an artifact of paging; concatenated, the fragments
-    /// are exactly the materialized sample's rows in order.
-    pub fn paged_visit(&self, mut f: impl FnMut(&Table) -> Result<()>) -> Result<()> {
+    /// Streams the sample's rows through `f` one fragment at a time: a
+    /// resident sample is a single fragment; a paged sample yields each
+    /// partition's segment in partition-id order, then the ingest tail,
+    /// pinning one segment at a time. Fragment boundaries are an artifact
+    /// of paging; concatenated, the fragments are exactly the
+    /// materialized sample's rows in order.
+    pub fn visit_fragments(&self, mut f: impl FnMut(&Table) -> Result<()>) -> Result<()> {
         let Some(rep) = &self.paged else {
-            return Err(AqpError::InvalidConfig(
-                "paged_visit called on a resident sample".into(),
-            ));
+            return f(&self.table);
         };
         for (p, want) in rep.layout.part_want.iter().enumerate() {
             if *want == 0 {

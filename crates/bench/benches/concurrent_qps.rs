@@ -1,6 +1,6 @@
 //! Read-path scaling: queries per second vs. reader thread count.
 //!
-//! The concurrent engine's claim is that the read path shares no mutable
+//! The engine's claim is that the read path shares no mutable
 //! state — every thread answers from the same pinned
 //! [`EngineSnapshot`](verdict::core::EngineSnapshot) with its own scan
 //! cursor, so throughput should scale near-linearly with threads until
@@ -17,7 +17,7 @@
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use verdict::{ConcurrentSession, Mode, SessionBuilder, StopPolicy, VerdictSession};
+use verdict::{Database, Mode, QueryOptions, SessionBuilder, StopPolicy, VerdictSession};
 use verdict_storage::{ColumnDef, Schema, Table};
 
 const ROWS: usize = 40_000;
@@ -47,9 +47,9 @@ fn base_table() -> Table {
     t
 }
 
-/// A trained concurrent session: the snapshot the readers pin carries
+/// A trained single-table database: the snapshot the readers pin carries
 /// models, so the workload exercises scan + inference, not scan alone.
-fn trained_session() -> ConcurrentSession {
+fn trained_session() -> Database {
     let mut s: VerdictSession = SessionBuilder::new(base_table())
         .sample_fraction(0.1)
         .batch_size(500)
@@ -68,7 +68,7 @@ fn trained_session() -> ConcurrentSession {
         .unwrap();
     }
     s.train().unwrap();
-    s.into_concurrent()
+    s.into_database("t").unwrap()
 }
 
 /// The fixed read workload: index-picked so every thread mix is identical
@@ -99,8 +99,8 @@ fn query(i: usize) -> (String, StopPolicy) {
 
 /// Runs one batch of `QUERIES_PER_BATCH` queries split across `threads`
 /// threads against the pinned snapshot; returns elapsed seconds.
-fn run_batch(session: &ConcurrentSession, threads: usize) -> f64 {
-    let snapshot = session.snapshot();
+fn run_batch(session: &Database, threads: usize) -> f64 {
+    let snapshot = session.snapshot("t").unwrap();
     let start = Instant::now();
     std::thread::scope(|scope| {
         for t in 0..threads {
@@ -110,10 +110,11 @@ fn run_batch(session: &ConcurrentSession, threads: usize) -> f64 {
                 let mut i = t;
                 while i < QUERIES_PER_BATCH {
                     let (sql, policy) = query(i);
-                    session
-                        .execute_at(snapshot, &sql, Mode::Verdict, policy)
-                        .unwrap()
-                        .unwrap_answered();
+                    let opts = QueryOptions::new()
+                        .with_mode(Mode::Verdict)
+                        .with_policy(policy)
+                        .pinned(snapshot.clone());
+                    session.query(&sql, &opts).unwrap().unwrap_answered();
                     i += threads;
                 }
             });
@@ -136,7 +137,7 @@ fn bench_concurrent_qps(c: &mut Criterion) {
              (host has {cores} core(s); epoch {})",
             QUERIES_PER_BATCH as f64 / secs,
             single / secs,
-            session.epoch(),
+            session.epoch("t").unwrap(),
         );
     }
 

@@ -71,7 +71,7 @@ fn bench_groupby_scaling(c: &mut Criterion) {
         eprintln!(
             "groupby_scaling G={g}: sample={} tuples | shared scan={} | \
              legacy per-cell scans total={} ({}x)",
-            s.engine().sample().len(),
+            s.snapshot().engines()[0].sample().len(),
             shared.tuples_scanned,
             legacy_visits,
             legacy_visits / shared.tuples_scanned.max(1),

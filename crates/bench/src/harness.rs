@@ -121,7 +121,7 @@ impl ExperimentEnv {
     /// base table (ground truth for actual-error reporting).
     pub fn exact_answer(&self, sql: &str) -> Option<f64> {
         let query = parse_query(sql).ok()?;
-        let d = decompose(&query, self.session.table(), &[], 1).ok()?;
+        let d = decompose(&query, &self.session.table(), &[], 1).ok()?;
         let spec = d.snippets.first()?;
         self.session.exact(&spec.agg, &spec.predicate).ok()
     }
@@ -129,9 +129,9 @@ impl ExperimentEnv {
     /// Fraction of base-table rows the query's predicate selects.
     pub fn selectivity(&self, sql: &str) -> Option<f64> {
         let query = parse_query(sql).ok()?;
-        let d = decompose(&query, self.session.table(), &[], 1).ok()?;
+        let d = decompose(&query, &self.session.table(), &[], 1).ok()?;
         let spec = d.snippets.first()?;
-        let rows = spec.predicate.selected_rows(self.session.table()).ok()?;
+        let rows = spec.predicate.selected_rows(&self.session.table()).ok()?;
         Some(rows.len() as f64 / self.session.table().num_rows().max(1) as f64)
     }
 

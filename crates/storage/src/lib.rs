@@ -28,8 +28,6 @@
 //!   code → group lookup table for single-column categorical group-bys;
 //! - [`aggregate`]: exact AVG/SUM/COUNT/FREQ evaluation (ground truth for
 //!   experiments);
-//! - [`join`]: foreign-key hash joins between a fact table and dimension
-//!   tables (§2.2 item 2), plus full denormalization;
 //! - [`catalog`]: a named-table registry.
 
 pub mod aggregate;
@@ -37,7 +35,6 @@ pub mod catalog;
 pub mod chunk;
 pub mod column;
 pub mod expr;
-pub mod join;
 pub mod partition;
 pub mod predicate;
 pub mod pstore;

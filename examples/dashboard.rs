@@ -84,7 +84,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         vd_ns / 1e9,
         nl_ns / vd_ns.max(1.0)
     );
-    let stats = session.verdict().stats();
+    let stats = session.snapshot().stats();
     println!(
         "engine stats: improved {}, validation-rejected {}, passed-through {}, observed {}",
         stats.improved, stats.rejected, stats.passed_through, stats.observed

@@ -28,8 +28,19 @@
 //! engine per table, so `orders.AVG(m)` and `events.AVG(m)` are disjoint
 //! state by construction; see [`verdict_core::QualifiedAggKey`]).
 //!
-//! `Database` is `Send + Sync + Clone` (one `Arc`); the single-table
-//! [`crate::ConcurrentSession`] is a thin wrapper over it.
+//! `Database` is `Send + Sync + Clone` (one `Arc`). The shard is the
+//! **only** implementation of every pipeline stage — query, ingest,
+//! train, checkpoint — and of shard construction (one create path, one
+//! recover path): [`DatabaseBuilder`], [`Database::open`] and the
+//! single-table [`crate::SessionBuilder`] all lower into it, and
+//! [`crate::VerdictSession`] is a facade over one shard.
+//!
+//! Ordering the one engine fixes (the serial session used to differ on
+//! each): a parked store error surfaces *before* [`Database::train`]
+//! refits anything; `verdict_queries_started` counts a query after it
+//! parsed and resolved its table (a statement that fails to parse never
+//! started); and an ingest's Lemma-3 shift is estimated against the
+//! shard's *fixed* sample.
 //!
 //! ## Persistence (store layout v3)
 //!
@@ -51,28 +62,29 @@
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use verdict_aqp::{AqpEngine, CostModel, OnlineAggregation, ScanKernel, StorageTier};
+use verdict_aqp::{AqpEngine, AqpError, CostModel, OnlineAggregation, ScanKernel, StorageTier};
+use verdict_core::append::AppendAdjustment;
 use verdict_core::concurrent::{EngineSnapshot, Learner};
 use verdict_core::{AggKey, QualifiedAggKey, SchemaInfo, Verdict, VerdictConfig};
 use verdict_obs::{MetricsHub, MetricsSnapshot, QueryLog, QueryTrace, ScanTrace, Stopwatch};
 use verdict_sql::checker::JoinPolicy;
-use verdict_sql::{check_query, parse_query, resolve_from, SupportVerdict};
-use verdict_storage::{PartitionMap, PartitionStore, Schema, Table, Value};
+use verdict_sql::{check_query, parse_query, resolve_from, Query, ScanPlan, SupportVerdict};
+use verdict_storage::{AggregateFn, PartitionMap, PartitionSpec, Predicate, Schema, Table, Value};
 use verdict_store::catalog::{catalog_exists, is_valid_table_name, table_dir};
 use verdict_store::{
-    read_catalog, write_catalog, CatalogManifest, PagedState, Recovered, RecoveryReport,
-    SessionMeta, SharedStore, StorePolicy, SynopsisStore,
+    read_catalog, read_part_rows, write_catalog, CatalogManifest, PagedState, Recovered,
+    RecoveryReport, SessionMeta, SharedStore, StorePolicy, SynopsisStore,
 };
 
 use crate::metrics::{CheckpointReport, TableObs};
 use crate::query::{Prepared, QueryOptions};
 use crate::session::{
     build_paged_engines, default_parallelism, draw_engines, plan_shared_scan, prepare_ingest,
-    prepare_ingest_paged, query_trace, run_shared_read, widening_magnitude, IngestReport,
-    PagedRuntime, ReadOutcome, SampleRotation, SessionParts, StagePrelude,
+    query_trace, run_shared_read, widening_magnitude, IngestReport, PagedRuntime, ReadOutcome,
+    SampleRotation, StagePrelude,
 };
 use crate::{Error, QueryOutcome, Result};
 
@@ -135,7 +147,7 @@ pub(crate) struct DataSet {
 /// (`data_epoch`) that state describes.
 ///
 /// Pin one with [`Database::snapshot`] (or
-/// [`crate::ConcurrentSession::snapshot`]) and run any number of reads
+/// [`crate::VerdictSession::snapshot`]) and run any number of reads
 /// against it via [`QueryOptions::pinned`]: every answer is a pure
 /// function of the pair, bit-reproducible regardless of interleaved
 /// writers or ingests — the pair keeps the exact table and sample version
@@ -182,6 +194,13 @@ impl SessionSnapshot {
         &self.data.table
     }
 
+    /// The AQP engines over the pinned version of the maintained offline
+    /// samples, by sample index (each exposes its sample through
+    /// [`verdict_aqp::AqpEngine::sample`]).
+    pub fn engines(&self) -> &[OnlineAggregation] {
+        &self.data.engines
+    }
+
     /// Encodes the pinned learned state (byte-identical to
     /// `Verdict::state_bytes` on the engine it was published from).
     pub fn state_bytes(&self) -> Vec<u8> {
@@ -206,28 +225,30 @@ impl SessionSnapshot {
 
 /// The serialized write path of one shard: the learner plus what
 /// checkpointing and ingesting need.
-pub(crate) struct Writer {
-    pub(crate) learner: Learner,
-    pub(crate) meta: SessionMeta,
-    /// Base-table partition map of a promoted partitioned session (kept
+struct Writer {
+    learner: Learner,
+    meta: SessionMeta,
+    /// Base-table partition map of a resident partitioned table (kept
     /// current across ingests; `None` for unpartitioned tables). Scopes
     /// each ingest's Lemma-3 widening to the regions its partitions can
-    /// reach.
-    pub(crate) partitions: Option<PartitionMap>,
-    /// Out-of-core runtime of a demand-paged table (promoted paged
-    /// session or a reopened paged store); `None` for resident tables.
-    pub(crate) paged: Option<PagedRuntime>,
+    /// reach. A paged table's map lives in `paged` instead.
+    partitions: Option<PartitionMap>,
+    /// Out-of-core runtime of a demand-paged table; `None` for resident
+    /// tables.
+    paged: Option<PagedRuntime>,
 }
 
 /// One table's full runtime: published snapshot pair, serialized writer,
 /// per-table durable store. The per-table unit of independence — nothing
-/// in here is shared across tables.
+/// in here is shared across tables — and the single implementation of
+/// every pipeline stage.
 pub(crate) struct Shard {
     pub(crate) name: Arc<str>,
     rotation: SampleRotation,
-    /// The sample `Fixed` rotation and pinned reads scan.
+    /// The sample `Fixed` rotation and pinned reads scan, and every
+    /// ingest estimates its Lemma-3 shift against.
     pub(crate) fixed_sample: usize,
-    num_samples: usize,
+    pub(crate) num_samples: usize,
     /// Next sample index under round-robin rotation.
     next_sample: AtomicUsize,
     /// Where readers load the current paired snapshot from. Only the
@@ -237,38 +258,211 @@ pub(crate) struct Shard {
     /// The durable store, outside the writer lock: its own mutex
     /// serializes appends, and parked-error checks must not block on a
     /// training writer.
-    store: Option<SharedStore>,
+    pub(crate) store: Option<SharedStore>,
     writer: Mutex<Writer>,
-    recovery: Option<RecoveryReport>,
+    pub(crate) recovery: Option<RecoveryReport>,
     /// This table's observability endpoint (no-op when the database was
     /// built without metrics / query log).
     pub(crate) obs: TableObs,
     /// Scan execution kernel every query on this table runs under.
-    pub(crate) scan_kernel: ScanKernel,
+    scan_kernel: ScanKernel,
     /// Worker-thread count for this table's morsel-parallel shared scans
     /// (1 = serial).
     pub(crate) parallelism: usize,
 }
 
 impl Shard {
-    /// Builds a shard from live parts, publishing the first snapshot.
+    /// **The create path**: draws `table`'s samples and starts a blank
+    /// learned state, with a fresh durable store in `store_dir` if given.
+    /// `partition` clusters the samples by partition; combined with a
+    /// store the table becomes out-of-core — split into one column file
+    /// per partition and served demand-paged under `serve.memory_budget`.
+    /// Sampling geometry, rotation, tier and cost come from `opts`; the
+    /// remaining serving knobs from `serve`.
+    pub(crate) fn create(
+        name: &str,
+        table: Table,
+        opts: &TableOptions,
+        partition: Option<&PartitionSpec>,
+        store_dir: Option<PathBuf>,
+        serve: &OpenOptions,
+    ) -> Result<Shard> {
+        let paged = partition.is_some() && store_dir.is_some();
+        if serve.memory_budget.is_some() && !paged {
+            return Err(memory_budget_misuse());
+        }
+        let meta = SessionMeta {
+            sample_fraction: opts.sample_fraction,
+            batch_size: opts.batch_size as u64,
+            seed: opts.seed,
+            num_samples: opts.num_samples.max(1) as u64,
+            original_rows: table.num_rows() as u64,
+            config: opts.config.clone(),
+            partition_spec: partition.filter(|_| paged).cloned(),
+            paged,
+        };
+        // The dimension universe is fixed here, at creation.
+        let verdict = Verdict::new(SchemaInfo::from_table(&table)?, opts.config.clone());
+        let (table, engines, store, partitions, runtime) = match store_dir {
+            Some(dir) if paged => {
+                let (store, state) = SynopsisStore::create_paged(
+                    dir,
+                    serve.store_policy.clone(),
+                    meta.clone(),
+                    &table,
+                    &verdict.export_state(),
+                )
+                .map_err(Error::Store)?;
+                let runtime = PagedRuntime::new(
+                    state.map,
+                    state.original_part_rows,
+                    state.total_rows,
+                    serve.memory_budget,
+                );
+                // Only the zero-row resolution table stays resident; the
+                // base rows live in their partition files from here on.
+                let engines = build_paged_engines(
+                    store.dir(),
+                    &runtime,
+                    &state.resolution,
+                    state.total_rows,
+                    state.tails,
+                    &[],
+                    &meta,
+                    &opts.cost,
+                    opts.tier,
+                )?;
+                (state.resolution, engines, Some(store), None, Some(runtime))
+            }
+            store_dir => {
+                let partitions = partition
+                    .map(|spec| PartitionMap::build(&table, spec.clone()))
+                    .transpose()
+                    .map_err(Error::Storage)?;
+                let engines = draw_engines(&table, &meta, &opts.cost, opts.tier, partition)?;
+                let store = store_dir
+                    .map(|dir| {
+                        SynopsisStore::create(
+                            dir,
+                            serve.store_policy.clone(),
+                            meta.clone(),
+                            &table,
+                            &verdict.export_state(),
+                        )
+                    })
+                    .transpose()
+                    .map_err(Error::Store)?;
+                (table, engines, store, partitions, None)
+            }
+        };
+        Ok(Shard::new(
+            name,
+            table,
+            engines,
+            verdict,
+            store,
+            meta,
+            None,
+            partitions,
+            runtime,
+            opts.rotation,
+            serve,
+        ))
+    }
+
+    /// **The recover path**: rebuilds a table's shard from its opened
+    /// store — redraw the original sample from the original row prefix
+    /// (same seed → bit-identical draw), re-admit any ingested tail
+    /// deterministically, and restore the learned state. Sample identity
+    /// and engine config come from the persisted metadata; everything the
+    /// store does not persist from `serve`.
+    pub(crate) fn recover(
+        name: &str,
+        store: SynopsisStore,
+        recovered: Recovered,
+        serve: &OpenOptions,
+    ) -> Result<Shard> {
+        let meta = recovered.meta;
+        // Out-of-core table: no rows to redraw from — rebuild the identical
+        // partition map and demand-paged engines from the recovered paged
+        // state (segments re-derive from the same frozen per-partition
+        // draw), then re-admit the replayed WAL batches exactly as the
+        // live table absorbed them.
+        let (table, engines, runtime) = match recovered.paged {
+            Some(pr) => {
+                let replayed: u64 = pr
+                    .replayed_batches
+                    .iter()
+                    .map(|b| b.num_rows() as u64)
+                    .sum();
+                let runtime = PagedRuntime::new(
+                    pr.map,
+                    pr.original_part_rows,
+                    pr.total_rows_at_snapshot + replayed,
+                    serve.memory_budget,
+                );
+                let engines = build_paged_engines(
+                    store.dir(),
+                    &runtime,
+                    &pr.resolution,
+                    pr.total_rows_at_snapshot,
+                    pr.tails,
+                    &pr.replayed_batches,
+                    &meta,
+                    &serve.cost,
+                    serve.tier,
+                )?;
+                (pr.resolution, engines, Some(runtime))
+            }
+            None => {
+                let engines = draw_engines(&recovered.table, &meta, &serve.cost, serve.tier, None)?;
+                (recovered.table, engines, None)
+            }
+        };
+        // Reuse the *persisted* schema: deriving it from the recovered table
+        // would pick up bounds widened by ingested rows and spuriously reject
+        // the stored state as schema-mismatched.
+        let mut verdict = Verdict::new(recovered.state.schema.clone(), meta.config.clone());
+        verdict
+            .restore_state(recovered.state)
+            .map_err(Error::Core)?;
+        verdict.set_data_epoch(recovered.data_epoch);
+        Ok(Shard::new(
+            name,
+            table,
+            engines,
+            verdict,
+            Some(store),
+            meta,
+            Some(recovered.report),
+            None,
+            runtime,
+            serve.rotation,
+            serve,
+        ))
+    }
+
+    /// Assembles a shard from the parts either construction path
+    /// produced, wiring the store's append hook into the engine and
+    /// publishing the first snapshot.
     #[allow(clippy::too_many_arguments)]
     fn new(
         name: &str,
         table: Table,
         engines: Vec<OnlineAggregation>,
-        active: usize,
-        rotation: SampleRotation,
-        verdict: Verdict,
-        store: Option<SharedStore>,
+        mut verdict: Verdict,
+        store: Option<SynopsisStore>,
         meta: SessionMeta,
         recovery: Option<RecoveryReport>,
-        obs: TableObs,
-        scan_kernel: ScanKernel,
-        parallelism: usize,
         partitions: Option<PartitionMap>,
         paged: Option<PagedRuntime>,
-    ) -> Arc<Shard> {
+        rotation: SampleRotation,
+        serve: &OpenOptions,
+    ) -> Shard {
+        let store = store.map(SharedStore::new);
+        if let Some(store) = &store {
+            verdict.set_observer(store.observer());
+        }
         let data = Arc::new(DataSet {
             data_epoch: verdict.data_epoch(),
             table: Arc::new(table),
@@ -281,12 +475,13 @@ impl Shard {
             engine: learner.snapshot(),
             data: Arc::clone(&data),
         };
-        Arc::new(Shard {
+        Shard {
+            obs: TableObs::new(serve.metrics.clone(), serve.query_log.clone(), &name),
             name,
             rotation,
-            fixed_sample: active,
+            fixed_sample: 0,
             num_samples: data.engines.len(),
-            next_sample: AtomicUsize::new(active),
+            next_sample: AtomicUsize::new(0),
             current: Mutex::new(current),
             store,
             writer: Mutex::new(Writer {
@@ -296,10 +491,20 @@ impl Shard {
                 paged,
             }),
             recovery,
-            obs,
-            scan_kernel,
-            parallelism: parallelism.max(1),
-        })
+            scan_kernel: serve.scan_kernel,
+            parallelism: serve.parallelism.max(1),
+        }
+    }
+
+    /// Re-registers the table under `name` in every snapshot published
+    /// from here on (its metric series keep the label they were
+    /// registered with).
+    pub(crate) fn rename(&mut self, name: &str) {
+        self.name = Arc::from(name);
+        self.current
+            .get_mut()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+            .table_name = Arc::clone(&self.name);
     }
 
     /// Loads the current paired snapshot (brief lock, two `Arc` copies).
@@ -336,7 +541,17 @@ impl Shard {
         matches!(self.rotation, SampleRotation::Fixed) || self.num_samples == 1
     }
 
-    /// Which sample the next live query scans: round-robin advances one
+    /// Which sample the next live query scans, without consuming it.
+    pub(crate) fn next_sample(&self) -> usize {
+        match self.rotation {
+            SampleRotation::Fixed => self.fixed_sample,
+            SampleRotation::RoundRobin => {
+                self.next_sample.load(Ordering::Relaxed) % self.num_samples
+            }
+        }
+    }
+
+    /// Claims the sample a live query scans: round-robin advances one
     /// shared counter; `Fixed` always scans the shard's fixed sample.
     pub(crate) fn pick_sample(&self) -> usize {
         match self.rotation {
@@ -345,6 +560,23 @@ impl Shard {
                 self.next_sample.fetch_add(1, Ordering::Relaxed) % self.num_samples
             }
         }
+    }
+
+    /// Makes `index` the fixed sample and the next one round-robin
+    /// rotation scans. An out-of-range index is an error, never wrapped:
+    /// a silent `%` would let a one-sample table accept any index and
+    /// always scan sample 0, so the independence the caller thought they
+    /// were buying would not exist.
+    pub(crate) fn set_fixed_sample(&mut self, index: usize) -> Result<()> {
+        if index >= self.num_samples {
+            return Err(Error::Aqp(AqpError::InvalidConfig(format!(
+                "sample index {index} out of range: session has {} sample(s)",
+                self.num_samples
+            ))));
+        }
+        self.fixed_sample = index;
+        *self.next_sample.get_mut() = index;
+        Ok(())
     }
 
     fn lock_writer(&self) -> MutexGuard<'_, Writer> {
@@ -356,7 +588,8 @@ impl Shard {
     }
 
     /// Surfaces any error a background WAL append or deferred compaction
-    /// parked since the last check.
+    /// parked since the last check (the observer hook has no error
+    /// channel of its own).
     pub(crate) fn surface_store_error(&self) -> Result<()> {
         if let Some(store) = &self.store {
             if let Some(e) = store.lock().take_error() {
@@ -366,11 +599,133 @@ impl Shard {
         Ok(())
     }
 
+    /// Picks the snapshot a query runs against: the caller's pinned pair
+    /// (fixed sample, learning skipped — a pinned read is a pure function
+    /// of the snapshot) or the current one (rotation advances, learning
+    /// on).
+    fn pin(&self, opts: &QueryOptions) -> Result<(SessionSnapshot, usize, bool)> {
+        match &opts.pinned_epoch {
+            Some(snapshot) if *snapshot.table_name != *self.name => {
+                Err(Error::Catalog(CatalogError::SnapshotTableMismatch {
+                    snapshot: snapshot.table_name().to_owned(),
+                    query: self.name.to_string(),
+                }))
+            }
+            Some(snapshot) => Ok((snapshot.clone(), self.fixed_sample, false)),
+            None => Ok((self.current(), self.pick_sample(), true)),
+        }
+    }
+
+    /// The gate every query passes first: persistent tables surface store
+    /// failures (a failed background log append, or a compaction that
+    /// failed after an earlier query) here, *before* doing any work — a
+    /// computed answer is never thrown away because persisting something
+    /// else failed afterwards. Pinned reads are pure functions of their
+    /// snapshot: they never touch the store, so they must neither surface
+    /// nor *consume* a parked error (the writer path is promised to see
+    /// it).
+    pub(crate) fn begin_query(&self, opts: &QueryOptions) -> Result<()> {
+        if opts.pinned_epoch.is_none() {
+            self.surface_store_error()?;
+        }
+        self.obs.query_started();
+        Ok(())
+    }
+
+    /// Checks, plans and answers one parsed ad-hoc query whose `FROM`
+    /// already resolved to this shard.
+    pub(crate) fn query(
+        &self,
+        query: &Query,
+        sql: &str,
+        opts: &QueryOptions,
+        t0: Instant,
+    ) -> Result<QueryOutcome> {
+        self.begin_query(opts)?;
+        if let SupportVerdict::Unsupported(reasons) = check_query(query, &JoinPolicy::none()) {
+            self.obs.query_unsupported();
+            return Ok(QueryOutcome::Unsupported(reasons));
+        }
+        let parse_ns = if self.obs.tracing() {
+            t0.elapsed().as_nanos() as u64
+        } else {
+            0
+        };
+        self.answer(opts, sql, false, t0, parse_ns, |engine, nmax| {
+            plan_shared_scan(query, engine, nmax)
+        })
+    }
+
+    /// The one post-gate answer step every serving path runs (ad-hoc
+    /// queries, prepared statements, the session facade): pin a snapshot
+    /// pair, instantiate the scan plan against its sample (`plan`, given
+    /// the engine to plan against and the `N_max` group cap), answer every
+    /// cell from one shared read, absorb what the read learned, trace.
+    pub(crate) fn answer(
+        &self,
+        opts: &QueryOptions,
+        sql: &str,
+        prepared: bool,
+        t0: Instant,
+        parse_ns: u64,
+        plan: impl FnOnce(&OnlineAggregation, usize) -> Result<ScanPlan>,
+    ) -> Result<QueryOutcome> {
+        let tracing = self.obs.tracing();
+        let plan_sw = Stopwatch::started_if(tracing);
+        let (snapshot, sample, learn) = self.pin(opts)?;
+        let engine = &snapshot.data.engines[sample];
+        let plan = plan(engine, snapshot.engine.config().nmax)?;
+        let plan_ns = plan_sw.elapsed_ns();
+        let mut scan = tracing.then(ScanTrace::default);
+        let read = run_shared_read(
+            engine,
+            snapshot.engine.view(),
+            &plan,
+            opts.mode,
+            opts.policy,
+            snapshot.engine.epoch(),
+            self.scan_kernel,
+            self.parallelism,
+            scan.as_mut(),
+        )?;
+        if engine.sample().is_paged() {
+            self.obs.record_partition_cache(&read.cache);
+        }
+        let absorb_sw = Stopwatch::started_if(tracing);
+        if learn {
+            self.absorb_read(&read);
+        }
+        let absorb_ns = absorb_sw.elapsed_ns();
+        let mut result = read.result;
+        result.elapsed = t0.elapsed();
+        if let Some(scan) = scan {
+            self.obs.record_query(
+                query_trace(
+                    &self.name,
+                    Some(sql),
+                    prepared,
+                    opts.mode,
+                    snapshot.data_epoch(),
+                    &result,
+                    &scan,
+                    StagePrelude {
+                        parse_ns,
+                        plan_ns,
+                        absorb_ns,
+                    },
+                ),
+                plan.groups_dropped,
+            );
+            self.refresh_engine_gauges(&snapshot);
+        }
+        Ok(QueryOutcome::Answered(result))
+    }
+
     /// The learn path: one serialized absorb per query. Synopsis appends
     /// (and through the observer hook, WAL appends) happen in writer-lock
     /// order; the batch republishes once, paired with the current data
     /// set. No-op for reads that learned nothing (`Mode::NoLearn`).
-    pub(crate) fn absorb_read(&self, read: &ReadOutcome) {
+    fn absorb_read(&self, read: &ReadOutcome) {
         if read.recorded.is_empty() && read.stats.is_zero() {
             return;
         }
@@ -380,9 +735,40 @@ impl Shard {
         self.maybe_compact(&mut writer);
     }
 
+    /// Runs `f` on the live engine under the writer lock — for mutations
+    /// that are not a read's absorb (manual append adjustments, the
+    /// reference executor's interleaved observes) — then republishes.
+    pub(crate) fn with_engine<R>(&self, f: impl FnOnce(&mut Verdict) -> R) -> R {
+        let mut writer = self.lock_writer();
+        let out = f(writer.learner.engine_mut());
+        writer.learner.republish();
+        self.publish_locked(&writer, None);
+        self.maybe_compact(&mut writer);
+        out
+    }
+
+    /// Applies a manual Lemma-3 adjustment to `key`'s synopsis and refits
+    /// its model, then checkpoints: the rewrite has no WAL record, so
+    /// only a fresh snapshot makes it durable. Returns the snippets
+    /// adjusted.
+    pub(crate) fn apply_append(
+        &self,
+        key: &AggKey,
+        adjustment: &AppendAdjustment,
+    ) -> Result<usize> {
+        let adjusted = self
+            .with_engine(|engine| engine.apply_append(key, adjustment))
+            .map_err(Error::Core)?;
+        self.checkpoint()?;
+        Ok(adjusted)
+    }
+
     /// Offline training pass (Algorithm 1) under the writer lock, then —
-    /// for persistent shards — a checkpoint.
-    fn train(&self) -> Result<()> {
+    /// for persistent shards — a checkpoint, so the (expensive) trained
+    /// models are on disk and a restart warm-starts without refitting. A
+    /// parked store error surfaces first: nothing is refit on a table
+    /// whose store is known to be failing.
+    pub(crate) fn train(&self) -> Result<()> {
         self.surface_store_error()?;
         let mut writer = self.lock_writer();
         let sw = Stopwatch::started_if(self.obs.tracing());
@@ -394,8 +780,9 @@ impl Shard {
     }
 
     /// Checkpoints the learned state into a fresh snapshot generation and
-    /// truncates the log. All-zero report without a store.
-    fn checkpoint(&self) -> Result<CheckpointReport> {
+    /// truncates the log (folding WAL-pending ingests into a new table
+    /// generation). All-zero report without a store.
+    pub(crate) fn checkpoint(&self) -> Result<CheckpointReport> {
         self.surface_store_error()?;
         let mut writer = self.lock_writer();
         let receipt = self.snapshot_now(&mut writer).map_err(Error::Store)?;
@@ -424,6 +811,10 @@ impl Shard {
         let (receipt, stats) = {
             let mut guard = store.lock();
             let receipt = if let Some(rt) = &writer.paged {
+                // A paged snapshot carries the out-of-core state — map,
+                // resolution dictionaries, per-sample ingest tails —
+                // instead of a table generation; the base rows are
+                // already durable in their partition files.
                 let state = PagedState {
                     map: rt.map.read().expect("partition map poisoned").clone(),
                     original_part_rows: rt.original_part_rows.clone(),
@@ -453,8 +844,10 @@ impl Shard {
     }
 
     /// Folds the log into a fresh snapshot when the store's compaction
-    /// policy asks for it; failures park in the store and surface at the
-    /// next query/checkpoint. Caller holds the writer lock.
+    /// policy asks for it, so the log never grows without bound. Failures
+    /// park in the store and surface at the next query/checkpoint — the
+    /// answer that triggered the compaction is already computed and
+    /// logged. Caller holds the writer lock.
     fn maybe_compact(&self, writer: &mut Writer) {
         let Some(store) = &self.store else {
             return;
@@ -467,14 +860,37 @@ impl Shard {
         }
     }
 
-    /// Ingests a row batch into this shard's evolving table, serialized
-    /// with its learn path (readers never block, other tables are not
-    /// involved at all).
-    fn ingest(&self, rows: &[Vec<Value>]) -> Result<IngestReport> {
+    /// Ingests a row batch into this shard's evolving table — the
+    /// engine's fourth pipeline stage (read / learn / train / **ingest**)
+    /// — serialized with its learn path (readers never block, other
+    /// tables are not involved at all):
+    ///
+    /// 1. the batch is validated against the schema (atomically — a bad
+    ///    row rejects the whole batch before anything mutates);
+    /// 2. a Lemma-3 adjustment is estimated for every synopsis aggregate
+    ///    (against the fixed sample) and the engine-side rewrites and
+    ///    model refits are **staged** — fallible work, no mutation;
+    /// 3. on persistent tables rows + adjustments are logged to the WAL
+    ///    (fail-fast: a refused append leaves memory and disk consistent;
+    ///    recovery replays complete batches only);
+    /// 4. the rows land, every maintained sample admits them at the
+    ///    correct inclusion probability (deterministic per-row admission,
+    ///    so recovery rebuilds the same sample), the staged rewrites
+    ///    commit, and the grown data and widened state publish
+    ///    **together** as the next snapshot pair.
+    ///
+    /// Resident and out-of-core tables differ only in how the rows land:
+    /// a resident table grows copy-on-write; an out-of-core table
+    /// write-extends the touched partition files (after the WAL record —
+    /// crash replay re-appends a batch only to files that missed it) and
+    /// keeps just the dictionaries and each sample's ingest tail resident.
+    pub(crate) fn ingest(&self, rows: &[Vec<Value>]) -> Result<IngestReport> {
         self.surface_store_error()?;
         let t0 = Instant::now();
-        let mut writer = self.lock_writer();
+        let mut writer_guard = self.lock_writer();
+        let writer = &mut *writer_guard;
         let snapshot = self.current();
+        let old = &snapshot.data;
         if rows.is_empty() {
             return Ok(IngestReport {
                 appended_rows: 0,
@@ -489,142 +905,94 @@ impl Shard {
                 widening_magnitude: 0.0,
             });
         }
-        if writer.paged.is_some() {
-            return self.ingest_paged(&mut writer, &snapshot, rows, t0);
-        }
-        let old = &snapshot.data;
-        // All fallible work first (validation, shift estimation, staged
-        // rewrites + refits) — shared with the serial session; the shift
-        // is estimated against the fixed sample.
-        let prepared = prepare_ingest(
-            writer.learner.engine(),
-            &old.table,
-            old.engines[self.fixed_sample].sample().table(),
-            rows,
-            writer.partitions.as_ref(),
-        )?;
+        // Materializing the batch as its own table validates every row
+        // and gives the shift estimator columns to evaluate over. An
+        // out-of-core batch is coded against the resolution table so the
+        // rows written to partition files carry globally valid codes.
+        let (old_rows, mut batch) = match &writer.paged {
+            Some(rt) => (rt.total_rows as usize, (*old.table).clone()),
+            None => (old.table.num_rows(), Table::new(old.table.schema().clone())),
+        };
+        batch.push_rows(rows).map_err(Error::Storage)?;
+        let (prepared, routed) = {
+            let paged_map = writer
+                .paged
+                .as_ref()
+                .map(|rt| rt.map.read().expect("partition map poisoned"));
+            let prepared = prepare_ingest(
+                writer.learner.engine(),
+                old.engines[self.fixed_sample].sample(),
+                &batch,
+                old_rows,
+                paged_map.as_deref().or(writer.partitions.as_ref()),
+            )?;
+            let routed = paged_map
+                .map(|map| map.route(&batch, 0..batch.num_rows()))
+                .transpose()
+                .map_err(Error::Storage)?;
+            (prepared, routed)
+        };
         // WAL byte accounting is the store's own cumulative counter
         // (delta across the append) — no second measurement.
-        let wal_bytes = if let Some(store) = &self.store {
-            let mut guard = store.lock();
-            let before = guard.stats().wal_bytes;
-            guard
-                .append_ingest(rows, &prepared.adjustments)
-                .map_err(Error::Store)?;
-            guard.stats().wal_bytes - before
-        } else {
-            0
+        let wal_bytes = match &self.store {
+            Some(store) => {
+                let mut guard = store.lock();
+                let before = guard.stats().wal_bytes;
+                let seq = guard
+                    .append_ingest(rows, &prepared.adjustments)
+                    .map_err(Error::Store)?;
+                if let Some(routed) = &routed {
+                    guard
+                        .append_parts(seq, &batch, routed)
+                        .map_err(Error::Store)?;
+                }
+                guard.stats().wal_bytes - before
+            }
+            None => 0,
         };
         // Build the next data set copy-on-write: the table clones once,
         // each sample's rows clone on its first admission.
         let mut table = (*old.table).clone();
-        table.push_rows(rows).map_err(Error::Storage)?;
-        // Route the appended rows into the partition map so the next
-        // ingest's bounds see this batch's contribution (a batch may
-        // split across several partitions; only those summaries extend).
-        if let Some(map) = &mut writer.partitions {
-            map.extend(&table).map_err(Error::Storage)?;
-        }
         let mut engines = old.engines.clone();
-        let mut admitted_rows = Vec::with_capacity(engines.len());
-        for (i, engine) in engines.iter_mut().enumerate() {
-            admitted_rows.push(
-                engine
-                    .absorb_appended(&table, prepared.old_rows as u64, writer.meta.seed, i as u64)
-                    .map_err(Error::Aqp)?,
-            );
-        }
+        let (first, seed) = (old_rows as u64, writer.meta.seed);
+        let admitted_rows = match &mut writer.paged {
+            Some(rt) => {
+                rt.map
+                    .write()
+                    .expect("partition map poisoned")
+                    .extend_batch(&batch)
+                    .map_err(Error::Storage)?;
+                table
+                    .sync_dictionaries_from(&batch)
+                    .map_err(Error::Storage)?;
+                let admitted = engines
+                    .iter_mut()
+                    .enumerate()
+                    .map(|(i, e)| e.paged_absorb_appended(&batch, first, seed, i as u64))
+                    .collect::<std::result::Result<Vec<_>, _>>()
+                    .map_err(Error::Aqp)?;
+                rt.total_rows += rows.len() as u64;
+                admitted
+            }
+            None => {
+                table.push_rows(rows).map_err(Error::Storage)?;
+                // Route the appended rows into the partition map so the
+                // next ingest's bounds see this batch's contribution (a
+                // batch may split across several partitions; only those
+                // summaries extend).
+                if let Some(map) = &mut writer.partitions {
+                    map.extend(&table).map_err(Error::Storage)?;
+                }
+                engines
+                    .iter_mut()
+                    .enumerate()
+                    .map(|(i, e)| e.absorb_appended(&table, first, seed, i as u64))
+                    .collect::<std::result::Result<Vec<_>, _>>()
+                    .map_err(Error::Aqp)?
+            }
+        };
         let adjusted_snippets = writer.learner.engine_mut().commit_ingest(prepared.staged);
         writer.learner.republish();
-        let data = Arc::new(DataSet {
-            data_epoch: old.data_epoch + 1,
-            table: Arc::new(table),
-            engines,
-        });
-        let data_epoch = data.data_epoch;
-        self.publish_locked(&writer, Some(data));
-        self.maybe_compact(&mut writer);
-        let report = IngestReport {
-            appended_rows: rows.len(),
-            admitted_rows,
-            adjusted_keys: prepared.adjustments.len(),
-            adjusted_snippets,
-            skipped_keys: prepared.skipped_keys,
-            data_epoch,
-            elapsed: t0.elapsed(),
-            refit_elapsed: prepared.refit_elapsed,
-            wal_bytes,
-            widening_magnitude: widening_magnitude(&prepared.adjustments),
-        };
-        self.obs.record_ingest(&report);
-        drop(writer);
-        self.refresh_engine_gauges(&self.current());
-        Ok(report)
-    }
-
-    /// Out-of-core ingest: the batch is WAL-logged then write-extends only
-    /// the touched partition files; no sampled row moves. Mirrors
-    /// [`crate::VerdictSession`]'s paged ingest under this shard's writer
-    /// lock, publishing the next data set copy-on-write (the resolution
-    /// table only syncs dictionaries; each engine's resident tail admits
-    /// its rows through the same pure per-row admission function).
-    fn ingest_paged(
-        &self,
-        writer: &mut Writer,
-        snapshot: &SessionSnapshot,
-        rows: &[Vec<Value>],
-        t0: Instant,
-    ) -> Result<IngestReport> {
-        let old = &snapshot.data;
-        let (map_arc, total_rows) = {
-            let rt = writer.paged.as_ref().expect("caller checked");
-            (Arc::clone(&rt.map), rt.total_rows)
-        };
-        let (prepared, batch, routed) = {
-            let map = map_arc.read().expect("partition map poisoned");
-            prepare_ingest_paged(
-                writer.learner.engine(),
-                &old.table,
-                old.engines[self.fixed_sample].sample(),
-                &map,
-                total_rows,
-                rows,
-            )?
-        };
-        // Paged shards are persistent by construction.
-        let store = self.store.as_ref().expect("paged shards have a store");
-        let wal_bytes = {
-            let mut guard = store.lock();
-            let before = guard.stats().wal_bytes;
-            let seq = guard
-                .append_ingest(rows, &prepared.adjustments)
-                .map_err(Error::Store)?;
-            guard
-                .append_parts(seq, &batch, &routed)
-                .map_err(Error::Store)?;
-            guard.stats().wal_bytes - before
-        };
-        map_arc
-            .write()
-            .expect("partition map poisoned")
-            .extend_batch(&batch)
-            .map_err(Error::Storage)?;
-        let mut table = (*old.table).clone();
-        table
-            .sync_dictionaries_from(&batch)
-            .map_err(Error::Storage)?;
-        let mut engines = old.engines.clone();
-        let mut admitted_rows = Vec::with_capacity(engines.len());
-        for (i, engine) in engines.iter_mut().enumerate() {
-            admitted_rows.push(
-                engine
-                    .paged_absorb_appended(&batch, total_rows, writer.meta.seed, i as u64)
-                    .map_err(Error::Aqp)?,
-            );
-        }
-        let adjusted_snippets = writer.learner.engine_mut().commit_ingest(prepared.staged);
-        writer.learner.republish();
-        writer.paged.as_mut().expect("caller checked").total_rows += rows.len() as u64;
         let data = Arc::new(DataSet {
             data_epoch: old.data_epoch + 1,
             table: Arc::new(table),
@@ -646,13 +1014,39 @@ impl Shard {
             widening_magnitude: widening_magnitude(&prepared.adjustments),
         };
         self.obs.record_ingest(&report);
+        drop(writer_guard);
         self.refresh_engine_gauges(&self.current());
         Ok(report)
     }
 
+    /// Exact (ground-truth) answer for an aggregate over the *base*
+    /// table. An out-of-core table streams every partition file back in
+    /// (an experiment convenience, deliberately not budget-bounded —
+    /// ground truth needs the whole relation).
+    pub(crate) fn exact(&self, agg: &AggregateFn, predicate: &Predicate) -> Result<f64> {
+        let writer = self.lock_writer();
+        let data = self.current().data;
+        let table = &data.table;
+        let (Some(rt), Some(store)) = (&writer.paged, &self.store) else {
+            return agg.eval_exact(table, predicate).map_err(Error::Storage);
+        };
+        let dir = store.lock().dir().to_path_buf();
+        let mut full = (**table).clone();
+        let map = rt.map.read().expect("partition map poisoned");
+        for p in 0..map.num_partitions() {
+            let rows = map.part(p).rows() as usize;
+            if rows == 0 {
+                continue;
+            }
+            let frag = read_part_rows(&dir, p as u32, table, rows).map_err(Error::Store)?;
+            full.append(&frag).map_err(Error::Storage)?;
+        }
+        agg.eval_exact(&full, predicate).map_err(Error::Storage)
+    }
+
     /// Re-publishes the engine-state gauges from a published snapshot.
     /// No-op without a metrics hub.
-    pub(crate) fn refresh_engine_gauges(&self, snapshot: &SessionSnapshot) {
+    fn refresh_engine_gauges(&self, snapshot: &SessionSnapshot) {
         self.obs.refresh_engine(
             snapshot.engine.synopsis_total_snippets(),
             snapshot.engine.synopsis_num_keys(),
@@ -665,14 +1059,24 @@ impl Shard {
     }
 }
 
+/// `memory_budget` bounds the partition cache; a table without one has
+/// nothing for it to bound, and silently ignoring the knob would let a
+/// caller believe memory is capped.
+pub(crate) fn memory_budget_misuse() -> Error {
+    Error::Aqp(AqpError::InvalidConfig(
+        "memory_budget only applies to out-of-core sessions \
+         (partition_by + persist_to, or open() of a paged store)"
+            .into(),
+    ))
+}
+
 struct DbInner {
     shards: Vec<Arc<Shard>>,
     /// Registration-order names, the catalog `FROM` resolves against.
     names: Vec<String>,
     /// Compatibility fallback: resolve unknown `FROM` names to this shard
-    /// (set by the single-table session wrappers, never by the builder).
+    /// (set for a legacy single-table store, never by the builder).
     default_table: Option<usize>,
-    join_policy: JoinPolicy,
     /// Root directory of a persistent catalog (v3 layout), if any.
     root: Option<PathBuf>,
     /// The attached metrics hub, if any (every shard registered on it).
@@ -740,15 +1144,15 @@ impl Default for TableOptions {
 /// The warm-start knobs [`Database::open_with`] accepts: exactly the
 /// configuration the store does *not* persist. Sample identity (seed,
 /// fraction, batch size, sample count) and the engine config always come
-/// from the persisted metadata.
+/// from the persisted metadata. (The builders carry their serving-side
+/// knobs in one of these too, so every construction path reads them
+/// from the same place.)
 ///
 /// Non-exhaustive — construct with [`OpenOptions::new`] and refine with
 /// the `with_*` methods.
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct OpenOptions {
-    /// Foreign-key join policy for the checker (default: no joins).
-    pub join_policy: JoinPolicy,
     /// Compaction/durability policy for the per-table stores.
     pub store_policy: StorePolicy,
     /// Sample rotation, applied to every table (default fixed).
@@ -774,7 +1178,6 @@ pub struct OpenOptions {
 impl Default for OpenOptions {
     fn default() -> Self {
         OpenOptions {
-            join_policy: JoinPolicy::none(),
             store_policy: StorePolicy::default(),
             rotation: SampleRotation::Fixed,
             tier: StorageTier::Cached,
@@ -792,12 +1195,6 @@ impl OpenOptions {
     /// The defaults (see field docs).
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Sets the checker's join policy.
-    pub fn with_join_policy(mut self, p: JoinPolicy) -> Self {
-        self.join_policy = p;
-        self
     }
 
     /// Sets the per-table stores' compaction/durability policy.
@@ -862,13 +1259,10 @@ impl OpenOptions {
 /// catalog is fixed for the database's lifetime.
 pub struct DatabaseBuilder {
     tables: Vec<(String, Table, TableOptions)>,
-    join_policy: JoinPolicy,
     persist: Option<PathBuf>,
-    store_policy: StorePolicy,
-    metrics: Option<Arc<MetricsHub>>,
-    query_log: Option<Arc<QueryLog>>,
-    scan_kernel: ScanKernel,
-    parallelism: usize,
+    /// Database-wide serving knobs (its per-table fields — rotation,
+    /// tier, cost — are unused here: [`TableOptions`] carries those).
+    serve: OpenOptions,
 }
 
 impl DatabaseBuilder {
@@ -883,12 +1277,6 @@ impl DatabaseBuilder {
         self
     }
 
-    /// Foreign-key join policy for the checker (database-wide).
-    pub fn join_policy(mut self, p: JoinPolicy) -> Self {
-        self.join_policy = p;
-        self
-    }
-
     /// Persists the whole catalog under `dir`: a `CATALOG` manifest plus
     /// one per-table store in `tables/<name>/`. Fails at build time if a
     /// database (or legacy single-table store) already exists there —
@@ -900,7 +1288,7 @@ impl DatabaseBuilder {
 
     /// Overrides the per-table stores' compaction/durability policy.
     pub fn store_policy(mut self, policy: StorePolicy) -> Self {
-        self.store_policy = policy;
+        self.serve.store_policy = policy;
         self
     }
 
@@ -909,7 +1297,7 @@ impl DatabaseBuilder {
     /// lock-free from then on. Without a hub (the default) the metrics
     /// path is a true no-op — no atomics touched, no stage clocks read.
     pub fn metrics(mut self, hub: Arc<MetricsHub>) -> Self {
-        self.metrics = Some(hub);
+        self.serve.metrics = Some(hub);
         self
     }
 
@@ -918,7 +1306,7 @@ impl DatabaseBuilder {
     /// [`verdict_obs::QueryTrace`] into a ring holding the most recent
     /// `capacity` traces. Off by default.
     pub fn query_log(mut self, capacity: usize) -> Self {
-        self.query_log = Some(Arc::new(QueryLog::new(capacity)));
+        self.serve.query_log = Some(Arc::new(QueryLog::new(capacity)));
         self
     }
 
@@ -926,7 +1314,7 @@ impl DatabaseBuilder {
     /// [`ScanKernel::Chunked`]); the row-wise kernel is the bit-identical
     /// reference path.
     pub fn scan_kernel(mut self, kernel: ScanKernel) -> Self {
-        self.scan_kernel = kernel;
+        self.serve.scan_kernel = kernel;
         self
     }
 
@@ -935,7 +1323,7 @@ impl DatabaseBuilder {
     /// partials merge in batch-index order, so results are bit-identical
     /// to a serial scan.
     pub fn parallelism(mut self, n: usize) -> Self {
-        self.parallelism = n.max(1);
+        self.serve.parallelism = n.max(1);
         self
     }
 
@@ -968,63 +1356,9 @@ impl DatabaseBuilder {
 
         let mut shards = Vec::with_capacity(self.tables.len());
         for (name, table, opts) in self.tables {
-            let engines = draw_engines(
-                &table,
-                table.num_rows(),
-                opts.sample_fraction,
-                opts.batch_size,
-                opts.seed,
-                opts.num_samples.max(1),
-                &opts.cost,
-                opts.tier,
-                None,
-            )?;
-            let schema = SchemaInfo::from_table(&table)?;
-            let meta = SessionMeta {
-                sample_fraction: opts.sample_fraction,
-                batch_size: opts.batch_size as u64,
-                seed: opts.seed,
-                num_samples: opts.num_samples.max(1) as u64,
-                original_rows: table.num_rows() as u64,
-                config: opts.config.clone(),
-                partition_spec: None,
-                paged: false,
-            };
-            let mut verdict = Verdict::new(schema, opts.config);
-            let store = match &self.persist {
-                Some(root) => {
-                    let store = SynopsisStore::create(
-                        table_dir(root, &name),
-                        self.store_policy.clone(),
-                        meta.clone(),
-                        &table,
-                        &verdict.export_state(),
-                    )
-                    .map_err(Error::Store)?;
-                    Some(SharedStore::new(store))
-                }
-                None => None,
-            };
-            if let Some(store) = &store {
-                verdict.set_observer(store.observer());
-            }
-            let obs = TableObs::new(self.metrics.clone(), self.query_log.clone(), &name);
-            shards.push(Shard::new(
-                &name,
-                table,
-                engines,
-                0,
-                opts.rotation,
-                verdict,
-                store,
-                meta,
-                None,
-                obs,
-                self.scan_kernel,
-                self.parallelism,
-                None,
-                None,
-            ));
+            let store_dir = self.persist.as_ref().map(|root| table_dir(root, &name));
+            let shard = Shard::create(&name, table, &opts, None, store_dir, &self.serve)?;
+            shards.push(Arc::new(shard));
         }
         // The manifest is written *last*: it is the commit point of the
         // build. A crash or failure while the per-table stores were being
@@ -1045,10 +1379,9 @@ impl DatabaseBuilder {
                 shards,
                 names,
                 default_table: None,
-                join_policy: self.join_policy,
                 root: self.persist,
-                metrics: self.metrics,
-                query_log: self.query_log,
+                metrics: self.serve.metrics,
+                query_log: self.serve.query_log,
             }),
         })
     }
@@ -1059,13 +1392,8 @@ impl Database {
     pub fn builder() -> DatabaseBuilder {
         DatabaseBuilder {
             tables: Vec::new(),
-            join_policy: JoinPolicy::none(),
             persist: None,
-            store_policy: StorePolicy::default(),
-            metrics: None,
-            query_log: None,
-            scan_kernel: ScanKernel::default(),
-            parallelism: default_parallelism(),
+            serve: OpenOptions::new(),
         }
     }
 
@@ -1084,89 +1412,55 @@ impl Database {
     }
 
     /// [`Database::open`] with explicit [`OpenOptions`] — the knobs the
-    /// store does **not** persist (join policy, store policy, sample
-    /// rotation, cost model, storage tier) and would otherwise reopen at
+    /// store does **not** persist (store policy, sample rotation, cost
+    /// model, storage tier, …) and would otherwise reopen at
     /// their defaults. Everything sample-identity-affecting (seed,
     /// fraction, batch size, sample count, engine config) comes from the
     /// persisted metadata and cannot be overridden, exactly like the
     /// session API's warm start.
     pub fn open_with(dir: impl AsRef<Path>, opts: OpenOptions) -> Result<Database> {
         let root = dir.as_ref();
-        if catalog_exists(root) {
-            let manifest = read_catalog(root).map_err(Error::Store)?;
-            let mut shards = Vec::with_capacity(manifest.tables.len());
-            for name in &manifest.tables {
-                let (store, recovered) =
-                    SynopsisStore::open(table_dir(root, name), opts.store_policy.clone())
-                        .map_err(Error::Store)?;
-                shards.push(shard_from_recovered(name, store, recovered, &opts)?);
-            }
-            Ok(Database {
-                inner: Arc::new(DbInner {
-                    shards,
-                    names: manifest.tables,
-                    default_table: None,
-                    join_policy: opts.join_policy,
-                    root: Some(root.to_path_buf()),
-                    metrics: opts.metrics,
-                    query_log: opts.query_log,
-                }),
-            })
+        let open = |dir: PathBuf, name: &str| -> Result<Arc<Shard>> {
+            let (store, recovered) =
+                SynopsisStore::open(dir, opts.store_policy.clone()).map_err(Error::Store)?;
+            Ok(Arc::new(Shard::recover(name, store, recovered, &opts)?))
+        };
+        let (shards, names, default_table) = if catalog_exists(root) {
+            let names = read_catalog(root).map_err(Error::Store)?.tables;
+            let shards = names
+                .iter()
+                .map(|name| open(table_dir(root, name), name))
+                .collect::<Result<Vec<_>>>()?;
+            (shards, names, None)
         } else {
             // Legacy v2 single-table layout: the store files live at the
             // root itself and carry no table name.
-            let (store, recovered) =
-                SynopsisStore::open(root, opts.store_policy.clone()).map_err(Error::Store)?;
-            let shard = shard_from_recovered("t", store, recovered, &opts)?;
-            Ok(Database {
-                inner: Arc::new(DbInner {
-                    shards: vec![shard],
-                    names: vec!["t".to_owned()],
-                    default_table: Some(0),
-                    join_policy: opts.join_policy,
-                    root: Some(root.to_path_buf()),
-                    metrics: opts.metrics,
-                    query_log: opts.query_log,
-                }),
-            })
-        }
+            let shard = open(root.to_path_buf(), "t")?;
+            (vec![shard], vec!["t".to_owned()], Some(0))
+        };
+        Ok(Database {
+            inner: Arc::new(DbInner {
+                shards,
+                names,
+                default_table,
+                root: Some(root.to_path_buf()),
+                metrics: opts.metrics,
+                query_log: opts.query_log,
+            }),
+        })
     }
 
-    /// Wraps one live table (a promoted session) as a single-table
-    /// database. `lenient_from` preserves the pre-catalog sessions'
-    /// behavior of accepting any `FROM` name.
-    pub(crate) fn from_session_parts(
-        parts: SessionParts,
-        name: &str,
-        lenient_from: bool,
-    ) -> Database {
-        let metrics = parts.obs.hub().cloned();
-        let query_log = parts.obs.log().cloned();
-        let shard = Shard::new(
-            name,
-            parts.table,
-            parts.engines,
-            parts.active,
-            parts.rotation,
-            parts.verdict,
-            parts.store,
-            parts.meta,
-            parts.recovery,
-            parts.obs,
-            parts.scan_kernel,
-            parts.parallelism,
-            parts.partitions,
-            parts.paged,
-        );
+    /// Wraps one live shard (a promoted session) as a single-table
+    /// database whose `FROM` resolves strictly against the shard's name.
+    pub(crate) fn from_shard(shard: Shard) -> Database {
         Database {
             inner: Arc::new(DbInner {
-                shards: vec![shard],
-                names: vec![name.to_owned()],
-                default_table: lenient_from.then_some(0),
-                join_policy: parts.join_policy,
+                names: vec![shard.name.to_string()],
+                default_table: None,
                 root: None,
-                metrics,
-                query_log,
+                metrics: shard.obs.hub().cloned(),
+                query_log: shard.obs.log().cloned(),
+                shards: vec![Arc::new(shard)],
             }),
         }
     }
@@ -1223,12 +1517,6 @@ impl Database {
         let index =
             resolve_from(name, &self.inner.names, self.inner.default_table).map_err(Error::Sql)?;
         Ok(&self.inner.shards[index])
-    }
-
-    /// The shard a wrapper session (exactly one table) talks to.
-    pub(crate) fn sole_shard(&self) -> &Arc<Shard> {
-        debug_assert_eq!(self.inner.shards.len(), 1);
-        &self.inner.shards[0]
     }
 
     /// The current base table of `name` (newest published data epoch).
@@ -1307,72 +1595,7 @@ impl Database {
     pub fn query(&self, sql: &str, opts: &QueryOptions) -> Result<QueryOutcome> {
         let t0 = Instant::now();
         let query = parse_query(sql)?;
-        let shard = self.shard(&query.from)?;
-        // Pinned reads are pure functions of their snapshot: they never
-        // touch the store, so they must neither surface nor *consume* a
-        // parked store error (the writer path is promised to see it).
-        if opts.pinned_epoch.is_none() {
-            shard.surface_store_error()?;
-        }
-        shard.obs.query_started();
-        if let SupportVerdict::Unsupported(reasons) = check_query(&query, &self.inner.join_policy) {
-            shard.obs.query_unsupported();
-            return Ok(QueryOutcome::Unsupported(reasons));
-        }
-        let tracing = shard.obs.tracing();
-        let parse_ns = if tracing {
-            t0.elapsed().as_nanos() as u64
-        } else {
-            0
-        };
-        let plan_sw = Stopwatch::started_if(tracing);
-        let (snapshot, sample, learn) = pin_snapshot(shard, opts)?;
-        let engine = &snapshot.data.engines[sample];
-        let plan = plan_shared_scan(&query, engine, snapshot.engine.config().nmax)?;
-        let plan_ns = plan_sw.elapsed_ns();
-        let mut scan = tracing.then(ScanTrace::default);
-        let read = run_shared_read(
-            engine,
-            snapshot.engine.view(),
-            &plan,
-            opts.mode,
-            opts.policy,
-            snapshot.engine.epoch(),
-            shard.scan_kernel,
-            shard.parallelism,
-            scan.as_mut(),
-        )?;
-        if engine.sample().is_paged() {
-            shard.obs.record_partition_cache(&read.cache);
-        }
-        let absorb_sw = Stopwatch::started_if(tracing);
-        if learn {
-            shard.absorb_read(&read);
-        }
-        let absorb_ns = absorb_sw.elapsed_ns();
-        let mut result = read.result;
-        result.elapsed = t0.elapsed();
-        if let Some(scan) = scan {
-            shard.obs.record_query(
-                query_trace(
-                    &shard.name,
-                    Some(sql),
-                    false,
-                    opts.mode,
-                    snapshot.data_epoch(),
-                    &result,
-                    &scan,
-                    StagePrelude {
-                        parse_ns,
-                        plan_ns,
-                        absorb_ns,
-                    },
-                ),
-                plan.groups_dropped,
-            );
-            shard.refresh_engine_gauges(&snapshot);
-        }
-        Ok(QueryOutcome::Answered(result))
+        self.shard(&query.from)?.query(&query, sql, opts, t0)
     }
 
     /// Prepares a statement: parse → check → resolve → plan template run
@@ -1384,7 +1607,7 @@ impl Database {
     pub fn prepare(&self, sql: &str) -> Result<Prepared> {
         let query = parse_query(sql)?;
         let shard = self.shard(&query.from)?;
-        if let SupportVerdict::Unsupported(reasons) = check_query(&query, &self.inner.join_policy) {
+        if let SupportVerdict::Unsupported(reasons) = check_query(&query, &JoinPolicy::none()) {
             return Err(Error::Unsupported(reasons));
         }
         let snapshot = shard.current();
@@ -1454,120 +1677,6 @@ impl Database {
             .map(|log| log.recent(n))
             .unwrap_or_default()
     }
-}
-
-/// Picks the snapshot a query runs against: the caller's pinned pair
-/// (fixed sample, learning skipped — a pinned read is a pure function of
-/// the snapshot) or the shard's current one (rotation advances, learning
-/// on).
-pub(crate) fn pin_snapshot(
-    shard: &Shard,
-    opts: &QueryOptions,
-) -> Result<(SessionSnapshot, usize, bool)> {
-    match &opts.pinned_epoch {
-        Some(snapshot) => {
-            if *snapshot.table_name != *shard.name {
-                return Err(Error::Catalog(CatalogError::SnapshotTableMismatch {
-                    snapshot: snapshot.table_name().to_owned(),
-                    query: shard.name.to_string(),
-                }));
-            }
-            Ok((snapshot.clone(), shard.fixed_sample, false))
-        }
-        None => {
-            let snapshot = shard.current();
-            let sample = shard.pick_sample();
-            Ok((snapshot, sample, true))
-        }
-    }
-}
-
-/// Rebuilds one table's shard from its recovered store: redraw the
-/// original sample from the original row prefix (same seed →
-/// bit-identical draw), re-admit any ingested tail deterministically, and
-/// restore the learned state. Mirrors [`crate::SessionBuilder::open`] +
-/// `build`, per table.
-fn shard_from_recovered(
-    name: &str,
-    store: SynopsisStore,
-    recovered: Recovered,
-    opts: &OpenOptions,
-) -> Result<Arc<Shard>> {
-    let meta = recovered.meta.clone();
-    let dir = store.dir().to_path_buf();
-    // Out-of-core table: no rows to redraw from — rebuild the identical
-    // partition map and demand-paged engines from the recovered paged
-    // state (segments re-derive from the same frozen per-partition draw).
-    let (table, engines, paged) = match recovered.paged {
-        Some(pr) => {
-            let total_rows = pr.total_rows_at_snapshot
-                + pr.replayed_batches
-                    .iter()
-                    .map(|b| b.num_rows() as u64)
-                    .sum::<u64>();
-            let runtime = PagedRuntime {
-                map: Arc::new(RwLock::new(pr.map)),
-                store: Arc::new(PartitionStore::new(opts.memory_budget.unwrap_or(u64::MAX))),
-                original_part_rows: pr.original_part_rows,
-                total_rows,
-            };
-            let engines = build_paged_engines(
-                &dir,
-                &runtime,
-                &pr.resolution,
-                pr.total_rows_at_snapshot,
-                pr.tails,
-                &pr.replayed_batches,
-                meta.sample_fraction,
-                meta.batch_size as usize,
-                meta.seed,
-                &opts.cost,
-                opts.tier,
-            )?;
-            (pr.resolution, engines, Some(runtime))
-        }
-        None => {
-            let engines = draw_engines(
-                &recovered.table,
-                meta.original_rows as usize,
-                meta.sample_fraction,
-                meta.batch_size as usize,
-                meta.seed,
-                meta.num_samples as usize,
-                &opts.cost,
-                opts.tier,
-                None,
-            )?;
-            (recovered.table, engines, None)
-        }
-    };
-    // Reuse the *persisted* schema: deriving it from the recovered table
-    // would pick up bounds widened by ingested rows and spuriously reject
-    // the stored state as schema-mismatched.
-    let schema = recovered.state.schema.clone();
-    let mut verdict = Verdict::new(schema, meta.config.clone());
-    verdict
-        .restore_state(recovered.state)
-        .map_err(Error::Core)?;
-    verdict.set_data_epoch(recovered.data_epoch);
-    let shared = SharedStore::new(store);
-    verdict.set_observer(shared.observer());
-    Ok(Shard::new(
-        name,
-        table,
-        engines,
-        0,
-        opts.rotation,
-        verdict,
-        Some(shared),
-        meta,
-        Some(recovered.report),
-        TableObs::new(opts.metrics.clone(), opts.query_log.clone(), name),
-        opts.scan_kernel,
-        opts.parallelism,
-        None,
-        paged,
-    ))
 }
 
 // Compile-time proof of the headline property: a database handle crosses

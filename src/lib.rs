@@ -106,22 +106,28 @@
 //!
 //! ## Migrating from the session API
 //!
-//! [`VerdictSession`] (serial, one table) and [`ConcurrentSession`]
-//! (multi-threaded, one table) remain as single-table fronts; the
-//! concurrent session is literally a thin wrapper over a one-table
-//! [`Database`]. To move code over:
+//! There is one engine: the per-table shard behind [`Database`].
+//! [`VerdictSession`] remains as a single-owner, single-table facade over
+//! one shard (positional `Mode`/`StopPolicy`, `FROM` ignored, manual
+//! sample selection); it holds no engine state of its own. To move code
+//! over:
 //!
 //! - `SessionBuilder::new(t).build()` → `Database::builder()
 //!   .register_table("t", t).build()`; per-table knobs (sample fraction,
 //!   seed, …) move into [`TableOptions`].
 //! - `session.execute(sql, mode, policy)` → `db.query(sql,
 //!   &QueryOptions::new().with_mode(mode).with_policy(policy))`.
-//! - `SessionBuilder::open(dir)` → [`Database::open`] — a legacy
-//!   single-table store directory opens as a one-table database (table
-//!   name `"t"`, any `FROM` accepted).
-//! - An existing session promotes in place:
-//!   [`VerdictSession::into_database`] /
-//!   [`ConcurrentSession::into_database`].
+//! - `session.verdict()` / `session.engine()` → `session.snapshot()` (or
+//!   [`Database::snapshot`]): a [`SessionSnapshot`] exposes the learned
+//!   state (`state_bytes`, `has_model`, `synopsis_len`, `stats`) and the
+//!   maintained samples (`engines()`). There is no mutable engine
+//!   access — every mutation goes through the shard's learn path.
+//! - `SessionBuilder::open(dir)` → [`Database::open`] — a single-table
+//!   store directory opens as a one-table database (table name `"t"`,
+//!   any `FROM` accepted).
+//! - An existing session promotes in place with
+//!   [`VerdictSession::into_database`]; that (with `QueryOptions::pinned`
+//!   for `execute_at`) replaces the former `ConcurrentSession`.
 //!
 //! ## Crate map
 //!
@@ -130,17 +136,19 @@
 //! | [`verdict_core`] | snippets, synopsis, kernel, learning, inference, validation, append, read/learn split |
 //! | [`verdict_aqp`] | uniform samples, online aggregation, time-bound engine, cost model |
 //! | [`verdict_sql`] | parser (with `?` placeholders), supported-query checker, catalog name resolution, snippet decomposition, prepared plan templates |
-//! | [`verdict_storage`] | columnar tables, predicates, exact aggregation, FK joins |
+//! | [`verdict_storage`] | columnar tables, predicates, exact aggregation, partition maps |
 //! | [`verdict_store`] | durable stores: snippet log, snapshots, crash recovery, the v3 catalog manifest |
 //! | [`verdict_workload`] | synthetic / TPC-H-style / Customer1-style / multi-table generators |
 //! | [`verdict_obs`] | zero-dependency metrics registry, pipeline tracing, query log |
 //! | [`verdict_stats`], [`verdict_linalg`] | math substrates |
 //!
-//! Root-crate layering: [`database`] (catalog + per-table shards) and
-//! [`query`] (options + prepared statements) form the serving front-end;
-//! [`session`] and [`concurrent`] are the single-table compatibility
-//! fronts over the same pipeline; [`metrics`] binds the zero-dependency
-//! observability primitives of [`verdict_obs`] to every pipeline stage.
+//! Root-crate layering: [`database`] holds the catalog and the per-table
+//! shard — the one implementation of query, ingest, train, checkpoint
+//! and shard construction; [`query`] the options and prepared
+//! statements that drive it; [`session`] the result types, the executor
+//! core the shard calls, and the single-table [`VerdictSession`] facade;
+//! [`metrics`] binds the zero-dependency observability primitives of
+//! [`verdict_obs`] to every pipeline stage.
 //!
 //! ## Observability
 //!
@@ -155,14 +163,14 @@
 //! touches no atomics and reads no stage clocks
 //! (`cargo run --release --example observability`).
 
-pub mod concurrent;
 pub mod database;
 pub mod metrics;
 pub mod query;
 pub mod session;
 
-pub use concurrent::{ConcurrentSession, SessionSnapshot};
-pub use database::{CatalogError, Database, DatabaseBuilder, OpenOptions, TableOptions};
+pub use database::{
+    CatalogError, Database, DatabaseBuilder, OpenOptions, SessionSnapshot, TableOptions,
+};
 pub use metrics::CheckpointReport;
 pub use query::{Bound, Prepared, QueryOptions};
 pub use session::{

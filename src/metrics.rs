@@ -4,7 +4,7 @@
 //! The zero-dependency primitives (counters, gauges, histograms, the
 //! query trace/log) live in [`verdict_obs`] (re-exported as
 //! [`crate::obs`]); this module binds them to the engine's pipeline.
-//! Every session/shard owns a `TableObs`: when metrics are enabled it
+//! Every shard owns a `TableObs`: when metrics are enabled it
 //! holds one pre-registered handle per metric (registration walks a
 //! `Mutex`-guarded map, so it happens once at build time; the hot path
 //! only touches lock-free atomics), and when disabled every recording
@@ -17,7 +17,7 @@
 //!
 //! | name | meaning |
 //! |---|---|
-//! | `verdict_queries_started` | `execute`/`query` calls that passed the store-error gate |
+//! | `verdict_queries_started` | `execute`/`query` calls that parsed, resolved their table, and passed the store-error gate |
 //! | `verdict_queries_answered` | queries that produced a [`crate::QueryResult`] |
 //! | `verdict_queries_unsupported` | queries classified outside the supported class |
 //! | `verdict_tuples_scanned_total` | sample tuples visited by shared scans |
@@ -239,7 +239,7 @@ impl TableObs {
         self.log.as_ref()
     }
 
-    /// A query passed the store-error gate and is about to be parsed.
+    /// A parsed, resolved query passed the store-error gate.
     pub(crate) fn query_started(&self) {
         if let Some(h) = &self.handles {
             h.queries_started.inc();

@@ -19,12 +19,10 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use verdict_aqp::AqpEngine;
-use verdict_obs::{ScanTrace, Stopwatch};
 use verdict_sql::{ParamKind, PreparedQuery};
-use verdict_storage::{distinct_group_keys, GroupKey, Value};
+use verdict_storage::Value;
 
-use crate::database::{pin_snapshot, SessionSnapshot, Shard};
-use crate::session::{query_trace, run_shared_read, StagePrelude};
+use crate::database::{SessionSnapshot, Shard};
 use crate::{Error, Mode, QueryOutcome, Result, StopPolicy};
 
 /// How one query executes: inference mode, stop policy, and (optionally)
@@ -231,88 +229,26 @@ impl Bound<'_> {
     /// absorb what was learned. No SQL-layer work happens here.
     pub fn run(&self, opts: &QueryOptions) -> Result<QueryOutcome> {
         let t0 = Instant::now();
+        let prepared = &self.prepared.inner;
         let shard = &self.prepared.shard;
-        // Same contract as `Database::query`: pinned reads are pure and
-        // must not consume a parked store error meant for the writer.
-        if opts.pinned_epoch.is_none() {
-            shard.surface_store_error()?;
-        }
-        shard.obs.query_started();
-        let tracing = shard.obs.tracing();
+        shard.begin_query(opts)?;
         // The SQL layer was paid at prepare time: the serving path has no
         // parse stage, so `parse_ns` stays 0 and binding + group
         // enumeration + plan instantiation all count as planning.
-        let plan_sw = Stopwatch::started_if(tracing);
-        let (snapshot, sample, learn) = pin_snapshot(shard, opts)?;
-        let engine = &snapshot.data.engines[sample];
-        let sample_table = engine.sample().table();
-        let prepared = &self.prepared.inner;
-
-        let base = prepared.bind(sample_table, &self.params)?;
-        let group_keys: Vec<GroupKey> = if prepared.group_cols().is_empty() {
-            Vec::new()
-        } else if engine.sample().is_paged() {
-            // A paged sample's resident table is the zero-row resolution;
-            // enumerate by streaming segments (pruned partitions skipped
-            // without I/O).
-            engine
-                .sample()
-                .paged_distinct_group_keys(&base, prepared.group_cols())
-                .map_err(Error::Aqp)?
-        } else {
-            distinct_group_keys(sample_table, &base, prepared.group_cols())
-                .map_err(Error::Storage)?
-        };
-        let plan = prepared.plan_bound(
-            base,
-            sample_table,
-            &group_keys,
-            snapshot.engine.config().nmax,
-        )?;
-        let plan_ns = plan_sw.elapsed_ns();
-        let mut scan = tracing.then(ScanTrace::default);
-        let read = run_shared_read(
-            engine,
-            snapshot.engine.view(),
-            &plan,
-            opts.mode,
-            opts.policy,
-            snapshot.engine.epoch(),
-            shard.scan_kernel,
-            shard.parallelism,
-            scan.as_mut(),
-        )?;
-        if engine.sample().is_paged() {
-            shard.obs.record_partition_cache(&read.cache);
-        }
-        let absorb_sw = Stopwatch::started_if(tracing);
-        if learn {
-            shard.absorb_read(&read);
-        }
-        let absorb_ns = absorb_sw.elapsed_ns();
-        let mut result = read.result;
-        result.elapsed = t0.elapsed();
-        if let Some(scan) = scan {
-            shard.obs.record_query(
-                query_trace(
-                    &shard.name,
-                    Some(&self.prepared.sql),
-                    true,
-                    opts.mode,
-                    snapshot.data_epoch(),
-                    &result,
-                    &scan,
-                    StagePrelude {
-                        parse_ns: 0,
-                        plan_ns,
-                        absorb_ns,
-                    },
-                ),
-                plan.groups_dropped,
-            );
-            shard.refresh_engine_gauges(&snapshot);
-        }
-        Ok(QueryOutcome::Answered(result))
+        shard.answer(opts, &self.prepared.sql, true, t0, 0, |engine, nmax| {
+            let sample = engine.sample();
+            // `table()` is the zero-row resolution table on a paged
+            // sample: binding and planning only need schema + dictionaries.
+            let base = prepared.bind(sample.table(), &self.params)?;
+            let group_keys = if prepared.group_cols().is_empty() {
+                Vec::new()
+            } else {
+                sample
+                    .distinct_group_keys(&base, prepared.group_cols())
+                    .map_err(Error::Aqp)?
+            };
+            Ok(prepared.plan_bound(base, sample.table(), &group_keys, nmax)?)
+        })
     }
 }
 

@@ -1,19 +1,47 @@
-//! End-to-end query sessions: SQL in, improved answers out.
+//! The single-table facade, the query result types, and the executor
+//! core: SQL in, improved answers out.
 //!
-//! A [`VerdictSession`] owns the base table, a uniform sample served by an
-//! online-aggregation AQP engine (`NoLearn`), and a [`verdict_core::Verdict`]
-//! inference engine. [`VerdictSession::execute`] implements the paper's
-//! runtime dataflow (Figure 2 / Algorithm 2) as a **shared scan**: every
-//! snippet of a query is answered from the *same* single pass over the
-//! sample. The dataflow is `ScanPlan → SharedScanDriver → improve_batch`:
+//! ## One engine
+//!
+//! Every pipeline stage — query, ingest, train, checkpoint — is
+//! implemented once, on the per-table shard of [`crate::database`]. A
+//! [`VerdictSession`] is a **facade over one shard**: it owns no engine
+//! state of its own, and each of its methods calls the shard method of
+//! the same name ([`SessionBuilder::build`] lowers into the same create
+//! and recover paths [`crate::DatabaseBuilder`] and
+//! [`crate::Database::open`] use). What the facade adds is the
+//! single-owner convenience of the original session API: positional
+//! `Mode`/`StopPolicy` arguments, `FROM` ignored (there is only one
+//! table), manual sample selection, and `&mut self` receivers that make
+//! "one caller at a time" a compile-time fact. To share the table across
+//! threads, pin snapshots, or prepare statements, promote it with
+//! [`VerdictSession::into_database`].
+//!
+//! Because the facade runs the shard's code, it inherits the shard's
+//! ordering where the old serial implementation had drifted:
+//! [`VerdictSession::train`] surfaces a parked store error *before*
+//! refitting (a failing store never costs a refit whose checkpoint
+//! cannot land); `verdict_queries_started` counts a query after it
+//! parsed, so a statement that fails to parse never "started"; and
+//! [`VerdictSession::ingest`] estimates its Lemma-3 shift on the shard's
+//! *fixed* sample — the one [`VerdictSession::set_active_sample`]
+//! selects — even while round-robin rotation moves the scanned sample.
+//!
+//! ## The query dataflow
+//!
+//! [`VerdictSession::execute`] (like [`crate::Database::query`])
+//! implements the paper's runtime dataflow (Figure 2 / Algorithm 2) as a
+//! **shared scan**: every snippet of a query is answered from the *same*
+//! single pass over the sample. The dataflow is
+//! `ScanPlan → SharedScanDriver → improve_batch`:
 //!
 //! 1. parse and type-check the query (§2.2);
 //! 2. enumerate the groups present in the sample's answer set in one pass
-//!    ([`verdict_storage::distinct_group_keys`], §2.3) and plan the scan
-//!    ([`verdict_sql::plan_scan`]): the decomposition of Figure 3 with its
-//!    primitive streams deduplicated — `SUM` and `COUNT` share one
-//!    `FREQ(*)` stream, `SUM` and `AVG` share one `AVG(e)` stream — and
-//!    groups capped at `N_max`;
+//!    ([`verdict_aqp::Sample::distinct_group_keys`], §2.3) and plan the
+//!    scan ([`verdict_sql::plan_scan`]): the decomposition of Figure 3
+//!    with its primitive streams deduplicated — `SUM` and `COUNT` share
+//!    one `FREQ(*)` stream, `SUM` and `AVG` share one `AVG(e)` stream —
+//!    and groups capped at `N_max`;
 //! 3. drive one batch cursor over the sample
 //!    ([`verdict_aqp::SharedScanDriver`]): each batch evaluates the base
 //!    predicate as a selection bitmap, routes every matching row to its
@@ -21,9 +49,9 @@
 //!    once — scan work is independent of the number of cells, where the
 //!    per-snippet pipeline rescanned the sample `O(G × A)` times;
 //! 4. after each batch, improve the live cells' raw answers with the
-//!    learned models in one [`verdict_core::Verdict::improve_batch`] call
-//!    and *freeze* each cell as soon as it meets the [`StopPolicy`]; the
-//!    scan stops when every cell is frozen (this is where Verdict's
+//!    learned models in one [`verdict_core::EngineView::improve_batch`]
+//!    call and *freeze* each cell as soon as it meets the [`StopPolicy`];
+//!    the scan stops when every cell is frozen (this is where Verdict's
 //!    speedup comes from: the target error is reached after fewer
 //!    batches);
 //! 5. record the frozen raw answers into the query synopsis, in the same
@@ -31,31 +59,21 @@
 //!
 //! `Mode::NoLearn` bypasses step 4's inference, giving the paper's
 //! baseline within the identical pipeline. The pre-shared-scan executor
-//! survives as [`VerdictSession::execute_legacy`] — the reference
-//! implementation the parity test suite holds `execute` against, cell for
-//! cell and bit for bit.
+//! survives as `VerdictSession::execute_legacy` behind the
+//! `legacy-executor` feature — the reference implementation the parity
+//! test suite holds `execute` against, cell for cell and bit for bit.
 //!
 //! ## Read path vs. learn path
 //!
 //! The pipeline above is split into a pure **read path** and a serialized
-//! **learn path**. The read path (`run_shared_read`) answers every cell
-//! from immutable state — an engine's sample with a per-query scan
-//! cursor, plus a [`verdict_core::EngineView`] of the learned state — and
-//! *returns* what the query learned (raw snippet observations for the
-//! synopsis, inference counters) instead of writing it anywhere. The
-//! learn path absorbs those observations: synopsis append, WAL append on
-//! persistent sessions, epoch bump.
-//!
-//! [`VerdictSession`] is the **serial** convenience wrapper: `&mut self`
-//! trivially serializes both paths, and its learn path applies
-//! observations immediately after each query. None of its methods are
-//! callable concurrently — in particular [`VerdictSession::verdict_mut`]
-//! hands out direct mutable engine access and exists *only* on this
-//! serial wrapper. [`crate::ConcurrentSession`] drives the same
-//! planner→scan→infer core from any number of threads against published
-//! [`verdict_core::EngineSnapshot`]s, funneling the learn path through
-//! one writer mutex; see [`crate::concurrent`] for the dataflow and
-//! which operations are concurrent-safe.
+//! **learn path**. The read path (`run_shared_read`, in this module)
+//! answers every cell from immutable state — a published snapshot's
+//! sample with a per-query scan cursor, plus a
+//! [`verdict_core::EngineView`] of its learned state — and *returns* what
+//! the query learned (raw snippet observations for the synopsis,
+//! inference counters) instead of writing it anywhere. The learn path
+//! absorbs those observations under the shard's writer lock: synopsis
+//! append, WAL append on persistent tables, epoch bump, republish.
 //!
 //! ## The ingest path (evolving tables)
 //!
@@ -65,7 +83,9 @@
 //! inclusion probability, WAL-logs rows + adjustments on persistent
 //! sessions, and widens every stored snippet per Appendix D's Lemma 3 so
 //! old answers stay usable with honest error bounds until the next
-//! retrain (`cargo run --release --example ingest`).
+//! retrain (`cargo run --release --example ingest`). This module holds
+//! the fallible preparation the shard runs before anything mutates
+//! (`prepare_ingest`).
 
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, RwLock};
@@ -78,34 +98,32 @@ use verdict_aqp::{
     parallel_scan, AqpEngine, AqpError, CostModel, OnlineAggregation, PagedRep, Sample, ScanDriver,
     ScanKernel, ScanSpec, SegmentLoader, StorageTier,
 };
+use verdict_core::append::AppendAdjustment;
 use verdict_core::{
-    AggKey, EngineStats, EngineView, ImprovedAnswer, IngestBounds, Observation, Region, SchemaInfo,
-    Snippet, Verdict, VerdictConfig,
+    AggKey, EngineStats, EngineView, ImprovedAnswer, IngestBounds, Observation, Region, Snippet,
+    Verdict, VerdictConfig,
 };
 use verdict_obs::{
     MetricsHub, MetricsSnapshot, QueryLog, QueryTrace, ScanTrace, StageTimings, Stopwatch,
 };
-use verdict_sql::checker::JoinPolicy;
-use verdict_sql::{
-    check_query, parse_query, plan_scan, Combiner, Query, ScanPlan, SupportVerdict,
-    UnsupportedReason,
-};
 #[cfg(feature = "legacy-executor")]
-use verdict_sql::{decompose, SnippetSpec};
+use verdict_sql::{check_query, checker::JoinPolicy, decompose, SnippetSpec, SupportVerdict};
+use verdict_sql::{parse_query, plan_scan, Combiner, Query, ScanPlan, UnsupportedReason};
 use verdict_storage::{
-    distinct_group_keys, AggregateFn, CacheCounters, ColumnSummary, Expr, GroupKey, PartitionMap,
-    PartitionSpec, PartitionStore, Predicate, StorageError, Table, Value,
+    AggregateFn, CacheCounters, ColumnSummary, Expr, GroupKey, PartitionMap, PartitionSpec,
+    PartitionStore, Predicate, StorageError, Table, Value,
 };
 use verdict_store::{
-    read_part_rows, PagedRecovered, PagedState, RecoveryReport, SessionMeta, SharedStore,
-    StorePolicy, SynopsisStore,
+    read_part_rows, Recovered, RecoveryReport, SessionMeta, StoreError, StorePolicy, SynopsisStore,
 };
 
-use crate::metrics::{CheckpointReport, TableObs};
-use crate::{Error, Result};
+use crate::database::{memory_budget_misuse, Database, SessionSnapshot, Shard};
+use crate::metrics::CheckpointReport;
+use crate::query::QueryOptions;
+use crate::{CatalogError, Error, OpenOptions, Result, TableOptions};
 
-/// What one [`VerdictSession::ingest`] (or
-/// [`crate::ConcurrentSession::ingest`]) call did.
+/// What one [`VerdictSession::ingest`] (or [`crate::Database::ingest`])
+/// call did.
 #[derive(Debug, Clone)]
 pub struct IngestReport {
     /// Rows appended to the base table.
@@ -127,8 +145,8 @@ pub struct IngestReport {
     pub data_epoch: u64,
     /// Wall-clock for the whole ingest call (validation → commit).
     pub elapsed: Duration,
-    /// Wall-clock spent staging the synopsis rewrites and model refits
-    /// (step 3 below) — the learn-side share of `elapsed`.
+    /// Wall-clock spent staging the synopsis rewrites and model refits —
+    /// the learn-side share of `elapsed`.
     pub refit_elapsed: Duration,
     /// WAL bytes this batch appended (0 on a non-persistent session).
     /// Measured by the store itself ([`verdict_store::StoreStats`]), not
@@ -251,15 +269,13 @@ pub struct QueryResult {
     pub simulated_ns: f64,
     /// Whether the `N_max` cap dropped groups.
     pub truncated: bool,
-    /// Epoch of the learned state this query read (see
-    /// [`verdict_core::EngineSnapshot`]): on a serial session, the
-    /// engine's epoch when the read began; on a
-    /// [`crate::ConcurrentSession`], the epoch of the published snapshot
-    /// that answered every cell.
+    /// Epoch of the learned state this query read: the epoch of the
+    /// published snapshot ([`verdict_core::EngineSnapshot`]) that
+    /// answered every cell.
     pub epoch: u64,
     /// Real wall-clock for the query, measured the same way on the
-    /// serial, concurrent, and prepared paths (entry to answer). Always
-    /// populated — callers don't need a metrics hub for basic timing.
+    /// ad-hoc and prepared paths (entry to answer). Always populated —
+    /// callers don't need a metrics hub for basic timing.
     pub elapsed: Duration,
 }
 
@@ -290,27 +306,26 @@ impl QueryOutcome {
     }
 }
 
-/// Builder for [`VerdictSession`].
+/// Builder for [`VerdictSession`]: the single-table front of the one
+/// create path and the one recover path (see [`crate::database`]).
 pub struct SessionBuilder {
-    table: Table,
-    sample_fraction: f64,
-    batch_size: usize,
-    seed: u64,
-    tier: StorageTier,
-    cost: CostModel,
-    config: VerdictConfig,
-    join_policy: JoinPolicy,
-    num_samples: usize,
-    rotation: SampleRotation,
-    persist: Option<PathBuf>,
-    store_policy: StorePolicy,
-    recovered: Option<RecoveredState>,
-    metrics: Option<Arc<MetricsHub>>,
-    query_log: Option<Arc<QueryLog>>,
-    scan_kernel: ScanKernel,
+    source: Source,
+    /// Sampling geometry and engine config — on a warm start, what the
+    /// store persisted (so an override is detectable).
+    opts: TableOptions,
+    /// Everything the store does not persist.
+    serve: OpenOptions,
     partition: Option<PartitionSpec>,
-    parallelism: usize,
-    memory_budget: Option<u64>,
+    persist: Option<PathBuf>,
+}
+
+/// What a [`SessionBuilder`] builds from.
+enum Source {
+    /// A fresh session over this base table.
+    Table(Table),
+    /// A warm start: the opened store and what recovery read out of it,
+    /// held until `build()` wires them into the session.
+    Store(SynopsisStore, Box<Recovered>),
 }
 
 /// Worker threads a builder defaults to: all available cores (1 when the
@@ -321,48 +336,15 @@ pub(crate) fn default_parallelism() -> usize {
         .unwrap_or(1)
 }
 
-/// What [`SessionBuilder::open`] carried out of recovery, held until
-/// `build()` wires it into the session.
-struct RecoveredState {
-    store: SharedStore,
-    state: verdict_core::EngineState,
-    report: RecoveryReport,
-    /// The metadata the store was opened with, kept to detect builder
-    /// overrides that would desynchronize the redrawn sample from the
-    /// recovered synopsis.
-    meta: SessionMeta,
-    /// Ingested batches the recovered state has folded (snapshot +
-    /// replayed WAL ingest records).
-    data_epoch: u64,
-    /// Out-of-core recovery state, present exactly when the opened store
-    /// is paged: partition map, resolution dictionaries, per-sample
-    /// ingest tails, and the WAL batches to re-admit.
-    paged: Option<PagedRecovered>,
-}
-
 impl SessionBuilder {
     /// Starts a builder over the base table.
     pub fn new(table: Table) -> Self {
         SessionBuilder {
-            table,
-            sample_fraction: 0.1,
-            batch_size: 1000,
-            seed: 0,
-            tier: StorageTier::Cached,
-            cost: CostModel::default(),
-            config: VerdictConfig::default(),
-            join_policy: JoinPolicy::none(),
-            num_samples: 1,
-            rotation: SampleRotation::Fixed,
-            persist: None,
-            store_policy: StorePolicy::default(),
-            recovered: None,
-            metrics: None,
-            query_log: None,
-            scan_kernel: ScanKernel::default(),
+            source: Source::Table(table),
+            opts: TableOptions::default(),
+            serve: OpenOptions::new(),
             partition: None,
-            parallelism: default_parallelism(),
-            memory_budget: None,
+            persist: None,
         }
     }
 
@@ -382,34 +364,20 @@ impl SessionBuilder {
         let path = path.as_ref();
         let (store, recovered) =
             SynopsisStore::open(path, StorePolicy::default()).map_err(Error::Store)?;
-        let meta = recovered.meta;
+        let meta = &recovered.meta;
         Ok(SessionBuilder {
-            table: recovered.table,
-            sample_fraction: meta.sample_fraction,
-            batch_size: meta.batch_size as usize,
-            seed: meta.seed,
-            tier: StorageTier::Cached,
-            cost: CostModel::default(),
-            config: meta.config.clone(),
-            join_policy: JoinPolicy::none(),
-            num_samples: meta.num_samples as usize,
-            rotation: SampleRotation::Fixed,
-            persist: Some(path.to_path_buf()),
-            store_policy: StorePolicy::default(),
-            metrics: None,
-            query_log: None,
-            scan_kernel: ScanKernel::default(),
+            opts: TableOptions {
+                sample_fraction: meta.sample_fraction,
+                batch_size: meta.batch_size as usize,
+                seed: meta.seed,
+                num_samples: meta.num_samples as usize,
+                config: meta.config.clone(),
+                ..TableOptions::default()
+            },
+            serve: OpenOptions::new(),
             partition: None,
-            parallelism: default_parallelism(),
-            memory_budget: None,
-            recovered: Some(RecoveredState {
-                store: SharedStore::new(store),
-                state: recovered.state,
-                report: recovered.report,
-                meta,
-                data_epoch: recovered.data_epoch,
-                paged: recovered.paged,
-            }),
+            persist: Some(path.to_path_buf()),
+            source: Source::Store(store, Box::new(recovered)),
         })
     }
 
@@ -426,7 +394,7 @@ impl SessionBuilder {
 
     /// Overrides the store's compaction/durability policy.
     pub fn store_policy(mut self, policy: StorePolicy) -> Self {
-        self.store_policy = policy;
+        self.serve.store_policy = policy;
         self
     }
 
@@ -435,7 +403,7 @@ impl SessionBuilder {
     /// on. Without a hub (the default) the metrics path is a true no-op
     /// — no atomics touched, no stage clocks read.
     pub fn metrics(mut self, hub: Arc<MetricsHub>) -> Self {
-        self.metrics = Some(hub);
+        self.serve.metrics = Some(hub);
         self
     }
 
@@ -443,7 +411,7 @@ impl SessionBuilder {
     /// pushes a [`verdict_obs::QueryTrace`] into a ring holding the most
     /// recent `capacity` traces (oldest evicted). Off by default.
     pub fn query_log(mut self, capacity: usize) -> Self {
-        self.query_log = Some(Arc::new(QueryLog::new(capacity)));
+        self.serve.query_log = Some(Arc::new(QueryLog::new(capacity)));
         self
     }
 
@@ -452,7 +420,7 @@ impl SessionBuilder {
     /// over 1024-row chunks and prunes chunks via zone maps; the row-wise
     /// kernel is the reference path. Both are bit-identical.
     pub fn scan_kernel(mut self, kernel: ScanKernel) -> Self {
-        self.scan_kernel = kernel;
+        self.serve.scan_kernel = kernel;
         self
     }
 
@@ -487,7 +455,7 @@ impl SessionBuilder {
     /// the knob on sessions that are not out-of-core
     /// (`partition_by` + `persist_to`, or `open` of a paged store).
     pub fn memory_budget(mut self, bytes: u64) -> Self {
-        self.memory_budget = Some(bytes);
+        self.serve.memory_budget = Some(bytes);
         self
     }
 
@@ -498,49 +466,43 @@ impl SessionBuilder {
     /// `parallelism(1)` runs the scan inline with zero scheduler
     /// overhead.
     pub fn parallelism(mut self, n: usize) -> Self {
-        self.parallelism = n.max(1);
+        self.serve.parallelism = n.max(1);
         self
     }
 
     /// Sampling fraction for the offline uniform sample (default 10%).
     pub fn sample_fraction(mut self, f: f64) -> Self {
-        self.sample_fraction = f;
+        self.opts.sample_fraction = f;
         self
     }
 
     /// Batch size in sample rows (default 1000).
     pub fn batch_size(mut self, b: usize) -> Self {
-        self.batch_size = b;
+        self.opts.batch_size = b;
         self
     }
 
     /// RNG seed for sample drawing.
     pub fn seed(mut self, s: u64) -> Self {
-        self.seed = s;
+        self.opts.seed = s;
         self
     }
 
     /// Storage tier for the cost model (default cached).
     pub fn tier(mut self, t: StorageTier) -> Self {
-        self.tier = t;
+        self.opts.tier = t;
         self
     }
 
     /// Cost model override.
     pub fn cost_model(mut self, c: CostModel) -> Self {
-        self.cost = c;
+        self.opts.cost = c;
         self
     }
 
     /// Verdict engine configuration override.
     pub fn verdict_config(mut self, c: VerdictConfig) -> Self {
-        self.config = c;
-        self
-    }
-
-    /// Foreign-key join policy for the checker.
-    pub fn join_policy(mut self, p: JoinPolicy) -> Self {
-        self.join_policy = p;
+        self.opts.config = c;
         self
     }
 
@@ -551,7 +513,7 @@ impl SessionBuilder {
     /// assumption behind Eq. (6). A single shared sample correlates
     /// errors across the synopsis and makes conditioning overconfident.
     pub fn num_samples(mut self, k: usize) -> Self {
-        self.num_samples = k.max(1);
+        self.opts.num_samples = k.max(1);
         self
     }
 
@@ -561,125 +523,52 @@ impl SessionBuilder {
     /// answered query, so the independent-error property of Eq. (6)
     /// arrives without manual [`VerdictSession::set_active_sample`] calls.
     pub fn sample_rotation(mut self, rotation: SampleRotation) -> Self {
-        self.rotation = rotation;
+        self.opts.rotation = rotation;
         self
     }
 
-    /// Builds the session: draws the sample and derives the dimension
-    /// universe from the base table. With persistence configured, also
-    /// creates the store (fresh build) or restores the learned state and
-    /// installs the append hook (warm start).
+    /// Builds the session: a fresh build draws the samples, derives the
+    /// dimension universe from the base table and (with persistence)
+    /// creates the store at the directory root; a warm start restores the
+    /// learned state and keeps appending to the store it was opened from.
+    /// The session serves its one anonymous table as `t` (matching the
+    /// `FROM t` its queries use), so its metric series carry that label.
     pub fn build(self) -> Result<VerdictSession> {
-        // On a warm start the recovered table may have grown through
-        // ingested batches. The offline sample is rebuilt exactly as the
-        // live sessions maintained it: draw the *original* sample from
-        // the original row prefix (same seed → bit-identical draw), then
-        // re-admit the appended tail through the same deterministic
-        // per-row admission the ingest path used.
-        let original_rows = match &self.recovered {
-            Some(r) => r.meta.original_rows as usize,
-            None => self.table.num_rows(),
-        };
-        // An opened store already knows its partition spec (and whether
-        // it is paged); a second spec from the builder could silently
-        // disagree with the files on disk — refuse.
-        if self.partition.is_some() && self.recovered.is_some() {
-            return Err(Error::Aqp(AqpError::InvalidConfig(
-                "partition_by cannot be combined with open(): a persisted session's \
-                 partition spec comes from the store's manifest"
-                    .into(),
-            )));
-        }
-        // `partition_by` + `persist_to` on a fresh build = out-of-core:
-        // partitions become columnar files, samples are demand-paged.
-        let paged_create = self.partition.is_some() && self.persist.is_some();
-        let paged_open = self.recovered.as_ref().is_some_and(|r| r.meta.paged);
-        if self.memory_budget.is_some() && !(paged_create || paged_open) {
-            return Err(Error::Aqp(AqpError::InvalidConfig(
-                "memory_budget only applies to out-of-core sessions \
-                 (partition_by + persist_to, or open() of a paged store)"
-                    .into(),
-            )));
-        }
-        let budget = self.memory_budget.unwrap_or(u64::MAX);
-        let partitions = match &self.partition {
-            // A paged session's routing map lives inside the runtime
-            // (shared with every sample), not in this resident-side slot.
-            Some(spec) if !paged_create => {
-                Some(PartitionMap::build(&self.table, spec.clone()).map_err(Error::Storage)?)
-            }
-            _ => None,
-        };
-        let mut engines = if paged_create || paged_open {
-            Vec::new() // built below, once the partition files exist
-        } else {
-            draw_engines(
-                &self.table,
-                original_rows,
-                self.sample_fraction,
-                self.batch_size,
-                self.seed,
-                self.num_samples,
-                &self.cost,
-                self.tier,
+        let shard = match self.source {
+            Source::Table(table) => Shard::create(
+                "t",
+                table,
+                &self.opts,
                 self.partition.as_ref(),
-            )?
-        };
-        // The dimension universe is fixed at session creation. A warm
-        // start must reuse the *persisted* schema: deriving it from the
-        // recovered table would pick up bounds widened by ingested rows
-        // and spuriously reject the stored state as schema-mismatched.
-        let schema = match &self.recovered {
-            Some(r) => r.state.schema.clone(),
-            None => SchemaInfo::from_table(&self.table)?,
-        };
-        let meta = SessionMeta {
-            sample_fraction: self.sample_fraction,
-            batch_size: self.batch_size as u64,
-            seed: self.seed,
-            num_samples: self.num_samples as u64,
-            original_rows: original_rows as u64,
-            config: self.config.clone(),
-            partition_spec: match &self.recovered {
-                Some(r) => r.meta.partition_spec.clone(),
-                None if paged_create => self.partition.clone(),
-                None => None,
-            },
-            paged: paged_create || paged_open,
-        };
-        let mut verdict = Verdict::new(schema, self.config);
-
-        let mut paged_runtime: Option<PagedRuntime> = None;
-        // For an out-of-core session this becomes the zero-row resolution
-        // table (schema + dictionaries); the base rows live on disk.
-        let mut resolution_table: Option<Table> = None;
-        let (store, recovery) = match (self.recovered, &self.persist) {
-            (
-                Some(RecoveredState {
-                    store,
-                    state,
-                    report,
-                    meta: opened_meta,
-                    data_epoch,
-                    paged,
-                }),
-                persist,
-            ) => {
-                // Warm start: the snapshot's learned state replaces the
-                // blank engine, then new observations keep flowing to the
-                // same log.
-                //
+                self.persist,
+                &self.serve,
+            )?,
+            Source::Store(mut store, recovered) => {
+                let meta = &recovered.meta;
+                // An opened store already knows its partition spec (and
+                // whether it is paged); a second spec from the builder
+                // could silently disagree with the files on disk.
+                if self.partition.is_some() {
+                    return Err(Error::Aqp(AqpError::InvalidConfig(
+                        "partition_by cannot be combined with open(): a persisted session's \
+                         partition spec comes from the store's manifest"
+                            .into(),
+                    )));
+                }
+                if self.serve.memory_budget.is_some() && !meta.paged {
+                    return Err(memory_budget_misuse());
+                }
                 // Sample identity is load-bearing: the recovered synopsis
                 // holds raw answers drawn from the sample the persisted
                 // parameters describe. Overriding seed / fraction / batch
                 // size / sample count after open() would silently redraw a
                 // different sample and rewrite the stored meta — refuse.
-                if meta.sample_fraction != opened_meta.sample_fraction
-                    || meta.batch_size != opened_meta.batch_size
-                    || meta.seed != opened_meta.seed
-                    || meta.num_samples != opened_meta.num_samples
+                if self.opts.sample_fraction != meta.sample_fraction
+                    || self.opts.batch_size as u64 != meta.batch_size
+                    || self.opts.seed != meta.seed
+                    || self.opts.num_samples as u64 != meta.num_samples
                 {
-                    return Err(Error::Store(verdict_store::StoreError::Mismatch(
+                    return Err(Error::Store(StoreError::Mismatch(
                         "sample parameters (seed, sample_fraction, batch_size, num_samples) \
                          cannot be overridden on a warm-started session: the persisted \
                          synopsis was observed through the stored sample"
@@ -691,173 +580,45 @@ impl SessionBuilder {
                 // capacity drives eviction), so a divergent live config
                 // would make post-crash recovery disagree with the live
                 // session.
-                if meta.config != opened_meta.config {
-                    return Err(Error::Store(verdict_store::StoreError::Mismatch(
+                if self.opts.config != meta.config {
+                    return Err(Error::Store(StoreError::Mismatch(
                         "verdict_config cannot be overridden on a warm-started session: \
                          log replay applies records under the stored configuration"
                             .into(),
                     )));
                 }
-                {
-                    let mut guard = store.lock();
-                    // A persist_to() after open() would silently split the
-                    // session from its recovered store — refuse instead.
-                    if persist.as_deref().is_some_and(|p| p != guard.dir()) {
-                        return Err(Error::Store(verdict_store::StoreError::Mismatch(format!(
-                            "session was opened from {} but persist_to names {}; \
-                                 a warm-started session always writes to its own store",
-                            guard.dir().display(),
-                            persist.as_deref().unwrap_or(Path::new("?")).display()
-                        ))));
-                    }
-                    // Apply any store_policy() override made after open().
-                    guard.set_policy(self.store_policy.clone());
+                // A persist_to() after open() would silently split the
+                // session from its recovered store — refuse instead.
+                if let Some(p) = self.persist.filter(|p| p != store.dir()) {
+                    return Err(Error::Store(StoreError::Mismatch(format!(
+                        "session was opened from {} but persist_to names {}; \
+                         a warm-started session always writes to its own store",
+                        store.dir().display(),
+                        p.display()
+                    ))));
                 }
-                verdict.restore_state(state).map_err(Error::Core)?;
-                verdict.set_data_epoch(data_epoch);
-                if let Some(pr) = paged {
-                    // Warm start of an out-of-core session: rebuild the
-                    // runtime from the manifest (identical map, identical
-                    // draw), seed each sample with its snapshot tail, then
-                    // re-admit the replayed WAL batches exactly as the
-                    // live session did.
-                    let dir = store.lock().dir().to_path_buf();
-                    let total_rows = pr.total_rows_at_snapshot
-                        + pr.replayed_batches
-                            .iter()
-                            .map(|b| b.num_rows() as u64)
-                            .sum::<u64>();
-                    let runtime = PagedRuntime {
-                        map: Arc::new(RwLock::new(pr.map)),
-                        store: Arc::new(PartitionStore::new(budget)),
-                        original_part_rows: pr.original_part_rows,
-                        total_rows,
-                    };
-                    engines = build_paged_engines(
-                        &dir,
-                        &runtime,
-                        &pr.resolution,
-                        pr.total_rows_at_snapshot,
-                        pr.tails,
-                        &pr.replayed_batches,
-                        self.sample_fraction,
-                        self.batch_size,
-                        self.seed,
-                        &self.cost,
-                        self.tier,
-                    )?;
-                    resolution_table = Some(pr.resolution);
-                    paged_runtime = Some(runtime);
-                }
-                (Some(store), Some(report))
+                // Apply any store_policy() override made after open().
+                store.set_policy(self.serve.store_policy.clone());
+                let serve = OpenOptions {
+                    rotation: self.opts.rotation,
+                    tier: self.opts.tier,
+                    cost: self.opts.cost,
+                    ..self.serve
+                };
+                Shard::recover("t", store, *recovered, &serve)?
             }
-            (None, Some(path)) => {
-                if paged_create {
-                    let (store, paged_state) = SynopsisStore::create_paged(
-                        path,
-                        self.store_policy,
-                        meta.clone(),
-                        &self.table,
-                        &verdict.export_state(),
-                    )
-                    .map_err(Error::Store)?;
-                    let dir = store.dir().to_path_buf();
-                    let runtime = PagedRuntime {
-                        map: Arc::new(RwLock::new(paged_state.map)),
-                        store: Arc::new(PartitionStore::new(budget)),
-                        original_part_rows: paged_state.original_part_rows,
-                        total_rows: paged_state.total_rows,
-                    };
-                    // The session keeps only the zero-row resolution
-                    // table resident; the base rows stay in their
-                    // partition files from here on.
-                    engines = build_paged_engines(
-                        &dir,
-                        &runtime,
-                        &paged_state.resolution,
-                        runtime.total_rows,
-                        paged_state.tails,
-                        &[],
-                        self.sample_fraction,
-                        self.batch_size,
-                        self.seed,
-                        &self.cost,
-                        self.tier,
-                    )?;
-                    resolution_table = Some(paged_state.resolution);
-                    paged_runtime = Some(runtime);
-                    (Some(SharedStore::new(store)), None)
-                } else {
-                    let store = SynopsisStore::create(
-                        path,
-                        self.store_policy,
-                        meta.clone(),
-                        &self.table,
-                        &verdict.export_state(),
-                    )
-                    .map_err(Error::Store)?;
-                    (Some(SharedStore::new(store)), None)
-                }
-            }
-            (None, None) => (None, None),
         };
-        if let Some(store) = &store {
-            verdict.set_observer(store.observer());
-        }
-        // The serial session serves its one anonymous table as `t`
-        // (matching the `FROM t` its queries use), so its series carry
-        // that label.
-        let obs = TableObs::new(self.metrics, self.query_log, "t");
-        Ok(VerdictSession {
-            table: resolution_table.unwrap_or(self.table),
-            engines,
-            active: 0,
-            rotation: self.rotation,
-            verdict,
-            join_policy: self.join_policy,
-            store,
-            meta,
-            recovery,
-            obs,
-            scan_kernel: self.scan_kernel,
-            partitions,
-            parallelism: self.parallelism,
-            paged: paged_runtime,
-        })
-    }
-
-    /// Builds a [`crate::ConcurrentSession`] directly — shorthand for
-    /// `build()?.into_concurrent()`.
-    pub fn build_concurrent(self) -> Result<crate::ConcurrentSession> {
-        Ok(self.build()?.into_concurrent())
+        Ok(VerdictSession { shard })
     }
 }
 
-/// A live session over one (denormalized) table.
+/// A live session over one (denormalized) table: the single-owner facade
+/// over one shard of the engine (see the [module docs](self)).
 pub struct VerdictSession {
-    table: Table,
-    engines: Vec<OnlineAggregation>,
-    active: usize,
-    rotation: SampleRotation,
-    verdict: Verdict,
-    join_policy: JoinPolicy,
-    store: Option<SharedStore>,
-    meta: SessionMeta,
-    recovery: Option<RecoveryReport>,
-    obs: TableObs,
-    scan_kernel: ScanKernel,
-    /// Base-table partition map (summaries over the *base* rows): routes
-    /// ingested batches and bounds the partition-aware Lemma-3 widening.
-    /// The per-sample maps pruning reads live inside each [`Sample`].
-    partitions: Option<PartitionMap>,
-    parallelism: usize,
-    /// Out-of-core runtime (paged sessions only): the shared partition
-    /// map, the segment buffer manager, and the evolving row count. For
-    /// a paged session `table` above is the zero-row resolution table.
-    paged: Option<PagedRuntime>,
+    shard: Shard,
 }
 
-/// The shared out-of-core machinery of a paged session: every sample's
+/// The shared out-of-core machinery of a paged table: every sample's
 /// [`PagedRep`] holds `Arc`s of the same map and buffer manager, so
 /// ingest-time map extension is visible to later scans and all samples
 /// compete under one byte budget.
@@ -872,6 +633,24 @@ pub(crate) struct PagedRuntime {
     /// Base-table rows (create + ingested): what `exact()` normalizes by
     /// and where the next ingest's global row indices start.
     pub(crate) total_rows: u64,
+}
+
+impl PagedRuntime {
+    /// A runtime over `map` caching segments under `budget` bytes
+    /// (unlimited when unset).
+    pub(crate) fn new(
+        map: PartitionMap,
+        original_part_rows: Vec<u64>,
+        total_rows: u64,
+        budget: Option<u64>,
+    ) -> PagedRuntime {
+        PagedRuntime {
+            map: Arc::new(RwLock::new(map)),
+            store: Arc::new(PartitionStore::new(budget.unwrap_or(u64::MAX))),
+            original_part_rows,
+            total_rows,
+        }
+    }
 }
 
 /// Per-sample draw seed of an out-of-core session: FNV-1a over the
@@ -891,16 +670,15 @@ pub(crate) fn paged_draw_seed(seed: u64, sample_index: u64) -> u64 {
     h
 }
 
-/// Builds the demand-paged engines of an out-of-core session — shared by
-/// fresh create, warm open, and the [`crate::Database`] open path. The
-/// loader faults a partition's base rows from its `part-<id>.vcol` file,
-/// decoding against the resolution prototype (a dictionary superset of
-/// every create-time fragment) and stopping at the create-time row count
-/// so ingested appends never enter the draw. `tails` seeds each sample's
-/// resident ingest tail (zero-row at create, the snapshot's tail on a
-/// warm open) with `base_rows` the row count that tail state corresponds
-/// to; `replayed` WAL batches are then re-admitted in order, exactly as
-/// the live session absorbed them.
+/// Builds the demand-paged engines of an out-of-core table — shared by
+/// the create and recover paths. The loader faults a partition's base
+/// rows from its `part-<id>.vcol` file, decoding against the resolution
+/// prototype (a dictionary superset of every create-time fragment) and
+/// stopping at the create-time row count so ingested appends never enter
+/// the draw. `tails` seeds each sample's resident ingest tail (zero-row
+/// at create, the snapshot's tail on a warm open) with `base_rows` the
+/// row count that tail state corresponds to; `replayed` WAL batches are
+/// then re-admitted in order, exactly as the live table absorbed them.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn build_paged_engines(
     dir: &Path,
@@ -909,9 +687,7 @@ pub(crate) fn build_paged_engines(
     base_rows: u64,
     tails: Vec<Table>,
     replayed: &[Table],
-    sample_fraction: f64,
-    batch_size: usize,
-    seed: u64,
+    meta: &SessionMeta,
     cost: &CostModel,
     tier: StorageTier,
 ) -> Result<Vec<OnlineAggregation>> {
@@ -928,10 +704,10 @@ pub(crate) fn build_paged_engines(
             Arc::clone(&runtime.store),
             Arc::clone(&loader),
             Arc::clone(&runtime.map),
-            paged_draw_seed(seed, i as u64),
+            paged_draw_seed(meta.seed, i as u64),
             i as u32,
-            sample_fraction,
-            batch_size,
+            meta.sample_fraction,
+            meta.batch_size as usize,
             runtime.original_part_rows.clone(),
             tail,
         );
@@ -943,7 +719,7 @@ pub(crate) fn build_paged_engines(
     for batch in replayed {
         for (i, engine) in engines.iter_mut().enumerate() {
             engine
-                .paged_absorb_appended(batch, first, seed, i as u64)
+                .paged_absorb_appended(batch, first, meta.seed, i as u64)
                 .map_err(Error::Aqp)?;
         }
         first += batch.num_rows() as u64;
@@ -951,165 +727,91 @@ pub(crate) fn build_paged_engines(
     Ok(engines)
 }
 
-/// The pieces a [`VerdictSession`] decomposes into when it is promoted to
-/// a [`crate::ConcurrentSession`] (crate-internal).
-pub(crate) struct SessionParts {
-    pub(crate) table: Table,
-    pub(crate) engines: Vec<OnlineAggregation>,
-    pub(crate) active: usize,
-    pub(crate) rotation: SampleRotation,
-    pub(crate) verdict: Verdict,
-    pub(crate) join_policy: JoinPolicy,
-    pub(crate) store: Option<SharedStore>,
-    pub(crate) meta: SessionMeta,
-    pub(crate) recovery: Option<RecoveryReport>,
-    pub(crate) obs: TableObs,
-    pub(crate) scan_kernel: ScanKernel,
-    pub(crate) partitions: Option<PartitionMap>,
-    pub(crate) parallelism: usize,
-    pub(crate) paged: Option<PagedRuntime>,
-}
-
 impl VerdictSession {
-    /// The base table.
-    pub fn table(&self) -> &Table {
-        &self.table
+    /// The current base table (for an out-of-core session, the zero-row
+    /// resolution table — the rows live in the partition files). Cheap:
+    /// clones an `Arc`, not the rows.
+    pub fn table(&self) -> Arc<Table> {
+        Arc::clone(&self.shard.current().data.table)
     }
 
-    /// The currently active AQP engine (sample).
-    pub fn engine(&self) -> &OnlineAggregation {
-        &self.engines[self.active]
+    /// The current published snapshot pair: the learned state plus the
+    /// table/sample version it describes. This is the read accessor for
+    /// everything the engine holds — [`SessionSnapshot::state_bytes`],
+    /// [`SessionSnapshot::has_model`], [`SessionSnapshot::stats`], the
+    /// maintained samples via [`SessionSnapshot::engines`]. There is no
+    /// mutable access to the engine: every mutation goes through the
+    /// shard's serialized learn path.
+    pub fn snapshot(&self) -> SessionSnapshot {
+        self.shard.current()
     }
 
     /// Number of independent offline samples.
     pub fn num_samples(&self) -> usize {
-        self.engines.len()
+        self.shard.num_samples
     }
 
     /// Index of the sample the next query will scan.
     pub fn active_sample(&self) -> usize {
-        self.active
+        self.shard.next_sample()
     }
 
-    /// Selects which offline sample subsequent queries scan. Rotating
-    /// across queries keeps snippet errors independent (Eq. 6); see also
-    /// [`SessionBuilder::sample_rotation`] for automatic rotation.
+    /// Selects which offline sample subsequent queries scan (and ingests
+    /// estimate their Lemma-3 shift against). Rotating across queries
+    /// keeps snippet errors independent (Eq. 6); see also
+    /// [`SessionBuilder::sample_rotation`] for automatic rotation, which
+    /// continues from `index`.
     ///
-    /// An out-of-range index is an error. (Earlier versions silently
-    /// wrapped with `%`, which masked caller bugs: a session built with
-    /// one sample accepted any index and always scanned sample 0, so the
-    /// independence the caller thought they were buying never existed.)
+    /// An out-of-range index is an error, never silently wrapped.
     pub fn set_active_sample(&mut self, index: usize) -> Result<()> {
-        if index >= self.engines.len() {
-            return Err(Error::Aqp(AqpError::InvalidConfig(format!(
-                "sample index {index} out of range: session has {} sample(s)",
-                self.engines.len()
-            ))));
-        }
-        self.active = index;
-        Ok(())
-    }
-
-    /// Promotes this session into a [`crate::ConcurrentSession`] that
-    /// serves queries from any number of threads (read path) while
-    /// funneling learning through one serialized writer. The current
-    /// learned state becomes the first published snapshot.
-    pub fn into_concurrent(self) -> crate::ConcurrentSession {
-        crate::ConcurrentSession::from_parts(self.into_parts())
+        self.shard.set_fixed_sample(index)
     }
 
     /// Promotes this session into a one-table [`crate::Database`] whose
-    /// table is registered under `name` — the migration path from the
-    /// session API to the catalog API. The current learned state becomes
-    /// the table's first published snapshot; unlike the session wrappers,
-    /// `FROM` then resolves *strictly* against `name`.
-    pub fn into_database(self, name: &str) -> Result<crate::Database> {
+    /// table is registered under `name` — the way to share the table
+    /// across threads, pin snapshots and prepare statements. The current
+    /// learned state stays published as is; unlike the session (which
+    /// ignores `FROM`), the database resolves `FROM` *strictly* against
+    /// `name`.
+    pub fn into_database(mut self, name: &str) -> Result<Database> {
         if !verdict_store::catalog::is_valid_table_name(name) {
-            return Err(Error::Catalog(crate::CatalogError::InvalidTableName(
+            return Err(Error::Catalog(CatalogError::InvalidTableName(
                 name.to_owned(),
             )));
         }
-        Ok(crate::Database::from_session_parts(
-            self.into_parts(),
-            name,
-            false,
-        ))
-    }
-
-    fn into_parts(self) -> SessionParts {
-        SessionParts {
-            table: self.table,
-            engines: self.engines,
-            active: self.active,
-            rotation: self.rotation,
-            verdict: self.verdict,
-            join_policy: self.join_policy,
-            store: self.store,
-            meta: self.meta,
-            recovery: self.recovery,
-            obs: self.obs,
-            scan_kernel: self.scan_kernel,
-            partitions: self.partitions,
-            parallelism: self.parallelism,
-            paged: self.paged,
-        }
-    }
-
-    /// The base-table partition map, when the session was built with
-    /// [`SessionBuilder::partition_by`].
-    pub fn partition_map(&self) -> Option<&PartitionMap> {
-        self.partitions.as_ref()
+        self.shard.rename(name);
+        Ok(Database::from_shard(self.shard))
     }
 
     /// Whether this session serves its samples out-of-core
     /// (demand-paged partition files under a memory budget).
     pub fn is_paged(&self) -> bool {
-        self.paged.is_some()
+        self.shard.current().data.engines[0].sample().is_paged()
     }
 
     /// Cumulative partition-cache counters of an out-of-core session
     /// (`None` on a resident session): hits, misses, evictions, bytes
     /// faulted, and the resident-bytes gauge.
     pub fn partition_cache(&self) -> Option<CacheCounters> {
-        self.paged.as_ref().map(|rt| rt.store.counters())
+        let snapshot = self.shard.current();
+        let rep = snapshot.data.engines[0].sample().paged_rep()?;
+        Some(rep.partition_store().counters())
     }
 
     /// Worker threads one query's shared scan uses.
     pub fn parallelism(&self) -> usize {
-        self.parallelism
-    }
-
-    /// The inference engine.
-    pub fn verdict(&self) -> &Verdict {
-        &self.verdict
-    }
-
-    /// Mutable access to the inference engine (appends, config tweaks).
-    ///
-    /// **Serial-only escape hatch.** It exists on this wrapper precisely
-    /// because `&mut self` serializes everything; a
-    /// [`crate::ConcurrentSession`] deliberately has no equivalent —
-    /// direct engine mutation would bypass the writer lock and the
-    /// snapshot publish, so concurrent readers would never see it.
-    ///
-    /// On a persistent session, out-of-band mutations made through this
-    /// handle (e.g. `Verdict::apply_append`, `forget`) bypass the snippet
-    /// log — call [`VerdictSession::checkpoint`] afterwards, or use the
-    /// session-level wrappers ([`VerdictSession::apply_append`]) that do
-    /// it for you.
-    pub fn verdict_mut(&mut self) -> &mut Verdict {
-        &mut self.verdict
+        self.shard.parallelism
     }
 
     /// Whether this session writes to a durable store.
     pub fn is_persistent(&self) -> bool {
-        self.store.is_some()
+        self.shard.store.is_some()
     }
 
     /// The recovery report, when this session was warm-started with
     /// [`SessionBuilder::open`].
     pub fn recovery_report(&self) -> Option<&RecoveryReport> {
-        self.recovery.as_ref()
+        self.shard.recovery.as_ref()
     }
 
     /// Checkpoints the full learned state into a fresh snapshot
@@ -1119,85 +821,17 @@ impl VerdictSession {
     /// store: the report is all zeros.
     ///
     /// Also surfaces any error a background log append or deferred
-    /// compaction hit since the last checkpoint (the observer hook has no
-    /// error channel of its own).
+    /// compaction hit since the last checkpoint.
     pub fn checkpoint(&mut self) -> Result<CheckpointReport> {
-        self.surface_store_error()?;
-        let receipt = self.snapshot_now().map_err(Error::Store)?;
-        Ok(receipt
-            .as_ref()
-            .map(CheckpointReport::from_receipt)
-            .unwrap_or_default())
-    }
-
-    /// The one snapshot-writing path, shared by explicit checkpoints and
-    /// query-piggybacked compaction (which park the error instead of
-    /// propagating it). `None` without a store. Ingested batches pending
-    /// in the WAL are folded into a fresh table generation here. Metric
-    /// recording lives here too, so piggybacked compactions count the
-    /// same way explicit checkpoints do.
-    fn snapshot_now(&mut self) -> verdict_store::Result<Option<verdict_store::SnapshotReceipt>> {
-        let Some(store) = &self.store else {
-            return Ok(None);
-        };
-        let schema_fp = verdict_core::persist::fingerprint(self.verdict.schema());
-        let state_bytes = self.verdict.state_bytes();
-        let (receipt, stats) = {
-            let mut guard = store.lock();
-            let receipt = match &self.paged {
-                Some(rt) => {
-                    // A paged snapshot carries the out-of-core state —
-                    // map, resolution dictionaries, per-sample ingest
-                    // tails — instead of a table generation; the base
-                    // rows are already durable in their partition files.
-                    let state = PagedState {
-                        map: rt.map.read().expect("partition map poisoned").clone(),
-                        original_part_rows: rt.original_part_rows.clone(),
-                        resolution: self.table.clone(),
-                        total_rows: rt.total_rows,
-                        tails: self
-                            .engines
-                            .iter()
-                            .map(|e| e.sample().paged_tail().expect("paged session").clone())
-                            .collect(),
-                    };
-                    guard.snapshot_paged(self.meta.clone(), schema_fp, &state_bytes, &state)?
-                }
-                None => guard.snapshot_encoded(
-                    self.meta.clone(),
-                    schema_fp,
-                    &state_bytes,
-                    &self.table,
-                )?,
-            };
-            (receipt, guard.stats())
-        };
-        self.obs
-            .record_checkpoint(&CheckpointReport::from_receipt(&receipt));
-        self.obs.refresh_store(stats);
-        Ok(Some(receipt))
-    }
-
-    /// Surfaces any parked store error (failed background append or
-    /// deferred compaction failure) without writing anything.
-    fn surface_store_error(&self) -> Result<()> {
-        if let Some(store) = &self.store {
-            if let Some(e) = store.lock().take_error() {
-                return Err(Error::Store(e));
-            }
-        }
-        Ok(())
+        self.shard.checkpoint()
     }
 
     /// Offline training pass (Algorithm 1). Persistent sessions
     /// checkpoint afterwards, so the (expensive) trained models are on
-    /// disk and a restarted session warm-starts without refitting.
+    /// disk and a restarted session warm-starts without refitting. A
+    /// parked store error is returned *before* anything is refit.
     pub fn train(&mut self) -> Result<()> {
-        let sw = Stopwatch::started_if(self.obs.tracing());
-        self.verdict.train().map_err(Error::Core)?;
-        self.obs.record_train(Duration::from_nanos(sw.elapsed_ns()));
-        self.checkpoint()?;
-        Ok(())
+        self.shard.train()
     }
 
     /// A snapshot of every metric series this session's hub holds, or
@@ -1206,19 +840,19 @@ impl VerdictSession {
     /// [`verdict_obs::MetricsSnapshot::to_text`] /
     /// [`verdict_obs::MetricsSnapshot::to_json`].
     pub fn metrics_snapshot(&self) -> Option<MetricsSnapshot> {
-        self.obs.hub().map(|h| h.snapshot())
+        self.shard.obs.hub().map(|h| h.snapshot())
     }
 
     /// The query log, when one was attached with
     /// [`SessionBuilder::query_log`].
     pub fn query_log(&self) -> Option<&Arc<QueryLog>> {
-        self.obs.log()
+        self.shard.obs.log()
     }
 
     /// The `n` most recent query traces, newest first (empty without a
     /// query log).
     pub fn recent_queries(&self, n: usize) -> Vec<Arc<QueryTrace>> {
-        self.obs.log().map(|l| l.recent(n)).unwrap_or_default()
+        self.query_log().map(|l| l.recent(n)).unwrap_or_default()
     }
 
     /// Applies a data-append adjustment (Appendix D, Lemma 3) to the
@@ -1234,322 +868,48 @@ impl VerdictSession {
     /// [`verdict_core::append::AppendAdjustment::estimate`]: `µ`/`η` are
     /// in the aggregate's own value units (relative frequency for
     /// `FREQ`), scaled by `|r_a| / (|r| + |r_a|)`.
-    pub fn apply_append(
-        &mut self,
-        key: &AggKey,
-        adjustment: &verdict_core::append::AppendAdjustment,
-    ) -> Result<usize> {
-        let adjusted = self
-            .verdict
-            .apply_append(key, adjustment)
-            .map_err(Error::Core)?;
-        self.checkpoint()?;
-        Ok(adjusted)
+    pub fn apply_append(&mut self, key: &AggKey, adjustment: &AppendAdjustment) -> Result<usize> {
+        self.shard.apply_append(key, adjustment)
     }
 
     /// Ingests a batch of new rows into the evolving table — the engine's
-    /// fourth pipeline stage (read / learn / train / **ingest**).
-    ///
-    /// One call drives the full stack:
-    ///
-    /// 1. the batch is validated against the schema (atomically — a bad
-    ///    row rejects the whole batch before anything mutates);
-    /// 2. a Lemma-3 [`verdict_core::append::AppendAdjustment`] is
-    ///    estimated for every synopsis aggregate — per-column shift from
-    ///    the *current sample* vs the incoming batch for `AVG` keys, the
-    ///    conservative worst case for `FREQ`;
-    /// 3. the engine-side rewrites and model refits are **staged**
-    ///    (fallible work with no mutation), then on persistent sessions
-    ///    rows + adjustments are logged to the WAL (fail-fast: a refused
-    ///    append or a failed refit leaves memory and disk consistent;
-    ///    recovery replays complete batches only);
-    /// 4. the base table grows, every maintained sample admits the new
-    ///    rows at the correct inclusion probability (deterministic
-    ///    per-row admission, so recovery rebuilds the same sample), and
-    ///    the engine widens every affected synopsis and refits its
-    ///    models (`data_epoch` bumps once).
+    /// fourth pipeline stage (read / learn / train / **ingest**): the
+    /// batch is validated atomically, a Lemma-3
+    /// [`verdict_core::append::AppendAdjustment`] is estimated for every
+    /// synopsis aggregate (per-column shift of the session's fixed sample
+    /// vs the incoming batch for `AVG` keys, the conservative worst case
+    /// for `FREQ`), rows + adjustments are WAL-logged on persistent
+    /// sessions, and only then does the table grow, every maintained
+    /// sample admit the new rows at the correct inclusion probability,
+    /// and every affected synopsis widen and refit (`data_epoch` bumps
+    /// once). A failure at any step leaves memory and disk consistent.
     ///
     /// Old answers stay usable with honestly wider error bounds;
     /// [`VerdictSession::train`] re-tightens from fresh observations.
     pub fn ingest(&mut self, rows: &[Vec<Value>]) -> Result<IngestReport> {
-        self.surface_store_error()?;
-        let t0 = Instant::now();
-        if rows.is_empty() {
-            return Ok(IngestReport {
-                appended_rows: 0,
-                admitted_rows: vec![0; self.engines.len()],
-                adjusted_keys: 0,
-                adjusted_snippets: 0,
-                skipped_keys: Vec::new(),
-                data_epoch: self.verdict.data_epoch(),
-                elapsed: t0.elapsed(),
-                refit_elapsed: Duration::ZERO,
-                wal_bytes: 0,
-                widening_magnitude: 0.0,
-            });
-        }
-        if self.paged.is_some() {
-            return self.ingest_paged(rows, t0);
-        }
-        // All fallible work first (validation, shift estimation, staged
-        // synopsis rewrites + model refits), shared with the concurrent
-        // path; see `prepare_ingest` for the ordering rationale.
-        let prepared = prepare_ingest(
-            &self.verdict,
-            &self.table,
-            self.engines[self.active].sample().table(),
-            rows,
-            self.partitions.as_ref(),
-        )?;
-        // WAL byte accounting comes from the store's own cumulative
-        // counters (delta across the append), not a second measurement.
-        let wal_bytes = if let Some(store) = &self.store {
-            let mut guard = store.lock();
-            let before = guard.stats().wal_bytes;
-            guard
-                .append_ingest(rows, &prepared.adjustments)
-                .map_err(Error::Store)?;
-            guard.stats().wal_bytes - before
-        } else {
-            0
-        };
-        self.table.push_rows(rows).map_err(Error::Storage)?;
-        if let Some(map) = &mut self.partitions {
-            // Route the appended rows: only the receiving partitions'
-            // row counts and summaries move (cross-partition batches
-            // split row-by-row; bystander partitions stay bit-identical).
-            map.extend(&self.table).map_err(Error::Storage)?;
-        }
-        let mut admitted_rows = Vec::with_capacity(self.engines.len());
-        for (i, engine) in self.engines.iter_mut().enumerate() {
-            admitted_rows.push(
-                engine
-                    .absorb_appended(
-                        &self.table,
-                        prepared.old_rows as u64,
-                        self.meta.seed,
-                        i as u64,
-                    )
-                    .map_err(Error::Aqp)?,
-            );
-        }
-        let adjusted_snippets = self.verdict.commit_ingest(prepared.staged);
-        self.maybe_compact();
-        let report = IngestReport {
-            appended_rows: rows.len(),
-            admitted_rows,
-            adjusted_keys: prepared.adjustments.len(),
-            adjusted_snippets,
-            skipped_keys: prepared.skipped_keys,
-            data_epoch: self.verdict.data_epoch(),
-            elapsed: t0.elapsed(),
-            refit_elapsed: prepared.refit_elapsed,
-            wal_bytes,
-            widening_magnitude: widening_magnitude(&prepared.adjustments),
-        };
-        self.obs.record_ingest(&report);
-        self.refresh_engine_gauges();
-        Ok(report)
-    }
-
-    /// The out-of-core half of [`VerdictSession::ingest`]: identical
-    /// contract, WAL-first ordering. The batch is coded against the
-    /// resolution table (so partition files hold globally valid
-    /// dictionary codes), the ingest WAL record anchors durability, then
-    /// only the touched partitions' files are write-extended
-    /// ([`verdict_store::SynopsisStore::append_parts`]) before the map,
-    /// the resolution dictionaries, and every sample tail absorb the
-    /// rows. Crash replay re-appends the batch only to partition files
-    /// that missed it, so memory and disk stay mutually consistent.
-    fn ingest_paged(&mut self, rows: &[Vec<Value>], t0: Instant) -> Result<IngestReport> {
-        let (map_arc, total_rows) = {
-            let rt = self.paged.as_ref().expect("caller checked");
-            (Arc::clone(&rt.map), rt.total_rows)
-        };
-        let (prepared, batch, routed) = {
-            let map = map_arc.read().expect("partition map poisoned");
-            prepare_ingest_paged(
-                &self.verdict,
-                &self.table,
-                self.engines[self.active].sample(),
-                &map,
-                total_rows,
-                rows,
-            )?
-        };
-        // Paged sessions are persistent by construction.
-        let store = self.store.as_ref().expect("paged sessions have a store");
-        let wal_bytes = {
-            let mut guard = store.lock();
-            let before = guard.stats().wal_bytes;
-            let seq = guard
-                .append_ingest(rows, &prepared.adjustments)
-                .map_err(Error::Store)?;
-            guard
-                .append_parts(seq, &batch, &routed)
-                .map_err(Error::Store)?;
-            guard.stats().wal_bytes - before
-        };
-        map_arc
-            .write()
-            .expect("partition map poisoned")
-            .extend_batch(&batch)
-            .map_err(Error::Storage)?;
-        self.table
-            .sync_dictionaries_from(&batch)
-            .map_err(Error::Storage)?;
-        let mut admitted_rows = Vec::with_capacity(self.engines.len());
-        for (i, engine) in self.engines.iter_mut().enumerate() {
-            admitted_rows.push(
-                engine
-                    .paged_absorb_appended(&batch, total_rows, self.meta.seed, i as u64)
-                    .map_err(Error::Aqp)?,
-            );
-        }
-        let adjusted_snippets = self.verdict.commit_ingest(prepared.staged);
-        self.paged.as_mut().expect("caller checked").total_rows += rows.len() as u64;
-        self.maybe_compact();
-        let report = IngestReport {
-            appended_rows: rows.len(),
-            admitted_rows,
-            adjusted_keys: prepared.adjustments.len(),
-            adjusted_snippets,
-            skipped_keys: prepared.skipped_keys,
-            data_epoch: self.verdict.data_epoch(),
-            elapsed: t0.elapsed(),
-            refit_elapsed: prepared.refit_elapsed,
-            wal_bytes,
-            widening_magnitude: widening_magnitude(&prepared.adjustments),
-        };
-        self.obs.record_ingest(&report);
-        self.refresh_engine_gauges();
-        Ok(report)
-    }
-
-    /// Re-publishes the engine-state gauges (synopsis/sample sizes,
-    /// epochs). No-op without a metrics hub.
-    fn refresh_engine_gauges(&self) {
-        self.obs.refresh_engine(
-            self.verdict.synopsis_total_snippets(),
-            self.verdict.synopsis_keys().len(),
-            // `len()` counts covered + tail rows on a paged sample, whose
-            // resident `table()` is the zero-row resolution.
-            self.engines[self.active].sample().len(),
-            self.verdict.epoch(),
-            self.verdict.data_epoch(),
-        );
+        self.shard.ingest(rows)
     }
 
     /// Exact (ground-truth) answer for an aggregate over the *base* table;
     /// used by experiments to report actual errors. On an out-of-core
-    /// session this streams every partition file back in (an experiment
-    /// convenience, deliberately not budget-bounded — ground truth needs
-    /// the whole relation).
+    /// session this streams every partition file back in.
     pub fn exact(&self, agg: &AggregateFn, predicate: &Predicate) -> Result<f64> {
-        if let Some(rt) = &self.paged {
-            let store = self.store.as_ref().expect("paged sessions have a store");
-            let dir = store.lock().dir().to_path_buf();
-            let mut full = self.table.clone();
-            let map = rt.map.read().expect("partition map poisoned");
-            for p in 0..map.num_partitions() {
-                let rows = map.part(p).rows() as usize;
-                if rows == 0 {
-                    continue;
-                }
-                let frag =
-                    read_part_rows(&dir, p as u32, &self.table, rows).map_err(Error::Store)?;
-                full.append(&frag).map_err(Error::Storage)?;
-            }
-            return agg.eval_exact(&full, predicate).map_err(Error::Storage);
-        }
-        agg.eval_exact(&self.table, predicate)
-            .map_err(Error::Storage)
+        self.shard.exact(agg, predicate)
     }
 
     /// Parses, checks, plans, and answers a SQL query from one shared
-    /// sample scan (see the module docs for the dataflow).
+    /// sample scan (see the module docs for the dataflow). The `FROM`
+    /// name is not resolved — the session has exactly one table.
     ///
     /// Persistent sessions surface store failures (a failed background
     /// log append, or a compaction that failed after an earlier query)
-    /// here, *before* doing any work — a computed answer is never thrown
-    /// away because persisting something else failed afterwards.
+    /// here, *before* scanning — a computed answer is never thrown away
+    /// because persisting something else failed afterwards.
     pub fn execute(&mut self, sql: &str, mode: Mode, policy: StopPolicy) -> Result<QueryOutcome> {
-        self.surface_store_error()?;
         let t0 = Instant::now();
-        let tracing = self.obs.tracing();
-        self.obs.query_started();
-        let sw = Stopwatch::started_if(tracing);
         let query = parse_query(sql)?;
-        if let SupportVerdict::Unsupported(reasons) = check_query(&query, &self.join_policy) {
-            self.obs.query_unsupported();
-            return Ok(QueryOutcome::Unsupported(reasons));
-        }
-        let parse_ns = sw.elapsed_ns();
-        let sw = Stopwatch::started_if(tracing);
-        let plan = self.plan(&query)?;
-        let plan_ns = sw.elapsed_ns();
-        let epoch = self.verdict.epoch();
-        // Read path: answer every cell from immutable state (the engine's
-        // current view). The read neither observes nor bumps counters —
-        // it returns what the learn path should absorb.
-        let mut scan = tracing.then(ScanTrace::default);
-        let read = run_shared_read(
-            &self.engines[self.active],
-            self.verdict.view(),
-            &plan,
-            mode,
-            policy,
-            epoch,
-            self.scan_kernel,
-            self.parallelism,
-            scan.as_mut(),
-        )?;
-        if self.paged.is_some() {
-            self.obs.record_partition_cache(&read.cache);
-        }
-        // Learn path (serialized trivially here — `&mut self`): fold the
-        // counter delta in, then record the raw snippet observations in
-        // the same per-snippet order Algorithm 2 produces (this is what
-        // appends to the WAL on persistent sessions).
-        let sw = Stopwatch::started_if(tracing);
-        self.verdict.merge_read_stats(read.stats);
-        for (snippet, obs) in &read.recorded {
-            self.verdict.observe(snippet, *obs);
-        }
-        self.maybe_compact();
-        let absorb_ns = sw.elapsed_ns();
-        self.advance_rotation();
-        let mut result = read.result;
-        result.elapsed = t0.elapsed();
-        if let Some(scan) = scan {
-            self.obs.record_query(
-                query_trace(
-                    "t",
-                    Some(sql),
-                    false,
-                    mode,
-                    self.verdict.data_epoch(),
-                    &result,
-                    &scan,
-                    StagePrelude {
-                        parse_ns,
-                        plan_ns,
-                        absorb_ns,
-                    },
-                ),
-                plan.groups_dropped,
-            );
-            self.refresh_engine_gauges();
-        }
-        Ok(QueryOutcome::Answered(result))
-    }
-
-    /// Advances the active sample after an answered query when the session
-    /// was built with [`SampleRotation::RoundRobin`].
-    fn advance_rotation(&mut self) {
-        if self.rotation == SampleRotation::RoundRobin {
-            self.active = (self.active + 1) % self.engines.len();
-        }
+        let opts = QueryOptions::new().with_mode(mode).with_policy(policy);
+        self.shard.query(&query, sql, &opts, t0)
     }
 
     /// Answers a SQL query with the pre-shared-scan executor: one
@@ -1562,7 +922,9 @@ impl VerdictSession {
     /// answers cell for cell, and the `groupby_scaling` benchmark measures
     /// the `O(G × A)` → `O(1)` scan reduction against it. Note the legacy
     /// cost accounting: each snippet re-scans the sample, so a time budget
-    /// is spent *per snippet*, not per query.
+    /// is spent *per snippet*, not per query. Reads and synopsis writes
+    /// interleave per snippet, so the whole query holds the engine under
+    /// the writer lock.
     #[cfg(feature = "legacy-executor")]
     pub fn execute_legacy(
         &mut self,
@@ -1570,78 +932,48 @@ impl VerdictSession {
         mode: Mode,
         policy: StopPolicy,
     ) -> Result<QueryOutcome> {
-        self.surface_store_error()?;
+        self.shard.surface_store_error()?;
         let t0 = Instant::now();
         let query = parse_query(sql)?;
-        if let SupportVerdict::Unsupported(reasons) = check_query(&query, &self.join_policy) {
+        if let SupportVerdict::Unsupported(reasons) = check_query(&query, &JoinPolicy::none()) {
             return Ok(QueryOutcome::Unsupported(reasons));
         }
-        // The legacy path interleaves reads and synopsis writes per
-        // snippet, so the epoch it "read" is pinned at query start.
-        let epoch = self.verdict.epoch();
-
-        let sample_table = self.engines[self.active].sample().table();
-        let group_keys = enumerate_groups(&query, self.engines[self.active].sample())?;
-        let nmax = self.verdict.config().nmax;
-        let decomposed = decompose(&query, sample_table, &group_keys, nmax)?;
+        let snapshot = self.shard.current();
+        let engine = &snapshot.data.engines[self.shard.pick_sample()];
+        let group_keys = enumerate_groups(&query, engine.sample())?;
+        let nmax = snapshot.engine_snapshot().config().nmax;
+        let decomposed = decompose(&query, engine.sample().table(), &group_keys, nmax)?;
 
         // Answer snippets one at a time, regrouping into result rows.
         // Keys are compared by identity (bits), not `==`: a NaN group key
         // is one group, even though `NaN != NaN`.
-        let mut rows: Vec<ResultRow> = Vec::new();
-        let mut max_scanned = 0usize;
-        for spec in &decomposed.snippets {
-            let cell = self.answer_snippet(spec, mode, policy)?;
-            max_scanned = max_scanned.max(cell.tuples_scanned);
-            match rows.last_mut() {
-                Some(row) if same_group(&row.group, &spec.group) => row.values.push(cell),
-                _ => rows.push(ResultRow {
-                    group: spec.group.clone(),
-                    values: vec![cell],
-                }),
+        let (rows, max_scanned) = self.shard.with_engine(|verdict| {
+            let mut rows: Vec<ResultRow> = Vec::new();
+            let mut max_scanned = 0usize;
+            for spec in &decomposed.snippets {
+                let cell = answer_snippet(verdict, engine, spec, mode, policy)?;
+                max_scanned = max_scanned.max(cell.tuples_scanned);
+                match rows.last_mut() {
+                    Some(row) if same_group(&row.group, &spec.group) => row.values.push(cell),
+                    _ => rows.push(ResultRow {
+                        group: spec.group.clone(),
+                        values: vec![cell],
+                    }),
+                }
             }
-        }
-
-        let simulated_ns = self.engine().simulated_ns(max_scanned);
-        self.maybe_compact();
-        self.advance_rotation();
+            Ok::<_, Error>((rows, max_scanned))
+        })?;
 
         Ok(QueryOutcome::Answered(QueryResult {
             rows,
             tuples_scanned: max_scanned,
-            simulated_ns,
+            simulated_ns: engine.simulated_ns(max_scanned),
             truncated: decomposed.truncated,
-            epoch,
+            // The legacy path interleaves reads and synopsis writes per
+            // snippet, so the epoch it "read" is pinned at query start.
+            epoch: snapshot.epoch(),
             elapsed: t0.elapsed(),
         }))
-    }
-
-    /// Plans one shared scan for a checked query.
-    fn plan(&self, query: &Query) -> Result<ScanPlan> {
-        plan_shared_scan(
-            query,
-            &self.engines[self.active],
-            self.verdict.config().nmax,
-        )
-    }
-
-    /// Folds the log into a fresh snapshot when the store's compaction
-    /// policy asks for it, so the log never grows without bound. A
-    /// compaction failure is parked rather than returned: the answer is
-    /// already computed and logged, and the error surfaces at the next
-    /// `execute()`/`checkpoint()` call.
-    fn maybe_compact(&mut self) {
-        let compact = self
-            .store
-            .as_ref()
-            .is_some_and(|s| s.lock().needs_compaction());
-        if compact {
-            if let Err(e) = self.snapshot_now() {
-                if let Some(store) = &self.store {
-                    store.lock().park_error(e);
-                }
-            }
-        }
     }
 }
 
@@ -1650,37 +982,38 @@ impl VerdictSession {
 /// order is load-bearing — it is what makes a warm start's redraw
 /// bit-identical), the *original* row prefix sampled uniformly, then any
 /// appended tail re-admitted through the deterministic per-row admission
-/// the ingest path uses. Shared by [`SessionBuilder::build`] and the
-/// [`crate::Database`] builder/open paths.
-#[allow(clippy::too_many_arguments)]
+/// the ingest path uses. Shared by the create and recover paths.
 pub(crate) fn draw_engines(
     table: &Table,
-    original_rows: usize,
-    sample_fraction: f64,
-    batch_size: usize,
-    seed: u64,
-    num_samples: usize,
+    meta: &SessionMeta,
     cost: &CostModel,
     tier: StorageTier,
     partition: Option<&PartitionSpec>,
 ) -> Result<Vec<OnlineAggregation>> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut engines = Vec::with_capacity(num_samples);
-    for _ in 0..num_samples {
+    let original_rows = meta.original_rows as usize;
+    let batch_size = meta.batch_size as usize;
+    let mut rng = StdRng::seed_from_u64(meta.seed);
+    let mut engines = Vec::with_capacity(meta.num_samples as usize);
+    for _ in 0..meta.num_samples {
         let sample = match partition {
-            // Partitioned draws sample the whole current table: partitions
-            // never combine with persistence, so there is no recovered
-            // tail (`original_rows == table.num_rows()`) to re-admit.
+            // Partitioned draws sample the whole current table: resident
+            // partitions never combine with persistence, so there is no
+            // recovered tail (`original_rows == table.num_rows()`) to
+            // re-admit.
             Some(spec) => Sample::uniform_partitioned(
                 table,
                 spec.clone(),
-                sample_fraction,
+                meta.sample_fraction,
                 batch_size,
                 &mut rng,
             ),
-            None => {
-                Sample::uniform_prefix(table, original_rows, sample_fraction, batch_size, &mut rng)
-            }
+            None => Sample::uniform_prefix(
+                table,
+                original_rows,
+                meta.sample_fraction,
+                batch_size,
+                &mut rng,
+            ),
         }
         .map_err(Error::Aqp)?;
         engines.push(OnlineAggregation::new(sample, cost.clone(), tier));
@@ -1691,7 +1024,7 @@ pub(crate) fn draw_engines(
         // codes, exactly as the live ingest path did.
         for (i, engine) in engines.iter_mut().enumerate() {
             engine
-                .absorb_appended(table, original_rows as u64, seed, i as u64)
+                .absorb_appended(table, original_rows as u64, meta.seed, i as u64)
                 .map_err(Error::Aqp)?;
         }
     }
@@ -1699,9 +1032,7 @@ pub(crate) fn draw_engines(
 }
 
 /// Enumerates the group values present in the sample's answer set (the
-/// AQP engine's result set determines the groups, §2.3) in one pass. A
-/// paged sample streams its segments (pruning from map summaries first);
-/// a resident sample scans its table.
+/// AQP engine's result set determines the groups, §2.3) in one pass.
 fn enumerate_groups(query: &Query, sample: &Sample) -> Result<Vec<GroupKey>> {
     if query.group_by.is_empty() {
         return Ok(Vec::new());
@@ -1718,13 +1049,9 @@ fn enumerate_groups(query: &Query, sample: &Sample) -> Result<Vec<GroupKey>> {
             _ => None,
         })
         .collect();
-    if sample.is_paged() {
-        sample
-            .paged_distinct_group_keys(&base_pred, &cols)
-            .map_err(Error::Aqp)
-    } else {
-        distinct_group_keys(sample.table(), &base_pred, &cols).map_err(Error::Storage)
-    }
+    sample
+        .distinct_group_keys(&base_pred, &cols)
+        .map_err(Error::Aqp)
 }
 
 /// The stage clocks the serving layer measures around the shared read
@@ -1738,10 +1065,8 @@ pub(crate) struct StagePrelude {
 
 /// Folds the serving-layer stage clocks, the executor's [`ScanTrace`],
 /// and the answered result into one [`QueryTrace`] (sequence number
-/// assigned when the log accepts it). Shared by the serial, concurrent,
-/// and prepared serving paths, so every path's traces agree on field
-/// semantics.
-#[allow(clippy::too_many_arguments)] // one call site per serving path; a struct would just rename the args
+/// assigned when the log accepts it).
+#[allow(clippy::too_many_arguments)] // one call site; a struct would just rename the args
 pub(crate) fn query_trace(
     table: &str,
     sql: Option<&str>,
@@ -1788,17 +1113,14 @@ pub(crate) fn query_trace(
 
 /// Total Lemma-3 widening one ingest batch applied: `Σ(|µ_k| + η_k)`
 /// over its adjustments, in aggregate value units.
-pub(crate) fn widening_magnitude(
-    adjustments: &[(AggKey, verdict_core::append::AppendAdjustment)],
-) -> f64 {
+pub(crate) fn widening_magnitude(adjustments: &[(AggKey, AppendAdjustment)]) -> f64 {
     adjustments
         .iter()
         .map(|(_, a)| a.mu_shift.abs() + a.eta)
         .sum()
 }
 
-/// Plans one shared scan for a checked query against one engine's sample
-/// (shared by the serial and concurrent sessions).
+/// Plans one shared scan for a checked query against one engine's sample.
 pub(crate) fn plan_shared_scan(
     query: &Query,
     engine: &OnlineAggregation,
@@ -1811,162 +1133,103 @@ pub(crate) fn plan_shared_scan(
     Ok(plan_scan(query, sample.table(), &group_keys, nmax)?)
 }
 
-/// Everything fallible about one ingest, computed up front: the batch
-/// validated, every adjustment estimated, and the engine-side rewrites +
-/// refits staged (no engine mutation yet). Both session flavors order
-/// `prepare → WAL append → grow table → admit into samples → commit`, so
-/// a failure at any step — a bad row, an oversized WAL record, a refit
-/// that cannot factorize — leaves memory and disk fully consistent, and
-/// a WAL record is never written for an adjustment the engine then fails
-/// to apply.
+/// Everything fallible about one ingest, computed up front: every
+/// adjustment estimated and the engine-side rewrites + refits staged (no
+/// engine mutation yet). The shard orders `prepare → WAL append → land
+/// rows → admit into samples → commit`, so a failure at any step — a bad
+/// row, an oversized WAL record, a refit that cannot factorize — leaves
+/// memory and disk fully consistent, and a WAL record is never written
+/// for an adjustment the engine then fails to apply.
 pub(crate) struct PreparedIngest {
-    /// Table rows before the batch.
-    pub(crate) old_rows: usize,
     /// Per-aggregate Lemma-3 adjustments (what gets WAL-logged).
-    pub(crate) adjustments: Vec<(AggKey, verdict_core::append::AppendAdjustment)>,
+    pub(crate) adjustments: Vec<(AggKey, AppendAdjustment)>,
     /// Aggregates whose expression could not be re-evaluated.
     pub(crate) skipped_keys: Vec<AggKey>,
     /// The staged engine-side rewrites, ready to commit.
     pub(crate) staged: verdict_core::StagedIngest,
     /// Wall-clock spent staging the rewrites + refits — measured here,
-    /// once, for both session flavors (the report and the metrics layer
-    /// read this same value).
+    /// once (the report and the metrics layer read this same value).
     pub(crate) refit_elapsed: Duration,
 }
 
-/// Validates `rows` and stages the full engine-side effect of ingesting
-/// them (see [`PreparedIngest`]). `sample_table` is the sample the shift
-/// is estimated against: the serial session passes its *active* sample,
-/// the concurrent session its fixed sample — the estimates may differ
-/// across wrappers, which is sound because the chosen values are what
-/// gets WAL-logged and replayed.
+/// Stages the full engine-side effect of ingesting `batch` (already
+/// validated by materializing it as a table) after `old_rows` base rows
+/// — see [`PreparedIngest`]. `sample` is the sample the shift is
+/// estimated against (the shard's fixed one; the chosen values are what
+/// gets WAL-logged and replayed, so recovery never re-estimates). `map`
+/// is the base-table partition map of a partitioned table.
 pub(crate) fn prepare_ingest(
     verdict: &Verdict,
-    table: &Table,
-    sample_table: &Table,
-    rows: &[Vec<Value>],
-    partitions: Option<&PartitionMap>,
+    sample: &Sample,
+    batch: &Table,
+    old_rows: usize,
+    map: Option<&PartitionMap>,
 ) -> Result<PreparedIngest> {
-    // Validation surface: materializing the batch as its own table both
-    // validates every row (atomically) and gives the shift estimator
-    // numeric columns to evaluate aggregate expressions over, before the
-    // main table is touched.
-    let mut batch_table = Table::new(table.schema().clone());
-    batch_table.push_rows(rows).map_err(Error::Storage)?;
-    let old_rows = table.num_rows();
-    let (adjustments, skipped_keys) = compute_ingest_adjustments(
-        &verdict.synopsis_keys(),
-        sample_table,
-        &batch_table,
-        old_rows,
-        rows.len(),
-    );
+    let (adjustments, skipped_keys) =
+        compute_ingest_adjustments(&verdict.synopsis_keys(), sample, batch, old_rows)?;
     // Partition-aware Lemma 3: bound what this batch touches, so AVG
     // snippets over provably-disjoint regions keep their answers and
     // error bounds (FREQ always widens — the denominator changed).
-    let bounds = match partitions {
-        Some(map) => Some(ingest_bounds(map, &batch_table).map_err(Error::Storage)?),
-        None => None,
-    };
+    let bounds = map
+        .map(|map| ingest_bounds(map, batch))
+        .transpose()
+        .map_err(Error::Storage)?;
     let refit_t0 = Instant::now();
     let staged = verdict
         .stage_ingest_filtered(&adjustments, bounds.as_ref())
         .map_err(Error::Core)?;
-    let refit_elapsed = refit_t0.elapsed();
     Ok(PreparedIngest {
-        old_rows,
         adjustments,
         skipped_keys,
         staged,
-        refit_elapsed,
+        refit_elapsed: refit_t0.elapsed(),
     })
-}
-
-/// The out-of-core counterpart of [`prepare_ingest`], shared by the
-/// serial session and the database shard. On top of the resident
-/// preparation it (a) codes the batch against the *resolution* table so
-/// the rows written to partition files carry globally valid dictionary
-/// codes, (b) streams the paged sample segment-by-segment (then the
-/// tail) for the `AVG` shift estimates — identical values, in identical
-/// order, to evaluating the materialized sample, so the WAL-logged
-/// adjustments are independent of the memory budget — and (c) routes
-/// every batch row to its partition for the write-extend.
-pub(crate) fn prepare_ingest_paged(
-    verdict: &Verdict,
-    resolution: &Table,
-    sample: &Sample,
-    map: &PartitionMap,
-    total_rows: u64,
-    rows: &[Vec<Value>],
-) -> Result<(PreparedIngest, Table, Vec<u32>)> {
-    let mut batch = resolution.clone();
-    batch.push_rows(rows).map_err(Error::Storage)?;
-    let old_rows = total_rows as usize;
-    let (adjustments, skipped_keys) = compute_ingest_adjustments_paged(
-        &verdict.synopsis_keys(),
-        sample,
-        &batch,
-        old_rows,
-        rows.len(),
-    )?;
-    let bounds = ingest_bounds(map, &batch).map_err(Error::Storage)?;
-    let refit_t0 = Instant::now();
-    let staged = verdict
-        .stage_ingest_filtered(&adjustments, Some(&bounds))
-        .map_err(Error::Core)?;
-    let refit_elapsed = refit_t0.elapsed();
-    let routed = map
-        .route(&batch, 0..batch.num_rows())
-        .map_err(Error::Storage)?;
-    Ok((
-        PreparedIngest {
-            old_rows,
-            adjustments,
-            skipped_keys,
-            staged,
-            refit_elapsed,
-        },
-        batch,
-        routed,
-    ))
 }
 
 /// The per-key synopsis adjustments for one ingested batch, plus the
 /// keys that had to be skipped (unevaluable expressions).
-pub(crate) type IngestAdjustments = (
-    Vec<(AggKey, verdict_core::append::AppendAdjustment)>,
-    Vec<AggKey>,
-);
+type IngestAdjustments = (Vec<(AggKey, AppendAdjustment)>, Vec<AggKey>);
 
-/// [`compute_ingest_adjustments`] for a paged sample: `AVG` old-value
-/// columns are gathered in one streaming pass over the segments (then
-/// the tail) instead of one resident evaluation — same rows, same order,
-/// same estimates. A key whose expression fails to compile against any
-/// fragment is skipped, exactly like the resident path.
-fn compute_ingest_adjustments_paged(
+/// Estimates one ingested batch's Lemma-3 adjustment per synopsis
+/// aggregate.
+///
+/// For an `AVG(expr)` key the shift distribution is estimated from the
+/// expression evaluated over the **sample** (a uniform stand-in for the
+/// old relation — the paper estimates `µ_k`, `η_k` "from small samples of
+/// `r` and `r_a`") versus the incoming batch. The sample's values are
+/// gathered in one pass over its fragments for all `AVG` keys together
+/// (a resident sample is one fragment; faulting every paged segment once
+/// per key would multiply the I/O by the synopsis width) — same rows,
+/// same order, same estimates at any memory budget. For `FREQ` the
+/// per-region indicator cannot be evaluated key-wide, so the conservative
+/// worst case applies. Keys whose expression cannot be parsed, or fails
+/// to compile against any fragment or the batch (missing or non-numeric
+/// column), are skipped and reported, never silently dropped.
+///
+/// The adjustment list is deterministic (keys pre-sorted by the caller
+/// via `Verdict::synopsis_keys`), and it is what gets WAL-logged — replay
+/// applies these exact values, so recomputation never has to agree with a
+/// sample state that no longer exists.
+fn compute_ingest_adjustments(
     keys: &[AggKey],
     sample: &Sample,
-    batch_table: &Table,
+    batch: &Table,
     old_rows: usize,
-    appended_rows: usize,
 ) -> Result<IngestAdjustments> {
-    use verdict_core::append::AppendAdjustment;
+    let appended_rows = batch.num_rows();
     let parsed: Vec<Option<Expr>> = keys
         .iter()
         .map(|k| match k {
             AggKey::Avg(expr_str) => Expr::parse(expr_str).ok(),
-            _ => None,
+            AggKey::Freq => None,
         })
         .collect();
-    // One pass over all fragments for all AVG keys together: faulting
-    // every segment once per key would multiply the I/O by the synopsis
-    // width.
     let mut old_values: Vec<Option<Vec<f64>>> = parsed
         .iter()
         .map(|p| p.as_ref().map(|_| Vec::new()))
         .collect();
     sample
-        .paged_visit(|frag| {
+        .visit_fragments(|frag| {
             for (expr, vals) in parsed.iter().zip(old_values.iter_mut()) {
                 let (Some(expr), Some(acc)) = (expr, vals.as_mut()) else {
                     continue;
@@ -1981,31 +1244,22 @@ fn compute_ingest_adjustments_paged(
         .map_err(Error::Aqp)?;
     let mut adjustments = Vec::with_capacity(keys.len());
     let mut skipped = Vec::new();
-    for ((key, expr), old) in keys.iter().zip(parsed.iter()).zip(old_values) {
-        match key {
-            AggKey::Freq => adjustments.push((
-                key.clone(),
-                AppendAdjustment::freq_worst_case(old_rows, appended_rows),
-            )),
-            AggKey::Avg(_) => {
-                let adjustment = match (expr, old) {
-                    (Some(expr), Some(old_values)) => {
-                        eval_expr_column(expr, batch_table).map(|new_values| {
-                            AppendAdjustment::estimate(
-                                &old_values,
-                                &new_values,
-                                old_rows,
-                                appended_rows,
-                            )
-                        })
-                    }
-                    _ => None,
-                };
-                match adjustment {
-                    Some(a) => adjustments.push((key.clone(), a)),
-                    None => skipped.push(key.clone()),
-                }
-            }
+    for ((key, expr), old) in keys.iter().zip(&parsed).zip(old_values) {
+        let adjustment = match key {
+            AggKey::Freq => Some(AppendAdjustment::freq_worst_case(old_rows, appended_rows)),
+            AggKey::Avg(_) => expr.as_ref().zip(old).and_then(|(expr, old_values)| {
+                let new_values = eval_expr_column(expr, batch)?;
+                Some(AppendAdjustment::estimate(
+                    &old_values,
+                    &new_values,
+                    old_rows,
+                    appended_rows,
+                ))
+            }),
+        };
+        match adjustment {
+            Some(a) => adjustments.push((key.clone(), a)),
+            None => skipped.push(key.clone()),
         }
     }
     Ok((adjustments, skipped))
@@ -2021,10 +1275,7 @@ fn compute_ingest_adjustments_paged(
 /// pre-existing rows of a receiving partition count as "touched"; rows
 /// in partitions the batch never reaches do not shift any disjoint
 /// region's aggregate.
-pub(crate) fn ingest_bounds(
-    map: &PartitionMap,
-    batch_table: &Table,
-) -> verdict_storage::Result<IngestBounds> {
+fn ingest_bounds(map: &PartitionMap, batch_table: &Table) -> verdict_storage::Result<IngestBounds> {
     let batch_map = PartitionMap::build(batch_table, map.spec().clone())?;
     let mut bounds = IngestBounds::new();
     for p in 0..batch_map.num_partitions() {
@@ -2049,59 +1300,6 @@ pub(crate) fn ingest_bounds(
     Ok(bounds)
 }
 
-/// Estimates one ingested batch's Lemma-3 adjustment per synopsis
-/// aggregate (shared by the serial and concurrent ingest paths).
-///
-/// For an `AVG(expr)` key the shift distribution is estimated from the
-/// expression evaluated over the **current sample** (a uniform stand-in
-/// for the old relation — the paper estimates `µ_k`, `η_k` "from small
-/// samples of `r` and `r_a`") versus the incoming batch. For `FREQ` the
-/// per-region indicator cannot be evaluated key-wide, so the conservative
-/// worst case applies. Keys whose expression cannot be parsed or
-/// evaluated over numeric columns are skipped and reported, never
-/// silently dropped.
-///
-/// The adjustment list is deterministic (keys pre-sorted by the caller
-/// via `Verdict::synopsis_keys`), and it is what gets WAL-logged — replay
-/// applies these exact values, so recomputation never has to agree with a
-/// sample state that no longer exists.
-pub(crate) fn compute_ingest_adjustments(
-    keys: &[AggKey],
-    sample_table: &Table,
-    batch_table: &Table,
-    old_rows: usize,
-    appended_rows: usize,
-) -> IngestAdjustments {
-    use verdict_core::append::AppendAdjustment;
-    let mut adjustments = Vec::with_capacity(keys.len());
-    let mut skipped = Vec::new();
-    for key in keys {
-        match key {
-            AggKey::Freq => adjustments.push((
-                key.clone(),
-                AppendAdjustment::freq_worst_case(old_rows, appended_rows),
-            )),
-            AggKey::Avg(expr_str) => {
-                let adjustment = Expr::parse(expr_str).ok().and_then(|expr| {
-                    let old_values = eval_expr_column(&expr, sample_table)?;
-                    let new_values = eval_expr_column(&expr, batch_table)?;
-                    Some(AppendAdjustment::estimate(
-                        &old_values,
-                        &new_values,
-                        old_rows,
-                        appended_rows,
-                    ))
-                });
-                match adjustment {
-                    Some(a) => adjustments.push((key.clone(), a)),
-                    None => skipped.push(key.clone()),
-                }
-            }
-        }
-    }
-    (adjustments, skipped)
-}
-
 /// Evaluates `expr` over every row of `table`; `None` if the expression
 /// does not compile against the table (missing or non-numeric column).
 fn eval_expr_column(expr: &Expr, table: &Table) -> Option<Vec<f64>> {
@@ -2113,9 +1311,8 @@ fn eval_expr_column(expr: &Expr, table: &Table) -> Option<Vec<f64>> {
 /// snippet observations the learn path should absorb (Algorithm 2 line 6
 /// — empty under `Mode::NoLearn`), and the inference counter delta.
 ///
-/// The read path never mutates engine state; the caller decides where the
-/// recorded observations go (a serial session's own engine, or a
-/// concurrent session's serialized writer) and in what transaction.
+/// The read path never mutates engine state; the shard's serialized learn
+/// path absorbs the recorded observations afterwards.
 pub(crate) struct ReadOutcome {
     pub(crate) result: QueryResult,
     pub(crate) recorded: Vec<(Snippet, Observation)>,
@@ -2128,9 +1325,9 @@ pub(crate) struct ReadOutcome {
 /// Runs one shared scan to answer every cell of `plan` under the given
 /// mode and stop policy, entirely against immutable state: an engine's
 /// sample (per-query cursor) and a read view of the learned state. This
-/// is the planner→scan→infer core both [`VerdictSession::execute`] and
-/// [`crate::ConcurrentSession`] drive; `epoch` is stamped into the result
-/// so callers can tell which learned state answered.
+/// is the planner→scan→infer core of the shard's one answer step; `epoch`
+/// is stamped into the result so callers can tell which learned state
+/// answered.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_shared_read(
     engine: &OnlineAggregation,
@@ -2474,115 +1671,111 @@ fn scan_and_finalize<D: ScanDriver, F: Fn() -> Option<D> + Sync>(
     })
 }
 
+/// Answers one snippet under the given mode and stop policy (the legacy
+/// executor's unit of work): reads and synopsis writes go straight to the
+/// live engine.
 #[cfg(feature = "legacy-executor")]
-impl VerdictSession {
-    /// Answers one snippet under the given mode and stop policy.
-    fn answer_snippet(
-        &mut self,
-        spec: &SnippetSpec,
-        mode: Mode,
-        policy: StopPolicy,
-    ) -> Result<CellAnswer> {
-        let region = Region::from_predicate(self.verdict.schema(), &spec.predicate).ok();
-        let engine = &self.engines[self.active];
-        let n_base = engine.sample().base_rows() as f64;
+fn answer_snippet(
+    verdict: &mut Verdict,
+    engine: &OnlineAggregation,
+    spec: &SnippetSpec,
+    mode: Mode,
+    policy: StopPolicy,
+) -> Result<CellAnswer> {
+    let region = Region::from_predicate(verdict.schema(), &spec.predicate).ok();
+    let n_base = engine.sample().base_rows() as f64;
 
-        // Internal primitives for this aggregate (§2.3).
-        let plan = SnippetPlan::for_aggregate(&spec.agg);
+    // Internal primitives for this aggregate (§2.3).
+    let plan = SnippetPlan::for_aggregate(&spec.agg);
 
-        // Lock-step online aggregation over the primitives.
-        let mut sessions: Vec<verdict_aqp::engine::Session<'_>> = plan
-            .primitives
-            .iter()
-            .map(|p| engine.session(&p.estimator_agg(), &spec.predicate))
-            .collect::<std::result::Result<_, AqpError>>()
-            .map_err(Error::Aqp)?;
+    // Lock-step online aggregation over the primitives.
+    let mut sessions: Vec<verdict_aqp::engine::Session<'_>> = plan
+        .primitives
+        .iter()
+        .map(|p| engine.session(&p.estimator_agg(), &spec.predicate))
+        .collect::<std::result::Result<_, AqpError>>()
+        .map_err(Error::Aqp)?;
 
-        let tuple_cap = match policy {
-            StopPolicy::TupleBudget(n) => n,
-            StopPolicy::TimeBudgetNs(ns) => {
-                engine.cost_model().tuples_within(ns, engine.tier()).max(1)
+    let tuple_cap = match policy {
+        StopPolicy::TupleBudget(n) => n,
+        StopPolicy::TimeBudgetNs(ns) => engine.cost_model().tuples_within(ns, engine.tier()).max(1),
+        _ => usize::MAX,
+    };
+
+    let mut raw_primitives: Vec<Observation> =
+        vec![Observation::new(0.0, f64::INFINITY); plan.primitives.len()];
+    let mut scanned = 0usize;
+    let mut user_raw = (0.0, f64::INFINITY);
+    let mut user_improved = ImprovedAnswer {
+        answer: 0.0,
+        error: f64::INFINITY,
+        used_model: false,
+    };
+
+    loop {
+        // Step every primitive by one batch (shared scan).
+        let mut any = false;
+        for (i, s) in sessions.iter_mut().enumerate() {
+            if let Some(raw) = s.step() {
+                raw_primitives[i] = Observation::new(raw.answer, raw.error);
+                scanned = raw.tuples_scanned;
+                any = true;
             }
-            _ => usize::MAX,
-        };
+        }
+        if !any {
+            break;
+        }
 
-        let mut raw_primitives: Vec<Observation> =
-            vec![Observation::new(0.0, f64::INFINITY); plan.primitives.len()];
-        let mut scanned = 0usize;
-        let mut user_raw = (0.0, f64::INFINITY);
-        let mut user_improved = ImprovedAnswer {
-            answer: 0.0,
-            error: f64::INFINITY,
-            used_model: false,
-        };
-
-        loop {
-            // Step every primitive by one batch (shared scan).
-            let mut any = false;
-            for (i, s) in sessions.iter_mut().enumerate() {
-                if let Some(raw) = s.step() {
-                    raw_primitives[i] = Observation::new(raw.answer, raw.error);
-                    scanned = raw.tuples_scanned;
-                    any = true;
-                }
-            }
-            if !any {
-                break;
-            }
-
-            user_raw = plan.combine_raw(&raw_primitives, n_base);
-            user_improved = match mode {
-                Mode::NoLearn => ImprovedAnswer {
+        user_raw = plan.combine_raw(&raw_primitives, n_base);
+        user_improved = match mode {
+            Mode::NoLearn => ImprovedAnswer {
+                answer: user_raw.0,
+                error: user_raw.1,
+                used_model: false,
+            },
+            Mode::Verdict => match &region {
+                Some(region) => plan.improve(verdict, region, &raw_primitives, n_base),
+                None => ImprovedAnswer {
                     answer: user_raw.0,
                     error: user_raw.1,
                     used_model: false,
                 },
-                Mode::Verdict => match &region {
-                    Some(region) => {
-                        plan.improve(&mut self.verdict, region, &raw_primitives, n_base)
-                    }
-                    None => ImprovedAnswer {
-                        answer: user_raw.0,
-                        error: user_raw.1,
-                        used_model: false,
-                    },
-                },
-            };
+            },
+        };
 
-            // Stop?
-            let stop = match policy {
-                StopPolicy::ScanAll => false,
-                StopPolicy::RelativeErrorBound { target, delta } => {
-                    let bound = user_improved.bound(delta);
-                    bound.is_finite() && bound / user_improved.answer.abs().max(1e-9) <= target
-                }
-                StopPolicy::TupleBudget(_) | StopPolicy::TimeBudgetNs(_) => scanned >= tuple_cap,
-            };
-            if stop {
-                break;
+        // Stop?
+        let stop = match policy {
+            StopPolicy::ScanAll => false,
+            StopPolicy::RelativeErrorBound { target, delta } => {
+                let bound = user_improved.bound(delta);
+                bound.is_finite() && bound / user_improved.answer.abs().max(1e-9) <= target
             }
+            StopPolicy::TupleBudget(_) | StopPolicy::TimeBudgetNs(_) => scanned >= tuple_cap,
+        };
+        if stop {
+            break;
         }
-
-        // Record raw primitive observations into the synopsis (Verdict
-        // stores raw answers, not improved ones — Algorithm 2 line 6).
-        if mode == Mode::Verdict {
-            if let Some(region) = &region {
-                for (p, obs) in plan.primitives.iter().zip(raw_primitives.iter()) {
-                    if obs.error.is_finite() {
-                        let snippet = Snippet::new(p.key.clone(), region.clone());
-                        self.verdict.observe(&snippet, *obs);
-                    }
-                }
-            }
-        }
-
-        Ok(CellAnswer {
-            improved: user_improved,
-            raw_answer: user_raw.0,
-            raw_error: user_raw.1,
-            tuples_scanned: scanned,
-        })
     }
+
+    // Record raw primitive observations into the synopsis (Verdict
+    // stores raw answers, not improved ones — Algorithm 2 line 6).
+    if mode == Mode::Verdict {
+        if let Some(region) = &region {
+            for (p, obs) in plan.primitives.iter().zip(raw_primitives.iter()) {
+                if obs.error.is_finite() {
+                    let snippet = Snippet::new(p.key.clone(), region.clone());
+                    verdict.observe(&snippet, *obs);
+                }
+            }
+        }
+    }
+
+    Ok(CellAnswer {
+        improved: user_improved,
+        raw_answer: user_raw.0,
+        raw_error: user_raw.1,
+        tuples_scanned: scanned,
+    })
 }
 
 /// The state of one result cell frozen at its stop point: the raw
@@ -2888,6 +2081,7 @@ fn product_with_error(a: f64, a_err: f64, c: f64, c_err: f64) -> (f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use verdict_core::persist::{EngineState, Persist};
     use verdict_storage::{ColumnDef, Schema};
 
     fn session(rows: usize) -> VerdictSession {
@@ -3133,6 +2327,77 @@ mod tests {
         assert_eq!(s.active_sample(), 2);
     }
 
+    /// `set_active_sample(k)` selects the shard's fixed sample: `execute`
+    /// scans sample `k`, and `ingest` estimates its Lemma-3 shift against
+    /// sample `k` (not sample 0).
+    #[test]
+    fn set_active_sample_is_honoured_by_execute_and_ingest() {
+        let mut s = SessionBuilder::new(base_rotation_table())
+            .sample_fraction(0.1)
+            .batch_size(200)
+            .num_samples(3)
+            .seed(1)
+            .build()
+            .unwrap();
+        let sample_revs = |s: &VerdictSession, k: usize| -> Vec<f64> {
+            let snapshot = s.snapshot();
+            let table = snapshot.engines()[k].sample().table();
+            table.column("rev").unwrap().numeric().unwrap().to_vec()
+        };
+        // execute: a full scan's raw AVG is the mean of sample k's rows.
+        let mut answers = Vec::new();
+        for k in 0..3 {
+            s.set_active_sample(k).unwrap();
+            assert_eq!(s.active_sample(), k);
+            let r = s
+                .execute("SELECT AVG(rev) FROM t", Mode::NoLearn, StopPolicy::ScanAll)
+                .unwrap()
+                .unwrap_answered();
+            let revs = sample_revs(&s, k);
+            let mean = revs.iter().sum::<f64>() / revs.len() as f64;
+            let got = r.rows[0].values[0].raw_answer;
+            assert!((got - mean).abs() < 1e-9, "sample {k}: {got} vs {mean}");
+            answers.push(got);
+        }
+        assert!(answers[0] != answers[1] && answers[1] != answers[2]);
+
+        // ingest: the stored AVG observations move by the shift estimated
+        // from the *active* sample's values, bit for bit.
+        s.set_active_sample(2).unwrap();
+        for hi in [30, 60, 90] {
+            let sql = format!("SELECT AVG(rev) FROM t WHERE week <= {hi}");
+            s.execute(&sql, Mode::Verdict, StopPolicy::ScanAll).unwrap();
+        }
+        let avg_observations = |s: &VerdictSession| -> Vec<Observation> {
+            let state = EngineState::from_bytes(&s.snapshot().state_bytes()).unwrap();
+            let (_, synopsis) = state
+                .synopses
+                .into_iter()
+                .find(|(k, _)| *k == AggKey::avg("rev"))
+                .unwrap();
+            synopsis.entries().iter().map(|e| e.observation).collect()
+        };
+        let before = avg_observations(&s);
+        assert_eq!(before.len(), 3);
+        let old_rows = s.table().num_rows();
+        let new_values: Vec<f64> = (0..300).map(|i| 20.0 + (i % 7) as f64).collect();
+        let estimate =
+            |k: usize| AppendAdjustment::estimate(&sample_revs(&s, k), &new_values, old_rows, 300);
+        let (want, other) = (estimate(2), estimate(0));
+        assert_ne!(want.mu_shift.to_bits(), other.mu_shift.to_bits());
+        let batch: Vec<Vec<Value>> = new_values
+            .iter()
+            .enumerate()
+            .map(|(i, v)| vec![((i % 100) as f64).into(), "us".into(), (*v).into()])
+            .collect();
+        s.ingest(&batch).unwrap();
+        for (after, old) in avg_observations(&s).iter().zip(&before) {
+            let expect = want.adjust(*old);
+            assert_eq!(after.answer.to_bits(), expect.answer.to_bits());
+            assert_eq!(after.error.to_bits(), expect.error.to_bits());
+        }
+    }
+
     #[test]
     fn round_robin_rotation_advances_per_query() {
         let mut s = SessionBuilder::new(base_rotation_table())
@@ -3322,10 +2587,42 @@ mod tests {
             s.train().unwrap();
         }
         let warm = SessionBuilder::open(&dir).unwrap().build().unwrap();
-        assert!(warm.verdict().has_model(&AggKey::avg("rev")));
+        assert!(warm.snapshot().has_model(&AggKey::avg("rev")));
         // A cold session over the same table knows nothing.
         let cold = session(20_000);
-        assert!(!cold.verdict().has_model(&AggKey::avg("rev")));
+        assert!(!cold.snapshot().has_model(&AggKey::avg("rev")));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Drift fix: the serial session used to refit first and only then
+    /// return a parked store error (from the checkpoint), leaving the
+    /// models mutated by a call that reported failure.
+    #[test]
+    fn train_surfaces_parked_store_error_before_refitting() {
+        let dir = temp_store("parked-train");
+        let mut s = session_persistent(20_000, &dir);
+        for lo in (0..90).step_by(10) {
+            s.execute(
+                &format!(
+                    "SELECT AVG(rev) FROM t WHERE week BETWEEN {lo} AND {}",
+                    lo + 10
+                ),
+                Mode::Verdict,
+                StopPolicy::ScanAll,
+            )
+            .unwrap();
+        }
+        let before = s.snapshot().state_bytes();
+        let store = s.shard.store.as_ref().expect("persistent session");
+        store
+            .lock()
+            .park_error(StoreError::Mismatch("injected failure".into()));
+        assert!(matches!(s.train(), Err(Error::Store(_))));
+        assert_eq!(s.snapshot().state_bytes(), before, "nothing was refit");
+        assert!(!s.snapshot().has_model(&AggKey::avg("rev")));
+        // Surfacing consumed the error: the retry trains and checkpoints.
+        s.train().unwrap();
+        assert!(s.snapshot().has_model(&AggKey::avg("rev")));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -3366,14 +2663,14 @@ mod tests {
         }
         {
             let mut s = SessionBuilder::open(&dir).unwrap().build().unwrap();
-            let observed_before = s.verdict().stats().observed;
+            let observed_before = s.snapshot().stats().observed;
             s.execute(
                 "SELECT AVG(rev) FROM t WHERE week BETWEEN 30 AND 60",
                 Mode::Verdict,
                 StopPolicy::ScanAll,
             )
             .unwrap();
-            assert!(s.verdict().stats().observed > observed_before);
+            assert!(s.snapshot().stats().observed > observed_before);
             s.checkpoint().unwrap();
         }
         // Third generation of the session still sees everything.
@@ -3383,7 +2680,7 @@ mod tests {
             0,
             "checkpoint folded the log"
         );
-        assert!(s.verdict().synopsis_len(&AggKey::avg("rev")) >= 2);
+        assert!(s.snapshot().synopsis_len(&AggKey::avg("rev")) >= 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

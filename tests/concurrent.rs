@@ -1,5 +1,5 @@
 //! Concurrency invariants of the snapshot-isolated engine: writers and
-//! readers hammer one [`ConcurrentSession`] from many threads, and
+//! readers hammer one promoted single-table [`Database`] from many threads, and
 //! afterwards (a) every snippet any writer produced is in the synopsis —
 //! nothing lost to a race, (b) the epochs readers observed only ever
 //! moved forward, and (c) a checkpoint + reopen recovers a learned state
@@ -9,7 +9,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use verdict::core::{AggKey, EngineStats};
-use verdict::{ConcurrentSession, Mode, SampleRotation, SessionBuilder, StopPolicy};
+use verdict::{Database, Mode, QueryOptions, SampleRotation, SessionBuilder, StopPolicy};
 use verdict_storage::{ColumnDef, Schema, Table};
 
 fn base_table(rows: usize) -> Table {
@@ -35,6 +35,10 @@ fn base_table(rows: usize) -> Table {
     t
 }
 
+fn opts(mode: Mode, policy: StopPolicy) -> QueryOptions {
+    QueryOptions::new().with_mode(mode).with_policy(policy)
+}
+
 fn temp_store(name: &str) -> std::path::PathBuf {
     let dir =
         std::env::temp_dir().join(format!("verdict-concurrent-{name}-{}", std::process::id()));
@@ -46,7 +50,7 @@ fn temp_store(name: &str) -> std::path::PathBuf {
 /// each of which records exactly one snippet (the AVG primitive) because
 /// every band matches plenty of sample rows (finite error) and forms a
 /// valid region.
-fn writer_workload(session: &ConcurrentSession, writer: usize, count: usize) {
+fn writer_workload(session: &Database, writer: usize, count: usize) {
     for k in 0..count {
         let lo = (writer * count + k) % 90;
         let sql = format!(
@@ -54,7 +58,7 @@ fn writer_workload(session: &ConcurrentSession, writer: usize, count: usize) {
             lo + 10
         );
         let r = session
-            .execute(&sql, Mode::Verdict, StopPolicy::ScanAll)
+            .query(&sql, &opts(Mode::Verdict, StopPolicy::ScanAll))
             .unwrap()
             .unwrap_answered();
         assert_eq!(r.rows.len(), 1);
@@ -77,7 +81,9 @@ fn stress_writers_and_readers_lose_nothing() {
         .num_samples(2)
         .sample_rotation(SampleRotation::RoundRobin)
         .persist_to(&dir)
-        .build_concurrent()
+        .build()
+        .unwrap()
+        .into_database("t")
         .unwrap();
     assert!(session.is_persistent());
 
@@ -95,14 +101,13 @@ fn stress_writers_and_readers_lose_nothing() {
                 for _ in 0..READS_PER_READER {
                     // Epochs move forward only, whether observed via the
                     // cell directly or stamped into a query result.
-                    let epoch = session.epoch();
+                    let epoch = session.epoch("t").unwrap();
                     assert!(epoch >= last, "epoch went backwards: {epoch} < {last}");
                     last = epoch;
                     let r = session
-                        .execute(
+                        .query(
                             "SELECT AVG(rev) FROM t WHERE week <= 50",
-                            Mode::NoLearn,
-                            StopPolicy::TupleBudget(400),
+                            &opts(Mode::NoLearn, StopPolicy::TupleBudget(400)),
                         )
                         .unwrap()
                         .unwrap_answered();
@@ -117,7 +122,7 @@ fn stress_writers_and_readers_lose_nothing() {
     // No lost snippets: every writer query recorded exactly one AVG
     // observation through the serialized learn path.
     let expected = (WRITERS * QUERIES_PER_WRITER) as u64;
-    let snap = session.snapshot();
+    let snap = session.snapshot("t").unwrap();
     assert_eq!(snap.stats().observed, expected, "lost snippets");
     assert_eq!(
         snap.synopsis_len(&AggKey::avg("rev")),
@@ -125,21 +130,21 @@ fn stress_writers_and_readers_lose_nothing() {
         "synopsis disagrees with the observation count"
     );
     // The final published epoch is at least what any reader saw.
-    assert!(session.epoch() >= max_epoch_seen.load(Ordering::Relaxed));
+    assert!(session.epoch("t").unwrap() >= max_epoch_seen.load(Ordering::Relaxed));
 
     // Train (publishes models + checkpoints), then prove the durable
     // state is bit-identical to the in-memory one across a reopen.
-    session.train().unwrap();
+    session.train("t").unwrap();
     session.checkpoint().unwrap();
-    let expected_bytes = session.snapshot().state_bytes();
+    let expected_bytes = session.snapshot("t").unwrap().state_bytes();
     drop(session); // releases the store's writer lock
     let reopened = SessionBuilder::open(&dir).unwrap().build().unwrap();
     assert_eq!(
-        reopened.verdict().state_bytes(),
+        reopened.snapshot().state_bytes(),
         expected_bytes,
         "recovered state diverged from the in-memory state"
     );
-    assert!(reopened.verdict().has_model(&AggKey::avg("rev")));
+    assert!(reopened.snapshot().has_model(&AggKey::avg("rev")));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -165,7 +170,9 @@ fn stress_writers_readers_and_ingester() {
         .batch_size(200)
         .seed(5)
         .persist_to(&dir)
-        .build_concurrent()
+        .build()
+        .unwrap()
+        .into_database("t")
         .unwrap();
 
     std::thread::scope(|scope| {
@@ -185,7 +192,7 @@ fn stress_writers_readers_and_ingester() {
                             vec![week.into(), region.into(), rev.into()]
                         })
                         .collect();
-                    let report = session.ingest(&rows).unwrap();
+                    let report = session.ingest("t", &rows).unwrap();
                     assert_eq!(report.appended_rows, ROWS_PER_INGEST);
                 }
             });
@@ -196,16 +203,15 @@ fn stress_writers_readers_and_ingester() {
                 let mut last_epoch = 0u64;
                 let mut last_data = 0u64;
                 for _ in 0..READS_PER_READER {
-                    let snap = session.snapshot();
+                    let snap = session.snapshot("t").unwrap();
                     assert!(snap.epoch() >= last_epoch, "epoch went backwards");
                     assert!(snap.data_epoch() >= last_data, "data epoch went backwards");
                     last_epoch = snap.epoch();
                     last_data = snap.data_epoch();
                     let r = session
-                        .execute(
+                        .query(
                             "SELECT AVG(rev) FROM t WHERE week <= 50",
-                            Mode::NoLearn,
-                            StopPolicy::TupleBudget(400),
+                            &opts(Mode::NoLearn, StopPolicy::TupleBudget(400)),
                         )
                         .unwrap()
                         .unwrap_answered();
@@ -216,13 +222,13 @@ fn stress_writers_readers_and_ingester() {
     });
 
     // Every batch landed exactly once; every snippet survived.
-    assert_eq!(session.data_epoch(), INGESTS as u64);
+    assert_eq!(session.data_epoch("t").unwrap(), INGESTS as u64);
     assert_eq!(
-        session.table().num_rows(),
+        session.table("t").unwrap().num_rows(),
         BASE_ROWS + INGESTS * ROWS_PER_INGEST
     );
     assert_eq!(
-        session.snapshot().stats().observed,
+        session.snapshot("t").unwrap().stats().observed,
         (WRITERS * QUERIES_PER_WRITER) as u64,
         "lost snippets"
     );
@@ -230,15 +236,15 @@ fn stress_writers_readers_and_ingester() {
     // Durability: the evolved table and learned state reopen
     // bit-identically (train folds the WAL, including ingest records,
     // into a fresh snapshot + table generation).
-    session.train().unwrap();
-    let expected_bytes = session.snapshot().state_bytes();
-    let expected_rows = session.table().num_rows();
+    session.train("t").unwrap();
+    let expected_bytes = session.snapshot("t").unwrap().state_bytes();
+    let expected_rows = session.table("t").unwrap().num_rows();
     drop(session);
     let reopened = SessionBuilder::open(&dir).unwrap().build().unwrap();
     assert_eq!(reopened.table().num_rows(), expected_rows);
-    assert_eq!(reopened.verdict().data_epoch(), INGESTS as u64);
+    assert_eq!(reopened.snapshot().data_epoch(), INGESTS as u64);
     assert_eq!(
-        reopened.verdict().state_bytes(),
+        reopened.snapshot().state_bytes(),
         expected_bytes,
         "recovered state diverged from the in-memory state"
     );
@@ -253,20 +259,21 @@ fn nolearn_queries_do_not_touch_the_learn_path() {
         .sample_fraction(0.2)
         .batch_size(200)
         .seed(5)
-        .build_concurrent()
+        .build()
+        .unwrap()
+        .into_database("t")
         .unwrap();
-    let before = session.snapshot();
+    let before = session.snapshot("t").unwrap();
     for _ in 0..5 {
         session
-            .execute(
+            .query(
                 "SELECT AVG(rev), COUNT(*) FROM t WHERE week <= 40",
-                Mode::NoLearn,
-                StopPolicy::ScanAll,
+                &opts(Mode::NoLearn, StopPolicy::ScanAll),
             )
             .unwrap()
             .unwrap_answered();
     }
-    let after = session.snapshot();
+    let after = session.snapshot("t").unwrap();
     assert_eq!(after.epoch(), before.epoch());
     assert_eq!(after.stats(), EngineStats::default());
 }
@@ -274,14 +281,14 @@ fn nolearn_queries_do_not_touch_the_learn_path() {
 /// Promotion preserves the serial session's active sample, and pinned
 /// reads are a pure function of the snapshot: they always scan the fixed
 /// sample, even on a round-robin session whose rotation counter is being
-/// advanced by interleaved `execute` calls.
+/// advanced by interleaved live queries.
 #[test]
 fn promotion_keeps_active_sample_and_pinned_reads_ignore_rotation() {
     let sql = "SELECT AVG(rev) FROM t WHERE week <= 50";
     let policy = StopPolicy::TupleBudget(400);
 
     // Serial session scanning sample 2 of 3 — the answer must not shift
-    // across into_concurrent().
+    // across into_database().
     let mut serial = SessionBuilder::new(base_table(10_000))
         .sample_fraction(0.2)
         .batch_size(200)
@@ -294,9 +301,9 @@ fn promotion_keeps_active_sample_and_pinned_reads_ignore_rotation() {
         .execute(sql, Mode::NoLearn, policy)
         .unwrap()
         .unwrap_answered();
-    let promoted = serial.into_concurrent();
+    let promoted = serial.into_database("t").unwrap();
     let got = promoted
-        .execute(sql, Mode::NoLearn, policy)
+        .query(sql, &opts(Mode::NoLearn, policy))
         .unwrap()
         .unwrap_answered();
     assert_eq!(
@@ -305,7 +312,7 @@ fn promotion_keeps_active_sample_and_pinned_reads_ignore_rotation() {
         "promotion changed which sample Fixed rotation scans"
     );
 
-    // Round-robin session: execute() rotates, execute_at() must not —
+    // Round-robin table: live queries rotate, pinned reads must not —
     // same pinned answer before and after the rotation counter moves.
     let rotating = SessionBuilder::new(base_table(10_000))
         .sample_fraction(0.2)
@@ -313,18 +320,20 @@ fn promotion_keeps_active_sample_and_pinned_reads_ignore_rotation() {
         .seed(9)
         .num_samples(3)
         .sample_rotation(SampleRotation::RoundRobin)
-        .build_concurrent()
+        .build()
+        .unwrap()
+        .into_database("t")
         .unwrap();
-    let snap = rotating.snapshot();
+    let snap = rotating.snapshot("t").unwrap();
     let a = rotating
-        .execute_at(&snap, sql, Mode::NoLearn, policy)
+        .query(sql, &opts(Mode::NoLearn, policy).pinned(snap.clone()))
         .unwrap()
         .unwrap_answered();
     for _ in 0..2 {
-        rotating.execute(sql, Mode::NoLearn, policy).unwrap();
+        rotating.query(sql, &opts(Mode::NoLearn, policy)).unwrap();
     }
     let b = rotating
-        .execute_at(&snap, sql, Mode::NoLearn, policy)
+        .query(sql, &opts(Mode::NoLearn, policy).pinned(snap.clone()))
         .unwrap()
         .unwrap_answered();
     assert_eq!(
@@ -342,21 +351,26 @@ fn pinned_snapshot_is_isolated_from_writers() {
         .sample_fraction(0.2)
         .batch_size(200)
         .seed(5)
-        .build_concurrent()
+        .build()
+        .unwrap()
+        .into_database("t")
         .unwrap();
     let sql = "SELECT AVG(rev) FROM t WHERE week BETWEEN 20 AND 60";
-    let pinned = session.snapshot();
+    let pinned = session.snapshot("t").unwrap();
     let before = session
-        .execute_at(&pinned, sql, Mode::Verdict, StopPolicy::ScanAll)
+        .query(
+            sql,
+            &opts(Mode::Verdict, StopPolicy::ScanAll).pinned(pinned.clone()),
+        )
         .unwrap()
         .unwrap_answered();
 
     // Writers move the engine: observations + training publish new epochs.
     writer_workload(&session, 0, 12);
-    session.train().unwrap();
-    assert!(session.epoch() > pinned.epoch());
+    session.train("t").unwrap();
+    assert!(session.epoch("t").unwrap() > pinned.epoch());
     let live = session
-        .execute(sql, Mode::Verdict, StopPolicy::ScanAll)
+        .query(sql, &opts(Mode::Verdict, StopPolicy::ScanAll))
         .unwrap()
         .unwrap_answered();
     assert!(
@@ -366,7 +380,10 @@ fn pinned_snapshot_is_isolated_from_writers() {
 
     // The pinned snapshot still answers from its own (model-free) epoch.
     let after = session
-        .execute_at(&pinned, sql, Mode::Verdict, StopPolicy::ScanAll)
+        .query(
+            sql,
+            &opts(Mode::Verdict, StopPolicy::ScanAll).pinned(pinned.clone()),
+        )
         .unwrap()
         .unwrap_answered();
     assert_eq!(after.epoch, pinned.epoch());

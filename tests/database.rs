@@ -538,6 +538,23 @@ fn legacy_v2_store_opens_as_single_table_database() {
         session.train().unwrap();
     }
 
+    // The session front door keeps the single-table layout: the store
+    // sits at the directory root, with no catalog manifest around it.
+    for file in ["wal.vlog", "LOCK"] {
+        assert!(dir.join(file).is_file(), "{file} missing at the store root");
+    }
+    let snapshots = std::fs::read_dir(&dir)
+        .unwrap()
+        .filter_map(|e| e.ok()?.file_name().into_string().ok())
+        .filter(|name| name.starts_with("snapshot-") && name.ends_with(".vsnap"))
+        .count();
+    assert!(
+        snapshots >= 1,
+        "snapshot generations live at the store root"
+    );
+    assert!(!dir.join("CATALOG").exists());
+    assert!(!dir.join("tables").exists());
+
     // The catalog API opens it: one table named "t", lenient FROM.
     let db = Database::open(&dir).unwrap();
     assert_eq!(db.table_names(), &["t".to_owned()]);
@@ -557,14 +574,28 @@ fn legacy_v2_store_opens_as_single_table_database() {
 #[test]
 fn session_promotes_into_database() {
     let (orders, _) = orders_events(&spec());
-    let session = SessionBuilder::new(orders)
+    let mut session = SessionBuilder::new(orders)
         .sample_fraction(0.2)
         .batch_size(250)
         .seed(5)
         .build()
         .unwrap();
+    for lo in [10, 30, 50] {
+        let sql = format!("SELECT AVG(amount) FROM t WHERE day BETWEEN {lo} AND 80");
+        session
+            .execute(&sql, Mode::Verdict, StopPolicy::ScanAll)
+            .unwrap();
+    }
+    let want_state = session.snapshot().state_bytes();
     let db = session.into_database("orders").unwrap();
     assert_eq!(db.table_names(), &["orders".to_owned()]);
+    let snapshot = db.snapshot("orders").unwrap();
+    assert_eq!(snapshot.table_name(), "orders");
+    assert_eq!(
+        snapshot.state_bytes(),
+        want_state,
+        "promotion must publish the session's learned state byte for byte"
+    );
     // Strict FROM resolution after promotion.
     assert!(matches!(
         db.query(

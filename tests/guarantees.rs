@@ -60,7 +60,7 @@ fn error_bounds_cover_truth_at_95pct() {
         };
         let cell = &r.rows[0].values[0];
         let q = verdict_sql::parse_query(&sql).unwrap();
-        let d = verdict_sql::decompose(&q, s.table(), &[], 1).unwrap();
+        let d = verdict_sql::decompose(&q, &s.table(), &[], 1).unwrap();
         let exact = s
             .exact(&d.snippets[0].agg, &d.snippets[0].predicate)
             .unwrap();
@@ -97,7 +97,7 @@ fn improved_answers_reduce_actual_error_on_average() {
         };
         let cell = &r.rows[0].values[0];
         let q = verdict_sql::parse_query(&sql).unwrap();
-        let d = verdict_sql::decompose(&q, s.table(), &[], 1).unwrap();
+        let d = verdict_sql::decompose(&q, &s.table(), &[], 1).unwrap();
         let exact = s
             .exact(&d.snippets[0].agg, &d.snippets[0].predicate)
             .unwrap();
@@ -134,7 +134,7 @@ fn unseen_ranges_still_get_valid_answers() {
         .unwrap_answered();
     let cell = &r.rows[0].values[0];
     let q = verdict_sql::parse_query(sql).unwrap();
-    let d = verdict_sql::decompose(&q, s.table(), &[], 1).unwrap();
+    let d = verdict_sql::decompose(&q, &s.table(), &[], 1).unwrap();
     let exact = s
         .exact(&d.snippets[0].agg, &d.snippets[0].predicate)
         .unwrap();

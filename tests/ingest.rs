@@ -5,19 +5,22 @@
 //!   `θ' = θ + µ·|r_a|/(|r|+|r_a|)` and its error is never smaller than
 //!   before.
 //! - Crash mid-ingest: a session killed with a torn ingest frame reopens
-//!   to byte-identical state as of the last complete batch, on both the
-//!   serial and concurrent paths, with the maintained sample rebuilt
-//!   exactly.
-//! - Pinned parity: `execute_at` against a pinned snapshot stays
-//!   bit-identical across a concurrent ingest.
+//!   to byte-identical state as of the last complete batch, through both
+//!   front doors (session facade and `Database::open`), with the
+//!   maintained sample rebuilt exactly.
+//! - Pinned parity: a read pinned to a snapshot stays bit-identical
+//!   across a concurrent ingest.
 
 use proptest::prelude::*;
 
+use verdict::aqp::AqpEngine;
 use verdict::core::append::AppendAdjustment;
-use verdict::core::persist::Encoder;
+use verdict::core::persist::{Encoder, EngineState, Persist};
 use verdict::core::AggKey;
 use verdict::store::tablecodec::encode_table;
-use verdict::{Mode, QueryResult, SessionBuilder, StopPolicy, VerdictSession};
+use verdict::{
+    Database, Mode, QueryOptions, QueryResult, SessionBuilder, StopPolicy, VerdictSession,
+};
 use verdict_storage::{ColumnDef, Schema, Table, Value};
 
 /// Deterministic base table: numeric `week` (1..=20), categorical
@@ -89,6 +92,17 @@ fn first_cell(r: &QueryResult) -> (u64, u64) {
     (c.improved.answer.to_bits(), c.improved.error.to_bits())
 }
 
+/// The session's per-key synopses, decoded from its published state.
+fn synopses(s: &VerdictSession) -> Vec<(AggKey, verdict::core::QuerySynopsis)> {
+    EngineState::from_bytes(&s.snapshot().state_bytes())
+        .unwrap()
+        .synopses
+}
+
+fn opts(mode: Mode) -> QueryOptions {
+    QueryOptions::new().with_mode(mode)
+}
+
 fn table_bytes(t: &Table) -> Vec<u8> {
     let mut enc = Encoder::new();
     encode_table(t, &mut enc);
@@ -115,27 +129,22 @@ proptest! {
         // Hand-compute the expected adjustments from the *current*
         // sample and the batch, before ingest mutates either.
         let batch = shifted_batch(batch_rows, shift);
-        let old_values: Vec<f64> = {
-            use verdict::aqp::AqpEngine;
-            session.engine().sample().table().column("rev").unwrap().numeric().unwrap().to_vec()
-        };
+        let old_values: Vec<f64> = session.snapshot().engines()[0]
+            .sample()
+            .table()
+            .column("rev")
+            .unwrap()
+            .numeric()
+            .unwrap()
+            .to_vec();
         let new_values: Vec<f64> = batch.iter().map(|r| r[2].as_num().unwrap()).collect();
         let want_avg = AppendAdjustment::estimate(&old_values, &new_values, old_rows, batch_rows);
         let want_freq = AppendAdjustment::freq_worst_case(old_rows, batch_rows);
 
-        let before: Vec<(AggKey, Vec<verdict::core::Observation>)> = session
-            .verdict()
-            .synopsis_keys()
+        let before: Vec<(AggKey, Vec<verdict::core::Observation>)> = synopses(&session)
             .into_iter()
-            .map(|k| {
-                let obs = session
-                    .verdict()
-                    .synopsis(&k)
-                    .unwrap()
-                    .entries()
-                    .iter()
-                    .map(|e| e.observation)
-                    .collect();
+            .map(|(k, synopsis)| {
+                let obs = synopsis.entries().iter().map(|e| e.observation).collect();
                 (k, obs)
             })
             .collect();
@@ -152,27 +161,25 @@ proptest! {
         // One dictionary: the maintained sample encodes categorical
         // labels with the base table's codes, including labels the batch
         // introduced ("apac"), whether or not their rows were admitted.
-        {
-            use verdict::aqp::AqpEngine;
-            prop_assert_eq!(
-                session
-                    .engine()
-                    .sample()
-                    .table()
-                    .column("region")
-                    .unwrap()
-                    .labels()
-                    .unwrap(),
-                session.table().column("region").unwrap().labels().unwrap()
-            );
-        }
+        let snapshot = session.snapshot();
+        prop_assert_eq!(
+            snapshot.engines()[0]
+                .sample()
+                .table()
+                .column("region")
+                .unwrap()
+                .labels()
+                .unwrap(),
+            snapshot.table().column("region").unwrap().labels().unwrap()
+        );
 
+        let after_all = synopses(&session);
         for (key, old_obs) in &before {
             let want = match key {
                 AggKey::Freq => &want_freq,
                 AggKey::Avg(_) => &want_avg,
             };
-            let after = session.verdict().synopsis(key).unwrap();
+            let after = &after_all.iter().find(|(k, _)| k == key).unwrap().1;
             prop_assert_eq!(after.len(), old_obs.len());
             for (entry, old) in after.entries().iter().zip(old_obs.iter()) {
                 let expect = want.adjust(*old);
@@ -236,15 +243,14 @@ fn mid_ingest_crash_reopens_byte_identical() {
         s.ingest(&shifted_batch(300, 4.0)).unwrap();
         // Everything after this point will be torn off.
         let wal_len_after_batch1 = std::fs::metadata(&wal).unwrap().len();
-        let state = s.verdict().state_bytes();
+        let state = s.snapshot().state_bytes();
         let rows = s.table().num_rows();
         let answer = first_cell(
             &s.execute(sql, Mode::NoLearn, StopPolicy::ScanAll)
                 .unwrap()
                 .unwrap_answered(),
         );
-        use verdict::aqp::AqpEngine;
-        let sample_bytes = table_bytes(s.engine().sample().table());
+        let sample_bytes = table_bytes(s.snapshot().engines()[0].sample().table());
         // NOTE: the NoLearn query above appended nothing to the WAL, so
         // batch 2's ingest record starts exactly at wal_len_after_batch1.
         s.ingest(&shifted_batch(200, 9.0)).unwrap();
@@ -265,11 +271,10 @@ fn mid_ingest_crash_reopens_byte_identical() {
         let report = s.recovery_report().unwrap();
         assert_eq!(report.ingests_replayed, 1, "only the complete batch");
         assert!(report.torn_bytes > 0, "the torn frame was truncated");
-        assert_eq!(s.verdict().state_bytes(), want_state);
+        assert_eq!(s.snapshot().state_bytes(), want_state);
         assert_eq!(s.table().num_rows(), want_rows);
-        use verdict::aqp::AqpEngine;
         assert_eq!(
-            table_bytes(s.engine().sample().table()),
+            table_bytes(s.snapshot().engines()[0].sample().table()),
             want_sample_bytes,
             "maintained sample (rows, codes, AND dictionaries) must \
              rebuild bit-identically"
@@ -282,17 +287,14 @@ fn mid_ingest_crash_reopens_byte_identical() {
         assert_eq!(got, want_answer, "raw answer must survive the crash");
     }
 
-    // Concurrent reopen of the same store: identical published state.
+    // Catalog reopen of the same store: identical published state.
     {
-        let s = SessionBuilder::open(&dir)
-            .unwrap()
-            .build_concurrent()
-            .unwrap();
-        assert_eq!(s.snapshot().state_bytes(), want_state);
-        assert_eq!(s.table().num_rows(), want_rows);
-        assert_eq!(s.data_epoch(), 1);
+        let db = Database::open(&dir).unwrap();
+        assert_eq!(db.snapshot("t").unwrap().state_bytes(), want_state);
+        assert_eq!(db.table("t").unwrap().num_rows(), want_rows);
+        assert_eq!(db.data_epoch("t").unwrap(), 1);
         let got = first_cell(
-            &s.execute(sql, Mode::NoLearn, StopPolicy::ScanAll)
+            &db.query(sql, &opts(Mode::NoLearn))
                 .unwrap()
                 .unwrap_answered(),
         );
@@ -316,15 +318,15 @@ fn checkpoint_after_ingest_folds_table_generation() {
                 .unwrap()
                 .unwrap_answered(),
         );
-        (s.verdict().state_bytes(), s.table().num_rows(), answer)
+        (s.snapshot().state_bytes(), s.table().num_rows(), answer)
     };
     let mut s = SessionBuilder::open(&dir).unwrap().build().unwrap();
     let report = s.recovery_report().unwrap();
     assert_eq!(report.records_replayed, 0, "checkpoint folded the log");
     assert_eq!(report.ingests_replayed, 0);
     assert_eq!(s.table().num_rows(), want_rows);
-    assert_eq!(s.verdict().state_bytes(), want_state);
-    assert_eq!(s.verdict().data_epoch(), 1, "data epoch survives the fold");
+    assert_eq!(s.snapshot().state_bytes(), want_state);
+    assert_eq!(s.snapshot().data_epoch(), 1, "data epoch survives the fold");
     let got = first_cell(
         &s.execute(sql, Mode::NoLearn, StopPolicy::ScanAll)
             .unwrap()
@@ -346,7 +348,7 @@ fn pinned_snapshot_parity_across_concurrent_ingest() {
     let concurrent = {
         let mut c = concurrent;
         c.train().unwrap();
-        c.into_concurrent()
+        c.into_database("t").unwrap()
     };
 
     let sqls: Vec<String> = (0..4)
@@ -358,7 +360,7 @@ fn pinned_snapshot_parity_across_concurrent_ingest() {
             )
         })
         .collect();
-    let pinned = concurrent.snapshot();
+    let pinned = concurrent.snapshot("t").unwrap();
     let pinned_data_epoch = pinned.data_epoch();
 
     // Reference: the identically-built serial session (bit-parity of the
@@ -376,11 +378,11 @@ fn pinned_snapshot_parity_across_concurrent_ingest() {
         })
         .collect();
 
-    // Ingest a strongly shifted batch through the concurrent session.
-    let report = concurrent.ingest(&shifted_batch(500, 15.0)).unwrap();
+    // Ingest a strongly shifted batch through the shared handle.
+    let report = concurrent.ingest("t", &shifted_batch(500, 15.0)).unwrap();
     assert_eq!(report.data_epoch, pinned_data_epoch + 1);
     assert!(report.adjusted_keys >= 1);
-    assert_eq!(concurrent.data_epoch(), pinned_data_epoch + 1);
+    assert_eq!(concurrent.data_epoch("t").unwrap(), pinned_data_epoch + 1);
 
     // Pinned reads from many threads: still bit-identical to the serial
     // pre-ingest reference.
@@ -394,7 +396,7 @@ fn pinned_snapshot_parity_across_concurrent_ingest() {
                 for (sql, want) in sqls.iter().zip(want.iter()) {
                     let got = first_cell(
                         &concurrent
-                            .execute_at(pinned, sql, Mode::Verdict, StopPolicy::ScanAll)
+                            .query(sql, &opts(Mode::Verdict).pinned(pinned.clone()))
                             .unwrap()
                             .unwrap_answered(),
                     );
@@ -408,11 +410,11 @@ fn pinned_snapshot_parity_across_concurrent_ingest() {
     // reports a wider (or equal) model error — Lemma 3 lowered
     // confidence in the old answers.
     let now = concurrent
-        .execute(&sqls[0], Mode::Verdict, StopPolicy::ScanAll)
+        .query(&sqls[0], &opts(Mode::Verdict))
         .unwrap()
         .unwrap_answered();
     let pinned_again = concurrent
-        .execute_at(&pinned, &sqls[0], Mode::Verdict, StopPolicy::ScanAll)
+        .query(&sqls[0], &opts(Mode::Verdict).pinned(pinned))
         .unwrap()
         .unwrap_answered();
     assert!(
@@ -437,7 +439,7 @@ fn warm_start_then_ingest_matches_unrestarted_session() {
     reference.ingest(&shifted_batch(150, 6.0)).unwrap();
     // Capture the state *before* the probe query (a `Mode::Verdict`
     // execute observes snippets, mutating the state being compared).
-    let want_state = reference.verdict().state_bytes();
+    let want_state = reference.snapshot().state_bytes();
     let want = first_cell(
         &reference
             .execute(sql, Mode::Verdict, StopPolicy::ScanAll)
@@ -471,7 +473,7 @@ fn warm_start_then_ingest_matches_unrestarted_session() {
     let mut s = SessionBuilder::open(&dir).unwrap().build().unwrap();
     s.ingest(&shifted_batch(150, 6.0)).unwrap();
     assert_eq!(
-        s.verdict().state_bytes(),
+        s.snapshot().state_bytes(),
         want_state,
         "state after restart+ingest must match the unrestarted session"
     );

@@ -92,6 +92,12 @@ fn serial_session_reports_metrics_and_traces() {
             .unwrap(),
         QueryOutcome::Unsupported(_)
     ));
+    // A statement that does not parse never "started": the one engine
+    // counts a query after parse/resolve (the serial path used to count
+    // it before).
+    assert!(session
+        .execute("SELEKT oops", Mode::Verdict, StopPolicy::ScanAll)
+        .is_err());
     session.train().unwrap();
     let report = session.ingest(&batch(500, 0)).unwrap();
     assert!(report.elapsed > Duration::ZERO);
@@ -229,7 +235,7 @@ fn database_labels_tables_and_flags_prepared_path() {
     assert!(json.contains("\"table\":\"events\""));
 }
 
-/// 4 reader threads + 1 ingester hammer one concurrent session; the
+/// 4 reader threads + 1 ingester hammer one promoted session; the
 /// counters must balance exactly afterwards — no query lost or double
 /// counted by the lock-free recording path.
 #[test]
@@ -246,7 +252,9 @@ fn concurrent_stress_keeps_metrics_coherent() {
         .seed(5)
         .metrics(Arc::clone(&hub))
         .query_log(1024)
-        .build_concurrent()
+        .build()
+        .unwrap()
+        .into_database("t")
         .unwrap();
 
     std::thread::scope(|scope| {
@@ -256,7 +264,7 @@ fn concurrent_stress_keeps_metrics_coherent() {
                 for k in 0..QUERIES_PER_READER {
                     let lo = (r * QUERIES_PER_READER + k) % 90;
                     session
-                        .execute(&avg_sql(lo), Mode::Verdict, StopPolicy::ScanAll)
+                        .query(&avg_sql(lo), &QueryOptions::new())
                         .unwrap()
                         .unwrap_answered();
                 }
@@ -266,7 +274,7 @@ fn concurrent_stress_keeps_metrics_coherent() {
         scope.spawn(move || {
             for b in 0..INGEST_BATCHES {
                 let report = ingester
-                    .ingest(&batch(ROWS_PER_BATCH, b * ROWS_PER_BATCH))
+                    .ingest("t", &batch(ROWS_PER_BATCH, b * ROWS_PER_BATCH))
                     .unwrap();
                 assert_eq!(report.appended_rows, ROWS_PER_BATCH);
             }

@@ -13,7 +13,10 @@
 use std::path::PathBuf;
 
 use proptest::prelude::*;
-use verdict::{Mode, QueryResult, SessionBuilder, StopPolicy, VerdictSession};
+use verdict::{
+    Database, Mode, OpenOptions, QueryOptions, QueryResult, SessionBuilder, StopPolicy,
+    VerdictSession,
+};
 use verdict_storage::{AggregateFn, Expr, PartitionSpec, Predicate, Table, Value};
 
 const REGIONS: [&str; 10] = ["r0", "r1", "r2", "r3", "r4", "r5", "r6", "r7", "r8", "r9"];
@@ -306,6 +309,44 @@ fn warm_restart_is_bit_identical_to_uninterrupted_twin() {
         reopened.exact(&agg, &p).unwrap().to_bits(),
         twin.exact(&agg, &p).unwrap().to_bits(),
         "exact() must stream identical partition files"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&dir_twin);
+}
+
+/// The catalog front door opens what the session front door wrote: an
+/// out-of-core session's store keeps the single-table layout (store and
+/// partition files at the directory root, no `CATALOG`), and
+/// `Database::open_with` serves it as table `t` with a lenient `FROM`,
+/// demand-paged under the reopen budget, bit-identical to a twin session
+/// that never shut down.
+#[test]
+fn paged_session_store_reopens_through_database_open() {
+    let dir = temp_store("db-open");
+    let dir_twin = temp_store("db-open-twin");
+    let mut twin = paged_session(&dir_twin, 6_000, u64::MAX, 2);
+    {
+        let mut s = paged_session(&dir, 6_000, u64::MAX, 2);
+        for session in [&mut s, &mut twin] {
+            run(session, QUERIES[0], StopPolicy::ScanAll);
+        }
+    }
+    for file in ["wal.vlog", "part-000000.vcol", "part-000003.vcol"] {
+        assert!(dir.join(file).is_file(), "{file} missing at the store root");
+    }
+    assert!(!dir.join("CATALOG").exists());
+
+    let db = Database::open_with(&dir, OpenOptions::new().with_memory_budget(25_000)).unwrap();
+    assert_eq!(db.table_names(), &["t".to_owned()]);
+    let sql = QUERIES[2].replace("FROM t", "FROM events");
+    let got = db
+        .query(&sql, &QueryOptions::new().with_policy(POLICIES[1]))
+        .unwrap()
+        .unwrap_answered();
+    assert_eq!(
+        fingerprint(&got),
+        run(&mut twin, QUERIES[2], POLICIES[1]),
+        "the catalog front door must answer what the session would have"
     );
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&dir_twin);

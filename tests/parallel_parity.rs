@@ -13,6 +13,7 @@
 //! as an unpartitioned one, bit for bit.
 
 use proptest::prelude::*;
+use verdict::core::persist::{EngineState, Persist};
 use verdict::{Mode, QueryOutcome, QueryResult, SessionBuilder, StopPolicy, VerdictSession};
 use verdict_storage::{ColumnDef, PartitionSpec, Schema, Table, Value};
 
@@ -181,8 +182,8 @@ fn assert_results_match(parallel: &QueryResult, serial: &QueryResult, sql: &str)
 /// The recorded synopses must be identical: a parallel scan feeds the
 /// learned state exactly what the serial scan did, bit for bit.
 fn assert_synopses_match(parallel: &VerdictSession, serial: &VerdictSession) {
-    let a = parallel.verdict().export_state();
-    let b = serial.verdict().export_state();
+    let a = EngineState::from_bytes(&parallel.snapshot().state_bytes()).unwrap();
+    let b = EngineState::from_bytes(&serial.snapshot().state_bytes()).unwrap();
     assert_eq!(a.synopses.len(), b.synopses.len(), "synopsis key sets");
     for ((ka, sa), (kb, sb)) in a.synopses.iter().zip(b.synopses.iter()) {
         assert_eq!(ka, kb);

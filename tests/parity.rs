@@ -4,9 +4,9 @@
 //! the refactor changes *how much work* a query costs, never *what it
 //! answers*. Plus the regression tests for the shared-scan cost
 //! semantics: a stop-policy budget bounds the one query-wide scan instead
-//! of being spent per snippet. And since the concurrent engine drives the
+//! of being spent per snippet. And since a promoted database drives the
 //! *same* planner→scan→infer core against a published snapshot, the suite
-//! also holds multithreaded reads at a fixed epoch to the serial path,
+//! also holds multithreaded reads at a fixed epoch to the session facade,
 //! bit for bit.
 //!
 //! Requires the `legacy-executor` feature (the reference executor is off
@@ -17,7 +17,10 @@
 
 use proptest::prelude::*;
 use verdict::aqp::AqpEngine;
-use verdict::{Mode, QueryOutcome, QueryResult, SessionBuilder, StopPolicy, VerdictSession};
+use verdict::core::persist::{EngineState, Persist};
+use verdict::{
+    Mode, QueryOptions, QueryOutcome, QueryResult, SessionBuilder, StopPolicy, VerdictSession,
+};
 use verdict_storage::{ColumnDef, Schema, Table};
 
 const REGIONS: [&str; 10] = ["r0", "r1", "r2", "r3", "r4", "r5", "r6", "r7", "r8", "r9"];
@@ -176,8 +179,8 @@ fn assert_results_match(shared: &QueryResult, legacy: &QueryResult, sql: &str) {
 /// identical: the shared scan feeds the learned state exactly what the
 /// per-snippet path did.
 fn assert_synopses_match(shared: &VerdictSession, legacy: &VerdictSession) {
-    let a = shared.verdict().export_state();
-    let b = legacy.verdict().export_state();
+    let a = EngineState::from_bytes(&shared.snapshot().state_bytes()).unwrap();
+    let b = EngineState::from_bytes(&legacy.snapshot().state_bytes()).unwrap();
     assert_eq!(a.synopses.len(), b.synopses.len(), "synopsis key sets");
     for ((ka, sa), (kb, sb)) in a.synopses.iter().zip(b.synopses.iter()) {
         assert_eq!(ka, kb);
@@ -275,11 +278,11 @@ fn eight_groups_two_aggregates_one_scan() {
         .unwrap_answered();
     assert!(rs.rows.len() >= 8, "{} groups", rs.rows.len());
     assert_eq!(rs.rows[0].values.len(), 2);
+    let sample_rows = shared.snapshot().engines()[0].sample().len();
     assert!(
-        rs.tuples_scanned <= shared.engine().sample().len(),
-        "one scan: {} > sample {}",
-        rs.tuples_scanned,
-        shared.engine().sample().len()
+        rs.tuples_scanned <= sample_rows,
+        "one scan: {} > sample {sample_rows}",
+        rs.tuples_scanned
     );
     let rl = legacy
         .execute_legacy(sql, Mode::NoLearn, StopPolicy::ScanAll)
@@ -315,10 +318,9 @@ fn time_budget_bounds_the_single_query_wide_scan() {
     // exactly the prefix a single-cell query buys.
     assert_eq!(grouped.tuples_scanned, ungrouped.tuples_scanned);
     // And that prefix is the budgeted cap, rounded up to a whole batch.
-    let cap = s
-        .engine()
-        .cost_model()
-        .tuples_within(budget, s.engine().tier());
+    let snapshot = s.snapshot();
+    let engine = &snapshot.engines()[0];
+    let cap = engine.cost_model().tuples_within(budget, engine.tier());
     let batch = 150;
     assert!(
         grouped.tuples_scanned <= cap.div_ceil(batch) * batch,
@@ -328,7 +330,7 @@ fn time_budget_bounds_the_single_query_wide_scan() {
     assert!(grouped.tuples_scanned > 0);
     // The simulated clock charges that one scan, within one batch of the
     // budget.
-    let one_batch_ns = s.engine().cost_model().scan_ns(batch, s.engine().tier());
+    let one_batch_ns = engine.cost_model().scan_ns(batch, engine.tier());
     assert!(
         grouped.simulated_ns <= budget + one_batch_ns,
         "simulated {} vs budget {budget}",
@@ -392,9 +394,9 @@ fn concurrent_reads_at_fixed_epoch_match_serial() {
     let concurrent = {
         let mut s = build();
         warm_up(&mut s);
-        s.into_concurrent()
+        s.into_database("t").unwrap()
     };
-    let snapshot = concurrent.snapshot();
+    let snapshot = concurrent.snapshot("t").unwrap();
 
     // A mixed workload: grouped/ungrouped, every aggregate family, every
     // stop policy. The serial session observes between queries, but
@@ -466,10 +468,11 @@ fn concurrent_reads_at_fixed_epoch_match_serial() {
                         .enumerate()
                         .filter(|(i, _)| i % THREADS == t)
                         .map(|(i, (sql, mode, policy))| {
-                            let r = concurrent
-                                .execute_at(snapshot, sql, *mode, *policy)
-                                .unwrap()
-                                .unwrap_answered();
+                            let opts = QueryOptions::new()
+                                .with_mode(*mode)
+                                .with_policy(*policy)
+                                .pinned(snapshot.clone());
+                            let r = concurrent.query(sql, &opts).unwrap().unwrap_answered();
                             (i, r)
                         })
                         .collect::<Vec<_>>()
@@ -497,7 +500,7 @@ fn concurrent_reads_at_fixed_epoch_match_serial() {
         }
     });
     // Deferred learning: the pinned reads left the published state alone.
-    assert_eq!(concurrent.epoch(), snapshot.epoch());
+    assert_eq!(concurrent.epoch("t").unwrap(), snapshot.epoch());
 }
 
 /// Parity on pathological numeric group keys: `-0.0` and `0.0` are equal

@@ -202,7 +202,7 @@ fn crash_truncation_always_recovers() {
         );
         prev_replayed = report.records_replayed;
         assert_eq!(
-            s.verdict().stats().observed,
+            s.snapshot().stats().observed,
             report.records_replayed,
             "recovered state diverges from the replay count at cut {cut}"
         );
@@ -258,14 +258,14 @@ fn sustained_load_compacts_without_losing_state() {
             )
             .expect("query");
         }
-        let observed_live = s.verdict().stats().observed;
+        let observed_live = s.snapshot().stats().observed;
         drop(s);
         let s = SessionBuilder::open(&dir)
             .expect("open")
             .build()
             .expect("reopen");
         assert_eq!(
-            s.verdict().stats().observed,
+            s.snapshot().stats().observed,
             observed_live,
             "compaction must not lose or duplicate observations"
         );

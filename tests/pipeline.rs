@@ -112,7 +112,7 @@ fn answers_track_exact_values() {
         .unwrap_answered();
     let cell = &result.rows[0].values[0];
     let q = verdict_sql::parse_query(sql).unwrap();
-    let d = verdict_sql::decompose(&q, session.table(), &[], 1).unwrap();
+    let d = verdict_sql::decompose(&q, &session.table(), &[], 1).unwrap();
     let exact = session
         .exact(&d.snippets[0].agg, &d.snippets[0].predicate)
         .unwrap();

@@ -13,6 +13,7 @@
 
 use proptest::prelude::*;
 use std::sync::Arc;
+use verdict::core::persist::{EngineState, Persist};
 use verdict::obs::MetricsHub;
 use verdict::{
     Mode, QueryOutcome, QueryResult, ScanKernel, SessionBuilder, StopPolicy, VerdictSession,
@@ -186,8 +187,8 @@ fn assert_results_match(chunked: &QueryResult, rowwise: &QueryResult, sql: &str)
 /// The recorded synopses must be identical: the chunked kernel feeds the
 /// learned state exactly what the row-wise kernel did, bit for bit.
 fn assert_synopses_match(chunked: &VerdictSession, rowwise: &VerdictSession) {
-    let a = chunked.verdict().export_state();
-    let b = rowwise.verdict().export_state();
+    let a = EngineState::from_bytes(&chunked.snapshot().state_bytes()).unwrap();
+    let b = EngineState::from_bytes(&rowwise.snapshot().state_bytes()).unwrap();
     assert_eq!(a.synopses.len(), b.synopses.len(), "synopsis key sets");
     for ((ka, sa), (kb, sb)) in a.synopses.iter().zip(b.synopses.iter()) {
         assert_eq!(ka, kb);
