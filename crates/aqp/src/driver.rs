@@ -10,6 +10,15 @@
 //! to a (group × primitive) grid of accumulators. Scan work is therefore
 //! independent of `G × A`.
 //!
+//! It is the *only* scan driver: every [`Sample`] has one batch geometry,
+//! and the driver resolves each batch to where its rows are — the
+//! sample's resident table (every batch of a resident sample, the stride
+//! tail of a paged one; the query is compiled against it once per
+//! driver) or a partition segment of a paged sample, pinned in the buffer
+//! manager for the duration of the batch and compiled against for that
+//! batch (see [`crate::paged`]). Either way the same kernels run over the
+//! batch's rows and produce the same [`BatchPartial`].
+//!
 //! # Execution kernels
 //!
 //! Two interchangeable kernels drive the scan ([`ScanKernel`]):
@@ -42,6 +51,9 @@
 //! (integer addition is associative). Per-cell estimates come from the
 //! same functions the per-snippet estimator uses, so all three executors
 //! agree bit for bit — property-tested in the root crate's parity suites.
+//! Partition pruning is equally transparent: a batch of a partition the
+//! summaries reject yields the exact all-miss partial the kernels would
+//! produce, its rows still counted as scanned.
 //!
 //! # Batch partials and ordered merge
 //!
@@ -58,14 +70,27 @@
 //! errors, and `tuples_scanned` are bit-identical at every thread count.
 //! [`crate::BatchEstimator::consume`] folds the same per-batch Welford
 //! partial into its state, keeping the per-snippet path in lockstep.
+//!
+//! # Faults
+//!
+//! `scan_batch` cannot fail: a segment that cannot be pinned or compiled
+//! against latches the first [`StorageError`] on the driver (worker
+//! drivers share the coordinator's latch through
+//! [`SharedScanDriver::set_error_sink`]) and contributes the all-miss
+//! partial, so the merge order — and the morsel coordinator — never
+//! stalls on an I/O error. The caller checks
+//! [`SharedScanDriver::take_error`] after the scan and fails the query.
 
-use std::sync::Arc;
+use std::ops::Range;
+use std::sync::{Arc, Mutex};
 
 use verdict_stats::Welford;
 use verdict_storage::chunk::{chunk_segments, SelectionMask, ZoneMaps};
 use verdict_storage::expr::CompiledExpr;
 use verdict_storage::predicate::ChunkMatch;
-use verdict_storage::{AggregateFn, CompiledPredicate, GroupIndexer, GroupKey, Predicate};
+use verdict_storage::{
+    AggregateFn, CompiledPredicate, GroupIndexer, GroupKey, Predicate, StorageError, Table,
+};
 
 use crate::engine::RawAnswer;
 use crate::estimator::{avg_estimate, freq_estimate};
@@ -95,6 +120,15 @@ pub struct ScanSpec<'a> {
     pub groups: &'a [GroupKey],
     /// Primitive streams: `AggregateFn::Avg` or `AggregateFn::Freq` only.
     pub primitives: &'a [AggregateFn],
+}
+
+/// An owned [`ScanSpec`]: what a driver over a paged sample keeps so it
+/// can compile the query against each segment it pins.
+struct OwnedSpec {
+    predicate: Predicate,
+    group_cols: Vec<String>,
+    groups: Vec<GroupKey>,
+    primitives: Vec<AggregateFn>,
 }
 
 /// Kind and same-kind slot of one primitive stream, mapping the public
@@ -131,78 +165,31 @@ impl BatchPartial {
     pub fn batch(&self) -> usize {
         self.batch
     }
-
-    /// The same partial re-addressed to `batch` — how the out-of-core
-    /// driver maps a partial computed at a segment-local batch index back
-    /// to its global batch index before the ordered merge.
-    pub(crate) fn renumbered(mut self, batch: usize) -> BatchPartial {
-        self.batch = batch;
-        self
-    }
 }
 
-/// Counters saved across a [`SharedScanDriver::scan_batch`] call while
-/// the kernels write into a fresh per-batch grid.
-struct SavedGrids {
-    avg: Vec<Welford>,
-    freq: Vec<u64>,
-    matched: u64,
-    chunks_scanned: u64,
-    chunks_pruned: u64,
-}
-
-/// One in-flight shared scan over a sample.
-pub struct SharedScanDriver<'e> {
-    sample: &'e Sample,
-    pred: CompiledPredicate<'e>,
-    indexer: Option<GroupIndexer<'e>>,
-    /// Per-primitive routing into the grids below.
-    slots: Vec<PrimSlot>,
+/// One query compiled against one table — the sample's resident table or
+/// a pinned segment — plus the kernels that scan a row range of it into a
+/// [`BatchPartial`].
+struct TableScan<'t> {
+    table: &'t Table,
+    pred: CompiledPredicate<'t>,
+    indexer: Option<GroupIndexer<'t>>,
     /// Compiled expression per AVG slot, plus the raw column slice when
     /// the expression is a bare column (the streaming fast path).
-    avg_exprs: Vec<CompiledExpr<'e>>,
-    avg_cols: Vec<Option<&'e [f64]>>,
-    /// Group-major Welford grid: `group * n_avg + avg_slot`.
-    avg_cells: Vec<Welford>,
-    /// Group-major indicator counters: `group * n_freq + freq_slot`.
-    freq_cells: Vec<u64>,
+    avg_exprs: Vec<CompiledExpr<'t>>,
+    avg_cols: Vec<Option<&'t [f64]>>,
     n_avg: usize,
     n_freq: usize,
     n_groups: usize,
-    n_scanned: u64,
-    n_matched: u64,
-    next_batch: usize,
-    kernel: ScanKernel,
-    /// Per-partition verdicts for partitioned samples: `true` means the
-    /// predicate provably matches no row of that partition, so its
-    /// batches skip the kernels entirely (the rows still count as
-    /// scanned — pruning must not change any estimate).
-    partition_pruned: Vec<bool>,
-    partitions: u64,
-    partitions_pruned: u64,
-    /// Zone maps of the sample table, fetched on first chunked step.
+    /// Zone maps of `table`, fetched on first chunked scan.
     zones: Option<Arc<ZoneMaps>>,
-    chunks_scanned: u64,
-    chunks_pruned: u64,
     mask: SelectionMask,
     gbuf: Vec<u32>,
 }
 
-impl OnlineAggregation {
-    /// Starts a shared scan answering every (group × primitive) cell of
-    /// one query from a single pass over this engine's sample.
-    pub fn shared_scan<'e>(&'e self, spec: &ScanSpec<'_>) -> Result<SharedScanDriver<'e>> {
-        SharedScanDriver::over_sample(self.sample(), spec)
-    }
-}
-
-impl<'e> SharedScanDriver<'e> {
-    /// Starts a shared scan directly over `sample`. This is what
-    /// [`OnlineAggregation::shared_scan`] does; the out-of-core driver
-    /// also calls it per faulted segment (a segment is itself a small
-    /// resident [`Sample`]).
-    pub fn over_sample(sample: &'e Sample, spec: &ScanSpec<'_>) -> Result<SharedScanDriver<'e>> {
-        let table = sample.table();
+impl<'t> TableScan<'t> {
+    /// Binds `spec` (primitives already validated as AVG/FREQ) to `table`.
+    fn compile(table: &'t Table, spec: &ScanSpec<'_>) -> Result<TableScan<'t>> {
         let pred = spec.predicate.compile(table)?;
         let (indexer, n_groups) = if spec.group_cols.is_empty() {
             (None, 1)
@@ -212,130 +199,31 @@ impl<'e> SharedScanDriver<'e> {
                 spec.groups.len(),
             )
         };
-        let mut slots = Vec::with_capacity(spec.primitives.len());
         let mut avg_exprs = Vec::new();
         for agg in spec.primitives {
-            match agg {
-                AggregateFn::Avg(e) => {
-                    slots.push(PrimSlot::Avg(avg_exprs.len()));
-                    avg_exprs.push(e.compile(table)?);
-                }
-                AggregateFn::Freq => {
-                    let n_freq = slots
-                        .iter()
-                        .filter(|s| matches!(s, PrimSlot::Freq(_)))
-                        .count();
-                    slots.push(PrimSlot::Freq(n_freq));
-                }
-                other => {
-                    return Err(AqpError::InvalidConfig(format!(
-                        "shared-scan primitives are AVG/FREQ, got {}",
-                        other.label()
-                    )))
-                }
+            if let AggregateFn::Avg(e) = agg {
+                avg_exprs.push(e.compile(table)?);
             }
         }
-        let n_avg = avg_exprs.len();
-        let n_freq = slots.len() - n_avg;
-        let avg_cols = avg_exprs.iter().map(CompiledExpr::as_col).collect();
-        // Classify every partition once up front; batches of a `NoRows`
-        // partition never reach the kernels.
-        let partition_pruned: Vec<bool> = match sample.partition_map() {
-            None => Vec::new(),
-            Some(map) => (0..map.num_partitions())
-                .map(|p| pred.classify_partition(map.part(p)) == ChunkMatch::NoRows)
-                .collect(),
-        };
-        let partitions = partition_pruned.len() as u64;
-        let partitions_pruned = partition_pruned.iter().filter(|&&b| b).count() as u64;
-        Ok(SharedScanDriver {
-            sample,
+        Ok(TableScan {
+            table,
             pred,
             indexer,
-            slots,
+            avg_cols: avg_exprs.iter().map(CompiledExpr::as_col).collect(),
+            n_avg: avg_exprs.len(),
+            n_freq: spec.primitives.len() - avg_exprs.len(),
             avg_exprs,
-            avg_cols,
-            avg_cells: vec![Welford::new(); n_groups * n_avg],
-            freq_cells: vec![0; n_groups * n_freq],
-            n_avg,
-            n_freq,
             n_groups,
-            n_scanned: 0,
-            n_matched: 0,
-            next_batch: 0,
-            kernel: ScanKernel::default(),
-            partition_pruned,
-            partitions,
-            partitions_pruned,
             zones: None,
-            chunks_scanned: 0,
-            chunks_pruned: 0,
             mask: SelectionMask::new(),
             gbuf: Vec::new(),
         })
     }
-}
 
-impl SharedScanDriver<'_> {
-    /// Selects the executor kernel. Call before the first
-    /// [`SharedScanDriver::step`]; both kernels are bit-identical, so
-    /// switching mid-scan is harmless but pointless.
-    pub fn set_kernel(&mut self, kernel: ScanKernel) {
-        self.kernel = kernel;
-    }
-
-    /// The active executor kernel.
-    pub fn kernel(&self) -> ScanKernel {
-        self.kernel
-    }
-
-    /// Consumes the next batch; `false` once the sample is exhausted.
-    ///
-    /// Exactly [`SharedScanDriver::scan_batch`] of the merge cursor's
-    /// batch followed by [`SharedScanDriver::merge_partial`] — the serial
-    /// reference for the ordered-merge fold.
-    pub fn step(&mut self) -> bool {
-        match self.scan_batch(self.next_batch) {
-            Some(partial) => {
-                self.merge_partial(&partial);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Scans batch `index` into an owned [`BatchPartial`] without
-    /// touching the running grids or the merge cursor; `None` past the
-    /// end of the sample. Safe to call for any batch in any order — this
-    /// is the worker half of the morsel scheduler.
-    pub fn scan_batch(&mut self, index: usize) -> Option<BatchPartial> {
-        if index >= self.sample.num_batches() {
-            return None;
-        }
-        let range = self.sample.batch_range(index);
-        let rows = range.len() as u64;
-        // Partition pruning: a batch of a provably-disjoint partition
-        // yields the exact partial the kernels would produce (no row can
-        // match), minus the chunk work. Its rows still count as scanned.
-        if let Some(p) = self.sample.batch_partition(index) {
-            if self.partition_pruned[p as usize] {
-                return Some(self.empty_partial(index, rows));
-            }
-        }
-        let saved = self.begin_partial();
-        match self.kernel {
-            ScanKernel::RowWise => self.step_rowwise(range),
-            ScanKernel::Chunked => self.step_chunked(range),
-        }
-        Some(self.end_partial(saved, index, rows))
-    }
-
-    /// The exact partial a kernel pass would produce over `rows` rows
-    /// none of which can match: zeroed grids, rows counted as scanned.
-    /// This is what partition pruning emits — for the resident path
-    /// (above) and for the out-of-core driver, which prunes from base
-    /// partition summaries without faulting the segment in.
-    pub(crate) fn empty_partial(&self, batch: usize, rows: u64) -> BatchPartial {
+    /// The exact partial a kernel pass produces over `rows` rows none of
+    /// which match: zeroed grids, rows counted as scanned. Every scan
+    /// starts from it; pruned and faulted batches return it as is.
+    fn empty_partial(&self, batch: usize, rows: u64) -> BatchPartial {
         BatchPartial {
             batch,
             avg: vec![Welford::new(); self.n_groups * self.n_avg],
@@ -347,67 +235,25 @@ impl SharedScanDriver<'_> {
         }
     }
 
-    /// Swaps fresh per-batch grids and zeroed counters into place so the
-    /// unchanged kernel paths accumulate one batch's partial.
-    fn begin_partial(&mut self) -> SavedGrids {
-        SavedGrids {
-            avg: std::mem::replace(
-                &mut self.avg_cells,
-                vec![Welford::new(); self.n_groups * self.n_avg],
-            ),
-            freq: std::mem::replace(&mut self.freq_cells, vec![0; self.n_groups * self.n_freq]),
-            matched: std::mem::take(&mut self.n_matched),
-            chunks_scanned: std::mem::take(&mut self.chunks_scanned),
-            chunks_pruned: std::mem::take(&mut self.chunks_pruned),
+    /// Scans rows `range` of the table into batch `batch`'s partial.
+    fn scan(&mut self, kernel: ScanKernel, batch: usize, range: Range<usize>) -> BatchPartial {
+        let mut out = self.empty_partial(batch, range.len() as u64);
+        match kernel {
+            ScanKernel::RowWise => self.step_rowwise(range, &mut out),
+            ScanKernel::Chunked => self.step_chunked(range, &mut out),
         }
-    }
-
-    /// Restores the running grids and packages the per-batch state the
-    /// kernels just produced.
-    fn end_partial(&mut self, saved: SavedGrids, index: usize, rows: u64) -> BatchPartial {
-        BatchPartial {
-            batch: index,
-            avg: std::mem::replace(&mut self.avg_cells, saved.avg),
-            freq: std::mem::replace(&mut self.freq_cells, saved.freq),
-            rows_scanned: rows,
-            rows_matched: std::mem::replace(&mut self.n_matched, saved.matched),
-            chunks_scanned: std::mem::replace(&mut self.chunks_scanned, saved.chunks_scanned),
-            chunks_pruned: std::mem::replace(&mut self.chunks_pruned, saved.chunks_pruned),
-        }
-    }
-
-    /// Folds one batch's partial into the running grids and advances the
-    /// merge cursor. Partials must arrive in batch-index order — the
-    /// caller (serial [`SharedScanDriver::step`] or the morsel
-    /// coordinator) enforces this; it is what makes the merged state
-    /// independent of which thread scanned which batch.
-    pub fn merge_partial(&mut self, partial: &BatchPartial) {
-        debug_assert_eq!(partial.batch, self.next_batch, "out-of-order merge");
-        self.next_batch += 1;
-        self.n_scanned += partial.rows_scanned;
-        self.n_matched += partial.rows_matched;
-        self.chunks_scanned += partial.chunks_scanned;
-        self.chunks_pruned += partial.chunks_pruned;
-        for (cell, part) in self.avg_cells.iter_mut().zip(&partial.avg) {
-            cell.merge(part);
-        }
-        for (cell, part) in self.freq_cells.iter_mut().zip(&partial.freq) {
-            *cell += part;
-        }
+        out
     }
 
     /// The per-row reference path: one mask per batch, one hash lookup
     /// and one accumulator push per matching row.
-    fn step_rowwise(&mut self, range: std::ops::Range<usize>) {
-        let start = range.start;
+    fn step_rowwise(&mut self, range: Range<usize>, out: &mut BatchPartial) {
         self.pred.fill_mask(range.clone(), &mut self.mask);
-        let mask = std::mem::take(&mut self.mask);
-        for i in 0..range.len() {
-            if !mask.get(i) {
+        for (i, row) in range.enumerate() {
+            if !self.mask.get(i) {
                 continue;
             }
-            let row = start + i;
-            self.n_matched += 1;
+            out.rows_matched += 1;
             let group = match &self.indexer {
                 None => 0,
                 Some(ix) => match ix.group_of(row) {
@@ -416,24 +262,23 @@ impl SharedScanDriver<'_> {
                     None => continue,
                 },
             };
-            self.route_row(row, group);
+            self.route_row(out, row, group);
         }
-        self.mask = mask;
     }
 
     /// Pushes one matching row into every primitive stream of `group`.
     #[inline]
-    fn route_row(&mut self, row: usize, group: usize) {
+    fn route_row(&self, out: &mut BatchPartial, row: usize, group: usize) {
         let abase = group * self.n_avg;
         for s in 0..self.n_avg {
             let x = match self.avg_cols[s] {
                 Some(data) => data[row],
                 None => self.avg_exprs[s].eval(row),
             };
-            self.avg_cells[abase + s].push(x);
+            out.avg[abase + s].push(x);
         }
         let fbase = group * self.n_freq;
-        for f in &mut self.freq_cells[fbase..fbase + self.n_freq] {
+        for f in &mut out.freq[fbase..fbase + self.n_freq] {
             *f += 1;
         }
     }
@@ -441,31 +286,24 @@ impl SharedScanDriver<'_> {
     /// The chunked kernel: zone-classify each chunk segment, fill a
     /// selection bitmap only when needed, resolve groups per chunk, and
     /// consume whole segments under the mask.
-    fn step_chunked(&mut self, range: std::ops::Range<usize>) {
-        let zones = match &self.zones {
-            Some(z) => Arc::clone(z),
-            None => {
-                let z = self.sample.table().zone_maps();
-                self.zones = Some(Arc::clone(&z));
-                z
-            }
-        };
+    fn step_chunked(&mut self, range: Range<usize>, out: &mut BatchPartial) {
+        let zones = Arc::clone(self.zones.get_or_insert_with(|| self.table.zone_maps()));
         for (chunk, seg) in chunk_segments(range) {
-            self.chunks_scanned += 1;
+            out.chunks_scanned += 1;
             match self.pred.classify_chunk(&zones, chunk) {
                 ChunkMatch::NoRows => {
                     // Equivalent to an all-zero mask: no row matches, so
                     // no accumulator moves. The rows still count as
-                    // scanned (`n_scanned` covers the whole batch).
-                    self.chunks_pruned += 1;
+                    // scanned (`rows_scanned` covers the whole batch).
+                    out.chunks_pruned += 1;
                 }
-                ChunkMatch::AllRows => self.consume_dense(seg, &zones),
+                ChunkMatch::AllRows => self.consume_dense(seg, &zones, out),
                 ChunkMatch::SomeRows => {
                     self.pred.fill_mask(seg.clone(), &mut self.mask);
                     if self.mask.all_ones() {
-                        self.consume_dense(seg, &zones);
+                        self.consume_dense(seg, &zones, out);
                     } else if self.mask.any() {
-                        self.consume_masked(seg, &zones);
+                        self.consume_masked(seg, &zones, out);
                     }
                 }
             }
@@ -475,7 +313,7 @@ impl SharedScanDriver<'_> {
     /// Resolves the group index of every row in `seg` into `gbuf`,
     /// reading the bit-packed code mirror when the group-by is a single
     /// narrow categorical column with one available.
-    fn fill_group_buf(&mut self, seg: std::ops::Range<usize>, zones: &ZoneMaps) {
+    fn fill_group_buf(&mut self, seg: Range<usize>, zones: &ZoneMaps) {
         let ix = self.indexer.as_ref().expect("grouped path");
         if let Some((col, lut)) = ix.dense_cat_lut() {
             if let Some(packed) = zones.packed_codes(col) {
@@ -493,40 +331,39 @@ impl SharedScanDriver<'_> {
     }
 
     /// Consumes a segment every row of which matches (all-ones mask).
-    fn consume_dense(&mut self, seg: std::ops::Range<usize>, zones: &ZoneMaps) {
-        self.n_matched += seg.len() as u64;
+    fn consume_dense(&mut self, seg: Range<usize>, zones: &ZoneMaps, out: &mut BatchPartial) {
+        out.rows_matched += seg.len() as u64;
         if self.indexer.is_none() {
             // Ungrouped: stream each AVG column straight into its single
             // Welford chain; FREQ counters bulk-add the row count.
             for s in 0..self.n_avg {
+                let w = &mut out.avg[s];
                 match self.avg_cols[s] {
                     Some(data) => {
-                        let w = &mut self.avg_cells[s];
                         for &x in &data[seg.clone()] {
                             w.push(x);
                         }
                     }
                     None => {
                         for row in seg.clone() {
-                            let x = self.avg_exprs[s].eval(row);
-                            self.avg_cells[s].push(x);
+                            w.push(self.avg_exprs[s].eval(row));
                         }
                     }
                 }
             }
-            for f in &mut self.freq_cells[..self.n_freq] {
+            for f in &mut out.freq[..self.n_freq] {
                 *f += seg.len() as u64;
             }
             return;
         }
         self.fill_group_buf(seg.clone(), zones);
-        let gbuf = std::mem::take(&mut self.gbuf);
-        for s in 0..self.n_avg {
+        let (gbuf, n_avg, n_freq) = (&self.gbuf, self.n_avg, self.n_freq);
+        for s in 0..n_avg {
             match self.avg_cols[s] {
                 Some(data) => {
                     for (&g, &x) in gbuf.iter().zip(&data[seg.clone()]) {
                         if g != GroupIndexer::NO_GROUP {
-                            self.avg_cells[g as usize * self.n_avg + s].push(x);
+                            out.avg[g as usize * n_avg + s].push(x);
                         }
                     }
                 }
@@ -534,45 +371,42 @@ impl SharedScanDriver<'_> {
                     for (i, &g) in gbuf.iter().enumerate() {
                         if g != GroupIndexer::NO_GROUP {
                             let x = self.avg_exprs[s].eval(seg.start + i);
-                            self.avg_cells[g as usize * self.n_avg + s].push(x);
+                            out.avg[g as usize * n_avg + s].push(x);
                         }
                     }
                 }
             }
         }
-        for s in 0..self.n_freq {
-            for &g in &gbuf {
+        for s in 0..n_freq {
+            for &g in gbuf {
                 if g != GroupIndexer::NO_GROUP {
-                    self.freq_cells[g as usize * self.n_freq + s] += 1;
+                    out.freq[g as usize * n_freq + s] += 1;
                 }
             }
         }
-        self.gbuf = gbuf;
     }
 
     /// Consumes a segment under a partial selection mask.
-    fn consume_masked(&mut self, seg: std::ops::Range<usize>, zones: &ZoneMaps) {
-        let mask = std::mem::take(&mut self.mask);
-        let matched = mask.count_ones();
-        self.n_matched += matched;
+    fn consume_masked(&mut self, seg: Range<usize>, zones: &ZoneMaps, out: &mut BatchPartial) {
+        let matched = self.mask.count_ones();
+        out.rows_matched += matched;
         if self.indexer.is_none() {
             for s in 0..self.n_avg {
+                let w = &mut out.avg[s];
                 match self.avg_cols[s] {
                     Some(data) => {
                         let chunk = &data[seg.clone()];
-                        let w = &mut self.avg_cells[s];
-                        mask.for_each_set(|i| w.push(chunk[i]));
+                        self.mask.for_each_set(|i| w.push(chunk[i]));
                     }
                     None => {
-                        let (exprs, cells) = (&self.avg_exprs, &mut self.avg_cells);
-                        mask.for_each_set(|i| cells[s].push(exprs[s].eval(seg.start + i)));
+                        let expr = &self.avg_exprs[s];
+                        self.mask.for_each_set(|i| w.push(expr.eval(seg.start + i)));
                     }
                 }
             }
-            for f in &mut self.freq_cells[..self.n_freq] {
+            for f in &mut out.freq[..self.n_freq] {
                 *f += matched;
             }
-            self.mask = mask;
             return;
         }
         // Sparse grouped segments: one group lookup per *surviving* row
@@ -580,65 +414,271 @@ impl SharedScanDriver<'_> {
         // Per-cell push order is unchanged (ascending rows), so results
         // stay bit-identical with the dense path below.
         if (matched as usize) * 4 < seg.len() {
-            mask.for_each_set(|i| {
+            let ix = self.indexer.as_ref().expect("grouped path");
+            self.mask.for_each_set(|i| {
                 let row = seg.start + i;
-                let group = match self.indexer.as_ref().expect("grouped path").group_of(row) {
-                    Some(g) => g,
-                    None => return,
-                };
-                self.route_row(row, group);
+                if let Some(group) = ix.group_of(row) {
+                    self.route_row(out, row, group);
+                }
             });
-            self.mask = mask;
             return;
         }
         self.fill_group_buf(seg.clone(), zones);
-        let gbuf = std::mem::take(&mut self.gbuf);
-        for s in 0..self.n_avg {
+        let (mask, gbuf, n_avg, n_freq) = (&self.mask, &self.gbuf, self.n_avg, self.n_freq);
+        for s in 0..n_avg {
             match self.avg_cols[s] {
                 Some(data) => {
                     let chunk = &data[seg.clone()];
-                    let (n_avg, cells) = (self.n_avg, &mut self.avg_cells);
                     mask.for_each_set(|i| {
                         let g = gbuf[i];
                         if g != GroupIndexer::NO_GROUP {
-                            cells[g as usize * n_avg + s].push(chunk[i]);
+                            out.avg[g as usize * n_avg + s].push(chunk[i]);
                         }
                     });
                 }
                 None => {
-                    let (n_avg, cells, exprs) = (self.n_avg, &mut self.avg_cells, &self.avg_exprs);
+                    let expr = &self.avg_exprs[s];
                     mask.for_each_set(|i| {
                         let g = gbuf[i];
                         if g != GroupIndexer::NO_GROUP {
-                            cells[g as usize * n_avg + s].push(exprs[s].eval(seg.start + i));
+                            out.avg[g as usize * n_avg + s].push(expr.eval(seg.start + i));
                         }
                     });
                 }
             }
         }
-        for s in 0..self.n_freq {
-            let (n_freq, cells) = (self.n_freq, &mut self.freq_cells);
+        for s in 0..n_freq {
             mask.for_each_set(|i| {
                 let g = gbuf[i];
                 if g != GroupIndexer::NO_GROUP {
-                    cells[g as usize * n_freq + s] += 1;
+                    out.freq[g as usize * n_freq + s] += 1;
                 }
             });
         }
-        self.gbuf = gbuf;
-        self.mask = mask;
+    }
+}
+
+/// One in-flight shared scan over a sample.
+pub struct SharedScanDriver<'e> {
+    sample: &'e Sample,
+    /// The query compiled against the sample's resident table.
+    resident: TableScan<'e>,
+    /// The query itself, kept only when the sample has segments to
+    /// compile it against.
+    segment_spec: Option<OwnedSpec>,
+    /// Per-primitive routing into the grids.
+    slots: Vec<PrimSlot>,
+    /// The running fold of every merged partial: `batch` is the merge
+    /// cursor (the next batch to fold), the counters are cumulative.
+    merged: BatchPartial,
+    kernel: ScanKernel,
+    /// Per-partition verdicts: `true` means the predicate provably
+    /// matches no row of that partition, so its batches skip the kernels
+    /// (and, when paged, the fault) entirely. Empty when unpartitioned.
+    partition_pruned: Vec<bool>,
+    /// First segment fault, latched so the scan completes structurally
+    /// (see the module docs).
+    error: Arc<Mutex<Option<StorageError>>>,
+}
+
+impl OnlineAggregation {
+    /// Starts a shared scan answering every (group × primitive) cell of
+    /// one query from a single pass over this engine's sample.
+    pub fn shared_scan<'e>(&'e self, spec: &ScanSpec<'_>) -> Result<SharedScanDriver<'e>> {
+        SharedScanDriver::over_sample(self.sample(), spec)
+    }
+}
+
+impl<'e> SharedScanDriver<'e> {
+    /// Starts a shared scan directly over `sample` (what
+    /// [`OnlineAggregation::shared_scan`] does).
+    pub fn over_sample(sample: &'e Sample, spec: &ScanSpec<'_>) -> Result<SharedScanDriver<'e>> {
+        let mut slots = Vec::with_capacity(spec.primitives.len());
+        let (mut n_avg, mut n_freq) = (0, 0);
+        for agg in spec.primitives {
+            match agg {
+                AggregateFn::Avg(_) => {
+                    slots.push(PrimSlot::Avg(n_avg));
+                    n_avg += 1;
+                }
+                AggregateFn::Freq => {
+                    slots.push(PrimSlot::Freq(n_freq));
+                    n_freq += 1;
+                }
+                other => {
+                    return Err(AqpError::InvalidConfig(format!(
+                        "shared-scan primitives are AVG/FREQ, got {}",
+                        other.label()
+                    )))
+                }
+            }
+        }
+        let resident = TableScan::compile(sample.table(), spec)?;
+        // Classify every partition once up front; batches of a `NoRows`
+        // partition never reach the kernels.
+        let partition_pruned = sample.pruned_partitions(&resident.pred);
+        if let Some(rep) = sample.paged_rep() {
+            // Hot-first: bump every resident segment this scan will touch
+            // so LRU eviction sacrifices cold segments (and segments of
+            // other queries) before the ones about to be read.
+            let spans = sample.layout().spans.iter();
+            for (p, (span, &dead)) in spans.zip(&partition_pruned).enumerate() {
+                if !dead && !span.is_empty() {
+                    rep.touch_segment(p as u32);
+                }
+            }
+        }
+        let segment_spec = sample.is_paged().then(|| OwnedSpec {
+            predicate: spec.predicate.clone(),
+            group_cols: spec.group_cols.to_vec(),
+            groups: spec.groups.to_vec(),
+            primitives: spec.primitives.to_vec(),
+        });
+        Ok(SharedScanDriver {
+            sample,
+            merged: resident.empty_partial(0, 0),
+            resident,
+            segment_spec,
+            slots,
+            kernel: ScanKernel::default(),
+            partition_pruned,
+            error: Arc::default(),
+        })
+    }
+}
+
+impl SharedScanDriver<'_> {
+    /// Selects the executor kernel. Call before the first
+    /// [`SharedScanDriver::step`]; both kernels are bit-identical, so
+    /// switching mid-scan is harmless but pointless.
+    pub fn set_kernel(&mut self, kernel: ScanKernel) {
+        self.kernel = kernel;
+    }
+
+    /// The active executor kernel.
+    pub fn kernel(&self) -> ScanKernel {
+        self.kernel
+    }
+
+    /// Shares another driver's fault latch: every worker-private driver
+    /// of a parallel scan is wired to the coordinator's, so a worker's
+    /// segment fault surfaces where the query is answered.
+    pub fn set_error_sink(&mut self, sink: Arc<Mutex<Option<StorageError>>>) {
+        self.error = sink;
+    }
+
+    /// This driver's fault latch.
+    pub fn error_sink(&self) -> Arc<Mutex<Option<StorageError>>> {
+        Arc::clone(&self.error)
+    }
+
+    /// Takes the first segment fault, if any batch hit one.
+    pub fn take_error(&self) -> Option<StorageError> {
+        self.error.lock().expect("error latch poisoned").take()
+    }
+
+    /// Consumes the next batch; `false` once the sample is exhausted.
+    ///
+    /// Exactly [`SharedScanDriver::scan_batch`] of the merge cursor's
+    /// batch followed by [`SharedScanDriver::merge_partial`] — the serial
+    /// reference for the ordered-merge fold.
+    pub fn step(&mut self) -> bool {
+        match self.scan_batch(self.merged.batch) {
+            Some(partial) => {
+                self.merge_partial(&partial);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Scans batch `index` into an owned [`BatchPartial`] without
+    /// touching the running grids or the merge cursor; `None` past the
+    /// end of the sample. Safe to call for any batch in any order — this
+    /// is the worker half of the morsel scheduler.
+    pub fn scan_batch(&mut self, index: usize) -> Option<BatchPartial> {
+        if index >= self.sample.num_batches() {
+            return None;
+        }
+        let (segment, range) = self.sample.locate_batch(index);
+        let rows = range.len() as u64;
+        // Partition pruning: a batch of a provably-disjoint partition
+        // yields the exact partial the kernels would produce (no row can
+        // match), minus the chunk work — and, for a segment, minus the
+        // fault. Its rows still count as scanned.
+        if let Some(p) = self.sample.batch_partition(index) {
+            if self.partition_pruned[p as usize] {
+                return Some(self.resident.empty_partial(index, rows));
+            }
+        }
+        let Some(p) = segment else {
+            return Some(self.resident.scan(self.kernel, index, range));
+        };
+        Some(self.scan_segment(p, index, range).unwrap_or_else(|e| {
+            let mut slot = self.error.lock().expect("error latch poisoned");
+            slot.get_or_insert(e);
+            self.resident.empty_partial(index, rows)
+        }))
+    }
+
+    /// Scans rows `range` of partition `p`'s segment, pinned from here
+    /// until the partial is complete.
+    fn scan_segment(
+        &self,
+        p: u32,
+        index: usize,
+        range: Range<usize>,
+    ) -> verdict_storage::Result<BatchPartial> {
+        let pin = self.sample.pin_segment(p)?;
+        if pin.table().num_rows() < range.end {
+            return Err(StorageError::Io(format!(
+                "partition {p} segment has {} rows, batch {index} reads {range:?}",
+                pin.table().num_rows()
+            )));
+        }
+        let spec = self.segment_spec.as_ref().expect("paged samples keep it");
+        let spec = ScanSpec {
+            predicate: &spec.predicate,
+            group_cols: &spec.group_cols,
+            groups: &spec.groups,
+            primitives: &spec.primitives,
+        };
+        let mut scan = TableScan::compile(pin.table(), &spec)
+            .map_err(|e| StorageError::Io(format!("segment scan setup failed: {e}")))?;
+        Ok(scan.scan(self.kernel, index, range))
+    }
+
+    /// Folds one batch's partial into the running grids and advances the
+    /// merge cursor. Partials must arrive in batch-index order — the
+    /// caller (serial [`SharedScanDriver::step`] or the morsel
+    /// coordinator) enforces this; it is what makes the merged state
+    /// independent of which thread scanned which batch.
+    pub fn merge_partial(&mut self, partial: &BatchPartial) {
+        let merged = &mut self.merged;
+        debug_assert_eq!(partial.batch, merged.batch, "out-of-order merge");
+        merged.batch += 1;
+        merged.rows_scanned += partial.rows_scanned;
+        merged.rows_matched += partial.rows_matched;
+        merged.chunks_scanned += partial.chunks_scanned;
+        merged.chunks_pruned += partial.chunks_pruned;
+        for (cell, part) in merged.avg.iter_mut().zip(&partial.avg) {
+            cell.merge(part);
+        }
+        for (cell, part) in merged.freq.iter_mut().zip(&partial.freq) {
+            *cell += part;
+        }
     }
 
     /// Sample rows visited so far — the cost of the *one* scan, which is
     /// what the session charges to `tuples_scanned` / the cost model.
     /// Rows in zone-pruned chunks count: the scan considered them.
     pub fn tuples_scanned(&self) -> usize {
-        self.n_scanned as usize
+        self.merged.rows_scanned as usize
     }
 
     /// Number of groups in the grid.
     pub fn num_groups(&self) -> usize {
-        self.n_groups
+        self.resident.n_groups
     }
 
     /// Number of primitive streams per group.
@@ -649,137 +689,58 @@ impl SharedScanDriver<'_> {
     /// Sample rows that passed the base predicate so far (before the
     /// group lookup — rows whose key the N_max cap dropped still count).
     pub fn rows_matched(&self) -> u64 {
-        self.n_matched
+        self.merged.rows_matched
     }
 
     /// Chunk segments visited so far (chunked kernel only).
     pub fn chunks_scanned(&self) -> u64 {
-        self.chunks_scanned
+        self.merged.chunks_scanned
     }
 
     /// Chunk segments skipped by zone maps (chunked kernel only).
     pub fn chunks_pruned(&self) -> u64 {
-        self.chunks_pruned
+        self.merged.chunks_pruned
     }
 
-    /// Partitions of the sample's layout (0 when unpartitioned).
+    /// Partitions the sample's summaries cover (0 when unpartitioned).
     pub fn partitions(&self) -> u64 {
-        self.partitions
+        self.partition_pruned.len() as u64
     }
 
     /// Partitions the predicate provably rejects; their batches skip the
     /// kernels entirely while their rows still count as scanned.
     pub fn partitions_pruned(&self) -> u64 {
-        self.partitions_pruned
+        self.partition_pruned.iter().filter(|&&b| b).count() as u64
     }
 
     /// Batches consumed so far.
     pub fn batches_stepped(&self) -> usize {
-        self.next_batch
+        self.merged.batch
     }
 
     /// Batches remaining.
     pub fn batches_remaining(&self) -> usize {
-        self.sample.num_batches() - self.next_batch
+        self.sample.num_batches() - self.merged.batch
     }
 
     /// Current raw answer of cell `(group, primitive)` — same estimate and
     /// standard error the per-snippet [`crate::BatchEstimator`] would
     /// report for the equivalent single-cell query after the same batches.
     pub fn raw(&self, group: usize, primitive: usize) -> RawAnswer {
+        let (merged, scan) = (&self.merged, &self.resident);
         let (answer, error) = match self.slots[primitive] {
             PrimSlot::Avg(s) => {
-                avg_estimate(self.n_scanned, &self.avg_cells[group * self.n_avg + s])
+                avg_estimate(merged.rows_scanned, &merged.avg[group * scan.n_avg + s])
             }
             PrimSlot::Freq(s) => {
-                freq_estimate(self.n_scanned, self.freq_cells[group * self.n_freq + s])
+                freq_estimate(merged.rows_scanned, merged.freq[group * scan.n_freq + s])
             }
         };
         RawAnswer {
             answer,
             error,
-            tuples_scanned: self.n_scanned as usize,
+            tuples_scanned: merged.rows_scanned as usize,
         }
-    }
-}
-
-/// The executor interface the morsel scheduler and the session's read
-/// path drive: produce per-batch partials on any thread in any order,
-/// fold them in batch order, and report the running grid and counters.
-///
-/// Implemented by [`SharedScanDriver`] (fully-resident samples) and
-/// [`crate::PagedScanDriver`] (out-of-core samples, which fault segments
-/// through a [`verdict_storage::PartitionStore`]). Both satisfy the same
-/// bit-parity contract: the merged state after batch `k` is a pure
-/// function of the batch sequence, independent of thread count.
-pub trait ScanDriver {
-    /// Selects the executor kernel (before the first step).
-    fn set_kernel(&mut self, kernel: ScanKernel);
-    /// Consumes the next batch serially; `false` once exhausted.
-    fn step(&mut self) -> bool;
-    /// Scans batch `index` into an owned partial (worker half).
-    fn scan_batch(&mut self, index: usize) -> Option<BatchPartial>;
-    /// Folds one partial in batch order (coordinator half).
-    fn merge_partial(&mut self, partial: &BatchPartial);
-    /// Current raw answer of cell `(group, primitive)`.
-    fn raw(&self, group: usize, primitive: usize) -> RawAnswer;
-    /// Sample rows visited so far.
-    fn tuples_scanned(&self) -> usize;
-    /// Rows that passed the base predicate so far.
-    fn rows_matched(&self) -> u64;
-    /// Chunk segments visited (chunked kernel only).
-    fn chunks_scanned(&self) -> u64;
-    /// Chunk segments skipped by zone maps.
-    fn chunks_pruned(&self) -> u64;
-    /// Partitions of the sample's layout (0 when unpartitioned).
-    fn partitions(&self) -> u64;
-    /// Partitions the predicate provably rejects.
-    fn partitions_pruned(&self) -> u64;
-    /// Batches merged so far.
-    fn batches_stepped(&self) -> usize;
-    /// Batches remaining.
-    fn batches_remaining(&self) -> usize;
-}
-
-impl ScanDriver for SharedScanDriver<'_> {
-    fn set_kernel(&mut self, kernel: ScanKernel) {
-        SharedScanDriver::set_kernel(self, kernel)
-    }
-    fn step(&mut self) -> bool {
-        SharedScanDriver::step(self)
-    }
-    fn scan_batch(&mut self, index: usize) -> Option<BatchPartial> {
-        SharedScanDriver::scan_batch(self, index)
-    }
-    fn merge_partial(&mut self, partial: &BatchPartial) {
-        SharedScanDriver::merge_partial(self, partial)
-    }
-    fn raw(&self, group: usize, primitive: usize) -> RawAnswer {
-        SharedScanDriver::raw(self, group, primitive)
-    }
-    fn tuples_scanned(&self) -> usize {
-        SharedScanDriver::tuples_scanned(self)
-    }
-    fn rows_matched(&self) -> u64 {
-        SharedScanDriver::rows_matched(self)
-    }
-    fn chunks_scanned(&self) -> u64 {
-        SharedScanDriver::chunks_scanned(self)
-    }
-    fn chunks_pruned(&self) -> u64 {
-        SharedScanDriver::chunks_pruned(self)
-    }
-    fn partitions(&self) -> u64 {
-        SharedScanDriver::partitions(self)
-    }
-    fn partitions_pruned(&self) -> u64 {
-        SharedScanDriver::partitions_pruned(self)
-    }
-    fn batches_stepped(&self) -> usize {
-        SharedScanDriver::batches_stepped(self)
-    }
-    fn batches_remaining(&self) -> usize {
-        SharedScanDriver::batches_remaining(self)
     }
 }
 

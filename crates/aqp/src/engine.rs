@@ -1,4 +1,4 @@
-//! The AQP engines: online aggregation (`NoLearn`) and a time-bound façade.
+//! The AQP engine: online aggregation (`NoLearn`).
 
 use verdict_storage::{AggregateFn, Predicate};
 
@@ -62,41 +62,28 @@ impl OnlineAggregation {
         self.cost.query_ns(tuples, self.tier)
     }
 
-    /// Admits the appended tail of the grown base table into this
-    /// engine's maintained sample (see [`Sample::absorb_appended`]).
-    /// Returns the rows admitted.
+    /// Admits appended base-table rows into this engine's maintained
+    /// sample (see [`Sample::absorb_appended`]). Returns the rows
+    /// admitted.
     pub fn absorb_appended(
         &mut self,
-        base: &verdict_storage::Table,
+        rows: &verdict_storage::Table,
         first_row_index: u64,
         seed: u64,
         sample_index: u64,
     ) -> Result<usize> {
         self.sample
-            .absorb_appended(base, first_row_index, seed, sample_index)
-    }
-
-    /// Admits one ingested batch into this engine's paged sample tail
-    /// (see [`Sample::paged_absorb_appended`]). Returns the rows admitted.
-    pub fn paged_absorb_appended(
-        &mut self,
-        batch: &verdict_storage::Table,
-        first_row_index: u64,
-        seed: u64,
-        sample_index: u64,
-    ) -> Result<usize> {
-        self.sample
-            .paged_absorb_appended(batch, first_row_index, seed, sample_index)
+            .absorb_appended(rows, first_row_index, seed, sample_index)
     }
 
     /// Starts an online-aggregation session for one snippet. Each call to
     /// [`Session::step`] consumes one batch and yields the refined answer.
     pub fn session<'e>(&'e self, agg: &AggregateFn, predicate: &Predicate) -> Result<Session<'e>> {
         if self.sample.is_paged() {
-            // A paged sample's `table()` is the zero-row resolution table;
-            // the single-snippet estimator would silently scan nothing.
-            // Paged execution goes through the shared-scan path
-            // (`crate::paged::PagedScanDriver`) instead.
+            // A paged sample's `table()` holds only the rows admitted
+            // since the draw; the single-snippet estimator would silently
+            // answer from that tail alone. Paged execution goes through
+            // the shared scan, which pins the segments.
             return Err(AqpError::InvalidConfig(
                 "single-snippet sessions are not supported on a paged sample; \
                  use the shared scan driver"
@@ -190,55 +177,6 @@ impl Session<'_> {
     }
 }
 
-/// Time-bound AQP engine (§7 case 2, Appendix C.2): converts a time budget
-/// into the largest scannable prefix of the sample via the cost model.
-#[derive(Debug, Clone)]
-pub struct TimeBoundEngine {
-    inner: OnlineAggregation,
-}
-
-impl TimeBoundEngine {
-    /// Wraps an online-aggregation engine.
-    pub fn new(inner: OnlineAggregation) -> Self {
-        TimeBoundEngine { inner }
-    }
-
-    /// The wrapped engine.
-    pub fn inner(&self) -> &OnlineAggregation {
-        &self.inner
-    }
-
-    /// Answers the snippet within `budget_ns` of simulated time.
-    pub fn answer_within(
-        &self,
-        agg: &AggregateFn,
-        predicate: &Predicate,
-        budget_ns: f64,
-    ) -> Result<RawAnswer> {
-        let tuples = self
-            .inner
-            .cost
-            .tuples_within(budget_ns, self.inner.tier)
-            .min(self.inner.sample.len());
-        self.inner.answer(agg, predicate, Some(tuples.max(1)))
-    }
-}
-
-impl AqpEngine for TimeBoundEngine {
-    fn answer(
-        &self,
-        agg: &AggregateFn,
-        predicate: &Predicate,
-        max_tuples: Option<usize>,
-    ) -> Result<RawAnswer> {
-        self.inner.answer(agg, predicate, max_tuples)
-    }
-
-    fn sample(&self) -> &Sample {
-        self.inner.sample()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -311,21 +249,6 @@ mod tests {
         assert!(rel < 0.05, "count {} rel err {rel}", raw.answer);
         // Error bound should cover the actual deviation at ~2 sigma.
         assert!((raw.answer - 25_000.0).abs() < 4.0 * raw.error);
-    }
-
-    #[test]
-    fn time_bound_engine_scans_less_with_smaller_budget() {
-        let e = engine(100_000, 0.1);
-        let tb = TimeBoundEngine::new(e);
-        // Budget barely above the fixed overhead: only ~300 tuples fit.
-        let small = tb
-            .answer_within(&AggregateFn::Freq, &Predicate::True, 10_300_000.0)
-            .unwrap();
-        let large = tb
-            .answer_within(&AggregateFn::Freq, &Predicate::True, 2_000_000_000.0)
-            .unwrap();
-        assert!(small.tuples_scanned < large.tuples_scanned);
-        assert!(large.error <= small.error);
     }
 
     #[test]

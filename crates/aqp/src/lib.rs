@@ -3,14 +3,19 @@
 //! This crate is the "off-the-shelf AQP engine" Verdict treats as a black
 //! box (paper Figure 2). It reproduces the `NoLearn` baseline of §8.1: an
 //! online-aggregation engine that pre-builds uniform random samples, splits
-//! them into batches, and refines a CLT-based estimate batch by batch. A
-//! time-bound façade (§7, Appendix C.2) sits on top: it converts a time
-//! budget into a number of batches using a deterministic cost model.
+//! them into batches, and refines a CLT-based estimate batch by batch.
+//! There is one sample type ([`Sample`] — resident or demand-paged, same
+//! batch geometry) and one executor over it ([`SharedScanDriver`], driven
+//! serially or by [`parallel_scan`]); [`BatchEstimator`] is the
+//! per-snippet reference.
 //!
 //! The cost model ([`cost::CostModel`]) replaces the paper's EC2 cluster:
 //! "runtime" is simulated from tuples scanned, with a configurable
 //! multiplier for cold (SSD) versus cached (in-memory) data so that the
-//! cached/not-cached panels of Figure 4 can be regenerated deterministically.
+//! cached/not-cached panels of Figure 4 can be regenerated
+//! deterministically. It is also what turns a time budget (§7 case 2,
+//! Appendix C.2) into the largest scannable sample prefix
+//! ([`CostModel::tuples_within`]); the caller bounds its scan with that.
 
 pub mod cost;
 pub mod driver;
@@ -22,12 +27,12 @@ pub mod sample;
 pub mod stratified;
 
 pub use cost::{CostModel, SimulatedClock, StorageTier};
-pub use driver::{BatchPartial, ScanDriver, ScanKernel, ScanSpec, SharedScanDriver};
-pub use engine::{AqpEngine, OnlineAggregation, RawAnswer, TimeBoundEngine};
+pub use driver::{BatchPartial, ScanKernel, ScanSpec, SharedScanDriver};
+pub use engine::{AqpEngine, OnlineAggregation, RawAnswer};
 pub use estimator::BatchEstimator;
-pub use paged::{PagedLayout, PagedRep, PagedScanDriver, SegmentLoader};
+pub use paged::{PagedRep, SegmentLoader};
 pub use parallel::{parallel_scan, ParallelScanStats};
-pub use sample::{appended_row_admitted, PartitionLayout, Sample};
+pub use sample::{appended_row_admitted, BatchLayout, Sample};
 pub use stratified::{stratified, stratum_slots, Allocation};
 
 /// Errors surfaced by the AQP engine.

@@ -1,47 +1,57 @@
 //! Demand-paged samples: out-of-core partition segments under a budget.
 //!
 //! A resident [`Sample`] gathers every sampled row into one table. A
-//! *paged* sample keeps no sampled rows resident at all: the base table's
-//! partitions live in on-disk column files, and the sample is defined
-//! *implicitly* — partition `p` contributes `want_p` rows (proportional
-//! allocation, exactly like [`Sample::uniform_partitioned`]) drawn by a
-//! shuffle seeded purely from `(draw_seed, p)`. Because the draw is a
-//! pure function of the segment key, any segment can be (re)derived
-//! on demand, in any order, on any thread, and the result is always the
-//! same rows in the same order.
+//! *paged* sample ([`Sample::paged`]) has the same batch geometry but
+//! keeps its draw-time rows out of memory: the base table's partitions
+//! live in on-disk column files, and the draw is defined *implicitly*.
 //!
-//! [`PagedRep`] is that implicit representation: the fault path
-//! (`loader` → `PagedRep::derive_segment`), the
-//! [`PartitionStore`] buffer manager caching derived segments under the
-//! session's byte budget, the shared [`PartitionMap`] whose summaries
-//! prune partitions *without any I/O*, and the resident ingest tail.
+//! # Segments
 //!
-//! [`PagedScanDriver`] executes a shared scan over such a sample. It
-//! reuses the resident executor wholesale: for each batch it pins the
-//! owning segment, wraps the pinned table in an ephemeral single-segment
-//! [`Sample`], runs a throwaway [`SharedScanDriver`] over it, and
-//! renumbers the produced [`BatchPartial`] to the global batch index.
-//! The long-lived "merge" driver (over the paged sample's zero-row
-//! resolution table) folds partials in batch order exactly like the
-//! resident path, so answers, error bounds, and stop points are
-//! bit-identical to scanning [`Sample::materialize_resident`] at any
-//! thread count and any budget ≥ one partition. Only cache and chunk
-//! counters reflect the paging.
+//! Partition `p`'s **segment** is the rows the sample drew from `p`:
+//! `want_p` rows (proportional allocation, exactly like
+//! [`Sample::uniform_partitioned`]) chosen by a shuffle seeded purely
+//! from `(draw_seed, p)` over the partition's *create-time* rows. Because
+//! the draw is a pure function of the segment key, any segment can be
+//! (re)derived on demand, in any order, on any thread, and the result is
+//! always the same rows in the same order. Rows ingested later never
+//! enter a segment; they are admitted into the sample's resident table
+//! ([`Sample::absorb_appended`]) and scanned as its stride tail.
+//!
+//! [`PagedRep`] is the pager that produces segments: the fault path
+//! (`loader` → `PagedRep::derive_segment`), the [`PartitionStore`] buffer
+//! manager caching derived segments under the session's byte budget, and
+//! the shared [`PartitionMap`] whose summaries prune partitions *without
+//! any I/O*. It is immutable once built — ingest touches only the
+//! sample's table and (through the shared lock) the map's summaries.
+//!
+//! # Pinning
+//!
+//! There is no separate out-of-core executor. The one scan driver
+//! ([`crate::SharedScanDriver`]) resolves each batch to where its rows
+//! are: a draw-time batch of a paged sample **pins** its partition's
+//! segment in the buffer manager — faulting it in on a miss — for exactly
+//! the duration of that batch's scan, compiles the query against the
+//! pinned table, and runs the ordinary kernels over the batch's rows; the
+//! pin drops with the batch, after which the segment is evictable again.
+//! Batches of partitions the map summaries reject never pin anything. A
+//! fault that fails is latched on the driver and the batch contributes an
+//! all-miss partial, so the scan always completes structurally and the
+//! caller fails the query afterwards.
+//!
+//! Answers, error bounds, and stop points are bit-identical to scanning
+//! [`Sample::materialize_resident`] at any thread count and any budget;
+//! only cache and chunk counters reflect the paging.
 
-use std::ops::Range;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use verdict_storage::predicate::ChunkMatch;
 use verdict_storage::pstore::{PartitionStore, SegmentKey, SegmentPin};
-use verdict_storage::{AggregateFn, GroupKey, PartitionMap, Predicate, StorageError, Table};
+use verdict_storage::{PartitionMap, StorageError, Table};
 
-use crate::driver::{BatchPartial, ScanDriver, ScanKernel, ScanSpec, SharedScanDriver};
-use crate::engine::{AqpEngine, OnlineAggregation, RawAnswer};
-use crate::stratified::{stratum_slots, Allocation};
-use crate::{AqpError, Result, Sample};
+#[cfg(doc)]
+use crate::Sample;
 
 /// The fault function: produces the *base* rows of one partition
 /// (create-time rows only — ingested appends never enter the draw).
@@ -61,118 +71,26 @@ fn segment_seed(draw_seed: u64, partition: u32) -> u64 {
     h
 }
 
-/// The batch/row geometry of a paged sample — a pure function of the
-/// per-partition base cardinalities, the sampling fraction, and the
-/// batch size, so warm starts rebuild it identically from the manifest.
-#[derive(Debug, Clone)]
-pub struct PagedLayout {
-    /// Sampled rows drawn from each partition (0 for empty partitions).
-    pub(crate) part_want: Vec<usize>,
-    /// Global row offset of each partition's segment in the materialized
-    /// row order (segments concatenated in partition-id order).
-    pub(crate) seg_start: Vec<usize>,
-    /// Explicit batches in scan order: the owning partition and the
-    /// batch's *local* row range within that partition's segment.
-    /// Interleaved across partitions exactly like
-    /// [`Sample::uniform_partitioned`].
-    pub(crate) batches: Vec<(u32, Range<usize>)>,
-    /// Sample rows covered by the explicit batches (Σ `part_want`).
-    pub(crate) covered_rows: usize,
-}
-
-impl PagedLayout {
-    /// Derives the layout: proportional per-partition allocation (every
-    /// non-empty partition gets ≥ 1 row), per-partition batches of
-    /// `batch_size` rows, deterministically interleaved so any scan
-    /// prefix covers all partitions near-proportionally.
-    pub fn derive(original_part_rows: &[u64], fraction: f64, batch_size: usize) -> PagedLayout {
-        let total: u64 = original_part_rows.iter().sum();
-        let n_parts = original_part_rows.iter().filter(|&&n| n > 0).count();
-        let mut part_want = vec![0usize; original_part_rows.len()];
-        let mut seg_start = vec![0usize; original_part_rows.len()];
-        let mut covered = 0usize;
-        for (p, &n) in original_part_rows.iter().enumerate() {
-            seg_start[p] = covered;
-            if n == 0 {
-                continue;
-            }
-            part_want[p] = stratum_slots(
-                Allocation::Proportional,
-                n as usize,
-                total as usize,
-                fraction,
-                n_parts,
-                1,
-            );
-            covered += part_want[p];
-        }
-        // Same interleaving key and tie-break as `uniform_partitioned`:
-        // batch j of a b-batch partition sorts at (j + ½)/b.
-        let mut keyed: Vec<(f64, u32, usize, Range<usize>)> = Vec::new();
-        for (p, &want) in part_want.iter().enumerate() {
-            if want == 0 {
-                continue;
-            }
-            let b = want.div_ceil(batch_size);
-            for j in 0..b {
-                let s = j * batch_size;
-                let e = (s + batch_size).min(want);
-                keyed.push(((j as f64 + 0.5) / b as f64, p as u32, j, s..e));
-            }
-        }
-        keyed.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
-        let batches = keyed.into_iter().map(|k| (k.1, k.3)).collect();
-        PagedLayout {
-            part_want,
-            seg_start,
-            batches,
-            covered_rows: covered,
-        }
-    }
-
-    /// Rows drawn from each partition.
-    pub fn part_want(&self) -> &[usize] {
-        &self.part_want
-    }
-
-    /// Number of explicit (partition-owned) batches.
-    pub fn num_explicit_batches(&self) -> usize {
-        self.batches.len()
-    }
-
-    /// Sample rows covered by the explicit batches.
-    pub fn covered_rows(&self) -> usize {
-        self.covered_rows
-    }
-}
-
-/// The demand-paged representation behind a paged [`Sample`].
-#[derive(Clone)]
+/// The pager behind a demand-paged [`Sample`] (see the [module
+/// docs](self)).
 pub struct PagedRep {
     /// Buffer manager caching derived segments (shared session-wide, so
     /// all samples compete under one byte budget).
-    pub(crate) store: Arc<PartitionStore>,
+    store: Arc<PartitionStore>,
     /// Faults the base rows of one partition from disk.
-    pub(crate) loader: Arc<SegmentLoader>,
+    loader: Arc<SegmentLoader>,
     /// The base table's partition map — routing plus the summaries that
     /// prune partitions without I/O. Shared with the owning session so
     /// ingest-time extension is visible to later scans.
     pub(crate) map: Arc<RwLock<PartitionMap>>,
     /// Seed of this sample's segment shuffles.
-    pub(crate) draw_seed: u64,
+    draw_seed: u64,
     /// Which of the session's samples this is (half of the cache key).
-    pub(crate) sample_index: u32,
-    pub(crate) fraction: f64,
-    pub(crate) batch_size: usize,
-    pub(crate) layout: PagedLayout,
+    sample_index: u32,
     /// Create-time base rows per partition: the domain each segment's
     /// shuffle draws from. Frozen at create so ingested rows (which are
-    /// admitted into the tail instead) never perturb the draw.
+    /// admitted into the sample's table instead) never perturb the draw.
     pub(crate) original_part_rows: Vec<u64>,
-    /// Resident ingest tail: rows admitted by sample maintenance, in
-    /// admission order, scanned as untagged stride batches after the
-    /// explicit batches (exactly like the resident partitioned layout).
-    pub(crate) tail: Arc<Table>,
 }
 
 impl std::fmt::Debug for PagedRep {
@@ -180,47 +98,29 @@ impl std::fmt::Debug for PagedRep {
         f.debug_struct("PagedRep")
             .field("sample_index", &self.sample_index)
             .field("draw_seed", &self.draw_seed)
-            .field("fraction", &self.fraction)
-            .field("batch_size", &self.batch_size)
-            .field("covered_rows", &self.layout.covered_rows)
-            .field("tail_rows", &self.tail.num_rows())
+            .field("original_part_rows", &self.original_part_rows)
             .finish()
     }
 }
 
 impl PagedRep {
-    /// Assembles the representation; the layout is derived from
-    /// `original_part_rows`, `fraction`, and `batch_size`.
-    #[allow(clippy::too_many_arguments)]
+    /// Assembles the pager of sample `sample_index`.
     pub fn new(
         store: Arc<PartitionStore>,
         loader: Arc<SegmentLoader>,
         map: Arc<RwLock<PartitionMap>>,
         draw_seed: u64,
         sample_index: u32,
-        fraction: f64,
-        batch_size: usize,
         original_part_rows: Vec<u64>,
-        tail: Table,
     ) -> PagedRep {
-        let layout = PagedLayout::derive(&original_part_rows, fraction, batch_size);
         PagedRep {
             store,
             loader,
             map,
             draw_seed,
             sample_index,
-            fraction,
-            batch_size,
-            layout,
             original_part_rows,
-            tail: Arc::new(tail),
         }
-    }
-
-    /// The batch/row geometry.
-    pub fn layout(&self) -> &PagedLayout {
-        &self.layout
     }
 
     /// The buffer manager caching this sample's segments.
@@ -229,18 +129,18 @@ impl PagedRep {
     }
 
     /// This sample's cache key for partition `p`.
-    pub(crate) fn key(&self, p: u32) -> SegmentKey {
+    fn key(&self, p: u32) -> SegmentKey {
         SegmentKey {
             sample: self.sample_index,
             partition: p,
         }
     }
 
-    /// Derives partition `p`'s segment from scratch: fault the base
-    /// fragment, shuffle its row indices with the `(draw_seed, p)` seed,
-    /// keep the first `want_p`, gather. Pure — every derivation of the
-    /// same segment yields identical rows in identical order.
-    pub(crate) fn derive_segment(&self, p: u32) -> verdict_storage::Result<Table> {
+    /// Derives partition `p`'s `want`-row segment from scratch: fault the
+    /// base fragment, shuffle its row indices with the `(draw_seed, p)`
+    /// seed, keep the first `want`, gather. Pure — every derivation of
+    /// the same segment yields identical rows in identical order.
+    pub(crate) fn derive_segment(&self, p: u32, want: usize) -> verdict_storage::Result<Table> {
         let frag = (self.loader)(p)?;
         let n = self.original_part_rows[p as usize] as usize;
         if frag.num_rows() < n {
@@ -249,267 +149,36 @@ impl PagedRep {
                 frag.num_rows()
             )));
         }
-        let want = self.layout.part_want[p as usize];
         let mut idx: Vec<usize> = (0..n).collect();
         idx.shuffle(&mut StdRng::seed_from_u64(segment_seed(self.draw_seed, p)));
         idx.truncate(want);
         frag.gather(&idx)
     }
 
-    /// Pins partition `p`'s segment in the buffer manager, deriving it
-    /// on a miss. The returned guard keeps it resident (unevictable)
-    /// until dropped.
-    pub(crate) fn pin_segment(&self, p: u32) -> verdict_storage::Result<SegmentPin> {
-        self.store.pin(self.key(p), || self.derive_segment(p))
+    /// Pins partition `p`'s `want`-row segment in the buffer manager,
+    /// deriving it on a miss. The returned guard keeps it resident
+    /// (unevictable) until dropped.
+    pub(crate) fn pin_segment(&self, p: u32, want: usize) -> verdict_storage::Result<SegmentPin> {
+        self.store.pin(self.key(p), || self.derive_segment(p, want))
     }
 
-    /// Classifies every partition against `predicate` using only the
-    /// resident map summaries — zero I/O. `true` = provably no matching
-    /// row. Sound for segments because a segment's rows are a subset of
-    /// its partition's base rows.
-    pub(crate) fn pruned_partitions(
-        &self,
-        predicate: &Predicate,
-        resolution: &Table,
-    ) -> verdict_storage::Result<Vec<bool>> {
-        let pred = predicate.compile(resolution)?;
-        let map = self.map.read().expect("partition map poisoned");
-        Ok((0..map.num_partitions())
-            .map(|p| pred.classify_partition(map.part(p)) == ChunkMatch::NoRows)
-            .collect())
-    }
-}
-
-impl OnlineAggregation {
-    /// Starts an out-of-core shared scan over this engine's paged
-    /// sample — the demand-paged counterpart of
-    /// [`OnlineAggregation::shared_scan`].
-    pub fn paged_scan<'e>(&'e self, spec: &ScanSpec<'_>) -> Result<PagedScanDriver<'e>> {
-        PagedScanDriver::new(self.sample(), spec)
-    }
-}
-
-/// Out-of-core shared-scan driver (see the module docs).
-pub struct PagedScanDriver<'e> {
-    sample: &'e Sample,
-    rep: Arc<PagedRep>,
-    /// Holds the running grids and counters; built over the paged
-    /// sample's zero-row resolution table, so it only ever merges.
-    merge: SharedScanDriver<'e>,
-    /// Owned copy of the spec, rebuilt per segment for the ephemeral
-    /// per-segment drivers.
-    predicate: Predicate,
-    group_cols: Vec<String>,
-    groups: Vec<GroupKey>,
-    primitives: Vec<AggregateFn>,
-    kernel: ScanKernel,
-    /// Per-partition verdict from the base map summaries: `true` means
-    /// the batch is answered without faulting anything in.
-    pruned: Vec<bool>,
-    partitions: u64,
-    partitions_pruned: u64,
-    /// First fault failure, latched here (shared across worker-private
-    /// drivers) so the scan completes structurally and the caller fails
-    /// the query afterwards — a mid-scan I/O error must not deadlock the
-    /// morsel coordinator.
-    error: Arc<Mutex<Option<StorageError>>>,
-}
-
-impl<'e> PagedScanDriver<'e> {
-    /// Starts an out-of-core shared scan over a paged sample.
-    pub fn new(sample: &'e Sample, spec: &ScanSpec<'_>) -> Result<PagedScanDriver<'e>> {
-        let rep = Arc::clone(sample.paged_rep().ok_or_else(|| {
-            AqpError::InvalidConfig("paged scan requires a demand-paged sample".into())
-        })?);
-        let merge = SharedScanDriver::over_sample(sample, spec)?;
-        let pruned = rep
-            .pruned_partitions(spec.predicate, sample.table())
-            .map_err(AqpError::Storage)?;
-        let partitions = pruned.len() as u64;
-        let partitions_pruned = pruned.iter().filter(|&&b| b).count() as u64;
-        // Hot-first: bump every resident segment this scan will touch so
-        // LRU eviction sacrifices cold segments (and segments of other
-        // queries) before the ones about to be read.
-        for (p, &dead) in pruned.iter().enumerate() {
-            if !dead && rep.layout.part_want[p] > 0 {
-                rep.store.touch(rep.key(p as u32));
-            }
-        }
-        Ok(PagedScanDriver {
-            sample,
-            rep,
-            merge,
-            predicate: spec.predicate.clone(),
-            group_cols: spec.group_cols.to_vec(),
-            groups: spec.groups.to_vec(),
-            primitives: spec.primitives.to_vec(),
-            kernel: ScanKernel::default(),
-            pruned,
-            partitions,
-            partitions_pruned,
-            error: Arc::new(Mutex::new(None)),
-        })
-    }
-
-    /// Shares another driver's error latch (the session wires every
-    /// worker-private driver to the main driver's latch, so a worker's
-    /// fault failure surfaces on the coordinator).
-    pub fn set_error_sink(&mut self, sink: Arc<Mutex<Option<StorageError>>>) {
-        self.error = sink;
-    }
-
-    /// This driver's error latch.
-    pub fn error_sink(&self) -> Arc<Mutex<Option<StorageError>>> {
-        Arc::clone(&self.error)
-    }
-
-    /// Takes the first fault failure, if any batch hit one.
-    pub fn take_error(&self) -> Option<StorageError> {
-        self.error.lock().expect("error latch poisoned").take()
-    }
-
-    fn record_error(&self, e: StorageError) {
-        let mut slot = self.error.lock().expect("error latch poisoned");
-        slot.get_or_insert(e);
-    }
-
-    /// Scans one batch through an ephemeral resident driver over the
-    /// pinned fragment, renumbering the partial to the global index.
-    fn scan_fragment(
-        &self,
-        fragment: Arc<Table>,
-        local_batch: usize,
-        global: usize,
-        rows: u64,
-    ) -> BatchPartial {
-        let seg_sample = Sample::from_shared(
-            fragment,
-            self.sample.base_rows(),
-            self.sample.fraction(),
-            self.sample.batch_size(),
-        );
-        let spec = ScanSpec {
-            predicate: &self.predicate,
-            group_cols: &self.group_cols,
-            groups: &self.groups,
-            primitives: &self.primitives,
-        };
-        let mut d = match SharedScanDriver::over_sample(&seg_sample, &spec) {
-            Ok(d) => d,
-            Err(e) => {
-                self.record_error(StorageError::Io(format!("segment scan setup failed: {e}")));
-                return self.merge.empty_partial(global, rows);
-            }
-        };
-        d.set_kernel(self.kernel);
-        match d.scan_batch(local_batch) {
-            Some(partial) => partial.renumbered(global),
-            None => {
-                self.record_error(StorageError::Io(format!(
-                    "segment batch {local_batch} out of range"
-                )));
-                self.merge.empty_partial(global, rows)
-            }
-        }
-    }
-}
-
-impl ScanDriver for PagedScanDriver<'_> {
-    fn set_kernel(&mut self, kernel: ScanKernel) {
-        self.kernel = kernel;
-    }
-
-    fn step(&mut self) -> bool {
-        match self.scan_batch(self.merge.batches_stepped()) {
-            Some(partial) => {
-                self.merge.merge_partial(&partial);
-                true
-            }
-            None => false,
-        }
-    }
-
-    fn scan_batch(&mut self, index: usize) -> Option<BatchPartial> {
-        if index >= self.sample.num_batches() {
-            return None;
-        }
-        let explicit = self.rep.layout.batches.len();
-        if index < explicit {
-            let (p, local) = self.rep.layout.batches[index].clone();
-            let rows = local.len() as u64;
-            // Prune from summaries alone: the exact all-miss partial,
-            // zero partition files read.
-            if self.pruned[p as usize] {
-                return Some(self.merge.empty_partial(index, rows));
-            }
-            let pin = match self.rep.pin_segment(p) {
-                Ok(pin) => pin,
-                Err(e) => {
-                    self.record_error(e);
-                    return Some(self.merge.empty_partial(index, rows));
-                }
-            };
-            // The batch's local index within the single-segment sample:
-            // explicit batches are cut at batch_size boundaries.
-            let local_batch = local.start / self.rep.batch_size;
-            Some(self.scan_fragment(Arc::clone(pin.table()), local_batch, index, rows))
-        } else {
-            // Ingest-tail stride batch over the resident tail (never
-            // pruned, exactly like the resident layout's tail).
-            let k = index - explicit;
-            let start = k * self.rep.batch_size;
-            let end = (start + self.rep.batch_size).min(self.rep.tail.num_rows());
-            let rows = (end - start) as u64;
-            Some(self.scan_fragment(Arc::clone(&self.rep.tail), k, index, rows))
-        }
-    }
-
-    fn merge_partial(&mut self, partial: &BatchPartial) {
-        self.merge.merge_partial(partial);
-    }
-
-    fn raw(&self, group: usize, primitive: usize) -> RawAnswer {
-        self.merge.raw(group, primitive)
-    }
-
-    fn tuples_scanned(&self) -> usize {
-        self.merge.tuples_scanned()
-    }
-
-    fn rows_matched(&self) -> u64 {
-        self.merge.rows_matched()
-    }
-
-    fn chunks_scanned(&self) -> u64 {
-        self.merge.chunks_scanned()
-    }
-
-    fn chunks_pruned(&self) -> u64 {
-        self.merge.chunks_pruned()
-    }
-
-    fn partitions(&self) -> u64 {
-        self.partitions
-    }
-
-    fn partitions_pruned(&self) -> u64 {
-        self.partitions_pruned
-    }
-
-    fn batches_stepped(&self) -> usize {
-        self.merge.batches_stepped()
-    }
-
-    fn batches_remaining(&self) -> usize {
-        self.sample.num_batches() - self.merge.batches_stepped()
+    /// LRU-touches partition `p`'s segment if it is resident (no fault).
+    pub(crate) fn touch_segment(&self, p: u32) {
+        self.store.touch(self.key(p));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parallel_scan;
-    use verdict_storage::{distinct_group_keys, ColumnDef, Expr, PartitionSpec, Schema};
+    use crate::{
+        parallel_scan, AqpEngine, AqpError, CostModel, OnlineAggregation, Sample, ScanSpec,
+        SharedScanDriver, StorageTier,
+    };
+    use verdict_storage::{
+        distinct_group_keys, AggregateFn, ColumnDef, Expr, GroupKey, PartitionSpec, Predicate,
+        Schema,
+    };
 
     fn base(n: usize) -> Table {
         let schema = Schema::new(vec![
@@ -529,17 +198,18 @@ mod tests {
 
     /// Splits `t` into per-partition fragments and assembles a paged
     /// sample whose loader serves them from memory — the unit-test stand-in
-    /// for on-disk partition column files.
-    fn paged_fixture(
+    /// for on-disk partition column files. Partition `broken`, if any,
+    /// always fails to load.
+    fn paged_fixture_with(
         t: &Table,
         bounds: Vec<f64>,
         fraction: f64,
         batch_size: usize,
         budget: u64,
+        broken: Option<u32>,
     ) -> Sample {
         let n = t.num_rows();
-        let spec = PartitionSpec::range("x", bounds);
-        let map = PartitionMap::build(t, spec).unwrap();
+        let map = PartitionMap::build(t, PartitionSpec::range("x", bounds)).unwrap();
         let routed = map.route(t, 0..n).unwrap();
         let mut rows: Vec<Vec<usize>> = vec![Vec::new(); map.num_partitions()];
         for (r, &p) in routed.iter().enumerate() {
@@ -547,60 +217,172 @@ mod tests {
         }
         let frags: Vec<Table> = rows.iter().map(|r| t.gather(r).unwrap()).collect();
         let original_part_rows: Vec<u64> = frags.iter().map(|f| f.num_rows() as u64).collect();
-        let loader: Arc<SegmentLoader> = Arc::new(move |p: u32| Ok(frags[p as usize].clone()));
-        let mut resolution = Table::new(t.schema().clone());
-        resolution.sync_dictionaries_from(t).unwrap();
+        let loader: Arc<SegmentLoader> = Arc::new(move |p: u32| {
+            if broken == Some(p) {
+                return Err(StorageError::Io("disk gone".into()));
+            }
+            Ok(frags[p as usize].clone())
+        });
         let rep = PagedRep::new(
             Arc::new(PartitionStore::new(budget)),
             loader,
             Arc::new(RwLock::new(map)),
             42,
             0,
-            fraction,
-            batch_size,
             original_part_rows,
-            resolution.clone(),
         );
-        Sample::paged(resolution, n, rep).unwrap()
+        // Zero rows, full dictionaries: the tail a fresh paged table has.
+        Sample::paged(t.gather(&[]).unwrap(), n, fraction, batch_size, rep).unwrap()
     }
 
-    /// The paged layout must reproduce `uniform_partitioned`'s geometry
-    /// (allocation, batch sizes, interleaving) from the per-partition
-    /// cardinalities alone.
+    fn paged_fixture(
+        t: &Table,
+        bounds: Vec<f64>,
+        fraction: f64,
+        batch_size: usize,
+        budget: u64,
+    ) -> Sample {
+        paged_fixture_with(t, bounds, fraction, batch_size, budget, None)
+    }
+
+    /// `n` appended rows continuing `base`'s pattern, with a brand-new
+    /// label `z`, coded against `t`'s dictionaries like a real ingest.
+    fn appended_batch(t: &Table, n: usize) -> Table {
+        let mut batch = t.gather(&[]).unwrap();
+        let first = t.num_rows();
+        for i in 0..n {
+            let g = ["a", "b", "c", "z"][i % 4];
+            batch
+                .push_row(vec![
+                    ((first + i) as f64).into(),
+                    g.into(),
+                    ((i % 7) as f64).into(),
+                ])
+                .unwrap();
+        }
+        batch
+    }
+
+    fn avg_and_freq() -> Vec<AggregateFn> {
+        vec![AggregateFn::Avg(Expr::col("v")), AggregateFn::Freq]
+    }
+
+    /// Every cell's `(answer, error)` bits.
+    fn cell_bits(d: &SharedScanDriver<'_>) -> Vec<(u64, u64)> {
+        let mut cells = Vec::new();
+        for g in 0..d.num_groups() {
+            for p in 0..d.num_primitives() {
+                let r = d.raw(g, p);
+                cells.push((r.answer.to_bits(), r.error.to_bits()));
+            }
+        }
+        cells
+    }
+
+    /// Steps `paged` and a driver over its materialization in lockstep,
+    /// asserting bit parity after every batch.
+    fn assert_stepwise_parity(
+        s: &Sample,
+        pred: &Predicate,
+        cols: &[String],
+        keys: &[GroupKey],
+        prims: &[AggregateFn],
+    ) {
+        let resident = s.materialize_resident().unwrap();
+        let spec = ScanSpec {
+            predicate: pred,
+            group_cols: cols,
+            groups: keys,
+            primitives: prims,
+        };
+        let mut paged = SharedScanDriver::over_sample(s, &spec).unwrap();
+        let mut refd = SharedScanDriver::over_sample(&resident, &spec).unwrap();
+        loop {
+            let (a, b) = (paged.step(), refd.step());
+            assert_eq!(a, b);
+            assert_eq!(paged.tuples_scanned(), refd.tuples_scanned());
+            assert_eq!(cell_bits(&paged), cell_bits(&refd));
+            if !a {
+                break;
+            }
+        }
+        assert!(paged.take_error().is_none());
+        assert_eq!(paged.rows_matched(), refd.rows_matched());
+        assert_eq!(paged.tuples_scanned(), s.len());
+    }
+
+    /// One geometry: an unpartitioned, a resident-partitioned and a paged
+    /// sample of the same table answer `len`, `num_batches`,
+    /// `batch_range` and `batch_partition` through the same accessors —
+    /// the paged one reproducing `uniform_partitioned`'s allocation,
+    /// batch cuts and interleaving from the per-partition cardinalities
+    /// alone — and keep doing so after a tail admission.
     #[test]
     fn layout_matches_resident_partitioned_geometry() {
-        let t = base(2_000);
-        let spec = PartitionSpec::range("x", vec![400.0, 800.0, 1_200.0, 1_600.0]);
-        let mut rng = StdRng::seed_from_u64(5);
-        let resident = Sample::uniform_partitioned(&t, spec.clone(), 0.3, 24, &mut rng).unwrap();
-        let map = PartitionMap::build(&t, spec).unwrap();
-        let routed = map.route(&t, 0..t.num_rows()).unwrap();
-        let mut counts = vec![0u64; map.num_partitions()];
-        for &p in &routed {
-            counts[p as usize] += 1;
+        let mut t = base(2_000);
+        let bounds = vec![400.0, 800.0, 1_200.0, 1_600.0];
+        let spec = PartitionSpec::range("x", bounds.clone());
+        let mut flat = Sample::uniform(&t, 0.3, 24, &mut StdRng::seed_from_u64(5)).unwrap();
+        let mut resident =
+            Sample::uniform_partitioned(&t, spec, 0.3, 24, &mut StdRng::seed_from_u64(5)).unwrap();
+        let mut paged = paged_fixture(&t, bounds, 0.3, 24, u64::MAX);
+        let drawn = resident.len();
+        let draw_batches = resident.num_batches();
+        assert_eq!(resident.layout().covered_rows(), drawn);
+        assert_eq!(resident.layout().num_draw_batches(), draw_batches);
+
+        let check = |flat: &Sample, resident: &Sample, paged: &Sample, admitted: usize| {
+            // The stride-only sample: no tags, `batch_size` strides.
+            assert_eq!(flat.len(), 600 + admitted);
+            assert_eq!(flat.num_batches(), flat.len().div_ceil(24));
+            for i in 0..flat.num_batches() {
+                assert_eq!(flat.batch_partition(i), None);
+                assert_eq!(flat.batch_range(i), i * 24..(i * 24 + 24).min(flat.len()));
+            }
+            // Partitioned, resident or paged: identical in every batch.
+            assert_eq!(paged.len(), drawn + admitted);
+            assert_eq!(paged.len(), resident.len());
+            assert_eq!(paged.num_batches(), draw_batches + admitted.div_ceil(24));
+            assert_eq!(paged.num_batches(), resident.num_batches());
+            let mut rows = 0;
+            for i in 0..paged.num_batches() {
+                assert_eq!(paged.batch_range(i), resident.batch_range(i), "batch {i}");
+                assert_eq!(paged.batch_partition(i), resident.batch_partition(i));
+                assert_eq!(paged.batch_partition(i).is_some(), i < draw_batches);
+                assert!(paged.batch_range(i).len() <= 24);
+                rows += paged.batch_range(i).len();
+            }
+            assert_eq!(rows, paged.len(), "batches tile the sample");
+        };
+        check(&flat, &resident, &paged, 0);
+
+        // Same seed and sample index: all three admit the same rows.
+        let batch = appended_batch(&t, 500);
+        t.append(&batch).unwrap();
+        let admitted = paged.absorb_appended(&batch, 2_000, 42, 0).unwrap();
+        assert!(admitted > 24, "the tail must span several stride batches");
+        assert_eq!(flat.absorb_appended(&t, 2_000, 42, 0).unwrap(), admitted);
+        assert_eq!(
+            resident.absorb_appended(&t, 2_000, 42, 0).unwrap(),
+            admitted
+        );
+        for s in [&flat, &resident, &paged] {
+            assert_eq!(s.base_rows(), 2_500);
         }
-        let layout = PagedLayout::derive(&counts, 0.3, 24);
-        assert_eq!(layout.covered_rows(), resident.len());
-        assert_eq!(layout.num_explicit_batches(), resident.num_batches());
-        for i in 0..layout.num_explicit_batches() {
-            assert_eq!(
-                Some(layout.batches[i].0),
-                resident.batch_partition(i),
-                "batch {i}"
-            );
-            assert_eq!(
-                layout.batches[i].1.len(),
-                resident.batch_range(i).len(),
-                "batch {i}"
-            );
-        }
+        assert_eq!(
+            paged.table().num_rows(),
+            admitted,
+            "only the tail is resident"
+        );
+        assert_eq!(paged.batch_range(draw_batches).start, drawn);
+        check(&flat, &resident, &paged, admitted);
     }
 
     /// Core parity: a paged scan must match a scan of the materialized
     /// sample bit for bit at *every* step — answers, error bounds, and
     /// tuples scanned (hence identical stop points under any policy).
     #[test]
-    fn paged_scan_matches_materialized_resident_stepwise() {
+    fn stepwise_parity_with_materialized_resident() {
         let t = base(3_000);
         let s = paged_fixture(&t, vec![750.0, 1_500.0, 2_250.0], 0.4, 64, u64::MAX);
         let resident = s.materialize_resident().unwrap();
@@ -617,34 +399,7 @@ mod tests {
             keys,
             distinct_group_keys(resident.table(), &pred, &cols).unwrap()
         );
-        let prims = vec![AggregateFn::Avg(Expr::col("v")), AggregateFn::Freq];
-        let spec = ScanSpec {
-            predicate: &pred,
-            group_cols: &cols,
-            groups: &keys,
-            primitives: &prims,
-        };
-        let mut paged = PagedScanDriver::new(&s, &spec).unwrap();
-        let mut refd = SharedScanDriver::over_sample(&resident, &spec).unwrap();
-        loop {
-            let a = paged.step();
-            let b = refd.step();
-            assert_eq!(a, b);
-            assert_eq!(paged.tuples_scanned(), refd.tuples_scanned());
-            for g in 0..keys.len() {
-                for p in 0..prims.len() {
-                    let (x, y) = (paged.raw(g, p), refd.raw(g, p));
-                    assert_eq!(x.answer.to_bits(), y.answer.to_bits(), "g{g} p{p}");
-                    assert_eq!(x.error.to_bits(), y.error.to_bits(), "g{g} p{p}");
-                }
-            }
-            if !a {
-                break;
-            }
-        }
-        assert!(paged.take_error().is_none());
-        assert_eq!(paged.rows_matched(), refd.rows_matched());
-        assert_eq!(paged.tuples_scanned(), s.len());
+        assert_stepwise_parity(&s, &pred, &cols, &keys, &avg_and_freq());
     }
 
     /// A band query the summaries reject for all but one partition must
@@ -664,7 +419,7 @@ mod tests {
             groups: &[],
             primitives: &prims,
         };
-        let mut d = PagedScanDriver::new(&s, &spec).unwrap();
+        let mut d = SharedScanDriver::over_sample(&s, &spec).unwrap();
         while d.step() {}
         assert!(d.take_error().is_none());
         assert_eq!(d.partitions(), 4);
@@ -675,8 +430,7 @@ mod tests {
         let resident = s.materialize_resident().unwrap();
         let mut r = SharedScanDriver::over_sample(&resident, &spec).unwrap();
         while r.step() {}
-        assert_eq!(d.raw(0, 0).answer.to_bits(), r.raw(0, 0).answer.to_bits());
-        assert_eq!(d.raw(0, 0).error.to_bits(), r.raw(0, 0).error.to_bits());
+        assert_eq!(cell_bits(&d), cell_bits(&r));
         assert_eq!(d.tuples_scanned(), r.tuples_scanned());
     }
 
@@ -688,7 +442,7 @@ mod tests {
         let t = base(2_400);
         let pred = Predicate::between("x", 100.0, 2_300.0);
         let cols = vec!["g".to_owned()];
-        let prims = vec![AggregateFn::Avg(Expr::col("v")), AggregateFn::Freq];
+        let prims = avg_and_freq();
         let run = |budget: u64| {
             let s = paged_fixture(&t, vec![600.0, 1_200.0, 1_800.0], 0.5, 48, budget);
             let keys = s.distinct_group_keys(&pred, &cols).unwrap();
@@ -698,18 +452,11 @@ mod tests {
                 groups: &keys,
                 primitives: &prims,
             };
-            let mut d = PagedScanDriver::new(&s, &spec).unwrap();
+            let mut d = SharedScanDriver::over_sample(&s, &spec).unwrap();
             while d.step() {}
             assert!(d.take_error().is_none());
-            let mut cells = Vec::new();
-            for g in 0..keys.len() {
-                for p in 0..prims.len() {
-                    let r = d.raw(g, p);
-                    cells.push((r.answer.to_bits(), r.error.to_bits()));
-                }
-            }
             let counters = s.paged_rep().unwrap().partition_store().counters();
-            (cells, d.tuples_scanned(), counters.evictions)
+            (cell_bits(&d), d.tuples_scanned(), counters.evictions)
         };
         let tight = run(1);
         let roomy = run(u64::MAX);
@@ -719,8 +466,9 @@ mod tests {
         assert_eq!(roomy.2, 0, "an unbounded budget never evicts");
     }
 
-    /// Morsel-parallel paged scans (worker drivers sharing the main
-    /// driver's error latch) are bit-identical to the serial paged scan.
+    /// Morsel-parallel paged scans (worker drivers pinning their own
+    /// segments, sharing the main driver's fault latch) are bit-identical
+    /// to the serial paged scan.
     #[test]
     fn parallel_paged_scan_is_bit_identical() {
         let t = base(3_000);
@@ -728,44 +476,35 @@ mod tests {
         let pred = Predicate::between("x", 50.0, 2_900.0);
         let cols = vec!["g".to_owned()];
         let keys = s.distinct_group_keys(&pred, &cols).unwrap();
-        let prims = vec![AggregateFn::Avg(Expr::col("v")), AggregateFn::Freq];
+        let prims = avg_and_freq();
         let spec = ScanSpec {
             predicate: &pred,
             group_cols: &cols,
             groups: &keys,
             primitives: &prims,
         };
-        let mut reference = PagedScanDriver::new(&s, &spec).unwrap();
+        let mut reference = SharedScanDriver::over_sample(&s, &spec).unwrap();
         while reference.step() {}
         assert!(reference.take_error().is_none());
         for threads in [2usize, 4] {
-            let mut main = PagedScanDriver::new(&s, &spec).unwrap();
+            let mut main = SharedScanDriver::over_sample(&s, &spec).unwrap();
             let sink = main.error_sink();
-            parallel_scan(
+            let stats = parallel_scan(
                 &mut main,
                 threads,
                 usize::MAX,
                 || {
-                    let mut d = PagedScanDriver::new(&s, &spec).ok()?;
+                    let mut d = SharedScanDriver::over_sample(&s, &spec).ok()?;
                     d.set_error_sink(Arc::clone(&sink));
                     Some(d)
                 },
                 |_| true,
             );
+            assert!(stats.morsels > 0, "the scheduler must have run");
             assert!(main.take_error().is_none());
             assert_eq!(main.tuples_scanned(), reference.tuples_scanned());
             assert_eq!(main.rows_matched(), reference.rows_matched());
-            for g in 0..keys.len() {
-                for p in 0..prims.len() {
-                    let (a, b) = (main.raw(g, p), reference.raw(g, p));
-                    assert_eq!(
-                        a.answer.to_bits(),
-                        b.answer.to_bits(),
-                        "t{threads} g{g} p{p}"
-                    );
-                    assert_eq!(a.error.to_bits(), b.error.to_bits(), "t{threads} g{g} p{p}");
-                }
-            }
+            assert_eq!(cell_bits(&main), cell_bits(&reference), "t{threads}");
         }
     }
 
@@ -777,22 +516,12 @@ mod tests {
     fn ingest_tail_preserves_parity() {
         let t = base(1_500);
         let mut s = paged_fixture(&t, vec![500.0, 1_000.0], 0.5, 32, u64::MAX);
-        let mut batch = Table::new(t.schema().clone());
-        batch.sync_dictionaries_from(&t).unwrap();
-        for i in 0..400usize {
-            let g = ["a", "b", "c", "z"][i % 4];
-            batch
-                .push_row(vec![
-                    ((1_500 + i) as f64).into(),
-                    g.into(),
-                    ((i % 7) as f64).into(),
-                ])
-                .unwrap();
-        }
-        let admitted = s.paged_absorb_appended(&batch, 1_500, 42, 0).unwrap();
+        let admitted = s
+            .absorb_appended(&appended_batch(&t, 400), 1_500, 42, 0)
+            .unwrap();
         assert!(admitted > 0);
         assert_eq!(s.base_rows(), 1_900);
-        assert_eq!(s.paged_tail().unwrap().num_rows(), admitted);
+        assert_eq!(s.table().num_rows(), admitted);
         let resident = s.materialize_resident().unwrap();
         assert_eq!(resident.len(), s.len());
         let pred = Predicate::True;
@@ -803,66 +532,63 @@ mod tests {
             distinct_group_keys(resident.table(), &pred, &cols).unwrap()
         );
         assert_eq!(keys.len(), 4, "the ingested label must be enumerable");
-        let prims = vec![AggregateFn::Avg(Expr::col("v")), AggregateFn::Freq];
-        let spec = ScanSpec {
-            predicate: &pred,
-            group_cols: &cols,
-            groups: &keys,
-            primitives: &prims,
+        assert_stepwise_parity(&s, &pred, &cols, &keys, &avg_and_freq());
+    }
+
+    /// An admission copies only the resident table: while a reader still
+    /// holds the previous snapshot of the sample, the new one shares the
+    /// very same pager and layout (no per-ingest deep copy), and the
+    /// reader's view is untouched.
+    #[test]
+    fn admission_shares_the_pager_with_older_snapshots() {
+        let t = base(1_200);
+        let mut s = paged_fixture(&t, vec![600.0], 0.5, 32, u64::MAX);
+        let pinned = s.clone();
+        let admitted = s
+            .absorb_appended(&appended_batch(&t, 300), 1_200, 42, 0)
+            .unwrap();
+        assert!(admitted > 0);
+        assert!(Arc::ptr_eq(
+            s.paged_rep().unwrap(),
+            pinned.paged_rep().unwrap()
+        ));
+        assert!(std::ptr::eq(s.layout(), pinned.layout()));
+        assert!(!Arc::ptr_eq(&s.table_arc(), &pinned.table_arc()));
+        assert_eq!(pinned.table().num_rows(), 0);
+        assert_eq!(pinned.len() + admitted, s.len());
+        assert_eq!(pinned.base_rows(), 1_200);
+    }
+
+    /// The per-snippet estimator reads `table()` only, which on a paged
+    /// sample is just the admitted tail: the refusal must hold when that
+    /// tail is non-empty too, or the estimator would answer from the tail
+    /// alone — a wrong answer, not an empty one.
+    #[test]
+    fn session_refuses_a_paged_sample_even_with_resident_rows() {
+        let t = base(1_200);
+        let mut s = paged_fixture(&t, vec![600.0], 0.5, 32, u64::MAX);
+        let refused = |s: &Sample| {
+            let e = OnlineAggregation::new(s.clone(), CostModel::default(), StorageTier::Cached);
+            let session = e.session(&AggregateFn::Freq, &Predicate::True);
+            let answer = e.answer(&AggregateFn::Freq, &Predicate::True, None);
+            matches!(session, Err(AqpError::InvalidConfig(_)))
+                && matches!(answer, Err(AqpError::InvalidConfig(_)))
         };
-        let mut a = PagedScanDriver::new(&s, &spec).unwrap();
-        let mut b = SharedScanDriver::over_sample(&resident, &spec).unwrap();
-        while a.step() {
-            assert!(b.step());
-        }
-        assert!(!b.step());
-        assert!(a.take_error().is_none());
-        for g in 0..keys.len() {
-            for p in 0..prims.len() {
-                let (x, y) = (a.raw(g, p), b.raw(g, p));
-                assert_eq!(x.answer.to_bits(), y.answer.to_bits(), "g{g} p{p}");
-                assert_eq!(x.error.to_bits(), y.error.to_bits(), "g{g} p{p}");
-            }
-        }
+        assert!(refused(&s));
+        s.absorb_appended(&appended_batch(&t, 300), 1_200, 42, 0)
+            .unwrap();
+        assert!(s.table().num_rows() > 0);
+        assert!(refused(&s));
     }
 
     /// A failing loader must not wedge the scan: the error is latched,
-    /// the scan completes structurally, and `take_error` surfaces it.
+    /// the scan completes structurally — every batch merged, the faulted
+    /// ones as all-miss partials — and `take_error` surfaces it, serially
+    /// and under the morsel scheduler.
     #[test]
     fn fault_failure_is_latched_not_fatal() {
         let t = base(600);
-        let n = t.num_rows();
-        let spec_p = PartitionSpec::range("x", vec![300.0]);
-        let map = PartitionMap::build(&t, spec_p).unwrap();
-        let routed = map.route(&t, 0..n).unwrap();
-        let mut rows: Vec<Vec<usize>> = vec![Vec::new(); map.num_partitions()];
-        for (r, &p) in routed.iter().enumerate() {
-            rows[p as usize].push(r);
-        }
-        let frags: Vec<Table> = rows.iter().map(|r| t.gather(r).unwrap()).collect();
-        let original_part_rows: Vec<u64> = frags.iter().map(|f| f.num_rows() as u64).collect();
-        // Partition 1 always fails to load.
-        let loader: Arc<SegmentLoader> = Arc::new(move |p: u32| {
-            if p == 1 {
-                Err(StorageError::Io("disk gone".into()))
-            } else {
-                Ok(frags[p as usize].clone())
-            }
-        });
-        let mut resolution = Table::new(t.schema().clone());
-        resolution.sync_dictionaries_from(&t).unwrap();
-        let rep = PagedRep::new(
-            Arc::new(PartitionStore::new(u64::MAX)),
-            loader,
-            Arc::new(RwLock::new(map)),
-            42,
-            0,
-            0.5,
-            32,
-            original_part_rows,
-            resolution.clone(),
-        );
-        let s = Sample::paged(resolution, n, rep).unwrap();
+        let s = paged_fixture_with(&t, vec![300.0], 0.5, 32, u64::MAX, Some(1));
         let prims = vec![AggregateFn::Freq];
         let spec = ScanSpec {
             predicate: &Predicate::True,
@@ -870,13 +596,28 @@ mod tests {
             groups: &[],
             primitives: &prims,
         };
-        let mut d = PagedScanDriver::new(&s, &spec).unwrap();
-        while d.step() {}
-        match d.take_error() {
-            Some(StorageError::Io(m)) => assert!(m.contains("disk gone")),
-            other => panic!("expected a latched Io error, got {other:?}"),
+        for threads in [1usize, 4] {
+            let mut d = SharedScanDriver::over_sample(&s, &spec).unwrap();
+            let sink = d.error_sink();
+            parallel_scan(
+                &mut d,
+                threads,
+                usize::MAX,
+                || {
+                    let mut w = SharedScanDriver::over_sample(&s, &spec).ok()?;
+                    w.set_error_sink(Arc::clone(&sink));
+                    Some(w)
+                },
+                |_| true,
+            );
+            assert_eq!(d.batches_stepped(), s.num_batches(), "t{threads}");
+            assert_eq!(d.tuples_scanned(), s.len());
+            match d.take_error() {
+                Some(StorageError::Io(m)) => assert!(m.contains("disk gone")),
+                other => panic!("expected a latched Io error, got {other:?}"),
+            }
+            // Latch is take-once.
+            assert!(d.take_error().is_none());
         }
-        // Latch is take-once.
-        assert!(d.take_error().is_none());
     }
 }

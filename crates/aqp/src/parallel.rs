@@ -6,17 +6,16 @@
 //! batches (batches themselves split at `CHUNK_ROWS` boundaries inside
 //! the chunked kernel), morsels are dealt round-robin into per-worker
 //! deques, and an idle worker steals from the *back* of a victim's deque.
-//! Each worker owns a private driver ([`ScanDriver`] — resident
-//! [`crate::SharedScanDriver`] or out-of-core [`crate::PagedScanDriver`])
-//! with its own predicate mask scratch and (group × primitive)
-//! accumulator grid, and produces one [`BatchPartial`] per batch via
-//! [`ScanDriver::scan_batch`].
+//! Each worker owns a private [`SharedScanDriver`] — its own compiled
+//! query, predicate mask scratch and, over a paged sample, its own
+//! segment pins (held one batch at a time) — and produces one
+//! [`BatchPartial`] per batch via [`SharedScanDriver::scan_batch`].
 //!
 //! # Determinism
 //!
 //! Scheduling is racy on purpose; *merging is not*. A single coordinator
 //! (the calling thread) folds partials into the main driver strictly in
-//! batch-index order via [`ScanDriver::merge_partial`], and the
+//! batch-index order via [`SharedScanDriver::merge_partial`], and the
 //! stop decision (`on_batch`) runs on the coordinator after every
 //! ordered merge — exactly where the serial loop would have made it.
 //! The merged answers, error bounds, counters, and the stop point are
@@ -36,16 +35,19 @@
 //! (ascending morsels) and thieves take whole morsels, the worker
 //! holding the cursor's morsel is never blocked by the window
 //! (`window ≥ morsel` batches), so the coordinator always makes
-//! progress while any worker lives. If every worker has exited (e.g.
-//! scanner construction failed), the coordinator scans the remaining
-//! batches itself via [`ScanDriver::step`] — same fold, same bits.
+//! progress while any worker lives. A worker never exits mid-morsel on
+//! an I/O error either: a segment fault is latched on the driver and the
+//! batch still yields a partial (see [`crate::driver`]). If every worker
+//! has exited (e.g. scanner construction failed), the coordinator scans
+//! the remaining batches itself via [`SharedScanDriver::step`] — same
+//! fold, same bits.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 
-use crate::driver::{BatchPartial, ScanDriver};
+use crate::driver::{BatchPartial, SharedScanDriver};
 
 /// Scheduling counters of one parallel scan — observability only; both
 /// are nondeterministic under work stealing and early stop.
@@ -125,11 +127,11 @@ impl Shared {
 
 /// One worker: claim morsels, scan each batch into a partial with a
 /// private driver, publish partials through the reorder window.
-fn run_worker<D, F>(shared: &Shared, worker: usize, make_scanner: &F)
-where
-    D: ScanDriver,
-    F: Fn() -> Option<D> + Sync,
-{
+fn run_worker<'w>(
+    shared: &Shared,
+    worker: usize,
+    make_scanner: &(impl Fn() -> Option<SharedScanDriver<'w>> + Sync),
+) {
     let Some(mut scanner) = make_scanner() else {
         shared.worker_exit();
         return;
@@ -164,20 +166,16 @@ where
 /// ordered merge — return `false` to stop the scan (the stop point is
 /// deterministic; see the module docs). With `threads <= 1`, or when
 /// there is at most one batch of work, the scan runs serially on the
-/// calling thread via [`ScanDriver::step`] and the returned
+/// calling thread via [`SharedScanDriver::step`] and the returned
 /// morsel counters are zero; the merged state is bit-identical either
 /// way.
-pub fn parallel_scan<D, F>(
-    main: &mut D,
+pub fn parallel_scan<'m, 'w>(
+    main: &mut SharedScanDriver<'m>,
     threads: usize,
     max_batches: usize,
-    make_scanner: F,
-    mut on_batch: impl FnMut(&D) -> bool,
-) -> ParallelScanStats
-where
-    D: ScanDriver,
-    F: Fn() -> Option<D> + Sync,
-{
+    make_scanner: impl Fn() -> Option<SharedScanDriver<'w>> + Sync,
+    mut on_batch: impl FnMut(&SharedScanDriver<'m>) -> bool,
+) -> ParallelScanStats {
     let start = main.batches_stepped();
     let total = main.batches_remaining().min(max_batches);
     if threads <= 1 || total <= 1 {

@@ -2,14 +2,33 @@
 //!
 //! `NoLearn` "creates random samples of the original tables offline and
 //! splits them into multiple batches of tuples" (paper §8.1). A [`Sample`]
-//! holds the sampled rows (a gathered sub-table), the sampling fraction,
-//! the base-table cardinality (needed to scale `FREQ` into `COUNT`), and
-//! the batch boundaries used by online aggregation.
+//! holds the sampled rows, the sampling fraction, the base-table
+//! cardinality (needed to scale `FREQ` into `COUNT`), and the batch
+//! boundaries used by online aggregation.
 //!
-//! The sampled rows live behind an `Arc`: a sample is immutable once
-//! drawn, so cloning a `Sample` (engine snapshots, concurrent sessions
-//! handing one sample to many reader threads) shares the gathered table
-//! instead of copying it. Scan state lives in per-query cursors
+//! # One batch geometry
+//!
+//! Every sample has the same shape ([`BatchLayout`]): a list of
+//! *draw-time batches* `(partition, rows)`, each holding rows of exactly
+//! one partition, followed by a *stride tail* of plain `batch_size`
+//! batches over every row past `covered_rows`. An unpartitioned sample is
+//! the degenerate case with no draw-time batches (all stride); a
+//! partitioned sample grows a stride tail when
+//! [`Sample::absorb_appended`] admits ingested rows. Row ranges are
+//! expressed in the sample's *materialized* row order — partitions
+//! concatenated in id order, admitted rows last.
+//!
+//! What differs between samples is only *where the rows are*. A resident
+//! sample keeps all of them in [`Sample::table`]. A demand-paged sample
+//! ([`Sample::paged`], see [`crate::paged`]) keeps its draw-time rows in
+//! on-disk partition segments faulted through a buffer manager, and only
+//! the admitted tail in its table — so its table is also what every
+//! planning step (predicate compilation, label/code resolution) runs
+//! against: it carries the schema and the full dictionaries.
+//!
+//! The resident rows live behind an `Arc`: cloning a `Sample` (engine
+//! snapshots handed to many reader threads) shares them, and an ingest
+//! copies only that table on write. Scan state lives in per-query cursors
 //! ([`crate::SharedScanDriver`], [`crate::engine::Session`]), never in the
 //! sample itself.
 
@@ -18,7 +37,11 @@ use std::sync::Arc;
 
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use verdict_storage::{GroupKey, GroupKeyCollector, PartitionMap, PartitionSpec, Predicate, Table};
+use verdict_storage::predicate::ChunkMatch;
+use verdict_storage::pstore::SegmentPin;
+use verdict_storage::{
+    CompiledPredicate, GroupKey, GroupKeyCollector, PartitionMap, PartitionSpec, Predicate, Table,
+};
 
 use crate::paged::PagedRep;
 use crate::stratified::{stratum_slots, Allocation};
@@ -27,61 +50,131 @@ use crate::{AqpError, Result};
 /// A uniform row-level random sample of a base table.
 #[derive(Debug, Clone)]
 pub struct Sample {
-    /// The sampled rows — or, for a paged sample, the zero-row
-    /// *resolution table* (schema + full dictionaries) every planning
-    /// step (predicate compilation, label/code resolution, group-key
-    /// binding) runs against while the rows themselves stay on disk.
+    /// The resident rows: every sampled row of a resident sample, only
+    /// the rows admitted after the draw for a paged one.
     table: Arc<Table>,
+    /// Sample rows that live in partition segments instead of `table`
+    /// (0 for a resident sample, the layout's `covered_rows` for a paged
+    /// one): the materialized row index of `table`'s first row.
+    segment_rows: usize,
     base_rows: usize,
     fraction: f64,
     batch_size: usize,
-    /// Partition-clustered batch layout; `None` for unpartitioned samples.
-    layout: Option<Arc<PartitionLayout>>,
-    /// Demand-paged representation; `None` for resident samples.
+    layout: Arc<BatchLayout>,
+    /// Routing + summaries over the sampled rows of a resident
+    /// partitioned sample (a paged sample prunes from its pager's map).
+    map: Option<Arc<PartitionMap>>,
+    /// Where a paged sample's draw-time rows come from.
     paged: Option<Arc<PagedRep>>,
 }
 
-/// The partition structure of a sample drawn with
-/// [`Sample::uniform_partitioned`].
+/// The batch geometry of a sample (see the [module docs](self)).
 ///
-/// Sampled rows are gathered *clustered by partition*, so each explicit
-/// batch holds rows of exactly one partition and carries that partition's
-/// id. The [`PartitionMap`] is built over the sampled rows themselves
-/// (the gathered table inherits the base table's dictionaries verbatim,
-/// so its code space — and therefore any predicate compiled against the
-/// sample — lines up with the summaries). A scan can then skip every
-/// batch of a partition the predicate provably rejects, without touching
-/// a chunk.
+/// Draw-time batches are *interleaved deterministically* across
+/// partitions (batch `j` of a `b`-batch partition sorts at key
+/// `(j + ½)/b`) so any scan prefix covers all partitions
+/// near-proportionally — an online-aggregation prefix stays a roughly
+/// self-weighted sample instead of reading partitions one after another.
+/// Each carries its partition's id, so a scan can skip every batch of a
+/// partition the predicate provably rejects without touching a chunk.
 ///
-/// Rows admitted later by [`Sample::absorb_appended`] sit past
-/// `covered_rows` in plain stride batches with no partition tag; they are
-/// never pruned, which keeps pruning sound as the sample grows without
-/// rewriting draw-time batches.
-#[derive(Debug)]
-pub struct PartitionLayout {
-    /// Row span of each explicit (draw-time) batch, in scan order.
-    batches: Vec<Range<usize>>,
-    /// The partition each explicit batch's rows belong to.
-    batch_partitions: Vec<u32>,
-    /// Sample rows covered by the explicit batches.
+/// Rows admitted later sit past `covered_rows` in stride batches with no
+/// partition tag; they are never pruned, which keeps pruning sound as the
+/// sample grows without rewriting draw-time batches.
+#[derive(Debug, Default)]
+pub struct BatchLayout {
+    /// Materialized row span of each partition's drawn rows (empty for a
+    /// partition that drew none).
+    pub(crate) spans: Vec<Range<usize>>,
+    /// Draw-time batches in scan order: owning partition and row range.
+    batches: Vec<(u32, Range<usize>)>,
+    /// Sample rows covered by the draw-time batches.
     covered_rows: usize,
-    /// Routing + per-partition summaries over the sampled rows.
-    map: PartitionMap,
 }
 
-impl PartitionLayout {
-    /// Routing and per-partition summaries over the sampled rows.
-    pub fn map(&self) -> &PartitionMap {
-        &self.map
+impl BatchLayout {
+    /// Lays out a partitioned draw of `drawn[p]` rows from partition `p`:
+    /// spans concatenated in partition-id order, each cut into batches of
+    /// `batch_size` rows, interleaved. A pure function of its arguments,
+    /// so a warm start rebuilds the identical geometry.
+    fn interleaved(drawn: &[usize], batch_size: usize) -> BatchLayout {
+        let mut spans = Vec::with_capacity(drawn.len());
+        let mut keyed: Vec<(f64, u32, usize, Range<usize>)> = Vec::new();
+        let mut covered_rows = 0usize;
+        for (p, &rows) in drawn.iter().enumerate() {
+            let span = covered_rows..covered_rows + rows;
+            covered_rows = span.end;
+            let b = rows.div_ceil(batch_size);
+            for j in 0..b {
+                let s = span.start + j * batch_size;
+                let e = (s + batch_size).min(span.end);
+                keyed.push(((j as f64 + 0.5) / b as f64, p as u32, j, s..e));
+            }
+            spans.push(span);
+        }
+        keyed.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
+        BatchLayout {
+            spans,
+            batches: keyed.into_iter().map(|k| (k.1, k.3)).collect(),
+            covered_rows,
+        }
     }
 
     /// Number of draw-time (partition-tagged) batches.
-    pub fn num_explicit_batches(&self) -> usize {
+    pub fn num_draw_batches(&self) -> usize {
         self.batches.len()
+    }
+
+    /// Sample rows covered by the draw-time batches; the stride tail
+    /// starts here.
+    pub fn covered_rows(&self) -> usize {
+        self.covered_rows
     }
 }
 
+/// Rows a partitioned draw takes from each partition: proportional to
+/// its size (a partition is a stratum under [`Allocation::Proportional`]),
+/// every non-empty partition guaranteed at least one row.
+fn partition_allocation(part_rows: &[usize], fraction: f64) -> Vec<usize> {
+    let total: usize = part_rows.iter().sum();
+    let n_parts = part_rows.iter().filter(|&&n| n > 0).count();
+    let slots = |&n| stratum_slots(Allocation::Proportional, n, total, fraction, n_parts, 1);
+    part_rows.iter().map(slots).collect()
+}
+
+fn check_batch_size(batch_size: usize) -> Result<()> {
+    if batch_size == 0 {
+        return Err(AqpError::InvalidConfig(
+            "batch size must be positive".into(),
+        ));
+    }
+    Ok(())
+}
+
+fn check_geometry(fraction: f64, batch_size: usize) -> Result<()> {
+    if !(fraction > 0.0 && fraction <= 1.0) {
+        return Err(AqpError::InvalidConfig(format!(
+            "sample fraction must be in (0,1], got {fraction}"
+        )));
+    }
+    check_batch_size(batch_size)
+}
+
 impl Sample {
+    /// An unpartitioned resident sample over already-gathered rows.
+    fn resident(table: Table, base_rows: usize, fraction: f64, batch_size: usize) -> Sample {
+        Sample {
+            table: Arc::new(table),
+            segment_rows: 0,
+            base_rows,
+            fraction,
+            batch_size,
+            layout: Arc::default(),
+            map: None,
+            paged: None,
+        }
+    }
+
     /// Draws a uniform sample of `fraction ∈ (0, 1]` of `base`, shuffled so
     /// that every prefix is itself a uniform sample, split into batches of
     /// `batch_size` rows.
@@ -112,16 +205,7 @@ impl Sample {
         batch_size: usize,
         rng: &mut R,
     ) -> Result<Sample> {
-        if !(fraction > 0.0 && fraction <= 1.0) {
-            return Err(AqpError::InvalidConfig(format!(
-                "sample fraction must be in (0,1], got {fraction}"
-            )));
-        }
-        if batch_size == 0 {
-            return Err(AqpError::InvalidConfig(
-                "batch size must be positive".into(),
-            ));
-        }
+        check_geometry(fraction, batch_size)?;
         if prefix_rows > base.num_rows() {
             return Err(AqpError::InvalidConfig(format!(
                 "sample prefix of {prefix_rows} rows exceeds the table's {}",
@@ -134,28 +218,19 @@ impl Sample {
         rows.shuffle(rng);
         rows.truncate(k);
         let table = base.gather(&rows)?;
-        Ok(Sample {
-            table: Arc::new(table),
-            base_rows: n,
-            fraction,
-            batch_size,
-            layout: None,
-            paged: None,
-        })
+        Ok(Sample::resident(table, n, fraction, batch_size))
     }
 
     /// Draws a partitioned uniform sample: rows are routed by `spec`,
-    /// each partition is sampled proportionally to its size (a partition
-    /// is a stratum under [`Allocation::Proportional`], with every
-    /// non-empty partition guaranteed at least one row), and the sampled
-    /// rows are gathered clustered by partition so each batch belongs to
-    /// exactly one partition.
+    /// each partition is sampled proportionally to its size, and the
+    /// sampled rows are gathered clustered by partition so each draw-time
+    /// batch belongs to exactly one partition (see [`BatchLayout`]).
     ///
-    /// Batches are then *interleaved deterministically* across partitions
-    /// (batch `j` of a `b`-batch partition sorts at key `(j + ½)/b`) so
-    /// any scan prefix covers all partitions near-proportionally — an
-    /// online-aggregation prefix stays a roughly self-weighted sample
-    /// instead of reading partitions one after another.
+    /// The [`PartitionMap`] a scan prunes with is built over the sampled
+    /// rows themselves: the gathered table inherits the base table's
+    /// dictionaries verbatim, so the summaries are sound against
+    /// predicates compiled on the sample — and tighter than base-table
+    /// summaries.
     pub fn uniform_partitioned<R: Rng>(
         base: &Table,
         spec: PartitionSpec,
@@ -163,16 +238,7 @@ impl Sample {
         batch_size: usize,
         rng: &mut R,
     ) -> Result<Sample> {
-        if !(fraction > 0.0 && fraction <= 1.0) {
-            return Err(AqpError::InvalidConfig(format!(
-                "sample fraction must be in (0,1], got {fraction}"
-            )));
-        }
-        if batch_size == 0 {
-            return Err(AqpError::InvalidConfig(
-                "batch size must be positive".into(),
-            ));
-        }
+        check_geometry(fraction, batch_size)?;
         let n = base.num_rows();
         let router = PartitionMap::build(base, spec.clone()).map_err(AqpError::Storage)?;
         let routed = router.route(base, 0..n).map_err(AqpError::Storage)?;
@@ -180,67 +246,54 @@ impl Sample {
         for (r, &p) in routed.iter().enumerate() {
             part_rows[p as usize].push(r);
         }
+        let sizes: Vec<usize> = part_rows.iter().map(Vec::len).collect();
+        let drawn = partition_allocation(&sizes, fraction);
         // Select per partition, concatenating partition-clustered.
-        let n_parts = part_rows.iter().filter(|r| !r.is_empty()).count();
         let mut selected: Vec<usize> = Vec::new();
-        let mut spans: Vec<(u32, Range<usize>)> = Vec::new();
-        for (p, rows) in part_rows.iter().enumerate() {
-            let want = stratum_slots(
-                Allocation::Proportional,
-                rows.len(),
-                n,
-                fraction,
-                n_parts,
-                1,
-            );
-            if want == 0 {
-                continue;
+        for (rows, &want) in part_rows.iter_mut().zip(&drawn) {
+            if want > 0 {
+                rows.shuffle(rng);
+                selected.extend(&rows[..want]);
             }
-            let mut rows = rows.clone();
-            rows.shuffle(rng);
-            rows.truncate(want);
-            let start = selected.len();
-            selected.extend(rows);
-            spans.push((p as u32, start..selected.len()));
         }
         let table = base.gather(&selected).map_err(AqpError::Storage)?;
-        // Cut each partition's span into batches and interleave.
-        let mut keyed: Vec<(f64, u32, usize, Range<usize>)> = Vec::new();
-        for (p, span) in &spans {
-            let b = span.len().div_ceil(batch_size);
-            for j in 0..b {
-                let s = span.start + j * batch_size;
-                let e = (s + batch_size).min(span.end);
-                keyed.push(((j as f64 + 0.5) / b as f64, *p, j, s..e));
-            }
-        }
-        keyed.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
-        let batches: Vec<Range<usize>> = keyed.iter().map(|k| k.3.clone()).collect();
-        let batch_partitions: Vec<u32> = keyed.iter().map(|k| k.1).collect();
-        // Summaries over the sampled rows themselves: the gathered table
-        // shares the base table's dictionary codes, so they are sound
-        // against predicates compiled on the sample — and tighter than
-        // base-table summaries.
         let map = PartitionMap::build(&table, spec).map_err(AqpError::Storage)?;
-        let covered_rows = table.num_rows();
         Ok(Sample {
-            table: Arc::new(table),
-            base_rows: n,
-            fraction,
-            batch_size,
-            layout: Some(Arc::new(PartitionLayout {
-                batches,
-                batch_partitions,
-                covered_rows,
-                map,
-            })),
-            paged: None,
+            layout: Arc::new(BatchLayout::interleaved(&drawn, batch_size)),
+            map: Some(Arc::new(map)),
+            ..Sample::resident(table, n, fraction, batch_size)
         })
     }
 
-    /// Admits the appended tail of a grown base table into the maintained
-    /// sample: rows `first_row_index..base.num_rows()` of `base`, which
-    /// must already contain the ingested batch.
+    /// Assembles a demand-paged sample: the draw-time rows stay in
+    /// `rep`'s partition segments, faulted on demand, in the geometry
+    /// [`Sample::uniform_partitioned`] would give the same per-partition
+    /// cardinalities; `tail` holds the rows admitted since the draw
+    /// (zero-row at create, the snapshot's tail on a warm open) and must
+    /// carry the session's full categorical dictionaries.
+    pub fn paged(
+        tail: Table,
+        base_rows: usize,
+        fraction: f64,
+        batch_size: usize,
+        rep: PagedRep,
+    ) -> Result<Sample> {
+        check_geometry(fraction, batch_size)?;
+        let sizes: Vec<usize> = rep.original_part_rows.iter().map(|&n| n as usize).collect();
+        let layout = BatchLayout::interleaved(&partition_allocation(&sizes, fraction), batch_size);
+        Ok(Sample {
+            segment_rows: layout.covered_rows,
+            layout: Arc::new(layout),
+            paged: Some(Arc::new(rep)),
+            ..Sample::resident(tail, base_rows, fraction, batch_size)
+        })
+    }
+
+    /// Admits appended base-table rows into the maintained sample.
+    /// `rows` is the grown base table — the ingested batch sits at
+    /// `first_row_index..` — or, for a paged sample (whose base rows are
+    /// not resident anywhere), just the ingested batch, whose first row
+    /// has absolute index `first_row_index`.
     ///
     /// Each appended row enters the sample independently with probability
     /// equal to the sampling `fraction`, so the sample stays an honest
@@ -250,7 +303,7 @@ impl Sample {
     /// whole new table size either way, keeping `FREQ → COUNT` scaling
     /// correct.
     ///
-    /// The sample first adopts `base`'s categorical dictionaries and then
+    /// The sample first adopts `rows`' categorical dictionaries and then
     /// pushes admitted rows as raw codes, so a sample code always decodes
     /// to the same label as the base-table code — even when an
     /// *unadmitted* row introduced a new label. (Pushing raw label
@@ -262,26 +315,34 @@ impl Sample {
     /// a streaming RNG, so crash-recovery replay admits *exactly* the rows
     /// the live session admitted regardless of how the batches were cut.
     ///
+    /// Only the resident table is copied on write: the layout and the
+    /// pager stay shared with every older clone of the sample.
+    ///
     /// Returns the number of rows admitted.
     pub fn absorb_appended(
         &mut self,
-        base: &Table,
+        rows: &Table,
         first_row_index: u64,
         seed: u64,
         sample_index: u64,
     ) -> Result<usize> {
+        let window_start = match self.paged {
+            Some(_) => 0,
+            None => first_row_index as usize,
+        };
         let table = Arc::make_mut(&mut self.table);
         table
-            .sync_dictionaries_from(base)
+            .sync_dictionaries_from(rows)
             .map_err(AqpError::Storage)?;
         let mut admitted = 0usize;
-        for r in first_row_index as usize..base.num_rows() {
-            if appended_row_admitted(seed, sample_index, r as u64, self.fraction) {
-                table.push_row(base.row(r)).map_err(AqpError::Storage)?;
+        for r in window_start..rows.num_rows() {
+            let index = first_row_index + (r - window_start) as u64;
+            if appended_row_admitted(seed, sample_index, index, self.fraction) {
+                table.push_row(rows.row(r)).map_err(AqpError::Storage)?;
                 admitted += 1;
             }
         }
-        self.base_rows = base.num_rows();
+        self.base_rows = first_row_index as usize + rows.num_rows() - window_start;
         Ok(admitted)
     }
 
@@ -293,98 +354,24 @@ impl Sample {
         fraction: f64,
         batch_size: usize,
     ) -> Result<Sample> {
-        if batch_size == 0 {
-            return Err(AqpError::InvalidConfig(
-                "batch size must be positive".into(),
-            ));
-        }
-        Ok(Sample {
-            table: Arc::new(table),
-            base_rows,
-            fraction,
-            batch_size,
-            layout: None,
-            paged: None,
-        })
-    }
-
-    /// Wraps an already-shared table as a resident sample without copying
-    /// it. The out-of-core driver uses this to treat one pinned partition
-    /// segment (or the ingest tail) as a tiny standalone sample so the
-    /// ordinary resident executor can scan it.
-    pub fn from_shared(
-        table: Arc<Table>,
-        base_rows: usize,
-        fraction: f64,
-        batch_size: usize,
-    ) -> Sample {
-        debug_assert!(batch_size > 0, "batch size must be positive");
-        Sample {
-            table,
-            base_rows,
-            fraction,
-            batch_size,
-            layout: None,
-            paged: None,
-        }
-    }
-
-    /// Assembles a demand-paged sample: no sampled rows are resident —
-    /// `resolution` is a zero-row table carrying the schema and the full
-    /// categorical dictionaries (so planning works), and `rep` describes
-    /// how to fault any partition's segment in on demand.
-    pub fn paged(resolution: Table, base_rows: usize, rep: PagedRep) -> Result<Sample> {
-        if !(rep.fraction > 0.0 && rep.fraction <= 1.0) {
-            return Err(AqpError::InvalidConfig(format!(
-                "sample fraction must be in (0,1], got {}",
-                rep.fraction
-            )));
-        }
-        if rep.batch_size == 0 {
-            return Err(AqpError::InvalidConfig(
-                "batch size must be positive".into(),
-            ));
-        }
-        if resolution.num_rows() != 0 {
-            return Err(AqpError::InvalidConfig(
-                "the paged resolution table must have zero rows".into(),
-            ));
-        }
-        let (fraction, batch_size) = (rep.fraction, rep.batch_size);
-        Ok(Sample {
-            table: Arc::new(resolution),
-            base_rows,
-            fraction,
-            batch_size,
-            layout: None,
-            paged: Some(Arc::new(rep)),
-        })
+        check_batch_size(batch_size)?;
+        Ok(Sample::resident(table, base_rows, fraction, batch_size))
     }
 
     /// Wraps an existing table as a "sample" covering the whole base table
     /// (used for exact evaluation paths and tests).
     pub fn full(base: &Table, batch_size: usize) -> Result<Sample> {
-        if batch_size == 0 {
-            return Err(AqpError::InvalidConfig(
-                "batch size must be positive".into(),
-            ));
-        }
-        Ok(Sample {
-            table: Arc::new(base.clone()),
-            base_rows: base.num_rows(),
-            fraction: 1.0,
-            batch_size,
-            layout: None,
-            paged: None,
-        })
+        Sample::from_parts(base.clone(), base.num_rows(), 1.0, batch_size)
     }
 
-    /// The sampled rows as a table.
+    /// The resident rows as a table: the whole sample, or a paged
+    /// sample's admitted tail (same schema and dictionaries as its
+    /// segments, so planning compiles against it either way).
     pub fn table(&self) -> &Table {
         &self.table
     }
 
-    /// The shared handle to the sampled rows (cheap to clone; what
+    /// The shared handle to the resident rows (cheap to clone; what
     /// [`Sample::clone`] itself shares).
     pub fn table_arc(&self) -> Arc<Table> {
         Arc::clone(&self.table)
@@ -400,14 +387,9 @@ impl Sample {
         self.fraction
     }
 
-    /// Number of sampled rows. For a paged sample the rows are not
-    /// resident, but their count is fixed by the layout (plus the
-    /// resident ingest tail).
+    /// Number of sampled rows, resident or not.
     pub fn len(&self) -> usize {
-        match &self.paged {
-            None => self.table.num_rows(),
-            Some(rep) => rep.layout.covered_rows + rep.tail.num_rows(),
-        }
+        self.segment_rows + self.table.num_rows()
     }
 
     /// Whether the sample is empty.
@@ -420,97 +402,102 @@ impl Sample {
         self.batch_size
     }
 
-    /// Number of batches (last batch may be short). For a partitioned
-    /// sample: the explicit draw-time batches plus stride batches over
-    /// any rows admitted later by [`Sample::absorb_appended`].
+    /// Number of batches: the draw-time batches plus stride batches over
+    /// every later row (the last may be short).
     pub fn num_batches(&self) -> usize {
-        if let Some(rep) = &self.paged {
-            return rep.layout.batches.len() + rep.tail.num_rows().div_ceil(self.batch_size);
-        }
-        match self.layout.as_deref() {
-            None => self.len().div_ceil(self.batch_size),
-            Some(l) => l.batches.len() + (self.len() - l.covered_rows).div_ceil(self.batch_size),
-        }
+        let tail_rows = self.len() - self.layout.covered_rows;
+        self.layout.batches.len() + tail_rows.div_ceil(self.batch_size)
     }
 
-    /// Row range `[start, end)` of batch `i`. For a paged sample the
-    /// range is expressed in the *materialized* row order (segments
-    /// concatenated in partition-id order, tail last) — exactly the
-    /// coordinates [`Sample::materialize_resident`] produces.
+    /// Row range `[start, end)` of batch `i` in the materialized row
+    /// order — for a paged sample exactly the coordinates
+    /// [`Sample::materialize_resident`] produces.
     pub fn batch_range(&self, i: usize) -> Range<usize> {
-        if let Some(rep) = &self.paged {
-            if let Some((p, local)) = rep.layout.batches.get(i) {
-                let s = rep.layout.seg_start[*p as usize];
-                return s + local.start..s + local.end;
-            }
-            let k = i - rep.layout.batches.len();
-            let start = rep.layout.covered_rows + k * self.batch_size;
-            let end = (start + self.batch_size).min(self.len());
-            return start..end;
+        if let Some((_, rows)) = self.layout.batches.get(i) {
+            return rows.clone();
         }
-        match self.layout.as_deref() {
-            None => {
-                let start = i * self.batch_size;
-                let end = ((i + 1) * self.batch_size).min(self.len());
-                start..end
-            }
-            Some(l) => {
-                if let Some(r) = l.batches.get(i) {
-                    r.clone()
-                } else {
-                    let k = i - l.batches.len();
-                    let start = l.covered_rows + k * self.batch_size;
-                    let end = (start + self.batch_size).min(self.len());
-                    start..end
-                }
-            }
-        }
+        let k = i - self.layout.batches.len();
+        let start = self.layout.covered_rows + k * self.batch_size;
+        start..(start + self.batch_size).min(self.len())
     }
 
-    /// The partition layout, if this sample was drawn partitioned.
-    pub fn partition_layout(&self) -> Option<&PartitionLayout> {
-        self.layout.as_deref()
-    }
-
-    /// Routing + per-partition summaries over the sampled rows, if
-    /// partitioned.
-    pub fn partition_map(&self) -> Option<&PartitionMap> {
-        self.layout.as_deref().map(PartitionLayout::map)
-    }
-
-    /// The partition batch `i`'s rows belong to. `None` when the sample
-    /// is unpartitioned or `i` is an ingest-tail stride batch (tail rows
-    /// carry no tag and are never pruned).
+    /// The partition batch `i`'s rows belong to; `None` for a stride
+    /// batch (unpartitioned samples, admitted rows), which carries no tag
+    /// and is never pruned.
     pub fn batch_partition(&self, i: usize) -> Option<u32> {
-        if let Some(rep) = &self.paged {
-            return rep.layout.batches.get(i).map(|(p, _)| *p);
-        }
-        self.layout.as_deref()?.batch_partitions.get(i).copied()
+        self.layout.batches.get(i).map(|(p, _)| *p)
     }
 
-    /// Whether this sample is demand-paged (rows faulted in per
+    /// Where batch `i`'s rows are — `Some(p)`: partition `p`'s segment of
+    /// a paged sample, `None`: the resident table — and the batch's row
+    /// range local to that table.
+    pub(crate) fn locate_batch(&self, i: usize) -> (Option<u32>, Range<usize>) {
+        let rows = self.batch_range(i);
+        let (segment, origin) = match self.batch_partition(i) {
+            Some(p) if self.paged.is_some() => (Some(p), self.layout.spans[p as usize].start),
+            _ => (None, self.segment_rows),
+        };
+        (segment, rows.start - origin..rows.end - origin)
+    }
+
+    /// The batch geometry.
+    pub fn layout(&self) -> &BatchLayout {
+        &self.layout
+    }
+
+    /// Routing + per-partition summaries over the sampled rows of a
+    /// resident partitioned sample.
+    pub fn partition_map(&self) -> Option<&PartitionMap> {
+        self.map.as_deref()
+    }
+
+    /// Which partitions `pred` (compiled against [`Sample::table`])
+    /// provably misses, from summaries alone — zero I/O. `true` = no row
+    /// of that partition can match; empty when the sample has no
+    /// partition summaries. The summaries are the sample's own map, or a
+    /// paged sample's shared base-table map (sound for segments because a
+    /// segment's rows are a subset of its partition's base rows).
+    pub(crate) fn pruned_partitions(&self, pred: &CompiledPredicate<'_>) -> Vec<bool> {
+        let classify = |map: &PartitionMap| {
+            (0..map.num_partitions())
+                .map(|p| pred.classify_partition(map.part(p)) == ChunkMatch::NoRows)
+                .collect()
+        };
+        match (&self.paged, &self.map) {
+            (Some(rep), _) => classify(&rep.map.read().expect("partition map poisoned")),
+            (None, Some(map)) => classify(map),
+            (None, None) => Vec::new(),
+        }
+    }
+
+    /// Whether this sample is demand-paged (draw-time rows faulted in per
     /// partition rather than resident).
     pub fn is_paged(&self) -> bool {
         self.paged.is_some()
     }
 
-    /// The demand-paged representation, if any.
+    /// The pager of a demand-paged sample, if any.
     pub fn paged_rep(&self) -> Option<&Arc<PagedRep>> {
         self.paged.as_ref()
     }
 
-    /// The resident ingest tail of a paged sample (rows admitted by
-    /// [`Sample::paged_absorb_appended`] after the draw).
-    pub fn paged_tail(&self) -> Option<&Table> {
-        self.paged.as_deref().map(|rep| rep.tail.as_ref())
+    /// Pins partition `p`'s segment of a paged sample in the buffer
+    /// manager, deriving it on a miss; it stays resident (unevictable)
+    /// until the guard drops.
+    pub(crate) fn pin_segment(&self, p: u32) -> verdict_storage::Result<SegmentPin> {
+        let rep = self
+            .paged
+            .as_ref()
+            .expect("segments belong to paged samples");
+        rep.pin_segment(p, self.layout.spans[p as usize].len())
     }
 
     /// Materializes a paged sample into an ordinary resident partitioned
     /// sample: every partition's segment is faulted in and concatenated
-    /// in partition-id order, the ingest tail appended last — exactly the
-    /// row order [`Sample::batch_range`] reports for the paged form, so
-    /// scanning either representation visits identical rows in identical
-    /// batch geometry. Returns a plain clone when already resident.
+    /// in partition-id order, the admitted tail appended last — the row
+    /// order [`Sample::batch_range`] already reports, so the layout is
+    /// shared as is and scanning either form visits identical rows in
+    /// identical batches. Returns a plain clone when already resident.
     ///
     /// This is the parity oracle: answers, error bounds, and stop points
     /// of a paged scan must be bit-identical to a scan of the
@@ -519,144 +506,80 @@ impl Sample {
         let Some(rep) = &self.paged else {
             return Ok(self.clone());
         };
-        // Resolution clone: zero rows, full dictionaries — segment codes
-        // land verbatim.
-        let mut table = self.table.as_ref().clone();
-        for (p, want) in rep.layout.part_want.iter().enumerate() {
-            if *want == 0 {
-                continue;
+        // Zero rows, full dictionaries — segment codes land verbatim.
+        let mut table = self.table.gather(&[]).map_err(AqpError::Storage)?;
+        for (p, span) in self.layout.spans.iter().enumerate() {
+            if !span.is_empty() {
+                let seg = rep.derive_segment(p as u32, span.len())?;
+                table.append(&seg).map_err(AqpError::Storage)?;
             }
-            let seg = rep.derive_segment(p as u32).map_err(AqpError::Storage)?;
-            table.append(&seg).map_err(AqpError::Storage)?;
         }
-        let covered_rows = table.num_rows();
-        debug_assert_eq!(covered_rows, rep.layout.covered_rows);
+        debug_assert_eq!(table.num_rows(), self.layout.covered_rows);
         let spec = rep
             .map
             .read()
-            .expect("partition map lock poisoned")
+            .expect("partition map poisoned")
             .spec()
             .clone();
         let map = PartitionMap::build(&table, spec).map_err(AqpError::Storage)?;
-        let mut batches = Vec::with_capacity(rep.layout.batches.len());
-        let mut batch_partitions = Vec::with_capacity(rep.layout.batches.len());
-        for (p, local) in &rep.layout.batches {
-            let s = rep.layout.seg_start[*p as usize];
-            batches.push(s + local.start..s + local.end);
-            batch_partitions.push(*p);
-        }
-        table.append(&rep.tail).map_err(AqpError::Storage)?;
+        table.append(&self.table).map_err(AqpError::Storage)?;
         Ok(Sample {
             table: Arc::new(table),
-            base_rows: self.base_rows,
-            fraction: self.fraction,
-            batch_size: self.batch_size,
-            layout: Some(Arc::new(PartitionLayout {
-                batches,
-                batch_partitions,
-                covered_rows,
-                map,
-            })),
+            segment_rows: 0,
+            map: Some(Arc::new(map)),
             paged: None,
+            ..self.clone()
         })
     }
 
-    /// Paged counterpart of [`Sample::absorb_appended`]: admits the rows
-    /// of an ingested `batch` (absolute base-table indices starting at
-    /// `first_row_index`) into the resident ingest tail, using the same
-    /// pure per-row admission function — so a warm-started paged session
-    /// rebuilds the identical tail from WAL replay.
-    ///
-    /// The resolution table and tail adopt `batch`'s dictionaries first,
-    /// so tail codes stay aligned with the session code space even when
-    /// an unadmitted row introduced a new label.
-    pub fn paged_absorb_appended(
-        &mut self,
-        batch: &Table,
-        first_row_index: u64,
-        seed: u64,
-        sample_index: u64,
-    ) -> Result<usize> {
-        let fraction = self.fraction;
-        let Some(rep) = &mut self.paged else {
-            return Err(AqpError::InvalidConfig(
-                "paged_absorb_appended called on a resident sample".into(),
-            ));
-        };
-        Arc::make_mut(&mut self.table)
-            .sync_dictionaries_from(batch)
-            .map_err(AqpError::Storage)?;
-        let rep = Arc::make_mut(rep);
-        let tail = Arc::make_mut(&mut rep.tail);
-        tail.sync_dictionaries_from(batch)
-            .map_err(AqpError::Storage)?;
-        let mut admitted = 0usize;
-        for r in 0..batch.num_rows() {
-            if appended_row_admitted(seed, sample_index, first_row_index + r as u64, fraction) {
-                tail.push_row(batch.row(r)).map_err(AqpError::Storage)?;
-                admitted += 1;
-            }
-        }
-        self.base_rows = first_row_index as usize + batch.num_rows();
-        Ok(admitted)
-    }
-
     /// Enumerates the distinct group keys among the sample rows matching
-    /// `predicate`, key-sorted. A resident sample is one fragment; a paged
-    /// sample faults in one partition segment at a time (never more than
-    /// one non-tail segment resident on this path), skipping without I/O
-    /// the partitions whose base summaries provably reject the predicate
-    /// — sound because no row of theirs can match. Either way the result
-    /// is exactly what one-pass enumeration over the materialized sample
-    /// yields.
+    /// `predicate`, key-sorted: exactly what one-pass enumeration over
+    /// the materialized sample yields. A paged sample skips without I/O
+    /// the segments whose partition summaries provably reject the
+    /// predicate — sound because no row of theirs can match.
     pub fn distinct_group_keys(
         &self,
         predicate: &Predicate,
         group_cols: &[String],
     ) -> Result<Vec<GroupKey>> {
-        let mut collector = GroupKeyCollector::new(group_cols);
-        let Some(rep) = &self.paged else {
-            collector
-                .observe(&self.table, predicate)
-                .map_err(AqpError::Storage)?;
-            return Ok(collector.finish());
+        let pruned = match self.paged {
+            Some(_) => self.pruned_partitions(&predicate.compile(&self.table)?),
+            None => Vec::new(),
         };
-        let pruned = rep
-            .pruned_partitions(predicate, &self.table)
-            .map_err(AqpError::Storage)?;
-        for (p, want) in rep.layout.part_want.iter().enumerate() {
-            if *want == 0 || pruned[p] {
-                continue;
-            }
-            let pin = rep.pin_segment(p as u32).map_err(AqpError::Storage)?;
+        let mut collector = GroupKeyCollector::new(group_cols);
+        self.visit_unpruned(&pruned, |fragment| {
             collector
-                .observe(pin.table(), predicate)
-                .map_err(AqpError::Storage)?;
-        }
-        collector
-            .observe(&rep.tail, predicate)
-            .map_err(AqpError::Storage)?;
+                .observe(fragment, predicate)
+                .map_err(AqpError::Storage)
+        })?;
         Ok(collector.finish())
     }
 
     /// Streams the sample's rows through `f` one fragment at a time: a
-    /// resident sample is a single fragment; a paged sample yields each
-    /// partition's segment in partition-id order, then the ingest tail,
-    /// pinning one segment at a time. Fragment boundaries are an artifact
-    /// of paging; concatenated, the fragments are exactly the
-    /// materialized sample's rows in order.
-    pub fn visit_fragments(&self, mut f: impl FnMut(&Table) -> Result<()>) -> Result<()> {
-        let Some(rep) = &self.paged else {
-            return f(&self.table);
-        };
-        for (p, want) in rep.layout.part_want.iter().enumerate() {
-            if *want == 0 {
-                continue;
+    /// paged sample yields each partition's segment in partition-id
+    /// order, pinning one at a time, then every sample its resident
+    /// table. Fragment boundaries are an artifact of paging;
+    /// concatenated, the fragments are exactly the materialized sample's
+    /// rows in order.
+    pub fn visit_fragments(&self, f: impl FnMut(&Table) -> Result<()>) -> Result<()> {
+        self.visit_unpruned(&[], f)
+    }
+
+    /// [`Sample::visit_fragments`] minus the segments of partitions
+    /// marked in `pruned`.
+    fn visit_unpruned(
+        &self,
+        pruned: &[bool],
+        mut f: impl FnMut(&Table) -> Result<()>,
+    ) -> Result<()> {
+        if self.paged.is_some() {
+            for (p, span) in self.layout.spans.iter().enumerate() {
+                if !span.is_empty() && !pruned.get(p).copied().unwrap_or(false) {
+                    f(self.pin_segment(p as u32)?.table())?;
+                }
             }
-            let pin = rep.pin_segment(p as u32).map_err(AqpError::Storage)?;
-            f(pin.table())?;
         }
-        f(&rep.tail)
+        f(&self.table)
     }
 }
 
@@ -932,8 +855,7 @@ mod tests {
         let spec = PartitionSpec::range("x", vec![500.0, 1000.0, 1500.0]);
         let mut rng = StdRng::seed_from_u64(11);
         let s = Sample::uniform_partitioned(&t, spec, 0.3, 32, &mut rng).unwrap();
-        let layout = s.partition_layout().expect("partitioned");
-        let map = layout.map();
+        let map = s.partition_map().expect("partitioned");
         // Every explicit batch's rows all route to the batch's partition,
         // and the batches tile the sample exactly once.
         let mut seen = vec![false; s.len()];

@@ -812,9 +812,10 @@ impl Shard {
             let mut guard = store.lock();
             let receipt = if let Some(rt) = &writer.paged {
                 // A paged snapshot carries the out-of-core state — map,
-                // resolution dictionaries, per-sample ingest tails —
-                // instead of a table generation; the base rows are
-                // already durable in their partition files.
+                // resolution dictionaries, per-sample ingest tails (all a
+                // paged sample keeps resident) — instead of a table
+                // generation; the base rows are already durable in their
+                // partition files.
                 let state = PagedState {
                     map: rt.map.read().expect("partition map poisoned").clone(),
                     original_part_rows: rt.original_part_rows.clone(),
@@ -823,12 +824,7 @@ impl Shard {
                     tails: data
                         .engines
                         .iter()
-                        .map(|e| {
-                            e.sample()
-                                .paged_tail()
-                                .expect("paged shard engines carry tails")
-                                .clone()
-                        })
+                        .map(|e| e.sample().table().clone())
                         .collect(),
                 };
                 guard.snapshot_paged(writer.meta.clone(), schema_fp, &state_bytes, &state)?
@@ -955,7 +951,9 @@ impl Shard {
         let mut table = (*old.table).clone();
         let mut engines = old.engines.clone();
         let (first, seed) = (old_rows as u64, writer.meta.seed);
-        let admitted_rows = match &mut writer.paged {
+        // Land the rows. What the samples then admit from is the grown
+        // table — or, out-of-core (no resident base rows), the batch.
+        let landed = match &mut writer.paged {
             Some(rt) => {
                 rt.map
                     .write()
@@ -965,14 +963,8 @@ impl Shard {
                 table
                     .sync_dictionaries_from(&batch)
                     .map_err(Error::Storage)?;
-                let admitted = engines
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(i, e)| e.paged_absorb_appended(&batch, first, seed, i as u64))
-                    .collect::<std::result::Result<Vec<_>, _>>()
-                    .map_err(Error::Aqp)?;
                 rt.total_rows += rows.len() as u64;
-                admitted
+                &batch
             }
             None => {
                 table.push_rows(rows).map_err(Error::Storage)?;
@@ -983,14 +975,15 @@ impl Shard {
                 if let Some(map) = &mut writer.partitions {
                     map.extend(&table).map_err(Error::Storage)?;
                 }
-                engines
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(i, e)| e.absorb_appended(&table, first, seed, i as u64))
-                    .collect::<std::result::Result<Vec<_>, _>>()
-                    .map_err(Error::Aqp)?
+                &table
             }
         };
+        let admitted_rows = engines
+            .iter_mut()
+            .enumerate()
+            .map(|(i, e)| e.absorb_appended(landed, first, seed, i as u64))
+            .collect::<std::result::Result<Vec<_>, _>>()
+            .map_err(Error::Aqp)?;
         let adjusted_snippets = writer.learner.engine_mut().commit_ingest(prepared.staged);
         writer.learner.republish();
         let data = Arc::new(DataSet {
@@ -1050,8 +1043,8 @@ impl Shard {
         self.obs.refresh_engine(
             snapshot.engine.synopsis_total_snippets(),
             snapshot.engine.synopsis_num_keys(),
-            // `len()` counts covered + tail rows on a paged sample, whose
-            // resident `table()` is the zero-row resolution.
+            // `len()`, not `table().num_rows()`: a paged sample keeps only
+            // its admitted tail resident.
             snapshot.data.engines[self.fixed_sample].sample().len(),
             snapshot.engine.epoch(),
             snapshot.data.data_epoch,

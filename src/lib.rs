@@ -134,7 +134,7 @@
 //! | Crate | Contents |
 //! |---|---|
 //! | [`verdict_core`] | snippets, synopsis, kernel, learning, inference, validation, append, read/learn split |
-//! | [`verdict_aqp`] | uniform samples, online aggregation, time-bound engine, cost model |
+//! | [`verdict_aqp`] | uniform samples (resident or demand-paged), the shared-scan driver + morsel scheduler, cost model |
 //! | [`verdict_sql`] | parser (with `?` placeholders), supported-query checker, catalog name resolution, snippet decomposition, prepared plan templates |
 //! | [`verdict_storage`] | columnar tables, predicates, exact aggregation, partition maps |
 //! | [`verdict_store`] | durable stores: snippet log, snapshots, crash recovery, the v3 catalog manifest |

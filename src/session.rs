@@ -43,7 +43,9 @@
 //!    one `FREQ(*)` stream, `SUM` and `AVG` share one `AVG(e)` stream —
 //!    and groups capped at `N_max`;
 //! 3. drive one batch cursor over the sample
-//!    ([`verdict_aqp::SharedScanDriver`]): each batch evaluates the base
+//!    ([`verdict_aqp::SharedScanDriver`] — the same driver whether the
+//!    sample is resident or out-of-core; it pins a partition segment per
+//!    batch when the rows are not resident): each batch evaluates the base
 //!    predicate as a selection bitmap, routes every matching row to its
 //!    group's accumulators, and refines all `groups × aggregates` cells at
 //!    once — scan work is independent of the number of cells, where the
@@ -95,8 +97,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use verdict_aqp::{
-    parallel_scan, AqpEngine, AqpError, CostModel, OnlineAggregation, PagedRep, Sample, ScanDriver,
-    ScanKernel, ScanSpec, SegmentLoader, StorageTier,
+    parallel_scan, AqpEngine, AqpError, CostModel, OnlineAggregation, PagedRep, Sample, ScanKernel,
+    ScanSpec, SegmentLoader, SharedScanDriver, StorageTier,
 };
 use verdict_core::append::AppendAdjustment;
 use verdict_core::{
@@ -675,10 +677,11 @@ pub(crate) fn paged_draw_seed(seed: u64, sample_index: u64) -> u64 {
 /// rows from its `part-<id>.vcol` file, decoding against the resolution
 /// prototype (a dictionary superset of every create-time fragment) and
 /// stopping at the create-time row count so ingested appends never enter
-/// the draw. `tails` seeds each sample's resident ingest tail (zero-row
-/// at create, the snapshot's tail on a warm open) with `base_rows` the
-/// row count that tail state corresponds to; `replayed` WAL batches are
-/// then re-admitted in order, exactly as the live table absorbed them.
+/// the draw. `tails` seeds each sample's resident table — the rows it
+/// admitted since the draw: zero-row at create, the snapshot's tail on a
+/// warm open — with `base_rows` the row count that tail state corresponds
+/// to; `replayed` WAL batches are then re-admitted in order, exactly as
+/// the live table absorbed them.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn build_paged_engines(
     dir: &Path,
@@ -706,20 +709,23 @@ pub(crate) fn build_paged_engines(
             Arc::clone(&runtime.map),
             paged_draw_seed(meta.seed, i as u64),
             i as u32,
+            runtime.original_part_rows.clone(),
+        );
+        let sample = Sample::paged(
+            tail,
+            base_rows as usize,
             meta.sample_fraction,
             meta.batch_size as usize,
-            runtime.original_part_rows.clone(),
-            tail,
-        );
-        let sample =
-            Sample::paged(resolution.clone(), base_rows as usize, rep).map_err(Error::Aqp)?;
+            rep,
+        )
+        .map_err(Error::Aqp)?;
         engines.push(OnlineAggregation::new(sample, cost.clone(), tier));
     }
     let mut first = base_rows;
     for batch in replayed {
         for (i, engine) in engines.iter_mut().enumerate() {
             engine
-                .paged_absorb_appended(batch, first, meta.seed, i as u64)
+                .absorb_appended(batch, first, meta.seed, i as u64)
                 .map_err(Error::Aqp)?;
         }
         first += batch.num_rows() as u64;
@@ -1128,8 +1134,8 @@ pub(crate) fn plan_shared_scan(
 ) -> Result<ScanPlan> {
     let sample = engine.sample();
     let group_keys = enumerate_groups(query, sample)?;
-    // `table()` is the resolution table on a paged sample — zero rows,
-    // but planning only needs the schema and dictionaries.
+    // `table()` holds only the admitted tail on a paged sample, but
+    // planning only needs the schema and dictionaries.
     Ok(plan_scan(query, sample.table(), &group_keys, nmax)?)
 }
 
@@ -1384,53 +1390,18 @@ pub(crate) fn run_shared_read(
         primitives: &plan.primitives,
     };
 
-    if engine.sample().is_paged() {
-        // Out-of-core: the paged driver pins segments per batch, prunes
-        // cold partitions from map summaries alone, and latches fault
-        // failures so the morsel coordinator always completes
-        // structurally. Same scan-and-finalize core, so answers match
-        // the resident path bit for bit.
-        let rep = Arc::clone(engine.sample().paged_rep().expect("paged sample"));
-        let before = rep.partition_store().counters();
-        let mut driver = engine.paged_scan(&spec).map_err(Error::Aqp)?;
-        driver.set_kernel(kernel);
-        let sink = driver.error_sink();
-        let mut out = scan_and_finalize(
-            engine,
-            view,
-            plan,
-            mode,
-            policy,
-            epoch,
-            parallelism,
-            trace.as_deref_mut(),
-            driver,
-            || {
-                let mut d = engine.paged_scan(&spec).ok()?;
-                d.set_kernel(kernel);
-                // Worker faults surface on the coordinator's latch.
-                d.set_error_sink(Arc::clone(&sink));
-                Some(d)
-            },
-            &prim_keys,
-            &regions,
-        )?;
-        if let Some(e) = sink.lock().expect("error latch poisoned").take() {
-            return Err(Error::Storage(e));
-        }
-        let delta = rep.partition_store().counters().since(&before);
-        if let Some(t) = trace {
-            t.partition_cache_hits = delta.hits;
-            t.partition_cache_misses = delta.misses;
-            t.partition_bytes_faulted = delta.bytes_faulted;
-        }
-        out.cache = delta;
-        return Ok(out);
-    }
-
+    // One driver for every sample. Over a paged sample its draw-time
+    // batches pin partition segments; a fault is latched (worker faults
+    // land on the coordinator's latch) so the morsel coordinator always
+    // completes structurally, and fails the query here.
+    let pager = engine.sample().paged_rep().map(|rep| {
+        let store = rep.partition_store();
+        (store, store.counters())
+    });
     let mut driver = engine.shared_scan(&spec).map_err(Error::Aqp)?;
     driver.set_kernel(kernel);
-    scan_and_finalize(
+    let sink = driver.error_sink();
+    let mut out = scan_and_finalize(
         engine,
         view,
         plan,
@@ -1438,26 +1409,36 @@ pub(crate) fn run_shared_read(
         policy,
         epoch,
         parallelism,
-        trace,
+        trace.as_deref_mut(),
         driver,
         || {
             let mut d = engine.shared_scan(&spec).ok()?;
             d.set_kernel(kernel);
+            d.set_error_sink(Arc::clone(&sink));
             Some(d)
         },
         &prim_keys,
         &regions,
-    )
+    )?;
+    if let Some(e) = sink.lock().expect("error latch poisoned").take() {
+        return Err(Error::Storage(e));
+    }
+    if let Some((store, before)) = pager {
+        out.cache = store.counters().since(&before);
+        if let Some(t) = trace {
+            t.partition_cache_hits = out.cache.hits;
+            t.partition_cache_misses = out.cache.misses;
+            t.partition_bytes_faulted = out.cache.bytes_faulted;
+        }
+    }
+    Ok(out)
 }
 
-/// The executor core shared by the resident and out-of-core read paths:
-/// drives one morsel-parallel scan of `driver` (worker cursors from
-/// `make_scanner`), runs the stop policy after every ordered merge, and
-/// finalizes every cell. Generic over [`ScanDriver`], so the paged and
-/// resident drivers walk the exact same sequence of merged states —
-/// which is what makes their answers bit-identical.
+/// The executor core of the read path: drives one morsel-parallel scan of
+/// `driver` (worker cursors from `make_scanner`), runs the stop policy
+/// after every ordered merge, and finalizes every cell.
 #[allow(clippy::too_many_arguments)]
-fn scan_and_finalize<D: ScanDriver, F: Fn() -> Option<D> + Sync>(
+fn scan_and_finalize<'e>(
     engine: &OnlineAggregation,
     view: EngineView<'_>,
     plan: &ScanPlan,
@@ -1466,8 +1447,8 @@ fn scan_and_finalize<D: ScanDriver, F: Fn() -> Option<D> + Sync>(
     epoch: u64,
     parallelism: usize,
     mut trace: Option<&mut ScanTrace>,
-    mut driver: D,
-    make_scanner: F,
+    mut driver: SharedScanDriver<'e>,
+    make_scanner: impl Fn() -> Option<SharedScanDriver<'e>> + Sync,
     prim_keys: &[AggKey],
     regions: &[Option<Region>],
 ) -> Result<ReadOutcome> {
@@ -1666,7 +1647,7 @@ fn scan_and_finalize<D: ScanDriver, F: Fn() -> Option<D> + Sync>(
         },
         recorded,
         stats,
-        // The paged wrapper overwrites this with the real delta.
+        // The caller overwrites this with the real delta when paged.
         cache: CacheCounters::default(),
     })
 }
@@ -1802,11 +1783,11 @@ fn cell_prim_indices(spec: &verdict_sql::AggregateSpec) -> impl Iterator<Item = 
 /// counter bumps land in `stats`. Returns `(cell index, snapshot)`
 /// pairs; cell indices are group-major (`g * num_aggs + a`).
 #[allow(clippy::too_many_arguments)]
-fn evaluate_live_cells<D: ScanDriver>(
+fn evaluate_live_cells(
     view: EngineView<'_>,
     stats: &mut EngineStats,
     plan: &ScanPlan,
-    driver: &D,
+    driver: &SharedScanDriver<'_>,
     prim_keys: &[AggKey],
     regions: &[Option<Region>],
     mode: Mode,
