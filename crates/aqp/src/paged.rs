@@ -535,6 +535,80 @@ mod tests {
         assert_stepwise_parity(&s, &pred, &cols, &keys, &avg_and_freq());
     }
 
+    /// Enumeration stops pinning segments the moment the partition
+    /// summaries prove the key set complete, and pins every unpruned
+    /// segment — still exactly the oracle's keys — when one candidate of
+    /// the summaries never shows up in the sample.
+    #[test]
+    fn enumeration_pins_segments_only_until_the_key_set_is_complete() {
+        let t = base(2_400);
+        // A one-byte budget: far smaller than the sample, every pin faults.
+        let s = paged_fixture(&t, vec![600.0, 1_200.0, 1_800.0], 0.5, 48, 1);
+        let rep = s.paged_rep().unwrap();
+        let store = Arc::clone(rep.partition_store());
+        let cols = vec!["g".to_owned()];
+        let pins = |pred: &Predicate| {
+            let before = store.counters();
+            let keys = s.distinct_group_keys(pred, &cols).unwrap();
+            let resident = s.materialize_resident().unwrap();
+            assert_eq!(
+                keys,
+                distinct_group_keys(resident.table(), pred, &cols).unwrap()
+            );
+            assert_eq!(keys.len(), 3);
+            let delta = store.counters().since(&before);
+            delta.hits + delta.misses
+        };
+        // Every segment holds all three labels: the first one pinned
+        // completes the set, over the full range or a band of partitions.
+        let band = Predicate::between("x", 700.0, 2_400.0);
+        assert_eq!(pins(&Predicate::True), 1);
+        assert_eq!(pins(&band), 1);
+        // An ingest lands a brand-new label in the last partition's
+        // summaries, but its row is not admitted into the sample: the
+        // candidate can never be seen, so every unpruned segment is read.
+        let mut batch = t.gather(&[]).unwrap();
+        batch
+            .push_row(vec![2_399.5.into(), "z".into(), 1.0.into()])
+            .unwrap();
+        rep.map.write().unwrap().extend_batch(&batch).unwrap();
+        assert_eq!(pins(&Predicate::True), 4);
+        assert_eq!(pins(&band), 3, "the pruned partition is never pinned");
+        // A predicate that excludes the phantom label restores the exit.
+        let abc = band.and(Predicate::cat_in("g", vec![0, 1, 2]));
+        assert_eq!(pins(&abc), 1);
+    }
+
+    /// `Sample::distinct_group_keys` is the enumeration of the
+    /// materialized sample for every key shape, tail or no tail.
+    #[test]
+    fn paged_enumeration_matches_the_materialized_sample() {
+        let t = base(2_000);
+        let mut s = paged_fixture(&t, vec![500.0, 1_000.0, 1_500.0], 0.4, 32, 1);
+        for tail in [false, true] {
+            if tail {
+                s.absorb_appended(&appended_batch(&t, 300), 2_000, 42, 0)
+                    .unwrap();
+            }
+            let resident = s.materialize_resident().unwrap();
+            for cols in [vec!["g"], vec!["v"], vec!["v", "g"]] {
+                let cols: Vec<String> = cols.into_iter().map(str::to_owned).collect();
+                for pred in [
+                    Predicate::True,
+                    Predicate::between("x", 300.0, 1_200.0),
+                    Predicate::between("x", 300.0, 2_200.0).and(Predicate::cat_in("g", vec![1, 3])),
+                    Predicate::between("x", -5.0, -1.0),
+                ] {
+                    assert_eq!(
+                        s.distinct_group_keys(&pred, &cols).unwrap(),
+                        distinct_group_keys(resident.table(), &pred, &cols).unwrap(),
+                        "tail {tail} cols {cols:?} pred {pred:?}"
+                    );
+                }
+            }
+        }
+    }
+
     /// An admission copies only the resident table: while a reader still
     /// holds the previous snapshot of the sample, the new one shares the
     /// very same pager and layout (no per-ingest deep copy), and the

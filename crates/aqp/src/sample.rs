@@ -40,7 +40,8 @@ use rand::{Rng, SeedableRng};
 use verdict_storage::predicate::ChunkMatch;
 use verdict_storage::pstore::SegmentPin;
 use verdict_storage::{
-    CompiledPredicate, GroupKey, GroupKeyCollector, PartitionMap, PartitionSpec, Predicate, Table,
+    distinct_group_keys, CompiledPredicate, GroupKey, GroupKeyCollector, PartitionMap,
+    PartitionSpec, Predicate, Table,
 };
 
 use crate::paged::PagedRep;
@@ -533,25 +534,38 @@ impl Sample {
     }
 
     /// Enumerates the distinct group keys among the sample rows matching
-    /// `predicate`, key-sorted: exactly what one-pass enumeration over
-    /// the materialized sample yields. A paged sample skips without I/O
-    /// the segments whose partition summaries provably reject the
-    /// predicate — sound because no row of theirs can match.
+    /// `predicate`, key-sorted: exactly what enumerating the materialized
+    /// sample yields. A paged sample skips without I/O the segments whose
+    /// partition summaries provably reject the predicate — no row of
+    /// theirs can match — and, the summaries of the others bounding the
+    /// keys that can appear at all, observes its resident tail first and
+    /// stops pinning segments the moment the key set is complete.
     pub fn distinct_group_keys(
         &self,
         predicate: &Predicate,
         group_cols: &[String],
     ) -> Result<Vec<GroupKey>> {
-        let pruned = match self.paged {
-            Some(_) => self.pruned_partitions(&predicate.compile(&self.table)?),
-            None => Vec::new(),
+        let Some(rep) = &self.paged else {
+            return Ok(distinct_group_keys(&self.table, predicate, group_cols)?);
         };
+        let pruned = self.pruned_partitions(&predicate.compile(&self.table)?);
+        let spans = self.layout.spans.iter().enumerate();
+        let live: Vec<usize> = spans
+            .filter(|(p, span)| !span.is_empty() && !pruned[*p])
+            .map(|(p, _)| p)
+            .collect();
         let mut collector = GroupKeyCollector::new(group_cols);
-        self.visit_unpruned(&pruned, |fragment| {
-            collector
-                .observe(fragment, predicate)
-                .map_err(AqpError::Storage)
-        })?;
+        {
+            let map = rep.map.read().expect("partition map poisoned");
+            collector.bound_by(predicate, &self.table, live.iter().map(|&p| map.part(p)))?;
+        }
+        collector.observe(&self.table, predicate)?;
+        for &p in &live {
+            if collector.is_complete() {
+                break;
+            }
+            collector.observe(self.pin_segment(p as u32)?.table(), predicate)?;
+        }
         Ok(collector.finish())
     }
 
@@ -561,20 +575,10 @@ impl Sample {
     /// table. Fragment boundaries are an artifact of paging;
     /// concatenated, the fragments are exactly the materialized sample's
     /// rows in order.
-    pub fn visit_fragments(&self, f: impl FnMut(&Table) -> Result<()>) -> Result<()> {
-        self.visit_unpruned(&[], f)
-    }
-
-    /// [`Sample::visit_fragments`] minus the segments of partitions
-    /// marked in `pruned`.
-    fn visit_unpruned(
-        &self,
-        pruned: &[bool],
-        mut f: impl FnMut(&Table) -> Result<()>,
-    ) -> Result<()> {
+    pub fn visit_fragments(&self, mut f: impl FnMut(&Table) -> Result<()>) -> Result<()> {
         if self.paged.is_some() {
             for (p, span) in self.layout.spans.iter().enumerate() {
-                if !span.is_empty() && !pruned.get(p).copied().unwrap_or(false) {
+                if !span.is_empty() {
                     f(self.pin_segment(p as u32)?.table())?;
                 }
             }

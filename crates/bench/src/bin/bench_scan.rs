@@ -2,8 +2,13 @@
 //! `Sample` + `shared_scan` + `step()` to exhaustion — over a selectivity
 //! × group-count grid, once per kernel, and emits `BENCH_scan.json`:
 //! tuples/s per grid cell, the chunked/row-wise speedup, the zone-map
-//! prune rate on a selective ordered-column predicate, and the delta
-//! against the end-to-end `BENCH_query.json` baseline.
+//! prune rate on a selective ordered-column predicate, the delta
+//! against the end-to-end `BENCH_query.json` baseline, and `group_enum`
+//! rows — group enumeration (`GroupKeyCollector`) in tuples/s over
+//! selectivity × group cardinality, filtered on the scattered and on the
+//! ordered column, with the share of chunks read before the key set was
+//! provably complete. Every `group_enum` cell first asserts that the
+//! collector's keys equal a row-wise enumeration's.
 //!
 //! ```text
 //! cargo run --release -p verdict-bench --bin bench_scan
@@ -23,7 +28,8 @@ use verdict_aqp::{
     StorageTier,
 };
 use verdict_storage::{
-    distinct_group_keys, AggregateFn, ColumnDef, Expr, GroupKey, Predicate, Schema, Table,
+    distinct_group_keys, eval_group_by, AggregateFn, ColumnDef, Expr, GroupKey, GroupKeyCollector,
+    Predicate, Schema, Table, CHUNK_ROWS,
 };
 
 const ROWS: usize = 262_144;
@@ -36,13 +42,16 @@ const FALLBACK_BASELINE_TPS: f64 = 21_400_000.0;
 
 /// One table serves the whole grid: `x` ordered (zone-prunable), `y`
 /// scattered uniform in [0,1) (never prunable), group columns at three
-/// cardinalities, `v` the measure.
+/// cardinalities, `v` the measure. `g16_rare` is `g16` plus a seventeenth
+/// label on the very last row: unless the filter prunes the last chunk,
+/// that candidate stays unseen to the end and the pass cannot stop early.
 fn bench_table() -> Table {
     let schema = Schema::new(vec![
         ColumnDef::numeric_dimension("x"),
         ColumnDef::numeric_dimension("y"),
         ColumnDef::categorical_dimension("g16"),
         ColumnDef::categorical_dimension("g64"),
+        ColumnDef::categorical_dimension("g16_rare"),
         ColumnDef::measure("v"),
     ])
     .unwrap();
@@ -58,6 +67,13 @@ fn bench_table() -> Table {
             u.into(),
             format!("g{}", i % 16).as_str().into(),
             format!("g{}", i % 64).as_str().into(),
+            (if i + 1 == ROWS {
+                "rare".to_owned()
+            } else {
+                format!("g{}", i % 16)
+            })
+            .as_str()
+            .into(),
             (10.0 + 5.0 * u).into(),
         ])
         .unwrap();
@@ -121,6 +137,46 @@ fn run(
         }
     }
     stats
+}
+
+struct EnumStats {
+    tuples_per_sec: f64,
+    keys: usize,
+    chunks_read_share: f64,
+}
+
+/// Min-of-`REPS` group enumerations of `table` (the warm-up rep builds the
+/// zone maps), each checked against the row-wise enumeration
+/// `eval_group_by` performs before any number is reported.
+fn run_enum(table: &Table, predicate: &Predicate, group_cols: &[String]) -> EnumStats {
+    let oracle: Vec<GroupKey> = eval_group_by(table, predicate, group_cols, &AggregateFn::Count)
+        .unwrap()
+        .into_iter()
+        .map(|(key, _)| key)
+        .collect();
+    let chunks = table.num_rows().div_ceil(CHUNK_ROWS);
+    let (mut best_ns, mut chunks_read) = (u64::MAX, 0);
+    for rep in 0..=REPS {
+        let t0 = Instant::now();
+        let mut collector = GroupKeyCollector::new(group_cols);
+        collector.bound_by(predicate, table, []).unwrap();
+        collector.observe(table, predicate).unwrap();
+        let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let read = collector.chunks_read();
+        assert_eq!(
+            collector.finish(),
+            oracle,
+            "collector keys disagree with the row-wise enumeration"
+        );
+        if rep > 0 && ns < best_ns {
+            (best_ns, chunks_read) = (ns, read);
+        }
+    }
+    EnumStats {
+        tuples_per_sec: table.num_rows() as f64 / (best_ns as f64 / 1e9),
+        keys: oracle.len(),
+        chunks_read_share: chunks_read as f64 / chunks as f64,
+    }
 }
 
 /// Pulls `"tuples_per_sec":<n>` out of BENCH_query.json without a JSON
@@ -204,16 +260,37 @@ fn main() {
     );
     let prune_rate = pruned.chunks_pruned as f64 / pruned.chunks.max(1) as f64;
 
+    // ── Group enumeration: selectivity × cardinality × filter column ──
+    let mut enum_cells = Vec::new();
+    for &sel in &SELECTIVITIES {
+        let filters = [
+            ("scattered", Predicate::between("y", 0.0, sel)),
+            ("clustered", Predicate::between("x", 0.0, ROWS as f64 * sel)),
+        ];
+        for (filter, predicate) in filters {
+            for group_col in ["g16", "g64", "g16_rare"] {
+                let stats = run_enum(&table, &predicate, &[group_col.to_owned()]);
+                enum_cells.push(format!(
+                    "{{\"selectivity\":{sel},\"filter\":\"{filter}\",\"group_col\":\"{group_col}\",\
+                     \"keys\":{},\"tps\":{:.0},\"chunks_read_share\":{:.4}}}",
+                    stats.keys, stats.tuples_per_sec, stats.chunks_read_share,
+                ));
+            }
+        }
+    }
+
     let (baseline, baseline_source) = baseline_tps();
     let json = format!(
         "{{\"bench\":\"scan\",\"rows\":{ROWS},\"batch\":{BATCH},\"reps\":{REPS},\
          \"grid\":[{}],\
+         \"group_enum\":[{}],\
          \"prune\":{{\"chunks\":{},\"chunks_pruned\":{},\"prune_rate\":{:.4},\
          \"chunked_tps\":{:.0},\"rowwise_tps\":{:.0}}},\
          \"peak_chunked_tps\":{:.0},\
          \"baseline_tps\":{:.0},\"baseline_source\":\"{}\",\
          \"speedup_vs_baseline\":{:.2}}}",
         cells.join(","),
+        enum_cells.join(","),
         pruned.chunks,
         pruned.chunks_pruned,
         prune_rate,

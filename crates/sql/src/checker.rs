@@ -39,6 +39,8 @@ pub enum UnsupportedReason {
     NonForeignKeyJoin,
     /// A predicate comparing two columns (not column vs literal).
     NonLiteralComparison,
+    /// A `GROUP BY` expression that is not a plain column.
+    NonColumnGroupBy,
     /// `HAVING` present without `GROUP BY` (ill-formed for Verdict).
     HavingWithoutGroupBy,
 }
@@ -54,6 +56,7 @@ impl std::fmt::Display for UnsupportedReason {
             UnsupportedReason::TextualFilter => "textual LIKE filter",
             UnsupportedReason::NonForeignKeyJoin => "non-foreign-key join",
             UnsupportedReason::NonLiteralComparison => "column-to-column comparison",
+            UnsupportedReason::NonColumnGroupBy => "GROUP BY expression that is not a column",
             UnsupportedReason::HavingWithoutGroupBy => "HAVING without GROUP BY",
         };
         f.write_str(s)
@@ -164,7 +167,7 @@ pub fn check_query(query: &Query, joins: &JoinPolicy) -> SupportVerdict {
     // Grouping columns must be plain columns for decomposition.
     for g in &query.group_by {
         if !matches!(g, ScalarExpr::Column { .. }) {
-            reasons.push(UnsupportedReason::NonLiteralComparison);
+            reasons.push(UnsupportedReason::NonColumnGroupBy);
         }
     }
 
@@ -330,6 +333,17 @@ mod tests {
         match check("SELECT AVG(x) FROM t WHERE a = b") {
             SupportVerdict::Unsupported(r) => {
                 assert!(r.contains(&UnsupportedReason::NonLiteralComparison))
+            }
+            _ => panic!("should be unsupported"),
+        }
+    }
+
+    #[test]
+    fn non_column_group_by_has_its_own_reason() {
+        match check("SELECT SUM(v) FROM t GROUP BY a + 1") {
+            SupportVerdict::Unsupported(r) => {
+                assert_eq!(r, vec![UnsupportedReason::NonColumnGroupBy]);
+                assert_eq!(r[0].to_string(), "GROUP BY expression that is not a column");
             }
             _ => panic!("should be unsupported"),
         }

@@ -23,8 +23,9 @@
 //! - [`partition`]: horizontal range/hash partitions with partition-level
 //!   min/max + code-set summaries, so whole partitions can be skipped or
 //!   classified dense before any chunk is touched;
-//! - [`scan`]: shared-scan building blocks — one-pass group-key
-//!   enumeration and row → group-index mapping, with a dense
+//! - [`scan`]: shared-scan building blocks — group-key enumeration on
+//!   the chunk kernels (ending early once metadata proves the key set
+//!   complete) and row → group-index mapping, with a dense
 //!   code → group lookup table for single-column categorical group-bys;
 //! - [`aggregate`]: exact AVG/SUM/COUNT/FREQ evaluation (ground truth for
 //!   experiments);

@@ -36,8 +36,16 @@
 //! `ScanPlan → SharedScanDriver → improve_batch`:
 //!
 //! 1. parse and type-check the query (§2.2);
-//! 2. enumerate the groups present in the sample's answer set in one pass
-//!    ([`verdict_aqp::Sample::distinct_group_keys`], §2.3) and plan the
+//! 2. enumerate the groups present in the sample's answer set
+//!    ([`verdict_aqp::Sample::distinct_group_keys`], §2.3: the AQP
+//!    engine's result set determines the groups). The pass runs on the
+//!    scan's chunk kernels — zone-map skipping, selection bitmaps, keys
+//!    read from set bits — and, when every group column is categorical,
+//!    ends as soon as zone maps and partition summaries prove that no
+//!    unseen key is left, so it costs a few chunks where it used to cost
+//!    a row-by-row walk of the sample, and pins no segment of a paged
+//!    sample it does not need; the key list (hence cell order and the
+//!    `N_max` cut) is the row-by-row one in every case. Then plan the
 //!    scan ([`verdict_sql::plan_scan`]): the decomposition of Figure 3
 //!    with its primitive streams deduplicated — `SUM` and `COUNT` share
 //!    one `FREQ(*)` stream, `SUM` and `AVG` share one `AVG(e)` stream —
@@ -1038,7 +1046,7 @@ pub(crate) fn draw_engines(
 }
 
 /// Enumerates the group values present in the sample's answer set (the
-/// AQP engine's result set determines the groups, §2.3) in one pass.
+/// AQP engine's result set determines the groups, §2.3).
 fn enumerate_groups(query: &Query, sample: &Sample) -> Result<Vec<GroupKey>> {
     if query.group_by.is_empty() {
         return Ok(Vec::new());
@@ -1047,14 +1055,18 @@ fn enumerate_groups(query: &Query, sample: &Sample) -> Result<Vec<GroupKey>> {
         Some(w) => verdict_sql::resolve::to_predicate(w, sample.table())?,
         None => Predicate::True,
     };
+    // The checker refuses these up front; should a caller ever bypass it,
+    // grouping by fewer columns than asked would be a wrong answer.
     let cols: Vec<String> = query
         .group_by
         .iter()
-        .filter_map(|g| match g {
-            verdict_sql::ScalarExpr::Column { name, .. } => Some(name.clone()),
-            _ => None,
+        .map(|g| match g {
+            verdict_sql::ScalarExpr::Column { name, .. } => Ok(name.clone()),
+            _ => Err(Error::Unsupported(vec![
+                UnsupportedReason::NonColumnGroupBy,
+            ])),
         })
-        .collect();
+        .collect::<Result<_>>()?;
     sample
         .distinct_group_keys(&base_pred, &cols)
         .map_err(Error::Aqp)
@@ -2127,6 +2139,21 @@ mod tests {
             )
             .unwrap();
         assert!(!out.is_answered());
+    }
+
+    /// Were the checker ever bypassed, a non-column `GROUP BY` expression
+    /// must fail typed — not be dropped, grouping by fewer columns.
+    #[test]
+    fn enumerate_groups_refuses_non_column_expressions() {
+        let s = session(1000);
+        let query = parse_query("SELECT SUM(rev) FROM t GROUP BY region, week + 1").unwrap();
+        let snapshot = s.snapshot();
+        match enumerate_groups(&query, snapshot.engines()[0].sample()) {
+            Err(Error::Unsupported(reasons)) => {
+                assert_eq!(reasons, vec![UnsupportedReason::NonColumnGroupBy])
+            }
+            other => panic!("expected a typed refusal, got {other:?}"),
+        }
     }
 
     #[test]
