@@ -1,4 +1,4 @@
-//! Deterministic query cost model and simulated clock.
+//! Deterministic query cost model.
 //!
 //! The paper measures wall-clock on a 5-node EC2 Spark cluster with data
 //! either cached in memory or read from SSD-backed HDFS (§8.1). Wall-clock
@@ -80,34 +80,6 @@ impl CostModel {
     }
 }
 
-/// Accumulates simulated time across operations.
-#[derive(Debug, Clone, Default)]
-pub struct SimulatedClock {
-    elapsed_ns: f64,
-}
-
-impl SimulatedClock {
-    /// A clock at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Advances the clock.
-    pub fn advance_ns(&mut self, ns: f64) {
-        self.elapsed_ns += ns;
-    }
-
-    /// Total simulated nanoseconds.
-    pub fn elapsed_ns(&self) -> f64 {
-        self.elapsed_ns
-    }
-
-    /// Total simulated seconds.
-    pub fn elapsed_secs(&self) -> f64 {
-        self.elapsed_ns / 1e9
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,13 +111,5 @@ mod tests {
     fn tuples_within_zero_when_budget_below_overhead() {
         let m = CostModel::default();
         assert_eq!(m.tuples_within(1.0, StorageTier::Cached), 0);
-    }
-
-    #[test]
-    fn clock_accumulates() {
-        let mut c = SimulatedClock::new();
-        c.advance_ns(1e9);
-        c.advance_ns(5e8);
-        assert!((c.elapsed_secs() - 1.5).abs() < 1e-12);
     }
 }

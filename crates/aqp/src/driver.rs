@@ -1,14 +1,17 @@
 //! The shared-scan driver: one sample pass per query.
 //!
-//! The per-snippet pipeline answers a `GROUP BY` query with `G` groups and
-//! `A` aggregates by running `G × A` independent [`crate::BatchEstimator`]s,
-//! each rescanning the sample (the paper's Figure 3 decomposition taken
-//! literally). [`SharedScanDriver`] is the executor the paper's runtime
-//! (Figure 2 / Algorithm 2) actually implies: a single batch cursor walks
-//! the sample once, evaluating the query's *base* predicate and extracting
-//! each row's group index in the same pass, and routes every matching row
-//! to a (group × primitive) grid of accumulators. Scan work is therefore
-//! independent of `G × A`.
+//! The paper's Figure 3 decomposition, taken literally, answers a
+//! `GROUP BY` query with `G` groups and `A` aggregates as `G × A`
+//! independent snippets, each its own pass over the sample.
+//! [`SharedScanDriver`] is the executor the paper's runtime (Figure 2 /
+//! Algorithm 2) actually implies: a single batch cursor walks the sample
+//! once, evaluating the query's *base* predicate and extracting each row's
+//! group index in the same pass, and routes every matching row to a
+//! (group × primitive) grid of accumulators. Scan work is therefore
+//! independent of `G × A`; the snippet survives as the unit of *learning*
+//! (region, model key, synopsis record), not of execution, and
+//! [`crate::BatchEstimator`] keeps the literal per-snippet estimator as
+//! the oracle each grid cell is tested against.
 //!
 //! It is the *only* scan driver: every [`Sample`] has one batch geometry,
 //! and the driver resolves each batch to where its rows are — the
@@ -21,9 +24,11 @@
 //!
 //! # Execution kernels
 //!
-//! Two interchangeable kernels drive the scan ([`ScanKernel`]):
+//! Every query runs the chunked kernel; the row-wise one is its oracle
+//! ([`ScanKernel`], selectable only on a driver a test or bench holds —
+//! [`SharedScanDriver::set_kernel`]):
 //!
-//! - **Chunked** (default): each sample batch is split at
+//! - **Chunked**: each sample batch is split at
 //!   [`verdict_storage::CHUNK_ROWS`] boundaries. Per chunk the driver
 //!   first consults the table's zone maps
 //!   ([`CompiledPredicate::classify_chunk`]): a chunk that cannot match
@@ -38,8 +43,8 @@
 //!   [`GroupIndexer::group_of`]), and the accumulator grid consumes the
 //!   whole chunk under the mask — with a dense fast path when the mask is
 //!   all-ones.
-//! - **RowWise**: the original per-row reference path, kept for parity
-//!   testing and benchmarking.
+//! - **RowWise**: the per-row reference path, kept for parity testing and
+//!   benchmarking. It never consults zone maps.
 //!
 //! # Bit-parity contract
 //!
@@ -52,8 +57,9 @@
 //! reordering is *across* independent accumulators, which cannot change
 //! any per-cell result. `FREQ` counters are bulk-added per chunk
 //! (integer addition is associative). Per-cell estimates come from the
-//! same functions the per-snippet estimator uses, so all three executors
-//! agree bit for bit — property-tested in the root crate's parity suites.
+//! same functions the per-snippet estimator uses, so both kernels and the
+//! estimator oracle agree bit for bit — property-tested here and in the
+//! root crate's parity suites.
 //! Partition pruning is equally transparent: a batch of a partition the
 //! summaries reject yields the exact all-miss partial the kernels would
 //! produce, its rows still counted as scanned.
@@ -72,7 +78,7 @@
 //! threads and merges them in the same order, which is why answers,
 //! errors, and `tuples_scanned` are bit-identical at every thread count.
 //! [`crate::BatchEstimator::consume`] folds the same per-batch Welford
-//! partial into its state, keeping the per-snippet path in lockstep.
+//! partial into its state, keeping the per-snippet oracle in lockstep.
 //!
 //! # Faults
 //!
@@ -97,16 +103,19 @@ use verdict_storage::{
 
 use crate::engine::RawAnswer;
 use crate::estimator::{avg_estimate, freq_estimate};
-use crate::{AqpEngine, AqpError, OnlineAggregation, Result, Sample};
+use crate::{AqpError, OnlineAggregation, Result, Sample};
 
-/// Which executor loop a [`SharedScanDriver`] runs.
+/// Which executor loop a [`SharedScanDriver`] runs. Not a serving option:
+/// no builder or wire request carries one, so every query runs
+/// [`ScanKernel::Chunked`]; tests and benches flip a driver they hold to
+/// [`ScanKernel::RowWise`] to compare against it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ScanKernel {
     /// Typed columnar chunk execution: selection bitmaps, zone-map chunk
-    /// skipping, per-chunk group resolution (the default).
+    /// skipping, per-chunk group resolution (what every query runs).
     #[default]
     Chunked,
-    /// The per-row reference path (parity baseline).
+    /// The per-row reference path (the kernel oracle).
     RowWise,
 }
 
@@ -563,9 +572,10 @@ impl<'e> SharedScanDriver<'e> {
 }
 
 impl SharedScanDriver<'_> {
-    /// Selects the executor kernel. Call before the first
-    /// [`SharedScanDriver::step`]; both kernels are bit-identical, so
-    /// switching mid-scan is harmless but pointless.
+    /// Selects the executor kernel — how a test or bench runs the
+    /// row-wise oracle. Call before the first [`SharedScanDriver::step`];
+    /// both kernels are bit-identical, so switching mid-scan is harmless
+    /// but pointless.
     pub fn set_kernel(&mut self, kernel: ScanKernel) {
         self.kernel = kernel;
     }

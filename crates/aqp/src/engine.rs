@@ -1,8 +1,8 @@
-//! The AQP engine: online aggregation (`NoLearn`).
+//! The AQP engine handle (`NoLearn`): one maintained sample plus the cost
+//! model that prices a scan of it. Queries run over it through
+//! [`OnlineAggregation::shared_scan`] (see [`crate::driver`]).
 
-use verdict_storage::{AggregateFn, Predicate};
-
-use crate::{AqpError, BatchEstimator, CostModel, Result, Sample, StorageTier};
+use crate::{CostModel, Result, Sample, StorageTier};
 
 /// A raw approximate answer as produced by the AQP engine: the paper's
 /// `(θ, β)` pair plus the work accounting used by the cost model.
@@ -16,24 +16,9 @@ pub struct RawAnswer {
     pub tuples_scanned: usize,
 }
 
-/// Black-box AQP interface consumed by Verdict (paper Figure 2): given a
-/// snippet, return a raw answer and raw error.
-pub trait AqpEngine {
-    /// Answers a snippet scanning at most `max_tuples` sample rows
-    /// (`None` scans the whole sample).
-    fn answer(
-        &self,
-        agg: &AggregateFn,
-        predicate: &Predicate,
-        max_tuples: Option<usize>,
-    ) -> Result<RawAnswer>;
-
-    /// The sample backing this engine.
-    fn sample(&self) -> &Sample;
-}
-
-/// The `NoLearn` online-aggregation engine of §8.1: refines its estimate
-/// batch by batch over a pre-built uniform sample.
+/// The `NoLearn` online-aggregation engine of §8.1 — the black-box AQP
+/// engine of the paper's Figure 2: it refines raw `(θ, β)` pairs batch by
+/// batch over a pre-built uniform sample.
 #[derive(Debug, Clone)]
 pub struct OnlineAggregation {
     sample: Sample,
@@ -45,6 +30,11 @@ impl OnlineAggregation {
     /// Creates an engine over `sample` with the given cost model and tier.
     pub fn new(sample: Sample, cost: CostModel, tier: StorageTier) -> Self {
         OnlineAggregation { sample, cost, tier }
+    }
+
+    /// The sample backing this engine.
+    pub fn sample(&self) -> &Sample {
+        &self.sample
     }
 
     /// The engine's cost model.
@@ -75,114 +65,15 @@ impl OnlineAggregation {
         self.sample
             .absorb_appended(rows, first_row_index, seed, sample_index)
     }
-
-    /// Starts an online-aggregation session for one snippet. Each call to
-    /// [`Session::step`] consumes one batch and yields the refined answer.
-    pub fn session<'e>(&'e self, agg: &AggregateFn, predicate: &Predicate) -> Result<Session<'e>> {
-        if self.sample.is_paged() {
-            // A paged sample's `table()` holds only the rows admitted
-            // since the draw; the single-snippet estimator would silently
-            // answer from that tail alone. Paged execution goes through
-            // the shared scan, which pins the segments.
-            return Err(AqpError::InvalidConfig(
-                "single-snippet sessions are not supported on a paged sample; \
-                 use the shared scan driver"
-                    .into(),
-            ));
-        }
-        let estimator =
-            BatchEstimator::new(self.sample.table(), self.sample.base_rows(), agg, predicate)?;
-        Ok(Session {
-            sample: &self.sample,
-            estimator,
-            next_batch: 0,
-        })
-    }
-}
-
-impl AqpEngine for OnlineAggregation {
-    fn answer(
-        &self,
-        agg: &AggregateFn,
-        predicate: &Predicate,
-        max_tuples: Option<usize>,
-    ) -> Result<RawAnswer> {
-        let mut session = self.session(agg, predicate)?;
-        let limit = max_tuples.unwrap_or(usize::MAX);
-        let mut last = RawAnswer {
-            answer: 0.0,
-            error: f64::INFINITY,
-            tuples_scanned: 0,
-        };
-        while let Some(raw) = session.step() {
-            last = raw;
-            if last.tuples_scanned >= limit {
-                break;
-            }
-        }
-        Ok(last)
-    }
-
-    fn sample(&self) -> &Sample {
-        &self.sample
-    }
-}
-
-/// One in-flight online aggregation: a snippet being refined batch by batch.
-pub struct Session<'e> {
-    sample: &'e Sample,
-    estimator: BatchEstimator<'e>,
-    next_batch: usize,
-}
-
-impl Session<'_> {
-    /// Consumes the next batch; `None` once the sample is exhausted.
-    pub fn step(&mut self) -> Option<RawAnswer> {
-        if self.next_batch >= self.sample.num_batches() {
-            return None;
-        }
-        let range = self.sample.batch_range(self.next_batch);
-        self.next_batch += 1;
-        self.estimator.consume(range);
-        let (answer, error) = self.estimator.current();
-        Some(RawAnswer {
-            answer,
-            error,
-            tuples_scanned: self.estimator.rows_scanned() as usize,
-        })
-    }
-
-    /// Runs until `stop` returns true for an emitted answer (or the sample
-    /// is exhausted); returns the last answer.
-    pub fn run_until(&mut self, mut stop: impl FnMut(&RawAnswer) -> bool) -> Option<RawAnswer> {
-        let mut last = None;
-        while let Some(raw) = self.step() {
-            let done = stop(&raw);
-            last = Some(raw);
-            if done {
-                break;
-            }
-        }
-        last
-    }
-
-    /// Scans every remaining batch and returns the final answer.
-    pub fn run_to_completion(&mut self) -> Option<RawAnswer> {
-        self.run_until(|_| false)
-    }
-
-    /// Batches remaining.
-    pub fn batches_remaining(&self) -> usize {
-        self.sample.num_batches() - self.next_batch
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ScanSpec, SharedScanDriver};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use verdict_storage::{ColumnDef, Expr, Schema, Table};
+    use verdict_storage::{AggregateFn, ColumnDef, Expr, Predicate, Schema, Table};
 
     fn base(n: usize) -> Table {
         let schema = Schema::new(vec![
@@ -205,14 +96,29 @@ mod tests {
         OnlineAggregation::new(s, CostModel::default(), StorageTier::Cached)
     }
 
+    /// An ungrouped one-primitive scan: cell `(0, 0)` is the snippet.
+    fn scan<'e>(
+        e: &'e OnlineAggregation,
+        primitive: AggregateFn,
+        predicate: &Predicate,
+    ) -> SharedScanDriver<'e> {
+        e.shared_scan(&ScanSpec {
+            predicate,
+            group_cols: &[],
+            groups: &[],
+            primitives: &[primitive],
+        })
+        .unwrap()
+    }
+
     #[test]
     fn session_refines_error() {
         let e = engine(100_000, 0.1);
-        let mut s = e
-            .session(&AggregateFn::Avg(Expr::col("v")), &Predicate::True)
-            .unwrap();
-        let first = s.step().unwrap();
-        let last = s.run_to_completion().unwrap();
+        let mut s = scan(&e, AggregateFn::Avg(Expr::col("v")), &Predicate::True);
+        assert!(s.step());
+        let first = s.raw(0, 0);
+        while s.step() {}
+        let last = s.raw(0, 0);
         assert!(last.error < first.error);
         assert!(last.tuples_scanned > first.tuples_scanned);
         // True mean of v is ~49.5.
@@ -222,21 +128,19 @@ mod tests {
     #[test]
     fn run_until_stops_at_target() {
         let e = engine(100_000, 0.1);
-        let mut s = e
-            .session(&AggregateFn::Avg(Expr::col("v")), &Predicate::True)
-            .unwrap();
-        let raw = s.run_until(|r| r.error < 1.0).unwrap();
-        assert!(raw.error < 1.0);
+        let mut s = scan(&e, AggregateFn::Avg(Expr::col("v")), &Predicate::True);
+        while s.step() && s.raw(0, 0).error >= 1.0 {}
+        assert!(s.raw(0, 0).error < 1.0);
         assert!(s.batches_remaining() > 0, "should stop before exhaustion");
     }
 
     #[test]
     fn engine_answer_respects_tuple_cap() {
         let e = engine(50_000, 0.2);
-        let raw = e
-            .answer(&AggregateFn::Count, &Predicate::True, Some(300))
-            .unwrap();
+        let mut s = scan(&e, AggregateFn::Freq, &Predicate::True);
+        while s.tuples_scanned() < 300 && s.step() {}
         // Cap rounds up to a whole batch (batch size 100).
+        let raw = s.raw(0, 0);
         assert!(raw.tuples_scanned >= 300 && raw.tuples_scanned <= 400);
     }
 
@@ -244,11 +148,15 @@ mod tests {
     fn count_estimate_close_to_truth() {
         let e = engine(100_000, 0.1);
         let p = Predicate::between("x", 0.0, 24_999.0);
-        let raw = e.answer(&AggregateFn::Count, &p, None).unwrap();
-        let rel = (raw.answer - 25_000.0).abs() / 25_000.0;
-        assert!(rel < 0.05, "count {} rel err {rel}", raw.answer);
+        let mut s = scan(&e, AggregateFn::Freq, &p);
+        while s.step() {}
+        // COUNT = N · FREQ (§2.3).
+        let n = e.sample().base_rows() as f64;
+        let (count, error) = (s.raw(0, 0).answer * n, s.raw(0, 0).error * n);
+        let rel = (count - 25_000.0).abs() / 25_000.0;
+        assert!(rel < 0.05, "count {count} rel err {rel}");
         // Error bound should cover the actual deviation at ~2 sigma.
-        assert!((raw.answer - 25_000.0).abs() < 4.0 * raw.error);
+        assert!((count - 25_000.0).abs() < 4.0 * error);
     }
 
     #[test]

@@ -15,13 +15,18 @@
 //!
 //! All four are maintained incrementally — AVG and SUM with Welford
 //! accumulators, COUNT and FREQ from their indicator sufficient statistics
-//! — so the online-aggregation engine can emit an updated `(answer,
-//! error)` pair after every batch. Selection is evaluated per batch
-//! through a [`CompiledPredicate`] (column-bound, vectorizable) instead of
-//! pre-materializing a whole-table row mask; the shared-scan driver
-//! ([`crate::SharedScanDriver`]) reuses the same per-primitive estimate
-//! functions (`avg_estimate`, `freq_estimate`) so the two paths agree
-//! bit for bit.
+//! — so an updated `(answer, error)` pair is available after every batch.
+//! Selection is evaluated per batch through a [`CompiledPredicate`]
+//! (column-bound, vectorizable) instead of pre-materializing a whole-table
+//! row mask.
+//!
+//! [`BatchEstimator`] is an **oracle, not a path**: no query runs through
+//! it. The executor ([`crate::SharedScanDriver`]) computes every cell of a
+//! query in one pass and reports each from the same per-primitive estimate
+//! functions (`avg_estimate`, `freq_estimate`); the estimator is the
+//! independent single-snippet statement of what that cell must equal, bit
+//! for bit, after the same batch prefix — which is how the driver tests
+//! and the root crate's parity suites use it.
 
 use verdict_stats::{indicator_mean_se, Welford};
 use verdict_storage::chunk::SelectionMask;
@@ -115,7 +120,7 @@ impl<'t> BatchEstimator<'t> {
     /// per-batch Welford partial into the running state with
     /// [`Welford::merge`], in call order. This is the same
     /// batch-partial + ordered-merge structure the shared-scan driver
-    /// (and its parallel morsel scheduler) uses, so all executors agree
+    /// (and its parallel morsel scheduler) uses, so oracle and driver agree
     /// bit for bit regardless of how many threads scanned the batches.
     pub fn consume(&mut self, range: std::ops::Range<usize>) {
         let start = range.start;

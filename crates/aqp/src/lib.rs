@@ -6,8 +6,11 @@
 //! them into batches, and refines a CLT-based estimate batch by batch.
 //! There is one sample type ([`Sample`] — resident or demand-paged, same
 //! batch geometry) and one executor over it ([`SharedScanDriver`], driven
-//! serially or by [`parallel_scan`]); [`BatchEstimator`] is the
-//! per-snippet reference.
+//! serially or by [`parallel_scan`]). Two oracles live beside it for tests
+//! and benches to compare against, reachable from no serving option:
+//! [`BatchEstimator`] (one snippet's textbook estimator over a batch
+//! prefix) and the row-wise kernel ([`ScanKernel::RowWise`] behind
+//! [`SharedScanDriver::set_kernel`]).
 //!
 //! The cost model ([`cost::CostModel`]) replaces the paper's EC2 cluster:
 //! "runtime" is simulated from tuples scanned, with a configurable
@@ -26,9 +29,9 @@ pub mod parallel;
 pub mod sample;
 pub mod stratified;
 
-pub use cost::{CostModel, SimulatedClock, StorageTier};
+pub use cost::{CostModel, StorageTier};
 pub use driver::{BatchPartial, ScanKernel, ScanSpec, SharedScanDriver};
-pub use engine::{AqpEngine, OnlineAggregation, RawAnswer};
+pub use engine::{OnlineAggregation, RawAnswer};
 pub use estimator::BatchEstimator;
 pub use paged::{PagedRep, SegmentLoader};
 pub use parallel::{parallel_scan, ParallelScanStats};

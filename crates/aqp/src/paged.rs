@@ -171,10 +171,7 @@ impl PagedRep {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{
-        parallel_scan, AqpEngine, AqpError, CostModel, OnlineAggregation, Sample, ScanSpec,
-        SharedScanDriver, StorageTier,
-    };
+    use crate::{parallel_scan, Sample, ScanSpec, SharedScanDriver};
     use verdict_storage::{
         distinct_group_keys, AggregateFn, ColumnDef, Expr, GroupKey, PartitionSpec, Predicate,
         Schema,
@@ -631,28 +628,6 @@ mod tests {
         assert_eq!(pinned.table().num_rows(), 0);
         assert_eq!(pinned.len() + admitted, s.len());
         assert_eq!(pinned.base_rows(), 1_200);
-    }
-
-    /// The per-snippet estimator reads `table()` only, which on a paged
-    /// sample is just the admitted tail: the refusal must hold when that
-    /// tail is non-empty too, or the estimator would answer from the tail
-    /// alone — a wrong answer, not an empty one.
-    #[test]
-    fn session_refuses_a_paged_sample_even_with_resident_rows() {
-        let t = base(1_200);
-        let mut s = paged_fixture(&t, vec![600.0], 0.5, 32, u64::MAX);
-        let refused = |s: &Sample| {
-            let e = OnlineAggregation::new(s.clone(), CostModel::default(), StorageTier::Cached);
-            let session = e.session(&AggregateFn::Freq, &Predicate::True);
-            let answer = e.answer(&AggregateFn::Freq, &Predicate::True, None);
-            matches!(session, Err(AqpError::InvalidConfig(_)))
-                && matches!(answer, Err(AqpError::InvalidConfig(_)))
-        };
-        assert!(refused(&s));
-        s.absorb_appended(&appended_batch(&t, 300), 1_200, 42, 0)
-            .unwrap();
-        assert!(s.table().num_rows() > 0);
-        assert!(refused(&s));
     }
 
     /// A failing loader must not wedge the scan: the error is latched,

@@ -258,7 +258,7 @@ pub fn parallel_scan<'m, 'w>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AqpEngine, CostModel, OnlineAggregation, Sample, ScanSpec, StorageTier};
+    use crate::{CostModel, OnlineAggregation, Sample, ScanSpec, StorageTier};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use verdict_storage::{

@@ -29,8 +29,7 @@
 //! The resident rows live behind an `Arc`: cloning a `Sample` (engine
 //! snapshots handed to many reader threads) shares them, and an ingest
 //! copies only that table on write. Scan state lives in per-query cursors
-//! ([`crate::SharedScanDriver`], [`crate::engine::Session`]), never in the
-//! sample itself.
+//! ([`crate::SharedScanDriver`]), never in the sample itself.
 
 use std::ops::Range;
 use std::sync::Arc;

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use verdict_aqp::{CostModel, OnlineAggregation, Sample, StorageTier};
+use verdict_aqp::{BatchEstimator, Sample};
 use verdict_storage::{AggregateFn, ColumnDef, Expr, Predicate, Schema, Table};
 
 fn table_from(rows: &[(f64, f64)]) -> Table {
@@ -21,6 +21,18 @@ fn table_from(rows: &[(f64, f64)]) -> Table {
     t
 }
 
+/// The `(answer, error)` pair of one snippet after each batch of `sample`.
+fn refine(sample: &Sample, agg: &AggregateFn, predicate: &Predicate) -> Vec<(f64, f64)> {
+    let mut estimator =
+        BatchEstimator::new(sample.table(), sample.base_rows(), agg, predicate).unwrap();
+    (0..sample.num_batches())
+        .map(|b| {
+            estimator.consume(sample.batch_range(b));
+            estimator.current()
+        })
+        .collect()
+}
+
 fn rows_strategy() -> impl Strategy<Value = Vec<(f64, f64)>> {
     prop::collection::vec((0.0..100.0f64, -50.0..50.0f64), 1..150)
 }
@@ -33,7 +45,6 @@ proptest! {
         let t = table_from(&rows);
         let p = Predicate::between("x", lo, lo + w);
         let sample = Sample::full(&t, 16).unwrap();
-        let engine = OnlineAggregation::new(sample, CostModel::default(), StorageTier::Cached);
         for agg in [
             AggregateFn::Avg(Expr::col("v")),
             AggregateFn::Sum(Expr::col("v")),
@@ -41,13 +52,11 @@ proptest! {
             AggregateFn::Freq,
         ] {
             let exact = agg.eval_exact(&t, &p).unwrap();
-            let mut session = engine.session(&agg, &p).unwrap();
-            let raw = session.run_to_completion().unwrap();
+            let (answer, _) = *refine(&sample, &agg, &p).last().unwrap();
             prop_assert!(
-                (raw.answer - exact).abs() < 1e-6 * (1.0 + exact.abs()),
-                "{}: raw {} vs exact {exact}",
+                (answer - exact).abs() < 1e-6 * (1.0 + exact.abs()),
+                "{}: raw {answer} vs exact {exact}",
                 agg.label(),
-                raw.answer
             );
         }
     }
@@ -59,18 +68,14 @@ proptest! {
     fn errors_shrink_with_batches(rows in prop::collection::vec((0.0..100.0f64, -50.0..50.0f64), 50..150)) {
         let t = table_from(&rows);
         let sample = Sample::full(&t, 10).unwrap();
-        let engine = OnlineAggregation::new(sample, CostModel::default(), StorageTier::Cached);
-        let mut session = engine
-            .session(&AggregateFn::Sum(Expr::col("v")), &Predicate::True)
-            .unwrap();
         let mut prev = f64::INFINITY;
         let mut increases = 0;
-        while let Some(raw) = session.step() {
-            if raw.error.is_finite() && prev.is_finite() && raw.error > prev * 1.5 {
+        for (_, error) in refine(&sample, &AggregateFn::Sum(Expr::col("v")), &Predicate::True) {
+            if error.is_finite() && prev.is_finite() && error > prev * 1.5 {
                 increases += 1;
             }
-            if raw.error.is_finite() {
-                prev = raw.error;
+            if error.is_finite() {
+                prev = error;
             }
         }
         // CLT errors can wobble when a batch adds variance, but must not
@@ -91,10 +96,7 @@ proptest! {
         for d in 0..draws {
             let mut rng = StdRng::seed_from_u64(seed * 1000 + d);
             let sample = Sample::uniform(&t, 0.25, 20, &mut rng).unwrap();
-            let engine =
-                OnlineAggregation::new(sample, CostModel::default(), StorageTier::Cached);
-            let mut session = engine.session(&AggregateFn::Count, &p).unwrap();
-            acc += session.run_to_completion().unwrap().answer;
+            acc += refine(&sample, &AggregateFn::Count, &p).last().unwrap().0;
         }
         let mean = acc / draws as f64;
         prop_assert!(

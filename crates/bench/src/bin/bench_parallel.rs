@@ -20,8 +20,7 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use verdict_aqp::{
-    parallel_scan, AqpEngine, CostModel, OnlineAggregation, Sample, ScanSpec, SharedScanDriver,
-    StorageTier,
+    parallel_scan, CostModel, OnlineAggregation, Sample, ScanSpec, SharedScanDriver, StorageTier,
 };
 use verdict_storage::{AggregateFn, ColumnDef, Expr, PartitionSpec, Predicate, Schema, Table};
 

@@ -24,8 +24,7 @@
 use std::time::Instant;
 
 use verdict_aqp::{
-    AqpEngine, CostModel, OnlineAggregation, Sample, ScanKernel, ScanSpec, SharedScanDriver,
-    StorageTier,
+    CostModel, OnlineAggregation, Sample, ScanKernel, ScanSpec, SharedScanDriver, StorageTier,
 };
 use verdict_storage::{
     distinct_group_keys, eval_group_by, AggregateFn, ColumnDef, Expr, GroupKey, GroupKeyCollector,

@@ -5,7 +5,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use verdict::{Mode, QueryOutcome, SessionBuilder, StopPolicy, VerdictSession};
 use verdict_aqp::StorageTier;
-use verdict_sql::{decompose, parse_query};
+use verdict_sql::{parse_query, plan_scan};
 use verdict_storage::Table;
 
 /// Which dataset an experiment runs on.
@@ -121,17 +121,19 @@ impl ExperimentEnv {
     /// base table (ground truth for actual-error reporting).
     pub fn exact_answer(&self, sql: &str) -> Option<f64> {
         let query = parse_query(sql).ok()?;
-        let d = decompose(&query, &self.session.table(), &[], 1).ok()?;
-        let spec = d.snippets.first()?;
-        self.session.exact(&spec.agg, &spec.predicate).ok()
+        let plan = plan_scan(&query, &self.session.table(), &[], 1).ok()?;
+        self.session
+            .exact(&plan.aggregates[0].agg, &plan.group_predicates[0])
+            .ok()
     }
 
     /// Fraction of base-table rows the query's predicate selects.
     pub fn selectivity(&self, sql: &str) -> Option<f64> {
         let query = parse_query(sql).ok()?;
-        let d = decompose(&query, &self.session.table(), &[], 1).ok()?;
-        let spec = d.snippets.first()?;
-        let rows = spec.predicate.selected_rows(&self.session.table()).ok()?;
+        let plan = plan_scan(&query, &self.session.table(), &[], 1).ok()?;
+        let rows = plan.group_predicates[0]
+            .selected_rows(&self.session.table())
+            .ok()?;
         Some(rows.len() as f64 / self.session.table().num_rows().max(1) as f64)
     }
 

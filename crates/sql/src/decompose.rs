@@ -1,5 +1,5 @@
-//! Query → snippet decomposition (paper §2.3, Figure 3) and shared-scan
-//! planning.
+//! Query → snippet decomposition (paper §2.3, Figure 3), in the form the
+//! shared scan executes.
 //!
 //! A query with multiple aggregates and/or a `GROUP BY` becomes one snippet
 //! per (aggregate function × group value): the group value is appended to
@@ -7,131 +7,20 @@
 //! dropped. Verdict only generates snippets for the first `N_max` groups of
 //! the answer set to bound its overhead.
 //!
-//! [`decompose`] materializes that per-snippet view literally (each snippet
-//! carries its own full predicate) and is kept as the reference executor's
-//! input. [`plan_scan`] emits the shared-scan form of the same
-//! decomposition: one [`ScanPlan`] per query holding the base predicate,
-//! the group keys, and a *deduplicated* list of primitive streams —
-//! `SUM(e)` and `COUNT(*)` share one `FREQ(*)` stream, `SUM(e)` and
-//! `AVG(e)` share one `AVG(e)` stream — so the executor can answer every
-//! cell from a single sample pass.
+//! [`plan_scan`] emits that decomposition as one [`ScanPlan`] per query:
+//! the snippet of cell `(g, a)` is `(aggregates[a].agg,
+//! group_predicates[g])`, in group-major, aggregate-minor order. Beside
+//! the per-group predicates (what regions and synopsis records are keyed
+//! by) the plan holds the base predicate, the group keys, and a
+//! *deduplicated* list of primitive streams — `SUM(e)` and `COUNT(*)` share
+//! one `FREQ(*)` stream, `SUM(e)` and `AVG(e)` share one `AVG(e)` stream —
+//! so the executor answers every cell from a single sample pass.
 
 use verdict_storage::{AggregateFn, GroupKey, Predicate, Table};
 
 use crate::ast::{Query, ScalarExpr, SelectItem};
 use crate::resolve::{group_equality, to_expr, to_predicate};
 use crate::{Result, SqlError};
-
-/// One decomposed snippet: a single-aggregate, no-group query.
-#[derive(Debug, Clone)]
-pub struct SnippetSpec {
-    /// The user-facing aggregate.
-    pub agg: AggregateFn,
-    /// Conjunction of the query predicate and the group-value equalities.
-    pub predicate: Predicate,
-    /// The group key this snippet belongs to (`None` for ungrouped
-    /// queries), used to reassemble the result set.
-    pub group: Option<GroupKey>,
-    /// Index of the aggregate in the original select list.
-    pub agg_index: usize,
-}
-
-/// A fully decomposed query.
-#[derive(Debug, Clone)]
-pub struct DecomposedQuery {
-    /// Snippets in (group-major, aggregate-minor) order.
-    pub snippets: Vec<SnippetSpec>,
-    /// Whether the `N_max` cap dropped groups (those rows keep their raw
-    /// answers, Algorithm 2 lines 8–9).
-    pub truncated: bool,
-}
-
-/// Decomposes a checked query. `group_keys` lists the group values present
-/// in the (approximate) answer set — for ungrouped queries pass `&[]`.
-pub fn decompose(
-    query: &Query,
-    table: &Table,
-    group_keys: &[GroupKey],
-    nmax: usize,
-) -> Result<DecomposedQuery> {
-    let base_predicate = match &query.where_clause {
-        Some(w) => to_predicate(w, table)?,
-        None => Predicate::True,
-    };
-    let group_cols = group_columns(query)?;
-    let aggs = select_aggregates(query)?;
-
-    let expansion = expand_groups(table, &base_predicate, &group_cols, group_keys, nmax)?;
-    let mut snippets = Vec::new();
-    for (group, predicate) in &expansion.groups {
-        for (agg_index, agg) in &aggs {
-            snippets.push(SnippetSpec {
-                agg: agg.clone(),
-                predicate: predicate.clone(),
-                group: group.clone(),
-                agg_index: *agg_index,
-            });
-        }
-    }
-    Ok(DecomposedQuery {
-        snippets,
-        truncated: expansion.truncated,
-    })
-}
-
-/// The group expansion shared by [`decompose`] and [`plan_scan`]: the
-/// groups kept after the `N_max` cap, each with its full predicate
-/// (base ∧ group-value equalities, Figure 3). Ungrouped queries expand to
-/// the single implicit group `(None, base)`. Keeping this in one place is
-/// load-bearing: the parity contract between the two executors requires
-/// identical predicates per group.
-pub(crate) struct GroupExpansion {
-    pub(crate) groups: Vec<(Option<GroupKey>, Predicate)>,
-    pub(crate) truncated: bool,
-    /// Groups the `N_max` cap dropped (0 when not truncated).
-    pub(crate) groups_dropped: usize,
-}
-
-pub(crate) fn expand_groups(
-    table: &Table,
-    base_predicate: &Predicate,
-    group_cols: &[String],
-    group_keys: &[GroupKey],
-    nmax: usize,
-) -> Result<GroupExpansion> {
-    if group_cols.is_empty() {
-        return Ok(GroupExpansion {
-            groups: vec![(None, base_predicate.clone())],
-            truncated: false,
-            groups_dropped: 0,
-        });
-    }
-    let mut groups = Vec::new();
-    let mut truncated = false;
-    for (gi, key) in group_keys.iter().enumerate() {
-        if gi >= nmax {
-            truncated = true;
-            break;
-        }
-        if key.len() != group_cols.len() {
-            return Err(SqlError::Resolve(format!(
-                "group key arity {} does not match {} group columns",
-                key.len(),
-                group_cols.len()
-            )));
-        }
-        let mut predicate = base_predicate.clone();
-        for (col, value) in group_cols.iter().zip(key.iter()) {
-            predicate = predicate.and(group_equality(table, col, value)?);
-        }
-        groups.push((Some(key.clone()), predicate));
-    }
-    Ok(GroupExpansion {
-        groups,
-        truncated,
-        groups_dropped: group_keys.len().saturating_sub(nmax),
-    })
-}
 
 /// The grouping column names of a checked query (must be plain columns).
 pub(crate) fn group_columns(query: &Query) -> Result<Vec<String>> {
@@ -195,8 +84,8 @@ pub struct AggregateSpec {
     pub freq_prim: Option<usize>,
 }
 
-/// The shared-scan form of a decomposed query: everything one sample pass
-/// needs to answer all `groups × aggregates` cells.
+/// A decomposed query: everything one sample pass needs to answer all
+/// `groups × aggregates` cells, and the snippet each cell learns as.
 #[derive(Debug, Clone)]
 pub struct ScanPlan {
     /// The query predicate without group equalities (what the scan
@@ -233,8 +122,8 @@ impl ScanPlan {
 
 /// Plans one shared scan for a checked query. `group_keys` lists the group
 /// values present in the (approximate) answer set — for ungrouped queries
-/// pass `&[]`. Cells beyond the first `N_max` groups are dropped, exactly
-/// like [`decompose`].
+/// pass `&[]`. Cells beyond the first `N_max` groups are dropped (those
+/// rows keep their raw answers, Algorithm 2 lines 8–9).
 pub fn plan_scan(
     query: &Query,
     table: &Table,
@@ -319,8 +208,11 @@ pub(crate) fn plan_aggregates(query: &Query) -> Result<(Vec<AggregateFn>, Vec<Ag
 }
 
 /// Assembles a [`ScanPlan`] from pre-planned parts plus the bound base
-/// predicate and the enumerated groups. The final planning step shared by
-/// [`plan_scan`] and [`crate::prepared::PreparedQuery`].
+/// predicate and the enumerated groups: keeps the groups under the `N_max`
+/// cap, each with its full predicate (base ∧ group-value equalities,
+/// Figure 3); an ungrouped query has the single implicit group
+/// `(None, base)`. The final planning step shared by [`plan_scan`] and
+/// [`crate::prepared::PreparedQuery`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn assemble_scan_plan(
     base_predicate: Predicate,
@@ -331,10 +223,29 @@ pub(crate) fn assemble_scan_plan(
     group_keys: &[GroupKey],
     nmax: usize,
 ) -> Result<ScanPlan> {
-    let expansion = expand_groups(table, &base_predicate, &group_cols, group_keys, nmax)?;
-    let truncated = expansion.truncated;
-    let groups_dropped = expansion.groups_dropped;
-    let (groups, group_predicates) = expansion.groups.into_iter().unzip();
+    let (mut groups, mut group_predicates) = (Vec::new(), Vec::new());
+    let mut groups_dropped = 0;
+    if group_cols.is_empty() {
+        groups.push(None);
+        group_predicates.push(base_predicate.clone());
+    } else {
+        groups_dropped = group_keys.len().saturating_sub(nmax);
+        for key in group_keys.iter().take(nmax) {
+            if key.len() != group_cols.len() {
+                return Err(SqlError::Resolve(format!(
+                    "group key arity {} does not match {} group columns",
+                    key.len(),
+                    group_cols.len()
+                )));
+            }
+            let mut predicate = base_predicate.clone();
+            for (col, value) in group_cols.iter().zip(key.iter()) {
+                predicate = predicate.and(group_equality(table, col, value)?);
+            }
+            groups.push(Some(key.clone()));
+            group_predicates.push(predicate);
+        }
+    }
 
     Ok(ScanPlan {
         base_predicate,
@@ -343,7 +254,7 @@ pub(crate) fn assemble_scan_plan(
         group_predicates,
         primitives,
         aggregates,
-        truncated,
+        truncated: groups_dropped > 0,
         groups_dropped,
     })
 }
@@ -390,31 +301,32 @@ mod tests {
     #[test]
     fn figure3_decomposition_shape() {
         // Figure 3: 1 query with AVG + SUM grouped by a column with 2
-        // values → 4 snippets, each with the group equality added.
+        // values → 4 snippets (cells), each group with the group equality
+        // added.
         let t = table();
         let q =
             parse_query("SELECT region, AVG(rev), SUM(rev) FROM t WHERE week > 0 GROUP BY region")
                 .unwrap();
         let us = Value::Cat(t.column("region").unwrap().code_of("us").unwrap());
         let eu = Value::Cat(t.column("region").unwrap().code_of("eu").unwrap());
-        let d = decompose(&q, &t, &[vec![us], vec![eu]], 1000).unwrap();
-        assert_eq!(d.snippets.len(), 4);
-        assert!(!d.truncated);
-        // First group's snippets select only `us` rows.
-        let rows = d.snippets[0].predicate.selected_rows(&t).unwrap();
+        let plan = plan_scan(&q, &t, &[vec![us], vec![eu]], 1000).unwrap();
+        assert_eq!(plan.num_cells(), 4);
+        assert!(!plan.truncated);
+        // The first group's snippets select only `us` rows.
+        let rows = plan.group_predicates[0].selected_rows(&t).unwrap();
         assert_eq!(rows, vec![0, 2]);
-        // Aggregate alternates within a group.
-        assert!(matches!(d.snippets[0].agg, AggregateFn::Avg(_)));
-        assert!(matches!(d.snippets[1].agg, AggregateFn::Sum(_)));
+        // Aggregates alternate within a group, in select-list order.
+        assert!(matches!(plan.aggregates[0].agg, AggregateFn::Avg(_)));
+        assert!(matches!(plan.aggregates[1].agg, AggregateFn::Sum(_)));
     }
 
     #[test]
     fn ungrouped_query_one_snippet_per_aggregate() {
         let t = table();
         let q = parse_query("SELECT COUNT(*), AVG(rev) FROM t WHERE week <= 2").unwrap();
-        let d = decompose(&q, &t, &[], 1000).unwrap();
-        assert_eq!(d.snippets.len(), 2);
-        assert!(d.snippets.iter().all(|s| s.group.is_none()));
+        let plan = plan_scan(&q, &t, &[], 1000).unwrap();
+        assert_eq!(plan.num_cells(), 2);
+        assert_eq!(plan.groups, vec![None]);
     }
 
     #[test]
@@ -422,9 +334,14 @@ mod tests {
         let t = table();
         let q = parse_query("SELECT week, COUNT(*) FROM t GROUP BY week").unwrap();
         let keys: Vec<GroupKey> = (1..=4).map(|w| vec![Value::Num(w as f64)]).collect();
-        let d = decompose(&q, &t, &keys, 2).unwrap();
-        assert_eq!(d.snippets.len(), 2);
-        assert!(d.truncated);
+        let plan = plan_scan(&q, &t, &keys, 2).unwrap();
+        assert_eq!(plan.num_cells(), 2);
+        assert_eq!(
+            plan.groups,
+            vec![Some(keys[0].clone()), Some(keys[1].clone())]
+        );
+        assert!(plan.truncated);
+        assert_eq!(plan.groups_dropped, 2);
     }
 
     #[test]
@@ -432,23 +349,21 @@ mod tests {
         let t = table();
         let q = parse_query("SELECT week, COUNT(*) FROM t GROUP BY week").unwrap();
         let bad_key: Vec<GroupKey> = vec![vec![Value::Num(1.0), Value::Num(2.0)]];
-        assert!(decompose(&q, &t, &bad_key, 10).is_err());
+        assert!(plan_scan(&q, &t, &bad_key, 10).is_err());
     }
 
     #[test]
     fn numeric_group_by_becomes_point_predicate() {
         let t = table();
         let q = parse_query("SELECT week, SUM(rev) FROM t GROUP BY week").unwrap();
-        let d = decompose(&q, &t, &[vec![Value::Num(3.0)]], 10).unwrap();
-        let rows = d.snippets[0].predicate.selected_rows(&t).unwrap();
+        let plan = plan_scan(&q, &t, &[vec![Value::Num(3.0)]], 10).unwrap();
+        let rows = plan.group_predicates[0].selected_rows(&t).unwrap();
         assert_eq!(rows, vec![2]);
     }
 
     #[test]
     fn no_aggregates_is_error() {
         let t = table();
-        let q = parse_query("SELECT week FROM t").unwrap();
-        assert!(decompose(&q, &t, &[], 10).is_err());
         let q = parse_query("SELECT week FROM t").unwrap();
         assert!(plan_scan(&q, &t, &[], 10).is_err());
     }
@@ -495,25 +410,6 @@ mod tests {
         assert_eq!(plan.primitives.len(), 3);
         assert_eq!(plan.aggregates[0].freq_prim, plan.aggregates[1].freq_prim);
         assert_ne!(plan.aggregates[0].avg_prim, plan.aggregates[1].avg_prim);
-    }
-
-    #[test]
-    fn plan_matches_decompose_shape() {
-        // Same groups, same truncation, and per-group predicates equal to
-        // the per-snippet predicates of the legacy decomposition.
-        let t = table();
-        let q =
-            parse_query("SELECT region, AVG(rev), SUM(rev) FROM t WHERE week > 0 GROUP BY region")
-                .unwrap();
-        let us = Value::Cat(t.column("region").unwrap().code_of("us").unwrap());
-        let eu = Value::Cat(t.column("region").unwrap().code_of("eu").unwrap());
-        let keys = [vec![us], vec![eu]];
-        let d = decompose(&q, &t, &keys, 1).unwrap();
-        let plan = plan_scan(&q, &t, &keys, 1).unwrap();
-        assert!(plan.truncated && d.truncated);
-        assert_eq!(plan.groups.len(), 1);
-        assert_eq!(plan.group_predicates[0], d.snippets[0].predicate);
-        assert_eq!(plan.num_cells(), d.snippets.len());
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //! - [`checker`]: the supported-query type checker of §2.2 — decides
 //!   whether Verdict can learn from/improve a query and reports the exact
 //!   reason when it cannot (disjunction, `LIKE`, `MIN`/`MAX`, nesting, …);
-//! - [`decompose()`]: query → snippets (Figure 3): one snippet per
-//!   (aggregate function × group value), with group values injected as
-//!   equality predicates and capped at `N_max`;
+//! - [`decompose`] ([`plan_scan`] → [`ScanPlan`]): query → snippets
+//!   (Figure 3): one snippet per (aggregate function × group value), with
+//!   group values injected as equality predicates and capped at `N_max`,
+//!   laid out for one shared scan (deduplicated primitive streams);
 //! - [`resolve`]: binds checked predicates/aggregates against a concrete
 //!   table (label → dictionary-code resolution, `Expr` construction) and
 //!   resolves `FROM` names against a catalog of registered tables;
@@ -30,9 +31,7 @@ pub mod resolve;
 
 pub use ast::{AggFunc, Query, ScalarExpr, SelectItem, WherePred};
 pub use checker::{check_query, SupportVerdict, UnsupportedReason};
-pub use decompose::{
-    decompose, plan_scan, AggregateSpec, Combiner, DecomposedQuery, ScanPlan, SnippetSpec,
-};
+pub use decompose::{plan_scan, AggregateSpec, Combiner, ScanPlan};
 pub use parser::parse_query;
 pub use prepared::{prepare_query, ParamKind, PreparedQuery};
 pub use resolve::resolve_from;

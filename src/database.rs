@@ -65,7 +65,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use verdict_aqp::{AqpEngine, AqpError, CostModel, OnlineAggregation, ScanKernel, StorageTier};
+use verdict_aqp::{AqpError, CostModel, OnlineAggregation, StorageTier};
 use verdict_core::append::AppendAdjustment;
 use verdict_core::concurrent::{EngineSnapshot, Learner};
 use verdict_core::{AggKey, QualifiedAggKey, SchemaInfo, Verdict, VerdictConfig};
@@ -196,7 +196,7 @@ impl SessionSnapshot {
 
     /// The AQP engines over the pinned version of the maintained offline
     /// samples, by sample index (each exposes its sample through
-    /// [`verdict_aqp::AqpEngine::sample`]).
+    /// [`OnlineAggregation::sample`]).
     pub fn engines(&self) -> &[OnlineAggregation] {
         &self.data.engines
     }
@@ -264,8 +264,6 @@ pub(crate) struct Shard {
     /// This table's observability endpoint (no-op when the database was
     /// built without metrics / query log).
     pub(crate) obs: TableObs,
-    /// Scan execution kernel every query on this table runs under.
-    scan_kernel: ScanKernel,
     /// Worker-thread count for this table's morsel-parallel shared scans
     /// (1 = serial).
     pub(crate) parallelism: usize,
@@ -491,7 +489,6 @@ impl Shard {
                 paged,
             }),
             recovery,
-            scan_kernel: serve.scan_kernel,
             parallelism: serve.parallelism.max(1),
         }
     }
@@ -553,7 +550,7 @@ impl Shard {
 
     /// Claims the sample a live query scans: round-robin advances one
     /// shared counter; `Fixed` always scans the shard's fixed sample.
-    pub(crate) fn pick_sample(&self) -> usize {
+    fn pick_sample(&self) -> usize {
         match self.rotation {
             SampleRotation::Fixed => self.fixed_sample,
             SampleRotation::RoundRobin => {
@@ -590,7 +587,7 @@ impl Shard {
     /// Surfaces any error a background WAL append or deferred compaction
     /// parked since the last check (the observer hook has no error
     /// channel of its own).
-    pub(crate) fn surface_store_error(&self) -> Result<()> {
+    fn surface_store_error(&self) -> Result<()> {
         if let Some(store) = &self.store {
             if let Some(e) = store.lock().take_error() {
                 return Err(Error::Store(e));
@@ -684,7 +681,6 @@ impl Shard {
             opts.mode,
             opts.policy,
             snapshot.engine.epoch(),
-            self.scan_kernel,
             self.parallelism,
             scan.as_mut(),
         )?;
@@ -735,30 +731,22 @@ impl Shard {
         self.maybe_compact(&mut writer);
     }
 
-    /// Runs `f` on the live engine under the writer lock — for mutations
-    /// that are not a read's absorb (manual append adjustments, the
-    /// reference executor's interleaved observes) — then republishes.
-    pub(crate) fn with_engine<R>(&self, f: impl FnOnce(&mut Verdict) -> R) -> R {
-        let mut writer = self.lock_writer();
-        let out = f(writer.learner.engine_mut());
-        writer.learner.republish();
-        self.publish_locked(&writer, None);
-        self.maybe_compact(&mut writer);
-        out
-    }
-
     /// Applies a manual Lemma-3 adjustment to `key`'s synopsis and refits
-    /// its model, then checkpoints: the rewrite has no WAL record, so
-    /// only a fresh snapshot makes it durable. Returns the snippets
-    /// adjusted.
+    /// its model under the writer lock, republishes, then checkpoints:
+    /// the rewrite has no WAL record, so only a fresh snapshot makes it
+    /// durable. Returns the snippets adjusted.
     pub(crate) fn apply_append(
         &self,
         key: &AggKey,
         adjustment: &AppendAdjustment,
     ) -> Result<usize> {
-        let adjusted = self
-            .with_engine(|engine| engine.apply_append(key, adjustment))
-            .map_err(Error::Core)?;
+        let mut writer = self.lock_writer();
+        let adjusted = writer.learner.engine_mut().apply_append(key, adjustment);
+        writer.learner.republish();
+        self.publish_locked(&writer, None);
+        self.maybe_compact(&mut writer);
+        drop(writer);
+        let adjusted = adjusted.map_err(Error::Core)?;
         self.checkpoint()?;
         Ok(adjusted)
     }
@@ -1159,8 +1147,6 @@ pub struct OpenOptions {
     pub metrics: Option<Arc<MetricsHub>>,
     /// Shared query log for every table (default none).
     pub query_log: Option<Arc<QueryLog>>,
-    /// Scan execution kernel for every table (default chunked).
-    pub scan_kernel: ScanKernel,
     /// Worker threads per shared scan (default: available cores).
     pub parallelism: usize,
     /// Partition-cache byte budget for out-of-core (paged) tables
@@ -1177,7 +1163,6 @@ impl Default for OpenOptions {
             cost: CostModel::default(),
             metrics: None,
             query_log: None,
-            scan_kernel: ScanKernel::default(),
             parallelism: default_parallelism(),
             memory_budget: None,
         }
@@ -1223,12 +1208,6 @@ impl OpenOptions {
     /// Attaches a bounded query log (see [`DatabaseBuilder::query_log`]).
     pub fn with_query_log(mut self, capacity: usize) -> Self {
         self.query_log = Some(Arc::new(QueryLog::new(capacity)));
-        self
-    }
-
-    /// Sets every table's scan kernel (see [`DatabaseBuilder::scan_kernel`]).
-    pub fn with_scan_kernel(mut self, kernel: ScanKernel) -> Self {
-        self.scan_kernel = kernel;
         self
     }
 
@@ -1300,14 +1279,6 @@ impl DatabaseBuilder {
     /// `capacity` traces. Off by default.
     pub fn query_log(mut self, capacity: usize) -> Self {
         self.serve.query_log = Some(Arc::new(QueryLog::new(capacity)));
-        self
-    }
-
-    /// Scan execution kernel for every table (default
-    /// [`ScanKernel::Chunked`]); the row-wise kernel is the bit-identical
-    /// reference path.
-    pub fn scan_kernel(mut self, kernel: ScanKernel) -> Self {
-        self.serve.scan_kernel = kernel;
         self
     }
 

@@ -177,7 +177,6 @@ pub use session::{
     CellAnswer, IngestReport, Mode, QueryOutcome, QueryResult, ResultRow, SampleRotation,
     SessionBuilder, StopPolicy, VerdictSession,
 };
-pub use verdict_aqp::ScanKernel;
 
 // Re-export the sub-crates under stable names.
 pub use verdict_aqp as aqp;

@@ -18,7 +18,6 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use verdict_aqp::AqpEngine;
 use verdict_sql::{ParamKind, PreparedQuery};
 use verdict_storage::Value;
 

@@ -56,8 +56,9 @@
 //!    batch when the rows are not resident): each batch evaluates the base
 //!    predicate as a selection bitmap, routes every matching row to its
 //!    group's accumulators, and refines all `groups × aggregates` cells at
-//!    once — scan work is independent of the number of cells, where the
-//!    per-snippet pipeline rescanned the sample `O(G × A)` times;
+//!    once — scan work is independent of the number of cells, where
+//!    answering each snippet on its own would rescan the sample
+//!    `O(G × A)` times;
 //! 4. after each batch, improve the live cells' raw answers with the
 //!    learned models in one [`verdict_core::EngineView::improve_batch`]
 //!    call and *freeze* each cell as soon as it meets the [`StopPolicy`];
@@ -68,10 +69,15 @@
 //!    per-snippet order the paper's Algorithm 2 produces.
 //!
 //! `Mode::NoLearn` bypasses step 4's inference, giving the paper's
-//! baseline within the identical pipeline. The pre-shared-scan executor
-//! survives as `VerdictSession::execute_legacy` behind the
-//! `legacy-executor` feature — the reference implementation the parity
-//! test suite holds `execute` against, cell for cell and bit for bit.
+//! baseline within the identical pipeline. This is the only executor: the
+//! snippet is the unit of *learning* (region, model key, synopsis record),
+//! not of execution. What each cell must equal is pinned from outside by
+//! two oracles that live in `verdict-aqp` and are reachable from no
+//! builder or option — [`verdict_aqp::BatchEstimator`] (one snippet's
+//! estimator over the cell's batch prefix) and the row-wise kernel
+//! ([`verdict_aqp::SharedScanDriver::set_kernel`] on a hand-held driver)
+//! — which `tests/parity.rs` and `tests/scan_parity.rs` hold `execute`
+//! against, primitive for primitive and bit for bit.
 //!
 //! ## Read path vs. learn path
 //!
@@ -105,8 +111,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use verdict_aqp::{
-    parallel_scan, AqpEngine, AqpError, CostModel, OnlineAggregation, PagedRep, Sample, ScanKernel,
-    ScanSpec, SegmentLoader, SharedScanDriver, StorageTier,
+    parallel_scan, AqpError, CostModel, OnlineAggregation, PagedRep, Sample, ScanSpec,
+    SegmentLoader, SharedScanDriver, StorageTier,
 };
 use verdict_core::append::AppendAdjustment;
 use verdict_core::{
@@ -116,8 +122,6 @@ use verdict_core::{
 use verdict_obs::{
     MetricsHub, MetricsSnapshot, QueryLog, QueryTrace, ScanTrace, StageTimings, Stopwatch,
 };
-#[cfg(feature = "legacy-executor")]
-use verdict_sql::{check_query, checker::JoinPolicy, decompose, SnippetSpec, SupportVerdict};
 use verdict_sql::{parse_query, plan_scan, Combiner, Query, ScanPlan, UnsupportedReason};
 use verdict_storage::{
     AggregateFn, CacheCounters, ColumnSummary, Expr, GroupKey, PartitionMap, PartitionSpec,
@@ -422,15 +426,6 @@ impl SessionBuilder {
     /// recent `capacity` traces (oldest evicted). Off by default.
     pub fn query_log(mut self, capacity: usize) -> Self {
         self.serve.query_log = Some(Arc::new(QueryLog::new(capacity)));
-        self
-    }
-
-    /// Scan execution kernel (default [`ScanKernel::Chunked`]): the
-    /// chunked kernel evaluates predicates as branch-free bitmap fills
-    /// over 1024-row chunks and prunes chunks via zone maps; the row-wise
-    /// kernel is the reference path. Both are bit-identical.
-    pub fn scan_kernel(mut self, kernel: ScanKernel) -> Self {
-        self.serve.scan_kernel = kernel;
         self
     }
 
@@ -925,70 +920,6 @@ impl VerdictSession {
         let opts = QueryOptions::new().with_mode(mode).with_policy(policy);
         self.shard.query(&query, sql, &opts, t0)
     }
-
-    /// Answers a SQL query with the pre-shared-scan executor: one
-    /// independent lock-step scan per snippet (aggregate × group), exactly
-    /// as `execute` worked before the shared-scan refactor.
-    ///
-    /// Kept as the reference implementation behind the `legacy-executor`
-    /// cargo feature (off by default — this is not a serving path): the
-    /// parity test suite holds [`VerdictSession::execute`] to this path's
-    /// answers cell for cell, and the `groupby_scaling` benchmark measures
-    /// the `O(G × A)` → `O(1)` scan reduction against it. Note the legacy
-    /// cost accounting: each snippet re-scans the sample, so a time budget
-    /// is spent *per snippet*, not per query. Reads and synopsis writes
-    /// interleave per snippet, so the whole query holds the engine under
-    /// the writer lock.
-    #[cfg(feature = "legacy-executor")]
-    pub fn execute_legacy(
-        &mut self,
-        sql: &str,
-        mode: Mode,
-        policy: StopPolicy,
-    ) -> Result<QueryOutcome> {
-        self.shard.surface_store_error()?;
-        let t0 = Instant::now();
-        let query = parse_query(sql)?;
-        if let SupportVerdict::Unsupported(reasons) = check_query(&query, &JoinPolicy::none()) {
-            return Ok(QueryOutcome::Unsupported(reasons));
-        }
-        let snapshot = self.shard.current();
-        let engine = &snapshot.data.engines[self.shard.pick_sample()];
-        let group_keys = enumerate_groups(&query, engine.sample())?;
-        let nmax = snapshot.engine_snapshot().config().nmax;
-        let decomposed = decompose(&query, engine.sample().table(), &group_keys, nmax)?;
-
-        // Answer snippets one at a time, regrouping into result rows.
-        // Keys are compared by identity (bits), not `==`: a NaN group key
-        // is one group, even though `NaN != NaN`.
-        let (rows, max_scanned) = self.shard.with_engine(|verdict| {
-            let mut rows: Vec<ResultRow> = Vec::new();
-            let mut max_scanned = 0usize;
-            for spec in &decomposed.snippets {
-                let cell = answer_snippet(verdict, engine, spec, mode, policy)?;
-                max_scanned = max_scanned.max(cell.tuples_scanned);
-                match rows.last_mut() {
-                    Some(row) if same_group(&row.group, &spec.group) => row.values.push(cell),
-                    _ => rows.push(ResultRow {
-                        group: spec.group.clone(),
-                        values: vec![cell],
-                    }),
-                }
-            }
-            Ok::<_, Error>((rows, max_scanned))
-        })?;
-
-        Ok(QueryOutcome::Answered(QueryResult {
-            rows,
-            tuples_scanned: max_scanned,
-            simulated_ns: engine.simulated_ns(max_scanned),
-            truncated: decomposed.truncated,
-            // The legacy path interleaves reads and synopsis writes per
-            // snippet, so the epoch it "read" is pinned at query start.
-            epoch: snapshot.epoch(),
-            elapsed: t0.elapsed(),
-        }))
-    }
 }
 
 /// Draws a table's maintained offline samples exactly as every session
@@ -1343,9 +1274,10 @@ pub(crate) struct ReadOutcome {
 /// Runs one shared scan to answer every cell of `plan` under the given
 /// mode and stop policy, entirely against immutable state: an engine's
 /// sample (per-query cursor) and a read view of the learned state. This
-/// is the planner→scan→infer core of the shard's one answer step; `epoch`
-/// is stamped into the result so callers can tell which learned state
-/// answered.
+/// is the planner→scan→infer core of the shard's one answer step: it
+/// drives one morsel-parallel scan, runs the stop policy after every
+/// ordered merge, and finalizes every cell; `epoch` is stamped into the
+/// result so callers can tell which learned state answered.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_shared_read(
     engine: &OnlineAggregation,
@@ -1354,15 +1286,16 @@ pub(crate) fn run_shared_read(
     mode: Mode,
     policy: StopPolicy,
     epoch: u64,
-    kernel: ScanKernel,
     parallelism: usize,
     mut trace: Option<&mut ScanTrace>,
 ) -> Result<ReadOutcome> {
-    let num_cells = plan.groups.len() * plan.aggregates.len();
+    let num_groups = plan.groups.len();
+    let num_aggs = plan.aggregates.len();
+    let num_cells = num_groups * num_aggs;
     if num_cells == 0 {
         // A grouped query whose predicate selects no sample rows: no
-        // result rows, and (exactly like the per-snippet path) nothing
-        // to scan. A requested trace stays all-zero.
+        // result rows and nothing to scan. A requested trace stays
+        // all-zero.
         return Ok(ReadOutcome {
             result: QueryResult {
                 rows: Vec::new(),
@@ -1405,75 +1338,20 @@ pub(crate) fn run_shared_read(
     // One driver for every sample. Over a paged sample its draw-time
     // batches pin partition segments; a fault is latched (worker faults
     // land on the coordinator's latch) so the morsel coordinator always
-    // completes structurally, and fails the query here.
+    // completes structurally, and fails the query below.
     let pager = engine.sample().paged_rep().map(|rep| {
         let store = rep.partition_store();
         (store, store.counters())
     });
     let mut driver = engine.shared_scan(&spec).map_err(Error::Aqp)?;
-    driver.set_kernel(kernel);
     let sink = driver.error_sink();
-    let mut out = scan_and_finalize(
-        engine,
-        view,
-        plan,
-        mode,
-        policy,
-        epoch,
-        parallelism,
-        trace.as_deref_mut(),
-        driver,
-        || {
-            let mut d = engine.shared_scan(&spec).ok()?;
-            d.set_kernel(kernel);
-            d.set_error_sink(Arc::clone(&sink));
-            Some(d)
-        },
-        &prim_keys,
-        &regions,
-    )?;
-    if let Some(e) = sink.lock().expect("error latch poisoned").take() {
-        return Err(Error::Storage(e));
-    }
-    if let Some((store, before)) = pager {
-        out.cache = store.counters().since(&before);
-        if let Some(t) = trace {
-            t.partition_cache_hits = out.cache.hits;
-            t.partition_cache_misses = out.cache.misses;
-            t.partition_bytes_faulted = out.cache.bytes_faulted;
-        }
-    }
-    Ok(out)
-}
 
-/// The executor core of the read path: drives one morsel-parallel scan of
-/// `driver` (worker cursors from `make_scanner`), runs the stop policy
-/// after every ordered merge, and finalizes every cell.
-#[allow(clippy::too_many_arguments)]
-fn scan_and_finalize<'e>(
-    engine: &OnlineAggregation,
-    view: EngineView<'_>,
-    plan: &ScanPlan,
-    mode: Mode,
-    policy: StopPolicy,
-    epoch: u64,
-    parallelism: usize,
-    mut trace: Option<&mut ScanTrace>,
-    mut driver: SharedScanDriver<'e>,
-    make_scanner: impl Fn() -> Option<SharedScanDriver<'e>> + Sync,
-    prim_keys: &[AggKey],
-    regions: &[Option<Region>],
-) -> Result<ReadOutcome> {
     let mut stats = EngineStats::default();
-    let num_groups = plan.groups.len();
-    let num_aggs = plan.aggregates.len();
-    let num_cells = num_groups * num_aggs;
     let n_base = engine.sample().base_rows() as f64;
 
     // The stop policy bounds the *one* query-wide scan: a tuple or
     // time budget buys one prefix of the sample regardless of how many
-    // cells the query has (the per-snippet path spent the budget per
-    // snippet, G×A times over).
+    // cells the query has.
     let tuple_cap = match policy {
         StopPolicy::TupleBudget(n) => n,
         StopPolicy::TimeBudgetNs(ns) => engine.cost_model().tuples_within(ns, engine.tier()).max(1),
@@ -1530,7 +1408,11 @@ fn scan_and_finalize<'e>(
         &mut driver,
         parallelism,
         max_batches,
-        make_scanner,
+        || {
+            let mut d = engine.shared_scan(&spec).ok()?;
+            d.set_error_sink(Arc::clone(&sink));
+            Some(d)
+        },
         |d| match policy {
             StopPolicy::ScanAll => true,
             StopPolicy::TupleBudget(_) | StopPolicy::TimeBudgetNs(_) => {
@@ -1541,7 +1423,7 @@ fn scan_and_finalize<'e>(
                 // those that meet it.
                 let infer_sw = Stopwatch::started_if(tracing);
                 let evaluated = evaluate_live_cells(
-                    view, &mut stats, plan, d, prim_keys, regions, mode, n_base, &frozen,
+                    view, &mut stats, plan, d, &prim_keys, &regions, mode, n_base, &frozen,
                 );
                 infer_ns += infer_sw.elapsed_ns();
                 last_unmet.clear();
@@ -1566,21 +1448,20 @@ fn scan_and_finalize<'e>(
     // loop's last evaluation already ran at this exact scan position
     // (sample exhausted under RelativeErrorBound), reuse its
     // snapshots rather than repeating the inference pass.
-    let final_scanned = driver.tuples_scanned();
+    let tuples_scanned = driver.tuples_scanned();
     let infer_sw = Stopwatch::started_if(tracing);
     let finalized: Vec<(usize, FrozenCell)> =
-        if !last_unmet.is_empty() && last_unmet[0].1.scanned == final_scanned {
+        if !last_unmet.is_empty() && last_unmet[0].1.scanned == tuples_scanned {
             last_unmet
         } else {
             evaluate_live_cells(
-                view, &mut stats, plan, &driver, prim_keys, regions, mode, n_base, &frozen,
+                view, &mut stats, plan, &driver, &prim_keys, &regions, mode, n_base, &frozen,
             )
         };
     infer_ns += infer_sw.elapsed_ns();
     for (cell, snapshot) in finalized {
         frozen[cell] = Some(snapshot);
     }
-    let tuples_scanned = driver.tuples_scanned();
     if let Some(t) = trace.as_deref_mut() {
         t.scan_ns = loop_sw.elapsed_ns().saturating_sub(infer_ns);
         t.infer_ns = infer_ns;
@@ -1595,7 +1476,11 @@ fn scan_and_finalize<'e>(
         t.partitions = driver.partitions();
         t.partitions_pruned = driver.partitions_pruned();
     }
+    let fault = driver.take_error();
     drop(driver);
+    if let Some(e) = fault {
+        return Err(Error::Storage(e));
+    }
 
     // Collect the raw primitive observations the synopsis should record
     // (Verdict stores raw answers, not improved ones — Algorithm 2
@@ -1619,14 +1504,6 @@ fn scan_and_finalize<'e>(
         }
     }
 
-    if let Some(t) = trace {
-        t.snippets_observed = recorded.len() as u64;
-    }
-
-    // One real scan: the cost model charges the single pass, not the
-    // widest of G×A independent passes.
-    let simulated_ns = engine.simulated_ns(tuples_scanned);
-
     let mut rows: Vec<ResultRow> = Vec::with_capacity(num_groups);
     let mut slots = frozen.into_iter();
     for group in &plan.groups {
@@ -1646,11 +1523,24 @@ fn scan_and_finalize<'e>(
         });
     }
 
+    // Partition-cache delta of this query's scan (all-zero when resident).
+    let cache = pager
+        .map(|(store, before)| store.counters().since(&before))
+        .unwrap_or_default();
+    if let Some(t) = trace {
+        t.snippets_observed = recorded.len() as u64;
+        t.partition_cache_hits = cache.hits;
+        t.partition_cache_misses = cache.misses;
+        t.partition_bytes_faulted = cache.bytes_faulted;
+    }
+
     Ok(ReadOutcome {
         result: QueryResult {
             rows,
             tuples_scanned,
-            simulated_ns,
+            // One real scan: the cost model charges the single pass, not
+            // the widest of G×A independent passes.
+            simulated_ns: engine.simulated_ns(tuples_scanned),
             truncated: plan.truncated,
             epoch,
             // Stamped by the serving layer: wall-clock spans the whole
@@ -1659,115 +1549,7 @@ fn scan_and_finalize<'e>(
         },
         recorded,
         stats,
-        // The caller overwrites this with the real delta when paged.
-        cache: CacheCounters::default(),
-    })
-}
-
-/// Answers one snippet under the given mode and stop policy (the legacy
-/// executor's unit of work): reads and synopsis writes go straight to the
-/// live engine.
-#[cfg(feature = "legacy-executor")]
-fn answer_snippet(
-    verdict: &mut Verdict,
-    engine: &OnlineAggregation,
-    spec: &SnippetSpec,
-    mode: Mode,
-    policy: StopPolicy,
-) -> Result<CellAnswer> {
-    let region = Region::from_predicate(verdict.schema(), &spec.predicate).ok();
-    let n_base = engine.sample().base_rows() as f64;
-
-    // Internal primitives for this aggregate (§2.3).
-    let plan = SnippetPlan::for_aggregate(&spec.agg);
-
-    // Lock-step online aggregation over the primitives.
-    let mut sessions: Vec<verdict_aqp::engine::Session<'_>> = plan
-        .primitives
-        .iter()
-        .map(|p| engine.session(&p.estimator_agg(), &spec.predicate))
-        .collect::<std::result::Result<_, AqpError>>()
-        .map_err(Error::Aqp)?;
-
-    let tuple_cap = match policy {
-        StopPolicy::TupleBudget(n) => n,
-        StopPolicy::TimeBudgetNs(ns) => engine.cost_model().tuples_within(ns, engine.tier()).max(1),
-        _ => usize::MAX,
-    };
-
-    let mut raw_primitives: Vec<Observation> =
-        vec![Observation::new(0.0, f64::INFINITY); plan.primitives.len()];
-    let mut scanned = 0usize;
-    let mut user_raw = (0.0, f64::INFINITY);
-    let mut user_improved = ImprovedAnswer {
-        answer: 0.0,
-        error: f64::INFINITY,
-        used_model: false,
-    };
-
-    loop {
-        // Step every primitive by one batch (shared scan).
-        let mut any = false;
-        for (i, s) in sessions.iter_mut().enumerate() {
-            if let Some(raw) = s.step() {
-                raw_primitives[i] = Observation::new(raw.answer, raw.error);
-                scanned = raw.tuples_scanned;
-                any = true;
-            }
-        }
-        if !any {
-            break;
-        }
-
-        user_raw = plan.combine_raw(&raw_primitives, n_base);
-        user_improved = match mode {
-            Mode::NoLearn => ImprovedAnswer {
-                answer: user_raw.0,
-                error: user_raw.1,
-                used_model: false,
-            },
-            Mode::Verdict => match &region {
-                Some(region) => plan.improve(verdict, region, &raw_primitives, n_base),
-                None => ImprovedAnswer {
-                    answer: user_raw.0,
-                    error: user_raw.1,
-                    used_model: false,
-                },
-            },
-        };
-
-        // Stop?
-        let stop = match policy {
-            StopPolicy::ScanAll => false,
-            StopPolicy::RelativeErrorBound { target, delta } => {
-                let bound = user_improved.bound(delta);
-                bound.is_finite() && bound / user_improved.answer.abs().max(1e-9) <= target
-            }
-            StopPolicy::TupleBudget(_) | StopPolicy::TimeBudgetNs(_) => scanned >= tuple_cap,
-        };
-        if stop {
-            break;
-        }
-    }
-
-    // Record raw primitive observations into the synopsis (Verdict
-    // stores raw answers, not improved ones — Algorithm 2 line 6).
-    if mode == Mode::Verdict {
-        if let Some(region) = &region {
-            for (p, obs) in plan.primitives.iter().zip(raw_primitives.iter()) {
-                if obs.error.is_finite() {
-                    let snippet = Snippet::new(p.key.clone(), region.clone());
-                    verdict.observe(&snippet, *obs);
-                }
-            }
-        }
-    }
-
-    Ok(CellAnswer {
-        improved: user_improved,
-        raw_answer: user_raw.0,
-        raw_error: user_raw.1,
-        tuples_scanned: scanned,
+        cache,
     })
 }
 
@@ -1791,7 +1573,7 @@ fn cell_prim_indices(spec: &verdict_sql::AggregateSpec) -> impl Iterator<Item = 
 /// Snapshots and improves every still-live cell at the driver's current
 /// scan position. Improvement runs as one [`EngineView::improve_batch`]
 /// call across all live cells (cells whose predicate has no region pass
-/// raw through, like the per-snippet path), against immutable state —
+/// raw through), against immutable state —
 /// counter bumps land in `stats`. Returns `(cell index, snapshot)`
 /// pairs; cell indices are group-major (`g * num_aggs + a`).
 #[allow(clippy::too_many_arguments)]
@@ -1884,30 +1666,6 @@ fn evaluate_live_cells(
         .collect()
 }
 
-/// Group-key equality by value *identity*: numeric parts compare by bits
-/// (so a NaN key equals itself and a run of snippets for one NaN group
-/// reassembles into one result row), with `-0.0` folded into `0.0`.
-#[cfg(feature = "legacy-executor")]
-fn same_group(a: &Option<GroupKey>, b: &Option<GroupKey>) -> bool {
-    fn num_bits(v: f64) -> u64 {
-        (if v == 0.0 { 0.0f64 } else { v }).to_bits()
-    }
-    match (a, b) {
-        (None, None) => true,
-        (Some(ka), Some(kb)) => {
-            ka.len() == kb.len()
-                && ka.iter().zip(kb.iter()).all(|(va, vb)| {
-                    use verdict_storage::Value;
-                    match (va, vb) {
-                        (Value::Num(x), Value::Num(y)) => num_bits(*x) == num_bits(*y),
-                        _ => va == vb,
-                    }
-                })
-        }
-        _ => false,
-    }
-}
-
 /// A raw `(answer, error)` pair wrapped as an unimproved answer.
 fn raw_as_improved(raw: (f64, f64)) -> ImprovedAnswer {
     ImprovedAnswer {
@@ -1959,103 +1717,6 @@ fn combine_improved(
                 used_model: improved[0].used_model || improved[1].used_model,
             }
         }
-    }
-}
-
-/// One internal primitive: `AVG(expr)` or `FREQ(*)` with its model key.
-#[cfg(feature = "legacy-executor")]
-struct Primitive {
-    key: AggKey,
-    expr: Option<Expr>,
-}
-
-#[cfg(feature = "legacy-executor")]
-impl Primitive {
-    fn estimator_agg(&self) -> AggregateFn {
-        match (&self.key, &self.expr) {
-            (AggKey::Avg(_), Some(e)) => AggregateFn::Avg(e.clone()),
-            (AggKey::Freq, _) => AggregateFn::Freq,
-            _ => unreachable!("AVG primitive always has an expression"),
-        }
-    }
-}
-
-/// How a user-facing aggregate maps onto internal primitives (§2.3):
-/// `AVG → [avg]`, `COUNT → [freq]`, `SUM → [avg, freq]`. Used by the
-/// legacy per-snippet executor; the shared-scan path gets the same
-/// mapping (deduplicated) from [`verdict_sql::plan_scan`]. Both recombine
-/// through the same [`combine_raw`] / [`combine_improved`] functions.
-#[cfg(feature = "legacy-executor")]
-struct SnippetPlan {
-    primitives: Vec<Primitive>,
-    combiner: Combiner,
-}
-
-#[cfg(feature = "legacy-executor")]
-impl SnippetPlan {
-    fn for_aggregate(agg: &AggregateFn) -> SnippetPlan {
-        match agg {
-            AggregateFn::Avg(e) => SnippetPlan {
-                primitives: vec![Primitive {
-                    key: AggKey::avg(&e.to_string()),
-                    expr: Some(e.clone()),
-                }],
-                combiner: Combiner::Avg,
-            },
-            AggregateFn::Count => SnippetPlan {
-                primitives: vec![Primitive {
-                    key: AggKey::Freq,
-                    expr: None,
-                }],
-                combiner: Combiner::Count,
-            },
-            AggregateFn::Sum(e) => SnippetPlan {
-                primitives: vec![
-                    Primitive {
-                        key: AggKey::avg(&e.to_string()),
-                        expr: Some(e.clone()),
-                    },
-                    Primitive {
-                        key: AggKey::Freq,
-                        expr: None,
-                    },
-                ],
-                combiner: Combiner::Sum,
-            },
-            AggregateFn::Freq => SnippetPlan {
-                primitives: vec![Primitive {
-                    key: AggKey::Freq,
-                    expr: None,
-                }],
-                combiner: Combiner::Freq,
-            },
-        }
-    }
-
-    /// Combines raw primitive observations into the user-facing raw
-    /// `(answer, error)` pair.
-    fn combine_raw(&self, raw: &[Observation], n_base: f64) -> (f64, f64) {
-        combine_raw(self.combiner, raw, n_base)
-    }
-
-    /// Improves each primitive with the model, then recombines.
-    fn improve(
-        &self,
-        verdict: &mut Verdict,
-        region: &Region,
-        raw: &[Observation],
-        n_base: f64,
-    ) -> ImprovedAnswer {
-        let improved: Vec<ImprovedAnswer> = self
-            .primitives
-            .iter()
-            .zip(raw.iter())
-            .map(|(p, obs)| {
-                let snippet = Snippet::new(p.key.clone(), region.clone());
-                verdict.improve(&snippet, *obs)
-            })
-            .collect();
-        combine_improved(self.combiner, &improved, n_base)
     }
 }
 

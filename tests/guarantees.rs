@@ -60,9 +60,9 @@ fn error_bounds_cover_truth_at_95pct() {
         };
         let cell = &r.rows[0].values[0];
         let q = verdict_sql::parse_query(&sql).unwrap();
-        let d = verdict_sql::decompose(&q, &s.table(), &[], 1).unwrap();
+        let plan = verdict_sql::plan_scan(&q, &s.table(), &[], 1).unwrap();
         let exact = s
-            .exact(&d.snippets[0].agg, &d.snippets[0].predicate)
+            .exact(&plan.aggregates[0].agg, &plan.group_predicates[0])
             .unwrap();
         if !cell.improved.bound(0.95).is_finite() {
             continue;
@@ -97,9 +97,9 @@ fn improved_answers_reduce_actual_error_on_average() {
         };
         let cell = &r.rows[0].values[0];
         let q = verdict_sql::parse_query(&sql).unwrap();
-        let d = verdict_sql::decompose(&q, &s.table(), &[], 1).unwrap();
+        let plan = verdict_sql::plan_scan(&q, &s.table(), &[], 1).unwrap();
         let exact = s
-            .exact(&d.snippets[0].agg, &d.snippets[0].predicate)
+            .exact(&plan.aggregates[0].agg, &plan.group_predicates[0])
             .unwrap();
         raw_errs.push((cell.raw_answer - exact).abs());
         verdict_errs.push((cell.improved.answer - exact).abs());
@@ -134,9 +134,9 @@ fn unseen_ranges_still_get_valid_answers() {
         .unwrap_answered();
     let cell = &r.rows[0].values[0];
     let q = verdict_sql::parse_query(sql).unwrap();
-    let d = verdict_sql::decompose(&q, &s.table(), &[], 1).unwrap();
+    let plan = verdict_sql::plan_scan(&q, &s.table(), &[], 1).unwrap();
     let exact = s
-        .exact(&d.snippets[0].agg, &d.snippets[0].predicate)
+        .exact(&plan.aggregates[0].agg, &plan.group_predicates[0])
         .unwrap();
     // 99.9%-ish sanity: answer within 5 bounds of truth.
     let bound = cell.improved.bound(0.95).max(cell.raw_error * 2.0);

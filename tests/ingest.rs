@@ -13,7 +13,6 @@
 
 use proptest::prelude::*;
 
-use verdict::aqp::AqpEngine;
 use verdict::core::append::AppendAdjustment;
 use verdict::core::persist::{Encoder, EngineState, Persist};
 use verdict::core::AggKey;

@@ -1,304 +1,95 @@
-//! Executor parity: the shared-scan path (`execute`) must return answers,
-//! errors, scan accounting, and synopsis contents identical to the legacy
-//! per-snippet path (`execute_legacy`) for arbitrary supported queries —
-//! the refactor changes *how much work* a query costs, never *what it
-//! answers*. Plus the regression tests for the shared-scan cost
-//! semantics: a stop-policy budget bounds the one query-wide scan instead
-//! of being spent per snippet. And since a promoted database drives the
-//! *same* planner→scan→infer core against a published snapshot, the suite
-//! also holds multithreaded reads at a fixed epoch to the session facade,
-//! bit for bit.
-//!
-//! Requires the `legacy-executor` feature (the reference executor is off
-//! by default). Workspace builds enable it through the bench crate, so
-//! plain `cargo test` at the workspace root runs this suite; a
-//! package-only `cargo test -p verdict` compiles it empty.
-#![cfg(feature = "legacy-executor")]
+//! Executor parity: what `execute` answers, where it stops, and what it
+//! records must equal, bit for bit, what the per-snippet estimator oracle
+//! (`verdict_aqp::BatchEstimator`, one per `(group, primitive)` snippet
+//! over the cell's batch prefix) says — for arbitrary supported queries,
+//! in both modes, at every stop policy (see `oracle::check`). The shared
+//! scan changes *how much work* a query costs, never *what it answers or
+//! learns*. Plus the regression tests for the shared-scan cost semantics:
+//! a stop-policy budget bounds the one query-wide scan. And since a
+//! promoted database drives the *same* planner→scan→infer core against a
+//! published snapshot, the suite also holds multithreaded reads at a fixed
+//! epoch to the session facade, bit for bit.
 
+mod oracle;
+
+use oracle::{check, query_spec, session};
 use proptest::prelude::*;
-use verdict::aqp::AqpEngine;
-use verdict::core::persist::{EngineState, Persist};
-use verdict::{
-    Mode, QueryOptions, QueryOutcome, QueryResult, SessionBuilder, StopPolicy, VerdictSession,
-};
+use verdict::{Mode, QueryOptions, QueryResult, SessionBuilder, StopPolicy, VerdictSession};
 use verdict_storage::{ColumnDef, Schema, Table};
 
-const REGIONS: [&str; 10] = ["r0", "r1", "r2", "r3", "r4", "r5", "r6", "r7", "r8", "r9"];
-
-/// A deterministic table: numeric `week` dimension (1..=25), categorical
-/// `region` dimension (10 labels), `rev` measure.
-fn base_table(rows: usize) -> Table {
-    let schema = Schema::new(vec![
-        ColumnDef::numeric_dimension("week"),
-        ColumnDef::categorical_dimension("region"),
-        ColumnDef::measure("rev"),
-    ])
-    .unwrap();
-    let mut t = Table::new(schema);
-    let mut state = 0x9e3779b97f4a7c15u64;
-    for i in 0..rows {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        let u = (state >> 11) as f64 / (1u64 << 53) as f64;
-        let week = 1.0 + (i % 25) as f64;
-        let region = REGIONS[i % REGIONS.len()];
-        let rev = 50.0 + 10.0 * (week / 4.0).sin() + 8.0 * (u - 0.5);
-        t.push_row(vec![week.into(), region.into(), rev.into()])
-            .unwrap();
-    }
-    t
-}
-
-/// Two sessions over the identical table and sample, one per executor.
-fn session_pair(rows: usize) -> (VerdictSession, VerdictSession) {
-    let build = || {
-        SessionBuilder::new(base_table(rows))
-            .sample_fraction(0.25)
-            .batch_size(150)
-            .seed(17)
-            .build()
-            .unwrap()
-    };
-    (build(), build())
-}
-
-#[derive(Debug, Clone)]
-struct QuerySpec {
-    sql: String,
-    policy: StopPolicy,
-}
-
-/// Random supported queries: 1–3 aggregates (deduplication exercised by
-/// AVG+SUM+COUNT combinations), optional GROUP BY on either dimension,
-/// random week range, and a random stop policy.
-fn query_spec() -> impl Strategy<Value = QuerySpec> {
-    (0u32..20, 1u32..=25, 1u32..8, 0u32..3, 0u32..4).prop_map(
-        |(lo, width, agg_mask, group, policy)| {
-            let mut aggs: Vec<&str> = Vec::new();
-            if agg_mask & 1 != 0 {
-                aggs.push("AVG(rev)");
-            }
-            if agg_mask & 2 != 0 {
-                aggs.push("SUM(rev)");
-            }
-            if agg_mask & 4 != 0 {
-                aggs.push("COUNT(*)");
-            }
-            let (select_prefix, group_clause) = match group {
-                1 => ("region, ", " GROUP BY region"),
-                2 => ("week, ", " GROUP BY week"),
-                _ => ("", ""),
-            };
-            let hi = lo + width;
-            let sql = format!(
-                "SELECT {select_prefix}{} FROM t WHERE week BETWEEN {lo} AND {hi}{group_clause}",
-                aggs.join(", "),
-            );
-            let policy = match policy {
-                0 => StopPolicy::ScanAll,
-                1 => StopPolicy::TupleBudget(700),
-                2 => StopPolicy::TimeBudgetNs(12_000_000.0),
-                _ => StopPolicy::RelativeErrorBound {
-                    target: 0.05,
-                    delta: 0.95,
-                },
-            };
-            QuerySpec { sql, policy }
-        },
-    )
-}
-
-/// Group-key equality by bit identity (a NaN key equals itself; the two
-/// executors enumerate keys from the same pass, so bits match exactly).
-fn groups_identical(
-    a: &Option<verdict_storage::GroupKey>,
-    b: &Option<verdict_storage::GroupKey>,
-) -> bool {
-    use verdict_storage::Value;
-    match (a, b) {
-        (None, None) => true,
-        (Some(ka), Some(kb)) => {
-            ka.len() == kb.len()
-                && ka.iter().zip(kb.iter()).all(|(x, y)| match (x, y) {
-                    (Value::Num(x), Value::Num(y)) => x.to_bits() == y.to_bits(),
-                    _ => x == y,
-                })
-        }
-        _ => false,
-    }
-}
-
-/// Bitwise comparison of two query results, cell for cell.
-fn assert_results_match(shared: &QueryResult, legacy: &QueryResult, sql: &str) {
-    assert_eq!(shared.rows.len(), legacy.rows.len(), "{sql}");
-    assert_eq!(shared.truncated, legacy.truncated, "{sql}");
-    assert_eq!(shared.tuples_scanned, legacy.tuples_scanned, "{sql}");
-    for (rs, rl) in shared.rows.iter().zip(legacy.rows.iter()) {
-        assert!(
-            groups_identical(&rs.group, &rl.group),
-            "{sql}: {:?} vs {:?}",
-            rs.group,
-            rl.group
-        );
-        assert_eq!(rs.values.len(), rl.values.len(), "{sql}");
-        for (cs, cl) in rs.values.iter().zip(rl.values.iter()) {
-            assert_eq!(
-                cs.raw_answer.to_bits(),
-                cl.raw_answer.to_bits(),
-                "raw answer diverged: {} vs {} for {sql}",
-                cs.raw_answer,
-                cl.raw_answer
-            );
-            assert_eq!(
-                cs.raw_error.to_bits(),
-                cl.raw_error.to_bits(),
-                "raw error diverged: {} vs {} for {sql}",
-                cs.raw_error,
-                cl.raw_error
-            );
-            assert_eq!(
-                cs.improved.answer.to_bits(),
-                cl.improved.answer.to_bits(),
-                "improved answer diverged: {} vs {} for {sql}",
-                cs.improved.answer,
-                cl.improved.answer
-            );
-            assert_eq!(
-                cs.improved.error.to_bits(),
-                cl.improved.error.to_bits(),
-                "improved error diverged for {sql}"
-            );
-            assert_eq!(cs.improved.used_model, cl.improved.used_model, "{sql}");
-            assert_eq!(cs.tuples_scanned, cl.tuples_scanned, "{sql}");
-        }
-    }
-}
-
-/// The recorded synopses (raw observations, in recording order) must be
-/// identical: the shared scan feeds the learned state exactly what the
-/// per-snippet path did.
-fn assert_synopses_match(shared: &VerdictSession, legacy: &VerdictSession) {
-    let a = EngineState::from_bytes(&shared.snapshot().state_bytes()).unwrap();
-    let b = EngineState::from_bytes(&legacy.snapshot().state_bytes()).unwrap();
-    assert_eq!(a.synopses.len(), b.synopses.len(), "synopsis key sets");
-    for ((ka, sa), (kb, sb)) in a.synopses.iter().zip(b.synopses.iter()) {
-        assert_eq!(ka, kb);
-        assert_eq!(sa.len(), sb.len(), "synopsis length for {ka}");
-        for (ea, eb) in sa.entries().iter().zip(sb.entries().iter()) {
-            assert_eq!(ea.region, eb.region, "region for {ka}");
-            assert_eq!(
-                ea.observation.answer.to_bits(),
-                eb.observation.answer.to_bits(),
-                "recorded answer for {ka}"
-            );
-            assert_eq!(
-                ea.observation.error.to_bits(),
-                eb.observation.error.to_bits(),
-                "recorded error for {ka}"
-            );
-        }
-    }
-}
-
-fn run_pair(
-    shared: &mut VerdictSession,
-    legacy: &mut VerdictSession,
-    sql: &str,
-    mode: Mode,
-    policy: StopPolicy,
-) {
-    let out_s = shared.execute(sql, mode, policy).unwrap();
-    let out_l = legacy.execute_legacy(sql, mode, policy).unwrap();
-    match (out_s, out_l) {
-        (QueryOutcome::Answered(rs), QueryOutcome::Answered(rl)) => {
-            assert_results_match(&rs, &rl, sql)
-        }
-        (QueryOutcome::Unsupported(_), QueryOutcome::Unsupported(_)) => {}
-        _ => panic!("support classification diverged for {sql}"),
-    }
+/// Bitwise identity of two results, cell for cell: `f64`'s `Debug`
+/// rendering round-trips, so equal renderings are equal bits (and a NaN
+/// group key equals itself).
+fn assert_results_match(a: &QueryResult, b: &QueryResult, sql: &str) {
+    assert_eq!(a.truncated, b.truncated, "{sql}");
+    assert_eq!(a.tuples_scanned, b.tuples_scanned, "{sql}");
+    assert_eq!(format!("{:?}", a.rows), format!("{:?}", b.rows), "{sql}");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    /// NoLearn mode: raw pipeline parity over a random query sequence.
+    /// NoLearn mode: the raw pipeline against the oracle over a random
+    /// query sequence (the synopsis must stay untouched).
     #[test]
-    fn shared_scan_matches_legacy_nolearn(specs in prop::collection::vec(query_spec(), 18..=18)) {
-        let (mut shared, mut legacy) = session_pair(6_000);
+    fn shared_scan_matches_legacy_nolearn(specs in prop::collection::vec(query_spec(1), 18..=18)) {
+        let mut s = session(6_000, false);
         for spec in &specs {
-            run_pair(&mut shared, &mut legacy, &spec.sql, Mode::NoLearn, spec.policy);
+            check(&mut s, &spec.sql, Mode::NoLearn, spec.policy, false);
         }
     }
 
-    /// Verdict mode: inference + validation + synopsis recording parity,
-    /// with models trained mid-sequence so later queries engage them.
+    /// Verdict mode: inference + validation + synopsis recording against
+    /// the oracle, with models trained mid-sequence so later queries
+    /// engage them.
     #[test]
-    fn shared_scan_matches_legacy_verdict(specs in prop::collection::vec(query_spec(), 12..=12)) {
-        let (mut shared, mut legacy) = session_pair(6_000);
-        // Warm-up: overlapping range queries populate the synopses
-        // identically through both executors.
+    fn shared_scan_matches_legacy_verdict(specs in prop::collection::vec(query_spec(1), 12..=12)) {
+        let mut s = session(6_000, false);
+        // Warm-up: overlapping range queries populate the synopses.
         for lo in (0..24).step_by(3) {
             let sql = format!(
                 "SELECT AVG(rev), COUNT(*) FROM t WHERE week BETWEEN {lo} AND {}",
                 lo + 4
             );
-            run_pair(&mut shared, &mut legacy, &sql, Mode::Verdict, StopPolicy::ScanAll);
+            check(&mut s, &sql, Mode::Verdict, StopPolicy::ScanAll, false);
         }
-        assert_synopses_match(&shared, &legacy);
-        shared.train().unwrap();
-        legacy.train().unwrap();
+        s.train().unwrap();
         // Guard against trivial parity: the trained model must actually
-        // engage on an overlapping query, on both paths.
+        // engage on an overlapping query.
         let probe = "SELECT AVG(rev) FROM t WHERE week BETWEEN 5 AND 15";
-        let ps = shared.execute(probe, Mode::Verdict, StopPolicy::ScanAll)
-            .unwrap().unwrap_answered();
-        let pl = legacy.execute_legacy(probe, Mode::Verdict, StopPolicy::ScanAll)
-            .unwrap().unwrap_answered();
-        prop_assert!(ps.rows[0].values[0].improved.used_model, "model must engage");
-        assert_results_match(&ps, &pl, probe);
+        let p = check(&mut s, probe, Mode::Verdict, StopPolicy::ScanAll, false);
+        prop_assert!(p.rows[0].values[0].improved.used_model, "model must engage");
+        // One batch over 50 (region, week) groups leaves some with fewer
+        // than two matches: infinite AVG errors, which are never recorded.
+        let sparse = "SELECT region, week, AVG(rev), COUNT(*) FROM t GROUP BY region, week";
+        let r = check(&mut s, sparse, Mode::Verdict, StopPolicy::TupleBudget(1), false);
+        prop_assert!(r.rows.iter().any(|row| row.values[0].raw_error.is_infinite()));
         for spec in &specs {
-            run_pair(&mut shared, &mut legacy, &spec.sql, Mode::Verdict, spec.policy);
+            check(&mut s, &spec.sql, Mode::Verdict, spec.policy, false);
         }
-        assert_synopses_match(&shared, &legacy);
     }
 }
 
 /// Acceptance: a query with ≥8 groups × 2 aggregates is answered from one
-/// shared scan — `tuples_scanned` is at most the sample size (the
-/// per-snippet path did G×A× that much real scan work) — and bit-matches
-/// the legacy executor.
+/// shared scan — a full scan reads the sample exactly once, where
+/// answering snippet by snippet would read it G×A times — and every cell
+/// bit-matches its own estimator.
 #[test]
 fn eight_groups_two_aggregates_one_scan() {
-    let (mut shared, mut legacy) = session_pair(8_000);
+    let mut s = session(8_000, false);
     let sql = "SELECT region, AVG(rev), SUM(rev) FROM t GROUP BY region";
-    let rs = shared
-        .execute(sql, Mode::NoLearn, StopPolicy::ScanAll)
-        .unwrap()
-        .unwrap_answered();
-    assert!(rs.rows.len() >= 8, "{} groups", rs.rows.len());
-    assert_eq!(rs.rows[0].values.len(), 2);
-    let sample_rows = shared.snapshot().engines()[0].sample().len();
-    assert!(
-        rs.tuples_scanned <= sample_rows,
-        "one scan: {} > sample {sample_rows}",
-        rs.tuples_scanned
-    );
-    let rl = legacy
-        .execute_legacy(sql, Mode::NoLearn, StopPolicy::ScanAll)
-        .unwrap()
-        .unwrap_answered();
-    assert_results_match(&rs, &rl, sql);
+    let r = check(&mut s, sql, Mode::NoLearn, StopPolicy::ScanAll, false);
+    assert!(r.rows.len() >= 8, "{} groups", r.rows.len());
+    assert_eq!(r.rows[0].values.len(), 2);
+    assert_eq!(r.tuples_scanned, s.snapshot().engines()[0].sample().len());
 }
 
 /// Regression (stop-policy semantics): a time budget bounds the *single*
-/// query-wide scan. Under the per-snippet executor every snippet derived
-/// its own tuple cap, so a G×A query did G×A× the budgeted work; under
-/// the shared scan the same budget buys the same sample prefix whether
+/// query-wide scan: the same budget buys the same sample prefix whether
 /// the query has one cell or twenty.
 #[test]
 fn time_budget_bounds_the_single_query_wide_scan() {
-    let (mut s, _) = session_pair(20_000);
+    let mut s = session(20_000, false);
     let budget = 12_000_000.0;
     let policy = StopPolicy::TimeBudgetNs(budget);
     let grouped = s
@@ -342,7 +133,7 @@ fn time_budget_bounds_the_single_query_wide_scan() {
 /// per-cell `tuples_scanned` reports the same stop point for every cell.
 #[test]
 fn tuple_budget_caps_shared_scan() {
-    let (mut s, _) = session_pair(20_000);
+    let mut s = session(20_000, false);
     let r = s
         .execute(
             "SELECT region, AVG(rev), COUNT(*) FROM t GROUP BY region",
@@ -371,14 +162,7 @@ fn tuple_budget_caps_shared_scan() {
 /// published epoch it pinned.
 #[test]
 fn concurrent_reads_at_fixed_epoch_match_serial() {
-    let build = || {
-        SessionBuilder::new(base_table(6_000))
-            .sample_fraction(0.25)
-            .batch_size(150)
-            .seed(17)
-            .build()
-            .unwrap()
-    };
+    let build = || session(6_000, false);
     let warm_up = |s: &mut VerdictSession| {
         for lo in (0..24).step_by(3) {
             let sql = format!(
@@ -503,46 +287,35 @@ fn concurrent_reads_at_fixed_epoch_match_serial() {
     assert_eq!(concurrent.epoch("t").unwrap(), snapshot.epoch());
 }
 
-/// Parity on pathological numeric group keys: `-0.0` and `0.0` are equal
-/// under the group-equality predicate (one group, not two), and a NaN
-/// group key equals nothing (its row exists but all its cells are empty)
-/// — both executors must agree.
+/// Pathological numeric group keys still yield one row per key identity:
+/// `-0.0` and `0.0` are equal under the group-equality predicate (one
+/// group, not two), and a NaN group key equals nothing (its row exists but
+/// all its cells are empty) — the estimator oracle agrees on every cell.
 #[test]
 fn signed_zero_and_nan_group_keys_agree() {
-    let build = || {
-        let schema = Schema::new(vec![
-            ColumnDef::numeric_dimension("k"),
-            ColumnDef::measure("v"),
-        ])
+    let schema = Schema::new(vec![
+        ColumnDef::numeric_dimension("k"),
+        ColumnDef::measure("v"),
+    ])
+    .unwrap();
+    let mut t = Table::new(schema);
+    for i in 0..400 {
+        let k = match i % 4 {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f64::NAN,
+            _ => 1.0,
+        };
+        t.push_row(vec![k.into(), ((i % 7) as f64).into()]).unwrap();
+    }
+    let mut s = SessionBuilder::new(t)
+        .sample_fraction(1.0)
+        .batch_size(50)
+        .seed(2)
+        .build()
         .unwrap();
-        let mut t = Table::new(schema);
-        for i in 0..400 {
-            let k = match i % 4 {
-                0 => 0.0,
-                1 => -0.0,
-                2 => f64::NAN,
-                _ => 1.0,
-            };
-            t.push_row(vec![k.into(), ((i % 7) as f64).into()]).unwrap();
-        }
-        SessionBuilder::new(t)
-            .sample_fraction(1.0)
-            .batch_size(50)
-            .seed(2)
-            .build()
-            .unwrap()
-    };
-    let (mut shared, mut legacy) = (build(), build());
     let sql = "SELECT k, COUNT(*), AVG(v) FROM t GROUP BY k";
-    let rs = shared
-        .execute(sql, Mode::NoLearn, StopPolicy::ScanAll)
-        .unwrap()
-        .unwrap_answered();
-    let rl = legacy
-        .execute_legacy(sql, Mode::NoLearn, StopPolicy::ScanAll)
-        .unwrap()
-        .unwrap_answered();
-    assert_results_match(&rs, &rl, sql);
+    let rs = check(&mut s, sql, Mode::NoLearn, StopPolicy::ScanAll, false);
     // Three groups: {0.0 (both zeros), 1.0, NaN}; the zero group owns
     // half the table, the NaN group's cells are empty.
     assert_eq!(

@@ -112,9 +112,9 @@ fn answers_track_exact_values() {
         .unwrap_answered();
     let cell = &result.rows[0].values[0];
     let q = verdict_sql::parse_query(sql).unwrap();
-    let d = verdict_sql::decompose(&q, &session.table(), &[], 1).unwrap();
+    let plan = verdict_sql::plan_scan(&q, &session.table(), &[], 1).unwrap();
     let exact = session
-        .exact(&d.snippets[0].agg, &d.snippets[0].predicate)
+        .exact(&plan.aggregates[0].agg, &plan.group_predicates[0])
         .unwrap();
     let rel = (cell.raw_answer - exact).abs() / exact.abs();
     assert!(rel < 0.05, "relative error {rel}");
