@@ -1,15 +1,14 @@
-//! The serving-path win: ad-hoc `Database::query()` vs
+//! The serving-path win: ad-hoc `Database::query()` vs a kept
 //! `Prepared::bind().run()` latency at 1 and 8 threads.
 //!
-//! An ad-hoc query pays the whole SQL layer every time — lex, parse,
-//! check, catalog resolution, predicate resolution, plan construction —
-//! before a single sample row is scanned. A prepared statement pays it
-//! once: each execution only re-binds literals into the compiled plan
-//! template and scans. This bench drives the identical range-query
-//! workload through both paths and prints per-query latency plus the
-//! prepared-path speedup; a sanity pass first asserts the two paths
-//! answer **bit-identically** (the serving path must be a pure
-//! fast-path, never a different code path).
+//! There is one statement path: `query()` is `prepare()`, `bind(&[])`
+//! and `run()` in one call. What a kept [`Prepared`] handle saves per
+//! execution is therefore exactly the front half — lex, parse, catalog
+//! resolution, check, template compile — not a different code path: both
+//! sides bind literals into the same compiled plan template and run the
+//! same scan. This bench drives the identical range-query workload both
+//! ways and prints per-query latency plus the speedup of keeping the
+//! handle; a sanity pass first asserts the two answer **bit-identically**.
 //!
 //! The workload runs `Mode::NoLearn` with a serving-shaped stop policy
 //! (a small tuple budget, as a trained deployment stops after few

@@ -75,7 +75,7 @@ impl EngineSnapshot {
 
     /// The model epoch the frozen state was cut at: how many
     /// answer-affecting mutations (train / append adjustment / ingest /
-    /// forget / restore) the engine had applied. Unlike
+    /// restore) the engine had applied. Unlike
     /// [`EngineSnapshot::epoch`], synopsis observes do *not* move it, so
     /// two snapshots with equal `(model_epoch, data_epoch)` answer every
     /// query bit-identically — the invariant a memoizing answer cache

@@ -105,19 +105,19 @@ pub struct Verdict {
     models: HashMap<AggKey, Arc<TrainedModel>>,
     stats: EngineStats,
     /// Monotone version of the learned state: bumped by every mutation
-    /// (observe, train, append adjustment, forget, restore). A published
+    /// (observe, train, append adjustment, restore). A published
     /// [`crate::concurrent::EngineSnapshot`] carries the epoch it was cut
     /// at, so readers can tell exactly which learned state answered them.
     epoch: u64,
     /// Monotone version of the *data* the learned state describes: bumped
-    /// once per ingested batch ([`Verdict::apply_ingest`]). Published
+    /// once per ingested batch ([`Verdict::commit_ingest`]). Published
     /// snapshots carry it so a pinned concurrent read can be matched to
     /// the exact table/sample version it answered from.
     data_epoch: u64,
     /// Monotone version of the *answer-affecting* state: bumped only by
     /// mutations that can change what a future query returns — training
     /// (models refit), append adjustments and ingest commits (bounds
-    /// widened, data changed), forget, and state restore. Recording a
+    /// widened, data changed) and state restore. Recording a
     /// snippet into the synopsis does **not** bump it: snippets influence
     /// answers only after the next train. Two reads at the same
     /// `(model_epoch, data_epoch)` pair therefore return bit-identical
@@ -314,7 +314,7 @@ impl Verdict {
     }
 
     /// The current model epoch: how many answer-affecting mutations
-    /// (train / append adjustment / ingest commit / forget / restore)
+    /// (train / append adjustment / ingest commit / restore)
     /// this engine has applied (see the `model_epoch` field). Monotone;
     /// *not* bumped by synopsis observes.
     pub fn model_epoch(&self) -> u64 {
@@ -332,16 +332,6 @@ impl Verdict {
     /// forwarded to it. Replaces any previous observer.
     pub fn set_observer(&mut self, observer: Box<dyn SnippetObserver + Send>) {
         self.observer = Some(observer);
-    }
-
-    /// Removes the append hook.
-    pub fn clear_observer(&mut self) {
-        self.observer = None;
-    }
-
-    /// Whether an append hook is installed.
-    pub fn has_observer(&self) -> bool {
-        self.observer.is_some()
     }
 
     /// The dimension universe.
@@ -461,14 +451,6 @@ impl Verdict {
         answers
     }
 
-    /// Convenience: improve, then record the raw observation (the order of
-    /// Algorithm 2 — the synopsis stores raw, not improved, answers).
-    pub fn improve_and_observe(&mut self, snippet: &Snippet, raw: Observation) -> ImprovedAnswer {
-        let improved = self.improve(snippet, raw);
-        self.observe(snippet, raw);
-        improved
-    }
-
     /// Applies a data-append adjustment (Appendix D, Lemma 3) to the
     /// synopsis of `key`, then refits the model so inference sees the
     /// inflated errors.
@@ -581,17 +563,6 @@ impl Verdict {
         }
     }
 
-    /// Applies one ingested batch's adjustments across every affected
-    /// aggregate (the engine-side half of the ingest pipeline stage):
-    /// per-key Lemma 3 rewrites plus model refits, in slice order, then
-    /// one data-epoch bump for the whole batch. Convenience for
-    /// [`Verdict::stage_ingest`] + [`Verdict::commit_ingest`]; atomic —
-    /// an error mutates nothing.
-    pub fn apply_ingest(&mut self, adjustments: &[(AggKey, AppendAdjustment)]) -> Result<usize> {
-        let staged = self.stage_ingest(adjustments)?;
-        Ok(self.commit_ingest(staged))
-    }
-
     /// The retained synopsis for `key`, if any (introspection: ingest
     /// invariant tests compare stored observations before and after an
     /// adjustment).
@@ -606,14 +577,6 @@ impl Verdict {
         let mut keys: Vec<AggKey> = self.synopses.keys().cloned().collect();
         keys.sort();
         keys
-    }
-
-    /// Drops all learned state for `key` (tests, resets).
-    pub fn forget(&mut self, key: &AggKey) {
-        self.epoch += 1;
-        self.model_epoch += 1;
-        self.synopses.remove(key);
-        self.models.remove(key);
     }
 
     /// Exports the complete learned state in deterministic (key-sorted)
@@ -904,15 +867,6 @@ mod tests {
     }
 
     #[test]
-    fn improve_and_observe_records_raw() {
-        let mut v = trained_engine();
-        let before = v.synopsis_len(&AggKey::avg("v"));
-        v.improve_and_observe(&snippet(33.0, 44.0), Observation::new(10.2, 0.3));
-        assert_eq!(v.synopsis_len(&AggKey::avg("v")), before + 1);
-        assert_eq!(v.stats().observed as usize, before + 1);
-    }
-
-    #[test]
     fn degenerate_region_passes_through() {
         let mut v = trained_engine();
         let s = Snippet::new(
@@ -1040,13 +994,5 @@ mod tests {
         let before = v.stats();
         assert!(v.improve_batch(&[]).is_empty());
         assert_eq!(v.stats(), before);
-    }
-
-    #[test]
-    fn forget_clears_state() {
-        let mut v = trained_engine();
-        v.forget(&AggKey::avg("v"));
-        assert!(!v.has_model(&AggKey::avg("v")));
-        assert_eq!(v.synopsis_len(&AggKey::avg("v")), 0);
     }
 }

@@ -481,9 +481,9 @@ fn hello(shared: &Shared) -> Response {
 }
 
 /// Ad-hoc statements go through the plan cache: the SQL layer runs once
-/// per distinct statement text. Safe because prepared execution is
-/// bit-identical to ad-hoc execution (property-tested in the repo's
-/// parity suite).
+/// per distinct statement text. Same answers by construction —
+/// `Database::query` itself prepares the statement and runs it with no
+/// parameters; the cache only keeps the compiled plan between calls.
 fn plan(shared: &Shared, sql: &str) -> Result<Arc<Prepared>, VerdictError> {
     if let Some(hit) = shared.plans.lock().unwrap().get(&sql.to_string()) {
         return Ok(hit);

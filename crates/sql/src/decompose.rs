@@ -7,19 +7,23 @@
 //! dropped. Verdict only generates snippets for the first `N_max` groups of
 //! the answer set to bound its overhead.
 //!
-//! [`plan_scan`] emits that decomposition as one [`ScanPlan`] per query:
-//! the snippet of cell `(g, a)` is `(aggregates[a].agg,
-//! group_predicates[g])`, in group-major, aggregate-minor order. Beside
+//! A [`ScanPlan`] is that decomposition for one query: the snippet of
+//! cell `(g, a)` is `(aggregates[a].agg, group_predicates[g])`, in
+//! group-major, aggregate-minor order. Beside
 //! the per-group predicates (what regions and synopsis records are keyed
 //! by) the plan holds the base predicate, the group keys, and a
 //! *deduplicated* list of primitive streams — `SUM(e)` and `COUNT(*)` share
 //! one `FREQ(*)` stream, `SUM(e)` and `AVG(e)` share one `AVG(e)` stream —
 //! so the executor answers every cell from a single sample pass.
+//!
+//! Plans are assembled by [`crate::PreparedQuery`]; [`plan_scan`] is the
+//! zero-parameter convenience: prepare, bind nothing.
 
 use verdict_storage::{AggregateFn, GroupKey, Predicate, Table};
 
 use crate::ast::{Query, ScalarExpr, SelectItem};
-use crate::resolve::{group_equality, to_expr, to_predicate};
+use crate::prepared::prepare_query;
+use crate::resolve::to_expr;
 use crate::{Result, SqlError};
 
 /// The grouping column names of a checked query (must be plain columns).
@@ -120,36 +124,21 @@ impl ScanPlan {
     }
 }
 
-/// Plans one shared scan for a checked query. `group_keys` lists the group
-/// values present in the (approximate) answer set — for ungrouped queries
-/// pass `&[]`. Cells beyond the first `N_max` groups are dropped (those
-/// rows keep their raw answers, Algorithm 2 lines 8–9).
+/// Plans one shared scan for a checked query without placeholders.
+/// `group_keys` lists the group values present in the (approximate) answer
+/// set — `&[]` for ungrouped queries. Cells beyond the first `N_max` groups
+/// are dropped (those rows keep their raw answers, Algorithm 2 lines 8–9).
 pub fn plan_scan(
     query: &Query,
     table: &Table,
     group_keys: &[GroupKey],
     nmax: usize,
 ) -> Result<ScanPlan> {
-    let base_predicate = match &query.where_clause {
-        Some(w) => to_predicate(w, table)?,
-        None => Predicate::True,
-    };
-    let group_cols = group_columns(query)?;
-    let (primitives, aggregates) = plan_aggregates(query)?;
-    assemble_scan_plan(
-        base_predicate,
-        group_cols,
-        primitives,
-        aggregates,
-        table,
-        group_keys,
-        nmax,
-    )
+    prepare_query(query, table)?.plan(table, &[], group_keys, nmax)
 }
 
-/// The literal-independent half of [`plan_scan`]: maps the select list
-/// onto deduplicated primitive streams. Shared with the prepared-statement
-/// path, which computes this once at prepare time.
+/// The literal-independent half of planning: maps the select list onto
+/// deduplicated primitive streams, once per prepared statement.
 pub(crate) fn plan_aggregates(query: &Query) -> Result<(Vec<AggregateFn>, Vec<AggregateSpec>)> {
     let aggs = select_aggregates(query)?;
 
@@ -205,58 +194,6 @@ pub(crate) fn plan_aggregates(query: &Query) -> Result<(Vec<AggregateFn>, Vec<Ag
         })
         .collect();
     Ok((primitives, aggregates))
-}
-
-/// Assembles a [`ScanPlan`] from pre-planned parts plus the bound base
-/// predicate and the enumerated groups: keeps the groups under the `N_max`
-/// cap, each with its full predicate (base ∧ group-value equalities,
-/// Figure 3); an ungrouped query has the single implicit group
-/// `(None, base)`. The final planning step shared by [`plan_scan`] and
-/// [`crate::prepared::PreparedQuery`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn assemble_scan_plan(
-    base_predicate: Predicate,
-    group_cols: Vec<String>,
-    primitives: Vec<AggregateFn>,
-    aggregates: Vec<AggregateSpec>,
-    table: &Table,
-    group_keys: &[GroupKey],
-    nmax: usize,
-) -> Result<ScanPlan> {
-    let (mut groups, mut group_predicates) = (Vec::new(), Vec::new());
-    let mut groups_dropped = 0;
-    if group_cols.is_empty() {
-        groups.push(None);
-        group_predicates.push(base_predicate.clone());
-    } else {
-        groups_dropped = group_keys.len().saturating_sub(nmax);
-        for key in group_keys.iter().take(nmax) {
-            if key.len() != group_cols.len() {
-                return Err(SqlError::Resolve(format!(
-                    "group key arity {} does not match {} group columns",
-                    key.len(),
-                    group_cols.len()
-                )));
-            }
-            let mut predicate = base_predicate.clone();
-            for (col, value) in group_cols.iter().zip(key.iter()) {
-                predicate = predicate.and(group_equality(table, col, value)?);
-            }
-            groups.push(Some(key.clone()));
-            group_predicates.push(predicate);
-        }
-    }
-
-    Ok(ScanPlan {
-        base_predicate,
-        group_cols,
-        groups,
-        group_predicates,
-        primitives,
-        aggregates,
-        truncated: groups_dropped > 0,
-        groups_dropped,
-    })
 }
 
 fn build_aggregate(func: &crate::ast::AggFunc, arg: &ScalarExpr) -> Result<AggregateFn> {
@@ -359,6 +296,15 @@ mod tests {
         let plan = plan_scan(&q, &t, &[vec![Value::Num(3.0)]], 10).unwrap();
         let rows = plan.group_predicates[0].selected_rows(&t).unwrap();
         assert_eq!(rows, vec![2]);
+    }
+
+    /// Were the checker ever bypassed, a non-column `GROUP BY` expression
+    /// must fail typed — not be dropped, grouping by fewer columns.
+    #[test]
+    fn non_column_group_by_is_error() {
+        let q = parse_query("SELECT SUM(rev) FROM t GROUP BY region, week + 1").unwrap();
+        let err = plan_scan(&q, &table(), &[], 10).unwrap_err();
+        assert!(matches!(&err, SqlError::Resolve(m) if m.contains("not a column")));
     }
 
     #[test]

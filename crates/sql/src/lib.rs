@@ -10,16 +10,18 @@
 //! - [`checker`]: the supported-query type checker of §2.2 — decides
 //!   whether Verdict can learn from/improve a query and reports the exact
 //!   reason when it cannot (disjunction, `LIKE`, `MIN`/`MAX`, nesting, …);
-//! - [`decompose`] ([`plan_scan`] → [`ScanPlan`]): query → snippets
-//!   (Figure 3): one snippet per (aggregate function × group value), with
-//!   group values injected as equality predicates and capped at `N_max`,
-//!   laid out for one shared scan (deduplicated primitive streams);
-//! - [`resolve`]: binds checked predicates/aggregates against a concrete
-//!   table (label → dictionary-code resolution, `Expr` construction) and
-//!   resolves `FROM` names against a catalog of registered tables;
-//! - [`prepared`]: prepared statements — `?` placeholders compile into a
-//!   parameterized plan template once, and each execution only re-binds
-//!   literals (the hot serving path skips lex/parse/check/decompose).
+//! - [`decompose`] ([`ScanPlan`]): query → snippets (Figure 3): one
+//!   snippet per (aggregate function × group value), with group values
+//!   injected as equality predicates and capped at `N_max`, laid out for
+//!   one shared scan (deduplicated primitive streams);
+//! - [`resolve`]: binds aggregate expressions and group values against a
+//!   concrete table and resolves `FROM` names against a catalog of
+//!   registered tables;
+//! - [`prepared`]: the one statement path. [`prepare_query`] compiles a
+//!   checked query into a plan template whose literal positions are slots
+//!   (constants or `?` parameters); each execution binds them and assembles
+//!   the [`ScanPlan`]. Nothing else turns SQL into a storage `Predicate`: an
+//!   ad-hoc statement ([`plan_scan`]) is a prepared one with no placeholders.
 
 pub mod ast;
 pub mod checker;

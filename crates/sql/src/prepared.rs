@@ -1,31 +1,30 @@
-//! Prepared statements: parameterized plans compiled once, bound per run.
+//! The one way SQL becomes a [`Predicate`] and a [`ScanPlan`]: a plan
+//! template compiled once, bound per run.
 //!
 //! [`prepare_query`] runs the literal-*independent* half of planning a
-//! single time — select-list → deduplicated primitive streams (the
-//! [`crate::plan_scan`] mapping), group columns, and the `WHERE` tree
-//! compiled against the table's schema into a [`PreparedQuery`] whose
-//! literal positions are slots. Each execution then only *binds*: slot
-//! values are substituted (with typed count/type errors), categorical
-//! labels resolve against the current dictionary, and the final
-//! [`ScanPlan`] is assembled without touching the lexer, parser, checker,
-//! or decomposer again.
+//! single time — select-list → deduplicated primitive streams, group
+//! columns, and the `WHERE` tree compiled against the table's schema into
+//! a [`PreparedQuery`] whose literal positions are slots (a constant or a
+//! `?` parameter). Each execution then only *binds*: slot values are
+//! substituted (with typed count/type errors), categorical labels resolve
+//! against the current dictionary, and the final [`ScanPlan`] is
+//! assembled without touching the lexer, parser or checker again.
 //!
-//! Binding mirrors [`crate::resolve::to_predicate`] constructor for
-//! constructor — including the quirks (an unknown categorical label
-//! matches nothing rather than erroring; `<>` complements within the
-//! *current* dictionary) — so a prepared execution is bit-identical to
-//! ad-hoc execution of the same statement with the literals inlined.
-//! Labels and complements are resolved at bind time, not prepare time, on
-//! purpose: ingest can extend a dictionary, and the prepared path must
-//! keep agreeing with the ad-hoc path afterwards.
+//! An ad-hoc statement is a prepared one with no placeholders:
+//! [`to_predicate`] and [`crate::plan_scan`] compile this template and
+//! bind `&[]`, so there is no second resolver to keep in step. The rules
+//! live in `bind_template`: numeric `=` is the point range `[v, v]`; an
+//! unknown categorical label matches nothing rather than erroring; `<>`
+//! complements within the dictionary. Labels and complements resolve at
+//! bind time, not compile time, on purpose: ingest can extend a
+//! dictionary, and a statement must keep its meaning afterwards.
 
 use verdict_core::persist::{fingerprint_bytes, Encoder};
 use verdict_storage::{AggregateFn, ColumnType, Expr, GroupKey, Predicate, Table, Value};
 
 use crate::ast::{CmpOp, Query, ScalarExpr, WherePred};
-use crate::decompose::{
-    assemble_scan_plan, group_columns, plan_aggregates, AggregateSpec, Combiner,
-};
+use crate::decompose::{group_columns, plan_aggregates, AggregateSpec, Combiner};
+use crate::resolve::group_equality;
 use crate::{Result, ScanPlan, SqlError};
 
 /// What a placeholder slot accepts at bind time.
@@ -35,7 +34,8 @@ pub enum ParamKind {
     Numeric,
     /// Compared against a categorical column: bind a [`Value::Str`] label
     /// (resolved through the dictionary; unknown labels match nothing,
-    /// exactly like an ad-hoc literal) or a raw [`Value::Cat`] code.
+    /// exactly like a literal), a raw [`Value::Cat`] code, or a
+    /// [`Value::Num`] holding an integral code in `0..=u32::MAX`.
     Categorical,
 }
 
@@ -46,9 +46,8 @@ enum NumSlot {
     Param(usize),
 }
 
-/// A categorical literal position. Labels (and numeric codes) stay
-/// symbolic until bind so dictionary growth cannot desynchronize the
-/// prepared path from the ad-hoc path.
+/// A categorical literal position. Labels stay symbolic until bind, so
+/// they resolve against the dictionary of the table the plan scans.
 #[derive(Debug, Clone)]
 enum CatSlot {
     Label(String),
@@ -56,9 +55,8 @@ enum CatSlot {
     Param(usize),
 }
 
-/// The `WHERE` tree compiled against a schema, with literal slots.
-/// Variants correspond one-to-one with the predicates
-/// [`crate::resolve::to_predicate`] can emit.
+/// The `WHERE` tree compiled against a schema, with literal slots: one
+/// variant per predicate shape `bind_template` can emit.
 #[derive(Debug, Clone)]
 enum PredTemplate {
     True,
@@ -150,23 +148,39 @@ impl PreparedQuery {
         &self.primitives
     }
 
-    /// Binds the statement's base predicate. `table` supplies the
-    /// dictionary for label resolution (pass the table the plan will
-    /// scan). Count and type mismatches return
-    /// [`SqlError::PlaceholderCount`] / [`SqlError::PlaceholderType`].
-    pub fn bind(&self, table: &Table, params: &[Value]) -> Result<Predicate> {
+    /// The one parameter check: the count matches the placeholders and
+    /// every value fits its slot's kind, or [`SqlError::PlaceholderCount`]
+    /// / [`SqlError::PlaceholderType`]. Needs no table, so callers can
+    /// refuse bad parameters before they pick one.
+    pub fn check_params(&self, params: &[Value]) -> Result<()> {
         if params.len() != self.params.len() {
             return Err(SqlError::PlaceholderCount {
                 expected: self.params.len(),
                 got: params.len(),
             });
         }
+        for (index, (kind, value)) in self.params.iter().zip(params).enumerate() {
+            match (kind, value) {
+                (ParamKind::Numeric, value) => num_param(index, value).map(drop)?,
+                (ParamKind::Categorical, Value::Num(n)) => code_param(index, *n).map(drop)?,
+                (ParamKind::Categorical, _) => {}
+            }
+        }
+        Ok(())
+    }
+
+    /// Binds the statement's base predicate. `table` supplies the
+    /// dictionary for label resolution (pass the table the plan will
+    /// scan). Parameters are validated by [`PreparedQuery::check_params`].
+    pub fn bind(&self, table: &Table, params: &[Value]) -> Result<Predicate> {
+        self.check_params(params)?;
         bind_template(&self.template, table, params)
     }
 
     /// Assembles the final [`ScanPlan`] from an already-bound base
-    /// predicate (see [`PreparedQuery::bind`]) and the enumerated group
-    /// keys — the whole SQL layer is skipped.
+    /// predicate and the enumerated group keys: keeps the groups under
+    /// `N_max`, each with its full predicate (base ∧ group-value equalities,
+    /// Figure 3); an ungrouped query is the one implicit group `(None, base)`.
     pub fn plan_bound(
         &self,
         base_predicate: Predicate,
@@ -174,15 +188,39 @@ impl PreparedQuery {
         group_keys: &[GroupKey],
         nmax: usize,
     ) -> Result<ScanPlan> {
-        assemble_scan_plan(
+        let (mut groups, mut group_predicates) = (Vec::new(), Vec::new());
+        let mut groups_dropped = 0;
+        if self.group_cols.is_empty() {
+            groups.push(None);
+            group_predicates.push(base_predicate.clone());
+        } else {
+            groups_dropped = group_keys.len().saturating_sub(nmax);
+            for key in group_keys.iter().take(nmax) {
+                if key.len() != self.group_cols.len() {
+                    return Err(SqlError::Resolve(format!(
+                        "group key arity {} does not match {} group columns",
+                        key.len(),
+                        self.group_cols.len()
+                    )));
+                }
+                let mut predicate = base_predicate.clone();
+                for (col, value) in self.group_cols.iter().zip(key.iter()) {
+                    predicate = predicate.and(group_equality(table, col, value)?);
+                }
+                groups.push(Some(key.clone()));
+                group_predicates.push(predicate);
+            }
+        }
+        Ok(ScanPlan {
             base_predicate,
-            self.group_cols.clone(),
-            self.primitives.clone(),
-            self.aggregates.clone(),
-            table,
-            group_keys,
-            nmax,
-        )
+            group_cols: self.group_cols.clone(),
+            groups,
+            group_predicates,
+            primitives: self.primitives.clone(),
+            aggregates: self.aggregates.clone(),
+            truncated: groups_dropped > 0,
+            groups_dropped,
+        })
     }
 
     /// Convenience: [`PreparedQuery::bind`] + [`PreparedQuery::plan_bound`].
@@ -223,7 +261,7 @@ pub fn prepare_query(query: &Query, table: &Table) -> Result<PreparedQuery> {
         reject_placeholders(&j.right, "a join condition")?;
     }
 
-    let mut params: Vec<Option<ParamKind>> = vec![None; query.placeholders];
+    let mut params = vec![None; query.placeholders];
     let template = match &query.where_clause {
         Some(w) => compile_template(w, table, &mut params)?,
         None => PredTemplate::True,
@@ -249,6 +287,21 @@ pub fn prepare_query(query: &Query, table: &Table) -> Result<PreparedQuery> {
         params,
         fingerprint,
     })
+}
+
+/// Resolves a `WHERE` tree whose literals are all inline against
+/// `table`: compile the template, bind nothing. A `?` in the tree is
+/// [`SqlError::PlaceholderCount`] — there is nothing to bind it with.
+pub fn to_predicate(pred: &WherePred, table: &Table) -> Result<Predicate> {
+    let mut params = Vec::new();
+    let template = compile_template(pred, table, &mut params)?;
+    if !params.is_empty() {
+        return Err(SqlError::PlaceholderCount {
+            expected: params.len(),
+            got: 0,
+        });
+    }
+    bind_template(&template, table, &[])
 }
 
 /// Canonical plan encoding fed to [`fingerprint_bytes`]. Every variant
@@ -486,19 +539,26 @@ fn reject_placeholders_pred(p: &WherePred, place: &str) -> Result<()> {
     }
 }
 
-/// A numeric literal or placeholder → slot; mirrors
-/// `resolve::literal_number` for the constant case.
-fn num_slot(e: &ScalarExpr, params: &mut [Option<ParamKind>]) -> Result<NumSlot> {
-    fn literal_number(e: &ScalarExpr) -> Option<f64> {
-        match e {
-            ScalarExpr::Number(n) => Some(*n),
-            ScalarExpr::Neg(inner) => literal_number(inner).map(|n| -n),
-            _ => None,
-        }
+fn literal_number(e: &ScalarExpr) -> Option<f64> {
+    match e {
+        ScalarExpr::Number(n) => Some(*n),
+        ScalarExpr::Neg(inner) => literal_number(inner).map(|n| -n),
+        _ => None,
     }
+}
+
+/// A number in a categorical position is a raw dictionary code: finite,
+/// integral and in `0..=u32::MAX`, or it is refused — a saturating cast
+/// would answer `-1` or `NaN` with the first label's rows.
+fn raw_code(n: f64) -> Option<u32> {
+    (n.fract() == 0.0 && (0.0..=f64::from(u32::MAX)).contains(&n)).then_some(n as u32)
+}
+
+/// A numeric literal or placeholder → slot.
+fn num_slot(e: &ScalarExpr, params: &mut Vec<Option<ParamKind>>) -> Result<NumSlot> {
     match e {
         ScalarExpr::Placeholder(i) => {
-            claim(params, *i, ParamKind::Numeric)?;
+            claim(params, *i, ParamKind::Numeric);
             Ok(NumSlot::Param(*i))
         }
         other => literal_number(other).map(NumSlot::Const).ok_or_else(|| {
@@ -507,14 +567,15 @@ fn num_slot(e: &ScalarExpr, params: &mut [Option<ParamKind>]) -> Result<NumSlot>
     }
 }
 
-/// A categorical literal or placeholder → slot; mirrors
-/// `resolve::categorical_codes` for the constant cases.
-fn cat_slot(e: &ScalarExpr, params: &mut [Option<ParamKind>]) -> Result<CatSlot> {
+/// A categorical literal or placeholder → slot.
+fn cat_slot(e: &ScalarExpr, params: &mut Vec<Option<ParamKind>>) -> Result<CatSlot> {
     match e {
         ScalarExpr::String(s) => Ok(CatSlot::Label(s.clone())),
-        ScalarExpr::Number(n) => Ok(CatSlot::Code(*n as u32)),
+        ScalarExpr::Number(n) => raw_code(*n)
+            .map(CatSlot::Code)
+            .ok_or_else(|| SqlError::Resolve(format!("{n} is not a dictionary code"))),
         ScalarExpr::Placeholder(i) => {
-            claim(params, *i, ParamKind::Categorical)?;
+            claim(params, *i, ParamKind::Categorical);
             Ok(CatSlot::Param(*i))
         }
         other => Err(SqlError::Resolve(format!(
@@ -524,21 +585,22 @@ fn cat_slot(e: &ScalarExpr, params: &mut [Option<ParamKind>]) -> Result<CatSlot>
     }
 }
 
-fn claim(params: &mut [Option<ParamKind>], index: usize, kind: ParamKind) -> Result<()> {
-    let slot = params
-        .get_mut(index)
-        .ok_or_else(|| SqlError::Resolve(format!("placeholder index {index} out of range")))?;
-    *slot = Some(kind);
-    Ok(())
+/// Records placeholder `index`'s kind; `params` grows to fit, so a bare
+/// `WHERE` tree compiles without a placeholder count.
+fn claim(params: &mut Vec<Option<ParamKind>>, index: usize, kind: ParamKind) {
+    if index >= params.len() {
+        params.resize(index + 1, None);
+    }
+    params[index] = Some(kind);
 }
 
-/// Compiles a checked `WHERE` tree into a template, resolving column
-/// names and types once. Structure mirrors `resolve::to_predicate` so
-/// binding emits the identical [`Predicate`].
+/// Compiles a `WHERE` tree into a template, resolving column names and
+/// types once and recording each placeholder's kind in `params`. Runs
+/// behind the support checker, yet refuses what it refuses on its own.
 fn compile_template(
     pred: &WherePred,
     table: &Table,
-    params: &mut [Option<ParamKind>],
+    params: &mut Vec<Option<ParamKind>>,
 ) -> Result<PredTemplate> {
     match pred {
         WherePred::And(l, r) => Ok(PredTemplate::And(
@@ -574,7 +636,7 @@ fn compile_template(
             })
         }
         WherePred::Cmp { op, lhs, rhs } => {
-            // Normalize the column to the left, like `to_predicate`.
+            // Normalize the column to the left.
             let (name, lit, op) = match (lhs, rhs) {
                 (ScalarExpr::Column { name, .. }, lit) if !is_column(lit) => (name, lit, *op),
                 (lit, ScalarExpr::Column { name, .. }) if !is_column(lit) => (name, lit, flip(*op)),
@@ -597,25 +659,15 @@ fn compile_template(
                             col: name.clone(),
                             value: slot,
                         },
-                        CmpOp::Lt => PredTemplate::Less {
+                        CmpOp::Lt | CmpOp::LtEq => PredTemplate::Less {
                             col: name.clone(),
                             bound: slot,
-                            inclusive: false,
+                            inclusive: op == CmpOp::LtEq,
                         },
-                        CmpOp::LtEq => PredTemplate::Less {
+                        CmpOp::Gt | CmpOp::GtEq => PredTemplate::Greater {
                             col: name.clone(),
                             bound: slot,
-                            inclusive: true,
-                        },
-                        CmpOp::Gt => PredTemplate::Greater {
-                            col: name.clone(),
-                            bound: slot,
-                            inclusive: false,
-                        },
-                        CmpOp::GtEq => PredTemplate::Greater {
-                            col: name.clone(),
-                            bound: slot,
-                            inclusive: true,
+                            inclusive: op == CmpOp::GtEq,
                         },
                         CmpOp::NotEq => {
                             return Err(SqlError::Resolve(
@@ -669,40 +721,53 @@ fn flip(op: CmpOp) -> CmpOp {
     }
 }
 
+/// The value bound to numeric placeholder `index`.
+fn num_param(index: usize, value: &Value) -> Result<f64> {
+    match value {
+        Value::Num(v) => Ok(*v),
+        other => Err(SqlError::PlaceholderType {
+            index,
+            message: format!("numeric column placeholder bound with {other}"),
+        }),
+    }
+}
+
+/// The raw code a number bound to categorical placeholder `index` names.
+fn code_param(index: usize, n: f64) -> Result<u32> {
+    raw_code(n).ok_or_else(|| SqlError::PlaceholderType {
+        index,
+        message: format!("categorical column placeholder bound with {n}, not a dictionary code"),
+    })
+}
+
 fn bind_num(slot: &NumSlot, params: &[Value]) -> Result<f64> {
     match slot {
         NumSlot::Const(v) => Ok(*v),
-        NumSlot::Param(i) => match &params[*i] {
-            Value::Num(v) => Ok(*v),
-            other => Err(SqlError::PlaceholderType {
-                index: *i,
-                message: format!("numeric column placeholder bound with {other}"),
-            }),
-        },
+        NumSlot::Param(i) => num_param(*i, &params[*i]),
     }
 }
 
-/// Resolves one categorical slot to dictionary codes, mirroring
-/// `resolve::categorical_codes`: unknown labels map to no codes (matches
-/// nothing), numbers are raw codes.
-fn bind_cat(slot: &CatSlot, table: &Table, col: &str, params: &[Value]) -> Result<Vec<u32>> {
-    match slot {
-        CatSlot::Code(c) => Ok(vec![*c]),
-        CatSlot::Label(s) => Ok(match table.column(col)?.code_of(s) {
-            Some(c) => vec![c],
-            None => vec![],
-        }),
-        CatSlot::Param(i) => match &params[*i] {
-            Value::Str(s) => Ok(match table.column(col)?.code_of(s) {
-                Some(c) => vec![c],
-                None => vec![],
-            }),
-            Value::Cat(c) => Ok(vec![*c]),
-            Value::Num(n) => Ok(vec![*n as u32]),
-        },
+/// Resolves categorical slots to dictionary codes: unknown labels map to
+/// no code (match nothing), numbers are raw codes.
+fn bind_cat(items: &[CatSlot], table: &Table, col: &str, params: &[Value]) -> Result<Vec<u32>> {
+    let column = table.column(col)?;
+    let mut codes = Vec::with_capacity(items.len());
+    for item in items {
+        match item {
+            CatSlot::Code(c) => codes.push(*c),
+            CatSlot::Label(s) => codes.extend(column.code_of(s)),
+            CatSlot::Param(i) => match &params[*i] {
+                Value::Str(s) => codes.extend(column.code_of(s)),
+                Value::Cat(c) => codes.push(*c),
+                Value::Num(n) => codes.push(code_param(*i, *n)?),
+            },
+        }
     }
+    Ok(codes)
 }
 
+/// Binds a compiled template against `table`'s dictionaries: the one
+/// place SQL literals and parameters become a [`Predicate`].
 fn bind_template(template: &PredTemplate, table: &Table, params: &[Value]) -> Result<Predicate> {
     Ok(match template {
         PredTemplate::True => Predicate::True,
@@ -727,19 +792,11 @@ fn bind_template(template: &PredTemplate, table: &Table, params: &[Value]) -> Re
             Predicate::between(col, v, v)
         }
         PredTemplate::CatIn { col, items } => {
-            let mut codes = Vec::with_capacity(items.len());
-            for item in items {
-                codes.extend(bind_cat(item, table, col, params)?);
-            }
-            Predicate::cat_in(col, codes)
+            Predicate::cat_in(col, bind_cat(items, table, col, params)?)
         }
         PredTemplate::CatComplement { col, items } => {
-            let mut codes = Vec::with_capacity(items.len());
-            for item in items {
-                codes.extend(bind_cat(item, table, col, params)?);
-            }
-            // Complement within the dictionary observed *now*, exactly
-            // like the ad-hoc `<>` path.
+            let codes = bind_cat(items, table, col, params)?;
+            // Complement within the dictionary observed *now*.
             let card = table.column(col)?.cardinality().unwrap_or(0) as u32;
             let all: Vec<u32> = (0..card).filter(|c| !codes.contains(c)).collect();
             Predicate::cat_in(col, all)
@@ -750,9 +807,7 @@ fn bind_template(template: &PredTemplate, table: &Table, params: &[Value]) -> Re
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::WherePred;
     use crate::parser::parse_query;
-    use crate::resolve::to_predicate;
     use verdict_storage::{ColumnDef, Schema};
 
     fn table() -> Table {
@@ -774,84 +829,131 @@ mod tests {
         t
     }
 
-    /// Substitutes bound params back into the AST so the ad-hoc resolver
-    /// can produce the reference predicate (test-only oracle).
-    fn substitute(pred: &WherePred, params: &[Value]) -> WherePred {
-        fn subst_expr(e: &ScalarExpr, params: &[Value]) -> ScalarExpr {
-            match e {
-                ScalarExpr::Placeholder(i) => match &params[*i] {
-                    Value::Num(n) => ScalarExpr::Number(*n),
-                    Value::Str(s) => ScalarExpr::String(s.clone()),
-                    Value::Cat(c) => ScalarExpr::Number(*c as f64),
-                },
-                other => other.clone(),
-            }
-        }
-        match pred {
-            WherePred::And(l, r) => WherePred::And(
-                Box::new(substitute(l, params)),
-                Box::new(substitute(r, params)),
-            ),
-            WherePred::Between { expr, lo, hi } => WherePred::Between {
-                expr: expr.clone(),
-                lo: subst_expr(lo, params),
-                hi: subst_expr(hi, params),
-            },
-            WherePred::InList { expr, list } => WherePred::InList {
-                expr: expr.clone(),
-                list: list.iter().map(|e| subst_expr(e, params)).collect(),
-            },
-            WherePred::Cmp { op, lhs, rhs } => WherePred::Cmp {
-                op: *op,
-                lhs: subst_expr(lhs, params),
-                rhs: subst_expr(rhs, params),
-            },
-            other => other.clone(),
-        }
+    fn code(t: &Table, label: &str) -> u32 {
+        t.column("region").unwrap().code_of(label).unwrap()
     }
 
-    /// Binding the template must emit the exact predicate the ad-hoc
-    /// resolver emits for the same statement with literals inlined.
-    fn assert_bind_matches_ad_hoc(sql: &str, params: &[Value]) {
-        let t = table();
-        let q = parse_query(sql).unwrap();
-        let prepared = prepare_query(&q, &t).unwrap();
-        let bound = prepared.bind(&t, params).unwrap();
-        let inlined = substitute(q.where_clause.as_ref().unwrap(), params);
-        let reference = to_predicate(&inlined, &t).unwrap();
-        assert_eq!(bound, reference, "{sql} with {params:?}");
+    /// `cond` is a `WHERE` condition with `{}` where a literal goes: bound
+    /// with `params` at `?`s there, and resolved through `to_predicate`
+    /// with them written inline, it must give `expected` both ways.
+    fn assert_resolves(t: &Table, cond: &str, params: &[Value], expected: &Predicate) {
+        let select = |w: &str| parse_query(&format!("SELECT AVG(rev) FROM t WHERE {w}")).unwrap();
+        let prepared = prepare_query(&select(&cond.replace("{}", "?")), t).unwrap();
+        assert_eq!(&prepared.bind(t, params).unwrap(), expected, "{cond}");
+        let inlined = params.iter().fold(cond.to_owned(), |w, p| {
+            let literal = match p {
+                Value::Str(s) => format!("'{s}'"),
+                Value::Num(n) => n.to_string(),
+                Value::Cat(c) => c.to_string(),
+            };
+            w.replacen("{}", &literal, 1)
+        });
+        let tree = select(&inlined).where_clause.unwrap();
+        assert_eq!(&to_predicate(&tree, t).unwrap(), expected, "{inlined}");
     }
 
+    /// Every predicate form with its expectation written out: what a
+    /// statement resolves to is the region its snippets are recorded and
+    /// correlated under, so each rule is pinned to a constructor.
     #[test]
     fn bound_predicates_match_ad_hoc_resolution() {
-        assert_bind_matches_ad_hoc(
-            "SELECT AVG(rev) FROM t WHERE week BETWEEN ? AND ?",
-            &[Value::Num(1.0), Value::Num(3.0)],
-        );
-        assert_bind_matches_ad_hoc(
-            "SELECT AVG(rev) FROM t WHERE week > ? AND region = ?",
-            &[Value::Num(2.0), Value::Str("us".into())],
-        );
-        assert_bind_matches_ad_hoc("SELECT AVG(rev) FROM t WHERE ? >= week", &[Value::Num(2.0)]);
-        assert_bind_matches_ad_hoc(
-            "SELECT AVG(rev) FROM t WHERE region <> ?",
-            &[Value::Str("eu".into())],
-        );
-        assert_bind_matches_ad_hoc(
-            "SELECT AVG(rev) FROM t WHERE region IN (?, 'jp')",
-            &[Value::Str("us".into())],
-        );
-        assert_bind_matches_ad_hoc("SELECT AVG(rev) FROM t WHERE week = ?", &[Value::Num(3.0)]);
-        // Unknown label matches nothing, same as ad hoc.
-        assert_bind_matches_ad_hoc(
-            "SELECT AVG(rev) FROM t WHERE region = ?",
-            &[Value::Str("mars".into())],
-        );
-        // Mixed constants and params.
-        assert_bind_matches_ad_hoc(
-            "SELECT AVG(rev) FROM t WHERE week BETWEEN 1 AND ? AND region = 'us'",
-            &[Value::Num(4.0)],
-        );
+        let t = table();
+        let (us, eu, jp) = (code(&t, "us"), code(&t, "eu"), code(&t, "jp"));
+        let between = Predicate::between;
+        let (lt, gt) = (Predicate::less_than, Predicate::greater_than);
+        let region = |codes: &[u32]| Predicate::cat_in("region", codes.to_vec());
+        let num = Value::Num;
+        let label = |s: &str| Value::Str(s.into());
+        let cases = [
+            (
+                "week BETWEEN {} AND {}",
+                vec![num(1.0), num(3.0)],
+                between("week", 1.0, 3.0),
+            ),
+            (
+                "week > {} AND region = {}",
+                vec![num(2.0), label("us")],
+                gt("week", 2.0, false).and(region(&[us])),
+            ),
+            (
+                "week < {} AND week <= {} AND week >= {}",
+                vec![num(4.0), num(3.0), num(-1.0)],
+                lt("week", 4.0, false)
+                    .and(lt("week", 3.0, true))
+                    .and(gt("week", -1.0, true)),
+            ),
+            // Flipped operands: the column moves left, the operator turns.
+            ("{} >= week", vec![num(2.0)], lt("week", 2.0, true)),
+            ("{} < week", vec![num(2.0)], gt("week", 2.0, false)),
+            // Numeric `=` is a point range.
+            ("week = {}", vec![num(3.0)], between("week", 3.0, 3.0)),
+            // `<>` complements within the dictionary.
+            ("region <> {}", vec![label("eu")], region(&[us, jp])),
+            ("region IN ({}, 'jp')", vec![label("us")], region(&[us, jp])),
+            // An unknown label matches nothing; its complement, everything.
+            ("region = {}", vec![label("mars")], region(&[])),
+            ("region <> {}", vec![label("mars")], region(&[us, eu, jp])),
+            // Raw codes: a `Value::Cat` or integral `Value::Num` bound, a
+            // number inline.
+            ("region = {}", vec![Value::Cat(eu)], region(&[eu])),
+            ("region = {}", vec![num(f64::from(jp))], region(&[jp])),
+            // Mixed constants and parameters.
+            (
+                "week BETWEEN 1 AND {} AND region = 'us'",
+                vec![num(4.0)],
+                between("week", 1.0, 4.0).and(region(&[us])),
+            ),
+        ];
+        for (cond, params, expected) in &cases {
+            assert_resolves(&t, cond, params, expected);
+        }
+    }
+
+    /// Labels and `<>` complements resolve against the dictionary of the
+    /// table bound against, not the one compiled against: a label ingested
+    /// after `prepare` is found, and joins every complement.
+    #[test]
+    fn labels_and_complements_resolve_at_bind_time() {
+        let mut t = table();
+        let prepare = |sql: &str| prepare_query(&parse_query(sql).unwrap(), &t).unwrap();
+        let eq = prepare("SELECT AVG(rev) FROM t WHERE region = ?");
+        let ne = prepare("SELECT AVG(rev) FROM t WHERE region <> ?");
+        let ne_us = prepare("SELECT AVG(rev) FROM t WHERE region <> 'us'");
+        let (us, eu, jp) = (code(&t, "us"), code(&t, "eu"), code(&t, "jp"));
+        let region = |codes: &[u32]| Predicate::cat_in("region", codes.to_vec());
+        let br = [Value::Str("br".into())];
+        assert_eq!(eq.bind(&t, &br).unwrap(), region(&[]));
+
+        t.push_row(vec![5.0.into(), "br".into(), 50.0.into()])
+            .unwrap();
+        let new = code(&t, "br");
+        assert_eq!(eq.bind(&t, &br).unwrap(), region(&[new]));
+        assert_eq!(ne.bind(&t, &br).unwrap(), region(&[us, eu, jp]));
+        assert_eq!(ne_us.bind(&t, &[]).unwrap(), region(&[eu, jp, new]));
+    }
+
+    /// A number in a categorical position names a raw code only when it
+    /// is one; `as u32` would answer `-1` and `NaN` for the first label.
+    #[test]
+    fn non_code_numbers_in_categorical_positions_are_typed_errors() {
+        let t = table();
+        let q = parse_query("SELECT AVG(rev) FROM t WHERE week > ? AND region = ?").unwrap();
+        let p = prepare_query(&q, &t).unwrap();
+        for bad in [-1.0, 1.5, f64::NAN, f64::INFINITY, 1e12] {
+            let params = [Value::Num(0.0), Value::Num(bad)];
+            for err in [p.check_params(&params), p.bind(&t, &params).map(drop)] {
+                assert!(
+                    matches!(err, Err(SqlError::PlaceholderType { index: 1, .. })),
+                    "{bad}: {err:?}"
+                );
+            }
+        }
+        for cond in ["region = 1.5", "region IN ('us', 1e12)"] {
+            let q = parse_query(&format!("SELECT AVG(rev) FROM t WHERE {cond}")).unwrap();
+            let err = to_predicate(&q.where_clause.unwrap(), &t).unwrap_err();
+            assert!(matches!(err, SqlError::Resolve(_)), "{cond}: {err:?}");
+        }
+        assert_eq!(raw_code(f64::from(u32::MAX)), Some(u32::MAX));
     }
 
     #[test]

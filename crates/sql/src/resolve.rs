@@ -1,11 +1,14 @@
 //! Binds checked AST fragments against a concrete table: scalar
-//! expressions become storage [`Expr`]s and predicates become storage
-//! [`Predicate`]s, with categorical string literals resolved to dictionary
-//! codes.
+//! expressions become storage [`Expr`]s, `FROM` names resolve against a
+//! catalog, and group-by values become equality predicates.
+//!
+//! `WHERE` trees are resolved in one place, the plan template of
+//! [`crate::prepared`], whose [`to_predicate`] is re-exported here.
 
 use verdict_storage::{ColumnType, Expr, Predicate, Table, Value};
 
-use crate::ast::{CmpOp, ScalarExpr, WherePred};
+use crate::ast::ScalarExpr;
+pub use crate::prepared::to_predicate;
 use crate::{Result, SqlError};
 
 /// Converts a scalar expression into a storage expression.
@@ -41,161 +44,6 @@ pub fn to_expr(e: &ScalarExpr) -> Result<Expr> {
             )))
         }
     })
-}
-
-/// The error for a placeholder reaching the ad-hoc resolution path.
-fn unbound_placeholder() -> SqlError {
-    SqlError::Resolve(
-        "unbound placeholder: prepare the statement and bind parameters \
-         instead of executing it ad hoc"
-            .into(),
-    )
-}
-
-/// Extracts `(column_name, literal)` from a comparison, normalizing the
-/// order so the column is on the left; `flipped` reports whether the
-/// operands were swapped (so `<` becomes `>` etc.).
-fn column_literal<'a>(
-    lhs: &'a ScalarExpr,
-    rhs: &'a ScalarExpr,
-) -> Option<(&'a str, &'a ScalarExpr, bool)> {
-    match (lhs, rhs) {
-        (ScalarExpr::Column { name, .. }, lit) if is_literal(lit) => Some((name, lit, false)),
-        (lit, ScalarExpr::Column { name, .. }) if is_literal(lit) => Some((name, lit, true)),
-        _ => None,
-    }
-}
-
-fn is_literal(e: &ScalarExpr) -> bool {
-    matches!(
-        e,
-        ScalarExpr::Number(_)
-            | ScalarExpr::String(_)
-            | ScalarExpr::Neg(_)
-            | ScalarExpr::Placeholder(_)
-    )
-}
-
-fn literal_number(e: &ScalarExpr) -> Option<f64> {
-    match e {
-        ScalarExpr::Number(n) => Some(*n),
-        ScalarExpr::Neg(inner) => literal_number(inner).map(|n| -n),
-        _ => None,
-    }
-}
-
-/// Resolves a literal against a categorical column's dictionary. Unknown
-/// labels map to an empty set (matches nothing) rather than an error —
-/// a query can legitimately probe a value absent from the data.
-fn categorical_codes(table: &Table, col: &str, lit: &ScalarExpr) -> Result<Vec<u32>> {
-    let column = table.column(col)?;
-    Ok(match lit {
-        ScalarExpr::String(s) => match column.code_of(s) {
-            Some(c) => vec![c],
-            None => vec![],
-        },
-        ScalarExpr::Number(n) => vec![*n as u32],
-        ScalarExpr::Placeholder(_) => return Err(unbound_placeholder()),
-        other => {
-            return Err(SqlError::Resolve(format!(
-                "cannot use {} as a categorical literal",
-                other.display()
-            )))
-        }
-    })
-}
-
-/// Converts a checked `WHERE` tree into a storage predicate against
-/// `table`. Callers must run the support checker first: disjunction,
-/// negation, and `LIKE` reach here only through bugs and return errors.
-pub fn to_predicate(pred: &WherePred, table: &Table) -> Result<Predicate> {
-    match pred {
-        WherePred::And(l, r) => Ok(to_predicate(l, table)?.and(to_predicate(r, table)?)),
-        WherePred::Or(_, _) => Err(SqlError::Resolve("disjunction is unsupported".into())),
-        WherePred::Not(_) => Err(SqlError::Resolve("negation is unsupported".into())),
-        WherePred::Like { .. } => Err(SqlError::Resolve("LIKE is unsupported".into())),
-        WherePred::Between { expr, lo, hi } => {
-            let ScalarExpr::Column { name, .. } = expr else {
-                return Err(SqlError::Resolve("BETWEEN needs a column".into()));
-            };
-            if matches!(lo, ScalarExpr::Placeholder(_)) || matches!(hi, ScalarExpr::Placeholder(_))
-            {
-                return Err(unbound_placeholder());
-            }
-            let (Some(lo), Some(hi)) = (literal_number(lo), literal_number(hi)) else {
-                return Err(SqlError::Resolve("BETWEEN needs numeric bounds".into()));
-            };
-            Ok(Predicate::between(name, lo, hi))
-        }
-        WherePred::InList { expr, list } => {
-            let ScalarExpr::Column { name, .. } = expr else {
-                return Err(SqlError::Resolve("IN needs a column".into()));
-            };
-            let mut codes = Vec::with_capacity(list.len());
-            for lit in list {
-                codes.extend(categorical_codes(table, name, lit)?);
-            }
-            Ok(Predicate::cat_in(name, codes))
-        }
-        WherePred::Cmp { op, lhs, rhs } => {
-            let Some((name, lit, flipped)) = column_literal(lhs, rhs) else {
-                return Err(SqlError::Resolve(
-                    "comparison must be column vs literal".into(),
-                ));
-            };
-            let op = if flipped { flip(*op) } else { *op };
-            if matches!(lit, ScalarExpr::Placeholder(_)) {
-                return Err(unbound_placeholder());
-            }
-            let col_ty = table.schema().column(name)?.ty;
-            match col_ty {
-                ColumnType::Numeric => {
-                    let Some(v) = literal_number(lit) else {
-                        return Err(SqlError::Resolve(format!(
-                            "numeric column {name} compared to non-numeric literal"
-                        )));
-                    };
-                    Ok(match op {
-                        CmpOp::Eq => Predicate::between(name, v, v),
-                        CmpOp::Lt => Predicate::less_than(name, v, false),
-                        CmpOp::LtEq => Predicate::less_than(name, v, true),
-                        CmpOp::Gt => Predicate::greater_than(name, v, false),
-                        CmpOp::GtEq => Predicate::greater_than(name, v, true),
-                        CmpOp::NotEq => {
-                            return Err(SqlError::Resolve(
-                                "numeric <> creates a disjunctive region".into(),
-                            ))
-                        }
-                    })
-                }
-                ColumnType::Categorical => {
-                    let codes = categorical_codes(table, name, lit)?;
-                    match op {
-                        CmpOp::Eq => Ok(Predicate::cat_in(name, codes)),
-                        CmpOp::NotEq => {
-                            // Complement within the observed dictionary.
-                            let card = table.column(name)?.cardinality().unwrap_or(0) as u32;
-                            let all: Vec<u32> = (0..card).filter(|c| !codes.contains(c)).collect();
-                            Ok(Predicate::cat_in(name, all))
-                        }
-                        _ => Err(SqlError::Resolve(format!(
-                            "ordered comparison on categorical column {name}"
-                        ))),
-                    }
-                }
-            }
-        }
-    }
-}
-
-fn flip(op: CmpOp) -> CmpOp {
-    match op {
-        CmpOp::Lt => CmpOp::Gt,
-        CmpOp::LtEq => CmpOp::GtEq,
-        CmpOp::Gt => CmpOp::Lt,
-        CmpOp::GtEq => CmpOp::LtEq,
-        other => other,
-    }
 }
 
 /// Resolves a query's `FROM` name against a catalog of registered table
@@ -259,7 +107,7 @@ mod tests {
         t
     }
 
-    fn where_of(sql: &str) -> WherePred {
+    fn where_of(sql: &str) -> crate::ast::WherePred {
         parse_query(sql).unwrap().where_clause.unwrap()
     }
 
@@ -349,10 +197,11 @@ mod tests {
             "SELECT AVG(rev) FROM t WHERE region = ?",
             "SELECT AVG(rev) FROM t WHERE region IN (?, 'us')",
         ] {
-            let err = to_predicate(&where_of(sql), &t).unwrap_err();
-            assert!(
-                matches!(&err, SqlError::Resolve(m) if m.contains("unbound placeholder")),
-                "{sql}: {err:?}"
+            let expected = sql.matches('?').count();
+            assert_eq!(
+                to_predicate(&where_of(sql), &t).unwrap_err(),
+                SqlError::PlaceholderCount { expected, got: 0 },
+                "{sql}"
             );
         }
     }

@@ -9,17 +9,13 @@
 //! - [`describe`]: streaming and batch descriptive statistics (Welford
 //!   accumulators back the AQP engine's CLT error estimates);
 //! - [`percentile()`]: order statistics used when reporting error
-//!   distributions (Figure 5);
-//! - [`bounds`]: Chebyshev fallback bound used by model validation
-//!   (Appendix B).
+//!   distributions (Figure 5).
 
-pub mod bounds;
 pub mod describe;
 pub mod erf;
 pub mod normal;
 pub mod percentile;
 
-pub use bounds::chebyshev_radius;
 pub use describe::{covariance, indicator_mean_se, mean, variance, Welford};
 pub use erf::{erf, erfc};
 pub use normal::{confidence_multiplier, normal_cdf, normal_pdf, normal_quantile};

@@ -53,11 +53,12 @@
 //! `"t"` and any `FROM` resolves to it, matching the pre-catalog
 //! sessions).
 //!
-//! ## Prepared statements
+//! ## One statement path
 //!
-//! [`Database::prepare`] runs parse → check → resolve → plan-template
-//! once; the returned [`crate::Prepared`] handle re-executes with only
-//! literal re-binding (see [`crate::query`]).
+//! [`Database::prepare`] runs parse → resolve `FROM` → check → compile
+//! the plan template once; the returned [`crate::Prepared`] handle
+//! re-executes with only literal re-binding (see [`crate::query`]), and
+//! [`Database::query`] is that path in one call, with nothing to bind.
 
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
@@ -71,7 +72,9 @@ use verdict_core::concurrent::{EngineSnapshot, Learner};
 use verdict_core::{AggKey, QualifiedAggKey, SchemaInfo, Verdict, VerdictConfig};
 use verdict_obs::{MetricsHub, MetricsSnapshot, QueryLog, QueryTrace, ScanTrace, Stopwatch};
 use verdict_sql::checker::JoinPolicy;
-use verdict_sql::{check_query, parse_query, resolve_from, Query, ScanPlan, SupportVerdict};
+use verdict_sql::{
+    check_query, parse_query, prepare_query, resolve_from, PreparedQuery, Query, SupportVerdict,
+};
 use verdict_storage::{AggregateFn, PartitionMap, PartitionSpec, Predicate, Schema, Table, Value};
 use verdict_store::catalog::{catalog_exists, is_valid_table_name, table_dir};
 use verdict_store::{
@@ -82,9 +85,9 @@ use verdict_store::{
 use crate::metrics::{CheckpointReport, TableObs};
 use crate::query::{Prepared, QueryOptions};
 use crate::session::{
-    build_paged_engines, default_parallelism, draw_engines, plan_shared_scan, prepare_ingest,
-    query_trace, run_shared_read, widening_magnitude, IngestReport, PagedRuntime, ReadOutcome,
-    SampleRotation, StagePrelude,
+    build_paged_engines, default_parallelism, draw_engines, prepare_ingest, query_trace,
+    run_shared_read, widening_magnitude, IngestReport, PagedRuntime, ReadOutcome, SampleRotation,
+    StagePrelude,
 };
 use crate::{Error, QueryOutcome, Result};
 
@@ -272,8 +275,8 @@ pub(crate) struct Shard {
 impl Shard {
     /// **The create path**: draws `table`'s samples and starts a blank
     /// learned state, with a fresh durable store in `store_dir` if given.
-    /// `partition` clusters the samples by partition; combined with a
-    /// store the table becomes out-of-core — split into one column file
+    /// `opts.partition` clusters the samples by partition; combined with
+    /// a store the table becomes out-of-core — split into one column file
     /// per partition and served demand-paged under `serve.memory_budget`.
     /// Sampling geometry, rotation, tier and cost come from `opts`; the
     /// remaining serving knobs from `serve`.
@@ -281,10 +284,10 @@ impl Shard {
         name: &str,
         table: Table,
         opts: &TableOptions,
-        partition: Option<&PartitionSpec>,
         store_dir: Option<PathBuf>,
         serve: &OpenOptions,
     ) -> Result<Shard> {
+        let partition = opts.partition.as_ref();
         let paged = partition.is_some() && store_dir.is_some();
         if serve.memory_budget.is_some() && !paged {
             return Err(memory_budget_misuse());
@@ -629,9 +632,19 @@ impl Shard {
         Ok(())
     }
 
-    /// Checks, plans and answers one parsed ad-hoc query whose `FROM`
-    /// already resolved to this shard.
-    pub(crate) fn query(
+    /// The front half every statement shares: the support check (§2.2,
+    /// failing as [`Error::Unsupported`]), then the plan template,
+    /// compiled against this table's schema (fixed at creation).
+    pub(crate) fn compile(&self, query: &Query) -> Result<PreparedQuery> {
+        if let SupportVerdict::Unsupported(reasons) = check_query(query, &JoinPolicy::none()) {
+            return Err(Error::Unsupported(reasons));
+        }
+        Ok(prepare_query(query, &self.current().data.table)?)
+    }
+
+    /// Answers one parsed ad-hoc statement as the prepared statement with
+    /// no placeholders it is; here an unsupported one is an outcome.
+    pub(crate) fn ad_hoc(
         &self,
         query: &Query,
         sql: &str,
@@ -639,39 +652,51 @@ impl Shard {
         t0: Instant,
     ) -> Result<QueryOutcome> {
         self.begin_query(opts)?;
-        if let SupportVerdict::Unsupported(reasons) = check_query(query, &JoinPolicy::none()) {
-            self.obs.query_unsupported();
-            return Ok(QueryOutcome::Unsupported(reasons));
+        match self.compile(query) {
+            Ok(stmt) => self.answer(opts, sql, false, t0, &stmt, &[]),
+            Err(Error::Unsupported(reasons)) => {
+                self.obs.query_unsupported();
+                Ok(QueryOutcome::Unsupported(reasons))
+            }
+            Err(e) => Err(e),
         }
-        let parse_ns = if self.obs.tracing() {
-            t0.elapsed().as_nanos() as u64
-        } else {
-            0
-        };
-        self.answer(opts, sql, false, t0, parse_ns, |engine, nmax| {
-            plan_shared_scan(query, engine, nmax)
-        })
     }
 
-    /// The one post-gate answer step every serving path runs (ad-hoc
-    /// queries, prepared statements, the session facade): pin a snapshot
-    /// pair, instantiate the scan plan against its sample (`plan`, given
-    /// the engine to plan against and the `N_max` group cap), answer every
-    /// cell from one shared read, absorb what the read learned, trace.
+    /// The one post-gate run step of every statement (ad-hoc, prepared,
+    /// the session facade): pin a snapshot pair, bind `params` into
+    /// `stmt` against its sample, enumerate the groups present there,
+    /// assemble the plan, answer every cell from one shared read, absorb
+    /// what the read learned, trace. A `prepared` caller paid the SQL
+    /// layer at prepare time; an ad-hoc one between `t0` and this call.
     pub(crate) fn answer(
         &self,
         opts: &QueryOptions,
         sql: &str,
         prepared: bool,
         t0: Instant,
-        parse_ns: u64,
-        plan: impl FnOnce(&OnlineAggregation, usize) -> Result<ScanPlan>,
+        stmt: &PreparedQuery,
+        params: &[Value],
     ) -> Result<QueryOutcome> {
         let tracing = self.obs.tracing();
+        let parse_ns = if tracing && !prepared {
+            t0.elapsed().as_nanos() as u64
+        } else {
+            0
+        };
         let plan_sw = Stopwatch::started_if(tracing);
         let (snapshot, sample, learn) = self.pin(opts)?;
         let engine = &snapshot.data.engines[sample];
-        let plan = plan(engine, snapshot.engine.config().nmax)?;
+        // `table()` is the zero-row resolution table on a paged sample:
+        // binding and planning only need schema + dictionaries.
+        let sample_data = engine.sample();
+        let table = sample_data.table();
+        let base = stmt.bind(table, params)?;
+        let group_keys = if stmt.group_cols().is_empty() {
+            Vec::new()
+        } else {
+            sample_data.distinct_group_keys(&base, stmt.group_cols())?
+        };
+        let plan = stmt.plan_bound(base, table, &group_keys, snapshot.engine.config().nmax)?;
         let plan_ns = plan_sw.elapsed_ns();
         let mut scan = tracing.then(ScanTrace::default);
         let read = run_shared_read(
@@ -1105,6 +1130,11 @@ pub struct TableOptions {
     pub tier: StorageTier,
     /// Cost model.
     pub cost: CostModel,
+    /// Horizontal partitioning of every maintained sample (default none;
+    /// see [`crate::SessionBuilder::partition_by`]). With
+    /// [`DatabaseBuilder::persist_to`] the table is **out-of-core**,
+    /// demand-paged under [`DatabaseBuilder::memory_budget`].
+    pub partition: Option<PartitionSpec>,
 }
 
 impl Default for TableOptions {
@@ -1118,6 +1148,7 @@ impl Default for TableOptions {
             config: VerdictConfig::default(),
             tier: StorageTier::Cached,
             cost: CostModel::default(),
+            partition: None,
         }
     }
 }
@@ -1282,6 +1313,14 @@ impl DatabaseBuilder {
         self
     }
 
+    /// Byte budget for the partition cache of out-of-core tables (see
+    /// [`crate::SessionBuilder::memory_budget`]); `build()` refuses it
+    /// when a registered table is resident.
+    pub fn memory_budget(mut self, bytes: u64) -> Self {
+        self.serve.memory_budget = Some(bytes);
+        self
+    }
+
     /// Worker threads per shared scan for every table (default: available
     /// cores; clamped to at least 1). Thread count never changes answers:
     /// partials merge in batch-index order, so results are bit-identical
@@ -1321,7 +1360,7 @@ impl DatabaseBuilder {
         let mut shards = Vec::with_capacity(self.tables.len());
         for (name, table, opts) in self.tables {
             let store_dir = self.persist.as_ref().map(|root| table_dir(root, &name));
-            let shard = Shard::create(&name, table, &opts, None, store_dir, &self.serve)?;
+            let shard = Shard::create(&name, table, &opts, store_dir, &self.serve)?;
             shards.push(Arc::new(shard));
         }
         // The manifest is written *last*: it is the commit point of the
@@ -1553,30 +1592,27 @@ impl Database {
         out
     }
 
-    /// Parses, resolves `FROM` against the catalog, checks, plans, and
-    /// answers an ad-hoc SQL query under `opts`. Safe from any number of
-    /// threads; learning serializes only within the addressed table.
+    /// Answers an ad-hoc SQL query under `opts`: [`Database::prepare`] +
+    /// `bind(&[])` + `run` in one call, except that a statement outside
+    /// the supported class is a [`QueryOutcome::Unsupported`], not an
+    /// error. Safe from any number of threads; learning serializes only
+    /// within the addressed table.
     pub fn query(&self, sql: &str, opts: &QueryOptions) -> Result<QueryOutcome> {
         let t0 = Instant::now();
         let query = parse_query(sql)?;
-        self.shard(&query.from)?.query(&query, sql, opts, t0)
+        self.shard(&query.from)?.ad_hoc(&query, sql, opts, t0)
     }
 
-    /// Prepares a statement: parse → check → resolve → plan template run
-    /// **once**. The returned handle executes repeatedly with only
-    /// literal re-binding — see [`Prepared`].
+    /// Prepares a statement: parse → resolve `FROM` → check → compile the
+    /// plan template, **once**. The returned handle executes repeatedly
+    /// with only literal re-binding — see [`Prepared`].
     ///
     /// Unsupported statements fail here (they cannot be served), as do
     /// placeholders outside predicate-literal positions.
     pub fn prepare(&self, sql: &str) -> Result<Prepared> {
         let query = parse_query(sql)?;
         let shard = self.shard(&query.from)?;
-        if let SupportVerdict::Unsupported(reasons) = check_query(&query, &JoinPolicy::none()) {
-            return Err(Error::Unsupported(reasons));
-        }
-        let snapshot = shard.current();
-        let sample_table = snapshot.data.engines[shard.fixed_sample].sample().table();
-        let inner = verdict_sql::prepare_query(&query, sample_table)?;
+        let inner = shard.compile(&query)?;
         Ok(Prepared::new(Arc::clone(shard), inner, sql.to_owned()))
     }
 

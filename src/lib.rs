@@ -58,8 +58,9 @@
 //! ## Prepared statements: the serving path
 //!
 //! Repeated query shapes skip the SQL layer entirely:
-//! [`Database::prepare`] runs parse → check → resolve → plan-template
-//! once, and every execution afterwards only re-binds literals.
+//! [`Database::prepare`] runs parse → resolve `FROM` → check → compile
+//! the plan template once, and every execution afterwards only re-binds
+//! literals ([`Database::query`] is that path taken in one call).
 //!
 //! ```
 //! # use rand::rngs::StdRng;
@@ -115,6 +116,9 @@
 //! - `SessionBuilder::new(t).build()` → `Database::builder()
 //!   .register_table("t", t).build()`; per-table knobs (sample fraction,
 //!   seed, …) move into [`TableOptions`].
+//! - `SessionBuilder::partition_by(spec)` → [`TableOptions::partition`]
+//!   `= Some(spec)`; `SessionBuilder::memory_budget(b)` →
+//!   [`DatabaseBuilder::memory_budget`].
 //! - `session.execute(sql, mode, policy)` → `db.query(sql,
 //!   &QueryOptions::new().with_mode(mode).with_policy(policy))`.
 //! - `session.verdict()` / `session.engine()` → `session.snapshot()` (or

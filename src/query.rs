@@ -7,13 +7,13 @@
 //! with the `with_*` methods).
 //!
 //! [`Prepared`] is the hot serving path for repeated query shapes:
-//! [`crate::Database::prepare`] runs parse → check → resolve →
-//! plan-template **once**; every [`Prepared::bind`] + [`Bound::run`]
-//! afterwards only substitutes literals into the compiled plan, picks a
-//! snapshot, and scans — the lexer, parser, checker, and decomposer are
-//! never touched again. Answers are bit-identical to ad-hoc
-//! [`crate::Database::query`] of the same statement with the literals
-//! inlined (the `prepare` benchmark asserts this).
+//! [`crate::Database::prepare`] runs parse → resolve `FROM` → check →
+//! compile the plan template **once**; every [`Prepared::bind`] +
+//! [`Bound::run`] afterwards only substitutes literals into the compiled
+//! plan, picks a snapshot, and scans. There is no other path: ad-hoc
+//! [`crate::Database::query`] compiles the same template and runs the
+//! same step with no parameters, so the two answer bit-identically by
+//! construction.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -22,7 +22,7 @@ use verdict_sql::{ParamKind, PreparedQuery};
 use verdict_storage::Value;
 
 use crate::database::{SessionSnapshot, Shard};
-use crate::{Error, Mode, QueryOutcome, Result, StopPolicy};
+use crate::{Mode, QueryOutcome, Result, StopPolicy};
 
 /// How one query executes: inference mode, stop policy, and (optionally)
 /// a pinned snapshot.
@@ -180,24 +180,11 @@ impl Prepared {
         Some((snapshot.model_epoch(), snapshot.data_epoch()))
     }
 
-    /// Binds the placeholders, validating count and value kinds eagerly:
-    /// a wrong parameter count or a parameter whose type cannot fit its
-    /// column returns a typed error here, before any scan work.
+    /// Binds the placeholders, validating count and value kinds eagerly
+    /// ([`PreparedQuery::check_params`]): a wrong count or a value whose
+    /// type cannot fit its column is a typed error here, before any scan.
     pub fn bind(&self, params: &[Value]) -> Result<Bound<'_>> {
-        if params.len() != self.inner.placeholder_count() {
-            return Err(Error::Sql(verdict_sql::SqlError::PlaceholderCount {
-                expected: self.inner.placeholder_count(),
-                got: params.len(),
-            }));
-        }
-        for (i, (kind, value)) in self.inner.param_kinds().iter().zip(params).enumerate() {
-            if *kind == ParamKind::Numeric && !matches!(value, Value::Num(_)) {
-                return Err(Error::Sql(verdict_sql::SqlError::PlaceholderType {
-                    index: i,
-                    message: format!("numeric column placeholder bound with {value}"),
-                }));
-            }
-        }
+        self.inner.check_params(params)?;
         Ok(Bound {
             prepared: self,
             params: params.to_vec(),
@@ -225,29 +212,13 @@ impl Bound<'_> {
     /// Executes against the table's current snapshot (or the one pinned
     /// in `opts`): substitute literals into the compiled plan, enumerate
     /// groups if the statement has a `GROUP BY`, run the one shared scan,
-    /// absorb what was learned. No SQL-layer work happens here.
+    /// absorb what was learned. No SQL-layer work happens here: the trace
+    /// has no parse stage; binding, groups and assembly count as planning.
     pub fn run(&self, opts: &QueryOptions) -> Result<QueryOutcome> {
         let t0 = Instant::now();
-        let prepared = &self.prepared.inner;
-        let shard = &self.prepared.shard;
+        let Prepared { shard, inner, sql } = self.prepared;
         shard.begin_query(opts)?;
-        // The SQL layer was paid at prepare time: the serving path has no
-        // parse stage, so `parse_ns` stays 0 and binding + group
-        // enumeration + plan instantiation all count as planning.
-        shard.answer(opts, &self.prepared.sql, true, t0, 0, |engine, nmax| {
-            let sample = engine.sample();
-            // `table()` is the zero-row resolution table on a paged
-            // sample: binding and planning only need schema + dictionaries.
-            let base = prepared.bind(sample.table(), &self.params)?;
-            let group_keys = if prepared.group_cols().is_empty() {
-                Vec::new()
-            } else {
-                sample
-                    .distinct_group_keys(&base, prepared.group_cols())
-                    .map_err(Error::Aqp)?
-            };
-            Ok(prepared.plan_bound(base, sample.table(), &group_keys, nmax)?)
-        })
+        shard.answer(opts, sql, true, t0, inner, &self.params)
     }
 }
 

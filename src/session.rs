@@ -35,21 +35,24 @@
 //! single pass over the sample. The dataflow is
 //! `ScanPlan → SharedScanDriver → improve_batch`:
 //!
-//! 1. parse and type-check the query (§2.2);
-//! 2. enumerate the groups present in the sample's answer set
+//! 1. parse and type-check the query (§2.2), then compile it into a plan
+//!    template ([`verdict_sql::prepare_query`]) — the one statement path:
+//!    an ad-hoc query is a prepared statement with no placeholders, and
+//!    a [`crate::Prepared`] handle is this step done once and kept;
+//! 2. bind the template's literals against the sample's dictionaries
+//!    and enumerate the groups present in the sample's answer set
 //!    ([`verdict_aqp::Sample::distinct_group_keys`], §2.3: the AQP
 //!    engine's result set determines the groups). The pass runs on the
 //!    scan's chunk kernels — zone-map skipping, selection bitmaps, keys
 //!    read from set bits — and, when every group column is categorical,
 //!    ends as soon as zone maps and partition summaries prove that no
-//!    unseen key is left, so it costs a few chunks where it used to cost
-//!    a row-by-row walk of the sample, and pins no segment of a paged
-//!    sample it does not need; the key list (hence cell order and the
-//!    `N_max` cut) is the row-by-row one in every case. Then plan the
-//!    scan ([`verdict_sql::plan_scan`]): the decomposition of Figure 3
-//!    with its primitive streams deduplicated — `SUM` and `COUNT` share
-//!    one `FREQ(*)` stream, `SUM` and `AVG` share one `AVG(e)` stream —
-//!    and groups capped at `N_max`;
+//!    unseen key is left, pinning no segment of a paged sample it does
+//!    not need; the key list (hence cell order and the `N_max` cut) is
+//!    the row-by-row one in every case. Then assemble
+//!    the scan plan ([`verdict_sql::ScanPlan`]): the decomposition of
+//!    Figure 3 with its primitive streams deduplicated — `SUM` and
+//!    `COUNT` share one `FREQ(*)` stream, `SUM` and `AVG` share one
+//!    `AVG(e)` stream — and groups capped at `N_max`;
 //! 3. drive one batch cursor over the sample
 //!    ([`verdict_aqp::SharedScanDriver`] — the same driver whether the
 //!    sample is resident or out-of-core; it pins a partition segment per
@@ -122,7 +125,7 @@ use verdict_core::{
 use verdict_obs::{
     MetricsHub, MetricsSnapshot, QueryLog, QueryTrace, ScanTrace, StageTimings, Stopwatch,
 };
-use verdict_sql::{parse_query, plan_scan, Combiner, Query, ScanPlan, UnsupportedReason};
+use verdict_sql::{parse_query, Combiner, ScanPlan, UnsupportedReason};
 use verdict_storage::{
     AggregateFn, CacheCounters, ColumnSummary, Expr, GroupKey, PartitionMap, PartitionSpec,
     PartitionStore, Predicate, StorageError, Table, Value,
@@ -329,7 +332,6 @@ pub struct SessionBuilder {
     opts: TableOptions,
     /// Everything the store does not persist.
     serve: OpenOptions,
-    partition: Option<PartitionSpec>,
     persist: Option<PathBuf>,
 }
 
@@ -357,7 +359,6 @@ impl SessionBuilder {
             source: Source::Table(table),
             opts: TableOptions::default(),
             serve: OpenOptions::new(),
-            partition: None,
             persist: None,
         }
     }
@@ -389,7 +390,6 @@ impl SessionBuilder {
                 ..TableOptions::default()
             },
             serve: OpenOptions::new(),
-            partition: None,
             persist: Some(path.to_path_buf()),
             source: Source::Store(store, Box::new(recovered)),
         })
@@ -448,7 +448,7 @@ impl SessionBuilder {
     /// `partition_by` on an opened builder; the spec comes from the
     /// store.
     pub fn partition_by(mut self, spec: PartitionSpec) -> Self {
-        self.partition = Some(spec);
+        self.opts.partition = Some(spec);
         self
     }
 
@@ -540,20 +540,15 @@ impl SessionBuilder {
     /// `FROM t` its queries use), so its metric series carry that label.
     pub fn build(self) -> Result<VerdictSession> {
         let shard = match self.source {
-            Source::Table(table) => Shard::create(
-                "t",
-                table,
-                &self.opts,
-                self.partition.as_ref(),
-                self.persist,
-                &self.serve,
-            )?,
+            Source::Table(table) => {
+                Shard::create("t", table, &self.opts, self.persist, &self.serve)?
+            }
             Source::Store(mut store, recovered) => {
                 let meta = &recovered.meta;
                 // An opened store already knows its partition spec (and
                 // whether it is paged); a second spec from the builder
                 // could silently disagree with the files on disk.
-                if self.partition.is_some() {
+                if self.opts.partition.is_some() {
                     return Err(Error::Aqp(AqpError::InvalidConfig(
                         "partition_by cannot be combined with open(): a persisted session's \
                          partition spec comes from the store's manifest"
@@ -906,9 +901,9 @@ impl VerdictSession {
         self.shard.exact(agg, predicate)
     }
 
-    /// Parses, checks, plans, and answers a SQL query from one shared
-    /// sample scan (see the module docs for the dataflow). The `FROM`
-    /// name is not resolved — the session has exactly one table.
+    /// Parses, checks, compiles, and answers a SQL query from one shared
+    /// sample scan (see the module docs; [`crate::Database::query`]'s
+    /// path). `FROM` is not resolved — the session has exactly one table.
     ///
     /// Persistent sessions surface store failures (a failed background
     /// log append, or a compaction that failed after an earlier query)
@@ -918,7 +913,7 @@ impl VerdictSession {
         let t0 = Instant::now();
         let query = parse_query(sql)?;
         let opts = QueryOptions::new().with_mode(mode).with_policy(policy);
-        self.shard.query(&query, sql, &opts, t0)
+        self.shard.ad_hoc(&query, sql, &opts, t0)
     }
 }
 
@@ -974,33 +969,6 @@ pub(crate) fn draw_engines(
         }
     }
     Ok(engines)
-}
-
-/// Enumerates the group values present in the sample's answer set (the
-/// AQP engine's result set determines the groups, §2.3).
-fn enumerate_groups(query: &Query, sample: &Sample) -> Result<Vec<GroupKey>> {
-    if query.group_by.is_empty() {
-        return Ok(Vec::new());
-    }
-    let base_pred = match &query.where_clause {
-        Some(w) => verdict_sql::resolve::to_predicate(w, sample.table())?,
-        None => Predicate::True,
-    };
-    // The checker refuses these up front; should a caller ever bypass it,
-    // grouping by fewer columns than asked would be a wrong answer.
-    let cols: Vec<String> = query
-        .group_by
-        .iter()
-        .map(|g| match g {
-            verdict_sql::ScalarExpr::Column { name, .. } => Ok(name.clone()),
-            _ => Err(Error::Unsupported(vec![
-                UnsupportedReason::NonColumnGroupBy,
-            ])),
-        })
-        .collect::<Result<_>>()?;
-    sample
-        .distinct_group_keys(&base_pred, &cols)
-        .map_err(Error::Aqp)
 }
 
 /// The stage clocks the serving layer measures around the shared read
@@ -1067,19 +1035,6 @@ pub(crate) fn widening_magnitude(adjustments: &[(AggKey, AppendAdjustment)]) -> 
         .iter()
         .map(|(_, a)| a.mu_shift.abs() + a.eta)
         .sum()
-}
-
-/// Plans one shared scan for a checked query against one engine's sample.
-pub(crate) fn plan_shared_scan(
-    query: &Query,
-    engine: &OnlineAggregation,
-    nmax: usize,
-) -> Result<ScanPlan> {
-    let sample = engine.sample();
-    let group_keys = enumerate_groups(query, sample)?;
-    // `table()` holds only the admitted tail on a paged sample, but
-    // planning only needs the schema and dictionaries.
-    Ok(plan_scan(query, sample.table(), &group_keys, nmax)?)
 }
 
 /// Everything fallible about one ingest, computed up front: every
@@ -1800,21 +1755,6 @@ mod tests {
             )
             .unwrap();
         assert!(!out.is_answered());
-    }
-
-    /// Were the checker ever bypassed, a non-column `GROUP BY` expression
-    /// must fail typed — not be dropped, grouping by fewer columns.
-    #[test]
-    fn enumerate_groups_refuses_non_column_expressions() {
-        let s = session(1000);
-        let query = parse_query("SELECT SUM(rev) FROM t GROUP BY region, week + 1").unwrap();
-        let snapshot = s.snapshot();
-        match enumerate_groups(&query, snapshot.engines()[0].sample()) {
-            Err(Error::Unsupported(reasons)) => {
-                assert_eq!(reasons, vec![UnsupportedReason::NonColumnGroupBy])
-            }
-            other => panic!("expected a typed refusal, got {other:?}"),
-        }
     }
 
     #[test]

@@ -302,6 +302,51 @@ fn prepared_bind_errors_are_typed() {
     ));
 }
 
+/// An ad-hoc statement is a prepared one with no parameters, so its
+/// statement-level errors are the prepared path's typed ones: a `?` has
+/// nothing bound to it, and a predicate shape that does not fit its
+/// column's type fails in the SQL layer, before any scan.
+#[test]
+fn ad_hoc_statement_errors_are_the_prepared_paths() {
+    let db = build_db();
+    let opts = QueryOptions::new();
+    let before = db.snapshot("orders").unwrap().state_bytes();
+    match db.query(
+        "SELECT AVG(amount) FROM orders WHERE day BETWEEN ? AND ?",
+        &opts,
+    ) {
+        Err(Error::Sql(SqlError::PlaceholderCount { expected, got })) => {
+            assert_eq!((expected, got), (2, 0));
+        }
+        other => panic!("unexpected {other:?}"),
+    }
+    for sql in [
+        "SELECT AVG(amount) FROM orders WHERE region BETWEEN 1 AND 2",
+        "SELECT AVG(amount) FROM orders WHERE day IN (1, 2)",
+    ] {
+        match db.query(sql, &opts) {
+            Err(Error::Sql(SqlError::Resolve(m))) => assert!(m.contains("expected"), "{m}"),
+            other => panic!("{sql}: unexpected {other:?}"),
+        }
+    }
+    assert_eq!(db.snapshot("orders").unwrap().state_bytes(), before);
+
+    // The session facade runs the same path.
+    let (orders, _) = orders_events(&spec());
+    let mut session = SessionBuilder::new(orders).build().unwrap();
+    assert!(matches!(
+        session.execute(
+            "SELECT AVG(amount) FROM t WHERE day > ?",
+            Mode::Verdict,
+            StopPolicy::ScanAll
+        ),
+        Err(Error::Sql(SqlError::PlaceholderCount {
+            expected: 1,
+            got: 0
+        }))
+    ));
+}
+
 /// The serving-path guarantee: prepare-once/bind-many answers must be
 /// bit-identical to ad-hoc `query()` of the same statement with the
 /// literals inlined — including the learning side effects, so after a
