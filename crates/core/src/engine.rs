@@ -8,7 +8,7 @@ use verdict_stats::normal::confidence_multiplier;
 
 use crate::append::{AppendAdjustment, IngestBounds};
 use crate::covariance::AggMode;
-use crate::inference::TrainedModel;
+use crate::inference::{CellPrior, TrainedModel};
 use crate::learning::learn_params;
 use crate::region::{Region, SchemaInfo};
 use crate::snippet::{AggKey, Observation, Snippet};
@@ -184,80 +184,96 @@ impl<'a> EngineView<'a> {
         raw: Observation,
         stats: &mut EngineStats,
     ) -> ImprovedAnswer {
-        let Some(model) = self.models.get(&snippet.key) else {
-            stats.passed_through += 1;
-            return pass_through(raw);
-        };
-        if snippet.region.is_degenerate() {
-            stats.passed_through += 1;
-            return pass_through(raw);
-        }
-        let inference = model.infer(self.schema, &snippet.region, raw);
-        finish_inference(stats, self.config, snippet.key.is_freq(), &inference, raw)
+        let prior = self.priors(&[snippet])[0];
+        self.improve_from_prior(&snippet.key, prior, raw, stats)
     }
 
     /// Batched query-time improvement against immutable state: one
     /// improved answer per request, in request order, identical to calling
-    /// [`EngineView::improve`] per item.
-    ///
-    /// All cells of one query are improved in a single call: requests are
-    /// bucketed by aggregate key so each model is looked up once and its
-    /// inference setup (the past-region reference list) is assembled once
-    /// via [`TrainedModel::infer_many`] instead of once per cell — the
-    /// inference-side counterpart of the shared scan.
+    /// [`EngineView::improve`] per item — the inference-side counterpart
+    /// of the shared scan: [`EngineView::priors`] over all requests, then
+    /// [`EngineView::improve_from_prior`] per request.
     pub fn improve_batch(
         &self,
         requests: &[(Snippet, Observation)],
         stats: &mut EngineStats,
     ) -> Vec<ImprovedAnswer> {
-        let mut out: Vec<Option<ImprovedAnswer>> = vec![None; requests.len()];
-        // Bucket request indices by key, preserving first-seen key order.
-        let mut keys: Vec<&AggKey> = Vec::new();
-        let mut buckets: Vec<Vec<usize>> = Vec::new();
-        for (i, (snippet, _)) in requests.iter().enumerate() {
-            match keys.iter().position(|k| **k == snippet.key) {
-                Some(b) => buckets[b].push(i),
-                None => {
-                    keys.push(&snippet.key);
-                    buckets.push(vec![i]);
-                }
+        let snippets: Vec<&Snippet> = requests.iter().map(|(s, _)| s).collect();
+        self.priors(&snippets)
+            .into_iter()
+            .zip(requests)
+            .map(|(prior, (snippet, raw))| {
+                self.improve_from_prior(&snippet.key, prior, *raw, stats)
+            })
+            .collect()
+    }
+
+    /// The raw-independent half of improvement: the model-only prior
+    /// (Eq. 11) of every snippet, in order — `None` where the raw answer
+    /// will pass through (no model for the key, or a degenerate region).
+    /// This is all the O(n²) work of answering the snippets: they are
+    /// bucketed by aggregate key so each model is looked up once and
+    /// reads its `Σₙ⁻¹` once per ≤ 8 of them ([`TrainedModel::priors`]).
+    /// A caller that re-evaluates bounds as a scan deepens calls this once
+    /// per query and [`EngineView::improve_from_prior`] per evaluation.
+    pub fn priors(&self, snippets: &[&Snippet]) -> Vec<Option<CellPrior>> {
+        let mut out = vec![None; snippets.len()];
+        // Snippet indices by key, in first-seen key order.
+        let mut buckets: Vec<(&AggKey, Vec<usize>)> = Vec::new();
+        for (i, snippet) in snippets.iter().enumerate() {
+            if snippet.region.is_degenerate() {
+                continue;
+            }
+            match buckets.iter_mut().find(|(key, _)| **key == snippet.key) {
+                Some((_, bucket)) => bucket.push(i),
+                None => buckets.push((&snippet.key, vec![i])),
             }
         }
-        for (key, bucket) in keys.iter().zip(&buckets) {
+        for (key, bucket) in &buckets {
             let Some(model) = self.models.get(*key) else {
-                for &i in bucket {
-                    stats.passed_through += 1;
-                    out[i] = Some(pass_through(requests[i].1));
-                }
                 continue;
             };
-            let mut inferable: Vec<usize> = Vec::with_capacity(bucket.len());
-            for &i in bucket {
-                if requests[i].0.region.is_degenerate() {
-                    stats.passed_through += 1;
-                    out[i] = Some(pass_through(requests[i].1));
-                } else {
-                    inferable.push(i);
-                }
-            }
-            let items: Vec<(&crate::Region, Observation)> = inferable
-                .iter()
-                .map(|&i| (&requests[i].0.region, requests[i].1))
-                .collect();
-            let inferences = model.infer_many(self.schema, &items);
-            for (&i, inference) in inferable.iter().zip(inferences.iter()) {
-                out[i] = Some(finish_inference(
-                    stats,
-                    self.config,
-                    key.is_freq(),
-                    inference,
-                    requests[i].1,
-                ));
+            let regions: Vec<&Region> = bucket.iter().map(|&i| &snippets[i].region).collect();
+            for (&i, prior) in bucket.iter().zip(model.priors(self.schema, &regions)) {
+                out[i] = Some(prior);
             }
         }
-        out.into_iter()
-            .map(|o| o.expect("every request answered"))
-            .collect()
+        out
+    }
+
+    /// The O(1) half of improvement (Algorithm 2 lines 4–5): combines a
+    /// snippet's prior with its raw answer (Eq. 12), validates the
+    /// model-based answer, and returns either the improved pair or the
+    /// raw pair — the raw pair also when there is no prior. Counter bumps
+    /// go into `stats`, one per call.
+    pub fn improve_from_prior(
+        &self,
+        key: &AggKey,
+        prior: Option<CellPrior>,
+        raw: Observation,
+        stats: &mut EngineStats,
+    ) -> ImprovedAnswer {
+        let Some(prior) = prior else {
+            stats.passed_through += 1;
+            return pass_through(raw);
+        };
+        let inference = prior.combine(raw);
+        let decision = if self.config.enable_validation {
+            validate(&inference, raw, key.is_freq(), self.config.validation_delta)
+        } else {
+            Verdict2::Accept
+        };
+        if decision.accepted() {
+            stats.improved += 1;
+            ImprovedAnswer {
+                answer: inference.model_answer,
+                error: inference.model_error,
+                used_model: true,
+            }
+        } else {
+            stats.rejected += 1;
+            pass_through(raw)
+        }
     }
 }
 
@@ -738,33 +754,6 @@ fn pass_through(raw: Observation) -> ImprovedAnswer {
         answer: raw.answer,
         error: raw.error,
         used_model: false,
-    }
-}
-
-/// Validation + stats tail shared by [`Verdict::improve`] and
-/// [`Verdict::improve_batch`] (Algorithm 2 lines 4–5).
-fn finish_inference(
-    stats: &mut EngineStats,
-    config: &VerdictConfig,
-    key_is_freq: bool,
-    inference: &crate::inference::ModelInference,
-    raw: Observation,
-) -> ImprovedAnswer {
-    let decision = if config.enable_validation {
-        validate(inference, raw, key_is_freq, config.validation_delta)
-    } else {
-        Verdict2::Accept
-    };
-    if decision.accepted() {
-        stats.improved += 1;
-        ImprovedAnswer {
-            answer: inference.model_answer,
-            error: inference.model_error,
-            used_model: true,
-        }
-    } else {
-        stats.rejected += 1;
-        pass_through(raw)
     }
 }
 

@@ -16,8 +16,25 @@
 //! `β̈ ≤ β` always (Theorem 1). The O(n³) direct conditioning of
 //! Eqs. (4)/(5) is also implemented ([`TrainedModel::infer_direct`]) and
 //! property-tested to agree with the fast path.
+//!
+//! ## Cost
+//!
+//! Inference splits along the line the formulas draw. Eq. (11) does not
+//! depend on the raw answer: [`TrainedModel::priors`] computes
+//! `(θ_prior, γ²)` — a [`CellPrior`] — for every cell a query asks one
+//! model about, and that is all the O(n²) work there is. It builds the
+//! cells' cross-covariance columns `k̄` (O(n) kernel evaluations each) and
+//! hands them to `verdict_linalg::ops::quadratic_forms_with`, which reads
+//! `Σₙ⁻¹` **once per tile of ≤ 8 cells**, not once per cell: an 8-group
+//! statement costs one pass over the matrix per model. Eq. (12) is
+//! [`CellPrior::combine`], O(1): a statement that re-evaluates its bounds
+//! after every scanned batch pays the priors once and a handful of
+//! flops per batch. The blocked kernel accumulates every dot product in
+//! the order the textbook loop does, so none of this changes a bit of
+//! any answer (modulo NaN payload: a NaN stays a NaN, which one is not
+//! pinned down).
 
-use verdict_linalg::ops::{bilinear_form, dot};
+use verdict_linalg::ops::{bilinear_form, dot, quadratic_forms_with};
 use verdict_linalg::{Cholesky, Matrix};
 
 use crate::covariance::{cross_covariance, raw_covariance_matrix, snippet_covariance, AggMode};
@@ -40,6 +57,18 @@ pub struct ModelInference {
     pub prior_answer: f64,
     /// The model-only standard deviation `γ`.
     pub gamma: f64,
+}
+
+/// The model-only estimate of one cell (Eq. 11): everything inference
+/// knows before a raw answer exists. Computed by
+/// [`TrainedModel::priors`]; turned into an improved answer, any number
+/// of times, by [`CellPrior::combine`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CellPrior {
+    /// The model-only answer `θ_prior = µ_new + k̄ᵀ α`.
+    pub prior_answer: f64,
+    /// The model-only variance `γ² = κ̄² − k̄ᵀ Σₙ⁻¹ k̄`, clamped positive.
+    pub gamma2: f64,
 }
 
 /// A trained per-aggregate model: the paper's `Model` box in Figure 2.
@@ -77,6 +106,9 @@ impl TrainedModel {
         let scale = sigma.max_abs().max(1.0);
         sigma.add_diagonal(jitter * scale);
         let chol = Cholesky::new_with_jitter(&sigma, 1e-12, 8)?;
+        // `inverse` holds `Lᵀ` beside `L` and the result; `Σₙ` is done
+        // with, and freeing it here keeps a fit's peak at three matrices.
+        drop(sigma);
         let sigma_inv = chol.inverse()?;
         let centered: Vec<f64> = entries
             .iter()
@@ -164,49 +196,38 @@ impl TrainedModel {
         self.mode
     }
 
-    /// O(n²) inference (Eqs. 11/12). See the module docs for the formulas.
+    /// Model-only priors (Eq. 11) of `regions`, in order: the O(n²) half
+    /// of inference, done for all cells of one query at once. The kernel
+    /// takes the cross-covariance columns a tile at a time and reads
+    /// `Σₙ⁻¹` once per tile; see the module docs.
+    pub fn priors(&self, schema: &SchemaInfo, regions: &[&Region]) -> Vec<CellPrior> {
+        let past: Vec<&Region> = self.regions.iter().collect();
+        let mut out = Vec::with_capacity(regions.len());
+        quadratic_forms_with(
+            &self.sigma_inv,
+            regions.len(),
+            |c| cross_covariance(schema, &self.params, self.mode, &past, regions[c]),
+            |c, k, quad| {
+                let region = regions[c];
+                let kappa2 = snippet_covariance(schema, &self.params, self.mode, region, region);
+                // γ² = κ̄² − k̄ᵀ Σₙ⁻¹ k̄ (clamped: tiny negatives are
+                // factorization dust; exact zero would claim impossible
+                // certainty).
+                let gamma2 = (kappa2 - quad).max(kappa2.abs() * 1e-12).max(1e-300);
+                let prior_answer = self.prior.of(schema, region) + dot(k, &self.alpha);
+                out.push(CellPrior {
+                    prior_answer,
+                    gamma2,
+                });
+            },
+        );
+        out
+    }
+
+    /// O(n²) inference (Eqs. 11/12) of one cell: its prior, combined with
+    /// `raw`. See the module docs for the formulas.
     pub fn infer(&self, schema: &SchemaInfo, region: &Region, raw: Observation) -> ModelInference {
-        let refs: Vec<&Region> = self.regions.iter().collect();
-        self.infer_with_refs(schema, &refs, region, raw)
-    }
-
-    /// Batched O(n²) inference: one inference per `(region, raw)` item,
-    /// identical to calling [`TrainedModel::infer`] per item, but the
-    /// model-side setup (the past-region reference list consumed by every
-    /// cross-covariance evaluation) is assembled once and shared across
-    /// the whole batch. This is the inference half of answering all cells
-    /// of a `GROUP BY` query against one model in one go.
-    pub fn infer_many(
-        &self,
-        schema: &SchemaInfo,
-        items: &[(&Region, Observation)],
-    ) -> Vec<ModelInference> {
-        let refs: Vec<&Region> = self.regions.iter().collect();
-        items
-            .iter()
-            .map(|(region, raw)| self.infer_with_refs(schema, &refs, region, *raw))
-            .collect()
-    }
-
-    /// Shared body of [`TrainedModel::infer`] / [`TrainedModel::infer_many`].
-    fn infer_with_refs(
-        &self,
-        schema: &SchemaInfo,
-        refs: &[&Region],
-        region: &Region,
-        raw: Observation,
-    ) -> ModelInference {
-        let k = cross_covariance(schema, &self.params, self.mode, refs, region);
-        let kappa2 = snippet_covariance(schema, &self.params, self.mode, region, region);
-        let mu_new = self.prior.of(schema, region);
-
-        // γ² = κ̄² − k̄ᵀ Σₙ⁻¹ k̄ (clamped: tiny negatives are factorization
-        // dust; exact zero would claim impossible certainty).
-        let quad = bilinear_form(&k, &self.sigma_inv, &k);
-        let gamma2 = (kappa2 - quad).max(kappa2.abs() * 1e-12).max(1e-300);
-        let prior_answer = mu_new + dot(&k, &self.alpha);
-
-        combine(prior_answer, gamma2, raw)
+        self.priors(schema, &[region])[0].combine(raw)
     }
 
     /// Posterior covariance between the exact answers of two regions given
@@ -324,38 +345,44 @@ impl TrainedModel {
     }
 }
 
-/// Precision-weighted combination of the model-only estimate with the new
-/// raw answer (Eq. 12), with the `β = 0` and `β = ∞` limits handled
-/// explicitly.
-fn combine(prior_answer: f64, gamma2: f64, raw: Observation) -> ModelInference {
-    let gamma = gamma2.sqrt();
-    if raw.error == 0.0 {
-        // Exact raw answer: nothing to improve (Theorem 1 equality case).
-        return ModelInference {
-            model_answer: raw.answer,
-            model_error: 0.0,
+impl CellPrior {
+    /// Precision-weighted combination of the model-only estimate with a
+    /// raw answer (Eq. 12), with the `β = 0` and `β = ∞` limits handled
+    /// explicitly. O(1).
+    pub fn combine(&self, raw: Observation) -> ModelInference {
+        let CellPrior {
+            prior_answer,
+            gamma2,
+        } = *self;
+        let gamma = gamma2.sqrt();
+        if raw.error == 0.0 {
+            // Exact raw answer: nothing to improve (Theorem 1 equality case).
+            return ModelInference {
+                model_answer: raw.answer,
+                model_error: 0.0,
+                prior_answer,
+                gamma,
+            };
+        }
+        if !raw.error.is_finite() {
+            // No scan yet: the model is all we have.
+            return ModelInference {
+                model_answer: prior_answer,
+                model_error: gamma,
+                prior_answer,
+                gamma,
+            };
+        }
+        let beta2 = raw.error * raw.error;
+        let denom = beta2 + gamma2;
+        let model_answer = (beta2 * prior_answer + gamma2 * raw.answer) / denom;
+        let model_var = beta2 * gamma2 / denom;
+        ModelInference {
+            model_answer,
+            model_error: model_var.sqrt(),
             prior_answer,
             gamma,
-        };
-    }
-    if !raw.error.is_finite() {
-        // No scan yet: the model is all we have.
-        return ModelInference {
-            model_answer: prior_answer,
-            model_error: gamma,
-            prior_answer,
-            gamma,
-        };
-    }
-    let beta2 = raw.error * raw.error;
-    let denom = beta2 + gamma2;
-    let model_answer = (beta2 * prior_answer + gamma2 * raw.answer) / denom;
-    let model_var = beta2 * gamma2 / denom;
-    ModelInference {
-        model_answer,
-        model_error: model_var.sqrt(),
-        prior_answer,
-        gamma,
+        }
     }
 }
 
@@ -394,6 +421,104 @@ mod tests {
             1e-9,
         )
         .unwrap()
+    }
+
+    /// The per-item formula as it stood before inference was split into
+    /// [`TrainedModel::priors`] + [`CellPrior::combine`]: one cell, one
+    /// serial pass over `Σₙ⁻¹`, Eq. (12) inline.
+    fn reference_infer(
+        m: &TrainedModel,
+        schema: &SchemaInfo,
+        region: &Region,
+        raw: Observation,
+    ) -> ModelInference {
+        let refs: Vec<&Region> = m.regions.iter().collect();
+        let k = cross_covariance(schema, &m.params, m.mode, &refs, region);
+        let kappa2 = snippet_covariance(schema, &m.params, m.mode, region, region);
+        let mu_new = m.prior.of(schema, region);
+        let mut quad = 0.0;
+        for (i, ki) in k.iter().enumerate() {
+            quad += ki * dot(m.sigma_inv.row(i), &k);
+        }
+        let gamma2 = (kappa2 - quad).max(kappa2.abs() * 1e-12).max(1e-300);
+        let prior_answer = mu_new + dot(&k, &m.alpha);
+        let gamma = gamma2.sqrt();
+        if raw.error == 0.0 {
+            return ModelInference {
+                model_answer: raw.answer,
+                model_error: 0.0,
+                prior_answer,
+                gamma,
+            };
+        }
+        if !raw.error.is_finite() {
+            return ModelInference {
+                model_answer: prior_answer,
+                model_error: gamma,
+                prior_answer,
+                gamma,
+            };
+        }
+        let beta2 = raw.error * raw.error;
+        let denom = beta2 + gamma2;
+        ModelInference {
+            model_answer: (beta2 * prior_answer + gamma2 * raw.answer) / denom,
+            model_error: (beta2 * gamma2 / denom).sqrt(),
+            prior_answer,
+            gamma,
+        }
+    }
+
+    #[test]
+    fn priors_then_combine_equal_the_per_item_formula_bit_for_bit() {
+        let s = schema();
+        // Exact past answers and no jitter: a query over a past region has
+        // γ² = κ̄² − k̄ᵀΣ⁻¹k̄ ≈ 0 up to factorization dust, which the clamp
+        // must catch identically on both sides.
+        let exact: Vec<(Region, Observation)> = smooth_entries()
+            .into_iter()
+            .map(|(r, o)| (r, Observation::exact(o.answer)))
+            .collect();
+        let clamped_model = TrainedModel::fit(
+            &s,
+            AggMode::Avg,
+            &exact,
+            KernelParams::constant(1, 30.0, 4.0),
+            PriorMean::Constant(10.0),
+            0.0,
+        )
+        .unwrap();
+        // 11 regions: one full tile of the kernel and a ragged one.
+        let regions: Vec<Region> = (0..11)
+            .map(|i| region(i as f64 * 9.0, i as f64 * 9.0 + 10.0))
+            .chain([region(20.0, 30.0)])
+            .collect();
+        let refs: Vec<&Region> = regions.iter().collect();
+        let raws = [
+            Observation::new(10.5, 0.3),
+            Observation::exact(42.0),             // β = 0
+            Observation::new(0.0, f64::INFINITY), // β = ∞
+            Observation::new(-3.0, 1e-9),
+        ];
+        let mut clamped = 0;
+        for m in [model(&smooth_entries()), clamped_model] {
+            let priors = m.priors(&s, &refs);
+            assert_eq!(priors.len(), regions.len());
+            for (r, prior) in regions.iter().zip(&priors) {
+                let kappa2 = snippet_covariance(&s, &m.params, m.mode, r, r);
+                clamped += usize::from(prior.gamma2 == kappa2.abs() * 1e-12);
+                for raw in raws {
+                    let want = reference_infer(&m, &s, r, raw);
+                    for got in [prior.combine(raw), m.infer(&s, r, raw)] {
+                        assert_eq!(got.model_answer.to_bits(), want.model_answer.to_bits());
+                        assert_eq!(got.model_error.to_bits(), want.model_error.to_bits());
+                        assert_eq!(got.prior_answer.to_bits(), want.prior_answer.to_bits());
+                        assert_eq!(got.gamma.to_bits(), want.gamma.to_bits());
+                    }
+                }
+            }
+        }
+        assert!(clamped > 0, "no case reached the γ² clamp");
     }
 
     #[test]

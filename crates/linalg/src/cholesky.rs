@@ -4,6 +4,7 @@
 //! offline (paper Algorithm 1) and reuses the factor for every query-time
 //! solve, giving the O(n²) online complexity of Lemma 2.
 
+use crate::ops::TILE_COLS;
 use crate::{solve_lower, LinalgError, Matrix, Result};
 
 /// Lower-triangular Cholesky factor `L` with `L Lᵀ = A`.
@@ -104,17 +105,38 @@ impl Cholesky {
     ///
     /// Verdict precomputes `Σ_n⁻¹` offline (Algorithm 1) so that online
     /// inference is a matrix-vector product.
+    ///
+    /// Column `j` is [`Cholesky::solve`] of the unit vector `e_j`, bit for
+    /// bit: the columns are solved a tile of 8 at a time, interleaved
+    /// `[i][8]`, so the lanes of a tile are independent subtraction
+    /// chains that each run in `solve`'s operation order.
     pub fn inverse(&self) -> Result<Matrix> {
         let n = self.l.rows();
+        if let Some(pivot) = (0..n).find(|&i| self.l.get(i, i) == 0.0) {
+            return Err(LinalgError::NotPositiveDefinite { pivot });
+        }
+        // Back substitution walks columns of `L`; transposed once, they
+        // are contiguous rows.
+        let lt = self.l.transpose();
         let mut inv = Matrix::zeros(n, n);
-        let mut e = vec![0.0; n];
-        for j in 0..n {
-            e[j] = 1.0;
-            let col = self.solve(&e)?;
-            for (i, v) in col.iter().enumerate() {
-                inv.set(i, j, *v);
+        let mut x = vec![[0.0; TILE_COLS]; n];
+        for j0 in (0..n).step_by(TILE_COLS) {
+            let width = TILE_COLS.min(n - j0);
+            x.fill([0.0; TILE_COLS]);
+            for c in 0..width {
+                x[j0 + c][c] = 1.0;
             }
-            e[j] = 0.0;
+            // L y = e, then Lᵀ x = y in place: step `i` reads only rows
+            // already final.
+            for i in 0..n {
+                x[i] = eliminate(x[i], &self.l.row(i)[..i], &x[..i], self.l.get(i, i));
+            }
+            for i in (0..n).rev() {
+                x[i] = eliminate(x[i], &lt.row(i)[i + 1..], &x[i + 1..], lt.get(i, i));
+            }
+            for (i, xi) in x.iter().enumerate() {
+                inv.row_mut(i)[j0..j0 + width].copy_from_slice(&xi[..width]);
+            }
         }
         Ok(inv)
     }
@@ -149,6 +171,23 @@ fn solve_upper_transposed(l: &Matrix, y: &[f64]) -> Result<Vec<f64>> {
         x[i] = s / l.get(i, i);
     }
     Ok(x)
+}
+
+/// One substitution step on a tile: `(s − Σ_k coeffs[k]·solved[k]) / pivot`
+/// per lane, subtracting in ascending `k`.
+#[inline]
+fn eliminate(
+    mut s: [f64; TILE_COLS],
+    coeffs: &[f64],
+    solved: &[[f64; TILE_COLS]],
+    pivot: f64,
+) -> [f64; TILE_COLS] {
+    for (c, xk) in coeffs.iter().zip(solved) {
+        for (s, x) in s.iter_mut().zip(xk) {
+            *s -= c * x;
+        }
+    }
+    s.map(|s| s / pivot)
 }
 
 /// Convenience: solve `A x = b` for SPD `A` in one call.

@@ -49,6 +49,9 @@ pub struct ScanTrace {
     pub cells: u64,
     /// Cells frozen before the scan ended (error target met early).
     pub cells_frozen_early: u64,
+    /// Model-only priors (Eq. 11) computed — once per query, however many
+    /// batches re-evaluated the bounds. 0 under `no-learn`.
+    pub prior_evals: u64,
     /// Snippets recorded for the synopsis by this query.
     pub snippets_observed: u64,
     /// Chunk segments visited by the chunked kernel (0 row-wise).
@@ -104,6 +107,10 @@ pub struct QueryTrace {
     pub cells: u64,
     /// Cells frozen before the scan ended.
     pub cells_frozen_early: u64,
+    /// Model-only priors (Eq. 11, the O(n²) half of inference) this query
+    /// computed: at most one per `(group, primitive stream)` pair with a
+    /// model, whatever the number of batches. 0 under `no-learn`.
+    pub prior_evals: u64,
     /// Snippets recorded for the synopsis.
     pub snippets_observed: u64,
     /// Chunk segments the scan visited (0 under the row-wise kernel).
@@ -262,6 +269,7 @@ mod tests {
             batches: 0,
             cells: 0,
             cells_frozen_early: 0,
+            prior_evals: 0,
             snippets_observed: 0,
             chunks: 0,
             chunks_pruned: 0,

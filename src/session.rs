@@ -33,7 +33,7 @@
 //! implements the paper's runtime dataflow (Figure 2 / Algorithm 2) as a
 //! **shared scan**: every snippet of a query is answered from the *same*
 //! single pass over the sample. The dataflow is
-//! `ScanPlan → SharedScanDriver → improve_batch`:
+//! `ScanPlan → SharedScanDriver → priors + combine`:
 //!
 //! 1. parse and type-check the query (§2.2), then compile it into a plan
 //!    template ([`verdict_sql::prepare_query`]) — the one statement path:
@@ -63,11 +63,16 @@
 //!    answering each snippet on its own would rescan the sample
 //!    `O(G × A)` times;
 //! 4. after each batch, improve the live cells' raw answers with the
-//!    learned models in one [`verdict_core::EngineView::improve_batch`]
-//!    call and *freeze* each cell as soon as it meets the [`StopPolicy`];
-//!    the scan stops when every cell is frozen (this is where Verdict's
-//!    speedup comes from: the target error is reached after fewer
-//!    batches);
+//!    learned models and *freeze* each cell as soon as it meets the
+//!    [`StopPolicy`]; the scan stops when every cell is frozen (this is
+//!    where Verdict's speedup comes from: the target error is reached
+//!    after fewer batches). Inference is split so that this costs O(1)
+//!    per batch: the model-only priors of Eq. 11 — all the O(n²) work —
+//!    are computed once per query, at the first evaluation
+//!    ([`verdict_core::EngineView::priors`]: one pass over each model's
+//!    `Σₙ⁻¹` per ≤ 8 groups), and every evaluation only combines them
+//!    with the current raw answers
+//!    ([`verdict_core::EngineView::improve_from_prior`], Eq. 12);
 //! 5. record the frozen raw answers into the query synopsis, in the same
 //!    per-snippet order the paper's Algorithm 2 produces.
 //!
@@ -118,6 +123,7 @@ use verdict_aqp::{
     SegmentLoader, SharedScanDriver, StorageTier,
 };
 use verdict_core::append::AppendAdjustment;
+use verdict_core::inference::CellPrior;
 use verdict_core::{
     AggKey, EngineStats, EngineView, ImprovedAnswer, IngestBounds, Observation, Region, Snippet,
     Verdict, VerdictConfig,
@@ -1006,6 +1012,7 @@ pub(crate) fn query_trace(
         batches: scan.batches,
         cells: scan.cells,
         cells_frozen_early: scan.cells_frozen_early,
+        prior_evals: scan.prior_evals,
         snippets_observed: scan.snippets_observed,
         chunks: scan.chunks,
         chunks_pruned: scan.chunks_pruned,
@@ -1266,22 +1273,6 @@ pub(crate) fn run_shared_read(
         });
     }
 
-    // Model keys of the primitive streams and regions of the groups.
-    let prim_keys: Vec<AggKey> = plan
-        .primitives
-        .iter()
-        .map(|p| match p {
-            AggregateFn::Avg(e) => AggKey::avg(&e.to_string()),
-            AggregateFn::Freq => AggKey::Freq,
-            _ => unreachable!("plan primitives are AVG/FREQ"),
-        })
-        .collect();
-    let regions: Vec<Option<Region>> = plan
-        .group_predicates
-        .iter()
-        .map(|p| Region::from_predicate(view.schema(), p).ok())
-        .collect();
-
     let scan_groups: Vec<GroupKey> = plan.groups.iter().flatten().cloned().collect();
     let spec = ScanSpec {
         predicate: &plan.base_predicate,
@@ -1301,8 +1292,14 @@ pub(crate) fn run_shared_read(
     let mut driver = engine.shared_scan(&spec).map_err(Error::Aqp)?;
     let sink = driver.error_sink();
 
-    let mut stats = EngineStats::default();
-    let n_base = engine.sample().base_rows() as f64;
+    let mut cells = CellEvaluator {
+        view,
+        plan,
+        mode,
+        n_base: engine.sample().base_rows() as f64,
+        learned: None,
+        stats: EngineStats::default(),
+    };
 
     // The stop policy bounds the *one* query-wide scan: a tuple or
     // time budget buys one prefix of the sample regardless of how many
@@ -1377,9 +1374,7 @@ pub(crate) fn run_shared_read(
                 // Evaluate every live cell against the bound; freeze
                 // those that meet it.
                 let infer_sw = Stopwatch::started_if(tracing);
-                let evaluated = evaluate_live_cells(
-                    view, &mut stats, plan, d, &prim_keys, &regions, mode, n_base, &frozen,
-                );
+                let evaluated = cells.evaluate(d, &frozen);
                 infer_ns += infer_sw.elapsed_ns();
                 last_unmet.clear();
                 for (cell, snapshot) in evaluated {
@@ -1409,9 +1404,7 @@ pub(crate) fn run_shared_read(
         if !last_unmet.is_empty() && last_unmet[0].1.scanned == tuples_scanned {
             last_unmet
         } else {
-            evaluate_live_cells(
-                view, &mut stats, plan, &driver, &prim_keys, &regions, mode, n_base, &frozen,
-            )
+            cells.evaluate(&driver, &frozen)
         };
     infer_ns += infer_sw.elapsed_ns();
     for (cell, snapshot) in finalized {
@@ -1423,6 +1416,7 @@ pub(crate) fn run_shared_read(
         t.batches = driver.batches_stepped() as u64;
         t.cells = num_cells as u64;
         t.cells_frozen_early = frozen_early;
+        t.prior_evals = cells.prior_evals();
         t.chunks = driver.chunks_scanned();
         t.chunks_pruned = driver.chunks_pruned();
         t.rows_matched = driver.rows_matched();
@@ -1442,18 +1436,13 @@ pub(crate) fn run_shared_read(
     // line 6), in the per-snippet order of the Figure 3 decomposition.
     // The learn path applies them; the read path stays pure.
     let mut recorded: Vec<(Snippet, Observation)> = Vec::new();
-    if mode == Mode::Verdict {
-        for g in 0..num_groups {
-            let Some(region) = &regions[g] else { continue };
-            for (a, spec) in plan.aggregates.iter().enumerate() {
-                let cell = frozen[g * num_aggs + a].as_ref().expect("finalized");
-                for (key, obs) in cell_prim_indices(spec)
-                    .map(|p| &prim_keys[p])
-                    .zip(cell.raw_prims.iter())
-                {
-                    if obs.error.is_finite() {
-                        recorded.push((Snippet::new(key.clone(), region.clone()), *obs));
-                    }
+    for (g, snippets) in cells.learned.iter().flatten().enumerate() {
+        let Some(snippets) = snippets else { continue };
+        for (a, spec) in plan.aggregates.iter().enumerate() {
+            let cell = frozen[g * num_aggs + a].as_ref().expect("finalized");
+            for (p, obs) in cell_prim_indices(spec).zip(cell.raw_prims.iter()) {
+                if obs.error.is_finite() {
+                    recorded.push((snippets[p].0.clone(), *obs));
                 }
             }
         }
@@ -1503,7 +1492,7 @@ pub(crate) fn run_shared_read(
             elapsed: Duration::ZERO,
         },
         recorded,
-        stats,
+        stats: cells.stats,
         cache,
     })
 }
@@ -1525,90 +1514,123 @@ fn cell_prim_indices(spec: &verdict_sql::AggregateSpec) -> impl Iterator<Item = 
     spec.avg_prim.iter().chain(spec.freq_prim.iter()).copied()
 }
 
-/// Snapshots and improves every still-live cell at the driver's current
-/// scan position. Improvement runs as one [`EngineView::improve_batch`]
-/// call across all live cells (cells whose predicate has no region pass
-/// raw through), against immutable state —
-/// counter bumps land in `stats`. Returns `(cell index, snapshot)`
-/// pairs; cell indices are group-major (`g * num_aggs + a`).
-#[allow(clippy::too_many_arguments)]
-fn evaluate_live_cells(
-    view: EngineView<'_>,
-    stats: &mut EngineStats,
-    plan: &ScanPlan,
-    driver: &SharedScanDriver<'_>,
-    prim_keys: &[AggKey],
-    regions: &[Option<Region>],
+/// The snippet of one `(group, primitive stream)` pair — what the synopsis
+/// records its raw answer under — and its model-only prior (`None`: no
+/// model for the key, or a degenerate region; the raw answer passes
+/// through).
+type LearnedPrim = (Snippet, Option<CellPrior>);
+
+/// Turns the driver's raw answers into cell answers at any scan position.
+/// Everything about a cell that no batch changes — its snippets and their
+/// model-only priors (Eq. 11), i.e. all the O(n²) work of inference — is
+/// prepared once per query, at the first evaluation; after that an
+/// evaluation is a snapshot and an O(1) combine (Eq. 12) per primitive, so
+/// a statement that checks its bounds after each of `b` batches costs one
+/// inference, not `b`.
+struct CellEvaluator<'a> {
+    view: EngineView<'a>,
+    plan: &'a ScanPlan,
     mode: Mode,
     n_base: f64,
-    frozen: &[Option<FrozenCell>],
-) -> Vec<(usize, FrozenCell)> {
-    let num_aggs = plan.aggregates.len();
-    let scanned = driver.tuples_scanned();
+    /// `[group][primitive stream]`, `None` for a group whose predicate is
+    /// not a region (its cells are answered raw and teach nothing). Never
+    /// built under `Mode::NoLearn`.
+    learned: Option<Vec<Option<Vec<LearnedPrim>>>>,
+    /// Inference counter bumps of this query (read path: merged later).
+    stats: EngineStats,
+}
 
-    // Snapshot raw primitive observations per live cell.
-    let mut cells: Vec<(usize, Vec<Observation>)> = Vec::new();
-    for (cell, slot) in frozen.iter().enumerate() {
-        if slot.is_some() {
-            continue;
-        }
-        let (g, a) = (cell / num_aggs, cell % num_aggs);
-        let raw_prims: Vec<Observation> = cell_prim_indices(&plan.aggregates[a])
-            .map(|p| {
-                let r = driver.raw(g, p);
-                Observation::new(r.answer, r.error)
+impl CellEvaluator<'_> {
+    fn prepare(&self) -> Vec<Option<Vec<LearnedPrim>>> {
+        let keys: Vec<AggKey> = self
+            .plan
+            .primitives
+            .iter()
+            .map(|p| match p {
+                AggregateFn::Avg(e) => AggKey::avg(&e.to_string()),
+                AggregateFn::Freq => AggKey::Freq,
+                _ => unreachable!("plan primitives are AVG/FREQ"),
             })
             .collect();
-        cells.push((cell, raw_prims));
+        let regions: Vec<Option<Region>> = self
+            .plan
+            .group_predicates
+            .iter()
+            .map(|p| Region::from_predicate(self.view.schema(), p).ok())
+            .collect();
+        let snippets: Vec<Snippet> = regions
+            .iter()
+            .flatten()
+            .flat_map(|region| {
+                keys.iter()
+                    .map(move |key| Snippet::new(key.clone(), region.clone()))
+            })
+            .collect();
+        // One pass over each model's Σₙ⁻¹ per ≤ 8 groups.
+        let priors = self.view.priors(&snippets.iter().collect::<Vec<_>>());
+        let mut learned = snippets.into_iter().zip(priors);
+        regions
+            .iter()
+            .map(|region| {
+                region
+                    .as_ref()
+                    .map(|_| learned.by_ref().take(keys.len()).collect())
+            })
+            .collect()
     }
 
-    // Improve all live cells' primitives in one batched inference pass.
-    let improved_prims: Vec<Vec<ImprovedAnswer>> = match mode {
-        Mode::NoLearn => Vec::new(),
-        Mode::Verdict => {
-            let mut requests: Vec<(Snippet, Observation)> = Vec::new();
-            let mut spans: Vec<Option<(usize, usize)>> = Vec::with_capacity(cells.len());
-            for (cell, raw_prims) in &cells {
-                let (g, a) = (cell / num_aggs, cell % num_aggs);
-                let Some(region) = &regions[g] else {
-                    spans.push(None);
-                    continue;
-                };
-                let start = requests.len();
-                for (p, obs) in cell_prim_indices(&plan.aggregates[a]).zip(raw_prims.iter()) {
-                    requests.push((Snippet::new(prim_keys[p].clone(), region.clone()), *obs));
-                }
-                spans.push(Some((start, requests.len())));
-            }
-            let answers = view.improve_batch(&requests, stats);
-            spans
-                .into_iter()
-                .map(|span| match span {
-                    Some((start, end)) => answers[start..end].to_vec(),
-                    None => Vec::new(),
-                })
-                .collect()
-        }
-    };
+    /// Model-only priors this query computed.
+    fn prior_evals(&self) -> u64 {
+        let prims = self.learned.iter().flatten().flatten().flatten();
+        prims.filter(|(_, prior)| prior.is_some()).count() as u64
+    }
 
-    cells
-        .into_iter()
-        .enumerate()
-        .map(|(i, (cell, raw_prims))| {
-            let a = cell % num_aggs;
-            let combiner = plan.aggregates[a].combiner;
-            let user_raw = combine_raw(combiner, &raw_prims, n_base);
-            let improved = match mode {
-                Mode::NoLearn => raw_as_improved(user_raw),
-                Mode::Verdict => {
-                    if improved_prims[i].is_empty() {
-                        raw_as_improved(user_raw)
-                    } else {
-                        combine_improved(combiner, &improved_prims[i], n_base)
-                    }
+    /// Snapshots and improves every still-live cell at the driver's
+    /// current scan position, against immutable state — counter bumps land
+    /// in `self.stats`, one per improved primitive. Returns `(cell index,
+    /// snapshot)` pairs; cell indices are group-major (`g * num_aggs + a`).
+    fn evaluate(
+        &mut self,
+        driver: &SharedScanDriver<'_>,
+        frozen: &[Option<FrozenCell>],
+    ) -> Vec<(usize, FrozenCell)> {
+        if self.mode == Mode::Verdict && self.learned.is_none() {
+            self.learned = Some(self.prepare());
+        }
+        let num_aggs = self.plan.aggregates.len();
+        let scanned = driver.tuples_scanned();
+        let mut evaluated = Vec::new();
+        for (cell, slot) in frozen.iter().enumerate() {
+            if slot.is_some() {
+                continue;
+            }
+            let (g, spec) = (cell / num_aggs, &self.plan.aggregates[cell % num_aggs]);
+            let raw_prims: Vec<Observation> = cell_prim_indices(spec)
+                .map(|p| {
+                    let r = driver.raw(g, p);
+                    Observation::new(r.answer, r.error)
+                })
+                .collect();
+            let user_raw = combine_raw(spec.combiner, &raw_prims, self.n_base);
+            let improved = match self.learned.as_ref().and_then(|l| l[g].as_ref()) {
+                None => raw_as_improved(user_raw),
+                Some(prims) => {
+                    let improved_prims: Vec<ImprovedAnswer> = cell_prim_indices(spec)
+                        .zip(&raw_prims)
+                        .map(|(p, raw)| {
+                            let (snippet, prior) = &prims[p];
+                            self.view.improve_from_prior(
+                                &snippet.key,
+                                *prior,
+                                *raw,
+                                &mut self.stats,
+                            )
+                        })
+                        .collect();
+                    combine_improved(spec.combiner, &improved_prims, self.n_base)
                 }
             };
-            (
+            evaluated.push((
                 cell,
                 FrozenCell {
                     raw_prims,
@@ -1616,9 +1638,10 @@ fn evaluate_live_cells(
                     improved,
                     scanned,
                 },
-            )
-        })
-        .collect()
+            ));
+        }
+        evaluated
+    }
 }
 
 /// A raw `(answer, error)` pair wrapped as an unimproved answer.

@@ -140,6 +140,17 @@ pub fn plan_of(snapshot: &SessionSnapshot, sql: &str, result: &QueryResult) -> S
     plan
 }
 
+/// The model key of each of `plan`'s primitive streams.
+pub fn prim_keys(plan: &ScanPlan) -> Vec<AggKey> {
+    plan.primitives
+        .iter()
+        .map(|p| match p {
+            AggregateFn::Avg(e) => AggKey::avg(&e.to_string()),
+            _ => AggKey::Freq,
+        })
+        .collect()
+}
+
 /// A driver over `plan`'s scan running the row-wise kernel oracle.
 pub fn rowwise_driver<'e>(engine: &'e OnlineAggregation, plan: &ScanPlan) -> SharedScanDriver<'e> {
     let groups: Vec<GroupKey> = plan.groups.iter().flatten().cloned().collect();
@@ -280,14 +291,7 @@ pub fn check(
 
     let view = before.engine_snapshot().view();
     let n = sample.base_rows() as f64;
-    let keys: Vec<AggKey> = plan
-        .primitives
-        .iter()
-        .map(|p| match p {
-            AggregateFn::Avg(e) => AggKey::avg(&e.to_string()),
-            _ => AggKey::Freq,
-        })
-        .collect();
+    let keys = prim_keys(&plan);
     let capacity = view.config().synopsis_capacity;
     let mut want = synopses(&before);
     let mut deepest = 0;

@@ -12,8 +12,9 @@
 
 mod oracle;
 
-use oracle::{check, query_spec, session};
+use oracle::{check, plan_of, prim_keys, query_spec, rowwise_driver, session};
 use proptest::prelude::*;
+use verdict::core::{EngineStats, Observation, Region, Snippet};
 use verdict::{Mode, QueryOptions, QueryResult, SessionBuilder, StopPolicy, VerdictSession};
 use verdict_storage::{ColumnDef, Schema, Table};
 
@@ -82,6 +83,86 @@ fn eight_groups_two_aggregates_one_scan() {
     assert!(r.rows.len() >= 8, "{} groups", r.rows.len());
     assert_eq!(r.rows[0].values.len(), 2);
     assert_eq!(r.tuples_scanned, s.snapshot().engines()[0].sample().len());
+}
+
+/// A grouped statement under an error target no cell ever meets evaluates
+/// its bounds after every batch, but pays for inference once: the
+/// model-only priors are computed for each `(group, primitive stream)`
+/// pair at the first evaluation and only combined with the deepening raw
+/// answers afterwards. Answers, stop points and synopsis records are the
+/// oracle's (which re-infers from scratch at every batch), and the
+/// inference counters are those of a twin that calls
+/// `EngineView::improve_batch` for every live cell after every batch.
+#[test]
+fn unmet_error_target_infers_once_and_combines_per_batch() {
+    let mut s = session(6_000, true);
+    for lo in (0..24).step_by(3) {
+        let sql = format!(
+            "SELECT AVG(rev), COUNT(*) FROM t WHERE week BETWEEN {lo} AND {}",
+            lo + 4
+        );
+        s.execute(&sql, Mode::Verdict, StopPolicy::ScanAll).unwrap();
+    }
+    s.train().unwrap();
+
+    // Three aggregates over two primitive streams (AVG(rev), FREQ(*)).
+    let sql = "SELECT region, AVG(rev), SUM(rev), COUNT(*) FROM t \
+               WHERE week BETWEEN 3 AND 20 GROUP BY region";
+    let policy = StopPolicy::RelativeErrorBound {
+        target: 1e-9,
+        delta: 0.95,
+    };
+    let before = s.snapshot();
+    let result = check(&mut s, sql, Mode::Verdict, policy, false);
+    let groups = result.rows.len();
+    assert!(groups >= 8, "{groups} groups");
+    let cells = result.rows.iter().flat_map(|row| row.values.iter());
+    assert!(cells.clone().any(|c| c.improved.used_model));
+
+    let engine = &before.engines()[0];
+    let batches = engine.sample().num_batches();
+    assert_eq!(
+        result.tuples_scanned,
+        engine.sample().len(),
+        "no cell froze"
+    );
+    let trace = &s.recent_queries(1)[0];
+    assert_eq!(trace.cells_frozen_early, 0);
+    assert!(batches > 1);
+    assert_eq!(trace.batches, batches as u64);
+    let plan = plan_of(&before, sql, &result);
+    assert_eq!(plan.primitives.len(), 2);
+    assert_eq!(trace.prior_evals, (groups * plan.primitives.len()) as u64);
+
+    // The twin: every cell's primitives through `improve_batch`, after
+    // every batch, from a hand-held driver's raw answers.
+    let view = before.engine_snapshot().view();
+    let keys = prim_keys(&plan);
+    let mut want = before.stats();
+    let mut driver = rowwise_driver(engine, &plan);
+    let mut requests: Vec<(Snippet, Observation)> = Vec::new();
+    for _ in 0..batches {
+        assert!(driver.step());
+        requests.clear();
+        for (g, predicate) in plan.group_predicates.iter().enumerate() {
+            let region = Region::from_predicate(view.schema(), predicate).unwrap();
+            for spec in &plan.aggregates {
+                for &p in spec.avg_prim.iter().chain(&spec.freq_prim) {
+                    let raw = driver.raw(g, p);
+                    requests.push((
+                        Snippet::new(keys[p].clone(), region.clone()),
+                        Observation::new(raw.answer, raw.error),
+                    ));
+                }
+            }
+        }
+        let mut delta = EngineStats::default();
+        view.improve_batch(&requests, &mut delta);
+        want.merge(delta);
+    }
+    // The learn path then recorded the final raw primitives.
+    want.observed += requests.iter().filter(|(_, o)| o.error.is_finite()).count() as u64;
+    assert_eq!(s.snapshot().stats(), want);
 }
 
 /// Regression (stop-policy semantics): a time budget bounds the *single*
