@@ -32,7 +32,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use crate::engine::{EngineStats, EngineView, Verdict};
+use crate::engine::{EngineStats, EngineView, TrainReport, Verdict};
 use crate::inference::TrainedModel;
 use crate::region::SchemaInfo;
 use crate::snippet::{AggKey, Observation, Snippet};
@@ -272,7 +272,7 @@ impl Learner {
     }
 
     /// Offline training pass (Algorithm 1), then republish.
-    pub fn train(&mut self) -> Result<()> {
+    pub fn train(&mut self) -> Result<TrainReport> {
         let result = self.engine.train();
         self.republish();
         result

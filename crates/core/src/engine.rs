@@ -3,6 +3,7 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::Instant;
 
 use verdict_stats::normal::confidence_multiplier;
 
@@ -412,31 +413,34 @@ impl Verdict {
 
     /// Offline training (Algorithm 1): for every aggregate function with
     /// enough snippets, learn correlation parameters by maximum likelihood,
-    /// then precompute `Σₙ⁻¹`.
-    pub fn train(&mut self) -> Result<()> {
+    /// then precompute `Σₙ⁻¹`. Reports where the time went.
+    pub fn train(&mut self) -> Result<TrainReport> {
         let keys: Vec<AggKey> = self.synopses.keys().cloned().collect();
+        let mut report = TrainReport::default();
         for key in keys {
-            self.train_key(&key)?;
+            report.merge(self.train_key(&key)?);
         }
-        Ok(())
+        Ok(report)
     }
 
-    /// Trains the model for one aggregate function.
-    pub fn train_key(&mut self, key: &AggKey) -> Result<()> {
+    /// Trains the model for one aggregate function. A key with no
+    /// synopsis is a no-op: no epoch moves, so no cached answer is voided.
+    pub fn train_key(&mut self, key: &AggKey) -> Result<TrainReport> {
+        let Some(synopsis) = self.synopses.get(key) else {
+            return Ok(TrainReport::default());
+        };
         self.epoch += 1;
         self.model_epoch += 1;
-        let Some(synopsis) = self.synopses.get(key) else {
-            return Ok(());
-        };
         match fit_model(&self.schema, &self.config, key, synopsis)? {
-            Some(model) => {
+            Some((model, report)) => {
                 self.models.insert(key.clone(), Arc::new(model));
+                Ok(report)
             }
             None => {
                 self.models.remove(key);
+                Ok(TrainReport::default())
             }
         }
-        Ok(())
     }
 
     /// Query-time improvement (Algorithm 2 lines 3–5): runs inference if a
@@ -536,8 +540,9 @@ impl Verdict {
                             }),
                         _ => adjustment.adjust_synopsis(&mut synopsis),
                     };
-                    let model = fit_model(&self.schema, &self.config, key, &synopsis)?;
-                    entries.push((key.clone(), Some(Arc::new(synopsis)), model.map(Arc::new)));
+                    let model = fit_model(&self.schema, &self.config, key, &synopsis)?
+                        .map(|(model, _)| Arc::new(model));
+                    entries.push((key.clone(), Some(Arc::new(synopsis)), model));
                 }
                 // No synopsis: nothing to adjust, and (matching
                 // `train_key` on a missing synopsis) any existing model
@@ -711,41 +716,69 @@ type StagedEntry = (
     Option<Arc<TrainedModel>>,
 );
 
+/// Where a training pass spent its time, summed over the keys it fit.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TrainReport {
+    /// Nanoseconds in the lengthscale searches ([`learn_params`]).
+    pub search_ns: u64,
+    /// Nanoseconds fitting the conditioning state ([`TrainedModel`]'s
+    /// `Σₙ`, its factor, `Σₙ⁻¹` and `α`).
+    pub fit_ns: u64,
+    /// Likelihood evaluations the searches ran.
+    pub evaluations: u64,
+}
+
+impl TrainReport {
+    fn merge(&mut self, other: TrainReport) {
+        self.search_ns += other.search_ns;
+        self.fit_ns += other.fit_ns;
+        self.evaluations += other.evaluations;
+    }
+}
+
 /// The one model-fitting routine (Algorithm 1 for one key): learns
 /// lengthscales on a bounded, most-recent subset, then fits the
 /// conditioning state on the full synopsis. `Ok(None)` means the synopsis
 /// is too small to train — the caller removes any stale model. Pure with
 /// respect to engine state, so staged (pre-commit) fits and `train_key`
-/// share it and cannot drift.
+/// share it and cannot drift. The report times each half.
 fn fit_model(
     schema: &SchemaInfo,
     config: &VerdictConfig,
     key: &AggKey,
     synopsis: &QuerySynopsis,
-) -> Result<Option<TrainedModel>> {
+) -> Result<Option<(TrainedModel, TrainReport)>> {
     if synopsis.len() < config.min_snippets_to_train {
         return Ok(None);
     }
     let mode = AggMode::of(key);
+    let started = Instant::now();
     let training = synopsis.most_recent(config.max_training_snippets);
     let regions: Vec<&Region> = training.iter().map(|e| &e.region).collect();
     let answers: Vec<f64> = training.iter().map(|e| e.observation.answer).collect();
     let errors: Vec<f64> = training.iter().map(|e| e.observation.error).collect();
     let learned = learn_params(schema, mode, &regions, &answers, &errors, config);
-    let entries: Vec<(Region, Observation)> = synopsis
+    let searched = Instant::now();
+    let (regions, observations) = synopsis
         .entries()
         .iter()
         .map(|e| (e.region.clone(), e.observation))
-        .collect();
-    let model = TrainedModel::fit(
+        .unzip();
+    let model = TrainedModel::fit_owned(
         schema,
         mode,
-        &entries,
+        regions,
+        observations,
         learned.params,
         learned.prior,
         config.jitter,
     )?;
-    Ok(Some(model))
+    let report = TrainReport {
+        search_ns: (searched - started).as_nanos() as u64,
+        fit_ns: searched.elapsed().as_nanos() as u64,
+        evaluations: learned.evaluations,
+    };
+    Ok(Some((model, report)))
 }
 
 /// Raw answer passed through unimproved.
@@ -853,6 +886,19 @@ mod tests {
         v.observe(&snippet(10.0, 20.0), Observation::new(2.0, 0.1));
         v.train().unwrap();
         assert!(!v.has_model(&AggKey::avg("v")));
+    }
+
+    #[test]
+    fn training_a_key_without_a_synopsis_moves_no_epoch() {
+        let mut v = trained_engine();
+        let (epoch, model_epoch) = (v.epoch(), v.model_epoch());
+        let report = v.train_key(&AggKey::Freq).unwrap();
+        assert_eq!(report, TrainReport::default());
+        assert_eq!((v.epoch(), v.model_epoch()), (epoch, model_epoch));
+        // A key that has one does, and says what the pass cost.
+        let report = v.train_key(&AggKey::avg("v")).unwrap();
+        assert!(report.evaluations > 0);
+        assert_eq!((v.epoch(), v.model_epoch()), (epoch + 1, model_epoch + 1));
     }
 
     #[test]

@@ -23,21 +23,32 @@
 //! depend on the raw answer: [`TrainedModel::priors`] computes
 //! `(θ_prior, γ²)` — a [`CellPrior`] — for every cell a query asks one
 //! model about, and that is all the O(n²) work there is. It builds the
-//! cells' cross-covariance columns `k̄` (O(n) kernel evaluations each) and
+//! cells' cross-covariance columns `k̄` from the model's
+//! [`RegionIndex`] — per dimension, one factor per *distinct* past
+//! constraint, `O(Σ_k d_k)` kernel integrals, then `O(n·dims)` multiplies;
+//! cells that share a dimension's constraint (all but one dimension,
+//! across the groups of a `GROUP BY`) share its factors — and
 //! hands them to `verdict_linalg::ops::quadratic_forms_with`, which reads
 //! `Σₙ⁻¹` **once per tile of ≤ 8 cells**, not once per cell: an 8-group
 //! statement costs one pass over the matrix per model. Eq. (12) is
 //! [`CellPrior::combine`], O(1): a statement that re-evaluates its bounds
 //! after every scanned batch pays the priors once and a handful of
 //! flops per batch. The blocked kernel accumulates every dot product in
-//! the order the textbook loop does, so none of this changes a bit of
-//! any answer (modulo NaN payload: a NaN stays a NaN, which one is not
-//! pinned down).
+//! the order the textbook loop does, and every `k̄` element is the same
+//! product of the same factors as one [`snippet_covariance`] call, so
+//! none of this changes a bit of any answer (modulo NaN payload: a NaN
+//! stays a NaN, which one is not pinned down).
+//!
+//! The index is derived state: [`TrainedModel::fit`] builds it (and
+//! assembles `Σₙ` from it), [`TrainedModel::absorb`] extends it,
+//! [`TrainedModel::from_parts`] rebuilds it on load; it is not persisted.
 
 use verdict_linalg::ops::{bilinear_form, dot, quadratic_forms_with};
 use verdict_linalg::{Cholesky, Matrix};
 
-use crate::covariance::{cross_covariance, raw_covariance_matrix, snippet_covariance, AggMode};
+use crate::covariance::{
+    cross_covariance, raw_covariance_matrix, snippet_covariance, AggMode, RegionIndex,
+};
 use crate::kernel::KernelParams;
 use crate::learning::PriorMean;
 use crate::region::{Region, SchemaInfo};
@@ -78,6 +89,10 @@ pub struct TrainedModel {
     params: KernelParams,
     prior: PriorMean,
     regions: Vec<Region>,
+    /// The distinct constraints of `regions` — derived state (rebuilt on
+    /// load, never persisted) every cross-covariance column is assembled
+    /// from.
+    index: RegionIndex,
     /// The raw observations the model conditions on (kept so the
     /// incremental `absorb` path can rebuild the centered vector).
     observations: Vec<Observation>,
@@ -99,10 +114,29 @@ impl TrainedModel {
         prior: PriorMean,
         jitter: f64,
     ) -> Result<TrainedModel> {
-        let regions: Vec<Region> = entries.iter().map(|(r, _)| r.clone()).collect();
-        let refs: Vec<&Region> = regions.iter().collect();
-        let errors: Vec<f64> = entries.iter().map(|(_, o)| o.error).collect();
-        let mut sigma = raw_covariance_matrix(schema, &params, mode, &refs, &errors);
+        let (regions, observations) = entries.iter().cloned().unzip();
+        TrainedModel::fit_owned(schema, mode, regions, observations, params, prior, jitter)
+    }
+
+    /// [`TrainedModel::fit`] over snippets the caller has already copied
+    /// out of a synopsis.
+    pub(crate) fn fit_owned(
+        schema: &SchemaInfo,
+        mode: AggMode,
+        regions: Vec<Region>,
+        observations: Vec<Observation>,
+        params: KernelParams,
+        prior: PriorMean,
+        jitter: f64,
+    ) -> Result<TrainedModel> {
+        debug_assert_eq!(regions.len(), observations.len());
+        let index = RegionIndex::new(&regions);
+        let errors: Vec<f64> = observations.iter().map(|o| o.error).collect();
+        // The factor tables go out of scope with this statement, before
+        // the factor and the inverse that set a fit's peak.
+        let mut sigma = index
+            .pairs(schema, mode)
+            .raw_covariance_matrix(&params, &errors);
         let scale = sigma.max_abs().max(1.0);
         sigma.add_diagonal(jitter * scale);
         let chol = Cholesky::new_with_jitter(&sigma, 1e-12, 8)?;
@@ -110,17 +144,18 @@ impl TrainedModel {
         // with, and freeing it here keeps a fit's peak at three matrices.
         drop(sigma);
         let sigma_inv = chol.inverse()?;
-        let centered: Vec<f64> = entries
+        let centered: Vec<f64> = regions
             .iter()
+            .zip(&observations)
             .map(|(r, o)| o.answer - prior.of(schema, r))
             .collect();
         let alpha = chol.solve(&centered)?;
-        let observations = entries.iter().map(|(_, o)| *o).collect();
         Ok(TrainedModel {
             mode,
             params,
             prior,
             regions,
+            index,
             observations,
             sigma_inv,
             alpha,
@@ -145,11 +180,13 @@ impl TrainedModel {
         debug_assert_eq!(regions.len(), observations.len());
         debug_assert_eq!(regions.len(), alpha.len());
         debug_assert_eq!(sigma_inv.rows(), regions.len());
+        let index = RegionIndex::new(&regions);
         TrainedModel {
             mode,
             params,
             prior,
             regions,
+            index,
             observations,
             sigma_inv,
             alpha,
@@ -199,14 +236,15 @@ impl TrainedModel {
     /// Model-only priors (Eq. 11) of `regions`, in order: the O(n²) half
     /// of inference, done for all cells of one query at once. The kernel
     /// takes the cross-covariance columns a tile at a time and reads
-    /// `Σₙ⁻¹` once per tile; see the module docs.
+    /// `Σₙ⁻¹` once per tile, and the columns share one set of
+    /// per-dimension factors; see the module docs.
     pub fn priors(&self, schema: &SchemaInfo, regions: &[&Region]) -> Vec<CellPrior> {
-        let past: Vec<&Region> = self.regions.iter().collect();
+        let mut cross = self.index.cross(schema, &self.params, self.mode);
         let mut out = Vec::with_capacity(regions.len());
         quadratic_forms_with(
             &self.sigma_inv,
             regions.len(),
-            |c| cross_covariance(schema, &self.params, self.mode, &past, regions[c]),
+            |c| cross.column(regions[c]),
             |c, k, quad| {
                 let region = regions[c];
                 let kappa2 = snippet_covariance(schema, &self.params, self.mode, region, region);
@@ -236,9 +274,9 @@ impl TrainedModel {
     /// (`crate::active`): it quantifies how much observing one region would
     /// teach us about another.
     pub fn posterior_cov(&self, schema: &SchemaInfo, a: &Region, b: &Region) -> f64 {
-        let refs: Vec<&Region> = self.regions.iter().collect();
-        let ka = cross_covariance(schema, &self.params, self.mode, &refs, a);
-        let kb = cross_covariance(schema, &self.params, self.mode, &refs, b);
+        let mut cross = self.index.cross(schema, &self.params, self.mode);
+        let ka = cross.column(a);
+        let kb = cross.column(b);
         let kab = snippet_covariance(schema, &self.params, self.mode, a, b);
         kab - bilinear_form(&ka, &self.sigma_inv, &kb)
     }
@@ -258,8 +296,10 @@ impl TrainedModel {
     /// ```
     pub fn absorb(&mut self, schema: &SchemaInfo, region: &Region, obs: Observation) {
         let n = self.regions.len();
-        let refs: Vec<&Region> = self.regions.iter().collect();
-        let k = cross_covariance(schema, &self.params, self.mode, &refs, region);
+        let k = self
+            .index
+            .cross(schema, &self.params, self.mode)
+            .column(region);
         let kappa2 = snippet_covariance(schema, &self.params, self.mode, region, region);
         let beta2 = if obs.error.is_finite() {
             obs.error * obs.error
@@ -284,6 +324,7 @@ impl TrainedModel {
         self.sigma_inv = inv;
 
         self.regions.push(region.clone());
+        self.index.push(region);
         // Recompute α = Σ_{n+1}⁻¹ (θ − µ) in O(n²). The centered vector
         // must be rebuilt because the stored α is Σₙ⁻¹ c, not c itself.
         let mut centered: Vec<f64> = Vec::with_capacity(n + 1);
@@ -432,8 +473,11 @@ mod tests {
         region: &Region,
         raw: Observation,
     ) -> ModelInference {
-        let refs: Vec<&Region> = m.regions.iter().collect();
-        let k = cross_covariance(schema, &m.params, m.mode, &refs, region);
+        let k: Vec<f64> = m
+            .regions
+            .iter()
+            .map(|r| snippet_covariance(schema, &m.params, m.mode, r, region))
+            .collect();
         let kappa2 = snippet_covariance(schema, &m.params, m.mode, region, region);
         let mu_new = m.prior.of(schema, region);
         let mut quad = 0.0;

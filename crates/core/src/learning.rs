@@ -11,11 +11,25 @@
 //!   log marginal likelihood of the observed raw answers (Eq. 13) with a
 //!   derivative-free optimizer in log-lengthscale space, multi-started
 //!   from the dimension's domain width (Appendix A.1).
+//!
+//! ## Cost
+//!
+//! One likelihood is one `Σₙ` and one Cholesky factor of it over the
+//! `n ≤ max_training_snippets` most recent snippets, and a search runs a
+//! few hundred of them ([`LearnedParams::evaluations`]). [`learn_params`]
+//! indexes the training regions once
+//! ([`RegionIndex`]) and keeps one set of
+//! per-dimension factor tables for the whole search, so assembling `Σₙ`
+//! costs `O(Σ_k d_k²)` kernel integrals over the `d_k` *distinct*
+//! constraints of each numeric dimension — the categorical factors are
+//! integrated once per search, not once per likelihood — plus
+//! `O(n²·dims)` multiplies; with the constraints a workload repeats, the
+//! `O(n³)` factorization is what is left of a likelihood.
 
 use verdict_linalg::Cholesky;
 use verdict_stats::{mean, variance};
 
-use crate::covariance::{raw_covariance_matrix, AggMode};
+use crate::covariance::{AggMode, PairFactors, RegionIndex};
 use crate::kernel::KernelParams;
 use crate::optimizer::nelder_mead;
 use crate::region::{DimKind, Region, SchemaInfo};
@@ -109,24 +123,54 @@ pub fn log_marginal_likelihood(
     prior: &PriorMean,
     jitter: f64,
 ) -> f64 {
-    let n = regions.len();
-    debug_assert_eq!(answers.len(), n);
+    debug_assert_eq!(answers.len(), regions.len());
+    let index = RegionIndex::new(regions.iter().copied());
+    let centered = centered_answers(schema, regions, answers, prior);
+    likelihood(
+        &mut index.pairs(schema, mode),
+        &centered,
+        errors,
+        params,
+        jitter,
+    )
+}
+
+/// `c = θ − µ`.
+fn centered_answers(
+    schema: &SchemaInfo,
+    regions: &[&Region],
+    answers: &[f64],
+    prior: &PriorMean,
+) -> Vec<f64> {
+    regions
+        .iter()
+        .zip(answers.iter())
+        .map(|(r, &a)| a - prior.of(schema, r))
+        .collect()
+}
+
+/// Eq. 13 over the regions `pairs` indexes. A search passes the same
+/// `pairs` to every evaluation, so only the factors whose lengthscale
+/// moved are integrated again.
+fn likelihood(
+    pairs: &mut PairFactors<'_>,
+    centered: &[f64],
+    errors: &[f64],
+    params: &KernelParams,
+    jitter: f64,
+) -> f64 {
+    let n = centered.len();
     debug_assert_eq!(errors.len(), n);
     if n == 0 {
         return 0.0;
     }
-    let mut sigma = raw_covariance_matrix(schema, params, mode, regions, errors);
+    let mut sigma = pairs.raw_covariance_matrix(params, errors);
     let scale = sigma.max_abs().max(1.0);
     sigma.add_diagonal(jitter * scale);
     let Ok(chol) = Cholesky::new_with_jitter(&sigma, 1e-12, 6) else {
         return f64::NEG_INFINITY;
     };
-    let centered: Vec<f64> = regions
-        .iter()
-        .zip(answers.iter())
-        .map(|(r, &a)| a - prior.of(schema, r))
-        .collect();
-    let Ok(alpha) = chol.solve(&centered) else {
+    let Ok(alpha) = chol.solve(centered) else {
         return f64::NEG_INFINITY;
     };
     let quad: f64 = centered.iter().zip(alpha.iter()).map(|(c, a)| c * a).sum();
@@ -142,6 +186,9 @@ pub struct LearnedParams {
     pub prior: PriorMean,
     /// Final log marginal likelihood.
     pub log_likelihood: f64,
+    /// Likelihood evaluations the search ran (each one a covariance
+    /// assembly and a factorization over the training snippets).
+    pub evaluations: u64,
 }
 
 /// Learns the kernel parameters for one aggregate function from its past
@@ -177,54 +224,68 @@ pub fn learn_params(
             },
             prior,
             log_likelihood: f64::NEG_INFINITY,
+            evaluations: 0,
         };
     }
 
-    // Optimize log-lengthscales of the numeric dimensions only.
-    let objective = |logls: &[f64]| -> f64 {
+    // Log-lengthscales of the numeric dimensions → kernel parameters.
+    let params_at = |logls: &[f64]| -> KernelParams {
         let mut lengthscales = widths.clone();
         for (slot, &idx) in numeric.iter().enumerate() {
             // Clamp to avoid numerically absurd scales.
-            let l = logls[slot].clamp(-20.0, 20.0).exp() * widths[idx];
-            lengthscales[idx] = l;
+            lengthscales[idx] = logls[slot].clamp(-20.0, 20.0).exp() * widths[idx];
         }
-        let params = KernelParams {
+        KernelParams {
             lengthscales,
             sigma2,
-        };
-        -log_marginal_likelihood(
-            schema,
-            mode,
-            regions,
-            answers,
+        }
+    };
+
+    // One index and one set of factor tables for the whole search: the
+    // categorical factors are integrated once, the numeric ones once per
+    // likelihood.
+    let index = RegionIndex::new(regions.iter().copied());
+    let mut pairs = index.pairs(schema, mode);
+    let centered = centered_answers(schema, regions, answers, &prior);
+    let mut evaluations = 0;
+    let mut objective = |logls: &[f64]| -> f64 {
+        evaluations += 1;
+        -likelihood(
+            &mut pairs,
+            &centered,
             errors,
-            &params,
-            &prior,
+            &params_at(logls),
             config.jitter,
         )
     };
 
+    // A start whose logarithm is not a number cannot seed a simplex; with
+    // none usable (the list is a `pub` field, and decoded from a persisted
+    // config) search from the paper's own start, the domain width.
+    let mut starts: Vec<f64> = config
+        .lengthscale_starts
+        .iter()
+        .copied()
+        .filter(|f| f.is_finite() && *f > 0.0)
+        .collect();
+    if starts.is_empty() {
+        starts.push(1.0);
+    }
     let mut best: Option<(Vec<f64>, f64)> = None;
-    for &start_factor in &config.lengthscale_starts {
+    for start_factor in starts {
         let x0 = vec![start_factor.ln(); numeric.len()];
-        let r = nelder_mead(objective, &x0, 0.7, config.max_optimizer_iters, 1e-8);
+        let r = nelder_mead(&mut objective, &x0, 0.7, config.max_optimizer_iters, 1e-8);
         if best.as_ref().is_none_or(|(_, v)| r.value < *v) {
             best = Some((r.x, r.value));
         }
     }
-    let (best_x, best_neg_ll) = best.expect("at least one start configured");
+    let (best_x, best_neg_ll) = best.expect("at least one start");
 
-    let mut lengthscales = widths.clone();
-    for (slot, &idx) in numeric.iter().enumerate() {
-        lengthscales[idx] = best_x[slot].clamp(-20.0, 20.0).exp() * widths[idx];
-    }
     LearnedParams {
-        params: KernelParams {
-            lengthscales,
-            sigma2,
-        },
+        params: params_at(&best_x),
         prior,
         log_likelihood: -best_neg_ll,
+        evaluations,
     }
 }
 
@@ -363,6 +424,37 @@ mod tests {
     }
 
     #[test]
+    fn learn_params_without_a_usable_start_searches_from_the_domain_width() {
+        let s = schema();
+        let regions: Vec<Region> = (0..12)
+            .map(|i| region(i as f64 * 8.0, i as f64 * 8.0 + 8.0))
+            .collect();
+        let refs: Vec<&Region> = regions.iter().collect();
+        let answers: Vec<f64> = (0..12).map(|i| (i as f64 / 3.0).sin() + 10.0).collect();
+        let errors = vec![0.05; 12];
+        let learn = |starts: Vec<f64>| {
+            let config = VerdictConfig {
+                lengthscale_starts: starts,
+                ..VerdictConfig::default()
+            };
+            learn_params(&s, AggMode::Avg, &refs, &answers, &errors, &config)
+        };
+        let paper = learn(vec![1.0]);
+        assert!(paper.evaluations > 0);
+        assert!(paper.log_likelihood.is_finite());
+        for starts in [vec![], vec![0.0, f64::NAN], vec![-1.0, f64::INFINITY]] {
+            let learned = learn(starts);
+            assert_eq!(learned.params, paper.params);
+            assert_eq!(learned.log_likelihood, paper.log_likelihood);
+            assert_eq!(learned.evaluations, paper.evaluations);
+        }
+        // An unusable factor beside usable ones is skipped, not searched.
+        let mixed = learn(vec![f64::NAN, 1.0, 0.0]);
+        assert_eq!(mixed.params, paper.params);
+        assert_eq!(mixed.evaluations, paper.evaluations);
+    }
+
+    #[test]
     fn learn_params_without_numeric_dims_uses_defaults() {
         let s = SchemaInfo::new(vec![DimensionSpec::categorical("c", 4)]).unwrap();
         let r = Region::full(&s);
@@ -377,5 +469,6 @@ mod tests {
         );
         assert_eq!(learned.params.lengthscales, vec![1.0]);
         assert!(learned.params.sigma2 > 0.0);
+        assert_eq!(learned.evaluations, 0);
     }
 }

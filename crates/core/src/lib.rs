@@ -47,7 +47,9 @@ pub mod validation;
 pub use append::{AppendAdjustment, DimBounds, IngestBounds};
 pub use concurrent::{EngineSnapshot, Learner, SnapshotCell};
 pub use config::VerdictConfig;
-pub use engine::{EngineStats, EngineView, ImprovedAnswer, SnippetObserver, StagedIngest, Verdict};
+pub use engine::{
+    EngineStats, EngineView, ImprovedAnswer, SnippetObserver, StagedIngest, TrainReport, Verdict,
+};
 pub use kernel::KernelParams;
 pub use persist::{EngineState, Persist, PersistError};
 pub use region::{DimKind, DimensionSpec, Region, SchemaInfo};

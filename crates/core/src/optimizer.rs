@@ -24,7 +24,7 @@ pub struct OptimizationResult {
 /// shrink ½). Stops after `max_iters` iterations or when the simplex's
 /// value spread falls below `tol`.
 pub fn nelder_mead(
-    f: impl Fn(&[f64]) -> f64,
+    mut f: impl FnMut(&[f64]) -> f64,
     x0: &[f64],
     initial_step: f64,
     max_iters: usize,

@@ -169,6 +169,66 @@ pub enum DimConstraint {
     Set(Option<Vec<u32>>),
 }
 
+impl DimConstraint {
+    /// Bitwise identity: both interval ends equal by `to_bits` (so `-0.0`
+    /// is not `0.0`, and a NaN end equals itself), or the same code set —
+    /// the universal `None` is not an explicit set that lists every code.
+    /// Two constraints that are the same bits give the same covariance
+    /// factor against any third, which is what lets
+    /// [`crate::covariance::RegionIndex`] integrate each distinct one once.
+    pub fn same_bits(&self, other: &DimConstraint) -> bool {
+        match (self, other) {
+            (DimConstraint::Range { lo: a, hi: b }, DimConstraint::Range { lo: c, hi: d }) => {
+                a.to_bits() == c.to_bits() && b.to_bits() == d.to_bits()
+            }
+            (DimConstraint::Set(a), DimConstraint::Set(b)) => a == b,
+            _ => false,
+        }
+    }
+
+    fn codes(&self) -> &Option<Vec<u32>> {
+        match self {
+            DimConstraint::Set(s) => s,
+            DimConstraint::Range { .. } => panic!("categorical factor on numeric dimension"),
+        }
+    }
+
+    /// Size of the categorical overlap `|F_{i,k} ∩ F_{j,k}|` (either
+    /// operand may be the universal set).
+    pub fn set_overlap(&self, other: &DimConstraint, cardinality: u32) -> f64 {
+        match (self.codes(), other.codes()) {
+            (None, None) => cardinality as f64,
+            (Some(s), None) | (None, Some(s)) => s.len() as f64,
+            (Some(s1), Some(s2)) => {
+                // Both sorted (Predicate::cat_in sorts; filter preserves order).
+                let mut i = 0;
+                let mut j = 0;
+                let mut count = 0usize;
+                while i < s1.len() && j < s2.len() {
+                    match s1[i].cmp(&s2[j]) {
+                        std::cmp::Ordering::Less => i += 1,
+                        std::cmp::Ordering::Greater => j += 1,
+                        std::cmp::Ordering::Equal => {
+                            count += 1;
+                            i += 1;
+                            j += 1;
+                        }
+                    }
+                }
+                count as f64
+            }
+        }
+    }
+
+    /// Size `|F_{i,k}|` of a categorical constraint.
+    pub fn set_size(&self, cardinality: u32) -> f64 {
+        match self.codes() {
+            None => cardinality as f64,
+            Some(s) => s.len() as f64,
+        }
+    }
+}
+
 /// A snippet's predicate region `F_i`, aligned to a [`SchemaInfo`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Region {
@@ -337,45 +397,12 @@ impl Region {
     /// Size of the categorical overlap `|F_{i,k} ∩ F_{j,k}|` on dimension
     /// `idx` (both operands may be the universal set).
     pub fn set_overlap(&self, other: &Region, idx: usize, cardinality: u32) -> f64 {
-        let a = match &self.constraints[idx] {
-            DimConstraint::Set(s) => s,
-            DimConstraint::Range { .. } => panic!("set_overlap on numeric dimension"),
-        };
-        let b = match &other.constraints[idx] {
-            DimConstraint::Set(s) => s,
-            DimConstraint::Range { .. } => panic!("set_overlap on numeric dimension"),
-        };
-        match (a, b) {
-            (None, None) => cardinality as f64,
-            (Some(s), None) | (None, Some(s)) => s.len() as f64,
-            (Some(s1), Some(s2)) => {
-                // Both sorted (Predicate::cat_in sorts; filter preserves order).
-                let mut i = 0;
-                let mut j = 0;
-                let mut count = 0usize;
-                while i < s1.len() && j < s2.len() {
-                    match s1[i].cmp(&s2[j]) {
-                        std::cmp::Ordering::Less => i += 1,
-                        std::cmp::Ordering::Greater => j += 1,
-                        std::cmp::Ordering::Equal => {
-                            count += 1;
-                            i += 1;
-                            j += 1;
-                        }
-                    }
-                }
-                count as f64
-            }
-        }
+        self.constraints[idx].set_overlap(&other.constraints[idx], cardinality)
     }
 
     /// Size `|F_{i,k}|` of the categorical constraint on dimension `idx`.
     pub fn set_size(&self, idx: usize, cardinality: u32) -> f64 {
-        match &self.constraints[idx] {
-            DimConstraint::Set(None) => cardinality as f64,
-            DimConstraint::Set(Some(s)) => s.len() as f64,
-            DimConstraint::Range { .. } => panic!("set_size on numeric dimension"),
-        }
+        self.constraints[idx].set_size(cardinality)
     }
 }
 

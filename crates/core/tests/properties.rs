@@ -294,3 +294,399 @@ proptest! {
         prop_assert_eq!(v.apply_append(&AggKey::Freq, &identity).unwrap(), 0);
     }
 }
+
+// ---------------------------------------------------------------------
+// Covariance assembly from per-dimension tables (`RegionIndex`) against
+// the all-pairs oracle it replaced: same bits, never more integrals.
+// ---------------------------------------------------------------------
+
+mod all_pairs;
+
+use std::collections::HashSet;
+
+use verdict_core::covariance::{
+    cross_covariance, raw_covariance_matrix, CrossFactors, RegionIndex,
+};
+use verdict_core::inference::CellPrior;
+use verdict_core::region::DimConstraint;
+use verdict_core::{DimKind, Persist};
+use verdict_linalg::ops::dot;
+
+/// A small deterministic generator: the vendored `proptest` draws the
+/// seed and the sizes, this draws the rest, so one failing case is one
+/// `(seed, sizes)` tuple.
+struct Lcg(u64);
+
+impl Lcg {
+    fn next(&mut self) -> u64 {
+        self.0 = self
+            .0
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        self.0 >> 11
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    fn unit(&mut self) -> f64 {
+        self.next() as f64 / (1u64 << 53) as f64
+    }
+
+    fn pick<T: Clone>(&mut self, from: &[T]) -> T {
+        from[self.below(from.len())].clone()
+    }
+}
+
+/// One dimension's constraint generator: a small pool the regions draw
+/// from (so constraints repeat, in both orientations of a pair), or —
+/// `fresh` — a new constraint per region (so none does).
+struct DimGen {
+    kind: DimKind,
+    pool: Vec<DimConstraint>,
+    fresh: bool,
+}
+
+impl DimGen {
+    fn numeric(rng: &mut Lcg, hostile: bool) -> DimGen {
+        let mut gen = DimGen {
+            kind: DimKind::Numeric {
+                lo: -50.0,
+                hi: 100.0,
+            },
+            pool: Vec::new(),
+            fresh: rng.below(3) == 0,
+        };
+        // Zero-width, inverted, and the two zeros as interval ends.
+        let hostile_pool = [
+            (0.0, 10.0),
+            (-0.0, 10.0),
+            (5.0, 5.0),
+            (7.0, 3.0),
+            (0.0, 0.0),
+            (-0.0, 0.0),
+            (-50.0, 100.0),
+        ];
+        for _ in 0..1 + rng.below(4) {
+            let c = if hostile && rng.below(2) == 0 {
+                let (lo, hi) = rng.pick(&hostile_pool);
+                DimConstraint::Range { lo, hi }
+            } else {
+                gen.draw_fresh(rng)
+            };
+            gen.pool.push(c);
+        }
+        gen
+    }
+
+    fn categorical(rng: &mut Lcg, hostile: bool) -> DimGen {
+        let cardinality = 1 + rng.below(6) as u32;
+        let mut gen = DimGen {
+            kind: DimKind::Categorical { cardinality },
+            pool: Vec::new(),
+            fresh: false,
+        };
+        for _ in 0..1 + rng.below(4) {
+            let c = match rng.below(if hostile { 5 } else { 3 }) {
+                0 => DimConstraint::Set(None),
+                // Full but explicit: not the universal `None`.
+                3 => DimConstraint::Set(Some((0..cardinality).collect())),
+                4 => DimConstraint::Set(Some(Vec::new())),
+                _ => gen.draw_fresh(rng),
+            };
+            gen.pool.push(c);
+        }
+        gen
+    }
+
+    fn draw_fresh(&self, rng: &mut Lcg) -> DimConstraint {
+        match self.kind {
+            DimKind::Numeric { lo, hi } => {
+                let a = lo + rng.unit() * (hi - lo);
+                let width = rng.unit() * 40.0;
+                DimConstraint::Range {
+                    lo: a,
+                    hi: (a + width).min(hi),
+                }
+            }
+            DimKind::Categorical { cardinality } => {
+                let codes: Vec<u32> = (0..cardinality).filter(|_| rng.below(2) == 0).collect();
+                // Never empty here: an empty set is drawn on purpose only.
+                DimConstraint::Set(Some(if codes.is_empty() { vec![0] } else { codes }))
+            }
+        }
+    }
+
+    fn draw(&self, rng: &mut Lcg) -> DimConstraint {
+        if self.fresh {
+            self.draw_fresh(rng)
+        } else {
+            rng.pick(&self.pool)
+        }
+    }
+}
+
+struct Fixture {
+    schema: SchemaInfo,
+    dims: Vec<DimGen>,
+    params: KernelParams,
+    regions: Vec<Region>,
+}
+
+impl Fixture {
+    fn region(&self, rng: &mut Lcg) -> Region {
+        Region::from_constraints(self.dims.iter().map(|d| d.draw(rng)).collect())
+    }
+
+    fn refs(&self) -> Vec<&Region> {
+        self.regions.iter().collect()
+    }
+}
+
+/// `n` regions over a random schema of `n_num` numeric and `n_cat`
+/// categorical dimensions in random order. `hostile` adds degenerate
+/// constraints, huge and tiny lengthscales, and a zero or huge `σ²`.
+fn fixture(rng: &mut Lcg, n_num: usize, n_cat: usize, n: usize, hostile: bool) -> Fixture {
+    let mut numeric_left = n_num;
+    let mut dims = Vec::new();
+    for left in (1..=n_num + n_cat).rev() {
+        if rng.below(left) < numeric_left {
+            numeric_left -= 1;
+            dims.push(DimGen::numeric(rng, hostile));
+        } else {
+            dims.push(DimGen::categorical(rng, hostile));
+        }
+    }
+    let schema = SchemaInfo::new(
+        dims.iter()
+            .enumerate()
+            .map(|(k, d)| DimensionSpec {
+                name: format!("d{k}"),
+                kind: d.kind.clone(),
+            })
+            .collect(),
+    )
+    .unwrap();
+    let lengthscales = dims
+        .iter()
+        .map(|_| {
+            if hostile && rng.below(3) == 0 {
+                rng.pick(&[1e-9, 1e12, 0.3])
+            } else {
+                5.0 + rng.unit() * 55.0
+            }
+        })
+        .collect();
+    let sigma2 = if hostile {
+        rng.pick(&[2.0, 2.0, 2.0, 0.0, 1e200])
+    } else {
+        2.0
+    };
+    let mut fixture = Fixture {
+        schema,
+        dims,
+        params: KernelParams {
+            lengthscales,
+            sigma2,
+        },
+        regions: Vec::new(),
+    };
+    for _ in 0..n {
+        let region = fixture.region(rng);
+        fixture.regions.push(region);
+    }
+    fixture
+}
+
+/// Position of the first of `regions` whose constraint on dimension `k`
+/// is the same bits as `region`'s: the identity a `RegionIndex` slot has.
+fn identity(regions: &[&Region], region: &Region, k: usize) -> usize {
+    regions
+        .iter()
+        .position(|r| r.constraints()[k].same_bits(&region.constraints()[k]))
+        .expect("region is one of regions")
+}
+
+/// Eq. 11 for one cell from an all-pairs `k̄` and a serial pass over
+/// `Σₙ⁻¹` — what `TrainedModel::priors` must equal bit for bit.
+fn oracle_prior(model: &TrainedModel, schema: &SchemaInfo, region: &Region) -> CellPrior {
+    let past: Vec<&Region> = model.regions().iter().collect();
+    let k = all_pairs::cross_covariance(schema, model.params(), model.mode(), &past, region);
+    let kappa2 = snippet_covariance(schema, model.params(), model.mode(), region, region);
+    let mut quad = 0.0;
+    for (i, ki) in k.iter().enumerate() {
+        quad += ki * dot(model.sigma_inv().row(i), &k);
+    }
+    CellPrior {
+        prior_answer: model.prior().of(schema, region) + dot(&k, model.alpha()),
+        gamma2: (kappa2 - quad).max(kappa2.abs() * 1e-12).max(1e-300),
+    }
+}
+
+fn assert_priors_equal_oracle(
+    model: &TrainedModel,
+    schema: &SchemaInfo,
+    cells: &[&Region],
+) -> Result<(), TestCaseError> {
+    let priors = model.priors(schema, cells);
+    prop_assert_eq!(priors.len(), cells.len());
+    for (cell, got) in cells.iter().zip(&priors) {
+        let want = oracle_prior(model, schema, cell);
+        prop_assert_eq!(got.prior_answer.to_bits(), want.prior_answer.to_bits());
+        prop_assert_eq!(got.gamma2.to_bits(), want.gamma2.to_bits());
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Matrices and columns: every element the bits of the all-pairs
+    /// oracle; the factors evaluated exactly the distinct ordered pairs of
+    /// constraints met before an element reached zero, so never more than
+    /// the oracle evaluates.
+    #[test]
+    fn indexed_assembly_equals_all_pairs_bit_for_bit(
+        seed in any::<u64>(),
+        n_num in 0usize..=3,
+        n_cat in 0usize..=3,
+        n in 0usize..=40,
+        freq in any::<bool>(),
+    ) {
+        let mut rng = Lcg(seed);
+        let f = fixture(&mut rng, n_num, n_cat, n, true);
+        let (schema, params) = (&f.schema, &f.params);
+        let mode = if freq { AggMode::Freq } else { AggMode::Avg };
+        let refs = f.refs();
+        let errors: Vec<f64> = (0..n)
+            .map(|_| rng.pick(&[0.1, 0.0, 3.0, f64::INFINITY, f64::NAN, f64::NEG_INFINITY]))
+            .collect();
+
+        let want = all_pairs::covariance_matrix(schema, params, mode, &refs);
+        let want_raw = all_pairs::raw_covariance_matrix(schema, params, mode, &refs, &errors);
+        let index = RegionIndex::new(refs.iter().copied());
+        prop_assert_eq!(index.len(), n);
+        let mut pairs = index.pairs(schema, mode);
+        let got = pairs.covariance_matrix(params);
+        let evaluated = pairs.evaluations();
+        let got_raw = pairs.raw_covariance_matrix(params, &errors);
+        for (got, want) in [
+            (&got, &want),
+            (&covariance_matrix(schema, params, mode, &refs), &want),
+            (&got_raw, &want_raw),
+            (&raw_covariance_matrix(schema, params, mode, &refs, &errors), &want_raw),
+        ] {
+            prop_assert_eq!((got.rows(), got.cols()), (n, n));
+            for (g, w) in got.as_slice().iter().zip(want.as_slice()) {
+                prop_assert!(g.to_bits() == w.to_bits(), "{g} vs {w}");
+            }
+        }
+
+        // The oracle's factor evaluations, and the distinct ordered pairs
+        // of constraints among them.
+        let mut oracle_evaluations = 0u64;
+        let mut met: HashSet<(usize, usize, usize)> = HashSet::new();
+        let mut untabled = 0u64;
+        let distinct = index.distinct_per_dim();
+        for i in 0..n {
+            for j in i..n {
+                let v = all_pairs::snippet_covariance_traced(
+                    schema, params, mode, refs[i], refs[j],
+                    |k| {
+                        oracle_evaluations += 1;
+                        untabled += u64::from(distinct[k] == n);
+                        met.insert((k, identity(&refs, refs[i], k), identity(&refs, refs[j], k)));
+                    },
+                );
+                prop_assert_eq!(v.to_bits(), want.get(i, j).to_bits());
+            }
+        }
+        prop_assert_eq!(evaluated, met.len() as u64);
+        prop_assert!(evaluated <= oracle_evaluations);
+        // A second matrix under the same parameters integrates only the
+        // dimensions that keep no table (no constraint repeats in them).
+        prop_assert_eq!(pairs.evaluations(), evaluated + untabled);
+
+        // k̄ columns of new regions that share constraints with the past
+        // ones and with each other, through one `CrossFactors`.
+        let news: Vec<Region> = (0..6).map(|_| f.region(&mut rng)).collect();
+        let new_refs: Vec<&Region> = news.iter().collect();
+        let mut cross: CrossFactors<'_> = index.cross(schema, params, mode);
+        let mut oracle_evaluations = 0u64;
+        let mut met: HashSet<(usize, usize, usize)> = HashSet::new();
+        for new in &news {
+            let want = all_pairs::cross_covariance(schema, params, mode, &refs, new);
+            for got in [cross.column(new), cross_covariance(schema, params, mode, &refs, new)] {
+                prop_assert_eq!(got.len(), n);
+                for (g, w) in got.iter().zip(&want) {
+                    prop_assert!(g.to_bits() == w.to_bits(), "{g} vs {w}");
+                }
+            }
+            for past in &refs {
+                all_pairs::snippet_covariance_traced(schema, params, mode, past, new, |k| {
+                    oracle_evaluations += 1;
+                    met.insert((k, identity(&refs, past, k), identity(&new_refs, new, k)));
+                });
+            }
+        }
+        prop_assert_eq!(cross.evaluations(), met.len() as u64);
+        prop_assert!(cross.evaluations() <= oracle_evaluations);
+    }
+
+    /// `TrainedModel::priors` over a grouped tile — cells equal on all but
+    /// one dimension — equals the per-cell oracle; so does a model whose
+    /// index was extended by `absorb`, and one whose index was rebuilt by
+    /// a `persist` round trip, which also leaves the bytes unchanged.
+    #[test]
+    fn priors_of_a_grouped_tile_equal_per_cell_oracle_columns(
+        seed in any::<u64>(),
+        n_num in 0usize..=3,
+        n_cat in 0usize..=3,
+        n in 1usize..=40,
+        freq in any::<bool>(),
+    ) {
+        let mut rng = Lcg(seed);
+        let f = fixture(&mut rng, n_num, n_cat, n, false);
+        let schema = &f.schema;
+        let mode = if freq { AggMode::Freq } else { AggMode::Avg };
+        let entries: Vec<(Region, Observation)> = f
+            .regions
+            .iter()
+            .map(|r| (r.clone(), Observation::new(rng.unit() * 20.0, 0.05 + rng.unit())))
+            .collect();
+        let fit = TrainedModel::fit(
+            schema, mode, &entries, f.params.clone(), PriorMean::Constant(10.0), 1e-9,
+        );
+        // An ill-conditioned draw is not what this test is about.
+        let Ok(mut model) = fit else { return Ok(()) };
+
+        // 11 cells: one full tile of the quadratic-form kernel and a
+        // ragged one, repeats included.
+        let base = f.region(&mut rng);
+        let varied = rng.below(schema.len().max(1));
+        let cells: Vec<Region> = (0..11)
+            .map(|_| {
+                let mut constraints = base.constraints().to_vec();
+                if let Some(c) = constraints.get_mut(varied) {
+                    *c = f.dims[varied].draw(&mut rng);
+                }
+                Region::from_constraints(constraints)
+            })
+            .collect();
+        let cell_refs: Vec<&Region> = cells.iter().collect();
+        assert_priors_equal_oracle(&model, schema, &cell_refs)?;
+
+        model.absorb(schema, &cells[0], Observation::new(9.0, 0.3));
+        model.absorb(schema, &f.region(&mut rng), Observation::new(11.0, 0.2));
+        prop_assert_eq!(model.n(), n + 2);
+        assert_priors_equal_oracle(&model, schema, &cell_refs)?;
+
+        let bytes = model.to_bytes();
+        let reloaded = TrainedModel::from_bytes(&bytes).unwrap();
+        prop_assert_eq!(&reloaded.to_bytes(), &bytes);
+        assert_priors_equal_oracle(&reloaded, schema, &cell_refs)?;
+        let (absorbed, reloaded) = (model.priors(schema, &cell_refs), reloaded.priors(schema, &cell_refs));
+        prop_assert_eq!(absorbed, reloaded);
+    }
+}

@@ -785,8 +785,9 @@ impl Shard {
         self.surface_store_error()?;
         let mut writer = self.lock_writer();
         let sw = Stopwatch::started_if(self.obs.tracing());
-        writer.learner.train().map_err(Error::Core)?;
-        self.obs.record_train(Duration::from_nanos(sw.elapsed_ns()));
+        let report = writer.learner.train().map_err(Error::Core)?;
+        self.obs
+            .record_train(Duration::from_nanos(sw.elapsed_ns()), &report);
         self.publish_locked(&writer, None);
         self.snapshot_now(&mut writer).map_err(Error::Store)?;
         Ok(())

@@ -41,7 +41,10 @@
 //! Histograms (log₂ buckets, nanoseconds unless noted):
 //! `verdict_query_latency_ns`, per-stage `verdict_stage_{parse,plan,scan,
 //! infer,absorb}_ns`, `verdict_ingest_latency_ns`, `verdict_refit_ns`,
-//! `verdict_checkpoint_ns`, `verdict_train_ns`, and
+//! `verdict_checkpoint_ns`, `verdict_train_ns` (a training pass under the
+//! writer lock) with its two halves `verdict_train_search_ns` (the
+//! lengthscale searches) and `verdict_train_fit_ns` (`Σₙ`, its factor,
+//! `Σₙ⁻¹`), and
 //! `verdict_scan_selectivity_pct` (percent of scanned rows that matched
 //! the base predicate, one sample per answered query).
 //!
@@ -57,6 +60,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use verdict_core::TrainReport;
 use verdict_obs::{Counter, Gauge, Histogram, MetricsHub, QueryLog, QueryTrace};
 use verdict_storage::CacheCounters;
 use verdict_store::StoreStats;
@@ -137,6 +141,8 @@ struct Handles {
     widening_magnitude: Gauge,
     train_total: Counter,
     train_ns: Histogram,
+    train_search_ns: Histogram,
+    train_fit_ns: Histogram,
     checkpoints: Counter,
     checkpoint_bytes: Counter,
     checkpoint_ns: Histogram,
@@ -188,6 +194,8 @@ impl Handles {
             widening_magnitude: hub.table_gauge("verdict_widening_magnitude", table),
             train_total: hub.table_counter("verdict_train_total", table),
             train_ns: hub.table_histogram("verdict_train_ns", table),
+            train_search_ns: hub.table_histogram("verdict_train_search_ns", table),
+            train_fit_ns: hub.table_histogram("verdict_train_fit_ns", table),
             checkpoints: hub.table_counter("verdict_checkpoints_total", table),
             checkpoint_bytes: hub.table_counter("verdict_checkpoint_bytes_total", table),
             checkpoint_ns: hub.table_histogram("verdict_checkpoint_ns", table),
@@ -312,11 +320,14 @@ impl TableObs {
         }
     }
 
-    /// One training pass.
-    pub(crate) fn record_train(&self, elapsed: Duration) {
+    /// One training pass: its wall time under the writer lock, and the
+    /// engine's own split of it into lengthscale search and model fit.
+    pub(crate) fn record_train(&self, elapsed: Duration, report: &TrainReport) {
         if let Some(h) = &self.handles {
             h.train_total.inc();
             h.train_ns.record(duration_ns(elapsed));
+            h.train_search_ns.record(report.search_ns);
+            h.train_fit_ns.record(report.fit_ns);
         }
     }
 

@@ -112,6 +112,17 @@ fn serial_session_reports_metrics_and_traces() {
     assert_eq!(c("verdict_ingest_batches_total"), 1);
     assert_eq!(c("verdict_ingest_rows_total"), 500);
     assert_eq!(c("verdict_train_total"), 1);
+    // Where the training pass went: the lengthscale search and the model
+    // fit are each timed inside the pass, so together they fit in it.
+    let h = |name: &str| snap.histogram(name, Some("t")).unwrap();
+    let (train, search, fit) = (
+        h("verdict_train_ns"),
+        h("verdict_train_search_ns"),
+        h("verdict_train_fit_ns"),
+    );
+    assert_eq!((train.count, search.count, fit.count), (1, 1, 1));
+    assert!(search.sum > 0 && fit.sum > 0);
+    assert!(search.sum + fit.sum <= train.sum);
     assert!(c("verdict_tuples_scanned_total") > 0);
     assert!(c("verdict_snippets_observed_total") >= ANSWERED as u64);
     // The default chunked kernel reports its chunk walk, and every

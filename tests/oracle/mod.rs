@@ -8,7 +8,15 @@
 //! `EngineState::from_bytes`). The §2.3 recovery formulas are written out
 //! here, so the engine's combiner is checked by something other than
 //! itself.
+//!
+//! [`all_pairs_twin`] is the second oracle: the learned state a snapshot
+//! would hold had every model in it been trained on covariance matrices
+//! assembled pair by pair (`crates/core/tests/all_pairs`), not from
+//! `RegionIndex`'s per-dimension tables.
 #![allow(dead_code)] // each suite uses its own part of the fixture
+
+#[path = "../../crates/core/tests/all_pairs/mod.rs"]
+pub mod all_pairs;
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -17,10 +25,16 @@ use proptest::prelude::*;
 use verdict::aqp::{
     BatchEstimator, OnlineAggregation, Sample, ScanKernel, ScanSpec, SharedScanDriver,
 };
+use verdict::core::covariance::AggMode;
+use verdict::core::inference::TrainedModel;
+use verdict::core::learning::{estimate_prior_mean, estimate_sigma2};
+use verdict::core::optimizer::nelder_mead;
 use verdict::core::persist::{EngineState, Persist};
 use verdict::core::{
-    AggKey, EngineStats, ImprovedAnswer, Observation, QuerySynopsis, Region, Snippet,
+    AggKey, DimKind, EngineStats, ImprovedAnswer, KernelParams, Observation, QuerySynopsis, Region,
+    SchemaInfo, Snippet, VerdictConfig,
 };
+use verdict::linalg::{Cholesky, Matrix};
 use verdict::obs::MetricsHub;
 use verdict::sql::{parse_query, plan_scan, ScanPlan};
 use verdict::{Mode, QueryResult, SessionBuilder, SessionSnapshot, StopPolicy, VerdictSession};
@@ -407,4 +421,125 @@ pub fn check(
         );
     }
     result
+}
+
+/// The state of `snapshot` with every model replaced by one trained from
+/// the same synopsis through the all-pairs oracle. Equal bytes only where
+/// the snapshot's models are a fit of its synopses — right after a
+/// `train` or an `ingest`, before another query is absorbed.
+pub fn all_pairs_twin(snapshot: &SessionSnapshot) -> EngineState {
+    let config = snapshot.engine_snapshot().config();
+    let mut state = EngineState::from_bytes(&snapshot.state_bytes()).unwrap();
+    state.models = state
+        .synopses
+        .iter()
+        .filter_map(|(key, synopsis)| {
+            all_pairs_model(&state.schema, config, key, synopsis).map(|m| (key.clone(), m))
+        })
+        .collect();
+    state
+}
+
+/// Algorithm 1 for one key as the engine runs it (`fit_model`:
+/// lengthscales by multi-start Nelder–Mead on the most recent snippets,
+/// then `Σₙ⁻¹` and `α` over the whole synopsis), with every `Σ` built by
+/// [`all_pairs::raw_covariance_matrix`].
+fn all_pairs_model(
+    schema: &SchemaInfo,
+    config: &VerdictConfig,
+    key: &AggKey,
+    synopsis: &QuerySynopsis,
+) -> Option<TrainedModel> {
+    if synopsis.len() < config.min_snippets_to_train {
+        return None;
+    }
+    let mode = AggMode::of(key);
+    let training = synopsis.most_recent(config.max_training_snippets);
+    let regions: Vec<&Region> = training.iter().map(|e| &e.region).collect();
+    let answers: Vec<f64> = training.iter().map(|e| e.observation.answer).collect();
+    let errors: Vec<f64> = training.iter().map(|e| e.observation.error).collect();
+    let prior = estimate_prior_mean(mode, schema, &regions, &answers);
+    let sigma2 = estimate_sigma2(mode, schema, &regions, &answers);
+    let widths: Vec<f64> = schema
+        .dims()
+        .iter()
+        .map(|d| match &d.kind {
+            DimKind::Numeric { lo, hi } => (hi - lo).max(1e-12),
+            DimKind::Categorical { .. } => 1.0,
+        })
+        .collect();
+    let numeric = schema.numeric_indices();
+    let params_at = |logls: &[f64]| {
+        let mut lengthscales = widths.clone();
+        for (slot, &idx) in numeric.iter().enumerate() {
+            lengthscales[idx] = logls[slot].clamp(-20.0, 20.0).exp() * widths[idx];
+        }
+        KernelParams {
+            lengthscales,
+            sigma2,
+        }
+    };
+    let centered = |regions: &[&Region], answers: &[f64]| -> Vec<f64> {
+        regions
+            .iter()
+            .zip(answers)
+            .map(|(r, a)| a - prior.of(schema, r))
+            .collect()
+    };
+    // Σₙ plus the relative jitter, factorized.
+    let factor = |params: &KernelParams, regions: &[&Region], errors: &[f64], retries| {
+        let mut sigma: Matrix =
+            all_pairs::raw_covariance_matrix(schema, params, mode, regions, errors);
+        let scale = sigma.max_abs().max(1.0);
+        sigma.add_diagonal(config.jitter * scale);
+        Cholesky::new_with_jitter(&sigma, 1e-12, retries)
+    };
+    let params = if numeric.is_empty() || regions.len() < 2 {
+        params_at(&[])
+    } else {
+        let c = centered(&regions, &answers);
+        let negative_log_likelihood = |logls: &[f64]| -> f64 {
+            let Ok(chol) = factor(&params_at(logls), &regions, &errors, 6) else {
+                return f64::INFINITY;
+            };
+            let Ok(alpha) = chol.solve(&c) else {
+                return f64::INFINITY;
+            };
+            let quad: f64 = c.iter().zip(&alpha).map(|(c, a)| c * a).sum();
+            let n = c.len() as f64;
+            -(-0.5 * quad - 0.5 * chol.log_det() - 0.5 * n * (2.0 * std::f64::consts::PI).ln())
+        };
+        let mut best: Option<(Vec<f64>, f64)> = None;
+        for start in &config.lengthscale_starts {
+            let x0 = vec![start.ln(); numeric.len()];
+            let r = nelder_mead(
+                negative_log_likelihood,
+                &x0,
+                0.7,
+                config.max_optimizer_iters,
+                1e-8,
+            );
+            if best.as_ref().is_none_or(|(_, v)| r.value < *v) {
+                best = Some((r.x, r.value));
+            }
+        }
+        params_at(&best.expect("the fixture's config has starts").0)
+    };
+
+    let entries = synopsis.entries();
+    let regions: Vec<&Region> = entries.iter().map(|e| &e.region).collect();
+    let answers: Vec<f64> = entries.iter().map(|e| e.observation.answer).collect();
+    let errors: Vec<f64> = entries.iter().map(|e| e.observation.error).collect();
+    let chol = factor(&params, &regions, &errors, 8).expect("the engine's own fit succeeded");
+    let sigma_inv = chol.inverse().unwrap();
+    let alpha = chol.solve(&centered(&regions, &answers)).unwrap();
+    Some(TrainedModel::from_parts(
+        mode,
+        params,
+        prior,
+        regions.into_iter().cloned().collect(),
+        entries.iter().map(|e| e.observation).collect(),
+        sigma_inv,
+        alpha,
+    ))
 }

@@ -71,6 +71,72 @@ proptest! {
     }
 }
 
+/// Training and every ingest refit assemble their covariance matrices from
+/// per-dimension tables over the *distinct* constraints of the synopsis
+/// (`verdict_core::covariance::RegionIndex`). What they learn — the
+/// lengthscales, `Σₙ⁻¹`, `α`, so every later answer and bound — must be
+/// the bits of a twin trained on matrices assembled pair by pair: after
+/// `train`, and again after an `ingest` has widened and refit every
+/// synopsis, with grouped queries (cells that share all but one
+/// constraint) absorbed in between and checked cell by cell throughout.
+#[test]
+fn trained_and_ingested_state_equals_the_all_pairs_twin() {
+    use verdict::core::persist::Persist;
+    let mut s = session(6_000, false);
+    let grouped = "SELECT region, AVG(rev), COUNT(*) FROM t WHERE week BETWEEN 4 AND 18 \
+                   GROUP BY region";
+    let queries = |s: &mut VerdictSession| {
+        for lo in (0..24).step_by(3) {
+            let sql = format!(
+                "SELECT AVG(rev), COUNT(*) FROM t WHERE week BETWEEN {lo} AND {}",
+                lo + 4
+            );
+            check(s, &sql, Mode::Verdict, StopPolicy::ScanAll, false);
+        }
+        check(s, grouped, Mode::Verdict, StopPolicy::ScanAll, false)
+    };
+    let assert_twin = |s: &VerdictSession, when: &str| {
+        let snapshot = s.snapshot();
+        let twin = oracle::all_pairs_twin(&snapshot);
+        let state = snapshot.state_bytes();
+        let got = verdict::core::EngineState::from_bytes(&state).unwrap();
+        assert_eq!(got.models.len(), 2, "AVG(rev) and FREQ(*) models {when}");
+        for ((key, got), (_, want)) in got.models.iter().zip(&twin.models) {
+            assert!(got.n() >= 18, "{key}: {} snippets {when}", got.n());
+            assert_eq!(got.params(), want.params(), "{key}: lengthscales {when}");
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert!(
+                bits(got.sigma_inv().as_slice()) == bits(want.sigma_inv().as_slice()),
+                "{key}: Σₙ⁻¹ {when}"
+            );
+            assert_eq!(bits(got.alpha()), bits(want.alpha()), "{key}: α {when}");
+        }
+        assert!(twin.to_bytes() == state, "state bytes {when}");
+    };
+
+    queries(&mut s);
+    s.train().unwrap();
+    assert_twin(&s, "after train");
+    let engaged = queries(&mut s);
+    assert!(engaged.rows.len() >= 8, "{} groups", engaged.rows.len());
+    assert!(engaged
+        .rows
+        .iter()
+        .all(|row| row.values.iter().all(|c| c.improved.used_model)));
+
+    let batch: Vec<Vec<verdict_storage::Value>> = (0..400)
+        .map(|i| {
+            let week = 1.0 + (i % 25) as f64;
+            let rev = 58.0 + 10.0 * (week / 4.0).sin() + (i % 7) as f64;
+            vec![week.into(), oracle::REGIONS[i % 10].into(), rev.into()]
+        })
+        .collect();
+    let report = s.ingest(&batch).unwrap();
+    assert!(report.adjusted_snippets > 0);
+    assert_twin(&s, "after ingest");
+    queries(&mut s);
+}
+
 /// Acceptance: a query with ≥8 groups × 2 aggregates is answered from one
 /// shared scan — a full scan reads the sample exactly once, where
 /// answering snippet by snippet would read it G×A times — and every cell
