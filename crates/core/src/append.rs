@@ -12,12 +12,93 @@
 //! ```
 //!
 //! `µ_k` and `η²_k` are estimated from small samples of `r` and `r_a`.
+//! Both sides of that estimate are [`ShiftMoments`]: a count, a sum and
+//! Welford's recurrence, so the old side can be kept as a running
+//! accumulator over a sample that only ever grows at its end, instead of
+//! re-reading the sample at every append.
 
-use verdict_stats::{mean, variance};
+use verdict_stats::Welford;
+use verdict_storage::{ColumnSummary, PartitionMap, Table};
 
 use crate::region::Region;
 use crate::snippet::Observation;
 use crate::synopsis::QuerySynopsis;
+
+/// The running moments of one value stream — the sufficient statistics
+/// of one side of a shift estimate ([`AppendAdjustment::from_moments`]).
+///
+/// Only finite values are folded: a NaN or an infinity carries no
+/// information about the shift, and letting one in would turn `µ` and `η`
+/// (and so every stored snippet they rewrite) into NaN for good.
+///
+/// The mean is `sum / count` with the sum taken in fold order, so it has
+/// the bits of `verdict_stats::mean` over the same finite values; the
+/// variance is Welford's `m2 / (n − 1)`. Both are sequential recurrences:
+/// folding `a` then `b` leaves exactly the state folding `a ++ b` does,
+/// which is what lets a caller extend an accumulator with the rows a
+/// sample admitted instead of folding the whole sample again.
+#[derive(Debug, Clone)]
+pub struct ShiftMoments {
+    sum: f64,
+    welford: Welford,
+}
+
+impl Default for ShiftMoments {
+    fn default() -> Self {
+        // `-0.0` is the neutral element `Iterator::sum` folds `f64`s from.
+        ShiftMoments {
+            sum: -0.0,
+            welford: Welford::new(),
+        }
+    }
+}
+
+impl ShiftMoments {
+    /// An empty accumulator.
+    pub fn new() -> Self {
+        ShiftMoments::default()
+    }
+
+    /// The moments of `values`, folded in order.
+    pub fn of(values: &[f64]) -> Self {
+        let mut moments = ShiftMoments::new();
+        moments.extend(values.iter().copied());
+        moments
+    }
+
+    /// Folds one value (skipped unless finite).
+    pub fn push(&mut self, x: f64) {
+        if x.is_finite() {
+            self.sum += x;
+            self.welford.push(x);
+        }
+    }
+
+    /// Folds every value of `values`, in order.
+    pub fn extend(&mut self, values: impl IntoIterator<Item = f64>) {
+        for x in values {
+            self.push(x);
+        }
+    }
+
+    /// Finite values folded so far.
+    pub fn count(&self) -> u64 {
+        self.welford.count()
+    }
+
+    /// Mean of the folded values; `0.0` before any.
+    pub fn mean(&self) -> f64 {
+        match self.count() {
+            0 => 0.0,
+            n => self.sum / n as f64,
+        }
+    }
+
+    /// Unbiased sample variance of the folded values; `0.0` below two.
+    pub fn variance(&self) -> f64 {
+        self.welford.sample_variance()
+    }
+}
 
 /// Value bounds of one dimension column over the rows an ingest event
 /// touched — the appended batch itself unioned with the existing summaries
@@ -110,6 +191,47 @@ impl IngestBounds {
         }
     }
 
+    /// The bounds of everything an ingest of `batch` into a table
+    /// partitioned by `map` touches, per column: the batch is routed
+    /// through a throwaway [`PartitionMap`] built over the batch itself
+    /// (routing is a pure function of the cell value, so it agrees with
+    /// `map`), and each receiving partition contributes the union of its
+    /// summary in `map` with the batch's own — exactly the post-ingest
+    /// contents of the touched partitions. Old snippets are reinterpreted
+    /// against the updated relation, so the pre-existing rows of a
+    /// receiving partition count as touched; rows in partitions the batch
+    /// never reaches do not shift any disjoint region's aggregate.
+    ///
+    /// `map` must be the partition map as it was *before* the batch
+    /// landed: the live ingest and WAL replay both compute the bounds
+    /// there, so both widen the same snippets.
+    pub fn touched(map: &PartitionMap, batch: &Table) -> verdict_storage::Result<IngestBounds> {
+        let batch_map = PartitionMap::build(batch, map.spec().clone())?;
+        let mut bounds = IngestBounds::new();
+        for p in 0..batch_map.num_partitions() {
+            if batch_map.part(p).rows() == 0 {
+                continue;
+            }
+            for (col, def) in batch.schema().columns().iter().enumerate() {
+                for part in [batch_map.part(p), map.part(p)] {
+                    match part.summary(col) {
+                        // Skip the empty-partition identity (+inf, -inf):
+                        // it describes no rows and must not prove anything
+                        // (min > max would read as disjoint).
+                        Some(ColumnSummary::Num { min, max, has_nan })
+                            if min <= max || *has_nan =>
+                        {
+                            bounds.add_numeric(&def.name, *min, *max, *has_nan);
+                        }
+                        Some(ColumnSummary::Cat { codes }) => bounds.add_codes(&def.name, codes),
+                        _ => {}
+                    }
+                }
+            }
+        }
+        Ok(bounds)
+    }
+
     /// The bounds recorded for `name`, if any.
     pub fn get(&self, name: &str) -> Option<&DimBounds> {
         self.dims.iter().find(|(d, _)| d == name).map(|(_, b)| b)
@@ -159,10 +281,11 @@ impl AppendAdjustment {
     /// scaled by the *fraction of the updated table that is new* — and the
     /// error inflates in quadrature by `η_k` times the same fraction.
     ///
-    /// **Edge cases.** With either value sample empty there is no evidence
-    /// of a shift, so the estimate degrades to the identity (`µ = 0`,
-    /// `η = 0`) rather than inventing a phantom shift from the other
-    /// slice's mean. Zero-row inputs (`|r| + |r_a| = 0`) make
+    /// **Edge cases.** Only finite values count (see [`ShiftMoments`]).
+    /// With either side holding none there is no evidence of a shift, so
+    /// the estimate degrades to the identity (`µ = 0`, `η = 0`) rather
+    /// than inventing a phantom shift from the other slice's mean.
+    /// Zero-row inputs (`|r| + |r_a| = 0`) make
     /// [`AppendAdjustment::new_fraction`] zero, so [`AppendAdjustment::adjust`]
     /// is likewise the identity.
     pub fn estimate(
@@ -171,7 +294,23 @@ impl AppendAdjustment {
         old_rows: usize,
         appended_rows: usize,
     ) -> AppendAdjustment {
-        if old_values.is_empty() || new_values.is_empty() {
+        AppendAdjustment::from_moments(
+            &ShiftMoments::of(old_values),
+            &ShiftMoments::of(new_values),
+            old_rows,
+            appended_rows,
+        )
+    }
+
+    /// [`AppendAdjustment::estimate`] from the moments of the two sides,
+    /// however they were accumulated.
+    pub fn from_moments(
+        old: &ShiftMoments,
+        new: &ShiftMoments,
+        old_rows: usize,
+        appended_rows: usize,
+    ) -> AppendAdjustment {
+        if old.count() == 0 || new.count() == 0 {
             return AppendAdjustment {
                 mu_shift: 0.0,
                 eta: 0.0,
@@ -179,8 +318,8 @@ impl AppendAdjustment {
                 appended_rows,
             };
         }
-        let mu_shift = mean(new_values) - mean(old_values);
-        let eta = (variance(new_values) + variance(old_values)).sqrt();
+        let mu_shift = new.mean() - old.mean();
+        let eta = (new.variance() + old.variance()).sqrt();
         AppendAdjustment {
             mu_shift,
             eta,
@@ -408,6 +547,60 @@ mod tests {
         b.add_codes("x", &[0]);
         assert_eq!(b.get("x"), None);
         assert_eq!(b.len(), 1);
+    }
+
+    fn bits(m: &ShiftMoments) -> (u64, u64, u64) {
+        (m.count(), m.mean().to_bits(), m.variance().to_bits())
+    }
+
+    #[test]
+    fn moments_continue_to_the_bits_of_a_fresh_pass() {
+        let values: Vec<f64> = (0..97)
+            .map(|i| (i as f64 * 0.37).sin() * 13.0 + 80.0)
+            .collect();
+        let fresh = ShiftMoments::of(&values);
+        for cut in [0, 1, 40, 96, 97] {
+            let mut continued = ShiftMoments::of(&values[..cut]);
+            continued.extend(values[cut..].iter().copied());
+            assert_eq!(bits(&continued), bits(&fresh), "cut at {cut}");
+        }
+        // The mean is the parent's `sum / n`, bit for bit.
+        assert_eq!(
+            fresh.mean().to_bits(),
+            verdict_stats::mean(&values).to_bits()
+        );
+        let old = &values[..50];
+        let new = &values[50..];
+        let adj = AppendAdjustment::estimate(old, new, 500, 47);
+        assert_eq!(
+            adj.mu_shift.to_bits(),
+            (verdict_stats::mean(new) - verdict_stats::mean(old)).to_bits()
+        );
+        let two_pass = (verdict_stats::variance(new) + verdict_stats::variance(old)).sqrt();
+        assert!((adj.eta - two_pass).abs() <= 1e-12 * two_pass);
+        // Signed zeros sum as `Iterator::sum` sums them.
+        assert_eq!(
+            ShiftMoments::of(&[-0.0, -0.0]).mean().to_bits(),
+            verdict_stats::mean(&[-0.0, -0.0]).to_bits()
+        );
+        // An empty accumulator folds like an empty sum.
+        assert_eq!(ShiftMoments::new().mean(), 0.0);
+        assert_eq!(ShiftMoments::new().variance(), 0.0);
+    }
+
+    #[test]
+    fn moments_fold_finite_values_only() {
+        let clean = [4.0, 6.0, 9.0];
+        let dirty = [4.0, f64::NAN, 6.0, f64::INFINITY, 9.0, f64::NEG_INFINITY];
+        assert_eq!(
+            bits(&ShiftMoments::of(&dirty)),
+            bits(&ShiftMoments::of(&clean))
+        );
+        let adj = AppendAdjustment::estimate(&[1.0, 2.0, 3.0], &dirty, 30, 6);
+        assert!(adj.mu_shift.is_finite() && adj.eta.is_finite());
+        // Nothing finite on one side: no evidence of a shift.
+        let none = AppendAdjustment::estimate(&clean, &[f64::NAN, f64::INFINITY], 30, 2);
+        assert!(none.is_identity());
     }
 
     #[test]

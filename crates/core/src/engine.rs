@@ -10,7 +10,8 @@ use verdict_stats::normal::confidence_multiplier;
 use crate::append::{AppendAdjustment, IngestBounds};
 use crate::covariance::AggMode;
 use crate::inference::{CellPrior, TrainedModel};
-use crate::learning::learn_params;
+use crate::kernel::KernelParams;
+use crate::learning::{estimate_prior_mean, estimate_sigma2, learn_params};
 use crate::region::{Region, SchemaInfo};
 use crate::snippet::{AggKey, Observation, Snippet};
 use crate::synopsis::QuerySynopsis;
@@ -431,7 +432,7 @@ impl Verdict {
         };
         self.epoch += 1;
         self.model_epoch += 1;
-        match fit_model(&self.schema, &self.config, key, synopsis)? {
+        match fit_model(&self.schema, &self.config, key, synopsis, None)? {
             Some((model, report)) => {
                 self.models.insert(key.clone(), Arc::new(model));
                 Ok(report)
@@ -473,7 +474,10 @@ impl Verdict {
 
     /// Applies a data-append adjustment (Appendix D, Lemma 3) to the
     /// synopsis of `key`, then refits the model so inference sees the
-    /// inflated errors.
+    /// inflated errors — the one-key, unscoped case of
+    /// [`Verdict::stage_ingest_filtered`] (the model keeps its
+    /// lengthscales). This is the manual entry point; ingests and their
+    /// WAL replay stage and commit whole batches instead.
     ///
     /// Returns the number of snippets that were rewritten. A key with no
     /// synopsis adjusts **zero** snippets — that is not an error (the
@@ -509,19 +513,30 @@ impl Verdict {
     }
 
     /// [`Verdict::stage_ingest`] with partition-aware widening: when
-    /// `bounds` describes the values the append touched (the batch unioned
-    /// with its receiving partitions' summaries), `AVG` snippets whose
-    /// region is provably disjoint from those bounds keep their answer and
-    /// error untouched ([`Region::disjoint_from`]) — drift confined to one
-    /// partition no longer widens every stored snippet.
+    /// `bounds` describes the values the append touched
+    /// ([`IngestBounds::touched`]: the batch unioned with its receiving
+    /// partitions' summaries), `AVG` snippets whose region is provably
+    /// disjoint from those bounds keep their answer and error untouched
+    /// ([`Region::disjoint_from`]) — drift confined to one partition no
+    /// longer widens every stored snippet.
     ///
     /// `FREQ(*)` snippets are always widened regardless of `bounds`: any
     /// append changes the relative-frequency denominator `|r| + |r_a|`, so
     /// no region is unaffected. `bounds = None` is exactly
-    /// [`Verdict::stage_ingest`]. Determinism contract is unchanged: the
-    /// rewrite set is a pure function of (key order, bounds, stored
-    /// regions), so replaying the same slice with the same bounds yields a
-    /// bit-identical state.
+    /// [`Verdict::stage_ingest`].
+    ///
+    /// **Refit, not retrain.** Lemma 3 rewrites stored `(θ, β)`; it does
+    /// not move the correlation the model learned. A key that has a model
+    /// keeps its lengthscales: only `µ` and `σ²` are recomputed, in closed
+    /// form over the widened answers, and the conditioning state is fit
+    /// once — no likelihood is evaluated. A key without a model is fit
+    /// exactly as [`Verdict::train_key`] would fit it, search included.
+    /// The staged [`TrainReport`] says which happened.
+    ///
+    /// Determinism: the rewrite set is a pure function of (key order,
+    /// bounds, stored regions) and each refit of (widened synopsis, the
+    /// key's current model), so replaying the same slice with the same
+    /// bounds over the same state yields a bit-identical state.
     pub fn stage_ingest_filtered(
         &self,
         adjustments: &[(AggKey, AppendAdjustment)],
@@ -529,6 +544,7 @@ impl Verdict {
     ) -> Result<StagedIngest> {
         let mut entries = Vec::with_capacity(adjustments.len());
         let mut adjusted = 0usize;
+        let mut report = TrainReport::default();
         for (key, adjustment) in adjustments {
             match self.synopses.get(key) {
                 Some(synopsis) => {
@@ -540,8 +556,13 @@ impl Verdict {
                             }),
                         _ => adjustment.adjust_synopsis(&mut synopsis),
                     };
-                    let model = fit_model(&self.schema, &self.config, key, &synopsis)?
-                        .map(|(model, _)| Arc::new(model));
+                    let kept = self.models.get(key).map(|m| &m.params().lengthscales[..]);
+                    let model = fit_model(&self.schema, &self.config, key, &synopsis, kept)?.map(
+                        |(model, fit)| {
+                            report.merge(fit);
+                            Arc::new(model)
+                        },
+                    );
                     entries.push((key.clone(), Some(Arc::new(synopsis)), model));
                 }
                 // No synopsis: nothing to adjust, and (matching
@@ -550,7 +571,11 @@ impl Verdict {
                 None => entries.push((key.clone(), None, None)),
             }
         }
-        Ok(StagedIngest { entries, adjusted })
+        Ok(StagedIngest {
+            entries,
+            adjusted,
+            report,
+        })
     }
 
     /// Phase 2 of an ingest: installs a staged batch. Infallible, so it
@@ -707,6 +732,16 @@ pub struct StagedIngest {
     entries: Vec<StagedEntry>,
     /// Snippets rewritten across all keys.
     adjusted: usize,
+    /// Where the staged refits spent their time.
+    report: TrainReport,
+}
+
+impl StagedIngest {
+    /// Where the staged refits spent their time: `evaluations` is zero
+    /// unless a key without a model was fit from scratch.
+    pub fn report(&self) -> TrainReport {
+        self.report
+    }
 }
 
 /// One staged per-key rewrite (see [`StagedIngest`]).
@@ -716,10 +751,13 @@ type StagedEntry = (
     Option<Arc<TrainedModel>>,
 );
 
-/// Where a training pass spent its time, summed over the keys it fit.
+/// Where a training pass (or an ingest's refits) spent its time, summed
+/// over the keys it fit.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TrainReport {
-    /// Nanoseconds in the lengthscale searches ([`learn_params`]).
+    /// Nanoseconds choosing the kernel parameters: the lengthscale
+    /// searches ([`learn_params`]), or, for a key that kept its
+    /// lengthscales, the closed-form `µ` and `σ²`.
     pub search_ns: u64,
     /// Nanoseconds fitting the conditioning state ([`TrainedModel`]'s
     /// `Σₙ`, its factor, `Σₙ⁻¹` and `α`).
@@ -736,17 +774,23 @@ impl TrainReport {
     }
 }
 
-/// The one model-fitting routine (Algorithm 1 for one key): learns
-/// lengthscales on a bounded, most-recent subset, then fits the
-/// conditioning state on the full synopsis. `Ok(None)` means the synopsis
-/// is too small to train — the caller removes any stale model. Pure with
-/// respect to engine state, so staged (pre-commit) fits and `train_key`
-/// share it and cannot drift. The report times each half.
+/// The one model-fitting routine (Algorithm 1 for one key): chooses the
+/// kernel parameters on a bounded, most-recent subset, then fits the
+/// conditioning state on the full synopsis. With `lengthscales = None`
+/// the lengthscales are learned ([`learn_params`]); with the lengthscales
+/// of the key's current model — an ingest refit — they are kept, and only
+/// the prior mean `µ` and the variance `σ²` are recomputed, by the same
+/// closed forms (Appendix F.3) over the same subset the search would
+/// have used. `Ok(None)` means the synopsis is too small to train — the
+/// caller removes any stale model. Pure with respect to engine state, so
+/// staged (pre-commit) fits and `train_key` share it and cannot drift.
+/// The report times each half.
 fn fit_model(
     schema: &SchemaInfo,
     config: &VerdictConfig,
     key: &AggKey,
     synopsis: &QuerySynopsis,
+    lengthscales: Option<&[f64]>,
 ) -> Result<Option<(TrainedModel, TrainReport)>> {
     if synopsis.len() < config.min_snippets_to_train {
         return Ok(None);
@@ -756,8 +800,25 @@ fn fit_model(
     let training = synopsis.most_recent(config.max_training_snippets);
     let regions: Vec<&Region> = training.iter().map(|e| &e.region).collect();
     let answers: Vec<f64> = training.iter().map(|e| e.observation.answer).collect();
-    let errors: Vec<f64> = training.iter().map(|e| e.observation.error).collect();
-    let learned = learn_params(schema, mode, &regions, &answers, &errors, config);
+    let (params, prior, evaluations) = match lengthscales {
+        Some(lengthscales) => {
+            let sigma2 = estimate_sigma2(mode, schema, &regions, &answers);
+            let params = KernelParams {
+                lengthscales: lengthscales.to_vec(),
+                sigma2,
+            };
+            (
+                params,
+                estimate_prior_mean(mode, schema, &regions, &answers),
+                0,
+            )
+        }
+        None => {
+            let errors: Vec<f64> = training.iter().map(|e| e.observation.error).collect();
+            let learned = learn_params(schema, mode, &regions, &answers, &errors, config);
+            (learned.params, learned.prior, learned.evaluations)
+        }
+    };
     let searched = Instant::now();
     let (regions, observations) = synopsis
         .entries()
@@ -769,14 +830,14 @@ fn fit_model(
         mode,
         regions,
         observations,
-        learned.params,
-        learned.prior,
+        params,
+        prior,
         config.jitter,
     )?;
     let report = TrainReport {
         search_ns: (searched - started).as_nanos() as u64,
         fit_ns: searched.elapsed().as_nanos() as u64,
-        evaluations: learned.evaluations,
+        evaluations,
     };
     Ok(Some((model, report)))
 }
@@ -969,6 +1030,79 @@ mod tests {
         let raw = Observation::new(10.5, 0.8);
         let imp = v.improve(&snippet(10.0, 30.0), raw);
         assert!(imp.error <= 0.8);
+    }
+
+    fn model_of(v: &Verdict, key: &AggKey) -> TrainedModel {
+        let models = v.export_state().models;
+        models.into_iter().find(|(k, _)| k == key).unwrap().1
+    }
+
+    /// An ingest refit keeps a trained key's lengthscales and recomputes
+    /// only the closed-form `µ` and `σ²` — no likelihood is evaluated —
+    /// while a key that has no model yet is fit exactly as `train_key`
+    /// fits it, search included.
+    #[test]
+    fn ingest_refit_keeps_lengthscales_and_searches_only_for_new_models() {
+        use crate::persist::Persist;
+        let with_untrained_freq = || {
+            let mut v = trained_engine();
+            for i in 0..5 {
+                let region = snippet(i as f64 * 15.0, i as f64 * 15.0 + 15.0).region;
+                v.observe(
+                    &Snippet::new(AggKey::Freq, region),
+                    Observation::new(0.15 + 0.01 * i as f64, 0.02),
+                );
+            }
+            v
+        };
+        let avg = AggKey::avg("v");
+        let widen_avg = AppendAdjustment {
+            mu_shift: 1.5,
+            eta: 0.4,
+            old_rows: 80,
+            appended_rows: 20,
+        };
+        let adjustments = vec![
+            (avg.clone(), widen_avg),
+            (AggKey::Freq, AppendAdjustment::freq_worst_case(80, 20)),
+        ];
+
+        let mut v = with_untrained_freq();
+        let before = model_of(&v, &avg);
+        assert!(!v.has_model(&AggKey::Freq));
+        let only_trained = v.stage_ingest(&adjustments[..1]).unwrap();
+        assert_eq!(only_trained.report().evaluations, 0, "no search at ingest");
+        let staged = v.stage_ingest(&adjustments).unwrap();
+        let searched = staged.report().evaluations;
+        v.commit_ingest(staged);
+
+        let after = model_of(&v, &avg);
+        assert_eq!(after.params().lengthscales, before.params().lengthscales);
+        let synopsis = v.synopsis(&avg).unwrap();
+        let training = synopsis.most_recent(v.config().max_training_snippets);
+        let regions: Vec<&Region> = training.iter().map(|e| &e.region).collect();
+        let answers: Vec<f64> = training.iter().map(|e| e.observation.answer).collect();
+        let sigma2 = estimate_sigma2(AggMode::Avg, v.schema(), &regions, &answers);
+        assert_eq!(after.params().sigma2.to_bits(), sigma2.to_bits());
+        let prior = estimate_prior_mean(AggMode::Avg, v.schema(), &regions, &answers);
+        assert_eq!(*after.prior(), prior);
+        assert_ne!(
+            after.prior(),
+            before.prior(),
+            "µ follows the widened answers"
+        );
+
+        // The twin fits FREQ with `train_key` on the same widened synopsis.
+        let mut twin = with_untrained_freq();
+        let staged = twin.stage_ingest(&adjustments).unwrap();
+        twin.commit_ingest(staged);
+        let trained = twin.train_key(&AggKey::Freq).unwrap();
+        assert!(trained.evaluations > 0);
+        assert_eq!(searched, trained.evaluations);
+        assert_eq!(
+            model_of(&v, &AggKey::Freq).to_bytes(),
+            model_of(&twin, &AggKey::Freq).to_bytes()
+        );
     }
 
     #[test]

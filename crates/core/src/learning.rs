@@ -12,6 +12,13 @@
 //!   derivative-free optimizer in log-lengthscale space, multi-started
 //!   from the dimension's domain width (Appendix A.1).
 //!
+//! Only training ([`crate::Verdict::train`]) and a key's first fit search
+//! for lengthscales. An ingest's Lemma-3 widening (Appendix D) rewrites
+//! stored answers and errors, not the correlation between regions, so its
+//! refit keeps the key's lengthscales and recomputes just `µ` and `σ²`
+//! with [`estimate_prior_mean`] and [`estimate_sigma2`] — an `O(n)` step
+//! in place of a search.
+//!
 //! ## Cost
 //!
 //! One likelihood is one `Σₙ` and one Cholesky factor of it over the

@@ -44,7 +44,7 @@ pub mod snippet;
 pub mod synopsis;
 pub mod validation;
 
-pub use append::{AppendAdjustment, DimBounds, IngestBounds};
+pub use append::{AppendAdjustment, DimBounds, IngestBounds, ShiftMoments};
 pub use concurrent::{EngineSnapshot, Learner, SnapshotCell};
 pub use config::VerdictConfig;
 pub use engine::{

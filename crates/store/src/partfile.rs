@@ -266,22 +266,27 @@ pub fn open_part_file(dir: &Path, p: u32) -> Result<PartScan> {
 /// Reads partition `p`'s rows — create-time record first, then ingest
 /// records in append order — into a table shaped like `proto` (schema
 /// and categorical dictionaries come from `proto`; the file holds only
-/// codes). Stops early once `min_rows` rows are decoded, so a segment
-/// fault over the create-time prefix does not pay for the ingest tail.
-/// Invalid trailing frames are treated as end-of-file (the open-time
-/// truncation already removed torn tails; a live reader stays tolerant).
+/// codes). Frames are read one at a time and reading stops once
+/// `min_rows` rows are decoded, so a segment fault over the create-time
+/// prefix neither reads nor buffers the ingest tail however long it
+/// grows. Invalid trailing frames are treated as end-of-file (the
+/// open-time truncation already removed torn tails; a live reader stays
+/// tolerant).
 pub fn read_part_rows(dir: &Path, p: u32, proto: &Table, min_rows: usize) -> Result<Table> {
-    let mut bytes = Vec::new();
-    File::open(part_path(dir, p))?.read_to_end(&mut bytes)?;
-    if bytes.len() < PART_HEADER_LEN as usize
-        || bytes[..8] != PART_MAGIC
-        || u32::from_le_bytes(bytes[8..12].try_into().unwrap()) != PART_VERSION
-        || u32::from_le_bytes(bytes[12..16].try_into().unwrap()) != p
+    let mut file = File::open(part_path(dir, p))?;
+    let mut remaining = file.metadata()?.len();
+    let mut header = [0u8; PART_HEADER_LEN as usize];
+    if remaining < PART_HEADER_LEN
+        || file.read_exact(&mut header).is_err()
+        || header[..8] != PART_MAGIC
+        || u32::from_le_bytes(header[8..12].try_into().unwrap()) != PART_VERSION
+        || u32::from_le_bytes(header[12..16].try_into().unwrap()) != p
     {
         return Err(StoreError::Corrupt(format!(
             "partition file {p} has a bad header"
         )));
     }
+    remaining -= PART_HEADER_LEN;
     let schema = proto.schema().clone();
     let mut numeric: Vec<Vec<f64>> = Vec::with_capacity(schema.len());
     let mut codes: Vec<Vec<u32>> = Vec::with_capacity(schema.len());
@@ -289,15 +294,20 @@ pub fn read_part_rows(dir: &Path, p: u32, proto: &Table, min_rows: usize) -> Res
         numeric.push(Vec::new());
         codes.push(Vec::new());
     }
-    let mut pos = PART_HEADER_LEN as usize;
     let mut rows = 0usize;
-    while pos + 8 <= bytes.len() && rows < min_rows {
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().unwrap());
-        let Some(payload) = bytes.get(pos + 8..pos + 8 + len) else {
+    let mut frame = [0u8; 8];
+    let mut payload = Vec::new();
+    while remaining >= 8 && rows < min_rows {
+        file.read_exact(&mut frame)?;
+        let len = u32::from_le_bytes(frame[..4].try_into().unwrap());
+        let crc = u32::from_le_bytes(frame[4..].try_into().unwrap());
+        if 8 + u64::from(len) > remaining {
             break;
-        };
-        if crc32(payload) != crc || payload.len() < 12 {
+        }
+        payload.resize(len as usize, 0);
+        file.read_exact(&mut payload)?;
+        remaining -= 8 + u64::from(len);
+        if crc32(&payload) != crc || payload.len() < 12 {
             break;
         }
         let n = u32::from_le_bytes(payload[8..12].try_into().unwrap()) as usize;
@@ -323,7 +333,6 @@ pub fn read_part_rows(dir: &Path, p: u32, proto: &Table, min_rows: usize) -> Res
             }
         }
         rows += n;
-        pos += 8 + len;
     }
     let mut columns = Vec::with_capacity(schema.len());
     for (i, def) in schema.columns().iter().enumerate() {

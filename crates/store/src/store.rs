@@ -7,7 +7,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use verdict_core::append::AppendAdjustment;
 use verdict_core::persist::{fingerprint, Persist};
 use verdict_core::snippet::{AggKey, Observation, Snippet};
-use verdict_core::{EngineState, Region, SnippetObserver, Verdict};
+use verdict_core::{EngineState, IngestBounds, Region, SnippetObserver, Verdict};
 use verdict_storage::{PartitionMap, Table, Value};
 
 use crate::log::{IngestRecord, LogRecord, SnippetLog, SnippetRecord};
@@ -439,9 +439,9 @@ impl SynopsisStore {
         // Replay records the snapshot has not folded yet — through a real
         // engine, so replay runs the *same* code the live session ran:
         // `observe` for snippet records (same dedupe/LRU semantics, same
-        // counter), `apply_append` for each logged ingest adjustment
-        // (same Lemma-3 rewrite, same model refit). That is what makes a
-        // crashed session reopen to bit-identical state.
+        // counter), `stage_ingest_filtered` + `commit_ingest` for each
+        // logged ingest (same Lemma-3 rewrite, same model refit). That is
+        // what makes a crashed session reopen to bit-identical state.
         let mut engine = Verdict::new(state.schema.clone(), meta.config.clone());
         engine
             .restore_state(state)
@@ -468,14 +468,9 @@ impl SynopsisStore {
                     table.push_rows(&r.rows).map_err(|e| {
                         StoreError::Corrupt(format!("ingest record seq {} replay: {e}", r.seq))
                     })?;
-                    for (key, adjustment) in &r.adjustments {
-                        engine.apply_append(key, adjustment).map_err(|e| {
-                            StoreError::Corrupt(format!(
-                                "ingest record seq {} refit of {key:?}: {e}",
-                                r.seq
-                            ))
-                        })?;
-                    }
+                    // A resident persisted table is never partitioned, so
+                    // its live ingests widened every snippet.
+                    replay_adjustments(&mut engine, r, None)?;
                     ingests_replayed += 1;
                     rows_appended += r.rows.len() as u64;
                     replayed_data_epoch += 1;
@@ -622,6 +617,11 @@ impl SynopsisStore {
                     let routed = map.route(&batch, 0..batch.num_rows()).map_err(|e| {
                         StoreError::Corrupt(format!("ingest record seq {} routing: {e}", r.seq))
                     })?;
+                    // The live ingest bounded its widening by the map as it
+                    // was before the batch landed; so does replay.
+                    let bounds = IngestBounds::touched(&map, &batch).map_err(|e| {
+                        StoreError::Corrupt(format!("ingest record seq {} bounds: {e}", r.seq))
+                    })?;
                     map.extend_batch(&batch).map_err(|e| {
                         StoreError::Corrupt(format!("ingest record seq {} summaries: {e}", r.seq))
                     })?;
@@ -643,14 +643,7 @@ impl SynopsisStore {
                         append_part_record(&dir, p, r.seq, &fragment, 0..rows.len())?;
                         part_seqs[p as usize].insert(r.seq);
                     }
-                    for (key, adjustment) in &r.adjustments {
-                        engine.apply_append(key, adjustment).map_err(|e| {
-                            StoreError::Corrupt(format!(
-                                "ingest record seq {} refit of {key:?}: {e}",
-                                r.seq
-                            ))
-                        })?;
-                    }
+                    replay_adjustments(&mut engine, r, Some(&bounds))?;
                     ingests_replayed += 1;
                     rows_appended += r.rows.len() as u64;
                     replayed_data_epoch += 1;
@@ -1034,6 +1027,22 @@ impl SynopsisStore {
     pub fn park_error(&mut self, e: StoreError) {
         self.sticky_error.get_or_insert(e);
     }
+}
+
+/// Replays one ingest record's adjustments the way the live ingest
+/// applied them: every key staged together, with the same widening
+/// `bounds`, then committed — so a reopened engine widens exactly the
+/// snippets the live one did and refits with the lengthscales it kept.
+fn replay_adjustments(
+    engine: &mut Verdict,
+    record: &IngestRecord,
+    bounds: Option<&IngestBounds>,
+) -> Result<()> {
+    let staged = engine
+        .stage_ingest_filtered(&record.adjustments, bounds)
+        .map_err(|e| StoreError::Corrupt(format!("ingest record seq {} refit: {e}", record.seq)))?;
+    engine.commit_ingest(staged);
+    Ok(())
 }
 
 /// Size of a file just written by the store; 0 only if it vanished from

@@ -86,8 +86,8 @@ use crate::metrics::{CheckpointReport, TableObs};
 use crate::query::{Prepared, QueryOptions};
 use crate::session::{
     build_paged_engines, default_parallelism, draw_engines, prepare_ingest, query_trace,
-    run_shared_read, widening_magnitude, IngestReport, PagedRuntime, ReadOutcome, SampleRotation,
-    StagePrelude,
+    run_shared_read, widening_magnitude, IngestReport, PagedRuntime, ReadOutcome, SampleMoments,
+    SampleRotation, StagePrelude,
 };
 use crate::{Error, QueryOutcome, Result};
 
@@ -239,6 +239,9 @@ struct Writer {
     /// Out-of-core runtime of a demand-paged table; `None` for resident
     /// tables.
     paged: Option<PagedRuntime>,
+    /// Running moments of every `AVG` key over the fixed sample — the
+    /// old side of each ingest's Lemma-3 shift, kept between ingests.
+    moments: SampleMoments,
 }
 
 /// One table's full runtime: published snapshot pair, serialized writer,
@@ -490,6 +493,7 @@ impl Shard {
                 meta,
                 partitions,
                 paged,
+                moments: SampleMoments::default(),
             }),
             recovery,
             parallelism: serve.parallelism.max(1),
@@ -576,6 +580,11 @@ impl Shard {
         }
         self.fixed_sample = index;
         *self.next_sample.get_mut() = index;
+        // The kept shift moments describe the old fixed sample.
+        self.writer
+            .get_mut()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+            .moments = SampleMoments::default();
         Ok(())
     }
 
@@ -878,8 +887,10 @@ impl Shard {
     /// 1. the batch is validated against the schema (atomically — a bad
     ///    row rejects the whole batch before anything mutates);
     /// 2. a Lemma-3 adjustment is estimated for every synopsis aggregate
-    ///    (against the fixed sample) and the engine-side rewrites and
-    ///    model refits are **staged** — fallible work, no mutation;
+    ///    (against the running moments of the fixed sample, which fold
+    ///    only the rows it admitted since the last ingest) and the
+    ///    engine-side rewrites and model refits — lengthscales kept — are
+    ///    **staged**: fallible work, no mutation;
     /// 3. on persistent tables rows + adjustments are logged to the WAL
     ///    (fail-fast: a refused append leaves memory and disk consistent;
     ///    recovery replays complete batches only);
@@ -910,6 +921,7 @@ impl Shard {
                 skipped_keys: Vec::new(),
                 data_epoch: snapshot.data_epoch(),
                 elapsed: t0.elapsed(),
+                shift_elapsed: Duration::ZERO,
                 refit_elapsed: Duration::ZERO,
                 wal_bytes: 0,
                 widening_magnitude: 0.0,
@@ -932,6 +944,7 @@ impl Shard {
             let prepared = prepare_ingest(
                 writer.learner.engine(),
                 old.engines[self.fixed_sample].sample(),
+                &mut writer.moments,
                 &batch,
                 old_rows,
                 paged_map.as_deref().or(writer.partitions.as_ref()),
@@ -1016,6 +1029,7 @@ impl Shard {
             skipped_keys: prepared.skipped_keys,
             data_epoch,
             elapsed: t0.elapsed(),
+            shift_elapsed: prepared.shift_elapsed,
             refit_elapsed: prepared.refit_elapsed,
             wal_bytes,
             widening_magnitude: widening_magnitude(&prepared.adjustments),

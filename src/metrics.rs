@@ -40,7 +40,9 @@
 //!
 //! Histograms (log₂ buckets, nanoseconds unless noted):
 //! `verdict_query_latency_ns`, per-stage `verdict_stage_{parse,plan,scan,
-//! infer,absorb}_ns`, `verdict_ingest_latency_ns`, `verdict_refit_ns`,
+//! infer,absorb}_ns`, `verdict_ingest_latency_ns` with its two timed
+//! shares `verdict_ingest_shift_ns` (the Lemma-3 shift estimate) and
+//! `verdict_refit_ns` (synopsis rewrite + model refit),
 //! `verdict_checkpoint_ns`, `verdict_train_ns` (a training pass under the
 //! writer lock) with its two halves `verdict_train_search_ns` (the
 //! lengthscale searches) and `verdict_train_fit_ns` (`Σₙ`, its factor,
@@ -137,6 +139,7 @@ struct Handles {
     ingest_batches: Counter,
     ingest_rows: Counter,
     ingest_latency_ns: Histogram,
+    shift_ns: Histogram,
     refit_ns: Histogram,
     widening_magnitude: Gauge,
     train_total: Counter,
@@ -190,6 +193,7 @@ impl Handles {
             ingest_batches: hub.table_counter("verdict_ingest_batches_total", table),
             ingest_rows: hub.table_counter("verdict_ingest_rows_total", table),
             ingest_latency_ns: hub.table_histogram("verdict_ingest_latency_ns", table),
+            shift_ns: hub.table_histogram("verdict_ingest_shift_ns", table),
             refit_ns: hub.table_histogram("verdict_refit_ns", table),
             widening_magnitude: hub.table_gauge("verdict_widening_magnitude", table),
             train_total: hub.table_counter("verdict_train_total", table),
@@ -302,6 +306,7 @@ impl TableObs {
             h.ingest_batches.inc();
             h.ingest_rows.add(report.appended_rows as u64);
             h.ingest_latency_ns.record(duration_ns(report.elapsed));
+            h.shift_ns.record(duration_ns(report.shift_elapsed));
             h.refit_ns.record(duration_ns(report.refit_elapsed));
             h.widening_magnitude.set(report.widening_magnitude);
             h.data_epoch.set(report.data_epoch as f64);

@@ -111,6 +111,8 @@
 //! the fallible preparation the shard runs before anything mutates
 //! (`prepare_ingest`).
 
+use std::collections::HashMap;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
@@ -125,16 +127,16 @@ use verdict_aqp::{
 use verdict_core::append::AppendAdjustment;
 use verdict_core::inference::CellPrior;
 use verdict_core::{
-    AggKey, EngineStats, EngineView, ImprovedAnswer, IngestBounds, Observation, Region, Snippet,
-    Verdict, VerdictConfig,
+    AggKey, EngineStats, EngineView, ImprovedAnswer, IngestBounds, Observation, Region,
+    ShiftMoments, Snippet, Verdict, VerdictConfig,
 };
 use verdict_obs::{
     MetricsHub, MetricsSnapshot, QueryLog, QueryTrace, ScanTrace, StageTimings, Stopwatch,
 };
 use verdict_sql::{parse_query, Combiner, ScanPlan, UnsupportedReason};
 use verdict_storage::{
-    AggregateFn, CacheCounters, ColumnSummary, Expr, GroupKey, PartitionMap, PartitionSpec,
-    PartitionStore, Predicate, StorageError, Table, Value,
+    AggregateFn, CacheCounters, Expr, GroupKey, PartitionMap, PartitionSpec, PartitionStore,
+    Predicate, StorageError, Table, Value,
 };
 use verdict_store::{
     read_part_rows, Recovered, RecoveryReport, SessionMeta, StoreError, StorePolicy, SynopsisStore,
@@ -168,8 +170,13 @@ pub struct IngestReport {
     pub data_epoch: u64,
     /// Wall-clock for the whole ingest call (validation → commit).
     pub elapsed: Duration,
+    /// Wall-clock spent estimating the Lemma-3 shifts (the fixed
+    /// sample's running moments against the batch) and the partitions
+    /// they reach — the first share of `elapsed`.
+    pub shift_elapsed: Duration,
     /// Wall-clock spent staging the synopsis rewrites and model refits —
-    /// the learn-side share of `elapsed`.
+    /// the learn-side share of `elapsed`. What `elapsed` holds beyond
+    /// these two is logging the batch and landing it.
     pub refit_elapsed: Duration,
     /// WAL bytes this batch appended (0 on a non-persistent session).
     /// Measured by the store itself ([`verdict_store::StoreStats`]), not
@@ -1058,8 +1065,11 @@ pub(crate) struct PreparedIngest {
     pub(crate) skipped_keys: Vec<AggKey>,
     /// The staged engine-side rewrites, ready to commit.
     pub(crate) staged: verdict_core::StagedIngest,
-    /// Wall-clock spent staging the rewrites + refits — measured here,
-    /// once (the report and the metrics layer read this same value).
+    /// Wall-clock spent estimating the shifts and the partitions they
+    /// reach. Like `refit_elapsed`, measured here once: the report and
+    /// the metrics layer read this same value.
+    pub(crate) shift_elapsed: Duration,
+    /// Wall-clock spent staging the rewrites + refits.
     pub(crate) refit_elapsed: Duration,
 }
 
@@ -1067,22 +1077,25 @@ pub(crate) struct PreparedIngest {
 /// validated by materializing it as a table) after `old_rows` base rows
 /// — see [`PreparedIngest`]. `sample` is the sample the shift is
 /// estimated against (the shard's fixed one; the chosen values are what
-/// gets WAL-logged and replayed, so recovery never re-estimates). `map`
-/// is the base-table partition map of a partitioned table.
+/// gets WAL-logged and replayed, so recovery never re-estimates), and
+/// `moments` the shard's running moments of it. `map` is the base-table
+/// partition map of a partitioned table.
 pub(crate) fn prepare_ingest(
     verdict: &Verdict,
     sample: &Sample,
+    moments: &mut SampleMoments,
     batch: &Table,
     old_rows: usize,
     map: Option<&PartitionMap>,
 ) -> Result<PreparedIngest> {
+    let shift_t0 = Instant::now();
     let (adjustments, skipped_keys) =
-        compute_ingest_adjustments(&verdict.synopsis_keys(), sample, batch, old_rows)?;
+        compute_ingest_adjustments(&verdict.synopsis_keys(), sample, moments, batch, old_rows)?;
     // Partition-aware Lemma 3: bound what this batch touches, so AVG
     // snippets over provably-disjoint regions keep their answers and
     // error bounds (FREQ always widens — the denominator changed).
     let bounds = map
-        .map(|map| ingest_bounds(map, batch))
+        .map(|map| IngestBounds::touched(map, batch))
         .transpose()
         .map_err(Error::Storage)?;
     let refit_t0 = Instant::now();
@@ -1093,8 +1106,84 @@ pub(crate) fn prepare_ingest(
         adjustments,
         skipped_keys,
         staged,
+        shift_elapsed: refit_t0 - shift_t0,
         refit_elapsed: refit_t0.elapsed(),
     })
+}
+
+/// The old side of every `AVG` key's Lemma-3 shift, kept between
+/// ingests: per key, the [`ShiftMoments`] of its expression over the
+/// shard's fixed sample. An ingest then folds only the rows the sample
+/// admitted since the last one, instead of re-reading — on a paged
+/// table, re-faulting — the whole sample.
+///
+/// A sample grows only at the end of its resident table
+/// ([`Sample::table`]: the whole of a resident sample, a paged sample's
+/// admitted tail), and [`Sample::visit_fragments`] yields those rows
+/// last. Folding them into the kept accumulators is therefore the fold a
+/// fresh pass would run, and leaves its bits. A key not seen before costs
+/// one pass over the sample, as does every key after the fixed sample
+/// changes (the shard drops the cache) or the shard reopens (it starts
+/// empty). The state is O(1) per key: nothing is kept per row.
+#[derive(Default)]
+pub(crate) struct SampleMoments {
+    /// Rows of the sample's resident table folded so far.
+    rows: usize,
+    /// Per `AVG` key: its expression, and its moments over the sample —
+    /// `None` when the expression cannot be evaluated against it.
+    keys: HashMap<AggKey, (Expr, Option<ShiftMoments>)>,
+}
+
+impl SampleMoments {
+    /// Brings the moments of every `AVG` key in `keys` up to date with
+    /// `sample`: folds the rows it admitted since the last call into the
+    /// kept accumulators, then — only if some key is new — runs one pass
+    /// over the whole sample for the new keys.
+    fn catch_up(&mut self, keys: &[AggKey], sample: &Sample) -> Result<()> {
+        let tail = sample.table();
+        debug_assert!(self.rows <= tail.num_rows(), "moments of another sample");
+        for (expr, moments) in self.keys.values_mut() {
+            fold(expr, tail, self.rows..tail.num_rows(), moments);
+        }
+        self.rows = tail.num_rows();
+        let mut new: Vec<(AggKey, Expr, Option<ShiftMoments>)> = keys
+            .iter()
+            .filter(|key| !self.keys.contains_key(*key))
+            .filter_map(|key| match key {
+                AggKey::Avg(expr) => Some((
+                    key.clone(),
+                    Expr::parse(expr).ok()?,
+                    Some(ShiftMoments::new()),
+                )),
+                AggKey::Freq => None,
+            })
+            .collect();
+        if new.is_empty() {
+            return Ok(());
+        }
+        sample
+            .visit_fragments(|frag| {
+                for (_, expr, moments) in &mut new {
+                    fold(expr, frag, 0..frag.num_rows(), moments);
+                }
+                Ok(())
+            })
+            .map_err(Error::Aqp)?;
+        self.keys
+            .extend(new.into_iter().map(|(key, expr, m)| (key, (expr, m))));
+        Ok(())
+    }
+}
+
+/// Folds `expr` over `rows` of `table` into `moments`, which becomes
+/// `None` if the expression does not compile against the table (missing
+/// or non-numeric column).
+fn fold(expr: &Expr, table: &Table, rows: Range<usize>, moments: &mut Option<ShiftMoments>) {
+    let Some(acc) = moments else { return };
+    match expr.compile(table) {
+        Ok(compiled) => acc.extend(rows.map(|r| compiled.eval(r))),
+        Err(_) => *moments = None,
+    }
 }
 
 /// The per-key synopsis adjustments for one ingested batch, plus the
@@ -1105,16 +1194,15 @@ type IngestAdjustments = (Vec<(AggKey, AppendAdjustment)>, Vec<AggKey>);
 /// aggregate.
 ///
 /// For an `AVG(expr)` key the shift distribution is estimated from the
-/// expression evaluated over the **sample** (a uniform stand-in for the
-/// old relation — the paper estimates `µ_k`, `η_k` "from small samples of
-/// `r` and `r_a`") versus the incoming batch. The sample's values are
-/// gathered in one pass over its fragments for all `AVG` keys together
-/// (a resident sample is one fragment; faulting every paged segment once
-/// per key would multiply the I/O by the synopsis width) — same rows,
-/// same order, same estimates at any memory budget. For `FREQ` the
+/// expression over the **sample** (a uniform stand-in for the old
+/// relation — the paper estimates `µ_k`, `η_k` "from small samples of
+/// `r` and `r_a`") versus the incoming batch. The sample side comes from
+/// `moments`, kept up to date at the cost of the rows admitted since the
+/// last ingest ([`SampleMoments`]) — same rows, same order, same
+/// estimates at any memory budget as a fresh pass. For `FREQ` the
 /// per-region indicator cannot be evaluated key-wide, so the conservative
 /// worst case applies. Keys whose expression cannot be parsed, or fails
-/// to compile against any fragment or the batch (missing or non-numeric
+/// to compile against the sample or the batch (missing or non-numeric
 /// column), are skipped and reported, never silently dropped.
 ///
 /// The adjustment list is deterministic (keys pre-sorted by the caller
@@ -1124,49 +1212,27 @@ type IngestAdjustments = (Vec<(AggKey, AppendAdjustment)>, Vec<AggKey>);
 fn compute_ingest_adjustments(
     keys: &[AggKey],
     sample: &Sample,
+    moments: &mut SampleMoments,
     batch: &Table,
     old_rows: usize,
 ) -> Result<IngestAdjustments> {
     let appended_rows = batch.num_rows();
-    let parsed: Vec<Option<Expr>> = keys
-        .iter()
-        .map(|k| match k {
-            AggKey::Avg(expr_str) => Expr::parse(expr_str).ok(),
-            AggKey::Freq => None,
-        })
-        .collect();
-    let mut old_values: Vec<Option<Vec<f64>>> = parsed
-        .iter()
-        .map(|p| p.as_ref().map(|_| Vec::new()))
-        .collect();
-    sample
-        .visit_fragments(|frag| {
-            for (expr, vals) in parsed.iter().zip(old_values.iter_mut()) {
-                let (Some(expr), Some(acc)) = (expr, vals.as_mut()) else {
-                    continue;
-                };
-                match eval_expr_column(expr, frag) {
-                    Some(mut v) => acc.append(&mut v),
-                    None => *vals = None,
-                }
-            }
-            Ok(())
-        })
-        .map_err(Error::Aqp)?;
+    moments.catch_up(keys, sample)?;
     let mut adjustments = Vec::with_capacity(keys.len());
     let mut skipped = Vec::new();
-    for ((key, expr), old) in keys.iter().zip(&parsed).zip(old_values) {
+    for key in keys {
         let adjustment = match key {
             AggKey::Freq => Some(AppendAdjustment::freq_worst_case(old_rows, appended_rows)),
-            AggKey::Avg(_) => expr.as_ref().zip(old).and_then(|(expr, old_values)| {
-                let new_values = eval_expr_column(expr, batch)?;
-                Some(AppendAdjustment::estimate(
-                    &old_values,
-                    &new_values,
-                    old_rows,
-                    appended_rows,
-                ))
-            }),
+            AggKey::Avg(_) => match moments.keys.get(key) {
+                Some((expr, Some(old))) => {
+                    let mut new = Some(ShiftMoments::new());
+                    fold(expr, batch, 0..appended_rows, &mut new);
+                    new.map(|new| {
+                        AppendAdjustment::from_moments(old, &new, old_rows, appended_rows)
+                    })
+                }
+                _ => None,
+            },
         };
         match adjustment {
             Some(a) => adjustments.push((key.clone(), a)),
@@ -1174,48 +1240,6 @@ fn compute_ingest_adjustments(
         }
     }
     Ok((adjustments, skipped))
-}
-
-/// Bounds covering everything a partitioned ingest touches, per column:
-/// the batch is routed through a throwaway [`PartitionMap`] built over
-/// the batch table (routing is a pure function of the cell value, so it
-/// agrees with the session map), and each receiving partition
-/// contributes the union of its *current* summary with the batch's own —
-/// exactly the post-ingest contents of the touched partitions. Old
-/// snippets are reinterpreted against the updated relation, so the
-/// pre-existing rows of a receiving partition count as "touched"; rows
-/// in partitions the batch never reaches do not shift any disjoint
-/// region's aggregate.
-fn ingest_bounds(map: &PartitionMap, batch_table: &Table) -> verdict_storage::Result<IngestBounds> {
-    let batch_map = PartitionMap::build(batch_table, map.spec().clone())?;
-    let mut bounds = IngestBounds::new();
-    for p in 0..batch_map.num_partitions() {
-        if batch_map.part(p).rows() == 0 {
-            continue;
-        }
-        for (col, def) in batch_table.schema().columns().iter().enumerate() {
-            for part in [batch_map.part(p), map.part(p)] {
-                match part.summary(col) {
-                    // Skip the empty-partition identity (+inf, -inf): it
-                    // describes no rows and must not prove anything
-                    // (min > max would read as disjoint).
-                    Some(ColumnSummary::Num { min, max, has_nan }) if min <= max || *has_nan => {
-                        bounds.add_numeric(&def.name, *min, *max, *has_nan);
-                    }
-                    Some(ColumnSummary::Cat { codes }) => bounds.add_codes(&def.name, codes),
-                    _ => {}
-                }
-            }
-        }
-    }
-    Ok(bounds)
-}
-
-/// Evaluates `expr` over every row of `table`; `None` if the expression
-/// does not compile against the table (missing or non-numeric column).
-fn eval_expr_column(expr: &Expr, table: &Table) -> Option<Vec<f64>> {
-    let compiled = expr.compile(table).ok()?;
-    Some((0..table.num_rows()).map(|r| compiled.eval(r)).collect())
 }
 
 /// What one read-path execution produced: the answered result, the raw

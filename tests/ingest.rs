@@ -198,6 +198,128 @@ proptest! {
     }
 }
 
+/// The values of `column` over sample `k` of a resident session.
+fn sample_values(s: &VerdictSession, k: usize, column: &str) -> Vec<f64> {
+    let snapshot = s.snapshot();
+    let table = snapshot.engines()[k].sample().table();
+    table.column(column).unwrap().numeric().unwrap().to_vec()
+}
+
+/// The stored observations of every `AVG` synopsis.
+fn avg_observations(s: &VerdictSession) -> Vec<(AggKey, Vec<verdict::core::Observation>)> {
+    synopses(s)
+        .into_iter()
+        .filter(|(key, _)| !key.is_freq())
+        .map(|(key, synopsis)| {
+            let obs = synopsis.entries().iter().map(|e| e.observation).collect();
+            (key, obs)
+        })
+        .collect()
+}
+
+/// The shift of every ingest comes from running moments of the fixed
+/// sample, which fold only the rows it admitted since the last ingest;
+/// what they give must be, bit for bit, the estimate over the whole
+/// sample as it stands — ingest after ingest, for a key first seen
+/// between ingests, and after `set_active_sample` switches the sample.
+#[test]
+fn running_shift_moments_equal_a_fresh_pass_over_the_sample() {
+    let mut s = SessionBuilder::new(base_table(6_000))
+        .sample_fraction(0.2)
+        .batch_size(200)
+        .num_samples(2)
+        .seed(3)
+        .build()
+        .unwrap();
+    let warm = |s: &mut VerdictSession, agg: &str| {
+        for lo in (1..20).step_by(4) {
+            let sql = format!("SELECT {agg} FROM t WHERE week BETWEEN {lo} AND {}", lo + 3);
+            s.execute(&sql, Mode::Verdict, StopPolicy::ScanAll).unwrap();
+        }
+    };
+    warm(&mut s, "AVG(rev), COUNT(*)");
+    s.train().unwrap();
+    for k in 0..5usize {
+        if k == 2 {
+            warm(&mut s, "AVG(week)");
+        }
+        if k == 3 {
+            s.set_active_sample(1).unwrap();
+        }
+        let rows = 150 + 40 * k;
+        let batch = shifted_batch(rows, k as f64);
+        let old_rows = s.table().num_rows();
+        let before = avg_observations(&s);
+        assert_eq!(before.len(), if k < 2 { 1 } else { 2 });
+        // The hand-computed estimate: the whole fixed sample vs the batch.
+        let want: Vec<AppendAdjustment> = before
+            .iter()
+            .map(|(key, _)| {
+                let AggKey::Avg(column) = key else {
+                    unreachable!("AVG keys only")
+                };
+                let index = if column == "rev" { 2 } else { 0 };
+                let new: Vec<f64> = batch.iter().map(|r| r[index].as_num().unwrap()).collect();
+                let old = sample_values(&s, s.active_sample(), column);
+                AppendAdjustment::estimate(&old, &new, old_rows, rows)
+            })
+            .collect();
+        s.ingest(&batch).unwrap();
+        let after = avg_observations(&s);
+        for (((key, old), want), (_, after)) in before.iter().zip(&want).zip(&after) {
+            for (got, old) in after.iter().zip(old) {
+                let expect = want.adjust(*old);
+                assert_eq!(
+                    (got.answer.to_bits(), got.error.to_bits()),
+                    (expect.answer.to_bits(), expect.error.to_bits()),
+                    "{key} after ingest {k}"
+                );
+            }
+        }
+    }
+}
+
+/// A NaN or an infinity in an ingested measure says nothing about the
+/// shift. It must not turn `µ`/`η` — and with them every stored snippet
+/// of the key, durably — into NaN, neither in the batch that carries it
+/// nor in later ingests, once the sample has admitted such rows.
+#[test]
+fn non_finite_measures_never_poison_the_synopsis() {
+    let mut s = warmed_session(6_000, 2);
+    s.train().unwrap();
+    let mut batch = shifted_batch(300, 5.0);
+    for (i, row) in batch.iter_mut().enumerate().filter(|(i, _)| i % 10 == 0) {
+        let odd = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][(i / 10) % 3];
+        row[2] = Value::Num(odd);
+    }
+    for batch in [batch, shifted_batch(200, 7.0)] {
+        let before = synopses(&s);
+        s.ingest(&batch).unwrap();
+        for ((key, old), (_, new)) in before.iter().zip(&synopses(&s)) {
+            for (old, new) in old.entries().iter().zip(new.entries()) {
+                let (old, new) = (old.observation, new.observation);
+                assert!(new.answer.is_finite(), "{key}: answer {}", new.answer);
+                assert!(
+                    new.error >= old.error,
+                    "{key}: β' {} < β {}",
+                    new.error,
+                    old.error
+                );
+            }
+        }
+    }
+    let snapshot = s.snapshot();
+    let revs = snapshot.engines()[0]
+        .sample()
+        .table()
+        .column("rev")
+        .unwrap();
+    assert!(
+        revs.numeric().unwrap().iter().any(|v| !v.is_finite()),
+        "the sample admitted non-finite rows, so the second ingest saw them"
+    );
+}
+
 fn temp_store(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("verdict-ingest-{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -425,8 +547,10 @@ fn pinned_snapshot_parity_across_concurrent_ingest() {
 }
 
 /// Warm-started sessions keep ingesting: the rebuilt sample admits new
-/// batches exactly as a never-restarted session would (bit-identical
-/// state and answers after the same post-restart ingest).
+/// batches exactly as a never-restarted session would, and the shift
+/// moments a reopened session rebuilds from its sample are the ones the
+/// never-restarted session kept running (bit-identical state and answers
+/// after the same two post-restart ingests).
 #[test]
 fn warm_start_then_ingest_matches_unrestarted_session() {
     let dir = temp_store("warmingest");
@@ -436,6 +560,7 @@ fn warm_start_then_ingest_matches_unrestarted_session() {
     reference.train().unwrap();
     reference.ingest(&shifted_batch(300, 4.0)).unwrap();
     reference.ingest(&shifted_batch(150, 6.0)).unwrap();
+    reference.ingest(&shifted_batch(120, 8.0)).unwrap();
     // Capture the state *before* the probe query (a `Mode::Verdict`
     // execute observes snippets, mutating the state being compared).
     let want_state = reference.snapshot().state_bytes();
@@ -471,6 +596,7 @@ fn warm_start_then_ingest_matches_unrestarted_session() {
     }
     let mut s = SessionBuilder::open(&dir).unwrap().build().unwrap();
     s.ingest(&shifted_batch(150, 6.0)).unwrap();
+    s.ingest(&shifted_batch(120, 8.0)).unwrap();
     assert_eq!(
         s.snapshot().state_bytes(),
         want_state,

@@ -101,7 +101,8 @@ fn serial_session_reports_metrics_and_traces() {
     session.train().unwrap();
     let report = session.ingest(&batch(500, 0)).unwrap();
     assert!(report.elapsed > Duration::ZERO);
-    assert!(report.refit_elapsed <= report.elapsed);
+    assert!(report.shift_elapsed > Duration::ZERO);
+    assert!(report.shift_elapsed + report.refit_elapsed <= report.elapsed);
     assert_eq!(report.wal_bytes, 0, "no store attached");
 
     let snap = session.metrics_snapshot().expect("hub attached");
@@ -123,6 +124,16 @@ fn serial_session_reports_metrics_and_traces() {
     assert_eq!((train.count, search.count, fit.count), (1, 1, 1));
     assert!(search.sum > 0 && fit.sum > 0);
     assert!(search.sum + fit.sum <= train.sum);
+    // And where the ingest went: the shift estimate and the refit, each
+    // timed once, inside the ingest's own latency.
+    let (ingest, shift, refit) = (
+        h("verdict_ingest_latency_ns"),
+        h("verdict_ingest_shift_ns"),
+        h("verdict_refit_ns"),
+    );
+    assert_eq!((ingest.count, shift.count, refit.count), (1, 1, 1));
+    assert_eq!(shift.sum, report.shift_elapsed.as_nanos() as u64);
+    assert!(shift.sum > 0 && shift.sum + refit.sum <= ingest.sum);
     assert!(c("verdict_tuples_scanned_total") > 0);
     assert!(c("verdict_snippets_observed_total") >= ANSWERED as u64);
     // The default chunked kernel reports its chunk walk, and every

@@ -314,6 +314,114 @@ fn warm_restart_is_bit_identical_to_uninterrupted_twin() {
     let _ = std::fs::remove_dir_all(&dir_twin);
 }
 
+/// `rows` ingest rows spread over `weeks`, `rev` shifted by `shift`.
+fn batch_in(weeks: std::ops::RangeInclusive<u64>, rows: u64, shift: f64) -> Vec<Vec<Value>> {
+    let span = weeks.end() - weeks.start() + 1;
+    (0..rows)
+        .map(|i| {
+            let week = (weeks.start() + i % span) as f64;
+            let rev = 50.0 + shift + (i % 7) as f64;
+            vec![week.into(), REGIONS[(i % 10) as usize].into(), rev.into()]
+        })
+        .collect()
+}
+
+/// WAL replay widens exactly what the live ingest widened: on a
+/// partitioned table an `AVG` snippet whose region is disjoint from every
+/// partition the batch reached keeps its `(θ, β)` live, and must keep it
+/// through a reopen too — replay scopes the widening by the same bounds,
+/// computed from the partition map as it was before the batch landed. Two
+/// more ingests after the restart then land on the state of a twin that
+/// never restarted.
+#[test]
+fn wal_replay_widens_only_what_the_live_ingest_widened() {
+    let dir = temp_store("replay-scope");
+    let dir_twin = temp_store("replay-scope-twin");
+    let mut twin = paged_session(&dir_twin, 6_000, u64::MAX, 1);
+    {
+        let mut s = paged_session(&dir, 6_000, u64::MAX, 1);
+        for session in [&mut s, &mut twin] {
+            for lo in [1, 4, 7, 10, 13, 19] {
+                let sql = format!(
+                    "SELECT AVG(rev) FROM t WHERE week BETWEEN {lo} AND {}",
+                    lo + 3
+                );
+                run(session, &sql, StopPolicy::ScanAll);
+            }
+            session.train().unwrap();
+            // Weeks 20–24 reach only the last partition (weeks ≥ 18).
+            let report = session.ingest(&batch_in(20..=24, 60, 9.0)).unwrap();
+            assert!(
+                (1..6).contains(&report.adjusted_snippets),
+                "live widening is scoped: {} of 6 snippets",
+                report.adjusted_snippets
+            );
+        }
+        assert!(s.snapshot().state_bytes() == twin.snapshot().state_bytes());
+    }
+    let mut reopened = SessionBuilder::open(&dir).unwrap().build().unwrap();
+    assert_eq!(reopened.recovery_report().unwrap().ingests_replayed, 1);
+    assert!(
+        reopened.snapshot().state_bytes() == twin.snapshot().state_bytes(),
+        "replay must widen only the snippets the live ingest widened"
+    );
+    for (k, weeks) in [(0, 1..=4), (1, 10..=12)] {
+        reopened
+            .ingest(&batch_in(weeks.clone(), 40, k as f64))
+            .unwrap();
+        twin.ingest(&batch_in(weeks, 40, k as f64)).unwrap();
+        assert!(
+            reopened.snapshot().state_bytes() == twin.snapshot().state_bytes(),
+            "ingest {k} after the restart"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&dir_twin);
+}
+
+/// An ingest estimates its shift from running moments of the fixed
+/// sample, so once they exist an ingest folds only the rows the sample
+/// admitted since the last one and faults no partition segment — even
+/// with a cache too small to keep any. Its learned state is bit for bit
+/// that of a twin that re-reads the whole sample before every ingest.
+#[test]
+fn steady_state_ingests_fault_no_segment_and_match_a_rereading_twin() {
+    let dir = temp_store("steady");
+    let dir_twin = temp_store("steady-twin");
+    let mut s = paged_session(&dir, 6_000, 1, 1);
+    let mut twin = paged_session(&dir_twin, 6_000, 1, 1);
+    for session in [&mut s, &mut twin] {
+        run(session, QUERIES[0], StopPolicy::ScanAll);
+        run(session, QUERIES[1], StopPolicy::ScanAll);
+        session.train().unwrap();
+    }
+    for k in 0..4u64 {
+        let batch = batch_in(1 + 5 * k..=5 + 5 * k, 80, k as f64);
+        let before = s.partition_cache().unwrap();
+        s.ingest(&batch).unwrap();
+        let faulted = s.partition_cache().unwrap().since(&before).bytes_faulted;
+        if k == 0 {
+            assert!(faulted > 0, "the first ingest reads the sample once");
+        } else {
+            assert_eq!(faulted, 0, "ingest {k} faulted {faulted} bytes");
+        }
+        // The twin drops its moments (re-selecting the fixed sample does)
+        // and so reads every segment again.
+        twin.set_active_sample(0).unwrap();
+        let before = twin.partition_cache().unwrap();
+        twin.ingest(&batch).unwrap();
+        assert!(twin.partition_cache().unwrap().since(&before).bytes_faulted > 0);
+        assert!(
+            s.snapshot().state_bytes() == twin.snapshot().state_bytes(),
+            "ingest {k}: running moments diverged from a fresh pass"
+        );
+        run(&mut s, QUERIES[0], StopPolicy::ScanAll);
+        run(&mut twin, QUERIES[0], StopPolicy::ScanAll);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&dir_twin);
+}
+
 /// The catalog front door opens what the session front door wrote: an
 /// out-of-core session's store keeps the single-table layout (store and
 /// partition files at the directory root, no `CATALOG`), and

@@ -426,29 +426,52 @@ pub fn check(
 /// The state of `snapshot` with every model replaced by one trained from
 /// the same synopsis through the all-pairs oracle. Equal bytes only where
 /// the snapshot's models are a fit of its synopses — right after a
-/// `train` or an `ingest`, before another query is absorbed.
-pub fn all_pairs_twin(snapshot: &SessionSnapshot) -> EngineState {
+/// `train` or an `ingest`, before another query is absorbed. After an
+/// ingest, pass the snapshot from before it as `refit_of`: an ingest
+/// refits a key that had a model there with that model's lengthscales,
+/// and searches only for a key that had none.
+pub fn all_pairs_twin(
+    snapshot: &SessionSnapshot,
+    refit_of: Option<&SessionSnapshot>,
+) -> EngineState {
     let config = snapshot.engine_snapshot().config();
+    let kept: Vec<(AggKey, KernelParams)> = refit_of
+        .map(|before| {
+            EngineState::from_bytes(&before.state_bytes())
+                .unwrap()
+                .models
+        })
+        .unwrap_or_default()
+        .into_iter()
+        .map(|(key, model)| (key, model.params().clone()))
+        .collect();
     let mut state = EngineState::from_bytes(&snapshot.state_bytes()).unwrap();
     state.models = state
         .synopses
         .iter()
         .filter_map(|(key, synopsis)| {
-            all_pairs_model(&state.schema, config, key, synopsis).map(|m| (key.clone(), m))
+            let lengthscales = kept
+                .iter()
+                .find(|(k, _)| k == key)
+                .map(|(_, params)| &params.lengthscales[..]);
+            all_pairs_model(&state.schema, config, key, synopsis, lengthscales)
+                .map(|m| (key.clone(), m))
         })
         .collect();
     state
 }
 
 /// Algorithm 1 for one key as the engine runs it (`fit_model`:
-/// lengthscales by multi-start Nelder–Mead on the most recent snippets,
-/// then `Σₙ⁻¹` and `α` over the whole synopsis), with every `Σ` built by
+/// lengthscales by multi-start Nelder–Mead on the most recent snippets —
+/// or `lengthscales` as given, the ingest refit — then `Σₙ⁻¹` and `α`
+/// over the whole synopsis), with every `Σ` built by
 /// [`all_pairs::raw_covariance_matrix`].
 fn all_pairs_model(
     schema: &SchemaInfo,
     config: &VerdictConfig,
     key: &AggKey,
     synopsis: &QuerySynopsis,
+    lengthscales: Option<&[f64]>,
 ) -> Option<TrainedModel> {
     if synopsis.len() < config.min_snippets_to_train {
         return None;
@@ -494,7 +517,12 @@ fn all_pairs_model(
         sigma.add_diagonal(config.jitter * scale);
         Cholesky::new_with_jitter(&sigma, 1e-12, retries)
     };
-    let params = if numeric.is_empty() || regions.len() < 2 {
+    let params = if let Some(lengthscales) = lengthscales {
+        KernelParams {
+            lengthscales: lengthscales.to_vec(),
+            sigma2,
+        }
+    } else if numeric.is_empty() || regions.len() < 2 {
         params_at(&[])
     } else {
         let c = centered(&regions, &answers);

@@ -15,7 +15,9 @@ mod oracle;
 use oracle::{check, plan_of, prim_keys, query_spec, rowwise_driver, session};
 use proptest::prelude::*;
 use verdict::core::{EngineStats, Observation, Region, Snippet};
-use verdict::{Mode, QueryOptions, QueryResult, SessionBuilder, StopPolicy, VerdictSession};
+use verdict::{
+    Mode, QueryOptions, QueryResult, SessionBuilder, SessionSnapshot, StopPolicy, VerdictSession,
+};
 use verdict_storage::{ColumnDef, Schema, Table};
 
 /// Bitwise identity of two results, cell for cell: `f64`'s `Debug`
@@ -77,11 +79,14 @@ proptest! {
 /// lengthscales, `Σₙ⁻¹`, `α`, so every later answer and bound — must be
 /// the bits of a twin trained on matrices assembled pair by pair: after
 /// `train`, and again after an `ingest` has widened and refit every
-/// synopsis, with grouped queries (cells that share all but one
-/// constraint) absorbed in between and checked cell by cell throughout.
+/// synopsis (keeping the lengthscales `train` learned — Lemma 3 moves
+/// answers and errors, not the correlation), with grouped queries (cells
+/// that share all but one constraint) absorbed in between and checked
+/// cell by cell throughout.
 #[test]
 fn trained_and_ingested_state_equals_the_all_pairs_twin() {
     use verdict::core::persist::Persist;
+    use verdict::core::EngineState;
     let mut s = session(6_000, false);
     let grouped = "SELECT region, AVG(rev), COUNT(*) FROM t WHERE week BETWEEN 4 AND 18 \
                    GROUP BY region";
@@ -95,11 +100,11 @@ fn trained_and_ingested_state_equals_the_all_pairs_twin() {
         }
         check(s, grouped, Mode::Verdict, StopPolicy::ScanAll, false)
     };
-    let assert_twin = |s: &VerdictSession, when: &str| {
+    let assert_twin = |s: &VerdictSession, refit_of: Option<&SessionSnapshot>, when: &str| {
         let snapshot = s.snapshot();
-        let twin = oracle::all_pairs_twin(&snapshot);
+        let twin = oracle::all_pairs_twin(&snapshot, refit_of);
         let state = snapshot.state_bytes();
-        let got = verdict::core::EngineState::from_bytes(&state).unwrap();
+        let got = EngineState::from_bytes(&state).unwrap();
         assert_eq!(got.models.len(), 2, "AVG(rev) and FREQ(*) models {when}");
         for ((key, got), (_, want)) in got.models.iter().zip(&twin.models) {
             assert!(got.n() >= 18, "{key}: {} snippets {when}", got.n());
@@ -114,9 +119,19 @@ fn trained_and_ingested_state_equals_the_all_pairs_twin() {
         assert!(twin.to_bytes() == state, "state bytes {when}");
     };
 
+    let params = |snapshot: &SessionSnapshot| {
+        let state = EngineState::from_bytes(&snapshot.state_bytes()).unwrap();
+        state
+            .models
+            .iter()
+            .map(|(key, m)| (key.clone(), m.params().lengthscales.clone()))
+            .collect::<Vec<_>>()
+    };
+
     queries(&mut s);
     s.train().unwrap();
-    assert_twin(&s, "after train");
+    assert_twin(&s, None, "after train");
+    let trained = params(&s.snapshot());
     let engaged = queries(&mut s);
     assert!(engaged.rows.len() >= 8, "{} groups", engaged.rows.len());
     assert!(engaged
@@ -131,9 +146,15 @@ fn trained_and_ingested_state_equals_the_all_pairs_twin() {
             vec![week.into(), oracle::REGIONS[i % 10].into(), rev.into()]
         })
         .collect();
+    let before = s.snapshot();
     let report = s.ingest(&batch).unwrap();
     assert!(report.adjusted_snippets > 0);
-    assert_twin(&s, "after ingest");
+    assert_twin(&s, Some(&before), "after ingest");
+    assert_eq!(
+        params(&s.snapshot()),
+        trained,
+        "an ingest keeps lengthscales"
+    );
     queries(&mut s);
 }
 
