@@ -18,6 +18,8 @@
 
 use crate::inference::TrainedModel;
 use crate::region::{Region, SchemaInfo};
+use crate::snippet::Observation;
+use crate::VerdictConfig;
 
 /// One scored candidate.
 #[derive(Debug, Clone)]
@@ -84,7 +86,8 @@ pub fn suggest_next_query(
 /// Greedily plans a batch of `k` proactive queries: after each pick the
 /// model hypothetically absorbs the candidate (with a prior-mean dummy
 /// answer — only variances matter for planning) so later picks account for
-/// earlier ones.
+/// earlier ones. A pick the factor cannot absorb (it is numerically a
+/// repeat) is conditioned on by refitting with jitter instead.
 pub fn plan_batch(
     model: &TrainedModel,
     schema: &SchemaInfo,
@@ -106,18 +109,25 @@ pub fn plan_batch(
         let cand_idx = remaining.remove(best_in_pool);
         // Hypothetical observation at the model's own expectation: the
         // posterior *variance* update is answer-independent for Gaussians.
-        let dummy = working
-            .infer(
-                schema,
-                &candidates[cand_idx],
-                crate::snippet::Observation::new(0.0, f64::INFINITY),
-            )
-            .prior_answer;
-        working.absorb(
-            schema,
-            &candidates[cand_idx],
-            crate::snippet::Observation::new(dummy, assumed_error),
-        );
+        let region = &candidates[cand_idx];
+        let dummy = working.infer(schema, region, Observation::new(0.0, f64::INFINITY));
+        let obs = Observation::new(dummy.prior_answer, assumed_error);
+        if working.absorb(schema, region, obs).is_err() {
+            let (mode, params, prior) =
+                (working.mode(), working.params().clone(), *working.prior());
+            let mut entries: Vec<_> = working
+                .regions()
+                .iter()
+                .cloned()
+                .zip(working.observations().to_vec())
+                .collect();
+            entries.push((region.clone(), obs));
+            let jitter = VerdictConfig::default().jitter;
+            let Ok(refit) = TrainedModel::fit(schema, mode, &entries, params, prior, jitter) else {
+                break;
+            };
+            working = refit;
+        }
         chosen.push(cand_idx);
     }
     chosen
@@ -130,7 +140,6 @@ mod tests {
     use crate::kernel::KernelParams;
     use crate::learning::PriorMean;
     use crate::region::DimensionSpec;
-    use crate::snippet::Observation;
     use verdict_storage::Predicate;
 
     fn schema() -> SchemaInfo {
@@ -228,7 +237,8 @@ mod tests {
 
     #[test]
     fn absorb_matches_refit() {
-        // The incremental O(n²) update must agree with a full refit.
+        // The incremental O(n²) update is a full refit's last factor row:
+        // with no jitter, the same bits.
         let s = schema();
         let mut covered: Vec<(Region, Observation)> = (0..6)
             .map(|i| {
@@ -250,7 +260,7 @@ mod tests {
         .unwrap();
         let new_region = region(30.0, 45.0);
         let new_obs = Observation::new(6.1, 0.15);
-        incremental.absorb(&s, &new_region, new_obs);
+        incremental.absorb(&s, &new_region, new_obs).unwrap();
 
         covered.push((new_region.clone(), new_obs));
         let refit = TrainedModel::fit(
@@ -268,19 +278,18 @@ mod tests {
             let q = region(lo, hi);
             let a = incremental.infer(&s, &q, raw);
             let b = refit.infer(&s, &q, raw);
-            assert!(
-                (a.model_answer - b.model_answer).abs() < 1e-8,
-                "answers diverge at [{lo},{hi}]: {} vs {}",
-                a.model_answer,
-                b.model_answer
+            assert_eq!(
+                a.model_answer.to_bits(),
+                b.model_answer.to_bits(),
+                "[{lo},{hi}]"
             );
-            assert!(
-                (a.model_error - b.model_error).abs() < 1e-8,
-                "errors diverge at [{lo},{hi}]: {} vs {}",
-                a.model_error,
-                b.model_error
+            assert_eq!(
+                a.model_error.to_bits(),
+                b.model_error.to_bits(),
+                "[{lo},{hi}]"
             );
         }
+        assert_eq!(incremental.factor(), refit.factor());
         assert_eq!(incremental.n(), refit.n());
     }
 
@@ -293,7 +302,8 @@ mod tests {
             &s,
             &region(50.0, 60.0),
             Observation::new(1.0, f64::INFINITY),
-        );
+        )
+        .unwrap();
         assert_eq!(m.n(), n_before);
     }
 

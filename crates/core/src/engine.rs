@@ -215,7 +215,7 @@ impl<'a> EngineView<'a> {
     /// will pass through (no model for the key, or a degenerate region).
     /// This is all the O(n²) work of answering the snippets: they are
     /// bucketed by aggregate key so each model is looked up once and
-    /// reads its `Σₙ⁻¹` once per ≤ 8 of them ([`TrainedModel::priors`]).
+    /// reads its factor of `Σₙ` once per ≤ 8 of them ([`TrainedModel::priors`]).
     /// A caller that re-evaluates bounds as a scan deepens calls this once
     /// per query and [`EngineView::improve_from_prior`] per evaluation.
     pub fn priors(&self, snippets: &[&Snippet]) -> Vec<Option<CellPrior>> {
@@ -414,7 +414,7 @@ impl Verdict {
 
     /// Offline training (Algorithm 1): for every aggregate function with
     /// enough snippets, learn correlation parameters by maximum likelihood,
-    /// then precompute `Σₙ⁻¹`. Reports where the time went.
+    /// then factor `Σₙ`. Reports where the time went.
     pub fn train(&mut self) -> Result<TrainReport> {
         let keys: Vec<AggKey> = self.synopses.keys().cloned().collect();
         let mut report = TrainReport::default();
@@ -760,7 +760,7 @@ pub struct TrainReport {
     /// lengthscales, the closed-form `µ` and `σ²`.
     pub search_ns: u64,
     /// Nanoseconds fitting the conditioning state ([`TrainedModel`]'s
-    /// `Σₙ`, its factor, `Σₙ⁻¹` and `α`).
+    /// `Σₙ`, its factor and `α`).
     pub fit_ns: u64,
     /// Likelihood evaluations the searches ran.
     pub evaluations: u64,

@@ -2,12 +2,14 @@
 //!
 //! A [`TrainedModel`] is the frozen product of the offline phase
 //! (Algorithm 1): kernel parameters, prior mean, the past snippets'
-//! regions, the precomputed `Σₙ⁻¹`, and `α = Σₙ⁻¹(θ − µ)`. At query time
-//! (Algorithm 2) a new snippet's improved answer comes from the O(n²)
-//! alternative forms of Eqs. (4)/(5) derived in the Theorem 1 proof:
+//! regions, the Cholesky factor `L` of `Σₙ` (where Algorithm 1 stores
+//! `Σₙ⁻¹`), and `α = Σₙ⁻¹(θ − µ)`. At query time (Algorithm 2) a new
+//! snippet's improved answer comes from the O(n²) alternative forms of
+//! Eqs. (4)/(5) derived in the Theorem 1 proof, with `k̄ᵀ Σₙ⁻¹ k̄ = ‖y‖²`
+//! for `L y = k̄`:
 //!
 //! ```text
-//! γ²      = κ̄² − k̄ᵀ Σₙ⁻¹ k̄            (model-only uncertainty, Eq. 11)
+//! γ²      = κ̄² − ‖L⁻¹ k̄‖²            (model-only uncertainty, Eq. 11)
 //! θ_prior = µ_new + k̄ᵀ α                (model-only answer, Eq. 11)
 //! θ̈       = (β²·θ_prior + γ²·θ_raw) / (β² + γ²)        (Eq. 12)
 //! β̈²      = β²·γ² / (β² + γ²)                            (Eq. 12)
@@ -28,22 +30,25 @@
 //! constraint, `O(Σ_k d_k)` kernel integrals, then `O(n·dims)` multiplies;
 //! cells that share a dimension's constraint (all but one dimension,
 //! across the groups of a `GROUP BY`) share its factors — and
-//! hands them to `verdict_linalg::ops::quadratic_forms_with`, which reads
-//! `Σₙ⁻¹` **once per tile of ≤ 8 cells**, not once per cell: an 8-group
-//! statement costs one pass over the matrix per model. Eq. (12) is
-//! [`CellPrior::combine`], O(1): a statement that re-evaluates its bounds
-//! after every scanned batch pays the priors once and a handful of
-//! flops per batch. The blocked kernel accumulates every dot product in
-//! the order the textbook loop does, and every `k̄` element is the same
-//! product of the same factors as one [`snippet_covariance`] call, so
-//! none of this changes a bit of any answer (modulo NaN payload: a NaN
-//! stays a NaN, which one is not pinned down).
+//! hands them, a tile of ≤ 8 at a time, to
+//! `verdict_linalg::ops::forward_sq_norms`, a blocked forward substitution
+//! that reads the packed factor — `n²/2` entries, half of a form in
+//! `Σₙ⁻¹` — **once per tile**: an 8-group statement costs one pass over
+//! the factor per model. Eq. (12) is [`CellPrior::combine`], O(1): a
+//! statement that re-evaluates its bounds after every scanned batch pays
+//! the priors once. The kernel subtracts in `solve_lower`'s order, and
+//! every `k̄` element is the same product of the same factors as one
+//! [`snippet_covariance`] call, so tiling changes no bit of any answer
+//! (modulo NaN payload). `Σₙ⁻¹` itself is never formed: a fit is
+//! assembly, factorization and one solve for `α`.
 //!
 //! The index is derived state: [`TrainedModel::fit`] builds it (and
 //! assembles `Σₙ` from it), [`TrainedModel::absorb`] extends it,
 //! [`TrainedModel::from_parts`] rebuilds it on load; it is not persisted.
 
-use verdict_linalg::ops::{bilinear_form, dot, quadratic_forms_with};
+use std::sync::OnceLock;
+
+use verdict_linalg::ops::{dot, forward_sq_norms, TILE_COLS};
 use verdict_linalg::{Cholesky, Matrix};
 
 use crate::covariance::{
@@ -78,7 +83,7 @@ pub struct ModelInference {
 pub struct CellPrior {
     /// The model-only answer `θ_prior = µ_new + k̄ᵀ α`.
     pub prior_answer: f64,
-    /// The model-only variance `γ² = κ̄² − k̄ᵀ Σₙ⁻¹ k̄`, clamped positive.
+    /// The model-only variance `γ² = κ̄² − ‖L⁻¹ k̄‖²`, clamped positive.
     pub gamma2: f64,
 }
 
@@ -96,16 +101,19 @@ pub struct TrainedModel {
     /// The raw observations the model conditions on (kept so the
     /// incremental `absorb` path can rebuild the centered vector).
     observations: Vec<Observation>,
-    /// Precomputed `Σₙ⁻¹` (Algorithm 1 line 6).
-    sigma_inv: Matrix,
+    /// The Cholesky factor `L` of `Σₙ`, packed (Algorithm 1 line 6 keeps
+    /// `Σₙ⁻¹`; the factor serves every use of it at half the size).
+    factor: Cholesky,
     /// Precomputed `Σₙ⁻¹ (θ − µ)`.
     alpha: Vec<f64>,
+    /// `Σₙ⁻¹`, built from `factor` only when a diagnostic asks for it.
+    inverse: OnceLock<Matrix>,
 }
 
 impl TrainedModel {
     /// Fits the model state from past snippets with the given (already
-    /// learned) parameters: builds `Σₙ`, factorizes it, and precomputes
-    /// `Σₙ⁻¹` and `α`.
+    /// learned) parameters: builds `Σₙ`, factorizes it, and solves for
+    /// `α`.
     pub fn fit(
         schema: &SchemaInfo,
         mode: AggMode,
@@ -133,23 +141,15 @@ impl TrainedModel {
         let index = RegionIndex::new(&regions);
         let errors: Vec<f64> = observations.iter().map(|o| o.error).collect();
         // The factor tables go out of scope with this statement, before
-        // the factor and the inverse that set a fit's peak.
+        // `Σₙ` and its packed factor set a fit's peak (1½ matrices).
         let mut sigma = index
             .pairs(schema, mode)
             .raw_covariance_matrix(&params, &errors);
         let scale = sigma.max_abs().max(1.0);
         sigma.add_diagonal(jitter * scale);
-        let chol = Cholesky::new_with_jitter(&sigma, 1e-12, 8)?;
-        // `inverse` holds `Lᵀ` beside `L` and the result; `Σₙ` is done
-        // with, and freeing it here keeps a fit's peak at three matrices.
+        let factor = Cholesky::new_with_jitter(&sigma, 1e-12, 8)?;
         drop(sigma);
-        let sigma_inv = chol.inverse()?;
-        let centered: Vec<f64> = regions
-            .iter()
-            .zip(&observations)
-            .map(|(r, o)| o.answer - prior.of(schema, r))
-            .collect();
-        let alpha = chol.solve(&centered)?;
+        let alpha = factor.solve(&centered(schema, &prior, &regions, &observations))?;
         Ok(TrainedModel {
             mode,
             params,
@@ -157,29 +157,31 @@ impl TrainedModel {
             regions,
             index,
             observations,
-            sigma_inv,
+            factor,
             alpha,
+            inverse: OnceLock::new(),
         })
     }
 
     /// Rebuilds a model from persisted parts (see [`crate::persist`]).
     ///
-    /// The parts must come from a previously fitted model: `sigma_inv` is
-    /// trusted to be the inverse of the covariance of `regions` under
-    /// `params`, and `alpha = Σₙ⁻¹ (θ − µ)`. The persist layer checks the
-    /// shapes; semantic validity is the writer's responsibility.
+    /// The parts must come from a previously fitted model: `factor` is
+    /// trusted to factor the covariance of `regions` under `params`, and
+    /// `alpha = Σₙ⁻¹ (θ − µ)`. The persist layer checks the shapes and that
+    /// the factor is one (finite, positive diagonal); semantic validity is
+    /// the writer's responsibility.
     pub fn from_parts(
         mode: AggMode,
         params: KernelParams,
         prior: PriorMean,
         regions: Vec<Region>,
         observations: Vec<Observation>,
-        sigma_inv: Matrix,
+        factor: Cholesky,
         alpha: Vec<f64>,
     ) -> TrainedModel {
         debug_assert_eq!(regions.len(), observations.len());
         debug_assert_eq!(regions.len(), alpha.len());
-        debug_assert_eq!(sigma_inv.rows(), regions.len());
+        debug_assert_eq!(factor.dim(), regions.len());
         let index = RegionIndex::new(&regions);
         TrainedModel {
             mode,
@@ -188,8 +190,9 @@ impl TrainedModel {
             regions,
             index,
             observations,
-            sigma_inv,
+            factor,
             alpha,
+            inverse: OnceLock::new(),
         }
     }
 
@@ -208,9 +211,17 @@ impl TrainedModel {
         &self.observations
     }
 
-    /// The precomputed `Σₙ⁻¹`.
+    /// The Cholesky factor `L` of `Σₙ`.
+    pub fn factor(&self) -> &Cholesky {
+        &self.factor
+    }
+
+    /// `Σₙ⁻¹`, for diagnostics only: built from the factor on the first
+    /// call (the tiled `Cholesky::inverse`, the bits a model that stored
+    /// the inverse held) and kept. Inference never reads it, and it is
+    /// never persisted.
     pub fn sigma_inv(&self) -> &Matrix {
-        &self.sigma_inv
+        self.inverse.get_or_init(|| self.factor.inverse())
     }
 
     /// The precomputed `α = Σₙ⁻¹ (θ − µ)`.
@@ -234,32 +245,35 @@ impl TrainedModel {
     }
 
     /// Model-only priors (Eq. 11) of `regions`, in order: the O(n²) half
-    /// of inference, done for all cells of one query at once. The kernel
-    /// takes the cross-covariance columns a tile at a time and reads
-    /// `Σₙ⁻¹` once per tile, and the columns share one set of
-    /// per-dimension factors; see the module docs.
+    /// of inference, done for all cells of one query at once. The
+    /// cross-covariance columns are built a tile at a time (only one tile
+    /// is alive) and share one set of per-dimension factors, and the
+    /// kernel reads the factor once per tile; see the module docs.
     pub fn priors(&self, schema: &SchemaInfo, regions: &[&Region]) -> Vec<CellPrior> {
         let mut cross = self.index.cross(schema, &self.params, self.mode);
         let mut out = Vec::with_capacity(regions.len());
-        quadratic_forms_with(
-            &self.sigma_inv,
-            regions.len(),
-            |c| cross.column(regions[c]),
-            |c, k, quad| {
-                let region = regions[c];
-                let kappa2 = snippet_covariance(schema, &self.params, self.mode, region, region);
-                // γ² = κ̄² − k̄ᵀ Σₙ⁻¹ k̄ (clamped: tiny negatives are
+        for tile in regions.chunks(TILE_COLS) {
+            let columns: Vec<Vec<f64>> = tile.iter().map(|r| cross.column(r)).collect();
+            let refs: Vec<&[f64]> = columns.iter().map(Vec::as_slice).collect();
+            let norms = forward_sq_norms(&self.factor, &refs);
+            for ((region, k), norm) in tile.iter().zip(&columns).zip(norms) {
+                let kappa2 = self.kernel(schema, region, region);
+                // γ² = κ̄² − ‖L⁻¹k̄‖² (clamped: tiny negatives are
                 // factorization dust; exact zero would claim impossible
                 // certainty).
-                let gamma2 = (kappa2 - quad).max(kappa2.abs() * 1e-12).max(1e-300);
-                let prior_answer = self.prior.of(schema, region) + dot(k, &self.alpha);
+                let gamma2 = (kappa2 - norm).max(kappa2.abs() * 1e-12).max(1e-300);
                 out.push(CellPrior {
-                    prior_answer,
+                    prior_answer: self.prior.of(schema, region) + dot(k, &self.alpha),
                     gamma2,
                 });
-            },
-        );
+            }
+        }
         out
+    }
+
+    /// `κ(a, b)`: the prior covariance of two regions' exact answers.
+    fn kernel(&self, schema: &SchemaInfo, a: &Region, b: &Region) -> f64 {
+        snippet_covariance(schema, &self.params, self.mode, a, b)
     }
 
     /// O(n²) inference (Eqs. 11/12) of one cell: its prior, combined with
@@ -270,69 +284,43 @@ impl TrainedModel {
 
     /// Posterior covariance between the exact answers of two regions given
     /// the past observations: `cov(θ̄_a, θ̄_b | θ_1..θ_n) =
-    /// k(a,b) − k̄_aᵀ Σₙ⁻¹ k̄_b`. Drives active database learning
-    /// (`crate::active`): it quantifies how much observing one region would
-    /// teach us about another.
+    /// k(a,b) − k̄_aᵀ Σₙ⁻¹ k̄_b = k(a,b) − y_a·y_b` with `L y = k̄`. Drives
+    /// active database learning (`crate::active`): it quantifies how much
+    /// observing one region would teach us about another.
     pub fn posterior_cov(&self, schema: &SchemaInfo, a: &Region, b: &Region) -> f64 {
         let mut cross = self.index.cross(schema, &self.params, self.mode);
-        let ka = cross.column(a);
-        let kb = cross.column(b);
-        let kab = snippet_covariance(schema, &self.params, self.mode, a, b);
-        kab - bilinear_form(&ka, &self.sigma_inv, &kb)
+        let [ya, yb] = [a, b].map(|r| {
+            self.factor
+                .forward(&cross.column(r))
+                .expect("one k̄ per snippet")
+        });
+        self.kernel(schema, a, b) - dot(&ya, &yb)
     }
 
-    /// Incrementally absorbs one new observation into the trained state in
-    /// O(n²) using the Schur-complement block inversion of §5 — the same
-    /// identity behind Eqs. (11)/(12). After `absorb`, inference conditions
-    /// on `n + 1` observations without refitting from scratch: the engine
-    /// literally becomes smarter with every query.
-    ///
-    /// Given `Σₙ⁻¹` and the new row `[k̄ᵀ, d]` with
-    /// `d = κ̄² + β²_{n+1}` and Schur complement `s = d − k̄ᵀ Σₙ⁻¹ k̄`:
-    ///
-    /// ```text
-    /// Σ_{n+1}⁻¹ = [ Σₙ⁻¹ + v vᵀ / s   −v / s ]      v = Σₙ⁻¹ k̄
-    ///             [ −vᵀ / s             1 / s  ]
-    /// ```
-    pub fn absorb(&mut self, schema: &SchemaInfo, region: &Region, obs: Observation) {
-        let n = self.regions.len();
-        let k = self
+    /// Conditions the model on one more observation in O(n²), without
+    /// refitting: the factor gains the row `l = L⁻¹k̄`, `√(κ̄² + β² − ‖l‖²)`
+    /// (by [`Cholesky::append_row`], so with the bits of a
+    /// [`TrainedModel::fit`] on the `n + 1` snippets that adds no jitter),
+    /// then `α` is solved again. `β = ∞` is skipped. A pivot that is not
+    /// positive and finite — `Σₙ₊₁` is numerically singular — is a
+    /// `NotPositiveDefinite` error that leaves the model unchanged: refit.
+    pub fn absorb(&mut self, schema: &SchemaInfo, region: &Region, obs: Observation) -> Result<()> {
+        if !obs.error.is_finite() {
+            return Ok(());
+        }
+        let mut row = self
             .index
             .cross(schema, &self.params, self.mode)
             .column(region);
-        let kappa2 = snippet_covariance(schema, &self.params, self.mode, region, region);
-        let beta2 = if obs.error.is_finite() {
-            obs.error * obs.error
-        } else {
-            // An uninformative observation would add nothing; skip it.
-            return;
-        };
-        let d = kappa2 + beta2;
-        let v = self.sigma_inv.matvec(&k).expect("dimensions match");
-        let s = (d - dot(&k, &v)).max(d.abs() * 1e-12).max(1e-300);
-
-        // New (n+1)x(n+1) inverse via the block formula.
-        let mut inv = Matrix::zeros(n + 1, n + 1);
-        for i in 0..n {
-            for j in 0..n {
-                inv.set(i, j, self.sigma_inv.get(i, j) + v[i] * v[j] / s);
-            }
-            inv.set(i, n, -v[i] / s);
-            inv.set(n, i, -v[i] / s);
-        }
-        inv.set(n, n, 1.0 / s);
-        self.sigma_inv = inv;
-
+        row.push(self.kernel(schema, region, region) + obs.error * obs.error);
+        self.factor.append_row(&row)?;
         self.regions.push(region.clone());
         self.index.push(region);
-        // Recompute α = Σ_{n+1}⁻¹ (θ − µ) in O(n²). The centered vector
-        // must be rebuilt because the stored α is Σₙ⁻¹ c, not c itself.
-        let mut centered: Vec<f64> = Vec::with_capacity(n + 1);
         self.observations.push(obs);
-        for (r, o) in self.regions.iter().zip(self.observations.iter()) {
-            centered.push(o.answer - self.prior.of(schema, r));
-        }
-        self.alpha = self.sigma_inv.matvec(&centered).expect("dimensions match");
+        let centered = centered(schema, &self.prior, &self.regions, &self.observations);
+        self.alpha = self.factor.solve(&centered)?;
+        self.inverse = OnceLock::new();
+        Ok(())
     }
 
     /// O(n³) direct conditioning (Eqs. 4/5): builds the full
@@ -386,6 +374,20 @@ impl TrainedModel {
     }
 }
 
+/// `θ − µ`: each observed answer less its region's prior mean.
+fn centered(
+    schema: &SchemaInfo,
+    prior: &PriorMean,
+    regions: &[Region],
+    observations: &[Observation],
+) -> Vec<f64> {
+    regions
+        .iter()
+        .zip(observations)
+        .map(|(r, o)| o.answer - prior.of(schema, r))
+        .collect()
+}
+
 impl CellPrior {
     /// Precision-weighted combination of the model-only estimate with a
     /// raw answer (Eq. 12), with the `β = 0` and `β = ∞` limits handled
@@ -431,6 +433,7 @@ impl CellPrior {
 mod tests {
     use super::*;
     use crate::region::DimensionSpec;
+    use verdict_linalg::solve_lower;
     use verdict_storage::Predicate;
 
     fn schema() -> SchemaInfo {
@@ -464,9 +467,8 @@ mod tests {
         .unwrap()
     }
 
-    /// The per-item formula as it stood before inference was split into
-    /// [`TrainedModel::priors`] + [`CellPrior::combine`]: one cell, one
-    /// serial pass over `Σₙ⁻¹`, Eq. (12) inline.
+    /// The per-item formula: one cell, one serial `solve_lower` through the
+    /// factor and a serial sum of squares, Eq. (12) inline.
     fn reference_infer(
         m: &TrainedModel,
         schema: &SchemaInfo,
@@ -481,8 +483,8 @@ mod tests {
         let kappa2 = snippet_covariance(schema, &m.params, m.mode, region, region);
         let mu_new = m.prior.of(schema, region);
         let mut quad = 0.0;
-        for (i, ki) in k.iter().enumerate() {
-            quad += ki * dot(m.sigma_inv.row(i), &k);
+        for y in solve_lower(&m.factor.to_matrix(), &k).unwrap() {
+            quad += y * y;
         }
         let gamma2 = (kappa2 - quad).max(kappa2.abs() * 1e-12).max(1e-300);
         let prior_answer = mu_new + dot(&k, &m.alpha);
@@ -517,7 +519,7 @@ mod tests {
     fn priors_then_combine_equal_the_per_item_formula_bit_for_bit() {
         let s = schema();
         // Exact past answers and no jitter: a query over a past region has
-        // γ² = κ̄² − k̄ᵀΣ⁻¹k̄ ≈ 0 up to factorization dust, which the clamp
+        // γ² = κ̄² − ‖L⁻¹k̄‖² ≈ 0 up to factorization dust, which the clamp
         // must catch identically on both sides.
         let exact: Vec<(Region, Observation)> = smooth_entries()
             .into_iter()
@@ -563,6 +565,39 @@ mod tests {
             }
         }
         assert!(clamped > 0, "no case reached the γ² clamp");
+    }
+
+    #[test]
+    fn absorb_refuses_a_pivot_the_factor_cannot_hold_and_changes_nothing() {
+        // One categorical code: κ̄² = σ² = 4 exactly, so an exact repeat of
+        // an exact snippet leaves the pivot 4 − (4/2)² = 0, and an
+        // overflowing β² leaves it +∞.
+        let s = SchemaInfo::new(vec![DimensionSpec::categorical("c", 5)]).unwrap();
+        let cell = Region::from_predicate(&s, &Predicate::cat_in("c", vec![2])).unwrap();
+        let entries = [(cell.clone(), Observation::exact(7.0))];
+        let params = KernelParams::constant(1, 1.0, 4.0);
+        let mut m = TrainedModel::fit(
+            &s,
+            AggMode::Avg,
+            &entries,
+            params,
+            PriorMean::Constant(0.0),
+            0.0,
+        )
+        .unwrap();
+        let (factor, alpha) = (m.factor().clone(), m.alpha().to_vec());
+        for obs in [Observation::exact(7.0), Observation::new(7.0, 1e200)] {
+            let refused = m.absorb(&s, &cell, obs);
+            assert_eq!(
+                refused,
+                Err(crate::CoreError::Linalg(
+                    verdict_linalg::LinalgError::NotPositiveDefinite { pivot: 1 }
+                ))
+            );
+            assert_eq!((m.n(), m.factor(), m.alpha()), (1, &factor, &alpha[..]));
+        }
+        m.absorb(&s, &cell, Observation::new(7.5, 0.5)).unwrap();
+        assert_eq!(m.n(), 2);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!   checksums) is the store's job; this module defines only the payload
 //!   encoding, which is versioned as a whole by the container.
 
-use verdict_linalg::Matrix;
+use verdict_linalg::Cholesky;
 
 use crate::covariance::AggMode;
 use crate::engine::EngineStats;
@@ -500,30 +500,6 @@ impl Persist for AggMode {
     }
 }
 
-impl Persist for Matrix {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.put_len(self.rows());
-        enc.put_len(self.cols());
-        for &x in self.as_slice() {
-            enc.put_f64(x);
-        }
-    }
-
-    fn decode(dec: &mut Decoder<'_>) -> PersistResult<Matrix> {
-        let rows = dec.take_len()?;
-        let cols = dec.take_len()?;
-        let n = rows
-            .checked_mul(cols)
-            .ok_or_else(|| PersistError::Corrupt("matrix dims overflow".into()))?;
-        let mut data = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            data.push(dec.take_f64()?);
-        }
-        Matrix::from_vec(rows, cols, data)
-            .map_err(|e| PersistError::Corrupt(format!("matrix: {e}")))
-    }
-}
-
 impl Persist for TrainedModel {
     fn encode(&self, enc: &mut Encoder) {
         self.mode().encode(enc);
@@ -531,30 +507,69 @@ impl Persist for TrainedModel {
         self.prior().encode(enc);
         encode_vec(self.regions(), enc);
         encode_vec(self.observations(), enc);
-        self.sigma_inv().encode(enc);
+        encode_f64s(self.factor().packed(), enc);
         encode_f64s(self.alpha(), enc);
     }
 
     fn decode(dec: &mut Decoder<'_>) -> PersistResult<TrainedModel> {
+        TrainedModel::decode_layout(dec, None)
+    }
+}
+
+impl TrainedModel {
+    /// Decodes a model. The factor is input from outside the program: a
+    /// length that is not `n(n+1)/2`, a non-finite entry or a non-positive
+    /// diagonal is [`PersistError::Corrupt`]. With `refit = Some((schema,
+    /// jitter))` the layout is that of store versions 2 and 3, which held
+    /// `Σₙ⁻¹` (rows, cols, entries) where the factor is: that matrix and
+    /// `α` are skipped, and the model is fitted again with `jitter` — `fit`
+    /// is deterministic, so the result is the bits of a fresh fit.
+    fn decode_layout(
+        dec: &mut Decoder<'_>,
+        refit: Option<(&SchemaInfo, f64)>,
+    ) -> PersistResult<TrainedModel> {
         let mode = AggMode::decode(dec)?;
         let params = KernelParams::decode(dec)?;
         let prior = PriorMean::decode(dec)?;
         let regions: Vec<Region> = decode_vec(dec)?;
         let observations: Vec<Observation> = decode_vec(dec)?;
-        let sigma_inv = Matrix::decode(dec)?;
-        let alpha = decode_f64s(dec)?;
         let n = regions.len();
-        if observations.len() != n
-            || alpha.len() != n
-            || sigma_inv.rows() != n
-            || sigma_inv.cols() != n
-        {
-            return Err(PersistError::Corrupt(format!(
-                "model shape mismatch: {n} regions, {} observations, {}x{} Σ⁻¹, {} α",
-                observations.len(),
-                sigma_inv.rows(),
-                sigma_inv.cols(),
-                alpha.len()
+        let corrupt = |what: String| PersistError::Corrupt(format!("model of {n} regions: {what}"));
+        if observations.len() != n {
+            return Err(corrupt(format!("{} observations", observations.len())));
+        }
+        if let Some((schema, jitter)) = refit {
+            let (rows, cols) = (dec.take_len()?, dec.take_len()?);
+            for _ in 0..rows.saturating_mul(cols) {
+                dec.take_f64()?;
+            }
+            decode_f64s(dec)?;
+            let dims = schema.len();
+            if (rows, cols) != (n, n)
+                || params.lengthscales.len() != dims
+                || regions.iter().any(|r| r.constraints().len() != dims)
+            {
+                return Err(corrupt(format!("{rows}x{cols} Σ⁻¹, not over the schema")));
+            }
+            return TrainedModel::fit_owned(
+                schema,
+                mode,
+                regions,
+                observations,
+                params,
+                prior,
+                jitter,
+            )
+            .map_err(|e| corrupt(format!("refit: {e}")));
+        }
+        let factor = Cholesky::from_packed(decode_f64s(dec)?)
+            .map_err(|e| corrupt(format!("factor: {e}")))?;
+        let alpha = decode_f64s(dec)?;
+        if alpha.len() != n || factor.dim() != n {
+            return Err(corrupt(format!(
+                "{} α, factor of {}",
+                alpha.len(),
+                factor.dim()
             )));
         }
         Ok(TrainedModel::from_parts(
@@ -563,7 +578,7 @@ impl Persist for TrainedModel {
             prior,
             regions,
             observations,
-            sigma_inv,
+            factor,
             alpha,
         ))
     }
@@ -632,6 +647,40 @@ pub struct EngineState {
     pub stats: EngineStats,
 }
 
+impl EngineState {
+    /// Decodes a state. `refit_jitter = Some(jitter)` reads the layout of
+    /// store versions 2 and 3, whose models held `Σₙ⁻¹`: each model is
+    /// fitted again as it is read, with the stored configuration's jitter,
+    /// as when it was first fitted.
+    pub fn decode_layout(
+        dec: &mut Decoder<'_>,
+        refit_jitter: Option<f64>,
+    ) -> PersistResult<EngineState> {
+        let schema = SchemaInfo::decode(dec)?;
+        let n = dec.take_len()?;
+        let mut synopses = Vec::with_capacity(n.min(1 << 10));
+        for _ in 0..n {
+            synopses.push((AggKey::decode(dec)?, QuerySynopsis::decode(dec)?));
+        }
+        let n = dec.take_len()?;
+        let mut models = Vec::with_capacity(n.min(1 << 10));
+        for _ in 0..n {
+            let refit = refit_jitter.map(|jitter| (&schema, jitter));
+            models.push((
+                AggKey::decode(dec)?,
+                TrainedModel::decode_layout(dec, refit)?,
+            ));
+        }
+        let stats = EngineStats::decode(dec)?;
+        Ok(EngineState {
+            schema,
+            synopses,
+            models,
+            stats,
+        })
+    }
+}
+
 impl Persist for EngineState {
     fn encode(&self, enc: &mut Encoder) {
         self.schema.encode(enc);
@@ -649,24 +698,7 @@ impl Persist for EngineState {
     }
 
     fn decode(dec: &mut Decoder<'_>) -> PersistResult<EngineState> {
-        let schema = SchemaInfo::decode(dec)?;
-        let n = dec.take_len()?;
-        let mut synopses = Vec::with_capacity(n.min(1 << 10));
-        for _ in 0..n {
-            synopses.push((AggKey::decode(dec)?, QuerySynopsis::decode(dec)?));
-        }
-        let n = dec.take_len()?;
-        let mut models = Vec::with_capacity(n.min(1 << 10));
-        for _ in 0..n {
-            models.push((AggKey::decode(dec)?, TrainedModel::decode(dec)?));
-        }
-        let stats = EngineStats::decode(dec)?;
-        Ok(EngineState {
-            schema,
-            synopses,
-            models,
-            stats,
-        })
+        EngineState::decode_layout(dec, None)
     }
 }
 
@@ -824,6 +856,94 @@ mod tests {
         let b = back.infer(&s, &q, raw);
         assert_eq!(a.model_answer.to_bits(), b.model_answer.to_bits());
         assert_eq!(a.model_error.to_bits(), b.model_error.to_bits());
+    }
+
+    fn fitted_model() -> (SchemaInfo, TrainedModel) {
+        let s = SchemaInfo::new(vec![DimensionSpec::numeric("t", 0.0, 100.0)]).unwrap();
+        let entries: Vec<(Region, Observation)> = (0..6)
+            .map(|i| {
+                let lo = i as f64 * 15.0;
+                (
+                    Region::from_predicate(&s, &Predicate::between("t", lo, lo + 20.0)).unwrap(),
+                    Observation::new(3.0 + (lo / 25.0).cos(), 0.1),
+                )
+            })
+            .collect();
+        let params = KernelParams::constant(1, 25.0, 2.0);
+        let model = TrainedModel::fit(
+            &s,
+            AggMode::Avg,
+            &entries,
+            params,
+            PriorMean::Constant(3.0),
+            1e-9,
+        );
+        (s, model.unwrap())
+    }
+
+    #[test]
+    fn corrupt_factors_are_rejected() {
+        let (_, model) = fitted_model();
+        let n = model.n();
+        let good = model.to_bytes();
+        // The packed factor's length prefix sits right before its entries,
+        // which are followed by α (a length and n values).
+        let factor_at = good.len() - 8 * (1 + n) - 8 * (n * (n + 1) / 2);
+        let corrupt = |edit: &dyn Fn(&mut Vec<u8>)| {
+            let mut bytes = good.clone();
+            edit(&mut bytes);
+            TrainedModel::from_bytes(&bytes)
+        };
+        let set = |at: usize, v: f64| {
+            move |b: &mut Vec<u8>| b[at..at + 8].copy_from_slice(&v.to_le_bytes())
+        };
+        for v in [0.0, -1.0, f64::NAN] {
+            // L[0][0], the first entry.
+            assert!(
+                matches!(corrupt(&set(factor_at, v)), Err(PersistError::Corrupt(_))),
+                "{v}"
+            );
+        }
+        // L[1][0] = ∞.
+        assert!(matches!(
+            corrupt(&set(factor_at + 8, f64::INFINITY)),
+            Err(PersistError::Corrupt(_))
+        ));
+        // One entry fewer: no triangle number, and α now starts a word early.
+        let shorter = |b: &mut Vec<u8>| {
+            let len = (n * (n + 1) / 2 - 1) as u64;
+            b[factor_at - 8..factor_at].copy_from_slice(&len.to_le_bytes());
+            b.drain(factor_at..factor_at + 8);
+        };
+        assert!(corrupt(&shorter).is_err());
+        assert!(TrainedModel::from_bytes(&good).is_ok());
+    }
+
+    #[test]
+    fn legacy_models_are_refit_to_a_fresh_fits_bits() {
+        let (s, model) = fitted_model();
+        let n = model.n();
+        // The version-3 layout: `Σₙ⁻¹` as rows, cols and entries where the
+        // packed factor is now. Neither it nor α is read back, so junk
+        // will do.
+        let mut enc = Encoder::new();
+        model.mode().encode(&mut enc);
+        model.params().encode(&mut enc);
+        model.prior().encode(&mut enc);
+        encode_vec(model.regions(), &mut enc);
+        encode_vec(model.observations(), &mut enc);
+        enc.put_len(n);
+        enc.put_len(n);
+        (0..n * n).for_each(|_| enc.put_f64(f64::NAN));
+        encode_f64s(&vec![-1.0; n], &mut enc);
+        let bytes = enc.into_bytes();
+        let refit =
+            |schema| TrainedModel::decode_layout(&mut Decoder::new(&bytes), Some((schema, 1e-9)));
+        let back = refit(&s).unwrap();
+        assert_eq!(back.to_bytes(), model.to_bytes());
+        // A legacy model whose shapes disagree is refused, not refit.
+        let other = schema();
+        assert!(matches!(refit(&other), Err(PersistError::Corrupt(_))));
     }
 
     #[test]

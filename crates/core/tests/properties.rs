@@ -311,6 +311,7 @@ use verdict_core::inference::CellPrior;
 use verdict_core::region::DimConstraint;
 use verdict_core::{DimKind, Persist};
 use verdict_linalg::ops::dot;
+use verdict_linalg::solve_lower;
 
 /// A small deterministic generator: the vendored `proptest` draws the
 /// seed and the sizes, this draws the rest, so one failing case is one
@@ -508,15 +509,16 @@ fn identity(regions: &[&Region], region: &Region, k: usize) -> usize {
         .expect("region is one of regions")
 }
 
-/// Eq. 11 for one cell from an all-pairs `k̄` and a serial pass over
-/// `Σₙ⁻¹` — what `TrainedModel::priors` must equal bit for bit.
+/// Eq. 11 for one cell from an all-pairs `k̄`, a serial `solve_lower`
+/// through the factor and a serial sum of squares — what
+/// `TrainedModel::priors` must equal bit for bit.
 fn oracle_prior(model: &TrainedModel, schema: &SchemaInfo, region: &Region) -> CellPrior {
     let past: Vec<&Region> = model.regions().iter().collect();
     let k = all_pairs::cross_covariance(schema, model.params(), model.mode(), &past, region);
     let kappa2 = snippet_covariance(schema, model.params(), model.mode(), region, region);
     let mut quad = 0.0;
-    for (i, ki) in k.iter().enumerate() {
-        quad += ki * dot(model.sigma_inv().row(i), &k);
+    for y in solve_lower(&model.factor().to_matrix(), &k).unwrap() {
+        quad += y * y;
     }
     CellPrior {
         prior_answer: model.prior().of(schema, region) + dot(&k, model.alpha()),
@@ -661,7 +663,7 @@ proptest! {
         // An ill-conditioned draw is not what this test is about.
         let Ok(mut model) = fit else { return Ok(()) };
 
-        // 11 cells: one full tile of the quadratic-form kernel and a
+        // 11 cells: one full tile of the forward-substitution kernel and a
         // ragged one, repeats included.
         let base = f.region(&mut rng);
         let varied = rng.below(schema.len().max(1));
@@ -677,8 +679,13 @@ proptest! {
         let cell_refs: Vec<&Region> = cells.iter().collect();
         assert_priors_equal_oracle(&model, schema, &cell_refs)?;
 
-        model.absorb(schema, &cells[0], Observation::new(9.0, 0.3));
-        model.absorb(schema, &f.region(&mut rng), Observation::new(11.0, 0.2));
+        let next = f.region(&mut rng);
+        if model.absorb(schema, &cells[0], Observation::new(9.0, 0.3)).is_err()
+            || model.absorb(schema, &next, Observation::new(11.0, 0.2)).is_err()
+        {
+            // Σₙ₊₁ is numerically singular: a refit's business, not this test's.
+            return Ok(());
+        }
         prop_assert_eq!(model.n(), n + 2);
         assert_priors_equal_oracle(&model, schema, &cell_refs)?;
 
@@ -688,5 +695,73 @@ proptest! {
         assert_priors_equal_oracle(&reloaded, schema, &cell_refs)?;
         let (absorbed, reloaded) = (model.priors(schema, &cell_refs), reloaded.priors(schema, &cell_refs));
         prop_assert_eq!(absorbed, reloaded);
+    }
+
+    /// `absorb` is a factorization's last row. Absorbing snippet `n + 1`
+    /// into a fit on `n` gives the bits of factoring that fit's `Σₙ`
+    /// (jitter included) bordered by the new row and column: at jitter 0
+    /// that is a fit on all `n + 1` — factor, `α`, every prior, the
+    /// encoded bytes — whenever the fit needs no retry. A refused absorb
+    /// is exactly a bordered matrix the factorization refuses at pivot
+    /// `n`. Pooled constraints, repeated regions and exact answers make
+    /// `Σ` near-singular.
+    #[test]
+    fn absorb_then_priors_equal_a_fit_on_n_plus_one(
+        seed in any::<u64>(),
+        n_num in 0usize..=2,
+        n_cat in 0usize..=2,
+        n in 1usize..=30,
+        freq in any::<bool>(),
+        jittered in any::<bool>(),
+    ) {
+        let mut rng = Lcg(seed);
+        let f = fixture(&mut rng, n_num, n_cat, n + 1, false);
+        let schema = &f.schema;
+        let mode = if freq { AggMode::Freq } else { AggMode::Avg };
+        let entries: Vec<(Region, Observation)> = (0..=n)
+            .map(|i| {
+                let region = f.regions[if i > 0 && rng.below(4) == 0 { rng.below(i) } else { i }].clone();
+                let error = if rng.below(5) == 0 { 0.0 } else { 0.05 + rng.unit() };
+                (region, Observation::new(rng.unit() * 20.0, error))
+            })
+            .collect();
+        let jitter = if jittered { 1e-9 } else { 0.0 };
+        let fit = |entries: &[(Region, Observation)]| {
+            TrainedModel::fit(schema, mode, entries, f.params.clone(), PriorMean::Constant(10.0), jitter)
+        };
+        let Ok(mut absorbed) = fit(&entries[..n]) else { return Ok(()) };
+        // The bordered matrix: `Σₙ₊₁` with the fit's jitter on the first
+        // `n` diagonals only.
+        let refs: Vec<&Region> = entries.iter().map(|(r, _)| r).collect();
+        let errors: Vec<f64> = entries.iter().map(|(_, o)| o.error).collect();
+        let raw = |m: usize| raw_covariance_matrix(schema, &f.params, mode, &refs[..m], &errors[..m]);
+        let shift = jitter * raw(n).max_abs().max(1.0);
+        let mut bordered = raw(n + 1);
+        for i in 0..n {
+            bordered.set(i, i, bordered.get(i, i) + shift);
+        }
+        if Cholesky::new(&bordered.leading_principal(n).unwrap()).is_err() {
+            // The fit on `n` retried with more jitter than the config's.
+            return Ok(());
+        }
+        let (region, obs) = &entries[n];
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        match (absorbed.absorb(schema, region, *obs), Cholesky::new(&bordered)) {
+            (Ok(()), Ok(want)) => prop_assert_eq!(bits(absorbed.factor().packed()), bits(want.packed())),
+            (Err(got), Err(want)) => {
+                prop_assert_eq!(got, verdict_core::CoreError::Linalg(want));
+                return Ok(());
+            }
+            (got, want) => return Err(TestCaseError(format!("absorb {got:?}, factor {want:?}"))),
+        }
+        if jittered {
+            return Ok(());
+        }
+        let want = fit(&entries).unwrap();
+        let cells: Vec<Region> = (0..9).map(|_| f.region(&mut rng)).chain([region.clone()]).collect();
+        let cell_refs: Vec<&Region> = cells.iter().collect();
+        prop_assert_eq!(bits(absorbed.alpha()), bits(want.alpha()));
+        prop_assert_eq!(absorbed.priors(schema, &cell_refs), want.priors(schema, &cell_refs));
+        prop_assert_eq!(absorbed.to_bytes(), want.to_bytes());
     }
 }

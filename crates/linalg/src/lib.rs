@@ -1,8 +1,8 @@
 //! Small dense linear-algebra kernel used by the Verdict inference engine.
 //!
 //! Verdict's inference (paper §3.4, §5) needs exactly the operations
-//! implemented here: symmetric positive-definite (SPD) factorizations,
-//! triangular solves, matrix inversion, log-determinants, and a handful of
+//! implemented here: symmetric positive-definite (SPD) factorizations kept
+//! packed, triangular solves, log-determinants, and a handful of
 //! matrix/vector products. The covariance matrices involved are small
 //! (`n ≤ C_g = 2000` past snippets), so a straightforward cache-friendly
 //! row-major dense implementation is both sufficient and dependency-free.
@@ -18,7 +18,7 @@ pub mod solve;
 
 pub use cholesky::Cholesky;
 pub use matrix::Matrix;
-pub use ops::{dot, mat_vec, quadratic_form, vec_sub};
+pub use ops::dot;
 pub use solve::{solve_lower, solve_upper};
 
 /// Errors produced by linear-algebra routines.

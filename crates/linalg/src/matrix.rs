@@ -107,12 +107,6 @@ impl Matrix {
         &self.data
     }
 
-    /// Mutable raw row-major data.
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
     /// Returns the transpose as a new matrix.
     pub fn transpose(&self) -> Matrix {
         Matrix::from_fn(self.cols, self.rows, |i, j| self.get(j, i))

@@ -53,7 +53,7 @@
 //!
 //! snapshot-<gen>.vsnap:
 //!   magic     8B  "VDBLSNAP"
-//!   version   u32 = 2
+//!   version   u32 = 4   (2 and 3 still open; their models are refit)
 //!   last_seq  u64   highest log sequence folded into this snapshot
 //!   table_gen u64   table generation the state was learned against
 //!   body_len  u64

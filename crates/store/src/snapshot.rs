@@ -27,10 +27,17 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"VDBLSNAP";
 /// v1's write-once table assumption; v3 added the partition spec + paged
 /// flag to the session metadata and an optional paged-state section —
 /// partition map, resolution dictionaries, and per-sample ingest tails —
-/// carried in place of a base-table generation reference). Version-2
-/// files are still read: they simply decode with no partition spec and
-/// `paged = false`.
-pub const SNAPSHOT_VERSION: u32 = 3;
+/// carried in place of a base-table generation reference; v4 stores each
+/// model's packed Cholesky factor, `n(n+1)/2` values, where `Σₙ⁻¹`'s `n²`
+/// were). Version-2 files are still read: they simply decode with no
+/// partition spec and `paged = false`. Version-2 and -3 models are fitted
+/// again as they are read (see `EngineState::decode_layout`).
+pub const SNAPSHOT_VERSION: u32 = 4;
+
+/// Whether this build reads snapshots of format `version`.
+fn supported(version: u32) -> bool {
+    (2..=SNAPSHOT_VERSION).contains(&version)
+}
 
 /// Session construction parameters persisted alongside the learned state,
 /// so [`crate::SynopsisStore::open`] can rebuild an identical session —
@@ -184,7 +191,8 @@ impl Snapshot {
         } else {
             None
         };
-        let state = EngineState::decode(&mut dec)?;
+        let refit_jitter = (version < 4).then_some(meta.config.jitter);
+        let state = EngineState::decode_layout(&mut dec, refit_jitter)?;
         if !dec.is_exhausted() {
             return Err(StoreError::Corrupt(format!(
                 "{} trailing bytes in snapshot body",
@@ -391,7 +399,7 @@ pub fn read_snapshot(path: &Path) -> Result<Snapshot> {
         return Err(StoreError::Corrupt("bad snapshot magic".into()));
     }
     let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    if version != 2 && version != SNAPSHOT_VERSION {
+    if !supported(version) {
         return Err(StoreError::Corrupt(format!(
             "unsupported snapshot version {version}"
         )));
@@ -423,7 +431,7 @@ pub fn snapshot_table_gen(path: &Path) -> Result<u64> {
         return Err(StoreError::Corrupt("bad snapshot magic".into()));
     }
     let version = u32::from_le_bytes(header[8..12].try_into().unwrap());
-    if version != 2 && version != SNAPSHOT_VERSION {
+    if !supported(version) {
         return Err(StoreError::Corrupt(format!(
             "unsupported snapshot version {version}"
         )));
@@ -590,6 +598,82 @@ mod tests {
             std::fs::write(&path, &bytes[..cut]).unwrap();
             assert!(read_snapshot(&path).is_err(), "cut {cut}");
         }
+    }
+
+    /// A trained state in the version-3 layout, whose models held `Σₙ⁻¹`
+    /// (here zeros: it is skipped, not read), under a v3 header: it reads
+    /// back as the live engine's state, each model fitted again to the
+    /// live one's bits.
+    #[test]
+    fn version_3_snapshots_refit_their_models() {
+        use verdict_core::{AggKey, Observation, Region, Snippet};
+        let info = SchemaInfo::new(vec![DimensionSpec::numeric("t", 0.0, 49.0)]).unwrap();
+        let mut engine = Verdict::new(info.clone(), VerdictConfig::default());
+        for i in 0..24 {
+            let lo = i as f64 * 1.5;
+            let region = Region::from_predicate(
+                &info,
+                &verdict_storage::Predicate::between("t", lo, lo + 8.0),
+            )
+            .unwrap();
+            let answer = 10.0 + (lo / 6.0).sin();
+            engine.observe(
+                &Snippet::new(AggKey::avg("v"), region),
+                Observation::new(answer, 0.3),
+            );
+        }
+        engine.train().unwrap();
+        let state = engine.export_state();
+        assert_eq!(state.models.len(), 1);
+
+        let mut enc = Encoder::new();
+        state.schema.encode(&mut enc);
+        enc.put_len(state.synopses.len());
+        for (key, synopsis) in &state.synopses {
+            key.encode(&mut enc);
+            synopsis.encode(&mut enc);
+        }
+        enc.put_len(state.models.len());
+        for (key, model) in &state.models {
+            key.encode(&mut enc);
+            model.mode().encode(&mut enc);
+            model.params().encode(&mut enc);
+            model.prior().encode(&mut enc);
+            enc.put_len(model.n());
+            model.regions().iter().for_each(|r| r.encode(&mut enc));
+            enc.put_len(model.n());
+            model.observations().iter().for_each(|o| o.encode(&mut enc));
+            enc.put_len(model.n());
+            enc.put_len(model.n());
+            (0..model.n() * model.n()).for_each(|_| enc.put_f64(0.0));
+            enc.put_len(model.n());
+            model.alpha().iter().for_each(|&a| enc.put_f64(a));
+        }
+        state.stats.encode(&mut enc);
+
+        let dir = tempdir("v3");
+        let snap = sample_snapshot();
+        let path = write_snapshot(
+            &dir,
+            1,
+            snap.last_seq,
+            snap.table_gen,
+            &snap.meta,
+            snap.table_fp,
+            snap.data_epoch,
+            &enc.into_bytes(),
+            None,
+        )
+        .unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[8..12].copy_from_slice(&3u32.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let back = read_snapshot(&path).unwrap();
+        assert!(back.state.to_bytes() == engine.state_bytes());
+        // The same bytes under the current header are not a v4 body.
+        bytes[8..12].copy_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(read_snapshot(&path).is_err());
     }
 
     #[test]

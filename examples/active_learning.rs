@@ -76,7 +76,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             &schema,
             &candidates[i],
             Observation::new(truth(lo, hi), 0.05),
-        );
+        )?;
     }
 
     // Baseline: 5 random candidates.
@@ -88,7 +88,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             &schema,
             &candidates[i],
             Observation::new(truth(lo, hi), 0.05),
-        );
+        )?;
     }
 
     let avg_gamma = |m: &TrainedModel| -> f64 {

@@ -46,7 +46,7 @@
 //! `verdict_checkpoint_ns`, `verdict_train_ns` (a training pass under the
 //! writer lock) with its two halves `verdict_train_search_ns` (the
 //! lengthscale searches) and `verdict_train_fit_ns` (`Σₙ`, its factor,
-//! `Σₙ⁻¹`), and
+//! `α`), and
 //! `verdict_scan_selectivity_pct` (percent of scanned rows that matched
 //! the base predicate, one sample per answered query).
 //!

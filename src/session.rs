@@ -70,7 +70,7 @@
 //!    per batch: the model-only priors of Eq. 11 — all the O(n²) work —
 //!    are computed once per query, at the first evaluation
 //!    ([`verdict_core::EngineView::priors`]: one pass over each model's
-//!    `Σₙ⁻¹` per ≤ 8 groups), and every evaluation only combines them
+//!    Cholesky factor per ≤ 8 groups), and every evaluation only combines them
 //!    with the current raw answers
 //!    ([`verdict_core::EngineView::improve_from_prior`], Eq. 12);
 //! 5. record the frozen raw answers into the query synopsis, in the same
@@ -1590,7 +1590,7 @@ impl CellEvaluator<'_> {
                     .map(move |key| Snippet::new(key.clone(), region.clone()))
             })
             .collect();
-        // One pass over each model's Σₙ⁻¹ per ≤ 8 groups.
+        // One pass over each model's factor of Σₙ per ≤ 8 groups.
         let priors = self.view.priors(&snippets.iter().collect::<Vec<_>>());
         let mut learned = snippets.into_iter().zip(priors);
         regions

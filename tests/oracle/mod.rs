@@ -463,8 +463,8 @@ pub fn all_pairs_twin(
 
 /// Algorithm 1 for one key as the engine runs it (`fit_model`:
 /// lengthscales by multi-start Nelder–Mead on the most recent snippets —
-/// or `lengthscales` as given, the ingest refit — then `Σₙ⁻¹` and `α`
-/// over the whole synopsis), with every `Σ` built by
+/// or `lengthscales` as given, the ingest refit — then the packed factor
+/// of `Σₙ` and `α` over the whole synopsis), with every `Σ` built by
 /// [`all_pairs::raw_covariance_matrix`].
 fn all_pairs_model(
     schema: &SchemaInfo,
@@ -559,7 +559,6 @@ fn all_pairs_model(
     let answers: Vec<f64> = entries.iter().map(|e| e.observation.answer).collect();
     let errors: Vec<f64> = entries.iter().map(|e| e.observation.error).collect();
     let chol = factor(&params, &regions, &errors, 8).expect("the engine's own fit succeeded");
-    let sigma_inv = chol.inverse().unwrap();
     let alpha = chol.solve(&centered(&regions, &answers)).unwrap();
     Some(TrainedModel::from_parts(
         mode,
@@ -567,7 +566,7 @@ fn all_pairs_model(
         prior,
         regions.into_iter().cloned().collect(),
         entries.iter().map(|e| e.observation).collect(),
-        sigma_inv,
+        chol,
         alpha,
     ))
 }

@@ -76,8 +76,9 @@ proptest! {
 /// Training and every ingest refit assemble their covariance matrices from
 /// per-dimension tables over the *distinct* constraints of the synopsis
 /// (`verdict_core::covariance::RegionIndex`). What they learn — the
-/// lengthscales, `Σₙ⁻¹`, `α`, so every later answer and bound — must be
-/// the bits of a twin trained on matrices assembled pair by pair: after
+/// lengthscales, the factor of `Σₙ`, `α`, so every later answer and bound
+/// — must be the bits of a twin trained on matrices assembled pair by
+/// pair: after
 /// `train`, and again after an `ingest` has widened and refit every
 /// synopsis (keeping the lengthscales `train` learned — Lemma 3 moves
 /// answers and errors, not the correlation), with grouped queries (cells
@@ -111,8 +112,8 @@ fn trained_and_ingested_state_equals_the_all_pairs_twin() {
             assert_eq!(got.params(), want.params(), "{key}: lengthscales {when}");
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert!(
-                bits(got.sigma_inv().as_slice()) == bits(want.sigma_inv().as_slice()),
-                "{key}: Σₙ⁻¹ {when}"
+                bits(got.factor().packed()) == bits(want.factor().packed()),
+                "{key}: the factor of Σₙ {when}"
             );
             assert_eq!(bits(got.alpha()), bits(want.alpha()), "{key}: α {when}");
         }
