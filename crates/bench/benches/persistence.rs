@@ -5,11 +5,12 @@ use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criteri
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use verdict_core::persist::{fingerprint, Persist};
 use verdict_core::region::{DimensionSpec, SchemaInfo};
 use verdict_core::snippet::{AggKey, Observation};
 use verdict_core::{Region, Snippet, Verdict, VerdictConfig};
 use verdict_storage::Predicate;
-use verdict_store::{SessionMeta, StorePolicy, SynopsisStore};
+use verdict_store::{BaseRows, SessionMeta, SnapshotBase, StorePolicy, SynopsisStore};
 use verdict_workload::synthetic::{generate_table, SyntheticSpec};
 
 fn schema() -> SchemaInfo {
@@ -80,7 +81,7 @@ fn store_with_records(tag: &str, n: usize, trained: bool) -> std::path::PathBuf 
         }
         engine.train().unwrap();
     }
-    let mut store = SynopsisStore::create(
+    let (mut store, _) = SynopsisStore::create(
         &dir,
         manual_policy(),
         meta(),
@@ -125,9 +126,17 @@ fn bench_snapshot(c: &mut Criterion) {
     let (mut store, recovered) = SynopsisStore::open(&dir, StorePolicy::default()).unwrap();
     let state = recovered.state;
     let m = recovered.meta;
-    let table = recovered.table;
+    let BaseRows::Table(table) = recovered.base else {
+        panic!("a resident store recovers its table");
+    };
     group.bench_function("write_snapshot_trained_5k_rows", |b| {
-        b.iter(|| store.snapshot(m.clone(), &state, &table).unwrap())
+        b.iter(|| {
+            let base = SnapshotBase::Table(&table);
+            let schema_fp = fingerprint(&state.schema);
+            store
+                .snapshot(m.clone(), schema_fp, &state.to_bytes(), base)
+                .unwrap()
+        })
     });
     group.finish();
     let _ = std::fs::remove_dir_all(&dir);

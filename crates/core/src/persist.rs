@@ -19,6 +19,7 @@
 //!   encoding, which is versioned as a whole by the container.
 
 use verdict_linalg::Cholesky;
+use verdict_storage::Value;
 
 use crate::covariance::AggMode;
 use crate::engine::EngineStats;
@@ -304,6 +305,50 @@ impl Persist for Observation {
             answer: dec.take_f64()?,
             error: dec.take_f64()?,
         })
+    }
+}
+
+/// A cell value exactly as the caller supplied it — tag 0 = `Num` (f64
+/// bits), 1 = `Cat` (u32 code), 2 = `Str` — so a decoded `Str` rebuilds
+/// a table dictionary deterministically and `Num`/`Cat` keep their bits.
+/// The WAL's ingest rows and the wire's parameters, rows and group keys
+/// all use this one form.
+impl Persist for Value {
+    fn encode(&self, enc: &mut Encoder) {
+        match self {
+            Value::Num(x) => {
+                enc.put_u8(0);
+                enc.put_f64(*x);
+            }
+            Value::Cat(c) => {
+                enc.put_u8(1);
+                enc.put_u32(*c);
+            }
+            Value::Str(s) => {
+                enc.put_u8(2);
+                enc.put_str(s);
+            }
+        }
+    }
+
+    fn decode(dec: &mut Decoder<'_>) -> PersistResult<Value> {
+        Ok(match dec.take_u8()? {
+            0 => Value::Num(dec.take_f64()?),
+            1 => Value::Cat(dec.take_u32()?),
+            2 => Value::Str(dec.take_str()?),
+            t => return Err(PersistError::Corrupt(format!("Value tag {t}"))),
+        })
+    }
+}
+
+/// A sequence: its length, then each item.
+impl<T: Persist> Persist for Vec<T> {
+    fn encode(&self, enc: &mut Encoder) {
+        encode_vec(self, enc);
+    }
+
+    fn decode(dec: &mut Decoder<'_>) -> PersistResult<Vec<T>> {
+        decode_vec(dec)
     }
 }
 

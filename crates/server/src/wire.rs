@@ -26,7 +26,7 @@ use std::io::{self, Read, Write};
 use verdict::sql::ParamKind;
 use verdict::storage::{AttributeRole, ColumnType, Value};
 use verdict::{CellAnswer, Mode, QueryOutcome, QueryResult, ResultRow, StopPolicy};
-use verdict_core::persist::{Decoder, Encoder, PersistError};
+use verdict_core::persist::{Decoder, Encoder, Persist, PersistError};
 use verdict_store::crc::crc32;
 
 /// Connection preamble magic (8 bytes, store-style).
@@ -190,49 +190,7 @@ pub fn parse_frame(buf: &[u8]) -> Result<Option<(Vec<u8>, usize)>, WireError> {
 }
 
 // ---------------------------------------------------------------------
-// Value / options codecs (shared by requests and responses).
-
-fn encode_value(enc: &mut Encoder, v: &Value) {
-    match v {
-        Value::Num(x) => {
-            enc.put_u8(0);
-            enc.put_f64(*x);
-        }
-        Value::Cat(c) => {
-            enc.put_u8(1);
-            enc.put_u32(*c);
-        }
-        Value::Str(s) => {
-            enc.put_u8(2);
-            enc.put_str(s);
-        }
-    }
-}
-
-fn decode_value(dec: &mut Decoder<'_>) -> Result<Value, WireError> {
-    Ok(match dec.take_u8()? {
-        0 => Value::Num(dec.take_f64()?),
-        1 => Value::Cat(dec.take_u32()?),
-        2 => Value::Str(dec.take_str()?),
-        t => return Err(WireError::Corrupt(format!("value tag {t}"))),
-    })
-}
-
-fn encode_values(enc: &mut Encoder, vs: &[Value]) {
-    enc.put_len(vs.len());
-    for v in vs {
-        encode_value(enc, v);
-    }
-}
-
-fn decode_values(dec: &mut Decoder<'_>) -> Result<Vec<Value>, WireError> {
-    let n = dec.take_len()?;
-    let mut out = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        out.push(decode_value(dec)?);
-    }
-    Ok(out)
-}
+// Options codec (values travel in their `Persist` form).
 
 /// Execution options as they travel on the wire: mode + stop policy.
 /// (Pinned snapshots are a process-local concept and do not cross it.)
@@ -369,7 +327,7 @@ impl Request {
             Request::Bind { stmt, params } => {
                 enc.put_u8(REQ_BIND);
                 enc.put_u64(*stmt);
-                encode_values(&mut enc, params);
+                params.encode(&mut enc);
             }
             Request::Run { bound, options } => {
                 enc.put_u8(REQ_RUN);
@@ -384,10 +342,7 @@ impl Request {
             Request::Ingest { table, rows } => {
                 enc.put_u8(REQ_INGEST);
                 enc.put_str(table);
-                enc.put_len(rows.len());
-                for row in rows {
-                    encode_values(&mut enc, row);
-                }
+                rows.encode(&mut enc);
             }
             Request::Metrics => enc.put_u8(REQ_METRICS),
             Request::Close => enc.put_u8(REQ_CLOSE),
@@ -405,7 +360,7 @@ impl Request {
             },
             REQ_BIND => Request::Bind {
                 stmt: dec.take_u64()?,
-                params: decode_values(&mut dec)?,
+                params: Vec::decode(&mut dec)?,
             },
             REQ_RUN => Request::Run {
                 bound: dec.take_u64()?,
@@ -415,15 +370,10 @@ impl Request {
                 sql: dec.take_str()?,
                 options: decode_options(&mut dec)?,
             },
-            REQ_INGEST => {
-                let table = dec.take_str()?;
-                let n = dec.take_len()?;
-                let mut rows = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    rows.push(decode_values(&mut dec)?);
-                }
-                Request::Ingest { table, rows }
-            }
+            REQ_INGEST => Request::Ingest {
+                table: dec.take_str()?,
+                rows: Vec::decode(&mut dec)?,
+            },
             REQ_METRICS => Request::Metrics,
             REQ_CLOSE => Request::Close,
             t => return Err(WireError::Corrupt(format!("request tag {t:#04x}"))),
@@ -901,7 +851,7 @@ fn encode_row(enc: &mut Encoder, row: &ResultRow) {
     match &row.group {
         Some(key) => {
             enc.put_bool(true);
-            encode_values(enc, key);
+            key.encode(enc);
         }
         None => enc.put_bool(false),
     }
@@ -930,7 +880,7 @@ pub fn decode_outcome(bytes: &[u8]) -> Result<WireOutcome, WireError> {
             let mut rows = Vec::with_capacity(n.min(4096));
             for _ in 0..n {
                 let group = if dec.take_bool()? {
-                    Some(decode_values(&mut dec)?)
+                    Some(Vec::decode(&mut dec)?)
                 } else {
                     None
                 };

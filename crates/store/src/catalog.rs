@@ -16,15 +16,16 @@
 //! directory (no `CATALOG` file, store files at the root) still opens:
 //! `Database::open` detects the layout by the manifest's presence.
 //!
-//! The manifest is written with the same atomicity discipline as every
-//! other store file: temp file, fsync, rename, parent-directory fsync.
+//! The manifest is written like every other whole store file, through
+//! [`crate::snapshot::write_atomic`]: temp file, fsync, rename,
+//! parent-directory fsync.
 
 use std::fs::File;
-use std::io::{Read, Write};
+use std::io::Read;
 use std::path::{Path, PathBuf};
 
 use crate::crc::crc32;
-use crate::snapshot::sync_dir;
+use crate::snapshot::write_atomic;
 use crate::{Result, StoreError};
 
 /// File magic for the catalog manifest.
@@ -93,16 +94,7 @@ pub fn write_catalog(root: &Path, manifest: &CatalogManifest) -> Result<()> {
     bytes.extend_from_slice(&body);
 
     std::fs::create_dir_all(root)?;
-    let final_path = root.join(CATALOG_FILE);
-    let tmp_path = root.join("CATALOG.tmp");
-    {
-        let mut f = File::create(&tmp_path)?;
-        f.write_all(&bytes)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp_path, &final_path)?;
-    sync_dir(root)?;
-    Ok(())
+    write_atomic(&root.join(CATALOG_FILE), &bytes)
 }
 
 /// Reads and validates the manifest from `root`.

@@ -4,7 +4,8 @@
 //! this crate makes that intelligence survive restarts. It persists the
 //! three things a [`verdict_core::Verdict`] engine learns — the query
 //! synopsis, the fitted kernel hyperparameters, and the conditioning state
-//! (`Σₙ⁻¹`, `α`) — with the classic WAL + snapshot architecture:
+//! (the packed Cholesky factor of `Σₙ`, and `α`) — with the classic WAL +
+//! snapshot architecture:
 //!
 //! - **Append-only snippet log** ([`log::SnippetLog`], `wal.vlog`): every
 //!   observed snippet is appended as a length-prefixed, CRC-32-checksummed
@@ -12,18 +13,23 @@
 //!   (`O(record)`, not `O(state)`), driven by the engine's
 //!   [`verdict_core::SnippetObserver`] hook.
 //! - **Compacted snapshots** ([`snapshot`], `snapshot-<gen>.vsnap`):
-//!   periodically, the full session state — base table, session
-//!   parameters, synopses, trained models — is written to a fresh
-//!   generation file (temp + fsync + atomic rename) and the log is
-//!   truncated. Snapshots record the last folded sequence number, so a
-//!   crash between "write snapshot" and "truncate log" never double
-//!   applies records.
+//!   periodically, the full session state — session parameters,
+//!   synopses, trained models, and a binding to the base rows — is
+//!   written to a fresh generation file (temp + fsync + atomic rename,
+//!   [`snapshot::write_atomic`]) and the log is truncated. Snapshots
+//!   record the last folded sequence number, so a crash between "write
+//!   snapshot" and "truncate log" never double applies records.
 //! - **Crash-safe recovery** ([`store::SynopsisStore::open`]): the newest
 //!   snapshot generation that validates is loaded (corrupt generations
 //!   fall back to older ones), the log's torn tail — short writes, bad
 //!   checksums, garbage lengths — is truncated away, and surviving
 //!   records with `seq > snapshot.last_seq` are replayed into the
 //!   synopsis.
+//!
+//! A resident table and an out-of-core ("paged") one go through the same
+//! [`SynopsisStore::create`], [`SynopsisStore::open`] and
+//! [`SynopsisStore::snapshot`]; they differ only in where the base rows
+//! live ([`BaseRows`], [`SnapshotBase`]).
 //!
 //! ## Catalog layout (version 3)
 //!
@@ -59,6 +65,7 @@
 //!   body_len  u64
 //!   body_crc  u32   CRC-32 (ISO-HDLC) of body
 //!   body          SessionMeta ++ table_fp u64 ++ data_epoch u64
+//!                 ++ PagedState (only when SessionMeta.paged; v3+)
 //!                 ++ EngineState
 //!
 //! wal.vlog:
@@ -78,7 +85,7 @@
 //!       released automatically by the OS on process death)
 //! ```
 //!
-//! ## Out-of-core partitions (format v4)
+//! ## Out-of-core partitions (paged stores, snapshot v3 onward)
 //!
 //! A session built with `partition_by` + `persist_to` goes **paged**: the
 //! base table's rows never live in `table-<gen>.vtab` generations at all.
@@ -129,8 +136,8 @@ pub use catalog::{read_catalog, write_catalog, CatalogManifest};
 pub use partfile::{read_part_rows, PagedState, PartScan};
 pub use snapshot::{SessionMeta, Snapshot};
 pub use store::{
-    PagedRecovered, Recovered, RecoveryReport, SharedStore, SnapshotReceipt, StorePolicy,
-    StoreStats, SynopsisStore,
+    BaseRows, PagedRecovered, Recovered, RecoveryReport, SharedStore, SnapshotBase,
+    SnapshotReceipt, StorePolicy, StoreStats, SynopsisStore,
 };
 
 /// Errors raised by the durable store.

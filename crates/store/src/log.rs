@@ -19,7 +19,7 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use verdict_core::append::AppendAdjustment;
-use verdict_core::persist::{Decoder, Encoder, Persist, PersistError};
+use verdict_core::persist::{Decoder, Encoder, Persist};
 use verdict_core::snippet::{AggKey, Observation};
 use verdict_core::Region;
 use verdict_storage::Value;
@@ -104,13 +104,7 @@ impl LogRecord {
             LogRecord::Ingest(r) => {
                 enc.put_u8(TAG_INGEST);
                 enc.put_u64(r.seq);
-                enc.put_len(r.rows.len());
-                for row in &r.rows {
-                    enc.put_len(row.len());
-                    for v in row {
-                        encode_value(v, &mut enc);
-                    }
-                }
+                r.rows.encode(&mut enc);
                 enc.put_len(r.adjustments.len());
                 for (key, adj) in &r.adjustments {
                     key.encode(&mut enc);
@@ -139,16 +133,7 @@ impl LogRecord {
             }
             TAG_INGEST => {
                 let seq = dec.take_u64()?;
-                let n_rows = dec.take_len()?;
-                let mut rows = Vec::with_capacity(n_rows.min(1 << 20));
-                for _ in 0..n_rows {
-                    let n_vals = dec.take_len()?;
-                    let mut row = Vec::with_capacity(n_vals.min(1 << 10));
-                    for _ in 0..n_vals {
-                        row.push(decode_value(&mut dec)?);
-                    }
-                    rows.push(row);
-                }
+                let rows = Vec::<Vec<Value>>::decode(&mut dec)?;
                 let n_adj = dec.take_len()?;
                 let mut adjustments = Vec::with_capacity(n_adj.min(1 << 10));
                 for _ in 0..n_adj {
@@ -172,35 +157,6 @@ impl LogRecord {
         }
         Ok(record)
     }
-}
-
-/// Encodes one cell value exactly as the caller pushed it — a replayed
-/// `Str` rebuilds the table dictionary deterministically, a replayed
-/// `Cat`/`Num` reproduces the stored bits.
-fn encode_value(v: &Value, enc: &mut Encoder) {
-    match v {
-        Value::Num(x) => {
-            enc.put_u8(0);
-            enc.put_f64(*x);
-        }
-        Value::Cat(c) => {
-            enc.put_u8(1);
-            enc.put_u32(*c);
-        }
-        Value::Str(s) => {
-            enc.put_u8(2);
-            enc.put_str(s);
-        }
-    }
-}
-
-fn decode_value(dec: &mut Decoder<'_>) -> std::result::Result<Value, PersistError> {
-    Ok(match dec.take_u8()? {
-        0 => Value::Num(dec.take_f64()?),
-        1 => Value::Cat(dec.take_u32()?),
-        2 => Value::Str(dec.take_str()?),
-        t => return Err(PersistError::Corrupt(format!("Value tag {t}"))),
-    })
 }
 
 /// Outcome of validating the log's fixed file header.

@@ -1,4 +1,5 @@
-//! Partition column files (`part-<id>.vcol`) — store format v4.
+//! Partition column files (`part-<id>.vcol`) of paged stores (snapshot
+//! format v3 onward).
 //!
 //! An out-of-core ("paged") store keeps the base table's rows in one
 //! append-only column file per partition instead of monolithic
@@ -42,7 +43,7 @@ use verdict_storage::{
 };
 
 use crate::crc::crc32;
-use crate::snapshot::sync_dir;
+use crate::snapshot::write_atomic;
 use crate::tablecodec::{decode_table, encode_table};
 use crate::{Result, StoreError};
 
@@ -120,9 +121,8 @@ fn frame(payload: &[u8]) -> Vec<u8> {
 }
 
 /// Creates partition `p`'s column file holding `fragment` as its
-/// create-time record (seq 0), atomically (temp + fsync + rename +
-/// directory fsync). Returns the record's CRC, the file's contribution
-/// to the store's part fingerprint.
+/// create-time record (seq 0), atomically ([`write_atomic`]). Returns the
+/// record's CRC, the file's contribution to the store's part fingerprint.
 pub fn write_part_file(dir: &Path, p: u32, fragment: &Table) -> Result<u32> {
     let payload = encode_record_payload(0, fragment, 0..fragment.num_rows());
     let rec_crc = crc32(&payload);
@@ -131,15 +131,7 @@ pub fn write_part_file(dir: &Path, p: u32, fragment: &Table) -> Result<u32> {
     bytes.extend_from_slice(&PART_VERSION.to_le_bytes());
     bytes.extend_from_slice(&p.to_le_bytes());
     bytes.extend_from_slice(&frame(&payload));
-    let final_path = part_path(dir, p);
-    let tmp_path = final_path.with_extension("vcol.tmp");
-    {
-        let mut f = File::create(&tmp_path)?;
-        f.write_all(&bytes)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp_path, &final_path)?;
-    sync_dir(dir)?;
+    write_atomic(&part_path(dir, p), &bytes)?;
     Ok(rec_crc)
 }
 

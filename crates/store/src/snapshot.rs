@@ -266,9 +266,26 @@ pub fn sync_dir(dir: &Path) -> Result<()> {
     }
 }
 
-/// Writes one table generation (atomic: temp + fsync + rename + directory
-/// fsync). A generation is immutable once written: ingests accumulate in
-/// the WAL, and the next checkpoint folds them into a *new* generation —
+/// Replaces the file at `path` with `bytes` atomically: a temp file
+/// beside it (`<name>.tmp`), fsync, rename into place, then an fsync of
+/// the directory. A crash leaves the old file or the new one, never a
+/// torn mix, and once this returns the rename survives a crash too.
+/// Every whole-file write of the store goes through here.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    {
+        let mut f = File::create(&tmp)?;
+        f.write_all(bytes)?;
+        f.sync_all()?;
+    }
+    std::fs::rename(&tmp, path)?;
+    sync_dir(path.parent().unwrap_or_else(|| Path::new(".")))
+}
+
+/// Writes one table generation (atomically, [`write_atomic`]). A
+/// generation is immutable once written: ingests accumulate in the WAL,
+/// and the next checkpoint folds them into a *new* generation —
 /// checkpoints without intervening ingests keep referencing the old
 /// generation, so compaction cost still scales with the synopsis, not the
 /// data, on a non-evolving table.
@@ -283,15 +300,7 @@ pub fn write_table_file(dir: &Path, gen: u64, table: &Table) -> Result<u64> {
     bytes.extend_from_slice(&(body.len() as u64).to_le_bytes());
     bytes.extend_from_slice(&crc32(&body).to_le_bytes());
     bytes.extend_from_slice(&body);
-    let final_path = table_path(dir, gen);
-    let tmp_path = final_path.with_extension("vtab.tmp");
-    {
-        let mut f = File::create(&tmp_path)?;
-        f.write_all(&bytes)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp_path, &final_path)?;
-    sync_dir(dir)?;
+    write_atomic(&table_path(dir, gen), &bytes)?;
     Ok(fp)
 }
 
@@ -345,10 +354,10 @@ pub fn parse_generation(name: &str) -> Option<u64> {
         .ok()
 }
 
-/// Writes a snapshot as generation `gen` in `dir`, atomically (temp +
-/// fsync + rename + directory fsync). `state_bytes` is a pre-encoded
-/// [`EngineState`] (see `Verdict::state_bytes`), so large states are
-/// neither cloned nor re-encoded on the way in. `table_gen` names the
+/// Writes a snapshot as generation `gen` in `dir`, atomically
+/// ([`write_atomic`]). `state_bytes` is a pre-encoded [`EngineState`]
+/// (see `Verdict::state_bytes`), so large states are neither cloned nor
+/// re-encoded on the way in. `table_gen` names the
 /// table generation the state was learned against; it sits in the header
 /// so pruning can pair snapshots with their tables without decoding
 /// bodies.
@@ -374,18 +383,12 @@ pub fn write_snapshot(
     bytes.extend_from_slice(&crc32(&body).to_le_bytes());
     bytes.extend_from_slice(&body);
 
-    let final_path = snapshot_path(dir, gen);
-    let tmp_path = final_path.with_extension("vsnap.tmp");
-    {
-        let mut f = File::create(&tmp_path)?;
-        f.write_all(&bytes)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp_path, &final_path)?;
-    // Without this, a crash can roll back the rename while the log
-    // truncation that follows it survives — losing folded records.
-    sync_dir(dir)?;
-    Ok(final_path)
+    let path = snapshot_path(dir, gen);
+    // The directory fsync matters here: without it, a crash can roll back
+    // the rename while the log truncation that follows it survives —
+    // losing folded records.
+    write_atomic(&path, &bytes)?;
+    Ok(path)
 }
 
 /// Reads and validates one snapshot file.

@@ -1,6 +1,15 @@
 //! The [`SynopsisStore`]: log + snapshots under one directory, with
 //! crash-safe recovery and a compaction policy.
+//!
+//! Resident and paged (out-of-core) tables share every durable step:
+//! [`SynopsisStore::create`], the WAL appends, [`SynopsisStore::snapshot`]
+//! and [`SynopsisStore::open`]'s one replay loop. The only point where
+//! they differ is where the base rows live — table generations for a
+//! resident table, `part-<id>.vcol` files for a paged one — and that is
+//! one enum consulted there: [`BaseRows`] at open, [`SnapshotBase`] at a
+//! checkpoint.
 
+use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -8,7 +17,7 @@ use verdict_core::append::AppendAdjustment;
 use verdict_core::persist::{fingerprint, Persist};
 use verdict_core::snippet::{AggKey, Observation, Snippet};
 use verdict_core::{EngineState, IngestBounds, Region, SnippetObserver, Verdict};
-use verdict_storage::{PartitionMap, Table, Value};
+use verdict_storage::{PartitionMap, PartitionSpec, Table, Value};
 
 use crate::log::{IngestRecord, LogRecord, SnippetLog, SnippetRecord};
 use crate::partfile::{
@@ -66,7 +75,7 @@ pub struct StoreStats {
     pub snapshot_ns: u64,
 }
 
-/// What one [`SynopsisStore::snapshot`] / `snapshot_encoded` call wrote.
+/// What one [`SynopsisStore::snapshot`] call wrote.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SnapshotReceipt {
     /// The new snapshot generation.
@@ -83,49 +92,57 @@ pub struct SnapshotReceipt {
 pub struct Recovered {
     /// Session construction parameters from the snapshot.
     pub meta: SessionMeta,
-    /// The base table: the snapshot's table generation with every
-    /// surviving ingest record's rows re-appended.
-    pub table: Table,
+    /// The base rows, held once: a resident table, or a paged store's
+    /// out-of-core state (`meta.paged` says which).
+    pub base: BaseRows,
     /// Learned state: snapshot state with surviving log records replayed.
     pub state: EngineState,
     /// Data epoch after replay (snapshot's folded ingests + replayed
     /// ingest records).
     pub data_epoch: u64,
-    /// Out-of-core recovery state; present exactly when the store is
-    /// paged (`meta.paged`). For a paged store `table` above is the
-    /// zero-row resolution table — the base rows stay in their partition
-    /// files.
-    pub paged: Option<PagedRecovered>,
     /// Forensics of the recovery.
     pub report: RecoveryReport,
 }
 
-/// What [`SynopsisStore::open`] recovered for a paged (out-of-core)
-/// store, on top of the common [`Recovered`] fields.
+/// Where an opened store's base rows live — the one point at which a
+/// resident and a paged store differ.
+#[derive(Debug)]
+pub enum BaseRows {
+    /// The snapshot's table generation with every surviving ingest
+    /// record's rows re-appended.
+    Table(Table),
+    /// The rows stay in their partition files; this is what the session
+    /// rebuilds its demand-paged samples from.
+    Paged(PagedRecovered),
+}
+
+/// What [`SynopsisStore::open`] recovered of a paged (out-of-core)
+/// store's base rows.
 #[derive(Debug)]
 pub struct PagedRecovered {
-    /// Partition routing map covering create-time rows plus every ingest
-    /// (folded and replayed alike).
-    pub map: PartitionMap,
-    /// Create-time rows per partition — the frozen domain the offline
-    /// sample segments are drawn over.
-    pub original_part_rows: Vec<u64>,
-    /// Zero-row resolution table: schema plus the full categorical
-    /// dictionaries, extended through every replayed ingest.
-    pub resolution: Table,
-    /// Base-table rows the loaded snapshot had folded (before the
-    /// replayed batches below). Anchors the global row indices of
-    /// replayed batches for sample re-admission.
-    pub total_rows_at_snapshot: u64,
-    /// Per-sample resident ingest tails, as of the loaded snapshot.
-    pub tails: Vec<Table>,
+    /// The loaded snapshot's paged state. Its partition map and
+    /// resolution dictionaries are extended through every replayed
+    /// batch; `total_rows` and the sample `tails` stay as the snapshot
+    /// folded them, so the replayed batches follow them.
+    pub state: PagedState,
     /// Ingest batches replayed from the WAL (newest snapshot onward), in
-    /// sequence order, coded against `resolution`'s dictionaries. The
-    /// session re-admits these into each sample's tail exactly as the
+    /// sequence order, coded against `state.resolution`'s dictionaries.
+    /// The session re-admits these into each sample's tail exactly as the
     /// live session did.
     pub replayed_batches: Vec<Table>,
     /// Torn bytes truncated from partition files at open.
     pub part_torn_bytes: u64,
+}
+
+/// The base rows a checkpoint folds, of the store's own kind.
+#[derive(Debug, Clone, Copy)]
+pub enum SnapshotBase<'a> {
+    /// A resident store's current table (written out as a new table
+    /// generation when ingests are pending).
+    Table(&'a Table),
+    /// A paged store's current out-of-core state (carried in the
+    /// snapshot body).
+    Paged(&'a PagedState),
 }
 
 /// Details of one recovery pass.
@@ -160,7 +177,8 @@ pub struct SynopsisStore {
     /// Generation of the newest written table file.
     current_table_gen: u64,
     /// Whether ingest records have landed since the newest table file was
-    /// written: the next snapshot must fold them into a new generation.
+    /// written: a resident store's next snapshot must fold them into a
+    /// new generation.
     table_dirty: bool,
     /// Ingested batches this store has logged or folded.
     data_epoch: u64,
@@ -213,28 +231,59 @@ impl SynopsisStore {
     /// Creates a fresh store in `dir` (created if missing) and writes the
     /// initial snapshot. Fails if a store already exists there — reopen
     /// with [`SynopsisStore::open`] instead.
+    ///
+    /// `meta.paged` decides where the base rows go. A resident table
+    /// becomes table generation 0; later ingests accumulate in the WAL
+    /// and fold into fresh generations at checkpoint time. A paged table
+    /// is split by `meta.partition_spec` into one `part-<id>.vcol` column
+    /// file per partition, and the initial snapshot carries the paged
+    /// state — partition map, resolution dictionaries, and one empty
+    /// ingest tail per sample. That state is returned exactly when the
+    /// store is paged: the session scaffolds its partition map, loader,
+    /// and sample tails from it.
     pub fn create(
         dir: impl Into<PathBuf>,
         policy: StorePolicy,
         meta: SessionMeta,
         table: &Table,
         state: &EngineState,
-    ) -> Result<SynopsisStore> {
+    ) -> Result<(SynopsisStore, Option<PagedState>)> {
         let dir = dir.into();
-        if meta.paged {
-            return Err(StoreError::Mismatch(
-                "meta says paged; use SynopsisStore::create_paged".into(),
-            ));
-        }
+        // The spec is persisted for the paged store's partition files; a
+        // resident store has none to rebuild.
+        let spec = match (&meta.partition_spec, meta.paged) {
+            (None, false) => None,
+            (Some(spec), true) => Some(spec.clone()),
+            _ => {
+                return Err(StoreError::Mismatch(
+                    "a paged store needs a partition spec in its session metadata, \
+                     and only a paged store carries one"
+                        .into(),
+                ))
+            }
+        };
         let lock = SynopsisStore::prepare_create(&dir)?;
-        // Table generation 0 is the original base table; later ingests
-        // accumulate in the WAL and fold into fresh generations at
-        // checkpoint time.
-        let table_fp = write_table_file(&dir, 0, table)?;
-        let schema_fp = fingerprint(&state.schema);
-        write_snapshot(&dir, 0, 0, 0, &meta, table_fp, 0, &state.to_bytes(), None)?;
+        let (table_fp, paged) = match spec {
+            Some(spec) => {
+                let (fp, paged) = write_part_files(&dir, spec, table, meta.num_samples)?;
+                (fp, Some(paged))
+            }
+            None => (write_table_file(&dir, 0, table)?, None),
+        };
+        let state_bytes = state.to_bytes();
+        write_snapshot(
+            &dir,
+            0,
+            0,
+            0,
+            &meta,
+            table_fp,
+            0,
+            &state_bytes,
+            paged.as_ref(),
+        )?;
         let log = SnippetLog::create(dir.join("wal.vlog"))?;
-        Ok(SynopsisStore {
+        let store = SynopsisStore {
             dir,
             policy,
             log,
@@ -243,17 +292,18 @@ impl SynopsisStore {
             current_table_gen: 0,
             table_dirty: false,
             data_epoch: 0,
-            schema_fp,
+            schema_fp: fingerprint(&state.schema),
             table_fp,
-            paged: false,
+            paged: meta.paged,
             stats: StoreStats::default(),
             sticky_error: None,
             _lock: lock,
-        })
+        };
+        Ok((store, paged))
     }
 
-    /// Shared pre-flight for `create`/`create_paged`: refuses an existing
-    /// or half-dismantled store, then takes the writer lock.
+    /// Pre-flight for `create`: refuses an existing or half-dismantled
+    /// store, then takes the writer lock.
     fn prepare_create(dir: &Path) -> Result<std::fs::File> {
         std::fs::create_dir_all(dir)?;
         if SynopsisStore::exists(dir) {
@@ -287,97 +337,18 @@ impl SynopsisStore {
         SynopsisStore::acquire_lock(dir)
     }
 
-    /// Creates a fresh **paged** (out-of-core) store: the base table is
-    /// split by `meta.partition_spec` into one `part-<id>.vcol` column
-    /// file per partition, and the initial snapshot carries the paged
-    /// state — partition map, resolution dictionaries, and one empty
-    /// ingest tail per sample — instead of a table generation. Returns
-    /// the store and the paged state the session scaffolds its partition
-    /// map, loader, and sample tails from.
-    pub fn create_paged(
-        dir: impl Into<PathBuf>,
-        policy: StorePolicy,
-        meta: SessionMeta,
-        table: &Table,
-        state: &EngineState,
-    ) -> Result<(SynopsisStore, PagedState)> {
-        let dir = dir.into();
-        let Some(spec) = meta.partition_spec.clone() else {
-            return Err(StoreError::Mismatch(
-                "a paged store needs a partition spec in its session metadata".into(),
-            ));
-        };
-        if !meta.paged {
-            return Err(StoreError::Mismatch(
-                "create_paged requires meta.paged".into(),
-            ));
-        }
-        let lock = SynopsisStore::prepare_create(&dir)?;
-        let map = PartitionMap::build(table, spec)
-            .map_err(|e| StoreError::Mismatch(format!("partitioning the base table: {e}")))?;
-        let routed = map
-            .route(table, 0..table.num_rows())
-            .map_err(|e| StoreError::Mismatch(format!("routing the base table: {e}")))?;
-        let mut by_part: Vec<Vec<usize>> = vec![Vec::new(); map.num_partitions()];
-        for (row, &p) in routed.iter().enumerate() {
-            by_part[p as usize].push(row);
-        }
-        let mut record0_crcs = Vec::with_capacity(by_part.len());
-        let mut original_part_rows = Vec::with_capacity(by_part.len());
-        for (p, rows) in by_part.iter().enumerate() {
-            let fragment = table
-                .gather(rows)
-                .map_err(|e| StoreError::Mismatch(format!("slicing partition {p}: {e}")))?;
-            record0_crcs.push(write_part_file(&dir, p as u32, &fragment)?);
-            original_part_rows.push(rows.len() as u64);
-        }
-        let table_fp = part_fingerprint(&record0_crcs);
-        let mut resolution = Table::new(table.schema().clone());
-        resolution
-            .sync_dictionaries_from(table)
-            .map_err(|e| StoreError::Mismatch(format!("building the resolution table: {e}")))?;
-        let paged_state = PagedState {
-            map,
-            original_part_rows,
-            resolution: resolution.clone(),
-            total_rows: table.num_rows() as u64,
-            tails: vec![resolution; meta.num_samples as usize],
-        };
-        let schema_fp = fingerprint(&state.schema);
-        write_snapshot(
-            &dir,
-            0,
-            0,
-            0,
-            &meta,
-            table_fp,
-            0,
-            &state.to_bytes(),
-            Some(&paged_state),
-        )?;
-        let log = SnippetLog::create(dir.join("wal.vlog"))?;
-        let store = SynopsisStore {
-            dir,
-            policy,
-            log,
-            next_seq: 1,
-            current_gen: 0,
-            current_table_gen: 0,
-            table_dirty: false,
-            data_epoch: 0,
-            schema_fp,
-            table_fp,
-            paged: true,
-            stats: StoreStats::default(),
-            sticky_error: None,
-            _lock: lock,
-        };
-        Ok((store, paged_state))
-    }
-
     /// Opens an existing store: loads the newest valid snapshot (falling
-    /// back across corrupt generations), truncates the log's torn tail,
-    /// and replays surviving records into the returned state.
+    /// back across corrupt generations), checks the base rows against
+    /// it, truncates the log's torn tail, and replays surviving records
+    /// into the returned state.
+    ///
+    /// A paged store's partition files are healed of torn tails first.
+    /// Each replayed ingest record then lands where the base rows live:
+    /// its rows are pushed onto the resident table, or — rebuilt as a
+    /// batch coded against the resolution dictionaries — routed through
+    /// the partition map and re-appended **idempotently** to partition
+    /// files: a partition whose file already holds the record's sequence
+    /// is skipped, so replay never duplicates rows.
     pub fn open(
         dir: impl Into<PathBuf>,
         policy: StorePolicy,
@@ -413,28 +384,47 @@ impl SynopsisStore {
                 dir.display()
             )));
         };
-        if snapshot.meta.paged {
-            return SynopsisStore::open_paged(dir, policy, lock, gen, snapshot, skipped);
-        }
-
-        let (mut table, table_fp) = read_table_file(&dir, snapshot.table_gen)?;
-        if snapshot.table_fp != table_fp {
-            return Err(StoreError::Mismatch(format!(
-                "snapshot generation {gen} was written against a different base table \
-                 (fingerprint {:#x} vs table generation {} {:#x})",
-                snapshot.table_fp, snapshot.table_gen, table_fp
-            )));
-        }
-        let (log, scan) = SnippetLog::open(dir.join("wal.vlog"))?;
         let Snapshot {
             last_seq,
             table_gen,
             meta,
-            table_fp: _,
-            data_epoch: mut replayed_data_epoch,
+            table_fp: snap_fp,
+            mut data_epoch,
             state,
-            paged: _,
+            paged,
         } = snapshot;
+
+        // The base rows, and the ingest sequences each partition file
+        // already holds (none for a resident table).
+        let mut part_seqs: Vec<HashSet<u64>> = Vec::new();
+        let (mut base, table_fp) = match paged {
+            None => {
+                let (table, fp) = read_table_file(&dir, table_gen)?;
+                (BaseRows::Table(table), fp)
+            }
+            Some(state) => {
+                let mut record0_crcs = Vec::with_capacity(state.map.num_partitions());
+                let mut part_torn_bytes = 0u64;
+                for p in 0..state.map.num_partitions() {
+                    let scan = open_part_file(&dir, p as u32)?;
+                    record0_crcs.push(scan.record0_crc);
+                    part_torn_bytes += scan.torn_bytes;
+                    part_seqs.push(scan.seqs.into_iter().collect());
+                }
+                let paged = PagedRecovered {
+                    state,
+                    replayed_batches: Vec::new(),
+                    part_torn_bytes,
+                };
+                (BaseRows::Paged(paged), part_fingerprint(&record0_crcs))
+            }
+        };
+        if snap_fp != table_fp {
+            return Err(StoreError::Mismatch(format!(
+                "snapshot generation {gen} was written against different base rows \
+                 (fingerprint {snap_fp:#x}, {table_fp:#x} on disk)"
+            )));
+        }
 
         // Replay records the snapshot has not folded yet — through a real
         // engine, so replay runs the *same* code the live session ran:
@@ -442,158 +432,26 @@ impl SynopsisStore {
         // counter), `stage_ingest_filtered` + `commit_ingest` for each
         // logged ingest (same Lemma-3 rewrite, same model refit). That is
         // what makes a crashed session reopen to bit-identical state.
-        let mut engine = Verdict::new(state.schema.clone(), meta.config.clone());
-        engine
-            .restore_state(state)
-            .map_err(|e| StoreError::Corrupt(format!("snapshot state rejected: {e}")))?;
-        let mut replayed = 0u64;
-        let mut ingests_replayed = 0u64;
-        let mut rows_appended = 0u64;
-        let mut already_folded = 0u64;
-        let mut max_seq = last_seq;
-        for record in &scan.records {
-            max_seq = max_seq.max(record.seq());
-            if record.seq() <= last_seq {
-                already_folded += 1;
-                continue;
-            }
-            match record {
-                LogRecord::Snippet(r) => {
-                    engine.observe(
-                        &Snippet::new(r.key.clone(), r.region.clone()),
-                        r.observation,
-                    );
-                }
-                LogRecord::Ingest(r) => {
-                    table.push_rows(&r.rows).map_err(|e| {
-                        StoreError::Corrupt(format!("ingest record seq {} replay: {e}", r.seq))
-                    })?;
-                    // A resident persisted table is never partitioned, so
-                    // its live ingests widened every snippet.
-                    replay_adjustments(&mut engine, r, None)?;
-                    ingests_replayed += 1;
-                    rows_appended += r.rows.len() as u64;
-                    replayed_data_epoch += 1;
-                }
-            }
-            replayed += 1;
-        }
-        let state = engine.export_state();
-
-        let report = RecoveryReport {
-            snapshot_gen: gen,
-            snapshot_last_seq: last_seq,
-            records_replayed: replayed,
-            ingests_replayed,
-            rows_appended,
-            records_already_folded: already_folded,
-            torn_bytes: scan.torn_bytes,
-            skipped_generations: skipped,
-        };
-        let store = SynopsisStore {
-            dir,
-            policy,
-            log,
-            next_seq: max_seq + 1,
-            current_gen: gen,
-            current_table_gen: table_gen,
-            table_dirty: ingests_replayed > 0,
-            data_epoch: replayed_data_epoch,
-            schema_fp: fingerprint(&state.schema),
-            table_fp,
-            paged: false,
-            stats: StoreStats::default(),
-            sticky_error: None,
-            _lock: lock,
-        };
-        Ok((
-            store,
-            Recovered {
-                meta,
-                table,
-                state,
-                data_epoch: replayed_data_epoch,
-                paged: None,
-                report,
-            },
-        ))
-    }
-
-    /// The paged half of [`SynopsisStore::open`]: heals and fingerprints
-    /// every partition file, then replays surviving WAL records. Snippet
-    /// records replay exactly as in the resident path. Each ingest record
-    /// is rebuilt as a batch table coded against the snapshot's
-    /// resolution dictionaries (string re-insertion is deterministic, so
-    /// codes come out identical to the live session's), routed through
-    /// the partition map, and re-appended **idempotently** to partition
-    /// files: a partition whose file already holds the record's sequence
-    /// — the append won the crash — is skipped, so replay never
-    /// duplicates rows no matter where the crash landed.
-    fn open_paged(
-        dir: PathBuf,
-        policy: StorePolicy,
-        lock: std::fs::File,
-        gen: u64,
-        snapshot: Snapshot,
-        skipped: Vec<u64>,
-    ) -> Result<(SynopsisStore, Recovered)> {
-        let Snapshot {
-            last_seq,
-            table_gen,
-            meta,
-            table_fp: snap_fp,
-            data_epoch: mut replayed_data_epoch,
-            state,
-            paged,
-        } = snapshot;
-        let Some(paged_state) = paged else {
-            return Err(StoreError::Corrupt(
-                "paged snapshot carries no paged-state section".into(),
-            ));
-        };
-        let PagedState {
-            mut map,
-            original_part_rows,
-            mut resolution,
-            total_rows,
-            tails,
-        } = paged_state;
-
-        // Heal (truncate torn tails) and fingerprint every partition
-        // file, and learn which ingest sequences each file already holds.
-        let mut record0_crcs = Vec::with_capacity(map.num_partitions());
-        let mut part_seqs: Vec<std::collections::HashSet<u64>> =
-            Vec::with_capacity(map.num_partitions());
-        let mut part_torn_bytes = 0u64;
-        for p in 0..map.num_partitions() {
-            let scan = open_part_file(&dir, p as u32)?;
-            record0_crcs.push(scan.record0_crc);
-            part_torn_bytes += scan.torn_bytes;
-            part_seqs.push(scan.seqs.iter().copied().collect());
-        }
-        let table_fp = part_fingerprint(&record0_crcs);
-        if snap_fp != table_fp {
-            return Err(StoreError::Mismatch(format!(
-                "snapshot generation {gen} was written against different partition \
-                 files (fingerprint {snap_fp:#x} vs {table_fp:#x})"
-            )));
-        }
-
         let (log, scan) = SnippetLog::open(dir.join("wal.vlog"))?;
         let mut engine = Verdict::new(state.schema.clone(), meta.config.clone());
         engine
             .restore_state(state)
             .map_err(|e| StoreError::Corrupt(format!("snapshot state rejected: {e}")))?;
-        let mut replayed = 0u64;
-        let mut ingests_replayed = 0u64;
-        let mut rows_appended = 0u64;
-        let mut already_folded = 0u64;
+        let mut report = RecoveryReport {
+            snapshot_gen: gen,
+            snapshot_last_seq: last_seq,
+            records_replayed: 0,
+            ingests_replayed: 0,
+            rows_appended: 0,
+            records_already_folded: 0,
+            torn_bytes: scan.torn_bytes,
+            skipped_generations: skipped,
+        };
         let mut max_seq = last_seq;
-        let mut replayed_batches = Vec::new();
         for record in &scan.records {
             max_seq = max_seq.max(record.seq());
             if record.seq() <= last_seq {
-                already_folded += 1;
+                report.records_already_folded += 1;
                 continue;
             }
             match record {
@@ -604,66 +462,35 @@ impl SynopsisStore {
                     );
                 }
                 LogRecord::Ingest(r) => {
-                    let mut batch = resolution.clone();
-                    batch.push_rows(&r.rows).map_err(|e| {
-                        StoreError::Corrupt(format!("ingest record seq {} replay: {e}", r.seq))
-                    })?;
-                    resolution.sync_dictionaries_from(&batch).map_err(|e| {
-                        StoreError::Corrupt(format!(
-                            "ingest record seq {} dictionary sync: {e}",
-                            r.seq
-                        ))
-                    })?;
-                    let routed = map.route(&batch, 0..batch.num_rows()).map_err(|e| {
-                        StoreError::Corrupt(format!("ingest record seq {} routing: {e}", r.seq))
-                    })?;
-                    // The live ingest bounded its widening by the map as it
-                    // was before the batch landed; so does replay.
-                    let bounds = IngestBounds::touched(&map, &batch).map_err(|e| {
-                        StoreError::Corrupt(format!("ingest record seq {} bounds: {e}", r.seq))
-                    })?;
-                    map.extend_batch(&batch).map_err(|e| {
-                        StoreError::Corrupt(format!("ingest record seq {} summaries: {e}", r.seq))
-                    })?;
-                    let mut by_part: std::collections::BTreeMap<u32, Vec<usize>> =
-                        std::collections::BTreeMap::new();
-                    for (row, &p) in routed.iter().enumerate() {
-                        by_part.entry(p).or_default().push(row);
-                    }
-                    for (p, rows) in by_part {
-                        if part_seqs[p as usize].contains(&r.seq) {
-                            continue; // this append won the crash; do not duplicate
+                    let bounds = match &mut base {
+                        // A resident persisted table is never partitioned,
+                        // so its live ingests widened every snippet.
+                        BaseRows::Table(table) => {
+                            table.push_rows(&r.rows).map_err(|e| {
+                                StoreError::Corrupt(format!(
+                                    "ingest record seq {} replay: {e}",
+                                    r.seq
+                                ))
+                            })?;
+                            None
                         }
-                        let fragment = batch.gather(&rows).map_err(|e| {
-                            StoreError::Corrupt(format!(
-                                "ingest record seq {} partition {p}: {e}",
-                                r.seq
-                            ))
+                        BaseRows::Paged(paged) => Some(paged.replay(&dir, r, &mut part_seqs)?),
+                    };
+                    let staged = engine
+                        .stage_ingest_filtered(&r.adjustments, bounds.as_ref())
+                        .map_err(|e| {
+                            StoreError::Corrupt(format!("ingest record seq {} refit: {e}", r.seq))
                         })?;
-                        append_part_record(&dir, p, r.seq, &fragment, 0..rows.len())?;
-                        part_seqs[p as usize].insert(r.seq);
-                    }
-                    replay_adjustments(&mut engine, r, Some(&bounds))?;
-                    ingests_replayed += 1;
-                    rows_appended += r.rows.len() as u64;
-                    replayed_data_epoch += 1;
-                    replayed_batches.push(batch);
+                    engine.commit_ingest(staged);
+                    report.ingests_replayed += 1;
+                    report.rows_appended += r.rows.len() as u64;
+                    data_epoch += 1;
                 }
             }
-            replayed += 1;
+            report.records_replayed += 1;
         }
         let state = engine.export_state();
 
-        let report = RecoveryReport {
-            snapshot_gen: gen,
-            snapshot_last_seq: last_seq,
-            records_replayed: replayed,
-            ingests_replayed,
-            rows_appended,
-            records_already_folded: already_folded,
-            torn_bytes: scan.torn_bytes,
-            skipped_generations: skipped,
-        };
         let store = SynopsisStore {
             dir,
             policy,
@@ -671,36 +498,23 @@ impl SynopsisStore {
             next_seq: max_seq + 1,
             current_gen: gen,
             current_table_gen: table_gen,
-            // Replayed ingests are already durable in the partition files;
-            // a paged snapshot never folds a table generation anyway.
-            table_dirty: false,
-            data_epoch: replayed_data_epoch,
+            table_dirty: report.ingests_replayed > 0,
+            data_epoch,
             schema_fp: fingerprint(&state.schema),
             table_fp,
-            paged: true,
+            paged: meta.paged,
             stats: StoreStats::default(),
             sticky_error: None,
             _lock: lock,
         };
-        Ok((
-            store,
-            Recovered {
-                meta,
-                table: resolution.clone(),
-                state,
-                data_epoch: replayed_data_epoch,
-                paged: Some(PagedRecovered {
-                    map,
-                    original_part_rows,
-                    resolution,
-                    total_rows_at_snapshot: total_rows,
-                    tails,
-                    replayed_batches,
-                    part_torn_bytes,
-                }),
-                report,
-            },
-        ))
+        let recovered = Recovered {
+            meta,
+            base,
+            state,
+            data_epoch,
+            report,
+        };
+        Ok((store, recovered))
     }
 
     /// The store directory.
@@ -818,18 +632,7 @@ impl SynopsisStore {
                 batch.num_rows()
             )));
         }
-        let mut by_part: std::collections::BTreeMap<u32, Vec<usize>> =
-            std::collections::BTreeMap::new();
-        for (row, &p) in routed.iter().enumerate() {
-            by_part.entry(p).or_default().push(row);
-        }
-        for (p, rows) in by_part {
-            let fragment = batch
-                .gather(&rows)
-                .map_err(|e| StoreError::Mismatch(format!("slicing partition {p}: {e}")))?;
-            append_part_record(&self.dir, p, seq, &fragment, 0..rows.len())?;
-        }
-        Ok(())
+        append_routed(&self.dir, seq, batch, routed, |_| false)
     }
 
     /// Whether the compaction policy asks for a snapshot now.
@@ -843,34 +646,33 @@ impl SynopsisStore {
     /// Returns a receipt with the generation, bytes written, and elapsed
     /// wall-clock — the instrumentation source for checkpoint reporting.
     ///
-    /// Snapshots carry only session metadata and learned state; `table`
-    /// is written out as a fresh table generation **only when ingest
-    /// records landed since the last one** (the snapshot then references
-    /// it by generation + fingerprint). On a non-evolving table,
-    /// compaction cost still scales with the synopsis, not the data.
+    /// `state_bytes` is a pre-encoded [`EngineState`] (see
+    /// `Verdict::state_bytes`) whose schema fingerprints to `schema_fp`,
+    /// so a checkpoint neither clones nor re-encodes the learned state.
+    /// `base` must be of the store's kind. A resident `table` is written
+    /// out as a fresh table generation **only when ingest records landed
+    /// since the last one** (the snapshot then references it by
+    /// generation + fingerprint). A paged store's rows are already
+    /// durable in their partition files (every
+    /// [`SynopsisStore::append_parts`] fsyncs), so its snapshot carries
+    /// the paged state instead. Either way, compaction cost on a
+    /// non-evolving table scales with the synopsis, not the data.
     pub fn snapshot(
-        &mut self,
-        meta: SessionMeta,
-        state: &EngineState,
-        table: &Table,
-    ) -> Result<SnapshotReceipt> {
-        self.snapshot_encoded(meta, fingerprint(&state.schema), &state.to_bytes(), table)
-    }
-
-    /// Like [`SynopsisStore::snapshot`], but for a pre-encoded state (see
-    /// `Verdict::state_bytes`) — the checkpoint path uses this to avoid
-    /// deep-cloning the learned state just to serialize it.
-    pub fn snapshot_encoded(
         &mut self,
         meta: SessionMeta,
         schema_fp: u64,
         state_bytes: &[u8],
-        table: &Table,
+        base: SnapshotBase<'_>,
     ) -> Result<SnapshotReceipt> {
-        if self.paged {
-            return Err(StoreError::Mismatch(
-                "paged store: use snapshot_paged".into(),
-            ));
+        let (table, paged) = match base {
+            SnapshotBase::Table(table) => (Some(table), None),
+            SnapshotBase::Paged(state) => (None, Some(state)),
+        };
+        if paged.is_some() != self.paged || meta.paged != self.paged {
+            return Err(StoreError::Mismatch(format!(
+                "snapshot base and meta.paged must match the store (paged: {})",
+                self.paged
+            )));
         }
         if schema_fp != self.schema_fp {
             return Err(StoreError::Mismatch(
@@ -884,7 +686,7 @@ impl SynopsisStore {
         // table write fails, no snapshot references it, and if the crash
         // lands between the two writes, recovery uses the old snapshot →
         // old table generation → WAL replay of the ingest records.
-        if self.table_dirty {
+        if let Some(table) = table.filter(|_| self.table_dirty) {
             self.table_fp = write_table_file(&self.dir, gen, table)?;
             self.current_table_gen = gen;
             self.table_dirty = false;
@@ -899,67 +701,9 @@ impl SynopsisStore {
             self.table_fp,
             self.data_epoch,
             state_bytes,
-            None,
+            paged,
         )?;
         bytes_written += file_len(&snap_path);
-        self.finish_snapshot(gen, bytes_written, started)
-    }
-
-    /// The paged counterpart of [`SynopsisStore::snapshot_encoded`]. A
-    /// paged checkpoint never folds a table generation — the base rows
-    /// are already durable in their partition files (every
-    /// [`SynopsisStore::append_parts`] fsyncs) — so the snapshot carries
-    /// the paged state (partition map, resolution dictionaries, sample
-    /// tails) and compaction cost scales with the synopsis plus the map,
-    /// never the data.
-    pub fn snapshot_paged(
-        &mut self,
-        meta: SessionMeta,
-        schema_fp: u64,
-        state_bytes: &[u8],
-        paged: &PagedState,
-    ) -> Result<SnapshotReceipt> {
-        if !self.paged {
-            return Err(StoreError::Mismatch(
-                "snapshot_paged on a store without partition files".into(),
-            ));
-        }
-        if schema_fp != self.schema_fp {
-            return Err(StoreError::Mismatch(
-                "snapshot state schema differs from the store's schema".into(),
-            ));
-        }
-        if !meta.paged {
-            return Err(StoreError::Mismatch(
-                "snapshot_paged requires meta.paged".into(),
-            ));
-        }
-        let started = std::time::Instant::now();
-        let gen = self.current_gen + 1;
-        let snap_path = write_snapshot(
-            &self.dir,
-            gen,
-            self.next_seq - 1,
-            self.current_table_gen,
-            &meta,
-            self.table_fp,
-            self.data_epoch,
-            state_bytes,
-            Some(paged),
-        )?;
-        self.table_dirty = false;
-        let bytes_written = file_len(&snap_path);
-        self.finish_snapshot(gen, bytes_written, started)
-    }
-
-    /// Common tail of a checkpoint: the new generation is in place, so
-    /// truncate the log, prune old generations, and account the write.
-    fn finish_snapshot(
-        &mut self,
-        gen: u64,
-        bytes_written: u64,
-        started: std::time::Instant,
-    ) -> Result<SnapshotReceipt> {
         self.current_gen = gen;
         // The snapshot now covers every logged record; a crash past this
         // point replays nothing (seq <= last_seq), so truncating the log
@@ -1029,19 +773,124 @@ impl SynopsisStore {
     }
 }
 
-/// Replays one ingest record's adjustments the way the live ingest
-/// applied them: every key staged together, with the same widening
-/// `bounds`, then committed — so a reopened engine widens exactly the
-/// snippets the live one did and refits with the lengthscales it kept.
-fn replay_adjustments(
-    engine: &mut Verdict,
-    record: &IngestRecord,
-    bounds: Option<&IngestBounds>,
+impl PagedRecovered {
+    /// Replays one ingest record onto the partition files. The batch is
+    /// rebuilt against the resolution dictionaries (string re-insertion
+    /// is deterministic, so codes come out identical to the live
+    /// session's), routed through the map, and re-appended
+    /// **idempotently**: a partition whose file already holds the
+    /// record's sequence — the append won the crash — is skipped, so
+    /// replay never duplicates rows no matter where the crash landed.
+    /// Returns the widening bounds of the map as it was before the batch
+    /// landed, as the live ingest had them.
+    fn replay(
+        &mut self,
+        dir: &Path,
+        r: &IngestRecord,
+        part_seqs: &mut [HashSet<u64>],
+    ) -> Result<IngestBounds> {
+        let corrupt = |what: &str, e: &dyn std::fmt::Display| {
+            StoreError::Corrupt(format!("ingest record seq {} {what}: {e}", r.seq))
+        };
+        let PagedState {
+            map, resolution, ..
+        } = &mut self.state;
+        let mut batch = resolution.clone();
+        batch
+            .push_rows(&r.rows)
+            .map_err(|e| corrupt("replay", &e))?;
+        resolution
+            .sync_dictionaries_from(&batch)
+            .map_err(|e| corrupt("dictionary sync", &e))?;
+        let routed = map
+            .route(&batch, 0..batch.num_rows())
+            .map_err(|e| corrupt("routing", &e))?;
+        let bounds = IngestBounds::touched(map, &batch).map_err(|e| corrupt("bounds", &e))?;
+        map.extend_batch(&batch)
+            .map_err(|e| corrupt("summaries", &e))?;
+        append_routed(dir, r.seq, &batch, &routed, |p| {
+            !part_seqs[p as usize].insert(r.seq)
+        })?;
+        self.replayed_batches.push(batch);
+        Ok(bounds)
+    }
+}
+
+/// Splits `table` by `spec` into one column file per partition (every
+/// partition gets one, empty or not). Returns the part fingerprint and
+/// the initial paged state: the map, the create-time rows per partition,
+/// the zero-row resolution table carrying the schema and full
+/// dictionaries, and one empty ingest tail per sample.
+fn write_part_files(
+    dir: &Path,
+    spec: PartitionSpec,
+    table: &Table,
+    num_samples: u64,
+) -> Result<(u64, PagedState)> {
+    let mismatch =
+        |what: &str, e: &dyn std::fmt::Display| StoreError::Mismatch(format!("{what}: {e}"));
+    let map = PartitionMap::build(table, spec)
+        .map_err(|e| mismatch("partitioning the base table", &e))?;
+    let routed = map
+        .route(table, 0..table.num_rows())
+        .map_err(|e| mismatch("routing the base table", &e))?;
+    let mut by_part = rows_by_partition(&routed);
+    by_part.resize(map.num_partitions(), Vec::new());
+    let mut record0_crcs = Vec::with_capacity(by_part.len());
+    for (p, rows) in by_part.iter().enumerate() {
+        let fragment = table
+            .gather(rows)
+            .map_err(|e| mismatch(&format!("slicing partition {p}"), &e))?;
+        record0_crcs.push(write_part_file(dir, p as u32, &fragment)?);
+    }
+    let mut resolution = Table::new(table.schema().clone());
+    resolution
+        .sync_dictionaries_from(table)
+        .map_err(|e| mismatch("building the resolution table", &e))?;
+    let state = PagedState {
+        map,
+        original_part_rows: by_part.iter().map(|rows| rows.len() as u64).collect(),
+        resolution: resolution.clone(),
+        total_rows: table.num_rows() as u64,
+        tails: vec![resolution; num_samples as usize],
+    };
+    Ok((part_fingerprint(&record0_crcs), state))
+}
+
+/// The rows of a batch grouped by the partition `routed` assigns each
+/// to, indexed by partition id (ascending; a partition past the last
+/// routed one has no entry).
+fn rows_by_partition(routed: &[u32]) -> Vec<Vec<usize>> {
+    let mut by_part: Vec<Vec<usize>> = Vec::new();
+    for (row, &p) in routed.iter().enumerate() {
+        if by_part.len() <= p as usize {
+            by_part.resize(p as usize + 1, Vec::new());
+        }
+        by_part[p as usize].push(row);
+    }
+    by_part
+}
+
+/// Appends each partition's share of `batch` to that partition's file as
+/// one record tagged `seq`, in ascending partition order, skipping
+/// partitions that received no rows and those `skip` names.
+fn append_routed(
+    dir: &Path,
+    seq: u64,
+    batch: &Table,
+    routed: &[u32],
+    mut skip: impl FnMut(u32) -> bool,
 ) -> Result<()> {
-    let staged = engine
-        .stage_ingest_filtered(&record.adjustments, bounds)
-        .map_err(|e| StoreError::Corrupt(format!("ingest record seq {} refit: {e}", record.seq)))?;
-    engine.commit_ingest(staged);
+    for (p, rows) in rows_by_partition(routed).iter().enumerate() {
+        let p = p as u32;
+        if rows.is_empty() || skip(p) {
+            continue;
+        }
+        let fragment = batch
+            .gather(rows)
+            .map_err(|e| StoreError::Mismatch(format!("slicing partition {p}: {e}")))?;
+        append_part_record(dir, p, seq, &fragment, 0..rows.len())?;
+    }
     Ok(())
 }
 
@@ -1147,7 +996,7 @@ mod tests {
     fn fresh_store(name: &str) -> (PathBuf, SynopsisStore) {
         let dir = tempdir(name);
         let engine = Verdict::new(schema_info(), VerdictConfig::default());
-        let store = SynopsisStore::create(
+        let (store, paged) = SynopsisStore::create(
             &dir,
             StorePolicy::default(),
             meta(),
@@ -1155,7 +1004,20 @@ mod tests {
             &engine.export_state(),
         )
         .unwrap();
+        assert!(paged.is_none(), "a resident store has no paged state");
         (dir, store)
+    }
+
+    /// Checkpoints a resident store with `engine`'s state over
+    /// `small_table()`, as the session would.
+    fn checkpoint(store: &mut SynopsisStore, engine: &Verdict) -> Result<SnapshotReceipt> {
+        let state = engine.export_state();
+        store.snapshot(
+            meta(),
+            fingerprint(&state.schema),
+            &state.to_bytes(),
+            SnapshotBase::Table(&small_table()),
+        )
     }
 
     #[test]
@@ -1205,9 +1067,7 @@ mod tests {
             engine.observe(&Snippet::new(AggKey::avg("v"), r.clone()), obs);
             store.append_snippet(&AggKey::avg("v"), &r, obs).unwrap();
         }
-        let receipt = store
-            .snapshot(meta(), &engine.export_state(), &small_table())
-            .unwrap();
+        let receipt = checkpoint(&mut store, &engine).unwrap();
         assert_eq!(receipt.generation, 1);
         assert!(receipt.bytes_written > 0);
         let stats = store.stats();
@@ -1245,9 +1105,7 @@ mod tests {
         engine.observe(&Snippet::new(AggKey::avg("v"), r.clone()), obs);
         store.append_snippet(&AggKey::avg("v"), &r, obs).unwrap();
         let log_before = std::fs::read(dir.join("wal.vlog")).unwrap();
-        store
-            .snapshot(meta(), &engine.export_state(), &small_table())
-            .unwrap();
+        checkpoint(&mut store, &engine).unwrap();
         drop(store);
         // Put the pre-snapshot log back: its single record has seq 1,
         // which the snapshot's last_seq already covers.
@@ -1262,9 +1120,7 @@ mod tests {
     fn corrupt_newest_generation_falls_back() {
         let (dir, mut store) = fresh_store("fallback");
         let engine = Verdict::new(schema_info(), VerdictConfig::default());
-        store
-            .snapshot(meta(), &engine.export_state(), &small_table())
-            .unwrap();
+        checkpoint(&mut store, &engine).unwrap();
         drop(store);
         // Corrupt generation 1; generation 0 must still load.
         let path = snapshot_path(&dir, 1);
@@ -1285,7 +1141,7 @@ mod tests {
             compact_after_records: 3,
             ..Default::default()
         };
-        let mut store =
+        let (mut store, _) =
             SynopsisStore::create(&dir, policy, meta(), &small_table(), &engine.export_state())
                 .unwrap();
         assert!(!store.needs_compaction());
@@ -1299,9 +1155,7 @@ mod tests {
                 .unwrap();
         }
         assert!(store.needs_compaction());
-        store
-            .snapshot(meta(), &engine.export_state(), &small_table())
-            .unwrap();
+        checkpoint(&mut store, &engine).unwrap();
         assert!(!store.needs_compaction());
     }
 
@@ -1329,7 +1183,7 @@ mod tests {
         let (_dir, mut store) = fresh_store("mismatch");
         let other = SchemaInfo::new(vec![DimensionSpec::numeric("x", 0.0, 1.0)]).unwrap();
         let engine = Verdict::new(other, VerdictConfig::default());
-        let err = store.snapshot(meta(), &engine.export_state(), &small_table());
+        let err = checkpoint(&mut store, &engine);
         assert!(matches!(err, Err(StoreError::Mismatch(_))));
     }
 
@@ -1401,7 +1255,7 @@ mod tests {
     fn fresh_paged_store(name: &str) -> (PathBuf, SynopsisStore, PagedState) {
         let dir = tempdir(name);
         let engine = Verdict::new(schema_info(), VerdictConfig::default());
-        let (store, paged) = SynopsisStore::create_paged(
+        let (store, paged) = SynopsisStore::create(
             &dir,
             StorePolicy::default(),
             paged_meta(),
@@ -1409,7 +1263,11 @@ mod tests {
             &engine.export_state(),
         )
         .unwrap();
-        (dir, store, paged)
+        (
+            dir,
+            store,
+            paged.expect("a paged store returns its paged state"),
+        )
     }
 
     fn ingest_rows(lo: usize, n: usize) -> Vec<Vec<Value>> {
@@ -1469,14 +1327,16 @@ mod tests {
 
         let (store, recovered) = SynopsisStore::open(&dir, StorePolicy::default()).unwrap();
         assert!(store.is_paged());
-        let rec = recovered.paged.expect("paged recovery state");
+        let BaseRows::Paged(rec) = recovered.base else {
+            panic!("paged recovery state");
+        };
         assert_eq!(recovered.report.ingests_replayed, 2);
         assert_eq!(recovered.report.rows_appended, 16);
         assert_eq!(rec.replayed_batches.len(), 2);
-        assert_eq!(rec.total_rows_at_snapshot, 20);
-        assert_eq!(rec.original_part_rows, vec![7, 7, 6]);
+        assert_eq!(rec.state.total_rows, 20);
+        assert_eq!(rec.state.original_part_rows, vec![7, 7, 6]);
         // The map was extended through replay to cover the ingested rows.
-        assert_eq!(rec.map.rows_covered(), 36);
+        assert_eq!(rec.state.map.rows_covered(), 36);
         // Replay did NOT duplicate the already-durable part appends: each
         // file holds the create record plus at most one record per seq.
         let mut rows_on_disk = 0;
@@ -1488,7 +1348,11 @@ mod tests {
             rows_on_disk += scan.rows;
         }
         assert_eq!(rows_on_disk, 20 + 16);
-        assert_eq!(recovered.table.num_rows(), 0, "resolution table is empty");
+        assert_eq!(
+            rec.state.resolution.num_rows(),
+            0,
+            "resolution table is empty"
+        );
     }
 
     #[test]
@@ -1525,7 +1389,9 @@ mod tests {
         drop(store);
 
         let (_, recovered) = SynopsisStore::open(&dir, StorePolicy::default()).unwrap();
-        let rec = recovered.paged.unwrap();
+        let BaseRows::Paged(rec) = recovered.base else {
+            panic!("paged recovery state");
+        };
         assert!(rec.part_torn_bytes > 0);
         assert_eq!(recovered.report.ingests_replayed, 1);
         // After recovery every partition holds the batch exactly once.
@@ -1536,7 +1402,7 @@ mod tests {
             rows_on_disk += scan.rows;
         }
         assert_eq!(rows_on_disk, 20 + 12);
-        assert_eq!(rec.map.rows_covered(), 32);
+        assert_eq!(rec.state.map.rows_covered(), 32);
     }
 
     #[test]
@@ -1562,21 +1428,21 @@ mod tests {
         };
         let state = engine.export_state();
         let receipt = store
-            .snapshot_paged(
+            .snapshot(
                 paged_meta(),
                 fingerprint(&state.schema),
                 &state.to_bytes(),
-                &folded,
+                SnapshotBase::Paged(&folded),
             )
             .unwrap();
         assert_eq!(receipt.generation, 1);
-        // Mixing up the entry points is refused.
+        // A snapshot base of the wrong kind is refused.
         assert!(matches!(
-            store.snapshot_encoded(
+            store.snapshot(
                 paged_meta(),
                 fingerprint(&state.schema),
                 &state.to_bytes(),
-                &small_table()
+                SnapshotBase::Table(&small_table())
             ),
             Err(StoreError::Mismatch(_))
         ));
@@ -1585,9 +1451,11 @@ mod tests {
         let (store, recovered) = SynopsisStore::open(&dir, StorePolicy::default()).unwrap();
         assert_eq!(recovered.report.snapshot_gen, 1);
         assert_eq!(recovered.report.records_replayed, 0, "log was folded");
-        let rec = recovered.paged.unwrap();
-        assert_eq!(rec.total_rows_at_snapshot, 30);
-        assert_eq!(rec.map.rows_covered(), 30);
+        let BaseRows::Paged(rec) = recovered.base else {
+            panic!("paged recovery state");
+        };
+        assert_eq!(rec.state.total_rows, 30);
+        assert_eq!(rec.state.map.rows_covered(), 30);
         assert!(rec.replayed_batches.is_empty());
         assert_eq!(store.data_epoch(), 1);
     }
@@ -1601,7 +1469,7 @@ mod tests {
             ..meta()
         };
         assert!(matches!(
-            SynopsisStore::create_paged(
+            SynopsisStore::create(
                 &dir,
                 StorePolicy::default(),
                 no_spec,
@@ -1610,11 +1478,15 @@ mod tests {
             ),
             Err(StoreError::Mismatch(_))
         ));
+        let no_flag = SessionMeta {
+            paged: false,
+            ..paged_meta()
+        };
         assert!(matches!(
             SynopsisStore::create(
                 &dir,
                 StorePolicy::default(),
-                paged_meta(),
+                no_flag,
                 &small_table(),
                 &engine.export_state(),
             ),

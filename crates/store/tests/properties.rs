@@ -12,7 +12,7 @@ use verdict_core::{Region, Snippet, Verdict, VerdictConfig};
 use verdict_storage::{ColumnDef, Predicate, Schema, Table, Value};
 use verdict_store::log::{scan_log_bytes, LogRecord, SnippetLog, SnippetRecord, LOG_HEADER_LEN};
 use verdict_store::tablecodec::encode_table;
-use verdict_store::{SessionMeta, StorePolicy, SynopsisStore};
+use verdict_store::{BaseRows, SessionMeta, StorePolicy, SynopsisStore};
 
 fn schema() -> SchemaInfo {
     SchemaInfo::new(vec![
@@ -255,7 +255,7 @@ proptest! {
         let mut table = fuzz_base_table();
         let meta = fuzz_meta();
         let mut engine = Verdict::new(schema(), meta.config.clone());
-        let mut store = SynopsisStore::create(
+        let (mut store, _) = SynopsisStore::create(
             &dir,
             StorePolicy::default(),
             meta.clone(),
@@ -317,7 +317,10 @@ proptest! {
         prop_assert!(survived <= ops.len());
         let (want_state, want_table) = &checkpoints[survived];
         prop_assert_eq!(&recovered.state.to_bytes(), want_state);
-        prop_assert_eq!(&table_bytes(&recovered.table), want_table);
+        let BaseRows::Table(recovered_table) = &recovered.base else {
+            panic!("a resident store recovers its table");
+        };
+        prop_assert_eq!(&table_bytes(recovered_table), want_table);
         // Data epoch counts exactly the ingest records that survived.
         let ingests_survived = ops[..survived]
             .iter()

@@ -78,8 +78,8 @@ use verdict_sql::{
 use verdict_storage::{AggregateFn, PartitionMap, PartitionSpec, Predicate, Schema, Table, Value};
 use verdict_store::catalog::{catalog_exists, is_valid_table_name, table_dir};
 use verdict_store::{
-    read_catalog, read_part_rows, write_catalog, CatalogManifest, PagedState, Recovered,
-    RecoveryReport, SessionMeta, SharedStore, StorePolicy, SynopsisStore,
+    read_catalog, read_part_rows, write_catalog, BaseRows, CatalogManifest, PagedState, Recovered,
+    RecoveryReport, SessionMeta, SharedStore, SnapshotBase, StorePolicy, SynopsisStore,
 };
 
 use crate::metrics::{CheckpointReport, TableObs};
@@ -231,17 +231,24 @@ impl SessionSnapshot {
 struct Writer {
     learner: Learner,
     meta: SessionMeta,
-    /// Base-table partition map of a resident partitioned table (kept
-    /// current across ingests; `None` for unpartitioned tables). Scopes
-    /// each ingest's Lemma-3 widening to the regions its partitions can
-    /// reach. A paged table's map lives in `paged` instead.
-    partitions: Option<PartitionMap>,
-    /// Out-of-core runtime of a demand-paged table; `None` for resident
-    /// tables.
-    paged: Option<PagedRuntime>,
+    /// Where the base rows live.
+    layout: Layout,
     /// Running moments of every `AVG` key over the fixed sample — the
     /// old side of each ingest's Lemma-3 shift, kept between ingests.
     moments: SampleMoments,
+}
+
+/// Where a table's base rows live — the one point at which a resident
+/// and an out-of-core table differ.
+enum Layout {
+    /// In memory, as the published table. `partitions` is the base
+    /// table's partition map of a partitioned table (kept current across
+    /// ingests), which scopes each ingest's Lemma-3 widening to the
+    /// regions its partitions can reach.
+    Resident { partitions: Option<PartitionMap> },
+    /// In partition files, demand-paged; only the resolution table and
+    /// each sample's ingest tail stay resident.
+    Paged(PagedRuntime),
 }
 
 /// One table's full runtime: published snapshot pair, serialized writer,
@@ -307,16 +314,20 @@ impl Shard {
         };
         // The dimension universe is fixed here, at creation.
         let verdict = Verdict::new(SchemaInfo::from_table(&table)?, opts.config.clone());
-        let (table, engines, store, partitions, runtime) = match store_dir {
+        let create_store = |dir: PathBuf, table: &Table| {
+            SynopsisStore::create(
+                dir,
+                serve.store_policy.clone(),
+                meta.clone(),
+                table,
+                &verdict.export_state(),
+            )
+            .map_err(Error::Store)
+        };
+        let (table, engines, store, layout) = match store_dir {
             Some(dir) if paged => {
-                let (store, state) = SynopsisStore::create_paged(
-                    dir,
-                    serve.store_policy.clone(),
-                    meta.clone(),
-                    &table,
-                    &verdict.export_state(),
-                )
-                .map_err(Error::Store)?;
+                let (store, state) = create_store(dir, &table)?;
+                let state = state.expect("a paged store is created with its paged state");
                 let runtime = PagedRuntime::new(
                     state.map,
                     state.original_part_rows,
@@ -336,27 +347,24 @@ impl Shard {
                     &opts.cost,
                     opts.tier,
                 )?;
-                (state.resolution, engines, Some(store), None, Some(runtime))
+                (
+                    state.resolution,
+                    engines,
+                    Some(store),
+                    Layout::Paged(runtime),
+                )
             }
             store_dir => {
+                // Drawn before the store exists: an invalid sample
+                // geometry leaves no store behind.
                 let partitions = partition
                     .map(|spec| PartitionMap::build(&table, spec.clone()))
                     .transpose()
                     .map_err(Error::Storage)?;
                 let engines = draw_engines(&table, &meta, &opts.cost, opts.tier, partition)?;
-                let store = store_dir
-                    .map(|dir| {
-                        SynopsisStore::create(
-                            dir,
-                            serve.store_policy.clone(),
-                            meta.clone(),
-                            &table,
-                            &verdict.export_state(),
-                        )
-                    })
-                    .transpose()
-                    .map_err(Error::Store)?;
-                (table, engines, store, partitions, None)
+                let store = store_dir.map(|dir| create_store(dir, &table)).transpose()?;
+                let store = store.map(|(store, _)| store);
+                (table, engines, store, Layout::Resident { partitions })
             }
         };
         Ok(Shard::new(
@@ -367,8 +375,7 @@ impl Shard {
             store,
             meta,
             None,
-            partitions,
-            runtime,
+            layout,
             opts.rotation,
             serve,
         ))
@@ -387,40 +394,41 @@ impl Shard {
         serve: &OpenOptions,
     ) -> Result<Shard> {
         let meta = recovered.meta;
-        // Out-of-core table: no rows to redraw from — rebuild the identical
-        // partition map and demand-paged engines from the recovered paged
-        // state (segments re-derive from the same frozen per-partition
-        // draw), then re-admit the replayed WAL batches exactly as the
-        // live table absorbed them.
-        let (table, engines, runtime) = match recovered.paged {
-            Some(pr) => {
+        let (table, engines, layout) = match recovered.base {
+            BaseRows::Table(table) => {
+                let engines = draw_engines(&table, &meta, &serve.cost, serve.tier, None)?;
+                (table, engines, Layout::Resident { partitions: None })
+            }
+            // Out-of-core table: no rows to redraw from — rebuild the
+            // identical partition map and demand-paged engines from the
+            // recovered paged state (segments re-derive from the same
+            // frozen per-partition draw), then re-admit the replayed WAL
+            // batches exactly as the live table absorbed them.
+            BaseRows::Paged(pr) => {
+                let state = pr.state;
                 let replayed: u64 = pr
                     .replayed_batches
                     .iter()
                     .map(|b| b.num_rows() as u64)
                     .sum();
                 let runtime = PagedRuntime::new(
-                    pr.map,
-                    pr.original_part_rows,
-                    pr.total_rows_at_snapshot + replayed,
+                    state.map,
+                    state.original_part_rows,
+                    state.total_rows + replayed,
                     serve.memory_budget,
                 );
                 let engines = build_paged_engines(
                     store.dir(),
                     &runtime,
-                    &pr.resolution,
-                    pr.total_rows_at_snapshot,
-                    pr.tails,
+                    &state.resolution,
+                    state.total_rows,
+                    state.tails,
                     &pr.replayed_batches,
                     &meta,
                     &serve.cost,
                     serve.tier,
                 )?;
-                (pr.resolution, engines, Some(runtime))
-            }
-            None => {
-                let engines = draw_engines(&recovered.table, &meta, &serve.cost, serve.tier, None)?;
-                (recovered.table, engines, None)
+                (state.resolution, engines, Layout::Paged(runtime))
             }
         };
         // Reuse the *persisted* schema: deriving it from the recovered table
@@ -439,8 +447,7 @@ impl Shard {
             Some(store),
             meta,
             Some(recovered.report),
-            None,
-            runtime,
+            layout,
             serve.rotation,
             serve,
         ))
@@ -458,8 +465,7 @@ impl Shard {
         store: Option<SynopsisStore>,
         meta: SessionMeta,
         recovery: Option<RecoveryReport>,
-        partitions: Option<PartitionMap>,
-        paged: Option<PagedRuntime>,
+        layout: Layout,
         rotation: SampleRotation,
         serve: &OpenOptions,
     ) -> Shard {
@@ -491,8 +497,7 @@ impl Shard {
             writer: Mutex::new(Writer {
                 learner,
                 meta,
-                partitions,
-                paged,
+                layout,
                 moments: SampleMoments::default(),
             }),
             recovery,
@@ -831,15 +836,16 @@ impl Shard {
         let engine = writer.learner.engine();
         let schema_fp = verdict_core::persist::fingerprint(engine.schema());
         let state_bytes = engine.state_bytes();
-        let (receipt, stats) = {
-            let mut guard = store.lock();
-            let receipt = if let Some(rt) = &writer.paged {
-                // A paged snapshot carries the out-of-core state — map,
-                // resolution dictionaries, per-sample ingest tails (all a
-                // paged sample keeps resident) — instead of a table
-                // generation; the base rows are already durable in their
-                // partition files.
-                let state = PagedState {
+        let paged;
+        let base = match &writer.layout {
+            Layout::Resident { .. } => SnapshotBase::Table(&data.table),
+            // A paged snapshot carries the out-of-core state — map,
+            // resolution dictionaries, per-sample ingest tails (all a
+            // paged sample keeps resident) — instead of a table
+            // generation; the base rows are already durable in their
+            // partition files.
+            Layout::Paged(rt) => {
+                paged = PagedState {
                     map: rt.map.read().expect("partition map poisoned").clone(),
                     original_part_rows: rt.original_part_rows.clone(),
                     resolution: (*data.table).clone(),
@@ -850,10 +856,12 @@ impl Shard {
                         .map(|e| e.sample().table().clone())
                         .collect(),
                 };
-                guard.snapshot_paged(writer.meta.clone(), schema_fp, &state_bytes, &state)?
-            } else {
-                guard.snapshot_encoded(writer.meta.clone(), schema_fp, &state_bytes, &data.table)?
-            };
+                SnapshotBase::Paged(&paged)
+            }
+        };
+        let (receipt, stats) = {
+            let mut guard = store.lock();
+            let receipt = guard.snapshot(writer.meta.clone(), schema_fp, &state_bytes, base)?;
             (receipt, guard.stats())
         };
         self.obs
@@ -927,61 +935,73 @@ impl Shard {
                 widening_magnitude: 0.0,
             });
         }
-        // Materializing the batch as its own table validates every row
-        // and gives the shift estimator columns to evaluate over. An
-        // out-of-core batch is coded against the resolution table so the
-        // rows written to partition files carry globally valid codes.
-        let (old_rows, mut batch) = match &writer.paged {
-            Some(rt) => (rt.total_rows as usize, (*old.table).clone()),
-            None => (old.table.num_rows(), Table::new(old.table.schema().clone())),
-        };
-        batch.push_rows(rows).map_err(Error::Storage)?;
-        let (prepared, routed) = {
-            let paged_map = writer
-                .paged
-                .as_ref()
-                .map(|rt| rt.map.read().expect("partition map poisoned"));
-            let prepared = prepare_ingest(
-                writer.learner.engine(),
-                old.engines[self.fixed_sample].sample(),
-                &mut writer.moments,
-                &batch,
-                old_rows,
-                paged_map.as_deref().or(writer.partitions.as_ref()),
-            )?;
-            let routed = paged_map
-                .map(|map| map.route(&batch, 0..batch.num_rows()))
-                .transpose()
-                .map_err(Error::Storage)?;
-            (prepared, routed)
-        };
-        // WAL byte accounting is the store's own cumulative counter
-        // (delta across the append) — no second measurement.
-        let wal_bytes = match &self.store {
-            Some(store) => {
-                let mut guard = store.lock();
-                let before = guard.stats().wal_bytes;
-                let seq = guard
-                    .append_ingest(rows, &prepared.adjustments)
+        // WAL first: rows + adjustments, then (out-of-core) the touched
+        // partition files. Byte accounting is the store's own cumulative
+        // counter (delta across the append) — no second measurement.
+        let log = |adjustments: &[(AggKey, AppendAdjustment)], parts: Option<(&Table, &[u32])>| {
+            let Some(store) = &self.store else {
+                return Ok(0);
+            };
+            let mut guard = store.lock();
+            let before = guard.stats().wal_bytes;
+            let seq = guard
+                .append_ingest(rows, adjustments)
+                .map_err(Error::Store)?;
+            if let Some((batch, routed)) = parts {
+                guard
+                    .append_parts(seq, batch, routed)
                     .map_err(Error::Store)?;
-                if let Some(routed) = &routed {
-                    guard
-                        .append_parts(seq, &batch, routed)
-                        .map_err(Error::Store)?;
-                }
-                guard.stats().wal_bytes - before
             }
-            None => 0,
+            Ok::<_, Error>(guard.stats().wal_bytes - before)
         };
         // Build the next data set copy-on-write: the table clones once,
         // each sample's rows clone on its first admission.
         let mut table = (*old.table).clone();
         let mut engines = old.engines.clone();
-        let (first, seed) = (old_rows as u64, writer.meta.seed);
-        // Land the rows. What the samples then admit from is the grown
-        // table — or, out-of-core (no resident base rows), the batch.
-        let landed = match &mut writer.paged {
-            Some(rt) => {
+        let sample = old.engines[self.fixed_sample].sample();
+        let Writer {
+            learner,
+            meta,
+            layout,
+            moments,
+        } = &mut *writer;
+        // Materializing the batch as its own table validates every row
+        // and gives the shift estimator columns to evaluate over. An
+        // out-of-core batch is coded against the resolution table so the
+        // rows written to partition files carry globally valid codes.
+        let mut prepare = |mut batch: Table, first: usize, map: Option<&PartitionMap>| {
+            batch.push_rows(rows).map_err(Error::Storage)?;
+            let prepared = prepare_ingest(learner.engine(), sample, moments, &batch, first, map)?;
+            Ok::<_, Error>((batch, prepared))
+        };
+        // Stage, log, then land the rows. What the samples admit from is
+        // the grown table — or, out-of-core (no resident base rows), the
+        // batch.
+        let (first, prepared, wal_bytes, paged_batch) = match layout {
+            Layout::Resident { partitions } => {
+                let first = old.table.num_rows();
+                let empty = Table::new(old.table.schema().clone());
+                let (_, prepared) = prepare(empty, first, partitions.as_ref())?;
+                let wal_bytes = log(&prepared.adjustments, None)?;
+                table.push_rows(rows).map_err(Error::Storage)?;
+                // Route the appended rows into the partition map so the
+                // next ingest's bounds see this batch's contribution (a
+                // batch may split across several partitions; only those
+                // summaries extend).
+                if let Some(map) = partitions {
+                    map.extend(&table).map_err(Error::Storage)?;
+                }
+                (first, prepared, wal_bytes, None)
+            }
+            Layout::Paged(rt) => {
+                let first = rt.total_rows as usize;
+                let map = rt.map.read().expect("partition map poisoned");
+                let (batch, prepared) = prepare((*old.table).clone(), first, Some(&map))?;
+                let routed = map
+                    .route(&batch, 0..batch.num_rows())
+                    .map_err(Error::Storage)?;
+                drop(map);
+                let wal_bytes = log(&prepared.adjustments, Some((&batch, &routed)))?;
                 rt.map
                     .write()
                     .expect("partition map poisoned")
@@ -991,28 +1011,19 @@ impl Shard {
                     .sync_dictionaries_from(&batch)
                     .map_err(Error::Storage)?;
                 rt.total_rows += rows.len() as u64;
-                &batch
-            }
-            None => {
-                table.push_rows(rows).map_err(Error::Storage)?;
-                // Route the appended rows into the partition map so the
-                // next ingest's bounds see this batch's contribution (a
-                // batch may split across several partitions; only those
-                // summaries extend).
-                if let Some(map) = &mut writer.partitions {
-                    map.extend(&table).map_err(Error::Storage)?;
-                }
-                &table
+                (first, prepared, wal_bytes, Some(batch))
             }
         };
+        let landed = paged_batch.as_ref().unwrap_or(&table);
+        let (first, seed) = (first as u64, meta.seed);
         let admitted_rows = engines
             .iter_mut()
             .enumerate()
             .map(|(i, e)| e.absorb_appended(landed, first, seed, i as u64))
             .collect::<std::result::Result<Vec<_>, _>>()
             .map_err(Error::Aqp)?;
-        let adjusted_snippets = writer.learner.engine_mut().commit_ingest(prepared.staged);
-        writer.learner.republish();
+        let adjusted_snippets = learner.engine_mut().commit_ingest(prepared.staged);
+        learner.republish();
         let data = Arc::new(DataSet {
             data_epoch: old.data_epoch + 1,
             table: Arc::new(table),
@@ -1048,7 +1059,7 @@ impl Shard {
         let writer = self.lock_writer();
         let data = self.current().data;
         let table = &data.table;
-        let (Some(rt), Some(store)) = (&writer.paged, &self.store) else {
+        let (Layout::Paged(rt), Some(store)) = (&writer.layout, &self.store) else {
             return agg.eval_exact(table, predicate).map_err(Error::Storage);
         };
         let dir = store.lock().dir().to_path_buf();
