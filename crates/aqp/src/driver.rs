@@ -73,7 +73,7 @@
 //! [`SharedScanDriver::merge_partial`] folds partials into the running
 //! grids with [`Welford::merge`], strictly in batch order.
 //! [`SharedScanDriver::step`] is exactly scan-then-merge, so the serial
-//! scan *is* the fold reference; the work-stealing morsel scheduler
+//! scan *is* the fold reference; the morsel scheduler
 //! ([`crate::parallel_scan`]) computes the same partials on worker
 //! threads and merges them in the same order, which is why answers,
 //! errors, and `tuples_scanned` are bit-identical at every thread count.
@@ -103,7 +103,7 @@ use verdict_storage::{
 
 use crate::engine::RawAnswer;
 use crate::estimator::{avg_estimate, freq_estimate};
-use crate::{AqpError, OnlineAggregation, Result, Sample};
+use crate::{lock, AqpError, OnlineAggregation, Result, Sample};
 
 /// Which executor loop a [`SharedScanDriver`] runs. Not a serving option:
 /// no builder or wire request carries one, so every query runs
@@ -599,7 +599,7 @@ impl SharedScanDriver<'_> {
 
     /// Takes the first segment fault, if any batch hit one.
     pub fn take_error(&self) -> Option<StorageError> {
-        self.error.lock().expect("error latch poisoned").take()
+        lock(&self.error).take()
     }
 
     /// Consumes the next batch; `false` once the sample is exhausted.
@@ -640,8 +640,7 @@ impl SharedScanDriver<'_> {
             return Some(self.resident.scan(self.kernel, index, range));
         };
         Some(self.scan_segment(p, index, range).unwrap_or_else(|e| {
-            let mut slot = self.error.lock().expect("error latch poisoned");
-            slot.get_or_insert(e);
+            lock(&self.error).get_or_insert(e);
             self.resident.empty_partial(index, rows)
         }))
     }

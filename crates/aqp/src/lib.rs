@@ -20,6 +20,8 @@
 //! Appendix C.2) into the largest scannable sample prefix
 //! ([`CostModel::tuples_within`]); the caller bounds its scan with that.
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 pub mod cost;
 pub mod driver;
 pub mod engine;
@@ -66,3 +68,10 @@ impl std::error::Error for AqpError {}
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, AqpError>;
+
+/// Locks `mutex`, absorbing poison. Every mutex in this crate guards state
+/// that each update leaves whole (a published morsel run, a fault latch),
+/// so one thread's panic must not cascade into the threads that share it.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}

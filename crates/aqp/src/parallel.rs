@@ -1,174 +1,132 @@
-//! Work-stealing morsel scheduler for the shared scan.
+//! Morsel-driven parallel shared scan (Leis et al., SIGMOD 2014: a
+//! "morsel" is a small span of work claimed by whichever worker is free).
 //!
-//! One query's scan spans all cores, morsel-driven (Leis et al.'s
-//! "morsel" = a small contiguous span of work claimed by whichever
-//! worker is free): the batch range is cut into morsels of whole sample
-//! batches (batches themselves split at `CHUNK_ROWS` boundaries inside
-//! the chunked kernel), morsels are dealt round-robin into per-worker
-//! deques, and an idle worker steals from the *back* of a victim's deque.
-//! Each worker owns a private [`SharedScanDriver`] — its own compiled
-//! query, predicate mask scratch and, over a paged sample, its own
-//! segment pins (held one batch at a time) — and produces one
-//! [`BatchPartial`] per batch via [`SharedScanDriver::scan_batch`].
+//! A scan runs on the calling thread plus `threads − 1` scoped helpers,
+//! each claiming the next morsel of whole sample batches in ascending
+//! order from one atomic cursor. A helper scans its morsel with a private
+//! [`SharedScanDriver`] (its own compiled query, mask scratch and, over a
+//! paged sample, segment pins held one batch at a time) into one
+//! [`BatchPartial`] per batch, then publishes the run under one lock.
 //!
 //! # Determinism
 //!
-//! Scheduling is racy on purpose; *merging is not*. A single coordinator
-//! (the calling thread) folds partials into the main driver strictly in
-//! batch-index order via [`SharedScanDriver::merge_partial`], and the
-//! stop decision (`on_batch`) runs on the coordinator after every
-//! ordered merge — exactly where the serial loop would have made it.
-//! The merged answers, error bounds, counters, and the stop point are
-//! therefore pure functions of the batch sequence: bit-identical
-//! run-to-run and independent of thread count. Only the scheduling
-//! counters ([`ParallelScanStats`]) are nondeterministic — they describe
-//! how the work was shared, not what was computed.
+//! Scheduling is racy on purpose; *merging is not*. The caller folds runs
+//! into the main driver strictly in batch order
+//! ([`SharedScanDriver::merge_partial`]; a morsel it claims at the merge
+//! cursor it steps, the same fold) and runs the stop decision (`on_batch`)
+//! after every merged batch, exactly where the serial loop would, so every
+//! answer, bound, counter and stop point is the same at any thread count.
 //!
-//! Workers that race past the stop point have their unmerged partials
-//! discarded; nothing they computed leaks into answers or counters.
+//! # Progress
 //!
-//! # Deadlock freedom
-//!
-//! A bounded reorder window keeps memory in check: a worker blocks
-//! before publishing a partial more than `window` batches ahead of the
-//! merge cursor. Because owners drain their own deque front-to-back
-//! (ascending morsels) and thieves take whole morsels, the worker
-//! holding the cursor's morsel is never blocked by the window
-//! (`window ≥ morsel` batches), so the coordinator always makes
-//! progress while any worker lives. A worker never exits mid-morsel on
-//! an I/O error either: a segment fault is latched on the driver and the
-//! batch still yields a partial (see [`crate::driver`]). If every worker
-//! has exited (e.g. scanner construction failed), the coordinator scans
-//! the remaining batches itself via [`SharedScanDriver::step`] — same
-//! fold, same bits.
+//! The caller waits only when every morsel is claimed and the run at its
+//! merge cursor is unpublished; otherwise it claims and scans a morsel
+//! itself. That run always arrives: a drop guard publishes every claimed
+//! morsel (scanned, stopped or panicking), and the caller scans what a run
+//! lacks. Segment faults are latched, not fatal (see [`crate::driver`]).
+//! Run-ahead is bounded by `max_batches`; helpers stop between batches.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 
 use crate::driver::{BatchPartial, SharedScanDriver};
+use crate::lock;
 
-/// Scheduling counters of one parallel scan — observability only; both
-/// are nondeterministic under work stealing and early stop.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// Scheduling counters of one scan — observability only.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelScanStats {
-    /// Morsels claimed by workers (0 when the scan ran serially).
+    /// Morsels claimed, the caller's included (0 when the scan ran
+    /// serially); nondeterministic under early stop.
     pub morsels: u64,
-    /// Morsels a worker stole from another worker's deque.
-    pub morsels_stolen: u64,
+    /// Threads the scan ran on, the caller included (1 when serial).
+    pub workers: u64,
 }
 
-/// Coordinator-side shared state: out-of-order partials awaiting their
-/// turn at the merge cursor.
-struct Coord {
-    ready: BTreeMap<usize, BatchPartial>,
-    /// Next batch index the coordinator will merge.
-    expected: usize,
-    /// Workers that have not exited yet.
-    active: usize,
+impl Default for ParallelScanStats {
+    fn default() -> Self {
+        ParallelScanStats {
+            morsels: 0,
+            workers: 1,
+        }
+    }
 }
 
 struct Shared {
-    state: Mutex<Coord>,
-    cv: Condvar,
+    /// First batch of the next unclaimed morsel.
+    cursor: AtomicUsize,
+    end: usize,
+    morsel: usize,
     stop: AtomicBool,
     morsels: AtomicU64,
-    stolen: AtomicU64,
-    /// Per-worker morsel deques; owner pops front, thieves pop back.
-    queues: Vec<Mutex<VecDeque<Range<usize>>>>,
-    /// Reorder window in batches (≥ morsel size; see module docs).
-    window: usize,
+    /// Published runs by first batch: (morsel end, leading partials).
+    runs: Mutex<BTreeMap<usize, (usize, Vec<BatchPartial>)>>,
+    ready: Condvar,
+}
+
+/// A claimed morsel; dropping it publishes its run.
+struct Claim<'s> {
+    shared: &'s Shared,
+    morsel: Range<usize>,
+    partials: Vec<BatchPartial>,
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        let run = (self.morsel.end, std::mem::take(&mut self.partials));
+        lock(&self.shared.runs).insert(self.morsel.start, run);
+        self.shared.ready.notify_one();
+    }
 }
 
 impl Shared {
-    /// Publishes one batch partial, blocking while it is too far ahead
-    /// of the merge cursor; `false` if the scan stopped meanwhile.
-    fn submit(&self, batch: usize, partial: BatchPartial) -> bool {
-        let mut st = self.state.lock().unwrap();
-        while !self.stop.load(Ordering::Acquire) && batch >= st.expected + self.window {
-            st = self.cv.wait(st).unwrap();
-        }
-        if self.stop.load(Ordering::Acquire) {
-            return false;
-        }
-        st.ready.insert(batch, partial);
-        self.cv.notify_all();
-        true
+    /// Claims the next morsel in ascending batch order (none once stopped).
+    fn claim(&self) -> Option<Range<usize>> {
+        let lo = self.cursor.fetch_add(self.morsel, Ordering::Relaxed);
+        (lo < self.end && !self.stop.load(Ordering::Acquire)).then(|| {
+            self.morsels.fetch_add(1, Ordering::Relaxed);
+            lo..(lo + self.morsel).min(self.end)
+        })
     }
 
-    /// Claims the next morsel: own deque front first, then steal from
-    /// the back of the first victim that has one.
-    fn next_morsel(&self, worker: usize) -> Option<Range<usize>> {
-        if let Some(m) = self.queues[worker].lock().unwrap().pop_front() {
-            return Some(m);
-        }
-        for k in 1..self.queues.len() {
-            let victim = (worker + k) % self.queues.len();
-            if let Some(m) = self.queues[victim].lock().unwrap().pop_back() {
-                self.stolen.fetch_add(1, Ordering::Relaxed);
-                return Some(m);
-            }
-        }
-        None
-    }
-
-    fn request_stop(&self) {
-        self.stop.store(true, Ordering::Release);
-        drop(self.state.lock().unwrap());
-        self.cv.notify_all();
-    }
-
-    fn worker_exit(&self) {
-        self.state.lock().unwrap().active -= 1;
-        self.cv.notify_all();
-    }
-}
-
-/// One worker: claim morsels, scan each batch into a partial with a
-/// private driver, publish partials through the reorder window.
-fn run_worker<'w>(
-    shared: &Shared,
-    worker: usize,
-    make_scanner: &(impl Fn() -> Option<SharedScanDriver<'w>> + Sync),
-) {
-    let Some(mut scanner) = make_scanner() else {
-        shared.worker_exit();
-        return;
-    };
-    'work: while !shared.stop.load(Ordering::Acquire) {
-        let Some(morsel) = shared.next_morsel(worker) else {
-            break;
+    /// Scans `morsel` into a run (left empty without a scanner).
+    fn scan(&self, morsel: Range<usize>, scanner: Option<&mut SharedScanDriver<'_>>) {
+        let mut claim = Claim {
+            shared: self,
+            morsel,
+            partials: Vec::new(),
         };
-        shared.morsels.fetch_add(1, Ordering::Relaxed);
-        for batch in morsel {
-            if shared.stop.load(Ordering::Acquire) {
-                break 'work;
-            }
-            let Some(partial) = scanner.scan_batch(batch) else {
-                break 'work;
-            };
-            if !shared.submit(batch, partial) {
-                break 'work;
+        let Some(scanner) = scanner else { return };
+        for batch in claim.morsel.clone() {
+            match scanner.scan_batch(batch) {
+                Some(partial) if !self.stop.load(Ordering::Acquire) => claim.partials.push(partial),
+                _ => break,
             }
         }
     }
-    shared.worker_exit();
+
+    /// The run at `batch` once published; `None` while morsels are left.
+    fn take(&self, batch: usize) -> Option<(usize, Vec<BatchPartial>)> {
+        let mut runs = lock(&self.runs);
+        loop {
+            if let Some(run) = runs.remove(&batch) {
+                return Some(run);
+            }
+            if self.cursor.load(Ordering::Relaxed) < self.end {
+                return None;
+            }
+            runs = self.ready.wait(runs).unwrap_or_else(|e| e.into_inner());
+        }
+    }
 }
 
-/// Drives `main`'s shared scan over at most `max_batches` further
-/// batches using `threads` workers, merging partials in deterministic
-/// batch-index order.
-///
-/// `make_scanner` builds a worker-private driver over the same
-/// [`crate::ScanSpec`] (and kernel) as `main`; it runs on the worker's
-/// own thread. `on_batch` runs on the calling thread after every
-/// ordered merge — return `false` to stop the scan (the stop point is
-/// deterministic; see the module docs). With `threads <= 1`, or when
-/// there is at most one batch of work, the scan runs serially on the
-/// calling thread via [`SharedScanDriver::step`] and the returned
-/// morsel counters are zero; the merged state is bit-identical either
-/// way.
+/// Drives `main`'s shared scan over at most `max_batches` further batches
+/// on `threads` threads (the calling one and `threads − 1` scoped helpers,
+/// each scanning with its own `make_scanner()` driver over `main`'s
+/// [`crate::ScanSpec`]), merging partials in batch order. `on_batch` runs
+/// on the calling thread after every merged batch; `false` stops the scan.
+/// With `threads <= 1`, or at most one batch, `main` steps serially.
 pub fn parallel_scan<'m, 'w>(
     main: &mut SharedScanDriver<'m>,
     threads: usize,
@@ -187,71 +145,56 @@ pub fn parallel_scan<'m, 'w>(
         return ParallelScanStats::default();
     }
 
-    let morsel = (total / (threads * 4)).clamp(1, 64);
-    let mut queues: Vec<Mutex<VecDeque<Range<usize>>>> =
-        (0..threads).map(|_| Mutex::new(VecDeque::new())).collect();
-    let mut lo = start;
-    let mut m = 0usize;
-    while lo < start + total {
-        let hi = (lo + morsel).min(start + total);
-        queues[m % threads].get_mut().unwrap().push_back(lo..hi);
-        lo = hi;
-        m += 1;
-    }
+    let threads = threads.min(total);
     let shared = Shared {
-        state: Mutex::new(Coord {
-            ready: BTreeMap::new(),
-            expected: start,
-            active: threads,
-        }),
-        cv: Condvar::new(),
+        cursor: AtomicUsize::new(start),
+        end: start + total,
+        morsel: (total / (threads * 4)).clamp(1, 64),
         stop: AtomicBool::new(false),
         morsels: AtomicU64::new(0),
-        stolen: AtomicU64::new(0),
-        queues,
-        window: morsel * threads * 2,
+        runs: Mutex::new(BTreeMap::new()),
+        ready: Condvar::new(),
     };
-
     std::thread::scope(|scope| {
-        for w in 0..threads {
-            let shared = &shared;
-            let make_scanner = &make_scanner;
-            scope.spawn(move || run_worker(shared, w, make_scanner));
+        for _ in 1..threads {
+            scope.spawn(|| {
+                if let Some(mut scanner) = make_scanner() {
+                    while let Some(morsel) = shared.claim() {
+                        shared.scan(morsel, Some(&mut scanner));
+                    }
+                }
+            });
         }
-        for i in 0..total {
-            let batch = start + i;
-            let mut st = shared.state.lock().unwrap();
-            let partial = loop {
-                if let Some(p) = st.ready.remove(&batch) {
-                    break Some(p);
-                }
-                if st.active == 0 {
-                    break None;
-                }
-                st = shared.cv.wait(st).unwrap();
+        let (mut own, mut next) = (None, start);
+        'merge: while next < shared.end {
+            // Not ready: claim a morsel, to step here or scan as a run.
+            let (hi, partials) = match shared.take(next) {
+                Some(run) => run,
+                None => match shared.claim() {
+                    Some(morsel) if morsel.start == next => (morsel.end, Vec::new()),
+                    Some(morsel) => {
+                        shared.scan(morsel, own.get_or_insert_with(&make_scanner).as_mut());
+                        continue;
+                    }
+                    None => continue,
+                },
             };
-            drop(st);
-            let stepped = match partial {
-                Some(p) => {
-                    main.merge_partial(&p);
-                    true
+            let mut partials = partials.into_iter();
+            for _ in next..hi {
+                // Merge the published partial, or scan the batch here.
+                let stepped = partials.next().map(|p| main.merge_partial(&p)).is_some();
+                if !(stepped || main.step()) || !on_batch(main) {
+                    break 'merge;
                 }
-                // All workers gone (construction failure or early
-                // exit): scan the batch on this thread — same fold.
-                None => main.step(),
-            };
-            shared.state.lock().unwrap().expected = batch + 1;
-            shared.cv.notify_all();
-            if !stepped || !on_batch(main) {
-                break;
             }
+            next = hi;
         }
-        shared.request_stop();
+        shared.stop.store(true, Ordering::Release);
     });
 
     ParallelScanStats {
         morsels: shared.morsels.load(Ordering::Relaxed),
-        morsels_stolen: shared.stolen.load(Ordering::Relaxed),
+        workers: threads as u64,
     }
 }
 
@@ -334,7 +277,51 @@ mod tests {
             } else {
                 assert_eq!(stats.morsels, 0);
             }
+            assert_eq!(stats.workers, threads as u64, "the caller is a worker");
         }
+    }
+
+    /// A helper that panics cannot hang the scan: the caller scans every
+    /// batch no helper published, and the panic surfaces after the join.
+    #[test]
+    fn panicking_helpers_cannot_hang_the_scan() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let t = base(4_000);
+            let e = engine(&t);
+            let prims = vec![AggregateFn::Freq];
+            let spec = ScanSpec {
+                predicate: &Predicate::True,
+                group_cols: &[],
+                groups: &[],
+                primitives: &prims,
+            };
+            let caller = std::thread::current().id();
+            let mut merged = 0;
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let mut main = e.shared_scan(&spec).unwrap();
+                parallel_scan(
+                    &mut main,
+                    4,
+                    usize::MAX,
+                    || {
+                        assert_eq!(std::thread::current().id(), caller, "helper dies");
+                        e.shared_scan(&spec).ok()
+                    },
+                    |d| {
+                        merged = d.batches_stepped();
+                        true
+                    },
+                );
+            }));
+            tx.send((outcome.is_err(), merged, e.sample().num_batches()))
+                .unwrap();
+        });
+        let (panicked, merged, batches) = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("parallel_scan hung on a panicking helper");
+        assert!(panicked, "the scope re-raises the helper's panic");
+        assert_eq!(merged, batches, "the caller scanned every batch");
     }
 
     /// An `on_batch` early stop lands on the same batch — and the same

@@ -1,17 +1,17 @@
 //! Parallel-scan throughput and partition pruning: drives the
-//! morsel-driven work-stealing scheduler directly — `parallel_scan` over
-//! a shared-scan driver to exhaustion — across a thread sweep, plus a
-//! partition-count grid measuring the prune rate of partition-level
-//! summaries on a selective ordered-range predicate. Emits
-//! `BENCH_parallel.json`.
+//! morsel-driven scheduler directly — `parallel_scan` over a shared-scan
+//! driver to exhaustion, the calling thread scanning beside its helpers —
+//! across a thread sweep, plus a partition-count grid measuring the prune
+//! rate of partition-level summaries on a selective ordered-range
+//! predicate. Emits `BENCH_parallel.json`.
 //!
 //! ```text
 //! cargo run --release -p verdict-bench --bin bench_parallel
 //! ```
 //!
 //! The sweep scans a *scattered* uniform predicate (no zone or partition
-//! pruning), so the numbers isolate the scheduler: morsel dispatch,
-//! stealing, and ordered merge. Scaling is asserted only when the host
+//! pruning), so the numbers isolate the scheduler: morsel claims, run
+//! publication, and ordered merge. Scaling is asserted only when the host
 //! actually has the cores (`host_cores` is recorded in the JSON so a
 //! 1-core run is self-documenting, not a silent pass).
 
@@ -56,7 +56,7 @@ fn bench_table() -> Table {
 struct RunStats {
     tuples_per_sec: f64,
     morsels: u64,
-    morsels_stolen: u64,
+    workers: u64,
     partitions: u64,
     partitions_pruned: u64,
 }
@@ -78,7 +78,7 @@ fn run(eng: &OnlineAggregation, predicate: &Predicate, threads: usize) -> RunSta
     let mut stats = RunStats {
         tuples_per_sec: 0.0,
         morsels: 0,
-        morsels_stolen: 0,
+        workers: 0,
         partitions: 0,
         partitions_pruned: 0,
     };
@@ -102,7 +102,7 @@ fn run(eng: &OnlineAggregation, predicate: &Predicate, threads: usize) -> RunSta
             stats = RunStats {
                 tuples_per_sec: driver.tuples_scanned() as f64 / (ns as f64 / 1e9),
                 morsels: pstats.morsels,
-                morsels_stolen: pstats.morsels_stolen,
+                workers: pstats.workers,
                 partitions: driver.partitions(),
                 partitions_pruned: driver.partitions_pruned(),
             };
@@ -131,8 +131,8 @@ fn main() {
         tps_at[i] = s.tuples_per_sec;
         sweep.push(format!(
             "{{\"threads\":{threads},\"tps\":{:.0},\
-             \"morsels\":{},\"morsels_stolen\":{}}}",
-            s.tuples_per_sec, s.morsels, s.morsels_stolen,
+             \"morsels\":{},\"workers\":{}}}",
+            s.tuples_per_sec, s.morsels, s.workers,
         ));
     }
     let speedup_4t = tps_at[2] / tps_at[0];

@@ -62,8 +62,9 @@ pub struct ScanTrace {
     pub rows_matched: u64,
     /// Morsels claimed by parallel scan workers (0 on a serial scan).
     pub morsels: u64,
-    /// Morsels a worker stole from another worker's deque.
-    pub morsels_stolen: u64,
+    /// Threads the scan ran on, the calling one included (1 serial; 0
+    /// only when nothing was scanned).
+    pub workers: u64,
     /// Horizontal partitions of the scanned sample (0 unpartitioned).
     pub partitions: u64,
     /// Partitions whose batches were skipped wholesale (summary provably
@@ -121,8 +122,9 @@ pub struct QueryTrace {
     pub rows_matched: u64,
     /// Morsels claimed by parallel scan workers (0 on a serial scan).
     pub morsels: u64,
-    /// Morsels stolen across worker deques.
-    pub morsels_stolen: u64,
+    /// Threads the scan ran on, the calling one included (1 serial; 0
+    /// only when nothing was scanned).
+    pub workers: u64,
     /// Horizontal partitions of the scanned sample (0 unpartitioned).
     pub partitions: u64,
     /// Partitions skipped wholesale by partition-level summaries.
@@ -275,7 +277,7 @@ mod tests {
             chunks_pruned: 0,
             rows_matched: 0,
             morsels: 0,
-            morsels_stolen: 0,
+            workers: 0,
             partitions: 0,
             partitions_pruned: 0,
             partition_cache_hits: 0,

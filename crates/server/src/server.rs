@@ -1,7 +1,7 @@
 //! The hand-rolled serving runtime: listener + worker thread pool.
 //!
-//! No async runtime anywhere — the same discipline as the scan
-//! scheduler in `crates/aqp/src/parallel.rs`, lifted from morsels to
+//! No async runtime anywhere — plain `std` threads, as in the scan
+//! scheduler in `crates/aqp/src/parallel.rs` — and work stealing over
 //! connections: one deque of connections per worker, the owner pops
 //! from the *front*, an idle worker steals from the *back* of a
 //! victim's deque, and a condvar parks workers when every deque is

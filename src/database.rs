@@ -85,9 +85,9 @@ use verdict_store::{
 use crate::metrics::{CheckpointReport, TableObs};
 use crate::query::{Prepared, QueryOptions};
 use crate::session::{
-    build_paged_engines, default_parallelism, draw_engines, prepare_ingest, query_trace,
-    run_shared_read, widening_magnitude, IngestReport, PagedRuntime, ReadOutcome, SampleMoments,
-    SampleRotation, StagePrelude,
+    build_paged_engines, draw_engines, prepare_ingest, query_trace, run_shared_read,
+    widening_magnitude, IngestReport, PagedRuntime, ReadOutcome, SampleMoments, SampleRotation,
+    StagePrelude,
 };
 use crate::{Error, QueryOutcome, Result};
 
@@ -277,9 +277,9 @@ pub(crate) struct Shard {
     /// This table's observability endpoint (no-op when the database was
     /// built without metrics / query log).
     pub(crate) obs: TableObs,
-    /// Worker-thread count for this table's morsel-parallel shared scans
-    /// (1 = serial).
-    pub(crate) parallelism: usize,
+    /// Pinned thread count for this table's shared scans (`None`: each
+    /// query sizes its own from its horizon — `session::scan_workers`).
+    pub(crate) parallelism: Option<usize>,
 }
 
 impl Shard {
@@ -501,7 +501,7 @@ impl Shard {
                 moments: SampleMoments::default(),
             }),
             recovery,
-            parallelism: serve.parallelism.max(1),
+            parallelism: serve.parallelism,
         }
     }
 
@@ -1204,8 +1204,10 @@ pub struct OpenOptions {
     pub metrics: Option<Arc<MetricsHub>>,
     /// Shared query log for every table (default none).
     pub query_log: Option<Arc<QueryLog>>,
-    /// Worker threads per shared scan (default: available cores).
-    pub parallelism: usize,
+    /// Pinned threads per shared scan (default `None`: each query runs on
+    /// one thread per `2¹⁷` sample rows it can reach, up to the host's
+    /// cores — see [`DatabaseBuilder::parallelism`]).
+    pub parallelism: Option<usize>,
     /// Partition-cache byte budget for out-of-core (paged) tables
     /// (default: effectively unbounded). Ignored for resident tables.
     pub memory_budget: Option<u64>,
@@ -1220,7 +1222,7 @@ impl Default for OpenOptions {
             cost: CostModel::default(),
             metrics: None,
             query_log: None,
-            parallelism: default_parallelism(),
+            parallelism: None,
             memory_budget: None,
         }
     }
@@ -1268,10 +1270,10 @@ impl OpenOptions {
         self
     }
 
-    /// Sets the worker-thread count for every table's shared scans (see
+    /// Pins the thread count of every table's shared scans (see
     /// [`DatabaseBuilder::parallelism`]).
     pub fn with_parallelism(mut self, n: usize) -> Self {
-        self.parallelism = n.max(1);
+        self.parallelism = Some(n.max(1));
         self
     }
 
@@ -1347,12 +1349,14 @@ impl DatabaseBuilder {
         self
     }
 
-    /// Worker threads per shared scan for every table (default: available
-    /// cores; clamped to at least 1). Thread count never changes answers:
-    /// partials merge in batch-index order, so results are bit-identical
-    /// to a serial scan.
+    /// Pins the threads every table's shared scans run on (clamped to at
+    /// least 1). Unset, each query picks its own: one thread per `2¹⁷`
+    /// sample rows its stop policy lets it reach, up to the host's cores,
+    /// so a small sample is scanned on the calling thread alone. Thread
+    /// count never changes answers: partials merge in batch-index order,
+    /// so results are bit-identical to a serial scan.
     pub fn parallelism(mut self, n: usize) -> Self {
-        self.serve.parallelism = n.max(1);
+        self.serve.parallelism = Some(n.max(1));
         self
     }
 

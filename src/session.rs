@@ -114,7 +114,7 @@
 use std::collections::HashMap;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
@@ -357,12 +357,49 @@ enum Source {
     Store(SynopsisStore, Box<Recovered>),
 }
 
-/// Worker threads a builder defaults to: all available cores (1 when the
-/// host cannot report its core count).
-pub(crate) fn default_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+/// Sample rows a query's scan must reach per thread before an unpinned
+/// scan spreads over another one (2¹⁷). Measured on a 2-vCPU host: a
+/// scoped helper costs ≈ 31 µs to spawn and join (`std::thread::scope`,
+/// 2,000 reps), while 2¹⁷ rows are ≈ 0.4 ms of scan at the chunked
+/// kernel's full-scan rate (≈ 3.3·10⁸ tuples/s) and ≈ 60 µs at the fastest
+/// rate measured for it (2.2·10⁹ tuples/s). So a helper's start-up costs
+/// under a tenth of the work it takes over, and about half at worst.
+pub(crate) const MORSEL_ROWS: usize = 1 << 17;
+
+/// Cores the host reports (1 when it cannot), read once per process.
+pub(crate) fn host_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// Threads one query's scan runs on: `pinned` if a builder set
+/// `parallelism(n)`; otherwise one per [`MORSEL_ROWS`] of the rows the
+/// scan can reach (`horizon_rows`), at least 1 and at most `cores` (≥ 1).
+pub(crate) fn scan_workers(pinned: Option<usize>, horizon_rows: usize, cores: usize) -> usize {
+    match pinned {
+        Some(n) => n.max(1),
+        None => (horizon_rows / MORSEL_ROWS).clamp(1, cores),
+    }
+}
+
+/// The batch prefix a scan stopping at `tuple_cap` scanned tuples reaches
+/// (`usize::MAX`: every batch), and the sample rows in it, from the batch
+/// sizes in scan order. Every batch counts its full size toward
+/// `tuples_scanned` — pruned partitions included — so the prefix is
+/// exact, not a heuristic.
+pub(crate) fn scan_horizon(
+    batch_rows: impl IntoIterator<Item = usize>,
+    tuple_cap: usize,
+) -> (usize, usize) {
+    let (mut batches, mut rows) = (0, 0);
+    for n in batch_rows {
+        batches += 1;
+        rows += n;
+        if rows >= tuple_cap {
+            break;
+        }
+    }
+    (batches, rows)
 }
 
 impl SessionBuilder {
@@ -477,14 +514,15 @@ impl SessionBuilder {
         self
     }
 
-    /// Worker threads for one query's shared scan (default: all
-    /// available cores). The scan is morsel-driven with work stealing;
-    /// partials merge in deterministic batch order, so answers, error
-    /// bounds, and synopsis bytes are bit-identical at every setting —
-    /// `parallelism(1)` runs the scan inline with zero scheduler
-    /// overhead.
+    /// Pins the threads one query's shared scan runs on (clamped to at
+    /// least 1). Unset, each query picks its own: one thread per
+    /// `2¹⁷` sample rows its stop policy lets it reach, up to the host's
+    /// cores — so a small sample never leaves the calling thread. Partials
+    /// merge in deterministic batch order, so answers, error bounds, and
+    /// synopsis bytes are bit-identical at every setting; `parallelism(1)`
+    /// always scans on the calling thread.
     pub fn parallelism(mut self, n: usize) -> Self {
-        self.serve.parallelism = n.max(1);
+        self.serve.parallelism = Some(n.max(1));
         self
     }
 
@@ -815,8 +853,9 @@ impl VerdictSession {
         Some(rep.partition_store().counters())
     }
 
-    /// Worker threads one query's shared scan uses.
-    pub fn parallelism(&self) -> usize {
+    /// The pinned scan thread count (`None`: each query picks its own —
+    /// see [`SessionBuilder::parallelism`]).
+    pub fn parallelism(&self) -> Option<usize> {
         self.shard.parallelism
     }
 
@@ -1025,7 +1064,7 @@ pub(crate) fn query_trace(
         chunks_pruned: scan.chunks_pruned,
         rows_matched: scan.rows_matched,
         morsels: scan.morsels,
-        morsels_stolen: scan.morsels_stolen,
+        workers: scan.workers,
         partitions: scan.partitions,
         partitions_pruned: scan.partitions_pruned,
         partition_cache_hits: scan.partition_cache_hits,
@@ -1272,7 +1311,7 @@ pub(crate) fn run_shared_read(
     mode: Mode,
     policy: StopPolicy,
     epoch: u64,
-    parallelism: usize,
+    parallelism: Option<usize>,
     mut trace: Option<&mut ScanTrace>,
 ) -> Result<ReadOutcome> {
     let num_groups = plan.groups.len();
@@ -1334,26 +1373,16 @@ pub(crate) fn run_shared_read(
         _ => usize::MAX,
     };
 
-    // Budgeted scans stop at a fixed tuple prefix, so the batch prefix is
-    // known up front: telling the scheduler keeps workers from scanning
-    // batches the serial loop would never reach. (Every batch contributes
-    // its full row count to `tuples_scanned` — pruned partitions
-    // included — so the prefix is exact, not a heuristic.)
-    let max_batches = if tuple_cap == usize::MAX {
-        usize::MAX
-    } else {
-        let sample = engine.sample();
-        let mut cum = 0usize;
-        let mut prefix = sample.num_batches();
-        for i in 0..sample.num_batches() {
-            cum += sample.batch_range(i).len();
-            if cum >= tuple_cap {
-                prefix = i + 1;
-                break;
-            }
-        }
-        prefix
-    };
+    // The scan's horizon: budgeted scans stop at a fixed tuple prefix, so
+    // the batch prefix is known up front. Telling the scheduler keeps
+    // workers from scanning batches the serial loop would never reach, and
+    // the rows in it decide how many threads the scan can pay for.
+    let sample = engine.sample();
+    let (max_batches, horizon_rows) = scan_horizon(
+        (0..sample.num_batches()).map(|i| sample.batch_range(i).len()),
+        tuple_cap,
+    );
+    let workers = scan_workers(parallelism, horizon_rows, host_cores());
 
     // Per-cell stop tracking: a frozen cell holds the snapshot it had
     // when it met the policy; the scan stops when all cells froze.
@@ -1376,13 +1405,13 @@ pub(crate) fn run_shared_read(
     let mut frozen_early = 0u64;
 
     // Morsel-parallel shared scan: workers scan batch partials on their
-    // own cursors while the coordinator merges them in batch-index order
-    // and runs the stop policy after every ordered merge — the same
+    // own cursors while this thread scans too, merges them in batch-index
+    // order and runs the stop policy after every ordered merge — the same
     // sequence of merged states the serial loop walks, so answers,
     // errors, and stop points are bit-identical at any thread count.
     let pstats = parallel_scan(
         &mut driver,
-        parallelism,
+        workers,
         max_batches,
         || {
             let mut d = engine.shared_scan(&spec).ok()?;
@@ -1445,7 +1474,7 @@ pub(crate) fn run_shared_read(
         t.chunks_pruned = driver.chunks_pruned();
         t.rows_matched = driver.rows_matched();
         t.morsels = pstats.morsels;
-        t.morsels_stolen = pstats.morsels_stolen;
+        t.workers = pstats.workers;
         t.partitions = driver.partitions();
         t.partitions_pruned = driver.partitions_pruned();
     }
@@ -1767,6 +1796,56 @@ mod tests {
             .seed(5)
             .build()
             .unwrap()
+    }
+
+    /// The worker policy, row by row: a pinned count is used as given;
+    /// unpinned, one thread per `MORSEL_ROWS` of horizon, between 1 and
+    /// the host's cores.
+    #[test]
+    fn scan_workers_table() {
+        const AUTO: Option<usize> = None;
+        #[rustfmt::skip]
+        let table: [(usize, [usize; 3]); 5] = [
+            // horizon rows   auto at 1, 2, 8 cores
+            (0,               [1, 1, 1]),
+            (40_000,          [1, 1, 1]),
+            (131_071,         [1, 1, 1]),
+            (262_144,         [1, 2, 2]),
+            (4_000_000,       [1, 2, 8]),
+        ];
+        for (rows, auto) in table {
+            for (cores, want) in [1, 2, 8].into_iter().zip(auto) {
+                assert_eq!(
+                    scan_workers(AUTO, rows, cores),
+                    want,
+                    "{rows} rows, {cores} cores"
+                );
+                assert_eq!(scan_workers(Some(1), rows, cores), 1);
+                assert_eq!(scan_workers(Some(4), rows, cores), 4);
+            }
+        }
+        assert_eq!(scan_workers(Some(0), 0, 8), 1);
+    }
+
+    /// A budgeted scan's horizon is its batch prefix: the batch that
+    /// reaches the budget is the last one, and only the prefix's rows
+    /// count toward the worker policy. Unbudgeted, it is every batch.
+    #[test]
+    fn tuple_budget_horizon_counts_only_its_prefix() {
+        // 4M sample rows in 4,096-row batches, the last one short.
+        let batches = || (0..977).map(|i| if i < 976 { 4_096 } else { 2_304 });
+        assert_eq!(scan_horizon(batches(), usize::MAX), (977, 4_000_000));
+        assert_eq!(scan_horizon(batches(), 10_000), (3, 12_288));
+        assert_eq!(scan_horizon(batches(), 8_192), (2, 8_192));
+        assert_eq!(
+            scan_horizon(batches(), 0),
+            (1, 4_096),
+            "one batch always runs"
+        );
+        assert_eq!(scan_horizon(std::iter::empty(), 10), (0, 0));
+        let (_, prefix_rows) = scan_horizon(batches(), 10_000);
+        assert_eq!(scan_workers(None, prefix_rows, 8), 1);
+        assert_eq!(scan_workers(None, 4_000_000, 8), 8);
     }
 
     #[test]

@@ -657,6 +657,48 @@ fn session_promotes_into_database() {
         .is_ok());
 }
 
+/// Unset `parallelism` sizes each scan by its horizon: a 4,000-row sample
+/// is far below one thread's worth of rows, so a default-built database
+/// scans on the calling thread alone. A pinned count still spreads the
+/// same scan, to the same bits.
+#[test]
+fn default_database_scans_a_small_sample_on_the_calling_thread() {
+    let (orders, _) = orders_events(&spec());
+    let build = |pinned: Option<usize>| {
+        let mut b = Database::builder()
+            .register_table_with(
+                "orders",
+                orders.clone(),
+                TableOptions {
+                    sample_fraction: 0.2,
+                    batch_size: 250,
+                    seed: 5,
+                    ..Default::default()
+                },
+            )
+            .query_log(4);
+        if let Some(n) = pinned {
+            b = b.parallelism(n);
+        }
+        b.build().unwrap()
+    };
+    let sql = "SELECT AVG(amount) FROM orders WHERE day BETWEEN 10 AND 80";
+    let mut answers = Vec::new();
+    for (pinned, workers) in [(None, 1), (Some(2), 2)] {
+        let db = build(pinned);
+        let r = db
+            .query(sql, &QueryOptions::no_learn())
+            .unwrap()
+            .unwrap_answered();
+        let trace = &db.recent_queries(1)[0];
+        assert_eq!(trace.workers, workers, "pinned {pinned:?}");
+        assert_eq!(trace.morsels == 0, workers == 1, "pinned {pinned:?}");
+        let cell = &r.rows[0].values[0];
+        answers.push((cell.raw_answer.to_bits(), cell.raw_error.to_bits()));
+    }
+    assert_eq!(answers[0], answers[1]);
+}
+
 #[test]
 fn database_is_clone_send_sync() {
     fn assert_clone_send_sync<T: Clone + Send + Sync>() {}

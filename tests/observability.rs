@@ -139,6 +139,10 @@ fn serial_session_reports_metrics_and_traces() {
     // The default chunked kernel reports its chunk walk, and every
     // AVG-between query matched at least one sampled row.
     assert!(c("verdict_scan_chunks_total") > 0);
+    // A 1,600-row sample is far below one thread's worth of rows: every
+    // scan ran on the calling thread alone and claimed no morsel.
+    assert_eq!(c("verdict_scan_workers_total"), ANSWERED as u64);
+    assert_eq!(c("verdict_scan_morsels_total"), 0);
     assert!(c("verdict_rows_matched_total") > 0);
     assert!(c("verdict_rows_matched_total") <= c("verdict_tuples_scanned_total"));
     let sel = snap
@@ -177,6 +181,7 @@ fn serial_session_reports_metrics_and_traces() {
         assert!(t.cells >= 1);
         assert!(t.chunks > 0, "chunked kernel walks chunk segments");
         assert!(t.rows_matched > 0 && t.rows_matched <= t.tuples_scanned);
+        assert_eq!((t.workers, t.morsels), (1, 0));
     }
 }
 

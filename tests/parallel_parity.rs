@@ -374,9 +374,9 @@ fn appended_rows_survive_partition_pruning() {
 }
 
 /// The morsel counters reach the query log: a multi-threaded scan
-/// reports the morsels its workers claimed (steals are a subset), and a
-/// single-threaded session reports none — the serial path never pays
-/// for the scheduler.
+/// reports the morsels its workers claimed and the threads it ran on, and
+/// a single-threaded session reports no morsel and one thread — the
+/// serial path never pays for the scheduler.
 #[test]
 fn morsel_counters_reach_the_query_log() {
     let mut parallel = session(6_000, None, 4);
@@ -391,7 +391,7 @@ fn morsel_counters_reach_the_query_log() {
     let tp = &parallel.recent_queries(1)[0];
     let ts = &serial.recent_queries(1)[0];
     assert!(tp.morsels > 0, "parallel scan reports its morsels");
-    assert!(tp.morsels_stolen <= tp.morsels);
+    assert_eq!(tp.workers, 4);
     assert_eq!(ts.morsels, 0, "serial scan never builds morsels");
-    assert_eq!(ts.morsels_stolen, 0);
+    assert_eq!(ts.workers, 1);
 }
