@@ -18,8 +18,9 @@
 //! sample's resident table (every batch of a resident sample, the stride
 //! tail of a paged one; the query is compiled against it once per
 //! driver) or a partition segment of a paged sample, pinned in the buffer
-//! manager for the duration of the batch and compiled against for that
-//! batch (see [`crate::paged`]). Either way the same kernels run over the
+//! manager and compiled against once per *segment run* — the batches of
+//! that segment one [`SharedScanDriver::scan_run`] scans under the one
+//! pin (see [`crate::paged`]). Either way the same kernels run over each
 //! batch's rows and produce the same [`BatchPartial`].
 //!
 //! # Execution kernels
@@ -77,19 +78,24 @@
 //! ([`crate::parallel_scan`]) computes the same partials on worker
 //! threads and merges them in the same order, which is why answers,
 //! errors, and `tuples_scanned` are bit-identical at every thread count.
+//! A segment run ([`SharedScanDriver::scan_run`]) only changes *when* a
+//! partial is computed: the ones past the merge cursor wait, keyed by
+//! batch, until the fold reaches them — at most one partial per batch of
+//! the scan's horizon.
 //! [`crate::BatchEstimator::consume`] folds the same per-batch Welford
 //! partial into its state, keeping the per-snippet oracle in lockstep.
 //!
 //! # Faults
 //!
-//! `scan_batch` cannot fail: a segment that cannot be pinned or compiled
-//! against latches the first [`StorageError`] on the driver (worker
-//! drivers share the coordinator's latch through
+//! `scan_batch` and `scan_run` cannot fail: a segment that cannot be
+//! pinned or compiled against latches the first [`StorageError`] on the
+//! driver (worker drivers share the coordinator's latch through
 //! [`SharedScanDriver::set_error_sink`]) and contributes the all-miss
-//! partial, so the merge order — and the morsel coordinator — never
-//! stalls on an I/O error. The caller checks
+//! partial for every batch of the run, so the merge order — and the
+//! morsel coordinator — never stalls on an I/O error. The caller checks
 //! [`SharedScanDriver::take_error`] after the scan and fails the query.
 
+use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
@@ -503,6 +509,8 @@ pub struct SharedScanDriver<'e> {
     /// First segment fault, latched so the scan completes structurally
     /// (see the module docs).
     error: Arc<Mutex<Option<StorageError>>>,
+    /// Queries compiled against pinned segments (observability).
+    segment_compiles: u64,
 }
 
 impl OnlineAggregation {
@@ -567,6 +575,7 @@ impl<'e> SharedScanDriver<'e> {
             kernel: ScanKernel::default(),
             partition_pruned,
             error: Arc::default(),
+            segment_compiles: 0,
         })
     }
 }
@@ -622,42 +631,66 @@ impl SharedScanDriver<'_> {
     /// end of the sample. Safe to call for any batch in any order — this
     /// is the worker half of the morsel scheduler.
     pub fn scan_batch(&mut self, index: usize) -> Option<BatchPartial> {
+        self.scan_run(index, index.saturating_add(1), &mut BTreeMap::new())
+    }
+
+    /// Scans batch `index` as [`SharedScanDriver::scan_batch`] does. When
+    /// it is a batch of a paged segment, the same pin and the same
+    /// compiled query also scan every later batch of that segment before
+    /// batch `end`, and those partials go into `ahead`, keyed by batch,
+    /// for the caller to fold once its merge cursor reaches them. A
+    /// segment that cannot be pinned or compiled against latches one error
+    /// and yields the all-miss partial for each batch of the run.
+    pub fn scan_run(
+        &mut self,
+        index: usize,
+        end: usize,
+        ahead: &mut BTreeMap<usize, BatchPartial>,
+    ) -> Option<BatchPartial> {
         if index >= self.sample.num_batches() {
             return None;
         }
         let (segment, range) = self.sample.locate_batch(index);
-        let rows = range.len() as u64;
         // Partition pruning: a batch of a provably-disjoint partition
         // yields the exact partial the kernels would produce (no row can
         // match), minus the chunk work — and, for a segment, minus the
         // fault. Its rows still count as scanned.
         if let Some(p) = self.sample.batch_partition(index) {
             if self.partition_pruned[p as usize] {
-                return Some(self.resident.empty_partial(index, rows));
+                return Some(self.resident.empty_partial(index, range.len() as u64));
             }
         }
         let Some(p) = segment else {
             return Some(self.resident.scan(self.kernel, index, range));
         };
-        Some(self.scan_segment(p, index, range).unwrap_or_else(|e| {
+        let run: Vec<(usize, Range<usize>)> = (index..end.min(self.sample.num_batches()))
+            .filter(|&i| self.sample.batch_partition(i) == Some(p))
+            .map(|i| (i, self.sample.locate_batch(i).1))
+            .collect();
+        let partials = self.scan_segment(p, &run).unwrap_or_else(|e| {
             lock(&self.error).get_or_insert(e);
-            self.resident.empty_partial(index, rows)
-        }))
+            run.into_iter()
+                .map(|(i, rows)| self.resident.empty_partial(i, rows.len() as u64))
+                .collect()
+        });
+        let mut partials = partials.into_iter();
+        let first = partials.next();
+        ahead.extend(partials.map(|partial| (partial.batch, partial)));
+        first
     }
 
-    /// Scans rows `range` of partition `p`'s segment, pinned from here
-    /// until the partial is complete.
+    /// Scans the `run` batches (ascending, all of partition `p`) of `p`'s
+    /// segment, pinned from here until the last partial is complete.
     fn scan_segment(
-        &self,
+        &mut self,
         p: u32,
-        index: usize,
-        range: Range<usize>,
-    ) -> verdict_storage::Result<BatchPartial> {
+        run: &[(usize, Range<usize>)],
+    ) -> verdict_storage::Result<Vec<BatchPartial>> {
         let pin = self.sample.pin_segment(p)?;
-        if pin.table().num_rows() < range.end {
+        let rows = pin.table().num_rows();
+        if let Some((index, range)) = run.iter().find(|(_, range)| range.end > rows) {
             return Err(StorageError::Io(format!(
-                "partition {p} segment has {} rows, batch {index} reads {range:?}",
-                pin.table().num_rows()
+                "partition {p} segment has {rows} rows, batch {index} reads {range:?}"
             )));
         }
         let spec = self.segment_spec.as_ref().expect("paged samples keep it");
@@ -669,7 +702,18 @@ impl SharedScanDriver<'_> {
         };
         let mut scan = TableScan::compile(pin.table(), &spec)
             .map_err(|e| StorageError::Io(format!("segment scan setup failed: {e}")))?;
-        Ok(scan.scan(self.kernel, index, range))
+        self.segment_compiles += 1;
+        let kernel = self.kernel;
+        Ok(run
+            .iter()
+            .map(|(index, range)| scan.scan(kernel, *index, range.clone()))
+            .collect())
+    }
+
+    /// Times the query was compiled against a pinned segment: once per
+    /// segment run, so once per pinned batch when every run is one batch.
+    pub fn segment_compiles(&self) -> u64 {
+        self.segment_compiles
     }
 
     /// Folds one batch's partial into the running grids and advances the

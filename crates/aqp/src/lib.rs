@@ -36,7 +36,7 @@ pub use driver::{BatchPartial, ScanKernel, ScanSpec, SharedScanDriver};
 pub use engine::{OnlineAggregation, RawAnswer};
 pub use estimator::BatchEstimator;
 pub use paged::{PagedRep, SegmentLoader};
-pub use parallel::{parallel_scan, ParallelScanStats};
+pub use parallel::{parallel_scan, Horizon, ParallelScanStats};
 pub use sample::{appended_row_admitted, BatchLayout, Sample};
 pub use stratified::{stratified, stratum_slots, Allocation};
 

@@ -28,15 +28,30 @@
 //!
 //! There is no separate out-of-core executor. The one scan driver
 //! ([`crate::SharedScanDriver`]) resolves each batch to where its rows
-//! are: a draw-time batch of a paged sample **pins** its partition's
-//! segment in the buffer manager — faulting it in on a miss — for exactly
-//! the duration of that batch's scan, compiles the query against the
-//! pinned table, and runs the ordinary kernels over the batch's rows; the
-//! pin drops with the batch, after which the segment is evictable again.
+//! are: a draw-time batch of a paged sample is scanned in a **segment
+//! run**. The run pins its partition's segment in the buffer manager —
+//! faulting it in on a miss — compiles the query against the pinned table
+//! once, and runs the ordinary kernels over each of its batches; the pin
+//! drops with the run, after which the segment is evictable again.
+//!
+//! How long a run is depends on the scan's horizon
+//! ([`crate::Horizon`]). Draw-time batches interleave the partitions, so a
+//! scan that visits them one by one would pin — and, under a cache
+//! smaller than the sample, fault — a segment per batch. When every batch
+//! up to the horizon is certain to be merged (`ScanAll`, a tuple or time
+//! budget) and the scan runs on one thread, the first time the merge
+//! cursor reaches a segment its run takes every batch of that segment up
+//! to the horizon: one pin and one compile per segment per query. The
+//! partials past the cursor wait, keyed by batch, and are still folded
+//! strictly in batch order, so answers, bounds, counters and stop points
+//! are the per-batch scan's bits; what waits is at most one partial per
+//! batch of the horizon. When the stop check may end the scan at any
+//! batch, and on the morsel scheduler's helpers, a run is one batch.
+//!
 //! Batches of partitions the map summaries reject never pin anything. A
-//! fault that fails is latched on the driver and the batch contributes an
-//! all-miss partial, so the scan always completes structurally and the
-//! caller fails the query afterwards.
+//! fault that fails is latched on the driver and every batch of its run
+//! contributes an all-miss partial, so the scan always completes
+//! structurally and the caller fails the query afterwards.
 //!
 //! Answers, error bounds, and stop points are bit-identical to scanning
 //! [`Sample::materialize_resident`] at any thread count and any budget;
@@ -171,7 +186,7 @@ impl PagedRep {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{parallel_scan, Sample, ScanSpec, SharedScanDriver};
+    use crate::{parallel_scan, Horizon, Sample, ScanSpec, SharedScanDriver};
     use verdict_storage::{
         distinct_group_keys, AggregateFn, ColumnDef, Expr, GroupKey, PartitionSpec, Predicate,
         Schema,
@@ -667,6 +682,66 @@ mod tests {
             }
             // Latch is take-once.
             assert!(d.take_error().is_none());
+        }
+    }
+
+    /// Under an exact horizon a serial scan reads each segment in one run
+    /// — one pin and one compiled query per partition, where the
+    /// per-batch scan pins and compiles once per draw-time batch — and
+    /// still lands on the per-batch scan's bits. A segment whose loader
+    /// fails is tried once: one error latched, and its batches (only
+    /// those) merge as all-miss partials, exactly as per batch.
+    #[test]
+    fn exact_horizon_scans_each_segment_in_one_run() {
+        let t = base(3_000);
+        let pred = Predicate::between("x", 50.0, 2_900.0);
+        let cols = vec!["g".to_owned()];
+        let prims = avg_and_freq();
+        let keys = paged_fixture(&t, vec![1_000.0, 2_000.0], 0.6, 40, u64::MAX)
+            .distinct_group_keys(&pred, &cols)
+            .unwrap();
+        let spec = ScanSpec {
+            predicate: &pred,
+            group_cols: &cols,
+            groups: &keys,
+            primitives: &prims,
+        };
+        for broken in [None, Some(1)] {
+            // A one-byte budget: no segment outlives its pin.
+            let s = paged_fixture_with(&t, vec![1_000.0, 2_000.0], 0.6, 40, 1, broken);
+            let store = Arc::clone(s.paged_rep().unwrap().partition_store());
+            let scan = |horizon: Horizon| {
+                let before = store.counters();
+                let mut d = SharedScanDriver::over_sample(&s, &spec).unwrap();
+                parallel_scan(
+                    &mut d,
+                    1,
+                    horizon,
+                    || SharedScanDriver::over_sample(&s, &spec).ok(),
+                    |_| true,
+                );
+                let pins = store.counters().since(&before);
+                let error = d.take_error().map(|e| e.to_string());
+                let bits = (cell_bits(&d), d.tuples_scanned(), d.rows_matched());
+                (bits, error, pins.hits + pins.misses, d.segment_compiles())
+            };
+            let batches = s.num_batches();
+            let broken_batches = (0..batches)
+                .filter(|&i| broken.is_some() && s.batch_partition(i) == broken)
+                .count() as u64;
+            let per_batch = scan(Horizon::AtMost(batches));
+            let runs = scan(Horizon::Exact(batches));
+            assert_eq!(runs.0, per_batch.0, "broken {broken:?}");
+            assert_eq!(runs.1, per_batch.1, "broken {broken:?}");
+            assert_eq!(runs.1.is_some(), broken.is_some());
+            assert_eq!(per_batch.2, batches as u64, "one pin per batch");
+            assert_eq!(per_batch.3, batches as u64 - broken_batches);
+            assert_eq!(runs.2, 3, "one pin per segment");
+            assert_eq!(
+                runs.3,
+                3 - u64::from(broken.is_some()),
+                "one compile per run"
+            );
         }
     }
 }

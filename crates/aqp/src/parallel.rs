@@ -121,24 +121,64 @@ impl Shared {
     }
 }
 
-/// Drives `main`'s shared scan over at most `max_batches` further batches
-/// on `threads` threads (the calling one and `threads − 1` scoped helpers,
+/// How many further batches a scan may reach, and whether the stop check
+/// can end it sooner.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Horizon {
+    /// Every one of the next `n` batches (or up to the sample's end) is
+    /// merged: `ScanAll` and tuple or time budgets, whose prefix is known
+    /// before the scan starts.
+    Exact(usize),
+    /// At most the next `n` batches: the stop check may end the scan
+    /// after any of them.
+    AtMost(usize),
+}
+
+impl From<usize> for Horizon {
+    /// A bare batch count is an upper bound.
+    fn from(max_batches: usize) -> Horizon {
+        Horizon::AtMost(max_batches)
+    }
+}
+
+/// Drives `main`'s shared scan over at most `horizon` further batches on
+/// `threads` threads (the calling one and `threads − 1` scoped helpers,
 /// each scanning with its own `make_scanner()` driver over `main`'s
 /// [`crate::ScanSpec`]), merging partials in batch order. `on_batch` runs
 /// on the calling thread after every merged batch; `false` stops the scan.
-/// With `threads <= 1`, or at most one batch, `main` steps serially.
+///
+/// With `threads <= 1`, or at most one batch, the calling thread scans
+/// alone. Under a [`Horizon::Exact`] horizon it reads a paged sample in
+/// segment runs ([`SharedScanDriver::scan_run`]): the first time the
+/// merge cursor reaches a segment, every batch of it up to the horizon is
+/// scanned under one pin, and the partials wait, keyed by batch, until
+/// the cursor reaches them. Otherwise each batch is scanned at the cursor.
 pub fn parallel_scan<'m, 'w>(
     main: &mut SharedScanDriver<'m>,
     threads: usize,
-    max_batches: usize,
+    horizon: impl Into<Horizon>,
     make_scanner: impl Fn() -> Option<SharedScanDriver<'w>> + Sync,
     mut on_batch: impl FnMut(&SharedScanDriver<'m>) -> bool,
 ) -> ParallelScanStats {
+    let (max_batches, exact) = match horizon.into() {
+        Horizon::Exact(n) => (n, true),
+        Horizon::AtMost(n) => (n, false),
+    };
     let start = main.batches_stepped();
     let total = main.batches_remaining().min(max_batches);
     if threads <= 1 || total <= 1 {
-        for _ in 0..total {
-            if !main.step() || !on_batch(main) {
+        let mut ahead = BTreeMap::new();
+        for batch in start..start + total {
+            let run_end = if exact { start + total } else { batch + 1 };
+            let partial = match ahead.remove(&batch) {
+                Some(partial) => partial,
+                None => match main.scan_run(batch, run_end, &mut ahead) {
+                    Some(partial) => partial,
+                    None => break,
+                },
+            };
+            main.merge_partial(&partial);
+            if !on_batch(main) {
                 break;
             }
         }

@@ -12,9 +12,17 @@
 //! A scan pins the segment it is reading ([`PartitionStore::pin`]
 //! returns a [`SegmentPin`] guard); pinned segments are never evicted,
 //! so eviction can never race a scan — a worker's column slices stay
-//! valid for as long as its pin lives. Pins may push residency past the
-//! budget transiently: correctness requires only that the budget admits
-//! one partition at a time, which is the documented floor.
+//! valid for as long as its pin lives. A serial scan whose horizon is
+//! exact pins each segment once per query and holds the pin across that
+//! segment's whole run of batches; the morsel scheduler's helpers, and a
+//! scan that may stop at any batch, pin once per batch. Either way a
+//! scanning thread holds one pin at a time. Pins may push residency past
+//! the budget transiently: correctness requires only that the budget
+//! admits one partition at a time, which is the documented floor.
+//!
+//! A fault runs its loader under the cache lock, and the map changes only
+//! once the loader has returned, so a loader that panics leaves the map
+//! whole: the lock absorbs the poison and later pins proceed.
 //!
 //! # Determinism
 //!
@@ -25,7 +33,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::{Result, Table};
 
@@ -128,6 +136,12 @@ impl PartitionStore {
         self.budget_bytes
     }
 
+    /// Locks the residency map, absorbing poison: a panicking loader
+    /// leaves the map whole (see the module docs).
+    fn lock(&self) -> MutexGuard<'_, Resident> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Pins segment `key`, faulting it in through `load` on a miss, and
     /// returns a guard keeping it resident. The fault runs under the
     /// cache lock, serializing concurrent faults of the *same* segment
@@ -137,7 +151,7 @@ impl PartitionStore {
         key: SegmentKey,
         load: impl FnOnce() -> Result<Table>,
     ) -> Result<SegmentPin> {
-        let mut inner = self.inner.lock().expect("partition cache poisoned");
+        let mut inner = self.lock();
         inner.clock += 1;
         let clock = inner.clock;
         if let Some(e) = inner.entries.get_mut(&key) {
@@ -176,7 +190,7 @@ impl PartitionStore {
     /// bumps every resident unpruned segment before scanning, so warm
     /// ("hot") segments outlive cold ones under eviction pressure.
     pub fn touch(&self, key: SegmentKey) -> bool {
-        let mut inner = self.inner.lock().expect("partition cache poisoned");
+        let mut inner = self.lock();
         inner.clock += 1;
         let clock = inner.clock;
         match inner.entries.get_mut(&key) {
@@ -190,11 +204,7 @@ impl PartitionStore {
 
     /// Whether `key` is resident right now (no fault, no touch).
     pub fn contains(&self, key: SegmentKey) -> bool {
-        self.inner
-            .lock()
-            .expect("partition cache poisoned")
-            .entries
-            .contains_key(&key)
+        self.lock().entries.contains_key(&key)
     }
 
     /// Snapshot of the cache counters.
@@ -204,11 +214,7 @@ impl PartitionStore {
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             bytes_faulted: self.bytes_faulted.load(Ordering::Relaxed),
-            resident_bytes: self
-                .inner
-                .lock()
-                .expect("partition cache poisoned")
-                .resident_bytes,
+            resident_bytes: self.lock().resident_bytes,
         }
     }
 
@@ -231,7 +237,7 @@ impl PartitionStore {
     }
 
     fn unpin(&self, key: SegmentKey) {
-        let mut inner = self.inner.lock().expect("partition cache poisoned");
+        let mut inner = self.lock();
         if let Some(e) = inner.entries.get_mut(&key) {
             debug_assert!(e.pins > 0, "unpin without pin");
             e.pins = e.pins.saturating_sub(1);
@@ -349,6 +355,25 @@ mod tests {
         assert!(!store.contains(key(0)));
         assert!(store.contains(key(1)));
         drop(p1);
+    }
+
+    /// A loader that panics mid-fault poisons the cache lock, but the
+    /// map was not touched: the next pin of the same key faults it in.
+    #[test]
+    fn panicking_fault_does_not_poison_the_cache() {
+        let store = Arc::new(PartitionStore::new(u64::MAX));
+        let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = store.pin(key(4), || panic!("loader died"));
+        }));
+        assert!(crashed.is_err());
+        assert!(!store.contains(key(4)));
+        let pin = store.pin(key(4), || Ok(segment(10, 4.0))).unwrap();
+        assert_eq!(pin.table().num_rows(), 10);
+        drop(pin);
+        assert!(store.contains(key(4)));
+        let c = store.counters();
+        assert_eq!((c.hits, c.misses), (0, 2));
+        assert_eq!(c.resident_bytes, segment(10, 4.0).heap_bytes());
     }
 
     #[test]

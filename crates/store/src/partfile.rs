@@ -172,47 +172,88 @@ pub struct PartScan {
     pub torn_bytes: u64,
 }
 
-/// Walks partition `p`'s file, validating the header and every frame.
-/// Stops at the first short/corrupt frame (a torn append) and reports
-/// its length as `torn_bytes` — everything before it is intact.
+/// A walk over the record frames of one partition file, reading one frame
+/// at a time into one reused payload buffer.
+struct Frames {
+    file: File,
+    /// File length when opened.
+    len: u64,
+    /// Bytes of the header and of every valid frame walked so far.
+    valid: u64,
+    payload: Vec<u8>,
+}
+
+impl Frames {
+    /// Opens partition `p`'s file and validates its header.
+    fn open(dir: &Path, p: u32) -> Result<Frames> {
+        let mut file = File::open(part_path(dir, p))?;
+        let len = file.metadata()?.len();
+        if len < PART_HEADER_LEN {
+            return Err(StoreError::Corrupt(format!(
+                "partition file {p} shorter than its header"
+            )));
+        }
+        let mut header = [0u8; PART_HEADER_LEN as usize];
+        file.read_exact(&mut header)?;
+        if header[..8] != PART_MAGIC {
+            return Err(StoreError::Corrupt(format!(
+                "bad magic in partition file {p}"
+            )));
+        }
+        let version = u32::from_le_bytes(header[8..12].try_into().unwrap());
+        if version != PART_VERSION {
+            return Err(StoreError::Corrupt(format!(
+                "unsupported partition-file version {version}"
+            )));
+        }
+        let partition = u32::from_le_bytes(header[12..16].try_into().unwrap());
+        if partition != p {
+            return Err(StoreError::Corrupt(format!(
+                "partition file {p} declares partition {partition}"
+            )));
+        }
+        Ok(Frames {
+            file,
+            len,
+            valid: PART_HEADER_LEN,
+            payload: Vec::new(),
+        })
+    }
+
+    /// The next record's payload (at least `seq | rows`, CRC checked), or
+    /// `None` at the end of the file or at a short or corrupt frame — a
+    /// torn tail, after which the walk must stop.
+    fn next(&mut self) -> Result<Option<&[u8]>> {
+        if self.valid + 8 > self.len {
+            return Ok(None);
+        }
+        let mut frame = [0u8; 8];
+        self.file.read_exact(&mut frame)?;
+        let len = u64::from(u32::from_le_bytes(frame[..4].try_into().unwrap()));
+        let crc = u32::from_le_bytes(frame[4..].try_into().unwrap());
+        if self.valid + 8 + len > self.len {
+            return Ok(None); // short write: torn tail
+        }
+        self.payload.resize(len as usize, 0);
+        self.file.read_exact(&mut self.payload)?;
+        if crc32(&self.payload) != crc || self.payload.len() < 12 {
+            return Ok(None); // corrupt frame: treat as torn
+        }
+        self.valid += 8 + len;
+        Ok(Some(&self.payload))
+    }
+}
+
+/// Walks partition `p`'s file one frame at a time, validating the header
+/// and every frame. Stops at the first short/corrupt frame (a torn
+/// append) and reports its length as `torn_bytes` — everything before it
+/// is intact.
 pub fn scan_part_file(dir: &Path, p: u32) -> Result<PartScan> {
-    let mut bytes = Vec::new();
-    File::open(part_path(dir, p))?.read_to_end(&mut bytes)?;
-    if bytes.len() < PART_HEADER_LEN as usize {
-        return Err(StoreError::Corrupt(format!(
-            "partition file {p} shorter than its header"
-        )));
-    }
-    if bytes[..8] != PART_MAGIC {
-        return Err(StoreError::Corrupt(format!(
-            "bad magic in partition file {p}"
-        )));
-    }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    if version != PART_VERSION {
-        return Err(StoreError::Corrupt(format!(
-            "unsupported partition-file version {version}"
-        )));
-    }
-    let partition = u32::from_le_bytes(bytes[12..16].try_into().unwrap());
-    if partition != p {
-        return Err(StoreError::Corrupt(format!(
-            "partition file {p} declares partition {partition}"
-        )));
-    }
-    let mut pos = PART_HEADER_LEN as usize;
+    let mut frames = Frames::open(dir, p)?;
     let mut rows = 0u64;
     let mut seqs = Vec::new();
     let mut record0_crc = None;
-    while pos + 8 <= bytes.len() {
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().unwrap());
-        let Some(payload) = bytes.get(pos + 8..pos + 8 + len) else {
-            break; // short write: torn tail
-        };
-        if crc32(payload) != crc || payload.len() < 12 {
-            break; // corrupt frame: treat as torn
-        }
+    while let Some(payload) = frames.next()? {
         let seq = u64::from_le_bytes(payload[..8].try_into().unwrap());
         let n = u32::from_le_bytes(payload[8..12].try_into().unwrap());
         if record0_crc.is_none() {
@@ -226,7 +267,6 @@ pub fn scan_part_file(dir: &Path, p: u32) -> Result<PartScan> {
         }
         rows += u64::from(n);
         seqs.push(seq);
-        pos += 8 + len;
     }
     let Some(record0_crc) = record0_crc else {
         return Err(StoreError::Corrupt(format!(
@@ -234,12 +274,12 @@ pub fn scan_part_file(dir: &Path, p: u32) -> Result<PartScan> {
         )));
     };
     Ok(PartScan {
-        partition,
+        partition: p,
         rows,
         seqs,
         record0_crc,
-        valid_len: pos as u64,
-        torn_bytes: (bytes.len() - pos) as u64,
+        valid_len: frames.valid,
+        torn_bytes: frames.len - frames.valid,
     })
 }
 
@@ -261,47 +301,33 @@ pub fn open_part_file(dir: &Path, p: u32) -> Result<PartScan> {
 /// codes). Frames are read one at a time and reading stops once
 /// `min_rows` rows are decoded, so a segment fault over the create-time
 /// prefix neither reads nor buffers the ingest tail however long it
-/// grows. Invalid trailing frames are treated as end-of-file (the
-/// open-time truncation already removed torn tails; a live reader stays
-/// tolerant).
+/// grows. Each column is allocated once, for at most `min_rows` rows and
+/// at most the rows the file's bytes can hold. Invalid trailing frames are
+/// treated as end-of-file (the open-time truncation already removed torn
+/// tails; a live reader stays tolerant).
 pub fn read_part_rows(dir: &Path, p: u32, proto: &Table, min_rows: usize) -> Result<Table> {
-    let mut file = File::open(part_path(dir, p))?;
-    let mut remaining = file.metadata()?.len();
-    let mut header = [0u8; PART_HEADER_LEN as usize];
-    if remaining < PART_HEADER_LEN
-        || file.read_exact(&mut header).is_err()
-        || header[..8] != PART_MAGIC
-        || u32::from_le_bytes(header[8..12].try_into().unwrap()) != PART_VERSION
-        || u32::from_le_bytes(header[12..16].try_into().unwrap()) != p
-    {
-        return Err(StoreError::Corrupt(format!(
-            "partition file {p} has a bad header"
-        )));
-    }
-    remaining -= PART_HEADER_LEN;
+    let mut frames = Frames::open(dir, p)?;
     let schema = proto.schema().clone();
+    let row_bytes: u64 = schema
+        .columns()
+        .iter()
+        .map(|def| match def.ty {
+            ColumnType::Numeric => 8,
+            ColumnType::Categorical => 4,
+        })
+        .sum();
+    let fits = (frames.len - frames.valid) / row_bytes.max(1);
+    let capacity = usize::try_from(fits).unwrap_or(usize::MAX).min(min_rows);
     let mut numeric: Vec<Vec<f64>> = Vec::with_capacity(schema.len());
     let mut codes: Vec<Vec<u32>> = Vec::with_capacity(schema.len());
-    for _ in schema.columns() {
-        numeric.push(Vec::new());
-        codes.push(Vec::new());
+    for def in schema.columns() {
+        let numeric_col = def.ty == ColumnType::Numeric;
+        numeric.push(Vec::with_capacity(if numeric_col { capacity } else { 0 }));
+        codes.push(Vec::with_capacity(if numeric_col { 0 } else { capacity }));
     }
     let mut rows = 0usize;
-    let mut frame = [0u8; 8];
-    let mut payload = Vec::new();
-    while remaining >= 8 && rows < min_rows {
-        file.read_exact(&mut frame)?;
-        let len = u32::from_le_bytes(frame[..4].try_into().unwrap());
-        let crc = u32::from_le_bytes(frame[4..].try_into().unwrap());
-        if 8 + u64::from(len) > remaining {
-            break;
-        }
-        payload.resize(len as usize, 0);
-        file.read_exact(&mut payload)?;
-        remaining -= 8 + u64::from(len);
-        if crc32(&payload) != crc || payload.len() < 12 {
-            break;
-        }
+    while rows < min_rows {
+        let Some(payload) = frames.next()? else { break };
         let n = u32::from_le_bytes(payload[8..12].try_into().unwrap()) as usize;
         let mut dec = Decoder::new(&payload[12..]);
         for (i, def) in schema.columns().iter().enumerate() {

@@ -121,7 +121,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use verdict_aqp::{
-    parallel_scan, AqpError, CostModel, OnlineAggregation, PagedRep, Sample, ScanSpec,
+    parallel_scan, AqpError, CostModel, Horizon, OnlineAggregation, PagedRep, Sample, ScanSpec,
     SegmentLoader, SharedScanDriver, StorageTier,
 };
 use verdict_core::append::AppendAdjustment;
@@ -1383,6 +1383,15 @@ pub(crate) fn run_shared_read(
         tuple_cap,
     );
     let workers = scan_workers(parallelism, horizon_rows, host_cores());
+    // Only an error target can stop before the horizon; under the other
+    // policies every batch in it is merged, so a paged scan may read each
+    // segment's batches up to it in one run.
+    let horizon = match policy {
+        StopPolicy::ScanAll | StopPolicy::TupleBudget(_) | StopPolicy::TimeBudgetNs(_) => {
+            Horizon::Exact(max_batches)
+        }
+        StopPolicy::RelativeErrorBound { .. } => Horizon::AtMost(max_batches),
+    };
 
     // Per-cell stop tracking: a frozen cell holds the snapshot it had
     // when it met the policy; the scan stops when all cells froze.
@@ -1412,7 +1421,7 @@ pub(crate) fn run_shared_read(
     let pstats = parallel_scan(
         &mut driver,
         workers,
-        max_batches,
+        horizon,
         || {
             let mut d = engine.shared_scan(&spec).ok()?;
             d.set_error_sink(Arc::clone(&sink));

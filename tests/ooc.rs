@@ -260,6 +260,64 @@ fn pruned_band_reads_zero_partition_files() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The last query's segment pins (cache hits + misses), the partitions it
+/// could not prune, and the batches it stepped, from its trace.
+fn last_scan_pins(s: &VerdictSession) -> (u64, u64, u64) {
+    let t = &s.recent_queries(1)[0];
+    let pins = t.partition_cache_hits + t.partition_cache_misses;
+    (pins, t.partitions - t.partitions_pruned, t.batches)
+}
+
+/// A serial scan over a cache a quarter of the sample (the shape of the
+/// benchmark's paged workload, small). Under an exact horizon — `ScanAll`
+/// or a tuple budget — it reads each unpruned segment in one run: at most
+/// one pin per segment, where a pin per draw-time batch would fault the
+/// interleaved segments over and over. Under an error target, which may
+/// stop after any batch, it still pins once per batch. Either way every
+/// answer is bit for bit that of a twin whose cache holds everything.
+#[test]
+fn exact_horizons_pin_each_segment_once() {
+    let dir = temp_store("runs");
+    let dir_twin = temp_store("runs-twin");
+    let full_range = QUERIES[2];
+    let mut twin = paged_session(&dir_twin, 20_000, u64::MAX, 1);
+    let first = run(&mut twin, full_range, StopPolicy::ScanAll);
+    let sample_bytes = twin.partition_cache().unwrap().resident_bytes;
+    let mut s = paged_session(&dir, 20_000, sample_bytes / 4, 1);
+    assert_eq!(run(&mut s, full_range, StopPolicy::ScanAll), first);
+    let (pins, unpruned, batches) = last_scan_pins(&s);
+    assert_eq!(unpruned, 4, "the full range prunes nothing");
+    assert!(pins <= unpruned, "{pins} pins for {unpruned} segments");
+    assert!(batches > 2 * unpruned, "runs span several batches");
+
+    for (sql, policy) in [
+        (full_range, StopPolicy::TupleBudget(2_500)),
+        (QUERIES[1], StopPolicy::ScanAll),
+        (QUERIES[1], StopPolicy::TupleBudget(2_500)),
+    ] {
+        assert_eq!(
+            run(&mut s, sql, policy),
+            run(&mut twin, sql, policy),
+            "{sql} under {policy}"
+        );
+        let (pins, unpruned, batches) = last_scan_pins(&s);
+        assert!(pins <= unpruned, "{sql} under {policy}: {pins} pins");
+        assert!(batches > unpruned, "{sql} under {policy}");
+    }
+
+    let target = POLICIES[3];
+    assert_eq!(
+        run(&mut s, full_range, target),
+        run(&mut twin, full_range, target)
+    );
+    let (pins, unpruned, batches) = last_scan_pins(&s);
+    assert_eq!(unpruned, 4);
+    assert_eq!(pins, batches, "an error target pins every batch it scans");
+    drop((s, twin));
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&dir_twin);
+}
+
 /// Warm restart: `partition_by` composes with `persist_to`/`open` — a
 /// reopened out-of-core session rebuilds the identical partition map and
 /// sample geometry from the manifest and keeps answering bit-identically
