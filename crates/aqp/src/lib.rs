@@ -12,13 +12,13 @@
 //! prefix) and the row-wise kernel ([`ScanKernel::RowWise`] behind
 //! [`SharedScanDriver::set_kernel`]).
 //!
-//! The cost model ([`cost::CostModel`]) replaces the paper's EC2 cluster:
-//! "runtime" is simulated from tuples scanned, with a configurable
-//! multiplier for cold (SSD) versus cached (in-memory) data so that the
-//! cached/not-cached panels of Figure 4 can be regenerated
-//! deterministically. It is also what turns a time budget (§7 case 2,
-//! Appendix C.2) into the largest scannable sample prefix
-//! ([`CostModel::tuples_within`]); the caller bounds its scan with that.
+//! The cost model ([`cost::CostModel`]) replaces the paper's EC2 cluster
+//! for the paper experiments only: "runtime" is simulated from tuples
+//! scanned, with a configurable multiplier for cold (SSD) versus cached
+//! (in-memory) data so that the cached/not-cached panels of Figure 4 can
+//! be regenerated deterministically. An experiment that wants a time
+//! budget (§7 case 2, Appendix C.2) turns it into a tuple budget with
+//! [`CostModel::tuples_within`]; no engine or serving layer prices a scan.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 

@@ -58,7 +58,7 @@ fn bench_groupby_scaling(c: &mut Criterion) {
         assert_eq!(shared.rows.len(), g);
         assert_eq!(
             shared.tuples_scanned,
-            s.snapshot().engines()[0].sample().len(),
+            s.snapshot().samples()[0].len(),
             "G={g}: one shared scan reads the sample once"
         );
         group.bench_with_input(BenchmarkId::new("shared", g), &g, |b, _| {

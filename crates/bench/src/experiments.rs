@@ -251,7 +251,7 @@ pub fn tab4() {
             env.warm_up();
             let broad = env.broad_test_queries(0.05);
             for budget_ms in [15.0, 40.0] {
-                let policy = StopPolicy::TimeBudgetNs(budget_ms * 1e6);
+                let policy = env.time_budget(budget_ms * 1e6);
                 let mut nl = Vec::new();
                 let mut vd = Vec::new();
                 for sql in broad.clone() {
@@ -809,7 +809,7 @@ pub fn fig11() {
                 StorageTier::Cached => 14.0,
                 StorageTier::Ssd => 135.0,
             };
-            let policy = StopPolicy::TimeBudgetNs(budget_ms * 1e6);
+            let policy = env.time_budget(budget_ms * 1e6);
             let mut nl = Vec::new();
             let mut vd = Vec::new();
             for sql in broad.clone() {

@@ -4,7 +4,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use verdict::{Mode, QueryOutcome, SessionBuilder, StopPolicy, VerdictSession};
-use verdict_aqp::StorageTier;
+use verdict_aqp::{CostModel, StorageTier};
 use verdict_sql::{parse_query, plan_scan};
 use verdict_storage::Table;
 
@@ -31,6 +31,9 @@ impl Dataset {
 pub struct ExperimentEnv {
     /// The live session.
     pub session: VerdictSession,
+    /// The storage tier the default [`CostModel`] prices this
+    /// environment's scans at (the paper's cached / SSD panels).
+    tier: StorageTier,
     /// First-half (training) queries.
     pub train_queries: Vec<String>,
     /// Second-half (test) queries.
@@ -89,7 +92,6 @@ impl ExperimentEnv {
             .sample_fraction(0.1)
             .batch_size(500)
             .seed(seed)
-            .tier(tier)
             // Several independent offline samples, rotated across queries,
             // keep snippet errors independent (Eq. 6's assumption).
             .num_samples(6)
@@ -97,6 +99,7 @@ impl ExperimentEnv {
             .expect("session builds");
         ExperimentEnv {
             session,
+            tier,
             train_queries: queries[..half].to_vec(),
             test_queries: queries[half..].to_vec(),
         }
@@ -153,6 +156,16 @@ impl ExperimentEnv {
             .collect()
     }
 
+    /// The stop policy of a time-bound engine (§7 case 2, Appendix C.2):
+    /// the tuple budget whose scan fits in `budget_ns` of simulated time.
+    pub fn time_budget(&self, budget_ns: f64) -> StopPolicy {
+        StopPolicy::TupleBudget(
+            CostModel::default()
+                .tuples_within(budget_ns, self.tier)
+                .max(1),
+        )
+    }
+
     /// Runs `sql` in `mode` under `policy`, returning
     /// `(answer, error_bound95, actual_rel_error, simulated_ns, tuples)`
     /// for the first cell, or `None` if unsupported/empty.
@@ -181,7 +194,7 @@ impl ExperimentEnv {
             exact,
             rel_bound: bound / denom,
             rel_actual: (answer - exact).abs() / denom,
-            simulated_ns: result.simulated_ns,
+            simulated_ns: CostModel::default().query_ns(result.tuples_scanned, self.tier),
             tuples: result.tuples_scanned,
         })
     }
@@ -198,7 +211,7 @@ pub struct Measurement {
     pub rel_bound: f64,
     /// Actual relative error.
     pub rel_actual: f64,
-    /// Simulated runtime.
+    /// Simulated runtime: the default [`CostModel`]'s price of the scan.
     pub simulated_ns: f64,
     /// Sample tuples scanned.
     pub tuples: usize,

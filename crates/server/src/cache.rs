@@ -36,11 +36,12 @@ use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
 use std::sync::Arc;
 
-use verdict_core::persist::Encoder;
+use verdict_core::persist::{Encoder, Persist};
 
-use crate::wire::WireOptions;
+use crate::wire::{encode_options, WireOptions};
 use verdict::storage::Value;
-use verdict::{Mode, StopPolicy};
+#[cfg(test)]
+use verdict::Mode;
 
 /// A plain LRU map: `HashMap` for lookup plus a `BTreeMap` recency index
 /// ordered by a monotone touch sequence. O(log n) per touch, no unsafe,
@@ -139,45 +140,13 @@ impl AnswerKey {
         let mut enc = Encoder::new();
         enc.put_str(table);
         enc.put_u64(fingerprint);
+        // `Vec<Value>`'s `Persist` layout, without copying the slice.
         enc.put_len(params.len());
         for p in params {
-            match p {
-                Value::Num(x) => {
-                    enc.put_u8(0);
-                    enc.put_f64(*x);
-                }
-                Value::Cat(c) => {
-                    enc.put_u8(1);
-                    enc.put_u32(*c);
-                }
-                Value::Str(s) => {
-                    enc.put_u8(2);
-                    enc.put_str(s);
-                }
-            }
+            p.encode(&mut enc);
         }
-        enc.put_u8(match options.mode {
-            Mode::NoLearn => 0,
-            Mode::Verdict => 1,
-            _ => 255,
-        });
-        match options.policy {
-            StopPolicy::ScanAll => enc.put_u8(0),
-            StopPolicy::RelativeErrorBound { target, delta } => {
-                enc.put_u8(1);
-                enc.put_f64(target);
-                enc.put_f64(delta);
-            }
-            StopPolicy::TupleBudget(n) => {
-                enc.put_u8(2);
-                enc.put_u64(n as u64);
-            }
-            StopPolicy::TimeBudgetNs(ns) => {
-                enc.put_u8(3);
-                enc.put_f64(ns);
-            }
-            _ => enc.put_u8(255),
-        }
+        encode_options(&mut enc, options)
+            .expect("options decoded from the wire encode back onto it");
         enc.put_u64(token.0);
         enc.put_u64(token.1);
         AnswerKey(enc.into_bytes())

@@ -17,7 +17,7 @@ pub struct ServerMetrics {
     pub connections_total: Counter,
     /// Connections currently open.
     pub connections_active: Gauge,
-    /// Connections refused at the preamble (foreign magic / newer
+    /// Connections refused at the preamble (foreign magic / another
     /// version).
     pub refused_total: Counter,
     /// Connections dropped on a torn or corrupt frame.

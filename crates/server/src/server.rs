@@ -298,13 +298,14 @@ fn service(conn: &mut Conn, shared: &Shared) -> ConnFate {
                 conn.preamble_done = true;
             }
             Err(WireError::Version(v)) => {
-                // A newer protocol gets a typed goodbye it can decode.
+                // Another version gets a typed goodbye it can decode:
+                // error frames are laid out alike in every version.
                 shared.metrics.refused_total.inc();
                 let _ = respond(
                     conn,
                     &Response::Error {
                         code: ErrorCode::BadRequest,
-                        message: format!("peer protocol v{v} is newer than served v{WIRE_VERSION}"),
+                        message: format!("peer protocol v{v} is not the served v{WIRE_VERSION}"),
                     },
                 );
                 return ConnFate::Drop;

@@ -5,10 +5,10 @@
 //! — magic `VDBLWIRE` plus a version word — and every message after it
 //! is one frame of `len: u32 | crc: u32 | payload`, with the CRC
 //! (CRC-32/ISO-HDLC, the same [`verdict_store::crc::crc32`] the WAL
-//! uses) covering the payload. Connections with a foreign magic or a
-//! newer version are refused; a torn or corrupt frame closes the
-//! connection cleanly — the decoder can reject bytes but never panic on
-//! them, which the truncation/bit-flip fuzz tests assert.
+//! uses) covering the payload. Connections with a foreign magic or any
+//! version but [`WIRE_VERSION`] are refused; a torn or corrupt frame
+//! closes the connection cleanly — the decoder can reject bytes but never
+//! panic on them, which the truncation/bit-flip fuzz tests assert.
 //!
 //! Payloads are encoded with the bit-exact
 //! [`verdict_core::persist`] [`Encoder`]/[`Decoder`] pair: floats travel
@@ -31,10 +31,10 @@ use verdict_store::crc::crc32;
 
 /// Connection preamble magic (8 bytes, store-style).
 pub const WIRE_MAGIC: [u8; 8] = *b"VDBLWIRE";
-/// Protocol version spoken by this build. Connections announcing a
-/// *newer* version are refused (older-version compatibility would be
-/// negotiated down; there is none yet).
-pub const WIRE_VERSION: u32 = 1;
+/// Protocol version spoken by this build. Connections announcing any
+/// other version are refused: there is no down-negotiation. Version 2
+/// dropped the time-budget stop policy and the outcome's simulated time.
+pub const WIRE_VERSION: u32 = 2;
 /// Preamble length: magic + version.
 pub const PREAMBLE_LEN: usize = WIRE_MAGIC.len() + 4;
 /// Frame header length: payload length + CRC.
@@ -53,7 +53,7 @@ pub enum WireError {
     Torn,
     /// The preamble's magic is not [`WIRE_MAGIC`].
     ForeignMagic([u8; 8]),
-    /// The peer speaks a newer protocol than this build.
+    /// The peer speaks a protocol version other than this build's.
     Version(u32),
     /// A frame announced a payload larger than [`MAX_FRAME_LEN`].
     TooLarge(u64),
@@ -125,7 +125,7 @@ pub fn check_preamble(bytes: &[u8]) -> Result<(), WireError> {
         return Err(WireError::ForeignMagic(magic));
     }
     let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    if version > WIRE_VERSION {
+    if version != WIRE_VERSION {
         return Err(WireError::Version(version));
     }
     Ok(())
@@ -211,7 +211,8 @@ impl Default for WireOptions {
     }
 }
 
-fn encode_options(enc: &mut Encoder, opts: &WireOptions) -> Result<(), WireError> {
+/// Encodes `opts` (also the options part of an answer-cache key).
+pub(crate) fn encode_options(enc: &mut Encoder, opts: &WireOptions) -> Result<(), WireError> {
     match opts.mode {
         Mode::NoLearn => enc.put_u8(0),
         Mode::Verdict => enc.put_u8(1),
@@ -229,10 +230,6 @@ fn encode_options(enc: &mut Encoder, opts: &WireOptions) -> Result<(), WireError
         StopPolicy::TupleBudget(n) => {
             enc.put_u8(2);
             enc.put_u64(n as u64);
-        }
-        StopPolicy::TimeBudgetNs(ns) => {
-            enc.put_u8(3);
-            enc.put_f64(ns);
         }
         _ => return Err(WireError::Corrupt("unencodable stop policy".into())),
     }
@@ -252,7 +249,6 @@ fn decode_options(dec: &mut Decoder<'_>) -> Result<WireOptions, WireError> {
             delta: dec.take_f64()?,
         },
         2 => StopPolicy::TupleBudget(dec.take_count()?),
-        3 => StopPolicy::TimeBudgetNs(dec.take_f64()?),
         t => return Err(WireError::Corrupt(format!("stop policy tag {t}"))),
     };
     Ok(WireOptions { mode, policy })
@@ -794,8 +790,6 @@ pub struct WireResult {
     pub rows: Vec<WireRow>,
     /// Sample tuples visited by the one shared scan.
     pub tuples_scanned: u64,
-    /// Simulated wall-clock under the session's cost model.
-    pub simulated_ns: f64,
     /// Whether the `N_max` cap dropped groups.
     pub truncated: bool,
     /// Epoch of the learned state the query read.
@@ -842,7 +836,6 @@ fn encode_result(enc: &mut Encoder, r: &QueryResult) {
         encode_row(enc, row);
     }
     enc.put_u64(r.tuples_scanned as u64);
-    enc.put_f64(r.simulated_ns);
     enc.put_bool(r.truncated);
     enc.put_u64(r.epoch);
 }
@@ -901,7 +894,6 @@ pub fn decode_outcome(bytes: &[u8]) -> Result<WireOutcome, WireError> {
             WireOutcome::Answered(WireResult {
                 rows,
                 tuples_scanned: dec.take_u64()?,
-                simulated_ns: dec.take_f64()?,
                 truncated: dec.take_bool()?,
                 epoch: dec.take_u64()?,
             })

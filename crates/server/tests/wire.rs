@@ -26,7 +26,7 @@ fn value_strategy() -> impl Strategy<Value = Value> {
 }
 
 fn options_strategy() -> impl Strategy<Value = WireOptions> {
-    (0u8..2, 0u8..4, 0.001..0.5f64, 0.8..0.99f64, 1usize..100_000).prop_map(
+    (0u8..2, 0u8..3, 0.001..0.5f64, 0.8..0.99f64, 1usize..100_000).prop_map(
         |(mode, policy, target, delta, budget)| WireOptions {
             mode: if mode == 0 {
                 Mode::NoLearn
@@ -36,8 +36,7 @@ fn options_strategy() -> impl Strategy<Value = WireOptions> {
             policy: match policy {
                 0 => StopPolicy::ScanAll,
                 1 => StopPolicy::RelativeErrorBound { target, delta },
-                2 => StopPolicy::TupleBudget(budget),
-                _ => StopPolicy::TimeBudgetNs(budget as f64 * 10.0),
+                _ => StopPolicy::TupleBudget(budget),
             },
         },
     )
@@ -253,6 +252,36 @@ fn preamble_refuses_newer_version_but_accepts_older() {
     newer.extend_from_slice(&WIRE_MAGIC);
     newer.extend_from_slice(&(WIRE_VERSION + 1).to_le_bytes());
     assert!(matches!(check_preamble(&newer), Err(WireError::Version(_))));
+}
+
+#[test]
+fn preamble_refuses_the_first_version() {
+    let mut v1 = Vec::new();
+    v1.extend_from_slice(&WIRE_MAGIC);
+    v1.extend_from_slice(&1u32.to_le_bytes());
+    assert!(matches!(check_preamble(&v1), Err(WireError::Version(1))));
+}
+
+/// Version 1's time-budget policy (tag 3, an `f64` of nanoseconds) is not
+/// a stop policy of this protocol: a request carrying it is refused.
+#[test]
+fn time_budget_policy_tag_is_refused() {
+    let query = Request::Query {
+        sql: "SELECT COUNT(*) FROM t".into(),
+        options: WireOptions {
+            mode: Mode::NoLearn,
+            policy: StopPolicy::ScanAll,
+        },
+    };
+    let mut payload = query.encode().expect("encodable");
+    // The options close the payload: mode tag, then the policy tag.
+    assert_eq!(payload.pop(), Some(0));
+    payload.push(3);
+    payload.extend_from_slice(&12e6f64.to_bits().to_le_bytes());
+    assert!(matches!(
+        Request::decode(&payload),
+        Err(WireError::Corrupt(_))
+    ));
 }
 
 #[test]

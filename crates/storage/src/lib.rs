@@ -28,11 +28,9 @@
 //!   complete) and row → group-index mapping, with a dense
 //!   code → group lookup table for single-column categorical group-bys;
 //! - [`aggregate`]: exact AVG/SUM/COUNT/FREQ evaluation (ground truth for
-//!   experiments);
-//! - [`catalog`]: a named-table registry.
+//!   experiments).
 
 pub mod aggregate;
-pub mod catalog;
 pub mod chunk;
 pub mod column;
 pub mod expr;
@@ -45,7 +43,6 @@ pub mod table;
 pub mod value;
 
 pub use aggregate::{eval_group_by, AggregateFn, GroupKey};
-pub use catalog::Catalog;
 pub use chunk::{
     chunk_segments, CatZone, Chunk, NumZone, PackedCodes, SelectionMask, ZoneMaps, CHUNK_ROWS,
 };
@@ -64,8 +61,6 @@ pub use value::Value;
 pub enum StorageError {
     /// Referenced a column that does not exist.
     UnknownColumn(String),
-    /// Referenced a table that does not exist in the catalog.
-    UnknownTable(String),
     /// A row or operation did not match the table schema.
     SchemaMismatch(String),
     /// An expression was applied to an incompatible column type.
@@ -79,7 +74,6 @@ impl std::fmt::Display for StorageError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             StorageError::UnknownColumn(c) => write!(f, "unknown column: {c}"),
-            StorageError::UnknownTable(t) => write!(f, "unknown table: {t}"),
             StorageError::SchemaMismatch(m) => write!(f, "schema mismatch: {m}"),
             StorageError::TypeError(m) => write!(f, "type error: {m}"),
             StorageError::Io(m) => write!(f, "io error: {m}"),

@@ -83,13 +83,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .execute(sql, Mode::Verdict, target)?
         .unwrap_answered();
     println!(
-        "to reach a 1% error bound: NoLearn scanned {} tuples ({:.1} ms simulated), \
-         Verdict scanned {} ({:.1} ms) — {:.1}x speedup",
+        "to reach a 1% error bound: NoLearn scanned {} tuples, Verdict scanned {} \
+         — {:.1}x fewer",
         nl.tuples_scanned,
-        nl.simulated_ns / 1e6,
         vd.tuples_scanned,
-        vd.simulated_ns / 1e6,
-        nl.simulated_ns / vd.simulated_ns
+        nl.tuples_scanned as f64 / vd.tuples_scanned.max(1) as f64
     );
     Ok(())
 }

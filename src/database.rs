@@ -66,7 +66,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use verdict_aqp::{AqpError, CostModel, OnlineAggregation, StorageTier};
+use verdict_aqp::{AqpError, Sample};
 use verdict_core::append::AppendAdjustment;
 use verdict_core::concurrent::{EngineSnapshot, Learner};
 use verdict_core::{AggKey, QualifiedAggKey, SchemaInfo, Verdict, VerdictConfig};
@@ -85,7 +85,7 @@ use verdict_store::{
 use crate::metrics::{CheckpointReport, TableObs};
 use crate::query::{Prepared, QueryOptions};
 use crate::session::{
-    build_paged_engines, draw_engines, prepare_ingest, query_trace, run_shared_read,
+    build_paged_samples, draw_samples, prepare_ingest, query_trace, run_shared_read,
     widening_magnitude, IngestReport, PagedRuntime, ReadOutcome, SampleMoments, SampleRotation,
     StagePrelude,
 };
@@ -142,7 +142,7 @@ impl std::error::Error for CatalogError {}
 pub(crate) struct DataSet {
     pub(crate) data_epoch: u64,
     pub(crate) table: Arc<Table>,
-    pub(crate) engines: Vec<OnlineAggregation>,
+    pub(crate) samples: Vec<Sample>,
 }
 
 /// An atomically paired view of one table at one instant: the learned
@@ -197,11 +197,10 @@ impl SessionSnapshot {
         &self.data.table
     }
 
-    /// The AQP engines over the pinned version of the maintained offline
-    /// samples, by sample index (each exposes its sample through
-    /// [`OnlineAggregation::sample`]).
-    pub fn engines(&self) -> &[OnlineAggregation] {
-        &self.data.engines
+    /// The pinned version of the maintained offline samples, by sample
+    /// index.
+    pub fn samples(&self) -> &[Sample] {
+        &self.data.samples
     }
 
     /// Encodes the pinned learned state (byte-identical to
@@ -288,8 +287,8 @@ impl Shard {
     /// `opts.partition` clusters the samples by partition; combined with
     /// a store the table becomes out-of-core — split into one column file
     /// per partition and served demand-paged under `serve.memory_budget`.
-    /// Sampling geometry, rotation, tier and cost come from `opts`; the
-    /// remaining serving knobs from `serve`.
+    /// How the table is drawn comes from `opts`; how it is served from
+    /// `serve`.
     pub(crate) fn create(
         name: &str,
         table: Table,
@@ -324,7 +323,7 @@ impl Shard {
             )
             .map_err(Error::Store)
         };
-        let (table, engines, store, layout) = match store_dir {
+        let (table, samples, store, layout) = match store_dir {
             Some(dir) if paged => {
                 let (store, state) = create_store(dir, &table)?;
                 let state = state.expect("a paged store is created with its paged state");
@@ -336,7 +335,7 @@ impl Shard {
                 );
                 // Only the zero-row resolution table stays resident; the
                 // base rows live in their partition files from here on.
-                let engines = build_paged_engines(
+                let samples = build_paged_samples(
                     store.dir(),
                     &runtime,
                     &state.resolution,
@@ -344,12 +343,10 @@ impl Shard {
                     state.tails,
                     &[],
                     &meta,
-                    &opts.cost,
-                    opts.tier,
                 )?;
                 (
                     state.resolution,
-                    engines,
+                    samples,
                     Some(store),
                     Layout::Paged(runtime),
                 )
@@ -361,23 +358,14 @@ impl Shard {
                     .map(|spec| PartitionMap::build(&table, spec.clone()))
                     .transpose()
                     .map_err(Error::Storage)?;
-                let engines = draw_engines(&table, &meta, &opts.cost, opts.tier, partition)?;
+                let samples = draw_samples(&table, &meta, partition)?;
                 let store = store_dir.map(|dir| create_store(dir, &table)).transpose()?;
                 let store = store.map(|(store, _)| store);
-                (table, engines, store, Layout::Resident { partitions })
+                (table, samples, store, Layout::Resident { partitions })
             }
         };
         Ok(Shard::new(
-            name,
-            table,
-            engines,
-            verdict,
-            store,
-            meta,
-            None,
-            layout,
-            opts.rotation,
-            serve,
+            name, table, samples, verdict, store, meta, None, layout, serve,
         ))
     }
 
@@ -394,13 +382,13 @@ impl Shard {
         serve: &OpenOptions,
     ) -> Result<Shard> {
         let meta = recovered.meta;
-        let (table, engines, layout) = match recovered.base {
+        let (table, samples, layout) = match recovered.base {
             BaseRows::Table(table) => {
-                let engines = draw_engines(&table, &meta, &serve.cost, serve.tier, None)?;
-                (table, engines, Layout::Resident { partitions: None })
+                let samples = draw_samples(&table, &meta, None)?;
+                (table, samples, Layout::Resident { partitions: None })
             }
             // Out-of-core table: no rows to redraw from — rebuild the
-            // identical partition map and demand-paged engines from the
+            // identical partition map and demand-paged samples from the
             // recovered paged state (segments re-derive from the same
             // frozen per-partition draw), then re-admit the replayed WAL
             // batches exactly as the live table absorbed them.
@@ -417,7 +405,7 @@ impl Shard {
                     state.total_rows + replayed,
                     serve.memory_budget,
                 );
-                let engines = build_paged_engines(
+                let samples = build_paged_samples(
                     store.dir(),
                     &runtime,
                     &state.resolution,
@@ -425,10 +413,8 @@ impl Shard {
                     state.tails,
                     &pr.replayed_batches,
                     &meta,
-                    &serve.cost,
-                    serve.tier,
                 )?;
-                (state.resolution, engines, Layout::Paged(runtime))
+                (state.resolution, samples, Layout::Paged(runtime))
             }
         };
         // Reuse the *persisted* schema: deriving it from the recovered table
@@ -442,13 +428,12 @@ impl Shard {
         Ok(Shard::new(
             name,
             table,
-            engines,
+            samples,
             verdict,
             Some(store),
             meta,
             Some(recovered.report),
             layout,
-            serve.rotation,
             serve,
         ))
     }
@@ -460,13 +445,12 @@ impl Shard {
     fn new(
         name: &str,
         table: Table,
-        engines: Vec<OnlineAggregation>,
+        samples: Vec<Sample>,
         mut verdict: Verdict,
         store: Option<SynopsisStore>,
         meta: SessionMeta,
         recovery: Option<RecoveryReport>,
         layout: Layout,
-        rotation: SampleRotation,
         serve: &OpenOptions,
     ) -> Shard {
         let store = store.map(SharedStore::new);
@@ -476,7 +460,7 @@ impl Shard {
         let data = Arc::new(DataSet {
             data_epoch: verdict.data_epoch(),
             table: Arc::new(table),
-            engines,
+            samples,
         });
         let learner = Learner::new(verdict);
         let name: Arc<str> = Arc::from(name);
@@ -488,9 +472,9 @@ impl Shard {
         Shard {
             obs: TableObs::new(serve.metrics.clone(), serve.query_log.clone(), &name),
             name,
-            rotation,
+            rotation: serve.rotation,
             fixed_sample: 0,
-            num_samples: data.engines.len(),
+            num_samples: data.samples.len(),
             next_sample: AtomicUsize::new(0),
             current: Mutex::new(current),
             store,
@@ -699,10 +683,9 @@ impl Shard {
         };
         let plan_sw = Stopwatch::started_if(tracing);
         let (snapshot, sample, learn) = self.pin(opts)?;
-        let engine = &snapshot.data.engines[sample];
+        let sample_data = &snapshot.data.samples[sample];
         // `table()` is the zero-row resolution table on a paged sample:
         // binding and planning only need schema + dictionaries.
-        let sample_data = engine.sample();
         let table = sample_data.table();
         let base = stmt.bind(table, params)?;
         let group_keys = if stmt.group_cols().is_empty() {
@@ -714,7 +697,7 @@ impl Shard {
         let plan_ns = plan_sw.elapsed_ns();
         let mut scan = tracing.then(ScanTrace::default);
         let read = run_shared_read(
-            engine,
+            sample_data,
             snapshot.engine.view(),
             &plan,
             opts.mode,
@@ -723,7 +706,7 @@ impl Shard {
             self.parallelism,
             scan.as_mut(),
         )?;
-        if engine.sample().is_paged() {
+        if sample_data.is_paged() {
             self.obs.record_partition_cache(&read.cache);
         }
         let absorb_sw = Stopwatch::started_if(tracing);
@@ -850,11 +833,7 @@ impl Shard {
                     original_part_rows: rt.original_part_rows.clone(),
                     resolution: (*data.table).clone(),
                     total_rows: rt.total_rows,
-                    tails: data
-                        .engines
-                        .iter()
-                        .map(|e| e.sample().table().clone())
-                        .collect(),
+                    tails: data.samples.iter().map(|s| s.table().clone()).collect(),
                 };
                 SnapshotBase::Paged(&paged)
             }
@@ -957,8 +936,8 @@ impl Shard {
         // Build the next data set copy-on-write: the table clones once,
         // each sample's rows clone on its first admission.
         let mut table = (*old.table).clone();
-        let mut engines = old.engines.clone();
-        let sample = old.engines[self.fixed_sample].sample();
+        let mut samples = old.samples.clone();
+        let sample = &old.samples[self.fixed_sample];
         let Writer {
             learner,
             meta,
@@ -1016,10 +995,10 @@ impl Shard {
         };
         let landed = paged_batch.as_ref().unwrap_or(&table);
         let (first, seed) = (first as u64, meta.seed);
-        let admitted_rows = engines
+        let admitted_rows = samples
             .iter_mut()
             .enumerate()
-            .map(|(i, e)| e.absorb_appended(landed, first, seed, i as u64))
+            .map(|(i, s)| s.absorb_appended(landed, first, seed, i as u64))
             .collect::<std::result::Result<Vec<_>, _>>()
             .map_err(Error::Aqp)?;
         let adjusted_snippets = learner.engine_mut().commit_ingest(prepared.staged);
@@ -1027,7 +1006,7 @@ impl Shard {
         let data = Arc::new(DataSet {
             data_epoch: old.data_epoch + 1,
             table: Arc::new(table),
-            engines,
+            samples,
         });
         let data_epoch = data.data_epoch;
         self.publish_locked(writer, Some(data));
@@ -1084,7 +1063,7 @@ impl Shard {
             snapshot.engine.synopsis_num_keys(),
             // `len()`, not `table().num_rows()`: a paged sample keeps only
             // its admitted tail resident.
-            snapshot.data.engines[self.fixed_sample].sample().len(),
+            snapshot.data.samples[self.fixed_sample].len(),
             snapshot.engine.epoch(),
             snapshot.data.data_epoch,
         );
@@ -1136,8 +1115,12 @@ impl std::fmt::Debug for Database {
     }
 }
 
-/// Per-table construction knobs (sampling geometry, engine config).
+/// How one table is drawn: sampling geometry, engine config, partitioning.
 /// Defaults match [`crate::SessionBuilder`]'s.
+///
+/// One home per knob: a knob lives here when it describes how a table is
+/// drawn (the store persists all of these), and in [`OpenOptions`] when a
+/// process chooses it at each open.
 #[derive(Debug, Clone)]
 pub struct TableOptions {
     /// Sampling fraction for each offline uniform sample (default 10%).
@@ -1148,14 +1131,8 @@ pub struct TableOptions {
     pub seed: u64,
     /// Number of independent offline samples (default 1).
     pub num_samples: usize,
-    /// Sample rotation across queries (default fixed).
-    pub rotation: SampleRotation,
     /// Inference-engine configuration.
     pub config: VerdictConfig,
-    /// Storage tier for the cost model.
-    pub tier: StorageTier,
-    /// Cost model.
-    pub cost: CostModel,
     /// Horizontal partitioning of every maintained sample (default none;
     /// see [`crate::SessionBuilder::partition_by`]). With
     /// [`DatabaseBuilder::persist_to`] the table is **out-of-core**,
@@ -1170,21 +1147,18 @@ impl Default for TableOptions {
             batch_size: 1000,
             seed: 0,
             num_samples: 1,
-            rotation: SampleRotation::Fixed,
             config: VerdictConfig::default(),
-            tier: StorageTier::Cached,
-            cost: CostModel::default(),
             partition: None,
         }
     }
 }
 
-/// The warm-start knobs [`Database::open_with`] accepts: exactly the
+/// How a process serves its tables, chosen at each open: exactly the
 /// configuration the store does *not* persist. Sample identity (seed,
 /// fraction, batch size, sample count) and the engine config always come
-/// from the persisted metadata. (The builders carry their serving-side
-/// knobs in one of these too, so every construction path reads them
-/// from the same place.)
+/// from the persisted metadata ([`TableOptions`] at creation). The
+/// builders carry their serving knobs in one of these too, so every
+/// construction path reads them from the same place.
 ///
 /// Non-exhaustive — construct with [`OpenOptions::new`] and refine with
 /// the `with_*` methods.
@@ -1195,10 +1169,6 @@ pub struct OpenOptions {
     pub store_policy: StorePolicy,
     /// Sample rotation, applied to every table (default fixed).
     pub rotation: SampleRotation,
-    /// Storage tier for the cost model (default cached).
-    pub tier: StorageTier,
-    /// Cost model.
-    pub cost: CostModel,
     /// Metrics hub for every table's series (default none — metrics
     /// fully disabled).
     pub metrics: Option<Arc<MetricsHub>>,
@@ -1218,8 +1188,6 @@ impl Default for OpenOptions {
         OpenOptions {
             store_policy: StorePolicy::default(),
             rotation: SampleRotation::Fixed,
-            tier: StorageTier::Cached,
-            cost: CostModel::default(),
             metrics: None,
             query_log: None,
             parallelism: None,
@@ -1243,18 +1211,6 @@ impl OpenOptions {
     /// Sets every table's sample rotation.
     pub fn with_rotation(mut self, r: SampleRotation) -> Self {
         self.rotation = r;
-        self
-    }
-
-    /// Sets the storage tier for the cost model.
-    pub fn with_tier(mut self, t: StorageTier) -> Self {
-        self.tier = t;
-        self
-    }
-
-    /// Sets the cost model.
-    pub fn with_cost(mut self, c: CostModel) -> Self {
-        self.cost = c;
         self
     }
 
@@ -1291,8 +1247,8 @@ impl OpenOptions {
 pub struct DatabaseBuilder {
     tables: Vec<(String, Table, TableOptions)>,
     persist: Option<PathBuf>,
-    /// Database-wide serving knobs (its per-table fields — rotation,
-    /// tier, cost — are unused here: [`TableOptions`] carries those).
+    /// Database-wide serving knobs; its rotation stays at the default
+    /// (fixed), since the builder has no setter for it.
     serve: OpenOptions,
 }
 
@@ -1445,9 +1401,8 @@ impl Database {
     }
 
     /// [`Database::open`] with explicit [`OpenOptions`] — the knobs the
-    /// store does **not** persist (store policy, sample rotation, cost
-    /// model, storage tier, …) and would otherwise reopen at
-    /// their defaults. Everything sample-identity-affecting (seed,
+    /// store does **not** persist (store policy, sample rotation, …) and
+    /// would otherwise reopen at their defaults. Everything sample-identity-affecting (seed,
     /// fraction, batch size, sample count, engine config) comes from the
     /// persisted metadata and cannot be overridden, exactly like the
     /// session API's warm start.

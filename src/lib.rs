@@ -124,7 +124,7 @@
 //! - `session.verdict()` / `session.engine()` → `session.snapshot()` (or
 //!   [`Database::snapshot`]): a [`SessionSnapshot`] exposes the learned
 //!   state (`state_bytes`, `has_model`, `synopsis_len`, `stats`) and the
-//!   maintained samples (`engines()`). There is no mutable engine
+//!   maintained samples (`samples()`). There is no mutable engine
 //!   access — every mutation goes through the shard's learn path.
 //! - `SessionBuilder::open(dir)` → [`Database::open`] — a single-table
 //!   store directory opens as a one-table database (table name `"t"`,
@@ -138,7 +138,7 @@
 //! | Crate | Contents |
 //! |---|---|
 //! | [`verdict_core`] | snippets, synopsis, kernel, learning, inference, validation, append, read/learn split |
-//! | [`verdict_aqp`] | uniform samples (resident or demand-paged), the shared-scan driver + morsel scheduler, cost model |
+//! | [`verdict_aqp`] | uniform samples (resident or demand-paged), the shared-scan driver + morsel scheduler, the experiments' cost model |
 //! | [`verdict_sql`] | parser (with `?` placeholders), supported-query checker, catalog name resolution, snippet decomposition, prepared plan templates |
 //! | [`verdict_storage`] | columnar tables, predicates, exact aggregation, partition maps |
 //! | [`verdict_store`] | durable stores: snippet log, snapshots, crash recovery, the v3 catalog manifest |

@@ -121,8 +121,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use verdict_aqp::{
-    parallel_scan, AqpError, CostModel, Horizon, OnlineAggregation, PagedRep, Sample, ScanSpec,
-    SegmentLoader, SharedScanDriver, StorageTier,
+    parallel_scan, AqpError, Horizon, PagedRep, Sample, ScanSpec, SegmentLoader, SharedScanDriver,
 };
 use verdict_core::append::AppendAdjustment;
 use verdict_core::inference::CellPrior;
@@ -245,9 +244,6 @@ pub enum StopPolicy {
     },
     /// Scan at most this many sample tuples.
     TupleBudget(usize),
-    /// Scan whatever fits in this simulated time budget (time-bound
-    /// engines, §7 / Appendix C.2).
-    TimeBudgetNs(f64),
 }
 
 impl std::fmt::Display for StopPolicy {
@@ -258,7 +254,6 @@ impl std::fmt::Display for StopPolicy {
                 write!(f, "rel-err(target={target}, delta={delta})")
             }
             StopPolicy::TupleBudget(n) => write!(f, "tuples({n})"),
-            StopPolicy::TimeBudgetNs(ns) => write!(f, "time({ns}ns)"),
         }
     }
 }
@@ -295,8 +290,6 @@ pub struct QueryResult {
     /// is answered from this single pass, so this is the query's real
     /// scan work, not a `max` over per-cell scans.
     pub tuples_scanned: usize,
-    /// Simulated wall-clock for the query under the session's cost model.
-    pub simulated_ns: f64,
     /// Whether the `N_max` cap dropped groups.
     pub truncated: bool,
     /// Epoch of the learned state this query read: the epoch of the
@@ -422,9 +415,6 @@ impl SessionBuilder {
     /// session answers its very first query with the error bounds the
     /// previous session had earned — the cold-start problem the paper's
     /// "smarter every time" promise otherwise hits at every restart.
-    ///
-    /// Storage tier and cost model are not persisted; set them on the
-    /// returned builder if they matter.
     pub fn open(path: impl AsRef<Path>) -> Result<SessionBuilder> {
         let path = path.as_ref();
         let (store, recovered) =
@@ -544,18 +534,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Storage tier for the cost model (default cached).
-    pub fn tier(mut self, t: StorageTier) -> Self {
-        self.opts.tier = t;
-        self
-    }
-
-    /// Cost model override.
-    pub fn cost_model(mut self, c: CostModel) -> Self {
-        self.opts.cost = c;
-        self
-    }
-
     /// Verdict engine configuration override.
     pub fn verdict_config(mut self, c: VerdictConfig) -> Self {
         self.opts.config = c;
@@ -579,7 +557,7 @@ impl SessionBuilder {
     /// answered query, so the independent-error property of Eq. (6)
     /// arrives without manual [`VerdictSession::set_active_sample`] calls.
     pub fn sample_rotation(mut self, rotation: SampleRotation) -> Self {
-        self.opts.rotation = rotation;
+        self.serve.rotation = rotation;
         self
     }
 
@@ -650,13 +628,7 @@ impl SessionBuilder {
                 }
                 // Apply any store_policy() override made after open().
                 store.set_policy(self.serve.store_policy.clone());
-                let serve = OpenOptions {
-                    rotation: self.opts.rotation,
-                    tier: self.opts.tier,
-                    cost: self.opts.cost,
-                    ..self.serve
-                };
-                Shard::recover("t", store, *recovered, &serve)?
+                Shard::recover("t", store, *recovered, &self.serve)?
             }
         };
         Ok(VerdictSession { shard })
@@ -721,7 +693,7 @@ pub(crate) fn paged_draw_seed(seed: u64, sample_index: u64) -> u64 {
     h
 }
 
-/// Builds the demand-paged engines of an out-of-core table — shared by
+/// Builds the demand-paged samples of an out-of-core table — shared by
 /// the create and recover paths. The loader faults a partition's base
 /// rows from its `part-<id>.vcol` file, decoding against the resolution
 /// prototype (a dictionary superset of every create-time fragment) and
@@ -732,7 +704,7 @@ pub(crate) fn paged_draw_seed(seed: u64, sample_index: u64) -> u64 {
 /// to; `replayed` WAL batches are then re-admitted in order, exactly as
 /// the live table absorbed them.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn build_paged_engines(
+pub(crate) fn build_paged_samples(
     dir: &Path,
     runtime: &PagedRuntime,
     resolution: &Table,
@@ -740,9 +712,7 @@ pub(crate) fn build_paged_engines(
     tails: Vec<Table>,
     replayed: &[Table],
     meta: &SessionMeta,
-    cost: &CostModel,
-    tier: StorageTier,
-) -> Result<Vec<OnlineAggregation>> {
+) -> Result<Vec<Sample>> {
     let proto = resolution.clone();
     let opr = runtime.original_part_rows.clone();
     let dir = dir.to_path_buf();
@@ -750,7 +720,7 @@ pub(crate) fn build_paged_engines(
         read_part_rows(&dir, p, &proto, opr[p as usize] as usize)
             .map_err(|e| StorageError::Io(format!("partition {p}: {e}")))
     });
-    let mut engines = Vec::with_capacity(tails.len());
+    let mut samples = Vec::with_capacity(tails.len());
     for (i, tail) in tails.into_iter().enumerate() {
         let rep = PagedRep::new(
             Arc::clone(&runtime.store),
@@ -768,18 +738,18 @@ pub(crate) fn build_paged_engines(
             rep,
         )
         .map_err(Error::Aqp)?;
-        engines.push(OnlineAggregation::new(sample, cost.clone(), tier));
+        samples.push(sample);
     }
     let mut first = base_rows;
     for batch in replayed {
-        for (i, engine) in engines.iter_mut().enumerate() {
-            engine
+        for (i, sample) in samples.iter_mut().enumerate() {
+            sample
                 .absorb_appended(batch, first, meta.seed, i as u64)
                 .map_err(Error::Aqp)?;
         }
         first += batch.num_rows() as u64;
     }
-    Ok(engines)
+    Ok(samples)
 }
 
 impl VerdictSession {
@@ -794,7 +764,7 @@ impl VerdictSession {
     /// table/sample version it describes. This is the read accessor for
     /// everything the engine holds — [`SessionSnapshot::state_bytes`],
     /// [`SessionSnapshot::has_model`], [`SessionSnapshot::stats`], the
-    /// maintained samples via [`SessionSnapshot::engines`]. There is no
+    /// maintained samples via [`SessionSnapshot::samples`]. There is no
     /// mutable access to the engine: every mutation goes through the
     /// shard's serialized learn path.
     pub fn snapshot(&self) -> SessionSnapshot {
@@ -841,7 +811,7 @@ impl VerdictSession {
     /// Whether this session serves its samples out-of-core
     /// (demand-paged partition files under a memory budget).
     pub fn is_paged(&self) -> bool {
-        self.shard.current().data.engines[0].sample().is_paged()
+        self.shard.current().data.samples[0].is_paged()
     }
 
     /// Cumulative partition-cache counters of an out-of-core session
@@ -849,7 +819,7 @@ impl VerdictSession {
     /// faulted, and the resident-bytes gauge.
     pub fn partition_cache(&self) -> Option<CacheCounters> {
         let snapshot = self.shard.current();
-        let rep = snapshot.data.engines[0].sample().paged_rep()?;
+        let rep = snapshot.data.samples[0].paged_rep()?;
         Some(rep.partition_store().counters())
     }
 
@@ -975,17 +945,15 @@ impl VerdictSession {
 /// bit-identical), the *original* row prefix sampled uniformly, then any
 /// appended tail re-admitted through the deterministic per-row admission
 /// the ingest path uses. Shared by the create and recover paths.
-pub(crate) fn draw_engines(
+pub(crate) fn draw_samples(
     table: &Table,
     meta: &SessionMeta,
-    cost: &CostModel,
-    tier: StorageTier,
     partition: Option<&PartitionSpec>,
-) -> Result<Vec<OnlineAggregation>> {
+) -> Result<Vec<Sample>> {
     let original_rows = meta.original_rows as usize;
     let batch_size = meta.batch_size as usize;
     let mut rng = StdRng::seed_from_u64(meta.seed);
-    let mut engines = Vec::with_capacity(meta.num_samples as usize);
+    let mut samples = Vec::with_capacity(meta.num_samples as usize);
     for _ in 0..meta.num_samples {
         let sample = match partition {
             // Partitioned draws sample the whole current table: resident
@@ -1008,19 +976,19 @@ pub(crate) fn draw_engines(
             ),
         }
         .map_err(Error::Aqp)?;
-        engines.push(OnlineAggregation::new(sample, cost.clone(), tier));
+        samples.push(sample);
     }
     if table.num_rows() > original_rows {
         // Re-admission reads straight from the grown table: the sample
         // adopts the table's dictionaries and stores admitted rows as raw
         // codes, exactly as the live ingest path did.
-        for (i, engine) in engines.iter_mut().enumerate() {
-            engine
+        for (i, sample) in samples.iter_mut().enumerate() {
+            sample
                 .absorb_appended(table, original_rows as u64, meta.seed, i as u64)
                 .map_err(Error::Aqp)?;
         }
     }
-    Ok(engines)
+    Ok(samples)
 }
 
 /// The stage clocks the serving layer measures around the shared read
@@ -1297,15 +1265,15 @@ pub(crate) struct ReadOutcome {
 }
 
 /// Runs one shared scan to answer every cell of `plan` under the given
-/// mode and stop policy, entirely against immutable state: an engine's
-/// sample (per-query cursor) and a read view of the learned state. This
+/// mode and stop policy, entirely against immutable state: a sample
+/// (per-query cursor) and a read view of the learned state. This
 /// is the planner→scan→infer core of the shard's one answer step: it
 /// drives one morsel-parallel scan, runs the stop policy after every
 /// ordered merge, and finalizes every cell; `epoch` is stamped into the
 /// result so callers can tell which learned state answered.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_shared_read(
-    engine: &OnlineAggregation,
+    sample: &Sample,
     view: EngineView<'_>,
     plan: &ScanPlan,
     mode: Mode,
@@ -1325,7 +1293,6 @@ pub(crate) fn run_shared_read(
             result: QueryResult {
                 rows: Vec::new(),
                 tuples_scanned: 0,
-                simulated_ns: engine.simulated_ns(0),
                 truncated: plan.truncated,
                 epoch,
                 elapsed: Duration::ZERO,
@@ -1348,28 +1315,27 @@ pub(crate) fn run_shared_read(
     // batches pin partition segments; a fault is latched (worker faults
     // land on the coordinator's latch) so the morsel coordinator always
     // completes structurally, and fails the query below.
-    let pager = engine.sample().paged_rep().map(|rep| {
+    let pager = sample.paged_rep().map(|rep| {
         let store = rep.partition_store();
         (store, store.counters())
     });
-    let mut driver = engine.shared_scan(&spec).map_err(Error::Aqp)?;
+    let mut driver = SharedScanDriver::over_sample(sample, &spec).map_err(Error::Aqp)?;
     let sink = driver.error_sink();
 
     let mut cells = CellEvaluator {
         view,
         plan,
         mode,
-        n_base: engine.sample().base_rows() as f64,
+        n_base: sample.base_rows() as f64,
         learned: None,
         stats: EngineStats::default(),
     };
 
-    // The stop policy bounds the *one* query-wide scan: a tuple or
-    // time budget buys one prefix of the sample regardless of how many
-    // cells the query has.
+    // The stop policy bounds the *one* query-wide scan: a tuple budget
+    // buys one prefix of the sample regardless of how many cells the
+    // query has.
     let tuple_cap = match policy {
         StopPolicy::TupleBudget(n) => n,
-        StopPolicy::TimeBudgetNs(ns) => engine.cost_model().tuples_within(ns, engine.tier()).max(1),
         _ => usize::MAX,
     };
 
@@ -1377,7 +1343,6 @@ pub(crate) fn run_shared_read(
     // the batch prefix is known up front. Telling the scheduler keeps
     // workers from scanning batches the serial loop would never reach, and
     // the rows in it decide how many threads the scan can pay for.
-    let sample = engine.sample();
     let (max_batches, horizon_rows) = scan_horizon(
         (0..sample.num_batches()).map(|i| sample.batch_range(i).len()),
         tuple_cap,
@@ -1387,9 +1352,7 @@ pub(crate) fn run_shared_read(
     // policies every batch in it is merged, so a paged scan may read each
     // segment's batches up to it in one run.
     let horizon = match policy {
-        StopPolicy::ScanAll | StopPolicy::TupleBudget(_) | StopPolicy::TimeBudgetNs(_) => {
-            Horizon::Exact(max_batches)
-        }
+        StopPolicy::ScanAll | StopPolicy::TupleBudget(_) => Horizon::Exact(max_batches),
         StopPolicy::RelativeErrorBound { .. } => Horizon::AtMost(max_batches),
     };
 
@@ -1423,15 +1386,13 @@ pub(crate) fn run_shared_read(
         workers,
         horizon,
         || {
-            let mut d = engine.shared_scan(&spec).ok()?;
+            let mut d = SharedScanDriver::over_sample(sample, &spec).ok()?;
             d.set_error_sink(Arc::clone(&sink));
             Some(d)
         },
         |d| match policy {
             StopPolicy::ScanAll => true,
-            StopPolicy::TupleBudget(_) | StopPolicy::TimeBudgetNs(_) => {
-                d.tuples_scanned() < tuple_cap
-            }
+            StopPolicy::TupleBudget(_) => d.tuples_scanned() < tuple_cap,
             StopPolicy::RelativeErrorBound { target, delta } => {
                 // Evaluate every live cell against the bound; freeze
                 // those that meet it.
@@ -1544,9 +1505,6 @@ pub(crate) fn run_shared_read(
         result: QueryResult {
             rows,
             tuples_scanned,
-            // One real scan: the cost model charges the single pass, not
-            // the widest of G×A independent passes.
-            simulated_ns: engine.simulated_ns(tuples_scanned),
             truncated: plan.truncated,
             epoch,
             // Stamped by the serving layer: wall-clock spans the whole
@@ -2024,7 +1982,6 @@ mod tests {
             verdict.tuples_scanned,
             nolearn.tuples_scanned
         );
-        assert!(verdict.simulated_ns <= nolearn.simulated_ns);
     }
 
     #[test]
@@ -2085,7 +2042,7 @@ mod tests {
             .unwrap();
         let sample_revs = |s: &VerdictSession, k: usize| -> Vec<f64> {
             let snapshot = s.snapshot();
-            let table = snapshot.engines()[k].sample().table();
+            let table = snapshot.samples()[k].table();
             table.column("rev").unwrap().numeric().unwrap().to_vec()
         };
         // execute: a full scan's raw AVG is the mean of sample k's rows.
@@ -2204,29 +2161,6 @@ mod tests {
             .unwrap();
         }
         t
-    }
-
-    #[test]
-    fn time_budget_policy_limits_scan() {
-        let mut s = session(50_000);
-        let tight = s
-            .execute(
-                "SELECT AVG(rev) FROM t",
-                Mode::NoLearn,
-                StopPolicy::TimeBudgetNs(10_500_000.0),
-            )
-            .unwrap()
-            .unwrap_answered();
-        let loose = s
-            .execute(
-                "SELECT AVG(rev) FROM t",
-                Mode::NoLearn,
-                StopPolicy::TimeBudgetNs(25_000_000.0),
-            )
-            .unwrap()
-            .unwrap_answered();
-        assert!(tight.tuples_scanned < loose.tuples_scanned);
-        assert!(tight.simulated_ns <= 11_000_000.0 + 200.0 * 1000.0);
     }
 
     fn temp_store(name: &str) -> std::path::PathBuf {

@@ -128,8 +128,7 @@ proptest! {
         // Hand-compute the expected adjustments from the *current*
         // sample and the batch, before ingest mutates either.
         let batch = shifted_batch(batch_rows, shift);
-        let old_values: Vec<f64> = session.snapshot().engines()[0]
-            .sample()
+        let old_values: Vec<f64> = session.snapshot().samples()[0]
             .table()
             .column("rev")
             .unwrap()
@@ -162,8 +161,7 @@ proptest! {
         // introduced ("apac"), whether or not their rows were admitted.
         let snapshot = session.snapshot();
         prop_assert_eq!(
-            snapshot.engines()[0]
-                .sample()
+            snapshot.samples()[0]
                 .table()
                 .column("region")
                 .unwrap()
@@ -201,7 +199,7 @@ proptest! {
 /// The values of `column` over sample `k` of a resident session.
 fn sample_values(s: &VerdictSession, k: usize, column: &str) -> Vec<f64> {
     let snapshot = s.snapshot();
-    let table = snapshot.engines()[k].sample().table();
+    let table = snapshot.samples()[k].table();
     table.column(column).unwrap().numeric().unwrap().to_vec()
 }
 
@@ -309,11 +307,7 @@ fn non_finite_measures_never_poison_the_synopsis() {
         }
     }
     let snapshot = s.snapshot();
-    let revs = snapshot.engines()[0]
-        .sample()
-        .table()
-        .column("rev")
-        .unwrap();
+    let revs = snapshot.samples()[0].table().column("rev").unwrap();
     assert!(
         revs.numeric().unwrap().iter().any(|v| !v.is_finite()),
         "the sample admitted non-finite rows, so the second ingest saw them"
@@ -371,7 +365,7 @@ fn mid_ingest_crash_reopens_byte_identical() {
                 .unwrap()
                 .unwrap_answered(),
         );
-        let sample_bytes = table_bytes(s.snapshot().engines()[0].sample().table());
+        let sample_bytes = table_bytes(s.snapshot().samples()[0].table());
         // NOTE: the NoLearn query above appended nothing to the WAL, so
         // batch 2's ingest record starts exactly at wal_len_after_batch1.
         s.ingest(&shifted_batch(200, 9.0)).unwrap();
@@ -395,7 +389,7 @@ fn mid_ingest_crash_reopens_byte_identical() {
         assert_eq!(s.snapshot().state_bytes(), want_state);
         assert_eq!(s.table().num_rows(), want_rows);
         assert_eq!(
-            table_bytes(s.snapshot().engines()[0].sample().table()),
+            table_bytes(s.snapshot().samples()[0].table()),
             want_sample_bytes,
             "maintained sample (rows, codes, AND dictionaries) must \
              rebuild bit-identically"

@@ -76,7 +76,7 @@ fn paged_session(dir: &PathBuf, rows: usize, budget: u64, threads: usize) -> Ver
 const POLICIES: [StopPolicy; 4] = [
     StopPolicy::ScanAll,
     StopPolicy::TupleBudget(700),
-    StopPolicy::TimeBudgetNs(12_000_000.0),
+    StopPolicy::TupleBudget(2_000),
     StopPolicy::RelativeErrorBound {
         target: 0.05,
         delta: 0.95,
@@ -548,7 +548,7 @@ fn database_builder_builds_the_same_paged_table_as_the_session_builder() {
         .build()
         .unwrap();
     assert!(dir.join("tables/t/part-000003.vcol").is_file());
-    assert!(db.snapshot("t").unwrap().engines()[0].sample().is_paged());
+    assert!(db.snapshot("t").unwrap().samples()[0].is_paged());
 
     let answer = |db: &Database, sql: &str, policy: StopPolicy| {
         let opts = QueryOptions::new().with_policy(policy);

@@ -22,9 +22,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use verdict::aqp::{
-    BatchEstimator, OnlineAggregation, Sample, ScanKernel, ScanSpec, SharedScanDriver,
-};
+use verdict::aqp::{BatchEstimator, Sample, ScanKernel, ScanSpec, SharedScanDriver};
 use verdict::core::covariance::AggMode;
 use verdict::core::inference::TrainedModel;
 use verdict::core::learning::{estimate_prior_mean, estimate_sigma2};
@@ -124,7 +122,7 @@ pub fn query_spec(shapes: u32) -> impl Strategy<Value = QuerySpec> {
             let policy = match policy {
                 0 => StopPolicy::ScanAll,
                 1 => StopPolicy::TupleBudget(700),
-                2 => StopPolicy::TimeBudgetNs(12_000_000.0),
+                2 => StopPolicy::TupleBudget(2_000),
                 _ => StopPolicy::RelativeErrorBound {
                     target: 0.05,
                     delta: 0.95,
@@ -140,7 +138,7 @@ pub fn query_spec(shapes: u32) -> impl Strategy<Value = QuerySpec> {
 /// the sample's answer set (bit-compared by rendering: a NaN key equals
 /// itself).
 pub fn plan_of(snapshot: &SessionSnapshot, sql: &str, result: &QueryResult) -> ScanPlan {
-    let sample = snapshot.engines()[0].sample();
+    let sample = &snapshot.samples()[0];
     let keys: Vec<GroupKey> = result.rows.iter().filter_map(|r| r.group.clone()).collect();
     let nmax = snapshot.engine_snapshot().config().nmax;
     let plan = plan_scan(&parse_query(sql).unwrap(), sample.table(), &keys, nmax).unwrap();
@@ -166,7 +164,7 @@ pub fn prim_keys(plan: &ScanPlan) -> Vec<AggKey> {
 }
 
 /// A driver over `plan`'s scan running the row-wise kernel oracle.
-pub fn rowwise_driver<'e>(engine: &'e OnlineAggregation, plan: &ScanPlan) -> SharedScanDriver<'e> {
+pub fn rowwise_driver<'e>(sample: &'e Sample, plan: &ScanPlan) -> SharedScanDriver<'e> {
     let groups: Vec<GroupKey> = plan.groups.iter().flatten().cloned().collect();
     let spec = ScanSpec {
         predicate: &plan.base_predicate,
@@ -174,7 +172,7 @@ pub fn rowwise_driver<'e>(engine: &'e OnlineAggregation, plan: &ScanPlan) -> Sha
         groups: &groups,
         primitives: &plan.primitives,
     };
-    let mut driver = engine.shared_scan(&spec).unwrap();
+    let mut driver = SharedScanDriver::over_sample(sample, &spec).unwrap();
     driver.set_kernel(ScanKernel::RowWise);
     driver
 }
@@ -199,8 +197,8 @@ fn estimator_raws(sample: &Sample, plan: &ScanPlan, depth: usize) -> Vec<Vec<(f6
 }
 
 /// The same table from the row-wise kernel's grid.
-fn rowwise_raws(engine: &OnlineAggregation, plan: &ScanPlan, depth: usize) -> Vec<Vec<(f64, f64)>> {
-    let mut driver = rowwise_driver(engine, plan);
+fn rowwise_raws(sample: &Sample, plan: &ScanPlan, depth: usize) -> Vec<Vec<(f64, f64)>> {
+    let mut driver = rowwise_driver(sample, plan);
     let mut raws = Vec::with_capacity(depth);
     for _ in 0..depth {
         assert!(driver.step());
@@ -264,8 +262,7 @@ pub fn check(
 ) -> QueryResult {
     let before = s.snapshot();
     let result = s.execute(sql, mode, policy).unwrap().unwrap_answered();
-    let engine = &before.engines()[0];
-    let sample = engine.sample();
+    let sample = &before.samples()[0];
     let plan = plan_of(&before, sql, &result);
     assert_eq!(result.rows.len(), plan.groups.len(), "{sql}");
 
@@ -282,16 +279,13 @@ pub fn check(
     if rowwise {
         assert_eq!(
             format!("{raws:?}"),
-            format!("{:?}", rowwise_raws(engine, &plan, raws.len())),
+            format!("{:?}", rowwise_raws(sample, &plan, raws.len())),
             "row-wise kernel vs estimator: {sql}"
         );
     }
     // A budget buys one prefix of the one scan, whatever G × A is.
     let budget_prefix = match policy {
         StopPolicy::TupleBudget(n) => Some(n),
-        StopPolicy::TimeBudgetNs(ns) => {
-            Some(engine.cost_model().tuples_within(ns, engine.tier()).max(1))
-        }
         StopPolicy::ScanAll => Some(usize::MAX),
         _ => None,
     }
@@ -405,12 +399,6 @@ pub fn check(
     assert_eq!(
         result.tuples_scanned, deepest,
         "one scan, as deep as its last cell: {sql}"
-    );
-    assert_bits(
-        result.simulated_ns,
-        engine.simulated_ns(deepest),
-        "simulated ns",
-        sql,
     );
     let got = synopses(&s.snapshot());
     assert!(got.keys().eq(want.keys()), "synopsis key set after {sql}");

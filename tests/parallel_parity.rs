@@ -108,7 +108,7 @@ fn query_spec() -> impl Strategy<Value = QuerySpec> {
             let policy = match policy {
                 0 => StopPolicy::ScanAll,
                 1 => StopPolicy::TupleBudget(700),
-                2 => StopPolicy::TimeBudgetNs(12_000_000.0),
+                2 => StopPolicy::TupleBudget(2_000),
                 _ => StopPolicy::RelativeErrorBound {
                     target: 0.05,
                     delta: 0.95,

@@ -170,7 +170,7 @@ fn eight_groups_two_aggregates_one_scan() {
     let r = check(&mut s, sql, Mode::NoLearn, StopPolicy::ScanAll, false);
     assert!(r.rows.len() >= 8, "{} groups", r.rows.len());
     assert_eq!(r.rows[0].values.len(), 2);
-    assert_eq!(r.tuples_scanned, s.snapshot().engines()[0].sample().len());
+    assert_eq!(r.tuples_scanned, s.snapshot().samples()[0].len());
 }
 
 /// A grouped statement under an error target no cell ever meets evaluates
@@ -207,13 +207,9 @@ fn unmet_error_target_infers_once_and_combines_per_batch() {
     let cells = result.rows.iter().flat_map(|row| row.values.iter());
     assert!(cells.clone().any(|c| c.improved.used_model));
 
-    let engine = &before.engines()[0];
-    let batches = engine.sample().num_batches();
-    assert_eq!(
-        result.tuples_scanned,
-        engine.sample().len(),
-        "no cell froze"
-    );
+    let sample = &before.samples()[0];
+    let batches = sample.num_batches();
+    assert_eq!(result.tuples_scanned, sample.len(), "no cell froze");
     let trace = &s.recent_queries(1)[0];
     assert_eq!(trace.cells_frozen_early, 0);
     assert!(batches > 1);
@@ -227,7 +223,7 @@ fn unmet_error_target_infers_once_and_combines_per_batch() {
     let view = before.engine_snapshot().view();
     let keys = prim_keys(&plan);
     let mut want = before.stats();
-    let mut driver = rowwise_driver(engine, &plan);
+    let mut driver = rowwise_driver(sample, &plan);
     let mut requests: Vec<(Snippet, Observation)> = Vec::new();
     for _ in 0..batches {
         assert!(driver.step());
@@ -253,52 +249,7 @@ fn unmet_error_target_infers_once_and_combines_per_batch() {
     assert_eq!(s.snapshot().stats(), want);
 }
 
-/// Regression (stop-policy semantics): a time budget bounds the *single*
-/// query-wide scan: the same budget buys the same sample prefix whether
-/// the query has one cell or twenty.
-#[test]
-fn time_budget_bounds_the_single_query_wide_scan() {
-    let mut s = session(20_000, false);
-    let budget = 12_000_000.0;
-    let policy = StopPolicy::TimeBudgetNs(budget);
-    let grouped = s
-        .execute(
-            "SELECT region, AVG(rev), SUM(rev) FROM t GROUP BY region",
-            Mode::NoLearn,
-            policy,
-        )
-        .unwrap()
-        .unwrap_answered();
-    assert!(grouped.rows.len() >= 8);
-    let ungrouped = s
-        .execute("SELECT AVG(rev) FROM t", Mode::NoLearn, policy)
-        .unwrap()
-        .unwrap_answered();
-    // Scan work is independent of G×A: 10 groups × 2 aggregates buys
-    // exactly the prefix a single-cell query buys.
-    assert_eq!(grouped.tuples_scanned, ungrouped.tuples_scanned);
-    // And that prefix is the budgeted cap, rounded up to a whole batch.
-    let snapshot = s.snapshot();
-    let engine = &snapshot.engines()[0];
-    let cap = engine.cost_model().tuples_within(budget, engine.tier());
-    let batch = 150;
-    assert!(
-        grouped.tuples_scanned <= cap.div_ceil(batch) * batch,
-        "scan {} exceeds budgeted cap {cap} (batch {batch})",
-        grouped.tuples_scanned
-    );
-    assert!(grouped.tuples_scanned > 0);
-    // The simulated clock charges that one scan, within one batch of the
-    // budget.
-    let one_batch_ns = engine.cost_model().scan_ns(batch, engine.tier());
-    assert!(
-        grouped.simulated_ns <= budget + one_batch_ns,
-        "simulated {} vs budget {budget}",
-        grouped.simulated_ns
-    );
-}
-
-/// Regression: a tuple budget likewise caps the one shared scan, and
+/// Regression: a tuple budget caps the one query-wide shared scan, and
 /// per-cell `tuples_scanned` reports the same stop point for every cell.
 #[test]
 fn tuple_budget_caps_shared_scan() {
@@ -379,7 +330,7 @@ fn concurrent_reads_at_fixed_epoch_match_serial() {
             let policy = match i % 4 {
                 0 => StopPolicy::ScanAll,
                 1 => StopPolicy::TupleBudget(700),
-                2 => StopPolicy::TimeBudgetNs(12_000_000.0),
+                2 => StopPolicy::TupleBudget(2_000),
                 _ => StopPolicy::RelativeErrorBound {
                     target: 0.05,
                     delta: 0.95,

@@ -135,7 +135,7 @@ fn query_log_reports_chunk_counters_per_kernel() {
     let snapshot = s.snapshot();
     let r = check(&mut s, sql, Mode::NoLearn, StopPolicy::ScanAll, true);
     let trace = &s.recent_queries(1)[0];
-    let mut rowwise = rowwise_driver(&snapshot.engines()[0], &plan_of(&snapshot, sql, &r));
+    let mut rowwise = rowwise_driver(&snapshot.samples()[0], &plan_of(&snapshot, sql, &r));
     while rowwise.step() {}
     assert!(trace.chunks > 0, "chunked kernel reports its chunk walk");
     assert_eq!(rowwise.chunks_scanned(), 0, "row-wise never touches chunks");
