@@ -20,7 +20,7 @@
 //! budget (§7 case 2, Appendix C.2) turns it into a tuple budget with
 //! [`CostModel::tuples_within`]; no engine or serving layer prices a scan.
 
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard};
 
 pub mod cost;
 pub mod driver;
@@ -74,4 +74,12 @@ pub type Result<T> = std::result::Result<T, AqpError>;
 /// so one thread's panic must not cascade into the threads that share it.
 pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Read-locks `lock`, absorbing poison. The one `RwLock` this crate reads
+/// is a paged sample's shared partition map: its summaries only ever
+/// widen and its segments hold create-time rows only, so a map that a
+/// panicking ingest left half-extended still prunes soundly.
+pub(crate) fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    lock.read().unwrap_or_else(PoisonError::into_inner)
 }

@@ -244,7 +244,14 @@ mod tests {
             original_part_rows,
         );
         // Zero rows, full dictionaries: the tail a fresh paged table has.
-        Sample::paged(t.gather(&[]).unwrap(), n, fraction, batch_size, rep).unwrap()
+        Sample::paged(
+            Arc::new(t.gather(&[]).unwrap()),
+            n,
+            fraction,
+            batch_size,
+            rep,
+        )
+        .unwrap()
     }
 
     fn paged_fixture(

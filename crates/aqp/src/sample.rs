@@ -272,7 +272,7 @@ impl Sample {
     /// (zero-row at create, the snapshot's tail on a warm open) and must
     /// carry the session's full categorical dictionaries.
     pub fn paged(
-        tail: Table,
+        tail: Arc<Table>,
         base_rows: usize,
         fraction: f64,
         batch_size: usize,
@@ -282,10 +282,14 @@ impl Sample {
         let sizes: Vec<usize> = rep.original_part_rows.iter().map(|&n| n as usize).collect();
         let layout = BatchLayout::interleaved(&partition_allocation(&sizes, fraction), batch_size);
         Ok(Sample {
+            table: tail,
             segment_rows: layout.covered_rows,
+            base_rows,
+            fraction,
+            batch_size,
             layout: Arc::new(layout),
+            map: None,
             paged: Some(Arc::new(rep)),
-            ..Sample::resident(tail, base_rows, fraction, batch_size)
         })
     }
 
@@ -464,7 +468,7 @@ impl Sample {
                 .collect()
         };
         match (&self.paged, &self.map) {
-            (Some(rep), _) => classify(&rep.map.read().expect("partition map poisoned")),
+            (Some(rep), _) => classify(&crate::read(&rep.map)),
             (None, Some(map)) => classify(map),
             (None, None) => Vec::new(),
         }
@@ -515,12 +519,7 @@ impl Sample {
             }
         }
         debug_assert_eq!(table.num_rows(), self.layout.covered_rows);
-        let spec = rep
-            .map
-            .read()
-            .expect("partition map poisoned")
-            .spec()
-            .clone();
+        let spec = crate::read(&rep.map).spec().clone();
         let map = PartitionMap::build(&table, spec).map_err(AqpError::Storage)?;
         table.append(&self.table).map_err(AqpError::Storage)?;
         Ok(Sample {
@@ -555,7 +554,7 @@ impl Sample {
             .collect();
         let mut collector = GroupKeyCollector::new(group_cols);
         {
-            let map = rep.map.read().expect("partition map poisoned");
+            let map = crate::read(&rep.map);
             collector.bound_by(predicate, &self.table, live.iter().map(|&p| map.part(p)))?;
         }
         collector.observe(&self.table, predicate)?;

@@ -77,6 +77,8 @@ pub struct ScanTrace {
     pub partition_cache_misses: u64,
     /// Bytes faulted in from partition files by this query's scan.
     pub partition_bytes_faulted: u64,
+    /// Nanoseconds this query's scan spent faulting segments in.
+    pub partition_fault_ns: u64,
 }
 
 /// One query's trace: per-stage timings plus engine facts. Stored in the
@@ -135,6 +137,8 @@ pub struct QueryTrace {
     pub partition_cache_misses: u64,
     /// Bytes faulted in from partition files by this query's scan.
     pub partition_bytes_faulted: u64,
+    /// Nanoseconds this query's scan spent faulting segments in.
+    pub partition_fault_ns: u64,
     /// Per-stage wall-clock.
     pub stages: StageTimings,
     /// Total wall-clock for the query, nanoseconds.
@@ -283,6 +287,7 @@ mod tests {
             partition_cache_hits: 0,
             partition_cache_misses: 0,
             partition_bytes_faulted: 0,
+            partition_fault_ns: 0,
             stages: StageTimings::default(),
             elapsed_ns: 0,
         }

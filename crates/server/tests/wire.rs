@@ -246,12 +246,19 @@ fn preamble_refuses_foreign_magic() {
     ));
 }
 
+/// A peer one version ahead and one behind are both refused: the protocol
+/// has no cross-version compatibility.
 #[test]
-fn preamble_refuses_newer_version_but_accepts_older() {
-    let mut newer = Vec::new();
-    newer.extend_from_slice(&WIRE_MAGIC);
-    newer.extend_from_slice(&(WIRE_VERSION + 1).to_le_bytes());
-    assert!(matches!(check_preamble(&newer), Err(WireError::Version(_))));
+fn preamble_refuses_every_version_but_its_own() {
+    for version in [WIRE_VERSION + 1, WIRE_VERSION - 1] {
+        let mut preamble = Vec::new();
+        preamble.extend_from_slice(&WIRE_MAGIC);
+        preamble.extend_from_slice(&version.to_le_bytes());
+        assert!(
+            matches!(check_preamble(&preamble), Err(WireError::Version(v)) if v == version),
+            "version {version}"
+        );
+    }
 }
 
 #[test]

@@ -52,7 +52,13 @@ impl Column {
     /// dictionary — each entry is an `Arc` refcount bump, not a `String`
     /// copy, so warm starts stop re-allocating dictionaries.
     pub fn from_categorical(codes: Vec<u32>, labels: Vec<String>) -> Self {
-        let labels: Vec<Arc<str>> = labels.into_iter().map(Arc::from).collect();
+        Column::from_shared_labels(codes, labels.into_iter().map(Arc::from).collect())
+    }
+
+    /// Categorical column from codes and an already shared dictionary:
+    /// the labels are refcount bumps of another column's (e.g. a
+    /// resolution table's), never copied strings.
+    pub fn from_shared_labels(codes: Vec<u32>, labels: Vec<Arc<str>>) -> Self {
         let index = labels
             .iter()
             .enumerate()

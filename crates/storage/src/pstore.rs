@@ -34,6 +34,7 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::time::Instant;
 
 use crate::{Result, Table};
 
@@ -59,6 +60,10 @@ pub struct CacheCounters {
     pub evictions: u64,
     /// Bytes loaded by faults (monotonic).
     pub bytes_faulted: u64,
+    /// Wall-clock nanoseconds spent inside fault loaders (monotonic;
+    /// failed faults included). `fault_ns / misses` is what one segment
+    /// fault costs.
+    pub fault_ns: u64,
     /// Bytes currently resident (gauge).
     pub resident_bytes: u64,
 }
@@ -72,6 +77,7 @@ impl CacheCounters {
             misses: self.misses - earlier.misses,
             evictions: self.evictions - earlier.evictions,
             bytes_faulted: self.bytes_faulted - earlier.bytes_faulted,
+            fault_ns: self.fault_ns - earlier.fault_ns,
             resident_bytes: self.resident_bytes,
         }
     }
@@ -100,6 +106,7 @@ pub struct PartitionStore {
     misses: AtomicU64,
     evictions: AtomicU64,
     bytes_faulted: AtomicU64,
+    fault_ns: AtomicU64,
 }
 
 impl std::fmt::Debug for PartitionStore {
@@ -128,6 +135,7 @@ impl PartitionStore {
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             bytes_faulted: AtomicU64::new(0),
+            fault_ns: AtomicU64::new(0),
         }
     }
 
@@ -165,7 +173,13 @@ impl PartitionStore {
             });
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let table = Arc::new(load()?);
+        // A fault reads and decodes a whole partition, milliseconds against
+        // the clock read's tens of nanoseconds.
+        let started = Instant::now();
+        let loaded = load();
+        let ns = started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+        self.fault_ns.fetch_add(ns, Ordering::Relaxed);
+        let table = Arc::new(loaded?);
         let bytes = table.heap_bytes();
         self.bytes_faulted.fetch_add(bytes, Ordering::Relaxed);
         inner.resident_bytes += bytes;
@@ -214,6 +228,7 @@ impl PartitionStore {
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             bytes_faulted: self.bytes_faulted.load(Ordering::Relaxed),
+            fault_ns: self.fault_ns.load(Ordering::Relaxed),
             resident_bytes: self.lock().resident_bytes,
         }
     }
@@ -309,12 +324,20 @@ mod tests {
     fn hit_after_miss_and_counters() {
         let bytes_one = segment(10, 0.0).heap_bytes();
         let store = Arc::new(PartitionStore::new(bytes_one * 10));
-        let a = store.pin(key(1), || Ok(segment(10, 1.0))).unwrap();
+        let a = store
+            .pin(key(1), || {
+                std::thread::sleep(std::time::Duration::from_millis(2));
+                Ok(segment(10, 1.0))
+            })
+            .unwrap();
         assert_eq!(a.table().num_rows(), 10);
+        let faulting = store.counters().fault_ns;
+        assert!(faulting >= 2_000_000, "the loader's time is counted");
         let b = store.pin(key(1), || panic!("must not refault")).unwrap();
         assert!(Arc::ptr_eq(a.table(), b.table()), "one resident copy");
         let c = store.counters();
         assert_eq!((c.hits, c.misses, c.evictions), (1, 1, 0));
+        assert_eq!(c.fault_ns, faulting, "a hit adds no fault time");
         assert_eq!(c.bytes_faulted, bytes_one);
         assert_eq!(c.resident_bytes, bytes_one);
     }

@@ -1,6 +1,6 @@
 //! Row-appendable columnar tables.
 
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
 use crate::chunk::ZoneMaps;
 use crate::{Column, ColumnType, Result, Schema, StorageError, Value};
@@ -45,7 +45,12 @@ impl Clone for Table {
             columns: self.columns.clone(),
             rows: self.rows,
             stats: self.stats.clone(),
-            zones: RwLock::new(self.zones.read().expect("zone cache poisoned").clone()),
+            zones: RwLock::new(
+                self.zones
+                    .read()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .clone(),
+            ),
         }
     }
 }
@@ -318,18 +323,23 @@ impl Table {
     /// chunk — whole-column bound recomputation never happens on the
     /// ingest path, and stale bounds can never be served (coverage is
     /// checked against `num_rows` on every access).
+    ///
+    /// A panic while the cache is locked cannot leave it torn: each update
+    /// is one assignment of a whole map, so the slot holds the old map or
+    /// the new one, and coverage is re-checked here on every access. The
+    /// locks therefore absorb poison instead of failing every later scan.
     pub fn zone_maps(&self) -> Arc<ZoneMaps> {
         // Fast path: a warm, fully-covering cache is served under the
         // shared read lock — parallel workers never contend.
         {
-            let slot = self.zones.read().expect("zone cache poisoned");
+            let slot = self.zones.read().unwrap_or_else(PoisonError::into_inner);
             if let Some(zm) = slot.as_ref() {
                 if zm.rows_covered() == self.rows {
                     return Arc::clone(zm);
                 }
             }
         }
-        let mut slot = self.zones.write().expect("zone cache poisoned");
+        let mut slot = self.zones.write().unwrap_or_else(PoisonError::into_inner);
         match slot.as_ref() {
             // Another writer may have filled the cache between our read
             // and write acquisitions.
@@ -532,5 +542,31 @@ mod tests {
                 "stale bounds pruned extended chunk {c}"
             );
         }
+    }
+
+    /// A thread that panics while holding the zone cache's write lock
+    /// poisons it; the next scan still gets covering zone maps (and a
+    /// clone still copies the slot) instead of panicking in turn.
+    #[test]
+    fn a_panic_under_the_zone_cache_lock_does_not_fail_the_next_scan() {
+        use crate::{ChunkMatch, Predicate};
+        let mut t = sales_table();
+        let warm = t.zone_maps();
+        let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _slot = t.zones.write().unwrap();
+            panic!("scan worker died holding the zone cache");
+        }));
+        assert!(crashed.is_err());
+        assert!(t.zones.is_poisoned());
+        // The slot still holds the whole old map: served as is.
+        assert!(Arc::ptr_eq(&t.zone_maps(), &warm));
+        // An append makes it stale; the poisoned slot is extended.
+        t.push_row(vec![40.0.into(), "jp".into(), 1.0.into()])
+            .unwrap();
+        let zm = t.zone_maps();
+        assert_eq!(zm.rows_covered(), 4);
+        let pred = Predicate::between("week", 30.0, 50.0).compile(&t).unwrap();
+        assert_ne!(pred.classify_chunk(&zm, 0), ChunkMatch::NoRows);
+        assert_eq!(t.clone().zone_maps().rows_covered(), 4);
     }
 }

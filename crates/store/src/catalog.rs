@@ -86,15 +86,14 @@ pub fn write_catalog(root: &Path, manifest: &CatalogManifest) -> Result<()> {
         body.extend_from_slice(&(name.len() as u32).to_le_bytes());
         body.extend_from_slice(name.as_bytes());
     }
-    let mut bytes = Vec::with_capacity(20 + body.len());
-    bytes.extend_from_slice(&CATALOG_MAGIC);
-    bytes.extend_from_slice(&CATALOG_VERSION.to_le_bytes());
-    bytes.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    bytes.extend_from_slice(&crc32(&body).to_le_bytes());
-    bytes.extend_from_slice(&body);
+    let mut header = Vec::with_capacity(20);
+    header.extend_from_slice(&CATALOG_MAGIC);
+    header.extend_from_slice(&CATALOG_VERSION.to_le_bytes());
+    header.extend_from_slice(&(body.len() as u32).to_le_bytes());
+    header.extend_from_slice(&crc32(&body).to_le_bytes());
 
     std::fs::create_dir_all(root)?;
-    write_atomic(&root.join(CATALOG_FILE), &bytes)
+    write_atomic(&root.join(CATALOG_FILE), &header, &body)
 }
 
 /// Reads and validates the manifest from `root`.

@@ -35,6 +35,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use verdict_core::persist::{Decoder, Encoder, PersistResult};
 use verdict_storage::{
@@ -121,17 +122,20 @@ fn frame(payload: &[u8]) -> Vec<u8> {
 }
 
 /// Creates partition `p`'s column file holding `fragment` as its
-/// create-time record (seq 0), atomically ([`write_atomic`]). Returns the
-/// record's CRC, the file's contribution to the store's part fingerprint.
+/// create-time record (seq 0), atomically ([`write_atomic`]): the file
+/// header and the record's frame head, then the payload as encoded.
+/// Returns the record's CRC, the file's contribution to the store's part
+/// fingerprint.
 pub fn write_part_file(dir: &Path, p: u32, fragment: &Table) -> Result<u32> {
     let payload = encode_record_payload(0, fragment, 0..fragment.num_rows());
     let rec_crc = crc32(&payload);
-    let mut bytes = Vec::with_capacity(PART_HEADER_LEN as usize + 8 + payload.len());
-    bytes.extend_from_slice(&PART_MAGIC);
-    bytes.extend_from_slice(&PART_VERSION.to_le_bytes());
-    bytes.extend_from_slice(&p.to_le_bytes());
-    bytes.extend_from_slice(&frame(&payload));
-    write_atomic(&part_path(dir, p), &bytes)?;
+    let mut header = Vec::with_capacity(PART_HEADER_LEN as usize + 8);
+    header.extend_from_slice(&PART_MAGIC);
+    header.extend_from_slice(&PART_VERSION.to_le_bytes());
+    header.extend_from_slice(&p.to_le_bytes());
+    header.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    header.extend_from_slice(&rec_crc.to_le_bytes());
+    write_atomic(&part_path(dir, p), &header, &payload)?;
     Ok(rec_crc)
 }
 
@@ -305,17 +309,22 @@ pub fn open_part_file(dir: &Path, p: u32) -> Result<PartScan> {
 /// at most the rows the file's bytes can hold. Invalid trailing frames are
 /// treated as end-of-file (the open-time truncation already removed torn
 /// tails; a live reader stays tolerant).
+///
+/// A record is decoded a column at a time: its byte length (rows × 8 for
+/// a numeric column, rows × 4 for a categorical one) is checked against
+/// what the record body still holds, once, and then the column is
+/// converted in bulk from little-endian words. A record whose row count
+/// overstates its body is [`StoreError::Corrupt`], as is a code outside
+/// the resolution dictionary. Categorical columns share `proto`'s labels
+/// (refcount bumps, no string copies).
 pub fn read_part_rows(dir: &Path, p: u32, proto: &Table, min_rows: usize) -> Result<Table> {
     let mut frames = Frames::open(dir, p)?;
     let schema = proto.schema().clone();
-    let row_bytes: u64 = schema
-        .columns()
-        .iter()
-        .map(|def| match def.ty {
-            ColumnType::Numeric => 8,
-            ColumnType::Categorical => 4,
-        })
-        .sum();
+    let width = |ty: ColumnType| match ty {
+        ColumnType::Numeric => 8,
+        ColumnType::Categorical => 4,
+    };
+    let row_bytes: u64 = schema.columns().iter().map(|def| width(def.ty)).sum();
     let fits = (frames.len - frames.valid) / row_bytes.max(1);
     let capacity = usize::try_from(fits).unwrap_or(usize::MAX).min(min_rows);
     let mut numeric: Vec<Vec<f64>> = Vec::with_capacity(schema.len());
@@ -329,25 +338,32 @@ pub fn read_part_rows(dir: &Path, p: u32, proto: &Table, min_rows: usize) -> Res
     while rows < min_rows {
         let Some(payload) = frames.next()? else { break };
         let n = u32::from_le_bytes(payload[8..12].try_into().unwrap()) as usize;
-        let mut dec = Decoder::new(&payload[12..]);
+        let mut body = &payload[12..];
         for (i, def) in schema.columns().iter().enumerate() {
+            let len = n
+                .checked_mul(width(def.ty) as usize)
+                .filter(|&len| len <= body.len())
+                .ok_or_else(|| {
+                    StoreError::Corrupt(format!(
+                        "partition file {p} record body: {n} rows of column {} need \
+                         more than the {} bytes left",
+                        def.name,
+                        body.len()
+                    ))
+                })?;
+            let (column, rest) = body.split_at(len);
+            body = rest;
             match def.ty {
-                ColumnType::Numeric => {
-                    let out = &mut numeric[i];
-                    for _ in 0..n {
-                        out.push(dec.take_f64().map_err(|e| {
-                            StoreError::Corrupt(format!("partition file {p} record body: {e}"))
-                        })?);
-                    }
-                }
-                ColumnType::Categorical => {
-                    let out = &mut codes[i];
-                    for _ in 0..n {
-                        out.push(dec.take_u32().map_err(|e| {
-                            StoreError::Corrupt(format!("partition file {p} record body: {e}"))
-                        })?);
-                    }
-                }
+                ColumnType::Numeric => numeric[i].extend(
+                    column
+                        .chunks_exact(8)
+                        .map(|w| f64::from_le_bytes(w.try_into().unwrap())),
+                ),
+                ColumnType::Categorical => codes[i].extend(
+                    column
+                        .chunks_exact(4)
+                        .map(|w| u32::from_le_bytes(w.try_into().unwrap())),
+                ),
             }
         }
         rows += n;
@@ -359,13 +375,10 @@ pub fn read_part_rows(dir: &Path, p: u32, proto: &Table, min_rows: usize) -> Res
                 columns.push(Column::from_numeric(std::mem::take(&mut numeric[i])))
             }
             ColumnType::Categorical => {
-                let labels: Vec<String> = proto
+                let labels = proto
                     .column_at(i)
                     .labels()
-                    .expect("proto schema says categorical")
-                    .iter()
-                    .map(|s| s.to_string())
-                    .collect();
+                    .expect("proto schema says categorical");
                 let col_codes = std::mem::take(&mut codes[i]);
                 if let Some(&bad) = col_codes.iter().find(|&&c| c as usize >= labels.len()) {
                     return Err(StoreError::Corrupt(format!(
@@ -374,7 +387,7 @@ pub fn read_part_rows(dir: &Path, p: u32, proto: &Table, min_rows: usize) -> Res
                         labels.len()
                     )));
                 }
-                columns.push(Column::from_categorical(col_codes, labels));
+                columns.push(Column::from_shared_labels(col_codes, labels.to_vec()));
             }
         }
     }
@@ -535,8 +548,10 @@ pub struct PagedState {
     pub resolution: Table,
     /// Base-table rows folded into this snapshot (create + ingests).
     pub total_rows: u64,
-    /// Per-sample resident ingest tails, in sample order.
-    pub tails: Vec<Table>,
+    /// Per-sample resident ingest tails, in sample order. Shared with
+    /// the live samples (`Sample::table_arc`), so a checkpoint encodes
+    /// them without copying them first.
+    pub tails: Vec<Arc<Table>>,
 }
 
 /// Encodes a [`PagedState`].
@@ -586,7 +601,7 @@ pub fn decode_paged_state(dec: &mut Decoder<'_>) -> Result<PagedState> {
                 "paged tail schema differs from the resolution schema".into(),
             ));
         }
-        tails.push(tail);
+        tails.push(Arc::new(tail));
     }
     Ok(PagedState {
         map,
@@ -692,6 +707,79 @@ mod tests {
         assert!(scan.torn_bytes > 0);
     }
 
+    /// A record whose CRC holds but whose row count overstates its body —
+    /// at every overstatement up to the full `u32` range, so the column
+    /// length check cannot overflow — is `Corrupt`, never a panic or a
+    /// short table. So is a code outside the resolution dictionary.
+    #[test]
+    fn record_overstating_its_rows_is_corrupt() {
+        let dir = tempdir("overstated");
+        let base = table(10, 0);
+        let honest = encode_record_payload(0, &base, 0..10);
+        for claimed in [11u32, 12, 20, 1 << 20, u32::MAX] {
+            let mut payload = honest.clone();
+            payload[8..12].copy_from_slice(&claimed.to_le_bytes());
+            let mut bytes = Vec::new();
+            bytes.extend_from_slice(&PART_MAGIC);
+            bytes.extend_from_slice(&PART_VERSION.to_le_bytes());
+            bytes.extend_from_slice(&4u32.to_le_bytes());
+            bytes.extend_from_slice(&frame(&payload));
+            std::fs::write(part_path(&dir, 4), &bytes).unwrap();
+            match read_part_rows(&dir, 4, &base, usize::MAX) {
+                Err(StoreError::Corrupt(msg)) => assert!(msg.contains("record body"), "{msg}"),
+                other => panic!("{claimed} rows claimed: {other:?}"),
+            }
+        }
+        // Ten honest rows decode against a dictionary of the three labels,
+        // but not against an empty one.
+        write_part_file(&dir, 4, &base).unwrap();
+        assert_eq!(
+            read_part_rows(&dir, 4, &base, usize::MAX)
+                .unwrap()
+                .num_rows(),
+            10
+        );
+        let no_labels = Table::new(base.schema().clone());
+        assert!(matches!(
+            read_part_rows(&dir, 4, &no_labels, usize::MAX),
+            Err(StoreError::Corrupt(msg)) if msg.contains("resolution dictionary")
+        ));
+    }
+
+    /// The bulk decode yields exactly the values and codes encoded, NaN
+    /// payloads and signed zeros included, and shares the prototype's
+    /// labels instead of copying them.
+    #[test]
+    fn bulk_decode_is_bit_exact_and_shares_labels() {
+        let dir = tempdir("bulk");
+        let mut base = table(37, 0);
+        let odd = [f64::from_bits(0x7FF8_0000_DEAD_BEEF), -0.0, f64::INFINITY];
+        for x in odd {
+            base.push_row(vec![Value::Num(x), Value::Str("b".into()), Value::Num(-x)])
+                .unwrap();
+        }
+        write_part_file(&dir, 0, &base).unwrap();
+        append_part_record(&dir, 0, 9, &table(5, 100), 0..5).unwrap();
+        let back = read_part_rows(&dir, 0, &base, usize::MAX).unwrap();
+        assert_eq!(back.num_rows(), 45);
+        for name in ["x", "v"] {
+            let got = back.column(name).unwrap().numeric().unwrap();
+            let want = base.column(name).unwrap().numeric().unwrap();
+            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got[..40]), bits(want));
+        }
+        let g = back.column("g").unwrap();
+        assert_eq!(
+            &g.categorical().unwrap()[..40],
+            base.column("g").unwrap().categorical().unwrap()
+        );
+        let (labels, proto) = (
+            g.labels().unwrap(),
+            base.column("g").unwrap().labels().unwrap(),
+        );
+        assert!(labels.iter().zip(proto).all(|(a, b)| Arc::ptr_eq(a, b)));
+    }
+
     #[test]
     fn bad_header_refused() {
         let dir = tempdir("header");
@@ -716,7 +804,7 @@ mod tests {
             original_part_rows: vec![20, 20, 20],
             resolution: resolution.clone(),
             total_rows: 60,
-            tails: vec![resolution.clone(), resolution],
+            tails: vec![Arc::new(resolution.clone()), Arc::new(resolution)],
             map,
         };
         let mut enc = Encoder::new();

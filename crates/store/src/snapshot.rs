@@ -266,17 +266,20 @@ pub fn sync_dir(dir: &Path) -> Result<()> {
     }
 }
 
-/// Replaces the file at `path` with `bytes` atomically: a temp file
-/// beside it (`<name>.tmp`), fsync, rename into place, then an fsync of
-/// the directory. A crash leaves the old file or the new one, never a
-/// torn mix, and once this returns the rename survives a crash too.
-/// Every whole-file write of the store goes through here.
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<()> {
+/// Replaces the file at `path` with `header` followed by `body`
+/// atomically: a temp file beside it (`<name>.tmp`), fsync, rename into
+/// place, then an fsync of the directory. A crash leaves the old file or
+/// the new one, never a torn mix, and once this returns the rename
+/// survives a crash too. The two slices are written in order, so a
+/// caller never concatenates its header and a large body into a second
+/// buffer. Every whole-file write of the store goes through here.
+pub fn write_atomic(path: &Path, header: &[u8], body: &[u8]) -> Result<()> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     {
         let mut f = File::create(&tmp)?;
-        f.write_all(bytes)?;
+        f.write_all(header)?;
+        f.write_all(body)?;
         f.sync_all()?;
     }
     std::fs::rename(&tmp, path)?;
@@ -294,13 +297,12 @@ pub fn write_table_file(dir: &Path, gen: u64, table: &Table) -> Result<u64> {
     encode_table(table, &mut enc);
     let body = enc.into_bytes();
     let fp = verdict_core::persist::fingerprint_bytes(&body);
-    let mut bytes = Vec::with_capacity(24 + body.len());
-    bytes.extend_from_slice(&TABLE_MAGIC);
-    bytes.extend_from_slice(&TABLE_VERSION.to_le_bytes());
-    bytes.extend_from_slice(&(body.len() as u64).to_le_bytes());
-    bytes.extend_from_slice(&crc32(&body).to_le_bytes());
-    bytes.extend_from_slice(&body);
-    write_atomic(&table_path(dir, gen), &bytes)?;
+    let mut header = Vec::with_capacity(24);
+    header.extend_from_slice(&TABLE_MAGIC);
+    header.extend_from_slice(&TABLE_VERSION.to_le_bytes());
+    header.extend_from_slice(&(body.len() as u64).to_le_bytes());
+    header.extend_from_slice(&crc32(&body).to_le_bytes());
+    write_atomic(&table_path(dir, gen), &header, &body)?;
     Ok(fp)
 }
 
@@ -374,20 +376,19 @@ pub fn write_snapshot(
     paged: Option<&PagedState>,
 ) -> Result<PathBuf> {
     let body = encode_snapshot_body(meta, table_fp, data_epoch, state_bytes, paged);
-    let mut bytes = Vec::with_capacity(40 + body.len());
-    bytes.extend_from_slice(&SNAPSHOT_MAGIC);
-    bytes.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-    bytes.extend_from_slice(&last_seq.to_le_bytes());
-    bytes.extend_from_slice(&table_gen.to_le_bytes());
-    bytes.extend_from_slice(&(body.len() as u64).to_le_bytes());
-    bytes.extend_from_slice(&crc32(&body).to_le_bytes());
-    bytes.extend_from_slice(&body);
+    let mut header = Vec::with_capacity(40);
+    header.extend_from_slice(&SNAPSHOT_MAGIC);
+    header.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+    header.extend_from_slice(&last_seq.to_le_bytes());
+    header.extend_from_slice(&table_gen.to_le_bytes());
+    header.extend_from_slice(&(body.len() as u64).to_le_bytes());
+    header.extend_from_slice(&crc32(&body).to_le_bytes());
 
     let path = snapshot_path(dir, gen);
     // The directory fsync matters here: without it, a crash can roll back
     // the rename while the log truncation that follows it survives —
     // losing folded records.
-    write_atomic(&path, &bytes)?;
+    write_atomic(&path, &header, &body)?;
     Ok(path)
 }
 

@@ -847,12 +847,15 @@ fn write_part_files(
     resolution
         .sync_dictionaries_from(table)
         .map_err(|e| mismatch("building the resolution table", &e))?;
+    // Every sample starts from the same empty tail; the first admission
+    // copies it on write.
+    let empty_tail = Arc::new(resolution.clone());
     let state = PagedState {
         map,
         original_part_rows: by_part.iter().map(|rows| rows.len() as u64).collect(),
-        resolution: resolution.clone(),
+        tails: (0..num_samples).map(|_| Arc::clone(&empty_tail)).collect(),
+        resolution,
         total_rows: table.num_rows() as u64,
-        tails: vec![resolution; num_samples as usize],
     };
     Ok((part_fingerprint(&record0_crcs), state))
 }

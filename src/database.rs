@@ -63,7 +63,7 @@
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use verdict_aqp::{AqpError, Sample};
@@ -833,7 +833,7 @@ impl Shard {
                     original_part_rows: rt.original_part_rows.clone(),
                     resolution: (*data.table).clone(),
                     total_rows: rt.total_rows,
-                    tails: data.samples.iter().map(|s| s.table().clone()).collect(),
+                    tails: data.samples.iter().map(Sample::table_arc).collect(),
                 };
                 SnapshotBase::Paged(&paged)
             }
@@ -1043,7 +1043,10 @@ impl Shard {
         };
         let dir = store.lock().dir().to_path_buf();
         let mut full = (**table).clone();
-        let map = rt.map.read().expect("partition map poisoned");
+        // Poison is absorbed: summaries and row counts only ever grow, so
+        // a map a panicking ingest left half-extended still names rows
+        // every partition file holds.
+        let map = rt.map.read().unwrap_or_else(PoisonError::into_inner);
         for p in 0..map.num_partitions() {
             let rows = map.part(p).rows() as usize;
             if rows == 0 {

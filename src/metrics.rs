@@ -28,6 +28,7 @@
 //! | `verdict_partitions_pruned_total` | sample partitions skipped wholesale via partition summaries |
 //! | `verdict_partition_cache_hits_total` | out-of-core segment pins served from the partition cache |
 //! | `verdict_partition_cache_misses_total` | out-of-core segment pins that faulted the segment from disk |
+//! | `verdict_partition_fault_ns_total` | nanoseconds spent faulting those segments in (read, CRC check, decode, draw); ÷ misses = cost of one fault |
 //! | `verdict_partition_cache_evictions_total` | cached segments evicted to stay under the memory budget |
 //! | `verdict_rows_matched_total` | scanned rows that passed the base predicate |
 //! | `verdict_cells_total` | result cells (groups × aggregates) answered |
@@ -128,6 +129,7 @@ struct Handles {
     partitions_pruned: Counter,
     partition_cache_hits: Counter,
     partition_cache_misses: Counter,
+    partition_fault_ns: Counter,
     partition_cache_evictions: Counter,
     partitions_resident_bytes: Gauge,
     rows_matched: Counter,
@@ -181,6 +183,7 @@ impl Handles {
             partition_cache_hits: hub.table_counter("verdict_partition_cache_hits_total", table),
             partition_cache_misses: hub
                 .table_counter("verdict_partition_cache_misses_total", table),
+            partition_fault_ns: hub.table_counter("verdict_partition_fault_ns_total", table),
             partition_cache_evictions: hub
                 .table_counter("verdict_partition_cache_evictions_total", table),
             partitions_resident_bytes: hub.table_gauge("verdict_partitions_resident_bytes", table),
@@ -320,6 +323,7 @@ impl TableObs {
         if let Some(h) = &self.handles {
             h.partition_cache_hits.add(delta.hits);
             h.partition_cache_misses.add(delta.misses);
+            h.partition_fault_ns.add(delta.fault_ns);
             h.partition_cache_evictions.add(delta.evictions);
             h.partitions_resident_bytes.set(delta.resident_bytes as f64);
         }

@@ -709,7 +709,7 @@ pub(crate) fn build_paged_samples(
     runtime: &PagedRuntime,
     resolution: &Table,
     base_rows: u64,
-    tails: Vec<Table>,
+    tails: Vec<Arc<Table>>,
     replayed: &[Table],
     meta: &SessionMeta,
 ) -> Result<Vec<Sample>> {
@@ -1038,6 +1038,7 @@ pub(crate) fn query_trace(
         partition_cache_hits: scan.partition_cache_hits,
         partition_cache_misses: scan.partition_cache_misses,
         partition_bytes_faulted: scan.partition_bytes_faulted,
+        partition_fault_ns: scan.partition_fault_ns,
         stages: StageTimings {
             parse_ns: stages.parse_ns,
             plan_ns: stages.plan_ns,
@@ -1499,6 +1500,7 @@ pub(crate) fn run_shared_read(
         t.partition_cache_hits = cache.hits;
         t.partition_cache_misses = cache.misses;
         t.partition_bytes_faulted = cache.bytes_faulted;
+        t.partition_fault_ns = cache.fault_ns;
     }
 
     Ok(ReadOutcome {

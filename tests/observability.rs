@@ -9,7 +9,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use verdict::obs::MetricsHub;
-use verdict::storage::{ColumnDef, Schema, Table, Value};
+use verdict::storage::{ColumnDef, PartitionSpec, Schema, Table, Value};
 use verdict::{
     Database, Mode, QueryOptions, QueryOutcome, SessionBuilder, StopPolicy, VerdictSession,
 };
@@ -484,4 +484,44 @@ fn in_memory_checkpoint_reports_zero_work() {
     // No hub, no log: the observability accessors degrade to nothing.
     assert!(db.metrics_snapshot().is_none());
     assert!(db.recent_queries(5).is_empty());
+}
+
+/// An out-of-core table reports what its segment faults cost: the time
+/// spent inside the partition cache's loader is exported per table beside
+/// the miss counter, and each query's trace carries its own share.
+#[test]
+fn paged_faults_report_their_time() {
+    let dir = temp_store("faults");
+    let hub = Arc::new(MetricsHub::new());
+    let mut session = SessionBuilder::new(base_table(6_000))
+        .sample_fraction(0.25)
+        .batch_size(150)
+        .seed(3)
+        .partition_by(PartitionSpec::range("week", vec![25.0, 50.0, 75.0]))
+        .persist_to(&dir)
+        .memory_budget(1)
+        .metrics(Arc::clone(&hub))
+        .query_log(8)
+        .build()
+        .unwrap();
+    assert!(session.is_paged());
+    session
+        .execute(&avg_sql(1), Mode::Verdict, StopPolicy::ScanAll)
+        .unwrap()
+        .unwrap_answered();
+    let snap = session.metrics_snapshot().expect("hub attached");
+    let c = |name: &str| snap.counter(name, Some("t")).unwrap_or(0);
+    let misses = c("verdict_partition_cache_misses_total");
+    assert!(misses > 0, "a 1-byte budget faults every segment it scans");
+    assert!(c("verdict_partition_fault_ns_total") > 0);
+    let t = &session.recent_queries(1)[0];
+    assert_eq!(t.partition_cache_misses, misses);
+    assert_eq!(t.partition_fault_ns, c("verdict_partition_fault_ns_total"));
+    assert!(t.partition_fault_ns <= t.elapsed_ns);
+    assert_eq!(
+        session.partition_cache().unwrap().fault_ns,
+        t.partition_fault_ns
+    );
+    drop(session);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -372,6 +372,65 @@ fn warm_restart_is_bit_identical_to_uninterrupted_twin() {
     let _ = std::fs::remove_dir_all(&dir_twin);
 }
 
+/// A checkpoint writes each sample's ingest tail from the live sample
+/// itself, with no copy in between. After `checkpoint()` the WAL holds no
+/// ingest, so a reopen rebuilds the tails from the snapshot alone and
+/// lands on the live table's `state_bytes`, tail sizes and answers (a
+/// twin that never checkpointed stands in for the live table once it is
+/// dropped). The reopened table then ingests and checkpoints again, and a
+/// second reopen still equals the twin.
+#[test]
+fn checkpointed_tails_reopen_to_the_live_state() {
+    let dir = temp_store("ckpt-tails");
+    let dir_twin = temp_store("ckpt-tails-twin");
+    let mut twin = paged_session(&dir_twin, 6_000, u64::MAX, 1);
+    let tail_rows = |s: &VerdictSession| -> Vec<usize> {
+        let snap = s.snapshot();
+        snap.samples()
+            .iter()
+            .map(|x| x.table().num_rows())
+            .collect()
+    };
+    {
+        let mut s = paged_session(&dir, 6_000, 25_000, 1);
+        for session in [&mut s, &mut twin] {
+            run(session, QUERIES[0], StopPolicy::ScanAll);
+            session.train().unwrap();
+            session.ingest(&batch_in(1..=24, 120, 2.0)).unwrap();
+            run(session, QUERIES[2], StopPolicy::TupleBudget(700));
+            session.ingest(&batch_in(3..=9, 80, 5.0)).unwrap();
+        }
+        assert!(
+            tail_rows(&s).iter().all(|&n| n > 0),
+            "ingests reached the tail"
+        );
+        s.checkpoint().unwrap();
+        assert!(s.snapshot().state_bytes() == twin.snapshot().state_bytes());
+        assert_eq!(tail_rows(&s), tail_rows(&twin));
+    }
+    for round in 0..2 {
+        let mut reopened = SessionBuilder::open(&dir).unwrap().build().unwrap();
+        let report = reopened.recovery_report().unwrap();
+        assert_eq!(report.ingests_replayed, 0, "round {round}");
+        assert!(
+            reopened.snapshot().state_bytes() == twin.snapshot().state_bytes(),
+            "round {round}"
+        );
+        assert_eq!(tail_rows(&reopened), tail_rows(&twin), "round {round}");
+        assert_eq!(
+            run_grid(&mut reopened),
+            run_grid(&mut twin),
+            "round {round}"
+        );
+        reopened.ingest(&batch_in(10..=14, 40, 1.0)).unwrap();
+        twin.ingest(&batch_in(10..=14, 40, 1.0)).unwrap();
+        reopened.checkpoint().unwrap();
+        assert!(reopened.snapshot().state_bytes() == twin.snapshot().state_bytes());
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&dir_twin);
+}
+
 /// `rows` ingest rows spread over `weeks`, `rev` shifted by `shift`.
 fn batch_in(weeks: std::ops::RangeInclusive<u64>, rows: u64, shift: f64) -> Vec<Vec<Value>> {
     let span = weeks.end() - weeks.start() + 1;
