@@ -37,11 +37,6 @@ impl OnlineAggregation {
         &self.sample
     }
 
-    /// The engine's cost model.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
-    }
-
     /// The storage tier the sample is served from.
     pub fn tier(&self) -> StorageTier {
         self.tier

@@ -29,7 +29,6 @@ pub mod estimator;
 pub mod paged;
 pub mod parallel;
 pub mod sample;
-pub mod stratified;
 
 pub use cost::{CostModel, StorageTier};
 pub use driver::{BatchPartial, ScanKernel, ScanSpec, SharedScanDriver};
@@ -38,7 +37,6 @@ pub use estimator::BatchEstimator;
 pub use paged::{PagedRep, SegmentLoader};
 pub use parallel::{parallel_scan, Horizon, ParallelScanStats};
 pub use sample::{appended_row_admitted, BatchLayout, Sample};
-pub use stratified::{stratified, stratum_slots, Allocation};
 
 /// Errors surfaced by the AQP engine.
 #[derive(Debug, Clone, PartialEq)]

@@ -44,7 +44,6 @@ use verdict_storage::{
 };
 
 use crate::paged::PagedRep;
-use crate::stratified::{stratum_slots, Allocation};
 use crate::{AqpError, Result};
 
 /// A uniform row-level random sample of a base table.
@@ -132,14 +131,13 @@ impl BatchLayout {
     }
 }
 
-/// Rows a partitioned draw takes from each partition: proportional to
-/// its size (a partition is a stratum under [`Allocation::Proportional`]),
-/// every non-empty partition guaranteed at least one row.
+/// Rows a partitioned draw takes from each partition: `fraction` of its
+/// rows, rounded, with every non-empty partition guaranteed at least one.
 fn partition_allocation(part_rows: &[usize], fraction: f64) -> Vec<usize> {
-    let total: usize = part_rows.iter().sum();
-    let n_parts = part_rows.iter().filter(|&&n| n > 0).count();
-    let slots = |&n| stratum_slots(Allocation::Proportional, n, total, fraction, n_parts, 1);
-    part_rows.iter().map(slots).collect()
+    part_rows
+        .iter()
+        .map(|&n| ((n as f64 * fraction).round() as usize).max(1).min(n))
+        .collect()
 }
 
 fn check_batch_size(batch_size: usize) -> Result<()> {
@@ -350,8 +348,8 @@ impl Sample {
         Ok(admitted)
     }
 
-    /// Assembles a sample from pre-gathered rows (stratified and other
-    /// custom builders).
+    /// Assembles a resident sample from rows already drawn out of a base
+    /// table of `base_rows` rows at `fraction`.
     pub fn from_parts(
         table: Table,
         base_rows: usize,

@@ -1,5 +1,5 @@
-//! One function per paper table/figure. See DESIGN.md §4 for the index
-//! and EXPERIMENTS.md for recorded paper-vs-measured outcomes.
+//! One function per paper table/figure, named after it (`fig4` is
+//! Figure 4, `tab3` Table 3).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

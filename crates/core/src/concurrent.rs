@@ -13,24 +13,18 @@
 //!   synopses or models). `Send + Sync`; share it behind an `Arc` and run
 //!   inference from as many threads as you like via
 //!   [`EngineSnapshot::view`].
-//! - [`SnapshotCell`] — a hand-rolled arc-swap: the single place the
-//!   *current* snapshot lives. Readers [`load`](SnapshotCell::load) an
-//!   `Arc` (brief lock, no copying); the writer
-//!   [`store`](SnapshotCell::store)s a fresh snapshot atomically. Epochs
-//!   only move forward.
 //! - [`Learner`] — the serialized write path: owns the live [`Verdict`],
-//!   absorbs snippet observations, retrains, and publishes new snapshots
-//!   into its cell. Exactly one `Learner` exists per engine; wrap it in a
-//!   `Mutex` to serialize writers.
+//!   absorbs snippet observations, retrains, and publishes a new snapshot
+//!   after each. Exactly one `Learner` exists per engine; its owner
+//!   serializes writers (a shard keeps it behind its writer mutex) and
+//!   hands each published snapshot to readers.
 //!
-//! Readers never block the learner and the learner never blocks readers
-//! beyond the instant of the `Arc` swap. A query that read epoch `e` is
-//! answered entirely from that epoch's state even if the learner publishes
-//! `e + 1` mid-scan — snapshot isolation for free, because snapshots are
-//! immutable.
+//! A query that read epoch `e` is answered entirely from that epoch's
+//! state even if the learner publishes `e + 1` mid-scan — snapshot
+//! isolation for free, because snapshots are immutable.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use crate::engine::{EngineStats, EngineView, TrainReport, Verdict};
 use crate::inference::TrainedModel;
@@ -43,7 +37,7 @@ use crate::{Result, VerdictConfig};
 ///
 /// Everything the query-time read path consumes — schema, config, trained
 /// models — plus the synopsis contents for introspection. Constructed by
-/// [`Verdict::publish`]; shared via `Arc` through a [`SnapshotCell`].
+/// [`Verdict::publish`]; shared via `Arc`.
 #[derive(Debug, Clone)]
 pub struct EngineSnapshot {
     pub(crate) epoch: u64,
@@ -161,82 +155,30 @@ impl Verdict {
     }
 }
 
-/// The one place the current snapshot lives: an arc-swap hand-rolled from
-/// `Mutex<Arc<EngineSnapshot>>` (no registry dependencies). The lock is
-/// held only for the pointer copy, never across inference or a scan.
-#[derive(Debug)]
-pub struct SnapshotCell {
-    slot: Mutex<Arc<EngineSnapshot>>,
-}
-
-impl SnapshotCell {
-    /// Creates a cell holding `snapshot`.
-    pub fn new(snapshot: EngineSnapshot) -> Self {
-        SnapshotCell {
-            slot: Mutex::new(Arc::new(snapshot)),
-        }
-    }
-
-    /// The current snapshot. Cheap: clones the `Arc`, not the state.
-    pub fn load(&self) -> Arc<EngineSnapshot> {
-        self.lock().clone()
-    }
-
-    /// The epoch of the current snapshot.
-    pub fn epoch(&self) -> u64 {
-        self.lock().epoch
-    }
-
-    /// Atomically replaces the current snapshot. Publishes are expected to
-    /// come from one serialized writer; a snapshot older than the current
-    /// one is refused (the cell keeps the newest), so a late store can
-    /// never roll visible state backwards.
-    pub fn store(&self, snapshot: Arc<EngineSnapshot>) {
-        let mut slot = self.lock();
-        if snapshot.epoch >= slot.epoch {
-            *slot = snapshot;
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Arc<EngineSnapshot>> {
-        // A panic while holding the lock can only poison a pointer swap;
-        // the Arc inside is always a complete snapshot.
-        self.slot
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-}
-
-/// The serialized learn path: the live engine plus the cell its snapshots
-/// are published through.
+/// The serialized learn path: the live engine plus the latest snapshot
+/// it published.
 ///
 /// All mutation of learned state funnels through one `Learner` (callers
 /// wrap it in a `Mutex` for multi-threaded writers): snippet absorption,
 /// retraining, append adjustments. Each mutating batch republishes, so
-/// readers observe epochs in the order the writer produced them.
+/// epochs move forward in the order the writer produced them.
 #[derive(Debug)]
 pub struct Learner {
     engine: Verdict,
-    cell: Arc<SnapshotCell>,
+    latest: Arc<EngineSnapshot>,
 }
 
 impl Learner {
     /// Wraps a live engine and publishes its current state as the first
     /// snapshot.
     pub fn new(engine: Verdict) -> Learner {
-        let cell = Arc::new(SnapshotCell::new(engine.publish()));
-        Learner { engine, cell }
+        let latest = Arc::new(engine.publish());
+        Learner { engine, latest }
     }
 
-    /// The cell readers load snapshots from. Hold your own `Arc` clone;
-    /// the learner keeps publishing into the same cell.
-    pub fn cell(&self) -> Arc<SnapshotCell> {
-        Arc::clone(&self.cell)
-    }
-
-    /// The current published snapshot.
+    /// The latest published snapshot.
     pub fn snapshot(&self) -> Arc<EngineSnapshot> {
-        self.cell.load()
+        Arc::clone(&self.latest)
     }
 
     /// The live engine (read-only).
@@ -278,9 +220,9 @@ impl Learner {
         result
     }
 
-    /// Publishes the engine's current state into the cell.
+    /// Publishes the engine's current state as the latest snapshot.
     pub fn republish(&mut self) {
-        self.cell.store(Arc::new(self.engine.publish()));
+        self.latest = Arc::new(self.engine.publish());
     }
 }
 
@@ -339,33 +281,17 @@ mod tests {
     }
 
     #[test]
-    fn cell_swaps_and_refuses_stale() {
-        let mut engine = seeded_engine();
-        let cell = SnapshotCell::new(engine.publish());
-        let old = cell.load();
-        engine.observe(&snippet(1.0, 2.0), Observation::new(9.0, 0.3));
-        let new = Arc::new(engine.publish());
-        cell.store(Arc::clone(&new));
-        assert_eq!(cell.epoch(), new.epoch());
-        // A stale snapshot cannot roll the cell backwards.
-        cell.store(old);
-        assert_eq!(cell.epoch(), new.epoch());
-    }
-
-    #[test]
     fn learner_absorb_publishes_monotone_epochs() {
-        let learner = Learner::new(seeded_engine());
-        let cell = learner.cell();
-        let e0 = cell.epoch();
-        let mut learner = learner;
+        let mut learner = Learner::new(seeded_engine());
+        let e0 = learner.snapshot().epoch();
         learner.absorb(
             &[(snippet(3.0, 9.0), Observation::new(10.1, 0.2))],
             EngineStats::default(),
         );
-        let e1 = cell.epoch();
+        let e1 = learner.snapshot().epoch();
         assert!(e1 > e0);
         learner.train().unwrap();
-        assert!(cell.epoch() > e1);
+        assert!(learner.snapshot().epoch() > e1);
         assert_eq!(
             learner.snapshot().synopsis_len(&AggKey::avg("v")),
             learner.engine().synopsis_len(&AggKey::avg("v"))
@@ -402,7 +328,6 @@ mod tests {
     fn snapshot_is_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<EngineSnapshot>();
-        assert_send_sync::<SnapshotCell>();
         assert_send_sync::<Arc<EngineSnapshot>>();
     }
 }

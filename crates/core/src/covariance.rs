@@ -107,9 +107,8 @@ pub fn dim_factor(
 }
 
 /// Covariance `cov(θ̄_i, θ̄_j)` between the exact answers of two snippets
-/// of the same aggregate function: the pair primitive (`κ̄²`, posterior
-/// covariances). Anything over a *list* of regions goes through a
-/// [`RegionIndex`].
+/// of the same aggregate function: the pair primitive (`κ̄²`). Anything
+/// over a *list* of regions goes through a [`RegionIndex`].
 pub fn snippet_covariance(
     schema: &SchemaInfo,
     params: &KernelParams,

@@ -282,21 +282,6 @@ impl TrainedModel {
         self.priors(schema, &[region])[0].combine(raw)
     }
 
-    /// Posterior covariance between the exact answers of two regions given
-    /// the past observations: `cov(θ̄_a, θ̄_b | θ_1..θ_n) =
-    /// k(a,b) − k̄_aᵀ Σₙ⁻¹ k̄_b = k(a,b) − y_a·y_b` with `L y = k̄`. Drives
-    /// active database learning (`crate::active`): it quantifies how much
-    /// observing one region would teach us about another.
-    pub fn posterior_cov(&self, schema: &SchemaInfo, a: &Region, b: &Region) -> f64 {
-        let mut cross = self.index.cross(schema, &self.params, self.mode);
-        let [ya, yb] = [a, b].map(|r| {
-            self.factor
-                .forward(&cross.column(r))
-                .expect("one k̄ per snippet")
-        });
-        self.kernel(schema, a, b) - dot(&ya, &yb)
-    }
-
     /// Conditions the model on one more observation in O(n²), without
     /// refitting: the factor gains the row `l = L⁻¹k̄`, `√(κ̄² + β² − ‖l‖²)`
     /// (by [`Cholesky::append_row`], so with the bits of a

@@ -28,7 +28,6 @@
 //!    interface: feed it `(snippet, raw answer, raw error)` triples, get
 //!    improved answers back.
 
-pub mod active;
 pub mod append;
 pub mod concurrent;
 pub mod config;
@@ -45,7 +44,7 @@ pub mod synopsis;
 pub mod validation;
 
 pub use append::{AppendAdjustment, DimBounds, IngestBounds, ShiftMoments};
-pub use concurrent::{EngineSnapshot, Learner, SnapshotCell};
+pub use concurrent::{EngineSnapshot, Learner};
 pub use config::VerdictConfig;
 pub use engine::{
     EngineStats, EngineView, ImprovedAnswer, SnippetObserver, StagedIngest, TrainReport, Verdict,

@@ -138,27 +138,6 @@ pub fn nelder_mead(
     }
 }
 
-/// Runs [`nelder_mead`] from several starting points and returns the best
-/// result (the multi-start strategy of Appendix A.1).
-pub fn multi_start(
-    f: impl Fn(&[f64]) -> f64 + Copy,
-    starts: &[Vec<f64>],
-    initial_step: f64,
-    max_iters: usize,
-    tol: f64,
-) -> OptimizationResult {
-    assert!(!starts.is_empty(), "need at least one start");
-    starts
-        .iter()
-        .map(|x0| nelder_mead(f, x0, initial_step, max_iters, tol))
-        .min_by(|a, b| {
-            a.value
-                .partial_cmp(&b.value)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        })
-        .expect("at least one start")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,19 +168,6 @@ mod tests {
         let f = |x: &[f64]| (1.0 - x[0]).powi(2) + 100.0 * (x[1] - x[0] * x[0]).powi(2);
         let r = nelder_mead(f, &[-1.2, 1.0], 0.5, 5000, 1e-14);
         assert!(r.value < 1e-6, "value {}", r.value);
-    }
-
-    #[test]
-    fn multi_start_escapes_local_minimum() {
-        // f has a local min near x=4 (value 1) and global min at x=0 (value 0).
-        let f = |x: &[f64]| {
-            let a = x[0] * x[0];
-            let b = (x[0] - 4.0) * (x[0] - 4.0) + 1.0;
-            a.min(b)
-        };
-        let r = multi_start(f, &[vec![4.5], vec![1.0]], 0.25, 500, 1e-12);
-        assert!(r.value < 1e-6);
-        assert!(r.x[0].abs() < 1e-2);
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! The hand-rolled serving runtime: listener + worker thread pool.
 //!
-//! No async runtime anywhere — plain `std` threads, as in the scan
-//! scheduler in `crates/aqp/src/parallel.rs` — and work stealing over
-//! connections: one deque of connections per worker, the owner pops
+//! No async runtime anywhere — plain `std` threads — and work stealing
+//! over connections: one deque of connections per worker, the owner pops
 //! from the *front*, an idle worker steals from the *back* of a
 //! victim's deque, and a condvar parks workers when every deque is
 //! empty. Each connection is serviced in short slices — a bounded read

@@ -295,6 +295,69 @@ fn overflow_sheds_with_typed_response() {
     server.shutdown();
 }
 
+/// A closed-loop fleet over a small statement pool under a tight `Shed`
+/// bound: every request is answered or typed-shed, the server's shed
+/// counter agrees with what the clients saw, and once the pool is warm
+/// most requests are answer-cache hits, which bypass admission.
+#[test]
+fn concurrent_fleet_accounts_for_every_request() {
+    const THREADS: usize = 4;
+    const REQUESTS_PER_THREAD: usize = 64;
+    const STATEMENT_POOL: usize = 16;
+    let db = fixture_db(None);
+    let server = start(
+        db,
+        ServerConfig {
+            workers: THREADS,
+            admission_limit: 1,
+            overflow: OverflowPolicy::Shed,
+            cache_capacity: 1024,
+        },
+    );
+    let addr = server.addr();
+    let (answered, shed) = std::thread::scope(|s| {
+        let fleet: Vec<_> = (0..THREADS)
+            .map(|worker| {
+                s.spawn(move || {
+                    let mut client = Client::connect(addr).expect("connect");
+                    let (mut answered, mut shed) = (0u64, 0u64);
+                    for i in 0..REQUESTS_PER_THREAD {
+                        let slot = (worker + i) % STATEMENT_POOL;
+                        match client.query(&sql_for(4.0 * slot as f64), WireOptions::default()) {
+                            Ok(_) => answered += 1,
+                            Err(ClientError::Overloaded { .. }) => shed += 1,
+                            Err(e) => panic!("fleet query failed: {e}"),
+                        }
+                    }
+                    client.close().expect("close");
+                    (answered, shed)
+                })
+            })
+            .collect();
+        fleet
+            .into_iter()
+            .map(|h| h.join().expect("fleet thread"))
+            .fold((0, 0), |(a, s), (da, ds)| (a + da, s + ds))
+    });
+    assert_eq!(answered + shed, (THREADS * REQUESTS_PER_THREAD) as u64);
+    assert!(answered > 0, "a fleet must get answers");
+
+    let snap = server.metrics().hub().snapshot();
+    assert_eq!(snap.counter("verdict_server_shed_total", None), Some(shed));
+    let hits = snap
+        .counter("verdict_server_cache_hits_total", None)
+        .unwrap_or(0);
+    let misses = snap
+        .counter("verdict_server_cache_misses_total", None)
+        .unwrap_or(0);
+    let hit_rate = hits as f64 / (hits + misses).max(1) as f64;
+    assert!(
+        hit_rate >= 0.5,
+        "a fleet over a {STATEMENT_POOL}-statement pool must mostly hit the cache, got {hit_rate:.3}"
+    );
+    server.shutdown();
+}
+
 /// Hostile connections — foreign protocols, newer versions, garbage
 /// after a valid preamble, torn frames — are refused or dropped without
 /// taking the server down: a well-formed connection afterwards is

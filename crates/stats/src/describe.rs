@@ -137,15 +137,6 @@ impl Welford {
         }
     }
 
-    /// Population variance; `0.0` before any observation.
-    pub fn population_variance(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
     /// Standard error of the running mean, `s / √n` — the CLT error
     /// estimate used for AQP raw errors.
     pub fn standard_error(&self) -> f64 {

@@ -370,11 +370,6 @@ impl PartitionMap {
         &self.spec
     }
 
-    /// Schema index of the partitioning column.
-    pub fn column_index(&self) -> usize {
-        self.col_index
-    }
-
     /// Number of partitions.
     pub fn num_partitions(&self) -> usize {
         self.parts.len()

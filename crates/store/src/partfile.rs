@@ -73,19 +73,6 @@ pub fn is_part_file(name: &str) -> bool {
     parse_part_number(name).is_some()
 }
 
-/// All partition ids with a column file in `dir`, ascending.
-pub fn list_part_files(dir: &Path) -> Result<Vec<u32>> {
-    let mut parts = Vec::new();
-    for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        if let Some(p) = entry.file_name().to_str().and_then(parse_part_number) {
-            parts.push(p);
-        }
-    }
-    parts.sort_unstable();
-    Ok(parts)
-}
-
 /// Encodes one record's payload: `seq`, then rows `range` of `fragment`
 /// column-major (numeric f64 bits, categorical u32 codes — labels stay
 /// in the resolution table).

@@ -522,11 +522,6 @@ impl SynopsisStore {
         &self.dir
     }
 
-    /// The active snapshot generation.
-    pub fn current_generation(&self) -> u64 {
-        self.current_gen
-    }
-
     /// The sequence number the next append will use.
     pub fn next_seq(&self) -> u64 {
         self.next_seq

@@ -5,10 +5,10 @@
 //! 3.3K are analytical aggregate queries Spark SQL can run, and 73.7% of
 //! those are Verdict-supported; most queries use `COUNT(*)` and fewer than
 //! 5 distinct selection predicates. This generator reproduces those
-//! *statistics* over a synthetic events table (substitution documented in
-//! DESIGN.md §3): timestamped queries whose time-range predicates drift
-//! forward as the trace progresses — the access pattern that makes
-//! database learning effective on real dashboards.
+//! *statistics* over a synthetic events table: timestamped queries whose
+//! time-range predicates drift forward as the trace progresses — the
+//! access pattern that makes database learning effective on real
+//! dashboards.
 
 use rand::Rng;
 use verdict_storage::{ColumnDef, Schema, Table};

@@ -2,8 +2,7 @@
 //!
 //! The paper evaluates on (i) a proprietary Customer1 trace, (ii) TPC-H,
 //! and (iii) controlled synthetic datasets. This crate regenerates
-//! statistical stand-ins for all three (substitutions documented in
-//! DESIGN.md §3):
+//! statistical stand-ins for all three:
 //!
 //! - [`synthetic`]: tables with configurable row counts, dimension counts,
 //!   value distributions (uniform/Gaussian/log-normal) and *controlled

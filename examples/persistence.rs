@@ -21,7 +21,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use verdict::workload::synthetic::{generate_table, SyntheticSpec};
-use verdict::{Mode, SessionBuilder, StopPolicy};
+use verdict::{Mode, OpenOptions, SessionBuilder, StopPolicy, VerdictSession};
 
 const SQL: &str = "SELECT AVG(m) FROM t WHERE d0 BETWEEN 2.5 AND 5.5";
 
@@ -71,10 +71,7 @@ fn main() {
     drop(first); // ---- the process "restarts" ----------------------------
 
     // ---- Session 2: warm start from disk. --------------------------------
-    let mut second = SessionBuilder::open(&dir)
-        .expect("open store")
-        .build()
-        .expect("warm-start session");
+    let mut second = VerdictSession::open_with(&dir, OpenOptions::new()).expect("open store");
     let report = second.recovery_report().expect("recovered").clone();
     println!(
         "session 2: warm start from snapshot gen {} (+{} log records replayed)",
@@ -144,10 +141,8 @@ fn main() {
         bytes.len()
     );
 
-    let third = SessionBuilder::open(&dir)
-        .expect("open survives the torn tail")
-        .build()
-        .expect("recovered session");
+    let third =
+        VerdictSession::open_with(&dir, OpenOptions::new()).expect("open survives the torn tail");
     let report = third.recovery_report().expect("recovered").clone();
     println!(
         "session 3: recovered (gen {}, {} records replayed, {} torn bytes truncated)",

@@ -31,8 +31,9 @@
 //! `Database` is `Send + Sync + Clone` (one `Arc`). The shard is the
 //! **only** implementation of every pipeline stage — query, ingest,
 //! train, checkpoint — and of shard construction (one create path, one
-//! recover path): [`DatabaseBuilder`], [`Database::open`] and the
-//! single-table [`crate::SessionBuilder`] all lower into it, and
+//! recover path): [`DatabaseBuilder`] and the single-table
+//! [`crate::SessionBuilder`] lower into the first, [`Database::open`] and
+//! [`crate::VerdictSession::open_with`] into the second, and
 //! [`crate::VerdictSession`] is a facade over one shard.
 //!
 //! Ordering the one engine fixes (the serial session used to differ on
@@ -79,7 +80,7 @@ use verdict_storage::{AggregateFn, PartitionMap, PartitionSpec, Predicate, Schem
 use verdict_store::catalog::{catalog_exists, is_valid_table_name, table_dir};
 use verdict_store::{
     read_catalog, read_part_rows, write_catalog, BaseRows, CatalogManifest, PagedState, Recovered,
-    RecoveryReport, SessionMeta, SharedStore, SnapshotBase, StorePolicy, SynopsisStore,
+    RecoveryReport, SessionMeta, SharedStore, SnapshotBase, StoreError, StorePolicy, SynopsisStore,
 };
 
 use crate::metrics::{CheckpointReport, TableObs};
@@ -829,7 +830,7 @@ impl Shard {
             // partition files.
             Layout::Paged(rt) => {
                 paged = PagedState {
-                    map: rt.map.read().expect("partition map poisoned").clone(),
+                    map: rt.map.read().map_err(poisoned_map)?.clone(),
                     original_part_rows: rt.original_part_rows.clone(),
                     resolution: (*data.table).clone(),
                     total_rows: rt.total_rows,
@@ -974,7 +975,7 @@ impl Shard {
             }
             Layout::Paged(rt) => {
                 let first = rt.total_rows as usize;
-                let map = rt.map.read().expect("partition map poisoned");
+                let map = rt.map.read().map_err(poisoned_map)?;
                 let (batch, prepared) = prepare((*old.table).clone(), first, Some(&map))?;
                 let routed = map
                     .route(&batch, 0..batch.num_rows())
@@ -983,7 +984,7 @@ impl Shard {
                 let wal_bytes = log(&prepared.adjustments, Some((&batch, &routed)))?;
                 rt.map
                     .write()
-                    .expect("partition map poisoned")
+                    .map_err(poisoned_map)?
                     .extend_batch(&batch)
                     .map_err(Error::Storage)?;
                 table
@@ -1071,6 +1072,17 @@ impl Shard {
             snapshot.data.data_epoch,
         );
     }
+}
+
+/// The write paths' refusal of a poisoned partition map. Only an ingest
+/// writes the map, so poison means one panicked mid-extension and may
+/// have left the map half-extended; checkpointing or extending it could
+/// persist a map no WAL replay reproduces. Reopening the table rebuilds
+/// it from the store. Readers (queries, `exact()`) absorb the poison.
+fn poisoned_map<T>(_: PoisonError<T>) -> StoreError {
+    StoreError::Corrupt(
+        "partition map poisoned by a panicked ingest; reopen the table to rebuild it".into(),
+    )
 }
 
 /// `memory_budget` bounds the partition cache; a table without one has
@@ -1674,3 +1686,63 @@ const _: () = {
     assert_send_sync::<Database>();
     assert_send_sync::<SessionSnapshot>();
 };
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use verdict_storage::ColumnDef;
+
+    /// A panicking ingest poisons a paged table's partition map. The
+    /// write paths that persist or extend the map refuse with a typed
+    /// error; queries and `exact()` keep answering; nothing panics.
+    #[test]
+    fn poisoned_partition_map_fails_writes_not_reads() {
+        let dir = std::env::temp_dir().join(format!("verdict-poisoned-map-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let schema = Schema::new(vec![
+            ColumnDef::numeric_dimension("week"),
+            ColumnDef::measure("rev"),
+        ])
+        .unwrap();
+        let mut table = Table::new(schema);
+        for i in 0..4_000 {
+            let week = (i % 100) as f64;
+            table
+                .push_row(vec![week.into(), (week * 2.0).into()])
+                .unwrap();
+        }
+        let opts = TableOptions {
+            partition: Some(PartitionSpec::range("week", vec![25.0, 50.0, 75.0])),
+            ..TableOptions::default()
+        };
+        let db = Database::builder()
+            .register_table_with("t", table, opts)
+            .persist_to(&dir)
+            .build()
+            .unwrap();
+        let map = match &db.inner.shards[0].lock_writer().layout {
+            Layout::Paged(rt) => Arc::clone(&rt.map),
+            Layout::Resident { .. } => panic!("a partitioned persistent table is paged"),
+        };
+        let poisoner = std::thread::spawn(move || {
+            let _guard = map.write().unwrap();
+            panic!("ingest panicked while extending the partition map");
+        });
+        assert!(poisoner.join().is_err());
+
+        let row = vec![Value::from(10.0), Value::from(20.0)];
+        assert!(matches!(db.ingest("t", &[row]), Err(Error::Store(_))));
+        assert!(matches!(db.checkpoint(), Err(Error::Store(_))));
+        let sql = "SELECT AVG(rev) FROM t WHERE week BETWEEN 10 AND 30";
+        assert!(db.query(sql, &QueryOptions::new()).unwrap().is_answered());
+        let exact = db.inner.shards[0]
+            .exact(
+                &AggregateFn::Avg(verdict_storage::Expr::col("rev")),
+                &Predicate::True,
+            )
+            .unwrap();
+        assert_eq!(exact, 99.0);
+        drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

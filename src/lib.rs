@@ -126,9 +126,11 @@
 //!   state (`state_bytes`, `has_model`, `synopsis_len`, `stats`) and the
 //!   maintained samples (`samples()`). There is no mutable engine
 //!   access — every mutation goes through the shard's learn path.
-//! - `SessionBuilder::open(dir)` → [`Database::open`] — a single-table
-//!   store directory opens as a one-table database (table name `"t"`,
-//!   any `FROM` accepted).
+//! - `SessionBuilder::open(dir)?…build()` → [`Database::open_with`]
+//!   (`dir`, [`OpenOptions`]) — a single-table store directory opens as a
+//!   one-table database (table name `"t"`, any `FROM` accepted) — or,
+//!   to keep the facade, [`VerdictSession::open_with`] with the same
+//!   arguments.
 //! - An existing session promotes in place with
 //!   [`VerdictSession::into_database`]; that (with `QueryOptions::pinned`
 //!   for `execute_at`) replaces the former `ConcurrentSession`.

@@ -7,9 +7,10 @@
 //! implemented once, on the per-table shard of [`crate::database`]. A
 //! [`VerdictSession`] is a **facade over one shard**: it owns no engine
 //! state of its own, and each of its methods calls the shard method of
-//! the same name ([`SessionBuilder::build`] lowers into the same create
-//! and recover paths [`crate::DatabaseBuilder`] and
-//! [`crate::Database::open`] use). What the facade adds is the
+//! the same name ([`SessionBuilder::build`] lowers into the create path
+//! [`crate::DatabaseBuilder`] uses, [`VerdictSession::open_with`] into
+//! the recover path [`crate::Database::open`] uses). What the facade
+//! adds is the
 //! single-owner convenience of the original session API: positional
 //! `Mode`/`StopPolicy` arguments, `FROM` ignored (there is only one
 //! table), manual sample selection, and `&mut self` receivers that make
@@ -121,7 +122,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use verdict_aqp::{
-    parallel_scan, AqpError, Horizon, PagedRep, Sample, ScanSpec, SegmentLoader, SharedScanDriver,
+    parallel_scan, Horizon, PagedRep, Sample, ScanSpec, SegmentLoader, SharedScanDriver,
 };
 use verdict_core::append::AppendAdjustment;
 use verdict_core::inference::CellPrior;
@@ -137,9 +138,7 @@ use verdict_storage::{
     AggregateFn, CacheCounters, Expr, GroupKey, PartitionMap, PartitionSpec, PartitionStore,
     Predicate, StorageError, Table, Value,
 };
-use verdict_store::{
-    read_part_rows, Recovered, RecoveryReport, SessionMeta, StoreError, StorePolicy, SynopsisStore,
-};
+use verdict_store::{read_part_rows, RecoveryReport, SessionMeta, StorePolicy, SynopsisStore};
 
 use crate::database::{memory_budget_misuse, Database, SessionSnapshot, Shard};
 use crate::metrics::CheckpointReport;
@@ -330,24 +329,15 @@ impl QueryOutcome {
 }
 
 /// Builder for [`VerdictSession`]: the single-table front of the one
-/// create path and the one recover path (see [`crate::database`]).
+/// create path (see [`crate::database`]). A persisted session reopens
+/// with [`VerdictSession::open_with`].
 pub struct SessionBuilder {
-    source: Source,
-    /// Sampling geometry and engine config — on a warm start, what the
-    /// store persisted (so an override is detectable).
+    table: Table,
+    /// Sampling geometry and engine config.
     opts: TableOptions,
     /// Everything the store does not persist.
     serve: OpenOptions,
     persist: Option<PathBuf>,
-}
-
-/// What a [`SessionBuilder`] builds from.
-enum Source {
-    /// A fresh session over this base table.
-    Table(Table),
-    /// A warm start: the opened store and what recovery read out of it,
-    /// held until `build()` wires them into the session.
-    Store(SynopsisStore, Box<Recovered>),
 }
 
 /// Sample rows a query's scan must reach per thread before an unpinned
@@ -399,40 +389,11 @@ impl SessionBuilder {
     /// Starts a builder over the base table.
     pub fn new(table: Table) -> Self {
         SessionBuilder {
-            source: Source::Table(table),
+            table,
             opts: TableOptions::default(),
             serve: OpenOptions::new(),
             persist: None,
         }
-    }
-
-    /// Warm-starts a builder from a durable synopsis store previously
-    /// created with [`SessionBuilder::persist_to`].
-    ///
-    /// Recovery loads the newest valid snapshot (base table, session
-    /// parameters, synopses, trained models), truncates any torn tail off
-    /// the snippet log, and replays surviving records. The resulting
-    /// session answers its very first query with the error bounds the
-    /// previous session had earned — the cold-start problem the paper's
-    /// "smarter every time" promise otherwise hits at every restart.
-    pub fn open(path: impl AsRef<Path>) -> Result<SessionBuilder> {
-        let path = path.as_ref();
-        let (store, recovered) =
-            SynopsisStore::open(path, StorePolicy::default()).map_err(Error::Store)?;
-        let meta = &recovered.meta;
-        Ok(SessionBuilder {
-            opts: TableOptions {
-                sample_fraction: meta.sample_fraction,
-                batch_size: meta.batch_size as usize,
-                seed: meta.seed,
-                num_samples: meta.num_samples as usize,
-                config: meta.config.clone(),
-                ..TableOptions::default()
-            },
-            serve: OpenOptions::new(),
-            persist: Some(path.to_path_buf()),
-            source: Source::Store(store, Box::new(recovered)),
-        })
     }
 
     /// Attaches a durable synopsis store at `path` (created on build).
@@ -440,7 +401,7 @@ impl SessionBuilder {
     /// Every snippet the session observes is appended to the store's
     /// write-ahead log; [`VerdictSession::train`] and the compaction
     /// policy checkpoint the full state. Fails at build time if a store
-    /// already exists at `path` — reopen with [`SessionBuilder::open`].
+    /// already exists at `path` — reopen with [`VerdictSession::open_with`].
     pub fn persist_to(mut self, path: impl Into<PathBuf>) -> Self {
         self.persist = Some(path.into());
         self
@@ -483,10 +444,8 @@ impl SessionBuilder {
     /// session metadata, and every sample is served demand-paged through
     /// a [`verdict_storage::PartitionStore`] buffer manager under the
     /// [`SessionBuilder::memory_budget`]. A warm start
-    /// ([`SessionBuilder::open`]) rebuilds the identical partition map
-    /// and sample draw from the manifest — do not also call
-    /// `partition_by` on an opened builder; the spec comes from the
-    /// store.
+    /// ([`VerdictSession::open_with`]) rebuilds the identical partition
+    /// map and sample draw from the manifest.
     pub fn partition_by(mut self, spec: PartitionSpec) -> Self {
         self.opts.partition = Some(spec);
         self
@@ -497,8 +456,9 @@ impl SessionBuilder {
     /// evicts least-recently-used unpinned segments down to this bound.
     /// Answers are bit-identical at any budget ≥ one partition; only
     /// fault traffic changes. Unlimited when unset. `build()` refuses
-    /// the knob on sessions that are not out-of-core
-    /// (`partition_by` + `persist_to`, or `open` of a paged store).
+    /// the knob on sessions that are not out-of-core (`partition_by` +
+    /// `persist_to`); [`VerdictSession::open_with`] refuses it on a
+    /// resident store.
     pub fn memory_budget(mut self, bytes: u64) -> Self {
         self.serve.memory_budget = Some(bytes);
         self
@@ -561,76 +521,13 @@ impl SessionBuilder {
         self
     }
 
-    /// Builds the session: a fresh build draws the samples, derives the
-    /// dimension universe from the base table and (with persistence)
-    /// creates the store at the directory root; a warm start restores the
-    /// learned state and keeps appending to the store it was opened from.
-    /// The session serves its one anonymous table as `t` (matching the
-    /// `FROM t` its queries use), so its metric series carry that label.
+    /// Builds the session: draws the samples, derives the dimension
+    /// universe from the base table and (with persistence) creates the
+    /// store at the directory root. The session serves its one anonymous
+    /// table as `t` (matching the `FROM t` its queries use), so its
+    /// metric series carry that label.
     pub fn build(self) -> Result<VerdictSession> {
-        let shard = match self.source {
-            Source::Table(table) => {
-                Shard::create("t", table, &self.opts, self.persist, &self.serve)?
-            }
-            Source::Store(mut store, recovered) => {
-                let meta = &recovered.meta;
-                // An opened store already knows its partition spec (and
-                // whether it is paged); a second spec from the builder
-                // could silently disagree with the files on disk.
-                if self.opts.partition.is_some() {
-                    return Err(Error::Aqp(AqpError::InvalidConfig(
-                        "partition_by cannot be combined with open(): a persisted session's \
-                         partition spec comes from the store's manifest"
-                            .into(),
-                    )));
-                }
-                if self.serve.memory_budget.is_some() && !meta.paged {
-                    return Err(memory_budget_misuse());
-                }
-                // Sample identity is load-bearing: the recovered synopsis
-                // holds raw answers drawn from the sample the persisted
-                // parameters describe. Overriding seed / fraction / batch
-                // size / sample count after open() would silently redraw a
-                // different sample and rewrite the stored meta — refuse.
-                if self.opts.sample_fraction != meta.sample_fraction
-                    || self.opts.batch_size as u64 != meta.batch_size
-                    || self.opts.seed != meta.seed
-                    || self.opts.num_samples as u64 != meta.num_samples
-                {
-                    return Err(Error::Store(StoreError::Mismatch(
-                        "sample parameters (seed, sample_fraction, batch_size, num_samples) \
-                         cannot be overridden on a warm-started session: the persisted \
-                         synopsis was observed through the stored sample"
-                            .into(),
-                    )));
-                }
-                // The engine config is equally load-bearing: WAL replay
-                // applies records under the *stored* config (synopsis
-                // capacity drives eviction), so a divergent live config
-                // would make post-crash recovery disagree with the live
-                // session.
-                if self.opts.config != meta.config {
-                    return Err(Error::Store(StoreError::Mismatch(
-                        "verdict_config cannot be overridden on a warm-started session: \
-                         log replay applies records under the stored configuration"
-                            .into(),
-                    )));
-                }
-                // A persist_to() after open() would silently split the
-                // session from its recovered store — refuse instead.
-                if let Some(p) = self.persist.filter(|p| p != store.dir()) {
-                    return Err(Error::Store(StoreError::Mismatch(format!(
-                        "session was opened from {} but persist_to names {}; \
-                         a warm-started session always writes to its own store",
-                        store.dir().display(),
-                        p.display()
-                    ))));
-                }
-                // Apply any store_policy() override made after open().
-                store.set_policy(self.serve.store_policy.clone());
-                Shard::recover("t", store, *recovered, &self.serve)?
-            }
-        };
+        let shard = Shard::create("t", self.table, &self.opts, self.persist, &self.serve)?;
         Ok(VerdictSession { shard })
     }
 }
@@ -753,6 +650,29 @@ pub(crate) fn build_paged_samples(
 }
 
 impl VerdictSession {
+    /// Warm-starts a session from a durable synopsis store previously
+    /// created with [`SessionBuilder::persist_to`] — the session twin of
+    /// [`Database::open_with`], with `opts` the knobs the store does not
+    /// persist.
+    ///
+    /// Recovery loads the newest valid snapshot (base table, session
+    /// parameters, synopses, trained models), truncates any torn tail off
+    /// the snippet log, and replays surviving records. The resulting
+    /// session answers its very first query with the error bounds the
+    /// previous session had earned — the cold-start problem the paper's
+    /// "smarter every time" promise otherwise hits at every restart.
+    /// Sample identity, partition spec and engine config come from the
+    /// store. A `memory_budget` on a resident store is refused.
+    pub fn open_with(dir: impl AsRef<Path>, opts: OpenOptions) -> Result<VerdictSession> {
+        let (store, recovered) =
+            SynopsisStore::open(dir.as_ref(), opts.store_policy.clone()).map_err(Error::Store)?;
+        if opts.memory_budget.is_some() && !recovered.meta.paged {
+            return Err(memory_budget_misuse());
+        }
+        let shard = Shard::recover("t", store, recovered, &opts)?;
+        Ok(VerdictSession { shard })
+    }
+
     /// The current base table (for an out-of-core session, the zero-row
     /// resolution table — the rows live in the partition files). Cheap:
     /// clones an `Arc`, not the rows.
@@ -835,7 +755,7 @@ impl VerdictSession {
     }
 
     /// The recovery report, when this session was warm-started with
-    /// [`SessionBuilder::open`].
+    /// [`VerdictSession::open_with`].
     pub fn recovery_report(&self) -> Option<&RecoveryReport> {
         self.shard.recovery.as_ref()
     }
@@ -1737,6 +1657,7 @@ mod tests {
     use super::*;
     use verdict_core::persist::{EngineState, Persist};
     use verdict_storage::{ColumnDef, Schema};
+    use verdict_store::StoreError;
 
     fn session(rows: usize) -> VerdictSession {
         let schema = Schema::new(vec![
@@ -2229,7 +2150,7 @@ mod tests {
             (cell.improved.error, cell.raw_error)
         };
         // "Restart": a brand-new session recovered purely from disk.
-        let mut s = SessionBuilder::open(&dir).unwrap().build().unwrap();
+        let mut s = VerdictSession::open_with(&dir, OpenOptions::new()).unwrap();
         let report = s.recovery_report().expect("warm start").clone();
         assert!(report.records_replayed > 0 || report.snapshot_last_seq > 0);
         let r = s
@@ -2266,7 +2187,7 @@ mod tests {
             }
             s.train().unwrap();
         }
-        let warm = SessionBuilder::open(&dir).unwrap().build().unwrap();
+        let warm = VerdictSession::open_with(&dir, OpenOptions::new()).unwrap();
         assert!(warm.snapshot().has_model(&AggKey::avg("rev")));
         // A cold session over the same table knows nothing.
         let cold = session(20_000);
@@ -2342,7 +2263,7 @@ mod tests {
             .unwrap();
         }
         {
-            let mut s = SessionBuilder::open(&dir).unwrap().build().unwrap();
+            let mut s = VerdictSession::open_with(&dir, OpenOptions::new()).unwrap();
             let observed_before = s.snapshot().stats().observed;
             s.execute(
                 "SELECT AVG(rev) FROM t WHERE week BETWEEN 30 AND 60",
@@ -2354,7 +2275,7 @@ mod tests {
             s.checkpoint().unwrap();
         }
         // Third generation of the session still sees everything.
-        let s = SessionBuilder::open(&dir).unwrap().build().unwrap();
+        let s = VerdictSession::open_with(&dir, OpenOptions::new()).unwrap();
         assert_eq!(
             s.recovery_report().unwrap().records_replayed,
             0,
@@ -2379,14 +2300,14 @@ mod tests {
         // Warm start with an aggressive compaction policy: every query
         // must fold the log into a new snapshot generation.
         {
-            let mut s = SessionBuilder::open(&dir)
-                .unwrap()
-                .store_policy(verdict_store::StorePolicy {
+            let mut s = VerdictSession::open_with(
+                &dir,
+                OpenOptions::new().with_store_policy(verdict_store::StorePolicy {
                     compact_after_records: 1,
                     ..Default::default()
-                })
-                .build()
-                .unwrap();
+                }),
+            )
+            .unwrap();
             let gen_before = s.recovery_report().unwrap().snapshot_gen;
             s.execute(
                 "SELECT AVG(rev) FROM t WHERE week BETWEEN 30 AND 50",
@@ -2395,7 +2316,7 @@ mod tests {
             )
             .unwrap();
             drop(s);
-            let s = SessionBuilder::open(&dir).unwrap().build().unwrap();
+            let s = VerdictSession::open_with(&dir, OpenOptions::new()).unwrap();
             assert!(
                 s.recovery_report().unwrap().snapshot_gen > gen_before,
                 "override must reach the store (gen did not advance)"
@@ -2405,19 +2326,19 @@ mod tests {
     }
 
     #[test]
-    fn persist_to_after_open_with_other_path_refused() {
-        let dir = temp_store("split");
+    fn memory_budget_on_a_resident_store_refused() {
+        let dir = temp_store("resident-budget");
         {
             let _s = session_persistent(2000, &dir);
         }
-        let other = temp_store("split-other");
-        let err = SessionBuilder::open(&dir)
-            .unwrap()
-            .persist_to(&other)
-            .build();
-        assert!(matches!(err, Err(Error::Store(_))), "split stores refused");
+        let err = VerdictSession::open_with(&dir, OpenOptions::new().with_memory_budget(1 << 20));
+        assert!(
+            matches!(err, Err(Error::Aqp(_))),
+            "a resident store has no partition cache to bound"
+        );
+        // The refusal left the store openable.
+        assert!(VerdictSession::open_with(&dir, OpenOptions::new()).is_ok());
         let _ = std::fs::remove_dir_all(&dir);
-        let _ = std::fs::remove_dir_all(&other);
     }
 
     #[test]

@@ -9,7 +9,10 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use verdict::core::{AggKey, EngineStats};
-use verdict::{Database, Mode, QueryOptions, SampleRotation, SessionBuilder, StopPolicy};
+use verdict::{
+    Database, Mode, OpenOptions, QueryOptions, SampleRotation, SessionBuilder, StopPolicy,
+    VerdictSession,
+};
 use verdict_storage::{ColumnDef, Schema, Table};
 
 fn base_table(rows: usize) -> Table {
@@ -138,7 +141,7 @@ fn stress_writers_and_readers_lose_nothing() {
     session.checkpoint().unwrap();
     let expected_bytes = session.snapshot("t").unwrap().state_bytes();
     drop(session); // releases the store's writer lock
-    let reopened = SessionBuilder::open(&dir).unwrap().build().unwrap();
+    let reopened = VerdictSession::open_with(&dir, OpenOptions::new()).unwrap();
     assert_eq!(
         reopened.snapshot().state_bytes(),
         expected_bytes,
@@ -240,7 +243,7 @@ fn stress_writers_readers_and_ingester() {
     let expected_bytes = session.snapshot("t").unwrap().state_bytes();
     let expected_rows = session.table("t").unwrap().num_rows();
     drop(session);
-    let reopened = SessionBuilder::open(&dir).unwrap().build().unwrap();
+    let reopened = VerdictSession::open_with(&dir, OpenOptions::new()).unwrap();
     assert_eq!(reopened.table().num_rows(), expected_rows);
     assert_eq!(reopened.snapshot().data_epoch(), INGESTS as u64);
     assert_eq!(

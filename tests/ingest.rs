@@ -18,7 +18,8 @@ use verdict::core::persist::{Encoder, EngineState, Persist};
 use verdict::core::AggKey;
 use verdict::store::tablecodec::encode_table;
 use verdict::{
-    Database, Mode, QueryOptions, QueryResult, SessionBuilder, StopPolicy, VerdictSession,
+    Database, Mode, OpenOptions, QueryOptions, QueryResult, SessionBuilder, StopPolicy,
+    VerdictSession,
 };
 use verdict_storage::{ColumnDef, Schema, Table, Value};
 
@@ -382,7 +383,7 @@ fn mid_ingest_crash_reopens_byte_identical() {
     // Serial reopen: byte-identical state, same table, same sample, same
     // raw answer bits.
     {
-        let mut s = SessionBuilder::open(&dir).unwrap().build().unwrap();
+        let mut s = VerdictSession::open_with(&dir, OpenOptions::new()).unwrap();
         let report = s.recovery_report().unwrap();
         assert_eq!(report.ingests_replayed, 1, "only the complete batch");
         assert!(report.torn_bytes > 0, "the torn frame was truncated");
@@ -435,7 +436,7 @@ fn checkpoint_after_ingest_folds_table_generation() {
         );
         (s.snapshot().state_bytes(), s.table().num_rows(), answer)
     };
-    let mut s = SessionBuilder::open(&dir).unwrap().build().unwrap();
+    let mut s = VerdictSession::open_with(&dir, OpenOptions::new()).unwrap();
     let report = s.recovery_report().unwrap();
     assert_eq!(report.records_replayed, 0, "checkpoint folded the log");
     assert_eq!(report.ingests_replayed, 0);
@@ -588,7 +589,7 @@ fn warm_start_then_ingest_matches_unrestarted_session() {
         s.train().unwrap();
         s.ingest(&shifted_batch(300, 4.0)).unwrap();
     }
-    let mut s = SessionBuilder::open(&dir).unwrap().build().unwrap();
+    let mut s = VerdictSession::open_with(&dir, OpenOptions::new()).unwrap();
     s.ingest(&shifted_batch(150, 6.0)).unwrap();
     s.ingest(&shifted_batch(120, 8.0)).unwrap();
     assert_eq!(

@@ -349,11 +349,9 @@ fn warm_restart_is_bit_identical_to_uninterrupted_twin() {
         // `s` drops here: the WAL holds both ingests, the partition
         // files hold their routed rows.
     }
-    let mut reopened = SessionBuilder::open(&dir)
-        .expect("open")
-        .memory_budget(25_000)
-        .build()
-        .expect("warm session");
+    let mut reopened =
+        VerdictSession::open_with(&dir, OpenOptions::new().with_memory_budget(25_000))
+            .expect("warm session");
     assert!(reopened.is_paged(), "paged-ness must survive reopen");
     // Identical answers on the full grid, a further identical ingest, and
     // identical ground truth from the partition files.
@@ -409,7 +407,7 @@ fn checkpointed_tails_reopen_to_the_live_state() {
         assert_eq!(tail_rows(&s), tail_rows(&twin));
     }
     for round in 0..2 {
-        let mut reopened = SessionBuilder::open(&dir).unwrap().build().unwrap();
+        let mut reopened = VerdictSession::open_with(&dir, OpenOptions::new()).unwrap();
         let report = reopened.recovery_report().unwrap();
         assert_eq!(report.ingests_replayed, 0, "round {round}");
         assert!(
@@ -476,7 +474,7 @@ fn wal_replay_widens_only_what_the_live_ingest_widened() {
         }
         assert!(s.snapshot().state_bytes() == twin.snapshot().state_bytes());
     }
-    let mut reopened = SessionBuilder::open(&dir).unwrap().build().unwrap();
+    let mut reopened = VerdictSession::open_with(&dir, OpenOptions::new()).unwrap();
     assert_eq!(reopened.recovery_report().unwrap().ingests_replayed, 1);
     assert!(
         reopened.snapshot().state_bytes() == twin.snapshot().state_bytes(),
@@ -684,7 +682,7 @@ fn torn_partition_file_tails_heal_from_the_wal() {
     copy_store(&dir, &clean_dir);
     // The store's lock file must not leak into copies as a held lock;
     // opening below re-acquires per directory, so copies are fine.
-    let mut clean = SessionBuilder::open(&clean_dir).unwrap().build().unwrap();
+    let mut clean = VerdictSession::open_with(&clean_dir, OpenOptions::new()).unwrap();
     let want = run_grid(&mut clean);
     let agg = AggregateFn::Sum(Expr::col("rev"));
     let want_exact = clean.exact(&agg, &Predicate::True).unwrap().to_bits();
@@ -702,10 +700,8 @@ fn torn_partition_file_tails_heal_from_the_wal() {
                 file.set_len(len.saturating_sub(torn)).unwrap();
             }
         }
-        let mut s = SessionBuilder::open(&torn_dir)
-            .unwrap_or_else(|e| panic!("open after {torn} torn bytes: {e}"))
-            .build()
-            .unwrap_or_else(|e| panic!("build after {torn} torn bytes: {e}"));
+        let mut s = VerdictSession::open_with(&torn_dir, OpenOptions::new())
+            .unwrap_or_else(|e| panic!("open after {torn} torn bytes: {e}"));
         assert!(s.is_paged());
         assert_eq!(
             run_grid(&mut s),

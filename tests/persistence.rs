@@ -5,7 +5,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use verdict::workload::synthetic::{generate_table, SyntheticSpec};
-use verdict::{Mode, SessionBuilder, StopPolicy};
+use verdict::{Mode, OpenOptions, SessionBuilder, StopPolicy, VerdictSession};
 use verdict_storage::Table;
 
 fn test_table(rows: usize) -> Table {
@@ -71,10 +71,7 @@ fn reopened_session_answers_identically() {
             answers.push((cell.improved.answer, cell.improved.error, cell.raw_error));
         }
     }
-    let mut s = SessionBuilder::open(&dir)
-        .expect("open")
-        .build()
-        .expect("warm session");
+    let mut s = VerdictSession::open_with(&dir, OpenOptions::new()).expect("open");
     for (sql, (answer, error, raw_error)) in TEST_QUERIES.iter().zip(&answers) {
         let r = s
             .execute(sql, Mode::Verdict, StopPolicy::ScanAll)
@@ -114,10 +111,7 @@ fn warm_start_beats_cold_start() {
         warm_up(&mut s);
         s.train().expect("train");
     }
-    let mut warm = SessionBuilder::open(&dir)
-        .expect("open")
-        .build()
-        .expect("warm");
+    let mut warm = VerdictSession::open_with(&dir, OpenOptions::new()).expect("open");
     let warm_cell = warm
         .execute(sql, Mode::Verdict, StopPolicy::ScanAll)
         .expect("warm query")
@@ -182,10 +176,7 @@ fn crash_truncation_always_recovers() {
     // header and mid-record.
     for cut in (0..full.len()).step_by(11).chain([full.len() - 1]) {
         std::fs::write(&wal, &full[..cut]).expect("truncate");
-        let mut s = SessionBuilder::open(&dir)
-            .expect("open after crash")
-            .build()
-            .expect("session after crash");
+        let mut s = VerdictSession::open_with(&dir, OpenOptions::new()).expect("open after crash");
         let report = s.recovery_report().expect("report").clone();
         // The recovery is a valid prefix of what was logged: never more
         // records than were written, never fewer than a shorter cut
@@ -218,10 +209,7 @@ fn crash_truncation_always_recovers() {
     }
     // The untruncated log recovers everything.
     std::fs::write(&wal, &full).expect("restore");
-    let s = SessionBuilder::open(&dir)
-        .expect("open intact")
-        .build()
-        .expect("session");
+    let s = VerdictSession::open_with(&dir, OpenOptions::new()).expect("open intact");
     assert_eq!(s.recovery_report().expect("report").records_replayed, 6);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -260,10 +248,7 @@ fn sustained_load_compacts_without_losing_state() {
         }
         let observed_live = s.snapshot().stats().observed;
         drop(s);
-        let s = SessionBuilder::open(&dir)
-            .expect("open")
-            .build()
-            .expect("reopen");
+        let s = VerdictSession::open_with(&dir, OpenOptions::new()).expect("open");
         assert_eq!(
             s.snapshot().stats().observed,
             observed_live,
