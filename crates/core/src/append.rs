@@ -372,12 +372,7 @@ impl AppendAdjustment {
     /// snippets adjusted, so a caller can tell an applied adjustment from
     /// one that found nothing to rewrite.
     pub fn adjust_synopsis(&self, synopsis: &mut QuerySynopsis) -> usize {
-        let mut adjusted = 0;
-        for obs in synopsis.observations_mut() {
-            *obs = self.adjust(*obs);
-            adjusted += 1;
-        }
-        adjusted
+        synopsis.rewrite_where(|_| true, |obs| self.adjust(obs))
     }
 
     /// Like [`AppendAdjustment::adjust_synopsis`], but rewrites only the
@@ -389,16 +384,9 @@ impl AppendAdjustment {
     pub fn adjust_synopsis_where(
         &self,
         synopsis: &mut QuerySynopsis,
-        mut widen: impl FnMut(&Region) -> bool,
+        widen: impl FnMut(&Region) -> bool,
     ) -> usize {
-        let mut adjusted = 0;
-        for (region, obs) in synopsis.entries_mut() {
-            if widen(region) {
-                *obs = self.adjust(*obs);
-                adjusted += 1;
-            }
-        }
-        adjusted
+        synopsis.rewrite_where(widen, |obs| self.adjust(obs))
     }
 
     /// Whether applying this adjustment is a no-op (`µ = 0`, `η = 0`).
@@ -490,7 +478,7 @@ mod tests {
             appended_rows: 50,
         };
         adj.adjust_synopsis(&mut syn);
-        let o = syn.find(&region).unwrap();
+        let o = syn.observation_of(&region).unwrap();
         assert!((o.answer - 2.0).abs() < 1e-12);
         assert!(o.error > 0.1);
     }
@@ -514,10 +502,10 @@ mod tests {
         bounds.add_numeric("x", 82.0, 88.0, false);
         let n = adj.adjust_synopsis_where(&mut syn, |r| !r.disjoint_from(&schema, &bounds));
         assert_eq!(n, 1);
-        let lo = syn.find(&low).unwrap();
+        let lo = syn.observation_of(&low).unwrap();
         assert_eq!(lo.answer, 1.0);
         assert_eq!(lo.error, 0.1);
-        let hi = syn.find(&high).unwrap();
+        let hi = syn.observation_of(&high).unwrap();
         assert!((hi.answer - 4.5).abs() < 1e-12); // 2 + 5·0.5
         assert!(hi.error > 0.2);
     }

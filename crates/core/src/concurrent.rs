@@ -46,9 +46,10 @@ pub struct EngineSnapshot {
     pub(crate) schema: SchemaInfo,
     pub(crate) config: VerdictConfig,
     /// Per-key state is shared with the engine via `Arc`: publishing
-    /// copies only the map of handles, and the engine clones a key's
-    /// entry on its next write (copy-on-write), so snapshot cost does not
-    /// grow with the sizes of untouched synopses and models.
+    /// copies only the map of handles, and the engine's next write to a
+    /// key copies that key's synopsis handle list plus the one or two
+    /// chunks the write changes (copy-on-write, see [`crate::synopsis`]),
+    /// so snapshot cost grows with neither the synopsis nor the models.
     pub(crate) synopses: HashMap<AggKey, Arc<QuerySynopsis>>,
     pub(crate) models: HashMap<AggKey, Arc<TrainedModel>>,
     pub(crate) stats: EngineStats,
@@ -278,6 +279,41 @@ mod tests {
         live.observe(&snippet(0.0, 99.0), Observation::new(10.0, 0.2));
         assert_eq!(before.synopsis_len(&AggKey::avg("v")), n_before);
         assert!(live.epoch() > before.epoch());
+    }
+
+    /// Observing after a publish copies at most two of the synopsis's
+    /// chunks (the refreshed or evicted entry's, and the tail), never the
+    /// whole synopsis, and leaves the snapshot's bytes alone.
+    #[test]
+    fn observe_after_publish_copies_at_most_two_chunks() {
+        let key = AggKey::avg("v");
+        let mut live = Verdict::new(schema(), VerdictConfig::default());
+        assert_eq!(live.config().synopsis_capacity, 2_000);
+        for i in 0..2_000 {
+            let lo = i as f64 * 0.04;
+            live.observe(&snippet(lo, lo + 10.0), Observation::new(1.0, 0.1));
+        }
+        let first = live.publish();
+        let first_bytes = first.state_bytes();
+        for i in 0..50 {
+            let published = live.publish();
+            // Mostly new regions (each evicts one), every fifth a refresh.
+            let lo = if i % 5 == 0 {
+                (1_000 + i) as f64 * 0.04
+            } else {
+                0.01 + i as f64 * 0.5
+            };
+            live.observe(&snippet(lo, lo + 10.0), Observation::new(2.0, 0.05));
+            let ours = live.synopsis(&key).unwrap();
+            let (shared, total) = ours.chunks_shared_with(&published.synopses[&key]);
+            assert!(
+                total - shared <= 2,
+                "observe {i} copied {} chunks",
+                total - shared
+            );
+        }
+        assert_eq!(first.state_bytes(), first_bytes);
+        assert_eq!(live.synopsis(&key).unwrap().len(), 2_000);
     }
 
     #[test]

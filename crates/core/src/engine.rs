@@ -102,7 +102,9 @@ pub struct Verdict {
     config: VerdictConfig,
     /// Per-key learned state lives behind `Arc`s so publishing a
     /// snapshot shares every untouched key; mutation clones only the key
-    /// it touches (`Arc::make_mut` — copy-on-write).
+    /// it touches (`Arc::make_mut` — copy-on-write), and a synopsis
+    /// clone shares its chunks, so a write copies one chunk or two, not
+    /// the synopsis.
     synopses: HashMap<AggKey, Arc<QuerySynopsis>>,
     models: HashMap<AggKey, Arc<TrainedModel>>,
     stats: EngineStats,
@@ -402,8 +404,8 @@ impl Verdict {
             .synopses
             .entry(snippet.key.clone())
             .or_insert_with(|| Arc::new(QuerySynopsis::new(self.config.synopsis_capacity)));
-        // Copy-on-write: clones this one synopsis only if a published
-        // snapshot still shares it.
+        // Copy-on-write: if a published snapshot shares this synopsis,
+        // clone its chunk handles; `record` copies the chunks it changes.
         Arc::make_mut(synopsis).record(snippet.region.clone(), obs);
         self.stats.observed += 1;
         self.epoch += 1;
@@ -1005,12 +1007,16 @@ mod tests {
             .unwrap();
         assert_eq!(v.commit_ingest(staged), 2);
         let syn = v.synopsis(&AggKey::avg("v")).unwrap();
-        let lo = syn.find(&low).unwrap();
+        let lo = syn.observation_of(&low).unwrap();
         assert_eq!((lo.answer, lo.error), (1.0, 0.1));
-        let hi = syn.find(&high).unwrap();
+        let hi = syn.observation_of(&high).unwrap();
         assert!((hi.answer - 4.0).abs() < 1e-12); // 2 + 4·0.5
         assert!(hi.error > 0.1);
-        let f = v.synopsis(&AggKey::Freq).unwrap().find(&low).unwrap();
+        let f = v
+            .synopsis(&AggKey::Freq)
+            .unwrap()
+            .observation_of(&low)
+            .unwrap();
         assert!(f.error > 0.05, "FREQ widens even in untouched regions");
     }
 

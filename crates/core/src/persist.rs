@@ -242,7 +242,11 @@ pub trait Persist: Sized {
     }
 }
 
-fn encode_vec<T: Persist>(items: &[T], enc: &mut Encoder) {
+fn encode_vec<'a, T: Persist + 'a, I>(items: I, enc: &mut Encoder)
+where
+    I: IntoIterator<Item = &'a T, IntoIter: ExactSizeIterator>,
+{
+    let items = items.into_iter();
     enc.put_len(items.len());
     for item in items {
         item.encode(enc);

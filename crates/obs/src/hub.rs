@@ -4,6 +4,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use crate::lock;
 use crate::snapshot::{CounterSnapshot, GaugeSnapshot, HistogramSnapshot, MetricsSnapshot};
 
 /// Number of log₂ buckets in a [`Histogram`]. Bucket `i` covers values in
@@ -205,21 +206,21 @@ impl MetricsHub {
     }
 
     fn counter_for(&self, name: &str, table: Option<&str>) -> Counter {
-        let mut map = self.counters.lock().unwrap();
+        let mut map = lock(&self.counters);
         map.entry((name.to_string(), table.map(str::to_string)))
             .or_insert_with(Counter::new)
             .clone()
     }
 
     fn gauge_for(&self, name: &str, table: Option<&str>) -> Gauge {
-        let mut map = self.gauges.lock().unwrap();
+        let mut map = lock(&self.gauges);
         map.entry((name.to_string(), table.map(str::to_string)))
             .or_insert_with(Gauge::new)
             .clone()
     }
 
     fn histogram_for(&self, name: &str, table: Option<&str>) -> Histogram {
-        let mut map = self.histograms.lock().unwrap();
+        let mut map = lock(&self.histograms);
         map.entry((name.to_string(), table.map(str::to_string)))
             .or_insert_with(Histogram::new)
             .clone()
@@ -231,10 +232,7 @@ impl MetricsHub {
     /// consistent enough for monitoring (histogram `count`/`sum`/buckets
     /// are read as three separate loads).
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let counters = self
-            .counters
-            .lock()
-            .unwrap()
+        let counters = lock(&self.counters)
             .iter()
             .map(|((name, table), c)| CounterSnapshot {
                 name: name.clone(),
@@ -242,10 +240,7 @@ impl MetricsHub {
                 value: c.value(),
             })
             .collect();
-        let gauges = self
-            .gauges
-            .lock()
-            .unwrap()
+        let gauges = lock(&self.gauges)
             .iter()
             .map(|((name, table), g)| GaugeSnapshot {
                 name: name.clone(),
@@ -253,10 +248,7 @@ impl MetricsHub {
                 value: g.value(),
             })
             .collect();
-        let histograms = self
-            .histograms
-            .lock()
-            .unwrap()
+        let histograms = lock(&self.histograms)
             .iter()
             .map(|((name, table), h)| {
                 HistogramSnapshot::from_parts(

@@ -44,3 +44,13 @@ mod trace;
 pub use hub::{Counter, Gauge, Histogram, MetricsHub};
 pub use snapshot::{CounterSnapshot, GaugeSnapshot, HistogramSnapshot, MetricsSnapshot};
 pub use trace::{QueryLog, QueryTrace, ScanTrace, StageTimings, Stopwatch};
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Locks `mutex`, absorbing poison. Every mutex in this crate guards a
+/// registry map or a trace ring that each update leaves whole, so a
+/// thread that panicked while recording must not take the metrics (and
+/// every query that records into them) down with it.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}

@@ -5,6 +5,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use crate::lock;
+
 /// Wall-clock nanoseconds spent in each pipeline stage of one query.
 ///
 /// Stages map onto the engine pipeline: lex/parse → plan (incl. group
@@ -175,7 +177,7 @@ impl QueryLog {
 
     /// Number of traces currently retained.
     pub fn len(&self) -> usize {
-        self.ring.lock().unwrap().len()
+        lock(&self.ring).len()
     }
 
     /// Whether the log holds no traces.
@@ -193,7 +195,7 @@ impl QueryLog {
     pub fn push(&self, mut trace: QueryTrace) -> Arc<QueryTrace> {
         trace.seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
         let arc = Arc::new(trace);
-        let mut ring = self.ring.lock().unwrap();
+        let mut ring = lock(&self.ring);
         if self.capacity > 0 {
             if ring.len() == self.capacity {
                 ring.pop_front();
@@ -205,7 +207,7 @@ impl QueryLog {
 
     /// The `n` most recent traces, newest first.
     pub fn recent(&self, n: usize) -> Vec<Arc<QueryTrace>> {
-        let ring = self.ring.lock().unwrap();
+        let ring = lock(&self.ring);
         ring.iter().rev().take(n).cloned().collect()
     }
 }

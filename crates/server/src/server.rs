@@ -21,7 +21,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -60,6 +60,15 @@ impl Default for ServerConfig {
             cache_capacity: 1024,
         }
     }
+}
+
+/// Locks `mutex`, absorbing poison. A worker that panics while holding a
+/// connection deque or a cache must not take every later request down
+/// with it: a deque is whole between pushes and pops, and a cache maps
+/// each key only to the answer or plan computed for it, so the worst a
+/// half-done update leaves is an entry that is kept or evicted late.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// State shared by the listener and every worker.
@@ -214,7 +223,7 @@ fn accept_loop(listener: TcpListener, shared: &Shared) {
                     session: Session::default(),
                 };
                 // Round-robin placement; stealing rebalances from there.
-                shared.queues[next_queue].lock().unwrap().push_back(conn);
+                lock(&shared.queues[next_queue]).push_back(conn);
                 next_queue = (next_queue + 1) % shared.queues.len();
                 shared.cv.notify_all();
             }
@@ -240,15 +249,15 @@ fn worker_loop(me: usize, shared: &Shared) {
         let conn = claim(me, shared);
         let Some(mut conn) = conn else {
             // Nothing anywhere: park until the listener enqueues.
-            let guard = shared.idle.lock().unwrap();
+            let guard = lock(&shared.idle);
             let _ = shared
                 .cv
                 .wait_timeout(guard, Duration::from_millis(5))
-                .unwrap();
+                .unwrap_or_else(PoisonError::into_inner);
             continue;
         };
         match service(&mut conn, shared) {
-            ConnFate::Keep => shared.queues[me].lock().unwrap().push_back(conn),
+            ConnFate::Keep => lock(&shared.queues[me]).push_back(conn),
             ConnFate::Drop => shared.metrics.connections_active.add(-1.0),
         }
     }
@@ -256,13 +265,13 @@ fn worker_loop(me: usize, shared: &Shared) {
 
 /// Own deque front first, then steal from the back of the others.
 fn claim(me: usize, shared: &Shared) -> Option<Conn> {
-    if let Some(c) = shared.queues[me].lock().unwrap().pop_front() {
+    if let Some(c) = lock(&shared.queues[me]).pop_front() {
         return Some(c);
     }
     let n = shared.queues.len();
     for step in 1..n {
         let victim = (me + step) % n;
-        if let Some(c) = shared.queues[victim].lock().unwrap().pop_back() {
+        if let Some(c) = lock(&shared.queues[victim]).pop_back() {
             return Some(c);
         }
     }
@@ -485,15 +494,11 @@ fn hello(shared: &Shared) -> Response {
 /// `Database::query` itself prepares the statement and runs it with no
 /// parameters; the cache only keeps the compiled plan between calls.
 fn plan(shared: &Shared, sql: &str) -> Result<Arc<Prepared>, VerdictError> {
-    if let Some(hit) = shared.plans.lock().unwrap().get(&sql.to_string()) {
+    if let Some(hit) = lock(&shared.plans).get(&sql.to_string()) {
         return Ok(hit);
     }
     let prepared = Arc::new(shared.db.prepare(sql)?);
-    shared
-        .plans
-        .lock()
-        .unwrap()
-        .insert(sql.to_string(), Arc::clone(&prepared));
+    lock(&shared.plans).insert(sql.to_string(), Arc::clone(&prepared));
     Ok(prepared)
 }
 
@@ -572,11 +577,7 @@ fn execute(
                 &effective,
                 token,
             );
-            let evicted = shared
-                .answers
-                .lock()
-                .unwrap()
-                .insert(key, Arc::new(bytes.clone()));
+            let evicted = lock(&shared.answers).insert(key, Arc::new(bytes.clone()));
             if evicted {
                 shared.metrics.cache_evictions_total.inc();
             }
@@ -606,7 +607,7 @@ fn lookup(
         options,
         token,
     );
-    let hit = shared.answers.lock().unwrap().get(&key);
+    let hit = lock(&shared.answers).get(&key);
     if hit.is_some() {
         shared.metrics.cache_hits_total.inc();
     }
@@ -631,5 +632,76 @@ fn error_response(e: VerdictError) -> Response {
     Response::Error {
         code,
         message: e.to_string(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wire::{read_frame, read_preamble};
+    use verdict::workload::multi::{orders_table, TwoTableSpec};
+    use verdict::TableOptions;
+
+    fn query(stream: &mut TcpStream, sql: &str) -> AnswerFrame {
+        let request = Request::Query {
+            sql: sql.to_string(),
+            options: WireOptions::default(),
+        };
+        write_frame(stream, &request.encode().unwrap()).unwrap();
+        match Response::decode(&read_frame(stream).unwrap()).unwrap() {
+            Response::Answer(answer) => answer,
+            other => panic!("wanted an answer, got {other:?}"),
+        }
+    }
+
+    /// A thread that panics while holding the answer cache (or the plan
+    /// cache) poisons its mutex; every later request is still answered,
+    /// and a repeat is still a byte-identical cache hit.
+    #[test]
+    fn a_poisoned_cache_mutex_does_not_stop_serving() {
+        let table = orders_table(&TwoTableSpec {
+            orders_rows: 2_000,
+            events_rows: 1,
+            seed: 5,
+        });
+        let options = TableOptions {
+            sample_fraction: 0.2,
+            batch_size: 250,
+            seed: 5,
+            ..Default::default()
+        };
+        let db = Database::builder()
+            .register_table_with("orders", table, options)
+            .build()
+            .unwrap();
+        let server = serve(Arc::new(db), "127.0.0.1:0", ServerConfig::default()).unwrap();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        write_preamble(&mut stream).unwrap();
+        read_preamble(&mut stream).unwrap();
+        let sql = "SELECT AVG(amount) FROM orders WHERE day BETWEEN 10 AND 40";
+        let first = query(&mut stream, sql);
+        assert!(!first.cached);
+
+        let shared = Arc::clone(&server.shared);
+        let poisoner = thread::spawn(move || {
+            let _answers = shared.answers.lock().unwrap();
+            let _plans = shared.plans.lock().unwrap();
+            panic!("a worker dies holding both caches");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(server.shared.answers.is_poisoned());
+        assert!(server.shared.plans.is_poisoned());
+
+        let again = query(&mut stream, sql);
+        assert!(again.cached);
+        assert_eq!(again.outcome, first.outcome);
+        let other = query(
+            &mut stream,
+            "SELECT AVG(amount) FROM orders WHERE day BETWEEN 50 AND 70",
+        );
+        assert!(!other.cached);
+        assert_ne!(other.outcome, first.outcome);
+        drop(stream);
+        server.shutdown();
     }
 }
