@@ -10,7 +10,7 @@ use verdict_core::region::{DimensionSpec, SchemaInfo};
 use verdict_core::snippet::{AggKey, Observation};
 use verdict_core::{Region, Snippet, Verdict, VerdictConfig};
 use verdict_storage::Predicate;
-use verdict_store::{BaseRows, SessionMeta, SnapshotBase, StorePolicy, SynopsisStore};
+use verdict_store::{BaseRows, SessionMeta, StorePolicy, SynopsisStore};
 use verdict_workload::synthetic::{generate_table, SyntheticSpec};
 
 fn schema() -> SchemaInfo {
@@ -131,10 +131,9 @@ fn bench_snapshot(c: &mut Criterion) {
     };
     group.bench_function("write_snapshot_trained_5k_rows", |b| {
         b.iter(|| {
-            let base = SnapshotBase::Table(&table);
             let schema_fp = fingerprint(&state.schema);
             store
-                .snapshot(m.clone(), schema_fp, &state.to_bytes(), base)
+                .snapshot(m.clone(), schema_fp, &state.to_bytes(), &table, None)
                 .unwrap()
         })
     });

@@ -560,23 +560,10 @@ impl Persist for TrainedModel {
         encode_f64s(self.alpha(), enc);
     }
 
+    /// The factor is input from outside the program: a length that is
+    /// not `n(n+1)/2`, a non-finite entry or a non-positive diagonal is
+    /// [`PersistError::Corrupt`].
     fn decode(dec: &mut Decoder<'_>) -> PersistResult<TrainedModel> {
-        TrainedModel::decode_layout(dec, None)
-    }
-}
-
-impl TrainedModel {
-    /// Decodes a model. The factor is input from outside the program: a
-    /// length that is not `n(n+1)/2`, a non-finite entry or a non-positive
-    /// diagonal is [`PersistError::Corrupt`]. With `refit = Some((schema,
-    /// jitter))` the layout is that of store versions 2 and 3, which held
-    /// `Σₙ⁻¹` (rows, cols, entries) where the factor is: that matrix and
-    /// `α` are skipped, and the model is fitted again with `jitter` — `fit`
-    /// is deterministic, so the result is the bits of a fresh fit.
-    fn decode_layout(
-        dec: &mut Decoder<'_>,
-        refit: Option<(&SchemaInfo, f64)>,
-    ) -> PersistResult<TrainedModel> {
         let mode = AggMode::decode(dec)?;
         let params = KernelParams::decode(dec)?;
         let prior = PriorMean::decode(dec)?;
@@ -586,30 +573,6 @@ impl TrainedModel {
         let corrupt = |what: String| PersistError::Corrupt(format!("model of {n} regions: {what}"));
         if observations.len() != n {
             return Err(corrupt(format!("{} observations", observations.len())));
-        }
-        if let Some((schema, jitter)) = refit {
-            let (rows, cols) = (dec.take_len()?, dec.take_len()?);
-            for _ in 0..rows.saturating_mul(cols) {
-                dec.take_f64()?;
-            }
-            decode_f64s(dec)?;
-            let dims = schema.len();
-            if (rows, cols) != (n, n)
-                || params.lengthscales.len() != dims
-                || regions.iter().any(|r| r.constraints().len() != dims)
-            {
-                return Err(corrupt(format!("{rows}x{cols} Σ⁻¹, not over the schema")));
-            }
-            return TrainedModel::fit_owned(
-                schema,
-                mode,
-                regions,
-                observations,
-                params,
-                prior,
-                jitter,
-            )
-            .map_err(|e| corrupt(format!("refit: {e}")));
         }
         let factor = Cholesky::from_packed(decode_f64s(dec)?)
             .map_err(|e| corrupt(format!("factor: {e}")))?;
@@ -696,40 +659,6 @@ pub struct EngineState {
     pub stats: EngineStats,
 }
 
-impl EngineState {
-    /// Decodes a state. `refit_jitter = Some(jitter)` reads the layout of
-    /// store versions 2 and 3, whose models held `Σₙ⁻¹`: each model is
-    /// fitted again as it is read, with the stored configuration's jitter,
-    /// as when it was first fitted.
-    pub fn decode_layout(
-        dec: &mut Decoder<'_>,
-        refit_jitter: Option<f64>,
-    ) -> PersistResult<EngineState> {
-        let schema = SchemaInfo::decode(dec)?;
-        let n = dec.take_len()?;
-        let mut synopses = Vec::with_capacity(n.min(1 << 10));
-        for _ in 0..n {
-            synopses.push((AggKey::decode(dec)?, QuerySynopsis::decode(dec)?));
-        }
-        let n = dec.take_len()?;
-        let mut models = Vec::with_capacity(n.min(1 << 10));
-        for _ in 0..n {
-            let refit = refit_jitter.map(|jitter| (&schema, jitter));
-            models.push((
-                AggKey::decode(dec)?,
-                TrainedModel::decode_layout(dec, refit)?,
-            ));
-        }
-        let stats = EngineStats::decode(dec)?;
-        Ok(EngineState {
-            schema,
-            synopses,
-            models,
-            stats,
-        })
-    }
-}
-
 impl Persist for EngineState {
     fn encode(&self, enc: &mut Encoder) {
         self.schema.encode(enc);
@@ -747,12 +676,29 @@ impl Persist for EngineState {
     }
 
     fn decode(dec: &mut Decoder<'_>) -> PersistResult<EngineState> {
-        EngineState::decode_layout(dec, None)
+        let schema = SchemaInfo::decode(dec)?;
+        let n = dec.take_len()?;
+        let mut synopses = Vec::with_capacity(n.min(1 << 10));
+        for _ in 0..n {
+            synopses.push((AggKey::decode(dec)?, QuerySynopsis::decode(dec)?));
+        }
+        let n = dec.take_len()?;
+        let mut models = Vec::with_capacity(n.min(1 << 10));
+        for _ in 0..n {
+            models.push((AggKey::decode(dec)?, TrainedModel::decode(dec)?));
+        }
+        let stats = EngineStats::decode(dec)?;
+        Ok(EngineState {
+            schema,
+            synopses,
+            models,
+            stats,
+        })
     }
 }
 
 /// 64-bit FNV-1a over raw bytes — the single fingerprint algorithm every
-/// store-side binding (schema, table file) must agree on.
+/// store-side binding (schema, plan) must agree on.
 pub fn fingerprint_bytes(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -966,33 +912,6 @@ mod tests {
         };
         assert!(corrupt(&shorter).is_err());
         assert!(TrainedModel::from_bytes(&good).is_ok());
-    }
-
-    #[test]
-    fn legacy_models_are_refit_to_a_fresh_fits_bits() {
-        let (s, model) = fitted_model();
-        let n = model.n();
-        // The version-3 layout: `Σₙ⁻¹` as rows, cols and entries where the
-        // packed factor is now. Neither it nor α is read back, so junk
-        // will do.
-        let mut enc = Encoder::new();
-        model.mode().encode(&mut enc);
-        model.params().encode(&mut enc);
-        model.prior().encode(&mut enc);
-        encode_vec(model.regions(), &mut enc);
-        encode_vec(model.observations(), &mut enc);
-        enc.put_len(n);
-        enc.put_len(n);
-        (0..n * n).for_each(|_| enc.put_f64(f64::NAN));
-        encode_f64s(&vec![-1.0; n], &mut enc);
-        let bytes = enc.into_bytes();
-        let refit =
-            |schema| TrainedModel::decode_layout(&mut Decoder::new(&bytes), Some((schema, 1e-9)));
-        let back = refit(&s).unwrap();
-        assert_eq!(back.to_bytes(), model.to_bytes());
-        // A legacy model whose shapes disagree is refused, not refit.
-        let other = schema();
-        assert!(matches!(refit(&other), Err(PersistError::Corrupt(_))));
     }
 
     #[test]

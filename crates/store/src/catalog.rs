@@ -5,16 +5,17 @@
 //! ```text
 //! <root>/CATALOG              the manifest: ordered table names
 //! <root>/tables/<name>/       one complete per-table store each
-//!     wal.vlog, snapshot-*.vsnap, table-*.vtab, LOCK   (format v2)
+//!     wal.vlog, snapshot-*.vsnap, part-*.vcol, LOCK
 //! ```
 //!
 //! The manifest is tiny and immutable for a given catalog (tables are
 //! registered at build time); each per-table subdirectory is an ordinary
-//! [`crate::SynopsisStore`] directory, so all the v2 crash-safety
-//! machinery — WAL replay, snapshot generations, torn-tail truncation,
-//! advisory locks — applies per table unchanged. A v2 single-table
-//! directory (no `CATALOG` file, store files at the root) still opens:
-//! `Database::open` detects the layout by the manifest's presence.
+//! [`crate::SynopsisStore`] directory, so all the crash-safety machinery
+//! — WAL replay, snapshot generations, torn-tail truncation of the log
+//! and the part files, advisory locks — applies per table unchanged. A
+//! single-table directory (no `CATALOG` file, store files at the root)
+//! still opens: `Database::open` detects the layout by the manifest's
+//! presence.
 //!
 //! The manifest is written like every other whole store file, through
 //! [`crate::snapshot::write_atomic`]: temp file, fsync, rename,
@@ -31,8 +32,7 @@ use crate::{Result, StoreError};
 /// File magic for the catalog manifest.
 pub const CATALOG_MAGIC: [u8; 8] = *b"VDBLCATL";
 /// Store layout version the manifest declares. v3 = catalog manifest +
-/// per-table subdirectories (v2 = flat single-table store, v1 = v2 with a
-/// write-once table file).
+/// per-table subdirectories (v2 = flat single-table store).
 pub const CATALOG_VERSION: u32 = 3;
 /// Manifest file name inside the root directory.
 pub const CATALOG_FILE: &str = "CATALOG";

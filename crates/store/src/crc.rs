@@ -1,9 +1,9 @@
 //! CRC-32 (ISO-HDLC / "zlib" polynomial 0xEDB88320), slicing-by-8.
 //!
 //! Every checksum the system writes or checks is this one function:
-//! WAL records ([`crate::log`]), snapshot bodies and table generations
-//! ([`crate::snapshot`]), the catalog manifest ([`crate::catalog`]),
-//! partition-file records ([`crate::partfile`]) and the server's wire
+//! WAL records ([`crate::log`]), snapshot bodies ([`crate::snapshot`]),
+//! the catalog manifest ([`crate::catalog`]), partition-file records
+//! ([`crate::partfile`]) and the server's wire
 //! frames. Torn writes and bit rot are detected at recovery (or at frame
 //! decode) instead of silently corrupting the learned model.
 //!

@@ -19,53 +19,60 @@
 //!   [`snapshot::write_atomic`]) and the log is truncated. Snapshots
 //!   record the last folded sequence number, so a crash between "write
 //!   snapshot" and "truncate log" never double applies records.
+//! - **Append-only row files** ([`partfile`], `part-<id>.vcol`): the
+//!   base rows, written once at create and then only appended to — each
+//!   ingest adds one CRC-framed record stamped with its WAL sequence.
+//!   An ingest costs the rows it adds, and a snapshot never rewrites
+//!   them.
 //! - **Crash-safe recovery** ([`store::SynopsisStore::open`]): the newest
 //!   snapshot generation that validates is loaded (corrupt generations
-//!   fall back to older ones), the log's torn tail — short writes, bad
-//!   checksums, garbage lengths — is truncated away, and surviving
-//!   records with `seq > snapshot.last_seq` are replayed into the
-//!   synopsis.
+//!   fall back to older ones), the log's and the row files' torn tails —
+//!   short writes, bad checksums, garbage lengths — are truncated away,
+//!   and surviving records with `seq > snapshot.last_seq` are replayed.
 //!
 //! A resident table and an out-of-core ("paged") one go through the same
 //! [`SynopsisStore::create`], [`SynopsisStore::open`] and
-//! [`SynopsisStore::snapshot`]; they differ only in where the base rows
-//! live ([`BaseRows`], [`SnapshotBase`]).
+//! [`SynopsisStore::snapshot`], and keep their rows in the same row
+//! format: a resident table in one file, `part-000000.vcol`, read whole
+//! at open; a paged table in one file per partition, faulted in on
+//! demand. What open hands back is the one difference ([`BaseRows`]).
 //!
 //! ## Catalog layout (version 3)
 //!
 //! A multi-table `Database` persists under one root directory: a
 //! [`catalog`] manifest (`CATALOG`: magic `"VDBLCATL"`, version 3,
 //! CRC-checked ordered table names) plus one complete per-table store in
-//! `tables/<name>/`. Every per-table store is an ordinary v2 directory,
-//! so the WAL/snapshot/recovery machinery below applies per table
-//! unchanged, and a v2 single-table directory (no manifest) still opens.
+//! `tables/<name>/`. Every per-table store is an ordinary store
+//! directory, so the WAL/snapshot/recovery machinery below applies per
+//! table unchanged, and a single-table directory (no manifest) still
+//! opens.
 //!
-//! ## Per-table store format (version 2)
+//! ## Per-table store format
 //!
 //! All integers little-endian; all floats raw IEEE-754 bits (bit-exact
 //! round trips). Payload encodings come from [`verdict_core::persist`].
-//! Version 2 replaced v1's write-once `table.vtab` with **table
-//! generations** and added **ingest records** to the WAL, so the store
-//! can persist an evolving relation.
 //!
 //! ```text
-//! table-<gen>.vtab (immutable once written; a checkpoint that folds
-//!                   ingest records writes the next generation):
-//!   magic    8B  "VDBLTABL"
-//!   version  u32 = 1
-//!   body_len u64
-//!   body_crc u32   CRC-32 (ISO-HDLC) of body
-//!   body         Table (schema + columns)
+//! part-<id>.vcol (one per partition; a resident table has only id 0):
+//!   magic     8B  "VDBLPCOL"
+//!   version   u32 = 1
+//!   partition u32
+//!   records:  len u32 | crc u32 | payload   (crc over payload)
+//!     payload = seq u64 | rows u32 | columns (column-major: numeric
+//!               f64 bits, categorical u32 codes into the snapshot's
+//!               resolution table); record 0 holds the create-time rows
+//!               (seq 0), each later record one ingest batch's share
 //!
 //! snapshot-<gen>.vsnap:
 //!   magic     8B  "VDBLSNAP"
-//!   version   u32 = 4   (2 and 3 still open; their models are refit)
+//!   version   u32 = 4   (the only version read)
 //!   last_seq  u64   highest log sequence folded into this snapshot
-//!   table_gen u64   table generation the state was learned against
+//!   table_gen u64 = 0   reserved
 //!   body_len  u64
 //!   body_crc  u32   CRC-32 (ISO-HDLC) of body
 //!   body          SessionMeta ++ table_fp u64 ++ data_epoch u64
-//!                 ++ PagedState (only when SessionMeta.paged; v3+)
+//!                 ++ resolution Table (zero rows: schema + dictionaries)
+//!                 ++ PagedState (only when SessionMeta.paged)
 //!                 ++ EngineState
 //!
 //! wal.vlog:
@@ -85,44 +92,43 @@
 //!       released automatically by the OS on process death)
 //! ```
 //!
-//! ## Out-of-core partitions (paged stores, snapshot v3 onward)
+//! `table_fp` is the FNV-1a of every part file's id and create-time
+//! record CRC: it binds a snapshot to the base rows it was learned from.
+//! A store without `part-000000.vcol` — one whose rows sat in the
+//! retired table generations — is refused at open.
 //!
-//! A session built with `partition_by` + `persist_to` goes **paged**: the
-//! base table's rows never live in `table-<gen>.vtab` generations at all.
-//! Instead each partition's rows sit in an append-only column file,
-//! `part-<id>.vcol` (see [`partfile`] for the exact frame layout), and
-//! the snapshot body carries a [`PagedState`] — the partition map with
-//! per-partition summaries, the frozen create-time cardinalities the
-//! sample segments draw over, the zero-row *resolution* table holding
-//! the schema and full categorical dictionaries, and each sample's
-//! resident ingest tail. Queries fault partition segments in on demand
-//! under a byte budget; partitions whose summaries exclude the predicate
-//! are pruned without opening their files at all.
+//! ## Ingest and recovery
 //!
-//! Ingest stays WAL-first: the row batch lands in `wal.vlog` (tag 2, as
-//! in v2), then write-extends **only** the `part-<id>.vcol` files that
-//! actually received rows, stamping each appended record with the
-//! batch's WAL sequence. Recovery after a crash heals torn part-file
-//! tails by frame CRC (exactly like the WAL's own tail), verifies each
-//! file's record-0 CRC against the manifest fingerprint, and re-appends
-//! any WAL ingest batch whose sequence is missing from a partition's
-//! file — record-level idempotence, so a batch that "won the crash" in
-//! some partitions and lost it in others converges without double
-//! appends. Answers after recovery are bit-identical to a session that
-//! never crashed.
+//! Ingest is WAL-first: the row batch and the synopsis adjustments the
+//! live engine applied land in `wal.vlog` (tag 2), then the batch
+//! write-extends **only** the part files that received rows, each
+//! appended record stamped with the batch's WAL sequence. A checkpoint
+//! writes the snapshot file alone — the rows are durable already — so
+//! its cost scales with the synopsis, not the data.
 //!
-//! Snapshots carry only the session metadata and learned state; the
-//! (potentially large) base table lives in immutable generation files
-//! bound to each snapshot by generation number and FNV-1a fingerprint. A
-//! checkpoint rewrites the table **only** when ingest records landed
-//! since the previous generation, so compaction cost on a non-evolving
-//! table still scales with the synopsis rather than the data. An ingest
-//! record carries the appended rows *and* the synopsis adjustments the
-//! live engine applied, so recovery replays exactly what the live
-//! session did — a torn ingest frame recovers to the last complete
-//! batch, with table, sample, and synopses mutually consistent. A log or
-//! snapshot whose header carries an unknown version or foreign magic is
-//! refused, never truncated.
+//! Recovery heals torn part-file tails by frame CRC (exactly like the
+//! WAL's own tail), cuts any record stamped past the newest sequence the
+//! log and snapshot hold (its WAL record did not survive), verifies the
+//! create-time records against the snapshot's `table_fp`, and replays
+//! each surviving ingest record: it re-appends the batch to any part
+//! file whose records lack its sequence — record-level idempotence, so a
+//! batch that "won the crash" in some files and lost it in others
+//! converges without double appends — and stages and commits the same
+//! Lemma-3 rewrite the live engine did. A torn ingest frame recovers to
+//! the last complete batch, with rows, sample and synopses mutually
+//! consistent, and answers bit-identical to a session that never
+//! crashed.
+//!
+//! An out-of-core table (`partition_by` + `persist_to`) keeps only its
+//! resolution table and each sample's ingest tail resident. The snapshot
+//! body's [`PagedState`] carries the partition map with per-partition
+//! summaries, the frozen create-time cardinalities the sample segments
+//! draw over, and the tails. Queries fault partition segments in on
+//! demand under a byte budget; partitions whose summaries exclude the
+//! predicate are pruned without opening their files at all.
+//!
+//! A log or snapshot whose header carries an unknown version or foreign
+//! magic is refused, never truncated.
 
 pub mod catalog;
 pub mod crc;
@@ -136,8 +142,8 @@ pub use catalog::{read_catalog, write_catalog, CatalogManifest};
 pub use partfile::{read_part_rows, PagedState, PartScan};
 pub use snapshot::{SessionMeta, Snapshot};
 pub use store::{
-    BaseRows, PagedRecovered, Recovered, RecoveryReport, SharedStore, SnapshotBase,
-    SnapshotReceipt, StorePolicy, StoreStats, SynopsisStore,
+    BaseRows, PagedRecovered, Recovered, RecoveryReport, SharedStore, SnapshotReceipt, StorePolicy,
+    StoreStats, SynopsisStore,
 };
 
 /// Errors raised by the durable store.

@@ -29,8 +29,8 @@ use crate::{Result, StoreError};
 
 /// File magic for the write-ahead log.
 pub const LOG_MAGIC: [u8; 8] = *b"VDBLWLOG";
-/// Current log format version (v2 added ingest records and table
-/// generations; v1 logs are refused, never truncated).
+/// Current log format version (v2 added ingest records; v1 logs are
+/// refused, never truncated).
 pub const LOG_VERSION: u32 = 2;
 /// Header: magic + version + reserved word.
 pub const LOG_HEADER_LEN: u64 = 16;

@@ -1,11 +1,12 @@
-//! Partition column files (`part-<id>.vcol`) of paged stores (snapshot
-//! format v3 onward).
+//! Partition column files (`part-<id>.vcol`): where every store keeps
+//! its base rows.
 //!
 //! An out-of-core ("paged") store keeps the base table's rows in one
-//! append-only column file per partition instead of monolithic
-//! `table-<gen>.vtab` generations. A scan then faults in only the
+//! append-only column file per partition. A scan then faults in only the
 //! partitions it needs, and ingest write-extends only the files of the
-//! partitions that actually received rows.
+//! partitions that actually received rows. A resident store is the
+//! one-partition case: `part-000000.vcol` holds every row, and the store
+//! reads it whole at open. Either way an ingest costs the rows it adds.
 //!
 //! ```text
 //! part-<id>.vcol:
@@ -26,7 +27,9 @@
 //!
 //! Torn tails — a crash mid-append — are detected by the frame CRC and
 //! truncated away at open, exactly like the WAL; everything before the
-//! tear is intact because records are strictly appended. Create-time
+//! tear is intact because records are strictly appended. So are whole
+//! records past the newest sequence the WAL or snapshot vouches for: a
+//! batch whose WAL record did not survive never lands. Create-time
 //! rows are always record 0, so the first `original_rows[p]` decoded
 //! rows are the draw domain of partition `p`'s sample segment no matter
 //! how many ingest records follow.
@@ -159,7 +162,8 @@ pub struct PartScan {
     pub record0_crc: u32,
     /// File length covered by the header + valid records.
     pub valid_len: u64,
-    /// Torn/corrupt trailing bytes after the last valid record.
+    /// Trailing bytes after the last valid record: a torn or corrupt
+    /// frame, or whole records past the walk's `max_seq`.
     pub torn_bytes: u64,
 }
 
@@ -237,16 +241,20 @@ impl Frames {
 
 /// Walks partition `p`'s file one frame at a time, validating the header
 /// and every frame. Stops at the first short/corrupt frame (a torn
-/// append) and reports its length as `torn_bytes` — everything before it
-/// is intact.
-pub fn scan_part_file(dir: &Path, p: u32) -> Result<PartScan> {
+/// append) or the first record stamped past `max_seq`, and reports what
+/// follows as `torn_bytes` — everything before it is intact.
+pub fn scan_part_file(dir: &Path, p: u32, max_seq: u64) -> Result<PartScan> {
     let mut frames = Frames::open(dir, p)?;
     let mut rows = 0u64;
     let mut seqs = Vec::new();
     let mut record0_crc = None;
+    let mut valid_len = frames.valid;
     while let Some(payload) = frames.next()? {
         let seq = u64::from_le_bytes(payload[..8].try_into().unwrap());
         let n = u32::from_le_bytes(payload[8..12].try_into().unwrap());
+        if seq > max_seq {
+            break;
+        }
         if record0_crc.is_none() {
             if seq != 0 {
                 return Err(StoreError::Corrupt(format!(
@@ -258,6 +266,7 @@ pub fn scan_part_file(dir: &Path, p: u32) -> Result<PartScan> {
         }
         rows += u64::from(n);
         seqs.push(seq);
+        valid_len = frames.valid;
     }
     let Some(record0_crc) = record0_crc else {
         return Err(StoreError::Corrupt(format!(
@@ -269,15 +278,18 @@ pub fn scan_part_file(dir: &Path, p: u32) -> Result<PartScan> {
         rows,
         seqs,
         record0_crc,
-        valid_len: frames.valid,
-        torn_bytes: frames.len - frames.valid,
+        valid_len,
+        torn_bytes: frames.len - valid_len,
     })
 }
 
-/// Scans partition `p`'s file and truncates any torn tail away, so
-/// subsequent appends extend from the last whole record.
-pub fn open_part_file(dir: &Path, p: u32) -> Result<PartScan> {
-    let scan = scan_part_file(dir, p)?;
+/// Scans partition `p`'s file and truncates away any torn tail and any
+/// record stamped past `max_seq` — the newest sequence the store's WAL
+/// and snapshot hold, so such a record belongs to a batch whose WAL
+/// record did not survive. Subsequent appends extend from the last whole
+/// record.
+pub fn open_part_file(dir: &Path, p: u32, max_seq: u64) -> Result<PartScan> {
+    let scan = scan_part_file(dir, p, max_seq)?;
     if scan.torn_bytes > 0 {
         let f = OpenOptions::new().write(true).open(part_path(dir, p))?;
         f.set_len(scan.valid_len)?;
@@ -383,10 +395,9 @@ pub fn read_part_rows(dir: &Path, p: u32, proto: &Table, min_rows: usize) -> Res
 }
 
 /// The store's part fingerprint: FNV-1a over every partition's id and
-/// create-time record CRC, in partition order. Binds a paged snapshot to
-/// the create-time data exactly like `table_fp` binds a resident one to
-/// its table generation — ingest appends do not perturb it (they are
-/// covered by WAL sequencing instead).
+/// create-time record CRC, in partition order. Binds a snapshot to the
+/// create-time data; ingest appends do not perturb it (they are covered
+/// by WAL sequencing instead).
 pub fn part_fingerprint(record0_crcs: &[u32]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for (p, &crc) in record0_crcs.iter().enumerate() {
@@ -403,8 +414,8 @@ pub fn part_fingerprint(record0_crcs: &[u32]) -> u64 {
 }
 
 // ---------------------------------------------------------------------
-// Paged-state codec: the snapshot body section a paged store carries in
-// place of a table generation reference.
+// Paged-state codec: the snapshot body section only a paged store
+// carries.
 // ---------------------------------------------------------------------
 
 /// Encodes a [`PartitionSpec`].
@@ -517,13 +528,11 @@ pub fn decode_partition_map(schema: &Schema, dec: &mut Decoder<'_>) -> Result<Pa
         .map_err(|e| StoreError::Corrupt(format!("partition map: {e}")))
 }
 
-/// Everything a paged snapshot persists in place of a base-table
-/// generation: the routing map (summaries included, extended through
-/// every folded ingest), the frozen create-time per-partition
-/// cardinalities the sample draws are defined over, the zero-row
-/// resolution table carrying the full categorical dictionaries, the
-/// base-table row count at snapshot time, and each sample's resident
-/// ingest tail.
+/// What a paged snapshot persists beyond the resolution table every
+/// snapshot carries: the routing map (summaries included, extended
+/// through every folded ingest), the frozen create-time per-partition
+/// cardinalities the sample draws are defined over, the base-table row
+/// count at snapshot time, and each sample's resident ingest tail.
 #[derive(Debug, Clone)]
 pub struct PagedState {
     /// Routing + per-partition summaries of the whole base table.
@@ -531,8 +540,6 @@ pub struct PagedState {
     /// Create-time rows per partition (frozen at create; the sample
     /// draw domain).
     pub original_part_rows: Vec<u64>,
-    /// Zero-row table holding the schema and full dictionaries.
-    pub resolution: Table,
     /// Base-table rows folded into this snapshot (create + ingests).
     pub total_rows: u64,
     /// Per-sample resident ingest tails, in sample order. Shared with
@@ -543,7 +550,6 @@ pub struct PagedState {
 
 /// Encodes a [`PagedState`].
 pub fn encode_paged_state(state: &PagedState, enc: &mut Encoder) {
-    encode_table(&state.resolution, enc);
     enc.put_u64(state.total_rows);
     enc.put_len(state.original_part_rows.len());
     for &n in &state.original_part_rows {
@@ -556,22 +562,15 @@ pub fn encode_paged_state(state: &PagedState, enc: &mut Encoder) {
     }
 }
 
-/// Decodes a [`PagedState`].
-pub fn decode_paged_state(dec: &mut Decoder<'_>) -> Result<PagedState> {
-    let resolution = decode_table(dec)?;
-    if resolution.num_rows() != 0 {
-        return Err(StoreError::Corrupt(format!(
-            "paged resolution table holds {} rows, expected none",
-            resolution.num_rows()
-        )));
-    }
+/// Decodes a [`PagedState`] over `schema`, the resolution table's.
+pub fn decode_paged_state(schema: &Schema, dec: &mut Decoder<'_>) -> Result<PagedState> {
     let total_rows = dec.take_u64()?;
     let n = dec.take_len()?;
     let mut original_part_rows = Vec::with_capacity(n.min(1 << 16));
     for _ in 0..n {
         original_part_rows.push(dec.take_u64()?);
     }
-    let map = decode_partition_map(resolution.schema(), dec)?;
+    let map = decode_partition_map(schema, dec)?;
     if map.num_partitions() != original_part_rows.len() {
         return Err(StoreError::Corrupt(format!(
             "paged state covers {} partitions but lists {} create-time counts",
@@ -583,7 +582,7 @@ pub fn decode_paged_state(dec: &mut Decoder<'_>) -> Result<PagedState> {
     let mut tails = Vec::with_capacity(t.min(1 << 10));
     for _ in 0..t {
         let tail = decode_table(dec)?;
-        if tail.schema() != resolution.schema() {
+        if tail.schema() != schema {
             return Err(StoreError::Corrupt(
                 "paged tail schema differs from the resolution schema".into(),
             ));
@@ -593,7 +592,6 @@ pub fn decode_paged_state(dec: &mut Decoder<'_>) -> Result<PagedState> {
     Ok(PagedState {
         map,
         original_part_rows,
-        resolution,
         total_rows,
         tails,
     })
@@ -638,7 +636,7 @@ mod tests {
         write_part_file(&dir, 3, &base).unwrap();
         let extra = table(10, 40);
         append_part_record(&dir, 3, 7, &extra, 0..10).unwrap();
-        let scan = scan_part_file(&dir, 3).unwrap();
+        let scan = scan_part_file(&dir, 3, u64::MAX).unwrap();
         assert_eq!(scan.partition, 3);
         assert_eq!(scan.rows, 50);
         assert_eq!(scan.seqs, vec![0, 7]);
@@ -667,13 +665,13 @@ mod tests {
         // always fall back to the create-time record alone.
         for cut in whole.len() + 1..full.len() {
             std::fs::write(part_path(&dir, 0), &full[..cut]).unwrap();
-            let scan = open_part_file(&dir, 0).unwrap();
+            let scan = open_part_file(&dir, 0, u64::MAX).unwrap();
             assert_eq!(scan.seqs, vec![0], "cut {cut}");
             assert_eq!(scan.rows, 20, "cut {cut}");
             assert_eq!(scan.torn_bytes, (cut - whole.len()) as u64, "cut {cut}");
             // The truncation leaves a file appends can extend again.
             append_part_record(&dir, 0, 5, &table(8, 20), 0..8).unwrap();
-            let healed = scan_part_file(&dir, 0).unwrap();
+            let healed = scan_part_file(&dir, 0, u64::MAX).unwrap();
             assert_eq!(healed.seqs, vec![0, 5], "cut {cut}");
             assert_eq!(healed.rows, 28, "cut {cut}");
             std::fs::write(part_path(&dir, 0), &full).unwrap();
@@ -689,9 +687,27 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;
         std::fs::write(part_path(&dir, 1), &bytes).unwrap();
-        let scan = open_part_file(&dir, 1).unwrap();
+        let scan = open_part_file(&dir, 1, u64::MAX).unwrap();
         assert_eq!(scan.seqs, vec![0]);
         assert!(scan.torn_bytes > 0);
+    }
+
+    /// Records stamped past the newest sequence the WAL vouches for are
+    /// cut at open like a torn tail; the records before them stay.
+    #[test]
+    fn records_past_max_seq_are_truncated() {
+        let dir = tempdir("orphans");
+        write_part_file(&dir, 0, &table(10, 0)).unwrap();
+        append_part_record(&dir, 0, 3, &table(4, 10), 0..4).unwrap();
+        let kept = std::fs::metadata(part_path(&dir, 0)).unwrap().len();
+        append_part_record(&dir, 0, 8, &table(2, 14), 0..2).unwrap();
+        append_part_record(&dir, 0, 9, &table(3, 16), 0..3).unwrap();
+        let scan = open_part_file(&dir, 0, 7).unwrap();
+        assert_eq!(scan.seqs, vec![0, 3]);
+        assert_eq!(scan.rows, 14);
+        assert_eq!(scan.valid_len, kept);
+        assert_eq!(std::fs::metadata(part_path(&dir, 0)).unwrap().len(), kept);
+        assert_eq!(scan_part_file(&dir, 0, u64::MAX).unwrap().torn_bytes, 0);
     }
 
     /// A record whose CRC holds but whose row count overstates its body —
@@ -775,7 +791,7 @@ mod tests {
         bytes[0] ^= 0xFF;
         std::fs::write(part_path(&dir, 2), &bytes).unwrap();
         assert!(matches!(
-            scan_part_file(&dir, 2),
+            scan_part_file(&dir, 2, u64::MAX),
             Err(StoreError::Corrupt(_))
         ));
     }
@@ -785,11 +801,9 @@ mod tests {
         let t = table(60, 0);
         let spec = PartitionSpec::range("x", vec![20.0, 40.0]);
         let map = PartitionMap::build(&t, spec).unwrap();
-        let mut resolution = Table::new(t.schema().clone());
-        resolution.sync_dictionaries_from(&t).unwrap();
+        let resolution = t.gather(&[]).unwrap();
         let state = PagedState {
             original_part_rows: vec![20, 20, 20],
-            resolution: resolution.clone(),
             total_rows: 60,
             tails: vec![Arc::new(resolution.clone()), Arc::new(resolution)],
             map,
@@ -798,17 +812,11 @@ mod tests {
         encode_paged_state(&state, &mut enc);
         let bytes = enc.into_bytes();
         let mut dec = Decoder::new(&bytes);
-        let back = decode_paged_state(&mut dec).unwrap();
+        let back = decode_paged_state(t.schema(), &mut dec).unwrap();
         assert!(dec.is_exhausted());
         assert_eq!(back.map, state.map);
         assert_eq!(back.original_part_rows, state.original_part_rows);
         assert_eq!(back.total_rows, state.total_rows);
-        assert_eq!(back.resolution.schema(), state.resolution.schema());
-        assert_eq!(back.resolution.num_rows(), 0);
-        assert_eq!(
-            back.resolution.column("g").unwrap().labels().unwrap(),
-            state.resolution.column("g").unwrap().labels().unwrap()
-        );
         assert_eq!(back.tails.len(), 2);
         assert_eq!(
             back.tails[0].column("g").unwrap().labels().unwrap(),
@@ -824,8 +832,8 @@ mod tests {
         let fp = part_fingerprint(&[c0, c1]);
         // Ingest appends leave the fingerprint unchanged.
         append_part_record(&dir, 0, 3, &table(2, 20), 0..2).unwrap();
-        let s0 = scan_part_file(&dir, 0).unwrap();
-        let s1 = scan_part_file(&dir, 1).unwrap();
+        let s0 = scan_part_file(&dir, 0, u64::MAX).unwrap();
+        let s1 = scan_part_file(&dir, 1, u64::MAX).unwrap();
         assert_eq!(part_fingerprint(&[s0.record0_crc, s1.record0_crc]), fp);
         assert_ne!(part_fingerprint(&[c1, c0]), fp);
     }

@@ -1,13 +1,14 @@
-//! The [`SynopsisStore`]: log + snapshots under one directory, with
-//! crash-safe recovery and a compaction policy.
+//! The [`SynopsisStore`]: log, snapshots and part files under one
+//! directory, with crash-safe recovery and a compaction policy.
 //!
 //! Resident and paged (out-of-core) tables share every durable step:
-//! [`SynopsisStore::create`], the WAL appends, [`SynopsisStore::snapshot`]
-//! and [`SynopsisStore::open`]'s one replay loop. The only point where
-//! they differ is where the base rows live — table generations for a
-//! resident table, `part-<id>.vcol` files for a paged one — and that is
-//! one enum consulted there: [`BaseRows`] at open, [`SnapshotBase`] at a
-//! checkpoint.
+//! [`SynopsisStore::create`], the WAL-first appends,
+//! [`SynopsisStore::snapshot`] and [`SynopsisStore::open`]'s one replay
+//! loop. Both keep their base rows in `part-<id>.vcol` files — a resident
+//! table in one, `part-000000.vcol`, a paged table in one per partition —
+//! and every snapshot carries the resolution table their codes refer to.
+//! They differ only in what open hands back ([`BaseRows`]): a resident
+//! table's part file read whole, or a paged table's [`PagedState`].
 
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
@@ -21,12 +22,11 @@ use verdict_storage::{PartitionMap, PartitionSpec, Table, Value};
 
 use crate::log::{IngestRecord, LogRecord, SnippetLog, SnippetRecord};
 use crate::partfile::{
-    append_part_record, is_part_file, open_part_file, part_fingerprint, write_part_file, PagedState,
+    append_part_record, is_part_file, open_part_file, part_fingerprint, part_path, read_part_rows,
+    write_part_file, PagedState,
 };
 use crate::snapshot::{
-    is_table_file, list_generations, list_table_generations, read_snapshot, read_table_file,
-    snapshot_path, snapshot_table_gen, table_path, write_snapshot, write_table_file, SessionMeta,
-    Snapshot,
+    list_generations, read_snapshot, snapshot_path, write_snapshot, SessionMeta, Snapshot,
 };
 use crate::{Result, StoreError};
 
@@ -68,8 +68,8 @@ pub struct StoreStats {
     /// Snapshot generations written (explicit checkpoints and policy
     /// compactions alike).
     pub snapshots: u64,
-    /// Bytes written by those snapshots (snapshot files plus any folded
-    /// table generations).
+    /// Bytes written by those snapshot files (base rows are appended to
+    /// their part files at ingest, never rewritten by a snapshot).
     pub snapshot_bytes: u64,
     /// Total wall-clock nanoseconds spent writing snapshots.
     pub snapshot_ns: u64,
@@ -80,8 +80,8 @@ pub struct StoreStats {
 pub struct SnapshotReceipt {
     /// The new snapshot generation.
     pub generation: u64,
-    /// Bytes written (snapshot file, plus the folded table generation if
-    /// ingests were pending).
+    /// Bytes written: the snapshot file alone, whatever was ingested
+    /// since the last one.
     pub bytes_written: u64,
     /// Wall-clock time the snapshot took.
     pub elapsed: std::time::Duration,
@@ -104,12 +104,12 @@ pub struct Recovered {
     pub report: RecoveryReport,
 }
 
-/// Where an opened store's base rows live — the one point at which a
-/// resident and a paged store differ.
+/// What an opened store hands back of its base rows — the one point at
+/// which a resident and a paged store differ.
 #[derive(Debug)]
 pub enum BaseRows {
-    /// The snapshot's table generation with every surviving ingest
-    /// record's rows re-appended.
+    /// A resident table: partition file 0 read whole, every surviving
+    /// ingest record's rows included.
     Table(Table),
     /// The rows stay in their partition files; this is what the session
     /// rebuilds its demand-paged samples from.
@@ -120,29 +120,22 @@ pub enum BaseRows {
 /// store's base rows.
 #[derive(Debug)]
 pub struct PagedRecovered {
-    /// The loaded snapshot's paged state. Its partition map and
-    /// resolution dictionaries are extended through every replayed
-    /// batch; `total_rows` and the sample `tails` stay as the snapshot
-    /// folded them, so the replayed batches follow them.
+    /// The loaded snapshot's paged state. Its partition map is extended
+    /// through every replayed batch; `total_rows` and the sample `tails`
+    /// stay as the snapshot folded them, so the replayed batches follow
+    /// them.
     pub state: PagedState,
+    /// The zero-row resolution table, its dictionaries extended through
+    /// every replayed batch.
+    pub resolution: Table,
     /// Ingest batches replayed from the WAL (newest snapshot onward), in
-    /// sequence order, coded against `state.resolution`'s dictionaries.
-    /// The session re-admits these into each sample's tail exactly as the
+    /// sequence order, coded against `resolution`'s dictionaries. The
+    /// session re-admits these into each sample's tail exactly as the
     /// live session did.
     pub replayed_batches: Vec<Table>,
-    /// Torn bytes truncated from partition files at open.
+    /// Bytes truncated from partition files at open: torn tails and
+    /// records stamped past the newest WAL or snapshot sequence.
     pub part_torn_bytes: u64,
-}
-
-/// The base rows a checkpoint folds, of the store's own kind.
-#[derive(Debug, Clone, Copy)]
-pub enum SnapshotBase<'a> {
-    /// A resident store's current table (written out as a new table
-    /// generation when ingests are pending).
-    Table(&'a Table),
-    /// A paged store's current out-of-core state (carried in the
-    /// snapshot body).
-    Paged(&'a PagedState),
 }
 
 /// Details of one recovery pass.
@@ -174,22 +167,15 @@ pub struct SynopsisStore {
     log: SnippetLog,
     next_seq: u64,
     current_gen: u64,
-    /// Generation of the newest written table file.
-    current_table_gen: u64,
-    /// Whether ingest records have landed since the newest table file was
-    /// written: a resident store's next snapshot must fold them into a
-    /// new generation.
-    table_dirty: bool,
     /// Ingested batches this store has logged or folded.
     data_epoch: u64,
     schema_fp: u64,
-    /// For a resident store, the fingerprint of the current table
-    /// generation; for a paged store, the partition-file fingerprint
-    /// (FNV over every partition's create-time record CRC).
+    /// The part fingerprint (FNV over every partition file's create-time
+    /// record CRC).
     table_fp: u64,
-    /// Whether this store is paged (out-of-core): base rows live in
-    /// `part-<id>.vcol` files, snapshots carry a [`PagedState`] section,
-    /// and no table generations are written.
+    /// Whether this store is paged (out-of-core): its base rows span one
+    /// part file per partition and its snapshots carry a [`PagedState`]
+    /// section.
     paged: bool,
     stats: StoreStats,
     sticky_error: Option<StoreError>,
@@ -232,15 +218,15 @@ impl SynopsisStore {
     /// initial snapshot. Fails if a store already exists there — reopen
     /// with [`SynopsisStore::open`] instead.
     ///
-    /// `meta.paged` decides where the base rows go. A resident table
-    /// becomes table generation 0; later ingests accumulate in the WAL
-    /// and fold into fresh generations at checkpoint time. A paged table
-    /// is split by `meta.partition_spec` into one `part-<id>.vcol` column
-    /// file per partition, and the initial snapshot carries the paged
-    /// state — partition map, resolution dictionaries, and one empty
-    /// ingest tail per sample. That state is returned exactly when the
-    /// store is paged: the session scaffolds its partition map, loader,
-    /// and sample tails from it.
+    /// `meta.paged` decides how the base rows split. A resident table
+    /// becomes the create-time record of `part-000000.vcol`. A paged
+    /// table is split by `meta.partition_spec` into one `part-<id>.vcol`
+    /// column file per partition, and the initial snapshot carries the
+    /// paged state — partition map and one empty ingest tail per sample.
+    /// That state is returned exactly when the store is paged: the
+    /// session scaffolds its partition map, loader, and sample tails from
+    /// it. Either way the snapshot carries `table`'s dictionaries as the
+    /// resolution table, and later ingests append to the part files.
     pub fn create(
         dir: impl Into<PathBuf>,
         policy: StorePolicy,
@@ -263,23 +249,23 @@ impl SynopsisStore {
             }
         };
         let lock = SynopsisStore::prepare_create(&dir)?;
-        let (table_fp, paged) = match spec {
+        let (record0_crcs, paged) = match spec {
             Some(spec) => {
-                let (fp, paged) = write_part_files(&dir, spec, table, meta.num_samples)?;
-                (fp, Some(paged))
+                let (crcs, paged) = write_part_files(&dir, spec, table, meta.num_samples)?;
+                (crcs, Some(paged))
             }
-            None => (write_table_file(&dir, 0, table)?, None),
+            None => (vec![write_part_file(&dir, 0, table)?], None),
         };
-        let state_bytes = state.to_bytes();
+        let table_fp = part_fingerprint(&record0_crcs);
         write_snapshot(
             &dir,
-            0,
             0,
             0,
             &meta,
             table_fp,
             0,
-            &state_bytes,
+            &state.to_bytes(),
+            table,
             paged.as_ref(),
         )?;
         let log = SnippetLog::create(dir.join("wal.vlog"))?;
@@ -289,8 +275,6 @@ impl SynopsisStore {
             log,
             next_seq: 1,
             current_gen: 0,
-            current_table_gen: 0,
-            table_dirty: false,
             data_epoch: 0,
             schema_fp: fingerprint(&state.schema),
             table_fp,
@@ -319,7 +303,7 @@ impl SynopsisStore {
         if let Ok(entries) = std::fs::read_dir(dir) {
             for entry in entries.flatten() {
                 if let Some(name) = entry.file_name().to_str() {
-                    if is_table_file(name) || is_part_file(name) {
+                    if is_part_file(name) {
                         leftovers.push(name.to_owned());
                     }
                 }
@@ -338,17 +322,16 @@ impl SynopsisStore {
     }
 
     /// Opens an existing store: loads the newest valid snapshot (falling
-    /// back across corrupt generations), checks the base rows against
-    /// it, truncates the log's torn tail, and replays surviving records
-    /// into the returned state.
+    /// back across corrupt generations), truncates the log's torn tail,
+    /// heals the part files and checks them against the snapshot, and
+    /// replays surviving records into the returned state.
     ///
-    /// A paged store's partition files are healed of torn tails first.
-    /// Each replayed ingest record then lands where the base rows live:
-    /// its rows are pushed onto the resident table, or — rebuilt as a
-    /// batch coded against the resolution dictionaries — routed through
-    /// the partition map and re-appended **idempotently** to partition
-    /// files: a partition whose file already holds the record's sequence
-    /// is skipped, so replay never duplicates rows.
+    /// Each replayed ingest record is rebuilt as a batch coded against
+    /// the resolution dictionaries, routed (through the partition map of
+    /// a paged store, to partition 0 of a resident one) and re-appended
+    /// **idempotently** to the part files: a partition whose file already
+    /// holds the record's sequence is skipped, so replay never duplicates
+    /// rows. A resident table is then read whole from its part file.
     pub fn open(
         dir: impl Into<PathBuf>,
         policy: StorePolicy,
@@ -362,6 +345,16 @@ impl SynopsisStore {
         if gens.is_empty() {
             return Err(StoreError::NotFound(format!(
                 "no snapshot in {}",
+                dir.display()
+            )));
+        }
+        // Every store keeps its rows in part files, partition 0 included.
+        // A store without one predates that layout (its rows sat in table
+        // generations) or lost its rows: refused, never decoded.
+        if !part_path(&dir, 0).exists() {
+            return Err(StoreError::Mismatch(format!(
+                "{} holds snapshots but no part-000000.vcol: a store in the retired \
+                 table-generation layout, or one that lost its rows",
                 dir.display()
             )));
         }
@@ -386,39 +379,35 @@ impl SynopsisStore {
         };
         let Snapshot {
             last_seq,
-            table_gen,
             meta,
             table_fp: snap_fp,
             mut data_epoch,
             state,
-            paged,
+            mut resolution,
+            mut paged,
         } = snapshot;
 
-        // The base rows, and the ingest sequences each partition file
-        // already holds (none for a resident table).
-        let mut part_seqs: Vec<HashSet<u64>> = Vec::new();
-        let (mut base, table_fp) = match paged {
-            None => {
-                let (table, fp) = read_table_file(&dir, table_gen)?;
-                (BaseRows::Table(table), fp)
-            }
-            Some(state) => {
-                let mut record0_crcs = Vec::with_capacity(state.map.num_partitions());
-                let mut part_torn_bytes = 0u64;
-                for p in 0..state.map.num_partitions() {
-                    let scan = open_part_file(&dir, p as u32)?;
-                    record0_crcs.push(scan.record0_crc);
-                    part_torn_bytes += scan.torn_bytes;
-                    part_seqs.push(scan.seqs.into_iter().collect());
-                }
-                let paged = PagedRecovered {
-                    state,
-                    replayed_batches: Vec::new(),
-                    part_torn_bytes,
-                };
-                (BaseRows::Paged(paged), part_fingerprint(&record0_crcs))
-            }
-        };
+        // The log before the part files: its newest record bounds which
+        // part-file records are real. One stamped past it belongs to a
+        // batch whose WAL record did not survive, and is cut like a torn
+        // tail.
+        let (log, scan) = SnippetLog::open(dir.join("wal.vlog"))?;
+        let max_seq = scan
+            .records
+            .iter()
+            .map(LogRecord::seq)
+            .fold(last_seq, u64::max);
+        let parts = paged.as_ref().map_or(1, |state| state.map.num_partitions());
+        let mut record0_crcs = Vec::with_capacity(parts);
+        let mut part_seqs: Vec<HashSet<u64>> = Vec::with_capacity(parts);
+        let mut part_torn_bytes = 0u64;
+        for p in 0..parts as u32 {
+            let part = open_part_file(&dir, p, max_seq)?;
+            record0_crcs.push(part.record0_crc);
+            part_torn_bytes += part.torn_bytes;
+            part_seqs.push(part.seqs.into_iter().collect());
+        }
+        let table_fp = part_fingerprint(&record0_crcs);
         if snap_fp != table_fp {
             return Err(StoreError::Mismatch(format!(
                 "snapshot generation {gen} was written against different base rows \
@@ -432,7 +421,6 @@ impl SynopsisStore {
         // counter), `stage_ingest_filtered` + `commit_ingest` for each
         // logged ingest (same Lemma-3 rewrite, same model refit). That is
         // what makes a crashed session reopen to bit-identical state.
-        let (log, scan) = SnippetLog::open(dir.join("wal.vlog"))?;
         let mut engine = Verdict::new(state.schema.clone(), meta.config.clone());
         engine
             .restore_state(state)
@@ -447,9 +435,8 @@ impl SynopsisStore {
             torn_bytes: scan.torn_bytes,
             skipped_generations: skipped,
         };
-        let mut max_seq = last_seq;
+        let mut replayed_batches = Vec::new();
         for record in &scan.records {
-            max_seq = max_seq.max(record.seq());
             if record.seq() <= last_seq {
                 report.records_already_folded += 1;
                 continue;
@@ -462,26 +449,18 @@ impl SynopsisStore {
                     );
                 }
                 LogRecord::Ingest(r) => {
-                    let bounds = match &mut base {
-                        // A resident persisted table is never partitioned,
-                        // so its live ingests widened every snippet.
-                        BaseRows::Table(table) => {
-                            table.push_rows(&r.rows).map_err(|e| {
-                                StoreError::Corrupt(format!(
-                                    "ingest record seq {} replay: {e}",
-                                    r.seq
-                                ))
-                            })?;
-                            None
-                        }
-                        BaseRows::Paged(paged) => Some(paged.replay(&dir, r, &mut part_seqs)?),
-                    };
+                    let map = paged.as_mut().map(|state| &mut state.map);
+                    let (batch, bounds) =
+                        replay_ingest(&dir, r, &mut resolution, map, &mut part_seqs)?;
                     let staged = engine
                         .stage_ingest_filtered(&r.adjustments, bounds.as_ref())
                         .map_err(|e| {
                             StoreError::Corrupt(format!("ingest record seq {} refit: {e}", r.seq))
                         })?;
                     engine.commit_ingest(staged);
+                    if paged.is_some() {
+                        replayed_batches.push(batch);
+                    }
                     report.ingests_replayed += 1;
                     report.rows_appended += r.rows.len() as u64;
                     data_epoch += 1;
@@ -490,6 +469,15 @@ impl SynopsisStore {
             report.records_replayed += 1;
         }
         let state = engine.export_state();
+        let base = match paged {
+            None => BaseRows::Table(read_part_rows(&dir, 0, &resolution, usize::MAX)?),
+            Some(state) => BaseRows::Paged(PagedRecovered {
+                state,
+                resolution,
+                replayed_batches,
+                part_torn_bytes,
+            }),
+        };
 
         let store = SynopsisStore {
             dir,
@@ -497,8 +485,6 @@ impl SynopsisStore {
             log,
             next_seq: max_seq + 1,
             current_gen: gen,
-            current_table_gen: table_gen,
-            table_dirty: report.ingests_replayed > 0,
             data_epoch,
             schema_fp: fingerprint(&state.schema),
             table_fp,
@@ -597,7 +583,6 @@ impl SynopsisStore {
         self.stats.wal_bytes += bytes;
         self.next_seq += 1;
         self.data_epoch += 1;
-        self.table_dirty = true;
         Ok(seq)
     }
 
@@ -606,28 +591,26 @@ impl SynopsisStore {
         self.paged
     }
 
-    /// Write-extends the partition files an ingest batch touched. Call
+    /// Write-extends the part files an ingest batch touched. Call
     /// **after** [`SynopsisStore::append_ingest`] for the same batch:
     /// the WAL record (sequence `seq`) is the durability anchor, and the
     /// per-partition records written here are tagged with it so crash
     /// replay re-appends the batch only to partitions whose file missed
-    /// it. `routed` assigns each batch row to its partition (see
-    /// [`verdict_storage::PartitionMap::extend_batch`]); only partitions
-    /// that actually received rows have their file opened or written.
-    pub fn append_parts(&mut self, seq: u64, batch: &Table, routed: &[u32]) -> Result<()> {
-        if !self.paged {
-            return Err(StoreError::Mismatch(
-                "append_parts on a store without partition files".into(),
-            ));
-        }
-        if routed.len() != batch.num_rows() {
+    /// it. The batch is the last `routed.len()` rows of `rows` — a paged
+    /// table passes the batch itself, a resident one its grown table —
+    /// and `routed` assigns each batch row to its partition (all 0 for a
+    /// resident table; see [`verdict_storage::PartitionMap::extend_batch`]
+    /// for a paged one). Only partitions that received rows have their
+    /// file opened or written.
+    pub fn append_parts(&mut self, seq: u64, rows: &Table, routed: &[u32]) -> Result<()> {
+        if routed.len() > rows.num_rows() {
             return Err(StoreError::Mismatch(format!(
-                "routing covers {} rows but the batch holds {}",
+                "routing covers {} rows but only {} are given",
                 routed.len(),
-                batch.num_rows()
+                rows.num_rows()
             )));
         }
-        append_routed(&self.dir, seq, batch, routed, |_| false)
+        append_routed(&self.dir, seq, rows, routed, |_| false)
     }
 
     /// Whether the compaction policy asks for a snapshot now.
@@ -644,28 +627,24 @@ impl SynopsisStore {
     /// `state_bytes` is a pre-encoded [`EngineState`] (see
     /// `Verdict::state_bytes`) whose schema fingerprints to `schema_fp`,
     /// so a checkpoint neither clones nor re-encodes the learned state.
-    /// `base` must be of the store's kind. A resident `table` is written
-    /// out as a fresh table generation **only when ingest records landed
-    /// since the last one** (the snapshot then references it by
-    /// generation + fingerprint). A paged store's rows are already
-    /// durable in their partition files (every
-    /// [`SynopsisStore::append_parts`] fsyncs), so its snapshot carries
-    /// the paged state instead. Either way, compaction cost on a
-    /// non-evolving table scales with the synopsis, not the data.
+    /// Of `rows` only the schema and dictionaries are written, as the
+    /// resolution table: a resident store passes its table, a paged one
+    /// its zero-row resolution table and its `paged` state. The base rows
+    /// are already durable in their part files (every
+    /// [`SynopsisStore::append_parts`] fsyncs), so a checkpoint writes the
+    /// snapshot file alone and its cost scales with the synopsis, not the
+    /// data.
     pub fn snapshot(
         &mut self,
         meta: SessionMeta,
         schema_fp: u64,
         state_bytes: &[u8],
-        base: SnapshotBase<'_>,
+        rows: &Table,
+        paged: Option<&PagedState>,
     ) -> Result<SnapshotReceipt> {
-        let (table, paged) = match base {
-            SnapshotBase::Table(table) => (Some(table), None),
-            SnapshotBase::Paged(state) => (None, Some(state)),
-        };
         if paged.is_some() != self.paged || meta.paged != self.paged {
             return Err(StoreError::Mismatch(format!(
-                "snapshot base and meta.paged must match the store (paged: {})",
+                "snapshot paged state and meta.paged must match the store (paged: {})",
                 self.paged
             )));
         }
@@ -676,29 +655,18 @@ impl SynopsisStore {
         }
         let started = std::time::Instant::now();
         let gen = self.current_gen + 1;
-        let mut bytes_written = 0u64;
-        // Fold pending ingests into a new table generation first: if the
-        // table write fails, no snapshot references it, and if the crash
-        // lands between the two writes, recovery uses the old snapshot →
-        // old table generation → WAL replay of the ingest records.
-        if let Some(table) = table.filter(|_| self.table_dirty) {
-            self.table_fp = write_table_file(&self.dir, gen, table)?;
-            self.current_table_gen = gen;
-            self.table_dirty = false;
-            bytes_written += file_len(&table_path(&self.dir, gen));
-        }
         let snap_path = write_snapshot(
             &self.dir,
             gen,
             self.next_seq - 1,
-            self.current_table_gen,
             &meta,
             self.table_fp,
             self.data_epoch,
             state_bytes,
+            rows,
             paged,
         )?;
-        bytes_written += file_len(&snap_path);
+        let bytes_written = file_len(&snap_path);
         self.current_gen = gen;
         // The snapshot now covers every logged record; a crash past this
         // point replays nothing (seq <= last_seq), so truncating the log
@@ -725,26 +693,6 @@ impl SynopsisStore {
                 let _ = std::fs::remove_file(snapshot_path(&self.dir, gen));
             }
         }
-        // Table generations referenced by no surviving snapshot can go
-        // too. The reference sits in each snapshot's header; if any
-        // surviving header cannot be peeked, keep everything (best
-        // effort — a stale table file is harmless, a missing one is not).
-        let snap_gens = list_generations(&self.dir)?;
-        let mut referenced = Vec::with_capacity(snap_gens.len());
-        for &gen in &snap_gens {
-            match snapshot_table_gen(&snapshot_path(&self.dir, gen)) {
-                Ok(tg) => referenced.push(tg),
-                Err(_) => return Ok(()),
-            }
-        }
-        let Some(&min_ref) = referenced.iter().min() else {
-            return Ok(());
-        };
-        for tg in list_table_generations(&self.dir)? {
-            if tg < min_ref {
-                let _ = std::fs::remove_file(table_path(&self.dir, tg));
-            }
-        }
         Ok(())
     }
 
@@ -768,60 +716,63 @@ impl SynopsisStore {
     }
 }
 
-impl PagedRecovered {
-    /// Replays one ingest record onto the partition files. The batch is
-    /// rebuilt against the resolution dictionaries (string re-insertion
-    /// is deterministic, so codes come out identical to the live
-    /// session's), routed through the map, and re-appended
-    /// **idempotently**: a partition whose file already holds the
-    /// record's sequence — the append won the crash — is skipped, so
-    /// replay never duplicates rows no matter where the crash landed.
-    /// Returns the widening bounds of the map as it was before the batch
-    /// landed, as the live ingest had them.
-    fn replay(
-        &mut self,
-        dir: &Path,
-        r: &IngestRecord,
-        part_seqs: &mut [HashSet<u64>],
-    ) -> Result<IngestBounds> {
-        let corrupt = |what: &str, e: &dyn std::fmt::Display| {
-            StoreError::Corrupt(format!("ingest record seq {} {what}: {e}", r.seq))
-        };
-        let PagedState {
-            map, resolution, ..
-        } = &mut self.state;
-        let mut batch = resolution.clone();
-        batch
-            .push_rows(&r.rows)
-            .map_err(|e| corrupt("replay", &e))?;
-        resolution
-            .sync_dictionaries_from(&batch)
-            .map_err(|e| corrupt("dictionary sync", &e))?;
-        let routed = map
-            .route(&batch, 0..batch.num_rows())
-            .map_err(|e| corrupt("routing", &e))?;
-        let bounds = IngestBounds::touched(map, &batch).map_err(|e| corrupt("bounds", &e))?;
-        map.extend_batch(&batch)
-            .map_err(|e| corrupt("summaries", &e))?;
-        append_routed(dir, r.seq, &batch, &routed, |p| {
-            !part_seqs[p as usize].insert(r.seq)
-        })?;
-        self.replayed_batches.push(batch);
-        Ok(bounds)
-    }
+/// Replays one ingest record onto the part files. The batch is rebuilt
+/// against the `resolution` dictionaries (string re-insertion is
+/// deterministic, so codes come out identical to the live session's) and
+/// the dictionaries adopt it. It is routed through a paged store's `map`
+/// — to partition 0 of a resident store — and re-appended
+/// **idempotently**: a partition whose file already holds the record's
+/// sequence — the append won the crash — is skipped, so replay never
+/// duplicates rows no matter where the crash landed. Returns the batch
+/// and, for a paged store, the widening bounds of the map as it was
+/// before the batch landed, as the live ingest had them (a resident
+/// persisted table is never partitioned, so its live ingests widened
+/// every snippet).
+fn replay_ingest(
+    dir: &Path,
+    r: &IngestRecord,
+    resolution: &mut Table,
+    map: Option<&mut PartitionMap>,
+    part_seqs: &mut [HashSet<u64>],
+) -> Result<(Table, Option<IngestBounds>)> {
+    let corrupt = |what: &str, e: &dyn std::fmt::Display| {
+        StoreError::Corrupt(format!("ingest record seq {} {what}: {e}", r.seq))
+    };
+    let mut batch = resolution.clone();
+    batch
+        .push_rows(&r.rows)
+        .map_err(|e| corrupt("replay", &e))?;
+    resolution
+        .sync_dictionaries_from(&batch)
+        .map_err(|e| corrupt("dictionary sync", &e))?;
+    let (routed, bounds) = match map {
+        None => (vec![0; batch.num_rows()], None),
+        Some(map) => {
+            let routed = map
+                .route(&batch, 0..batch.num_rows())
+                .map_err(|e| corrupt("routing", &e))?;
+            let bounds = IngestBounds::touched(map, &batch).map_err(|e| corrupt("bounds", &e))?;
+            map.extend_batch(&batch)
+                .map_err(|e| corrupt("summaries", &e))?;
+            (routed, Some(bounds))
+        }
+    };
+    append_routed(dir, r.seq, &batch, &routed, |p| {
+        !part_seqs[p as usize].insert(r.seq)
+    })?;
+    Ok((batch, bounds))
 }
 
 /// Splits `table` by `spec` into one column file per partition (every
-/// partition gets one, empty or not). Returns the part fingerprint and
-/// the initial paged state: the map, the create-time rows per partition,
-/// the zero-row resolution table carrying the schema and full
-/// dictionaries, and one empty ingest tail per sample.
+/// partition gets one, empty or not). Returns each file's create-time
+/// record CRC and the initial paged state: the map, the create-time rows
+/// per partition, and one empty ingest tail per sample.
 fn write_part_files(
     dir: &Path,
     spec: PartitionSpec,
     table: &Table,
     num_samples: u64,
-) -> Result<(u64, PagedState)> {
+) -> Result<(Vec<u32>, PagedState)> {
     let mismatch =
         |what: &str, e: &dyn std::fmt::Display| StoreError::Mismatch(format!("{what}: {e}"));
     let map = PartitionMap::build(table, spec)
@@ -829,7 +780,7 @@ fn write_part_files(
     let routed = map
         .route(table, 0..table.num_rows())
         .map_err(|e| mismatch("routing the base table", &e))?;
-    let mut by_part = rows_by_partition(&routed);
+    let mut by_part = rows_by_partition(&routed, 0);
     by_part.resize(map.num_partitions(), Vec::new());
     let mut record0_crcs = Vec::with_capacity(by_part.len());
     for (p, rows) in by_part.iter().enumerate() {
@@ -838,56 +789,57 @@ fn write_part_files(
             .map_err(|e| mismatch(&format!("slicing partition {p}"), &e))?;
         record0_crcs.push(write_part_file(dir, p as u32, &fragment)?);
     }
-    let mut resolution = Table::new(table.schema().clone());
-    resolution
-        .sync_dictionaries_from(table)
-        .map_err(|e| mismatch("building the resolution table", &e))?;
     // Every sample starts from the same empty tail; the first admission
     // copies it on write.
-    let empty_tail = Arc::new(resolution.clone());
+    let empty_tail = Arc::new(
+        table
+            .gather(&[])
+            .map_err(|e| mismatch("building the empty tail", &e))?,
+    );
     let state = PagedState {
         map,
         original_part_rows: by_part.iter().map(|rows| rows.len() as u64).collect(),
         tails: (0..num_samples).map(|_| Arc::clone(&empty_tail)).collect(),
-        resolution,
         total_rows: table.num_rows() as u64,
     };
-    Ok((part_fingerprint(&record0_crcs), state))
+    Ok((record0_crcs, state))
 }
 
-/// The rows of a batch grouped by the partition `routed` assigns each
+/// The rows `first + i` grouped by the partition `routed[i]` assigns each
 /// to, indexed by partition id (ascending; a partition past the last
 /// routed one has no entry).
-fn rows_by_partition(routed: &[u32]) -> Vec<Vec<usize>> {
+fn rows_by_partition(routed: &[u32], first: usize) -> Vec<Vec<usize>> {
     let mut by_part: Vec<Vec<usize>> = Vec::new();
     for (row, &p) in routed.iter().enumerate() {
         if by_part.len() <= p as usize {
             by_part.resize(p as usize + 1, Vec::new());
         }
-        by_part[p as usize].push(row);
+        by_part[p as usize].push(first + row);
     }
     by_part
 }
 
-/// Appends each partition's share of `batch` to that partition's file as
-/// one record tagged `seq`, in ascending partition order, skipping
-/// partitions that received no rows and those `skip` names.
+/// Appends each partition's share of a batch — the last `routed.len()`
+/// rows of `rows` — to that partition's file as one record tagged `seq`,
+/// in ascending partition order, skipping partitions that received no
+/// rows and those `skip` names.
 fn append_routed(
     dir: &Path,
     seq: u64,
-    batch: &Table,
+    rows: &Table,
     routed: &[u32],
     mut skip: impl FnMut(u32) -> bool,
 ) -> Result<()> {
-    for (p, rows) in rows_by_partition(routed).iter().enumerate() {
+    let first = rows.num_rows() - routed.len();
+    for (p, part_rows) in rows_by_partition(routed, first).iter().enumerate() {
         let p = p as u32;
-        if rows.is_empty() || skip(p) {
+        if part_rows.is_empty() || skip(p) {
             continue;
         }
-        let fragment = batch
-            .gather(rows)
+        let fragment = rows
+            .gather(part_rows)
             .map_err(|e| StoreError::Mismatch(format!("slicing partition {p}: {e}")))?;
-        append_part_record(dir, p, seq, &fragment, 0..rows.len())?;
+        append_part_record(dir, p, seq, &fragment, 0..part_rows.len())?;
     }
     Ok(())
 }
@@ -1014,7 +966,8 @@ mod tests {
             meta(),
             fingerprint(&state.schema),
             &state.to_bytes(),
-            SnapshotBase::Table(&small_table()),
+            &small_table(),
+            None,
         )
     }
 
@@ -1236,6 +1189,19 @@ mod tests {
         ));
     }
 
+    /// A store without `part-000000.vcol` — the layout that kept rows in
+    /// table generations — is refused with a typed error.
+    #[test]
+    fn store_without_a_part_file_is_refused() {
+        let (dir, store) = fresh_store("no-part");
+        drop(store);
+        std::fs::remove_file(crate::partfile::part_path(&dir, 0)).unwrap();
+        assert!(matches!(
+            SynopsisStore::open(&dir, StorePolicy::default()),
+            Err(StoreError::Mismatch(msg)) if msg.contains("part-000000.vcol")
+        ));
+    }
+
     // ----------------------------------------------------------------
     // Paged (out-of-core) stores.
     // ----------------------------------------------------------------
@@ -1268,6 +1234,10 @@ mod tests {
         )
     }
 
+    fn resolution() -> Table {
+        small_table().gather(&[]).unwrap()
+    }
+
     fn ingest_rows(lo: usize, n: usize) -> Vec<Vec<Value>> {
         (lo..lo + n)
             .map(|i| vec![Value::Num((i % 20) as f64), Value::Num(2.0)])
@@ -1282,13 +1252,16 @@ mod tests {
         assert_eq!(paged.original_part_rows, vec![7, 7, 6]);
         assert_eq!(paged.total_rows, 20);
         assert_eq!(paged.tails.len(), 1);
-        assert_eq!(paged.resolution.num_rows(), 0);
-        assert_eq!(list_table_generations(&dir).unwrap(), Vec::<u64>::new());
+        assert!(!std::fs::read_dir(&dir).unwrap().any(|e| e
+            .unwrap()
+            .file_name()
+            .to_string_lossy()
+            .starts_with("table")));
         for p in 0..3 {
             assert!(crate::partfile::part_path(&dir, p).exists(), "part {p}");
         }
         // Rows round-trip partition by partition.
-        let back = crate::partfile::read_part_rows(&dir, 0, &paged.resolution, usize::MAX).unwrap();
+        let back = crate::partfile::read_part_rows(&dir, 0, &resolution(), usize::MAX).unwrap();
         assert_eq!(back.num_rows(), 7);
         assert!(back
             .column("t")
@@ -1315,7 +1288,7 @@ mod tests {
         for lo in [0usize, 8] {
             let rows = ingest_rows(lo, 8);
             let seq = store.append_ingest(&rows, &[]).unwrap();
-            let mut batch = paged.resolution.clone();
+            let mut batch = resolution();
             batch.push_rows(&rows).unwrap();
             let routed = map.route(&batch, 0..batch.num_rows()).unwrap();
             map.extend_batch(&batch).unwrap();
@@ -1339,18 +1312,14 @@ mod tests {
         // file holds the create record plus at most one record per seq.
         let mut rows_on_disk = 0;
         for p in 0..3u32 {
-            let scan = crate::partfile::scan_part_file(&dir, p).unwrap();
+            let scan = crate::partfile::scan_part_file(&dir, p, u64::MAX).unwrap();
             let mut seqs = scan.seqs.clone();
             seqs.dedup();
             assert_eq!(seqs, scan.seqs, "partition {p} holds duplicate seqs");
             rows_on_disk += scan.rows;
         }
         assert_eq!(rows_on_disk, 20 + 16);
-        assert_eq!(
-            rec.state.resolution.num_rows(),
-            0,
-            "resolution table is empty"
-        );
+        assert_eq!(rec.resolution.num_rows(), 0, "resolution table is empty");
     }
 
     #[test]
@@ -1360,7 +1329,7 @@ mod tests {
         let (dir, mut store, paged) = fresh_paged_store("paged-crash");
         let rows = ingest_rows(0, 12);
         let seq = store.append_ingest(&rows, &[]).unwrap();
-        let mut batch = paged.resolution.clone();
+        let mut batch = resolution();
         batch.push_rows(&rows).unwrap();
         let mut map = paged.map.clone();
         let routed = map.route(&batch, 0..batch.num_rows()).unwrap();
@@ -1395,7 +1364,7 @@ mod tests {
         // After recovery every partition holds the batch exactly once.
         let mut rows_on_disk = 0;
         for p in 0..3u32 {
-            let scan = crate::partfile::scan_part_file(&dir, p).unwrap();
+            let scan = crate::partfile::scan_part_file(&dir, p, u64::MAX).unwrap();
             assert_eq!(scan.torn_bytes, 0, "partition {p} still torn");
             rows_on_disk += scan.rows;
         }
@@ -1410,7 +1379,7 @@ mod tests {
         engine.restore_state(engine.export_state()).unwrap();
         let rows = ingest_rows(0, 10);
         let seq = store.append_ingest(&rows, &[]).unwrap();
-        let mut batch = paged.resolution.clone();
+        let mut batch = resolution();
         batch.push_rows(&rows).unwrap();
         let mut map = paged.map.clone();
         let routed = map.route(&batch, 0..batch.num_rows()).unwrap();
@@ -1420,7 +1389,6 @@ mod tests {
         let folded = PagedState {
             map: map.clone(),
             original_part_rows: paged.original_part_rows.clone(),
-            resolution: paged.resolution.clone(),
             total_rows: 30,
             tails: paged.tails.clone(),
         };
@@ -1430,17 +1398,19 @@ mod tests {
                 paged_meta(),
                 fingerprint(&state.schema),
                 &state.to_bytes(),
-                SnapshotBase::Paged(&folded),
+                &resolution(),
+                Some(&folded),
             )
             .unwrap();
         assert_eq!(receipt.generation, 1);
-        // A snapshot base of the wrong kind is refused.
+        // A snapshot without the paged state is refused.
         assert!(matches!(
             store.snapshot(
                 paged_meta(),
                 fingerprint(&state.schema),
                 &state.to_bytes(),
-                SnapshotBase::Table(&small_table())
+                &small_table(),
+                None,
             ),
             Err(StoreError::Mismatch(_))
         ));

@@ -46,20 +46,32 @@ fn decode_schema(dec: &mut Decoder<'_>) -> PersistResult<Schema> {
 
 /// Encodes a full table (schema, row count, columns).
 pub fn encode_table(table: &Table, enc: &mut Encoder) {
+    encode_rows(table, table.num_rows(), enc);
+}
+
+/// Encodes `table`'s resolution table: its schema and categorical
+/// dictionaries as a zero-row table, byte-identical to [`encode_table`]
+/// of a zero-row table with the same dictionaries.
+pub(crate) fn encode_resolution(table: &Table, enc: &mut Encoder) {
+    encode_rows(table, 0, enc);
+}
+
+/// Encodes the schema, the first `rows` rows and the dictionaries.
+fn encode_rows(table: &Table, rows: usize, enc: &mut Encoder) {
     encode_schema(table.schema(), enc);
-    enc.put_len(table.num_rows());
+    enc.put_len(rows);
     for (i, def) in table.schema().columns().iter().enumerate() {
         let col = table.column_at(i);
         match def.ty {
             ColumnType::Numeric => {
                 let data = col.numeric().expect("schema says numeric");
-                for &x in data {
+                for &x in &data[..rows] {
                     enc.put_f64(x);
                 }
             }
             ColumnType::Categorical => {
                 let codes = col.categorical().expect("schema says categorical");
-                for &c in codes {
+                for &c in &codes[..rows] {
                     enc.put_u32(c);
                 }
                 let labels = col.labels().expect("schema says categorical");

@@ -295,8 +295,9 @@ proptest! {
                         ),
                         (AggKey::Freq, AppendAdjustment::freq_worst_case(first, *n)),
                     ];
-                    store.append_ingest(&rows, &adjustments).unwrap();
+                    let seq = store.append_ingest(&rows, &adjustments).unwrap();
                     table.push_rows(&rows).unwrap();
+                    store.append_parts(seq, &table, &vec![0; *n]).unwrap();
                     for (key, adj) in &adjustments {
                         engine.apply_append(key, adj).unwrap();
                     }

@@ -80,7 +80,7 @@ use verdict_storage::{AggregateFn, PartitionMap, PartitionSpec, Predicate, Schem
 use verdict_store::catalog::{catalog_exists, is_valid_table_name, table_dir};
 use verdict_store::{
     read_catalog, read_part_rows, write_catalog, BaseRows, CatalogManifest, PagedState, Recovered,
-    RecoveryReport, SessionMeta, SharedStore, SnapshotBase, StoreError, StorePolicy, SynopsisStore,
+    RecoveryReport, SessionMeta, SharedStore, StoreError, StorePolicy, SynopsisStore,
 };
 
 use crate::metrics::{CheckpointReport, TableObs};
@@ -328,29 +328,25 @@ impl Shard {
             Some(dir) if paged => {
                 let (store, state) = create_store(dir, &table)?;
                 let state = state.expect("a paged store is created with its paged state");
+                // Only the zero-row resolution table stays resident; the
+                // base rows live in their partition files from here on.
+                let resolution = table.gather(&[]).map_err(Error::Storage)?;
                 let runtime = PagedRuntime::new(
                     state.map,
                     state.original_part_rows,
                     state.total_rows,
                     serve.memory_budget,
                 );
-                // Only the zero-row resolution table stays resident; the
-                // base rows live in their partition files from here on.
                 let samples = build_paged_samples(
                     store.dir(),
                     &runtime,
-                    &state.resolution,
+                    &resolution,
                     state.total_rows,
                     state.tails,
                     &[],
                     &meta,
                 )?;
-                (
-                    state.resolution,
-                    samples,
-                    Some(store),
-                    Layout::Paged(runtime),
-                )
+                (resolution, samples, Some(store), Layout::Paged(runtime))
             }
             store_dir => {
                 // Drawn before the store exists: an invalid sample
@@ -409,13 +405,13 @@ impl Shard {
                 let samples = build_paged_samples(
                     store.dir(),
                     &runtime,
-                    &state.resolution,
+                    &pr.resolution,
                     state.total_rows,
                     state.tails,
                     &pr.replayed_batches,
                     &meta,
                 )?;
-                (state.resolution, samples, Layout::Paged(runtime))
+                (pr.resolution, samples, Layout::Paged(runtime))
             }
         };
         // Reuse the *persisted* schema: deriving it from the recovered table
@@ -792,8 +788,9 @@ impl Shard {
     }
 
     /// Checkpoints the learned state into a fresh snapshot generation and
-    /// truncates the log (folding WAL-pending ingests into a new table
-    /// generation). All-zero report without a store.
+    /// truncates the log. Ingested rows are in their part files already,
+    /// so this writes the snapshot file alone. All-zero report without a
+    /// store.
     pub(crate) fn checkpoint(&self) -> Result<CheckpointReport> {
         self.surface_store_error()?;
         let mut writer = self.lock_writer();
@@ -820,28 +817,28 @@ impl Shard {
         let engine = writer.learner.engine();
         let schema_fp = verdict_core::persist::fingerprint(engine.schema());
         let state_bytes = engine.state_bytes();
-        let paged;
-        let base = match &writer.layout {
-            Layout::Resident { .. } => SnapshotBase::Table(&data.table),
-            // A paged snapshot carries the out-of-core state — map,
-            // resolution dictionaries, per-sample ingest tails (all a
-            // paged sample keeps resident) — instead of a table
-            // generation; the base rows are already durable in their
-            // partition files.
-            Layout::Paged(rt) => {
-                paged = PagedState {
-                    map: rt.map.read().map_err(poisoned_map)?.clone(),
-                    original_part_rows: rt.original_part_rows.clone(),
-                    resolution: (*data.table).clone(),
-                    total_rows: rt.total_rows,
-                    tails: data.samples.iter().map(Sample::table_arc).collect(),
-                };
-                SnapshotBase::Paged(&paged)
-            }
+        // The base rows are durable in their part files already; the
+        // snapshot takes the table's dictionaries (a paged table's is the
+        // zero-row resolution table) and, out-of-core, the map and the
+        // per-sample ingest tails, all a paged sample keeps resident.
+        let paged = match &writer.layout {
+            Layout::Paged(rt) => Some(PagedState {
+                map: rt.map.read().map_err(poisoned_map)?.clone(),
+                original_part_rows: rt.original_part_rows.clone(),
+                total_rows: rt.total_rows,
+                tails: data.samples.iter().map(Sample::table_arc).collect(),
+            }),
+            Layout::Resident { .. } => None,
         };
         let (receipt, stats) = {
             let mut guard = store.lock();
-            let receipt = guard.snapshot(writer.meta.clone(), schema_fp, &state_bytes, base)?;
+            let receipt = guard.snapshot(
+                writer.meta.clone(),
+                schema_fp,
+                &state_bytes,
+                &data.table,
+                paged.as_ref(),
+            )?;
             (receipt, guard.stats())
         };
         self.obs
@@ -880,19 +877,22 @@ impl Shard {
     ///    engine-side rewrites and model refits — lengthscales kept — are
     ///    **staged**: fallible work, no mutation;
     /// 3. on persistent tables rows + adjustments are logged to the WAL
-    ///    (fail-fast: a refused append leaves memory and disk consistent;
-    ///    recovery replays complete batches only);
+    ///    and the rows appended to the part files (fail-fast: a refused
+    ///    append leaves memory and disk consistent; recovery replays
+    ///    complete batches only);
     /// 4. the rows land, every maintained sample admits them at the
     ///    correct inclusion probability (deterministic per-row admission,
     ///    so recovery rebuilds the same sample), the staged rewrites
     ///    commit, and the grown data and widened state publish
     ///    **together** as the next snapshot pair.
     ///
-    /// Resident and out-of-core tables differ only in how the rows land:
-    /// a resident table grows copy-on-write; an out-of-core table
-    /// write-extends the touched partition files (after the WAL record —
-    /// crash replay re-appends a batch only to files that missed it) and
-    /// keeps just the dictionaries and each sample's ingest tail resident.
+    /// Resident and out-of-core tables differ only in how the rows land
+    /// in memory: a resident table grows copy-on-write; an out-of-core
+    /// table keeps just the dictionaries and each sample's ingest tail
+    /// resident. On disk both write-extend their part files after the WAL
+    /// record (crash replay re-appends a batch only to files that missed
+    /// it): a resident table its one file, an out-of-core table the files
+    /// of the partitions the batch touched.
     pub(crate) fn ingest(&self, rows: &[Vec<Value>]) -> Result<IngestReport> {
         self.surface_store_error()?;
         let t0 = Instant::now();
@@ -915,10 +915,11 @@ impl Shard {
                 widening_magnitude: 0.0,
             });
         }
-        // WAL first: rows + adjustments, then (out-of-core) the touched
-        // partition files. Byte accounting is the store's own cumulative
-        // counter (delta across the append) — no second measurement.
-        let log = |adjustments: &[(AggKey, AppendAdjustment)], parts: Option<(&Table, &[u32])>| {
+        // WAL first: rows + adjustments, then the touched part files —
+        // the last `routed.len()` rows of `holder`. Byte accounting is the
+        // store's own cumulative counter (delta across the append) — no
+        // second measurement.
+        let log = |adjustments: &[(AggKey, AppendAdjustment)], holder: &Table, routed: &[u32]| {
             let Some(store) = &self.store else {
                 return Ok(0);
             };
@@ -927,11 +928,9 @@ impl Shard {
             let seq = guard
                 .append_ingest(rows, adjustments)
                 .map_err(Error::Store)?;
-            if let Some((batch, routed)) = parts {
-                guard
-                    .append_parts(seq, batch, routed)
-                    .map_err(Error::Store)?;
-            }
+            guard
+                .append_parts(seq, holder, routed)
+                .map_err(Error::Store)?;
             Ok::<_, Error>(guard.stats().wal_bytes - before)
         };
         // Build the next data set copy-on-write: the table clones once,
@@ -962,8 +961,11 @@ impl Shard {
                 let first = old.table.num_rows();
                 let empty = Table::new(old.table.schema().clone());
                 let (_, prepared) = prepare(empty, first, partitions.as_ref())?;
-                let wal_bytes = log(&prepared.adjustments, None)?;
+                // The unpublished table takes the rows first: its tail is
+                // the batch coded against its dictionaries, which a
+                // persisted table appends to its one part file.
                 table.push_rows(rows).map_err(Error::Storage)?;
+                let wal_bytes = log(&prepared.adjustments, &table, &vec![0; rows.len()])?;
                 // Route the appended rows into the partition map so the
                 // next ingest's bounds see this batch's contribution (a
                 // batch may split across several partitions; only those
@@ -981,7 +983,7 @@ impl Shard {
                     .route(&batch, 0..batch.num_rows())
                     .map_err(Error::Storage)?;
                 drop(map);
-                let wal_bytes = log(&prepared.adjustments, Some((&batch, &routed)))?;
+                let wal_bytes = log(&prepared.adjustments, &batch, &routed)?;
                 rt.map
                     .write()
                     .map_err(poisoned_map)?

@@ -82,7 +82,8 @@ use crate::session::IngestReport;
 pub struct CheckpointReport {
     /// Snapshot generations written (one per checkpointed table).
     pub snapshots_written: u64,
-    /// Bytes written across those snapshots (table + state files).
+    /// Bytes written across those snapshot files (base rows go to their
+    /// part files at ingest, never at a checkpoint).
     pub bytes_written: u64,
     /// Wall-clock spent encoding and writing.
     pub elapsed: Duration,

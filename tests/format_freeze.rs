@@ -3,7 +3,7 @@
 //! One seeded scenario — create, queries, train, ingest, checkpoint,
 //! ingest — runs on a resident persisted table and on a paged
 //! (partitioned + persisted) one under one catalog. Every file of the
-//! catalog directory (`CATALOG`, `snapshot-*`, `table-*`, `part-*`,
+//! catalog directory (`CATALOG`, `snapshot-*`, `part-*`,
 //! `wal.vlog`) must hash to its recorded FNV-1a constant, so a change to
 //! the store that is meant to leave the format alone is held to every
 //! byte. Reopening must then yield each live table's learned state.
@@ -84,8 +84,8 @@ fn temp_store(name: &str) -> PathBuf {
     dir
 }
 
-/// The recorded hashes: a resident table (table generations) and a paged
-/// one (partition files) side by side under one catalog.
+/// The recorded hashes: a resident table (one partition file) and a paged
+/// one (a partition file per partition) side by side under one catalog.
 const FROZEN: &[(&str, u64)] = &[
     ("CATALOG", 0x6cfbc7c1608f0f4e),
     ("tables/paged/part-000000.vcol", 0x2a9b6d55fc76251b),
@@ -95,10 +95,9 @@ const FROZEN: &[(&str, u64)] = &[
     ("tables/paged/snapshot-0000000001.vsnap", 0xaa6342f17014cfcd),
     ("tables/paged/snapshot-0000000002.vsnap", 0x0b8bd7dd5bd0c404),
     ("tables/paged/wal.vlog", 0xf22dd25866d2fa9c),
-    ("tables/res/snapshot-0000000001.vsnap", 0x2337c66f5d9afe7b),
-    ("tables/res/snapshot-0000000002.vsnap", 0x619d2cc31bffc07a),
-    ("tables/res/table-0000000000.vtab", 0x4a55db5084d1febb),
-    ("tables/res/table-0000000002.vtab", 0xfc10ccd2c9a5eb7f),
+    ("tables/res/part-000000.vcol", 0x3d3b8be7e6744ed4),
+    ("tables/res/snapshot-0000000001.vsnap", 0x239c285993eb3e5e),
+    ("tables/res/snapshot-0000000002.vsnap", 0x902360430098db59),
     ("tables/res/wal.vlog", 0xb8fc6da1a70f736d),
 ];
 

@@ -419,10 +419,10 @@ fn mid_ingest_crash_reopens_byte_identical() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A checkpoint after ingest folds the batches into a fresh table
-/// generation; reopening replays nothing and answers identically.
+/// A checkpoint after ingest folds the log; the batches are already in
+/// the part file, so reopening replays nothing and answers identically.
 #[test]
-fn checkpoint_after_ingest_folds_table_generation() {
+fn checkpoint_after_ingest_replays_nothing() {
     let dir = temp_store("fold");
     let sql = "SELECT AVG(rev) FROM t WHERE week BETWEEN 5 AND 15";
     let (want_state, want_rows, want_answer) = {
@@ -449,6 +449,41 @@ fn checkpoint_after_ingest_folds_table_generation() {
             .unwrap_answered(),
     );
     assert_eq!(got, want_answer);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A resident checkpoint after an ingest writes the snapshot alone: the
+/// batch reached the table's part file at ingest. Two tables that differ
+/// only in size (same dictionaries, same batch) write the same bytes,
+/// and neither directory holds a table file.
+#[test]
+fn checkpoint_after_ingest_costs_the_snapshot_not_the_table() {
+    let dir = temp_store("ckpt-size");
+    let db = Database::builder()
+        .register_table("small", base_table(2_000))
+        .register_table("large", base_table(20_000))
+        .persist_to(&dir)
+        .build()
+        .unwrap();
+    let batch = shifted_batch(100, 2.0);
+    let mut written = Vec::new();
+    for name in ["small", "large"] {
+        db.ingest(name, &batch).unwrap();
+        written.push(db.checkpoint_table(name).unwrap().bytes_written);
+    }
+    assert_eq!(
+        written[0], written[1],
+        "checkpoint bytes grew with the table"
+    );
+    for name in ["small", "large"] {
+        let tables: Vec<String> = std::fs::read_dir(dir.join("tables").join(name))
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|f| f.starts_with("table-"))
+            .collect();
+        assert!(tables.is_empty(), "{name} holds table files: {tables:?}");
+    }
+    drop(db);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -647,76 +647,92 @@ fn database_builder_builds_the_same_paged_table_as_the_session_builder() {
 /// Crash-fuzz of torn partition-file appends: truncating the tail of
 /// every `part-*.vcol` (a crash mid-append after the WAL landed) must
 /// heal on open — the WAL re-appends the lost fragments — leaving
-/// answers and ground truth bit-identical to an untorn reopen.
+/// answers and ground truth bit-identical to an untorn reopen. A paged
+/// store and a persisted resident one (whose rows sit in one part file)
+/// alike.
 #[test]
 fn torn_partition_file_tails_heal_from_the_wal() {
-    let dir = temp_store("torn");
-    {
-        let mut s = paged_session(&dir, 4_000, u64::MAX, 1);
-        run(&mut s, QUERIES[1], StopPolicy::ScanAll);
-        // One row per week: every partition receives an ingest append.
-        let rows: Vec<Vec<Value>> = (0..50u64)
-            .map(|i| {
-                let week = 1.0 + (i % 25) as f64;
-                vec![
-                    week.into(),
-                    REGIONS[(i % 10) as usize].into(),
-                    (60.0 + i as f64).into(),
-                ]
-            })
-            .collect();
-        s.ingest(&rows).expect("ingest");
-        run(&mut s, QUERIES[0], StopPolicy::ScanAll);
-    }
-    // The untorn oracle: copy the store, reopen, record the grid.
-    let copy_store = |src: &PathBuf, dst: &PathBuf| {
-        std::fs::create_dir_all(dst).unwrap();
-        for entry in std::fs::read_dir(src).unwrap() {
-            let entry = entry.unwrap();
-            if entry.file_type().unwrap().is_file() {
-                std::fs::copy(entry.path(), dst.join(entry.file_name())).unwrap();
-            }
+    for paged in [true, false] {
+        let tag = if paged { "torn" } else { "torn-resident" };
+        let dir = temp_store(tag);
+        {
+            let mut s = if paged {
+                paged_session(&dir, 4_000, u64::MAX, 1)
+            } else {
+                SessionBuilder::new(base_table(4_000))
+                    .sample_fraction(0.25)
+                    .batch_size(150)
+                    .seed(17)
+                    .parallelism(1)
+                    .persist_to(&dir)
+                    .build()
+                    .unwrap()
+            };
+            run(&mut s, QUERIES[1], StopPolicy::ScanAll);
+            // One row per week: every partition receives an ingest append.
+            let rows: Vec<Vec<Value>> = (0..50u64)
+                .map(|i| {
+                    let week = 1.0 + (i % 25) as f64;
+                    vec![
+                        week.into(),
+                        REGIONS[(i % 10) as usize].into(),
+                        (60.0 + i as f64).into(),
+                    ]
+                })
+                .collect();
+            s.ingest(&rows).expect("ingest");
+            run(&mut s, QUERIES[0], StopPolicy::ScanAll);
         }
-    };
-    let clean_dir = temp_store("torn-clean");
-    copy_store(&dir, &clean_dir);
-    // The store's lock file must not leak into copies as a held lock;
-    // opening below re-acquires per directory, so copies are fine.
-    let mut clean = VerdictSession::open_with(&clean_dir, OpenOptions::new()).unwrap();
-    let want = run_grid(&mut clean);
-    let agg = AggregateFn::Sum(Expr::col("rev"));
-    let want_exact = clean.exact(&agg, &Predicate::True).unwrap().to_bits();
-    drop(clean);
+        // The untorn oracle: copy the store, reopen, record the grid.
+        let copy_store = |src: &PathBuf, dst: &PathBuf| {
+            std::fs::create_dir_all(dst).unwrap();
+            for entry in std::fs::read_dir(src).unwrap() {
+                let entry = entry.unwrap();
+                if entry.file_type().unwrap().is_file() {
+                    std::fs::copy(entry.path(), dst.join(entry.file_name())).unwrap();
+                }
+            }
+        };
+        let clean_dir = temp_store(&format!("{tag}-clean"));
+        copy_store(&dir, &clean_dir);
+        // The store's lock file must not leak into copies as a held lock;
+        // opening below re-acquires per directory, so copies are fine.
+        let mut clean = VerdictSession::open_with(&clean_dir, OpenOptions::new()).unwrap();
+        let want = run_grid(&mut clean);
+        let agg = AggregateFn::Sum(Expr::col("rev"));
+        let want_exact = clean.exact(&agg, &Predicate::True).unwrap().to_bits();
+        drop(clean);
 
-    for torn in [1u64, 9, 33, 57] {
-        let torn_dir = temp_store(&format!("torn-{torn}"));
-        copy_store(&dir, &torn_dir);
-        for entry in std::fs::read_dir(&torn_dir).unwrap() {
-            let path = entry.unwrap().path();
-            let name = path.file_name().unwrap().to_string_lossy().into_owned();
-            if name.starts_with("part-") && name.ends_with(".vcol") {
-                let len = std::fs::metadata(&path).unwrap().len();
-                let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
-                file.set_len(len.saturating_sub(torn)).unwrap();
+        for torn in [1u64, 9, 33, 57] {
+            let torn_dir = temp_store(&format!("{tag}-{torn}"));
+            copy_store(&dir, &torn_dir);
+            for entry in std::fs::read_dir(&torn_dir).unwrap() {
+                let path = entry.unwrap().path();
+                let name = path.file_name().unwrap().to_string_lossy().into_owned();
+                if name.starts_with("part-") && name.ends_with(".vcol") {
+                    let len = std::fs::metadata(&path).unwrap().len();
+                    let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+                    file.set_len(len.saturating_sub(torn)).unwrap();
+                }
             }
+            let mut s = VerdictSession::open_with(&torn_dir, OpenOptions::new())
+                .unwrap_or_else(|e| panic!("open after {torn} torn bytes: {e}"));
+            assert_eq!(s.is_paged(), paged);
+            assert_eq!(
+                run_grid(&mut s),
+                want,
+                "answers diverged after tearing {torn} bytes off every partition file"
+            );
+            assert_eq!(
+                s.exact(&agg, &Predicate::True).unwrap().to_bits(),
+                want_exact,
+                "ground truth diverged after tearing {torn} bytes"
+            );
+            let _ = std::fs::remove_dir_all(&torn_dir);
         }
-        let mut s = VerdictSession::open_with(&torn_dir, OpenOptions::new())
-            .unwrap_or_else(|e| panic!("open after {torn} torn bytes: {e}"));
-        assert!(s.is_paged());
-        assert_eq!(
-            run_grid(&mut s),
-            want,
-            "answers diverged after tearing {torn} bytes off every partition file"
-        );
-        assert_eq!(
-            s.exact(&agg, &Predicate::True).unwrap().to_bits(),
-            want_exact,
-            "ground truth diverged after tearing {torn} bytes"
-        );
-        let _ = std::fs::remove_dir_all(&torn_dir);
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&clean_dir);
     }
-    let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&clean_dir);
 }
 
 /// Turns one generated tuple into a supported SQL statement + policy.
