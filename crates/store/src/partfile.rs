@@ -242,10 +242,20 @@ impl Frames {
 /// Walks partition `p`'s file one frame at a time, validating the header
 /// and every frame. Stops at the first short/corrupt frame (a torn
 /// append) or the first record stamped past `max_seq`, and reports what
-/// follows as `torn_bytes` — everything before it is intact.
-pub fn scan_part_file(dir: &Path, p: u32, max_seq: u64) -> Result<PartScan> {
+/// follows as `torn_bytes` — everything before it is intact. Given
+/// `rows`, decodes every record it keeps into them, so a reader of the
+/// whole file needs no second pass.
+pub(crate) fn scan_part_file(
+    dir: &Path,
+    p: u32,
+    max_seq: u64,
+    mut rows: Option<&mut PartRows>,
+) -> Result<PartScan> {
     let mut frames = Frames::open(dir, p)?;
-    let mut rows = 0u64;
+    if let Some(rows) = rows.as_deref_mut() {
+        rows.reserve(frames.len - frames.valid, usize::MAX);
+    }
+    let mut total = 0u64;
     let mut seqs = Vec::new();
     let mut record0_crc = None;
     let mut valid_len = frames.valid;
@@ -264,7 +274,10 @@ pub fn scan_part_file(dir: &Path, p: u32, max_seq: u64) -> Result<PartScan> {
             }
             record0_crc = Some(crc32(payload));
         }
-        rows += u64::from(n);
+        if let Some(rows) = rows.as_deref_mut() {
+            rows.decode(p, payload)?;
+        }
+        total += u64::from(n);
         seqs.push(seq);
         valid_len = frames.valid;
     }
@@ -275,7 +288,7 @@ pub fn scan_part_file(dir: &Path, p: u32, max_seq: u64) -> Result<PartScan> {
     };
     Ok(PartScan {
         partition: p,
-        rows,
+        rows: total,
         seqs,
         record0_crc,
         valid_len,
@@ -287,9 +300,15 @@ pub fn scan_part_file(dir: &Path, p: u32, max_seq: u64) -> Result<PartScan> {
 /// record stamped past `max_seq` — the newest sequence the store's WAL
 /// and snapshot hold, so such a record belongs to a batch whose WAL
 /// record did not survive. Subsequent appends extend from the last whole
-/// record.
-pub fn open_part_file(dir: &Path, p: u32, max_seq: u64) -> Result<PartScan> {
-    let scan = scan_part_file(dir, p, max_seq)?;
+/// record. Given `rows`, the same walk decodes every record it keeps into
+/// them: a resident store reads its one part file once at open.
+pub(crate) fn open_part_file(
+    dir: &Path,
+    p: u32,
+    max_seq: u64,
+    rows: Option<&mut PartRows>,
+) -> Result<PartScan> {
+    let scan = scan_part_file(dir, p, max_seq, rows)?;
     if scan.torn_bytes > 0 {
         let f = OpenOptions::new().write(true).open(part_path(dir, p))?;
         f.set_len(scan.valid_len)?;
@@ -308,39 +327,86 @@ pub fn open_part_file(dir: &Path, p: u32, max_seq: u64) -> Result<PartScan> {
 /// at most the rows the file's bytes can hold. Invalid trailing frames are
 /// treated as end-of-file (the open-time truncation already removed torn
 /// tails; a live reader stays tolerant).
-///
-/// A record is decoded a column at a time: its byte length (rows × 8 for
-/// a numeric column, rows × 4 for a categorical one) is checked against
-/// what the record body still holds, once, and then the column is
-/// converted in bulk from little-endian words. A record whose row count
-/// overstates its body is [`StoreError::Corrupt`], as is a code outside
-/// the resolution dictionary. Categorical columns share `proto`'s labels
-/// (refcount bumps, no string copies).
 pub fn read_part_rows(dir: &Path, p: u32, proto: &Table, min_rows: usize) -> Result<Table> {
     let mut frames = Frames::open(dir, p)?;
-    let schema = proto.schema().clone();
-    let width = |ty: ColumnType| match ty {
-        ColumnType::Numeric => 8,
-        ColumnType::Categorical => 4,
-    };
-    let row_bytes: u64 = schema.columns().iter().map(|def| width(def.ty)).sum();
-    let fits = (frames.len - frames.valid) / row_bytes.max(1);
-    let capacity = usize::try_from(fits).unwrap_or(usize::MAX).min(min_rows);
-    let mut numeric: Vec<Vec<f64>> = Vec::with_capacity(schema.len());
-    let mut codes: Vec<Vec<u32>> = Vec::with_capacity(schema.len());
-    for def in schema.columns() {
-        let numeric_col = def.ty == ColumnType::Numeric;
-        numeric.push(Vec::with_capacity(if numeric_col { capacity } else { 0 }));
-        codes.push(Vec::with_capacity(if numeric_col { 0 } else { capacity }));
-    }
-    let mut rows = 0usize;
-    while rows < min_rows {
+    let mut rows = PartRows::new(proto.schema());
+    rows.reserve(frames.len - frames.valid, min_rows);
+    while rows.rows < min_rows {
         let Some(payload) = frames.next()? else { break };
+        rows.decode(p, payload)?;
+    }
+    rows.into_table(proto)
+}
+
+/// A partition's rows decoded column-major — numeric columns as `f64`s,
+/// categorical ones as codes — until [`PartRows::into_table`] attaches
+/// the dictionaries.
+#[derive(Debug)]
+pub(crate) struct PartRows {
+    schema: Schema,
+    columns: Vec<ColumnBuf>,
+    rows: usize,
+}
+
+/// One decoded column.
+#[derive(Debug)]
+enum ColumnBuf {
+    Num(Vec<f64>),
+    Cat(Vec<u32>),
+}
+
+impl ColumnBuf {
+    /// Bytes one row of the column takes in a record.
+    fn width(&self) -> usize {
+        match self {
+            ColumnBuf::Num(_) => 8,
+            ColumnBuf::Cat(_) => 4,
+        }
+    }
+}
+
+impl PartRows {
+    /// Empty buffers for `schema`'s columns.
+    pub(crate) fn new(schema: &Schema) -> PartRows {
+        let columns = schema
+            .columns()
+            .iter()
+            .map(|def| match def.ty {
+                ColumnType::Numeric => ColumnBuf::Num(Vec::new()),
+                ColumnType::Categorical => ColumnBuf::Cat(Vec::new()),
+            })
+            .collect();
+        PartRows {
+            schema: schema.clone(),
+            columns,
+            rows: 0,
+        }
+    }
+
+    /// Reserves room in every column for the rows `bytes` of records can
+    /// hold, at most `cap`, so each column is allocated once.
+    fn reserve(&mut self, bytes: u64, cap: usize) {
+        let row_bytes: usize = self.columns.iter().map(ColumnBuf::width).sum();
+        let rows = usize::try_from(bytes / row_bytes.max(1) as u64).map_or(cap, |n| n.min(cap));
+        for column in &mut self.columns {
+            match column {
+                ColumnBuf::Num(data) => data.reserve(rows),
+                ColumnBuf::Cat(codes) => codes.reserve(rows),
+            }
+        }
+    }
+
+    /// Decodes one record's payload a column at a time: its byte length
+    /// (rows × 8 for a numeric column, rows × 4 for a categorical one) is
+    /// checked against what the record body still holds, once, and then
+    /// the column is converted in bulk from little-endian words. A record
+    /// whose row count overstates its body is [`StoreError::Corrupt`].
+    fn decode(&mut self, p: u32, payload: &[u8]) -> Result<()> {
         let n = u32::from_le_bytes(payload[8..12].try_into().unwrap()) as usize;
         let mut body = &payload[12..];
-        for (i, def) in schema.columns().iter().enumerate() {
+        for (def, column) in self.schema.columns().iter().zip(&mut self.columns) {
             let len = n
-                .checked_mul(width(def.ty) as usize)
+                .checked_mul(column.width())
                 .filter(|&len| len <= body.len())
                 .ok_or_else(|| {
                     StoreError::Corrupt(format!(
@@ -350,48 +416,59 @@ pub fn read_part_rows(dir: &Path, p: u32, proto: &Table, min_rows: usize) -> Res
                         body.len()
                     ))
                 })?;
-            let (column, rest) = body.split_at(len);
+            let (bytes, rest) = body.split_at(len);
             body = rest;
-            match def.ty {
-                ColumnType::Numeric => numeric[i].extend(
-                    column
+            match column {
+                ColumnBuf::Num(data) => data.extend(
+                    bytes
                         .chunks_exact(8)
                         .map(|w| f64::from_le_bytes(w.try_into().unwrap())),
                 ),
-                ColumnType::Categorical => codes[i].extend(
-                    column
+                ColumnBuf::Cat(codes) => codes.extend(
+                    bytes
                         .chunks_exact(4)
                         .map(|w| u32::from_le_bytes(w.try_into().unwrap())),
                 ),
             }
         }
-        rows += n;
+        self.rows += n;
+        Ok(())
     }
-    let mut columns = Vec::with_capacity(schema.len());
-    for (i, def) in schema.columns().iter().enumerate() {
-        match def.ty {
-            ColumnType::Numeric => {
-                columns.push(Column::from_numeric(std::mem::take(&mut numeric[i])))
-            }
-            ColumnType::Categorical => {
-                let labels = proto
-                    .column_at(i)
-                    .labels()
-                    .expect("proto schema says categorical");
-                let col_codes = std::mem::take(&mut codes[i]);
-                if let Some(&bad) = col_codes.iter().find(|&&c| c as usize >= labels.len()) {
-                    return Err(StoreError::Corrupt(format!(
-                        "partition file {p} holds code {bad} but the resolution \
-                         dictionary has {} labels",
-                        labels.len()
-                    )));
+
+    /// Appends every row of `batch`, a table of the same schema whose
+    /// codes refer to the dictionaries [`PartRows::into_table`] will get.
+    pub(crate) fn append(&mut self, batch: &Table) {
+        for (i, column) in self.columns.iter_mut().enumerate() {
+            let col = batch.column_at(i);
+            match column {
+                ColumnBuf::Num(data) => data.extend_from_slice(col.numeric().expect("same schema")),
+                ColumnBuf::Cat(codes) => {
+                    codes.extend_from_slice(col.categorical().expect("same schema"))
                 }
-                columns.push(Column::from_shared_labels(col_codes, labels.to_vec()));
             }
         }
+        self.rows += batch.num_rows();
     }
-    Table::from_columns(schema, columns)
-        .map_err(|e| StoreError::Corrupt(format!("partition file {p} rows: {e}")))
+
+    /// The rows as a table whose categorical columns share `proto`'s
+    /// labels (refcount bumps, no string copies). A code past `proto`'s
+    /// dictionary stays a raw code, as [`Column`] allows.
+    pub(crate) fn into_table(self, proto: &Table) -> Result<Table> {
+        let columns = self
+            .columns
+            .into_iter()
+            .enumerate()
+            .map(|(i, column)| match column {
+                ColumnBuf::Num(data) => Column::from_numeric(data),
+                ColumnBuf::Cat(codes) => {
+                    let labels = proto.column_at(i).labels().unwrap_or_default();
+                    Column::from_shared_labels(codes, labels.to_vec())
+                }
+            })
+            .collect();
+        Table::from_columns(self.schema, columns)
+            .map_err(|e| StoreError::Corrupt(format!("partition file rows: {e}")))
+    }
 }
 
 /// The store's part fingerprint: FNV-1a over every partition's id and
@@ -636,7 +713,7 @@ mod tests {
         write_part_file(&dir, 3, &base).unwrap();
         let extra = table(10, 40);
         append_part_record(&dir, 3, 7, &extra, 0..10).unwrap();
-        let scan = scan_part_file(&dir, 3, u64::MAX).unwrap();
+        let scan = scan_part_file(&dir, 3, u64::MAX, None).unwrap();
         assert_eq!(scan.partition, 3);
         assert_eq!(scan.rows, 50);
         assert_eq!(scan.seqs, vec![0, 7]);
@@ -665,13 +742,13 @@ mod tests {
         // always fall back to the create-time record alone.
         for cut in whole.len() + 1..full.len() {
             std::fs::write(part_path(&dir, 0), &full[..cut]).unwrap();
-            let scan = open_part_file(&dir, 0, u64::MAX).unwrap();
+            let scan = open_part_file(&dir, 0, u64::MAX, None).unwrap();
             assert_eq!(scan.seqs, vec![0], "cut {cut}");
             assert_eq!(scan.rows, 20, "cut {cut}");
             assert_eq!(scan.torn_bytes, (cut - whole.len()) as u64, "cut {cut}");
             // The truncation leaves a file appends can extend again.
             append_part_record(&dir, 0, 5, &table(8, 20), 0..8).unwrap();
-            let healed = scan_part_file(&dir, 0, u64::MAX).unwrap();
+            let healed = scan_part_file(&dir, 0, u64::MAX, None).unwrap();
             assert_eq!(healed.seqs, vec![0, 5], "cut {cut}");
             assert_eq!(healed.rows, 28, "cut {cut}");
             std::fs::write(part_path(&dir, 0), &full).unwrap();
@@ -687,7 +764,7 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;
         std::fs::write(part_path(&dir, 1), &bytes).unwrap();
-        let scan = open_part_file(&dir, 1, u64::MAX).unwrap();
+        let scan = open_part_file(&dir, 1, u64::MAX, None).unwrap();
         assert_eq!(scan.seqs, vec![0]);
         assert!(scan.torn_bytes > 0);
     }
@@ -702,18 +779,21 @@ mod tests {
         let kept = std::fs::metadata(part_path(&dir, 0)).unwrap().len();
         append_part_record(&dir, 0, 8, &table(2, 14), 0..2).unwrap();
         append_part_record(&dir, 0, 9, &table(3, 16), 0..3).unwrap();
-        let scan = open_part_file(&dir, 0, 7).unwrap();
+        let scan = open_part_file(&dir, 0, 7, None).unwrap();
         assert_eq!(scan.seqs, vec![0, 3]);
         assert_eq!(scan.rows, 14);
         assert_eq!(scan.valid_len, kept);
         assert_eq!(std::fs::metadata(part_path(&dir, 0)).unwrap().len(), kept);
-        assert_eq!(scan_part_file(&dir, 0, u64::MAX).unwrap().torn_bytes, 0);
+        assert_eq!(
+            scan_part_file(&dir, 0, u64::MAX, None).unwrap().torn_bytes,
+            0
+        );
     }
 
     /// A record whose CRC holds but whose row count overstates its body —
     /// at every overstatement up to the full `u32` range, so the column
     /// length check cannot overflow — is `Corrupt`, never a panic or a
-    /// short table. So is a code outside the resolution dictionary.
+    /// short table.
     #[test]
     fn record_overstating_its_rows_is_corrupt() {
         let dir = tempdir("overstated");
@@ -733,8 +813,6 @@ mod tests {
                 other => panic!("{claimed} rows claimed: {other:?}"),
             }
         }
-        // Ten honest rows decode against a dictionary of the three labels,
-        // but not against an empty one.
         write_part_file(&dir, 4, &base).unwrap();
         assert_eq!(
             read_part_rows(&dir, 4, &base, usize::MAX)
@@ -742,11 +820,54 @@ mod tests {
                 .num_rows(),
             10
         );
+    }
+
+    /// A code the resolution dictionary has no label for is a raw code, as
+    /// a [`Column`] holds it: it reads back as itself, unlabeled.
+    #[test]
+    fn codes_past_the_dictionary_read_back_raw() {
+        let dir = tempdir("raw-codes");
+        let base = table(10, 0);
+        write_part_file(&dir, 0, &base).unwrap();
         let no_labels = Table::new(base.schema().clone());
-        assert!(matches!(
-            read_part_rows(&dir, 4, &no_labels, usize::MAX),
-            Err(StoreError::Corrupt(msg)) if msg.contains("resolution dictionary")
-        ));
+        let back = read_part_rows(&dir, 0, &no_labels, usize::MAX).unwrap();
+        let g = back.column("g").unwrap();
+        assert_eq!(
+            g.categorical().unwrap(),
+            base.column("g").unwrap().categorical().unwrap()
+        );
+        assert!(g.labels().unwrap().is_empty());
+        assert_eq!(g.get(2), Value::Cat(2));
+    }
+
+    /// Opening with row buffers decodes, in the one healing walk, exactly
+    /// the rows a later read of the healed file yields.
+    #[test]
+    fn open_decodes_the_rows_it_keeps() {
+        let dir = tempdir("open-rows");
+        let base = table(12, 0);
+        write_part_file(&dir, 0, &base).unwrap();
+        append_part_record(&dir, 0, 4, &table(5, 12), 0..5).unwrap();
+        append_part_record(&dir, 0, 9, &table(3, 17), 0..3).unwrap();
+        let mut bytes = std::fs::read(part_path(&dir, 0)).unwrap();
+        bytes.extend_from_slice(&[7, 0, 0]); // a torn frame head
+        std::fs::write(part_path(&dir, 0), &bytes).unwrap();
+        let mut rows = PartRows::new(base.schema());
+        let scan = open_part_file(&dir, 0, 8, Some(&mut rows)).unwrap();
+        assert_eq!(scan.seqs, vec![0, 4]);
+        let decoded = rows.into_table(&base).unwrap();
+        let reread = read_part_rows(&dir, 0, &base, usize::MAX).unwrap();
+        assert_eq!(decoded.num_rows(), 17);
+        for name in ["x", "v"] {
+            assert_eq!(
+                decoded.column(name).unwrap().numeric().unwrap(),
+                reread.column(name).unwrap().numeric().unwrap()
+            );
+        }
+        assert_eq!(
+            decoded.column("g").unwrap().categorical().unwrap(),
+            reread.column("g").unwrap().categorical().unwrap()
+        );
     }
 
     /// The bulk decode yields exactly the values and codes encoded, NaN
@@ -791,7 +912,7 @@ mod tests {
         bytes[0] ^= 0xFF;
         std::fs::write(part_path(&dir, 2), &bytes).unwrap();
         assert!(matches!(
-            scan_part_file(&dir, 2, u64::MAX),
+            scan_part_file(&dir, 2, u64::MAX, None),
             Err(StoreError::Corrupt(_))
         ));
     }
@@ -832,8 +953,8 @@ mod tests {
         let fp = part_fingerprint(&[c0, c1]);
         // Ingest appends leave the fingerprint unchanged.
         append_part_record(&dir, 0, 3, &table(2, 20), 0..2).unwrap();
-        let s0 = scan_part_file(&dir, 0, u64::MAX).unwrap();
-        let s1 = scan_part_file(&dir, 1, u64::MAX).unwrap();
+        let s0 = scan_part_file(&dir, 0, u64::MAX, None).unwrap();
+        let s1 = scan_part_file(&dir, 1, u64::MAX, None).unwrap();
         assert_eq!(part_fingerprint(&[s0.record0_crc, s1.record0_crc]), fp);
         assert_ne!(part_fingerprint(&[c1, c0]), fp);
     }

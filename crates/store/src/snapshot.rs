@@ -165,11 +165,10 @@ impl Snapshot {
                 resolution.num_rows()
             )));
         }
-        let paged = if meta.paged {
-            Some(decode_paged_state(resolution.schema(), &mut dec)?)
-        } else {
-            None
-        };
+        let paged = meta
+            .paged
+            .then(|| decode_paged_state(resolution.schema(), &mut dec))
+            .transpose()?;
         let state = EngineState::decode(&mut dec)?;
         if !dec.is_exhausted() {
             return Err(StoreError::Corrupt(format!(
@@ -194,14 +193,9 @@ impl Snapshot {
 /// just the file). Best-effort on platforms where directories cannot be
 /// opened for sync.
 pub fn sync_dir(dir: &Path) -> Result<()> {
-    match File::open(dir) {
-        Ok(d) => {
-            // Windows cannot fsync directories; treat that as best-effort.
-            let _ = d.sync_all();
-            Ok(())
-        }
-        Err(e) => Err(StoreError::Io(e)),
-    }
+    // Windows cannot fsync directories; treat that as best-effort.
+    let _ = File::open(dir)?.sync_all();
+    Ok(())
 }
 
 /// Replaces the file at `path` with `header` followed by `body`

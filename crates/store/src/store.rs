@@ -22,8 +22,8 @@ use verdict_storage::{PartitionMap, PartitionSpec, Table, Value};
 
 use crate::log::{IngestRecord, LogRecord, SnippetLog, SnippetRecord};
 use crate::partfile::{
-    append_part_record, is_part_file, open_part_file, part_fingerprint, part_path, read_part_rows,
-    write_part_file, PagedState,
+    append_part_record, is_part_file, open_part_file, part_fingerprint, part_path, write_part_file,
+    PagedState, PartRows,
 };
 use crate::snapshot::{
     list_generations, read_snapshot, snapshot_path, write_snapshot, SessionMeta, Snapshot,
@@ -299,24 +299,16 @@ impl SynopsisStore {
         // Even without snapshots, leftover store files mean this is the
         // remains of an earlier store (e.g. snapshots deleted by hand);
         // creating here would truncate a log that may hold live records.
-        let mut leftovers: Vec<String> = vec!["wal.vlog".into()];
-        if let Ok(entries) = std::fs::read_dir(dir) {
-            for entry in entries.flatten() {
-                if let Some(name) = entry.file_name().to_str() {
-                    if is_part_file(name) {
-                        leftovers.push(name.to_owned());
-                    }
-                }
-            }
-        }
-        for leftover in leftovers {
-            if dir.join(&leftover).exists() {
-                return Err(StoreError::Mismatch(format!(
-                    "{} contains a leftover {leftover} but no snapshot; refusing to \
-                     overwrite it — move the file away or choose a fresh directory",
-                    dir.display()
-                )));
-            }
+        let leftover = std::fs::read_dir(dir)?
+            .flatten()
+            .filter_map(|entry| entry.file_name().into_string().ok())
+            .find(|name| name == "wal.vlog" || is_part_file(name));
+        if let Some(leftover) = leftover {
+            return Err(StoreError::Mismatch(format!(
+                "{} contains a leftover {leftover} but no snapshot; refusing to \
+                 overwrite it — move the file away or choose a fresh directory",
+                dir.display()
+            )));
         }
         SynopsisStore::acquire_lock(dir)
     }
@@ -331,7 +323,9 @@ impl SynopsisStore {
     /// a paged store, to partition 0 of a resident one) and re-appended
     /// **idempotently** to the part files: a partition whose file already
     /// holds the record's sequence is skipped, so replay never duplicates
-    /// rows. A resident table is then read whole from its part file.
+    /// rows. A resident table's rows are decoded by the same walk that
+    /// heals its part file, and the batches replay appends follow them,
+    /// so the file is read once.
     pub fn open(
         dir: impl Into<PathBuf>,
         policy: StorePolicy,
@@ -401,8 +395,10 @@ impl SynopsisStore {
         let mut record0_crcs = Vec::with_capacity(parts);
         let mut part_seqs: Vec<HashSet<u64>> = Vec::with_capacity(parts);
         let mut part_torn_bytes = 0u64;
+        // A resident table's rows: part 0 decoded as it heals.
+        let mut rows = PartRows::new(resolution.schema());
         for p in 0..parts as u32 {
-            let part = open_part_file(&dir, p, max_seq)?;
+            let part = open_part_file(&dir, p, max_seq, paged.is_none().then_some(&mut rows))?;
             record0_crcs.push(part.record0_crc);
             part_torn_bytes += part.torn_bytes;
             part_seqs.push(part.seqs.into_iter().collect());
@@ -449,6 +445,7 @@ impl SynopsisStore {
                     );
                 }
                 LogRecord::Ingest(r) => {
+                    let held = part_seqs[0].contains(&r.seq);
                     let map = paged.as_mut().map(|state| &mut state.map);
                     let (batch, bounds) =
                         replay_ingest(&dir, r, &mut resolution, map, &mut part_seqs)?;
@@ -460,6 +457,9 @@ impl SynopsisStore {
                     engine.commit_ingest(staged);
                     if paged.is_some() {
                         replayed_batches.push(batch);
+                    } else if !held {
+                        // Replay just appended the batch to part 0.
+                        rows.append(&batch);
                     }
                     report.ingests_replayed += 1;
                     report.rows_appended += r.rows.len() as u64;
@@ -470,7 +470,7 @@ impl SynopsisStore {
         }
         let state = engine.export_state();
         let base = match paged {
-            None => BaseRows::Table(read_part_rows(&dir, 0, &resolution, usize::MAX)?),
+            None => BaseRows::Table(rows.into_table(&resolution)?),
             Some(state) => BaseRows::Paged(PagedRecovered {
                 state,
                 resolution,
@@ -596,21 +596,20 @@ impl SynopsisStore {
     /// the WAL record (sequence `seq`) is the durability anchor, and the
     /// per-partition records written here are tagged with it so crash
     /// replay re-appends the batch only to partitions whose file missed
-    /// it. The batch is the last `routed.len()` rows of `rows` — a paged
-    /// table passes the batch itself, a resident one its grown table —
-    /// and `routed` assigns each batch row to its partition (all 0 for a
-    /// resident table; see [`verdict_storage::PartitionMap::extend_batch`]
-    /// for a paged one). Only partitions that received rows have their
-    /// file opened or written.
-    pub fn append_parts(&mut self, seq: u64, rows: &Table, routed: &[u32]) -> Result<()> {
-        if routed.len() > rows.num_rows() {
+    /// it. `routed` assigns each row of `batch` to its partition (all 0
+    /// for a resident table; see
+    /// [`verdict_storage::PartitionMap::extend_batch`] for a paged one).
+    /// Only partitions that received rows have their file opened or
+    /// written.
+    pub fn append_parts(&mut self, seq: u64, batch: &Table, routed: &[u32]) -> Result<()> {
+        if routed.len() != batch.num_rows() {
             return Err(StoreError::Mismatch(format!(
-                "routing covers {} rows but only {} are given",
+                "routing covers {} rows but the batch holds {}",
                 routed.len(),
-                rows.num_rows()
+                batch.num_rows()
             )));
         }
-        append_routed(&self.dir, seq, rows, routed, |_| false)
+        append_routed(&self.dir, seq, batch, routed, |_| false)
     }
 
     /// Whether the compaction policy asks for a snapshot now.
@@ -780,7 +779,7 @@ fn write_part_files(
     let routed = map
         .route(table, 0..table.num_rows())
         .map_err(|e| mismatch("routing the base table", &e))?;
-    let mut by_part = rows_by_partition(&routed, 0);
+    let mut by_part = rows_by_partition(&routed);
     by_part.resize(map.num_partitions(), Vec::new());
     let mut record0_crcs = Vec::with_capacity(by_part.len());
     for (p, rows) in by_part.iter().enumerate() {
@@ -805,41 +804,39 @@ fn write_part_files(
     Ok((record0_crcs, state))
 }
 
-/// The rows `first + i` grouped by the partition `routed[i]` assigns each
+/// The rows of a batch grouped by the partition `routed` assigns each
 /// to, indexed by partition id (ascending; a partition past the last
 /// routed one has no entry).
-fn rows_by_partition(routed: &[u32], first: usize) -> Vec<Vec<usize>> {
+fn rows_by_partition(routed: &[u32]) -> Vec<Vec<usize>> {
     let mut by_part: Vec<Vec<usize>> = Vec::new();
     for (row, &p) in routed.iter().enumerate() {
         if by_part.len() <= p as usize {
             by_part.resize(p as usize + 1, Vec::new());
         }
-        by_part[p as usize].push(first + row);
+        by_part[p as usize].push(row);
     }
     by_part
 }
 
-/// Appends each partition's share of a batch — the last `routed.len()`
-/// rows of `rows` — to that partition's file as one record tagged `seq`,
-/// in ascending partition order, skipping partitions that received no
-/// rows and those `skip` names.
+/// Appends each partition's share of `batch` to that partition's file as
+/// one record tagged `seq`, in ascending partition order, skipping
+/// partitions that received no rows and those `skip` names.
 fn append_routed(
     dir: &Path,
     seq: u64,
-    rows: &Table,
+    batch: &Table,
     routed: &[u32],
     mut skip: impl FnMut(u32) -> bool,
 ) -> Result<()> {
-    let first = rows.num_rows() - routed.len();
-    for (p, part_rows) in rows_by_partition(routed, first).iter().enumerate() {
+    for (p, rows) in rows_by_partition(routed).iter().enumerate() {
         let p = p as u32;
-        if part_rows.is_empty() || skip(p) {
+        if rows.is_empty() || skip(p) {
             continue;
         }
-        let fragment = rows
-            .gather(part_rows)
+        let fragment = batch
+            .gather(rows)
             .map_err(|e| StoreError::Mismatch(format!("slicing partition {p}: {e}")))?;
-        append_part_record(dir, p, seq, &fragment, 0..part_rows.len())?;
+        append_part_record(dir, p, seq, &fragment, 0..rows.len())?;
     }
     Ok(())
 }
@@ -1312,7 +1309,7 @@ mod tests {
         // file holds the create record plus at most one record per seq.
         let mut rows_on_disk = 0;
         for p in 0..3u32 {
-            let scan = crate::partfile::scan_part_file(&dir, p, u64::MAX).unwrap();
+            let scan = crate::partfile::scan_part_file(&dir, p, u64::MAX, None).unwrap();
             let mut seqs = scan.seqs.clone();
             seqs.dedup();
             assert_eq!(seqs, scan.seqs, "partition {p} holds duplicate seqs");
@@ -1364,7 +1361,7 @@ mod tests {
         // After recovery every partition holds the batch exactly once.
         let mut rows_on_disk = 0;
         for p in 0..3u32 {
-            let scan = crate::partfile::scan_part_file(&dir, p, u64::MAX).unwrap();
+            let scan = crate::partfile::scan_part_file(&dir, p, u64::MAX, None).unwrap();
             assert_eq!(scan.torn_bytes, 0, "partition {p} still torn");
             rows_on_disk += scan.rows;
         }

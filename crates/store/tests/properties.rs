@@ -297,7 +297,10 @@ proptest! {
                     ];
                     let seq = store.append_ingest(&rows, &adjustments).unwrap();
                     table.push_rows(&rows).unwrap();
-                    store.append_parts(seq, &table, &vec![0; *n]).unwrap();
+                    let batch: Vec<usize> = (first..table.num_rows()).collect();
+                    store
+                        .append_parts(seq, &table.gather(&batch).unwrap(), &vec![0; *n])
+                        .unwrap();
                     for (key, adj) in &adjustments {
                         engine.apply_append(key, adj).unwrap();
                     }

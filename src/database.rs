@@ -915,11 +915,11 @@ impl Shard {
                 widening_magnitude: 0.0,
             });
         }
-        // WAL first: rows + adjustments, then the touched part files —
-        // the last `routed.len()` rows of `holder`. Byte accounting is the
-        // store's own cumulative counter (delta across the append) — no
-        // second measurement.
-        let log = |adjustments: &[(AggKey, AppendAdjustment)], holder: &Table, routed: &[u32]| {
+        // WAL first: rows + adjustments, then the batch to the part
+        // files `routed` sends each row to. Byte accounting is the store's
+        // own cumulative counter (delta across the append) — no second
+        // measurement.
+        let log = |adjustments: &[(AggKey, AppendAdjustment)], batch: &Table, routed: &[u32]| {
             let Some(store) = &self.store else {
                 return Ok(0);
             };
@@ -929,7 +929,7 @@ impl Shard {
                 .append_ingest(rows, adjustments)
                 .map_err(Error::Store)?;
             guard
-                .append_parts(seq, holder, routed)
+                .append_parts(seq, batch, routed)
                 .map_err(Error::Store)?;
             Ok::<_, Error>(guard.stats().wal_bytes - before)
         };
@@ -965,7 +965,9 @@ impl Shard {
                 // the batch coded against its dictionaries, which a
                 // persisted table appends to its one part file.
                 table.push_rows(rows).map_err(Error::Storage)?;
-                let wal_bytes = log(&prepared.adjustments, &table, &vec![0; rows.len()])?;
+                let tail: Vec<usize> = (first..table.num_rows()).collect();
+                let batch = table.gather(&tail).map_err(Error::Storage)?;
+                let wal_bytes = log(&prepared.adjustments, &batch, &vec![0; rows.len()])?;
                 // Route the appended rows into the partition map so the
                 // next ingest's bounds see this batch's contribution (a
                 // batch may split across several partitions; only those

@@ -19,9 +19,9 @@ use verdict::core::AggKey;
 use verdict::store::tablecodec::encode_table;
 use verdict::{
     Database, Mode, OpenOptions, QueryOptions, QueryResult, SessionBuilder, StopPolicy,
-    VerdictSession,
+    TableOptions, VerdictSession,
 };
-use verdict_storage::{ColumnDef, Schema, Table, Value};
+use verdict_storage::{ColumnDef, PartitionSpec, Schema, Table, Value};
 
 /// Deterministic base table: numeric `week` (1..=20), categorical
 /// `region`, measure `rev`.
@@ -483,6 +483,99 @@ fn checkpoint_after_ingest_costs_the_snapshot_not_the_table() {
             .collect();
         assert!(tables.is_empty(), "{name} holds table files: {tables:?}");
     }
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A categorical column may hold raw codes no label names
+/// (`Value::Cat`). A persisted table of them — resident or paged — takes
+/// an ingest, a checkpoint and a second ingest (left in the WAL), then
+/// reopens to the live rows, learned state, data epoch and answers.
+#[test]
+fn unlabeled_codes_survive_checkpoint_and_reopen() {
+    let dir = temp_store("raw-codes");
+    let raw = |from: usize, n: usize| -> Vec<Vec<Value>> {
+        (from..from + n)
+            .map(|i| {
+                let week = 1.0 + (i % 20) as f64;
+                let rev = 80.0 + (i % 13) as f64;
+                vec![week.into(), Value::Cat(40 + (i % 7) as u32), rev.into()]
+            })
+            .collect()
+    };
+    let mut base = base_table(0);
+    base.push_rows(&raw(0, 3_000)).unwrap();
+    let options = |partition| TableOptions {
+        sample_fraction: 0.2,
+        batch_size: 200,
+        seed: 3,
+        partition,
+        ..TableOptions::default()
+    };
+    let db = Database::builder()
+        .register_table_with("res", base.clone(), options(None))
+        .register_table_with(
+            "paged",
+            base,
+            options(Some(PartitionSpec::range("week", vec![7.0, 14.0]))),
+        )
+        .persist_to(&dir)
+        .build()
+        .unwrap();
+    let sqls = |name: &str| {
+        [
+            format!("SELECT AVG(rev), COUNT(*) FROM {name} WHERE week BETWEEN 3 AND 11"),
+            format!("SELECT SUM(rev) FROM {name} GROUP BY region"),
+        ]
+    };
+    let answers = |db: &Database, name: &str| -> Vec<(u64, u64)> {
+        sqls(name)
+            .iter()
+            .flat_map(|sql| {
+                let r = db
+                    .query(sql, &opts(Mode::NoLearn))
+                    .unwrap()
+                    .unwrap_answered();
+                r.rows
+                    .iter()
+                    .flat_map(|row| row.values.iter())
+                    .map(|c| (c.improved.answer.to_bits(), c.improved.error.to_bits()))
+                    .collect::<Vec<_>>()
+            })
+            .collect()
+    };
+    let mut live = Vec::new();
+    for name in ["res", "paged"] {
+        db.query(&sqls(name)[0], &opts(Mode::Verdict)).unwrap();
+        db.ingest(name, &raw(3_000, 150)).unwrap();
+        db.checkpoint_table(name).unwrap();
+        db.ingest(name, &raw(3_150, 90)).unwrap();
+        live.push((
+            table_bytes(&db.table(name).unwrap()),
+            db.snapshot(name).unwrap().state_bytes(),
+            db.data_epoch(name).unwrap(),
+            answers(&db, name),
+        ));
+    }
+    drop(db);
+    let db = Database::open(&dir).unwrap();
+    for (name, (rows, state, epoch, answered)) in ["res", "paged"].into_iter().zip(&live) {
+        assert!(
+            table_bytes(&db.table(name).unwrap()) == *rows,
+            "{name} rows"
+        );
+        assert!(
+            db.snapshot(name).unwrap().state_bytes() == *state,
+            "{name} state"
+        );
+        assert_eq!(db.data_epoch(name).unwrap(), *epoch, "{name} data epoch");
+        assert_eq!(answers(&db, name), *answered, "{name} answers");
+    }
+    let res = db.table("res").unwrap();
+    assert_eq!(res.num_rows(), 3_240);
+    let region = res.column("region").unwrap();
+    assert!(region.labels().unwrap().is_empty());
+    assert_eq!(region.get(3_239), Value::Cat(40 + (3_239 % 7) as u32));
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
 }
