@@ -36,14 +36,18 @@
 //!   is skipped without touching data (its rows still count as scanned —
 //!   the scan *considered* them, exactly like an all-zero mask). Otherwise
 //!   [`CompiledPredicate::fill_mask`] evaluates every conjunct as a
-//!   branch-free tight loop into a `u64` selection bitmap, group keys are
-//!   resolved per-chunk from raw dictionary codes
-//!   ([`GroupIndexer::fill_groups`], reading the bit-packed code mirror
-//!   when one exists; a segment under a quarter matched resolves only its
-//!   surviving rows, through the same dense LUT —
-//!   [`GroupIndexer::group_of`]), and the accumulator grid consumes the
-//!   whole chunk under the mask — with a dense fast path when the mask is
-//!   all-ones.
+//!   branch-free tight loop into a `u64` selection bitmap (range and
+//!   narrow membership conjuncts through AVX2 when the host has it, the
+//!   scalar loops being the fallback and the oracle they are tested
+//!   against bit for bit), group keys are resolved per-chunk from raw
+//!   dictionary codes ([`GroupIndexer::fill_groups`], or, when the
+//!   bit-packed code mirror exists,
+//!   [`verdict_storage::PackedCodes::map_range`], which decodes a whole
+//!   `u64` word per step through the indexer's dense LUT; a segment
+//!   under a quarter matched resolves only its surviving rows, through
+//!   the same LUT — [`GroupIndexer::group_of`]), and the accumulator
+//!   grid consumes the whole chunk under the mask — with a dense fast
+//!   path when the mask is all-ones.
 //! - **RowWise**: the per-row reference path, kept for parity testing and
 //!   benchmarking. It never consults zone maps.
 //!
@@ -329,19 +333,13 @@ impl<'t> TableScan<'t> {
     }
 
     /// Resolves the group index of every row in `seg` into `gbuf`,
-    /// reading the bit-packed code mirror when the group-by is a single
-    /// narrow categorical column with one available.
+    /// decoding the bit-packed code mirror a word at a time when the
+    /// group-by is a single narrow categorical column with one available.
     fn fill_group_buf(&mut self, seg: Range<usize>, zones: &ZoneMaps) {
         let ix = self.indexer.as_ref().expect("grouped path");
         if let Some((col, lut)) = ix.dense_cat_lut() {
             if let Some(packed) = zones.packed_codes(col) {
-                self.gbuf.clear();
-                self.gbuf.reserve(seg.len());
-                for row in seg {
-                    let code = packed.get(row) as usize;
-                    self.gbuf
-                        .push(lut.get(code).copied().unwrap_or(GroupIndexer::NO_GROUP));
-                }
+                packed.map_range(seg, lut, GroupIndexer::NO_GROUP, &mut self.gbuf);
                 return;
             }
         }

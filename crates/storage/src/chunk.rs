@@ -14,7 +14,8 @@
 //!   value range cannot intersect the predicate;
 //! - optionally a [`PackedCodes`] mirror of a low-cardinality
 //!   categorical column, storing codes at 1/2/4/8 bits each so the
-//!   group-key resolution loop reads 4–64× less memory.
+//!   group-key resolution loop reads 4–64× less memory and decodes a
+//!   whole `u64` word per step ([`PackedCodes::map_range`]).
 //!
 //! # Bit-parity contract
 //!
@@ -406,6 +407,9 @@ impl ZoneMaps {
 ///
 /// Decodes to exactly the `u32` codes it was packed from; used as a
 /// bandwidth-reducing mirror for low-cardinality group-by columns.
+/// [`PackedCodes::get`] decodes one row; [`PackedCodes::map_range`]
+/// decodes a row range a whole `u64` word at a time and maps it through
+/// a lookup table, and is what the chunked scan's group resolution runs.
 #[derive(Debug, Clone)]
 pub struct PackedCodes {
     bits: u32,
@@ -492,12 +496,58 @@ impl PackedCodes {
         ((w >> shift) & ((1u64 << self.bits) - 1)) as u32
     }
 
-    /// Decodes `range` into `out` (cleared first).
-    pub fn unpack_range(&self, range: Range<usize>, out: &mut Vec<u32>) {
+    /// Decodes the codes at `range` and writes `lut[code]` for each into
+    /// `out` (cleared first), or `missing` for a code at or past
+    /// `lut.len()` — per row exactly `lut.get(self.get(i))`, falling back
+    /// to `missing`. The chunked scan resolves group indices with it.
+    ///
+    /// Whole words decode one `u64` at a time, the width a const
+    /// generic, through `lut` padded with `missing` to every code the
+    /// width can hold, so no row pays a division, a bounds check or a
+    /// branch; the rows before the first word boundary in `range` and
+    /// after the last go through [`PackedCodes::get`].
+    pub fn map_range(&self, range: Range<usize>, lut: &[u32], missing: u32, out: &mut Vec<u32>) {
+        match self.bits {
+            1 => self.map_words::<1>(range, lut, missing, out),
+            2 => self.map_words::<2>(range, lut, missing, out),
+            4 => self.map_words::<4>(range, lut, missing, out),
+            _ => self.map_words::<8>(range, lut, missing, out),
+        }
+    }
+
+    fn map_words<const BITS: u32>(
+        &self,
+        range: Range<usize>,
+        lut: &[u32],
+        missing: u32,
+        out: &mut Vec<u32>,
+    ) {
+        debug_assert!(BITS == self.bits && range.end <= self.len);
+        // 256 entries cover every code of the widest width; a masked
+        // code indexes it without a bounds check.
+        let mut padded = [missing; 1 << Self::MAX_BITS];
+        let n = lut.len().min(1 << BITS);
+        padded[..n].copy_from_slice(&lut[..n]);
+        let code_mask = (1u64 << BITS) - 1;
+        let per_word = (64 / BITS) as usize;
+        let first = range.start.next_multiple_of(per_word).min(range.end);
+        let last = first.max(range.end / per_word * per_word);
+
         out.clear();
-        out.reserve(range.len());
-        for i in range {
-            out.push(self.get(i));
+        out.resize(range.len(), missing);
+        let (head, rest) = out.split_at_mut(first - range.start);
+        let (body, tail) = rest.split_at_mut(last - first);
+        for (o, i) in head.iter_mut().zip(range.start..first) {
+            *o = padded[self.get(i) as usize];
+        }
+        let words = &self.words[first / per_word..last / per_word];
+        for (o, &w) in body.chunks_exact_mut(per_word).zip(words) {
+            for (slot, o) in o.iter_mut().enumerate() {
+                *o = padded[((w >> (slot as u32 * BITS)) & code_mask) as usize];
+            }
+        }
+        for (o, i) in tail.iter_mut().zip(last..range.end) {
+            *o = padded[self.get(i) as usize];
         }
     }
 }
@@ -572,8 +622,9 @@ mod tests {
             for (i, &c) in codes.iter().enumerate() {
                 assert_eq!(p.get(i), c, "code {i} under max {max}");
             }
+            let identity: Vec<u32> = (0..=max).collect();
             let mut out = Vec::new();
-            p.unpack_range(100..300, &mut out);
+            p.map_range(100..300, &identity, u32::MAX, &mut out);
             assert_eq!(out, &codes[100..300]);
         }
         // Wide dictionaries refuse to pack.
@@ -587,6 +638,41 @@ mod tests {
             assert_eq!(p2.get(i), c);
         }
         assert!(p.repacked_tail(&[1, 2, 3, 99], 4).is_none());
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `map_range` is per-row `get` through the LUT, with `missing`
+        /// past its end: at every width, over ranges that start and end
+        /// off word boundaries, with LUTs shorter and longer than the
+        /// width's code space.
+        #[test]
+        fn map_range_is_get_through_the_lut(
+            width in prop::sample::select(vec![1u32, 2, 4, 8]),
+            raw in prop::collection::vec(any::<u32>(), 1..700),
+            ends in (any::<usize>(), any::<usize>()),
+            lut in prop::collection::vec(any::<u32>(), 259..=259),
+            lut_len in any::<usize>(),
+        ) {
+            let max = (1u32 << width) - 1;
+            let mut codes: Vec<u32> = raw.iter().map(|c| c & max).collect();
+            codes[0] = max;
+            let p = PackedCodes::pack(&codes).expect("at most 8 bits");
+            prop_assert_eq!(p.bits(), width);
+            // 0 ..= 2^width + 2 entries: short, exact and long LUTs.
+            let lut = &lut[..lut_len % ((1 << width) + 3)];
+            let (a, b) = (ends.0 % (codes.len() + 1), ends.1 % (codes.len() + 1));
+            let range = a.min(b)..a.max(b);
+            let mut out = vec![7; 3];
+            p.map_range(range.clone(), lut, u32::MAX, &mut out);
+            let want: Vec<u32> = range
+                .map(|i| lut.get(p.get(i) as usize).copied().unwrap_or(u32::MAX))
+                .collect();
+            prop_assert_eq!(out, want);
+        }
     }
 
     #[test]

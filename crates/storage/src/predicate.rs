@@ -9,8 +9,9 @@
 //! Compiled form: [`Predicate::compile`] binds the normal form to a table's
 //! raw column slices. Chunked scans then call
 //! [`CompiledPredicate::fill_mask`], which evaluates each conjunct as a
-//! branch-free tight loop over a chunk segment, ANDing 64-row words into a
-//! [`SelectionMask`]; [`CompiledPredicate::classify_chunk`] consults
+//! branch-free tight loop over a chunk segment (AVX2 where the host has
+//! it, with the scalar loop as fallback and oracle), ANDing 64-row words
+//! into a [`SelectionMask`]; [`CompiledPredicate::classify_chunk`] consults
 //! per-chunk zone maps first so chunks that cannot match are skipped
 //! without touching their data. Both are *exact*: the mask selects
 //! precisely the rows per-row [`CompiledPredicate::matches`] would.
@@ -440,6 +441,15 @@ impl CompiledPredicate<'_> {
     /// `range.start + i` matches. Each conjunct runs as a branch-free
     /// tight loop over its contiguous column slice, building one `u64`
     /// per 64 rows and ANDing it into the mask.
+    ///
+    /// On an x86-64 host with AVX2 (detected at run time) a range
+    /// conjunct, and a membership conjunct whose allowed codes are all
+    /// below 64 (`= only` included), fill their whole 64-row words with
+    /// AVX2: `_mm256_cmp_pd` under the ordered-quiet predicates, or
+    /// `_mm256_srlv_epi64` of the one-word code set, then `movemask`.
+    /// The ragged last word, every other conjunct, and every conjunct on
+    /// other hosts run the scalar loops, which are also the oracle the
+    /// AVX2 kernels are tested against bit for bit.
     pub fn fill_mask(&self, range: std::ops::Range<usize>, out: &mut SelectionMask) {
         out.reset_ones(range.len());
         let words = out.words_mut();
@@ -463,6 +473,7 @@ impl CompiledPredicate<'_> {
                     let seg = &data[range.clone()];
                     match (codes.as_slice(), bitset) {
                         ([], _) => words.fill(0),
+                        (_, Some(bits)) if bits.words.len() == 1 => and_in_word(words, seg, bits),
                         ([only], _) => and_eq(words, seg, *only),
                         (_, Some(bits)) => and_in_bitset(words, seg, bits),
                         (many, None) => and_in_search(words, seg, many),
@@ -632,8 +643,30 @@ impl CompiledPredicate<'_> {
 }
 
 /// ANDs `lo (<|<=) x (<|<=) hi` over `data` into `words`, 64 rows per
-/// word. Comparisons become integer bit ops — no per-row branches.
+/// word: the whole words through [`avx2::and_range`] when the host has
+/// AVX2, the ragged tail — and everything on other hosts — through
+/// [`and_range_scalar`], whose bits the AVX2 kernel reproduces.
 fn and_range<const LO_INC: bool, const HI_INC: bool>(
+    words: &mut [u64],
+    data: &[f64],
+    lo: f64,
+    hi: f64,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") {
+        let (head, tail) = words.split_at_mut(data.len() / 64);
+        let (whole, rest) = data.split_at(head.len() * 64);
+        // SAFETY: the host supports AVX2, checked just above.
+        unsafe { avx2::and_range::<LO_INC, HI_INC>(head, whole, lo, hi) };
+        return and_range_scalar::<LO_INC, HI_INC>(tail, rest, lo, hi);
+    }
+    and_range_scalar::<LO_INC, HI_INC>(words, data, lo, hi);
+}
+
+/// The scalar range kernel: the fallback on hosts without AVX2, the
+/// ragged-tail path, and the oracle the AVX2 kernel is tested against.
+/// Comparisons become integer bit ops — no per-row branches.
+fn and_range_scalar<const LO_INC: bool, const HI_INC: bool>(
     words: &mut [u64],
     data: &[f64],
     lo: f64,
@@ -650,6 +683,22 @@ fn and_range<const LO_INC: bool, const HI_INC: bool>(
         }
         *w &= m;
     }
+}
+
+/// ANDs membership in a one-word `bits` (every allowed code below 64,
+/// `= only` included) over `data` into `words`: the whole words through
+/// [`avx2::and_in_word`] when the host has AVX2, the rest through the
+/// scalar [`and_in_bitset`].
+fn and_in_word(words: &mut [u64], data: &[u32], bits: &CodeBitset) {
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") {
+        let (head, tail) = words.split_at_mut(data.len() / 64);
+        let (whole, rest) = data.split_at(head.len() * 64);
+        // SAFETY: the host supports AVX2, checked just above.
+        unsafe { avx2::and_in_word(head, whole, bits.words[0]) };
+        return and_in_bitset(tail, rest, bits);
+    }
+    and_in_bitset(words, data, bits);
 }
 
 /// ANDs `code == only` over `data` into `words`.
@@ -691,10 +740,84 @@ fn and_in_search(words: &mut [u64], data: &[u32], codes: &[u32]) {
     }
 }
 
+/// The AVX2 mask kernels. Each takes whole 64-row words only (its
+/// `data` is `64 × words.len()` rows; a shorter `data` leaves the
+/// uncovered words untouched) and ANDs into every word exactly the bits
+/// its scalar twin would.
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use std::arch::x86_64::*;
+
+    /// [`super::and_range_scalar`], four rows per compare. The
+    /// ordered-quiet predicates are false on NaN, like `<`/`<=` on
+    /// `f64`, and treat `-0.0` and `0.0` as equal, like them too.
+    ///
+    /// # Safety
+    ///
+    /// The host must support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn and_range<const LO_INC: bool, const HI_INC: bool>(
+        words: &mut [u64],
+        data: &[f64],
+        lo: f64,
+        hi: f64,
+    ) {
+        let (lo, hi) = (_mm256_set1_pd(lo), _mm256_set1_pd(hi));
+        for (w, rows) in words.iter_mut().zip(data.chunks_exact(64)) {
+            let mut m = 0u64;
+            for (k, quad) in rows.chunks_exact(4).enumerate() {
+                // SAFETY: `quad` holds four `f64`s and the load is
+                // unaligned.
+                let x = unsafe { _mm256_loadu_pd(quad.as_ptr()) };
+                let lo_ok = if LO_INC {
+                    _mm256_cmp_pd::<_CMP_GE_OQ>(x, lo)
+                } else {
+                    _mm256_cmp_pd::<_CMP_GT_OQ>(x, lo)
+                };
+                let hi_ok = if HI_INC {
+                    _mm256_cmp_pd::<_CMP_LE_OQ>(x, hi)
+                } else {
+                    _mm256_cmp_pd::<_CMP_LT_OQ>(x, hi)
+                };
+                let hits = _mm256_movemask_pd(_mm256_and_pd(lo_ok, hi_ok)) as u64;
+                m |= hits << (4 * k);
+            }
+            *w &= m;
+        }
+    }
+
+    /// [`super::and_in_bitset`] over a one-word set, four rows per
+    /// shift: row `c` keeps bit `c` of `set` shifted down to bit 0. A
+    /// shift count of 64 or more yields 0, so a code past the word is
+    /// absent, as past a [`super::CodeBitset`]'s end.
+    ///
+    /// # Safety
+    ///
+    /// The host must support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn and_in_word(words: &mut [u64], data: &[u32], set: u64) {
+        let set = _mm256_set1_epi64x(set as i64);
+        for (w, rows) in words.iter_mut().zip(data.chunks_exact(64)) {
+            let mut m = 0u64;
+            for (k, quad) in rows.chunks_exact(4).enumerate() {
+                // SAFETY: `quad` holds four `u32`s (16 bytes) and the
+                // load is unaligned.
+                let codes = unsafe { _mm_loadu_si128(quad.as_ptr().cast()) };
+                let shifted = _mm256_srlv_epi64(set, _mm256_cvtepu32_epi64(codes));
+                // Bit 0 of each lane to its sign bit, which movemask reads.
+                let hit = _mm256_slli_epi64::<63>(shifted);
+                let hits = _mm256_movemask_pd(_mm256_castsi256_pd(hit)) as u64;
+                m |= hits << (4 * k);
+            }
+            *w &= m;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ColumnDef, Schema};
+    use crate::{Column, ColumnDef, Schema};
 
     fn table() -> Table {
         let schema = Schema::new(vec![
@@ -975,6 +1098,171 @@ mod tests {
                     ChunkMatch::AllRows => assert_eq!(matched, seg.len(), "{p:?} chunk {chunk}"),
                     ChunkMatch::SomeRows => {}
                 }
+            }
+        }
+    }
+
+    /// A kernel-parity table: `pad` filler rows, then the generated
+    /// segment (`xs` and `codes` of one length), so a segment never
+    /// starts on a 64-row boundary. The dictionary has 40 labels; the
+    /// codes past it stay raw.
+    fn kernel_table(pad: usize, xs: &[f64], codes: &[u32]) -> Table {
+        let schema = Schema::new(vec![
+            ColumnDef::numeric_dimension("x"),
+            ColumnDef::categorical_dimension("c"),
+        ])
+        .unwrap();
+        let xs = std::iter::repeat_n(0.5, pad).chain(xs.iter().copied());
+        let codes = std::iter::repeat_n(3, pad).chain(codes.iter().copied());
+        let labels = (0..40).map(|i| format!("k{i}")).collect();
+        Table::from_columns(
+            schema,
+            vec![
+                Column::from_numeric(xs.collect()),
+                Column::from_categorical(codes.collect(), labels),
+            ],
+        )
+        .unwrap()
+    }
+
+    /// `fill_mask` over `rows` against per-row `matches`, bit for bit.
+    fn check_mask(c: &CompiledPredicate, rows: std::ops::Range<usize>) -> TestCaseResult {
+        let mut mask = SelectionMask::new();
+        c.fill_mask(rows.clone(), &mut mask);
+        prop_assert_eq!(mask.len(), rows.len());
+        for (i, row) in rows.enumerate() {
+            prop_assert!(mask.get(i) == c.matches(row), "row {} of the segment", i);
+        }
+        Ok(())
+    }
+
+    /// The value edges the comparisons must agree on: NaN, ±0.0, ±∞
+    /// and the bounds themselves; otherwise `x` on a half-unit grid,
+    /// so ties with the bounds are common too.
+    fn edge_value(pick: u8, x: f64, lo: f64, hi: f64) -> f64 {
+        match pick % 10 {
+            0 => f64::NAN,
+            1 => 0.0,
+            2 => -0.0,
+            3 => f64::INFINITY,
+            4 => f64::NEG_INFINITY,
+            5 => lo,
+            6 => hi,
+            _ => (x * 2.0).round() / 2.0,
+        }
+    }
+
+    /// A bound: `inf` (a one-sided range), ±0.0, or `x` on the grid.
+    fn edge_bound(pick: u8, x: f64, inf: f64) -> f64 {
+        match pick % 6 {
+            0 => inf,
+            1 => 0.0,
+            2 => -0.0,
+            _ => (x * 2.0).round() / 2.0,
+        }
+    }
+
+    /// The range kernel `fill_mask` runs and the scalar loop, from the
+    /// same starting words.
+    fn both_range_kernels<const LO_INC: bool, const HI_INC: bool>(
+        init: &[u64],
+        seg: &[f64],
+        lo: f64,
+        hi: f64,
+    ) -> (Vec<u64>, Vec<u64>) {
+        let (mut fast, mut slow) = (init.to_vec(), init.to_vec());
+        and_range::<LO_INC, HI_INC>(&mut fast, seg, lo, hi);
+        and_range_scalar::<LO_INC, HI_INC>(&mut slow, seg, lo, hi);
+        (fast, slow)
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The range kernel `fill_mask` runs (AVX2 where the host has
+        /// it) leaves exactly the scalar loop's bits in every word, and
+        /// `fill_mask` selects exactly the rows `matches` does, under all
+        /// four inclusivity combinations.
+        #[test]
+        fn range_kernel_matches_scalar_and_rows(
+            raw in prop::collection::vec((any::<u8>(), -4.0..4.0f64), 0..=1024),
+            pad in 1usize..64,
+            bounds in (any::<u8>(), -4.0..4.0f64, any::<u8>(), -4.0..4.0f64),
+            seed in any::<u64>(),
+        ) {
+            let lo = edge_bound(bounds.0, bounds.1, f64::NEG_INFINITY);
+            let hi = edge_bound(bounds.2, bounds.3, f64::INFINITY);
+            let xs: Vec<f64> = raw.iter().map(|&(p, x)| edge_value(p, x, lo, hi)).collect();
+            let t = kernel_table(pad, &xs, &vec![3; xs.len()]);
+            for skip in [0, 64 - pad] {
+                let seg = &xs[skip.min(xs.len())..];
+                // Words start out mixed, so the kernels must AND, not set.
+                let init: Vec<u64> = (0..seg.len().div_ceil(64) as u32)
+                    .map(|i| seed.rotate_left(i * 7) | !0u64 << 32)
+                    .collect();
+                for (fast, slow) in [
+                    both_range_kernels::<true, true>(&init, seg, lo, hi),
+                    both_range_kernels::<true, false>(&init, seg, lo, hi),
+                    both_range_kernels::<false, true>(&init, seg, lo, hi),
+                    both_range_kernels::<false, false>(&init, seg, lo, hi),
+                ] {
+                    prop_assert_eq!(fast, slow);
+                }
+            }
+            let inclusivity = [(true, true), (true, false), (false, true), (false, false)];
+            for (lo_inclusive, hi_inclusive) in inclusivity {
+                let p = Predicate::NumRange {
+                    col: "x".into(),
+                    range: NumRange { lo, hi, lo_inclusive, hi_inclusive },
+                };
+                let c = p.compile(&t).unwrap();
+                check_mask(&c, pad..pad + xs.len())?;
+            }
+        }
+
+        /// The one-word membership kernel leaves exactly the bits of the
+        /// scalar bitset loop (and, for one code, of the `==` loop), and
+        /// `fill_mask` selects exactly the rows `matches` does — over
+        /// codes `0..=70`, past the dictionary's 40 labels and across the
+        /// 63/64 edge, for empty, single and multi-code sets.
+        #[test]
+        fn membership_kernels_match_scalar_and_rows(
+            codes in prop::collection::vec(0u32..=70, 0..=1024),
+            pad in 1usize..64,
+            allowed in prop::collection::vec(
+                prop::sample::select(vec![0u32, 1, 5, 39, 40, 62, 63, 64, 65, 70]),
+                0..4,
+            ),
+            seed in any::<u64>(),
+        ) {
+            let t = kernel_table(pad, &vec![0.5; codes.len()], &codes);
+            let mut allowed = allowed;
+            allowed.sort_unstable();
+            allowed.dedup();
+            if let Some(bits) = CodeBitset::build(&allowed).filter(|b| b.words.len() == 1) {
+                let init: Vec<u64> = (0..codes.len().div_ceil(64) as u32)
+                    .map(|i| seed.rotate_left(i * 5) | !0u64 << 32)
+                    .collect();
+                let (mut fast, mut slow) = (init.clone(), init.clone());
+                and_in_word(&mut fast, &codes, &bits);
+                and_in_bitset(&mut slow, &codes, &bits);
+                prop_assert_eq!(&fast, &slow);
+                if let [only] = allowed.as_slice() {
+                    let mut eq = init;
+                    and_eq(&mut eq, &codes, *only);
+                    prop_assert_eq!(&fast, &eq);
+                }
+            }
+            let c = Predicate::cat_in("c", allowed.clone()).compile(&t).unwrap();
+            check_mask(&c, pad..pad + codes.len())?;
+            if let Some(&only) = allowed.first() {
+                let c = Predicate::cat_eq("c", only)
+                    .and(Predicate::between("x", 0.0, 1.0))
+                    .compile(&t)
+                    .unwrap();
+                check_mask(&c, pad..pad + codes.len())?;
             }
         }
     }
