@@ -39,7 +39,14 @@
 //! the priors once. The kernel subtracts in `solve_lower`'s order, and
 //! every `k̄` element is the same product of the same factors as one
 //! [`snippet_covariance`] call, so tiling changes no bit of any answer
-//! (modulo NaN payload). `Σₙ⁻¹` itself is never formed: a fit is
+//! (modulo NaN payload). On a host with AVX2 the forward pass and the
+//! factorization's panels run vector kernels, picked at run time, whose
+//! lanes are the scalar chains — a separate multiply and subtract per
+//! term, no fused multiply-add — so the host changes no bit either. At
+//! `n` = 1,500 on 2 vCPUs a lone cell's pass is ≈ 0.4 ms and an 8-cell
+//! tile's ≈ 0.75 ms (≈ 1.6 ms scalar), a factorization ≈ 85 ms (≈ 200–300
+//! ms scalar); what remains of a lone cell is mostly building `k̄`, its
+//! 1,500 erf-based integrals. `Σₙ⁻¹` itself is never formed: a fit is
 //! assembly, factorization and one solve for `α`.
 //!
 //! The index is derived state: [`TrainedModel::fit`] builds it (and

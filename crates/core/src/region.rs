@@ -253,7 +253,10 @@ impl Region {
     /// intersected with the domain; unconstrained dimensions default to the
     /// full domain (§4.1). Predicate columns that are not declared
     /// dimensions are an error (the caller's type checker should have
-    /// rejected the query).
+    /// rejected the query), and so is a NaN range bound: no row satisfies
+    /// it, while clamping would widen it to the domain edge, so it is no
+    /// region the model could answer (the cell passes its raw answer
+    /// through and teaches nothing). Infinite bounds clamp to the domain.
     pub fn from_predicate(schema: &SchemaInfo, predicate: &Predicate) -> Result<Region> {
         let mut region = Region::full(schema);
         let nf = predicate.normal_form()?;
@@ -264,6 +267,13 @@ impl Region {
                 )));
             };
             match (&schema.dims()[idx].kind, constraint) {
+                (DimKind::Numeric { .. }, ColumnConstraint::Range(r))
+                    if r.lo.is_nan() || r.hi.is_nan() =>
+                {
+                    return Err(CoreError::SchemaMismatch(format!(
+                        "NaN range bound on dimension {col}"
+                    )))
+                }
                 (DimKind::Numeric { lo, hi }, ColumnConstraint::Range(r)) => {
                     let s = r.lo.max(*lo);
                     let e = r.hi.min(*hi);
@@ -489,6 +499,17 @@ mod tests {
         let p = Predicate::cat_in("region", vec![]);
         let r = Region::from_predicate(&s, &p).unwrap();
         assert!(r.is_degenerate());
+    }
+
+    #[test]
+    fn nan_bounds_are_no_region_and_infinite_ones_clamp() {
+        let s = schema();
+        for (lo, hi) in [(f64::NAN, 3.0), (3.0, f64::NAN), (f64::NAN, f64::NAN)] {
+            assert!(Region::from_predicate(&s, &Predicate::between("week", lo, hi)).is_err());
+        }
+        let p = Predicate::between("week", f64::NEG_INFINITY, f64::INFINITY);
+        let r = Region::from_predicate(&s, &p).unwrap();
+        assert_eq!(r.range(0), Some((0.0, 100.0)));
     }
 
     #[test]

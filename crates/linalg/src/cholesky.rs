@@ -12,13 +12,21 @@
 //! substitutions subtract in [`crate::solve_lower`]'s and
 //! [`crate::solve_upper`]'s orders. Only the order in which independent
 //! entries are computed changes, so results are the serial loops' bits.
+//!
+//! The factorization runs in panels of four rows. On a host with AVX2
+//! (`is_x86_feature_detected!`, no option selects it) a panel's chains
+//! against earlier columns run in `crate::avx2`, four rows × four
+//! columns per step, each lane a separate multiply and add in ascending
+//! `k`; elsewhere the scalar panel pairs columns. Either way the block's
+//! own triangle, the shifted diagonal and the pivot checks run scalar, in
+//! row order, so the first pivot to fail is the textbook's.
 
 use crate::ops::{forward_tile, TILE_COLS};
 use crate::{LinalgError, Matrix, Result};
 
 /// Rows of `A` one factorization panel finishes against every earlier
-/// column pair: `2 × PANEL_ROWS` independent chains.
-const PANEL_ROWS: usize = 4;
+/// column.
+pub(crate) const PANEL_ROWS: usize = 4;
 
 /// Lower-triangular Cholesky factor `L` with `L Lᵀ = A`, packed by rows.
 /// Every constructor checks that the diagonal is positive and finite.
@@ -30,7 +38,7 @@ pub struct Cholesky {
 
 /// Offset of row `i` in the packed layout.
 #[inline]
-fn start(i: usize) -> usize {
+pub(crate) fn start(i: usize) -> usize {
     i * (i + 1) / 2
 }
 
@@ -74,6 +82,23 @@ impl Cholesky {
     /// changes no pivot: `+ 0.0` only turns a `-0.0` diagonal into `0.0`,
     /// and both fail.)
     fn shifted(a: &Matrix, shift: f64) -> Result<Self> {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(avx2) = crate::avx2::Avx2::detect() {
+            return Cholesky::factor(a, shift, |packed, i0, rows, shift| {
+                avx2.factor_panel(packed, i0, rows, shift)
+            });
+        }
+        Cholesky::factor(a, shift, factor_rows::<PANEL_ROWS>)
+    }
+
+    /// [`Cholesky::shifted`] with each whole panel — `(packed, i0, rows
+    /// i0.. of A, shift)`, every earlier row final — through `panel`, and
+    /// the ragged rows one at a time through [`factor_rows`].
+    pub(crate) fn factor(
+        a: &Matrix,
+        shift: f64,
+        panel: impl Fn(&mut [f64], usize, [&[f64]; PANEL_ROWS], f64) -> Result<()>,
+    ) -> Result<Self> {
         if !a.is_square() {
             return Err(LinalgError::NotSquare {
                 rows: a.rows(),
@@ -84,8 +109,12 @@ impl Cholesky {
         let mut packed = vec![0.0; start(n)];
         let mut i0 = 0;
         while i0 + PANEL_ROWS <= n {
-            let rows = std::array::from_fn(|r| a.row(i0 + r));
-            factor_rows::<PANEL_ROWS>(&mut packed, i0, rows, shift)?;
+            panel(
+                &mut packed,
+                i0,
+                std::array::from_fn(|r| a.row(i0 + r)),
+                shift,
+            )?;
             i0 += PANEL_ROWS;
         }
         for i in i0..n {
@@ -177,7 +206,7 @@ impl Cholesky {
             });
         }
         let mut x: Vec<[f64; 1]> = b.iter().map(|&v| [v]).collect();
-        forward_tile::<1, 4>(self, &mut x);
+        forward_tile(self, &mut x);
         if back {
             self.back_tile(&mut x);
         }
@@ -212,7 +241,7 @@ impl Cholesky {
             for c in 0..width {
                 x[j0 + c][c] = 1.0;
             }
-            forward_tile::<TILE_COLS, 2>(self, &mut x);
+            forward_tile(self, &mut x);
             self.back_tile(&mut x);
             for (i, xi) in x.iter().enumerate() {
                 inv.row_mut(i)[j0..j0 + width].copy_from_slice(&xi[..width]);
@@ -237,9 +266,9 @@ impl Cholesky {
 /// is row `i0 + r` of `A`, its diagonal entry read plus `shift`. Columns
 /// before the block go two at a time — `2R` chains, each `s` from `0.0` in
 /// ascending `k`, column `j + 1` adding its `k = j` term once `L[i][j]` is
-/// final; an odd column out and the block's own triangle follow entry by
-/// entry in row order, so the first pivot to fail is the textbook's.
-fn factor_rows<const R: usize>(
+/// final; an odd column out and the block's own triangle follow in
+/// [`finish_rows`].
+pub(crate) fn factor_rows<const R: usize>(
     packed: &mut [f64],
     i0: usize,
     a: [&[f64]; R],
@@ -267,8 +296,22 @@ fn factor_rows<const R: usize>(
             block[at + j + 1] = (a[j + 1] - s[1]) / lk[j + 1];
         }
     }
+    finish_rows(packed, i0, paired, a, shift)
+}
+
+/// Entries `from..=i` of each row `i` of the block `i0..i0 + R`, entry by
+/// entry in row order, each chain from `0.0` in ascending `k`; the
+/// diagonal reads `A[i][i] + shift`, and the first pivot that is not
+/// positive and finite is the error, as in the textbook loop.
+pub(crate) fn finish_rows<const R: usize>(
+    packed: &mut [f64],
+    i0: usize,
+    from: usize,
+    a: [&[f64]; R],
+    shift: f64,
+) -> Result<()> {
     for (i, a) in (i0..).zip(a) {
-        for j in paired..=i {
+        for j in from..=i {
             let s = (0..j).fold(0.0, |s, k| s + packed[start(i) + k] * packed[start(j) + k]);
             if j < i {
                 packed[start(i) + j] = (a[j] - s) / packed[start(j) + j];

@@ -11,6 +11,8 @@
 //! factorizations borrow their input where possible and solves reuse caller
 //! buffers.
 
+#[cfg(target_arch = "x86_64")]
+mod avx2;
 pub mod cholesky;
 pub mod matrix;
 pub mod ops;

@@ -9,6 +9,17 @@
 //! (modulo NaN payload: which NaN an operation on two NaNs returns is not
 //! pinned down). What the tiles buy is independent chains and one pass
 //! over the factor per tile instead of per vector.
+//!
+//! Two tile shapes run: a lone column, and [`TILE_COLS`] columns (a
+//! narrower tile pads unused lanes with zeros). On a host with AVX2
+//! (`is_x86_feature_detected!`, no option selects it) both take four
+//! factor rows per block in `crate::avx2`: the lone column transposes
+//! four rows' entries so the four row chains share one ymm, the wide tile
+//! holds each row's 8 lanes in two. Each lane multiplies, then subtracts,
+//! in the scalar loop's order — no fused multiply-add — so the kernel
+//! keeps the bits. The scalar blocks here (a lone column four rows per
+//! block, the wide tile two) are the fallback elsewhere, the ragged tail
+//! rows and the oracle the kernel is tested against.
 
 use crate::Cholesky;
 
@@ -37,12 +48,9 @@ pub fn forward_sq_norms(l: &Cholesky, columns: &[&[f64]]) -> Vec<f64> {
     );
     let mut out = Vec::with_capacity(columns.len());
     for tile in columns.chunks(TILE_COLS) {
-        // `<W, R>`, the two shapes that were measured: a lone column takes
-        // four factor rows per block instead of padding seven lanes;
-        // anything wider is a full-width tile, two rows per block.
         match tile.len() {
-            1 => out.extend(tile_sq_norms::<1, 4>(l, tile)),
-            w => out.extend_from_slice(&tile_sq_norms::<TILE_COLS, 2>(l, tile)[..w]),
+            1 => out.extend(tile_sq_norms::<1>(l, tile)),
+            w => out.extend_from_slice(&tile_sq_norms::<TILE_COLS>(l, tile)[..w]),
         }
     }
     out
@@ -50,14 +58,14 @@ pub fn forward_sq_norms(l: &Cholesky, columns: &[&[f64]]) -> Vec<f64> {
 
 /// One tile: the columns interleaved `[i][W]` (unused lanes zero), solved
 /// in place, then summed.
-fn tile_sq_norms<const W: usize, const R: usize>(l: &Cholesky, tile: &[&[f64]]) -> [f64; W] {
+fn tile_sq_norms<const W: usize>(l: &Cholesky, tile: &[&[f64]]) -> [f64; W] {
     let mut x = vec![[0.0; W]; l.dim()];
     for (c, col) in tile.iter().enumerate() {
         for (lanes, &v) in x.iter_mut().zip(col.iter()) {
             lanes[c] = v;
         }
     }
-    forward_tile::<W, R>(l, &mut x);
+    forward_tile(l, &mut x);
     let mut acc = [0.0; W];
     for y in &x {
         for (acc, v) in acc.iter_mut().zip(y) {
@@ -67,9 +75,30 @@ fn tile_sq_norms<const W: usize, const R: usize>(l: &Cholesky, tile: &[&[f64]]) 
     acc
 }
 
-/// `L y = x` in place for `W` right-hand sides interleaved `[i][W]`, `R`
-/// factor rows per block; a ragged tail goes a row at a time.
-pub(crate) fn forward_tile<const W: usize, const R: usize>(l: &Cholesky, x: &mut [[f64; W]]) {
+/// `L y = x` in place for `W` right-hand sides interleaved `[i][W]`, `W`
+/// being 1 or [`TILE_COLS`]: the AVX2 kernel when the host has it, the
+/// scalar blocks otherwise.
+pub(crate) fn forward_tile<const W: usize>(l: &Cholesky, x: &mut [[f64; W]]) {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(avx2) = crate::avx2::Avx2::detect() {
+        return avx2.forward_tile(l, x);
+    }
+    scalar_forward_tile(l, x);
+}
+
+/// The scalar forward substitution, in the two shapes that were measured:
+/// a lone column takes four factor rows per block instead of padding seven
+/// lanes; anything wider is a full-width tile, two rows per block.
+pub(crate) fn scalar_forward_tile<const W: usize>(l: &Cholesky, x: &mut [[f64; W]]) {
+    if W == 1 {
+        forward_blocks::<W, 4>(l, x);
+    } else {
+        forward_blocks::<W, 2>(l, x);
+    }
+}
+
+/// `R` factor rows per block; a ragged tail goes a row at a time.
+fn forward_blocks<const W: usize, const R: usize>(l: &Cholesky, x: &mut [[f64; W]]) {
     debug_assert_eq!(x.len(), l.dim());
     let mut i0 = 0;
     while i0 + R <= x.len() {
@@ -82,10 +111,13 @@ pub(crate) fn forward_tile<const W: usize, const R: usize>(l: &Cholesky, x: &mut
 }
 
 /// Rows `i0..i0 + R`: their `R × W` chains run over the finished
-/// `y[..i0]` together, then the block's own triangle finishes a row at a
-/// time.
+/// `y[..i0]` together, then [`finish_block`].
 #[inline(always)]
-fn forward_block<const W: usize, const R: usize>(l: &Cholesky, x: &mut [[f64; W]], i0: usize) {
+pub(crate) fn forward_block<const W: usize, const R: usize>(
+    l: &Cholesky,
+    x: &mut [[f64; W]],
+    i0: usize,
+) {
     let (solved, block) = x.split_at_mut(i0);
     let rows: [&[f64]; R] = std::array::from_fn(|r| l.row(i0 + r));
     let mut s: [[f64; W]; R] = std::array::from_fn(|r| block[r]);
@@ -99,7 +131,20 @@ fn forward_block<const W: usize, const R: usize>(l: &Cholesky, x: &mut [[f64; W]
             }
         }
     }
-    for (r, (sr, row)) in s.iter_mut().zip(&rows).enumerate() {
+    finish_block(&rows, i0, block, s);
+}
+
+/// The block's own triangle, a row at a time: chain `s[r]` (already run
+/// over `y[..i0]`) subtracts the terms of the rows solved above it in
+/// the block, then divides by the diagonal into `block[r]`.
+#[inline(always)]
+pub(crate) fn finish_block<const W: usize, const R: usize>(
+    rows: &[&[f64]; R],
+    i0: usize,
+    block: &mut [[f64; W]],
+    mut s: [[f64; W]; R],
+) {
+    for (r, (sr, row)) in s.iter_mut().zip(rows).enumerate() {
         for (k, yk) in block[..r].iter().enumerate() {
             let lik = row[i0 + k];
             for (v, y) in sr.iter_mut().zip(yk) {

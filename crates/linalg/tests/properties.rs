@@ -166,6 +166,37 @@ proptest! {
         }
     }
 
+    /// `B Bᵀ` with `B` of rank below `n` is singular, and a small dip of
+    /// its diagonal makes it indefinite, so the factor needs jitter: what
+    /// `new_with_jitter` returns is, bit for bit, the textbook factor of
+    /// the materialized `A + shift·I` at the first shift the textbook
+    /// accepts.
+    #[test]
+    fn jittered_factor_equals_textbook_of_shifted_matrix(
+        (n, rank, vals) in (2usize..=40).prop_flat_map(|n| {
+            (Just(n), 1..n, prop::collection::vec(-3.0..3.0f64, n * n..=n * n))
+        }),
+        dip in 1e-6..1e-3f64,
+    ) {
+        let b = Matrix::from_fn(n, rank, |i, j| vals[i * n + j]);
+        let mut a = b.matmul(&b.transpose()).unwrap();
+        a.add_diagonal(-dip * a.max_abs().max(1.0));
+        prop_assert!(textbook_cholesky(&a).is_err());
+        let mut shift = 1e-8 * a.max_abs().max(1.0);
+        let want = (0..12)
+            .find_map(|_| {
+                let mut shifted = a.clone();
+                shifted.add_diagonal(shift);
+                shift *= 10.0;
+                textbook_cholesky(&shifted).ok()
+            })
+            .unwrap();
+        let got = Cholesky::new_with_jitter(&a, 1e-8, 12).unwrap().to_matrix();
+        for (g, w) in got.as_slice().iter().zip(want.as_slice()) {
+            prop_assert!(g.to_bits() == w.to_bits(), "{g} vs {w}");
+        }
+    }
+
     #[test]
     fn tiled_inverse_equals_column_solves((n, vals) in spd_strategy(40)) {
         let c = Cholesky::new(&spd_from(&vals, n)).unwrap();

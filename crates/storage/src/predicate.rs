@@ -72,17 +72,24 @@ impl NumRange {
         lo_ok && hi_ok
     }
 
-    /// Intersects two intervals (tightest bounds win).
+    /// Intersects two intervals (tightest bounds win). A NaN bound admits
+    /// no value, so it always wins: the intersection stays empty, as
+    /// [`NumRange::contains`] of the conjunction is.
     pub fn intersect(&self, other: &NumRange) -> NumRange {
+        use std::cmp::Ordering::{Equal, Greater, Less};
         let (lo, lo_inclusive) = match self.lo.partial_cmp(&other.lo) {
-            Some(std::cmp::Ordering::Greater) => (self.lo, self.lo_inclusive),
-            Some(std::cmp::Ordering::Less) => (other.lo, other.lo_inclusive),
-            _ => (self.lo, self.lo_inclusive && other.lo_inclusive),
+            Some(Greater) => (self.lo, self.lo_inclusive),
+            Some(Less) => (other.lo, other.lo_inclusive),
+            Some(Equal) => (self.lo, self.lo_inclusive && other.lo_inclusive),
+            None if self.lo.is_nan() => (self.lo, self.lo_inclusive),
+            None => (other.lo, other.lo_inclusive),
         };
         let (hi, hi_inclusive) = match self.hi.partial_cmp(&other.hi) {
-            Some(std::cmp::Ordering::Less) => (self.hi, self.hi_inclusive),
-            Some(std::cmp::Ordering::Greater) => (other.hi, other.hi_inclusive),
-            _ => (self.hi, self.hi_inclusive && other.hi_inclusive),
+            Some(Less) => (self.hi, self.hi_inclusive),
+            Some(Greater) => (other.hi, other.hi_inclusive),
+            Some(Equal) => (self.hi, self.hi_inclusive && other.hi_inclusive),
+            None if self.hi.is_nan() => (self.hi, self.hi_inclusive),
+            None => (other.hi, other.hi_inclusive),
         };
         NumRange {
             lo,
@@ -895,6 +902,20 @@ mod tests {
                 assert_eq!(r.hi, 4.0);
             }
             _ => panic!("expected a range"),
+        }
+    }
+
+    #[test]
+    fn a_nan_bound_survives_intersection_in_either_order() {
+        let t = table();
+        let nan = Predicate::greater_than("week", f64::NAN, true);
+        let le = Predicate::less_than("week", 4.0, true);
+        for p in [nan.clone().and(le.clone()), le.and(nan)] {
+            let slow: Vec<usize> = (0..t.num_rows())
+                .filter(|&r| p.eval_row(&t, r).unwrap())
+                .collect();
+            assert!(slow.is_empty());
+            assert_eq!(p.selected_rows(&t).unwrap(), slow);
         }
     }
 
