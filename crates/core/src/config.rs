@@ -23,7 +23,9 @@ pub struct VerdictConfig {
     pub min_snippets_to_train: usize,
     /// Multi-start factors (relative to each dimension's domain width) for
     /// the lengthscale optimizer. The paper starts at the domain width
-    /// (Appendix A.1); extra starts guard against bad local optima.
+    /// (Appendix A.1); extra starts guard against bad local optima. Each
+    /// usable start descends on a thread of its own, so the list also sets
+    /// how many cores a search uses; the result does not depend on it.
     pub lengthscale_starts: Vec<f64>,
     /// Maximum Nelder–Mead iterations per start.
     pub max_optimizer_iters: usize,

@@ -662,7 +662,9 @@ impl Verdict {
     ///
     /// The state's schema must match the engine's declared schema — a
     /// synopsis learned over different dimensions would silently produce
-    /// wrong covariances.
+    /// wrong covariances — and so must every region it holds, and every
+    /// model's lengthscale count; anything else is
+    /// [`crate::CoreError::SchemaMismatch`] and leaves the engine as it was.
     ///
     /// Note on counters: WAL replay restores only `stats.observed`
     /// faithfully; `improved`/`rejected`/`passed_through` reflect the
@@ -673,6 +675,23 @@ impl Verdict {
             return Err(crate::CoreError::SchemaMismatch(
                 "persisted state was learned over a different dimension universe".into(),
             ));
+        }
+        let fits = |r: &Region| r.fits(&self.schema);
+        let misfit = |what: String| {
+            crate::CoreError::SchemaMismatch(format!("persisted {what} does not fit the schema"))
+        };
+        for (key, synopsis) in &state.synopses {
+            if !synopsis.entries().iter().all(|e| fits(&e.region)) {
+                return Err(misfit(format!("synopsis region of {key}")));
+            }
+        }
+        for (key, model) in &state.models {
+            if model.params().lengthscales.len() != self.schema.len() {
+                return Err(misfit(format!("lengthscale count of {key}'s model")));
+            }
+            if !model.regions().iter().all(fits) {
+                return Err(misfit(format!("region of {key}'s model")));
+            }
         }
         self.synopses = state
             .synopses
@@ -1169,5 +1188,100 @@ mod tests {
         let before = v.stats();
         assert!(v.improve_batch(&[]).is_empty());
         assert_eq!(v.stats(), before);
+    }
+
+    #[test]
+    fn restored_state_that_does_not_fit_the_schema_is_refused() {
+        use crate::persist::{EngineState, Persist, PersistError};
+        use crate::region::DimConstraint;
+
+        let v = trained_engine();
+        let good = v.export_state();
+        let model = &good.models[0].1;
+        // `model` with its kernel parameters or regions replaced, encoded
+        // into a whole state and decoded again.
+        let crafted = |lengthscales: Vec<f64>, sigma2: f64, regions: Vec<Region>| {
+            let mut state = good.clone();
+            state.models[0].1 = TrainedModel::from_parts(
+                model.mode(),
+                KernelParams {
+                    lengthscales,
+                    sigma2,
+                },
+                *model.prior(),
+                regions,
+                model.observations().to_vec(),
+                model.factor().clone(),
+                model.alpha().to_vec(),
+            );
+            EngineState::from_bytes(&state.to_bytes())
+        };
+        let l = model.params().lengthscales[0];
+        let sigma2 = model.params().sigma2;
+        let regions = model.regions().to_vec();
+        assert!(crafted(vec![l], sigma2, regions.clone()).is_ok());
+
+        // Caught by the codec: regions wider or narrower than the
+        // lengthscale list, or a lengthscale or σ² not finite and > 0.
+        let corrupt = |r: crate::persist::PersistResult<EngineState>| {
+            matches!(r, Err(PersistError::Corrupt(_)))
+        };
+        assert!(corrupt(crafted(vec![], sigma2, regions.clone())));
+        for bad in [0.0, -0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert!(
+                corrupt(crafted(vec![bad], sigma2, regions.clone())),
+                "ℓ = {bad}"
+            );
+            assert!(
+                corrupt(crafted(vec![l], bad, regions.clone())),
+                "σ² = {bad}"
+            );
+        }
+
+        // Caught at restore: well formed, but not over this schema.
+        let restore = |state: EngineState| {
+            let mut engine = Verdict::new(schema(), VerdictConfig::default());
+            let before = engine.state_bytes();
+            let result = engine.restore_state(state);
+            if result.is_err() {
+                assert_eq!(
+                    engine.state_bytes(),
+                    before,
+                    "a refused state changes nothing"
+                );
+            }
+            result
+        };
+        let two_dims: Vec<Region> = regions
+            .iter()
+            .map(|r| {
+                let mut c = r.constraints().to_vec();
+                c.push(c[0].clone());
+                Region::from_constraints(c)
+            })
+            .collect();
+        let categorical =
+            vec![Region::from_constraints(vec![DimConstraint::Set(None)]); regions.len()];
+        for state in [
+            crafted(vec![l, l], sigma2, two_dims).unwrap(),
+            crafted(vec![l], sigma2, categorical.clone()).unwrap(),
+        ] {
+            assert!(matches!(
+                restore(state),
+                Err(crate::CoreError::SchemaMismatch(_))
+            ));
+        }
+        let mut synopsis = QuerySynopsis::new(4);
+        synopsis.record(categorical[0].clone(), Observation::new(1.0, 0.1));
+        let mut state = good.clone();
+        state.synopses.push((AggKey::avg("w"), synopsis));
+        let state = EngineState::from_bytes(&state.to_bytes()).unwrap();
+        assert!(matches!(
+            restore(state),
+            Err(crate::CoreError::SchemaMismatch(_))
+        ));
+
+        let restored = crafted(vec![l], sigma2, regions).unwrap();
+        restore(restored).unwrap();
     }
 }

@@ -26,19 +26,26 @@
 //! few hundred of them ([`LearnedParams::evaluations`]). [`learn_params`]
 //! indexes the training regions once
 //! ([`RegionIndex`]) and keeps one set of
-//! per-dimension factor tables for the whole search, so assembling `Σₙ`
-//! costs `O(Σ_k d_k²)` kernel integrals over the `d_k` *distinct*
+//! per-dimension factor tables for each start's descent, so assembling
+//! `Σₙ` costs `O(Σ_k d_k²)` kernel integrals over the `d_k` *distinct*
 //! constraints of each numeric dimension — the categorical factors are
-//! integrated once per search, not once per likelihood — plus
+//! integrated once per start, not once per likelihood — plus
 //! `O(n²·dims)` multiplies; with the constraints a workload repeats, the
 //! `O(n³)` factorization is what is left of a likelihood.
+//!
+//! The starts descend concurrently, one scoped thread each, so given a
+//! core per start a search's wall time is about its slowest start's, not
+//! the sum over starts; its memory is one `Σₙ` and factor per start.
+//! [`LearnedParams::evaluations`] still counts every start's likelihoods.
+
+use std::{panic, thread};
 
 use verdict_linalg::Cholesky;
 use verdict_stats::{mean, variance};
 
 use crate::covariance::{AggMode, PairFactors, RegionIndex};
 use crate::kernel::KernelParams;
-use crate::optimizer::nelder_mead;
+use crate::optimizer::{nelder_mead, OptimizationResult};
 use crate::region::{DimKind, Region, SchemaInfo};
 use crate::VerdictConfig;
 
@@ -200,6 +207,12 @@ pub struct LearnedParams {
 
 /// Learns the kernel parameters for one aggregate function from its past
 /// snippets (Algorithm 1 line 2).
+///
+/// The usable starts of [`VerdictConfig::lengthscale_starts`] descend
+/// concurrently, one thread each, and the best descent wins (the earliest
+/// start on a tie). A likelihood is a pure function of its lengthscales'
+/// bits, so the result is bit for bit what running the starts in turn
+/// gives.
 pub fn learn_params(
     schema: &SchemaInfo,
     mode: AggMode,
@@ -207,6 +220,28 @@ pub fn learn_params(
     answers: &[f64],
     errors: &[f64],
     config: &VerdictConfig,
+) -> LearnedParams {
+    learn_with(
+        schema,
+        mode,
+        regions,
+        answers,
+        errors,
+        config,
+        descend_concurrently,
+    )
+}
+
+/// [`learn_params`], with `descend` running one descent per start and
+/// returning them in start order.
+fn learn_with(
+    schema: &SchemaInfo,
+    mode: AggMode,
+    regions: &[&Region],
+    answers: &[f64],
+    errors: &[f64],
+    config: &VerdictConfig,
+    descend: impl FnOnce(&Search<'_>, &[f64]) -> Vec<Descent>,
 ) -> LearnedParams {
     let prior = estimate_prior_mean(mode, schema, regions, answers);
     let sigma2 = estimate_sigma2(mode, schema, regions, answers);
@@ -235,37 +270,6 @@ pub fn learn_params(
         };
     }
 
-    // Log-lengthscales of the numeric dimensions → kernel parameters.
-    let params_at = |logls: &[f64]| -> KernelParams {
-        let mut lengthscales = widths.clone();
-        for (slot, &idx) in numeric.iter().enumerate() {
-            // Clamp to avoid numerically absurd scales.
-            lengthscales[idx] = logls[slot].clamp(-20.0, 20.0).exp() * widths[idx];
-        }
-        KernelParams {
-            lengthscales,
-            sigma2,
-        }
-    };
-
-    // One index and one set of factor tables for the whole search: the
-    // categorical factors are integrated once, the numeric ones once per
-    // likelihood.
-    let index = RegionIndex::new(regions.iter().copied());
-    let mut pairs = index.pairs(schema, mode);
-    let centered = centered_answers(schema, regions, answers, &prior);
-    let mut evaluations = 0;
-    let mut objective = |logls: &[f64]| -> f64 {
-        evaluations += 1;
-        -likelihood(
-            &mut pairs,
-            &centered,
-            errors,
-            &params_at(logls),
-            config.jitter,
-        )
-    };
-
     // A start whose logarithm is not a number cannot seed a simplex; with
     // none usable (the list is a `pub` field, and decoded from a persisted
     // config) search from the paper's own start, the domain width.
@@ -278,28 +282,117 @@ pub fn learn_params(
     if starts.is_empty() {
         starts.push(1.0);
     }
-    let mut best: Option<(Vec<f64>, f64)> = None;
-    for start_factor in starts {
-        let x0 = vec![start_factor.ln(); numeric.len()];
-        let r = nelder_mead(&mut objective, &x0, 0.7, config.max_optimizer_iters, 1e-8);
-        if best.as_ref().is_none_or(|(_, v)| r.value < *v) {
-            best = Some((r.x, r.value));
+    let search = Search {
+        schema,
+        mode,
+        index: RegionIndex::new(regions.iter().copied()),
+        centered: centered_answers(schema, regions, answers, &prior),
+        errors,
+        widths,
+        numeric,
+        sigma2,
+        config,
+    };
+    let mut best: Option<OptimizationResult> = None;
+    let mut evaluations = 0;
+    for (r, spent) in descend(&search, &starts) {
+        evaluations += spent;
+        if best.as_ref().is_none_or(|b| r.value < b.value) {
+            best = Some(r);
         }
     }
-    let (best_x, best_neg_ll) = best.expect("at least one start");
+    let best = best.expect("at least one start");
 
     LearnedParams {
-        params: params_at(&best_x),
+        params: search.params_at(&best.x),
         prior,
-        log_likelihood: -best_neg_ll,
+        log_likelihood: -best.value,
         evaluations,
     }
+}
+
+/// One start's Nelder–Mead result and the likelihoods it evaluated.
+type Descent = (OptimizationResult, u64);
+
+/// What every start of one search shares: the training regions' index,
+/// the centred answers, and the map from log-lengthscales to parameters.
+struct Search<'a> {
+    schema: &'a SchemaInfo,
+    mode: AggMode,
+    index: RegionIndex,
+    centered: Vec<f64>,
+    errors: &'a [f64],
+    widths: Vec<f64>,
+    numeric: Vec<usize>,
+    sigma2: f64,
+    config: &'a VerdictConfig,
+}
+
+impl Search<'_> {
+    /// Log-lengthscales of the numeric dimensions → kernel parameters.
+    fn params_at(&self, logls: &[f64]) -> KernelParams {
+        let mut lengthscales = self.widths.clone();
+        for (slot, &idx) in self.numeric.iter().enumerate() {
+            // Clamp to avoid numerically absurd scales.
+            lengthscales[idx] = logls[slot].clamp(-20.0, 20.0).exp() * self.widths[idx];
+        }
+        KernelParams {
+            lengthscales,
+            sigma2: self.sigma2,
+        }
+    }
+
+    /// Fresh factor tables over the index: the categorical factors are
+    /// integrated once per table set, the numeric ones once per
+    /// likelihood.
+    fn pairs(&self) -> PairFactors<'_> {
+        self.index.pairs(self.schema, self.mode)
+    }
+
+    /// Nelder–Mead from `start` × each numeric domain width.
+    fn descend(&self, pairs: &mut PairFactors<'_>, start: f64) -> Descent {
+        let mut evaluations = 0;
+        let x0 = vec![start.ln(); self.numeric.len()];
+        let objective = |logls: &[f64]| -> f64 {
+            evaluations += 1;
+            -likelihood(
+                pairs,
+                &self.centered,
+                self.errors,
+                &self.params_at(logls),
+                self.config.jitter,
+            )
+        };
+        let r = nelder_mead(objective, &x0, 0.7, self.config.max_optimizer_iters, 1e-8);
+        (r, evaluations)
+    }
+}
+
+/// Each start's descent on a scoped thread of its own (the first on the
+/// caller's), with its own factor tables over the one shared index. The
+/// tables only memoize, so a descent's bits do not depend on which tables
+/// it ran over. A panicking descent panics the caller.
+fn descend_concurrently(search: &Search<'_>, starts: &[f64]) -> Vec<Descent> {
+    let descend = |start: f64| search.descend(&mut search.pairs(), start);
+    let (&first, rest) = starts.split_first().expect("at least one start");
+    thread::scope(|scope| {
+        let rest: Vec<_> = rest
+            .iter()
+            .map(|&start| scope.spawn(move || descend(start)))
+            .collect();
+        let mut descents = vec![descend(first)];
+        descents.extend(
+            rest.into_iter()
+                .map(|h| h.join().unwrap_or_else(|p| panic::resume_unwind(p))),
+        );
+        descents
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::region::DimensionSpec;
+    use crate::region::{DimConstraint, DimensionSpec};
     use verdict_storage::Predicate;
 
     fn schema() -> SchemaInfo {
@@ -477,5 +570,176 @@ mod tests {
         assert_eq!(learned.params.lengthscales, vec![1.0]);
         assert!(learned.params.sigma2 > 0.0);
         assert_eq!(learned.evaluations, 0);
+    }
+
+    /// The serial oracle: one thread runs the starts in turn, over one set
+    /// of factor tables that all of them share.
+    fn descend_serially(search: &Search<'_>, starts: &[f64]) -> Vec<Descent> {
+        let mut pairs = search.pairs();
+        starts
+            .iter()
+            .map(|&start| search.descend(&mut pairs, start))
+            .collect()
+    }
+
+    /// `numeric` numeric and `categorical` categorical dimensions, and
+    /// `n` training snippets whose constraints repeat (so the factor
+    /// tables memoize) with smooth answers, from a fixed LCG.
+    fn training_set(
+        numeric: usize,
+        categorical: usize,
+        n: usize,
+    ) -> (SchemaInfo, Vec<Region>, Vec<f64>, Vec<f64>) {
+        let mut dims: Vec<DimensionSpec> = (0..numeric)
+            .map(|d| DimensionSpec::numeric(&format!("x{d}"), -5.0 * d as f64, 100.0))
+            .collect();
+        dims.extend((0..categorical).map(|d| DimensionSpec::categorical(&format!("c{d}"), 5)));
+        let s = SchemaInfo::new(dims).unwrap();
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut draw = |k: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % k
+        };
+        let mut regions = Vec::new();
+        let mut answers = Vec::new();
+        for _ in 0..n {
+            let mut centre = 0.0;
+            let constraints = s
+                .dims()
+                .iter()
+                .map(|d| match d.kind {
+                    DimKind::Numeric { lo, hi } => {
+                        let step = (hi - lo) / 8.0;
+                        let a = lo + step * draw(6) as f64;
+                        let b = a + step * (1 + draw(3)) as f64;
+                        centre += (a + b) / (hi - lo);
+                        DimConstraint::Range { lo: a, hi: b }
+                    }
+                    DimKind::Categorical { .. } => match draw(4) {
+                        0 => DimConstraint::Set(None),
+                        k => DimConstraint::Set(Some((0..k as u32).collect())),
+                    },
+                })
+                .collect();
+            regions.push(Region::from_constraints(constraints));
+            answers.push(10.0 + 2.0 * centre.sin() + draw(100) as f64 / 400.0);
+        }
+        let errors = (0..n).map(|i| 0.05 + 0.01 * (i % 3) as f64).collect();
+        (s, regions, answers, errors)
+    }
+
+    /// What a search's result is compared by: every number's bits.
+    fn result_bits(l: &LearnedParams) -> (Vec<u64>, u64, u64, u64, u64) {
+        let prior = match l.prior {
+            PriorMean::Constant(v) | PriorMean::Density(v) => v,
+        };
+        (
+            l.params.lengthscales.iter().map(|v| v.to_bits()).collect(),
+            l.params.sigma2.to_bits(),
+            prior.to_bits(),
+            l.log_likelihood.to_bits(),
+            l.evaluations,
+        )
+    }
+
+    #[test]
+    fn concurrent_search_equals_the_serial_loop_bit_for_bit() {
+        let start_lists = [
+            vec![],
+            vec![f64::NAN, 0.0],
+            vec![1.0],
+            VerdictConfig::default().lengthscale_starts,
+            vec![3.0, 1.0, 0.3, 0.1, 0.03],
+            vec![0.3, 1.0, 0.3, 1.0],
+        ];
+        for (numeric, categorical) in [(1, 0), (2, 1), (3, 2)] {
+            let (s, regions, answers, errors) = training_set(numeric, categorical, 20);
+            let refs: Vec<&Region> = regions.iter().collect();
+            for mode in [AggMode::Avg, AggMode::Freq] {
+                for starts in &start_lists {
+                    let config = VerdictConfig {
+                        lengthscale_starts: starts.clone(),
+                        max_optimizer_iters: 50,
+                        ..VerdictConfig::default()
+                    };
+                    let serial = learn_with(
+                        &s,
+                        mode,
+                        &refs,
+                        &answers,
+                        &errors,
+                        &config,
+                        descend_serially,
+                    );
+                    let concurrent = learn_params(&s, mode, &refs, &answers, &errors, &config);
+                    let case = format!("{numeric}+{categorical} dims, {mode:?}, starts {starts:?}");
+                    assert_eq!(result_bits(&concurrent), result_bits(&serial), "{case}");
+                    assert_eq!(concurrent.prior, serial.prior, "{case}");
+                    assert!(concurrent.evaluations > 0, "{case}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tied_starts_keep_the_first() {
+        // Under a NaN jitter no `Σₙ` factors, so every likelihood is −∞,
+        // every simplex shrinks onto its start, and every start ties.
+        let (s, regions, answers, errors) = training_set(2, 1, 20);
+        let refs: Vec<&Region> = regions.iter().collect();
+        let tied = |starts: &[f64]| VerdictConfig {
+            lengthscale_starts: starts.to_vec(),
+            jitter: f64::NAN,
+            max_optimizer_iters: 20,
+            ..VerdictConfig::default()
+        };
+        let learn = |starts: &[f64]| {
+            learn_params(&s, AggMode::Avg, &refs, &answers, &errors, &tied(starts))
+        };
+        let concurrent = learn(&[0.3, 1.0, 0.1]);
+        let serial = learn_with(
+            &s,
+            AggMode::Avg,
+            &refs,
+            &answers,
+            &errors,
+            &tied(&[0.3, 1.0, 0.1]),
+            descend_serially,
+        );
+        assert_eq!(concurrent.log_likelihood, f64::NEG_INFINITY);
+        assert_eq!(result_bits(&concurrent), result_bits(&serial));
+        assert_eq!(concurrent.params, learn(&[0.3]).params);
+        assert_ne!(concurrent.params, learn(&[1.0]).params);
+    }
+
+    #[test]
+    fn training_restored_copies_of_one_engine_gives_equal_state_bytes() {
+        use crate::snippet::{AggKey, Observation, Snippet};
+        let (s, regions, answers, errors) = training_set(2, 1, 30);
+        let mut engine = crate::Verdict::new(s.clone(), VerdictConfig::default());
+        for (i, region) in regions.iter().enumerate() {
+            let key = if i % 2 == 0 {
+                AggKey::avg("v")
+            } else {
+                AggKey::Freq
+            };
+            let obs = Observation::new(answers[i], errors[i]);
+            engine.observe(&Snippet::new(key, region.clone()), obs);
+        }
+        let untrained = engine.export_state();
+        let trained: Vec<Vec<u8>> = (0..5)
+            .map(|_| {
+                let mut copy = crate::Verdict::new(s.clone(), VerdictConfig::default());
+                copy.restore_state(untrained.clone()).unwrap();
+                assert!(copy.train().unwrap().evaluations > 0);
+                copy.state_bytes()
+            })
+            .collect();
+        engine.train().unwrap();
+        for bytes in &trained {
+            assert_eq!(*bytes, engine.state_bytes());
+        }
     }
 }

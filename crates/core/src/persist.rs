@@ -501,11 +501,21 @@ impl Persist for KernelParams {
         enc.put_f64(self.sigma2);
     }
 
+    /// A lengthscale or a `σ²` that is not finite and positive is
+    /// [`PersistError::Corrupt`]: training never writes one (it floors
+    /// `σ²` at `1e-300`), and no kernel has one.
     fn decode(dec: &mut Decoder<'_>) -> PersistResult<KernelParams> {
-        Ok(KernelParams {
+        let params = KernelParams {
             lengthscales: decode_f64s(dec)?,
             sigma2: dec.take_f64()?,
-        })
+        };
+        let usable = |v: &f64| v.is_finite() && *v > 0.0;
+        if !params.lengthscales.iter().all(usable) || !usable(&params.sigma2) {
+            return Err(PersistError::Corrupt(format!(
+                "kernel parameters {params:?}"
+            )));
+        }
+        Ok(params)
     }
 }
 
@@ -562,7 +572,9 @@ impl Persist for TrainedModel {
 
     /// The factor is input from outside the program: a length that is
     /// not `n(n+1)/2`, a non-finite entry or a non-positive diagonal is
-    /// [`PersistError::Corrupt`].
+    /// [`PersistError::Corrupt`], and so is a region with other than one
+    /// constraint per lengthscale. (Whether the dimensions are the
+    /// engine's is [`crate::Verdict::restore_state`]'s check.)
     fn decode(dec: &mut Decoder<'_>) -> PersistResult<TrainedModel> {
         let mode = AggMode::decode(dec)?;
         let params = KernelParams::decode(dec)?;
@@ -573,6 +585,13 @@ impl Persist for TrainedModel {
         let corrupt = |what: String| PersistError::Corrupt(format!("model of {n} regions: {what}"));
         if observations.len() != n {
             return Err(corrupt(format!("{} observations", observations.len())));
+        }
+        let dims = params.lengthscales.len();
+        if let Some(r) = regions.iter().find(|r| r.constraints().len() != dims) {
+            return Err(corrupt(format!(
+                "a region of {} constraints under {dims} lengthscales",
+                r.constraints().len()
+            )));
         }
         let factor = Cholesky::from_packed(decode_f64s(dec)?)
             .map_err(|e| corrupt(format!("factor: {e}")))?;

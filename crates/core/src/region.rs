@@ -303,6 +303,20 @@ impl Region {
         &self.constraints
     }
 
+    /// Whether the region has one constraint per dimension of `schema`,
+    /// each of its dimension's kind — as every region built against
+    /// `schema` has.
+    pub(crate) fn fits(&self, schema: &SchemaInfo) -> bool {
+        self.constraints.len() == schema.len()
+            && self.constraints.iter().zip(schema.dims()).all(|(c, d)| {
+                matches!(
+                    (c, &d.kind),
+                    (DimConstraint::Range { .. }, DimKind::Numeric { .. })
+                        | (DimConstraint::Set(_), DimKind::Categorical { .. })
+                )
+            })
+    }
+
     /// Rebuilds a region from persisted constraints (see [`crate::persist`]).
     /// The caller is responsible for alignment with the schema the region
     /// was originally built against.

@@ -63,8 +63,9 @@ fn erf_series(x: f64) -> f64 {
 }
 
 /// Numerical-Recipes `erfcc`: fractional error < 1.2e-7 for all `x > 0`.
+/// A NaN `x` propagates to the result.
 fn erfc_rational(x: f64) -> f64 {
-    debug_assert!(x > 0.0);
+    debug_assert!(x > 0.0 || x.is_nan(), "erfc_rational({x})");
     let t = 1.0 / (1.0 + 0.5 * x);
     let poly = -x * x - 1.26551223
         + t * (1.00002368
@@ -149,6 +150,21 @@ mod tests {
             assert!(erf(x).abs() <= 1.0 + 1e-12);
             x += 0.1;
         }
+    }
+
+    #[test]
+    fn nan_propagates_and_infinities_saturate() {
+        use crate::normal::normal_cdf;
+        for f in [erf, erfc, normal_cdf] {
+            assert!(f(f64::NAN).is_nan());
+            assert!(f(-f64::NAN).is_nan());
+        }
+        assert_eq!(erf(f64::INFINITY), 1.0);
+        assert_eq!(erf(f64::NEG_INFINITY), -1.0);
+        assert_eq!(erfc(f64::INFINITY), 0.0);
+        assert_eq!(erfc(f64::NEG_INFINITY), 2.0);
+        assert_eq!(normal_cdf(f64::INFINITY), 1.0);
+        assert_eq!(normal_cdf(f64::NEG_INFINITY), 0.0);
     }
 
     #[test]

@@ -46,8 +46,9 @@
 //! `verdict_refit_ns` (synopsis rewrite + model refit),
 //! `verdict_checkpoint_ns`, `verdict_train_ns` (a training pass under the
 //! writer lock) with its two halves `verdict_train_search_ns` (the
-//! lengthscale searches) and `verdict_train_fit_ns` (`Σₙ`, its factor,
-//! `α`), and
+//! lengthscale searches, in wall time: a search's starts run concurrently,
+//! so it reads about the slowest start's time, not the sum over starts)
+//! and `verdict_train_fit_ns` (`Σₙ`, its factor, `α`), and
 //! `verdict_scan_selectivity_pct` (percent of scanned rows that matched
 //! the base predicate, one sample per answered query).
 //!
