@@ -102,6 +102,11 @@ pub fn avg_numeric_factor(a: f64, b: f64, c: f64, d: f64, l: f64) -> f64 {
 /// (unnormalized) double integral of Eq. (10). Zero-width intervals have
 /// measure zero and contribute a zero factor.
 pub fn freq_numeric_factor(a: f64, b: f64, c: f64, d: f64, l: f64) -> f64 {
+    // The four antiderivatives of a zero-width interval cancel only up to
+    // rounding, so the zero is returned rather than computed.
+    if a == b || c == d {
+        return 0.0;
+    }
     double_integral_exp(a, b, c, d, l)
 }
 

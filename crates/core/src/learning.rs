@@ -121,34 +121,6 @@ pub fn estimate_sigma2(
     v.max((scale * 1e-6).powi(2)).max(1e-300)
 }
 
-/// Log marginal likelihood of the observed raw answers under the model
-/// (Eq. 13): `-½ cᵀ Σₙ⁻¹ c - ½ log|Σₙ| - (n/2) log 2π` with
-/// `c = θ - µ` and `Σₙ = K(ℓ, σ²) + diag(β²)`.
-///
-/// Returns `-inf` when the covariance matrix cannot be factorized.
-#[allow(clippy::too_many_arguments)]
-pub fn log_marginal_likelihood(
-    schema: &SchemaInfo,
-    mode: AggMode,
-    regions: &[&Region],
-    answers: &[f64],
-    errors: &[f64],
-    params: &KernelParams,
-    prior: &PriorMean,
-    jitter: f64,
-) -> f64 {
-    debug_assert_eq!(answers.len(), regions.len());
-    let index = RegionIndex::new(regions.iter().copied());
-    let centered = centered_answers(schema, regions, answers, prior);
-    likelihood(
-        &mut index.pairs(schema, mode),
-        &centered,
-        errors,
-        params,
-        jitter,
-    )
-}
-
 /// `c = θ − µ`.
 fn centered_answers(
     schema: &SchemaInfo,
@@ -401,6 +373,34 @@ mod tests {
 
     fn region(lo: f64, hi: f64) -> Region {
         Region::from_predicate(&schema(), &Predicate::between("t", lo, hi)).unwrap()
+    }
+
+    /// Log marginal likelihood of the observed raw answers under the model
+    /// (Eq. 13): `-½ cᵀ Σₙ⁻¹ c - ½ log|Σₙ| - (n/2) log 2π` with
+    /// `c = θ - µ` and `Σₙ = K(ℓ, σ²) + diag(β²)`.
+    ///
+    /// Returns `-inf` when the covariance matrix cannot be factorized.
+    #[allow(clippy::too_many_arguments)]
+    fn log_marginal_likelihood(
+        schema: &SchemaInfo,
+        mode: AggMode,
+        regions: &[&Region],
+        answers: &[f64],
+        errors: &[f64],
+        params: &KernelParams,
+        prior: &PriorMean,
+        jitter: f64,
+    ) -> f64 {
+        debug_assert_eq!(answers.len(), regions.len());
+        let index = RegionIndex::new(regions.iter().copied());
+        let centered = centered_answers(schema, regions, answers, prior);
+        likelihood(
+            &mut index.pairs(schema, mode),
+            &centered,
+            errors,
+            params,
+            jitter,
+        )
     }
 
     #[test]

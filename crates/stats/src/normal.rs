@@ -22,9 +22,11 @@ pub fn normal_cdf(x: f64) -> f64 {
 /// Standard normal quantile `Φ⁻¹(p)` for `p ∈ (0, 1)`.
 ///
 /// Acklam's rational approximation (~1.15e-9 relative accuracy) refined with
-/// one Halley step against the exact cdf, yielding ~1e-14 accuracy across
-/// the open unit interval. Returns `±INF` at the endpoints and `NaN`
-/// outside `[0, 1]`.
+/// one Halley step against [`normal_cdf`]. For `p ≤ 1/2` the result is within
+/// ~1e-15 relative, down to the smallest `p`, because the cdf's lower tail
+/// keeps its relative accuracy through [`erfc`]; for `p > 1/2` it is as
+/// accurate as `1 − p` is represented. Returns `±INF` at the endpoints and
+/// `NaN` outside `[0, 1]`.
 pub fn normal_quantile(p: f64) -> f64 {
     if p.is_nan() || !(0.0..=1.0).contains(&p) {
         return f64::NAN;
@@ -138,6 +140,46 @@ mod tests {
             assert!(
                 (normal_cdf(x) - p).abs() < 1e-10,
                 "round-trip failed at p = {p}"
+            );
+        }
+    }
+
+    #[test]
+    fn cdf_keeps_relative_accuracy_in_the_lower_tail() {
+        // Φ(x), rounded to the nearest double.
+        let cases = [
+            (-4.0, 3.1671241833119924e-5),
+            (-8.0, 6.220960574271784e-16),
+            (-20.0, 2.7536241186062337e-89),
+            (-37.0, 5.725571222524577e-300),
+        ];
+        for (x, want) in cases {
+            // Rounding `x/√2` alone moves Φ(x) by up to x²·2⁻⁵³ relative.
+            let got = normal_cdf(x);
+            let tolerance = 4e-16 * x * x;
+            assert!(
+                ((got - want) / want).abs() < tolerance,
+                "cdf({x}) = {got:e}"
+            );
+        }
+    }
+
+    #[test]
+    fn quantile_is_accurate_far_into_the_lower_tail() {
+        // Φ⁻¹(p), rounded to the nearest double.
+        let cases = [
+            (1e-12, -7.034483825301132),
+            (1e-9, -5.9978070150076865),
+            (1e-6, -4.753424308822899),
+            (1e-4, -3.7190164854556804),
+        ];
+        for (p, want) in cases {
+            let x = normal_quantile(p);
+            assert!(((x - want) / want).abs() < 1e-14, "quantile({p}) = {x}");
+            let back = normal_cdf(x);
+            assert!(
+                ((back - p) / p).abs() < 1e-13,
+                "cdf(quantile({p})) = {back:e}"
             );
         }
     }

@@ -92,12 +92,12 @@ const FROZEN: &[(&str, u64)] = &[
     ("tables/paged/part-000001.vcol", 0x4fc68646436e5495),
     ("tables/paged/part-000002.vcol", 0x1b35bdd3c07e65f3),
     ("tables/paged/part-000003.vcol", 0x63bcbfec86cfbe90),
-    ("tables/paged/snapshot-0000000001.vsnap", 0xaa6342f17014cfcd),
-    ("tables/paged/snapshot-0000000002.vsnap", 0x0b8bd7dd5bd0c404),
+    ("tables/paged/snapshot-0000000001.vsnap", 0x6d061f41c48bdbd3),
+    ("tables/paged/snapshot-0000000002.vsnap", 0x06bf2ae28c9ad033),
     ("tables/paged/wal.vlog", 0xf22dd25866d2fa9c),
     ("tables/res/part-000000.vcol", 0x3d3b8be7e6744ed4),
-    ("tables/res/snapshot-0000000001.vsnap", 0x239c285993eb3e5e),
-    ("tables/res/snapshot-0000000002.vsnap", 0x902360430098db59),
+    ("tables/res/snapshot-0000000001.vsnap", 0xf04ff123446729ba),
+    ("tables/res/snapshot-0000000002.vsnap", 0x0267ecef8b118b11),
     ("tables/res/wal.vlog", 0xb8fc6da1a70f736d),
 ];
 
