@@ -19,9 +19,9 @@
 //! tail of a paged one; the query is compiled against it once per
 //! driver) or a partition segment of a paged sample, pinned in the buffer
 //! manager and compiled against once per *segment run* — the batches of
-//! that segment one [`SharedScanDriver::scan_run`] scans under the one
+//! that segment one `SharedScanDriver::scan_run` scans under the one
 //! pin (see [`crate::paged`]). Either way the same kernels run over each
-//! batch's rows and produce the same [`BatchPartial`].
+//! batch's rows and produce the same `BatchPartial`.
 //!
 //! # Execution kernels
 //!
@@ -72,17 +72,17 @@
 //! # Batch partials and ordered merge
 //!
 //! The canonical accumulation of a cell is a *left fold of per-batch
-//! partials in batch-index order*: [`SharedScanDriver::scan_batch`]
-//! scans one batch into an owned [`BatchPartial`] (a private
+//! partials in batch-index order*: `SharedScanDriver::scan_batch`
+//! scans one batch into an owned `BatchPartial` (a private
 //! group × primitive grid plus the batch's counters), and
-//! [`SharedScanDriver::merge_partial`] folds partials into the running
+//! `SharedScanDriver::merge_partial` folds partials into the running
 //! grids with [`Welford::merge`], strictly in batch order.
 //! [`SharedScanDriver::step`] is exactly scan-then-merge, so the serial
 //! scan *is* the fold reference; the morsel scheduler
 //! ([`crate::parallel_scan`]) computes the same partials on worker
 //! threads and merges them in the same order, which is why answers,
 //! errors, and `tuples_scanned` are bit-identical at every thread count.
-//! A segment run ([`SharedScanDriver::scan_run`]) only changes *when* a
+//! A segment run (`SharedScanDriver::scan_run`) only changes *when* a
 //! partial is computed: the ones past the merge cursor wait, keyed by
 //! batch, until the fold reaches them — at most one partial per batch of
 //! the scan's horizon.
@@ -169,7 +169,7 @@ enum PrimSlot {
 /// [`SharedScanDriver::merge_partial`] strictly in batch-index order, so
 /// the merged state is a pure function of the batch sequence.
 #[derive(Debug)]
-pub struct BatchPartial {
+pub(crate) struct BatchPartial {
     /// Which batch this partial covers.
     batch: usize,
     /// Welford partial per `group * n_avg + avg_slot` cell.
@@ -180,13 +180,6 @@ pub struct BatchPartial {
     rows_matched: u64,
     chunks_scanned: u64,
     chunks_pruned: u64,
-}
-
-impl BatchPartial {
-    /// Which batch this partial covers.
-    pub fn batch(&self) -> usize {
-        self.batch
-    }
 }
 
 /// One query compiled against one table — the sample's resident table or
@@ -507,7 +500,8 @@ pub struct SharedScanDriver<'e> {
     /// First segment fault, latched so the scan completes structurally
     /// (see the module docs).
     error: Arc<Mutex<Option<StorageError>>>,
-    /// Queries compiled against pinned segments (observability).
+    /// Queries compiled against pinned segments.
+    #[cfg(test)]
     segment_compiles: u64,
 }
 
@@ -573,6 +567,7 @@ impl<'e> SharedScanDriver<'e> {
             kernel: ScanKernel::default(),
             partition_pruned,
             error: Arc::default(),
+            #[cfg(test)]
             segment_compiles: 0,
         })
     }
@@ -611,8 +606,8 @@ impl SharedScanDriver<'_> {
 
     /// Consumes the next batch; `false` once the sample is exhausted.
     ///
-    /// Exactly [`SharedScanDriver::scan_batch`] of the merge cursor's
-    /// batch followed by [`SharedScanDriver::merge_partial`] — the serial
+    /// Exactly `SharedScanDriver::scan_batch` of the merge cursor's
+    /// batch followed by `SharedScanDriver::merge_partial` — the serial
     /// reference for the ordered-merge fold.
     pub fn step(&mut self) -> bool {
         match self.scan_batch(self.merged.batch) {
@@ -628,7 +623,7 @@ impl SharedScanDriver<'_> {
     /// touching the running grids or the merge cursor; `None` past the
     /// end of the sample. Safe to call for any batch in any order — this
     /// is the worker half of the morsel scheduler.
-    pub fn scan_batch(&mut self, index: usize) -> Option<BatchPartial> {
+    pub(crate) fn scan_batch(&mut self, index: usize) -> Option<BatchPartial> {
         self.scan_run(index, index.saturating_add(1), &mut BTreeMap::new())
     }
 
@@ -639,7 +634,7 @@ impl SharedScanDriver<'_> {
     /// for the caller to fold once its merge cursor reaches them. A
     /// segment that cannot be pinned or compiled against latches one error
     /// and yields the all-miss partial for each batch of the run.
-    pub fn scan_run(
+    pub(crate) fn scan_run(
         &mut self,
         index: usize,
         end: usize,
@@ -700,7 +695,10 @@ impl SharedScanDriver<'_> {
         };
         let mut scan = TableScan::compile(pin.table(), &spec)
             .map_err(|e| StorageError::Io(format!("segment scan setup failed: {e}")))?;
-        self.segment_compiles += 1;
+        #[cfg(test)]
+        {
+            self.segment_compiles += 1;
+        }
         let kernel = self.kernel;
         Ok(run
             .iter()
@@ -710,7 +708,8 @@ impl SharedScanDriver<'_> {
 
     /// Times the query was compiled against a pinned segment: once per
     /// segment run, so once per pinned batch when every run is one batch.
-    pub fn segment_compiles(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn segment_compiles(&self) -> u64 {
         self.segment_compiles
     }
 
@@ -719,7 +718,7 @@ impl SharedScanDriver<'_> {
     /// caller (serial [`SharedScanDriver::step`] or the morsel
     /// coordinator) enforces this; it is what makes the merged state
     /// independent of which thread scanned which batch.
-    pub fn merge_partial(&mut self, partial: &BatchPartial) {
+    pub(crate) fn merge_partial(&mut self, partial: &BatchPartial) {
         let merged = &mut self.merged;
         debug_assert_eq!(partial.batch, merged.batch, "out-of-order merge");
         merged.batch += 1;
@@ -748,7 +747,8 @@ impl SharedScanDriver<'_> {
     }
 
     /// Number of primitive streams per group.
-    pub fn num_primitives(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn num_primitives(&self) -> usize {
         self.slots.len()
     }
 
@@ -785,7 +785,7 @@ impl SharedScanDriver<'_> {
     }
 
     /// Batches remaining.
-    pub fn batches_remaining(&self) -> usize {
+    pub(crate) fn batches_remaining(&self) -> usize {
         self.sample.num_batches() - self.merged.batch
     }
 

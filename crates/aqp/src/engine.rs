@@ -37,11 +37,6 @@ impl OnlineAggregation {
         &self.sample
     }
 
-    /// The storage tier the sample is served from.
-    pub fn tier(&self) -> StorageTier {
-        self.tier
-    }
-
     /// Simulated time for a query that scanned `tuples` sample rows.
     pub fn simulated_ns(&self, tuples: usize) -> f64 {
         self.cost.query_ns(tuples, self.tier)

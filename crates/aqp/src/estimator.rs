@@ -153,11 +153,6 @@ impl<'t> BatchEstimator<'t> {
         }
     }
 
-    /// Rows scanned so far.
-    pub fn rows_scanned(&self) -> u64 {
-        self.n_scanned
-    }
-
     /// Current `(estimate, standard_error)` pair — the paper's raw answer
     /// `θ` and raw error `β`.
     ///

@@ -31,12 +31,12 @@ pub mod parallel;
 pub mod sample;
 
 pub use cost::{CostModel, StorageTier};
-pub use driver::{BatchPartial, ScanKernel, ScanSpec, SharedScanDriver};
+pub use driver::{ScanKernel, ScanSpec, SharedScanDriver};
 pub use engine::{OnlineAggregation, RawAnswer};
 pub use estimator::BatchEstimator;
 pub use paged::{PagedRep, SegmentLoader};
 pub use parallel::{parallel_scan, Horizon, ParallelScanStats};
-pub use sample::{appended_row_admitted, BatchLayout, Sample};
+pub use sample::Sample;
 
 /// Errors surfaced by the AQP engine.
 #[derive(Debug, Clone, PartialEq)]

@@ -54,7 +54,7 @@
 //! structurally and the caller fails the query afterwards.
 //!
 //! Answers, error bounds, and stop points are bit-identical to scanning
-//! [`Sample::materialize_resident`] at any thread count and any budget;
+//! `Sample::materialize_resident` at any thread count and any budget;
 //! only cache and chunk counters reflect the paging.
 
 use std::sync::{Arc, RwLock};

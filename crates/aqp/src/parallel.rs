@@ -6,13 +6,13 @@
 //! order from one atomic cursor. A helper scans its morsel with a private
 //! [`SharedScanDriver`] (its own compiled query, mask scratch and, over a
 //! paged sample, segment pins held one batch at a time) into one
-//! [`BatchPartial`] per batch, then publishes the run under one lock.
+//! `BatchPartial` per batch, then publishes the run under one lock.
 //!
 //! # Determinism
 //!
 //! Scheduling is racy on purpose; *merging is not*. The caller folds runs
 //! into the main driver strictly in batch order
-//! ([`SharedScanDriver::merge_partial`]; a morsel it claims at the merge
+//! (`SharedScanDriver::merge_partial`; a morsel it claims at the merge
 //! cursor it steps, the same fold) and runs the stop decision (`on_batch`)
 //! after every merged batch, exactly where the serial loop would, so every
 //! answer, bound, counter and stop point is the same at any thread count.
@@ -149,7 +149,7 @@ impl From<usize> for Horizon {
 ///
 /// With `threads <= 1`, or at most one batch, the calling thread scans
 /// alone. Under a [`Horizon::Exact`] horizon it reads a paged sample in
-/// segment runs ([`SharedScanDriver::scan_run`]): the first time the
+/// segment runs (`SharedScanDriver::scan_run`): the first time the
 /// merge cursor reaches a segment, every batch of it up to the horizon is
 /// scanned under one pin, and the partials wait, keyed by batch, until
 /// the cursor reaches them. Otherwise each batch is scanned at the cursor.

@@ -8,7 +8,7 @@
 //!
 //! # One batch geometry
 //!
-//! Every sample has the same shape ([`BatchLayout`]): a list of
+//! Every sample has the same shape (`BatchLayout`): a list of
 //! *draw-time batches* `(partition, rows)`, each holding rows of exactly
 //! one partition, followed by a *stride tail* of plain `batch_size`
 //! batches over every row past `covered_rows`. An unpartitioned sample is
@@ -81,7 +81,7 @@ pub struct Sample {
 /// partition tag; they are never pruned, which keeps pruning sound as the
 /// sample grows without rewriting draw-time batches.
 #[derive(Debug, Default)]
-pub struct BatchLayout {
+pub(crate) struct BatchLayout {
     /// Materialized row span of each partition's drawn rows (empty for a
     /// partition that drew none).
     pub(crate) spans: Vec<Range<usize>>,
@@ -120,13 +120,15 @@ impl BatchLayout {
     }
 
     /// Number of draw-time (partition-tagged) batches.
-    pub fn num_draw_batches(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn num_draw_batches(&self) -> usize {
         self.batches.len()
     }
 
     /// Sample rows covered by the draw-time batches; the stride tail
     /// starts here.
-    pub fn covered_rows(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn covered_rows(&self) -> usize {
         self.covered_rows
     }
 }
@@ -222,7 +224,7 @@ impl Sample {
     /// Draws a partitioned uniform sample: rows are routed by `spec`,
     /// each partition is sampled proportionally to its size, and the
     /// sampled rows are gathered clustered by partition so each draw-time
-    /// batch belongs to exactly one partition (see [`BatchLayout`]).
+    /// batch belongs to exactly one partition (see `BatchLayout`).
     ///
     /// The [`PartitionMap`] a scan prunes with is built over the sampled
     /// rows themselves: the gathered table inherits the base table's
@@ -312,7 +314,7 @@ impl Sample {
     /// strings instead would grow the sample's dictionary in admission
     /// order and silently diverge from the base table's.)
     ///
-    /// Admission is decided by [`appended_row_admitted`] — a pure function
+    /// Admission is decided by `appended_row_admitted` — a pure function
     /// of `(seed, sample_index, absolute row index, fraction)` rather than
     /// a streaming RNG, so crash-recovery replay admits *exactly* the rows
     /// the live session admitted regardless of how the batches were cut.
@@ -399,11 +401,6 @@ impl Sample {
         self.len() == 0
     }
 
-    /// Batch size in rows.
-    pub fn batch_size(&self) -> usize {
-        self.batch_size
-    }
-
     /// Number of batches: the draw-time batches plus stride batches over
     /// every later row (the last may be short).
     pub fn num_batches(&self) -> usize {
@@ -413,7 +410,7 @@ impl Sample {
 
     /// Row range `[start, end)` of batch `i` in the materialized row
     /// order — for a paged sample exactly the coordinates
-    /// [`Sample::materialize_resident`] produces.
+    /// `Sample::materialize_resident` produces.
     pub fn batch_range(&self, i: usize) -> Range<usize> {
         if let Some((_, rows)) = self.layout.batches.get(i) {
             return rows.clone();
@@ -426,7 +423,7 @@ impl Sample {
     /// The partition batch `i`'s rows belong to; `None` for a stride
     /// batch (unpartitioned samples, admitted rows), which carries no tag
     /// and is never pruned.
-    pub fn batch_partition(&self, i: usize) -> Option<u32> {
+    pub(crate) fn batch_partition(&self, i: usize) -> Option<u32> {
         self.layout.batches.get(i).map(|(p, _)| *p)
     }
 
@@ -443,14 +440,8 @@ impl Sample {
     }
 
     /// The batch geometry.
-    pub fn layout(&self) -> &BatchLayout {
+    pub(crate) fn layout(&self) -> &BatchLayout {
         &self.layout
-    }
-
-    /// Routing + per-partition summaries over the sampled rows of a
-    /// resident partitioned sample.
-    pub fn partition_map(&self) -> Option<&PartitionMap> {
-        self.map.as_deref()
     }
 
     /// Which partitions `pred` (compiled against [`Sample::table`])
@@ -504,7 +495,8 @@ impl Sample {
     /// This is the parity oracle: answers, error bounds, and stop points
     /// of a paged scan must be bit-identical to a scan of the
     /// materialized sample.
-    pub fn materialize_resident(&self) -> Result<Sample> {
+    #[cfg(test)]
+    pub(crate) fn materialize_resident(&self) -> Result<Sample> {
         let Some(rep) = &self.paged else {
             return Ok(self.clone());
         };
@@ -594,7 +586,12 @@ impl Sample {
 /// could not reproduce the sample. With per-row derivation, replaying the
 /// WAL's ingest records — whatever batch boundaries survived — admits
 /// exactly the rows the live session admitted.
-pub fn appended_row_admitted(seed: u64, sample_index: u64, row_index: u64, fraction: f64) -> bool {
+pub(crate) fn appended_row_admitted(
+    seed: u64,
+    sample_index: u64,
+    row_index: u64,
+    fraction: f64,
+) -> bool {
     // FNV-1a over the three coordinates decorrelates neighboring rows and
     // samples before the RNG expands the hash.
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -855,7 +852,7 @@ mod tests {
         let spec = PartitionSpec::range("x", vec![500.0, 1000.0, 1500.0]);
         let mut rng = StdRng::seed_from_u64(11);
         let s = Sample::uniform_partitioned(&t, spec, 0.3, 32, &mut rng).unwrap();
-        let map = s.partition_map().expect("partitioned");
+        let map = s.map.as_deref().expect("partitioned");
         // Every explicit batch's rows all route to the batch's partition,
         // and the batches tile the sample exactly once.
         let mut seen = vec![false; s.len()];

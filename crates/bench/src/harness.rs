@@ -10,7 +10,7 @@ use verdict_storage::Table;
 
 /// Which dataset an experiment runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Dataset {
+pub(crate) enum Dataset {
     /// Customer1-style events table + trace.
     Customer1,
     /// TPC-H-style denormalized lineitem.
@@ -28,7 +28,7 @@ impl Dataset {
 }
 
 /// A ready-to-run environment: session + train/test query split.
-pub struct ExperimentEnv {
+pub(crate) struct ExperimentEnv {
     /// The live session.
     pub session: VerdictSession,
     /// The storage tier the default [`CostModel`] prices this
@@ -122,7 +122,7 @@ impl ExperimentEnv {
 
     /// Exact answer of a single-aggregate, ungrouped query against the
     /// base table (ground truth for actual-error reporting).
-    pub fn exact_answer(&self, sql: &str) -> Option<f64> {
+    pub(crate) fn exact_answer(&self, sql: &str) -> Option<f64> {
         let query = parse_query(sql).ok()?;
         let plan = plan_scan(&query, &self.session.table(), &[], 1).ok()?;
         self.session
@@ -144,7 +144,7 @@ impl ExperimentEnv {
     /// the base table (CLT raw errors are meaningless on a handful of
     /// matching sample rows; the paper's samples were ~100x larger, so its
     /// queries always matched plenty of rows).
-    pub fn broad_test_queries(&self, min_selectivity: f64) -> Vec<String> {
+    pub(crate) fn broad_test_queries(&self, min_selectivity: f64) -> Vec<String> {
         self.test_queries
             .iter()
             .filter(|sql| {
@@ -158,7 +158,7 @@ impl ExperimentEnv {
 
     /// The stop policy of a time-bound engine (§7 case 2, Appendix C.2):
     /// the tuple budget whose scan fits in `budget_ns` of simulated time.
-    pub fn time_budget(&self, budget_ns: f64) -> StopPolicy {
+    pub(crate) fn time_budget(&self, budget_ns: f64) -> StopPolicy {
         StopPolicy::TupleBudget(
             CostModel::default()
                 .tuples_within(budget_ns, self.tier)
@@ -166,9 +166,9 @@ impl ExperimentEnv {
         )
     }
 
-    /// Runs `sql` in `mode` under `policy`, returning
-    /// `(answer, error_bound95, actual_rel_error, simulated_ns, tuples)`
-    /// for the first cell, or `None` if unsupported/empty.
+    /// Runs `sql` in `mode` under `policy`, returning the first cell's
+    /// relative bound and error and the scan's simulated runtime, or
+    /// `None` if unsupported/empty.
     pub fn measure(&mut self, sql: &str, mode: Mode, policy: StopPolicy) -> Option<Measurement> {
         // Pin the sample by query text: both modes see the same sample for
         // a given query (fair comparison) while distinct queries rotate.
@@ -190,31 +190,22 @@ impl ExperimentEnv {
         let bound = cell.improved.bound(0.95);
         let denom = exact.abs().max(1e-9);
         Some(Measurement {
-            answer,
-            exact,
             rel_bound: bound / denom,
             rel_actual: (answer - exact).abs() / denom,
             simulated_ns: CostModel::default().query_ns(result.tuples_scanned, self.tier),
-            tuples: result.tuples_scanned,
         })
     }
 }
 
 /// One measured query execution.
 #[derive(Debug, Clone, Copy)]
-pub struct Measurement {
-    /// Returned answer.
-    pub answer: f64,
-    /// Ground-truth answer.
-    pub exact: f64,
+pub(crate) struct Measurement {
     /// 95% error bound relative to the exact answer.
     pub rel_bound: f64,
     /// Actual relative error.
     pub rel_actual: f64,
     /// Simulated runtime: the default [`CostModel`]'s price of the scan.
     pub simulated_ns: f64,
-    /// Sample tuples scanned.
-    pub tuples: usize,
 }
 
 /// Mean of an iterator of f64 (0 when empty).

@@ -17,5 +17,3 @@
 
 pub mod experiments;
 pub mod harness;
-
-pub use harness::ExperimentEnv;

@@ -104,7 +104,7 @@ impl ShiftMoments {
 /// touched — the appended batch itself unioned with the existing summaries
 /// of the partitions that received it.
 #[derive(Debug, Clone, PartialEq)]
-pub enum DimBounds {
+pub(crate) enum DimBounds {
     /// Numeric column: observed `[min, max]` plus a NaN flag. With
     /// `has_nan` set the bounds cannot prove disjointness (a NaN value is
     /// outside every interval but the rows still shifted the aggregate).
@@ -126,7 +126,7 @@ pub enum DimBounds {
 /// Per-column bounds covering everything an ingest event touched, keyed by
 /// dimension name. Built by the session from the partition summaries of
 /// the receiving partitions; consumed by
-/// [`Region::disjoint_from`](crate::Region::disjoint_from) to skip the
+/// `Region::disjoint_from` to skip the
 /// Lemma 3 widening for snippet regions provably unaffected by the append.
 ///
 /// Soundness contract: the bounds must **cover** every appended row (and,
@@ -146,7 +146,7 @@ impl IngestBounds {
     }
 
     /// Widens (or creates) the numeric bounds for `name`.
-    pub fn add_numeric(&mut self, name: &str, min: f64, max: f64, has_nan: bool) {
+    pub(crate) fn add_numeric(&mut self, name: &str, min: f64, max: f64, has_nan: bool) {
         match self.entry(name) {
             Some(DimBounds::Num {
                 min: m,
@@ -169,7 +169,7 @@ impl IngestBounds {
     }
 
     /// Unions `codes` into the categorical bounds for `name`.
-    pub fn add_codes(&mut self, name: &str, codes: &[u32]) {
+    pub(crate) fn add_codes(&mut self, name: &str, codes: &[u32]) {
         match self.entry(name) {
             Some(DimBounds::Cat { codes: present }) => {
                 for &c in codes {
@@ -233,7 +233,7 @@ impl IngestBounds {
     }
 
     /// The bounds recorded for `name`, if any.
-    pub fn get(&self, name: &str) -> Option<&DimBounds> {
+    pub(crate) fn get(&self, name: &str) -> Option<&DimBounds> {
         self.dims.iter().find(|(d, _)| d == name).map(|(_, b)| b)
     }
 

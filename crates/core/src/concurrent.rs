@@ -194,13 +194,6 @@ impl Learner {
         &mut self.engine
     }
 
-    /// Folds a read path's counter delta into the engine (no epoch bump,
-    /// no republish: counters are observability, not learned state —
-    /// they reach readers with the next published snapshot).
-    pub fn merge_read_stats(&mut self, delta: EngineStats) {
-        self.engine.merge_read_stats(delta);
-    }
-
     /// Absorbs one query's recorded snippet observations (Algorithm 2
     /// line 6) plus its read-stats delta, then republishes once for the
     /// whole batch. Observations are applied in slice order, so the
@@ -344,7 +337,7 @@ mod tests {
             observed: 0,
         };
         let stats_before = learner.snapshot().stats();
-        learner.merge_read_stats(delta);
+        learner.engine.merge_read_stats(delta);
         // Not republished yet: readers still see the old counters.
         assert_eq!(learner.snapshot().stats(), stats_before);
         learner.republish();

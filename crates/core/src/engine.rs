@@ -344,7 +344,7 @@ impl Verdict {
     /// Folds a read path's counter delta into the engine's stats (see
     /// [`EngineView`]). Not a learned-state mutation: the epoch does not
     /// move.
-    pub fn merge_read_stats(&mut self, delta: EngineStats) {
+    pub(crate) fn merge_read_stats(&mut self, delta: EngineStats) {
         self.stats.merge(delta);
     }
 
@@ -428,7 +428,7 @@ impl Verdict {
 
     /// Trains the model for one aggregate function. A key with no
     /// synopsis is a no-op: no epoch moves, so no cached answer is voided.
-    pub fn train_key(&mut self, key: &AggKey) -> Result<TrainReport> {
+    pub(crate) fn train_key(&mut self, key: &AggKey) -> Result<TrainReport> {
         let Some(synopsis) = self.synopses.get(key) else {
             return Ok(TrainReport::default());
         };
@@ -519,7 +519,7 @@ impl Verdict {
     /// ([`IngestBounds::touched`]: the batch unioned with its receiving
     /// partitions' summaries), `AVG` snippets whose region is provably
     /// disjoint from those bounds keep their answer and error untouched
-    /// ([`Region::disjoint_from`]) — drift confined to one partition no
+    /// (`Region::disjoint_from`) — drift confined to one partition no
     /// longer widens every stored snippet.
     ///
     /// `FREQ(*)` snippets are always widened regardless of `bounds`: any
@@ -532,7 +532,7 @@ impl Verdict {
     /// keeps its lengthscales: only `µ` and `σ²` are recomputed, in closed
     /// form over the widened answers, and the conditioning state is fit
     /// once — no likelihood is evaluated. A key without a model is fit
-    /// exactly as [`Verdict::train_key`] would fit it, search included.
+    /// exactly as `Verdict::train_key` would fit it, search included.
     /// The staged [`TrainReport`] says which happened.
     ///
     /// Determinism: the rewrite set is a pure function of (key order,

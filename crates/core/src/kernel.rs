@@ -14,7 +14,7 @@
 //!
 //! - [`double_integral_exp`]: the closed-form double integral of Appendix
 //!   F.1 (numeric dimensions, `FREQ` semantics — unnormalized);
-//! - [`avg_numeric_factor`]: the same integral normalized by both interval
+//! - `avg_numeric_factor`: the same integral normalized by both interval
 //!   widths (`AVG` semantics: a snippet answer is the *mean* of the field
 //!   over its region), with exact point-evaluation limits for zero-width
 //!   (equality) intervals;
@@ -64,7 +64,7 @@ pub fn double_integral_exp(a: f64, b: f64, c: f64, d: f64, l: f64) -> f64 {
 }
 
 /// Closed-form `∫_c^d exp(-(s-y)²/ℓ²) dy`.
-pub fn single_integral_exp(s: f64, c: f64, d: f64, l: f64) -> f64 {
+pub(crate) fn single_integral_exp(s: f64, c: f64, d: f64, l: f64) -> f64 {
     debug_assert!(l > 0.0);
     (std::f64::consts::PI.sqrt() / 2.0) * l * (erf((d - s) / l) - erf((c - s) / l))
 }
@@ -80,7 +80,7 @@ const POINT_EPS: f64 = 1e-9;
 /// a point against an interval becomes a single integral over the interval
 /// divided by its width, and two points become the plain kernel value.
 /// The factor is always in `[0, 1]`.
-pub fn avg_numeric_factor(a: f64, b: f64, c: f64, d: f64, l: f64) -> f64 {
+pub(crate) fn avg_numeric_factor(a: f64, b: f64, c: f64, d: f64, l: f64) -> f64 {
     debug_assert!(l > 0.0);
     let w1 = b - a;
     let w2 = d - c;
@@ -101,7 +101,7 @@ pub fn avg_numeric_factor(a: f64, b: f64, c: f64, d: f64, l: f64) -> f64 {
 /// Numeric-dimension covariance factor under `FREQ` semantics: the raw
 /// (unnormalized) double integral of Eq. (10). Zero-width intervals have
 /// measure zero and contribute a zero factor.
-pub fn freq_numeric_factor(a: f64, b: f64, c: f64, d: f64, l: f64) -> f64 {
+pub(crate) fn freq_numeric_factor(a: f64, b: f64, c: f64, d: f64, l: f64) -> f64 {
     // The four antiderivatives of a zero-width interval cancel only up to
     // rounding, so the zero is returned rather than computed.
     if a == b || c == d {

@@ -43,7 +43,7 @@ pub mod snippet;
 pub mod synopsis;
 pub mod validation;
 
-pub use append::{AppendAdjustment, DimBounds, IngestBounds, ShiftMoments};
+pub use append::{AppendAdjustment, IngestBounds, ShiftMoments};
 pub use concurrent::{EngineSnapshot, Learner};
 pub use config::VerdictConfig;
 pub use engine::{

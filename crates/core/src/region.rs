@@ -195,7 +195,7 @@ impl DimConstraint {
 
     /// Size of the categorical overlap `|F_{i,k} ∩ F_{j,k}|` (either
     /// operand may be the universal set).
-    pub fn set_overlap(&self, other: &DimConstraint, cardinality: u32) -> f64 {
+    pub(crate) fn set_overlap(&self, other: &DimConstraint, cardinality: u32) -> f64 {
         match (self.codes(), other.codes()) {
             (None, None) => cardinality as f64,
             (Some(s), None) | (None, Some(s)) => s.len() as f64,
@@ -221,7 +221,7 @@ impl DimConstraint {
     }
 
     /// Size `|F_{i,k}|` of a categorical constraint.
-    pub fn set_size(&self, cardinality: u32) -> f64 {
+    pub(crate) fn set_size(&self, cardinality: u32) -> f64 {
         match self.codes() {
             None => cardinality as f64,
             Some(s) => s.len() as f64,
@@ -365,7 +365,7 @@ impl Region {
     }
 
     /// Whether the region selects nothing (empty range or empty set).
-    pub fn is_degenerate(&self) -> bool {
+    pub(crate) fn is_degenerate(&self) -> bool {
         self.constraints.iter().any(|c| match c {
             DimConstraint::Range { lo, hi } => lo > hi,
             DimConstraint::Set(Some(s)) => s.is_empty(),
@@ -384,7 +384,7 @@ impl Region {
     /// categorical constraint never proves disjointness. Only a numeric
     /// interval strictly outside `[min, max]` or a categorical set with an
     /// empty intersection does.
-    pub fn disjoint_from(&self, schema: &SchemaInfo, bounds: &IngestBounds) -> bool {
+    pub(crate) fn disjoint_from(&self, schema: &SchemaInfo, bounds: &IngestBounds) -> bool {
         for (c, d) in self.constraints.iter().zip(schema.dims()) {
             match (c, bounds.get(&d.name)) {
                 (DimConstraint::Range { lo, hi }, Some(DimBounds::Num { min, max, has_nan }))
@@ -416,17 +416,6 @@ impl Region {
             }
         }
         false
-    }
-
-    /// Size of the categorical overlap `|F_{i,k} ∩ F_{j,k}|` on dimension
-    /// `idx` (both operands may be the universal set).
-    pub fn set_overlap(&self, other: &Region, idx: usize, cardinality: u32) -> f64 {
-        self.constraints[idx].set_overlap(&other.constraints[idx], cardinality)
-    }
-
-    /// Size `|F_{i,k}|` of the categorical constraint on dimension `idx`.
-    pub fn set_size(&self, idx: usize, cardinality: u32) -> f64 {
-        self.constraints[idx].set_size(cardinality)
     }
 }
 
@@ -464,7 +453,7 @@ mod tests {
         let s = schema();
         let p = Predicate::cat_in("region", vec![1, 3, 9]); // 9 outside domain
         let r = Region::from_predicate(&s, &p).unwrap();
-        assert_eq!(r.set_size(1, 4), 2.0);
+        assert_eq!(r.constraints[1].set_size(4), 2.0);
         assert_eq!(r.volume(&s), 100.0 * 2.0);
     }
 
@@ -488,11 +477,14 @@ mod tests {
         let full = Region::full(&s);
         let a = Region::from_predicate(&s, &Predicate::cat_in("region", vec![0, 1])).unwrap();
         let b = Region::from_predicate(&s, &Predicate::cat_in("region", vec![1, 2])).unwrap();
-        assert_eq!(full.set_overlap(&full, 1, 4), 4.0);
-        assert_eq!(a.set_overlap(&full, 1, 4), 2.0);
-        assert_eq!(a.set_overlap(&b, 1, 4), 1.0);
+        assert_eq!(
+            full.constraints[1].set_overlap(&full.constraints[1], 4),
+            4.0
+        );
+        assert_eq!(a.constraints[1].set_overlap(&full.constraints[1], 4), 2.0);
+        assert_eq!(a.constraints[1].set_overlap(&b.constraints[1], 4), 1.0);
         let c = Region::from_predicate(&s, &Predicate::cat_in("region", vec![3])).unwrap();
-        assert_eq!(a.set_overlap(&c, 1, 4), 0.0);
+        assert_eq!(a.constraints[1].set_overlap(&c.constraints[1], 4), 0.0);
     }
 
     #[test]

@@ -266,7 +266,7 @@ impl QuerySynopsis {
     /// is asked once per entry, front to back). Only the chunks holding a
     /// selected entry are copied. Returns the number of observations
     /// rewritten.
-    pub fn rewrite_where(
+    pub(crate) fn rewrite_where(
         &mut self,
         mut select: impl FnMut(&Region) -> bool,
         mut rewrite: impl FnMut(Observation) -> Observation,

@@ -67,7 +67,7 @@ pub fn validate(
 /// Floors a confidence-interval lower bound at zero for `FREQ` answers
 /// (Appendix B: "even if θ̈ ≥ 0, the lower bound of the confidence
 /// interval is set to zero if the value is less than zero").
-pub fn clamp_freq_interval(lo: f64, hi: f64) -> (f64, f64) {
+pub(crate) fn clamp_freq_interval(lo: f64, hi: f64) -> (f64, f64) {
     (lo.max(0.0), hi.max(0.0))
 }
 

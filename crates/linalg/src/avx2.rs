@@ -222,6 +222,7 @@ mod tests {
     use super::*;
     use crate::cholesky::{factor_rows, PANEL_ROWS};
     use crate::ops::scalar_forward_tile;
+    use crate::support::TestOps;
     use crate::{solve_lower, LinalgError, Matrix};
 
     /// xorshift64: fixed values without a dependency.

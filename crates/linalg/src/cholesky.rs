@@ -10,7 +10,7 @@
 //! textbook triple loop's — `L[i][j] = (A[i][j] − s) / L[j][j]`, `s`
 //! accumulating `L[i][k]·L[j][k]` from `0.0` in ascending `k` — and the
 //! substitutions subtract in [`crate::solve_lower`]'s and
-//! [`crate::solve_upper`]'s orders. Only the order in which independent
+//! `solve_upper`'s orders. Only the order in which independent
 //! entries are computed changes, so results are the serial loops' bits.
 //!
 //! The factorization runs in panels of four rows. On a host with AVX2
@@ -327,14 +327,10 @@ pub(crate) fn finish_rows<const R: usize>(
     Ok(())
 }
 
-/// Convenience: solve `A x = b` for SPD `A` in one call.
-pub fn spd_solve(a: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
-    Cholesky::new(a)?.solve(b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::support::TestOps;
 
     fn spd3() -> Matrix {
         // A = B^T B + I for B random-ish fixed values; known SPD.
@@ -416,7 +412,10 @@ mod tests {
     #[test]
     fn spd_solve_one_call() {
         let a = Matrix::identity(2);
-        assert_eq!(spd_solve(&a, &[5.0, -1.0]).unwrap(), vec![5.0, -1.0]);
+        assert_eq!(
+            Cholesky::new(&a).unwrap().solve(&[5.0, -1.0]).unwrap(),
+            vec![5.0, -1.0]
+        );
     }
 
     #[test]

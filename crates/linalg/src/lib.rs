@@ -17,11 +17,14 @@ pub mod cholesky;
 pub mod matrix;
 pub mod ops;
 pub mod solve;
+#[cfg(test)]
+#[path = "../tests/support/mod.rs"]
+mod support;
 
 pub use cholesky::Cholesky;
 pub use matrix::Matrix;
 pub use ops::dot;
-pub use solve::{solve_lower, solve_upper};
+pub use solve::solve_lower;
 
 /// Errors produced by linear-algebra routines.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -69,7 +69,7 @@ impl Matrix {
 
     /// Whether the matrix is square.
     #[inline]
-    pub fn is_square(&self) -> bool {
+    pub(crate) fn is_square(&self) -> bool {
         self.rows == self.cols
     }
 
@@ -112,45 +112,6 @@ impl Matrix {
         Matrix::from_fn(self.cols, self.rows, |i, j| self.get(j, i))
     }
 
-    /// Matrix-matrix product `self * rhs`.
-    pub fn matmul(&self, rhs: &Matrix) -> Result<Matrix> {
-        if self.cols != rhs.rows {
-            return Err(LinalgError::DimensionMismatch {
-                context: "Matrix::matmul",
-            });
-        }
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        // i-k-j loop order keeps the inner loop streaming over contiguous rows.
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.get(i, k);
-                if a == 0.0 {
-                    continue;
-                }
-                let rhs_row = rhs.row(k);
-                let out_row = out.row_mut(i);
-                for (o, r) in out_row.iter_mut().zip(rhs_row.iter()) {
-                    *o += a * r;
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Matrix-vector product `self * v`.
-    pub fn matvec(&self, v: &[f64]) -> Result<Vec<f64>> {
-        if self.cols != v.len() {
-            return Err(LinalgError::DimensionMismatch {
-                context: "Matrix::matvec",
-            });
-        }
-        let mut out = Vec::with_capacity(self.rows);
-        for i in 0..self.rows {
-            out.push(crate::ops::dot(self.row(i), v));
-        }
-        Ok(out)
-    }
-
     /// Returns the `k x k` leading principal submatrix (first `k` rows/cols).
     ///
     /// Verdict uses this to extract `Σ_n` from `Σ` (paper §5).
@@ -190,23 +151,12 @@ impl Matrix {
         }
         true
     }
-
-    /// Frobenius norm of `self - other`, for test assertions.
-    pub fn frobenius_distance(&self, other: &Matrix) -> f64 {
-        assert_eq!(self.rows, other.rows);
-        assert_eq!(self.cols, other.cols);
-        self.data
-            .iter()
-            .zip(other.data.iter())
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum::<f64>()
-            .sqrt()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::support::TestOps;
 
     #[test]
     fn zeros_has_expected_shape_and_entries() {

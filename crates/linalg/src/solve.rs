@@ -35,41 +35,10 @@ pub fn solve_lower(l: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
     Ok(x)
 }
 
-/// Solves `U x = b` by back substitution for upper-triangular `U`.
-///
-/// Entries below the diagonal are ignored.
-pub fn solve_upper(u: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
-    let n = u.rows();
-    if !u.is_square() {
-        return Err(LinalgError::NotSquare {
-            rows: u.rows(),
-            cols: u.cols(),
-        });
-    }
-    if b.len() != n {
-        return Err(LinalgError::DimensionMismatch {
-            context: "solve_upper",
-        });
-    }
-    let mut x = vec![0.0; n];
-    for i in (0..n).rev() {
-        let row = u.row(i);
-        let mut s = b[i];
-        for (k, xv) in x.iter().enumerate().skip(i + 1) {
-            s -= row[k] * xv;
-        }
-        let d = row[i];
-        if d == 0.0 {
-            return Err(LinalgError::NotPositiveDefinite { pivot: i });
-        }
-        x[i] = s / d;
-    }
-    Ok(x)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::support::{solve_upper, TestOps};
 
     #[test]
     fn solve_lower_known_system() {

@@ -1,9 +1,16 @@
 //! Property-based tests for the linear-algebra kernel.
 
+mod support;
+
 use proptest::prelude::*;
-use verdict_linalg::cholesky::spd_solve;
+use support::{solve_upper, TestOps};
 use verdict_linalg::ops::{dot, forward_sq_norms};
-use verdict_linalg::{solve_lower, solve_upper, Cholesky, LinalgError, Matrix};
+use verdict_linalg::{solve_lower, Cholesky, LinalgError, Matrix};
+
+/// Solves `A x = b` for SPD `A` through its factor.
+fn spd_solve(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
+    Cholesky::new(a)?.solve(b)
+}
 
 /// Builds a random SPD matrix `A = B Bᵀ + d·I` from a flat value vector.
 fn spd_from(values: &[f64], n: usize) -> Matrix {

@@ -170,11 +170,6 @@ impl QueryLog {
         }
     }
 
-    /// Maximum number of traces retained.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Number of traces currently retained.
     pub fn len(&self) -> usize {
         lock(&self.ring).len()
@@ -236,11 +231,6 @@ impl Stopwatch {
         } else {
             Stopwatch::disabled()
         }
-    }
-
-    /// Whether the clock is running.
-    pub fn is_running(&self) -> bool {
-        self.0.is_some()
     }
 
     /// Nanoseconds since the clock started (0 when disabled; saturates
@@ -323,10 +313,10 @@ mod tests {
     #[test]
     fn disabled_stopwatch_reads_zero() {
         let sw = Stopwatch::disabled();
-        assert!(!sw.is_running());
+        assert!(sw.0.is_none());
         assert_eq!(sw.elapsed_ns(), 0);
-        assert!(Stopwatch::started_if(true).is_running());
-        assert!(!Stopwatch::started_if(false).is_running());
+        assert!(Stopwatch::started_if(true).0.is_some());
+        assert!(Stopwatch::started_if(false).0.is_none());
     }
 
     #[test]

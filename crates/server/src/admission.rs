@@ -32,7 +32,7 @@ pub enum OverflowPolicy {
 
 /// Outcome of one admission attempt.
 #[derive(Debug)]
-pub enum Admission {
+pub(crate) enum Admission {
     /// Under the limit: run at full fidelity. Dropping the permit
     /// releases the slot.
     Admitted(Permit),
@@ -49,7 +49,7 @@ pub enum Admission {
 
 /// Bounds concurrent learn-path work. Cheap to clone via `Arc`.
 #[derive(Debug)]
-pub struct AdmissionController {
+pub(crate) struct AdmissionController {
     limit: u64,
     policy: OverflowPolicy,
     inflight: AtomicU64,
@@ -74,20 +74,16 @@ impl AdmissionController {
         self.limit
     }
 
-    /// The overflow policy.
-    pub fn policy(&self) -> OverflowPolicy {
-        self.policy
-    }
-
     /// Learn-path requests currently in flight.
-    pub fn inflight(&self) -> u64 {
+    #[cfg(test)]
+    fn inflight(&self) -> u64 {
         self.inflight.load(Ordering::Acquire)
     }
 
     /// Tries to admit one learn-path request. Lock-free CAS loop: the
     /// count can never overshoot the limit, so with bound `N` and `N+k`
     /// concurrent learn requests, *exactly* `k` are degraded or shed.
-    pub fn try_admit(self: &Arc<Self>) -> Admission {
+    pub(crate) fn try_admit(self: &Arc<Self>) -> Admission {
         let mut current = self.inflight.load(Ordering::Acquire);
         loop {
             if current >= self.limit {
@@ -122,7 +118,7 @@ impl AdmissionController {
 
 /// An admitted learn-path slot; dropping it releases the slot.
 #[derive(Debug)]
-pub struct Permit {
+pub(crate) struct Permit {
     controller: Arc<AdmissionController>,
 }
 

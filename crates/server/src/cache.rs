@@ -40,8 +40,6 @@ use verdict_core::persist::{Encoder, Persist};
 
 use crate::wire::{encode_options, WireOptions};
 use verdict::storage::Value;
-#[cfg(test)]
-use verdict::Mode;
 
 /// A plain LRU map: `HashMap` for lookup plus a `BTreeMap` recency index
 /// ordered by a monotone touch sequence. O(log n) per touch, no unsafe,
@@ -110,12 +108,6 @@ impl<K: Clone + Eq + Hash, V: Clone> Lru<K, V> {
         self.seq += 1;
         evicted
     }
-
-    /// Drops every entry.
-    pub fn clear(&mut self) {
-        self.map.clear();
-        self.recency.clear();
-    }
 }
 
 /// An answer-cache key: the canonical byte string of everything an
@@ -123,7 +115,7 @@ impl<K: Clone + Eq + Hash, V: Clone> Lru<K, V> {
 /// plan, same bound literals, same effective execution options, same
 /// validity token.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct AnswerKey(Vec<u8>);
+pub(crate) struct AnswerKey(Vec<u8>);
 
 impl AnswerKey {
     /// Builds the key. `token` is the table's `(model_epoch,
@@ -154,11 +146,12 @@ impl AnswerKey {
 }
 
 /// A memoized answer: the canonical outcome bytes, shared.
-pub type CachedAnswer = Arc<Vec<u8>>;
+pub(crate) type CachedAnswer = Arc<Vec<u8>>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use verdict::Mode;
 
     #[test]
     fn lru_evicts_least_recently_used() {

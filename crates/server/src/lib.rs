@@ -47,7 +47,7 @@ pub mod metrics;
 pub mod server;
 pub mod wire;
 
-pub use admission::{Admission, AdmissionController, OverflowPolicy, Permit};
-pub use cache::{AnswerKey, Lru};
+pub use admission::OverflowPolicy;
+pub use cache::Lru;
 pub use metrics::ServerMetrics;
 pub use server::{serve, ServerConfig, ServerHandle};

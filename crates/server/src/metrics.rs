@@ -43,7 +43,7 @@ pub struct ServerMetrics {
 
 impl ServerMetrics {
     /// Binds every series on `hub`.
-    pub fn on_hub(hub: Arc<MetricsHub>) -> ServerMetrics {
+    pub(crate) fn on_hub(hub: Arc<MetricsHub>) -> ServerMetrics {
         ServerMetrics {
             connections_total: hub.counter("verdict_server_connections_total"),
             connections_active: hub.gauge("verdict_server_connections_active"),
@@ -61,9 +61,9 @@ impl ServerMetrics {
         }
     }
 
-    /// A bundle on a fresh private hub (servers over databases built
-    /// without [`verdict::DatabaseBuilder::metrics`], and unit tests).
-    pub fn detached() -> ServerMetrics {
+    /// A bundle on a fresh private hub.
+    #[cfg(test)]
+    pub(crate) fn detached() -> ServerMetrics {
         ServerMetrics::on_hub(Arc::new(MetricsHub::new()))
     }
 

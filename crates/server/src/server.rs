@@ -134,11 +134,6 @@ impl ServerHandle {
         &self.shared.metrics
     }
 
-    /// Current learn-path in-flight count (the admission controller's).
-    pub fn learn_inflight(&self) -> u64 {
-        self.shared.admission.inflight()
-    }
-
     /// Stops accepting, closes every connection, joins all threads.
     pub fn shutdown(mut self) {
         self.shared.stop.store(true, Ordering::Release);
@@ -365,8 +360,20 @@ fn service(conn: &mut Conn, shared: &Shared) -> ConnFate {
     }
 }
 
-fn respond(conn: &mut Conn, response: &Response) -> std::io::Result<()> {
-    write_frame(&mut conn.stream, &response.encode())
+/// Sends `response`; one that encodes past the frame cap, which no client
+/// would read (and `write_frame` refuses before writing a byte), goes as a
+/// typed `Internal` error in its place.
+fn respond(conn: &mut Conn, response: &Response) -> Result<(), WireError> {
+    match write_frame(&mut conn.stream, &response.encode()) {
+        Err(too_large @ WireError::TooLarge(_)) => {
+            let error = Response::Error {
+                code: ErrorCode::Internal,
+                message: too_large.to_string(),
+            };
+            write_frame(&mut conn.stream, &error.encode())
+        }
+        sent => sent,
+    }
 }
 
 fn handle(session: &mut Session, shared: &Shared, request: Request) -> Response {
@@ -703,5 +710,41 @@ mod tests {
         assert_ne!(other.outcome, first.outcome);
         drop(stream);
         server.shutdown();
+    }
+
+    /// A response past the frame cap would be refused by the client's
+    /// reader and leave the stream out of step; the connection gets a
+    /// typed error in its place and keeps serving.
+    #[test]
+    fn an_oversized_response_becomes_a_typed_error() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        // Nothing reads until both responses are sent: a full-size frame
+        // would block here, so give up instead of hanging.
+        stream
+            .set_write_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut conn = Conn {
+            stream,
+            buf: Vec::new(),
+            preamble_done: true,
+            session: Session::default(),
+        };
+        let oversized = Response::Error {
+            code: ErrorCode::Sql,
+            message: "x".repeat(16 * 1024 * 1024),
+        };
+        respond(&mut conn, &oversized).unwrap();
+        respond(&mut conn, &Response::Bye).unwrap();
+        match Response::decode(&read_frame(&mut client).unwrap()).unwrap() {
+            Response::Error {
+                code: ErrorCode::Internal,
+                message,
+            } => assert!(message.contains("exceeds"), "{message}"),
+            other => panic!("wanted an internal error, got {other:?}"),
+        }
+        let next = Response::decode(&read_frame(&mut client).unwrap()).unwrap();
+        assert!(matches!(next, Response::Bye), "{next:?}");
     }
 }

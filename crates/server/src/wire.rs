@@ -41,7 +41,7 @@ pub const PREAMBLE_LEN: usize = WIRE_MAGIC.len() + 4;
 pub const FRAME_HEADER_LEN: usize = 8;
 /// Hard cap on one frame's payload (the WAL's `MAX_RECORD_LEN` idiom):
 /// a corrupt length field must bound allocation, not drive it.
-pub const MAX_FRAME_LEN: usize = 16 * 1024 * 1024;
+pub(crate) const MAX_FRAME_LEN: usize = 16 * 1024 * 1024;
 
 /// Why a connection or message was rejected. Every variant is a clean
 /// rejection — wire decoding never panics on arbitrary bytes.
@@ -55,7 +55,8 @@ pub enum WireError {
     ForeignMagic([u8; 8]),
     /// The peer speaks a protocol version other than this build's.
     Version(u32),
-    /// A frame announced a payload larger than [`MAX_FRAME_LEN`].
+    /// A frame announced (or was asked to carry) a payload over the
+    /// 16 MiB frame cap.
     TooLarge(u64),
     /// The payload's CRC did not match its header.
     Crc {
@@ -138,12 +139,18 @@ pub fn read_preamble(r: &mut impl Read) -> Result<(), WireError> {
     check_preamble(&buf)
 }
 
-/// Writes one frame: `len | crc | payload`.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    debug_assert!(payload.len() <= MAX_FRAME_LEN);
+/// Writes one frame: `len | crc | payload`. A payload the peer would
+/// refuse (over the 16 MiB frame cap) is refused with
+/// [`WireError::TooLarge`] before a byte is written, so the stream stays
+/// in step.
+pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), WireError> {
+    if payload.len() > MAX_FRAME_LEN {
+        return Err(WireError::TooLarge(payload.len() as u64));
+    }
     w.write_all(&(payload.len() as u32).to_le_bytes())?;
     w.write_all(&crc32(payload).to_le_bytes())?;
-    w.write_all(payload)
+    w.write_all(payload)?;
+    Ok(())
 }
 
 /// Reads one frame from a blocking stream (the client's receive path).

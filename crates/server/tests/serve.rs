@@ -10,7 +10,9 @@ use verdict::workload::multi::{orders_table, TwoTableSpec};
 use verdict::{Database, Mode, QueryOptions, TableOptions};
 use verdict_client::{Client, ClientError};
 use verdict_obs::MetricsHub;
-use verdict_server::wire::{encode_outcome, WireOptions, WireOutcome, WIRE_MAGIC, WIRE_VERSION};
+use verdict_server::wire::{
+    encode_outcome, WireError, WireOptions, WireOutcome, WIRE_MAGIC, WIRE_VERSION,
+};
 use verdict_server::{serve, OverflowPolicy, ServerConfig, ServerHandle};
 
 const ROWS: usize = 4_000;
@@ -466,6 +468,25 @@ fn typed_errors_keep_the_session_alive() {
     let metrics_json = client.metrics_json().expect("metrics");
     assert!(metrics_json.contains("verdict_server_requests_total"));
 
+    client.close().expect("close");
+    server.shutdown();
+}
+
+#[test]
+fn an_oversized_ingest_is_refused_before_it_is_sent() {
+    let db = fixture_db(None);
+    let server = start(db, ServerConfig::default());
+    let mut client = Client::connect(server.addr()).expect("connect");
+
+    // One row whose categorical label alone encodes past the 16 MiB cap.
+    let row = vec![verdict::storage::Value::Str("x".repeat(17 << 20))];
+    match client.ingest("orders", &[row]) {
+        Err(ClientError::Wire(WireError::TooLarge(n))) => assert!(n > 17 << 20),
+        other => panic!("expected TooLarge, got {other:?}"),
+    }
+    // Nothing reached the socket, so the connection is still in step.
+    let hello = client.hello().expect("hello after the refusal");
+    assert_eq!(hello.tables.len(), 1);
     client.close().expect("close");
     server.shutdown();
 }

@@ -22,7 +22,7 @@ pub enum AggFunc {
 
 impl AggFunc {
     /// Whether Verdict can improve this aggregate.
-    pub fn verdict_supported(&self) -> bool {
+    pub(crate) fn verdict_supported(&self) -> bool {
         matches!(self, AggFunc::Avg | AggFunc::Sum | AggFunc::Count)
     }
 }

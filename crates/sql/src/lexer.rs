@@ -4,7 +4,7 @@ use crate::{Result, SqlError};
 
 /// A lexical token.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Token {
+pub(crate) enum Token {
     /// Keyword or identifier (keywords are detected case-insensitively by
     /// the parser; the original spelling is preserved).
     Ident(String),
@@ -48,13 +48,13 @@ pub enum Token {
 
 impl Token {
     /// Whether this token is the given keyword (case-insensitive).
-    pub fn is_kw(&self, kw: &str) -> bool {
+    pub(crate) fn is_kw(&self, kw: &str) -> bool {
         matches!(self, Token::Ident(s) if s.eq_ignore_ascii_case(kw))
     }
 }
 
 /// Tokenizes a SQL string.
-pub fn tokenize(input: &str) -> Result<Vec<Token>> {
+pub(crate) fn tokenize(input: &str) -> Result<Vec<Token>> {
     let bytes = input.as_bytes();
     let mut tokens = Vec::new();
     let mut i = 0;

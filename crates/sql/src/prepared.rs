@@ -143,11 +143,6 @@ impl PreparedQuery {
         &self.group_cols
     }
 
-    /// The deduplicated primitive streams the plan scans.
-    pub fn primitives(&self) -> &[AggregateFn] {
-        &self.primitives
-    }
-
     /// The one parameter check: the count matches the placeholders and
     /// every value fits its slot's kind, or [`SqlError::PlaceholderCount`]
     /// / [`SqlError::PlaceholderType`]. Needs no table, so callers can

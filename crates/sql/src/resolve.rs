@@ -15,7 +15,7 @@ use crate::{Result, SqlError};
 ///
 /// Qualified columns (`t.col`) resolve by their unqualified name — queries
 /// run against denormalized tables where names are already unique.
-pub fn to_expr(e: &ScalarExpr) -> Result<Expr> {
+pub(crate) fn to_expr(e: &ScalarExpr) -> Result<Expr> {
     Ok(match e {
         ScalarExpr::Column { name, .. } => Expr::col(name),
         ScalarExpr::Number(n) => Expr::Const(*n),
@@ -69,7 +69,7 @@ pub fn resolve_from(name: &str, tables: &[String], default: Option<usize>) -> Re
 /// Builds the equality predicate for one group-by value (decomposition
 /// step, Figure 3: "each groupby column value is added as an equality
 /// predicate").
-pub fn group_equality(table: &Table, col: &str, value: &Value) -> Result<Predicate> {
+pub(crate) fn group_equality(table: &Table, col: &str, value: &Value) -> Result<Predicate> {
     let col_ty = table.schema().column(col)?.ty;
     match (col_ty, value) {
         (ColumnType::Numeric, Value::Num(v)) => Ok(Predicate::between(col, *v, *v)),

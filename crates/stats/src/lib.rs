@@ -4,7 +4,7 @@
 //!
 //! - [`erf()`]: the error function, needed by the closed-form double integral
 //!   of the squared-exponential covariance (paper Appendix F.1);
-//! - [`normal`]: Gaussian pdf/cdf/quantile and the confidence-interval
+//! - [`normal`]: Gaussian cdf/quantile and the confidence-interval
 //!   multiplier `α_δ` of §3.4;
 //! - [`describe`]: streaming and batch descriptive statistics (Welford
 //!   accumulators back the AQP engine's CLT error estimates);
@@ -18,5 +18,5 @@ pub mod percentile;
 
 pub use describe::{covariance, indicator_mean_se, mean, variance, Welford};
 pub use erf::{erf, erfc};
-pub use normal::{confidence_multiplier, normal_cdf, normal_pdf, normal_quantile};
+pub use normal::{confidence_multiplier, normal_cdf, normal_quantile};
 pub use percentile::percentile;

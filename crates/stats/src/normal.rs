@@ -1,14 +1,8 @@
-//! Standard normal distribution: pdf, cdf, quantile, confidence multipliers.
+//! Standard normal distribution: cdf, quantile, confidence multipliers.
 
 use crate::erf::{erf, erfc};
 
 const SQRT_2: f64 = std::f64::consts::SQRT_2;
-const INV_SQRT_2PI: f64 = 0.398_942_280_401_432_7;
-
-/// Standard normal probability density `φ(x)`.
-pub fn normal_pdf(x: f64) -> f64 {
-    INV_SQRT_2PI * (-0.5 * x * x).exp()
-}
 
 /// Standard normal cumulative distribution `Φ(x)`.
 pub fn normal_cdf(x: f64) -> f64 {
@@ -107,13 +101,6 @@ pub fn confidence_multiplier(delta: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn pdf_peak_at_zero() {
-        assert!((normal_pdf(0.0) - 0.3989422804014327).abs() < 1e-15);
-        assert!(normal_pdf(1.0) < normal_pdf(0.0));
-        assert!((normal_pdf(2.0) - normal_pdf(-2.0)).abs() < 1e-18);
-    }
 
     #[test]
     fn cdf_reference_values() {

@@ -18,7 +18,7 @@ pub fn percentile(xs: &[f64], p: f64) -> f64 {
 
 /// Same as [`percentile`] but assumes `xs` is already sorted ascending,
 /// avoiding the copy and sort.
-pub fn percentile_of_sorted(sorted: &[f64], p: f64) -> f64 {
+pub(crate) fn percentile_of_sorted(sorted: &[f64], p: f64) -> f64 {
     assert!(!sorted.is_empty(), "percentile of empty slice");
     assert!((0.0..=100.0).contains(&p), "percentile p out of range: {p}");
     if sorted.len() == 1 {

@@ -53,7 +53,7 @@ impl AggregateFn {
     }
 
     /// Evaluates the aggregate over an explicit row set of `table`.
-    pub fn eval_on_rows(&self, table: &Table, rows: &[usize]) -> Result<f64> {
+    pub(crate) fn eval_on_rows(&self, table: &Table, rows: &[usize]) -> Result<f64> {
         match self {
             AggregateFn::Avg(expr) => {
                 if rows.is_empty() {

@@ -131,13 +131,13 @@ pub struct SelectionMask {
 }
 
 impl SelectionMask {
-    /// An empty mask; size it with [`SelectionMask::reset_ones`].
+    /// An empty mask; size it with `SelectionMask::reset_ones`.
     pub fn new() -> Self {
         SelectionMask::default()
     }
 
     /// Resizes to `len` bits, all set. Kernels then AND conjuncts in.
-    pub fn reset_ones(&mut self, len: usize) {
+    pub(crate) fn reset_ones(&mut self, len: usize) {
         let nwords = len.div_ceil(64);
         self.words.clear();
         self.words.resize(nwords, !0u64);
@@ -146,13 +146,6 @@ impl SelectionMask {
         if tail != 0 {
             self.words[nwords - 1] = (1u64 << tail) - 1;
         }
-    }
-
-    /// Resizes to `len` bits, all clear.
-    pub fn reset_zeros(&mut self, len: usize) {
-        self.words.clear();
-        self.words.resize(len.div_ceil(64), 0);
-        self.len = len;
     }
 
     /// Number of rows the mask covers.
@@ -269,7 +262,7 @@ impl CatZone {
 
 /// Per-chunk zone entries for one column.
 #[derive(Debug, Clone)]
-pub enum ColumnZones {
+pub(crate) enum ColumnZones {
     Num(Vec<NumZone>),
     Cat {
         zones: Vec<CatZone>,
@@ -367,18 +360,13 @@ impl ZoneMaps {
     }
 
     /// Number of chunks covered.
-    pub fn num_chunks(&self) -> usize {
+    pub(crate) fn num_chunks(&self) -> usize {
         self.rows.div_ceil(CHUNK_ROWS)
-    }
-
-    /// Zone entries for column `col`.
-    pub fn column(&self, col: usize) -> &ColumnZones {
-        &self.cols[col]
     }
 
     /// Numeric zone of `(col, chunk)`, if the column is numeric and the
     /// chunk is covered.
-    pub fn num_zone(&self, col: usize, chunk: usize) -> Option<NumZone> {
+    pub(crate) fn num_zone(&self, col: usize, chunk: usize) -> Option<NumZone> {
         match &self.cols[col] {
             ColumnZones::Num(z) => z.get(chunk).copied(),
             ColumnZones::Cat { .. } => None,
@@ -386,7 +374,7 @@ impl ZoneMaps {
     }
 
     /// Categorical zone of `(col, chunk)`, if covered.
-    pub fn cat_zone(&self, col: usize, chunk: usize) -> Option<CatZone> {
+    pub(crate) fn cat_zone(&self, col: usize, chunk: usize) -> Option<CatZone> {
         match &self.cols[col] {
             ColumnZones::Cat { zones, .. } => zones.get(chunk).copied(),
             ColumnZones::Num(_) => None,
@@ -428,7 +416,7 @@ impl PackedCodes {
 
     /// Packs `codes`, or `None` when any code needs more than 8 bits
     /// (wide dictionaries aren't worth packing).
-    pub fn pack(codes: &[u32]) -> Option<Self> {
+    pub(crate) fn pack(codes: &[u32]) -> Option<Self> {
         let max = codes.iter().copied().max().unwrap_or(0);
         let bits = Self::width_for(max)?;
         let per_word = (64 / bits) as usize;
@@ -456,7 +444,7 @@ impl PackedCodes {
 
     /// Returns a copy of `self` extended with `codes[self.len..rows]`,
     /// or `None` if any new code exceeds the current bit width.
-    pub fn repacked_tail(&self, codes: &[u32], rows: usize) -> Option<Self> {
+    pub(crate) fn repacked_tail(&self, codes: &[u32], rows: usize) -> Option<Self> {
         let tail = &codes[self.len..rows];
         let limit = if self.bits == 64 {
             u32::MAX
@@ -590,11 +578,6 @@ mod tests {
         assert_eq!(seen.len(), 69);
         assert!(!seen.contains(&3));
         assert!(seen.windows(2).all(|w| w[0] < w[1]));
-
-        m.reset_zeros(10);
-        assert!(!m.any());
-        assert!(!m.all_ones());
-        assert_eq!(m.count_ones(), 0);
 
         m.reset_ones(64);
         assert!(m.all_ones());

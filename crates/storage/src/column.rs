@@ -29,12 +29,12 @@ pub enum Column {
 
 impl Column {
     /// Empty numeric column.
-    pub fn new_numeric() -> Self {
+    pub(crate) fn new_numeric() -> Self {
         Column::Numeric(Vec::new())
     }
 
     /// Empty categorical column.
-    pub fn new_categorical() -> Self {
+    pub(crate) fn new_categorical() -> Self {
         Column::Categorical {
             codes: Vec::new(),
             labels: Vec::new(),
@@ -96,7 +96,7 @@ impl Column {
     /// Approximate heap footprint in bytes: row payloads plus dictionary
     /// label storage (the reverse index shares the labels' `Arc`s, so it
     /// contributes only its table slots).
-    pub fn heap_bytes(&self) -> u64 {
+    pub(crate) fn heap_bytes(&self) -> u64 {
         match self {
             Column::Numeric(v) => (v.len() * std::mem::size_of::<f64>()) as u64,
             Column::Categorical { codes, labels, .. } => {
@@ -206,7 +206,7 @@ impl Column {
     /// admitted rows are then pushed as raw codes — so a sample code
     /// always means the same label as the base-table code, regardless of
     /// which rows happened to be admitted.
-    pub fn sync_dictionary_from(&mut self, other: &Column) -> Result<()> {
+    pub(crate) fn sync_dictionary_from(&mut self, other: &Column) -> Result<()> {
         match (self, other) {
             (Column::Numeric(_), Column::Numeric(_)) => Ok(()),
             (
@@ -244,7 +244,7 @@ impl Column {
     }
 
     /// Appends the rows of `other` selected by `rows` (gather).
-    pub fn gather_from(&mut self, other: &Column, rows: &[usize]) -> Result<()> {
+    pub(crate) fn gather_from(&mut self, other: &Column, rows: &[usize]) -> Result<()> {
         match (self, other) {
             (Column::Numeric(dst), Column::Numeric(src)) => {
                 dst.reserve(rows.len());
@@ -284,7 +284,7 @@ impl Column {
     }
 
     /// Min and max of a numeric column; `None` when empty or categorical.
-    pub fn numeric_range(&self) -> Option<(f64, f64)> {
+    pub(crate) fn numeric_range(&self) -> Option<(f64, f64)> {
         match self {
             Column::Numeric(v) if !v.is_empty() => {
                 let mut lo = f64::INFINITY;

@@ -36,16 +36,6 @@ pub struct NumRange {
 }
 
 impl NumRange {
-    /// The unconstrained interval `(-inf, +inf)`.
-    pub fn unbounded() -> Self {
-        NumRange {
-            lo: f64::NEG_INFINITY,
-            hi: f64::INFINITY,
-            lo_inclusive: true,
-            hi_inclusive: true,
-        }
-    }
-
     /// Closed interval `[lo, hi]`.
     pub fn closed(lo: f64, hi: f64) -> Self {
         NumRange {
@@ -75,7 +65,7 @@ impl NumRange {
     /// Intersects two intervals (tightest bounds win). A NaN bound admits
     /// no value, so it always wins: the intersection stays empty, as
     /// [`NumRange::contains`] of the conjunction is.
-    pub fn intersect(&self, other: &NumRange) -> NumRange {
+    pub(crate) fn intersect(&self, other: &NumRange) -> NumRange {
         use std::cmp::Ordering::{Equal, Greater, Less};
         let (lo, lo_inclusive) = match self.lo.partial_cmp(&other.lo) {
             Some(Greater) => (self.lo, self.lo_inclusive),
@@ -100,7 +90,8 @@ impl NumRange {
     }
 
     /// Whether no value can satisfy the interval.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
         self.lo > self.hi || (self.lo == self.hi && !(self.lo_inclusive && self.hi_inclusive))
     }
 }

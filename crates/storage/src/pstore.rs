@@ -4,7 +4,7 @@
 //! memory only when a scan actually needs it. [`PartitionStore`] is the
 //! cache in the middle: segments (immutable [`Table`]s, one per
 //! `(sample, partition)` pair) are loaded through a caller-supplied
-//! fault function, accounted by [`Table::heap_bytes`], and evicted in
+//! fault function, accounted by `Table::heap_bytes`, and evicted in
 //! LRU order once the configured byte budget is exceeded.
 //!
 //! # Pinning
@@ -137,11 +137,6 @@ impl PartitionStore {
             bytes_faulted: AtomicU64::new(0),
             fault_ns: AtomicU64::new(0),
         }
-    }
-
-    /// The configured byte budget.
-    pub fn budget_bytes(&self) -> u64 {
-        self.budget_bytes
     }
 
     /// Locks the residency map, absorbing poison: a panicking loader

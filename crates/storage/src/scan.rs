@@ -61,6 +61,7 @@ pub struct GroupKeyCollector {
     seen: HashSet<Box<[u64]>>,
     /// How many distinct keys the metadata admits; `None` when unknown.
     bound: Option<usize>,
+    #[cfg(test)]
     chunks_read: u64,
 }
 
@@ -150,7 +151,8 @@ impl GroupKeyCollector {
 
     /// Chunks whose rows were read so far: those the zone maps did not
     /// prune, up to the point the key set was complete.
-    pub fn chunks_read(&self) -> u64 {
+    #[cfg(test)]
+    fn chunks_read(&self) -> u64 {
         self.chunks_read
     }
 
@@ -175,7 +177,10 @@ impl GroupKeyCollector {
                 ChunkMatch::AllRows => mask.reset_ones(seg.len()),
                 ChunkMatch::SomeRows => pred.fill_mask(seg.clone(), &mut mask),
             }
-            self.chunks_read += 1;
+            #[cfg(test)]
+            {
+                self.chunks_read += 1;
+            }
             mask.for_each_set(|i| self.record(&cols, seg.start + i, &mut bits));
         }
         Ok(())

@@ -119,24 +119,6 @@ impl Schema {
         self.index_of(name).map(|i| &self.columns[i])
     }
 
-    /// Names of all dimension columns.
-    pub fn dimension_names(&self) -> Vec<&str> {
-        self.columns
-            .iter()
-            .filter(|c| c.role == AttributeRole::Dimension)
-            .map(|c| c.name.as_str())
-            .collect()
-    }
-
-    /// Names of all measure columns.
-    pub fn measure_names(&self) -> Vec<&str> {
-        self.columns
-            .iter()
-            .filter(|c| c.role == AttributeRole::Measure)
-            .map(|c| c.name.as_str())
-            .collect()
-    }
-
     /// Returns a new schema that appends the columns of `other`, prefixing
     /// clashing names with `prefix`. Used by denormalizing joins.
     pub fn concat(&self, other: &Schema, prefix: &str) -> Result<Schema> {
@@ -197,8 +179,15 @@ mod tests {
     #[test]
     fn role_partitions() {
         let s = sample();
-        assert_eq!(s.dimension_names(), vec!["week", "region"]);
-        assert_eq!(s.measure_names(), vec!["revenue"]);
+        let names = |role| {
+            s.columns()
+                .iter()
+                .filter(|c| c.role == role)
+                .map(|c| c.name.as_str())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(names(AttributeRole::Dimension), vec!["week", "region"]);
+        assert_eq!(names(AttributeRole::Measure), vec!["revenue"]);
     }
 
     #[test]

@@ -5,27 +5,18 @@ use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 use crate::chunk::ZoneMaps;
 use crate::{Column, ColumnType, Result, Schema, StorageError, Value};
 
-/// Lazily computed per-column statistics, cached on the table and
-/// invalidated whenever rows are appended (ranges and cardinalities are
-/// `O(rows)` to recompute, and callers like predicate-range defaulting ask
-/// for them repeatedly between mutations).
-#[derive(Debug, Clone, Default)]
-struct ColumnStats {
-    /// `(min, max)` of a numeric column; `None` for categorical/empty.
-    numeric_range: Option<(f64, f64)>,
-    /// Distinct-code count of a categorical column; `None` for numeric.
-    cardinality: Option<usize>,
-}
-
 /// An in-memory columnar table.
 #[derive(Debug)]
 pub struct Table {
     schema: Schema,
     columns: Vec<Column>,
     rows: usize,
-    /// One lazily filled stats slot per column; a mutation replaces the
-    /// slot with an empty one (see [`Table::invalidate_stats`]).
-    stats: Vec<OnceLock<ColumnStats>>,
+    /// One lazily filled slot per column: `(min, max)` of a numeric
+    /// column, `None` for a categorical or empty one. Ranges are `O(rows)`
+    /// to recompute and predicate-range defaulting asks for them
+    /// repeatedly, so they are cached; a mutation replaces every slot
+    /// with an empty one (see [`Table::invalidate_stats`]).
+    stats: Vec<OnceLock<Option<(f64, f64)>>>,
     /// Per-chunk zone maps, built lazily on first chunked scan. Unlike
     /// `stats`, appends do *not* clear this cache: zone maps extend
     /// incrementally (min/max is associative), so [`Table::zone_maps`]
@@ -206,18 +197,10 @@ impl Table {
     }
 
     /// Drops every cached per-column statistic; the next
-    /// [`Table::column_bounds`] / [`Table::column_cardinality`] call
+    /// [`Table::column_bounds`] call
     /// recomputes from the (now larger) data.
     fn invalidate_stats(&mut self) {
         self.stats = fresh_stats(self.columns.len());
-    }
-
-    /// The cached stats slot for column `i`, computing it on first use.
-    fn stats_of(&self, i: usize) -> &ColumnStats {
-        self.stats[i].get_or_init(|| ColumnStats {
-            numeric_range: self.columns[i].numeric_range(),
-            cardinality: self.columns[i].cardinality(),
-        })
     }
 
     /// Column accessor by name.
@@ -283,13 +266,13 @@ impl Table {
     /// Cached; appends invalidate the cache.
     pub fn column_bounds(&self, name: &str) -> Result<(f64, f64)> {
         let i = self.schema.index_of(name)?;
-        self.stats_of(i)
-            .numeric_range
+        self.stats[i]
+            .get_or_init(|| self.columns[i].numeric_range())
             .ok_or_else(|| StorageError::TypeError(format!("column {name} has no numeric range")))
     }
 
     /// Adopts `other`'s categorical dictionaries column by column (see
-    /// [`Column::sync_dictionary_from`]); schemas must be identical.
+    /// `Column::sync_dictionary_from`); schemas must be identical.
     pub fn sync_dictionaries_from(&mut self, other: &Table) -> Result<()> {
         if self.schema != other.schema {
             return Err(StorageError::SchemaMismatch(
@@ -361,22 +344,13 @@ impl Table {
     /// payloads plus dictionary labels) — the unit the out-of-core
     /// partition cache budgets in. Schema and cached statistics are not
     /// counted; they are negligible next to the columns.
-    pub fn heap_bytes(&self) -> u64 {
+    pub(crate) fn heap_bytes(&self) -> u64 {
         self.columns.iter().map(Column::heap_bytes).sum()
-    }
-
-    /// Distinct-code count of a categorical column. Cached; appends
-    /// invalidate the cache.
-    pub fn column_cardinality(&self, name: &str) -> Result<usize> {
-        let i = self.schema.index_of(name)?;
-        self.stats_of(i)
-            .cardinality
-            .ok_or_else(|| StorageError::TypeError(format!("column {name} is not categorical")))
     }
 }
 
 /// A fresh (empty) stats slot per column.
-fn fresh_stats(n: usize) -> Vec<OnceLock<ColumnStats>> {
+fn fresh_stats(n: usize) -> Vec<OnceLock<Option<(f64, f64)>>> {
     (0..n).map(|_| OnceLock::new()).collect()
 }
 
@@ -484,12 +458,9 @@ mod tests {
     fn cached_stats_invalidate_on_append() {
         let mut t = sales_table();
         assert_eq!(t.column_bounds("week").unwrap(), (1.0, 3.0));
-        assert_eq!(t.column_cardinality("region").unwrap(), 2);
-        assert!(t.column_cardinality("week").is_err());
         t.push_rows(&[vec![9.0.into(), "jp".into(), 1.0.into()]])
             .unwrap();
         assert_eq!(t.column_bounds("week").unwrap(), (1.0, 9.0));
-        assert_eq!(t.column_cardinality("region").unwrap(), 3);
         // Single-row pushes invalidate too.
         t.push_row(vec![0.5.into(), "us".into(), 1.0.into()])
             .unwrap();

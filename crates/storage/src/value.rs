@@ -24,14 +24,6 @@ impl Value {
             _ => None,
         }
     }
-
-    /// Categorical-code accessor; `None` for numeric or string values.
-    pub fn as_cat(&self) -> Option<u32> {
-        match self {
-            Value::Cat(c) => Some(*c),
-            _ => None,
-        }
-    }
 }
 
 impl From<f64> for Value {
@@ -75,8 +67,6 @@ mod tests {
     #[test]
     fn accessors_match_variants() {
         assert_eq!(Value::Num(1.5).as_num(), Some(1.5));
-        assert_eq!(Value::Num(1.5).as_cat(), None);
-        assert_eq!(Value::Cat(3).as_cat(), Some(3));
         assert_eq!(Value::Cat(3).as_num(), None);
     }
 

@@ -18,7 +18,7 @@
 //! presence.
 //!
 //! The manifest is written like every other whole store file, through
-//! [`crate::snapshot::write_atomic`]: temp file, fsync, rename,
+//! `crate::snapshot::write_atomic`: temp file, fsync, rename,
 //! parent-directory fsync.
 
 use std::fs::File;
@@ -30,14 +30,14 @@ use crate::snapshot::write_atomic;
 use crate::{Result, StoreError};
 
 /// File magic for the catalog manifest.
-pub const CATALOG_MAGIC: [u8; 8] = *b"VDBLCATL";
+pub(crate) const CATALOG_MAGIC: [u8; 8] = *b"VDBLCATL";
 /// Store layout version the manifest declares. v3 = catalog manifest +
 /// per-table subdirectories (v2 = flat single-table store).
-pub const CATALOG_VERSION: u32 = 3;
+pub(crate) const CATALOG_VERSION: u32 = 3;
 /// Manifest file name inside the root directory.
-pub const CATALOG_FILE: &str = "CATALOG";
+pub(crate) const CATALOG_FILE: &str = "CATALOG";
 /// Subdirectory holding the per-table stores.
-pub const TABLES_DIR: &str = "tables";
+pub(crate) const TABLES_DIR: &str = "tables";
 
 /// The decoded catalog manifest: the database's table names, in
 /// registration order.

@@ -16,7 +16,7 @@
 //!   periodically, the full session state — session parameters,
 //!   synopses, trained models, and a binding to the base rows — is
 //!   written to a fresh generation file (temp + fsync + atomic rename,
-//!   [`snapshot::write_atomic`]) and the log is truncated. Snapshots
+//!   `snapshot::write_atomic`) and the log is truncated. Snapshots
 //!   record the last folded sequence number, so a crash between "write
 //!   snapshot" and "truncate log" never double applies records.
 //! - **Append-only row files** ([`partfile`], `part-<id>.vcol`): the
@@ -139,7 +139,7 @@ pub mod store;
 pub mod tablecodec;
 
 pub use catalog::{read_catalog, write_catalog, CatalogManifest};
-pub use partfile::{read_part_rows, PagedState, PartScan};
+pub use partfile::{read_part_rows, PagedState};
 pub use snapshot::{SessionMeta, Snapshot};
 pub use store::{
     BaseRows, PagedRecovered, Recovered, RecoveryReport, SharedStore, SnapshotReceipt, StorePolicy,

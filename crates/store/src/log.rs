@@ -28,10 +28,10 @@ use crate::crc::crc32;
 use crate::{Result, StoreError};
 
 /// File magic for the write-ahead log.
-pub const LOG_MAGIC: [u8; 8] = *b"VDBLWLOG";
+pub(crate) const LOG_MAGIC: [u8; 8] = *b"VDBLWLOG";
 /// Current log format version (v2 added ingest records; v1 logs are
 /// refused, never truncated).
-pub const LOG_VERSION: u32 = 2;
+pub(crate) const LOG_VERSION: u32 = 2;
 /// Header: magic + version + reserved word.
 pub const LOG_HEADER_LEN: u64 = 16;
 /// Upper bound on a single record payload; lengths above this are treated
@@ -161,7 +161,7 @@ impl LogRecord {
 
 /// Outcome of validating the log's fixed file header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HeaderStatus {
+pub(crate) enum HeaderStatus {
     /// Magic and version both valid.
     Ok,
     /// Fewer bytes than a header — a torn create; no record can exist,
@@ -179,7 +179,7 @@ pub enum HeaderStatus {
 #[derive(Debug)]
 pub struct LogScan {
     /// Header validation outcome.
-    pub header: HeaderStatus,
+    pub(crate) header: HeaderStatus,
     /// Every valid record, in file order.
     pub records: Vec<LogRecord>,
     /// Offset of the first invalid byte (= valid prefix length).
@@ -298,7 +298,7 @@ impl SnippetLog {
     }
 
     /// Records appended since open or the last [`SnippetLog::reset`].
-    pub fn appended_since_reset(&self) -> u64 {
+    pub(crate) fn appended_since_reset(&self) -> u64 {
         self.appended_since_reset
     }
 
@@ -356,7 +356,7 @@ impl SnippetLog {
 
     /// Truncates the log back to an empty header — called after a
     /// snapshot has folded every record away.
-    pub fn reset(&mut self) -> Result<()> {
+    pub(crate) fn reset(&mut self) -> Result<()> {
         self.file.set_len(LOG_HEADER_LEN)?;
         self.file.seek(SeekFrom::Start(LOG_HEADER_LEN))?;
         self.file.sync_all()?;

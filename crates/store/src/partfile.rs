@@ -52,19 +52,19 @@ use crate::tablecodec::{decode_table, encode_table};
 use crate::{Result, StoreError};
 
 /// File magic for partition column files.
-pub const PART_MAGIC: [u8; 8] = *b"VDBLPCOL";
+pub(crate) const PART_MAGIC: [u8; 8] = *b"VDBLPCOL";
 /// Current partition-file format version.
-pub const PART_VERSION: u32 = 1;
+pub(crate) const PART_VERSION: u32 = 1;
 /// Header length: magic + version + partition id.
 const PART_HEADER_LEN: u64 = 16;
 
 /// Path of partition `p`'s column file inside `dir`.
-pub fn part_path(dir: &Path, p: u32) -> PathBuf {
+pub(crate) fn part_path(dir: &Path, p: u32) -> PathBuf {
     dir.join(format!("part-{p:06}.vcol"))
 }
 
 /// Parses a partition id out of a part file name.
-pub fn parse_part_number(name: &str) -> Option<u32> {
+pub(crate) fn parse_part_number(name: &str) -> Option<u32> {
     name.strip_prefix("part-")?
         .strip_suffix(".vcol")?
         .parse()
@@ -72,7 +72,7 @@ pub fn parse_part_number(name: &str) -> Option<u32> {
 }
 
 /// Whether `name` is a partition column file.
-pub fn is_part_file(name: &str) -> bool {
+pub(crate) fn is_part_file(name: &str) -> bool {
     parse_part_number(name).is_some()
 }
 
@@ -116,7 +116,7 @@ fn frame(payload: &[u8]) -> Vec<u8> {
 /// header and the record's frame head, then the payload as encoded.
 /// Returns the record's CRC, the file's contribution to the store's part
 /// fingerprint.
-pub fn write_part_file(dir: &Path, p: u32, fragment: &Table) -> Result<u32> {
+pub(crate) fn write_part_file(dir: &Path, p: u32, fragment: &Table) -> Result<u32> {
     let payload = encode_record_payload(0, fragment, 0..fragment.num_rows());
     let rec_crc = crc32(&payload);
     let mut header = Vec::with_capacity(PART_HEADER_LEN as usize + 8);
@@ -134,7 +134,7 @@ pub fn write_part_file(dir: &Path, p: u32, fragment: &Table) -> Result<u32> {
 /// The WAL record is written first, so a crash here recovers by replay:
 /// the record either survives whole (its seq is then skipped) or is a
 /// torn tail truncated at open and re-appended.
-pub fn append_part_record(
+pub(crate) fn append_part_record(
     dir: &Path,
     p: u32,
     seq: u64,
@@ -150,7 +150,7 @@ pub fn append_part_record(
 
 /// What a validating walk of one partition file found.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PartScan {
+pub(crate) struct PartScan {
     /// The partition id the header declares.
     pub partition: u32,
     /// Total rows across valid records.
@@ -475,7 +475,7 @@ impl PartRows {
 /// create-time record CRC, in partition order. Binds a snapshot to the
 /// create-time data; ingest appends do not perturb it (they are covered
 /// by WAL sequencing instead).
-pub fn part_fingerprint(record0_crcs: &[u32]) -> u64 {
+pub(crate) fn part_fingerprint(record0_crcs: &[u32]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for (p, &crc) in record0_crcs.iter().enumerate() {
         for byte in (p as u32)
@@ -496,7 +496,7 @@ pub fn part_fingerprint(record0_crcs: &[u32]) -> u64 {
 // ---------------------------------------------------------------------
 
 /// Encodes a [`PartitionSpec`].
-pub fn encode_partition_spec(spec: &PartitionSpec, enc: &mut Encoder) {
+pub(crate) fn encode_partition_spec(spec: &PartitionSpec, enc: &mut Encoder) {
     enc.put_str(spec.column());
     match spec.scheme() {
         PartitionScheme::Range { bounds } => {
@@ -514,7 +514,7 @@ pub fn encode_partition_spec(spec: &PartitionSpec, enc: &mut Encoder) {
 }
 
 /// Decodes a [`PartitionSpec`].
-pub fn decode_partition_spec(dec: &mut Decoder<'_>) -> PersistResult<PartitionSpec> {
+pub(crate) fn decode_partition_spec(dec: &mut Decoder<'_>) -> PersistResult<PartitionSpec> {
     let column = dec.take_str()?;
     match dec.take_u8()? {
         0 => {
@@ -573,7 +573,7 @@ fn decode_summary(dec: &mut Decoder<'_>) -> PersistResult<ColumnSummary> {
 
 /// Encodes a [`PartitionMap`] (spec, rows covered, per-partition counts
 /// and summaries).
-pub fn encode_partition_map(map: &PartitionMap, enc: &mut Encoder) {
+pub(crate) fn encode_partition_map(map: &PartitionMap, enc: &mut Encoder) {
     encode_partition_spec(map.spec(), enc);
     enc.put_u64(map.rows_covered() as u64);
     enc.put_len(map.num_partitions());
@@ -587,7 +587,7 @@ pub fn encode_partition_map(map: &PartitionMap, enc: &mut Encoder) {
 }
 
 /// Decodes a [`PartitionMap`], validating it against `schema`.
-pub fn decode_partition_map(schema: &Schema, dec: &mut Decoder<'_>) -> Result<PartitionMap> {
+pub(crate) fn decode_partition_map(schema: &Schema, dec: &mut Decoder<'_>) -> Result<PartitionMap> {
     let spec = decode_partition_spec(dec)?;
     let rows_covered = dec.take_u64()? as usize;
     let n = dec.take_len()?;
@@ -626,7 +626,7 @@ pub struct PagedState {
 }
 
 /// Encodes a [`PagedState`].
-pub fn encode_paged_state(state: &PagedState, enc: &mut Encoder) {
+pub(crate) fn encode_paged_state(state: &PagedState, enc: &mut Encoder) {
     enc.put_u64(state.total_rows);
     enc.put_len(state.original_part_rows.len());
     for &n in &state.original_part_rows {
@@ -640,7 +640,7 @@ pub fn encode_paged_state(state: &PagedState, enc: &mut Encoder) {
 }
 
 /// Decodes a [`PagedState`] over `schema`, the resolution table's.
-pub fn decode_paged_state(schema: &Schema, dec: &mut Decoder<'_>) -> Result<PagedState> {
+pub(crate) fn decode_paged_state(schema: &Schema, dec: &mut Decoder<'_>) -> Result<PagedState> {
     let total_rows = dec.take_u64()?;
     let n = dec.take_len()?;
     let mut original_part_rows = Vec::with_capacity(n.min(1 << 16));

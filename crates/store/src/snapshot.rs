@@ -22,11 +22,11 @@ use crate::tablecodec::{decode_table, encode_resolution};
 use crate::{Result, StoreError};
 
 /// File magic for snapshots.
-pub const SNAPSHOT_MAGIC: [u8; 8] = *b"VDBLSNAP";
+pub(crate) const SNAPSHOT_MAGIC: [u8; 8] = *b"VDBLSNAP";
 /// Snapshot format version, the only one this build reads. Version 4
 /// stores each model's packed Cholesky factor, `n(n+1)/2` values; the
 /// header's `table_gen` word is reserved and always 0.
-pub const SNAPSHOT_VERSION: u32 = 4;
+pub(crate) const SNAPSHOT_VERSION: u32 = 4;
 
 /// Session construction parameters persisted alongside the learned state,
 /// so [`crate::SynopsisStore::open`] can rebuild an identical session —
@@ -192,7 +192,7 @@ impl Snapshot {
 /// POSIX, rename durability requires syncing the parent directory, not
 /// just the file). Best-effort on platforms where directories cannot be
 /// opened for sync.
-pub fn sync_dir(dir: &Path) -> Result<()> {
+pub(crate) fn sync_dir(dir: &Path) -> Result<()> {
     // Windows cannot fsync directories; treat that as best-effort.
     let _ = File::open(dir)?.sync_all();
     Ok(())
@@ -205,7 +205,7 @@ pub fn sync_dir(dir: &Path) -> Result<()> {
 /// survives a crash too. The two slices are written in order, so a
 /// caller never concatenates its header and a large body into a second
 /// buffer. Every whole-file write of the store goes through here.
-pub fn write_atomic(path: &Path, header: &[u8], body: &[u8]) -> Result<()> {
+pub(crate) fn write_atomic(path: &Path, header: &[u8], body: &[u8]) -> Result<()> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     {
@@ -219,12 +219,12 @@ pub fn write_atomic(path: &Path, header: &[u8], body: &[u8]) -> Result<()> {
 }
 
 /// Path of generation `gen` inside `dir`.
-pub fn snapshot_path(dir: &Path, gen: u64) -> PathBuf {
+pub(crate) fn snapshot_path(dir: &Path, gen: u64) -> PathBuf {
     dir.join(format!("snapshot-{gen:010}.vsnap"))
 }
 
 /// Parses a generation number out of a snapshot file name.
-pub fn parse_generation(name: &str) -> Option<u64> {
+pub(crate) fn parse_generation(name: &str) -> Option<u64> {
     name.strip_prefix("snapshot-")?
         .strip_suffix(".vsnap")?
         .parse()
@@ -239,7 +239,7 @@ pub fn parse_generation(name: &str) -> Option<u64> {
 /// table: a resident store passes its whole table, a paged one its
 /// resolution table.
 #[allow(clippy::too_many_arguments)]
-pub fn write_snapshot(
+pub(crate) fn write_snapshot(
     dir: &Path,
     gen: u64,
     last_seq: u64,
@@ -268,7 +268,7 @@ pub fn write_snapshot(
 }
 
 /// Reads and validates one snapshot file.
-pub fn read_snapshot(path: &Path) -> Result<Snapshot> {
+pub(crate) fn read_snapshot(path: &Path) -> Result<Snapshot> {
     let mut bytes = Vec::new();
     File::open(path)?.read_to_end(&mut bytes)?;
     if bytes.len() < 40 {
@@ -299,7 +299,7 @@ pub fn read_snapshot(path: &Path) -> Result<Snapshot> {
 }
 
 /// All snapshot generations present in `dir`, ascending.
-pub fn list_generations(dir: &Path) -> Result<Vec<u64>> {
+pub(crate) fn list_generations(dir: &Path) -> Result<Vec<u64>> {
     let mut gens = Vec::new();
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;

@@ -513,17 +513,6 @@ impl SynopsisStore {
         self.next_seq
     }
 
-    /// The compaction policy.
-    pub fn policy(&self) -> &StorePolicy {
-        &self.policy
-    }
-
-    /// Replaces the compaction/durability policy (e.g. to apply a
-    /// builder override after [`SynopsisStore::open`]).
-    pub fn set_policy(&mut self, policy: StorePolicy) {
-        self.policy = policy;
-    }
-
     /// The store's data epoch: ingested batches logged or folded so far.
     pub fn data_epoch(&self) -> u64 {
         self.data_epoch

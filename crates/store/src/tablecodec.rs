@@ -85,7 +85,7 @@ fn encode_rows(table: &Table, rows: usize, enc: &mut Encoder) {
 }
 
 /// Decodes a table written by [`encode_table`].
-pub fn decode_table(dec: &mut Decoder<'_>) -> PersistResult<Table> {
+pub(crate) fn decode_table(dec: &mut Decoder<'_>) -> PersistResult<Table> {
     let schema = decode_schema(dec)?;
     let rows = dec.take_len()?;
     let mut columns = Vec::with_capacity(schema.len());

@@ -22,7 +22,7 @@ pub const CHANNELS: [&str; 4] = ["web", "store", "partner", "phone"];
 /// Order statuses.
 pub const STATUSES: [&str; 5] = ["new", "paid", "shipped", "returned", "cancelled"];
 /// Weeks covered by the trace (March 2011 – April 2012 ≈ 60 weeks).
-pub const WEEK_RANGE: (f64, f64) = (1.0, 60.0);
+pub(crate) const WEEK_RANGE: (f64, f64) = (1.0, 60.0);
 
 /// One query of the trace.
 #[derive(Debug, Clone)]

@@ -17,8 +17,7 @@
 //!   paper's reported statistics (73.7% supported aggregate queries,
 //!   mostly COUNT(*), < 5 selection predicates per query);
 //! - [`streaming`]: evolving-table batch streams for the ingest stage —
-//!   drifting measure means (concept drift, Appendix D) and growing
-//!   categorical cardinality;
+//!   drifting measure means (concept drift, Appendix D);
 //! - [`multi`]: a two-table catalog workload (`orders` + `events`, with
 //!   deliberately different schemas and signal shapes) for the
 //!   multi-table `Database` front-end.
@@ -31,5 +30,5 @@ pub mod timeseries;
 pub mod tpch;
 
 pub use multi::TwoTableSpec;
-pub use streaming::{DriftingMeanStream, GrowingCardinalityStream};
+pub use streaming::DriftingMeanStream;
 pub use synthetic::{Distribution, SyntheticSpec};

@@ -2,15 +2,14 @@
 //!
 //! The evolving-table scenario needs data whose distribution *moves*:
 //! batches that arrive over time with a drifting measure mean (concept
-//! drift — the case Lemma 3's error widening exists for) or with a
-//! growing categorical domain (new group keys appearing after the sample
-//! was drawn). Each generator produces a base table plus an unbounded
-//! sequence of row batches shaped for `VerdictSession::ingest`.
+//! drift — the case Lemma 3's error widening exists for). The generator
+//! produces a base table plus an unbounded sequence of row batches shaped
+//! for `VerdictSession::ingest`.
 
 use rand::Rng;
 use verdict_storage::{ColumnDef, Schema, Table, Value};
 
-use crate::synthetic::{gaussian, SmoothField, NUMERIC_DOMAIN};
+use crate::synthetic::{SmoothField, NUMERIC_DOMAIN};
 
 /// Batches whose measure mean drifts linearly over time.
 ///
@@ -71,13 +70,8 @@ impl DriftingMeanStream {
         table
     }
 
-    /// Batches emitted so far.
-    pub fn batches_emitted(&self) -> usize {
-        self.batches_emitted
-    }
-
     /// The drift the *next* batch will carry.
-    pub fn current_drift(&self) -> f64 {
+    pub(crate) fn current_drift(&self) -> f64 {
         (self.batches_emitted + 1) as f64 * self.drift_per_batch
     }
 
@@ -94,87 +88,6 @@ impl DriftingMeanStream {
         let x = lo + rng.gen::<f64>() * (hi - lo);
         let m = self.field.at(x) + drift + self.noise * (rng.gen::<f64>() * 2.0 - 1.0);
         vec![x.into(), m.into()]
-    }
-}
-
-/// Batches that keep introducing previously unseen categorical labels.
-///
-/// The base table draws groups from `g0 .. g<initial_labels>`; every
-/// emitted batch adds `labels_per_batch` fresh labels to the live pool,
-/// so GROUP BY result sets grow over time and samples drawn before an
-/// ingest have never seen the newest groups — the growing-cardinality
-/// scenario for dictionary maintenance and group enumeration.
-#[derive(Debug, Clone)]
-pub struct GrowingCardinalityStream {
-    /// Rows per emitted batch.
-    pub batch_rows: usize,
-    /// Labels the base table draws from.
-    pub initial_labels: usize,
-    /// Fresh labels introduced by every batch.
-    pub labels_per_batch: usize,
-    /// Per-label measure offsets are drawn from a unit Gaussian; this
-    /// scales them.
-    pub group_spread: f64,
-    batches_emitted: usize,
-}
-
-impl GrowingCardinalityStream {
-    /// Creates a stream.
-    pub fn new(
-        batch_rows: usize,
-        initial_labels: usize,
-        labels_per_batch: usize,
-        group_spread: f64,
-    ) -> GrowingCardinalityStream {
-        GrowingCardinalityStream {
-            batch_rows,
-            initial_labels: initial_labels.max(1),
-            labels_per_batch,
-            group_spread,
-            batches_emitted: 0,
-        }
-    }
-
-    /// The schema every batch (and the base table) conforms to.
-    pub fn schema(&self) -> Schema {
-        Schema::new(vec![
-            ColumnDef::categorical_dimension("grp"),
-            ColumnDef::measure("m"),
-        ])
-        .expect("stream schema is valid")
-    }
-
-    /// Generates the base table over the initial label pool.
-    pub fn base_table<R: Rng>(&self, rows: usize, rng: &mut R) -> Table {
-        let mut table = Table::new(self.schema());
-        for _ in 0..rows {
-            table
-                .push_row(self.row(self.initial_labels, rng))
-                .expect("generated row fits schema");
-        }
-        table
-    }
-
-    /// Distinct labels the next batch draws from (initial + introduced).
-    pub fn live_labels(&self) -> usize {
-        self.initial_labels + (self.batches_emitted + 1) * self.labels_per_batch
-    }
-
-    /// Emits the next batch over a label pool grown by
-    /// `labels_per_batch`.
-    pub fn next_batch<R: Rng>(&mut self, rng: &mut R) -> Vec<Vec<Value>> {
-        let pool = self.live_labels();
-        self.batches_emitted += 1;
-        (0..self.batch_rows).map(|_| self.row(pool, rng)).collect()
-    }
-
-    fn row<R: Rng>(&self, pool: usize, rng: &mut R) -> Vec<Value> {
-        let g = rng.gen_range(0..pool);
-        // Per-label offset derived from the label id (stable across
-        // batches without storing an unbounded offset table).
-        let offset = ((g as f64 * 0.754_877_666_2).fract() - 0.5) * 2.0 * self.group_spread;
-        let m = offset + 0.1 * gaussian(rng);
-        vec![Value::Str(format!("g{g}")), m.into()]
     }
 }
 
@@ -202,7 +115,6 @@ mod tests {
         };
         let b1 = stream.next_batch(&mut rng);
         let b2 = stream.next_batch(&mut rng);
-        assert_eq!(stream.batches_emitted(), 2);
         let (m1, m2) = (mean_of(&b1), mean_of(&b2));
         // Batch k should sit ~ k * drift above the base mean.
         assert!((m1 - base_mean - 0.5).abs() < 0.2, "batch 1 mean {m1}");
@@ -210,24 +122,5 @@ mod tests {
         // Rows conform to the schema (ingestable).
         let mut t = stream.base_table(10, &mut rng);
         t.push_rows(&b1).unwrap();
-    }
-
-    #[test]
-    fn growing_stream_introduces_new_labels() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let mut stream = GrowingCardinalityStream::new(3_000, 5, 3, 1.0);
-        let base = stream.base_table(2_000, &mut rng);
-        assert_eq!(base.column_cardinality("grp").unwrap(), 5);
-        let mut t = base.clone();
-        t.push_rows(&stream.next_batch(&mut rng)).unwrap();
-        let after_one = t.column_cardinality("grp").unwrap();
-        assert!(after_one > 5, "no new labels after batch 1: {after_one}");
-        t.push_rows(&stream.next_batch(&mut rng)).unwrap();
-        let after_two = t.column_cardinality("grp").unwrap();
-        assert!(
-            after_two > after_one,
-            "cardinality must keep growing: {after_one} → {after_two}"
-        );
-        assert!(after_two <= 5 + 2 * 3);
     }
 }

@@ -55,9 +55,9 @@ impl Default for SyntheticSpec {
 }
 
 /// Numeric dimension domain (paper §8.6: "real values between 0 and 10").
-pub const NUMERIC_DOMAIN: (f64, f64) = (0.0, 10.0);
+pub(crate) const NUMERIC_DOMAIN: (f64, f64) = (0.0, 10.0);
 /// Categorical dimension cardinality (§8.6: "integers between 0 and 100").
-pub const CATEGORICAL_CARDINALITY: u32 = 100;
+pub(crate) const CATEGORICAL_CARDINALITY: u32 = 100;
 
 /// A smooth 1-D random field over `[0, 10]`: white noise on a fine grid
 /// convolved with a Gaussian kernel of width `w`, normalized to unit
@@ -189,7 +189,7 @@ fn sample_dim<R: Rng>(dist: Distribution, lo: f64, hi: f64, rng: &mut R) -> f64 
 }
 
 /// Box–Muller standard normal sample.
-pub fn gaussian<R: Rng>(rng: &mut R) -> f64 {
+pub(crate) fn gaussian<R: Rng>(rng: &mut R) -> f64 {
     let u1: f64 = rng.gen::<f64>().max(1e-12);
     let u2: f64 = rng.gen();
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()

@@ -23,11 +23,11 @@ use verdict_storage::{ColumnDef, Schema, Table};
 use crate::synthetic::SmoothField;
 
 /// Categorical domains of the denormalized table.
-pub const RETURN_FLAGS: [&str; 3] = ["R", "A", "N"];
+pub(crate) const RETURN_FLAGS: [&str; 3] = ["R", "A", "N"];
 /// Ship modes.
-pub const SHIP_MODES: [&str; 7] = ["AIR", "RAIL", "SHIP", "TRUCK", "MAIL", "FOB", "REG"];
+pub(crate) const SHIP_MODES: [&str; 7] = ["AIR", "RAIL", "SHIP", "TRUCK", "MAIL", "FOB", "REG"];
 /// Market segments.
-pub const SEGMENTS: [&str; 5] = [
+pub(crate) const SEGMENTS: [&str; 5] = [
     "AUTOMOBILE",
     "BUILDING",
     "FURNITURE",
@@ -37,12 +37,12 @@ pub const SEGMENTS: [&str; 5] = [
 /// Regions.
 pub const REGIONS: [&str; 5] = ["AFRICA", "AMERICA", "ASIA", "EUROPE", "MIDDLE EAST"];
 /// Brands.
-pub const BRANDS: [&str; 10] = [
+pub(crate) const BRANDS: [&str; 10] = [
     "Brand13", "Brand21", "Brand22", "Brand31", "Brand34", "Brand42", "Brand43", "Brand51",
     "Brand53", "Brand55",
 ];
 /// Weeks covered by `ship_week` / `order_week` (2 years).
-pub const WEEK_RANGE: (f64, f64) = (1.0, 104.0);
+pub(crate) const WEEK_RANGE: (f64, f64) = (1.0, 104.0);
 
 /// Builds the denormalized lineitem table with `rows` rows.
 ///

@@ -43,16 +43,16 @@
 //! started); and an ingest's Lemma-3 shift is estimated against the
 //! shard's *fixed* sample.
 //!
-//! ## Persistence (store layout v3)
+//! ## Persistence (catalog manifest v3)
 //!
 //! [`DatabaseBuilder::persist_to`] persists the whole catalog under one
 //! root directory: a `CATALOG` manifest plus one complete per-table
-//! synopsis store in `tables/<name>/` (each an ordinary format-v2 store —
-//! WAL, snapshot generations, crash recovery, all per table).
-//! [`Database::open`] warm-starts every table from that one directory; it
-//! also opens a legacy v2 single-table directory (the table is then named
-//! `"t"` and any `FROM` resolves to it, matching the pre-catalog
-//! sessions).
+//! synopsis store in `tables/<name>/` (WAL, snapshot generations, part
+//! files and crash recovery, all per table). [`Database::open`]
+//! warm-starts every table from that one directory; it also opens the
+//! flat single-table directory [`crate::SessionBuilder::persist_to`]
+//! creates (the table is then named `"t"` and any `FROM` resolves to it,
+//! as in the session).
 //!
 //! ## One statement path
 //!
@@ -1105,9 +1105,10 @@ struct DbInner {
     /// Registration-order names, the catalog `FROM` resolves against.
     names: Vec<String>,
     /// Compatibility fallback: resolve unknown `FROM` names to this shard
-    /// (set for a legacy single-table store, never by the builder).
+    /// (set for a session's single-table store, never by the builder).
     default_table: Option<usize>,
-    /// Root directory of a persistent catalog (v3 layout), if any.
+    /// Root directory of a persistent database — a catalog, or a
+    /// session's single-table store — if any.
     root: Option<PathBuf>,
     /// The attached metrics hub, if any (every shard registered on it).
     metrics: Option<Arc<MetricsHub>>,
@@ -1285,7 +1286,7 @@ impl DatabaseBuilder {
 
     /// Persists the whole catalog under `dir`: a `CATALOG` manifest plus
     /// one per-table store in `tables/<name>/`. Fails at build time if a
-    /// database (or legacy single-table store) already exists there —
+    /// database (or a session's single-table store) already exists there —
     /// reopen with [`Database::open`].
     pub fn persist_to(mut self, dir: impl Into<PathBuf>) -> Self {
         self.persist = Some(dir.into());
@@ -1363,24 +1364,43 @@ impl DatabaseBuilder {
         }
 
         let mut shards = Vec::with_capacity(self.tables.len());
+        // The table stores this call creates. A failure part-way removes
+        // exactly these, so the same directory can be built again.
+        let mut created = Vec::new();
+        let mut built = Ok(());
         for (name, table, opts) in self.tables {
             let store_dir = self.persist.as_ref().map(|root| table_dir(root, &name));
-            let shard = Shard::create(&name, table, &opts, store_dir, &self.serve)?;
-            shards.push(Arc::new(shard));
+            if let Some(dir) = store_dir.as_ref().filter(|dir| !dir.exists()) {
+                created.push(dir.clone());
+            }
+            match Shard::create(&name, table, &opts, store_dir, &self.serve) {
+                Ok(shard) => shards.push(Arc::new(shard)),
+                Err(e) => {
+                    built = Err(e);
+                    break;
+                }
+            }
         }
         // The manifest is written *last*: it is the commit point of the
-        // build. A crash or failure while the per-table stores were being
-        // created leaves no CATALOG, so `open` cannot pick up a
-        // half-built catalog (it reports "no snapshot" / not-found
-        // instead of a missing-table surprise).
-        if let Some(root) = &self.persist {
-            write_catalog(
+        // build. A crash while the per-table stores were being created
+        // leaves no CATALOG, so `open` cannot pick up a half-built
+        // catalog (it reports "no snapshot" / not-found instead of a
+        // missing-table surprise).
+        if let (true, Some(root)) = (built.is_ok(), &self.persist) {
+            built = write_catalog(
                 root,
                 &CatalogManifest {
                     tables: names.clone(),
                 },
             )
-            .map_err(Error::Store)?;
+            .map_err(Error::Store);
+        }
+        if let Err(e) = built {
+            drop(shards);
+            for dir in &created {
+                let _ = std::fs::remove_dir_all(dir);
+            }
+            return Err(e);
         }
         Ok(Database {
             inner: Arc::new(DbInner {
@@ -1411,10 +1431,10 @@ impl Database {
     /// valid snapshot + WAL replay, per table). Equivalent to
     /// [`Database::open_with`] with default [`OpenOptions`].
     ///
-    /// A legacy v2 single-table store directory (one created through
-    /// [`crate::SessionBuilder::persist_to`]) also opens: its table is
-    /// named `"t"` and any `FROM` name resolves to it, preserving the
-    /// pre-catalog sessions' behavior.
+    /// The flat single-table directory that
+    /// [`crate::SessionBuilder::persist_to`] creates also opens: its table
+    /// is named `"t"` and any `FROM` name resolves to it, as in the
+    /// session.
     pub fn open(dir: impl AsRef<Path>) -> Result<Database> {
         Database::open_with(dir, OpenOptions::new())
     }
@@ -1440,8 +1460,8 @@ impl Database {
                 .collect::<Result<Vec<_>>>()?;
             (shards, names, None)
         } else {
-            // Legacy v2 single-table layout: the store files live at the
-            // root itself and carry no table name.
+            // A session's single-table layout: the store files live at
+            // the root itself and carry no table name.
             let shard = open(root.to_path_buf(), "t")?;
             (vec![shard], vec!["t".to_owned()], Some(0))
         };

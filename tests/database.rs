@@ -207,6 +207,39 @@ fn one_dir_persists_whole_catalog_and_warm_starts_bit_identically() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A build that fails on its second table leaves nothing behind, so the
+/// corrected build succeeds in the same directory and reopens.
+#[test]
+fn a_failed_persistent_build_can_be_retried() {
+    let dir = std::env::temp_dir().join(format!("verdict-db-retry-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let build = |fraction: f64| {
+        let (orders, events) = orders_events(&spec());
+        Database::builder()
+            .register_table("orders", orders)
+            .register_table_with(
+                "events",
+                events,
+                TableOptions {
+                    sample_fraction: fraction,
+                    ..Default::default()
+                },
+            )
+            .persist_to(&dir)
+            .build()
+    };
+    assert!(matches!(
+        build(2.0),
+        Err(Error::Aqp(verdict::aqp::AqpError::InvalidConfig(_)))
+    ));
+    let db = build(0.15).expect("the retry builds");
+    drop(db);
+    let db = Database::open(&dir).expect("the retried build reopens");
+    probe_orders(&db);
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn unknown_from_is_typed_error() {
     let db = build_db();
