@@ -583,7 +583,8 @@ impl SharedScanDriver<'_> {
     }
 
     /// The active executor kernel.
-    pub fn kernel(&self) -> ScanKernel {
+    #[cfg(test)]
+    pub(crate) fn kernel(&self) -> ScanKernel {
         self.kernel
     }
 
@@ -742,7 +743,8 @@ impl SharedScanDriver<'_> {
     }
 
     /// Number of groups in the grid.
-    pub fn num_groups(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn num_groups(&self) -> usize {
         self.resident.n_groups
     }
 

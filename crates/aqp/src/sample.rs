@@ -387,7 +387,8 @@ impl Sample {
     }
 
     /// Sampling fraction requested at construction.
-    pub fn fraction(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn fraction(&self) -> f64 {
         self.fraction
     }
 

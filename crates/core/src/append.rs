@@ -397,7 +397,8 @@ impl AppendAdjustment {
     /// Composes two successive appends into one adjustment relative to the
     /// original relation (the synopsis must only be adjusted once per
     /// event; this helper serves bookkeeping tests).
-    pub fn then(&self, later: &AppendAdjustment) -> AppendAdjustment {
+    #[cfg(test)]
+    pub(crate) fn then(&self, later: &AppendAdjustment) -> AppendAdjustment {
         AppendAdjustment {
             mu_shift: self.mu_shift + later.mu_shift,
             eta: (self.eta * self.eta + later.eta * later.eta).sqrt(),

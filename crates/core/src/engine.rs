@@ -188,22 +188,23 @@ impl<'a> EngineView<'a> {
         raw: Observation,
         stats: &mut EngineStats,
     ) -> ImprovedAnswer {
-        let prior = self.priors(&[snippet])[0];
+        let prior = self.priors(&[snippet], |_| 1)[0];
         self.improve_from_prior(&snippet.key, prior, raw, stats)
     }
 
     /// Batched query-time improvement against immutable state: one
     /// improved answer per request, in request order, identical to calling
     /// [`EngineView::improve`] per item — the inference-side counterpart
-    /// of the shared scan: [`EngineView::priors`] over all requests, then
-    /// [`EngineView::improve_from_prior`] per request.
+    /// of the shared scan: [`EngineView::priors`] over all requests (on the
+    /// calling thread), then [`EngineView::improve_from_prior`] per
+    /// request.
     pub fn improve_batch(
         &self,
         requests: &[(Snippet, Observation)],
         stats: &mut EngineStats,
     ) -> Vec<ImprovedAnswer> {
         let snippets: Vec<&Snippet> = requests.iter().map(|(s, _)| s).collect();
-        self.priors(&snippets)
+        self.priors(&snippets, |_| 1)
             .into_iter()
             .zip(requests)
             .map(|(prior, (snippet, raw))| {
@@ -220,7 +221,14 @@ impl<'a> EngineView<'a> {
     /// reads its factor of `Σₙ` once per ≤ 8 of them ([`TrainedModel::priors`]).
     /// A caller that re-evaluates bounds as a scan deepens calls this once
     /// per query and [`EngineView::improve_from_prior`] per evaluation.
-    pub fn priors(&self, snippets: &[&Snippet]) -> Vec<Option<CellPrior>> {
+    /// `workers(n)` is how many threads a pass over a model of `n`
+    /// snippets runs on (the caller's included); the bits do not depend
+    /// on it. This crate picks no count itself: the serving layer does.
+    pub fn priors(
+        &self,
+        snippets: &[&Snippet],
+        mut workers: impl FnMut(usize) -> usize,
+    ) -> Vec<Option<CellPrior>> {
         let mut out = vec![None; snippets.len()];
         // Snippet indices by key, in first-seen key order.
         let mut buckets: Vec<(&AggKey, Vec<usize>)> = Vec::new();
@@ -238,7 +246,8 @@ impl<'a> EngineView<'a> {
                 continue;
             };
             let regions: Vec<&Region> = bucket.iter().map(|&i| &snippets[i].region).collect();
-            for (&i, prior) in bucket.iter().zip(model.priors(self.schema, &regions)) {
+            let priors = model.priors(self.schema, &regions, workers(model.n()));
+            for (&i, prior) in bucket.iter().zip(priors) {
                 out[i] = Some(prior);
             }
         }
@@ -546,6 +555,7 @@ impl Verdict {
     ) -> Result<StagedIngest> {
         let mut entries = Vec::with_capacity(adjustments.len());
         let mut adjusted = 0usize;
+        #[cfg(test)]
         let mut report = TrainReport::default();
         for (key, adjustment) in adjustments {
             match self.synopses.get(key) {
@@ -560,8 +570,9 @@ impl Verdict {
                     };
                     let kept = self.models.get(key).map(|m| &m.params().lengthscales[..]);
                     let model = fit_model(&self.schema, &self.config, key, &synopsis, kept)?.map(
-                        |(model, fit)| {
-                            report.merge(fit);
+                        |(model, _fit)| {
+                            #[cfg(test)]
+                            report.merge(_fit);
                             Arc::new(model)
                         },
                     );
@@ -576,6 +587,7 @@ impl Verdict {
         Ok(StagedIngest {
             entries,
             adjusted,
+            #[cfg(test)]
             report,
         })
     }
@@ -753,14 +765,17 @@ pub struct StagedIngest {
     entries: Vec<StagedEntry>,
     /// Snippets rewritten across all keys.
     adjusted: usize,
-    /// Where the staged refits spent their time.
+    /// Where the staged refits spent their time (kept for the tests that
+    /// hold ingest to no likelihood search).
+    #[cfg(test)]
     report: TrainReport,
 }
 
 impl StagedIngest {
     /// Where the staged refits spent their time: `evaluations` is zero
     /// unless a key without a model was fit from scratch.
-    pub fn report(&self) -> TrainReport {
+    #[cfg(test)]
+    pub(crate) fn report(&self) -> TrainReport {
         self.report
     }
 }

@@ -42,12 +42,23 @@
 //! (modulo NaN payload). On a host with AVX2 the forward pass and the
 //! factorization's panels run vector kernels, picked at run time, whose
 //! lanes are the scalar chains — a separate multiply and subtract per
-//! term, no fused multiply-add — so the host changes no bit either. At
-//! `n` = 1,500 on 2 vCPUs a lone cell's pass is ≈ 0.4 ms and an 8-cell
-//! tile's ≈ 0.75 ms (≈ 1.6 ms scalar), a factorization ≈ 85 ms (≈ 200–300
-//! ms scalar); what remains of a lone cell is mostly building `k̄`, its
-//! 1,500 erf-based integrals. `Σₙ⁻¹` itself is never formed: a fit is
-//! assembly, factorization and one solve for `α`.
+//! term, no fused multiply-add — so the host changes no bit either.
+//!
+//! The pass dominates. At `n` = 1,500 on 2 vCPUs with AVX2, a lone
+//! cell's pass reads the whole factor in ≈ 0.5–0.65 ms and an 8-cell
+//! tile's in ≈ 1.1–1.3 ms, while building `k̄` (its 1,500 erf-based
+//! integrals, table-driven) is ≈ 0.13 ms for a lone cell and ≈ 0.33 ms
+//! for 8. So the pass is a wavefront over `workers` threads
+//! (`verdict_linalg::ops`): the caller and scoped helpers claim 4-row
+//! blocks of the factor in order and each runs its rows' chains as the
+//! rows above are published, so every element keeps its bits at any
+//! worker count. This crate spawns no thread and picks no count: the
+//! serving layer passes one per model size (`EngineView::priors`), and
+//! [`TrainedModel::infer`] and `EngineView::improve{,_batch}` run on the
+//! calling thread. Two workers take a lone cell's pass at `n` = 1,500 from
+//! ≈ 0.52 to ≈ 0.37 ms and a tile's from ≈ 1.1 to ≈ 0.76 ms. A
+//! factorization is ≈ 85 ms (≈ 200–300 ms scalar). `Σₙ⁻¹` itself is never
+//! formed: a fit is assembly, factorization and one solve for `α`.
 //!
 //! The index is derived state: [`TrainedModel::fit`] builds it (and
 //! assembles `Σₙ` from it), [`TrainedModel::absorb`] extends it,
@@ -255,14 +266,21 @@ impl TrainedModel {
     /// of inference, done for all cells of one query at once. The
     /// cross-covariance columns are built a tile at a time (only one tile
     /// is alive) and share one set of per-dimension factors, and the
-    /// kernel reads the factor once per tile; see the module docs.
-    pub fn priors(&self, schema: &SchemaInfo, regions: &[&Region]) -> Vec<CellPrior> {
+    /// kernel reads the factor once per tile, each pass a wavefront over
+    /// `workers` threads (the caller's included; the bits are the same at
+    /// any count); see the module docs.
+    pub fn priors(
+        &self,
+        schema: &SchemaInfo,
+        regions: &[&Region],
+        workers: usize,
+    ) -> Vec<CellPrior> {
         let mut cross = self.index.cross(schema, &self.params, self.mode);
         let mut out = Vec::with_capacity(regions.len());
         for tile in regions.chunks(TILE_COLS) {
             let columns: Vec<Vec<f64>> = tile.iter().map(|r| cross.column(r)).collect();
             let refs: Vec<&[f64]> = columns.iter().map(Vec::as_slice).collect();
-            let norms = forward_sq_norms(&self.factor, &refs);
+            let norms = forward_sq_norms(&self.factor, &refs, workers);
             for ((region, k), norm) in tile.iter().zip(&columns).zip(norms) {
                 let kappa2 = self.kernel(schema, region, region);
                 // γ² = κ̄² − ‖L⁻¹k̄‖² (clamped: tiny negatives are
@@ -286,7 +304,7 @@ impl TrainedModel {
     /// O(n²) inference (Eqs. 11/12) of one cell: its prior, combined with
     /// `raw`. See the module docs for the formulas.
     pub fn infer(&self, schema: &SchemaInfo, region: &Region, raw: Observation) -> ModelInference {
-        self.priors(schema, &[region])[0].combine(raw)
+        self.priors(schema, &[region], 1)[0].combine(raw)
     }
 
     /// Conditions the model on one more observation in O(n²), without
@@ -540,7 +558,7 @@ mod tests {
         ];
         let mut clamped = 0;
         for m in [model(&smooth_entries()), clamped_model] {
-            let priors = m.priors(&s, &refs);
+            let priors = m.priors(&s, &refs, 1);
             assert_eq!(priors.len(), regions.len());
             for (r, prior) in regions.iter().zip(&priors) {
                 let kappa2 = snippet_covariance(&s, &m.params, m.mode, r, r);
@@ -557,6 +575,47 @@ mod tests {
             }
         }
         assert!(clamped > 0, "no case reached the γ² clamp");
+    }
+
+    /// The forward pass's worker count changes no bit of any prior: a
+    /// model of 150 snippets (37 whole blocks of the wavefront and a
+    /// ragged tail), lone cells and an 11-cell group (a full tile and a
+    /// ragged one), at 1, 2 and 4 workers.
+    #[test]
+    fn priors_are_the_same_bits_at_any_worker_count() {
+        let s = schema();
+        let entries: Vec<(Region, Observation)> = (0..150)
+            .map(|i| {
+                let lo = (i as f64 * 7.3) % 90.0;
+                let answer = 10.0 + (lo / 17.0).sin();
+                let error = 0.1 + (i % 5) as f64 * 0.05;
+                (
+                    region(lo, lo + 1.0 + (i % 9) as f64),
+                    Observation::new(answer, error),
+                )
+            })
+            .collect();
+        let m = model(&entries);
+        let cells: Vec<Region> = (0..11)
+            .map(|i| region(i as f64 * 8.0, i as f64 * 8.0 + 12.5))
+            .collect();
+        let refs: Vec<&Region> = cells.iter().collect();
+        let bits = |priors: Vec<CellPrior>| -> Vec<(u64, u64)> {
+            priors
+                .iter()
+                .map(|p| (p.prior_answer.to_bits(), p.gamma2.to_bits()))
+                .collect()
+        };
+        for regions in [&refs[..1], &refs[5..6], &refs[..]] {
+            let serial = bits(m.priors(&s, regions, 1));
+            for workers in [2, 4] {
+                assert_eq!(
+                    bits(m.priors(&s, regions, workers)),
+                    serial,
+                    "{workers} workers"
+                );
+            }
+        }
     }
 
     #[test]

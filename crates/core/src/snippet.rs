@@ -73,7 +73,8 @@ impl QualifiedAggKey {
     }
 
     /// Key for `FREQ(*)` of `table`.
-    pub fn freq(table: &str) -> Self {
+    #[cfg(test)]
+    pub(crate) fn freq(table: &str) -> Self {
         QualifiedAggKey::new(table, AggKey::Freq)
     }
 }
@@ -128,7 +129,8 @@ impl Observation {
     }
 
     /// An exact observation (zero error), useful in tests.
-    pub fn exact(answer: f64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn exact(answer: f64) -> Self {
         Observation { answer, error: 0.0 }
     }
 }

@@ -531,7 +531,7 @@ fn assert_priors_equal_oracle(
     schema: &SchemaInfo,
     cells: &[&Region],
 ) -> Result<(), TestCaseError> {
-    let priors = model.priors(schema, cells);
+    let priors = model.priors(schema, cells, 3);
     prop_assert_eq!(priors.len(), cells.len());
     for (cell, got) in cells.iter().zip(&priors) {
         let want = oracle_prior(model, schema, cell);
@@ -693,7 +693,7 @@ proptest! {
         let reloaded = TrainedModel::from_bytes(&bytes).unwrap();
         prop_assert_eq!(&reloaded.to_bytes(), &bytes);
         assert_priors_equal_oracle(&reloaded, schema, &cell_refs)?;
-        let (absorbed, reloaded) = (model.priors(schema, &cell_refs), reloaded.priors(schema, &cell_refs));
+        let (absorbed, reloaded) = (model.priors(schema, &cell_refs, 1), reloaded.priors(schema, &cell_refs, 1));
         prop_assert_eq!(absorbed, reloaded);
     }
 
@@ -761,7 +761,7 @@ proptest! {
         let cells: Vec<Region> = (0..9).map(|_| f.region(&mut rng)).chain([region.clone()]).collect();
         let cell_refs: Vec<&Region> = cells.iter().collect();
         prop_assert_eq!(bits(absorbed.alpha()), bits(want.alpha()));
-        prop_assert_eq!(absorbed.priors(schema, &cell_refs), want.priors(schema, &cell_refs));
+        prop_assert_eq!(absorbed.priors(schema, &cell_refs, 1), want.priors(schema, &cell_refs, 1));
         prop_assert_eq!(absorbed.to_bytes(), want.to_bytes());
     }
 }

@@ -19,8 +19,8 @@
 use std::arch::x86_64::*;
 
 use crate::cholesky::{finish_rows, start};
-use crate::ops::{finish_block, forward_block, TILE_COLS};
-use crate::{Cholesky, Result};
+use crate::ops::TILE_COLS;
+use crate::Result;
 
 /// Factor rows per block, one per ymm lane.
 const ROWS: usize = 4;
@@ -36,12 +36,26 @@ impl Avx2 {
         is_x86_feature_detected!("avx2").then_some(Avx2(()))
     }
 
-    /// [`crate::ops::scalar_forward_tile`]'s result, bit for bit (modulo
-    /// NaN payload): `L y = x` in place for `W` (1 or [`TILE_COLS`])
-    /// right-hand sides interleaved `[i][W]`.
-    pub(crate) fn forward_tile<const W: usize>(self, l: &Cholesky, x: &mut [[f64; W]]) {
-        // SAFETY: `self` proves the host supports AVX2.
-        unsafe { forward_tile(l, x) }
+    /// `s[r] -= heads[r][k]·y[k]` lane by lane for every `k` of a
+    /// segment in ascending order — the scalar chains' bits (modulo NaN
+    /// payload) — for `W` (1 or [`TILE_COLS`]) right-hand sides
+    /// interleaved `[i][W]`; `y` is a whole number of quads (a segment
+    /// runs from one block boundary to another).
+    pub(crate) fn chains<const W: usize>(
+        self,
+        heads: [&[f64]; ROWS],
+        y: &[[f64; W]],
+        s: &mut [[f64; W]; ROWS],
+    ) {
+        const { assert!(W == 1 || W == TILE_COLS) };
+        let (y, s) = (y.as_flattened(), s.as_flattened_mut());
+        if W == 1 {
+            // SAFETY: `self` proves the host supports AVX2.
+            unsafe { column_chains(heads, y, s) }
+        } else {
+            // SAFETY: as above.
+            unsafe { tile_chains(heads, y, s) }
+        }
     }
 
     /// [`crate::cholesky::factor_rows`]'s result for one whole panel, bit
@@ -59,38 +73,9 @@ impl Avx2 {
     }
 }
 
-/// Whole four-row blocks through the chain kernels and
-/// [`finish_block`], the ragged tail rows through the scalar
-/// [`forward_block`].
-///
-/// # Safety
-///
-/// The host must support AVX2.
-#[target_feature(enable = "avx2")]
-unsafe fn forward_tile<const W: usize>(l: &Cholesky, x: &mut [[f64; W]]) {
-    const { assert!(W == 1 || W == TILE_COLS) };
-    debug_assert_eq!(x.len(), l.dim());
-    let mut i0 = 0;
-    while i0 + ROWS <= x.len() {
-        let (solved, block) = x.split_at_mut(i0);
-        let rows: [&[f64]; ROWS] = std::array::from_fn(|r| l.row(i0 + r));
-        let heads = rows.map(|row| &row[..i0]);
-        let mut s: [[f64; W]; ROWS] = std::array::from_fn(|r| block[r]);
-        if W == 1 {
-            column_chains(heads, solved.as_flattened(), s.as_flattened_mut());
-        } else {
-            tile_chains(heads, solved.as_flattened(), s.as_flattened_mut());
-        }
-        finish_block(&rows, i0, block, s);
-        i0 += ROWS;
-    }
-    for i in i0..x.len() {
-        forward_block::<W, 1>(l, x, i);
-    }
-}
-
 /// `s[r] -= heads[r][k]·y[k]` for every `k` in ascending order (`y` a
-/// whole number of quads, as every block starts at a multiple of 4): the
+/// whole number of quads, as every segment starts and ends at a block
+/// boundary, a multiple of 4): the
 /// four row chains share one ymm, and each four `k` transpose the rows'
 /// entries into four columns.
 #[target_feature(enable = "avx2")]
@@ -221,8 +206,9 @@ fn transpose(rows: [__m256d; 4]) -> [__m256d; 4] {
 mod tests {
     use super::*;
     use crate::cholesky::{factor_rows, PANEL_ROWS};
-    use crate::ops::scalar_forward_tile;
+    use crate::ops::{scalar_forward_tile, wavefront, Chains};
     use crate::support::TestOps;
+    use crate::Cholesky;
     use crate::{solve_lower, LinalgError, Matrix};
 
     /// xorshift64: fixed values without a dependency.
@@ -320,10 +306,12 @@ mod tests {
         }
     }
 
-    /// One tile of `cols` (at most `W` of them, unused lanes zero) through
-    /// the scalar blocks, checked against `solve_lower`, and through the
-    /// kernel, checked against the scalar blocks in every lane.
-    fn check_tile<const W: usize>(l: &Cholesky, cols: &[Vec<f64>]) {
+    /// One tile of `cols` (at most `W` of them, unused lanes zero)
+    /// through the scalar chains on one thread, checked against
+    /// `solve_lower`; then through the scalar chains and the kernel (when
+    /// the host has AVX2) on each count of `workers`, checked against the
+    /// first in every lane.
+    fn check_tile<const W: usize>(l: &Cholesky, cols: &[Vec<f64>], workers: &[usize]) {
         let mut x = vec![[0.0; W]; l.dim()];
         for (c, col) in cols.iter().enumerate() {
             for (lanes, &v) in x.iter_mut().zip(col) {
@@ -338,14 +326,30 @@ mod tests {
             let want = solve_lower(&dense, col).unwrap();
             assert!(same_bits(&lane, &want), "n = {}, lane {c}", l.dim());
         }
-        if let Some(avx2) = Avx2::detect() {
-            avx2.forward_tile(l, &mut x);
-            assert!(
-                same_bits(x.as_flattened(), scalar.as_flattened()),
-                "n = {}, {} columns",
-                l.dim(),
-                cols.len()
-            );
+        for chains in [Some(Chains::Scalar), Avx2::detect().map(Chains::Avx2)] {
+            for &w in workers {
+                let mut got = x.clone();
+                wavefront(l, &mut got, w, chains.unwrap_or(Chains::Scalar));
+                assert!(
+                    same_bits(got.as_flattened(), scalar.as_flattened()),
+                    "n = {}, {} columns, {w} workers",
+                    l.dim(),
+                    cols.len()
+                );
+            }
+        }
+    }
+
+    /// One lone column clean and one poisoned, then tiles of every width
+    /// (every other column poisoned), through [`check_tile`].
+    fn check_tiles(l: &Cholesky, rng: &mut Rng, workers: &[usize]) {
+        let n = l.dim();
+        for poisoned in [false, true] {
+            check_tile::<1>(l, &[rng.column(n, poisoned)], workers);
+        }
+        for w in 1..=TILE_COLS {
+            let cols: Vec<Vec<f64>> = (0..w).map(|c| rng.column(n, c % 2 == 1)).collect();
+            check_tile::<TILE_COLS>(l, &cols, workers);
         }
     }
 
@@ -354,14 +358,41 @@ mod tests {
         let mut rng = Rng(0x9E37_79B9_7F4A_7C15);
         for n in 0..=70 {
             let l = scalar_factor(&spd(n, &mut rng), 0.0).unwrap();
-            for poisoned in [false, true] {
-                check_tile::<1>(&l, &[rng.column(n, poisoned)]);
-            }
-            for w in 1..=TILE_COLS {
-                let cols: Vec<Vec<f64>> = (0..w).map(|c| rng.column(n, c % 2 == 1)).collect();
-                check_tile::<TILE_COLS>(&l, &cols);
-            }
+            check_tiles(&l, &mut rng, &[1]);
         }
+    }
+
+    /// A factor built directly, packed: off-diagonal entries below `1/n`
+    /// in magnitude and a diagonal in [1, 2), so `y` stays in range at any
+    /// `n` without an O(n³) factorization.
+    fn dominant_factor(n: usize, rng: &mut Rng) -> Cholesky {
+        let packed = (0..n)
+            .flat_map(|i| (0..=i).map(move |j| (i, j)))
+            .map(|(i, j)| {
+                let u = rng.unit();
+                if i == j {
+                    1.0 + u.abs()
+                } else {
+                    u / n as f64
+                }
+            })
+            .collect();
+        Cholesky::from_packed(packed).unwrap()
+    }
+
+    /// The wavefront at 1–4 workers, with the scalar chains and the
+    /// kernel, is the serial pass bit for bit: no block, fewer blocks
+    /// than workers, ragged tails, and a factor of ≈ 1,000 rows where
+    /// the workers overtake each other.
+    #[test]
+    fn the_wavefront_equals_the_serial_pass_at_every_worker_count() {
+        let mut rng = Rng(0x6A09_E667_F3BC_C908);
+        for n in (0..=9).chain(63..=67) {
+            let l = scalar_factor(&spd(n, &mut rng), 0.0).unwrap();
+            check_tiles(&l, &mut rng, &[1, 2, 3, 4]);
+        }
+        let l = dominant_factor(1_030, &mut rng);
+        check_tiles(&l, &mut rng, &[1, 2, 3, 4]);
     }
 
     #[test]

@@ -206,7 +206,7 @@ impl Cholesky {
             });
         }
         let mut x: Vec<[f64; 1]> = b.iter().map(|&v| [v]).collect();
-        forward_tile(self, &mut x);
+        forward_tile(self, &mut x, 1);
         if back {
             self.back_tile(&mut x);
         }
@@ -241,7 +241,7 @@ impl Cholesky {
             for c in 0..width {
                 x[j0 + c][c] = 1.0;
             }
-            forward_tile(self, &mut x);
+            forward_tile(self, &mut x, 1);
             self.back_tile(&mut x);
             for (i, xi) in x.iter().enumerate() {
                 inv.row_mut(i)[j0..j0 + width].copy_from_slice(&xi[..width]);

@@ -104,7 +104,7 @@ proptest! {
         let c = Cholesky::new(&spd_from(&vals, n)).unwrap();
         let l = c.to_matrix();
         let refs: Vec<&[f64]> = columns.iter().map(Vec::as_slice).collect();
-        let norms = forward_sq_norms(&c, &refs);
+        let norms = forward_sq_norms(&c, &refs, 1 + n % 4);
         prop_assert_eq!(norms.len(), refs.len());
         for (col, got) in refs.iter().zip(&norms) {
             let want = naive_sq_norm(&l, col);
@@ -256,7 +256,7 @@ proptest! {
         let a = spd_from(&vals, n);
         let c = Cholesky::new(&a).unwrap();
         let v = &v[..n];
-        let q = forward_sq_norms(&c, &[v])[0];
+        let q = forward_sq_norms(&c, &[v], 1)[0];
         prop_assert!(q >= 0.0);
         let direct = dot(v, &c.solve(v).unwrap());
         prop_assert!((q - direct).abs() <= 1e-8 * direct.abs().max(1.0), "{q} vs {direct}");

@@ -67,6 +67,11 @@ pub struct ScanTrace {
     /// Threads the scan ran on, the calling one included (1 serial; 0
     /// only when nothing was scanned).
     pub workers: u64,
+    /// Threads the passes over model factors (the O(n²) half of
+    /// inference) ran on, the calling one included, summed over the
+    /// models the query read: 1 per model read serially, 0 when it read
+    /// none.
+    pub infer_workers: u64,
     /// Horizontal partitions of the scanned sample (0 unpartitioned).
     pub partitions: u64,
     /// Partitions whose batches were skipped wholesale (summary provably
@@ -129,6 +134,11 @@ pub struct QueryTrace {
     /// Threads the scan ran on, the calling one included (1 serial; 0
     /// only when nothing was scanned).
     pub workers: u64,
+    /// Threads the passes over model factors (the O(n²) half of
+    /// inference) ran on, the calling one included, summed over the
+    /// models the query read: 1 per model read serially, 0 when it read
+    /// none.
+    pub infer_workers: u64,
     /// Horizontal partitions of the scanned sample (0 unpartitioned).
     pub partitions: u64,
     /// Partitions skipped wholesale by partition-level summaries.
@@ -274,6 +284,7 @@ mod tests {
             rows_matched: 0,
             morsels: 0,
             workers: 0,
+            infer_workers: 0,
             partitions: 0,
             partitions_pruned: 0,
             partition_cache_hits: 0,

@@ -273,7 +273,8 @@ impl Query {
     }
 
     /// Whether any aggregate appears.
-    pub fn has_aggregate(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn has_aggregate(&self) -> bool {
         !self.aggregates().is_empty()
     }
 }

@@ -95,7 +95,8 @@ impl JoinPolicy {
     }
 
     /// Declares a fact-side column joining to a dimension table.
-    pub fn allow(mut self, fact_column: &str, dim_table: &str) -> Self {
+    #[cfg(test)]
+    pub(crate) fn allow(mut self, fact_column: &str, dim_table: &str) -> Self {
         self.declared
             .push((fact_column.to_owned(), dim_table.to_owned()));
         self

@@ -6,7 +6,7 @@
 //! chunks. Per chunk it holds:
 //!
 //! - raw typed column data (`&[f64]` values, `&[u32]` dictionary codes)
-//!   sliced out of the column storage — see [`Chunk`];
+//!   sliced out of the column storage by the segment's row range;
 //! - a [`SelectionMask`]: one bit per row, built by the branch-free
 //!   predicate kernels in [`crate::predicate`];
 //! - a zone map entry ([`NumZone`] / [`CatZone`]) recording the min/max
@@ -63,63 +63,6 @@ pub fn chunk_segments(range: Range<usize>) -> impl Iterator<Item = (usize, Range
     })
 }
 
-/// A borrowed view of one chunk of a table: raw typed column slices
-/// for a fixed row range.
-#[derive(Debug, Clone)]
-pub struct Chunk<'t> {
-    index: usize,
-    rows: Range<usize>,
-    columns: &'t [Column],
-}
-
-impl<'t> Chunk<'t> {
-    pub(crate) fn new(index: usize, rows: Range<usize>, columns: &'t [Column]) -> Self {
-        Chunk {
-            index,
-            rows,
-            columns,
-        }
-    }
-
-    /// Chunk index within the table (`row / CHUNK_ROWS`).
-    pub fn index(&self) -> usize {
-        self.index
-    }
-
-    /// The absolute row range this chunk covers.
-    pub fn rows(&self) -> Range<usize> {
-        self.rows.clone()
-    }
-
-    /// Number of rows in the chunk (the last chunk may be short).
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when the chunk holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Raw numeric values of column `col` over this chunk, or `None`
-    /// for a categorical column.
-    pub fn numeric(&self, col: usize) -> Option<&'t [f64]> {
-        self.columns[col]
-            .numeric()
-            .ok()
-            .map(|d| &d[self.rows.start..self.rows.end])
-    }
-
-    /// Raw dictionary codes of column `col` over this chunk, or `None`
-    /// for a numeric column.
-    pub fn codes(&self, col: usize) -> Option<&'t [u32]> {
-        self.columns[col]
-            .categorical()
-            .ok()
-            .map(|d| &d[self.rows.start..self.rows.end])
-    }
-}
-
 /// A per-row selection bitmap over one chunk segment, 64 rows per word.
 ///
 /// Invariant: bits at positions `>= len` in the last word are zero, so
@@ -165,7 +108,8 @@ impl SelectionMask {
     }
 
     /// The raw bitmap words.
-    pub fn words(&self) -> &[u64] {
+    #[cfg(test)]
+    pub(crate) fn words(&self) -> &[u64] {
         &self.words
     }
 
@@ -460,7 +404,8 @@ impl PackedCodes {
     }
 
     /// Bits per code (1, 2, 4, or 8).
-    pub fn bits(&self) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn bits(&self) -> u32 {
         self.bits
     }
 

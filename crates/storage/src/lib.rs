@@ -44,7 +44,7 @@ pub mod value;
 
 pub use aggregate::{eval_group_by, AggregateFn, GroupKey};
 pub use chunk::{
-    chunk_segments, CatZone, Chunk, NumZone, PackedCodes, SelectionMask, ZoneMaps, CHUNK_ROWS,
+    chunk_segments, CatZone, NumZone, PackedCodes, SelectionMask, ZoneMaps, CHUNK_ROWS,
 };
 pub use column::Column;
 pub use expr::Expr;

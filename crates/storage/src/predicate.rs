@@ -14,7 +14,8 @@
 //! into a [`SelectionMask`]; [`CompiledPredicate::classify_chunk`] consults
 //! per-chunk zone maps first so chunks that cannot match are skipped
 //! without touching their data. Both are *exact*: the mask selects
-//! precisely the rows per-row [`CompiledPredicate::matches`] would.
+//! precisely the rows per-row evaluation (`CompiledPredicate::matches`,
+//! the tests' oracle) would.
 
 use std::collections::BTreeMap;
 
@@ -421,9 +422,10 @@ pub enum ChunkMatch {
 }
 
 impl CompiledPredicate<'_> {
-    /// Evaluates the predicate at one row.
-    #[inline]
-    pub fn matches(&self, row: usize) -> bool {
+    /// Evaluates the predicate at one row: the per-row oracle of the mask
+    /// kernels.
+    #[cfg(test)]
+    pub(crate) fn matches(&self, row: usize) -> bool {
         self.constraints.iter().all(|c| match c {
             CompiledConstraint::Range { data, range, .. } => range.contains(data[row]),
             CompiledConstraint::In { data, codes, .. } => match codes.as_slice() {

@@ -212,7 +212,8 @@ impl PartitionStore {
     }
 
     /// Whether `key` is resident right now (no fault, no touch).
-    pub fn contains(&self, key: SegmentKey) -> bool {
+    #[cfg(test)]
+    pub(crate) fn contains(&self, key: SegmentKey) -> bool {
         self.lock().entries.contains_key(&key)
     }
 
@@ -268,11 +269,6 @@ impl SegmentPin {
     /// The pinned segment's rows.
     pub fn table(&self) -> &Arc<Table> {
         &self.table
-    }
-
-    /// The pinned key.
-    pub fn key(&self) -> SegmentKey {
-        self.key
     }
 }
 

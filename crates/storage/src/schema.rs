@@ -118,25 +118,6 @@ impl Schema {
     pub fn column(&self, name: &str) -> Result<&ColumnDef> {
         self.index_of(name).map(|i| &self.columns[i])
     }
-
-    /// Returns a new schema that appends the columns of `other`, prefixing
-    /// clashing names with `prefix`. Used by denormalizing joins.
-    pub fn concat(&self, other: &Schema, prefix: &str) -> Result<Schema> {
-        let mut cols = self.columns.clone();
-        for c in &other.columns {
-            let name = if cols.iter().any(|p| p.name == c.name) {
-                format!("{prefix}{}", c.name)
-            } else {
-                c.name.clone()
-            };
-            cols.push(ColumnDef {
-                name,
-                ty: c.ty,
-                role: c.role,
-            });
-        }
-        Schema::new(cols)
-    }
 }
 
 #[cfg(test)]
@@ -188,19 +169,5 @@ mod tests {
         };
         assert_eq!(names(AttributeRole::Dimension), vec!["week", "region"]);
         assert_eq!(names(AttributeRole::Measure), vec!["revenue"]);
-    }
-
-    #[test]
-    fn concat_prefixes_clashes() {
-        let a = sample();
-        let b = Schema::new(vec![
-            ColumnDef::numeric_dimension("week"),
-            ColumnDef::measure("cost"),
-        ])
-        .unwrap();
-        let c = a.concat(&b, "d_").unwrap();
-        assert_eq!(c.len(), 5);
-        assert!(c.index_of("d_week").is_ok());
-        assert!(c.index_of("cost").is_ok());
     }
 }

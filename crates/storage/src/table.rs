@@ -286,19 +286,6 @@ impl Table {
         Ok(())
     }
 
-    /// A typed view of chunk `index` ([`crate::chunk::CHUNK_ROWS`] rows,
-    /// the last chunk possibly short).
-    pub fn chunk(&self, index: usize) -> crate::chunk::Chunk<'_> {
-        let start = index * crate::chunk::CHUNK_ROWS;
-        let end = (start + crate::chunk::CHUNK_ROWS).min(self.rows);
-        crate::chunk::Chunk::new(index, start..end, &self.columns)
-    }
-
-    /// Iterates every chunk of the table in order.
-    pub fn chunks(&self) -> impl Iterator<Item = crate::chunk::Chunk<'_>> {
-        (0..self.rows.div_ceil(crate::chunk::CHUNK_ROWS)).map(|i| self.chunk(i))
-    }
-
     /// Per-chunk zone maps covering every current row.
     ///
     /// Built on first use; subsequent calls after an append extend the

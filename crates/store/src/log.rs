@@ -16,7 +16,7 @@
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use verdict_core::append::AppendAdjustment;
 use verdict_core::persist::{Decoder, Encoder, Persist};
@@ -285,11 +285,6 @@ impl SnippetLog {
             },
             scan,
         ))
-    }
-
-    /// The log file path.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Bytes currently in the log (header included).

@@ -509,7 +509,8 @@ impl SynopsisStore {
     }
 
     /// The sequence number the next append will use.
-    pub fn next_seq(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn next_seq(&self) -> u64 {
         self.next_seq
     }
 

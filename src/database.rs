@@ -277,8 +277,9 @@ pub(crate) struct Shard {
     /// This table's observability endpoint (no-op when the database was
     /// built without metrics / query log).
     pub(crate) obs: TableObs,
-    /// Pinned thread count for this table's shared scans (`None`: each
-    /// query sizes its own from its horizon — `session::scan_workers`).
+    /// Pinned thread count for this table's shared scans, and the cap on
+    /// its inference passes' (`None`: each query sizes its own —
+    /// `session::scan_workers`, `session::inference_workers`).
     pub(crate) parallelism: Option<usize>,
 }
 
@@ -1194,9 +1195,10 @@ pub struct OpenOptions {
     pub metrics: Option<Arc<MetricsHub>>,
     /// Shared query log for every table (default none).
     pub query_log: Option<Arc<QueryLog>>,
-    /// Pinned threads per shared scan (default `None`: each query runs on
-    /// one thread per `2¹⁷` sample rows it can reach, up to the host's
-    /// cores — see [`DatabaseBuilder::parallelism`]).
+    /// Pinned threads per shared scan, also capping inference's (default
+    /// `None`: each query runs on one thread per `2¹⁷` sample rows it can
+    /// reach, up to the host's cores — see
+    /// [`DatabaseBuilder::parallelism`]).
     pub parallelism: Option<usize>,
     /// Partition-cache byte budget for out-of-core (paged) tables
     /// (default: effectively unbounded). Ignored for resident tables.
@@ -1328,9 +1330,13 @@ impl DatabaseBuilder {
     /// Pins the threads every table's shared scans run on (clamped to at
     /// least 1). Unset, each query picks its own: one thread per `2¹⁷`
     /// sample rows its stop policy lets it reach, up to the host's cores,
-    /// so a small sample is scanned on the calling thread alone. Thread
-    /// count never changes answers: partials merge in batch-index order,
-    /// so results are bit-identical to a serial scan.
+    /// so a small sample is scanned on the calling thread alone. The pin
+    /// also caps a query's inference passes over model factors, which
+    /// otherwise take one thread per `2⁹` snippets of the model, up to the
+    /// cores; `parallelism(1)` keeps them on the calling thread too.
+    /// Thread count never changes answers: partials merge in batch-index
+    /// order and every element of a pass is the serial chain, so results
+    /// are bit-identical to a serial run.
     pub fn parallelism(mut self, n: usize) -> Self {
         self.serve.parallelism = Some(n.max(1));
         self

@@ -25,6 +25,7 @@
 //! | `verdict_scan_chunks_pruned_total` | chunk segments skipped via zone maps without touching data |
 //! | `verdict_scan_morsels_total` | morsels claimed by parallel scan workers |
 //! | `verdict_scan_workers_total` | threads shared scans ran on, the calling one included (1 per serial scan) |
+//! | `verdict_infer_workers_total` | threads inference's passes over model factors ran on, the calling one included (1 per serial pass, one pass per model a query reads) |
 //! | `verdict_partitions_pruned_total` | sample partitions skipped wholesale via partition summaries |
 //! | `verdict_partition_cache_hits_total` | out-of-core segment pins served from the partition cache |
 //! | `verdict_partition_cache_misses_total` | out-of-core segment pins that faulted the segment from disk |
@@ -128,6 +129,7 @@ struct Handles {
     scan_chunks_pruned: Counter,
     scan_morsels: Counter,
     scan_workers: Counter,
+    infer_workers: Counter,
     partitions_pruned: Counter,
     partition_cache_hits: Counter,
     partition_cache_misses: Counter,
@@ -181,6 +183,7 @@ impl Handles {
             scan_chunks_pruned: hub.table_counter("verdict_scan_chunks_pruned_total", table),
             scan_morsels: hub.table_counter("verdict_scan_morsels_total", table),
             scan_workers: hub.table_counter("verdict_scan_workers_total", table),
+            infer_workers: hub.table_counter("verdict_infer_workers_total", table),
             partitions_pruned: hub.table_counter("verdict_partitions_pruned_total", table),
             partition_cache_hits: hub.table_counter("verdict_partition_cache_hits_total", table),
             partition_cache_misses: hub
@@ -286,6 +289,7 @@ impl TableObs {
             h.scan_chunks_pruned.add(trace.chunks_pruned);
             h.scan_morsels.add(trace.morsels);
             h.scan_workers.add(trace.workers);
+            h.infer_workers.add(trace.infer_workers);
             h.partitions_pruned.add(trace.partitions_pruned);
             h.rows_matched.add(trace.rows_matched);
             if let Some(sel) = (trace.rows_matched * 100).checked_div(trace.tuples_scanned) {

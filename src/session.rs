@@ -365,6 +365,27 @@ pub(crate) fn scan_workers(pinned: Option<usize>, horizon_rows: usize, cores: us
     }
 }
 
+/// Factor rows a model needs per thread before a query's inference pass
+/// over it spreads over another one (2⁹): a pass over a model of `n`
+/// snippets runs on `n / 512` threads, so on two from `n` = 1,024.
+/// Measured on a 2-vCPU host with AVX2 (`forward_sq_norms` over a
+/// packed factor, median of 400 passes, one thread → two): a lone cell's
+/// pass takes 60 → 85 µs at `n` = 600, 250 → 190 µs at 1,000, 530 → 370
+/// µs at 1,500 and 960 → 590 µs at 2,000; an 8-cell tile's 1,170 → 760 µs
+/// at 1,500. Below ≈ 1,000 rows the second thread's start-up and the
+/// waits between blocks cost what it saves. Threads are granted linearly
+/// in `n` while a pass grows as `n²`, so each thread a larger model adds
+/// has at least the share of the factor the second one has at 1,024.
+pub(crate) const WAVEFRONT_ROWS: usize = 1 << 9;
+
+/// Threads a query's pass over the factor of a model of `n` snippets runs
+/// on: one per [`WAVEFRONT_ROWS`], at least 1 and at most the host's
+/// `cores` (≥ 1) — or a `pinned` `parallelism(n)`, when that is fewer.
+pub(crate) fn inference_workers(pinned: Option<usize>, n: usize, cores: usize) -> usize {
+    let cap = pinned.map_or(cores, |p| p.min(cores)).max(1);
+    (n / WAVEFRONT_ROWS).clamp(1, cap)
+}
+
 /// The batch prefix a scan stopping at `tuple_cap` scanned tuples reaches
 /// (`usize::MAX`: every batch), and the sample rows in it, from the batch
 /// sizes in scan order. Every batch counts its full size toward
@@ -470,7 +491,10 @@ impl SessionBuilder {
     /// cores — so a small sample never leaves the calling thread. Partials
     /// merge in deterministic batch order, so answers, error bounds, and
     /// synopsis bytes are bit-identical at every setting; `parallelism(1)`
-    /// always scans on the calling thread.
+    /// always scans on the calling thread. The pin also caps the threads
+    /// of a query's inference passes, which otherwise take one per `2⁹`
+    /// snippets of the model, up to the cores (bit-identical too):
+    /// `parallelism(1)` keeps inference on the calling thread as well.
     pub fn parallelism(mut self, n: usize) -> Self {
         self.serve.parallelism = Some(n.max(1));
         self
@@ -743,8 +767,8 @@ impl VerdictSession {
         Some(rep.partition_store().counters())
     }
 
-    /// The pinned scan thread count (`None`: each query picks its own —
-    /// see [`SessionBuilder::parallelism`]).
+    /// The pinned scan thread count, which also caps inference's (`None`:
+    /// each query picks its own — see [`SessionBuilder::parallelism`]).
     pub fn parallelism(&self) -> Option<usize> {
         self.shard.parallelism
     }
@@ -953,6 +977,7 @@ pub(crate) fn query_trace(
         rows_matched: scan.rows_matched,
         morsels: scan.morsels,
         workers: scan.workers,
+        infer_workers: scan.infer_workers,
         partitions: scan.partitions,
         partitions_pruned: scan.partitions_pruned,
         partition_cache_hits: scan.partition_cache_hits,
@@ -1250,6 +1275,8 @@ pub(crate) fn run_shared_read(
         n_base: sample.base_rows() as f64,
         learned: None,
         stats: EngineStats::default(),
+        parallelism,
+        infer_workers: 0,
     };
 
     // The stop policy bounds the *one* query-wide scan: a tuple budget
@@ -1361,6 +1388,7 @@ pub(crate) fn run_shared_read(
         t.cells = num_cells as u64;
         t.cells_frozen_early = frozen_early;
         t.prior_evals = cells.prior_evals();
+        t.infer_workers = cells.infer_workers;
         t.chunks = driver.chunks_scanned();
         t.chunks_pruned = driver.chunks_pruned();
         t.rows_matched = driver.rows_matched();
@@ -1480,10 +1508,15 @@ struct CellEvaluator<'a> {
     learned: Option<Vec<Option<Vec<LearnedPrim>>>>,
     /// Inference counter bumps of this query (read path: merged later).
     stats: EngineStats,
+    /// The statement's pinned thread count, which caps inference's.
+    parallelism: Option<usize>,
+    /// Threads this query's passes over model factors ran on, summed over
+    /// the models it read.
+    infer_workers: u64,
 }
 
 impl CellEvaluator<'_> {
-    fn prepare(&self) -> Vec<Option<Vec<LearnedPrim>>> {
+    fn prepare(&mut self) -> Vec<Option<Vec<LearnedPrim>>> {
         let keys: Vec<AggKey> = self
             .plan
             .primitives
@@ -1508,8 +1541,15 @@ impl CellEvaluator<'_> {
                     .map(move |key| Snippet::new(key.clone(), region.clone()))
             })
             .collect();
-        // One pass over each model's factor of Σₙ per ≤ 8 groups.
-        let priors = self.view.priors(&snippets.iter().collect::<Vec<_>>());
+        // One pass over each model's factor of Σₙ per ≤ 8 groups, on as
+        // many threads as the model's size pays for.
+        let mut ran = 0;
+        let priors = self.view.priors(&snippets.iter().collect::<Vec<_>>(), |n| {
+            let workers = inference_workers(self.parallelism, n, host_cores());
+            ran += workers as u64;
+            workers
+        });
+        self.infer_workers = ran;
         let mut learned = snippets.into_iter().zip(priors);
         regions
             .iter()
@@ -1715,6 +1755,41 @@ mod tests {
             }
         }
         assert_eq!(scan_workers(Some(0), 0, 8), 1);
+    }
+
+    /// The inference policy, row by row: one thread per `WAVEFRONT_ROWS`
+    /// snippets of the model, between 1 and the cores; a pin caps it and
+    /// never raises it, and `parallelism(1)` stays serial.
+    #[test]
+    fn inference_workers_table() {
+        const AUTO: Option<usize> = None;
+        #[rustfmt::skip]
+        let table: [(usize, [usize; 3], [usize; 3]); 7] = [
+            // model n   auto at 1, 2, 8 cores   pinned 4 at 1, 2, 8 cores
+            (0,          [1, 1, 1],              [1, 1, 1]),
+            (300,        [1, 1, 1],              [1, 1, 1]),
+            (1_023,      [1, 1, 1],              [1, 1, 1]),
+            (1_024,      [1, 2, 2],              [1, 2, 2]),
+            (1_500,      [1, 2, 2],              [1, 2, 2]),
+            (2_000,      [1, 2, 3],              [1, 2, 3]),
+            (4_096,      [1, 2, 8],              [1, 2, 4]),
+        ];
+        for (n, auto, pinned) in table {
+            for (cores, (auto, pinned)) in [1, 2, 8].into_iter().zip(auto.into_iter().zip(pinned)) {
+                assert_eq!(
+                    inference_workers(AUTO, n, cores),
+                    auto,
+                    "n = {n}, {cores} cores"
+                );
+                assert_eq!(
+                    inference_workers(Some(4), n, cores),
+                    pinned,
+                    "n = {n}, {cores} cores"
+                );
+                assert_eq!(inference_workers(Some(1), n, cores), 1);
+            }
+        }
+        assert_eq!(inference_workers(Some(0), 4_096, 8), 1);
     }
 
     /// A budgeted scan's horizon is its batch prefix: the batch that

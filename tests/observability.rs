@@ -63,6 +63,51 @@ fn temp_store(name: &str) -> std::path::PathBuf {
     dir
 }
 
+/// Inference reports the threads its passes over model factors ran on: no
+/// pass before training, then one per query on the calling thread alone
+/// (a model far below the size that pays for a second thread), in the
+/// trace and in `verdict_infer_workers_total`.
+#[test]
+fn inference_workers_count_one_per_serial_pass() {
+    let hub = Arc::new(MetricsHub::new());
+    let mut session = SessionBuilder::new(base_table(8_000))
+        .sample_fraction(0.2)
+        .batch_size(200)
+        .seed(5)
+        .metrics(Arc::clone(&hub))
+        .query_log(64)
+        .build()
+        .unwrap();
+    let run = |session: &mut VerdictSession, queries: usize| {
+        for k in 0..queries {
+            session
+                .execute(&avg_sql(k * 10), Mode::Verdict, StopPolicy::ScanAll)
+                .unwrap()
+                .unwrap_answered();
+        }
+    };
+    let infer_workers = |session: &VerdictSession| {
+        let snap = session.metrics_snapshot().expect("hub attached");
+        snap.counter("verdict_infer_workers_total", Some("t"))
+            .unwrap_or(0)
+    };
+    const COLD: usize = 6;
+    const TRAINED: usize = 4;
+    run(&mut session, COLD);
+    assert_eq!(infer_workers(&session), 0, "no model, no pass");
+    session.train().unwrap();
+    run(&mut session, TRAINED);
+    assert_eq!(infer_workers(&session), TRAINED as u64);
+    let traces = session.recent_queries(COLD + TRAINED);
+    let per_query: Vec<u64> = traces.iter().rev().map(|t| t.infer_workers).collect();
+    let want: Vec<u64> = [0]
+        .repeat(COLD)
+        .into_iter()
+        .chain([1].repeat(TRAINED))
+        .collect();
+    assert_eq!(per_query, want);
+}
+
 /// Serial session: counters, stage histograms, traces, and gauges all
 /// move coherently through query / unsupported / ingest / train.
 #[test]
