@@ -60,10 +60,11 @@
 use std::sync::{Arc, RwLock};
 
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use verdict_storage::pstore::{PartitionStore, SegmentKey, SegmentPin};
-use verdict_storage::{PartitionMap, StorageError, Table};
+use verdict_storage::{row_ids, PartitionMap, StorageError, Table};
+
+use crate::sample::draw_prefix;
 
 #[cfg(doc)]
 use crate::Sample;
@@ -152,9 +153,10 @@ impl PagedRep {
     }
 
     /// Derives partition `p`'s `want`-row segment from scratch: fault the
-    /// base fragment, shuffle its row indices with the `(draw_seed, p)`
-    /// seed, keep the first `want`, gather. Pure — every derivation of
-    /// the same segment yields identical rows in identical order.
+    /// base fragment, take the first `want` row ids of the one draw
+    /// (`draw_prefix`) under the `(draw_seed, p)` seed, gather. Pure —
+    /// every derivation of the same segment yields identical rows in
+    /// identical order.
     pub(crate) fn derive_segment(&self, p: u32, want: usize) -> verdict_storage::Result<Table> {
         let frag = (self.loader)(p)?;
         let n = self.original_part_rows[p as usize] as usize;
@@ -164,10 +166,8 @@ impl PagedRep {
                 frag.num_rows()
             )));
         }
-        let mut idx: Vec<usize> = (0..n).collect();
-        idx.shuffle(&mut StdRng::seed_from_u64(segment_seed(self.draw_seed, p)));
-        idx.truncate(want);
-        frag.gather(&idx)
+        let mut rng = StdRng::seed_from_u64(segment_seed(self.draw_seed, p));
+        frag.gather(&draw_prefix(row_ids(0..n)?, want, &mut rng))
     }
 
     /// Pins partition `p`'s `want`-row segment in the buffer manager,
@@ -223,8 +223,8 @@ mod tests {
         let n = t.num_rows();
         let map = PartitionMap::build(t, PartitionSpec::range("x", bounds)).unwrap();
         let routed = map.route(t, 0..n).unwrap();
-        let mut rows: Vec<Vec<usize>> = vec![Vec::new(); map.num_partitions()];
-        for (r, &p) in routed.iter().enumerate() {
+        let mut rows: Vec<Vec<u32>> = vec![Vec::new(); map.num_partitions()];
+        for (r, &p) in (0u32..).zip(&routed) {
             rows[p as usize].push(r);
         }
         let frags: Vec<Table> = rows.iter().map(|r| t.gather(r).unwrap()).collect();

@@ -26,6 +26,12 @@
 //! planning step (predicate compilation, label/code resolution) runs
 //! against: it carries the schema and the full dictionaries.
 //!
+//! Every draw-time row set ([`Sample::uniform_prefix`],
+//! [`Sample::uniform_partitioned`], a paged segment fault) comes from one
+//! draw, `draw_prefix`: the permutation `SliceRandom::shuffle` gives, RNG
+//! end state included, over `n` `u32` row ids — the RNG plus swaps over
+//! `4n` bytes — of which a prefix is kept for one gather.
+//!
 //! The resident rows live behind an `Arc`: cloning a `Sample` (engine
 //! snapshots handed to many reader threads) shares them, and an ingest
 //! copies only that table on write. Scan state lives in per-query cursors
@@ -34,12 +40,11 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use verdict_storage::predicate::ChunkMatch;
 use verdict_storage::pstore::SegmentPin;
 use verdict_storage::{
-    distinct_group_keys, CompiledPredicate, GroupKey, GroupKeyCollector, PartitionMap,
+    distinct_group_keys, row_ids, CompiledPredicate, GroupKey, GroupKeyCollector, PartitionMap,
     PartitionSpec, Predicate, Table,
 };
 
@@ -142,6 +147,33 @@ fn partition_allocation(part_rows: &[usize], fraction: f64) -> Vec<usize> {
         .collect()
 }
 
+/// How many swaps' `gen_range` values [`draw_prefix`] draws before it
+/// makes those swaps.
+const DRAW_BLOCK: usize = 4096;
+
+/// The one draw (see the [module docs](self)): the first `keep` of `ids`
+/// shuffled as `SliceRandom::shuffle` would, with the same RNG calls.
+/// Drawing a block's values before its swaps keeps the serial RNG chain
+/// off the swaps' cache misses and lets those misses overlap.
+pub(crate) fn draw_prefix<R: Rng>(mut ids: Vec<u32>, keep: usize, rng: &mut R) -> Vec<u32> {
+    let mut picks = [0u32; DRAW_BLOCK];
+    let mut top = ids.len();
+    while top > 1 {
+        let lo = top.saturating_sub(DRAW_BLOCK).max(1);
+        let block = &mut picks[..top - lo];
+        for (j, i) in block.iter_mut().zip((lo..top).rev()) {
+            *j = rng.gen_range(0..=i) as u32;
+        }
+        for (&j, i) in block.iter().zip((lo..top).rev()) {
+            ids.swap(i, j as usize);
+        }
+        top = lo;
+    }
+    ids.truncate(keep);
+    ids.shrink_to_fit();
+    ids
+}
+
 fn check_batch_size(batch_size: usize) -> Result<()> {
     if batch_size == 0 {
         return Err(AqpError::InvalidConfig(
@@ -198,6 +230,9 @@ impl Sample {
     /// re-admits the appended tail through
     /// [`Sample::absorb_appended`] — reproducing the live session's
     /// maintained sample exactly.
+    ///
+    /// The draw costs the RNG plus swaps over `4 · prefix_rows` bytes of
+    /// row ids, in the permutation `SliceRandom::shuffle` gives.
     pub fn uniform_prefix<R: Rng>(
         base: &Table,
         prefix_rows: usize,
@@ -214,10 +249,7 @@ impl Sample {
         }
         let n = prefix_rows;
         let k = ((n as f64 * fraction).round() as usize).clamp(1, n.max(1));
-        let mut rows: Vec<usize> = (0..n).collect();
-        rows.shuffle(rng);
-        rows.truncate(k);
-        let table = base.gather(&rows)?;
+        let table = base.gather(&draw_prefix(row_ids(0..n)?, k, rng))?;
         Ok(Sample::resident(table, n, fraction, batch_size))
     }
 
@@ -242,19 +274,16 @@ impl Sample {
         let n = base.num_rows();
         let router = PartitionMap::build(base, spec.clone()).map_err(AqpError::Storage)?;
         let routed = router.route(base, 0..n).map_err(AqpError::Storage)?;
-        let mut part_rows: Vec<Vec<usize>> = vec![Vec::new(); router.num_partitions()];
-        for (r, &p) in routed.iter().enumerate() {
+        let mut part_rows: Vec<Vec<u32>> = vec![Vec::new(); router.num_partitions()];
+        for (r, &p) in row_ids(0..n)?.into_iter().zip(&routed) {
             part_rows[p as usize].push(r);
         }
         let sizes: Vec<usize> = part_rows.iter().map(Vec::len).collect();
         let drawn = partition_allocation(&sizes, fraction);
         // Select per partition, concatenating partition-clustered.
-        let mut selected: Vec<usize> = Vec::new();
-        for (rows, &want) in part_rows.iter_mut().zip(&drawn) {
-            if want > 0 {
-                rows.shuffle(rng);
-                selected.extend(&rows[..want]);
-            }
+        let mut selected: Vec<u32> = Vec::new();
+        for (rows, &want) in part_rows.into_iter().zip(&drawn) {
+            selected.extend(draw_prefix(rows, want, rng));
         }
         let table = base.gather(&selected).map_err(AqpError::Storage)?;
         let map = PartitionMap::build(&table, spec).map_err(AqpError::Storage)?;
@@ -717,6 +746,48 @@ mod tests {
         assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>());
         // An over-long prefix is refused.
         assert!(Sample::uniform_prefix(&small, 401, 0.25, 50, &mut rng_a).is_err());
+    }
+
+    #[test]
+    fn the_draw_is_the_naive_shuffle_bit_for_bit() {
+        use rand::seq::SliceRandom;
+        let lengths = [
+            0,
+            1,
+            2,
+            DRAW_BLOCK - 1,
+            DRAW_BLOCK,
+            DRAW_BLOCK + 1,
+            3 * DRAW_BLOCK + 17,
+            StdRng::seed_from_u64(99).gen_range(2..50_000),
+        ];
+        for n in lengths {
+            for seed in [0, 1, 7, 0xdead_beef] {
+                // The naive loop this routine replaces, over `usize` ids.
+                let mut naive_rng = StdRng::seed_from_u64(seed);
+                let mut naive: Vec<usize> = (0..n).collect();
+                naive.shuffle(&mut naive_rng);
+                let mut rng = StdRng::seed_from_u64(seed);
+                let drawn = draw_prefix(row_ids(0..n).unwrap(), n, &mut rng);
+                let drawn: Vec<usize> = drawn.into_iter().map(|r| r as usize).collect();
+                assert_eq!(drawn, naive, "n {n} seed {seed}");
+                assert_eq!(
+                    rng.gen::<u64>(),
+                    naive_rng.gen::<u64>(),
+                    "n {n} seed {seed}"
+                );
+                // A kept prefix is the naive prefix, and holds no more.
+                let keep = n / 3;
+                let prefix = draw_prefix(
+                    row_ids(0..n).unwrap(),
+                    keep,
+                    &mut StdRng::seed_from_u64(seed),
+                );
+                assert_eq!(prefix.len(), keep);
+                assert_eq!(prefix.capacity(), keep);
+                assert!(prefix.iter().zip(&naive).all(|(&a, &b)| a as usize == b));
+            }
+        }
     }
 
     #[test]

@@ -89,7 +89,8 @@ impl SchemaInfo {
     /// Derives the dimension universe from a concrete table: numeric
     /// dimension columns contribute their observed `[min, max]` domain
     /// (the paper's `(min(Ak), max(Ak))` default, §4.1) and categorical
-    /// columns their dictionary cardinality. Measure columns are skipped.
+    /// columns one past their largest code (codes need not be dense; 0 when
+    /// the column is empty). Measure columns are skipped.
     pub fn from_table(table: &verdict_storage::Table) -> Result<SchemaInfo> {
         use verdict_storage::{AttributeRole, ColumnType};
         let mut dims = Vec::new();
@@ -103,20 +104,9 @@ impl SchemaInfo {
                     dims.push(DimensionSpec::numeric(&def.name, lo, hi));
                 }
                 ColumnType::Categorical => {
-                    let col = table.column(&def.name)?;
-                    let observed = col.cardinality().unwrap_or(0);
-                    // Codes need not be dense: size the domain by the
-                    // largest observed code as well.
-                    let max_code = col
-                        .categorical()?
-                        .iter()
-                        .copied()
-                        .max()
-                        .map_or(0, |m| m as usize + 1);
-                    dims.push(DimensionSpec::categorical(
-                        &def.name,
-                        observed.max(max_code) as u32,
-                    ));
+                    let codes = table.column(&def.name)?.categorical()?;
+                    let domain = codes.iter().copied().max().map_or(0, |m| m as usize + 1);
+                    dims.push(DimensionSpec::categorical(&def.name, domain as u32));
                 }
             }
         }
@@ -438,6 +428,29 @@ mod tests {
         assert_eq!(r.range(0), Some((0.0, 100.0)));
         assert_eq!(r.volume(&s), 100.0 * 4.0);
         assert!(!r.is_degenerate());
+    }
+
+    #[test]
+    fn categorical_domain_is_one_past_the_largest_code() {
+        use verdict_storage::{ColumnDef, Schema, Table, Value};
+        let domain = |codes: &[u32]| {
+            let schema = Schema::new(vec![
+                ColumnDef::categorical_dimension("g"),
+                ColumnDef::measure("v"),
+            ])
+            .unwrap();
+            let mut t = Table::new(schema);
+            for &c in codes {
+                t.push_row(vec![Value::Cat(c), 1.0.into()]).unwrap();
+            }
+            SchemaInfo::from_table(&t).unwrap().dims()[0].kind.clone()
+        };
+        // Sparse codes: three distinct, but the domain reaches code 5.
+        assert_eq!(
+            domain(&[1, 1, 2, 5]),
+            DimKind::Categorical { cardinality: 6 }
+        );
+        assert_eq!(domain(&[]), DimKind::Categorical { cardinality: 0 });
     }
 
     #[test]

@@ -791,9 +791,10 @@ fn bind_template(template: &PredTemplate, table: &Table, params: &[Value]) -> Re
         }
         PredTemplate::CatComplement { col, items } => {
             let codes = bind_cat(items, table, col, params)?;
-            // Complement within the dictionary observed *now*.
-            let card = table.column(col)?.cardinality().unwrap_or(0) as u32;
-            let all: Vec<u32> = (0..card).filter(|c| !codes.contains(c)).collect();
+            // Complement within the dictionary as it stands *now*: every
+            // label's code, whether or not this table's rows use it.
+            let labels = table.column(col)?.labels().map_or(0, <[_]>::len) as u32;
+            let all: Vec<u32> = (0..labels).filter(|c| !codes.contains(c)).collect();
             Predicate::cat_in(col, all)
         }
     })

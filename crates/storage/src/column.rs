@@ -244,13 +244,14 @@ impl Column {
     }
 
     /// Appends the rows of `other` selected by `rows` (gather).
-    pub(crate) fn gather_from(&mut self, other: &Column, rows: &[usize]) -> Result<()> {
+    pub(crate) fn gather_from(
+        &mut self,
+        other: &Column,
+        rows: impl Iterator<Item = usize>,
+    ) -> Result<()> {
         match (self, other) {
             (Column::Numeric(dst), Column::Numeric(src)) => {
-                dst.reserve(rows.len());
-                for &r in rows {
-                    dst.push(src[r]);
-                }
+                dst.extend(rows.map(|r| src[r]));
                 Ok(())
             }
             (
@@ -271,10 +272,7 @@ impl Column {
                     dst_labels.clone_from(src_labels);
                     dst_index.clone_from(src_index);
                 }
-                dst.reserve(rows.len());
-                for &r in rows {
-                    dst.push(src[r]);
-                }
+                dst.extend(rows.map(|r| src[r]));
                 Ok(())
             }
             _ => Err(StorageError::TypeError(
@@ -296,19 +294,6 @@ impl Column {
                 Some((lo, hi))
             }
             _ => None,
-        }
-    }
-
-    /// Number of distinct categorical codes; `None` for numeric columns.
-    pub fn cardinality(&self) -> Option<usize> {
-        match self {
-            Column::Categorical { codes, .. } => {
-                let mut seen: Vec<u32> = codes.clone();
-                seen.sort_unstable();
-                seen.dedup();
-                Some(seen.len())
-            }
-            Column::Numeric(_) => None,
         }
     }
 }
@@ -364,24 +349,17 @@ mod tests {
             src.push(Value::Num(x)).unwrap();
         }
         let mut dst = Column::new_numeric();
-        dst.gather_from(&src, &[3, 1]).unwrap();
+        dst.gather_from(&src, [3, 1].into_iter()).unwrap();
         assert_eq!(dst.numeric().unwrap(), &[40.0, 20.0]);
     }
 
     #[test]
-    fn numeric_range_and_cardinality() {
+    fn numeric_range() {
         let mut n = Column::new_numeric();
         assert_eq!(n.numeric_range(), None);
         for x in [3.0, -1.0, 7.0] {
             n.push(Value::Num(x)).unwrap();
         }
         assert_eq!(n.numeric_range(), Some((-1.0, 7.0)));
-        assert_eq!(n.cardinality(), None);
-
-        let mut c = Column::new_categorical();
-        for code in [1u32, 1, 2, 5] {
-            c.push(Value::Cat(code)).unwrap();
-        }
-        assert_eq!(c.cardinality(), Some(3));
     }
 }

@@ -53,7 +53,7 @@ pub use predicate::{ChunkMatch, CompiledPredicate, Predicate};
 pub use pstore::{CacheCounters, PartitionStore, SegmentKey, SegmentPin};
 pub use scan::{distinct_group_keys, GroupIndexer, GroupKeyCollector};
 pub use schema::{AttributeRole, ColumnDef, ColumnType, Schema};
-pub use table::Table;
+pub use table::{row_ids, Table};
 pub use value::Value;
 
 /// Errors raised by the storage engine.

@@ -582,7 +582,7 @@ mod tests {
             edges.sort_unstable();
             let mut frags: Vec<Table> = edges
                 .windows(2)
-                .map(|w| table.gather(&(w[0]..w[1]).collect::<Vec<_>>()).unwrap())
+                .map(|w| table.gather(&(w[0] as u32..w[1] as u32).collect::<Vec<_>>()).unwrap())
                 .collect();
             if reverse {
                 frags.reverse();

@@ -1,6 +1,7 @@
 //! Row-appendable columnar tables.
 
-use std::sync::{Arc, OnceLock, PoisonError, RwLock};
+use std::ops::Range;
+use std::sync::{Arc, PoisonError, RwLock};
 
 use crate::chunk::ZoneMaps;
 use crate::{Column, ColumnType, Result, Schema, StorageError, Value};
@@ -11,16 +12,10 @@ pub struct Table {
     schema: Schema,
     columns: Vec<Column>,
     rows: usize,
-    /// One lazily filled slot per column: `(min, max)` of a numeric
-    /// column, `None` for a categorical or empty one. Ranges are `O(rows)`
-    /// to recompute and predicate-range defaulting asks for them
-    /// repeatedly, so they are cached; a mutation replaces every slot
-    /// with an empty one (see [`Table::invalidate_stats`]).
-    stats: Vec<OnceLock<Option<(f64, f64)>>>,
-    /// Per-chunk zone maps, built lazily on first chunked scan. Unlike
-    /// `stats`, appends do *not* clear this cache: zone maps extend
-    /// incrementally (min/max is associative), so [`Table::zone_maps`]
-    /// scans only the tail rows appended since the last access.
+    /// Per-chunk zone maps, built lazily on first chunked scan. Appends
+    /// do *not* clear this cache: zone maps extend incrementally (min/max
+    /// is associative), so [`Table::zone_maps`] scans only the tail rows
+    /// appended since the last access.
     ///
     /// An `RwLock` rather than a `Mutex`: once the cache covers every
     /// row (the steady state between ingests), concurrent scan workers
@@ -35,7 +30,6 @@ impl Clone for Table {
             schema: self.schema.clone(),
             columns: self.columns.clone(),
             rows: self.rows,
-            stats: self.stats.clone(),
             zones: RwLock::new(
                 self.zones
                     .read()
@@ -57,12 +51,10 @@ impl Table {
                 ColumnType::Categorical => Column::new_categorical(),
             })
             .collect();
-        let stats = fresh_stats(columns.len());
         Table {
             schema,
             columns,
             rows: 0,
-            stats,
             zones: RwLock::new(None),
         }
     }
@@ -100,12 +92,10 @@ impl Table {
                 )));
             }
         }
-        let stats = fresh_stats(columns.len());
         Ok(Table {
             schema,
             columns,
             rows,
-            stats,
             zones: RwLock::new(None),
         })
     }
@@ -154,7 +144,6 @@ impl Table {
             col.push(v)?;
         }
         self.rows += 1;
-        self.invalidate_stats();
         Ok(())
     }
 
@@ -192,15 +181,7 @@ impl Table {
             }
             self.rows += 1;
         }
-        self.invalidate_stats();
         Ok(())
-    }
-
-    /// Drops every cached per-column statistic; the next
-    /// [`Table::column_bounds`] call
-    /// recomputes from the (now larger) data.
-    fn invalidate_stats(&mut self) {
-        self.stats = fresh_stats(self.columns.len());
     }
 
     /// Column accessor by name.
@@ -236,10 +217,10 @@ impl Table {
     }
 
     /// Materializes a new table containing only `rows` (in the given order).
-    pub fn gather(&self, rows: &[usize]) -> Result<Table> {
+    pub fn gather(&self, rows: &[u32]) -> Result<Table> {
         let mut out = Table::new(self.schema.clone());
         for (dst, src) in out.columns.iter_mut().zip(self.columns.iter()) {
-            dst.gather_from(src, rows)?;
+            dst.gather_from(src, rows.iter().map(|&r| r as usize))?;
         }
         out.rows = rows.len();
         Ok(out)
@@ -252,22 +233,19 @@ impl Table {
                 "append requires identical schemas".into(),
             ));
         }
-        let rows: Vec<usize> = (0..other.rows).collect();
         for (dst, src) in self.columns.iter_mut().zip(other.columns.iter()) {
-            dst.gather_from(src, &rows)?;
+            dst.gather_from(src, 0..other.rows)?;
         }
         self.rows += other.rows;
-        self.invalidate_stats();
         Ok(())
     }
 
     /// Observed min/max of a numeric column, used to default unconstrained
-    /// predicate ranges to `(min(Ak), max(Ak))` per the paper §4.1.
-    /// Cached; appends invalidate the cache.
+    /// predicate ranges to `(min(Ak), max(Ak))` per the paper §4.1: one
+    /// pass over the column per call.
     pub fn column_bounds(&self, name: &str) -> Result<(f64, f64)> {
-        let i = self.schema.index_of(name)?;
-        self.stats[i]
-            .get_or_init(|| self.columns[i].numeric_range())
+        self.column(name)?
+            .numeric_range()
             .ok_or_else(|| StorageError::TypeError(format!("column {name} has no numeric range")))
     }
 
@@ -282,7 +260,6 @@ impl Table {
         for (dst, src) in self.columns.iter_mut().zip(other.columns.iter()) {
             dst.sync_dictionary_from(src)?;
         }
-        self.invalidate_stats();
         Ok(())
     }
 
@@ -336,9 +313,12 @@ impl Table {
     }
 }
 
-/// A fresh (empty) stats slot per column.
-fn fresh_stats(n: usize) -> Vec<OnceLock<Option<(f64, f64)>>> {
-    (0..n).map(|_| OnceLock::new()).collect()
+/// `rows` as the ids [`Table::gather`] takes, refused past `u32::MAX`.
+pub fn row_ids(rows: Range<usize>) -> Result<Vec<u32>> {
+    let end = u32::try_from(rows.end).map_err(|_| {
+        StorageError::SchemaMismatch(format!("row {} is not addressable", rows.end))
+    })?;
+    Ok((rows.start.min(rows.end) as u32..end).collect())
 }
 
 #[cfg(test)]

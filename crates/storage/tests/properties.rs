@@ -94,7 +94,8 @@ proptest! {
             return Ok(());
         }
         let picks: Vec<usize> = idx.into_iter().map(|i| i % t.num_rows()).collect();
-        let g = t.gather(&picks).unwrap();
+        let ids: Vec<u32> = picks.iter().map(|&r| r as u32).collect();
+        let g = t.gather(&ids).unwrap();
         prop_assert_eq!(g.num_rows(), picks.len());
         for (out_row, &src_row) in picks.iter().enumerate() {
             prop_assert_eq!(g.row(out_row), t.row(src_row));

@@ -18,7 +18,7 @@ use verdict_core::append::AppendAdjustment;
 use verdict_core::persist::{fingerprint, Persist};
 use verdict_core::snippet::{AggKey, Observation, Snippet};
 use verdict_core::{EngineState, IngestBounds, Region, SnippetObserver, Verdict};
-use verdict_storage::{PartitionMap, PartitionSpec, Table, Value};
+use verdict_storage::{row_ids, PartitionMap, PartitionSpec, Table, Value};
 
 use crate::log::{IngestRecord, LogRecord, SnippetLog, SnippetRecord};
 use crate::partfile::{
@@ -769,7 +769,7 @@ fn write_part_files(
     let routed = map
         .route(table, 0..table.num_rows())
         .map_err(|e| mismatch("routing the base table", &e))?;
-    let mut by_part = rows_by_partition(&routed);
+    let mut by_part = rows_by_partition(&routed)?;
     by_part.resize(map.num_partitions(), Vec::new());
     let mut record0_crcs = Vec::with_capacity(by_part.len());
     for (p, rows) in by_part.iter().enumerate() {
@@ -797,15 +797,16 @@ fn write_part_files(
 /// The rows of a batch grouped by the partition `routed` assigns each
 /// to, indexed by partition id (ascending; a partition past the last
 /// routed one has no entry).
-fn rows_by_partition(routed: &[u32]) -> Vec<Vec<usize>> {
-    let mut by_part: Vec<Vec<usize>> = Vec::new();
-    for (row, &p) in routed.iter().enumerate() {
+fn rows_by_partition(routed: &[u32]) -> Result<Vec<Vec<u32>>> {
+    let ids = row_ids(0..routed.len()).map_err(|e| StoreError::Mismatch(e.to_string()))?;
+    let mut by_part: Vec<Vec<u32>> = Vec::new();
+    for (row, &p) in ids.into_iter().zip(routed) {
         if by_part.len() <= p as usize {
             by_part.resize(p as usize + 1, Vec::new());
         }
         by_part[p as usize].push(row);
     }
-    by_part
+    Ok(by_part)
 }
 
 /// Appends each partition's share of `batch` to that partition's file as
@@ -818,7 +819,7 @@ fn append_routed(
     routed: &[u32],
     mut skip: impl FnMut(u32) -> bool,
 ) -> Result<()> {
-    for (p, rows) in rows_by_partition(routed).iter().enumerate() {
+    for (p, rows) in rows_by_partition(routed)?.iter().enumerate() {
         let p = p as u32;
         if rows.is_empty() || skip(p) {
             continue;
@@ -1323,9 +1324,8 @@ mod tests {
         map.extend_batch(&batch).unwrap();
         // Append to partition 0 only; partitions 1 and 2 never see the
         // batch. Then tear partition 0's record mid-frame.
-        let p0_rows: Vec<usize> = routed
-            .iter()
-            .enumerate()
+        let p0_rows: Vec<u32> = (0u32..)
+            .zip(&routed)
             .filter(|(_, &p)| p == 0)
             .map(|(i, _)| i)
             .collect();

@@ -297,7 +297,7 @@ proptest! {
                     ];
                     let seq = store.append_ingest(&rows, &adjustments).unwrap();
                     table.push_rows(&rows).unwrap();
-                    let batch: Vec<usize> = (first..table.num_rows()).collect();
+                    let batch: Vec<u32> = (first as u32..table.num_rows() as u32).collect();
                     store
                         .append_parts(seq, &table.gather(&batch).unwrap(), &vec![0; *n])
                         .unwrap();

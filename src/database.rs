@@ -76,7 +76,9 @@ use verdict_sql::checker::JoinPolicy;
 use verdict_sql::{
     check_query, parse_query, prepare_query, resolve_from, PreparedQuery, Query, SupportVerdict,
 };
-use verdict_storage::{AggregateFn, PartitionMap, PartitionSpec, Predicate, Schema, Table, Value};
+use verdict_storage::{
+    row_ids, AggregateFn, PartitionMap, PartitionSpec, Predicate, Schema, Table, Value,
+};
 use verdict_store::catalog::{catalog_exists, is_valid_table_name, table_dir};
 use verdict_store::{
     read_catalog, read_part_rows, write_catalog, BaseRows, CatalogManifest, PagedState, Recovered,
@@ -966,7 +968,7 @@ impl Shard {
                 // the batch coded against its dictionaries, which a
                 // persisted table appends to its one part file.
                 table.push_rows(rows).map_err(Error::Storage)?;
-                let tail: Vec<usize> = (first..table.num_rows()).collect();
+                let tail = row_ids(first..table.num_rows()).map_err(Error::Storage)?;
                 let batch = table.gather(&tail).map_err(Error::Storage)?;
                 let wal_bytes = log(&prepared.adjustments, &batch, &vec![0; rows.len()])?;
                 // Route the appended rows into the partition map so the

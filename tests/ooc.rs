@@ -208,6 +208,76 @@ fn four_x_larger_than_budget_matches_fully_resident() {
     let _ = std::fs::remove_dir_all(&dir_big);
 }
 
+/// Categorical `<>` complements within the column's dictionary, whatever
+/// table the statement binds against: a paged table binds against its
+/// zero-row resolution table, and a resident sample can miss a label
+/// coded below the others. Either way `<>` answers bit for bit as the
+/// `IN` list of every other label does.
+#[test]
+fn categorical_not_equal_matches_its_in_list_paged_and_resident() {
+    let opts = QueryOptions::new()
+        .with_mode(Mode::NoLearn)
+        .with_policy(StopPolicy::ScanAll);
+    let answer = |db: &Database, filter: &str| {
+        let sql = format!("SELECT COUNT(*), AVG(rev) FROM t WHERE {filter}");
+        let r = db.query(&sql, &opts).unwrap().unwrap_answered();
+        assert!(r.tuples_scanned > 0 && r.rows[0].values[0].raw_answer > 0.0);
+        fingerprint(&r)
+    };
+    let all_but_r3 = |labels: &[&str]| {
+        let others: Vec<String> = labels
+            .iter()
+            .filter(|&&l| l != "r3")
+            .map(|l| format!("'{l}'"))
+            .collect();
+        format!("region IN ({})", others.join(", "))
+    };
+
+    let dir = temp_store("neq");
+    let paged = paged_session(&dir, 6_000, 40_000, 1)
+        .into_database("t")
+        .unwrap();
+    assert_eq!(
+        answer(&paged, "region <> 'r3'"),
+        answer(&paged, &all_but_r3(&REGIONS))
+    );
+    drop(paged);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // Label `rare` takes code 0 on one row, which the sample misses.
+    let rows = base_table(6_000);
+    let mut table = Table::new(rows.schema().clone());
+    table
+        .push_row(vec![1.0.into(), "rare".into(), 50.0.into()])
+        .unwrap();
+    for i in 0..rows.num_rows() {
+        table.push_row(rows.row_decoded(i)).unwrap();
+    }
+    let resident = Database::builder()
+        .register_table_with(
+            "t",
+            table,
+            TableOptions {
+                sample_fraction: 0.25,
+                batch_size: 150,
+                seed: 17,
+                ..TableOptions::default()
+            },
+        )
+        .build()
+        .unwrap();
+    let snapshot = resident.snapshot("t").unwrap();
+    let region = snapshot.samples()[0].table().column("region").unwrap();
+    assert_eq!(region.code_of("rare"), Some(0));
+    assert!(!region.categorical().unwrap().contains(&0));
+    let mut labels = vec!["rare"];
+    labels.extend(REGIONS);
+    assert_eq!(
+        answer(&resident, "region <> 'r3'"),
+        answer(&resident, &all_but_r3(&labels))
+    );
+}
+
 /// A predicate band provably disjoint from every partition summary is
 /// answered without touching a single partition file; a band inside one
 /// partition faults exactly that partition's segment.
