@@ -15,7 +15,8 @@
 //! bind `&[]`, so there is no second resolver to keep in step. The rules
 //! live in `bind_template`: numeric `=` is the point range `[v, v]`; an
 //! unknown categorical label matches nothing rather than erroring; `<>`
-//! complements within the dictionary. Labels and complements resolve at
+//! complements within the dictionary, widened to the largest raw code the
+//! rows hold. Labels and complements resolve at
 //! bind time, not compile time, on purpose: ingest can extend a
 //! dictionary, and a statement must keep its meaning afterwards.
 
@@ -85,7 +86,7 @@ enum PredTemplate {
         col: String,
         items: Vec<CatSlot>,
     },
-    /// `col <> v`: complement within the dictionary observed at bind time.
+    /// `col <> v`: complement within the code domain observed at bind time.
     CatComplement {
         col: String,
         items: Vec<CatSlot>,
@@ -791,10 +792,19 @@ fn bind_template(template: &PredTemplate, table: &Table, params: &[Value]) -> Re
         }
         PredTemplate::CatComplement { col, items } => {
             let codes = bind_cat(items, table, col, params)?;
-            // Complement within the dictionary as it stands *now*: every
-            // label's code, whether or not this table's rows use it.
-            let labels = table.column(col)?.labels().map_or(0, <[_]>::len) as u32;
-            let all: Vec<u32> = (0..labels).filter(|c| !codes.contains(c)).collect();
+            // Complement within the code domain as it stands *now*: every
+            // label's code, whether or not this table's rows use it, and
+            // every raw code up to the largest the rows hold (a column may
+            // carry raw integer codes with no labels).
+            let column = table.column(col)?;
+            let labels = column.labels().map_or(0, <[_]>::len) as u32;
+            let domain = column
+                .categorical()?
+                .iter()
+                .copied()
+                .max()
+                .map_or(labels, |m| labels.max(m.saturating_add(1)));
+            let all: Vec<u32> = (0..domain).filter(|c| !codes.contains(c)).collect();
             Predicate::cat_in(col, all)
         }
     })
@@ -926,6 +936,25 @@ mod tests {
         assert_eq!(eq.bind(&t, &br).unwrap(), region(&[new]));
         assert_eq!(ne.bind(&t, &br).unwrap(), region(&[us, eu, jp]));
         assert_eq!(ne_us.bind(&t, &[]).unwrap(), region(&[eu, jp, new]));
+    }
+
+    /// A column of raw integer codes has no labels; `<>` complements over
+    /// the codes up to the largest one its rows hold.
+    #[test]
+    fn complement_on_raw_codes_keeps_every_other_code() {
+        let mut t = Table::new(table().schema().clone());
+        for c in [2u32, 5, 7, 5] {
+            t.push_row(vec![1.0.into(), Value::Cat(c), 1.0.into()])
+                .unwrap();
+        }
+        let region = t.column("region").unwrap();
+        assert!(region.labels().unwrap_or_default().is_empty());
+        let q = parse_query("SELECT AVG(rev) FROM t WHERE region <> 5").unwrap();
+        let bound = prepare_query(&q, &t).unwrap().bind(&t, &[]).unwrap();
+        assert_eq!(
+            bound,
+            Predicate::cat_in("region", vec![0, 1, 2, 3, 4, 6, 7])
+        );
     }
 
     /// A number in a categorical position names a raw code only when it

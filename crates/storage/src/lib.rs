@@ -68,6 +68,8 @@ pub enum StorageError {
     /// An out-of-core segment could not be faulted in (I/O or decode
     /// failure surfaced by the paging loader).
     Io(String),
+    /// A table holds more rows than `u32` row ids address.
+    TooManyRows(usize),
 }
 
 impl std::fmt::Display for StorageError {
@@ -77,6 +79,11 @@ impl std::fmt::Display for StorageError {
             StorageError::SchemaMismatch(m) => write!(f, "schema mismatch: {m}"),
             StorageError::TypeError(m) => write!(f, "type error: {m}"),
             StorageError::Io(m) => write!(f, "io error: {m}"),
+            StorageError::TooManyRows(n) => write!(
+                f,
+                "{n} rows: row ids are u32, so a table holds at most {} rows",
+                u32::MAX
+            ),
         }
     }
 }

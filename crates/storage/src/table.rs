@@ -315,9 +315,7 @@ impl Table {
 
 /// `rows` as the ids [`Table::gather`] takes, refused past `u32::MAX`.
 pub fn row_ids(rows: Range<usize>) -> Result<Vec<u32>> {
-    let end = u32::try_from(rows.end).map_err(|_| {
-        StorageError::SchemaMismatch(format!("row {} is not addressable", rows.end))
-    })?;
+    let end = u32::try_from(rows.end).map_err(|_| StorageError::TooManyRows(rows.end))?;
     Ok((rows.start.min(rows.end) as u32..end).collect())
 }
 
@@ -506,5 +504,16 @@ mod tests {
         let pred = Predicate::between("week", 30.0, 50.0).compile(&t).unwrap();
         assert_ne!(pred.classify_chunk(&zm, 0), ChunkMatch::NoRows);
         assert_eq!(t.clone().zone_maps().rows_covered(), 4);
+    }
+
+    /// Row ids are `u32`: a range past that is refused by name, before
+    /// anything is allocated.
+    #[test]
+    fn row_ids_refuse_rows_past_u32() {
+        assert_eq!(row_ids(3..6).unwrap(), vec![3, 4, 5]);
+        let past = u32::MAX as usize + 1;
+        let err = row_ids(0..past).unwrap_err();
+        assert_eq!(err, StorageError::TooManyRows(past));
+        assert!(err.to_string().contains("row ids are u32"), "{err}");
     }
 }
