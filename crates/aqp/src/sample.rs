@@ -44,8 +44,8 @@ use rand::{Rng, SeedableRng};
 use verdict_storage::predicate::ChunkMatch;
 use verdict_storage::pstore::SegmentPin;
 use verdict_storage::{
-    distinct_group_keys, row_ids, CompiledPredicate, GroupKey, GroupKeyCollector, PartitionMap,
-    PartitionSpec, Predicate, Table,
+    distinct_group_keys, row_ids, ColumnSummary, CompiledPredicate, GroupKey, GroupKeyCollector,
+    PartitionInfo, PartitionMap, PartitionSpec, Predicate, Table,
 };
 
 use crate::paged::PagedRep;
@@ -497,6 +497,25 @@ impl Sample {
     /// partition rather than resident).
     pub fn is_paged(&self) -> bool {
         self.paged.is_some()
+    }
+
+    /// One past the largest code of categorical column `col` that a paged
+    /// sample's partition summaries hold — codes its resident tail need
+    /// not — and 0 for a resident sample.
+    pub fn summary_code_bound(&self, col: &str) -> u32 {
+        let (Some(rep), Ok(at)) = (&self.paged, self.table.schema().index_of(col)) else {
+            return 0;
+        };
+        let map = crate::read(&rep.map);
+        let last = |p: &PartitionInfo| match p.summary(at) {
+            Some(ColumnSummary::Cat { codes }) => codes.last().copied(),
+            _ => None,
+        };
+        map.parts()
+            .iter()
+            .filter_map(last)
+            .max()
+            .map_or(0, |m| m.saturating_add(1))
     }
 
     /// The pager of a demand-paged sample, if any.

@@ -55,7 +55,7 @@ fn bench_covariance_matrix(c: &mut Criterion) {
             bch.iter(|| {
                 index
                     .pairs(&schema, AggMode::Avg)
-                    .covariance_matrix(&params)
+                    .covariance_packed(&params)
             })
         });
         // A likelihood search keeps its tables: only a lengthscale that
@@ -63,7 +63,7 @@ fn bench_covariance_matrix(c: &mut Criterion) {
         let mut pairs = index.pairs(&schema, AggMode::Avg);
         c.bench_function(
             format!("covariance_matrix_100x100_3dims/{name}/tables_kept"),
-            |bch| bch.iter(|| pairs.covariance_matrix(&params)),
+            |bch| bch.iter(|| pairs.covariance_packed(&params)),
         );
     }
 }

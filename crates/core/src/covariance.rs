@@ -39,6 +39,7 @@
 //! more factors than that would. The all-pairs loops live on as the test
 //! oracle (`crates/core/tests/all_pairs/mod.rs`), nowhere else.
 
+use verdict_linalg::ops::max_abs;
 use verdict_linalg::Matrix;
 
 use crate::kernel::{avg_numeric_factor, freq_numeric_factor, KernelParams};
@@ -308,8 +309,12 @@ pub struct PairFactors<'a> {
 }
 
 impl PairFactors<'_> {
-    /// The `n × n` covariance matrix `K` with `K[i][j] = cov(θ̄_i, θ̄_j)`.
-    pub fn covariance_matrix(&mut self, params: &KernelParams) -> Matrix {
+    /// The covariance matrix `K`, `K[i][j] = cov(θ̄_i, θ̄_j)`, as its lower
+    /// triangle packed by rows (`K[i][0..=i]` at `i(i+1)/2`, the layout
+    /// [`Cholesky::new_packed`](verdict_linalg::Cholesky::new_packed)
+    /// factors in place). Row `i` holds the upper-triangle elements
+    /// `(j, i)`, `j ≤ i`: each factor takes region `j`'s constraint first.
+    pub fn covariance_packed(&mut self, params: &KernelParams) -> Vec<f64> {
         let PairFactors {
             index,
             schema,
@@ -329,20 +334,22 @@ impl PairFactors<'_> {
                 tables[d].retarget(lengthscale, width * width);
             }
         }
-        let mut k = Matrix::from_vec(n, n, vec![params.sigma2; n * n]).expect("n × n elements");
-        // Upper triangle, a row at a time (the row stays in cache while
-        // every dimension is folded in), then mirrored.
+        let mut k = vec![params.sigma2; n * (n + 1) / 2];
+        // A row at a time (the row stays in cache while every dimension is
+        // folded in).
+        let mut at = 0;
         for i in 0..n {
-            let row = &mut k.row_mut(i)[i..];
+            let row = &mut k[at..at + i + 1];
+            at += i + 1;
             for (d, spec) in schema.dims().iter().enumerate() {
                 let dim = &index.dims[d];
                 let l = params.lengthscales[d];
                 let width = dim.distinct.len();
                 if width == n {
-                    // No repeats: region `i`'s constraint is `distinct[i]`,
+                    // No repeats: region `j`'s constraint is `distinct[j]`,
                     // and a table would hold each factor once.
-                    let a = &dim.distinct[i];
-                    for (e, b) in row.iter_mut().zip(&dim.distinct[i..]) {
+                    let b = &dim.distinct[i];
+                    for (e, a) in row.iter_mut().zip(&dim.distinct) {
                         fold(e, || {
                             *untabled += 1;
                             dim_factor(&spec.kind, *mode, l, a, b)
@@ -352,21 +359,15 @@ impl PairFactors<'_> {
                 }
                 let table = &mut tables[d];
                 let s_i = dim.slots[i] as usize;
-                let a = &dim.distinct[s_i];
-                for (e, &s_j) in row.iter_mut().zip(&dim.slots[i..]) {
+                let b = &dim.distinct[s_i];
+                for (e, &s_j) in row.iter_mut().zip(&dim.slots) {
                     let s_j = s_j as usize;
                     fold(e, || {
-                        table.factors.get(s_i * width + s_j, || {
-                            dim_factor(&spec.kind, *mode, l, a, &dim.distinct[s_j])
+                        table.factors.get(s_j * width + s_i, || {
+                            dim_factor(&spec.kind, *mode, l, &dim.distinct[s_j], b)
                         })
                     });
                 }
-            }
-        }
-        for i in 0..n {
-            for j in i + 1..n {
-                let v = k.get(i, j);
-                k.set(j, i, v);
             }
         }
         k
@@ -374,13 +375,24 @@ impl PairFactors<'_> {
 
     /// `Σ_n = K + diag(β²)` — the covariance of the *raw* answers, which
     /// adds each snippet's independent sampling noise on the diagonal
-    /// (paper Eq. 6).
-    pub fn raw_covariance_matrix(&mut self, params: &KernelParams, errors: &[f64]) -> Matrix {
+    /// (paper Eq. 6) — packed as [`PairFactors::covariance_packed`].
+    pub fn raw_covariance_packed(&mut self, params: &KernelParams, errors: &[f64]) -> Vec<f64> {
         debug_assert_eq!(self.index.len, errors.len());
-        let mut sigma = self.covariance_matrix(params);
+        let mut sigma = self.covariance_packed(params);
         for (i, &beta) in errors.iter().enumerate() {
-            let b2 = if beta.is_finite() { beta * beta } else { 0.0 };
-            sigma.set(i, i, sigma.get(i, i) + b2);
+            sigma[diagonal(i)] += if beta.is_finite() { beta * beta } else { 0.0 };
+        }
+        sigma
+    }
+
+    /// `Σ_n` as a fit and a likelihood factor it:
+    /// [`PairFactors::raw_covariance_packed`] plus `jitter·max(max|Σ_n|, 1)`
+    /// on the diagonal.
+    pub(crate) fn sigma(&mut self, params: &KernelParams, errors: &[f64], jitter: f64) -> Vec<f64> {
+        let mut sigma = self.raw_covariance_packed(params, errors);
+        let shift = jitter * max_abs(&sigma).max(1.0);
+        for i in 0..self.index.len {
+            sigma[diagonal(i)] += shift;
         }
         sigma
     }
@@ -389,6 +401,16 @@ impl PairFactors<'_> {
     pub fn evaluations(&self) -> u64 {
         self.untabled + self.tables.iter().map(|t| t.factors.evaluated).sum::<u64>()
     }
+}
+
+/// Offset of the diagonal entry `[i][i]` in a packed lower triangle.
+fn diagonal(i: usize) -> usize {
+    i * (i + 3) / 2
+}
+
+/// The dense symmetric `n × n` matrix whose lower triangle `packed` holds.
+fn symmetric(n: usize, packed: &[f64]) -> Matrix {
+    Matrix::from_fn(n, n, |i, j| packed[diagonal(i.max(j)) - i.abs_diff(j)])
 }
 
 /// One new constraint's factors against a dimension's distinct ones.
@@ -455,19 +477,22 @@ impl CrossFactors<'_> {
     }
 }
 
-/// [`PairFactors::covariance_matrix`] of a one-off region list.
+/// [`PairFactors::covariance_packed`] of a one-off region list, as a
+/// dense symmetric matrix.
 pub fn covariance_matrix(
     schema: &SchemaInfo,
     params: &KernelParams,
     mode: AggMode,
     regions: &[&Region],
 ) -> Matrix {
-    RegionIndex::new(regions.iter().copied())
-        .pairs(schema, mode)
-        .covariance_matrix(params)
+    let index = RegionIndex::new(regions.iter().copied());
+    let packed = index.pairs(schema, mode).covariance_packed(params);
+    symmetric(regions.len(), &packed)
 }
 
-/// [`PairFactors::raw_covariance_matrix`] of a one-off region list.
+/// [`PairFactors::raw_covariance_packed`] of a one-off region list, as a
+/// dense symmetric matrix: for tests and the Eq. 4/5 reference
+/// ([`crate::inference::TrainedModel::infer_direct`]); a fit never materializes it.
 pub fn raw_covariance_matrix(
     schema: &SchemaInfo,
     params: &KernelParams,
@@ -475,10 +500,11 @@ pub fn raw_covariance_matrix(
     regions: &[&Region],
     errors: &[f64],
 ) -> Matrix {
-    debug_assert_eq!(regions.len(), errors.len());
-    RegionIndex::new(regions.iter().copied())
+    let index = RegionIndex::new(regions.iter().copied());
+    let raw = index
         .pairs(schema, mode)
-        .raw_covariance_matrix(params, errors)
+        .raw_covariance_packed(params, errors);
+    symmetric(regions.len(), &raw)
 }
 
 /// [`CrossFactors::column`] of one new region against a one-off list.
@@ -575,7 +601,9 @@ mod tests {
         let regions = [region(0.0, 30.0), region(20.0, 50.0), region(40.0, 90.0)];
         let refs: Vec<&Region> = regions.iter().collect();
         let k = covariance_matrix(&s, &p, AggMode::Avg, &refs);
-        assert!(k.is_symmetric(1e-12));
+        for (i, j) in [(0, 1), (0, 2), (1, 2)] {
+            assert_eq!(k.get(i, j).to_bits(), k.get(j, i).to_bits());
+        }
         for i in 0..3 {
             assert!(k.get(i, i) > 0.0);
         }

@@ -58,7 +58,8 @@
 //! calling thread. Two workers take a lone cell's pass at `n` = 1,500 from
 //! ≈ 0.52 to ≈ 0.37 ms and a tile's from ≈ 1.1 to ≈ 0.76 ms. A
 //! factorization is ≈ 85 ms (≈ 200–300 ms scalar). `Σₙ⁻¹` itself is never
-//! formed: a fit is assembly, factorization and one solve for `α`.
+//! formed: a fit is a packed assembly, an in-place factorization and one
+//! solve for `α`, so it holds one triangle of `Σₙ`, which becomes `L`.
 //!
 //! The index is derived state: [`TrainedModel::fit`] builds it (and
 //! assembles `Σₙ` from it), [`TrainedModel::absorb`] extends it,
@@ -158,15 +159,11 @@ impl TrainedModel {
         debug_assert_eq!(regions.len(), observations.len());
         let index = RegionIndex::new(&regions);
         let errors: Vec<f64> = observations.iter().map(|o| o.error).collect();
-        // The factor tables go out of scope with this statement, before
-        // `Σₙ` and its packed factor set a fit's peak (1½ matrices).
-        let mut sigma = index
-            .pairs(schema, mode)
-            .raw_covariance_matrix(&params, &errors);
-        let scale = sigma.max_abs().max(1.0);
-        sigma.add_diagonal(jitter * scale);
-        let factor = Cholesky::new_with_jitter(&sigma, 1e-12, 8)?;
-        drop(sigma);
+        // `Σₙ` is assembled packed and factored in place: a fit peaks at
+        // one triangle (½ matrix), its factor tables dropped before the
+        // factorization. A retry assembles both again.
+        let sigma = || index.pairs(schema, mode).sigma(&params, &errors, jitter);
+        let factor = Cholesky::new_packed(sigma, 1e-12, 8)?;
         let alpha = factor.solve(&centered(schema, &prior, &regions, &observations))?;
         Ok(TrainedModel {
             mode,
@@ -649,6 +646,35 @@ mod tests {
         }
         m.absorb(&s, &cell, Observation::new(7.5, 0.5)).unwrap();
         assert_eq!(m.n(), 2);
+    }
+
+    #[test]
+    fn a_fit_that_retries_has_the_dense_jittered_factor() {
+        // Exact repeats of two cells whose covariances are exact binary
+        // values: `Σₙ` has rank 2, the first attempt fails, and each retry
+        // assembles `Σₙ` again — with the bits of the dense factor.
+        let s = SchemaInfo::new(vec![DimensionSpec::categorical("c", 5)]).unwrap();
+        let cells = [vec![2], vec![2, 3]]
+            .map(|codes| Region::from_predicate(&s, &Predicate::cat_in("c", codes)).unwrap());
+        let entries: Vec<(Region, Observation)> = (0..6)
+            .map(|i| (cells[i % 2].clone(), Observation::exact(i as f64)))
+            .collect();
+        let params = KernelParams::constant(1, 1.0, 4.0);
+        let refs: Vec<&Region> = entries.iter().map(|(r, _)| r).collect();
+        let sigma = raw_covariance_matrix(&s, &params, AggMode::Avg, &refs, &[0.0; 6]);
+        assert!(Cholesky::new(&sigma).is_err());
+        let want = Cholesky::new_with_jitter(&sigma, 1e-12, 8).unwrap();
+        let m = TrainedModel::fit(
+            &s,
+            AggMode::Avg,
+            &entries,
+            params,
+            PriorMean::Constant(0.0),
+            0.0,
+        )
+        .unwrap();
+        let bits = |c: &Cholesky| c.packed().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(m.factor()), bits(&want));
     }
 
     #[test]

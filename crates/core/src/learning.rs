@@ -35,7 +35,8 @@
 //!
 //! The starts descend concurrently, one scoped thread each, so given a
 //! core per start a search's wall time is about its slowest start's, not
-//! the sum over starts; its memory is one `Σₙ` and factor per start.
+//! the sum over starts; its memory is one packed `Σₙ` per start,
+//! factored in place, beside the start's factor tables.
 //! [`LearnedParams::evaluations`] still counts every start's likelihoods.
 
 use std::{panic, thread};
@@ -150,10 +151,7 @@ fn likelihood(
     if n == 0 {
         return 0.0;
     }
-    let mut sigma = pairs.raw_covariance_matrix(params, errors);
-    let scale = sigma.max_abs().max(1.0);
-    sigma.add_diagonal(jitter * scale);
-    let Ok(chol) = Cholesky::new_with_jitter(&sigma, 1e-12, 6) else {
+    let Ok(chol) = Cholesky::new_packed(|| pairs.sigma(params, errors, jitter), 1e-12, 6) else {
         return f64::NEG_INFINITY;
     };
     let Ok(alpha) = chol.solve(centered) else {

@@ -125,7 +125,11 @@ proptest! {
         let regions: Vec<&Region> = entries.iter().map(|(r, _)| r).collect();
         let params = KernelParams::constant(1, lengthscale, 1.5);
         let mut k = covariance_matrix(&s, &params, AggMode::Avg, &regions);
-        prop_assert!(k.is_symmetric(1e-9));
+        for i in 0..k.rows() {
+            for j in 0..i {
+                prop_assert_eq!(k.get(i, j).to_bits(), k.get(j, i).to_bits());
+            }
+        }
         // PSD: Cholesky succeeds after adding a tiny ridge.
         k.add_diagonal(1e-8 * k.max_abs().max(1.0));
         prop_assert!(Cholesky::new(&k).is_ok(), "covariance not PSD");
@@ -569,14 +573,20 @@ proptest! {
         let want_raw = all_pairs::raw_covariance_matrix(schema, params, mode, &refs, &errors);
         let index = RegionIndex::new(refs.iter().copied());
         prop_assert_eq!(index.len(), n);
+        // Packed: the oracle's lower triangles.
         let mut pairs = index.pairs(schema, mode);
-        let got = pairs.covariance_matrix(params);
+        let got = pairs.covariance_packed(params);
         let evaluated = pairs.evaluations();
-        let got_raw = pairs.raw_covariance_matrix(params, &errors);
+        let got_raw = pairs.raw_covariance_packed(params, &errors);
+        for (got, want) in [(got, want.packed_lower()), (got_raw, want_raw.packed_lower())] {
+            prop_assert_eq!(got.len(), want.len());
+            for (g, w) in got.iter().zip(&want) {
+                prop_assert!(g.to_bits() == w.to_bits(), "{g} vs {w}");
+            }
+        }
+        // Dense: the oracle's matrices, both triangles.
         for (got, want) in [
-            (&got, &want),
             (&covariance_matrix(schema, params, mode, &refs), &want),
-            (&got_raw, &want_raw),
             (&raw_covariance_matrix(schema, params, mode, &refs, &errors), &want_raw),
         ] {
             prop_assert_eq!((got.rows(), got.cols()), (n, n));

@@ -60,16 +60,10 @@ impl Avx2 {
 
     /// [`crate::cholesky::factor_rows`]'s result for one whole panel, bit
     /// for bit, or its error: rows `i0..i0 + 4` of the factor of
-    /// `A + shift·I`, every earlier row of `packed` being final.
-    pub(crate) fn factor_panel(
-        self,
-        packed: &mut [f64],
-        i0: usize,
-        a: [&[f64]; ROWS],
-        shift: f64,
-    ) -> Result<()> {
+    /// `A + shift·I`, in place, every earlier row of `packed` being final.
+    pub(crate) fn factor_panel(self, packed: &mut [f64], i0: usize, shift: f64) -> Result<()> {
         // SAFETY: `self` proves the host supports AVX2.
-        unsafe { factor_panel(packed, i0, a, shift) }
+        unsafe { factor_panel(packed, i0, shift) }
     }
 }
 
@@ -129,32 +123,33 @@ fn tile_chains(heads: [&[f64]; ROWS], y: &[f64], s: &mut [f64]) {
     }
 }
 
-/// Rows `i0..i0 + 4` of the factor: each four earlier columns `j..j + 4`
-/// run their 16 chains over `k < j` in [`panel_chains`], then finish the
+/// Rows `i0..i0 + 4` of the factor, in place (each entry reads `A[i][j]`
+/// from the slot it overwrites): each four earlier columns `j..j + 4` run
+/// their 16 chains over `k < j` in [`panel_chains`], then finish the
 /// 4 × 4 column block entry by entry; [`finish_rows`] does the rest.
 ///
 /// # Safety
 ///
 /// The host must support AVX2.
 #[target_feature(enable = "avx2")]
-unsafe fn factor_panel(packed: &mut [f64], i0: usize, a: [&[f64]; ROWS], shift: f64) -> Result<()> {
+unsafe fn factor_panel(packed: &mut [f64], i0: usize, shift: f64) -> Result<()> {
     let grouped = i0 / 4 * 4;
     let (done, block) = packed.split_at_mut(start(i0));
     let rows: [usize; ROWS] = std::array::from_fn(|r| start(i0 + r) - start(i0));
     for j in (0..grouped).step_by(4) {
         let cols: [&[f64]; 4] = std::array::from_fn(|c| &done[start(j + c)..start(j + c + 1)]);
         let s = panel_chains(rows.map(|at| &block[at..at + j]), cols.map(|col| &col[..j]));
-        for ((s, at), a) in s.iter().zip(rows).zip(&a) {
+        for (s, at) in s.iter().zip(rows) {
             for (c, col) in cols.iter().enumerate() {
                 let mut t = s[c];
                 for k in j..j + c {
                     t += block[at + k] * col[k];
                 }
-                block[at + j + c] = (a[j + c] - t) / col[j + c];
+                block[at + j + c] = (block[at + j + c] - t) / col[j + c];
             }
         }
     }
-    finish_rows(packed, i0, grouped, a, shift)
+    finish_rows::<ROWS>(packed, i0, grouped, shift)
 }
 
 /// `s[r][c] = Σₖ heads[r][k]·cols[c][k]` from `0.0` in ascending `k`
@@ -259,8 +254,10 @@ mod tests {
                 .all(|(g, w)| g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()))
     }
 
+    /// The scalar in-place factor of `a + shift·I`, from a copy of `a`'s
+    /// lower triangle.
     fn scalar_factor(a: &Matrix, shift: f64) -> Result<Cholesky> {
-        Cholesky::factor(a, shift, factor_rows::<PANEL_ROWS>)
+        Cholesky::factor(a.packed_lower(), shift, factor_rows::<PANEL_ROWS>)
     }
 
     /// The textbook triple loop over `A + shift·I`, packed by rows.
@@ -286,8 +283,10 @@ mod tests {
         Ok(packed)
     }
 
-    /// The scalar path against the textbook loop, and the kernel (when the
-    /// host has AVX2) against the scalar path: same bits or same pivot.
+    /// The scalar in-place path against the textbook loop over the dense
+    /// matrix, and the in-place kernel (when the host has AVX2) and, at
+    /// shift 0, `Cholesky::new` against the scalar path: same bits or same
+    /// pivot.
     fn check_factor(a: &Matrix, shift: f64) {
         let scalar = scalar_factor(a, shift);
         let n = a.rows();
@@ -295,9 +294,15 @@ mod tests {
             (Ok(got), Ok(want)) => assert!(same_bits(got.packed(), &want), "n = {n}"),
             (got, want) => assert_eq!(got.as_ref().err(), want.err().as_ref(), "n = {n}"),
         }
+        if shift == 0.0 {
+            match (Cholesky::new(a), &scalar) {
+                (Ok(got), Ok(want)) => assert!(same_bits(got.packed(), want.packed()), "n = {n}"),
+                (got, want) => assert_eq!(got.err().as_ref(), want.as_ref().err(), "n = {n}"),
+            }
+        }
         if let Some(avx2) = Avx2::detect() {
-            let kernel = Cholesky::factor(a, shift, |packed, i0, rows, shift| {
-                avx2.factor_panel(packed, i0, rows, shift)
+            let kernel = Cholesky::factor(a.packed_lower(), shift, |packed, i0, shift| {
+                avx2.factor_panel(packed, i0, shift)
             });
             match (kernel, scalar) {
                 (Ok(got), Ok(want)) => assert!(same_bits(got.packed(), want.packed()), "n = {n}"),
@@ -395,6 +400,22 @@ mod tests {
         check_tiles(&l, &mut rng, &[1, 2, 3, 4]);
     }
 
+    /// A symmetric `n × n` matrix with off-diagonal entries below `1/n` in
+    /// magnitude and a diagonal in [1, 2): positive definite, built in
+    /// O(n²).
+    fn dominant(n: usize, rng: &mut Rng) -> Matrix {
+        let mut a = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in 0..i {
+                let v = rng.unit() / n as f64;
+                a.set(i, j, v);
+                a.set(j, i, v);
+            }
+            a.set(i, i, 1.0 + rng.unit().abs());
+        }
+        a
+    }
+
     #[test]
     fn panels_equal_the_scalar_rows_and_the_textbook() {
         let mut rng = Rng(0xD1B5_4A32_D192_ED03);
@@ -403,6 +424,9 @@ mod tests {
             check_factor(&a, 0.0);
             check_factor(&a, 0.37);
         }
+        // Hundreds of panels, each reading its entries from the slots it
+        // overwrites (one shift: the scalar oracles are slow unoptimised).
+        check_factor(&dominant(1_030, &mut rng), 0.37);
     }
 
     #[test]
@@ -418,10 +442,12 @@ mod tests {
                     LinalgError::NotPositiveDefinite { pivot: p }
                 );
                 check_factor(&spoiled, 0.0);
+                check_factor(&spoiled, 0.37);
                 // A NaN below the diagonal of row `p` poisons its pivot.
                 let mut spoiled = a.clone();
                 spoiled.set(p, p / 2, f64::NAN);
                 check_factor(&spoiled, 0.0);
+                check_factor(&spoiled, 0.37);
             }
         }
     }

@@ -6,12 +6,18 @@
 //! forward substitution ([`crate::ops::forward_sq_norms`]) over its
 //! `n²/2` entries, and [`Cholesky::append_row`] extends it in place.
 //!
-//! Blocking never reorders a sum: every entry of [`Cholesky::new`] is the
-//! textbook triple loop's — `L[i][j] = (A[i][j] − s) / L[j][j]`, `s`
-//! accumulating `L[i][k]·L[j][k]` from `0.0` in ascending `k` — and the
-//! substitutions subtract in [`crate::solve_lower`]'s and
-//! `solve_upper`'s orders. Only the order in which independent
-//! entries are computed changes, so results are the serial loops' bits.
+//! The factorization runs in place ([`Cholesky::new_packed`]): each
+//! `A[i][j]` of `A`'s lower triangle, packed the same way, is read from
+//! the slot `L[i][j]` then fills, so a fit holds one triangle.
+//! [`Cholesky::new`] and [`Cholesky::new_with_jitter`] copy a dense
+//! matrix's lower triangle first.
+//!
+//! Blocking never reorders a sum: every entry is the textbook triple
+//! loop's — `L[i][j] = (A[i][j] − s) / L[j][j]`, `s` accumulating
+//! `L[i][k]·L[j][k]` from `0.0` in ascending `k` — and the substitutions
+//! subtract in [`crate::solve_lower`]'s and `solve_upper`'s orders. Only
+//! the order in which independent entries are computed changes, so
+//! results are the serial loops' bits.
 //!
 //! The factorization runs in panels of four rows. On a host with AVX2
 //! (`is_x86_feature_detected!`, no option selects it) a panel's chains
@@ -21,7 +27,7 @@
 //! own triangle, the shifted diagonal and the pivot checks run scalar, in
 //! row order, so the first pivot to fail is the textbook's.
 
-use crate::ops::{forward_tile, TILE_COLS};
+use crate::ops::{forward_tile, max_abs, TILE_COLS};
 use crate::{LinalgError, Matrix, Result};
 
 /// Rows of `A` one factorization panel finishes against every earlier
@@ -42,34 +48,60 @@ pub(crate) fn start(i: usize) -> usize {
     i * (i + 1) / 2
 }
 
+/// The order of a triangle packed into `len` entries, if `len` is a
+/// triangle number.
+fn order(len: usize, context: &'static str) -> Result<usize> {
+    let n = ((8 * len + 1) as f64).sqrt() as usize / 2;
+    (start(n) == len)
+        .then_some(n)
+        .ok_or(LinalgError::DimensionMismatch { context })
+}
+
 impl Cholesky {
-    /// Factors a symmetric positive-definite matrix (its lower triangle is
-    /// read).
-    ///
-    /// Returns [`LinalgError::NotPositiveDefinite`] at the first pivot
-    /// that is not strictly positive and finite. Callers that assemble
-    /// covariance matrices from noisy estimates should add a small diagonal
-    /// jitter first (see [`Cholesky::new_with_jitter`]).
+    /// Factors a symmetric positive-definite matrix (a copy of its lower
+    /// triangle): [`LinalgError::NotPositiveDefinite`] at the first pivot
+    /// that is not strictly positive and finite.
     pub fn new(a: &Matrix) -> Result<Self> {
-        Cholesky::shifted(a, 0.0)
+        Cholesky::new_with_jitter(a, 0.0, 0)
     }
 
-    /// Factors `a`, retrying with geometrically increasing diagonal jitter
-    /// when the matrix is numerically indefinite.
-    ///
-    /// The jitter starts at `initial_jitter * max|a|` and is multiplied by 10
-    /// for up to `max_attempts` attempts. This mirrors the standard GP
-    /// practice; the paper's Eq. (6) usually regularizes `Σ_n` already via
-    /// the `β²` diagonal terms, but degenerate snippet sets (e.g. duplicated
-    /// queries with zero raw error) still need it.
+    /// [`Cholesky::new_packed`] of a copy of `a`'s lower triangle (all it
+    /// reads, the jitter's scale included).
     pub fn new_with_jitter(a: &Matrix, initial_jitter: f64, max_attempts: u32) -> Result<Self> {
-        let mut last_err = match Cholesky::new(a) {
+        if !a.is_square() {
+            return Err(LinalgError::NotSquare {
+                rows: a.rows(),
+                cols: a.cols(),
+            });
+        }
+        Cholesky::new_packed(|| a.packed_lower(), initial_jitter, max_attempts)
+    }
+
+    /// Factors, in the buffer `assemble` returns, the symmetric `A` whose
+    /// lower triangle it holds packed by rows (`A[i][0..=i]` at
+    /// `i(i+1)/2`); when `A` is numerically indefinite, retries on a fresh
+    /// buffer (a failed attempt has overwritten its own) with `A +
+    /// jitter·I`, the jitter `initial_jitter * max(max|A|, 1)` times 10 per
+    /// attempt, up to `max_attempts`: the standard GP practice for
+    /// degenerate snippet sets (e.g. duplicated queries with zero raw
+    /// error). Errors: the last failing pivot, or a length that is no
+    /// triangle number.
+    pub fn new_packed(
+        mut assemble: impl FnMut() -> Vec<f64>,
+        initial_jitter: f64,
+        max_attempts: u32,
+    ) -> Result<Self> {
+        let mut last_err = match Cholesky::in_place(assemble(), 0.0) {
             Ok(c) => return Ok(c),
             Err(e) => e,
         };
-        let mut jitter = initial_jitter * a.max_abs().max(1.0);
-        for _ in 0..max_attempts {
-            match Cholesky::shifted(a, jitter) {
+        let mut jitter = f64::NAN;
+        for attempt in 0..max_attempts {
+            let a = assemble();
+            if attempt == 0 {
+                jitter = initial_jitter * max_abs(&a).max(1.0);
+            }
+            match Cholesky::in_place(a, jitter) {
                 Ok(c) => return Ok(c),
                 Err(e) => last_err = e,
             }
@@ -78,47 +110,35 @@ impl Cholesky {
         Err(last_err)
     }
 
-    /// Factors `a + shift·I` without materializing it. (A zero shift
-    /// changes no pivot: `+ 0.0` only turns a `-0.0` diagonal into `0.0`,
-    /// and both fail.)
-    fn shifted(a: &Matrix, shift: f64) -> Result<Self> {
+    /// Factors `A + shift·I` in `A`'s packed lower triangle. (A zero
+    /// shift changes no pivot: `+ 0.0` only turns a `-0.0` diagonal into
+    /// `0.0`, and both fail.)
+    fn in_place(a: Vec<f64>, shift: f64) -> Result<Self> {
         #[cfg(target_arch = "x86_64")]
         if let Some(avx2) = crate::avx2::Avx2::detect() {
-            return Cholesky::factor(a, shift, |packed, i0, rows, shift| {
-                avx2.factor_panel(packed, i0, rows, shift)
+            return Cholesky::factor(a, shift, |packed, i0, shift| {
+                avx2.factor_panel(packed, i0, shift)
             });
         }
         Cholesky::factor(a, shift, factor_rows::<PANEL_ROWS>)
     }
 
-    /// [`Cholesky::shifted`] with each whole panel — `(packed, i0, rows
-    /// i0.. of A, shift)`, every earlier row final — through `panel`, and
-    /// the ragged rows one at a time through [`factor_rows`].
+    /// [`Cholesky::in_place`] with each whole panel — `(packed, i0,
+    /// shift)`, every earlier row final — through `panel`, and the ragged
+    /// rows one at a time through [`factor_rows`].
     pub(crate) fn factor(
-        a: &Matrix,
+        mut packed: Vec<f64>,
         shift: f64,
-        panel: impl Fn(&mut [f64], usize, [&[f64]; PANEL_ROWS], f64) -> Result<()>,
+        panel: impl Fn(&mut [f64], usize, f64) -> Result<()>,
     ) -> Result<Self> {
-        if !a.is_square() {
-            return Err(LinalgError::NotSquare {
-                rows: a.rows(),
-                cols: a.cols(),
-            });
-        }
-        let n = a.rows();
-        let mut packed = vec![0.0; start(n)];
+        let n = order(packed.len(), "Cholesky::new_packed")?;
         let mut i0 = 0;
         while i0 + PANEL_ROWS <= n {
-            panel(
-                &mut packed,
-                i0,
-                std::array::from_fn(|r| a.row(i0 + r)),
-                shift,
-            )?;
+            panel(&mut packed, i0, shift)?;
             i0 += PANEL_ROWS;
         }
         for i in i0..n {
-            factor_rows::<1>(&mut packed, i, [a.row(i)], shift)?;
+            factor_rows::<1>(&mut packed, i, shift)?;
         }
         Ok(Cholesky { n, packed })
     }
@@ -128,12 +148,7 @@ impl Cholesky {
     /// not positive, is [`LinalgError::NotPositiveDefinite`] at pivot `i`;
     /// a length that is no triangle number is a dimension mismatch.
     pub fn from_packed(packed: Vec<f64>) -> Result<Self> {
-        let n = ((8 * packed.len() + 1) as f64).sqrt() as usize / 2;
-        if start(n) != packed.len() {
-            return Err(LinalgError::DimensionMismatch {
-                context: "Cholesky::from_packed",
-            });
-        }
+        let n = order(packed.len(), "Cholesky::from_packed")?;
         let l = Cholesky { n, packed };
         if let Some(pivot) =
             (0..n).find(|&i| !(l.row(i).iter().all(|v| v.is_finite()) && l.row(i)[i] > 0.0))
@@ -144,10 +159,10 @@ impl Cholesky {
     }
 
     /// Extends the factor of `A` to the factor of `[[A, a], [aᵀ, d]]`,
-    /// given `row = [a, d]` (`n + 1` entries), in O(n²): the new row is
-    /// `L⁻¹a` and `√(d − ‖L⁻¹a‖²)` by the recurrence [`Cholesky::new`]
-    /// runs, so the result has the bits of factoring the bordered matrix
-    /// afresh. A pivot that is not positive and finite is
+    /// given `row = [a, d]` (`n + 1` entries), in O(n²): the row is written
+    /// into the grown tail and factored there, as [`Cholesky::new_packed`]
+    /// factors its last row, so the result has the bits of factoring the
+    /// bordered matrix afresh. A pivot that is not positive and finite is
     /// [`LinalgError::NotPositiveDefinite`] at `n`, and leaves the factor
     /// unchanged. Panics when `row` does not have `n + 1` entries.
     pub fn append_row(&mut self, row: &[f64]) -> Result<()> {
@@ -157,8 +172,8 @@ impl Cholesky {
             n + 1,
             "append_row: a bordering row has n + 1 entries"
         );
-        self.packed.resize(start(n + 1), 0.0);
-        if let Err(e) = factor_rows::<1>(&mut self.packed, n, [row], 0.0) {
+        self.packed.extend_from_slice(row);
+        if let Err(e) = factor_rows::<1>(&mut self.packed, n, 0.0) {
             self.packed.truncate(start(n));
             return Err(e);
         }
@@ -262,18 +277,13 @@ impl Cholesky {
     }
 }
 
-/// Rows `i0..i0 + R` of the factor, every earlier row being final: `a[r]`
-/// is row `i0 + r` of `A`, its diagonal entry read plus `shift`. Columns
-/// before the block go two at a time — `2R` chains, each `s` from `0.0` in
-/// ascending `k`, column `j + 1` adding its `k = j` term once `L[i][j]` is
-/// final; an odd column out and the block's own triangle follow in
-/// [`finish_rows`].
-pub(crate) fn factor_rows<const R: usize>(
-    packed: &mut [f64],
-    i0: usize,
-    a: [&[f64]; R],
-    shift: f64,
-) -> Result<()> {
+/// Rows `i0..i0 + R` of the factor, in place, every earlier row being
+/// final: each entry reads `A[i][j]` from the slot it overwrites. Columns
+/// before the block go two at a time — `2R` chains, each `s` from `0.0`
+/// in ascending `k`, column `j + 1` adding its `k = j` term once
+/// `L[i][j]` is final; an odd column out and the block's own triangle
+/// follow in [`finish_rows`].
+pub(crate) fn factor_rows<const R: usize>(packed: &mut [f64], i0: usize, shift: f64) -> Result<()> {
     let paired = i0 & !1;
     let (done, block) = packed.split_at_mut(start(i0));
     let rows: [usize; R] = std::array::from_fn(|r| start(i0 + r) - start(i0));
@@ -290,34 +300,34 @@ pub(crate) fn factor_rows<const R: usize>(
                 s[1] += head[k] * lkk;
             }
         }
-        for ((s, at), a) in s.iter_mut().zip(rows).zip(&a) {
-            block[at + j] = (a[j] - s[0]) / lj[j];
+        for (s, at) in s.iter_mut().zip(rows) {
+            block[at + j] = (block[at + j] - s[0]) / lj[j];
             s[1] += block[at + j] * lk[j];
-            block[at + j + 1] = (a[j + 1] - s[1]) / lk[j + 1];
+            block[at + j + 1] = (block[at + j + 1] - s[1]) / lk[j + 1];
         }
     }
-    finish_rows(packed, i0, paired, a, shift)
+    finish_rows::<R>(packed, i0, paired, shift)
 }
 
-/// Entries `from..=i` of each row `i` of the block `i0..i0 + R`, entry by
-/// entry in row order, each chain from `0.0` in ascending `k`; the
-/// diagonal reads `A[i][i] + shift`, and the first pivot that is not
+/// Entries `from..=i` of each row `i` of the block `i0..i0 + R`, in place,
+/// entry by entry in row order, each chain from `0.0` in ascending `k`;
+/// the diagonal reads `A[i][i] + shift`, and the first pivot that is not
 /// positive and finite is the error, as in the textbook loop.
 pub(crate) fn finish_rows<const R: usize>(
     packed: &mut [f64],
     i0: usize,
     from: usize,
-    a: [&[f64]; R],
     shift: f64,
 ) -> Result<()> {
-    for (i, a) in (i0..).zip(a) {
+    for i in i0..i0 + R {
         for j in from..=i {
             let s = (0..j).fold(0.0, |s, k| s + packed[start(i) + k] * packed[start(j) + k]);
+            let a = packed[start(i) + j];
             if j < i {
-                packed[start(i) + j] = (a[j] - s) / packed[start(j) + j];
+                packed[start(i) + j] = (a - s) / packed[start(j) + j];
                 continue;
             }
-            let d = a[i] + shift - s;
+            let d = a + shift - s;
             if d <= 0.0 || !d.is_finite() {
                 return Err(LinalgError::NotPositiveDefinite { pivot: i });
             }

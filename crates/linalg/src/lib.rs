@@ -8,8 +8,8 @@
 //! row-major dense implementation is both sufficient and dependency-free.
 //!
 //! The crate intentionally exposes a minimal, allocation-conscious API:
-//! factorizations borrow their input where possible and solves reuse caller
-//! buffers.
+//! a factorization overwrites the packed triangle it is given, and solves
+//! reuse caller buffers.
 
 #[cfg(target_arch = "x86_64")]
 mod avx2;

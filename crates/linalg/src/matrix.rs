@@ -1,5 +1,6 @@
 //! Row-major dense matrix.
 
+use crate::ops::max_abs;
 use crate::{LinalgError, Result};
 
 /// A dense, row-major `f64` matrix.
@@ -21,27 +22,6 @@ impl Matrix {
             cols,
             data: vec![0.0; rows * cols],
         }
-    }
-
-    /// Creates an `n x n` identity matrix.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            m.data[i * n + i] = 1.0;
-        }
-        m
-    }
-
-    /// Creates a matrix from a row-major data vector.
-    ///
-    /// Returns an error when `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Result<Self> {
-        if data.len() != rows * cols {
-            return Err(LinalgError::DimensionMismatch {
-                context: "Matrix::from_vec",
-            });
-        }
-        Ok(Matrix { rows, cols, data })
     }
 
     /// Creates a matrix by evaluating `f(row, col)` for every entry.
@@ -107,11 +87,6 @@ impl Matrix {
         &self.data
     }
 
-    /// Returns the transpose as a new matrix.
-    pub fn transpose(&self) -> Matrix {
-        Matrix::from_fn(self.cols, self.rows, |i, j| self.get(j, i))
-    }
-
     /// Returns the `k x k` leading principal submatrix (first `k` rows/cols).
     ///
     /// Verdict uses this to extract `Σ_n` from `Σ` (paper §5).
@@ -134,22 +109,16 @@ impl Matrix {
 
     /// Maximum absolute entry; 0 for an empty matrix.
     pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0_f64, |acc, &x| acc.max(x.abs()))
+        max_abs(&self.data)
     }
 
-    /// Checks symmetry up to absolute tolerance `tol`.
-    pub fn is_symmetric(&self, tol: f64) -> bool {
-        if !self.is_square() {
-            return false;
-        }
-        for i in 0..self.rows {
-            for j in (i + 1)..self.cols {
-                if (self.get(i, j) - self.get(j, i)).abs() > tol {
-                    return false;
-                }
-            }
-        }
-        true
+    /// A copy of the lower triangle, packed by rows (`[i][0..=i]` at
+    /// `i(i+1)/2`): what [`crate::Cholesky::new_packed`] factors.
+    pub fn packed_lower(&self) -> Vec<f64> {
+        (0..self.rows)
+            .flat_map(|i| &self.row(i)[..=i])
+            .copied()
+            .collect()
     }
 }
 

@@ -75,6 +75,11 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b.iter()).map(|(x, y)| x * y).sum()
 }
 
+/// Largest `|x|` of `values`, folded in order; 0 for none.
+pub fn max_abs(values: &[f64]) -> f64 {
+    values.iter().fold(0.0_f64, |acc, &x| acc.max(x.abs()))
+}
+
 /// `‖L⁻¹ b_c‖²` of every column `b_c`, reading the factor once per tile of
 /// 8 columns, each pass a wavefront over `workers` threads (the caller's
 /// included; 0 counts as 1). Each result equals [`crate::solve_lower`] of
@@ -383,6 +388,7 @@ fn finish_block<const W: usize, const R: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::support::TestOps;
     use crate::Matrix;
 
     fn factor(n: usize, entries: Vec<f64>) -> Cholesky {

@@ -14,7 +14,7 @@ fn spd_solve(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
 
 /// Builds a random SPD matrix `A = B Bᵀ + d·I` from a flat value vector.
 fn spd_from(values: &[f64], n: usize) -> Matrix {
-    let b = Matrix::from_fn(n, n, |i, j| values[i * n + j]);
+    let b = Matrix::from_vec(n, n, values.to_vec()).unwrap();
     let mut a = b.matmul(&b.transpose()).unwrap();
     a.add_diagonal(0.5);
     a
@@ -189,6 +189,9 @@ proptest! {
         let mut a = b.matmul(&b.transpose()).unwrap();
         a.add_diagonal(-dip * a.max_abs().max(1.0));
         prop_assert!(textbook_cholesky(&a).is_err());
+        // The factor reads the lower triangle only, its jitter's scale
+        // included; on a symmetric matrix that is `max|A|` over all of it.
+        prop_assert!(a.is_symmetric(0.0));
         let mut shift = 1e-8 * a.max_abs().max(1.0);
         let want = (0..12)
             .find_map(|_| {
@@ -200,6 +203,18 @@ proptest! {
             .unwrap();
         let got = Cholesky::new_with_jitter(&a, 1e-8, 12).unwrap().to_matrix();
         for (g, w) in got.as_slice().iter().zip(want.as_slice()) {
+            prop_assert!(g.to_bits() == w.to_bits(), "{g} vs {w}");
+        }
+        // The packed entry point factors in the assembled buffer, so each
+        // retry assembles again: same bits.
+        let mut assembled = 0;
+        let assemble = || {
+            assembled += 1;
+            a.packed_lower()
+        };
+        let packed = Cholesky::new_packed(assemble, 1e-8, 12).unwrap();
+        prop_assert!(assembled >= 2);
+        for (g, w) in packed.to_matrix().as_slice().iter().zip(want.as_slice()) {
             prop_assert!(g.to_bits() == w.to_bits(), "{g} vs {w}");
         }
     }

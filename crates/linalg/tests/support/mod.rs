@@ -5,8 +5,18 @@
 
 use super::{dot, LinalgError, Matrix};
 
-/// The dense products and distance the tests check factors with.
-pub trait TestOps {
+/// The dense constructor, products and distance the tests check factors
+/// with.
+pub trait TestOps: Sized {
+    /// A matrix from row-major data; an error when `data.len() != rows *
+    /// cols`.
+    fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Result<Self, LinalgError>;
+    /// The `n × n` identity.
+    fn identity(n: usize) -> Self;
+    /// The transpose, as a new matrix.
+    fn transpose(&self) -> Matrix;
+    /// Whether square and symmetric up to absolute tolerance `tol`.
+    fn is_symmetric(&self, tol: f64) -> bool;
     /// Matrix-matrix product `self * rhs`.
     fn matmul(&self, rhs: &Matrix) -> Result<Matrix, LinalgError>;
     /// Matrix-vector product `self * v`.
@@ -16,6 +26,29 @@ pub trait TestOps {
 }
 
 impl TestOps for Matrix {
+    fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Result<Matrix, LinalgError> {
+        if data.len() != rows * cols {
+            return Err(LinalgError::DimensionMismatch {
+                context: "Matrix::from_vec",
+            });
+        }
+        Ok(Matrix::from_fn(rows, cols, |i, j| data[i * cols + j]))
+    }
+
+    fn identity(n: usize) -> Matrix {
+        Matrix::from_fn(n, n, |i, j| if i == j { 1.0 } else { 0.0 })
+    }
+
+    fn transpose(&self) -> Matrix {
+        Matrix::from_fn(self.cols(), self.rows(), |i, j| self.get(j, i))
+    }
+
+    fn is_symmetric(&self, tol: f64) -> bool {
+        self.rows() == self.cols()
+            && (0..self.rows())
+                .all(|i| (0..i).all(|j| (self.get(i, j) - self.get(j, i)).abs() <= tol))
+    }
+
     fn matmul(&self, rhs: &Matrix) -> Result<Matrix, LinalgError> {
         if self.cols() != rhs.rows() {
             return Err(LinalgError::DimensionMismatch {

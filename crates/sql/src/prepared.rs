@@ -169,8 +169,20 @@ impl PreparedQuery {
     /// dictionary for label resolution (pass the table the plan will
     /// scan). Parameters are validated by [`PreparedQuery::check_params`].
     pub fn bind(&self, table: &Table, params: &[Value]) -> Result<Predicate> {
+        self.bind_over(table, &|_| 0, params)
+    }
+
+    /// [`PreparedQuery::bind`] against a table that need not hold every
+    /// row's codes (a paged sample's resident tail): `<>` on column `col`
+    /// also complements over every code below `codes(col)`.
+    pub fn bind_over(
+        &self,
+        table: &Table,
+        codes: &dyn Fn(&str) -> u32,
+        params: &[Value],
+    ) -> Result<Predicate> {
         self.check_params(params)?;
-        bind_template(&self.template, table, params)
+        bind_template(&self.template, table, codes, params)
     }
 
     /// Assembles the final [`ScanPlan`] from an already-bound base
@@ -297,7 +309,7 @@ pub fn to_predicate(pred: &WherePred, table: &Table) -> Result<Predicate> {
             got: 0,
         });
     }
-    bind_template(&template, table, &[])
+    bind_template(&template, table, &|_| 0, &[])
 }
 
 /// Canonical plan encoding fed to [`fingerprint_bytes`]. Every variant
@@ -763,12 +775,18 @@ fn bind_cat(items: &[CatSlot], table: &Table, col: &str, params: &[Value]) -> Re
 }
 
 /// Binds a compiled template against `table`'s dictionaries: the one
-/// place SQL literals and parameters become a [`Predicate`].
-fn bind_template(template: &PredTemplate, table: &Table, params: &[Value]) -> Result<Predicate> {
+/// place SQL literals and parameters become a [`Predicate`]. `codes` is
+/// [`PreparedQuery::bind_over`]'s.
+fn bind_template(
+    template: &PredTemplate,
+    table: &Table,
+    codes: &dyn Fn(&str) -> u32,
+    params: &[Value],
+) -> Result<Predicate> {
     Ok(match template {
         PredTemplate::True => Predicate::True,
         PredTemplate::And(l, r) => {
-            bind_template(l, table, params)?.and(bind_template(r, table, params)?)
+            bind_template(l, table, codes, params)?.and(bind_template(r, table, codes, params)?)
         }
         PredTemplate::Between { col, lo, hi } => {
             Predicate::between(col, bind_num(lo, params)?, bind_num(hi, params)?)
@@ -791,11 +809,11 @@ fn bind_template(template: &PredTemplate, table: &Table, params: &[Value]) -> Re
             Predicate::cat_in(col, bind_cat(items, table, col, params)?)
         }
         PredTemplate::CatComplement { col, items } => {
-            let codes = bind_cat(items, table, col, params)?;
+            let bound = bind_cat(items, table, col, params)?;
             // Complement within the code domain as it stands *now*: every
             // label's code, whether or not this table's rows use it, and
             // every raw code up to the largest the rows hold (a column may
-            // carry raw integer codes with no labels).
+            // carry raw integer codes with no labels) or `codes` knows.
             let column = table.column(col)?;
             let labels = column.labels().map_or(0, <[_]>::len) as u32;
             let domain = column
@@ -803,8 +821,9 @@ fn bind_template(template: &PredTemplate, table: &Table, params: &[Value]) -> Re
                 .iter()
                 .copied()
                 .max()
-                .map_or(labels, |m| labels.max(m.saturating_add(1)));
-            let all: Vec<u32> = (0..domain).filter(|c| !codes.contains(c)).collect();
+                .map_or(labels, |m| labels.max(m.saturating_add(1)))
+                .max(codes(col));
+            let all: Vec<u32> = (0..domain).filter(|c| !bound.contains(c)).collect();
             Predicate::cat_in(col, all)
         }
     })

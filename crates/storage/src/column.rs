@@ -281,20 +281,46 @@ impl Column {
         }
     }
 
-    /// Min and max of a numeric column; `None` when empty or categorical.
+    /// Min and max of a numeric column, NaN skipped (all NaN gives
+    /// `(∞, −∞)`); `None` when empty or categorical. A bound that compares
+    /// equal to `0.0` takes the sign of the column's first zero in row
+    /// order, as a serial chain that keeps its accumulator on a tie does.
+    /// Eight independent lanes run side by side, so the pass runs at
+    /// memory speed rather than one compare's latency per row.
     pub(crate) fn numeric_range(&self) -> Option<(f64, f64)> {
-        match self {
-            Column::Numeric(v) if !v.is_empty() => {
-                let mut lo = f64::INFINITY;
-                let mut hi = f64::NEG_INFINITY;
-                for &x in v {
-                    lo = lo.min(x);
-                    hi = hi.max(x);
-                }
-                Some((lo, hi))
-            }
-            _ => None,
+        const LANES: usize = 8;
+        let Column::Numeric(v) = self else {
+            return None;
+        };
+        if v.is_empty() {
+            return None;
         }
+        let (mut lo, mut hi) = ([f64::INFINITY; LANES], [f64::NEG_INFINITY; LANES]);
+        let blocks = v.chunks_exact(LANES);
+        let tail = blocks.remainder();
+        for block in blocks {
+            for ((lo, hi), &x) in lo.iter_mut().zip(&mut hi).zip(block) {
+                *lo = if x < *lo { x } else { *lo };
+                *hi = if x > *hi { x } else { *hi };
+            }
+        }
+        let lo = lo
+            .iter()
+            .chain(tail)
+            .fold(f64::INFINITY, |m, &x| if x < m { x } else { m });
+        let hi = hi
+            .iter()
+            .chain(tail)
+            .fold(f64::NEG_INFINITY, |m, &x| if x > m { x } else { m });
+        // Lanes tie zeros of either sign; the first zero in row order wins.
+        let sign = |bound: f64| {
+            if bound == 0.0 {
+                v.iter().copied().find(|&x| x == 0.0).unwrap_or(bound)
+            } else {
+                bound
+            }
+        };
+        Some((sign(lo), sign(hi)))
     }
 }
 
@@ -361,5 +387,57 @@ mod tests {
             n.push(Value::Num(x)).unwrap();
         }
         assert_eq!(n.numeric_range(), Some((-1.0, 7.0)));
+    }
+
+    /// The lane-split range against the serial chain that keeps its
+    /// accumulator on a tie, bit for bit: zeros of both signs in either
+    /// order, NaN, all NaN, and columns longer than one lane block.
+    #[test]
+    fn numeric_range_is_the_serial_chain_bit_for_bit() {
+        let serial = |v: &[f64]| {
+            let lo = v
+                .iter()
+                .fold(f64::INFINITY, |m, &x| if x < m { x } else { m });
+            let hi = v
+                .iter()
+                .fold(f64::NEG_INFINITY, |m, &x| if x > m { x } else { m });
+            (lo.to_bits(), hi.to_bits())
+        };
+        let range = |v: &[f64]| {
+            let (lo, hi) = Column::Numeric(v.to_vec()).numeric_range().unwrap();
+            (lo.to_bits(), hi.to_bits())
+        };
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        assert_eq!(range(&[0.0, -0.0]), (0.0f64.to_bits(), 0.0f64.to_bits()));
+        assert_eq!(
+            range(&[-0.0, 0.0]),
+            ((-0.0f64).to_bits(), (-0.0f64).to_bits())
+        );
+        assert_eq!(range(&[nan; 20]), (inf.to_bits(), (-inf).to_bits()));
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        for len in 1..=67 {
+            for _ in 0..8 {
+                let v: Vec<f64> = (0..len)
+                    .map(|_| {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        match state % 8 {
+                            0 => 0.0,
+                            1 => -0.0,
+                            2 => nan,
+                            3 => (state >> 11) as f64 / (1u64 << 53) as f64,
+                            4 => -((state >> 11) as f64) / (1u64 << 53) as f64,
+                            _ => [0.0, -0.0][(state >> 40) as usize % 2],
+                        }
+                    })
+                    .collect();
+                assert_eq!(range(&v), serial(&v), "{v:?}");
+                let signless: Vec<f64> = v.iter().map(|x| x.abs()).collect();
+                assert_eq!(range(&signless), serial(&signless), "{signless:?}");
+                let negative: Vec<f64> = v.iter().map(|x| -x.abs()).collect();
+                assert_eq!(range(&negative), serial(&negative), "{negative:?}");
+            }
+        }
     }
 }

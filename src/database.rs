@@ -684,10 +684,12 @@ impl Shard {
         let plan_sw = Stopwatch::started_if(tracing);
         let (snapshot, sample, learn) = self.pin(opts)?;
         let sample_data = &snapshot.data.samples[sample];
-        // `table()` is the zero-row resolution table on a paged sample:
-        // binding and planning only need schema + dictionaries.
+        // `table()` is the resident tail on a paged sample: binding and
+        // planning need schema + dictionaries, and `<>` the codes the
+        // partition summaries hold.
         let table = sample_data.table();
-        let base = stmt.bind(table, params)?;
+        let codes = |col: &str| sample_data.summary_code_bound(col);
+        let base = stmt.bind_over(table, &codes, params)?;
         let group_keys = if stmt.group_cols().is_empty() {
             Vec::new()
         } else {

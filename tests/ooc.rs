@@ -208,6 +208,18 @@ fn four_x_larger_than_budget_matches_fully_resident() {
     let _ = std::fs::remove_dir_all(&dir_big);
 }
 
+/// The fingerprint of `COUNT(*), AVG(rev)` under `filter`, every row
+/// scanned, no model: a filter that matches nothing fails here.
+fn answer(db: &Database, filter: &str) -> String {
+    let opts = QueryOptions::new()
+        .with_mode(Mode::NoLearn)
+        .with_policy(StopPolicy::ScanAll);
+    let sql = format!("SELECT COUNT(*), AVG(rev) FROM t WHERE {filter}");
+    let r = db.query(&sql, &opts).unwrap().unwrap_answered();
+    assert!(r.tuples_scanned > 0 && r.rows[0].values[0].raw_answer > 0.0);
+    fingerprint(&r)
+}
+
 /// Categorical `<>` complements within the column's dictionary, whatever
 /// table the statement binds against: a paged table binds against its
 /// zero-row resolution table, and a resident sample can miss a label
@@ -215,15 +227,6 @@ fn four_x_larger_than_budget_matches_fully_resident() {
 /// `IN` list of every other label does.
 #[test]
 fn categorical_not_equal_matches_its_in_list_paged_and_resident() {
-    let opts = QueryOptions::new()
-        .with_mode(Mode::NoLearn)
-        .with_policy(StopPolicy::ScanAll);
-    let answer = |db: &Database, filter: &str| {
-        let sql = format!("SELECT COUNT(*), AVG(rev) FROM t WHERE {filter}");
-        let r = db.query(&sql, &opts).unwrap().unwrap_answered();
-        assert!(r.tuples_scanned > 0 && r.rows[0].values[0].raw_answer > 0.0);
-        fingerprint(&r)
-    };
     let all_but_r3 = |labels: &[&str]| {
         let others: Vec<String> = labels
             .iter()
@@ -276,6 +279,54 @@ fn categorical_not_equal_matches_its_in_list_paged_and_resident() {
         answer(&resident, "region <> 'r3'"),
         answer(&resident, &all_but_r3(&labels))
     );
+}
+
+/// A column of raw integer codes has no labels to size a complement
+/// from, and a paged table binds against its resident tail, which holds
+/// none of the create-time rows: `<>` complements over the codes the
+/// partition summaries hold as well, so it answers bit for bit as the
+/// `IN` list of every other code, paged and resident.
+#[test]
+fn raw_coded_not_equal_matches_its_in_list_paged_and_resident() {
+    let rows = base_table(6_000);
+    let mut table = Table::new(rows.schema().clone());
+    for i in 0..rows.num_rows() {
+        let mut row = rows.row_decoded(i);
+        row[1] = Value::Cat((i % REGIONS.len()) as u32);
+        table.push_row(row).unwrap();
+    }
+    let others = "region IN (0, 1, 2, 4, 5, 6, 7, 8, 9)";
+
+    let dir = temp_store("neq-raw");
+    let paged = SessionBuilder::new(table.clone())
+        .sample_fraction(0.25)
+        .batch_size(150)
+        .seed(17)
+        .partition_by(PartitionSpec::range("week", vec![6.0, 12.0, 18.0]))
+        .persist_to(&dir)
+        .memory_budget(40_000)
+        .build()
+        .unwrap()
+        .into_database("t")
+        .unwrap();
+    assert_eq!(answer(&paged, "region <> 3"), answer(&paged, others));
+    drop(paged);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let resident = Database::builder()
+        .register_table_with(
+            "t",
+            table,
+            TableOptions {
+                sample_fraction: 0.25,
+                batch_size: 150,
+                seed: 17,
+                ..TableOptions::default()
+            },
+        )
+        .build()
+        .unwrap();
+    assert_eq!(answer(&resident, "region <> 3"), answer(&resident, others));
 }
 
 /// A predicate band provably disjoint from every partition summary is
