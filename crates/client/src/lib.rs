@@ -3,7 +3,10 @@
 //! One TCP connection, one [`Client`]: connect performs the preamble
 //! handshake (magic + version, both directions), and every method is a
 //! synchronous request/response round trip over CRC-framed messages
-//! (see [`verdict_server::wire`]).
+//! (see [`verdict_server::wire`]). A request goes out in one call
+//! ([`write_frame`]); responses are read into the connection's receive
+//! buffer and cut off it with the server's own [`parse_frame`], so a
+//! response that arrives whole costs one `read`.
 //!
 //! Answers come back as an [`Answer`]: the server's `cached` /
 //! `degraded` flags, its wall-clock, the decoded
@@ -14,13 +17,14 @@
 
 #![warn(missing_docs)]
 
-use std::io;
+use std::io::{self, Read};
 use std::net::{TcpStream, ToSocketAddrs};
 
 use verdict::storage::Value;
 use verdict_server::wire::{
-    self, decode_outcome, read_frame, read_preamble, write_frame, write_preamble, ErrorCode,
+    self, check_preamble, decode_outcome, parse_frame, write_frame, write_preamble, ErrorCode,
     HelloInfo, IngestSummary, PreparedInfo, Request, Response, WireError, WireOptions, WireOutcome,
+    PREAMBLE_LEN,
 };
 
 /// Why a client call failed.
@@ -104,10 +108,12 @@ pub struct Answer {
     pub outcome: WireOutcome,
 }
 
-/// One connection to a verdict-server.
+/// One connection to a verdict-server, with its receive buffer: bytes
+/// read past the end of one response wait there for the next.
 #[derive(Debug)]
 pub struct Client {
     stream: TcpStream,
+    buf: Vec<u8>,
 }
 
 impl Client {
@@ -116,14 +122,40 @@ impl Client {
         let mut stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         write_preamble(&mut stream)?;
-        read_preamble(&mut stream)?;
-        Ok(Client { stream })
+        let mut client = Client {
+            stream,
+            buf: Vec::new(),
+        };
+        while client.buf.len() < PREAMBLE_LEN {
+            client.fill()?;
+        }
+        check_preamble(&client.buf[..PREAMBLE_LEN])?;
+        client.buf.drain(..PREAMBLE_LEN);
+        Ok(client)
     }
 
     fn round_trip(&mut self, request: &Request) -> Result<Response> {
         write_frame(&mut self.stream, &request.encode()?)?;
-        let payload = read_frame(&mut self.stream)?;
-        Ok(Response::decode(&payload)?)
+        loop {
+            if let Some((payload, consumed)) = parse_frame(&self.buf)? {
+                self.buf.drain(..consumed);
+                return Ok(Response::decode(&payload)?);
+            }
+            self.fill()?;
+        }
+    }
+
+    /// One `read` onto the receive buffer; the peer closing first is a
+    /// torn frame.
+    fn fill(&mut self) -> Result<()> {
+        let mut chunk = [0u8; 8192];
+        match self.stream.read(&mut chunk) {
+            Ok(0) => return Err(WireError::Torn.into()),
+            Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
+        }
+        Ok(())
     }
 
     fn fail<T>(response: Response, wanted: &str) -> Result<T> {

@@ -389,11 +389,6 @@ impl AppendAdjustment {
         synopsis.rewrite_where(widen, |obs| self.adjust(obs))
     }
 
-    /// Whether applying this adjustment is a no-op (`µ = 0`, `η = 0`).
-    pub fn is_identity(&self) -> bool {
-        self.mu_shift == 0.0 && self.eta == 0.0
-    }
-
     /// Composes two successive appends into one adjustment relative to the
     /// original relation (the synopsis must only be adjusted once per
     /// event; this helper serves bookkeeping tests).
@@ -412,6 +407,7 @@ impl AppendAdjustment {
 mod tests {
     use super::*;
     use crate::region::{DimensionSpec, Region, SchemaInfo};
+    use crate::support::AdjustmentOps;
     use verdict_storage::Predicate;
 
     #[test]

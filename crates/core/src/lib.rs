@@ -40,6 +40,9 @@ pub mod optimizer;
 pub mod persist;
 pub mod region;
 pub mod snippet;
+#[cfg(test)]
+#[path = "../tests/support/mod.rs"]
+mod support;
 pub mod synopsis;
 pub mod validation;
 

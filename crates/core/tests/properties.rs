@@ -190,6 +190,9 @@ proptest! {
 // Appendix D (Lemma 3): data-append adjustments.
 // ---------------------------------------------------------------------
 
+mod support;
+
+use support::AdjustmentOps;
 use verdict_core::append::AppendAdjustment;
 
 proptest! {

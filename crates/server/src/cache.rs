@@ -64,16 +64,6 @@ impl<K: Clone + Eq + Hash, V: Clone> Lru<K, V> {
         }
     }
 
-    /// Entries currently held.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the cache holds nothing.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
     /// Looks up `key`, marking it most-recently-used on a hit.
     pub fn get(&mut self, key: &K) -> Option<V> {
         let next = self.seq;
@@ -94,13 +84,10 @@ impl<K: Clone + Eq + Hash, V: Clone> Lru<K, V> {
         if let Some((_, old_seq)) = self.map.remove(&key) {
             self.recency.remove(&old_seq);
         }
-        let mut evicted = false;
-        if self.map.len() == self.capacity {
-            if let Some(oldest) = self.recency.keys().next().copied() {
-                if let Some(victim) = self.recency.remove(&oldest) {
-                    self.map.remove(&victim);
-                    evicted = true;
-                }
+        let evicted = self.map.len() == self.capacity;
+        if evicted {
+            if let Some((_, victim)) = self.recency.pop_first() {
+                self.map.remove(&victim);
             }
         }
         self.recency.insert(self.seq, key.clone());
@@ -152,6 +139,16 @@ pub(crate) type CachedAnswer = Arc<Vec<u8>>;
 mod tests {
     use super::*;
     use verdict::Mode;
+
+    impl<K, V> Lru<K, V> {
+        fn len(&self) -> usize {
+            self.map.len()
+        }
+
+        fn is_empty(&self) -> bool {
+            self.map.is_empty()
+        }
+    }
 
     #[test]
     fn lru_evicts_least_recently_used() {

@@ -5,9 +5,11 @@
 //! from the *front*, an idle worker steals from the *back* of a
 //! victim's deque, and a condvar parks workers when every deque is
 //! empty. Each connection is serviced in short slices — a bounded read
-//! (2 ms socket timeout), then every complete frame in the buffer is
-//! handled — and goes back on its owner's deque, so one slow client
-//! cannot monopolize a worker and partial frames survive across slices.
+//! (2 ms socket timeout), then every complete frame in the buffer is cut
+//! off by [`parse_frame`] and handled — and goes back on its owner's
+//! deque, so one slow client cannot monopolize a worker and partial
+//! frames survive across slices. Each response goes out in one call
+//! ([`write_frame`]'s one vectored write).
 //!
 //! Request execution threads through two gates, in order:
 //!
@@ -622,12 +624,7 @@ fn lookup(
 }
 
 fn elapsed_ns(t0: Instant) -> u64 {
-    let n = t0.elapsed().as_nanos();
-    if n > u64::MAX as u128 {
-        u64::MAX
-    } else {
-        n as u64
-    }
+    u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 fn error_response(e: VerdictError) -> Response {
@@ -645,17 +642,35 @@ fn error_response(e: VerdictError) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{read_frame, read_preamble};
     use verdict::workload::multi::{orders_table, TwoTableSpec};
     use verdict::TableOptions;
 
-    fn query(stream: &mut TcpStream, sql: &str) -> AnswerFrame {
+    /// One `read` onto the receive buffer.
+    fn read_more(stream: &mut TcpStream, buf: &mut Vec<u8>) {
+        let mut chunk = [0u8; 8192];
+        let n = stream.read(&mut chunk).unwrap();
+        assert!(n > 0, "the server closed the connection");
+        buf.extend_from_slice(&chunk[..n]);
+    }
+
+    /// The next response, cut off the receive buffer by `parse_frame`.
+    fn receive(stream: &mut TcpStream, buf: &mut Vec<u8>) -> Response {
+        loop {
+            if let Some((payload, consumed)) = parse_frame(buf).unwrap() {
+                buf.drain(..consumed);
+                return Response::decode(&payload).unwrap();
+            }
+            read_more(stream, buf);
+        }
+    }
+
+    fn query(stream: &mut TcpStream, buf: &mut Vec<u8>, sql: &str) -> AnswerFrame {
         let request = Request::Query {
             sql: sql.to_string(),
             options: WireOptions::default(),
         };
         write_frame(stream, &request.encode().unwrap()).unwrap();
-        match Response::decode(&read_frame(stream).unwrap()).unwrap() {
+        match receive(stream, buf) {
             Response::Answer(answer) => answer,
             other => panic!("wanted an answer, got {other:?}"),
         }
@@ -684,9 +699,14 @@ mod tests {
         let server = serve(Arc::new(db), "127.0.0.1:0", ServerConfig::default()).unwrap();
         let mut stream = TcpStream::connect(server.addr()).unwrap();
         write_preamble(&mut stream).unwrap();
-        read_preamble(&mut stream).unwrap();
+        let mut buf = Vec::new();
+        while buf.len() < PREAMBLE_LEN {
+            read_more(&mut stream, &mut buf);
+        }
+        check_preamble(&buf[..PREAMBLE_LEN]).unwrap();
+        buf.drain(..PREAMBLE_LEN);
         let sql = "SELECT AVG(amount) FROM orders WHERE day BETWEEN 10 AND 40";
-        let first = query(&mut stream, sql);
+        let first = query(&mut stream, &mut buf, sql);
         assert!(!first.cached);
 
         let shared = Arc::clone(&server.shared);
@@ -699,11 +719,12 @@ mod tests {
         assert!(server.shared.answers.is_poisoned());
         assert!(server.shared.plans.is_poisoned());
 
-        let again = query(&mut stream, sql);
+        let again = query(&mut stream, &mut buf, sql);
         assert!(again.cached);
         assert_eq!(again.outcome, first.outcome);
         let other = query(
             &mut stream,
+            &mut buf,
             "SELECT AVG(amount) FROM orders WHERE day BETWEEN 50 AND 70",
         );
         assert!(!other.cached);
@@ -737,14 +758,15 @@ mod tests {
         };
         respond(&mut conn, &oversized).unwrap();
         respond(&mut conn, &Response::Bye).unwrap();
-        match Response::decode(&read_frame(&mut client).unwrap()).unwrap() {
+        let mut buf = Vec::new();
+        match receive(&mut client, &mut buf) {
             Response::Error {
                 code: ErrorCode::Internal,
                 message,
             } => assert!(message.contains("exceeds"), "{message}"),
             other => panic!("wanted an internal error, got {other:?}"),
         }
-        let next = Response::decode(&read_frame(&mut client).unwrap()).unwrap();
+        let next = receive(&mut client, &mut buf);
         assert!(matches!(next, Response::Bye), "{next:?}");
     }
 }

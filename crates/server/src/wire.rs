@@ -10,6 +10,12 @@
 //! closes the connection cleanly — the decoder can reject bytes but never
 //! panic on them, which the truncation/bit-flip fuzz tests assert.
 //!
+//! A frame goes out in one call ([`write_frame`]: one vectored write of
+//! header and payload; [`write_preamble`]: one write), so on a
+//! `TCP_NODELAY` socket it leaves as one segment and the peer's read
+//! sees it whole. Both ends read into a receive buffer and cut frames
+//! off its front with the one parser, [`parse_frame`].
+//!
 //! Payloads are encoded with the bit-exact
 //! [`verdict_core::persist`] [`Encoder`]/[`Decoder`] pair: floats travel
 //! as raw IEEE-754 bits, so an answer decoded from the wire is
@@ -21,7 +27,7 @@
 //! query / ingest / metrics / close`; responses mirror them plus the
 //! typed [`Response::Overloaded`] shed signal and [`Response::Error`].
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Write};
 
 use verdict::sql::ParamKind;
 use verdict::storage::{AttributeRole, ColumnType, Value};
@@ -97,11 +103,7 @@ impl std::error::Error for WireError {}
 
 impl From<io::Error> for WireError {
     fn from(e: io::Error) -> Self {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            WireError::Torn
-        } else {
-            WireError::Io(e)
-        }
+        WireError::Io(e)
     }
 }
 
@@ -111,10 +113,12 @@ impl From<PersistError> for WireError {
     }
 }
 
-/// Writes the connection preamble (magic + version).
+/// Writes the connection preamble (magic + version) in one write.
 pub fn write_preamble(w: &mut impl Write) -> io::Result<()> {
-    w.write_all(&WIRE_MAGIC)?;
-    w.write_all(&WIRE_VERSION.to_le_bytes())
+    let mut preamble = [0u8; PREAMBLE_LEN];
+    preamble[..8].copy_from_slice(&WIRE_MAGIC);
+    preamble[8..].copy_from_slice(&WIRE_VERSION.to_le_bytes());
+    w.write_all(&preamble)
 }
 
 /// Validates a peer's preamble bytes (exactly [`PREAMBLE_LEN`] of them).
@@ -132,14 +136,9 @@ pub fn check_preamble(bytes: &[u8]) -> Result<(), WireError> {
     Ok(())
 }
 
-/// Reads and validates a peer's preamble from a blocking stream.
-pub fn read_preamble(r: &mut impl Read) -> Result<(), WireError> {
-    let mut buf = [0u8; PREAMBLE_LEN];
-    r.read_exact(&mut buf)?;
-    check_preamble(&buf)
-}
-
-/// Writes one frame: `len | crc | payload`. A payload the peer would
+/// Writes one frame, `len | crc | payload`, as one vectored write of the
+/// header and the payload (more only if the writer takes part of them),
+/// so a frame leaves in one segment, not three. A payload the peer would
 /// refuse (over the 16 MiB frame cap) is refused with
 /// [`WireError::TooLarge`] before a byte is written, so the stream stays
 /// in step.
@@ -147,35 +146,29 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), WireError> 
     if payload.len() > MAX_FRAME_LEN {
         return Err(WireError::TooLarge(payload.len() as u64));
     }
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(&crc32(payload).to_le_bytes())?;
-    w.write_all(payload)?;
+    let mut header = [0u8; FRAME_HEADER_LEN];
+    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+    let mut slices = [IoSlice::new(&header), IoSlice::new(payload)];
+    let mut unsent = &mut slices[..];
+    while !unsent.is_empty() {
+        match w.write_vectored(unsent) {
+            Ok(0) => return Err(WireError::Io(io::ErrorKind::WriteZero.into())),
+            Ok(n) => IoSlice::advance_slices(&mut unsent, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
+        }
+    }
     Ok(())
 }
 
-/// Reads one frame from a blocking stream (the client's receive path).
-pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, WireError> {
-    let mut header = [0u8; FRAME_HEADER_LEN];
-    r.read_exact(&mut header)?;
-    let len = u32::from_le_bytes(header[..4].try_into().unwrap()) as usize;
-    if len > MAX_FRAME_LEN {
-        return Err(WireError::TooLarge(len as u64));
-    }
-    let expected = u32::from_le_bytes(header[4..8].try_into().unwrap());
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    let actual = crc32(&payload);
-    if actual != expected {
-        return Err(WireError::Crc { expected, actual });
-    }
-    Ok(payload)
-}
-
-/// Tries to parse one frame from the front of a receive buffer (the
-/// server's non-blocking path). Returns `Ok(None)` when the buffer holds
-/// only a frame prefix so far (keep reading), `Ok(Some((payload,
-/// consumed)))` for a complete valid frame, and an error for a frame
-/// that can never become valid (oversized length, CRC mismatch).
+/// Tries to parse one frame from the front of a receive buffer: the one
+/// frame parser, which the server and the client both read through.
+/// Returns `Ok(None)` when the buffer holds only a frame prefix so far
+/// (keep reading), `Ok(Some((payload, consumed)))` for a complete valid
+/// frame, and an error for a frame that can never become valid
+/// (oversized length, CRC mismatch) — the length is checked against the
+/// cap from the header alone, before any payload is awaited.
 pub fn parse_frame(buf: &[u8]) -> Result<Option<(Vec<u8>, usize)>, WireError> {
     if buf.len() < FRAME_HEADER_LEN {
         return Ok(None);
@@ -194,6 +187,16 @@ pub fn parse_frame(buf: &[u8]) -> Result<Option<(Vec<u8>, usize)>, WireError> {
         return Err(WireError::Crc { expected, actual });
     }
     Ok(Some((payload.to_vec(), FRAME_HEADER_LEN + len)))
+}
+
+/// `value`, if decoding it consumed the whole payload.
+fn exhausted<T>(dec: &Decoder<'_>, what: &str, value: T) -> Result<T, WireError> {
+    match dec.remaining() {
+        0 => Ok(value),
+        n => Err(WireError::Corrupt(format!(
+            "{n} trailing bytes after {what}"
+        ))),
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -381,13 +384,7 @@ impl Request {
             REQ_CLOSE => Request::Close,
             t => return Err(WireError::Corrupt(format!("request tag {t:#04x}"))),
         };
-        if !dec.is_exhausted() {
-            return Err(WireError::Corrupt(format!(
-                "{} trailing bytes after request",
-                dec.remaining()
-            )));
-        }
-        Ok(req)
+        exhausted(&dec, "request", req)
     }
 }
 
@@ -461,28 +458,18 @@ pub struct IngestSummary {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrorCode {
     /// SQL parse/check/resolve/bind failure.
-    Sql,
+    Sql = 0,
     /// Unknown table or catalog-level failure.
-    Catalog,
+    Catalog = 1,
     /// Unknown statement or bound handle.
-    UnknownHandle,
+    UnknownHandle = 2,
     /// Malformed request at the protocol level.
-    BadRequest,
+    BadRequest = 3,
     /// Engine-side failure (store, scan, ingest).
-    Internal,
+    Internal = 4,
 }
 
 impl ErrorCode {
-    fn to_u8(self) -> u8 {
-        match self {
-            ErrorCode::Sql => 0,
-            ErrorCode::Catalog => 1,
-            ErrorCode::UnknownHandle => 2,
-            ErrorCode::BadRequest => 3,
-            ErrorCode::Internal => 4,
-        }
-    }
-
     fn from_u8(v: u8) -> Result<Self, WireError> {
         Ok(match v {
             0 => ErrorCode::Sql,
@@ -639,7 +626,7 @@ impl Response {
             }
             Response::Error { code, message } => {
                 enc.put_u8(RESP_ERROR);
-                enc.put_u8(code.to_u8());
+                enc.put_u8(*code as u8);
                 enc.put_str(message);
             }
             Response::Bye => enc.put_u8(RESP_BYE),
@@ -750,13 +737,7 @@ impl Response {
             RESP_BYE => Response::Bye,
             t => return Err(WireError::Corrupt(format!("response tag {t:#04x}"))),
         };
-        if !dec.is_exhausted() {
-            return Err(WireError::Corrupt(format!(
-                "{} trailing bytes after response",
-                dec.remaining()
-            )));
-        }
-        Ok(resp)
+        exhausted(&dec, "response", resp)
     }
 }
 
@@ -915,11 +896,111 @@ pub fn decode_outcome(bytes: &[u8]) -> Result<WireOutcome, WireError> {
         }
         t => return Err(WireError::Corrupt(format!("outcome tag {t}"))),
     };
-    if !dec.is_exhausted() {
-        return Err(WireError::Corrupt(format!(
-            "{} trailing bytes after outcome",
-            dec.remaining()
-        )));
+    exhausted(&dec, "outcome", outcome)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A writer that records every call and takes at most `per_call`
+    /// bytes per call (all of them when `None`).
+    struct Counting {
+        calls: usize,
+        per_call: Option<usize>,
+        interrupt_first: bool,
+        bytes: Vec<u8>,
     }
-    Ok(outcome)
+
+    impl Counting {
+        fn new(per_call: Option<usize>) -> Counting {
+            Counting {
+                calls: 0,
+                per_call,
+                interrupt_first: false,
+                bytes: Vec::new(),
+            }
+        }
+
+        fn take(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            if std::mem::take(&mut self.interrupt_first) {
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            let mut budget = self.per_call.unwrap_or(usize::MAX);
+            let before = self.bytes.len();
+            for buf in bufs {
+                let n = buf.len().min(budget);
+                self.bytes.extend_from_slice(&buf[..n]);
+                budget -= n;
+            }
+            Ok(self.bytes.len() - before)
+        }
+    }
+
+    impl Write for Counting {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.take(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.take(bufs)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// `len | crc | payload`, assembled by hand.
+    fn layout(payload: &[u8]) -> Vec<u8> {
+        let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&crc32(payload).to_le_bytes());
+        frame.extend_from_slice(payload);
+        frame
+    }
+
+    #[test]
+    fn a_frame_and_a_preamble_are_one_write_each() {
+        for payload in [&b""[..], b"x", &Response::Bye.encode(), &[7u8; 70_000]] {
+            let mut w = Counting::new(None);
+            write_frame(&mut w, payload).unwrap();
+            assert_eq!(w.calls, 1, "payload of {} bytes", payload.len());
+            assert_eq!(w.bytes, layout(payload));
+        }
+        let mut w = Counting::new(None);
+        write_preamble(&mut w).unwrap();
+        assert_eq!(w.calls, 1);
+        assert_eq!(w.bytes[..8], WIRE_MAGIC);
+        assert_eq!(w.bytes[8..], WIRE_VERSION.to_le_bytes());
+        assert_eq!(w.bytes.len(), PREAMBLE_LEN);
+    }
+
+    /// A writer that takes a few bytes at a time, or is interrupted,
+    /// still gets the whole frame, byte for byte, in order.
+    #[test]
+    fn partial_and_interrupted_writes_resume_where_they_stopped() {
+        let payload: Vec<u8> = (0..=255).collect();
+        for per_call in 1..=FRAME_HEADER_LEN + 2 {
+            let mut w = Counting::new(Some(per_call));
+            write_frame(&mut w, &payload).unwrap();
+            assert_eq!(w.bytes, layout(&payload), "{per_call} bytes per call");
+            assert_eq!(w.calls, layout(&payload).len().div_ceil(per_call));
+        }
+        let mut w = Counting::new(None);
+        w.interrupt_first = true;
+        write_frame(&mut w, &payload).unwrap();
+        assert_eq!((w.calls, w.bytes), (2, layout(&payload)));
+    }
+
+    #[test]
+    fn an_oversized_payload_writes_nothing() {
+        let mut w = Counting::new(None);
+        let payload = vec![0u8; MAX_FRAME_LEN + 1];
+        assert!(matches!(
+            write_frame(&mut w, &payload),
+            Err(WireError::TooLarge(n)) if n == payload.len() as u64
+        ));
+        assert_eq!(w.calls, 0);
+    }
 }

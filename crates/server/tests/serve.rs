@@ -3,15 +3,18 @@
 //! overflow accounting, and hostile-connection survival.
 
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
+use std::thread;
+use std::time::Duration;
 
 use verdict::workload::multi::{orders_table, TwoTableSpec};
 use verdict::{Database, Mode, QueryOptions, TableOptions};
 use verdict_client::{Client, ClientError};
 use verdict_obs::MetricsHub;
 use verdict_server::wire::{
-    encode_outcome, WireError, WireOptions, WireOutcome, WIRE_MAGIC, WIRE_VERSION,
+    check_preamble, encode_outcome, parse_frame, write_frame, write_preamble, Request, Response,
+    WireError, WireOptions, WireOutcome, FRAME_HEADER_LEN, PREAMBLE_LEN, WIRE_MAGIC, WIRE_VERSION,
 };
 use verdict_server::{serve, OverflowPolicy, ServerConfig, ServerHandle};
 
@@ -487,6 +490,135 @@ fn an_oversized_ingest_is_refused_before_it_is_sent() {
     // Nothing reached the socket, so the connection is still in step.
     let hello = client.hello().expect("hello after the refusal");
     assert_eq!(hello.tables.len(), 1);
+    client.close().expect("close");
+    server.shutdown();
+}
+
+/// A raw connection past the handshake, with its receive buffer.
+fn raw_connect(addr: SocketAddr) -> (TcpStream, Vec<u8>) {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    write_preamble(&mut stream).expect("preamble");
+    let mut buf = Vec::new();
+    while buf.len() < PREAMBLE_LEN {
+        assert!(read_more(&mut stream, &mut buf), "closed in the preamble");
+    }
+    check_preamble(&buf[..PREAMBLE_LEN]).expect("server preamble");
+    buf.drain(..PREAMBLE_LEN);
+    (stream, buf)
+}
+
+/// One `read` onto `buf`; false when the server has closed.
+fn read_more(stream: &mut TcpStream, buf: &mut Vec<u8>) -> bool {
+    let mut chunk = [0u8; 8192];
+    let n = stream.read(&mut chunk).expect("read");
+    buf.extend_from_slice(&chunk[..n]);
+    n > 0
+}
+
+/// The next response, or `None` once the server closed on a frame
+/// boundary.
+fn receive(stream: &mut TcpStream, buf: &mut Vec<u8>) -> Option<Response> {
+    loop {
+        if let Some((payload, consumed)) = parse_frame(buf).expect("frame") {
+            buf.drain(..consumed);
+            return Some(Response::decode(&payload).expect("response"));
+        }
+        if !read_more(stream, buf) {
+            assert!(buf.is_empty(), "closed mid-frame");
+            return None;
+        }
+    }
+}
+
+fn framed(request: &Request) -> Vec<u8> {
+    let mut frame = Vec::new();
+    write_frame(&mut frame, &request.encode().expect("encode")).expect("frame");
+    frame
+}
+
+fn query_request(sql: &str) -> Request {
+    Request::Query {
+        sql: sql.to_string(),
+        options: WireOptions::default(),
+    }
+}
+
+fn outcome_of(response: Option<Response>) -> Vec<u8> {
+    match response {
+        Some(Response::Answer(answer)) => answer.outcome,
+        other => panic!("wanted an answer, got {other:?}"),
+    }
+}
+
+/// Ends a raw session: `Close` is answered by `Bye`, and nothing else is
+/// left on the wire before the server hangs up.
+fn close_raw(stream: &mut TcpStream, buf: &mut Vec<u8>) {
+    stream.write_all(&framed(&Request::Close)).expect("close");
+    assert!(matches!(receive(stream, buf), Some(Response::Bye)));
+    assert!(receive(stream, buf).is_none(), "a response past bye");
+}
+
+/// Two requests in one TCP write are two frames in one read: both are
+/// answered, in the order sent.
+#[test]
+fn coalesced_requests_are_answered_in_order() {
+    let server = start(fixture_db(None), ServerConfig::default());
+    let sqls = [sql_for(3.0), sql_for(40.0)];
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let want: Vec<Vec<u8>> = sqls
+        .iter()
+        .map(|sql| {
+            client
+                .query(sql, WireOptions::default())
+                .expect("query")
+                .outcome_bytes
+        })
+        .collect();
+    assert_ne!(want[0], want[1]);
+
+    let (mut stream, mut buf) = raw_connect(server.addr());
+    let mut both = framed(&query_request(&sqls[0]));
+    both.extend(framed(&query_request(&sqls[1])));
+    stream.write_all(&both).expect("one write");
+    assert_eq!(outcome_of(receive(&mut stream, &mut buf)), want[0]);
+    assert_eq!(outcome_of(receive(&mut stream, &mut buf)), want[1]);
+    close_raw(&mut stream, &mut buf);
+    client.close().expect("close");
+    server.shutdown();
+}
+
+/// A request whose header arrives in two pieces, split at every byte
+/// boundary of the header, is answered exactly once: each split request
+/// asks a different question, so a repeated answer would show as the
+/// wrong one, and after the last the server has nothing more to send.
+#[test]
+fn a_request_split_inside_its_header_is_answered_once() {
+    let server = start(fixture_db(None), ServerConfig::default());
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let (mut stream, mut buf) = raw_connect(server.addr());
+    for cut in 1..=FRAME_HEADER_LEN {
+        let sql = sql_for(cut as f64 * 7.0);
+        let want = client
+            .query(&sql, WireOptions::default())
+            .expect("query")
+            .outcome_bytes;
+        let frame = framed(&query_request(&sql));
+        stream.write_all(&frame[..cut]).expect("head");
+        // Longer than the server's 2 ms read slice: it sees the prefix
+        // alone before the rest arrives.
+        thread::sleep(Duration::from_millis(10));
+        stream.write_all(&frame[cut..]).expect("rest");
+        assert_eq!(
+            outcome_of(receive(&mut stream, &mut buf)),
+            want,
+            "cut {cut}"
+        );
+    }
+    close_raw(&mut stream, &mut buf);
     client.close().expect("close");
     server.shutdown();
 }
