@@ -165,6 +165,10 @@ one_frame_parser() {
     ! grep -rn 'fn read_frame' crates/*/src && ! grep -rn 'read_exact' crates/client/src
 }
 
+one_frame_codec() {
+    [ -z "$(find crates/*/src -name '*.rs' -exec awk '/^#\[cfg\(test\)\]/{exit} /crc32\(/{print FILENAME}' {} \; | sort -u | grep -vxE 'crates/store/src/(crc|frame)\.rs')" ]
+}
+
 
 guard no_cargo_features "One program: no cargo feature gates any code, so tier-1 and the benchmark package compile the same executor."
 guard no_features_table "One program: no Cargo.toml declares a [features] table."
@@ -202,5 +206,6 @@ guard no_sort_cardinality "The sort-based fn cardinality stays out of crates/sto
 guard locks_absorb_poison "The server's and the metrics crate's locks absorb poison through their lock helpers: no lock().unwrap() outside their tests."
 guard one_fit_path "One fit path: every fit and likelihood assembles the covariance packed and factors it in place, so outside test modules raw_covariance_matrix( and Cholesky::new_with_jitter( appear in core only in covariance.rs's dense wrapper and in infer_direct (the Eq. 4/5 reference)."
 guard one_frame_parser "One frame parser: both ends of a connection cut frames off a receive buffer with wire::parse_frame; the blocking read_frame stays deleted and the client reads no exact lengths."
+guard one_frame_codec "One framed-record layer: outside test modules, crc32( is called in crates/*/src only in the store's crc.rs and frame.rs, so the WAL, part files, snapshots, catalog and wire build, parse and check their frames, headers and sealed bodies through the frame module."
 
 exit $failed

@@ -2,11 +2,11 @@
 //!
 //! One TCP connection, one [`Client`]: connect performs the preamble
 //! handshake (magic + version, both directions), and every method is a
-//! synchronous request/response round trip over CRC-framed messages
-//! (see [`verdict_server::wire`]). A request goes out in one call
-//! ([`write_frame`]); responses are read into the connection's receive
-//! buffer and cut off it with the server's own [`parse_frame`], so a
-//! response that arrives whole costs one `read`.
+//! synchronous request/response round trip over the frames of
+//! [`verdict_server::wire`]: a request goes out in one [`write_frame`],
+//! and a response is cut off the connection's receive buffer with the
+//! server's own [`parse_frame`], so one that arrives whole costs one
+//! `read`.
 //!
 //! Answers come back as an [`Answer`]: the server's `cached` /
 //! `degraded` flags, its wall-clock, the decoded
@@ -176,10 +176,8 @@ impl Client {
 
     /// Prepares a statement server-side.
     pub fn prepare(&mut self, sql: &str) -> Result<PreparedInfo> {
-        let request = Request::Prepare {
-            sql: sql.to_string(),
-        };
-        match self.round_trip(&request)? {
+        let sql = sql.to_string();
+        match self.round_trip(&Request::Prepare { sql })? {
             Response::Prepared(info) => Ok(info),
             other => Self::fail(other, "prepared"),
         }
@@ -188,11 +186,8 @@ impl Client {
     /// Binds parameters to a prepared statement; returns the bound
     /// handle.
     pub fn bind(&mut self, stmt: u64, params: &[Value]) -> Result<u64> {
-        let request = Request::Bind {
-            stmt,
-            params: params.to_vec(),
-        };
-        match self.round_trip(&request)? {
+        let params = params.to_vec();
+        match self.round_trip(&Request::Bind { stmt, params })? {
             Response::Bound { bound } => Ok(bound),
             other => Self::fail(other, "bound"),
         }
@@ -209,11 +204,8 @@ impl Client {
     /// Runs an ad-hoc statement (served through the server's plan
     /// cache).
     pub fn query(&mut self, sql: &str, options: WireOptions) -> Result<Answer> {
-        let request = Request::Query {
-            sql: sql.to_string(),
-            options,
-        };
-        match self.round_trip(&request)? {
+        let sql = sql.to_string();
+        match self.round_trip(&Request::Query { sql, options })? {
             Response::Answer(a) => Self::answer(a),
             other => Self::fail(other, "answer"),
         }
@@ -221,11 +213,8 @@ impl Client {
 
     /// Appends rows to a table.
     pub fn ingest(&mut self, table: &str, rows: &[Vec<Value>]) -> Result<IngestSummary> {
-        let request = Request::Ingest {
-            table: table.to_string(),
-            rows: rows.to_vec(),
-        };
-        match self.round_trip(&request)? {
+        let (table, rows) = (table.to_string(), rows.to_vec());
+        match self.round_trip(&Request::Ingest { table, rows })? {
             Response::IngestOk(summary) => Ok(summary),
             other => Self::fail(other, "ingest-ok"),
         }

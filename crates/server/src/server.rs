@@ -34,9 +34,9 @@ use crate::admission::{Admission, AdmissionController, OverflowPolicy, Permit};
 use crate::cache::{AnswerKey, CachedAnswer, Lru};
 use crate::metrics::ServerMetrics;
 use crate::wire::{
-    check_preamble, encode_outcome, parse_frame, write_frame, write_preamble, AnswerFrame,
-    ColumnInfo, ErrorCode, HelloInfo, IngestSummary, PreparedInfo, Request, Response, TableInfo,
-    WireError, WireOptions, PREAMBLE_LEN, WIRE_VERSION,
+    check_preamble, encode_answer, encode_outcome, parse_frame, write_frame, write_preamble,
+    ErrorCode, HelloInfo, IngestSummary, PreparedInfo, Request, Response, TableInfo, WireError,
+    WireOptions, PREAMBLE_LEN, WIRE_VERSION,
 };
 
 /// How the server is sized and how it behaves at the limits.
@@ -294,25 +294,22 @@ fn service(conn: &mut Conn, shared: &Shared) -> ConnFate {
     }
 
     if !conn.preamble_done {
-        if conn.buf.len() < PREAMBLE_LEN {
-            return ConnFate::Keep;
-        }
-        match check_preamble(&conn.buf[..PREAMBLE_LEN]) {
+        match check_preamble(&conn.buf) {
             Ok(()) => {
                 conn.buf.drain(..PREAMBLE_LEN);
                 conn.preamble_done = true;
             }
+            // Not all of it has arrived yet.
+            Err(WireError::Torn) => return ConnFate::Keep,
             Err(WireError::Version(v)) => {
                 // Another version gets a typed goodbye it can decode:
                 // error frames are laid out alike in every version.
                 shared.metrics.refused_total.inc();
-                let _ = respond(
-                    conn,
-                    &Response::Error {
-                        code: ErrorCode::BadRequest,
-                        message: format!("peer protocol v{v} is not the served v{WIRE_VERSION}"),
-                    },
-                );
+                let refusal = Response::Error {
+                    code: ErrorCode::BadRequest,
+                    message: format!("peer protocol v{v} is not the served v{WIRE_VERSION}"),
+                };
+                let _ = respond(conn, &refusal.encode());
                 return ConnFate::Drop;
             }
             Err(_) => {
@@ -334,13 +331,11 @@ fn service(conn: &mut Conn, shared: &Shared) -> ConnFate {
                         // Valid frame, malformed content: typed error,
                         // then close — the stream can't be trusted.
                         shared.metrics.frame_errors_total.inc();
-                        let _ = respond(
-                            conn,
-                            &Response::Error {
-                                code: ErrorCode::BadRequest,
-                                message: e.to_string(),
-                            },
-                        );
+                        let refusal = Response::Error {
+                            code: ErrorCode::BadRequest,
+                            message: e.to_string(),
+                        };
+                        let _ = respond(conn, &refusal.encode());
                         return ConnFate::Drop;
                     }
                 };
@@ -362,11 +357,11 @@ fn service(conn: &mut Conn, shared: &Shared) -> ConnFate {
     }
 }
 
-/// Sends `response`; one that encodes past the frame cap, which no client
+/// Sends an encoded response; one past the frame cap, which no client
 /// would read (and `write_frame` refuses before writing a byte), goes as a
 /// typed `Internal` error in its place.
-fn respond(conn: &mut Conn, response: &Response) -> Result<(), WireError> {
-    match write_frame(&mut conn.stream, &response.encode()) {
+fn respond(conn: &mut Conn, payload: &[u8]) -> Result<(), WireError> {
+    match write_frame(&mut conn.stream, payload) {
         Err(too_large @ WireError::TooLarge(_)) => {
             let error = Response::Error {
                 code: ErrorCode::Internal,
@@ -378,16 +373,20 @@ fn respond(conn: &mut Conn, response: &Response) -> Result<(), WireError> {
     }
 }
 
-fn handle(session: &mut Session, shared: &Shared, request: Request) -> Response {
+/// Runs one request; returns its response, encoded.
+fn handle(session: &mut Session, shared: &Shared, request: Request) -> Vec<u8> {
     let t0 = Instant::now();
     shared.metrics.requests_total.inc();
-    let response = dispatch(session, shared, request, t0);
+    let payload = dispatch(session, shared, request, t0);
     shared.metrics.request_ns.record(elapsed_ns(t0));
-    response
+    payload
 }
 
-fn dispatch(session: &mut Session, shared: &Shared, request: Request, t0: Instant) -> Response {
-    match request {
+/// An answer is encoded straight from its outcome bytes
+/// ([`encode_answer`]); every other response through
+/// [`Response::encode`].
+fn dispatch(session: &mut Session, shared: &Shared, request: Request, t0: Instant) -> Vec<u8> {
+    let response = match request {
         Request::Hello => hello(shared),
         Request::Prepare { sql } => match shared.db.prepare(&sql) {
             Ok(prepared) => {
@@ -424,28 +423,25 @@ fn dispatch(session: &mut Session, shared: &Shared, request: Request, t0: Instan
                 return Response::Error {
                     code: ErrorCode::UnknownHandle,
                     message: format!("no bound statement #{bound} in this session"),
-                };
+                }
+                .encode();
             };
             let Some(prepared) = session.stmts.get(&stmt).map(Arc::clone) else {
                 return Response::Error {
                     code: ErrorCode::UnknownHandle,
                     message: format!("bound statement #{bound} outlived its plan"),
-                };
+                }
+                .encode();
             };
-            execute(shared, &prepared, &params, options, t0)
+            return execute(shared, &prepared, &params, options, t0);
         }
         Request::Query { sql, options } => match plan(shared, &sql) {
-            Ok(prepared) => execute(shared, &prepared, &[], options, t0),
+            Ok(prepared) => return execute(shared, &prepared, &[], options, t0),
             Err(VerdictError::Unsupported(reasons)) => {
                 // Parity with `Database::query`: unsupported statements
                 // are an outcome, not a connection error.
-                let outcome = verdict::QueryOutcome::Unsupported(reasons);
-                Response::Answer(AnswerFrame {
-                    cached: false,
-                    degraded: false,
-                    elapsed_ns: elapsed_ns(t0),
-                    outcome: encode_outcome(&outcome),
-                })
+                let outcome = encode_outcome(&verdict::QueryOutcome::Unsupported(reasons));
+                return encode_answer(false, false, elapsed_ns(t0), &outcome);
             }
             Err(e) => error_response(e),
         },
@@ -462,7 +458,8 @@ fn dispatch(session: &mut Session, shared: &Shared, request: Request, t0: Instan
             json: shared.metrics.hub().snapshot().to_json(),
         },
         Request::Close => Response::Bye,
-    }
+    };
+    response.encode()
 }
 
 fn hello(shared: &Shared) -> Response {
@@ -478,15 +475,7 @@ fn hello(shared: &Shared) -> Response {
         };
         tables.push(TableInfo {
             name: name.clone(),
-            columns: schema
-                .columns()
-                .iter()
-                .map(|c| ColumnInfo {
-                    name: c.name.clone(),
-                    ty: c.ty,
-                    role: c.role,
-                })
-                .collect(),
+            columns: schema.columns().to_vec(),
             rows: table.num_rows() as u64,
             epoch,
             data_epoch,
@@ -511,24 +500,21 @@ fn plan(shared: &Shared, sql: &str) -> Result<Arc<Prepared>, VerdictError> {
     Ok(prepared)
 }
 
-/// The execution gate sequence: answer cache → admission → engine.
+/// The execution gate sequence: answer cache → admission → engine. The
+/// answer is encoded from the outcome bytes the cache shares, so a hit
+/// and a miss each copy the outcome once, into the payload.
 fn execute(
     shared: &Shared,
     prepared: &Prepared,
     params: &[Value],
     options: WireOptions,
     t0: Instant,
-) -> Response {
+) -> Vec<u8> {
     // 1. Cache, before admission: a hit does no learn-path work, so it
     //    must not consume (or be refused) an admission slot.
     let token = prepared.cache_token();
     if let Some(bytes) = lookup(shared, prepared, params, &options, token) {
-        return Response::Answer(AnswerFrame {
-            cached: true,
-            degraded: false,
-            elapsed_ns: elapsed_ns(t0),
-            outcome: (*bytes).clone(),
-        });
+        return encode_answer(true, false, elapsed_ns(t0), &bytes);
     }
 
     // 2. Admission: only the learn path is bounded.
@@ -543,12 +529,7 @@ fn execute(
                 // The degraded question is a different cache key; it may
                 // itself be memoized already.
                 if let Some(bytes) = lookup(shared, prepared, params, &effective, token) {
-                    return Response::Answer(AnswerFrame {
-                        cached: true,
-                        degraded: true,
-                        elapsed_ns: elapsed_ns(t0),
-                        outcome: (*bytes).clone(),
-                    });
+                    return encode_answer(true, true, elapsed_ns(t0), &bytes);
                 }
                 None
             }
@@ -556,7 +537,8 @@ fn execute(
                 return Response::Overloaded {
                     inflight,
                     limit: shared.admission.limit(),
-                };
+                }
+                .encode();
             }
         }
     } else {
@@ -570,9 +552,9 @@ fn execute(
         .with_policy(effective.policy);
     let outcome = match prepared.bind(params).and_then(|b| b.run(&qopts)) {
         Ok(outcome) => outcome,
-        Err(e) => return error_response(e),
+        Err(e) => return error_response(e).encode(),
     };
-    let bytes = encode_outcome(&outcome);
+    let bytes = Arc::new(encode_outcome(&outcome));
 
     // 4. Memoize — only if the validity token did not move while we ran
     //    (a concurrent train/ingest voids the insert; see crate::cache
@@ -586,19 +568,14 @@ fn execute(
                 &effective,
                 token,
             );
-            let evicted = lock(&shared.answers).insert(key, Arc::new(bytes.clone()));
+            let evicted = lock(&shared.answers).insert(key, Arc::clone(&bytes));
             if evicted {
                 shared.metrics.cache_evictions_total.inc();
             }
         }
     }
 
-    Response::Answer(AnswerFrame {
-        cached: false,
-        degraded,
-        elapsed_ns: elapsed_ns(t0),
-        outcome: bytes,
-    })
+    encode_answer(false, degraded, elapsed_ns(t0), &bytes)
 }
 
 fn lookup(
@@ -642,6 +619,7 @@ fn error_response(e: VerdictError) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::AnswerFrame;
     use verdict::workload::multi::{orders_table, TwoTableSpec};
     use verdict::TableOptions;
 
@@ -756,8 +734,8 @@ mod tests {
             code: ErrorCode::Sql,
             message: "x".repeat(16 * 1024 * 1024),
         };
-        respond(&mut conn, &oversized).unwrap();
-        respond(&mut conn, &Response::Bye).unwrap();
+        respond(&mut conn, &oversized.encode()).unwrap();
+        respond(&mut conn, &Response::Bye.encode()).unwrap();
         let mut buf = Vec::new();
         match receive(&mut client, &mut buf) {
             Response::Error {

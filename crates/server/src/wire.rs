@@ -1,20 +1,14 @@
 //! The wire protocol: length-prefixed, CRC-framed binary messages.
 //!
-//! Framing follows the store's WAL conventions
-//! (`crates/store/src/log.rs`): a connection opens with a fixed preamble
-//! — magic `VDBLWIRE` plus a version word — and every message after it
-//! is one frame of `len: u32 | crc: u32 | payload`, with the CRC
-//! (CRC-32/ISO-HDLC, the same [`verdict_store::crc::crc32`] the WAL
-//! uses) covering the payload. Connections with a foreign magic or any
-//! version but [`WIRE_VERSION`] are refused; a torn or corrupt frame
-//! closes the connection cleanly — the decoder can reject bytes but never
-//! panic on them, which the truncation/bit-flip fuzz tests assert.
-//!
-//! A frame goes out in one call ([`write_frame`]: one vectored write of
-//! header and payload; [`write_preamble`]: one write), so on a
-//! `TCP_NODELAY` socket it leaves as one segment and the peer's read
-//! sees it whole. Both ends read into a receive buffer and cut frames
-//! off its front with the one parser, [`parse_frame`].
+//! Framing is the store's framed-record layer, [`verdict_store::frame`]:
+//! a connection opens with its header prefix (magic `VDBLWIRE`, version
+//! [`WIRE_VERSION`]; any other is refused), and every message after it
+//! is one frame. A frame goes out in one call ([`write_frame`]), so on a
+//! `TCP_NODELAY` socket it leaves as one segment, and both ends cut
+//! frames off a receive buffer with [`parse_frame`]. A torn or corrupt
+//! frame closes the connection cleanly — the decoder can reject bytes
+//! but never panic on them, which the truncation/bit-flip fuzz tests
+//! assert.
 //!
 //! Payloads are encoded with the bit-exact
 //! [`verdict_core::persist`] [`Encoder`]/[`Decoder`] pair: floats travel
@@ -27,13 +21,16 @@
 //! query / ingest / metrics / close`; responses mirror them plus the
 //! typed [`Response::Overloaded`] shed signal and [`Response::Error`].
 
-use std::io::{self, IoSlice, Write};
+use std::io::{self, Write};
 
 use verdict::sql::ParamKind;
-use verdict::storage::{AttributeRole, ColumnType, Value};
-use verdict::{CellAnswer, Mode, QueryOutcome, QueryResult, ResultRow, StopPolicy};
+use verdict::storage::{ColumnDef, Value};
+use verdict::{Mode, QueryOutcome, StopPolicy};
 use verdict_core::persist::{Decoder, Encoder, Persist, PersistError};
-use verdict_store::crc::crc32;
+use verdict_store::frame::{self, check_header, FrameError, HeaderStatus, MAX_FRAME_LEN};
+use verdict_store::tablecodec::{decode_columns, encode_columns};
+
+pub use verdict_store::frame::FRAME_HEADER_LEN;
 
 /// Connection preamble magic (8 bytes, store-style).
 pub const WIRE_MAGIC: [u8; 8] = *b"VDBLWIRE";
@@ -41,13 +38,8 @@ pub const WIRE_MAGIC: [u8; 8] = *b"VDBLWIRE";
 /// other version are refused: there is no down-negotiation. Version 2
 /// dropped the time-budget stop policy and the outcome's simulated time.
 pub const WIRE_VERSION: u32 = 2;
-/// Preamble length: magic + version.
-pub const PREAMBLE_LEN: usize = WIRE_MAGIC.len() + 4;
-/// Frame header length: payload length + CRC.
-pub const FRAME_HEADER_LEN: usize = 8;
-/// Hard cap on one frame's payload (the WAL's `MAX_RECORD_LEN` idiom):
-/// a corrupt length field must bound allocation, not drive it.
-pub(crate) const MAX_FRAME_LEN: usize = 16 * 1024 * 1024;
+/// Preamble length: magic + version, the frame layer's header prefix.
+pub const PREAMBLE_LEN: usize = frame::HEADER_PREFIX_LEN;
 
 /// Why a connection or message was rejected. Every variant is a clean
 /// rejection — wire decoding never panics on arbitrary bytes.
@@ -101,92 +93,57 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-impl From<io::Error> for WireError {
-    fn from(e: io::Error) -> Self {
-        WireError::Io(e)
-    }
-}
-
 impl From<PersistError> for WireError {
     fn from(e: PersistError) -> Self {
         WireError::Corrupt(e.to_string())
     }
 }
 
-/// Writes the connection preamble (magic + version) in one write.
-pub fn write_preamble(w: &mut impl Write) -> io::Result<()> {
-    let mut preamble = [0u8; PREAMBLE_LEN];
-    preamble[..8].copy_from_slice(&WIRE_MAGIC);
-    preamble[8..].copy_from_slice(&WIRE_VERSION.to_le_bytes());
-    w.write_all(&preamble)
-}
-
-/// Validates a peer's preamble bytes (exactly [`PREAMBLE_LEN`] of them).
-pub fn check_preamble(bytes: &[u8]) -> Result<(), WireError> {
-    debug_assert_eq!(bytes.len(), PREAMBLE_LEN);
-    let mut magic = [0u8; 8];
-    magic.copy_from_slice(&bytes[..8]);
-    if magic != WIRE_MAGIC {
-        return Err(WireError::ForeignMagic(magic));
-    }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    if version != WIRE_VERSION {
-        return Err(WireError::Version(version));
-    }
-    Ok(())
-}
-
-/// Writes one frame, `len | crc | payload`, as one vectored write of the
-/// header and the payload (more only if the writer takes part of them),
-/// so a frame leaves in one segment, not three. A payload the peer would
-/// refuse (over the 16 MiB frame cap) is refused with
-/// [`WireError::TooLarge`] before a byte is written, so the stream stays
-/// in step.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), WireError> {
-    if payload.len() > MAX_FRAME_LEN {
-        return Err(WireError::TooLarge(payload.len() as u64));
-    }
-    let mut header = [0u8; FRAME_HEADER_LEN];
-    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
-    let mut slices = [IoSlice::new(&header), IoSlice::new(payload)];
-    let mut unsent = &mut slices[..];
-    while !unsent.is_empty() {
-        match w.write_vectored(unsent) {
-            Ok(0) => return Err(WireError::Io(io::ErrorKind::WriteZero.into())),
-            Ok(n) => IoSlice::advance_slices(&mut unsent, n),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e.into()),
+impl From<FrameError> for WireError {
+    fn from(e: FrameError) -> Self {
+        match e {
+            FrameError::Io(e) => WireError::Io(e),
+            FrameError::TooLarge(n) => WireError::TooLarge(n),
+            FrameError::Crc { expected, actual } => WireError::Crc { expected, actual },
         }
     }
-    Ok(())
 }
 
-/// Tries to parse one frame from the front of a receive buffer: the one
-/// frame parser, which the server and the client both read through.
-/// Returns `Ok(None)` when the buffer holds only a frame prefix so far
-/// (keep reading), `Ok(Some((payload, consumed)))` for a complete valid
-/// frame, and an error for a frame that can never become valid
-/// (oversized length, CRC mismatch) — the length is checked against the
-/// cap from the header alone, before any payload is awaited.
+/// Writes the connection preamble (magic + version) in one write.
+pub fn write_preamble(w: &mut impl Write) -> io::Result<()> {
+    w.write_all(&frame::header(WIRE_MAGIC, WIRE_VERSION))
+}
+
+/// Validates the [`PREAMBLE_LEN`] bytes a peer's stream opens with; fewer
+/// are [`WireError::Torn`].
+pub fn check_preamble(bytes: &[u8]) -> Result<(), WireError> {
+    match check_header(bytes, PREAMBLE_LEN, WIRE_MAGIC, WIRE_VERSION) {
+        HeaderStatus::Ok => Ok(()),
+        HeaderStatus::TooShort => Err(WireError::Torn),
+        HeaderStatus::ForeignMagic(magic) => Err(WireError::ForeignMagic(magic)),
+        HeaderStatus::OtherVersion(version) => Err(WireError::Version(version)),
+    }
+}
+
+/// Writes one frame, `len | crc | payload`, in one vectored write
+/// ([`frame::write_frame`]), so a frame leaves in one segment, not three.
+/// A payload the peer would refuse (over the 16 MiB frame cap) is
+/// refused with [`WireError::TooLarge`] before a byte is written, so the
+/// stream stays in step.
+pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), WireError> {
+    Ok(frame::write_frame(w, payload)?)
+}
+
+/// Tries to cut one frame off the front of a receive buffer
+/// ([`frame::parse_frame`]): `Ok(None)` while the buffer holds only a
+/// frame prefix (keep reading), `Ok(Some((payload, consumed)))` for a
+/// complete valid frame, and an error for a frame that can never become
+/// valid (oversized length, CRC mismatch) — the length is checked
+/// against the cap from the head alone, before any payload is awaited.
+/// The payload is copied out, so the caller can drain the buffer before
+/// decoding it.
 pub fn parse_frame(buf: &[u8]) -> Result<Option<(Vec<u8>, usize)>, WireError> {
-    if buf.len() < FRAME_HEADER_LEN {
-        return Ok(None);
-    }
-    let len = u32::from_le_bytes(buf[..4].try_into().unwrap()) as usize;
-    if len > MAX_FRAME_LEN {
-        return Err(WireError::TooLarge(len as u64));
-    }
-    if buf.len() < FRAME_HEADER_LEN + len {
-        return Ok(None);
-    }
-    let expected = u32::from_le_bytes(buf[4..8].try_into().unwrap());
-    let payload = &buf[FRAME_HEADER_LEN..FRAME_HEADER_LEN + len];
-    let actual = crc32(payload);
-    if actual != expected {
-        return Err(WireError::Crc { expected, actual });
-    }
-    Ok(Some((payload.to_vec(), FRAME_HEADER_LEN + len)))
+    Ok(frame::parse_frame(buf)?.map(|(payload, consumed)| (payload.to_vec(), consumed)))
 }
 
 /// `value`, if decoding it consumed the whole payload.
@@ -391,16 +348,10 @@ impl Request {
 // ---------------------------------------------------------------------
 // Responses.
 
-/// One column advertised by the `hello` handshake.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ColumnInfo {
-    /// Column name.
-    pub name: String,
-    /// Physical type.
-    pub ty: ColumnType,
-    /// Dimension/measure role.
-    pub role: AttributeRole,
-}
+/// One column advertised by the `hello` handshake: a schema column,
+/// encoded by the store's column-list codec
+/// ([`verdict_store::tablecodec::encode_columns`]).
+pub type ColumnInfo = ColumnDef;
 
 /// One table advertised by the `hello` handshake.
 #[derive(Debug, Clone, PartialEq)]
@@ -564,18 +515,7 @@ impl Response {
                 enc.put_len(info.tables.len());
                 for t in &info.tables {
                     enc.put_str(&t.name);
-                    enc.put_len(t.columns.len());
-                    for c in &t.columns {
-                        enc.put_str(&c.name);
-                        enc.put_u8(match c.ty {
-                            ColumnType::Numeric => 0,
-                            ColumnType::Categorical => 1,
-                        });
-                        enc.put_u8(match c.role {
-                            AttributeRole::Dimension => 0,
-                            AttributeRole::Measure => 1,
-                        });
-                    }
+                    encode_columns(&t.columns, &mut enc);
                     enc.put_u64(t.rows);
                     enc.put_u64(t.epoch);
                     enc.put_u64(t.data_epoch);
@@ -599,14 +539,7 @@ impl Response {
                 enc.put_u64(*bound);
             }
             Response::Answer(a) => {
-                enc.put_u8(RESP_ANSWER);
-                enc.put_bool(a.cached);
-                enc.put_bool(a.degraded);
-                enc.put_u64(a.elapsed_ns);
-                // The outcome rides as the frame's tail: the header
-                // above is fixed-size, so no inner length prefix is
-                // needed and the bytes stay exactly [`encode_outcome`]'s.
-                enc.put_bytes(&a.outcome);
+                return encode_answer(a.cached, a.degraded, a.elapsed_ns, &a.outcome);
             }
             Response::IngestOk(s) => {
                 enc.put_u8(RESP_INGEST_OK);
@@ -643,34 +576,9 @@ impl Response {
                 let n = dec.take_len()?;
                 let mut tables = Vec::with_capacity(n.min(4096));
                 for _ in 0..n {
-                    let name = dec.take_str()?;
-                    let cols = dec.take_len()?;
-                    let mut columns = Vec::with_capacity(cols.min(4096));
-                    for _ in 0..cols {
-                        let cname = dec.take_str()?;
-                        let ty = match dec.take_u8()? {
-                            0 => ColumnType::Numeric,
-                            1 => ColumnType::Categorical,
-                            t => {
-                                return Err(WireError::Corrupt(format!("column type {t}")));
-                            }
-                        };
-                        let role = match dec.take_u8()? {
-                            0 => AttributeRole::Dimension,
-                            1 => AttributeRole::Measure,
-                            t => {
-                                return Err(WireError::Corrupt(format!("column role {t}")));
-                            }
-                        };
-                        columns.push(ColumnInfo {
-                            name: cname,
-                            ty,
-                            role,
-                        });
-                    }
                     tables.push(TableInfo {
-                        name,
-                        columns,
+                        name: dec.take_str()?,
+                        columns: decode_columns(&mut dec)?,
                         rows: dec.take_u64()?,
                         epoch: dec.take_u64()?,
                         data_epoch: dec.take_u64()?,
@@ -706,15 +614,11 @@ impl Response {
                 let elapsed_ns = dec.take_u64()?;
                 // Fixed-size header: tag + 2 bool bytes + u64. The rest
                 // of the payload is the canonical outcome, verbatim.
-                const HEADER: usize = 1 + 1 + 1 + 8;
-                if payload.len() < HEADER {
-                    return Err(WireError::Corrupt("short answer frame".into()));
-                }
                 return Ok(Response::Answer(AnswerFrame {
                     cached,
                     degraded,
                     elapsed_ns,
-                    outcome: payload[HEADER..].to_vec(),
+                    outcome: payload[ANSWER_HEADER_LEN..].to_vec(),
                 }));
             }
             RESP_INGEST_OK => Response::IngestOk(IngestSummary {
@@ -739,6 +643,32 @@ impl Response {
         };
         exhausted(&dec, "response", resp)
     }
+}
+
+/// Bytes of an `Answer` payload before its outcome: tag, two flags, the
+/// elapsed time.
+const ANSWER_HEADER_LEN: usize = 1 + 1 + 1 + 8;
+
+/// Encodes an `Answer` payload around canonical `outcome` bytes: the one
+/// encoder of the answer arm, which [`Response::encode`] and the server
+/// both call — the server straight on the bytes its answer cache shares,
+/// so an answer is copied once, into the payload. The outcome rides as
+/// the payload's tail: the fields before it are fixed-size, so no inner
+/// length prefix is needed and the bytes stay exactly
+/// [`encode_outcome`]'s.
+pub(crate) fn encode_answer(
+    cached: bool,
+    degraded: bool,
+    elapsed_ns: u64,
+    outcome: &[u8],
+) -> Vec<u8> {
+    let mut enc = Encoder::new();
+    enc.put_u8(RESP_ANSWER);
+    enc.put_bool(cached);
+    enc.put_bool(degraded);
+    enc.put_u64(elapsed_ns);
+    enc.put_bytes(outcome);
+    enc.into_bytes()
 }
 
 // ---------------------------------------------------------------------
@@ -805,7 +735,25 @@ pub fn encode_outcome(outcome: &QueryOutcome) -> Vec<u8> {
     match outcome {
         QueryOutcome::Answered(r) => {
             enc.put_u8(0);
-            encode_result(&mut enc, r);
+            enc.put_len(r.rows.len());
+            for row in &r.rows {
+                enc.put_bool(row.group.is_some());
+                if let Some(key) = &row.group {
+                    key.encode(&mut enc);
+                }
+                enc.put_len(row.values.len());
+                for cell in &row.values {
+                    enc.put_f64(cell.improved.answer);
+                    enc.put_f64(cell.improved.error);
+                    enc.put_bool(cell.improved.used_model);
+                    enc.put_f64(cell.raw_answer);
+                    enc.put_f64(cell.raw_error);
+                    enc.put_u64(cell.tuples_scanned as u64);
+                }
+            }
+            enc.put_u64(r.tuples_scanned as u64);
+            enc.put_bool(r.truncated);
+            enc.put_u64(r.epoch);
         }
         QueryOutcome::Unsupported(reasons) => {
             enc.put_u8(1);
@@ -816,39 +764,6 @@ pub fn encode_outcome(outcome: &QueryOutcome) -> Vec<u8> {
         }
     }
     enc.into_bytes()
-}
-
-fn encode_result(enc: &mut Encoder, r: &QueryResult) {
-    enc.put_len(r.rows.len());
-    for row in &r.rows {
-        encode_row(enc, row);
-    }
-    enc.put_u64(r.tuples_scanned as u64);
-    enc.put_bool(r.truncated);
-    enc.put_u64(r.epoch);
-}
-
-fn encode_row(enc: &mut Encoder, row: &ResultRow) {
-    match &row.group {
-        Some(key) => {
-            enc.put_bool(true);
-            key.encode(enc);
-        }
-        None => enc.put_bool(false),
-    }
-    enc.put_len(row.values.len());
-    for cell in &row.values {
-        encode_cell(enc, cell);
-    }
-}
-
-fn encode_cell(enc: &mut Encoder, cell: &CellAnswer) {
-    enc.put_f64(cell.improved.answer);
-    enc.put_f64(cell.improved.error);
-    enc.put_bool(cell.improved.used_model);
-    enc.put_f64(cell.raw_answer);
-    enc.put_f64(cell.raw_error);
-    enc.put_u64(cell.tuples_scanned as u64);
 }
 
 /// Decodes canonical outcome bytes (see [`encode_outcome`]), requiring
@@ -951,6 +866,9 @@ mod tests {
             Ok(())
         }
     }
+
+    use std::io::IoSlice;
+    use verdict_store::crc::crc32;
 
     /// `len | crc | payload`, assembled by hand.
     fn layout(payload: &[u8]) -> Vec<u8> {

@@ -300,3 +300,234 @@ fn oversized_length_field_is_rejected_not_allocated() {
     assert!(matches!(parse_frame(&bytes), Err(WireError::TooLarge(_))));
     let _ = FRAME_HEADER_LEN;
 }
+
+// -------------------------------------------------------------------
+// Byte freeze: the round trips above cannot see a layout change made on
+// both sides at once, so the bytes of one fixed instance of every message
+// are held to recorded FNV-1a constants, as `tests/format_freeze.rs` holds
+// the store's files. A failure means a byte on the wire moved; the message
+// prints every new hash. They are re-recorded only with a deliberate
+// protocol (`WIRE_VERSION`) change.
+
+fn frozen_outcomes() -> (verdict::QueryOutcome, verdict::QueryOutcome) {
+    use verdict::core::ImprovedAnswer;
+    use verdict::sql::UnsupportedReason;
+    use verdict::{CellAnswer, QueryOutcome, QueryResult, ResultRow};
+    let cell = |answer: f64, error: f64, used_model: bool, tuples: usize| CellAnswer {
+        improved: ImprovedAnswer {
+            answer,
+            error,
+            used_model,
+        },
+        raw_answer: answer + 0.25,
+        raw_error: error * 2.0,
+        tuples_scanned: tuples,
+    };
+    let grouped = QueryOutcome::Answered(QueryResult {
+        rows: vec![
+            ResultRow {
+                group: Some(vec![Value::Str("north".into()), Value::Num(3.0)]),
+                values: vec![
+                    cell(41.5, 0.75, true, 900),
+                    cell(-0.0, f64::INFINITY, false, 0),
+                ],
+            },
+            ResultRow {
+                group: Some(vec![Value::Cat(7), Value::Num(-2.5)]),
+                values: vec![
+                    cell(1e-300, 1e300, true, 12_345),
+                    cell(f64::NAN, 0.5, false, 1),
+                ],
+            },
+        ],
+        tuples_scanned: 13_246,
+        truncated: true,
+        epoch: 5,
+        elapsed: std::time::Duration::from_millis(3),
+    });
+    let unsupported = QueryOutcome::Unsupported(vec![
+        UnsupportedReason::Disjunction,
+        UnsupportedReason::MinMaxAggregate,
+    ]);
+    (grouped, unsupported)
+}
+
+fn frozen_messages() -> Vec<(&'static str, Vec<u8>)> {
+    use verdict::sql::ParamKind;
+    use verdict::storage::{AttributeRole, ColumnType};
+    use verdict_server::wire::{encode_outcome, write_preamble};
+    let sql = "SELECT region, AVG(amount) FROM orders WHERE day BETWEEN ? AND ? GROUP BY region";
+    let (grouped, unsupported) = frozen_outcomes();
+    let requests = [
+        ("request/hello", Request::Hello),
+        ("request/prepare", Request::Prepare { sql: sql.into() }),
+        (
+            "request/bind",
+            Request::Bind {
+                stmt: 7,
+                params: vec![Value::Num(10.5), Value::Cat(3), Value::Str("north".into())],
+            },
+        ),
+        (
+            "request/run",
+            Request::Run {
+                bound: 9,
+                options: WireOptions {
+                    mode: Mode::Verdict,
+                    policy: StopPolicy::RelativeErrorBound {
+                        target: 0.05,
+                        delta: 0.95,
+                    },
+                },
+            },
+        ),
+        (
+            "request/query",
+            Request::Query {
+                sql: sql.into(),
+                options: WireOptions {
+                    mode: Mode::NoLearn,
+                    policy: StopPolicy::TupleBudget(5_000),
+                },
+            },
+        ),
+        (
+            "request/ingest",
+            Request::Ingest {
+                table: "orders".into(),
+                rows: vec![
+                    vec![Value::Num(1.0), Value::Str("a".into())],
+                    vec![Value::Num(-0.0), Value::Cat(2)],
+                ],
+            },
+        ),
+        ("request/metrics", Request::Metrics),
+        ("request/close", Request::Close),
+    ];
+    let column = |name: &str, ty, role| ColumnInfo {
+        name: name.into(),
+        ty,
+        role,
+    };
+    let responses = [
+        (
+            "response/hello",
+            Response::Hello(HelloInfo {
+                protocol: WIRE_VERSION,
+                tables: vec![TableInfo {
+                    name: "orders".into(),
+                    columns: vec![
+                        column("day", ColumnType::Numeric, AttributeRole::Dimension),
+                        column("region", ColumnType::Categorical, AttributeRole::Dimension),
+                        column("amount", ColumnType::Numeric, AttributeRole::Measure),
+                    ],
+                    rows: 4_000,
+                    epoch: 3,
+                    data_epoch: 1,
+                }],
+            }),
+        ),
+        (
+            "response/prepared",
+            Response::Prepared(PreparedInfo {
+                stmt: 1,
+                table: "orders".into(),
+                params: vec![ParamKind::Numeric, ParamKind::Categorical],
+                fingerprint: 0x0123_4567_89ab_cdef,
+            }),
+        ),
+        ("response/bound", Response::Bound { bound: 2 }),
+        (
+            "response/answer",
+            Response::Answer(AnswerFrame {
+                cached: true,
+                degraded: false,
+                elapsed_ns: 12_345,
+                outcome: encode_outcome(&grouped),
+            }),
+        ),
+        (
+            "response/ingest_ok",
+            Response::IngestOk(IngestSummary {
+                appended_rows: 1,
+                adjusted_keys: 2,
+                adjusted_snippets: 3,
+                data_epoch: 4,
+            }),
+        ),
+        (
+            "response/metrics",
+            Response::Metrics {
+                json: "{\"verdict_server_requests_total\":1}".into(),
+            },
+        ),
+        (
+            "response/overloaded",
+            Response::Overloaded {
+                inflight: 64,
+                limit: 64,
+            },
+        ),
+        (
+            "response/error",
+            Response::Error {
+                code: ErrorCode::UnknownHandle,
+                message: "no bound statement #9 in this session".into(),
+            },
+        ),
+        ("response/bye", Response::Bye),
+    ];
+    let mut out: Vec<(&'static str, Vec<u8>)> = requests
+        .into_iter()
+        .map(|(name, r)| (name, r.encode().expect("encodable")))
+        .collect();
+    out.extend(responses.into_iter().map(|(name, r)| (name, r.encode())));
+    let mut framed = Vec::new();
+    write_frame(&mut framed, b"verdict wire frame").expect("write");
+    out.push(("frame", framed));
+    let mut preamble = Vec::new();
+    write_preamble(&mut preamble).expect("write");
+    out.push(("preamble", preamble));
+    out.push(("outcome/grouped", encode_outcome(&grouped)));
+    out.push(("outcome/unsupported", encode_outcome(&unsupported)));
+    out
+}
+
+/// FNV-1a of each frozen message, recorded at protocol version 2.
+const FROZEN: [(&str, u64); 21] = [
+    ("request/hello", 0xaf63bc4c8601b62c),
+    ("request/prepare", 0xf2f298998383d0a7),
+    ("request/bind", 0x13d7c36534970dc7),
+    ("request/run", 0x261eb1852f84a19a),
+    ("request/query", 0xda6294ac4e150749),
+    ("request/ingest", 0x9d4557a82a0fe9ba),
+    ("request/metrics", 0xaf63ba4c8601b2c6),
+    ("request/close", 0xaf63c54c8601c577),
+    ("response/hello", 0x74c955ef09043e4f),
+    ("response/prepared", 0xd08b1c18bddab57e),
+    ("response/bound", 0xf0a3f84ff0c79510),
+    ("response/answer", 0x4ec972fb8a92354e),
+    ("response/ingest_ok", 0x6df57a878106ede4),
+    ("response/metrics", 0xcc720317714f3656),
+    ("response/overloaded", 0x4edf490576719546),
+    ("response/error", 0xd0099b7e7b56874d),
+    ("response/bye", 0xaf64444c86029d44),
+    ("frame", 0x5c0ff1f0ef98793d),
+    ("preamble", 0xbcdddf88baacf93e),
+    ("outcome/grouped", 0x958bf81de1e9c440),
+    ("outcome/unsupported", 0xc2c1897802b12ed5),
+];
+
+#[test]
+fn wire_bytes_are_frozen() {
+    use verdict_core::persist::fingerprint_bytes;
+    let got: Vec<(&str, u64)> = frozen_messages()
+        .into_iter()
+        .map(|(name, bytes)| (name, fingerprint_bytes(&bytes)))
+        .collect();
+    let listing: String = got
+        .iter()
+        .map(|(name, h)| format!("    ({name:?}, {h:#018x}),\n"))
+        .collect();
+    assert_eq!(got, FROZEN, "a wire byte moved; the new hashes:\n{listing}");
+}

@@ -17,15 +17,14 @@
 //! still opens: `Database::open` detects the layout by the manifest's
 //! presence.
 //!
-//! The manifest is written like every other whole store file, through
-//! `crate::snapshot::write_atomic`: temp file, fsync, rename,
-//! parent-directory fsync.
+//! On disk it is the header prefix and then one frame
+//! ([`crate::frame`]) whose payload lists the names. It is written like
+//! every other whole store file, through `crate::snapshot::write_atomic`:
+//! temp file, fsync, rename, parent-directory fsync.
 
-use std::fs::File;
-use std::io::Read;
 use std::path::{Path, PathBuf};
 
-use crate::crc::crc32;
+use crate::frame::{check_header, header, whole_body, Seal, FRAME_HEADER_LEN, HEADER_PREFIX_LEN};
 use crate::snapshot::write_atomic;
 use crate::{Result, StoreError};
 
@@ -38,6 +37,8 @@ pub(crate) const CATALOG_VERSION: u32 = 3;
 pub(crate) const CATALOG_FILE: &str = "CATALOG";
 /// Subdirectory holding the per-table stores.
 pub(crate) const TABLES_DIR: &str = "tables";
+/// Header: magic, version, then the names' frame head.
+const CATALOG_HEADER_LEN: usize = HEADER_PREFIX_LEN + FRAME_HEADER_LEN;
 
 /// The decoded catalog manifest: the database's table names, in
 /// registration order.
@@ -86,69 +87,45 @@ pub fn write_catalog(root: &Path, manifest: &CatalogManifest) -> Result<()> {
         body.extend_from_slice(&(name.len() as u32).to_le_bytes());
         body.extend_from_slice(name.as_bytes());
     }
-    let mut header = Vec::with_capacity(20);
-    header.extend_from_slice(&CATALOG_MAGIC);
-    header.extend_from_slice(&CATALOG_VERSION.to_le_bytes());
-    header.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    header.extend_from_slice(&crc32(&body).to_le_bytes());
+    let mut file_header = header(CATALOG_MAGIC, CATALOG_VERSION).to_vec();
+    file_header.extend_from_slice(&Seal::of(&body).head()?);
 
     std::fs::create_dir_all(root)?;
-    write_atomic(&root.join(CATALOG_FILE), &header, &body)
+    write_atomic(&root.join(CATALOG_FILE), &file_header, &body)
 }
 
 /// Reads and validates the manifest from `root`.
 pub fn read_catalog(root: &Path) -> Result<CatalogManifest> {
-    let path = root.join(CATALOG_FILE);
-    let mut bytes = Vec::new();
-    File::open(&path)?.read_to_end(&mut bytes)?;
-    if bytes.len() < 20 {
-        return Err(StoreError::Corrupt("catalog shorter than header".into()));
-    }
-    if bytes[..8] != CATALOG_MAGIC {
-        return Err(StoreError::Corrupt("bad catalog magic".into()));
-    }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    if version != CATALOG_VERSION {
-        return Err(StoreError::Corrupt(format!(
-            "unsupported catalog version {version}"
-        )));
-    }
-    let body_len = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
-    let body_crc = u32::from_le_bytes(bytes[16..20].try_into().unwrap());
-    let body = bytes
-        .get(20..20 + body_len)
-        .ok_or_else(|| StoreError::Corrupt("catalog truncated".into()))?;
-    if bytes.len() != 20 + body_len {
-        return Err(StoreError::Corrupt("catalog trailing bytes".into()));
-    }
-    if crc32(body) != body_crc {
-        return Err(StoreError::Corrupt("catalog checksum mismatch".into()));
-    }
+    let bytes = std::fs::read(root.join(CATALOG_FILE))?;
+    check_header(&bytes, CATALOG_HEADER_LEN, CATALOG_MAGIC, CATALOG_VERSION).require("catalog")?;
+    let seal = Seal::parse_head(&bytes[HEADER_PREFIX_LEN..], u64::MAX)?
+        .expect("the checked header holds the frame head");
+    let body = whole_body(seal, &bytes[CATALOG_HEADER_LEN..], "catalog")?;
 
-    let mut pos = 0usize;
-    let take = |pos: &mut usize, n: usize| -> Result<&[u8]> {
-        let s = body
-            .get(*pos..*pos + n)
-            .ok_or_else(|| StoreError::Corrupt("catalog body truncated".into()))?;
-        *pos += n;
-        Ok(s)
+    let corrupt = |what: String| StoreError::Corrupt(format!("catalog {what}"));
+    let mut rest = body;
+    let mut take = |n: usize| {
+        let (taken, tail) = rest
+            .split_at_checked(n)
+            .ok_or_else(|| corrupt("body truncated".into()))?;
+        rest = tail;
+        Ok::<_, StoreError>(taken)
     };
-    let count = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
+    let word = |bytes: &[u8]| u32::from_le_bytes(bytes.try_into().unwrap()) as usize;
+    let count = word(take(4)?);
     let mut tables = Vec::with_capacity(count.min(1024));
     for _ in 0..count {
-        let len = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
-        let name = std::str::from_utf8(take(&mut pos, len)?)
-            .map_err(|_| StoreError::Corrupt("catalog name is not UTF-8".into()))?
+        let len = word(take(4)?);
+        let name = std::str::from_utf8(take(len)?)
+            .map_err(|_| corrupt("name is not UTF-8".into()))?
             .to_owned();
         if !is_valid_table_name(&name) {
-            return Err(StoreError::Corrupt(format!(
-                "catalog holds invalid table name {name:?}"
-            )));
+            return Err(corrupt(format!("holds invalid table name {name:?}")));
         }
         tables.push(name);
     }
-    if pos != body.len() {
-        return Err(StoreError::Corrupt("catalog body trailing bytes".into()));
+    if !rest.is_empty() {
+        return Err(corrupt("body trailing bytes".into()));
     }
     Ok(CatalogManifest { tables })
 }

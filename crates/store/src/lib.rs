@@ -8,9 +8,8 @@
 //! snapshot architecture:
 //!
 //! - **Append-only snippet log** ([`log::SnippetLog`], `wal.vlog`): every
-//!   observed snippet is appended as a length-prefixed, CRC-32-checksummed
-//!   record carrying a monotone sequence number. Appends are incremental
-//!   (`O(record)`, not `O(state)`), driven by the engine's
+//!   observed snippet is appended as one frame ([`frame`]) carrying a
+//!   monotone sequence number, in `O(record)`, driven by the engine's
 //!   [`verdict_core::SnippetObserver`] hook.
 //! - **Compacted snapshots** ([`snapshot`], `snapshot-<gen>.vsnap`):
 //!   periodically, the full session state — session parameters,
@@ -21,9 +20,8 @@
 //!   snapshot" and "truncate log" never double applies records.
 //! - **Append-only row files** ([`partfile`], `part-<id>.vcol`): the
 //!   base rows, written once at create and then only appended to — each
-//!   ingest adds one CRC-framed record stamped with its WAL sequence.
-//!   An ingest costs the rows it adds, and a snapshot never rewrites
-//!   them.
+//!   ingest adds one frame stamped with its WAL sequence. An ingest costs
+//!   the rows it adds, and a snapshot never rewrites them.
 //! - **Crash-safe recovery** ([`store::SynopsisStore::open`]): the newest
 //!   snapshot generation that validates is loaded (corrupt generations
 //!   fall back to older ones), the log's and the row files' torn tails —
@@ -40,8 +38,8 @@
 //! ## Catalog layout (version 3)
 //!
 //! A multi-table `Database` persists under one root directory: a
-//! [`catalog`] manifest (`CATALOG`: magic `"VDBLCATL"`, version 3,
-//! CRC-checked ordered table names) plus one complete per-table store in
+//! [`catalog`] manifest (`CATALOG`: magic `"VDBLCATL"`, version 3, then
+//! one frame of ordered table names) plus one complete per-table store in
 //! `tables/<name>/`. Every per-table store is an ordinary store
 //! directory, so the WAL/snapshot/recovery machinery below applies per
 //! table unchanged, and a single-table directory (no manifest) still
@@ -50,14 +48,16 @@
 //! ## Per-table store format
 //!
 //! All integers little-endian; all floats raw IEEE-754 bits (bit-exact
-//! round trips). Payload encodings come from [`verdict_core::persist`].
+//! round trips). Payload encodings come from [`verdict_core::persist`];
+//! headers, frames (`len u32 | crc u32 | payload`) and sealed bodies from
+//! the one framed-record layer, [`frame`].
 //!
 //! ```text
 //! part-<id>.vcol (one per partition; a resident table has only id 0):
 //!   magic     8B  "VDBLPCOL"
 //!   version   u32 = 1
 //!   partition u32
-//!   records:  len u32 | crc u32 | payload   (crc over payload)
+//!   records:  one frame each
 //!     payload = seq u64 | rows u32 | columns (column-major: numeric
 //!               f64 bits, categorical u32 codes into the snapshot's
 //!               resolution table); record 0 holds the create-time rows
@@ -68,8 +68,8 @@
 //!   version   u32 = 4   (the only version read)
 //!   last_seq  u64   highest log sequence folded into this snapshot
 //!   table_gen u64 = 0   reserved
-//!   body_len  u64
-//!   body_crc  u32   CRC-32 (ISO-HDLC) of body
+//!   body_len  u64   } the body's seal
+//!   body_crc  u32   }
 //!   body          SessionMeta ++ table_fp u64 ++ data_epoch u64
 //!                 ++ resolution Table (zero rows: schema + dictionaries)
 //!                 ++ PagedState (only when SessionMeta.paged)
@@ -79,8 +79,7 @@
 //!   magic    8B  "VDBLWLOG"
 //!   version  u32 = 2
 //!   reserved u32 = 0
-//!   records:
-//!     len u32 | crc u32 | payload   (crc over payload)
+//!   records:  one frame each (payload at most 16 MiB)
 //!     payload = tag u8 = 1 | seq u64 | AggKey | Region | Observation
 //!             | tag u8 = 2 | seq u64 | rows | adjustments
 //!       rows        = count u64, then per row: count u64, then per value
@@ -106,9 +105,11 @@
 //! writes the snapshot file alone — the rows are durable already — so
 //! its cost scales with the synopsis, not the data.
 //!
-//! Recovery heals torn part-file tails by frame CRC (exactly like the
-//! WAL's own tail), cuts any record stamped past the newest sequence the
-//! log and snapshot hold (its WAL record did not survive), verifies the
+//! Both files are appended through the frame layer's appender, which cuts
+//! a failed append back to the last whole record. Recovery heals torn
+//! part-file tails by frame CRC (exactly like the WAL's own tail), cuts
+//! any record stamped past the newest sequence the log and snapshot hold
+//! (its WAL record did not survive), verifies the
 //! create-time records against the snapshot's `table_fp`, and replays
 //! each surviving ingest record: it re-appends the batch to any part
 //! file whose records lack its sequence — record-level idempotence, so a
@@ -127,11 +128,12 @@
 //! demand under a byte budget; partitions whose summaries exclude the
 //! predicate are pruned without opening their files at all.
 //!
-//! A log or snapshot whose header carries an unknown version or foreign
-//! magic is refused, never truncated.
+//! A file whose header carries an unknown version or foreign magic is
+//! refused, never truncated ([`frame::HeaderStatus`]).
 
 pub mod catalog;
 pub mod crc;
+pub mod frame;
 pub mod log;
 pub mod partfile;
 pub mod snapshot;

@@ -1,10 +1,10 @@
 //! The append-only write-ahead log (`wal.vlog`).
 //!
-//! Records are framed `len u32 | crc u32 | payload` after a fixed file
-//! header. The log is the incremental half of durability: every snippet
-//! the engine observes — and, since format v2, every ingested row batch
-//! with its synopsis adjustments — lands here immediately, and a snapshot
-//! later folds the accumulated records away.
+//! A fixed file header, then one frame per record ([`crate::frame`]). The
+//! log is the incremental half of durability: every snippet the engine
+//! observes — and, since format v2, every ingested row batch with its
+//! synopsis adjustments — lands here immediately, and a snapshot later
+//! folds the accumulated records away.
 //!
 //! Recovery tolerates *any* torn tail: a partial header, a partial frame,
 //! a length pointing past EOF, or a checksum mismatch all terminate the
@@ -14,8 +14,6 @@
 //! the rows and the adjustments together, so a batch is either wholly
 //! replayed or wholly absent.
 
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
 
 use verdict_core::append::AppendAdjustment;
@@ -24,7 +22,7 @@ use verdict_core::snippet::{AggKey, Observation};
 use verdict_core::Region;
 use verdict_storage::Value;
 
-use crate::crc::crc32;
+use crate::frame::{check_header, header, parse_frame, Appender, HeaderStatus};
 use crate::{Result, StoreError};
 
 /// File magic for the write-ahead log.
@@ -34,10 +32,6 @@ pub(crate) const LOG_MAGIC: [u8; 8] = *b"VDBLWLOG";
 pub(crate) const LOG_VERSION: u32 = 2;
 /// Header: magic + version + reserved word.
 pub const LOG_HEADER_LEN: u64 = 16;
-/// Upper bound on a single record payload; lengths above this are treated
-/// as corruption rather than attempted allocations. Oversized ingest
-/// batches are refused at append time — split them.
-pub const MAX_RECORD_LEN: u32 = 16 * 1024 * 1024;
 
 /// Record type tag for snippet appends.
 const TAG_SNIPPET: u8 = 1;
@@ -159,22 +153,6 @@ impl LogRecord {
     }
 }
 
-/// Outcome of validating the log's fixed file header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum HeaderStatus {
-    /// Magic and version both valid.
-    Ok,
-    /// Fewer bytes than a header — a torn create; no record can exist,
-    /// so rewriting the file loses nothing.
-    TooShort,
-    /// The magic bytes are not a snippet log's — a foreign file that
-    /// must not be overwritten.
-    WrongMagic,
-    /// Valid magic, but a version this build does not understand —
-    /// likely written by a newer build; must not be truncated.
-    WrongVersion(u32),
-}
-
 /// What a log scan found.
 #[derive(Debug)]
 pub struct LogScan {
@@ -191,39 +169,21 @@ pub struct LogScan {
 /// Handle to an open, writable snippet log.
 #[derive(Debug)]
 pub struct SnippetLog {
-    path: PathBuf,
-    file: File,
-    /// Bytes currently in the file (header included).
-    len: u64,
+    file: Appender,
     /// Records appended since open or last truncation.
     appended_since_reset: u64,
-    /// Set when a failed append could not be rolled back: the file cursor
-    /// may sit past torn bytes, so further appends would land after
-    /// garbage and be silently dropped at recovery. All writes refuse
-    /// until the log is reopened.
-    poisoned: bool,
 }
 
 impl SnippetLog {
     /// Creates a fresh log (truncating any existing file) with a header.
     pub fn create(path: impl Into<PathBuf>) -> Result<SnippetLog> {
         let path = path.into();
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&path)?;
-        file.write_all(&LOG_MAGIC)?;
-        file.write_all(&LOG_VERSION.to_le_bytes())?;
-        file.write_all(&0u32.to_le_bytes())?;
-        file.flush()?;
+        let mut log_header = [0u8; LOG_HEADER_LEN as usize];
+        log_header[..12].copy_from_slice(&header(LOG_MAGIC, LOG_VERSION));
+        std::fs::write(&path, log_header)?;
         Ok(SnippetLog {
-            path,
-            file,
-            len: LOG_HEADER_LEN,
+            file: Appender::open(path)?,
             appended_since_reset: 0,
-            poisoned: false,
         })
     }
 
@@ -232,56 +192,25 @@ impl SnippetLog {
     pub fn open(path: impl Into<PathBuf>) -> Result<(SnippetLog, LogScan)> {
         let path = path.into();
         if !path.exists() {
-            let log = SnippetLog::create(path)?;
-            return Ok((
-                log,
-                LogScan {
-                    header: HeaderStatus::Ok,
-                    records: Vec::new(),
-                    valid_len: LOG_HEADER_LEN,
-                    torn_bytes: 0,
-                },
-            ));
+            SnippetLog::create(&path)?;
         }
-        let mut bytes = Vec::new();
-        File::open(&path)?.read_to_end(&mut bytes)?;
-        let scan = scan_log_bytes(&bytes);
+        let scan = scan_log_bytes(&std::fs::read(&path)?);
         match scan.header {
-            HeaderStatus::Ok => {}
-            HeaderStatus::TooShort => {
-                // A torn create: a header-less file cannot hold records,
-                // so rewriting it loses nothing.
-                let log = SnippetLog::create(path)?;
-                return Ok((log, scan));
-            }
-            HeaderStatus::WrongMagic => {
-                // Foreign data must never be truncated away silently.
-                return Err(StoreError::Corrupt(format!(
-                    "{} is not a snippet log (bad magic)",
-                    path.display()
-                )));
-            }
-            HeaderStatus::WrongVersion(v) => {
-                // Likely a newer build's log: truncating it would destroy
-                // records this build merely cannot read.
-                return Err(StoreError::Corrupt(format!(
-                    "{} has log version {v}; this build supports {LOG_VERSION}",
-                    path.display()
-                )));
-            }
+            // A torn create: a header-less file cannot hold records, so
+            // rewriting it loses nothing.
+            HeaderStatus::TooShort => return Ok((SnippetLog::create(path)?, scan)),
+            // Foreign data, or likely a newer build's log: truncating it
+            // would destroy records this build merely cannot read.
+            status => status.require(format_args!("log {}", path.display()))?,
         }
-        let mut file = OpenOptions::new().read(true).write(true).open(&path)?;
-        if scan.valid_len < bytes.len() as u64 {
-            file.set_len(scan.valid_len)?;
+        let mut file = Appender::open(path)?;
+        if scan.valid_len < file.len() {
+            file.cut(scan.valid_len)?;
         }
-        file.seek(SeekFrom::Start(scan.valid_len))?;
         Ok((
             SnippetLog {
-                path,
                 file,
-                len: scan.valid_len,
                 appended_since_reset: 0,
-                poisoned: false,
             },
             scan,
         ))
@@ -289,7 +218,7 @@ impl SnippetLog {
 
     /// Bytes currently in the log (header included).
     pub fn len_bytes(&self) -> u64 {
-        self.len
+        self.file.len()
     }
 
     /// Records appended since open or the last [`SnippetLog::reset`].
@@ -299,63 +228,26 @@ impl SnippetLog {
 
     /// Appends one record and flushes it to the OS, returning the number
     /// of bytes the record occupied on disk (frame header included) —
-    /// the store's WAL byte accounting is derived from this value.
-    ///
-    /// A failed append rolls the file back to its last known-good length,
-    /// so a partially written frame can never sit under records appended
-    /// later (which recovery would then silently drop as a torn tail). If
-    /// the rollback itself fails, the log is poisoned and refuses all
-    /// further writes.
+    /// the store's WAL byte accounting is derived from this value. The
+    /// frame appender's rules hold: an oversized record is refused
+    /// whole, a failed append is cut back to the last whole record, and
+    /// a failed cut poisons the log until it is reopened.
     pub fn append(&mut self, record: &LogRecord) -> Result<u64> {
-        if self.poisoned {
-            return Err(StoreError::Corrupt(format!(
-                "{} is poisoned by an earlier failed append; reopen the store",
-                self.path.display()
-            )));
-        }
-        let payload = record.encode_payload();
-        if payload.len() as u64 > MAX_RECORD_LEN as u64 {
-            // Scanners treat over-length frames as corruption, so writing
-            // one would make the record (and everything after it)
-            // unrecoverable. Refuse instead; the caller splits the batch.
-            return Err(StoreError::Mismatch(format!(
-                "record of {} bytes exceeds the {MAX_RECORD_LEN}-byte frame \
-                 limit; split the ingest batch",
-                payload.len()
-            )));
-        }
-        let mut frame = Vec::with_capacity(8 + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        if let Err(e) = self.file.write_all(&frame).and_then(|()| self.file.flush()) {
-            let rolled_back = self
-                .file
-                .set_len(self.len)
-                .and_then(|()| self.file.seek(SeekFrom::Start(self.len)).map(|_| ()));
-            if rolled_back.is_err() {
-                self.poisoned = true;
-            }
-            return Err(e.into());
-        }
-        self.len += frame.len() as u64;
+        let bytes = self.file.append(&record.encode_payload())?;
         self.appended_since_reset += 1;
-        Ok(frame.len() as u64)
+        Ok(bytes)
     }
 
     /// Durably syncs all appended records to disk (fsync).
     pub fn sync(&mut self) -> Result<()> {
-        self.file.sync_all()?;
-        Ok(())
+        self.file.sync()
     }
 
     /// Truncates the log back to an empty header — called after a
     /// snapshot has folded every record away.
     pub(crate) fn reset(&mut self) -> Result<()> {
-        self.file.set_len(LOG_HEADER_LEN)?;
-        self.file.seek(SeekFrom::Start(LOG_HEADER_LEN))?;
-        self.file.sync_all()?;
-        self.len = LOG_HEADER_LEN;
+        self.file.cut(LOG_HEADER_LEN)?;
+        self.file.sync()?;
         self.appended_since_reset = 0;
         Ok(())
     }
@@ -364,54 +256,29 @@ impl SnippetLog {
 /// Scans raw log bytes, returning every valid record and the length of
 /// the valid prefix. Never panics on arbitrary input.
 pub fn scan_log_bytes(bytes: &[u8]) -> LogScan {
-    let total = bytes.len() as u64;
-    // Header checks yield zero records; HeaderStatus tells the caller
+    // A bad header yields zero records; the status tells the caller
     // whether rewriting the file is safe (torn create) or destructive
     // (foreign file, newer version).
-    let header = if bytes.len() < LOG_HEADER_LEN as usize {
-        HeaderStatus::TooShort
-    } else if bytes[..8] != LOG_MAGIC {
-        HeaderStatus::WrongMagic
-    } else {
-        match u32::from_le_bytes(bytes[8..12].try_into().unwrap()) {
-            LOG_VERSION => HeaderStatus::Ok,
-            v => HeaderStatus::WrongVersion(v),
-        }
-    };
-    if header != HeaderStatus::Ok {
-        return LogScan {
-            header,
-            records: Vec::new(),
-            valid_len: 0,
-            torn_bytes: total,
-        };
-    }
+    let header = check_header(bytes, LOG_HEADER_LEN as usize, LOG_MAGIC, LOG_VERSION);
     let mut records = Vec::new();
-    let mut pos = LOG_HEADER_LEN as usize;
-    // Stops at the first short frame header (torn tail).
-    while let Some(frame_head) = bytes.get(pos..pos + 8) {
-        let len = u32::from_le_bytes(frame_head[..4].try_into().unwrap());
-        let crc = u32::from_le_bytes(frame_head[4..8].try_into().unwrap());
-        if len > MAX_RECORD_LEN {
-            break; // garbage length
+    let mut pos = 0;
+    if header == HeaderStatus::Ok {
+        pos = LOG_HEADER_LEN as usize;
+        // Stops at the torn tail: the first frame that is short,
+        // oversized or corrupt, or whose payload does not decode.
+        while let Ok(Some((payload, used))) = parse_frame(&bytes[pos..]) {
+            let Ok(record) = LogRecord::decode_payload(payload) else {
+                break;
+            };
+            records.push(record);
+            pos += used;
         }
-        let Some(payload) = bytes.get(pos + 8..pos + 8 + len as usize) else {
-            break; // payload runs past EOF
-        };
-        if crc32(payload) != crc {
-            break; // bit rot or torn payload
-        }
-        let Ok(record) = LogRecord::decode_payload(payload) else {
-            break; // structurally invalid payload
-        };
-        records.push(record);
-        pos += 8 + len as usize;
     }
     LogScan {
-        header: HeaderStatus::Ok,
+        header,
         records,
         valid_len: pos as u64,
-        torn_bytes: total - pos as u64,
+        torn_bytes: (bytes.len() - pos) as u64,
     }
 }
 
@@ -624,7 +491,7 @@ mod tests {
         let scan = scan_log_bytes(b"not a log at all");
         assert_eq!(scan.records.len(), 0);
         assert_eq!(scan.valid_len, 0);
-        assert_eq!(scan.header, HeaderStatus::WrongMagic);
+        assert!(matches!(scan.header, HeaderStatus::ForeignMagic(_)));
     }
 
     #[test]

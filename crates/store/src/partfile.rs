@@ -8,34 +8,25 @@
 //! one-partition case: `part-000000.vcol` holds every row, and the store
 //! reads it whole at open. Either way an ingest costs the rows it adds.
 //!
-//! ```text
-//! part-<id>.vcol:
-//!   magic     8B  "VDBLPCOL"
-//!   version   u32 = 1
-//!   partition u32   the partition id the file serves
-//!   records (append-only):
-//!     len u32 | crc u32 | payload          (crc over payload)
-//!     payload = seq u64 | rows u32 | columns
-//!       seq     0 for the create-time record, else the WAL sequence of
-//!               the ingest batch that appended these rows — replay after
-//!               a crash re-appends a batch only to partitions whose file
-//!               does not already hold its seq (record-level idempotence)
-//!       columns in schema order, column-major: numeric = rows × f64
-//!               bits, categorical = rows × u32 dictionary codes (labels
-//!               live in the snapshot's resolution table, never here)
-//! ```
+//! The layout is in the crate docs ("Per-table store format"): a header,
+//! then one frame ([`crate::frame`]) per record. A record's `seq` is 0 for
+//! the create-time rows, else the WAL sequence of the ingest batch that
+//! appended them, so replay after a crash re-appends a batch only to
+//! partitions whose file does not already hold its seq. Its columns hold
+//! codes, never labels: those live in the snapshot's resolution table.
 //!
-//! Torn tails — a crash mid-append — are detected by the frame CRC and
-//! truncated away at open, exactly like the WAL; everything before the
-//! tear is intact because records are strictly appended. So are whole
-//! records past the newest sequence the WAL or snapshot vouches for: a
-//! batch whose WAL record did not survive never lands. Create-time
-//! rows are always record 0, so the first `original_rows[p]` decoded
-//! rows are the draw domain of partition `p`'s sample segment no matter
-//! how many ingest records follow.
+//! Records go on through the frame appender, which cuts a failed append
+//! back to the last whole record. Torn tails — a crash mid-append — are
+//! detected by the frame CRC and truncated away at open, exactly like the
+//! WAL, as are whole records past the newest sequence the WAL or snapshot
+//! vouches for: a batch whose WAL record did not survive never lands.
+//! Create-time rows are always record 0, so the first `original_rows[p]`
+//! decoded rows are the draw domain of partition `p`'s sample segment no
+//! matter how many ingest records follow.
 
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
+use std::collections::hash_map::{Entry, HashMap};
+use std::fs::File;
+use std::io::Read;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -46,7 +37,7 @@ use verdict_storage::{
     Schema, Table,
 };
 
-use crate::crc::crc32;
+use crate::frame::{check_header, header, Appender, Seal, FRAME_HEADER_LEN};
 use crate::snapshot::write_atomic;
 use crate::tablecodec::{decode_table, encode_table};
 use crate::{Result, StoreError};
@@ -103,14 +94,6 @@ fn encode_record_payload(seq: u64, fragment: &Table, range: Range<usize>) -> Vec
     enc.into_bytes()
 }
 
-fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut bytes = Vec::with_capacity(8 + payload.len());
-    bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    bytes.extend_from_slice(&crc32(payload).to_le_bytes());
-    bytes.extend_from_slice(payload);
-    bytes
-}
-
 /// Creates partition `p`'s column file holding `fragment` as its
 /// create-time record (seq 0), atomically ([`write_atomic`]): the file
 /// header and the record's frame head, then the payload as encoded.
@@ -118,34 +101,38 @@ fn frame(payload: &[u8]) -> Vec<u8> {
 /// fingerprint.
 pub(crate) fn write_part_file(dir: &Path, p: u32, fragment: &Table) -> Result<u32> {
     let payload = encode_record_payload(0, fragment, 0..fragment.num_rows());
-    let rec_crc = crc32(&payload);
-    let mut header = Vec::with_capacity(PART_HEADER_LEN as usize + 8);
-    header.extend_from_slice(&PART_MAGIC);
-    header.extend_from_slice(&PART_VERSION.to_le_bytes());
-    header.extend_from_slice(&p.to_le_bytes());
-    header.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    header.extend_from_slice(&rec_crc.to_le_bytes());
-    write_atomic(&part_path(dir, p), &header, &payload)?;
-    Ok(rec_crc)
+    let seal = Seal::of(&payload);
+    let mut file_header = Vec::with_capacity(PART_HEADER_LEN as usize + FRAME_HEADER_LEN);
+    file_header.extend_from_slice(&header(PART_MAGIC, PART_VERSION));
+    file_header.extend_from_slice(&p.to_le_bytes());
+    file_header.extend_from_slice(&seal.head()?);
+    write_atomic(&part_path(dir, p), &file_header, &payload)?;
+    Ok(seal.crc)
 }
 
-/// Appends rows `range` of `fragment` to partition `p`'s file as one
-/// record tagged with the ingest batch's WAL `seq`, fsyncing the file.
-/// The WAL record is written first, so a crash here recovers by replay:
-/// the record either survives whole (its seq is then skipped) or is a
-/// torn tail truncated at open and re-appended.
+/// Appends rows `range` of `fragment` to partition `p`'s file in `dir` as
+/// one record tagged with the ingest batch's WAL `seq`, fsyncing the file.
+/// `files` are the store's part-file appenders: a file is opened at its
+/// first append since the store opened (after open healed it) and kept at
+/// its last whole record, so a failed append is cut back, or the partition
+/// refuses every later append, as the WAL does. The WAL record is written
+/// first, so a crash here recovers by replay: the record either survives
+/// whole (its seq is then skipped) or is a torn tail truncated at open and
+/// re-appended.
 pub(crate) fn append_part_record(
+    files: &mut HashMap<u32, Appender>,
     dir: &Path,
     p: u32,
     seq: u64,
     fragment: &Table,
     range: Range<usize>,
 ) -> Result<()> {
-    let payload = encode_record_payload(seq, fragment, range);
-    let mut f = OpenOptions::new().append(true).open(part_path(dir, p))?;
-    f.write_all(&frame(&payload))?;
-    f.sync_all()?;
-    Ok(())
+    let file = match files.entry(p) {
+        Entry::Occupied(file) => file.into_mut(),
+        Entry::Vacant(slot) => slot.insert(Appender::open(part_path(dir, p))?),
+    };
+    file.append(&encode_record_payload(seq, fragment, range))?;
+    file.sync()
 }
 
 /// What a validating walk of one partition file found.
@@ -158,7 +145,8 @@ pub(crate) struct PartScan {
     /// Sequence numbers of the valid records, in file order (first is
     /// always 0, the create-time record).
     pub seqs: Vec<u64>,
-    /// CRC of the create-time record (fingerprint contribution).
+    /// CRC of the create-time record (fingerprint contribution), as its
+    /// frame head announced and the walk verified.
     pub record0_crc: u32,
     /// File length covered by the header + valid records.
     pub valid_len: u64,
@@ -183,24 +171,11 @@ impl Frames {
     fn open(dir: &Path, p: u32) -> Result<Frames> {
         let mut file = File::open(part_path(dir, p))?;
         let len = file.metadata()?.len();
-        if len < PART_HEADER_LEN {
-            return Err(StoreError::Corrupt(format!(
-                "partition file {p} shorter than its header"
-            )));
-        }
         let mut header = [0u8; PART_HEADER_LEN as usize];
-        file.read_exact(&mut header)?;
-        if header[..8] != PART_MAGIC {
-            return Err(StoreError::Corrupt(format!(
-                "bad magic in partition file {p}"
-            )));
-        }
-        let version = u32::from_le_bytes(header[8..12].try_into().unwrap());
-        if version != PART_VERSION {
-            return Err(StoreError::Corrupt(format!(
-                "unsupported partition-file version {version}"
-            )));
-        }
+        let header = &mut header[..len.min(PART_HEADER_LEN) as usize];
+        file.read_exact(header)?;
+        check_header(header, PART_HEADER_LEN as usize, PART_MAGIC, PART_VERSION)
+            .require(format_args!("partition file {p}"))?;
         let partition = u32::from_le_bytes(header[12..16].try_into().unwrap());
         if partition != p {
             return Err(StoreError::Corrupt(format!(
@@ -215,37 +190,38 @@ impl Frames {
         })
     }
 
-    /// The next record's payload (at least `seq | rows`, CRC checked), or
-    /// `None` at the end of the file or at a short or corrupt frame — a
-    /// torn tail, after which the walk must stop.
-    fn next(&mut self) -> Result<Option<&[u8]>> {
-        if self.valid + 8 > self.len {
+    /// The next record's CRC and payload (at least `seq | rows`, CRC
+    /// checked), or `None` at the end of the file or at a short or corrupt
+    /// frame — a torn tail, after which the walk must stop.
+    fn next(&mut self) -> Result<Option<(u32, &[u8])>> {
+        let Some(left) = (self.len - self.valid).checked_sub(FRAME_HEADER_LEN as u64) else {
             return Ok(None);
-        }
-        let mut frame = [0u8; 8];
-        self.file.read_exact(&mut frame)?;
-        let len = u64::from(u32::from_le_bytes(frame[..4].try_into().unwrap()));
-        let crc = u32::from_le_bytes(frame[4..].try_into().unwrap());
-        if self.valid + 8 + len > self.len {
-            return Ok(None); // short write: torn tail
-        }
-        self.payload.resize(len as usize, 0);
+        };
+        let mut head = [0u8; FRAME_HEADER_LEN];
+        self.file.read_exact(&mut head)?;
+        // A length past the end of the file is a short write: torn tail.
+        let Ok(Some(seal)) = Seal::parse_head(&head, left) else {
+            return Ok(None);
+        };
+        self.payload.resize(seal.len as usize, 0);
         self.file.read_exact(&mut self.payload)?;
-        if crc32(&self.payload) != crc || self.payload.len() < 12 {
+        if !matches!(seal.open(&self.payload), Ok(Some(_))) || self.payload.len() < 12 {
             return Ok(None); // corrupt frame: treat as torn
         }
-        self.valid += 8 + len;
-        Ok(Some(&self.payload))
+        self.valid += FRAME_HEADER_LEN as u64 + seal.len;
+        Ok(Some((seal.crc, &self.payload)))
     }
 }
 
 /// Walks partition `p`'s file one frame at a time, validating the header
-/// and every frame. Stops at the first short/corrupt frame (a torn
-/// append) or the first record stamped past `max_seq`, and reports what
-/// follows as `torn_bytes` — everything before it is intact. Given
-/// `rows`, decodes every record it keeps into them, so a reader of the
-/// whole file needs no second pass.
-pub(crate) fn scan_part_file(
+/// and every frame, and truncates away what follows the first torn or
+/// corrupt frame or the first record stamped past `max_seq` — the newest
+/// sequence the store's WAL and snapshot hold, so such a record belongs
+/// to a batch whose WAL record did not survive. Everything before it is
+/// intact, and later appends extend from the last whole record. Given
+/// `rows`, the same walk decodes every record it keeps into them: a
+/// resident store reads its one part file once at open.
+pub(crate) fn open_part_file(
     dir: &Path,
     p: u32,
     max_seq: u64,
@@ -259,7 +235,7 @@ pub(crate) fn scan_part_file(
     let mut seqs = Vec::new();
     let mut record0_crc = None;
     let mut valid_len = frames.valid;
-    while let Some(payload) = frames.next()? {
+    while let Some((crc, payload)) = frames.next()? {
         let seq = u64::from_le_bytes(payload[..8].try_into().unwrap());
         let n = u32::from_le_bytes(payload[8..12].try_into().unwrap());
         if seq > max_seq {
@@ -272,7 +248,7 @@ pub(crate) fn scan_part_file(
                      create-time record"
                 )));
             }
-            record0_crc = Some(crc32(payload));
+            record0_crc = Some(crc);
         }
         if let Some(rows) = rows.as_deref_mut() {
             rows.decode(p, payload)?;
@@ -286,35 +262,20 @@ pub(crate) fn scan_part_file(
             "partition file {p} holds no valid create-time record"
         )));
     };
+    let torn_bytes = frames.len - valid_len;
+    if torn_bytes > 0 {
+        let mut file = Appender::open(part_path(dir, p))?;
+        file.cut(valid_len)?;
+        file.sync()?;
+    }
     Ok(PartScan {
         partition: p,
         rows: total,
         seqs,
         record0_crc,
         valid_len,
-        torn_bytes: frames.len - valid_len,
+        torn_bytes,
     })
-}
-
-/// Scans partition `p`'s file and truncates away any torn tail and any
-/// record stamped past `max_seq` — the newest sequence the store's WAL
-/// and snapshot hold, so such a record belongs to a batch whose WAL
-/// record did not survive. Subsequent appends extend from the last whole
-/// record. Given `rows`, the same walk decodes every record it keeps into
-/// them: a resident store reads its one part file once at open.
-pub(crate) fn open_part_file(
-    dir: &Path,
-    p: u32,
-    max_seq: u64,
-    rows: Option<&mut PartRows>,
-) -> Result<PartScan> {
-    let scan = scan_part_file(dir, p, max_seq, rows)?;
-    if scan.torn_bytes > 0 {
-        let f = OpenOptions::new().write(true).open(part_path(dir, p))?;
-        f.set_len(scan.valid_len)?;
-        f.sync_all()?;
-    }
-    Ok(scan)
 }
 
 /// Reads partition `p`'s rows — create-time record first, then ingest
@@ -332,7 +293,9 @@ pub fn read_part_rows(dir: &Path, p: u32, proto: &Table, min_rows: usize) -> Res
     let mut rows = PartRows::new(proto.schema());
     rows.reserve(frames.len - frames.valid, min_rows);
     while rows.rows < min_rows {
-        let Some(payload) = frames.next()? else { break };
+        let Some((_, payload)) = frames.next()? else {
+            break;
+        };
         rows.decode(p, payload)?;
     }
     rows.into_table(proto)
@@ -686,6 +649,11 @@ mod tests {
         dir
     }
 
+    /// Appends through a fresh set of appenders, as a reopened store does.
+    fn append(dir: &Path, p: u32, seq: u64, fragment: &Table, range: Range<usize>) -> Result<()> {
+        append_part_record(&mut HashMap::new(), dir, p, seq, fragment, range)
+    }
+
     fn table(n: usize, offset: usize) -> Table {
         let schema = Schema::new(vec![
             ColumnDef::numeric_dimension("x"),
@@ -712,8 +680,8 @@ mod tests {
         let base = table(40, 0);
         write_part_file(&dir, 3, &base).unwrap();
         let extra = table(10, 40);
-        append_part_record(&dir, 3, 7, &extra, 0..10).unwrap();
-        let scan = scan_part_file(&dir, 3, u64::MAX, None).unwrap();
+        append(&dir, 3, 7, &extra, 0..10).unwrap();
+        let scan = open_part_file(&dir, 3, u64::MAX, None).unwrap();
         assert_eq!(scan.partition, 3);
         assert_eq!(scan.rows, 50);
         assert_eq!(scan.seqs, vec![0, 7]);
@@ -736,7 +704,7 @@ mod tests {
         let base = table(20, 0);
         write_part_file(&dir, 0, &base).unwrap();
         let whole = std::fs::read(part_path(&dir, 0)).unwrap();
-        append_part_record(&dir, 0, 5, &table(8, 20), 0..8).unwrap();
+        append(&dir, 0, 5, &table(8, 20), 0..8).unwrap();
         let full = std::fs::read(part_path(&dir, 0)).unwrap();
         // Tear the appended record at every prefix length: recovery must
         // always fall back to the create-time record alone.
@@ -747,8 +715,8 @@ mod tests {
             assert_eq!(scan.rows, 20, "cut {cut}");
             assert_eq!(scan.torn_bytes, (cut - whole.len()) as u64, "cut {cut}");
             // The truncation leaves a file appends can extend again.
-            append_part_record(&dir, 0, 5, &table(8, 20), 0..8).unwrap();
-            let healed = scan_part_file(&dir, 0, u64::MAX, None).unwrap();
+            append(&dir, 0, 5, &table(8, 20), 0..8).unwrap();
+            let healed = open_part_file(&dir, 0, u64::MAX, None).unwrap();
             assert_eq!(healed.seqs, vec![0, 5], "cut {cut}");
             assert_eq!(healed.rows, 28, "cut {cut}");
             std::fs::write(part_path(&dir, 0), &full).unwrap();
@@ -759,7 +727,7 @@ mod tests {
     fn corrupt_record_detected_as_tear() {
         let dir = tempdir("corrupt");
         write_part_file(&dir, 1, &table(10, 0)).unwrap();
-        append_part_record(&dir, 1, 2, &table(5, 10), 0..5).unwrap();
+        append(&dir, 1, 2, &table(5, 10), 0..5).unwrap();
         let mut bytes = std::fs::read(part_path(&dir, 1)).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;
@@ -775,17 +743,17 @@ mod tests {
     fn records_past_max_seq_are_truncated() {
         let dir = tempdir("orphans");
         write_part_file(&dir, 0, &table(10, 0)).unwrap();
-        append_part_record(&dir, 0, 3, &table(4, 10), 0..4).unwrap();
+        append(&dir, 0, 3, &table(4, 10), 0..4).unwrap();
         let kept = std::fs::metadata(part_path(&dir, 0)).unwrap().len();
-        append_part_record(&dir, 0, 8, &table(2, 14), 0..2).unwrap();
-        append_part_record(&dir, 0, 9, &table(3, 16), 0..3).unwrap();
+        append(&dir, 0, 8, &table(2, 14), 0..2).unwrap();
+        append(&dir, 0, 9, &table(3, 16), 0..3).unwrap();
         let scan = open_part_file(&dir, 0, 7, None).unwrap();
         assert_eq!(scan.seqs, vec![0, 3]);
         assert_eq!(scan.rows, 14);
         assert_eq!(scan.valid_len, kept);
         assert_eq!(std::fs::metadata(part_path(&dir, 0)).unwrap().len(), kept);
         assert_eq!(
-            scan_part_file(&dir, 0, u64::MAX, None).unwrap().torn_bytes,
+            open_part_file(&dir, 0, u64::MAX, None).unwrap().torn_bytes,
             0
         );
     }
@@ -806,7 +774,7 @@ mod tests {
             bytes.extend_from_slice(&PART_MAGIC);
             bytes.extend_from_slice(&PART_VERSION.to_le_bytes());
             bytes.extend_from_slice(&4u32.to_le_bytes());
-            bytes.extend_from_slice(&frame(&payload));
+            crate::frame::write_frame(&mut bytes, &payload).unwrap();
             std::fs::write(part_path(&dir, 4), &bytes).unwrap();
             match read_part_rows(&dir, 4, &base, usize::MAX) {
                 Err(StoreError::Corrupt(msg)) => assert!(msg.contains("record body"), "{msg}"),
@@ -847,8 +815,8 @@ mod tests {
         let dir = tempdir("open-rows");
         let base = table(12, 0);
         write_part_file(&dir, 0, &base).unwrap();
-        append_part_record(&dir, 0, 4, &table(5, 12), 0..5).unwrap();
-        append_part_record(&dir, 0, 9, &table(3, 17), 0..3).unwrap();
+        append(&dir, 0, 4, &table(5, 12), 0..5).unwrap();
+        append(&dir, 0, 9, &table(3, 17), 0..3).unwrap();
         let mut bytes = std::fs::read(part_path(&dir, 0)).unwrap();
         bytes.extend_from_slice(&[7, 0, 0]); // a torn frame head
         std::fs::write(part_path(&dir, 0), &bytes).unwrap();
@@ -883,7 +851,7 @@ mod tests {
                 .unwrap();
         }
         write_part_file(&dir, 0, &base).unwrap();
-        append_part_record(&dir, 0, 9, &table(5, 100), 0..5).unwrap();
+        append(&dir, 0, 9, &table(5, 100), 0..5).unwrap();
         let back = read_part_rows(&dir, 0, &base, usize::MAX).unwrap();
         assert_eq!(back.num_rows(), 45);
         for name in ["x", "v"] {
@@ -912,7 +880,7 @@ mod tests {
         bytes[0] ^= 0xFF;
         std::fs::write(part_path(&dir, 2), &bytes).unwrap();
         assert!(matches!(
-            scan_part_file(&dir, 2, u64::MAX, None),
+            open_part_file(&dir, 2, u64::MAX, None),
             Err(StoreError::Corrupt(_))
         ));
     }
@@ -952,9 +920,9 @@ mod tests {
         let c1 = write_part_file(&dir, 1, &table(10, 10)).unwrap();
         let fp = part_fingerprint(&[c0, c1]);
         // Ingest appends leave the fingerprint unchanged.
-        append_part_record(&dir, 0, 3, &table(2, 20), 0..2).unwrap();
-        let s0 = scan_part_file(&dir, 0, u64::MAX, None).unwrap();
-        let s1 = scan_part_file(&dir, 1, u64::MAX, None).unwrap();
+        append(&dir, 0, 3, &table(2, 20), 0..2).unwrap();
+        let s0 = open_part_file(&dir, 0, u64::MAX, None).unwrap();
+        let s1 = open_part_file(&dir, 1, u64::MAX, None).unwrap();
         assert_eq!(part_fingerprint(&[s0.record0_crc, s1.record0_crc]), fp);
         assert_ne!(part_fingerprint(&[c1, c0]), fp);
     }

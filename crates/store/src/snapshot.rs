@@ -3,20 +3,21 @@
 //! A snapshot is the non-incremental half of durability: session
 //! parameters, the resolution table the part files' codes refer to, and
 //! the engine's learned state including trained models, in one
-//! checksummed, atomically replaced file. The base rows themselves live
-//! in `part-<id>.vcol` files ([`crate::partfile`]). Snapshots are written
-//! to a temporary file, fsynced, and renamed into place, so a crash
-//! mid-write can never damage an existing generation.
+//! atomically replaced file whose body is sealed ([`crate::frame`]): its
+//! length and CRC sit in the header. The base rows themselves live in
+//! `part-<id>.vcol` files ([`crate::partfile`]). Snapshots are written to
+//! a temporary file, fsynced, and renamed into place, so a crash mid-write
+//! can never damage an existing generation.
 
 use std::fs::File;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use verdict_core::persist::{Decoder, Encoder, Persist};
 use verdict_core::{EngineState, VerdictConfig};
 use verdict_storage::{PartitionSpec, Table};
 
-use crate::crc::crc32;
+use crate::frame::{check_header, header, whole_body, Seal};
 use crate::partfile::{decode_paged_state, encode_paged_state, PagedState};
 use crate::tablecodec::{decode_table, encode_resolution};
 use crate::{Result, StoreError};
@@ -27,6 +28,9 @@ pub(crate) const SNAPSHOT_MAGIC: [u8; 8] = *b"VDBLSNAP";
 /// stores each model's packed Cholesky factor, `n(n+1)/2` values; the
 /// header's `table_gen` word is reserved and always 0.
 pub(crate) const SNAPSHOT_VERSION: u32 = 4;
+/// Header: magic, version, `last_seq`, reserved `table_gen`, then the
+/// body's seal (`len u64 | crc u32`).
+const SNAPSHOT_HEADER_LEN: usize = 40;
 
 /// Session construction parameters persisted alongside the learned state,
 /// so [`crate::SynopsisStore::open`] can rebuild an identical session —
@@ -237,7 +241,7 @@ pub(crate) fn parse_generation(name: &str) -> Option<u64> {
 /// re-encoded on the way in. Of `rows` only the schema and the
 /// categorical dictionaries are written, as the zero-row resolution
 /// table: a resident store passes its whole table, a paged one its
-/// resolution table.
+/// resolution table. Returns the bytes written.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn write_snapshot(
     dir: &Path,
@@ -249,53 +253,40 @@ pub(crate) fn write_snapshot(
     state_bytes: &[u8],
     rows: &Table,
     paged: Option<&PagedState>,
-) -> Result<PathBuf> {
+) -> Result<u64> {
     let body = encode_snapshot_body(meta, table_fp, data_epoch, state_bytes, rows, paged);
-    let mut header = Vec::with_capacity(40);
-    header.extend_from_slice(&SNAPSHOT_MAGIC);
-    header.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-    header.extend_from_slice(&last_seq.to_le_bytes());
-    header.extend_from_slice(&0u64.to_le_bytes()); // reserved `table_gen`
-    header.extend_from_slice(&(body.len() as u64).to_le_bytes());
-    header.extend_from_slice(&crc32(&body).to_le_bytes());
+    let seal = Seal::of(&body);
+    let mut file_header = Vec::with_capacity(SNAPSHOT_HEADER_LEN);
+    file_header.extend_from_slice(&header(SNAPSHOT_MAGIC, SNAPSHOT_VERSION));
+    file_header.extend_from_slice(&last_seq.to_le_bytes());
+    file_header.extend_from_slice(&0u64.to_le_bytes()); // reserved `table_gen`
+    file_header.extend_from_slice(&seal.len.to_le_bytes());
+    file_header.extend_from_slice(&seal.crc.to_le_bytes());
 
-    let path = snapshot_path(dir, gen);
     // The directory fsync matters here: without it, a crash can roll back
     // the rename while the log truncation that follows it survives —
     // losing folded records.
-    write_atomic(&path, &header, &body)?;
-    Ok(path)
+    write_atomic(&snapshot_path(dir, gen), &file_header, &body)?;
+    Ok((file_header.len() + body.len()) as u64)
 }
 
 /// Reads and validates one snapshot file.
 pub(crate) fn read_snapshot(path: &Path) -> Result<Snapshot> {
-    let mut bytes = Vec::new();
-    File::open(path)?.read_to_end(&mut bytes)?;
-    if bytes.len() < 40 {
-        return Err(StoreError::Corrupt("snapshot shorter than header".into()));
-    }
-    if bytes[..8] != SNAPSHOT_MAGIC {
-        return Err(StoreError::Corrupt("bad snapshot magic".into()));
-    }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    if version != SNAPSHOT_VERSION {
-        return Err(StoreError::Corrupt(format!(
-            "unsupported snapshot version {version}"
-        )));
-    }
-    let last_seq = u64::from_le_bytes(bytes[12..20].try_into().unwrap());
-    let body_len = u64::from_le_bytes(bytes[28..36].try_into().unwrap());
-    let body_crc = u32::from_le_bytes(bytes[36..40].try_into().unwrap());
-    let body = bytes
-        .get(40..40 + body_len as usize)
-        .ok_or_else(|| StoreError::Corrupt("snapshot body truncated".into()))?;
-    if bytes.len() as u64 != 40 + body_len {
-        return Err(StoreError::Corrupt("snapshot trailing bytes".into()));
-    }
-    if crc32(body) != body_crc {
-        return Err(StoreError::Corrupt("snapshot checksum mismatch".into()));
-    }
-    Snapshot::decode_body(last_seq, body)
+    let bytes = std::fs::read(path)?;
+    check_header(
+        &bytes,
+        SNAPSHOT_HEADER_LEN,
+        SNAPSHOT_MAGIC,
+        SNAPSHOT_VERSION,
+    )
+    .require("snapshot")?;
+    let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+    let seal = Seal {
+        len: word(28),
+        crc: u32::from_le_bytes(bytes[36..40].try_into().unwrap()),
+    };
+    let body = whole_body(seal, &bytes[SNAPSHOT_HEADER_LEN..], "snapshot")?;
+    Snapshot::decode_body(word(12), body)
 }
 
 /// All snapshot generations present in `dir`, ascending.
@@ -380,7 +371,8 @@ mod tests {
             rows,
             None,
         )
-        .unwrap()
+        .unwrap();
+        snapshot_path(dir, gen)
     }
 
     /// A snapshot carries the dictionaries of the rows it is given, never

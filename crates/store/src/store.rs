@@ -10,7 +10,7 @@
 //! They differ only in what open hands back ([`BaseRows`]): a resident
 //! table's part file read whole, or a paged table's [`PagedState`].
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -20,6 +20,7 @@ use verdict_core::snippet::{AggKey, Observation, Snippet};
 use verdict_core::{EngineState, IngestBounds, Region, SnippetObserver, Verdict};
 use verdict_storage::{row_ids, PartitionMap, PartitionSpec, Table, Value};
 
+use crate::frame::Appender;
 use crate::log::{IngestRecord, LogRecord, SnippetLog, SnippetRecord};
 use crate::partfile::{
     append_part_record, is_part_file, open_part_file, part_fingerprint, part_path, write_part_file,
@@ -165,6 +166,8 @@ pub struct SynopsisStore {
     dir: PathBuf,
     policy: StorePolicy,
     log: SnippetLog,
+    /// The part files ingests have appended to since open.
+    parts: HashMap<u32, Appender>,
     next_seq: u64,
     current_gen: u64,
     /// Ingested batches this store has logged or folded.
@@ -270,6 +273,7 @@ impl SynopsisStore {
         )?;
         let log = SnippetLog::create(dir.join("wal.vlog"))?;
         let store = SynopsisStore {
+            parts: HashMap::new(),
             dir,
             policy,
             log,
@@ -432,6 +436,7 @@ impl SynopsisStore {
             skipped_generations: skipped,
         };
         let mut replayed_batches = Vec::new();
+        let mut parts = HashMap::new();
         for record in &scan.records {
             if record.seq() <= last_seq {
                 report.records_already_folded += 1;
@@ -448,7 +453,7 @@ impl SynopsisStore {
                     let held = part_seqs[0].contains(&r.seq);
                     let map = paged.as_mut().map(|state| &mut state.map);
                     let (batch, bounds) =
-                        replay_ingest(&dir, r, &mut resolution, map, &mut part_seqs)?;
+                        replay_ingest(&dir, &mut parts, r, &mut resolution, map, &mut part_seqs)?;
                     let staged = engine
                         .stage_ingest_filtered(&r.adjustments, bounds.as_ref())
                         .map_err(|e| {
@@ -483,6 +488,7 @@ impl SynopsisStore {
             dir,
             policy,
             log,
+            parts,
             next_seq: max_seq + 1,
             current_gen: gen,
             data_epoch,
@@ -532,21 +538,12 @@ impl SynopsisStore {
         region: &Region,
         observation: Observation,
     ) -> Result<u64> {
-        let seq = self.next_seq;
-        let record = LogRecord::Snippet(SnippetRecord {
-            seq,
+        self.log_record(LogRecord::Snippet(SnippetRecord {
+            seq: self.next_seq,
             key: key.clone(),
             region: region.clone(),
             observation,
-        });
-        let bytes = self.log.append(&record)?;
-        if self.policy.sync_appends {
-            self.log.sync()?;
-        }
-        self.stats.wal_appends += 1;
-        self.stats.wal_bytes += bytes;
-        self.next_seq += 1;
-        Ok(seq)
+        }))
     }
 
     /// Appends one ingested row batch — the rows plus the synopsis
@@ -559,12 +556,18 @@ impl SynopsisStore {
         rows: &[Vec<Value>],
         adjustments: &[(AggKey, AppendAdjustment)],
     ) -> Result<u64> {
-        let seq = self.next_seq;
-        let record = LogRecord::Ingest(IngestRecord {
-            seq,
+        let seq = self.log_record(LogRecord::Ingest(IngestRecord {
+            seq: self.next_seq,
             rows: rows.to_vec(),
             adjustments: adjustments.to_vec(),
-        });
+        }))?;
+        self.data_epoch += 1;
+        Ok(seq)
+    }
+
+    /// Appends `record`, which carries the next sequence number, to the
+    /// log (fsyncing it if the policy says so) and returns that number.
+    fn log_record(&mut self, record: LogRecord) -> Result<u64> {
         let bytes = self.log.append(&record)?;
         if self.policy.sync_appends {
             self.log.sync()?;
@@ -572,8 +575,7 @@ impl SynopsisStore {
         self.stats.wal_appends += 1;
         self.stats.wal_bytes += bytes;
         self.next_seq += 1;
-        self.data_epoch += 1;
-        Ok(seq)
+        Ok(record.seq())
     }
 
     /// Whether this store is paged (out-of-core).
@@ -599,7 +601,7 @@ impl SynopsisStore {
                 batch.num_rows()
             )));
         }
-        append_routed(&self.dir, seq, batch, routed, |_| false)
+        append_routed(&self.dir, &mut self.parts, seq, batch, routed, |_| false)
     }
 
     /// Whether the compaction policy asks for a snapshot now.
@@ -644,7 +646,7 @@ impl SynopsisStore {
         }
         let started = std::time::Instant::now();
         let gen = self.current_gen + 1;
-        let snap_path = write_snapshot(
+        let bytes_written = write_snapshot(
             &self.dir,
             gen,
             self.next_seq - 1,
@@ -655,7 +657,6 @@ impl SynopsisStore {
             rows,
             paged,
         )?;
-        let bytes_written = file_len(&snap_path);
         self.current_gen = gen;
         // The snapshot now covers every logged record; a crash past this
         // point replays nothing (seq <= last_seq), so truncating the log
@@ -719,6 +720,7 @@ impl SynopsisStore {
 /// every snippet).
 fn replay_ingest(
     dir: &Path,
+    parts: &mut HashMap<u32, Appender>,
     r: &IngestRecord,
     resolution: &mut Table,
     map: Option<&mut PartitionMap>,
@@ -746,7 +748,7 @@ fn replay_ingest(
             (routed, Some(bounds))
         }
     };
-    append_routed(dir, r.seq, &batch, &routed, |p| {
+    append_routed(dir, parts, r.seq, &batch, &routed, |p| {
         !part_seqs[p as usize].insert(r.seq)
     })?;
     Ok((batch, bounds))
@@ -814,6 +816,7 @@ fn rows_by_partition(routed: &[u32]) -> Result<Vec<Vec<u32>>> {
 /// partitions that received no rows and those `skip` names.
 fn append_routed(
     dir: &Path,
+    parts: &mut HashMap<u32, Appender>,
     seq: u64,
     batch: &Table,
     routed: &[u32],
@@ -827,15 +830,9 @@ fn append_routed(
         let fragment = batch
             .gather(rows)
             .map_err(|e| StoreError::Mismatch(format!("slicing partition {p}: {e}")))?;
-        append_part_record(dir, p, seq, &fragment, 0..rows.len())?;
+        append_part_record(parts, dir, p, seq, &fragment, 0..rows.len())?;
     }
     Ok(())
-}
-
-/// Size of a file just written by the store; 0 only if it vanished from
-/// under us (byte accounting degrades, correctness does not).
-fn file_len(path: &Path) -> u64 {
-    std::fs::metadata(path).map(|m| m.len()).unwrap_or(0)
 }
 
 /// Clonable, thread-safe handle to a [`SynopsisStore`], used to share the
@@ -1072,6 +1069,32 @@ mod tests {
         assert_eq!(recovered.report.skipped_generations, vec![1]);
     }
 
+    /// A corrupt body length in the newest generation — a flipped top
+    /// byte, or all ones, which overflows a header length added to it —
+    /// announces a body past any file: open refuses that generation as
+    /// corrupt, with no overflow and no panic, and falls back to the older
+    /// one.
+    #[test]
+    fn corrupt_snapshot_length_falls_back() {
+        let (dir, mut store) = fresh_store("length");
+        let engine = Verdict::new(schema_info(), VerdictConfig::default());
+        checkpoint(&mut store, &engine).unwrap();
+        drop(store);
+        let path = snapshot_path(&dir, 1);
+        let whole = std::fs::read(&path).unwrap();
+        // `body_len` is the u64 at bytes 28..36; 35 is its top byte.
+        let mut top_flipped = whole.clone();
+        top_flipped[35] ^= 0xFF;
+        let mut all_ones = whole;
+        all_ones[28..36].fill(0xFF);
+        for bytes in [top_flipped, all_ones] {
+            std::fs::write(&path, &bytes).unwrap();
+            let (_, recovered) = SynopsisStore::open(&dir, StorePolicy::default()).unwrap();
+            assert_eq!(recovered.report.snapshot_gen, 0);
+            assert_eq!(recovered.report.skipped_generations.len(), 1);
+        }
+    }
+
     #[test]
     fn compaction_trigger_by_records() {
         let dir = tempdir("trigger");
@@ -1300,7 +1323,7 @@ mod tests {
         // file holds the create record plus at most one record per seq.
         let mut rows_on_disk = 0;
         for p in 0..3u32 {
-            let scan = crate::partfile::scan_part_file(&dir, p, u64::MAX, None).unwrap();
+            let scan = crate::partfile::open_part_file(&dir, p, u64::MAX, None).unwrap();
             let mut seqs = scan.seqs.clone();
             seqs.dedup();
             assert_eq!(seqs, scan.seqs, "partition {p} holds duplicate seqs");
@@ -1333,7 +1356,15 @@ mod tests {
         let before = std::fs::metadata(crate::partfile::part_path(&dir, 0))
             .unwrap()
             .len();
-        crate::partfile::append_part_record(&dir, 0, seq, &fragment, 0..p0_rows.len()).unwrap();
+        append_part_record(
+            &mut HashMap::new(),
+            &dir,
+            0,
+            seq,
+            &fragment,
+            0..p0_rows.len(),
+        )
+        .unwrap();
         let f = std::fs::OpenOptions::new()
             .write(true)
             .open(crate::partfile::part_path(&dir, 0))
@@ -1351,7 +1382,7 @@ mod tests {
         // After recovery every partition holds the batch exactly once.
         let mut rows_on_disk = 0;
         for p in 0..3u32 {
-            let scan = crate::partfile::scan_part_file(&dir, p, u64::MAX, None).unwrap();
+            let scan = crate::partfile::open_part_file(&dir, p, u64::MAX, None).unwrap();
             assert_eq!(scan.torn_bytes, 0, "partition {p} still torn");
             rows_on_disk += scan.rows;
         }

@@ -9,9 +9,11 @@
 use verdict_core::persist::{Decoder, Encoder, PersistError, PersistResult};
 use verdict_storage::{AttributeRole, Column, ColumnDef, ColumnType, Schema, Table};
 
-fn encode_schema(schema: &Schema, enc: &mut Encoder) {
-    enc.put_len(schema.len());
-    for def in schema.columns() {
+/// Encodes a column list: its length, then each column's name, type byte
+/// and role byte. A table's schema and the wire's `hello` reply share it.
+pub fn encode_columns(columns: &[ColumnDef], enc: &mut Encoder) {
+    enc.put_len(columns.len());
+    for def in columns {
         enc.put_str(&def.name);
         enc.put_u8(match def.ty {
             ColumnType::Numeric => 0,
@@ -24,7 +26,8 @@ fn encode_schema(schema: &Schema, enc: &mut Encoder) {
     }
 }
 
-fn decode_schema(dec: &mut Decoder<'_>) -> PersistResult<Schema> {
+/// Decodes a column list written by [`encode_columns`].
+pub fn decode_columns(dec: &mut Decoder<'_>) -> PersistResult<Vec<ColumnDef>> {
     let n = dec.take_len()?;
     let mut defs = Vec::with_capacity(n.min(1 << 10));
     for _ in 0..n {
@@ -41,7 +44,7 @@ fn decode_schema(dec: &mut Decoder<'_>) -> PersistResult<Schema> {
         };
         defs.push(ColumnDef { name, ty, role });
     }
-    Schema::new(defs).map_err(|e| PersistError::Corrupt(format!("schema: {e}")))
+    Ok(defs)
 }
 
 /// Encodes a full table (schema, row count, columns).
@@ -58,7 +61,7 @@ pub(crate) fn encode_resolution(table: &Table, enc: &mut Encoder) {
 
 /// Encodes the schema, the first `rows` rows and the dictionaries.
 fn encode_rows(table: &Table, rows: usize, enc: &mut Encoder) {
-    encode_schema(table.schema(), enc);
+    encode_columns(table.schema().columns(), enc);
     enc.put_len(rows);
     for (i, def) in table.schema().columns().iter().enumerate() {
         let col = table.column_at(i);
@@ -86,7 +89,8 @@ fn encode_rows(table: &Table, rows: usize, enc: &mut Encoder) {
 
 /// Decodes a table written by [`encode_table`].
 pub(crate) fn decode_table(dec: &mut Decoder<'_>) -> PersistResult<Table> {
-    let schema = decode_schema(dec)?;
+    let schema = Schema::new(decode_columns(dec)?)
+        .map_err(|e| PersistError::Corrupt(format!("schema: {e}")))?;
     let rows = dec.take_len()?;
     let mut columns = Vec::with_capacity(schema.len());
     for def in schema.columns() {
