@@ -169,6 +169,10 @@ one_frame_codec() {
     [ -z "$(find crates/*/src -name '*.rs' -exec awk '/^#\[cfg\(test\)\]/{exit} /crc32\(/{print FILENAME}' {} \; | sort -u | grep -vxE 'crates/store/src/(crc|frame)\.rs')" ]
 }
 
+one_spin_wait() {
+    [ -z "$(find crates/server/src crates/client/src -name '*.rs' -exec awk '/^#\[cfg\(test\)\]/{exit} /spin_loop|set_nonblocking/{print FILENAME}' {} \; | sort -u | grep -vx crates/server/src/wire.rs)" ]
+}
+
 
 guard no_cargo_features "One program: no cargo feature gates any code, so tier-1 and the benchmark package compile the same executor."
 guard no_features_table "One program: no Cargo.toml declares a [features] table."
@@ -207,5 +211,6 @@ guard locks_absorb_poison "The server's and the metrics crate's locks absorb poi
 guard one_fit_path "One fit path: every fit and likelihood assembles the covariance packed and factors it in place, so outside test modules raw_covariance_matrix( and Cholesky::new_with_jitter( appear in core only in covariance.rs's dense wrapper and in infer_direct (the Eq. 4/5 reference)."
 guard one_frame_parser "One frame parser: both ends of a connection cut frames off a receive buffer with wire::parse_frame; the blocking read_frame stays deleted and the client reads no exact lengths."
 guard one_frame_codec "One framed-record layer: outside test modules, crc32( is called in crates/*/src only in the store's crc.rs and frame.rs, so the WAL, part files, snapshots, catalog and wire build, parse and check their frames, headers and sealed bodies through the frame module."
+guard one_spin_wait "One bounded wait: outside test modules, spin_loop and set_nonblocking appear in the server and client crates only in wire.rs, whose spin_read is the one poll-then-park read both ends of a connection use."
 
 exit $failed

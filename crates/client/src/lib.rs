@@ -6,7 +6,9 @@
 //! [`verdict_server::wire`]: a request goes out in one [`write_frame`],
 //! and a response is cut off the connection's receive buffer with the
 //! server's own [`parse_frame`], so one that arrives whole costs one
-//! `read`.
+//! `read`. Waiting for a response, the client polls about 30 µs
+//! ([`wire::Spin`]) before it parks, so a cached answer is read without
+//! a sleeping reader's wake-up; an idle client never spins.
 //!
 //! Answers come back as an [`Answer`]: the server's `cached` /
 //! `degraded` flags, its wall-clock, the decoded
@@ -114,6 +116,7 @@ pub struct Answer {
 pub struct Client {
     stream: TcpStream,
     buf: Vec<u8>,
+    spin: wire::Spin,
 }
 
 impl Client {
@@ -125,6 +128,7 @@ impl Client {
         let mut client = Client {
             stream,
             buf: Vec::new(),
+            spin: wire::Spin::default(),
         };
         while client.buf.len() < PREAMBLE_LEN {
             client.fill()?;
@@ -146,10 +150,15 @@ impl Client {
     }
 
     /// One `read` onto the receive buffer; the peer closing first is a
-    /// torn frame.
+    /// torn frame. Polls before it parks ([`wire::Spin`]).
     fn fill(&mut self) -> Result<()> {
         let mut chunk = [0u8; 8192];
-        match self.stream.read(&mut chunk) {
+        let read = match self.spin.poll(&self.stream, &mut chunk) {
+            Some(Ok(Some(n))) => Ok(n),
+            Some(Err(e)) => Err(e),
+            None | Some(Ok(None)) => self.stream.read(&mut chunk),
+        };
+        match read {
             Ok(0) => return Err(WireError::Torn.into()),
             Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}

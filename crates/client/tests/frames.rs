@@ -146,3 +146,25 @@ fn an_announced_length_past_the_cap_is_refused_from_the_header() {
         "{err:?}"
     );
 }
+
+/// A peer that answers at once is read inside the client's bounded poll;
+/// one that answers 10 ms later, well past it, is read by the blocking
+/// read the poll falls back to. Both calls answer, in order, on one
+/// connection.
+#[test]
+fn a_prompt_and_a_late_response_are_both_read() {
+    let (mut client, peer) = peer(|stream| {
+        stream
+            .write_all(&framed(&metrics("prompt")))
+            .expect("prompt");
+        let mut buf = Vec::new();
+        while parse_frame(&buf).expect("second request").is_none() {
+            read_more(stream, &mut buf);
+        }
+        thread::sleep(Duration::from_millis(10));
+        stream.write_all(&framed(&metrics("late"))).expect("late");
+    });
+    assert_eq!(client.metrics_json().expect("prompt"), "prompt");
+    assert_eq!(client.metrics_json().expect("late"), "late");
+    peer.join().expect("peer");
+}

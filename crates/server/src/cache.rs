@@ -32,6 +32,7 @@
 //! (repeat runs legitimately differ), so they bypass the cache instead
 //! of poisoning it.
 
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
 use std::sync::Arc;
@@ -64,13 +65,16 @@ impl<K: Clone + Eq + Hash, V: Clone> Lru<K, V> {
         }
     }
 
-    /// Looks up `key`, marking it most-recently-used on a hit.
-    pub fn get(&mut self, key: &K) -> Option<V> {
-        let next = self.seq;
+    /// Looks up `key` in any borrowed form (a `String` key takes a `&str`),
+    /// marking it most-recently-used on a hit by moving, not cloning, it.
+    pub fn get<Q: Hash + Eq + ?Sized>(&mut self, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+    {
         let entry = self.map.get_mut(key)?;
-        self.recency.remove(&entry.1);
-        entry.1 = next;
-        self.recency.insert(next, key.clone());
+        let owned = self.recency.remove(&entry.1)?;
+        self.recency.insert(self.seq, owned);
+        entry.1 = self.seq;
         self.seq += 1;
         Some(entry.0.clone())
     }
@@ -174,6 +178,30 @@ mod tests {
         assert_eq!(lru.len(), 2);
         assert_eq!(lru.get(&1), Some(11));
         assert_eq!(lru.get(&2), Some(20));
+    }
+
+    /// A hit moves its key to the young end of the recency index without
+    /// growing either map, a `String` key answers a `&str` probe, and
+    /// evictions still take the least recently used key first.
+    #[test]
+    fn a_hit_reorders_recency_in_place() {
+        let mut lru: Lru<String, u32> = Lru::new(3);
+        for (i, k) in ["a", "b", "c"].into_iter().enumerate() {
+            lru.insert(k.to_string(), i as u32);
+        }
+        let order = |lru: &Lru<String, u32>| lru.recency.values().cloned().collect::<Vec<_>>();
+        assert_eq!(lru.get("a"), Some(0));
+        assert_eq!((lru.map.len(), lru.recency.len()), (3, 3));
+        assert_eq!(order(&lru), ["b", "c", "a"]);
+        assert_eq!(lru.get("c"), Some(2));
+        assert_eq!(lru.get("z"), None);
+        assert_eq!((lru.map.len(), lru.recency.len()), (3, 3));
+        assert_eq!(order(&lru), ["b", "a", "c"]);
+        assert!(lru.insert("d".into(), 3));
+        assert_eq!(lru.get("b"), None);
+        assert!(lru.insert("e".into(), 4));
+        assert_eq!(lru.get("a"), None);
+        assert_eq!(order(&lru), ["c", "d", "e"]);
     }
 
     #[test]

@@ -39,6 +39,10 @@ pub struct ServerMetrics {
     pub cache_evictions_total: Counter,
     /// Per-request wall-clock, nanoseconds (decode → response written).
     pub request_ns: Histogram,
+    /// Service slices whose bounded poll caught the peer's next bytes.
+    pub spin_caught_total: Counter,
+    /// Service slices whose poll ran out and parked in a blocking read.
+    pub spin_parked_total: Counter,
 }
 
 impl ServerMetrics {
@@ -57,6 +61,8 @@ impl ServerMetrics {
             cache_misses_total: hub.counter("verdict_server_cache_misses_total"),
             cache_evictions_total: hub.counter("verdict_server_cache_evictions_total"),
             request_ns: hub.histogram("verdict_server_request_ns"),
+            spin_caught_total: hub.counter("verdict_server_spin_caught_total"),
+            spin_parked_total: hub.counter("verdict_server_spin_parked_total"),
             hub,
         }
     }

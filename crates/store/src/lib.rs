@@ -161,6 +161,16 @@ pub enum StoreError {
     Mismatch(String),
     /// No usable snapshot was found where one was required.
     NotFound(String),
+    /// Ingest batch `seq` is in the WAL but not in every part file it
+    /// routes to. Until a reopen replays it, the store refuses ingests and
+    /// checkpoints: a checkpoint would fold the sequence and lose the
+    /// batch's missing rows.
+    Unlanded {
+        /// The batch's WAL sequence.
+        seq: u64,
+        /// Why its part-file append failed.
+        cause: String,
+    },
 }
 
 impl From<std::io::Error> for StoreError {
@@ -183,6 +193,11 @@ impl std::fmt::Display for StoreError {
             StoreError::Persist(e) => write!(f, "store payload: {e}"),
             StoreError::Mismatch(m) => write!(f, "store mismatch: {m}"),
             StoreError::NotFound(m) => write!(f, "store not found: {m}"),
+            StoreError::Unlanded { seq, cause } => write!(
+                f,
+                "ingest batch {seq} is logged but not in every part file ({cause}); \
+                 reopen the store to replay it"
+            ),
         }
     }
 }

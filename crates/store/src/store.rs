@@ -182,6 +182,10 @@ pub struct SynopsisStore {
     paged: bool,
     stats: StoreStats,
     sticky_error: Option<StoreError>,
+    /// A batch logged to the WAL whose part-file appends failed part-way:
+    /// its sequence and the failure. Never taken; only a reopen, which
+    /// replays the batch, clears it.
+    unlanded: Option<(u64, String)>,
     /// Advisory single-writer lock on `LOCK`, held for the store's
     /// lifetime. The OS releases it when the process dies, so a crashed
     /// writer never wedges the store.
@@ -285,6 +289,7 @@ impl SynopsisStore {
             paged: meta.paged,
             stats: StoreStats::default(),
             sticky_error: None,
+            unlanded: None,
             _lock: lock,
         };
         Ok((store, paged))
@@ -497,6 +502,7 @@ impl SynopsisStore {
             paged: meta.paged,
             stats: StoreStats::default(),
             sticky_error: None,
+            unlanded: None,
             _lock: lock,
         };
         let recovered = Recovered {
@@ -556,6 +562,7 @@ impl SynopsisStore {
         rows: &[Vec<Value>],
         adjustments: &[(AggKey, AppendAdjustment)],
     ) -> Result<u64> {
+        self.check_landed()?;
         let seq = self.log_record(LogRecord::Ingest(IngestRecord {
             seq: self.next_seq,
             rows: rows.to_vec(),
@@ -593,21 +600,48 @@ impl SynopsisStore {
     /// [`verdict_storage::PartitionMap::extend_batch`] for a paged one).
     /// Only partitions that received rows have their file opened or
     /// written.
+    ///
+    /// A failure leaves the batch logged but not wholly in its part
+    /// files: [`StoreError::Unlanded`] is returned, and again by every
+    /// later ingest and checkpoint until a reopen replays the batch to
+    /// the partitions that lack it.
     pub fn append_parts(&mut self, seq: u64, batch: &Table, routed: &[u32]) -> Result<()> {
-        if routed.len() != batch.num_rows() {
-            return Err(StoreError::Mismatch(format!(
+        self.check_landed()?;
+        let appended = if routed.len() != batch.num_rows() {
+            Err(StoreError::Mismatch(format!(
                 "routing covers {} rows but the batch holds {}",
                 routed.len(),
                 batch.num_rows()
-            )));
-        }
-        append_routed(&self.dir, &mut self.parts, seq, batch, routed, |_| false)
+            )))
+        } else {
+            append_routed(&self.dir, &mut self.parts, seq, batch, routed, |_| false)
+        };
+        appended.map_err(|e| {
+            self.unlanded = Some((seq, e.to_string()));
+            StoreError::Unlanded {
+                seq,
+                cause: e.to_string(),
+            }
+        })
     }
 
-    /// Whether the compaction policy asks for a snapshot now.
+    /// Refuses with [`StoreError::Unlanded`] while a batch is unlanded.
+    fn check_landed(&self) -> Result<()> {
+        match &self.unlanded {
+            Some((seq, cause)) => Err(StoreError::Unlanded {
+                seq: *seq,
+                cause: cause.clone(),
+            }),
+            None => Ok(()),
+        }
+    }
+
+    /// Whether the compaction policy asks for a snapshot now (never
+    /// while a batch is unlanded, which refuses snapshots).
     pub fn needs_compaction(&self) -> bool {
-        self.log.appended_since_reset() >= self.policy.compact_after_records
-            || self.log.len_bytes() >= self.policy.compact_after_bytes
+        self.unlanded.is_none()
+            && (self.log.appended_since_reset() >= self.policy.compact_after_records
+                || self.log.len_bytes() >= self.policy.compact_after_bytes)
     }
 
     /// Writes a new snapshot generation folding everything appended so
@@ -644,6 +678,7 @@ impl SynopsisStore {
                 "snapshot state schema differs from the store's schema".into(),
             ));
         }
+        self.check_landed()?;
         let started = std::time::Instant::now();
         let gen = self.current_gen + 1;
         let bytes_written = write_snapshot(
@@ -1388,6 +1423,93 @@ mod tests {
         }
         assert_eq!(rows_on_disk, 20 + 12);
         assert_eq!(rec.state.map.rows_covered(), 32);
+    }
+
+    /// A batch logged to the WAL whose append to its second partition
+    /// fails: the first partition keeps its share, and the store refuses
+    /// ingests and checkpoints — a checkpoint would fold the batch's
+    /// sequence and leave those rows stray — until a reopen replays the
+    /// batch to the partition that lacks it. Nothing takes the refusal
+    /// away before then.
+    #[test]
+    fn a_failed_part_append_is_replayed_at_reopen_never_folded() {
+        let (dir, mut store, paged) = fresh_paged_store("paged-unlanded");
+        let rows = ingest_rows(0, 12);
+        let mut batch = resolution();
+        batch.push_rows(&rows).unwrap();
+        let routed = paged.map.route(&batch, 0..batch.num_rows()).unwrap();
+        let shares: Vec<usize> = (0..3u32)
+            .map(|p| routed.iter().filter(|&&r| r == p).count())
+            .collect();
+        assert_eq!(shares, [7, 5, 0]);
+        // Partition 1 has not been appended to since open; a directory in
+        // place of its file makes its first append fail.
+        let part1 = crate::partfile::part_path(&dir, 1);
+        let bytes = std::fs::read(&part1).unwrap();
+        std::fs::remove_file(&part1).unwrap();
+        std::fs::create_dir(&part1).unwrap();
+        let seq = store.append_ingest(&rows, &[]).unwrap();
+        let err = store.append_parts(seq, &batch, &routed).unwrap_err();
+        assert!(
+            matches!(err, StoreError::Unlanded { seq: s, .. } if s == seq),
+            "{err:?}"
+        );
+        std::fs::remove_dir(&part1).unwrap();
+        std::fs::write(&part1, bytes).unwrap();
+
+        assert!(store.take_error().is_none(), "the refusal is not parked");
+        assert!(!store.needs_compaction());
+        assert!(matches!(
+            store.append_ingest(&rows, &[]),
+            Err(StoreError::Unlanded { .. })
+        ));
+        assert!(matches!(
+            store.append_parts(seq + 1, &batch, &routed),
+            Err(StoreError::Unlanded { .. })
+        ));
+        // The live session never applied the batch: it checkpoints the
+        // map it had.
+        let engine = Verdict::new(schema_info(), VerdictConfig::default());
+        let state = engine.export_state();
+        let checkpoint = store.snapshot(
+            paged_meta(),
+            fingerprint(&state.schema),
+            &state.to_bytes(),
+            &resolution(),
+            Some(&paged),
+        );
+        assert!(
+            matches!(checkpoint, Err(StoreError::Unlanded { .. })),
+            "{checkpoint:?}"
+        );
+        store
+            .append_snippet(
+                &AggKey::avg("v"),
+                &region(0.0, 10.0),
+                Observation::new(5.0, 0.2),
+            )
+            .unwrap();
+        drop(store);
+
+        let (store, recovered) = SynopsisStore::open(&dir, StorePolicy::default()).unwrap();
+        assert_eq!(recovered.report.snapshot_gen, 0);
+        assert_eq!(recovered.report.ingests_replayed, 1);
+        let BaseRows::Paged(rec) = recovered.base else {
+            panic!("paged recovery state");
+        };
+        let mut rows_on_disk = 0;
+        for (p, &share) in shares.iter().enumerate() {
+            let scan = crate::partfile::open_part_file(&dir, p as u32, u64::MAX, None).unwrap();
+            let held = scan.seqs.iter().filter(|&&s| s == seq).count();
+            assert_eq!(held, usize::from(share > 0), "partition {p}");
+            rows_on_disk += scan.rows;
+        }
+        assert_eq!(rows_on_disk, rec.state.map.rows_covered() as u64);
+        assert_eq!(rows_on_disk, 20 + 12);
+        assert_eq!(rec.replayed_batches.len(), 1);
+        assert_eq!(rec.replayed_batches[0].num_rows(), 12);
+        assert_eq!(recovered.state.stats.observed, 1);
+        assert_eq!(store.data_epoch(), 1);
     }
 
     #[test]
