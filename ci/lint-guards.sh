@@ -126,7 +126,11 @@ one_perf_harness() {
 }
 
 one_session_reopen() {
-    ! grep -n 'pub fn open(' src/session.rs
+    ! grep -n 'pub fn open' src/session.rs
+}
+
+one_front_door() {
+    [ -z "$(grep -rlE 'SessionBuilder|VerdictSession' src crates tests examples | grep -vxE 'src/(session|lib)\.rs|tests/(ooc|database)\.rs')" ]
 }
 
 synopsis_is_chunked() {
@@ -200,7 +204,8 @@ guard no_unreached_modules "One of each, nothing unreached: no second snapshot c
 guard no_active_module "The active-learning module file stays deleted."
 guard no_stratified_module "The stratified sampler file stays deleted."
 guard one_perf_harness "benchmark/ is the one perf harness: no bench_* binaries in crates/bench."
-guard one_session_reopen "A session store reopens only through VerdictSession::open_with (no builder open)."
+guard one_session_reopen "A single-table store reopens only through Database::open and Database::open_with: src/session.rs defines no open, open_with or any other pub fn open*."
+guard one_front_door "One front door: Database is the only way to query, ingest or train; outside src/session.rs, src/lib.rs, tests/ooc.rs and tests/database.rs (the tests of the benchmark fixture's builder, its flat layout and into_database) no file under src, crates, tests or examples names SessionBuilder or VerdictSession."
 guard synopsis_is_chunked "The synopsis is Arc-shared chunks: QuerySynopsis holds no flat Vec<SynopsisEntry>."
 guard no_synopsis_touch_clear "The synopsis's touch and clear stay deleted."
 guard core_threads_in_learning_only "One place spawns threads in verdict-core: outside test modules, thread:: appears only in learning.rs (the lengthscale search)."

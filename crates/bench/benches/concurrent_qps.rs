@@ -17,7 +17,7 @@
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use verdict::{Database, Mode, QueryOptions, SessionBuilder, StopPolicy, VerdictSession};
+use verdict::{Database, Mode, QueryOptions, StopPolicy, TableOptions};
 use verdict_storage::{ColumnDef, Schema, Table};
 
 const ROWS: usize = 40_000;
@@ -47,28 +47,38 @@ fn base_table() -> Table {
     t
 }
 
+fn opts(mode: Mode, policy: StopPolicy) -> QueryOptions {
+    QueryOptions::new().with_mode(mode).with_policy(policy)
+}
+
 /// A trained single-table database: the snapshot the readers pin carries
 /// models, so the workload exercises scan + inference, not scan alone.
 fn trained_session() -> Database {
-    let mut s: VerdictSession = SessionBuilder::new(base_table())
-        .sample_fraction(0.1)
-        .batch_size(500)
-        .seed(13)
+    let s = Database::builder()
+        .register_table_with(
+            "t",
+            base_table(),
+            TableOptions {
+                sample_fraction: 0.1,
+                batch_size: 500,
+                seed: 13,
+                ..TableOptions::default()
+            },
+        )
         .build()
         .unwrap();
     for lo in (0..95).step_by(5) {
-        s.execute(
+        s.query(
             &format!(
                 "SELECT AVG(rev) FROM t WHERE week BETWEEN {lo} AND {}",
                 lo + 5
             ),
-            Mode::Verdict,
-            StopPolicy::ScanAll,
+            &opts(Mode::Verdict, StopPolicy::ScanAll),
         )
         .unwrap();
     }
-    s.train().unwrap();
-    s.into_database("t").unwrap()
+    s.train("t").unwrap();
+    s
 }
 
 /// The fixed read workload: index-picked so every thread mix is identical

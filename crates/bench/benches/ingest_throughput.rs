@@ -17,11 +17,15 @@ use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criteri
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use verdict::{Mode, SessionBuilder, StopPolicy, VerdictSession};
+use verdict::{Database, Mode, QueryOptions, StopPolicy, TableOptions};
 use verdict_storage::Value;
 use verdict_workload::DriftingMeanStream;
 
 const BASE_ROWS: usize = 40_000;
+
+fn opts(mode: Mode, policy: StopPolicy) -> QueryOptions {
+    QueryOptions::new().with_mode(mode).with_policy(policy)
+}
 
 fn stream() -> (DriftingMeanStream, StdRng) {
     let mut rng = StdRng::seed_from_u64(11);
@@ -36,34 +40,40 @@ fn batch(rows: usize) -> Vec<Vec<Value>> {
 }
 
 /// A cold session: base table sampled, nothing learned.
-fn cold_session() -> VerdictSession {
+fn cold_session() -> Database {
     let (s, mut rng) = stream();
     let table = s.base_table(BASE_ROWS, &mut rng);
-    SessionBuilder::new(table)
-        .sample_fraction(0.1)
-        .batch_size(500)
-        .seed(11)
+    Database::builder()
+        .register_table_with(
+            "t",
+            table,
+            TableOptions {
+                sample_fraction: 0.1,
+                batch_size: 500,
+                seed: 11,
+                ..TableOptions::default()
+            },
+        )
         .build()
         .unwrap()
 }
 
 /// A warmed session: overlapping range queries populate the AVG and FREQ
 /// synopses, then training fits the models every ingest must refit.
-fn warmed_session() -> VerdictSession {
-    let mut session = cold_session();
+fn warmed_session() -> Database {
+    let session = cold_session();
     for lo in 0..9 {
         session
-            .execute(
+            .query(
                 &format!(
                     "SELECT AVG(m), COUNT(*) FROM t WHERE d0 BETWEEN {lo} AND {}",
                     lo + 1
                 ),
-                Mode::Verdict,
-                StopPolicy::ScanAll,
+                &opts(Mode::Verdict, StopPolicy::ScanAll),
             )
             .unwrap();
     }
-    session.train().unwrap();
+    session.train("t").unwrap();
     session
 }
 
@@ -75,8 +85,8 @@ fn bench_ingest_rows(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("cold_rows", rows), &rows, |b, _| {
             b.iter_batched(
                 cold_session,
-                |mut session| {
-                    let report = session.ingest(&batch).unwrap();
+                |session| {
+                    let report = session.ingest("t", &batch).unwrap();
                     assert_eq!(report.appended_rows, rows);
                     report.admitted_rows[0]
                 },
@@ -95,8 +105,8 @@ fn bench_adjustment_cost(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("warmed_rows", rows), &rows, |b, _| {
             b.iter_batched(
                 warmed_session,
-                |mut session| {
-                    let report = session.ingest(&batch).unwrap();
+                |session| {
+                    let report = session.ingest("t", &batch).unwrap();
                     // A warmed engine must have adjusted both synopses
                     // (AVG(m) and FREQ), or the bench is not measuring
                     // the adjustment path at all.

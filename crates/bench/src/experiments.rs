@@ -347,13 +347,13 @@ pub fn tab5() {
     let t0 = std::time::Instant::now();
     let mut n = 0usize;
     for sql in &sqls {
-        let _ = env.session.execute(sql, Mode::NoLearn, StopPolicy::ScanAll);
+        let _ = env.run(sql, Mode::NoLearn, StopPolicy::ScanAll);
         n += 1;
     }
     let nolearn_per_query = t0.elapsed().as_secs_f64() / n as f64;
     let t1 = std::time::Instant::now();
     for sql in &sqls {
-        let _ = env.session.execute(sql, Mode::Verdict, StopPolicy::ScanAll);
+        let _ = env.run(sql, Mode::Verdict, StopPolicy::ScanAll);
     }
     let verdict_per_query = t1.elapsed().as_secs_f64() / n as f64;
     let overhead = (verdict_per_query - nolearn_per_query).max(0.0);

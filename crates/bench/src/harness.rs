@@ -1,9 +1,9 @@
-//! Shared experiment plumbing: workload/session construction, exact-answer
+//! Shared experiment plumbing: workload/database construction, exact-answer
 //! evaluation, and error measurement for single-aggregate queries.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use verdict::{Mode, QueryOutcome, SessionBuilder, StopPolicy, VerdictSession};
+use verdict::{Database, Mode, QueryOutcome, SampleRotation, StopPolicy, TableOptions};
 use verdict_aqp::{CostModel, StorageTier};
 use verdict_sql::{parse_query, plan_scan};
 use verdict_storage::Table;
@@ -27,10 +27,12 @@ impl Dataset {
     }
 }
 
-/// A ready-to-run environment: session + train/test query split.
+/// A ready-to-run environment: database + train/test query split.
 pub(crate) struct ExperimentEnv {
-    /// The live session.
-    pub session: VerdictSession,
+    /// The live one-table database.
+    db: Database,
+    /// Its one table, named as the dataset's queries say in `FROM`.
+    table: &'static str,
     /// The storage tier the default [`CostModel`] prices this
     /// environment's scans at (the paper's cached / SSD panels).
     tier: StorageTier,
@@ -53,7 +55,7 @@ impl ExperimentEnv {
         seed: u64,
     ) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
-        let (table, queries): (Table, Vec<String>) = match dataset {
+        let (name, table, queries): (&'static str, Table, Vec<String>) = match dataset {
             Dataset::Customer1 => {
                 let trace =
                     verdict_workload::customer::generate_trace(rows, n_queries * 2, &mut rng);
@@ -66,7 +68,7 @@ impl ExperimentEnv {
                     .map(|q| q.sql.clone())
                     .take(n_queries)
                     .collect();
-                (trace.table, qs)
+                ("events", trace.table, qs)
             }
             Dataset::Tpch => {
                 let table = verdict_workload::tpch::generate_denormalized(rows, &mut rng);
@@ -84,60 +86,67 @@ impl ExperimentEnv {
                         )
                     })
                     .collect();
-                (table, qs)
+                ("lineitem", table, qs)
             }
         };
         let half = queries.len() / 2;
-        let session = SessionBuilder::new(table)
-            .sample_fraction(0.1)
-            .batch_size(500)
-            .seed(seed)
+        let options = TableOptions {
+            sample_fraction: 0.1,
+            batch_size: 500,
+            seed,
             // Several independent offline samples, rotated across queries,
             // keep snippet errors independent (Eq. 6's assumption).
-            .num_samples(6)
+            num_samples: 6,
+            ..TableOptions::default()
+        };
+        let db = Database::builder()
+            .register_table_with(name, table, options)
+            .sample_rotation(SampleRotation::RoundRobin)
             .build()
-            .expect("session builds");
+            .expect("database builds");
         ExperimentEnv {
-            session,
+            db,
+            table: name,
             tier,
             train_queries: queries[..half].to_vec(),
             test_queries: queries[half..].to_vec(),
         }
     }
 
+    /// Answers `sql`; each answered query moves rotation to the next sample.
+    pub fn run(&self, sql: &str, mode: Mode, policy: StopPolicy) -> verdict::Result<QueryOutcome> {
+        let opts = verdict::QueryOptions::new()
+            .with_mode(mode)
+            .with_policy(policy);
+        self.db.query(sql, &opts)
+    }
+
     /// Feeds every training query through the engine and trains the model
     /// (the paper's first-half pass, §8.3).
     pub fn warm_up(&mut self) {
-        for (i, sql) in self.train_queries.clone().into_iter().enumerate() {
-            let idx = i % self.session.num_samples();
-            self.session
-                .set_active_sample(idx)
-                .expect("index in range by construction");
-            let _ = self
-                .session
-                .execute(&sql, Mode::Verdict, StopPolicy::ScanAll);
+        for sql in &self.train_queries {
+            let _ = self.run(sql, Mode::Verdict, StopPolicy::ScanAll);
         }
-        self.session.train().expect("training succeeds");
+        self.db.train(self.table).expect("training succeeds");
     }
 
     /// Exact answer of a single-aggregate, ungrouped query against the
     /// base table (ground truth for actual-error reporting).
     pub(crate) fn exact_answer(&self, sql: &str) -> Option<f64> {
-        let query = parse_query(sql).ok()?;
-        let plan = plan_scan(&query, &self.session.table(), &[], 1).ok()?;
-        self.session
-            .exact(&plan.aggregates[0].agg, &plan.group_predicates[0])
+        let table = self.db.table(self.table).ok()?;
+        let plan = plan_scan(&parse_query(sql).ok()?, &table, &[], 1).ok()?;
+        plan.aggregates[0]
+            .agg
+            .eval_exact(&table, &plan.group_predicates[0])
             .ok()
     }
 
     /// Fraction of base-table rows the query's predicate selects.
     pub fn selectivity(&self, sql: &str) -> Option<f64> {
-        let query = parse_query(sql).ok()?;
-        let plan = plan_scan(&query, &self.session.table(), &[], 1).ok()?;
-        let rows = plan.group_predicates[0]
-            .selected_rows(&self.session.table())
-            .ok()?;
-        Some(rows.len() as f64 / self.session.table().num_rows().max(1) as f64)
+        let table = self.db.table(self.table).ok()?;
+        let plan = plan_scan(&parse_query(sql).ok()?, &table, &[], 1).ok()?;
+        let rows = plan.group_predicates[0].selected_rows(&table).ok()?;
+        Some(rows.len() as f64 / table.num_rows().max(1) as f64)
     }
 
     /// Test queries whose predicates select at least `min_selectivity` of
@@ -170,18 +179,8 @@ impl ExperimentEnv {
     /// relative bound and error and the scan's simulated runtime, or
     /// `None` if unsupported/empty.
     pub fn measure(&mut self, sql: &str, mode: Mode, policy: StopPolicy) -> Option<Measurement> {
-        // Pin the sample by query text: both modes see the same sample for
-        // a given query (fair comparison) while distinct queries rotate.
-        let idx = sql
-            .len()
-            .wrapping_mul(31)
-            .wrapping_add(sql.as_bytes().iter().map(|&b| b as usize).sum::<usize>())
-            % self.session.num_samples();
-        self.session
-            .set_active_sample(idx)
-            .expect("index in range by construction");
         let exact = self.exact_answer(sql)?;
-        let out = self.session.execute(sql, mode, policy).ok()?;
+        let out = self.run(sql, mode, policy).ok()?;
         let QueryOutcome::Answered(result) = out else {
             return None;
         };

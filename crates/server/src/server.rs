@@ -21,7 +21,7 @@
 //! 2. **admission control** ([`crate::admission`]) — learn-path misses
 //!    take a permit or get degraded/shed.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::Read;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -88,13 +88,14 @@ struct Shared {
     stop: AtomicBool,
 }
 
-/// Bound handles a connection keeps (the least recently run goes first).
-const MAX_BOUND_HANDLES: usize = 4096;
+/// Handles of each kind — prepared and bound statements — a connection
+/// keeps (the least recently used goes first).
+const MAX_HANDLES: usize = 4096;
 
 /// Per-connection session: prepared-statement and bound handles live
 /// here, scoped to the connection (they die with it).
 struct Session {
-    stmts: HashMap<u64, Arc<Prepared>>,
+    stmts: Lru<u64, Arc<Prepared>>,
     bounds: Lru<u64, (u64, Vec<Value>)>,
     next: u64,
 }
@@ -102,8 +103,8 @@ struct Session {
 impl Session {
     fn new() -> Session {
         Session {
-            stmts: HashMap::new(),
-            bounds: Lru::new(MAX_BOUND_HANDLES),
+            stmts: Lru::new(MAX_HANDLES),
+            bounds: Lru::new(MAX_HANDLES),
             next: 0,
         }
     }
@@ -469,7 +470,7 @@ fn dispatch(session: &mut Session, shared: &Shared, request: Request, t0: Instan
                 }
                 .encode();
             };
-            let Some(prepared) = session.stmts.get(&stmt).map(Arc::clone) else {
+            let Some(prepared) = session.stmts.get(&stmt) else {
                 return Response::Error {
                     code: ErrorCode::UnknownHandle,
                     message: format!("bound statement #{bound} outlived its plan"),

@@ -1,6 +1,6 @@
 //! Connection lifecycle: the acceptor blocks and shutdown wakes it, only
 //! an answered frame makes a connection poll (with back-off), and a
-//! session keeps a bounded number of bound handles.
+//! session keeps a bounded number of prepared and bound handles.
 
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -142,6 +142,47 @@ fn the_least_recently_run_bound_handle_is_dropped_past_the_cap() {
     client
         .run(handles[CAP], WireOptions::default())
         .expect("the newest handle runs");
+    client.close().expect("close");
+    shutdown_within(server, Duration::from_secs(30));
+}
+
+/// Prepared statements share the cap: past it the least recently used
+/// statement is dropped, so binding it answers `UnknownHandle`, while a
+/// statement bound in between stays. A bound handle whose statement was
+/// dropped answers `UnknownHandle` when run.
+#[test]
+fn the_least_recently_used_statement_is_dropped_past_the_cap() {
+    const CAP: usize = 4096;
+    let server = start("127.0.0.1:0");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let sql = "SELECT AVG(amount) FROM orders WHERE day BETWEEN ? AND ?";
+    let prepare = |client: &mut Client| client.prepare(sql).expect("prepare").stmt;
+    let stmts: Vec<u64> = (0..CAP).map(|_| prepare(&mut client)).collect();
+    let params = [10.0.into(), 20.0.into()];
+    // Binding the first leaves the second least recently used.
+    let bound = client.bind(stmts[0], &params).expect("bind");
+    prepare(&mut client);
+    match client.bind(stmts[1], &params) {
+        Err(ClientError::Server {
+            code: ErrorCode::UnknownHandle,
+            ..
+        }) => {}
+        other => panic!("wanted UnknownHandle for the evicted statement, got {other:?}"),
+    }
+    client.run(bound, WireOptions::default()).expect("run");
+
+    // A full cap of newer statements drops the plan a bound handle runs.
+    let orphan = client.bind(stmts[2], &params).expect("bind");
+    for _ in 0..CAP {
+        prepare(&mut client);
+    }
+    match client.run(orphan, WireOptions::default()) {
+        Err(ClientError::Server {
+            code: ErrorCode::UnknownHandle,
+            message,
+        }) => assert!(message.contains("outlived its plan"), "{message}"),
+        other => panic!("wanted UnknownHandle for the orphaned handle, got {other:?}"),
+    }
     client.close().expect("close");
     shutdown_within(server, Duration::from_secs(30));
 }

@@ -50,9 +50,9 @@ pub(crate) fn to_expr(e: &ScalarExpr) -> Result<Expr> {
 /// names (case-insensitive, like every other identifier in this SQL
 /// dialect). Returns the index into `tables`.
 ///
-/// `default` is the compatibility escape hatch for single-table fronts
-/// (the pre-catalog `VerdictSession` accepted — and ignored — any `FROM`
-/// name): when set, an unknown name resolves to that index instead of
+/// `default` is the compatibility escape hatch for a reopened flat
+/// single-table store, whose one table answers any `FROM` name: when
+/// set, an unknown name resolves to that index instead of
 /// erroring. Catalog-built databases pass `None`, so a typo in `FROM`
 /// surfaces as [`SqlError::UnknownTable`] listing the registered names.
 pub fn resolve_from(name: &str, tables: &[String], default: Option<usize>) -> Result<usize> {

@@ -4,7 +4,7 @@
 //! batches that arrive over time with a drifting measure mean (concept
 //! drift — the case Lemma 3's error widening exists for). The generator
 //! produces a base table plus an unbounded sequence of row batches shaped
-//! for `VerdictSession::ingest`.
+//! for `Database::ingest`.
 
 use rand::Rng;
 use verdict_storage::{ColumnDef, Schema, Table, Value};

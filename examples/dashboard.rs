@@ -1,4 +1,4 @@
-//! A Customer1-style analytics dashboard session (paper §8.1–8.3).
+//! A Customer1-style analytics dashboard db (paper §8.1–8.3).
 //!
 //! Replays a timestamped trace of analytic queries against an events
 //! table: the first half trains the model (as in §8.3), the second half
@@ -9,7 +9,11 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use verdict::workload::customer;
-use verdict::{Mode, SessionBuilder, StopPolicy};
+use verdict::{Database, Mode, QueryOptions, StopPolicy, TableOptions};
+
+fn opts(mode: Mode, policy: StopPolicy) -> QueryOptions {
+    QueryOptions::new().with_mode(mode).with_policy(policy)
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = StdRng::seed_from_u64(11);
@@ -20,10 +24,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         trace.queries.len()
     );
 
-    let mut session = SessionBuilder::new(trace.table)
-        .sample_fraction(0.1)
-        .batch_size(500)
-        .seed(11)
+    let db = Database::builder()
+        .register_table_with(
+            "events",
+            trace.table,
+            TableOptions {
+                sample_fraction: 0.1,
+                batch_size: 500,
+                seed: 11,
+                ..TableOptions::default()
+            },
+        )
         .build()?;
 
     // First half: process queries, learn from every supported one.
@@ -31,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut supported = 0usize;
     let mut unsupported = 0usize;
     for q in &trace.queries[..half] {
-        match session.execute(&q.sql, Mode::Verdict, StopPolicy::ScanAll)? {
+        match db.query(&q.sql, &opts(Mode::Verdict, StopPolicy::ScanAll))? {
             verdict::QueryOutcome::Answered(_) => supported += 1,
             verdict::QueryOutcome::Unsupported(_) => unsupported += 1,
         }
@@ -41,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          ({:.1}% supported — paper reports 73.7%)",
         supported as f64 / (supported + unsupported) as f64 * 100.0
     );
-    session.train()?;
+    db.train("events")?;
 
     // Second half: same queries under both modes at a 2.5% error target.
     let policy = StopPolicy::RelativeErrorBound {
@@ -53,11 +64,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut answered = 0usize;
     let mut improved_count = 0usize;
     for q in &trace.queries[half..] {
-        let verdict::QueryOutcome::Answered(nl) = session.execute(&q.sql, Mode::NoLearn, policy)?
+        let verdict::QueryOutcome::Answered(nl) = db.query(&q.sql, &opts(Mode::NoLearn, policy))?
         else {
             continue;
         };
-        let verdict::QueryOutcome::Answered(vd) = session.execute(&q.sql, Mode::Verdict, policy)?
+        let verdict::QueryOutcome::Answered(vd) = db.query(&q.sql, &opts(Mode::Verdict, policy))?
         else {
             continue;
         };
@@ -83,7 +94,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          ({:.1}x fewer)",
         nl_tuples as f64 / vd_tuples.max(1) as f64
     );
-    let stats = session.snapshot().stats();
+    let stats = db.snapshot("events").unwrap().stats();
     println!(
         "engine stats: improved {}, validation-rejected {}, passed-through {}, observed {}",
         stats.improved, stats.rejected, stats.passed_through, stats.observed

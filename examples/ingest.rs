@@ -12,12 +12,16 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use verdict::workload::DriftingMeanStream;
-use verdict::{Mode, QueryOutcome, SessionBuilder, StopPolicy, VerdictSession};
+use verdict::{Database, Mode, QueryOptions, QueryOutcome, StopPolicy, TableOptions};
 
 const SQL: &str = "SELECT AVG(m) FROM t WHERE d0 BETWEEN 2 AND 5";
 
-fn bound(session: &mut VerdictSession, sql: &str) -> Result<(f64, f64, bool), verdict::Error> {
-    let r = match session.execute(sql, Mode::Verdict, StopPolicy::ScanAll)? {
+fn opts(mode: Mode, policy: StopPolicy) -> QueryOptions {
+    QueryOptions::new().with_mode(mode).with_policy(policy)
+}
+
+fn bound(db: &Database, sql: &str) -> Result<(f64, f64, bool), verdict::Error> {
+    let r = match db.query(sql, &opts(Mode::Verdict, StopPolicy::ScanAll))? {
         QueryOutcome::Answered(r) => r,
         QueryOutcome::Unsupported(r) => panic!("unsupported: {r:?}"),
     };
@@ -34,29 +38,35 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut stream = DriftingMeanStream::new(8_000, 0.6, 0.05, 1.5, &mut rng);
     let table = stream.base_table(60_000, &mut rng);
 
-    let mut session = SessionBuilder::new(table)
-        .sample_fraction(0.1)
-        .batch_size(500)
-        .seed(42)
+    let db = Database::builder()
+        .register_table_with(
+            "t",
+            table,
+            TableOptions {
+                sample_fraction: 0.1,
+                batch_size: 500,
+                seed: 42,
+                ..TableOptions::default()
+            },
+        )
         .build()?;
 
     // Phase 1: learn the original distribution.
     for lo in 0..9 {
-        session.execute(
+        db.query(
             &format!("SELECT AVG(m) FROM t WHERE d0 BETWEEN {lo} AND {}", lo + 1),
-            Mode::Verdict,
-            StopPolicy::ScanAll,
+            &opts(Mode::Verdict, StopPolicy::ScanAll),
         )?;
     }
-    session.train()?;
-    let (a0, e0, m0) = bound(&mut session, SQL)?;
+    db.train("t")?;
+    let (a0, e0, m0) = bound(&db, SQL)?;
     println!("trained on the original table:");
     println!("  {SQL}");
     println!("  answer {a0:.4} ± {e0:.4} (model used: {m0})\n");
 
     // Phase 2: the data evolves — ingest a drifted batch.
     let batch = stream.next_batch(&mut rng);
-    let report = session.ingest(&batch)?;
+    let report = db.ingest("t", &batch)?;
     println!(
         "ingested {} rows (mean drifted by {:.2}): {} synopses / {} snippets widened, \
          {} of {} sample(s) rows admitted, data epoch {}",
@@ -68,7 +78,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.admitted_rows.len(),
         report.data_epoch,
     );
-    let (a1, e1, m1) = bound(&mut session, SQL)?;
+    let (a1, e1, m1) = bound(&db, SQL)?;
     println!("  stale query: answer {a1:.4} ± {e1:.4} (model used: {m1})");
     println!(
         "  Lemma 3 at work: the bound widened {:.4} → {:.4} (old answers are \
@@ -82,14 +92,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Phase 3: re-learn on the evolved table and retrain.
     for lo in 0..9 {
-        session.execute(
+        db.query(
             &format!("SELECT AVG(m) FROM t WHERE d0 BETWEEN {lo} AND {}", lo + 1),
-            Mode::Verdict,
-            StopPolicy::ScanAll,
+            &opts(Mode::Verdict, StopPolicy::ScanAll),
         )?;
     }
-    session.train()?;
-    let (a2, e2, m2) = bound(&mut session, SQL)?;
+    db.train("t")?;
+    let (a2, e2, m2) = bound(&db, SQL)?;
     println!("re-observed + retrained on the evolved table:");
     println!("  fresh query: answer {a2:.4} ± {e2:.4} (model used: {m2})");
     println!("  bound re-tightened {e1:.4} → {e2:.4}");

@@ -20,10 +20,15 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use verdict::store::catalog::table_dir;
 use verdict::workload::synthetic::{generate_table, SyntheticSpec};
-use verdict::{Mode, OpenOptions, SessionBuilder, StopPolicy, VerdictSession};
+use verdict::{Database, Mode, OpenOptions, QueryOptions, StopPolicy, TableOptions};
 
 const SQL: &str = "SELECT AVG(m) FROM t WHERE d0 BETWEEN 2.5 AND 5.5";
+
+fn opts(mode: Mode, policy: StopPolicy) -> QueryOptions {
+    QueryOptions::new().with_mode(mode).with_policy(policy)
+}
 
 fn main() {
     let dir = std::env::temp_dir().join(format!("verdict-persistence-{}", std::process::id()));
@@ -38,29 +43,35 @@ fn main() {
 
     // ---- Session 1: learn, persist, train. -------------------------------
     println!("session 1: fresh store at {}", dir.display());
-    let mut first = SessionBuilder::new(table.clone())
-        .sample_fraction(0.1)
-        .batch_size(500)
-        .seed(7)
+    let first = Database::builder()
+        .register_table_with(
+            "t",
+            table.clone(),
+            TableOptions {
+                sample_fraction: 0.1,
+                batch_size: 500,
+                seed: 7,
+                ..TableOptions::default()
+            },
+        )
         .persist_to(&dir)
         .build()
         .expect("create persistent session");
     for i in 0..16 {
         let lo = i as f64 * 0.625;
         first
-            .execute(
+            .query(
                 &format!(
                     "SELECT AVG(m) FROM t WHERE d0 BETWEEN {lo} AND {}",
                     lo + 0.625
                 ),
-                Mode::Verdict,
-                StopPolicy::ScanAll,
+                &opts(Mode::Verdict, StopPolicy::ScanAll),
             )
             .expect("warm-up query");
     }
-    first.train().expect("train + checkpoint");
+    first.train("t").expect("train + checkpoint");
     let r = first
-        .execute(SQL, Mode::Verdict, StopPolicy::ScanAll)
+        .query(SQL, &opts(Mode::Verdict, StopPolicy::ScanAll))
         .expect("query")
         .unwrap_answered();
     let before = r.rows[0].values[0];
@@ -71,14 +82,18 @@ fn main() {
     drop(first); // ---- the process "restarts" ----------------------------
 
     // ---- Session 2: warm start from disk. --------------------------------
-    let mut second = VerdictSession::open_with(&dir, OpenOptions::new()).expect("open store");
-    let report = second.recovery_report().expect("recovered").clone();
+    let second = Database::open_with(&dir, OpenOptions::new()).expect("open store");
+    let report = second
+        .recovery_report("t")
+        .unwrap()
+        .expect("recovered")
+        .clone();
     println!(
         "session 2: warm start from snapshot gen {} (+{} log records replayed)",
         report.snapshot_gen, report.records_replayed
     );
     let r = second
-        .execute(SQL, Mode::Verdict, StopPolicy::ScanAll)
+        .query(SQL, &opts(Mode::Verdict, StopPolicy::ScanAll))
         .expect("first query after reopen")
         .unwrap_answered();
     let after = r.rows[0].values[0];
@@ -88,14 +103,21 @@ fn main() {
     );
 
     // ---- Cold session for contrast. --------------------------------------
-    let mut cold = SessionBuilder::new(table)
-        .sample_fraction(0.1)
-        .batch_size(500)
-        .seed(7)
+    let cold = Database::builder()
+        .register_table_with(
+            "t",
+            table,
+            TableOptions {
+                sample_fraction: 0.1,
+                batch_size: 500,
+                seed: 7,
+                ..TableOptions::default()
+            },
+        )
         .build()
         .expect("cold session");
     let r = cold
-        .execute(SQL, Mode::Verdict, StopPolicy::ScanAll)
+        .query(SQL, &opts(Mode::Verdict, StopPolicy::ScanAll))
         .expect("cold query")
         .unwrap_answered();
     let coldcell = r.rows[0].values[0];
@@ -125,14 +147,13 @@ fn main() {
 
     // ---- Crash simulation: torn tail on the snippet log. -----------------
     second
-        .execute(
+        .query(
             "SELECT AVG(m) FROM t WHERE d0 BETWEEN 7 AND 9",
-            Mode::Verdict,
-            StopPolicy::ScanAll,
+            &opts(Mode::Verdict, StopPolicy::ScanAll),
         )
         .expect("post-restart query (logged, not yet snapshotted)");
     drop(second);
-    let wal = dir.join("wal.vlog");
+    let wal = table_dir(&dir, "t").join("wal.vlog");
     let bytes = std::fs::read(&wal).expect("read log");
     let torn = bytes.len() - 5; // chop mid-record
     std::fs::write(&wal, &bytes[..torn]).expect("tear log tail");
@@ -141,9 +162,12 @@ fn main() {
         bytes.len()
     );
 
-    let third =
-        VerdictSession::open_with(&dir, OpenOptions::new()).expect("open survives the torn tail");
-    let report = third.recovery_report().expect("recovered").clone();
+    let third = Database::open_with(&dir, OpenOptions::new()).expect("open survives the torn tail");
+    let report = third
+        .recovery_report("t")
+        .unwrap()
+        .expect("recovered")
+        .clone();
     println!(
         "session 3: recovered (gen {}, {} records replayed, {} torn bytes truncated)",
         report.snapshot_gen, report.records_replayed, report.torn_bytes

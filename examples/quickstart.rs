@@ -6,7 +6,11 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use verdict::workload::synthetic::{generate_table, SyntheticSpec};
-use verdict::{Mode, SessionBuilder, StopPolicy};
+use verdict::{Database, Mode, QueryOptions, StopPolicy, TableOptions};
+
+fn opts(mode: Mode, policy: StopPolicy) -> QueryOptions {
+    QueryOptions::new().with_mode(mode).with_policy(policy)
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. A table with one numeric dimension `d0` in [0, 10] and a measure
@@ -19,11 +23,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let table = generate_table(&spec, &mut rng);
 
-    // 2. A session: 10% uniform sample, online aggregation underneath.
-    let mut session = SessionBuilder::new(table)
-        .sample_fraction(0.10)
-        .batch_size(500)
-        .seed(42)
+    // 2. A one-table database: 10% uniform sample, online aggregation
+    //    underneath.
+    let db = Database::builder()
+        .register_table_with(
+            "t",
+            table,
+            TableOptions {
+                sample_fraction: 0.10,
+                batch_size: 500,
+                seed: 42,
+                ..TableOptions::default()
+            },
+        )
         .build()?;
 
     // 3. Warm up the synopsis with a few range queries, then train.
@@ -34,19 +46,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "SELECT AVG(m) FROM t WHERE d0 BETWEEN {lo} AND {}",
             lo + 1.0
         );
-        session.execute(&sql, Mode::Verdict, StopPolicy::ScanAll)?;
+        db.query(&sql, &opts(Mode::Verdict, StopPolicy::ScanAll))?;
     }
-    session.train()?;
+    db.train("t")?;
 
     // 4. A new query over a range that overlaps what we have seen.
     let sql = "SELECT AVG(m) FROM t WHERE d0 BETWEEN 2.5 AND 4.5";
     let policy = StopPolicy::ScanAll;
 
-    let baseline = session
-        .execute(sql, Mode::NoLearn, policy)?
+    let baseline = db
+        .query(sql, &opts(Mode::NoLearn, policy))?
         .unwrap_answered();
-    let improved = session
-        .execute(sql, Mode::Verdict, policy)?
+    let improved = db
+        .query(sql, &opts(Mode::Verdict, policy))?
         .unwrap_answered();
 
     let b = &baseline.rows[0].values[0];
@@ -76,11 +88,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         target: 0.01,
         delta: 0.95,
     };
-    let nl = session
-        .execute(sql, Mode::NoLearn, target)?
+    let nl = db
+        .query(sql, &opts(Mode::NoLearn, target))?
         .unwrap_answered();
-    let vd = session
-        .execute(sql, Mode::Verdict, target)?
+    let vd = db
+        .query(sql, &opts(Mode::Verdict, target))?
         .unwrap_answered();
     println!(
         "to reach a 1% error bound: NoLearn scanned {} tuples, Verdict scanned {} \

@@ -28,20 +28,19 @@
 //! engine per table, so `orders.AVG(m)` and `events.AVG(m)` are disjoint
 //! state by construction; see [`verdict_core::QualifiedAggKey`]).
 //!
-//! `Database` is `Send + Sync + Clone` (one `Arc`). The shard is the
-//! **only** implementation of every pipeline stage — query, ingest,
-//! train, checkpoint — and of shard construction (one create path, one
-//! recover path): [`DatabaseBuilder`] and the single-table
-//! [`crate::SessionBuilder`] lower into the first, [`Database::open`] and
-//! [`crate::VerdictSession::open_with`] into the second, and
-//! [`crate::VerdictSession`] is a facade over one shard.
+//! `Database` is `Send + Sync + Clone` (one `Arc`), and the one front
+//! door to the engine. The shard is the **only** implementation of every
+//! pipeline stage — query, ingest, train, checkpoint — and of shard
+//! construction (one create path, one recover path): [`DatabaseBuilder`]
+//! lowers into the first and [`Database::open`] into the second. (The
+//! single-table builder of [`crate::session`] also lowers into the create
+//! path; what it builds only promotes into a `Database`.)
 //!
-//! Ordering the one engine fixes (the serial session used to differ on
-//! each): a parked store error surfaces *before* [`Database::train`]
-//! refits anything; `verdict_queries_started` counts a query after it
-//! parsed and resolved its table (a statement that fails to parse never
-//! started); and an ingest's Lemma-3 shift is estimated against the
-//! shard's *fixed* sample.
+//! Ordering the one engine fixes: a parked store error surfaces *before*
+//! [`Database::train`] refits anything; `verdict_queries_started` counts
+//! a query after it parsed and resolved its table (a statement that fails
+//! to parse never started); and an ingest's Lemma-3 shift is estimated
+//! against the shard's sample 0, whichever sample rotation scans.
 //!
 //! ## Persistence (catalog manifest v3)
 //!
@@ -50,9 +49,8 @@
 //! synopsis store in `tables/<name>/` (WAL, snapshot generations, part
 //! files and crash recovery, all per table). [`Database::open`]
 //! warm-starts every table from that one directory; it also opens the
-//! flat single-table directory [`crate::SessionBuilder::persist_to`]
-//! creates (the table is then named `"t"` and any `FROM` resolves to it,
-//! as in the session).
+//! flat single-table directory the builder of [`crate::session`] creates
+//! (the table is then named `"t"` and any `FROM` resolves to it).
 //!
 //! ## One statement path
 //!
@@ -76,13 +74,11 @@ use verdict_sql::checker::JoinPolicy;
 use verdict_sql::{
     check_query, parse_query, prepare_query, resolve_from, PreparedQuery, Query, SupportVerdict,
 };
-use verdict_storage::{
-    row_ids, AggregateFn, PartitionMap, PartitionSpec, Predicate, Schema, Table, Value,
-};
+use verdict_storage::{row_ids, PartitionMap, PartitionSpec, Schema, Table, Value};
 use verdict_store::catalog::{catalog_exists, is_valid_table_name, table_dir};
 use verdict_store::{
-    read_catalog, read_part_rows, write_catalog, BaseRows, CatalogManifest, PagedState, Recovered,
-    RecoveryReport, SessionMeta, SharedStore, StoreError, StorePolicy, SynopsisStore,
+    read_catalog, write_catalog, BaseRows, CatalogManifest, PagedState, Recovered, RecoveryReport,
+    SessionMeta, SharedStore, StoreError, StorePolicy, SynopsisStore,
 };
 
 use crate::metrics::{CheckpointReport, TableObs};
@@ -152,8 +148,7 @@ pub(crate) struct DataSet {
 /// state ([`EngineSnapshot`]) together with the table/sample version
 /// (`data_epoch`) that state describes.
 ///
-/// Pin one with [`Database::snapshot`] (or
-/// [`crate::VerdictSession::snapshot`]) and run any number of reads
+/// Pin one with [`Database::snapshot`] and run any number of reads
 /// against it via [`QueryOptions::pinned`]: every answer is a pure
 /// function of the pair, bit-reproducible regardless of interleaved
 /// writers or ingests — the pair keeps the exact table and sample version
@@ -235,8 +230,8 @@ struct Writer {
     meta: SessionMeta,
     /// Where the base rows live.
     layout: Layout,
-    /// Running moments of every `AVG` key over the fixed sample — the
-    /// old side of each ingest's Lemma-3 shift, kept between ingests.
+    /// Running moments of every `AVG` key over sample 0 — the old side
+    /// of each ingest's Lemma-3 shift, kept between ingests.
     moments: SampleMoments,
 }
 
@@ -260,10 +255,7 @@ enum Layout {
 pub(crate) struct Shard {
     pub(crate) name: Arc<str>,
     rotation: SampleRotation,
-    /// The sample `Fixed` rotation and pinned reads scan, and every
-    /// ingest estimates its Lemma-3 shift against.
-    pub(crate) fixed_sample: usize,
-    pub(crate) num_samples: usize,
+    num_samples: usize,
     /// Next sample index under round-robin rotation.
     next_sample: AtomicUsize,
     /// Where readers load the current paired snapshot from. Only the
@@ -275,14 +267,14 @@ pub(crate) struct Shard {
     /// training writer.
     pub(crate) store: Option<SharedStore>,
     writer: Mutex<Writer>,
-    pub(crate) recovery: Option<RecoveryReport>,
+    recovery: Option<RecoveryReport>,
     /// This table's observability endpoint (no-op when the database was
     /// built without metrics / query log).
-    pub(crate) obs: TableObs,
+    obs: TableObs,
     /// Pinned thread count for this table's shared scans, and the cap on
     /// its inference passes' (`None`: each query sizes its own —
     /// `session::scan_workers`, `session::inference_workers`).
-    pub(crate) parallelism: Option<usize>,
+    parallelism: Option<usize>,
 }
 
 impl Shard {
@@ -473,7 +465,6 @@ impl Shard {
             obs: TableObs::new(serve.metrics.clone(), serve.query_log.clone(), &name),
             name,
             rotation: serve.rotation,
-            fixed_sample: 0,
             num_samples: data.samples.len(),
             next_sample: AtomicUsize::new(0),
             current: Mutex::new(current),
@@ -534,47 +525,15 @@ impl Shard {
         matches!(self.rotation, SampleRotation::Fixed) || self.num_samples == 1
     }
 
-    /// Which sample the next live query scans, without consuming it.
-    pub(crate) fn next_sample(&self) -> usize {
-        match self.rotation {
-            SampleRotation::Fixed => self.fixed_sample,
-            SampleRotation::RoundRobin => {
-                self.next_sample.load(Ordering::Relaxed) % self.num_samples
-            }
-        }
-    }
-
     /// Claims the sample a live query scans: round-robin advances one
-    /// shared counter; `Fixed` always scans the shard's fixed sample.
+    /// shared counter; `Fixed` always scans sample 0.
     fn pick_sample(&self) -> usize {
         match self.rotation {
-            SampleRotation::Fixed => self.fixed_sample,
+            SampleRotation::Fixed => 0,
             SampleRotation::RoundRobin => {
                 self.next_sample.fetch_add(1, Ordering::Relaxed) % self.num_samples
             }
         }
-    }
-
-    /// Makes `index` the fixed sample and the next one round-robin
-    /// rotation scans. An out-of-range index is an error, never wrapped:
-    /// a silent `%` would let a one-sample table accept any index and
-    /// always scan sample 0, so the independence the caller thought they
-    /// were buying would not exist.
-    pub(crate) fn set_fixed_sample(&mut self, index: usize) -> Result<()> {
-        if index >= self.num_samples {
-            return Err(Error::Aqp(AqpError::InvalidConfig(format!(
-                "sample index {index} out of range: session has {} sample(s)",
-                self.num_samples
-            ))));
-        }
-        self.fixed_sample = index;
-        *self.next_sample.get_mut() = index;
-        // The kept shift moments describe the old fixed sample.
-        self.writer
-            .get_mut()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .moments = SampleMoments::default();
-        Ok(())
     }
 
     fn lock_writer(&self) -> MutexGuard<'_, Writer> {
@@ -598,7 +557,7 @@ impl Shard {
     }
 
     /// Picks the snapshot a query runs against: the caller's pinned pair
-    /// (fixed sample, learning skipped — a pinned read is a pure function
+    /// (sample 0, learning skipped — a pinned read is a pure function
     /// of the snapshot) or the current one (rotation advances, learning
     /// on).
     fn pin(&self, opts: &QueryOptions) -> Result<(SessionSnapshot, usize, bool)> {
@@ -609,7 +568,7 @@ impl Shard {
                     query: self.name.to_string(),
                 }))
             }
-            Some(snapshot) => Ok((snapshot.clone(), self.fixed_sample, false)),
+            Some(snapshot) => Ok((snapshot.clone(), 0, false)),
             None => Ok((self.current(), self.pick_sample(), true)),
         }
     }
@@ -660,8 +619,8 @@ impl Shard {
         }
     }
 
-    /// The one post-gate run step of every statement (ad-hoc, prepared,
-    /// the session facade): pin a snapshot pair, bind `params` into
+    /// The one post-gate run step of every statement (ad-hoc or
+    /// prepared): pin a snapshot pair, bind `params` into
     /// `stmt` against its sample, enumerate the groups present there,
     /// assemble the plan, answer every cell from one shared read, absorb
     /// what the read learned, trace. A `prepared` caller paid the SQL
@@ -753,26 +712,6 @@ impl Shard {
         writer.learner.absorb(&read.recorded, read.stats);
         self.publish_locked(&writer, None);
         self.maybe_compact(&mut writer);
-    }
-
-    /// Applies a manual Lemma-3 adjustment to `key`'s synopsis and refits
-    /// its model under the writer lock, republishes, then checkpoints:
-    /// the rewrite has no WAL record, so only a fresh snapshot makes it
-    /// durable. Returns the snippets adjusted.
-    pub(crate) fn apply_append(
-        &self,
-        key: &AggKey,
-        adjustment: &AppendAdjustment,
-    ) -> Result<usize> {
-        let mut writer = self.lock_writer();
-        let adjusted = writer.learner.engine_mut().apply_append(key, adjustment);
-        writer.learner.republish();
-        self.publish_locked(&writer, None);
-        self.maybe_compact(&mut writer);
-        drop(writer);
-        let adjusted = adjusted.map_err(Error::Core)?;
-        self.checkpoint()?;
-        Ok(adjusted)
     }
 
     /// Offline training pass (Algorithm 1) under the writer lock, then —
@@ -877,7 +816,7 @@ impl Shard {
     /// 1. the batch is validated against the schema (atomically — a bad
     ///    row rejects the whole batch before anything mutates);
     /// 2. a Lemma-3 adjustment is estimated for every synopsis aggregate
-    ///    (against the running moments of the fixed sample, which fold
+    ///    (against the running moments of sample 0, which fold
     ///    only the rows it admitted since the last ingest) and the
     ///    engine-side rewrites and model refits — lengthscales kept — are
     ///    **staged**: fallible work, no mutation;
@@ -942,7 +881,7 @@ impl Shard {
         // each sample's rows clone on its first admission.
         let mut table = (*old.table).clone();
         let mut samples = old.samples.clone();
-        let sample = &old.samples[self.fixed_sample];
+        let sample = &old.samples[0];
         let Writer {
             learner,
             meta,
@@ -1040,34 +979,6 @@ impl Shard {
         Ok(report)
     }
 
-    /// Exact (ground-truth) answer for an aggregate over the *base*
-    /// table. An out-of-core table streams every partition file back in
-    /// (an experiment convenience, deliberately not budget-bounded —
-    /// ground truth needs the whole relation).
-    pub(crate) fn exact(&self, agg: &AggregateFn, predicate: &Predicate) -> Result<f64> {
-        let writer = self.lock_writer();
-        let data = self.current().data;
-        let table = &data.table;
-        let (Layout::Paged(rt), Some(store)) = (&writer.layout, &self.store) else {
-            return agg.eval_exact(table, predicate).map_err(Error::Storage);
-        };
-        let dir = store.lock().dir().to_path_buf();
-        let mut full = (**table).clone();
-        // Poison is absorbed: summaries and row counts only ever grow, so
-        // a map a panicking ingest left half-extended still names rows
-        // every partition file holds.
-        let map = rt.map.read().unwrap_or_else(PoisonError::into_inner);
-        for p in 0..map.num_partitions() {
-            let rows = map.part(p).rows() as usize;
-            if rows == 0 {
-                continue;
-            }
-            let frag = read_part_rows(&dir, p as u32, table, rows).map_err(Error::Store)?;
-            full.append(&frag).map_err(Error::Storage)?;
-        }
-        agg.eval_exact(&full, predicate).map_err(Error::Storage)
-    }
-
     /// Re-publishes the engine-state gauges from a published snapshot.
     /// No-op without a metrics hub.
     fn refresh_engine_gauges(&self, snapshot: &SessionSnapshot) {
@@ -1076,7 +987,7 @@ impl Shard {
             snapshot.engine.synopsis_num_keys(),
             // `len()`, not `table().num_rows()`: a paged sample keeps only
             // its admitted tail resident.
-            snapshot.data.samples[self.fixed_sample].len(),
+            snapshot.data.samples[0].len(),
             snapshot.engine.epoch(),
             snapshot.data.data_epoch,
         );
@@ -1087,7 +998,7 @@ impl Shard {
 /// writes the map, so poison means one panicked mid-extension and may
 /// have left the map half-extended; checkpointing or extending it could
 /// persist a map no WAL replay reproduces. Reopening the table rebuilds
-/// it from the store. Readers (queries, `exact()`) absorb the poison.
+/// it from the store. Readers (queries) absorb the poison.
 fn poisoned_map<T>(_: PoisonError<T>) -> StoreError {
     StoreError::Corrupt(
         "partition map poisoned by a panicked ingest; reopen the table to rebuild it".into(),
@@ -1097,7 +1008,7 @@ fn poisoned_map<T>(_: PoisonError<T>) -> StoreError {
 /// `memory_budget` bounds the partition cache; a table without one has
 /// nothing for it to bound, and silently ignoring the knob would let a
 /// caller believe memory is capped.
-pub(crate) fn memory_budget_misuse() -> Error {
+fn memory_budget_misuse() -> Error {
     Error::Aqp(AqpError::InvalidConfig(
         "memory_budget only applies to out-of-core sessions \
          (partition_by + persist_to, or open() of a paged store)"
@@ -1112,9 +1023,6 @@ struct DbInner {
     /// Compatibility fallback: resolve unknown `FROM` names to this shard
     /// (set for a session's single-table store, never by the builder).
     default_table: Option<usize>,
-    /// Root directory of a persistent database — a catalog, or a
-    /// session's single-table store — if any.
-    root: Option<PathBuf>,
     /// The attached metrics hub, if any (every shard registered on it).
     metrics: Option<Arc<MetricsHub>>,
     /// The database-wide query log, if any (shared by every shard).
@@ -1141,7 +1049,6 @@ impl std::fmt::Debug for Database {
 }
 
 /// How one table is drawn: sampling geometry, engine config, partitioning.
-/// Defaults match [`crate::SessionBuilder`]'s.
 ///
 /// One home per knob: a knob lives here when it describes how a table is
 /// drawn (the store persists all of these), and in [`OpenOptions`] when a
@@ -1159,9 +1066,15 @@ pub struct TableOptions {
     /// Inference-engine configuration.
     pub config: VerdictConfig,
     /// Horizontal partitioning of every maintained sample (default none;
-    /// see [`crate::SessionBuilder::partition_by`]). With
-    /// [`DatabaseBuilder::persist_to`] the table is **out-of-core**,
-    /// demand-paged under [`DatabaseBuilder::memory_budget`].
+    /// range or hash on one column, [`verdict_storage::PartitionSpec`]).
+    /// Each partition carries a min/max + code-set summary, so a query
+    /// whose predicate is provably disjoint from a partition skips all of
+    /// its batches, and ingest widens only the synopses of regions the
+    /// touched partitions can overlap (partition-aware Lemma 3). With
+    /// [`DatabaseBuilder::persist_to`] the table is **out-of-core**: one
+    /// columnar `part-<id>.vcol` file per partition, every sample
+    /// demand-paged under [`DatabaseBuilder::memory_budget`], and a warm
+    /// start rebuilds the identical partition map and sample draw.
     pub partition: Option<PartitionSpec>,
 }
 
@@ -1260,7 +1173,7 @@ impl OpenOptions {
     }
 
     /// Bounds the partition cache of reopened out-of-core tables to
-    /// `bytes` (see [`crate::SessionBuilder::memory_budget`]). Answers
+    /// `bytes` (see [`DatabaseBuilder::memory_budget`]). Answers
     /// never change with the budget — only how often segments fault in.
     pub fn with_memory_budget(mut self, bytes: u64) -> Self {
         self.memory_budget = Some(bytes);
@@ -1273,8 +1186,7 @@ impl OpenOptions {
 pub struct DatabaseBuilder {
     tables: Vec<(String, Table, TableOptions)>,
     persist: Option<PathBuf>,
-    /// Database-wide serving knobs; its rotation stays at the default
-    /// (fixed), since the builder has no setter for it.
+    /// Database-wide serving knobs.
     serve: OpenOptions,
 }
 
@@ -1323,9 +1235,12 @@ impl DatabaseBuilder {
         self
     }
 
-    /// Byte budget for the partition cache of out-of-core tables (see
-    /// [`crate::SessionBuilder::memory_budget`]); `build()` refuses it
-    /// when a registered table is resident.
+    /// Byte budget for the resident (cached) sample segments of
+    /// out-of-core tables: the [`verdict_storage::PartitionStore`] evicts
+    /// least-recently-used unpinned segments down to it. Answers are
+    /// bit-identical at any budget ≥ one partition; only fault traffic
+    /// changes. Unlimited when unset; `build()` refuses it when a
+    /// registered table is resident.
     pub fn memory_budget(mut self, bytes: u64) -> Self {
         self.serve.memory_budget = Some(bytes);
         self
@@ -1343,6 +1258,16 @@ impl DatabaseBuilder {
     /// are bit-identical to a serial run.
     pub fn parallelism(mut self, n: usize) -> Self {
         self.serve.parallelism = Some(n.max(1));
+        self
+    }
+
+    /// How every multi-sample table picks the sample each query scans
+    /// (default [`SampleRotation::Fixed`]: sample 0). With
+    /// [`SampleRotation::RoundRobin`] a table advances to its next sample
+    /// after every answered query, so the independent errors of Eq. (6)
+    /// arrive without any manual selection.
+    pub fn sample_rotation(mut self, rotation: SampleRotation) -> Self {
+        self.serve.rotation = rotation;
         self
     }
 
@@ -1417,7 +1342,6 @@ impl DatabaseBuilder {
                 shards,
                 names,
                 default_table: None,
-                root: self.persist,
                 metrics: self.serve.metrics,
                 query_log: self.serve.query_log,
             }),
@@ -1441,10 +1365,9 @@ impl Database {
     /// valid snapshot + WAL replay, per table). Equivalent to
     /// [`Database::open_with`] with default [`OpenOptions`].
     ///
-    /// The flat single-table directory that
-    /// [`crate::SessionBuilder::persist_to`] creates also opens: its table
-    /// is named `"t"` and any `FROM` name resolves to it, as in the
-    /// session.
+    /// The flat single-table directory the builder of [`crate::session`]
+    /// creates also opens: its table is named `"t"` and any `FROM` name
+    /// resolves to it.
     pub fn open(dir: impl AsRef<Path>) -> Result<Database> {
         Database::open_with(dir, OpenOptions::new())
     }
@@ -1453,8 +1376,7 @@ impl Database {
     /// store does **not** persist (store policy, sample rotation, …) and
     /// would otherwise reopen at their defaults. Everything sample-identity-affecting (seed,
     /// fraction, batch size, sample count, engine config) comes from the
-    /// persisted metadata and cannot be overridden, exactly like the
-    /// session API's warm start.
+    /// persisted metadata and cannot be overridden.
     pub fn open_with(dir: impl AsRef<Path>, opts: OpenOptions) -> Result<Database> {
         let root = dir.as_ref();
         let open = |dir: PathBuf, name: &str| -> Result<Arc<Shard>> {
@@ -1480,7 +1402,6 @@ impl Database {
                 shards,
                 names,
                 default_table,
-                root: Some(root.to_path_buf()),
                 metrics: opts.metrics,
                 query_log: opts.query_log,
             }),
@@ -1494,7 +1415,6 @@ impl Database {
             inner: Arc::new(DbInner {
                 names: vec![shard.name.to_string()],
                 default_table: None,
-                root: None,
                 metrics: shard.obs.hub().cloned(),
                 query_log: shard.obs.log().cloned(),
                 shards: vec![Arc::new(shard)],
@@ -1537,11 +1457,6 @@ impl Database {
     /// ```
     pub fn table_schema(&self, name: &str) -> Result<Schema> {
         Ok(self.shard(name)?.current().table().schema().clone())
-    }
-
-    /// The root directory of a persistent database.
-    pub fn root_dir(&self) -> Option<&Path> {
-        self.inner.root.as_deref()
     }
 
     /// Whether this database writes to durable stores.
@@ -1728,7 +1643,7 @@ mod tests {
 
     /// A panicking ingest poisons a paged table's partition map. The
     /// write paths that persist or extend the map refuse with a typed
-    /// error; queries and `exact()` keep answering; nothing panics.
+    /// error; queries keep answering; nothing panics.
     #[test]
     fn poisoned_partition_map_fails_writes_not_reads() {
         let dir = std::env::temp_dir().join(format!("verdict-poisoned-map-{}", std::process::id()));
@@ -1769,13 +1684,6 @@ mod tests {
         assert!(matches!(db.checkpoint(), Err(Error::Store(_))));
         let sql = "SELECT AVG(rev) FROM t WHERE week BETWEEN 10 AND 30";
         assert!(db.query(sql, &QueryOptions::new()).unwrap().is_answered());
-        let exact = db.inner.shards[0]
-            .exact(
-                &AggregateFn::Avg(verdict_storage::Expr::col("rev")),
-                &Predicate::True,
-            )
-            .unwrap();
-        assert_eq!(exact, 99.0);
         drop(db);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -107,33 +107,33 @@
 //!
 //! ## Migrating from the session API
 //!
-//! There is one engine: the per-table shard behind [`Database`].
-//! [`VerdictSession`] remains as a single-owner, single-table facade over
-//! one shard (positional `Mode`/`StopPolicy`, `FROM` ignored, manual
-//! sample selection); it holds no engine state of its own. To move code
-//! over:
+//! There is one engine, the per-table shard behind [`Database`], and one
+//! front door to it. The single-table session facade is gone; what is
+//! left of it is [`SessionBuilder`], which writes the flat single-table
+//! store layout, and [`VerdictSession::into_database`], which promotes
+//! what it builds. To move code over:
 //!
-//! - `SessionBuilder::new(t).build()` → `Database::builder()
-//!   .register_table("t", t).build()`; per-table knobs (sample fraction,
-//!   seed, …) move into [`TableOptions`].
-//! - `SessionBuilder::partition_by(spec)` → [`TableOptions::partition`]
-//!   `= Some(spec)`; `SessionBuilder::memory_budget(b)` →
-//!   [`DatabaseBuilder::memory_budget`].
+//! - `SessionBuilder::new(t)…build()` → `Database::builder()
+//!   .register_table_with("t", t, TableOptions { .. }).build()`; the
+//!   table knobs (sample fraction, batch size, seed, sample count, engine
+//!   config, `partition`) live in [`TableOptions`], the serving knobs
+//!   (`persist_to`, `memory_budget`, `parallelism`, `sample_rotation`,
+//!   `metrics`, `query_log`, `store_policy`) on [`DatabaseBuilder`]. A
+//!   persisted table's store then lives in `tables/t/` under the root.
 //! - `session.execute(sql, mode, policy)` → `db.query(sql,
 //!   &QueryOptions::new().with_mode(mode).with_policy(policy))`.
-//! - `session.verdict()` / `session.engine()` → `session.snapshot()` (or
-//!   [`Database::snapshot`]): a [`SessionSnapshot`] exposes the learned
-//!   state (`state_bytes`, `has_model`, `synopsis_len`, `stats`) and the
-//!   maintained samples (`samples()`). There is no mutable engine
-//!   access — every mutation goes through the shard's learn path.
-//! - `SessionBuilder::open(dir)?…build()` → [`Database::open_with`]
-//!   (`dir`, [`OpenOptions`]) — a single-table store directory opens as a
-//!   one-table database (table name `"t"`, any `FROM` accepted) — or,
-//!   to keep the facade, [`VerdictSession::open_with`] with the same
-//!   arguments.
-//! - An existing session promotes in place with
-//!   [`VerdictSession::into_database`]; that (with `QueryOptions::pinned`
-//!   for `execute_at`) replaces the former `ConcurrentSession`.
+//! - `session.{train, ingest, snapshot, table, recovery_report}()` →
+//!   the [`Database`] methods of the same name, given the table name;
+//!   `checkpoint()` → [`Database::checkpoint`].
+//! - `VerdictSession::open_with(dir, opts)` → [`Database::open_with`].
+//! - `set_active_sample(k)` has no replacement: `Fixed` rotation scans
+//!   sample 0, and [`DatabaseBuilder::sample_rotation`] with
+//!   [`SampleRotation::RoundRobin`] rotates across the samples.
+//! - `exact(agg, pred)` → `agg.eval_exact(&db.table("t")?, pred)`
+//!   ([`verdict_storage::AggregateFn::eval_exact`]); an out-of-core table
+//!   keeps its rows in its part files ([`verdict_store::read_part_rows`]).
+//! - `apply_append(key, adjustment)` → [`Database::ingest`] of the rows,
+//!   which estimates, logs and applies every Lemma-3 adjustment.
 //!
 //! ## Crate map
 //!
@@ -152,7 +152,8 @@
 //! shard — the one implementation of query, ingest, train, checkpoint
 //! and shard construction; [`query`] the options and prepared
 //! statements that drive it; [`session`] the result types, the executor
-//! core the shard calls, and the single-table [`VerdictSession`] facade;
+//! core the shard calls, and the single-table builder whose one output
+//! promotes into a [`Database`];
 //! [`metrics`] binds the zero-dependency observability primitives of
 //! [`verdict_obs`] to every pipeline stage.
 //!
@@ -160,7 +161,7 @@
 //!
 //! Attach a [`verdict_obs::MetricsHub`] and/or a bounded query log at
 //! build time ([`DatabaseBuilder::metrics`] /
-//! [`DatabaseBuilder::query_log`], same on [`SessionBuilder`]) and the
+//! [`DatabaseBuilder::query_log`]) and the
 //! engine reports per-table counters, gauges, and latency histograms
 //! plus a per-query [`verdict_obs::QueryTrace`]; snapshot them with
 //! [`Database::metrics_snapshot`] (Prometheus-style text or JSON) and

@@ -72,10 +72,10 @@ use verdict_store::StoreStats;
 
 use crate::session::IngestReport;
 
-/// What one [`crate::VerdictSession::checkpoint`] (or
-/// [`crate::Database::checkpoint`]) call wrote.
+/// What one [`crate::Database::checkpoint`] (or
+/// [`crate::Database::checkpoint_table`]) call wrote.
 ///
-/// All zeros when the session has no durable store (checkpoint is a
+/// All zeros when the database has no durable store (checkpoint is a
 /// no-op there). The numbers come from the store's own
 /// [`verdict_store::SnapshotReceipt`] — the single timing source the
 /// metrics layer also reads, so the report and the
@@ -226,7 +226,7 @@ impl Handles {
 
 /// One table's observability endpoint: the (optional) metric handle
 /// bundle plus the (optional) shared query log. Both halves are
-/// independent — a session can keep a query log with no metrics hub and
+/// independent — a database can keep a query log with no metrics hub and
 /// vice versa. Cloning shares both.
 #[derive(Clone, Default)]
 pub(crate) struct TableObs {

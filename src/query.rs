@@ -1,9 +1,8 @@
 //! Query execution options and the prepared-statement serving path.
 //!
-//! [`QueryOptions`] replaces the positional `Mode`/`StopPolicy` arguments
-//! of the session API: one struct carries the inference mode, the stop
-//! policy, and an optional pinned snapshot, and new knobs can be added
-//! without breaking callers (the struct is `#[non_exhaustive]`; build it
+//! [`QueryOptions`] carries how one query executes: the inference mode,
+//! the stop policy, and an optional pinned snapshot; new knobs can be
+//! added without breaking callers (the struct is `#[non_exhaustive]`; build it
 //! with the `with_*` methods).
 //!
 //! [`Prepared`] is the hot serving path for repeated query shapes:

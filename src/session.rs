@@ -1,36 +1,22 @@
-//! The single-table facade, the query result types, and the executor
-//! core: SQL in, improved answers out.
+//! The query result types, the executor core, and the single-table
+//! builder the benchmark's out-of-core fixture still builds through:
+//! SQL in, improved answers out.
 //!
-//! ## One engine
+//! ## One engine, one front door
 //!
 //! Every pipeline stage — query, ingest, train, checkpoint — is
-//! implemented once, on the per-table shard of [`crate::database`]. A
-//! [`VerdictSession`] is a **facade over one shard**: it owns no engine
-//! state of its own, and each of its methods calls the shard method of
-//! the same name ([`SessionBuilder::build`] lowers into the create path
-//! [`crate::DatabaseBuilder`] uses, [`VerdictSession::open_with`] into
-//! the recover path [`crate::Database::open`] uses). What the facade
-//! adds is the
-//! single-owner convenience of the original session API: positional
-//! `Mode`/`StopPolicy` arguments, `FROM` ignored (there is only one
-//! table), manual sample selection, and `&mut self` receivers that make
-//! "one caller at a time" a compile-time fact. To share the table across
-//! threads, pin snapshots, or prepare statements, promote it with
-//! [`VerdictSession::into_database`].
-//!
-//! Because the facade runs the shard's code, it inherits the shard's
-//! ordering where the old serial implementation had drifted:
-//! [`VerdictSession::train`] surfaces a parked store error *before*
-//! refitting (a failing store never costs a refit whose checkpoint
-//! cannot land); `verdict_queries_started` counts a query after it
-//! parsed, so a statement that fails to parse never "started"; and
-//! [`VerdictSession::ingest`] estimates its Lemma-3 shift on the shard's
-//! *fixed* sample — the one [`VerdictSession::set_active_sample`]
-//! selects — even while round-robin rotation moves the scanned sample.
+//! implemented once, on the per-table shard of [`crate::database`], and
+//! [`crate::Database`] is the one front door to it. [`SessionBuilder`]
+//! is a second way into the create path [`crate::DatabaseBuilder`] uses,
+//! kept only for the flat single-table store layout (the store files at
+//! the directory root, the table reopening as `t` with a lenient `FROM`):
+//! it builds a [`VerdictSession`] whose one method,
+//! [`VerdictSession::into_database`], promotes it into a one-table
+//! `Database`. Nothing else answers through it.
 //!
 //! ## The query dataflow
 //!
-//! [`VerdictSession::execute`] (like [`crate::Database::query`])
+//! [`crate::Database::query`] (like a [`crate::Prepared`] run)
 //! implements the paper's runtime dataflow (Figure 2 / Algorithm 2) as a
 //! **shared scan**: every snippet of a query is answered from the *same*
 //! single pass over the sample. The dataflow is
@@ -85,8 +71,8 @@
 //! builder or option — [`verdict_aqp::BatchEstimator`] (one snippet's
 //! estimator over the cell's batch prefix) and the row-wise kernel
 //! ([`verdict_aqp::SharedScanDriver::set_kernel`] on a hand-held driver)
-//! — which `tests/parity.rs` and `tests/scan_parity.rs` hold `execute`
-//! against, primitive for primitive and bit for bit.
+//! — which `tests/parity.rs` and `tests/scan_parity.rs` hold
+//! `Database::query` against, primitive for primitive and bit for bit.
 //!
 //! ## Read path vs. learn path
 //!
@@ -103,7 +89,7 @@
 //! ## The ingest path (evolving tables)
 //!
 //! Alongside read / learn / train sits the engine's fourth pipeline
-//! stage: [`VerdictSession::ingest`] appends a row batch to the base
+//! stage: [`crate::Database::ingest`] appends a row batch to the base
 //! table, admits it into every maintained sample at the correct
 //! inclusion probability, WAL-logs rows + adjustments on persistent
 //! sessions, and widens every stored snippet per Appendix D's Lemma 3 so
@@ -130,23 +116,18 @@ use verdict_core::{
     AggKey, EngineStats, EngineView, ImprovedAnswer, IngestBounds, Observation, Region,
     ShiftMoments, Snippet, Verdict, VerdictConfig,
 };
-use verdict_obs::{
-    MetricsHub, MetricsSnapshot, QueryLog, QueryTrace, ScanTrace, StageTimings, Stopwatch,
-};
-use verdict_sql::{parse_query, Combiner, ScanPlan, UnsupportedReason};
+use verdict_obs::{MetricsHub, QueryLog, QueryTrace, ScanTrace, StageTimings, Stopwatch};
+use verdict_sql::{Combiner, ScanPlan, UnsupportedReason};
 use verdict_storage::{
     AggregateFn, CacheCounters, Expr, GroupKey, PartitionMap, PartitionSpec, PartitionStore,
-    Predicate, StorageError, Table, Value,
+    StorageError, Table,
 };
-use verdict_store::{read_part_rows, RecoveryReport, SessionMeta, StorePolicy, SynopsisStore};
+use verdict_store::{read_part_rows, SessionMeta};
 
-use crate::database::{memory_budget_misuse, Database, SessionSnapshot, Shard};
-use crate::metrics::CheckpointReport;
-use crate::query::QueryOptions;
+use crate::database::{Database, Shard};
 use crate::{CatalogError, Error, OpenOptions, Result, TableOptions};
 
-/// What one [`VerdictSession::ingest`] (or [`crate::Database::ingest`])
-/// call did.
+/// What one [`crate::Database::ingest`] call did.
 #[derive(Debug, Clone)]
 pub struct IngestReport {
     /// Rows appended to the base table.
@@ -161,8 +142,8 @@ pub struct IngestReport {
     /// Aggregates whose synopses could **not** be adjusted because their
     /// expression cannot be re-evaluated over the new data (e.g. a
     /// non-numeric or vanished column). Their stored answers are now
-    /// stale-without-widening; retrain or
-    /// [`VerdictSession::apply_append`] them manually.
+    /// stale-without-widening until [`crate::Database::train`] refits
+    /// them from fresh observations.
     pub skipped_keys: Vec<AggKey>,
     /// The engine's data epoch after this batch.
     pub data_epoch: u64,
@@ -186,16 +167,15 @@ pub struct IngestReport {
     pub widening_magnitude: f64,
 }
 
-/// How a multi-sample session picks the offline sample each query scans.
+/// How a multi-sample table picks the offline sample each query scans.
 ///
 /// The paper's engine "creates random samples of the original tables
 /// offline"; rotating across them keeps the sampling errors of different
 /// snippets independent — the `β_i ⊥ β_j` assumption behind Eq. (6). With
-/// `Fixed`, queries keep scanning the currently active sample until
-/// [`VerdictSession::set_active_sample`] changes it.
+/// `Fixed`, every query scans sample 0.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SampleRotation {
-    /// Keep scanning the active sample (manual control; default).
+    /// Scan sample 0 (default).
     Fixed,
     /// Advance to the next sample after every answered query.
     RoundRobin,
@@ -329,8 +309,8 @@ impl QueryOutcome {
 }
 
 /// Builder for [`VerdictSession`]: the single-table front of the one
-/// create path (see [`crate::database`]). A persisted session reopens
-/// with [`VerdictSession::open_with`].
+/// create path (see [`crate::database`]), writing the flat store layout.
+/// A persisted store reopens with [`crate::Database::open_with`].
 pub struct SessionBuilder {
     table: Table,
     /// Sampling geometry and engine config.
@@ -417,86 +397,40 @@ impl SessionBuilder {
         }
     }
 
-    /// Attaches a durable synopsis store at `path` (created on build).
-    ///
-    /// Every snippet the session observes is appended to the store's
-    /// write-ahead log; [`VerdictSession::train`] and the compaction
-    /// policy checkpoint the full state. Fails at build time if a store
-    /// already exists at `path` — reopen with [`VerdictSession::open_with`].
+    /// Attaches a durable synopsis store at `path` (created on build),
+    /// its files at the directory root. Fails at build time if a store
+    /// already exists at `path`.
     pub fn persist_to(mut self, path: impl Into<PathBuf>) -> Self {
         self.persist = Some(path.into());
         self
     }
 
-    /// Overrides the store's compaction/durability policy.
-    pub fn store_policy(mut self, policy: StorePolicy) -> Self {
-        self.serve.store_policy = policy;
-        self
-    }
-
-    /// Attaches a metrics hub: the session registers its per-table
-    /// series on it at build time and updates them lock-free from then
-    /// on. Without a hub (the default) the metrics path is a true no-op
-    /// — no atomics touched, no stage clocks read.
+    /// Attaches a metrics hub (see [`crate::DatabaseBuilder::metrics`]).
     pub fn metrics(mut self, hub: Arc<MetricsHub>) -> Self {
         self.serve.metrics = Some(hub);
         self
     }
 
-    /// Attaches a bounded in-memory query log: every answered query
-    /// pushes a [`verdict_obs::QueryTrace`] into a ring holding the most
-    /// recent `capacity` traces (oldest evicted). Off by default.
+    /// Attaches a bounded in-memory query log holding the most recent
+    /// `capacity` traces (see [`crate::DatabaseBuilder::query_log`]).
     pub fn query_log(mut self, capacity: usize) -> Self {
         self.serve.query_log = Some(Arc::new(QueryLog::new(capacity)));
         self
     }
 
-    /// Partitions every maintained sample horizontally by `spec` (range
-    /// or hash on one column, [`verdict_storage::PartitionSpec`]). Each
-    /// partition carries a min/max + code-set summary, so a query whose
-    /// predicate is provably disjoint from a partition skips all of its
-    /// batches without touching a chunk, and ingest widens only the
-    /// synopses of regions the touched partitions can overlap
-    /// (partition-aware Lemma 3).
-    ///
-    /// Combined with [`SessionBuilder::persist_to`], the session becomes
-    /// **out-of-core**: the base table is split into one columnar
-    /// `part-<id>.vcol` file per partition, the spec is persisted in the
-    /// session metadata, and every sample is served demand-paged through
-    /// a [`verdict_storage::PartitionStore`] buffer manager under the
-    /// [`SessionBuilder::memory_budget`]. A warm start
-    /// ([`VerdictSession::open_with`]) rebuilds the identical partition
-    /// map and sample draw from the manifest.
+    /// Partitions every maintained sample by `spec` (see
+    /// [`TableOptions::partition`]); with [`SessionBuilder::persist_to`]
+    /// the table is out-of-core, one `part-<id>.vcol` file per partition.
     pub fn partition_by(mut self, spec: PartitionSpec) -> Self {
         self.opts.partition = Some(spec);
         self
     }
 
-    /// Byte budget for resident (cached) sample segments of an
-    /// out-of-core session — the [`verdict_storage::PartitionStore`]
-    /// evicts least-recently-used unpinned segments down to this bound.
-    /// Answers are bit-identical at any budget ≥ one partition; only
-    /// fault traffic changes. Unlimited when unset. `build()` refuses
-    /// the knob on sessions that are not out-of-core (`partition_by` +
-    /// `persist_to`); [`VerdictSession::open_with`] refuses it on a
-    /// resident store.
+    /// Byte budget for the partition cache of an out-of-core table (see
+    /// [`crate::DatabaseBuilder::memory_budget`]); `build()` refuses it
+    /// without `partition_by` + `persist_to`.
     pub fn memory_budget(mut self, bytes: u64) -> Self {
         self.serve.memory_budget = Some(bytes);
-        self
-    }
-
-    /// Pins the threads one query's shared scan runs on (clamped to at
-    /// least 1). Unset, each query picks its own: one thread per
-    /// `2¹⁷` sample rows its stop policy lets it reach, up to the host's
-    /// cores — so a small sample never leaves the calling thread. Partials
-    /// merge in deterministic batch order, so answers, error bounds, and
-    /// synopsis bytes are bit-identical at every setting; `parallelism(1)`
-    /// always scans on the calling thread. The pin also caps the threads
-    /// of a query's inference passes, which otherwise take one per `2⁹`
-    /// snippets of the model, up to the cores (bit-identical too):
-    /// `parallelism(1)` keeps inference on the calling thread as well.
-    pub fn parallelism(mut self, n: usize) -> Self {
-        self.serve.parallelism = Some(n.max(1));
         self
     }
 
@@ -524,40 +458,19 @@ impl SessionBuilder {
         self
     }
 
-    /// Number of independent offline samples (default 1). The paper's
-    /// engine "creates random samples of the original tables offline"; with
-    /// several samples rotated across queries, the sampling errors of
-    /// different snippets are independent — exactly the `β_i ⊥ β_j`
-    /// assumption behind Eq. (6). A single shared sample correlates
-    /// errors across the synopsis and makes conditioning overconfident.
-    pub fn num_samples(mut self, k: usize) -> Self {
-        self.opts.num_samples = k.max(1);
-        self
-    }
-
-    /// Automatic sample rotation across queries (default
-    /// [`SampleRotation::Fixed`]). With [`SampleRotation::RoundRobin`] a
-    /// multi-sample session advances its active sample after every
-    /// answered query, so the independent-error property of Eq. (6)
-    /// arrives without manual [`VerdictSession::set_active_sample`] calls.
-    pub fn sample_rotation(mut self, rotation: SampleRotation) -> Self {
-        self.serve.rotation = rotation;
-        self
-    }
-
     /// Builds the session: draws the samples, derives the dimension
     /// universe from the base table and (with persistence) creates the
-    /// store at the directory root. The session serves its one anonymous
-    /// table as `t` (matching the `FROM t` its queries use), so its
-    /// metric series carry that label.
+    /// store at the directory root. The table is named `t` until
+    /// [`VerdictSession::into_database`] renames it, so its metric series
+    /// carry that label.
     pub fn build(self) -> Result<VerdictSession> {
         let shard = Shard::create("t", self.table, &self.opts, self.persist, &self.serve)?;
         Ok(VerdictSession { shard })
     }
 }
 
-/// A live session over one (denormalized) table: the single-owner facade
-/// over one shard of the engine (see the [module docs](self)).
+/// One freshly built table, waiting to be promoted into a
+/// [`crate::Database`] (see the [module docs](self)).
 pub struct VerdictSession {
     shard: Shard,
 }
@@ -574,8 +487,8 @@ pub(crate) struct PagedRuntime {
     pub(crate) store: Arc<PartitionStore>,
     /// Create-time rows per partition — the frozen sample-draw domain.
     pub(crate) original_part_rows: Vec<u64>,
-    /// Base-table rows (create + ingested): what `exact()` normalizes by
-    /// and where the next ingest's global row indices start.
+    /// Base-table rows (create + ingested): where the next ingest's
+    /// global row indices start, and what a checkpoint persists.
     pub(crate) total_rows: u64,
 }
 
@@ -674,74 +587,9 @@ pub(crate) fn build_paged_samples(
 }
 
 impl VerdictSession {
-    /// Warm-starts a session from a durable synopsis store previously
-    /// created with [`SessionBuilder::persist_to`] — the session twin of
-    /// [`Database::open_with`], with `opts` the knobs the store does not
-    /// persist.
-    ///
-    /// Recovery loads the newest valid snapshot (base table, session
-    /// parameters, synopses, trained models), truncates any torn tail off
-    /// the snippet log, and replays surviving records. The resulting
-    /// session answers its very first query with the error bounds the
-    /// previous session had earned — the cold-start problem the paper's
-    /// "smarter every time" promise otherwise hits at every restart.
-    /// Sample identity, partition spec and engine config come from the
-    /// store. A `memory_budget` on a resident store is refused.
-    pub fn open_with(dir: impl AsRef<Path>, opts: OpenOptions) -> Result<VerdictSession> {
-        let (store, recovered) =
-            SynopsisStore::open(dir.as_ref(), opts.store_policy.clone()).map_err(Error::Store)?;
-        if opts.memory_budget.is_some() && !recovered.meta.paged {
-            return Err(memory_budget_misuse());
-        }
-        let shard = Shard::recover("t", store, recovered, &opts)?;
-        Ok(VerdictSession { shard })
-    }
-
-    /// The current base table (for an out-of-core session, the zero-row
-    /// resolution table — the rows live in the partition files). Cheap:
-    /// clones an `Arc`, not the rows.
-    pub fn table(&self) -> Arc<Table> {
-        Arc::clone(&self.shard.current().data.table)
-    }
-
-    /// The current published snapshot pair: the learned state plus the
-    /// table/sample version it describes. This is the read accessor for
-    /// everything the engine holds — [`SessionSnapshot::state_bytes`],
-    /// [`SessionSnapshot::has_model`], [`SessionSnapshot::stats`], the
-    /// maintained samples via [`SessionSnapshot::samples`]. There is no
-    /// mutable access to the engine: every mutation goes through the
-    /// shard's serialized learn path.
-    pub fn snapshot(&self) -> SessionSnapshot {
-        self.shard.current()
-    }
-
-    /// Number of independent offline samples.
-    pub fn num_samples(&self) -> usize {
-        self.shard.num_samples
-    }
-
-    /// Index of the sample the next query will scan.
-    pub fn active_sample(&self) -> usize {
-        self.shard.next_sample()
-    }
-
-    /// Selects which offline sample subsequent queries scan (and ingests
-    /// estimate their Lemma-3 shift against). Rotating across queries
-    /// keeps snippet errors independent (Eq. 6); see also
-    /// [`SessionBuilder::sample_rotation`] for automatic rotation, which
-    /// continues from `index`.
-    ///
-    /// An out-of-range index is an error, never silently wrapped.
-    pub fn set_active_sample(&mut self, index: usize) -> Result<()> {
-        self.shard.set_fixed_sample(index)
-    }
-
     /// Promotes this session into a one-table [`crate::Database`] whose
-    /// table is registered under `name` — the way to share the table
-    /// across threads, pin snapshots and prepare statements. The current
-    /// learned state stays published as is; unlike the session (which
-    /// ignores `FROM`), the database resolves `FROM` *strictly* against
-    /// `name`.
+    /// table is registered under `name`; the database resolves `FROM`
+    /// strictly against `name`.
     pub fn into_database(mut self, name: &str) -> Result<Database> {
         if !verdict_store::catalog::is_valid_table_name(name) {
             return Err(Error::Catalog(CatalogError::InvalidTableName(
@@ -750,136 +598,6 @@ impl VerdictSession {
         }
         self.shard.rename(name);
         Ok(Database::from_shard(self.shard))
-    }
-
-    /// Whether this session serves its samples out-of-core
-    /// (demand-paged partition files under a memory budget).
-    pub fn is_paged(&self) -> bool {
-        self.shard.current().data.samples[0].is_paged()
-    }
-
-    /// Cumulative partition-cache counters of an out-of-core session
-    /// (`None` on a resident session): hits, misses, evictions, bytes
-    /// faulted, and the resident-bytes gauge.
-    pub fn partition_cache(&self) -> Option<CacheCounters> {
-        let snapshot = self.shard.current();
-        let rep = snapshot.data.samples[0].paged_rep()?;
-        Some(rep.partition_store().counters())
-    }
-
-    /// The pinned scan thread count, which also caps inference's (`None`:
-    /// each query picks its own — see [`SessionBuilder::parallelism`]).
-    pub fn parallelism(&self) -> Option<usize> {
-        self.shard.parallelism
-    }
-
-    /// Whether this session writes to a durable store.
-    pub fn is_persistent(&self) -> bool {
-        self.shard.store.is_some()
-    }
-
-    /// The recovery report, when this session was warm-started with
-    /// [`VerdictSession::open_with`].
-    pub fn recovery_report(&self) -> Option<&RecoveryReport> {
-        self.shard.recovery.as_ref()
-    }
-
-    /// Checkpoints the full learned state into a fresh snapshot
-    /// generation and truncates the snippet log, reporting what was
-    /// written (duration and bytes come from the store's own receipt —
-    /// the same numbers the metrics layer records). No-op without a
-    /// store: the report is all zeros.
-    ///
-    /// Also surfaces any error a background log append or deferred
-    /// compaction hit since the last checkpoint.
-    pub fn checkpoint(&mut self) -> Result<CheckpointReport> {
-        self.shard.checkpoint()
-    }
-
-    /// Offline training pass (Algorithm 1). Persistent sessions
-    /// checkpoint afterwards, so the (expensive) trained models are on
-    /// disk and a restarted session warm-starts without refitting. A
-    /// parked store error is returned *before* anything is refit.
-    pub fn train(&mut self) -> Result<()> {
-        self.shard.train()
-    }
-
-    /// A snapshot of every metric series this session's hub holds, or
-    /// `None` when the session was built without
-    /// [`SessionBuilder::metrics`]. Render with
-    /// [`verdict_obs::MetricsSnapshot::to_text`] /
-    /// [`verdict_obs::MetricsSnapshot::to_json`].
-    pub fn metrics_snapshot(&self) -> Option<MetricsSnapshot> {
-        self.shard.obs.hub().map(|h| h.snapshot())
-    }
-
-    /// The query log, when one was attached with
-    /// [`SessionBuilder::query_log`].
-    pub fn query_log(&self) -> Option<&Arc<QueryLog>> {
-        self.shard.obs.log()
-    }
-
-    /// The `n` most recent query traces, newest first (empty without a
-    /// query log).
-    pub fn recent_queries(&self, n: usize) -> Vec<Arc<QueryTrace>> {
-        self.query_log().map(|l| l.recent(n)).unwrap_or_default()
-    }
-
-    /// Applies a data-append adjustment (Appendix D, Lemma 3) to the
-    /// synopsis of `key` and refits its model, then — for persistent
-    /// sessions — checkpoints immediately: a manual adjustment rewrites
-    /// stored observations in place without a WAL record, so only a fresh
-    /// snapshot makes it durable. (The [`VerdictSession::ingest`] path
-    /// logs its adjustments and does not need the eager checkpoint.)
-    ///
-    /// Returns how many stored snippets were adjusted; `0` means `key`
-    /// has no synopsis yet, which callers should treat as "nothing was
-    /// widened" rather than success-with-effect. Units as documented on
-    /// [`verdict_core::append::AppendAdjustment::estimate`]: `µ`/`η` are
-    /// in the aggregate's own value units (relative frequency for
-    /// `FREQ`), scaled by `|r_a| / (|r| + |r_a|)`.
-    pub fn apply_append(&mut self, key: &AggKey, adjustment: &AppendAdjustment) -> Result<usize> {
-        self.shard.apply_append(key, adjustment)
-    }
-
-    /// Ingests a batch of new rows into the evolving table — the engine's
-    /// fourth pipeline stage (read / learn / train / **ingest**): the
-    /// batch is validated atomically, a Lemma-3
-    /// [`verdict_core::append::AppendAdjustment`] is estimated for every
-    /// synopsis aggregate (per-column shift of the session's fixed sample
-    /// vs the incoming batch for `AVG` keys, the conservative worst case
-    /// for `FREQ`), rows + adjustments are WAL-logged on persistent
-    /// sessions, and only then does the table grow, every maintained
-    /// sample admit the new rows at the correct inclusion probability,
-    /// and every affected synopsis widen and refit (`data_epoch` bumps
-    /// once). A failure at any step leaves memory and disk consistent.
-    ///
-    /// Old answers stay usable with honestly wider error bounds;
-    /// [`VerdictSession::train`] re-tightens from fresh observations.
-    pub fn ingest(&mut self, rows: &[Vec<Value>]) -> Result<IngestReport> {
-        self.shard.ingest(rows)
-    }
-
-    /// Exact (ground-truth) answer for an aggregate over the *base* table;
-    /// used by experiments to report actual errors. On an out-of-core
-    /// session this streams every partition file back in.
-    pub fn exact(&self, agg: &AggregateFn, predicate: &Predicate) -> Result<f64> {
-        self.shard.exact(agg, predicate)
-    }
-
-    /// Parses, checks, compiles, and answers a SQL query from one shared
-    /// sample scan (see the module docs; [`crate::Database::query`]'s
-    /// path). `FROM` is not resolved — the session has exactly one table.
-    ///
-    /// Persistent sessions surface store failures (a failed background
-    /// log append, or a compaction that failed after an earlier query)
-    /// here, *before* scanning — a computed answer is never thrown away
-    /// because persisting something else failed afterwards.
-    pub fn execute(&mut self, sql: &str, mode: Mode, policy: StopPolicy) -> Result<QueryOutcome> {
-        let t0 = Instant::now();
-        let query = parse_query(sql)?;
-        let opts = QueryOptions::new().with_mode(mode).with_policy(policy);
-        self.shard.ad_hoc(&query, sql, &opts, t0)
     }
 }
 
@@ -1029,7 +747,7 @@ pub(crate) struct PreparedIngest {
 /// Stages the full engine-side effect of ingesting `batch` (already
 /// validated by materializing it as a table) after `old_rows` base rows
 /// — see [`PreparedIngest`]. `sample` is the sample the shift is
-/// estimated against (the shard's fixed one; the chosen values are what
+/// estimated against (the shard's sample 0; the chosen values are what
 /// gets WAL-logged and replayed, so recovery never re-estimates), and
 /// `moments` the shard's running moments of it. `map` is the base-table
 /// partition map of a partitioned table.
@@ -1066,7 +784,7 @@ pub(crate) fn prepare_ingest(
 
 /// The old side of every `AVG` key's Lemma-3 shift, kept between
 /// ingests: per key, the [`ShiftMoments`] of its expression over the
-/// shard's fixed sample. An ingest then folds only the rows the sample
+/// shard's sample 0. An ingest then folds only the rows the sample
 /// admitted since the last one, instead of re-reading — on a paged
 /// table, re-faulting — the whole sample.
 ///
@@ -1075,9 +793,8 @@ pub(crate) fn prepare_ingest(
 /// admitted tail), and [`Sample::visit_fragments`] yields those rows
 /// last. Folding them into the kept accumulators is therefore the fold a
 /// fresh pass would run, and leaves its bits. A key not seen before costs
-/// one pass over the sample, as does every key after the fixed sample
-/// changes (the shard drops the cache) or the shard reopens (it starts
-/// empty). The state is O(1) per key: nothing is kept per row.
+/// one pass over the sample, as does every key after the shard reopens
+/// (it starts empty). The state is O(1) per key: nothing is kept per row.
 #[derive(Default)]
 pub(crate) struct SampleMoments {
     /// Rows of the sample's resident table folded so far.
@@ -1695,11 +1412,16 @@ fn product_with_error(a: f64, a_err: f64, c: f64, c_err: f64) -> (f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{DatabaseBuilder, Mode, QueryOptions, SampleRotation, StopPolicy};
     use verdict_core::persist::{EngineState, Persist};
-    use verdict_storage::{ColumnDef, Schema};
+    use verdict_storage::{ColumnDef, Predicate, Schema, Value};
     use verdict_store::StoreError;
 
-    fn session(rows: usize) -> VerdictSession {
+    fn opts(mode: Mode, policy: StopPolicy) -> QueryOptions {
+        QueryOptions::new().with_mode(mode).with_policy(policy)
+    }
+
+    fn table(rows: usize) -> Table {
         let schema = Schema::new(vec![
             ColumnDef::numeric_dimension("week"),
             ColumnDef::categorical_dimension("region"),
@@ -1720,12 +1442,27 @@ mod tests {
             t.push_row(vec![week.into(), region.into(), rev.into()])
                 .unwrap();
         }
-        SessionBuilder::new(t)
-            .sample_fraction(0.2)
-            .batch_size(200)
-            .seed(5)
-            .build()
-            .unwrap()
+        t
+    }
+
+    /// A builder over `table(rows)` registered as `t`.
+    fn builder(rows: usize) -> DatabaseBuilder {
+        let options = TableOptions {
+            sample_fraction: 0.2,
+            batch_size: 200,
+            seed: 5,
+            ..TableOptions::default()
+        };
+        Database::builder().register_table_with("t", table(rows), options)
+    }
+
+    fn session(rows: usize) -> Database {
+        builder(rows).build().unwrap()
+    }
+
+    /// Ground truth of `agg` over the base table of `db`'s table `t`.
+    fn exact(db: &Database, agg: &AggregateFn, predicate: &Predicate) -> f64 {
+        agg.eval_exact(&db.table("t").unwrap(), predicate).unwrap()
     }
 
     /// The worker policy, row by row: a pinned count is used as given;
@@ -1815,34 +1552,31 @@ mod tests {
 
     #[test]
     fn executes_simple_avg() {
-        let mut s = session(20_000);
+        let s = session(20_000);
         let r = s
-            .execute(
+            .query(
                 "SELECT AVG(rev) FROM t WHERE week BETWEEN 10 AND 30",
-                Mode::NoLearn,
-                StopPolicy::ScanAll,
+                &opts(Mode::NoLearn, StopPolicy::ScanAll),
             )
             .unwrap()
             .unwrap_answered();
         assert_eq!(r.rows.len(), 1);
         let cell = &r.rows[0].values[0];
-        let exact = s
-            .exact(
-                &AggregateFn::Avg(Expr::col("rev")),
-                &Predicate::between("week", 10.0, 30.0),
-            )
-            .unwrap();
+        let exact = exact(
+            &s,
+            &AggregateFn::Avg(Expr::col("rev")),
+            &Predicate::between("week", 10.0, 30.0),
+        );
         assert!((cell.raw_answer - exact).abs() / exact < 0.05);
     }
 
     #[test]
     fn unsupported_queries_classified() {
-        let mut s = session(1000);
+        let s = session(1000);
         let out = s
-            .execute(
+            .query(
                 "SELECT AVG(rev) FROM t WHERE region LIKE '%u%'",
-                Mode::Verdict,
-                StopPolicy::ScanAll,
+                &opts(Mode::Verdict, StopPolicy::ScanAll),
             )
             .unwrap();
         assert!(!out.is_answered());
@@ -1850,25 +1584,23 @@ mod tests {
 
     #[test]
     fn verdict_improves_after_training() {
-        let mut s = session(30_000);
+        let s = session(30_000);
         // Warm-up: overlapping range queries.
         for lo in (0..90).step_by(10) {
-            s.execute(
+            s.query(
                 &format!(
                     "SELECT AVG(rev) FROM t WHERE week BETWEEN {lo} AND {}",
                     lo + 10
                 ),
-                Mode::Verdict,
-                StopPolicy::ScanAll,
+                &opts(Mode::Verdict, StopPolicy::ScanAll),
             )
             .unwrap();
         }
-        s.train().unwrap();
+        s.train("t").unwrap();
         let r = s
-            .execute(
+            .query(
                 "SELECT AVG(rev) FROM t WHERE week BETWEEN 25 AND 45",
-                Mode::Verdict,
-                StopPolicy::ScanAll,
+                &opts(Mode::Verdict, StopPolicy::ScanAll),
             )
             .unwrap()
             .unwrap_answered();
@@ -1879,12 +1611,11 @@ mod tests {
 
     #[test]
     fn group_by_produces_rows_per_group() {
-        let mut s = session(5000);
+        let s = session(5000);
         let r = s
-            .execute(
+            .query(
                 "SELECT region, COUNT(*) FROM t GROUP BY region",
-                Mode::NoLearn,
-                StopPolicy::ScanAll,
+                &opts(Mode::NoLearn, StopPolicy::ScanAll),
             )
             .unwrap()
             .unwrap_answered();
@@ -1895,22 +1626,20 @@ mod tests {
 
     #[test]
     fn sum_combines_avg_and_count() {
-        let mut s = session(10_000);
+        let s = session(10_000);
         let r = s
-            .execute(
+            .query(
                 "SELECT SUM(rev) FROM t WHERE week <= 50",
-                Mode::NoLearn,
-                StopPolicy::ScanAll,
+                &opts(Mode::NoLearn, StopPolicy::ScanAll),
             )
             .unwrap()
             .unwrap_answered();
         let cell = &r.rows[0].values[0];
-        let exact = s
-            .exact(
-                &AggregateFn::Sum(Expr::col("rev")),
-                &Predicate::less_than("week", 50.0, true),
-            )
-            .unwrap();
+        let exact = exact(
+            &s,
+            &AggregateFn::Sum(Expr::col("rev")),
+            &Predicate::less_than("week", 50.0, true),
+        );
         let rel = (cell.raw_answer - exact).abs() / exact;
         assert!(rel < 0.05, "sum rel err {rel}");
         assert!(cell.raw_error.is_finite());
@@ -1918,28 +1647,32 @@ mod tests {
 
     #[test]
     fn stop_policy_early_exit() {
-        let mut s = session(50_000);
+        let s = session(50_000);
         let all = s
-            .execute("SELECT AVG(rev) FROM t", Mode::NoLearn, StopPolicy::ScanAll)
+            .query(
+                "SELECT AVG(rev) FROM t",
+                &opts(Mode::NoLearn, StopPolicy::ScanAll),
+            )
             .unwrap()
             .unwrap_answered();
         let budget = s
-            .execute(
+            .query(
                 "SELECT AVG(rev) FROM t",
-                Mode::NoLearn,
-                StopPolicy::TupleBudget(500),
+                &opts(Mode::NoLearn, StopPolicy::TupleBudget(500)),
             )
             .unwrap()
             .unwrap_answered();
         assert!(budget.tuples_scanned < all.tuples_scanned);
         let target = s
-            .execute(
+            .query(
                 "SELECT AVG(rev) FROM t",
-                Mode::NoLearn,
-                StopPolicy::RelativeErrorBound {
-                    target: 0.05,
-                    delta: 0.95,
-                },
+                &opts(
+                    Mode::NoLearn,
+                    StopPolicy::RelativeErrorBound {
+                        target: 0.05,
+                        delta: 0.95,
+                    },
+                ),
             )
             .unwrap()
             .unwrap_answered();
@@ -1948,30 +1681,29 @@ mod tests {
 
     #[test]
     fn verdict_stops_earlier_than_nolearn_at_same_target() {
-        let mut s = session(50_000);
+        let s = session(50_000);
         for lo in (0..95).step_by(5) {
-            s.execute(
+            s.query(
                 &format!(
                     "SELECT AVG(rev) FROM t WHERE week BETWEEN {lo} AND {}",
                     lo + 5
                 ),
-                Mode::Verdict,
-                StopPolicy::ScanAll,
+                &opts(Mode::Verdict, StopPolicy::ScanAll),
             )
             .unwrap();
         }
-        s.train().unwrap();
+        s.train("t").unwrap();
         let policy = StopPolicy::RelativeErrorBound {
             target: 0.01,
             delta: 0.95,
         };
         let sql = "SELECT AVG(rev) FROM t WHERE week BETWEEN 20 AND 60";
         let nolearn = s
-            .execute(sql, Mode::NoLearn, policy)
+            .query(sql, &opts(Mode::NoLearn, policy))
             .unwrap()
             .unwrap_answered();
         let verdict = s
-            .execute(sql, Mode::Verdict, policy)
+            .query(sql, &opts(Mode::Verdict, policy))
             .unwrap()
             .unwrap_answered();
         assert!(
@@ -1997,20 +1729,26 @@ mod tests {
             t.push_row(vec![((i % 100) as f64).into(), (10.0 * u).into()])
                 .unwrap();
         }
-        let mut s = SessionBuilder::new(t)
-            .sample_fraction(0.1)
-            .batch_size(200)
-            .num_samples(3)
-            .seed(1)
+        let s = Database::builder()
+            .register_table_with(
+                "t",
+                t,
+                TableOptions {
+                    sample_fraction: 0.1,
+                    batch_size: 200,
+                    num_samples: 3,
+                    seed: 1,
+                    ..TableOptions::default()
+                },
+            )
+            .sample_rotation(SampleRotation::RoundRobin)
             .build()
             .unwrap();
-        assert_eq!(s.num_samples(), 3);
         let sql = "SELECT AVG(rev) FROM t WHERE week <= 50";
         let mut answers = Vec::new();
-        for i in 0..3 {
-            s.set_active_sample(i).unwrap();
+        for _ in 0..3 {
             let r = s
-                .execute(sql, Mode::NoLearn, StopPolicy::TupleBudget(400))
+                .query(sql, &opts(Mode::NoLearn, StopPolicy::TupleBudget(400)))
                 .unwrap()
                 .unwrap_answered();
             answers.push(r.rows[0].values[0].raw_answer);
@@ -2020,36 +1758,42 @@ mod tests {
             answers[0] != answers[1] || answers[1] != answers[2],
             "rotation produced identical answers: {answers:?}"
         );
-        // An out-of-range index is refused, not wrapped: silent `% 3`
-        // masked caller bugs (the active sample stays untouched).
-        assert!(s.set_active_sample(3).is_err());
-        assert_eq!(s.active_sample(), 2);
     }
 
-    /// `set_active_sample(k)` selects the shard's fixed sample: `execute`
-    /// scans sample `k`, and `ingest` estimates its Lemma-3 shift against
-    /// sample `k` (not sample 0).
+    /// Round-robin rotation moves the sample a query scans — the `k`-th
+    /// answered query scans sample `k mod 3` — but never the sample an
+    /// ingest estimates its Lemma-3 shift against: that is sample 0, even
+    /// when rotation would scan another one next.
     #[test]
-    fn set_active_sample_is_honoured_by_execute_and_ingest() {
-        let mut s = SessionBuilder::new(base_rotation_table())
-            .sample_fraction(0.1)
-            .batch_size(200)
-            .num_samples(3)
-            .seed(1)
+    fn ingest_estimates_its_shift_against_sample_0_under_rotation() {
+        let s = Database::builder()
+            .register_table_with(
+                "t",
+                base_rotation_table(),
+                TableOptions {
+                    sample_fraction: 0.1,
+                    batch_size: 200,
+                    num_samples: 3,
+                    seed: 1,
+                    ..TableOptions::default()
+                },
+            )
+            .sample_rotation(SampleRotation::RoundRobin)
             .build()
             .unwrap();
-        let sample_revs = |s: &VerdictSession, k: usize| -> Vec<f64> {
-            let snapshot = s.snapshot();
+        let sample_revs = |s: &Database, k: usize| -> Vec<f64> {
+            let snapshot = s.snapshot("t").unwrap();
             let table = snapshot.samples()[k].table();
             table.column("rev").unwrap().numeric().unwrap().to_vec()
         };
-        // execute: a full scan's raw AVG is the mean of sample k's rows.
+        // query k: a full scan's raw AVG is the mean of sample k's rows.
         let mut answers = Vec::new();
         for k in 0..3 {
-            s.set_active_sample(k).unwrap();
-            assert_eq!(s.active_sample(), k);
             let r = s
-                .execute("SELECT AVG(rev) FROM t", Mode::NoLearn, StopPolicy::ScanAll)
+                .query(
+                    "SELECT AVG(rev) FROM t",
+                    &opts(Mode::NoLearn, StopPolicy::ScanAll),
+                )
                 .unwrap()
                 .unwrap_answered();
             let revs = sample_revs(&s, k);
@@ -2061,14 +1805,15 @@ mod tests {
         assert!(answers[0] != answers[1] && answers[1] != answers[2]);
 
         // ingest: the stored AVG observations move by the shift estimated
-        // from the *active* sample's values, bit for bit.
-        s.set_active_sample(2).unwrap();
-        for hi in [30, 60, 90] {
+        // from sample 0's values, bit for bit — four more queries leave
+        // rotation on sample 1.
+        for hi in [30, 60, 90, 95] {
             let sql = format!("SELECT AVG(rev) FROM t WHERE week <= {hi}");
-            s.execute(&sql, Mode::Verdict, StopPolicy::ScanAll).unwrap();
+            s.query(&sql, &opts(Mode::Verdict, StopPolicy::ScanAll))
+                .unwrap();
         }
-        let avg_observations = |s: &VerdictSession| -> Vec<Observation> {
-            let state = EngineState::from_bytes(&s.snapshot().state_bytes()).unwrap();
+        let avg_observations = |s: &Database| -> Vec<Observation> {
+            let state = EngineState::from_bytes(&s.snapshot("t").unwrap().state_bytes()).unwrap();
             let (_, synopsis) = state
                 .synopses
                 .into_iter()
@@ -2077,19 +1822,19 @@ mod tests {
             synopsis.entries().iter().map(|e| e.observation).collect()
         };
         let before = avg_observations(&s);
-        assert_eq!(before.len(), 3);
-        let old_rows = s.table().num_rows();
+        assert_eq!(before.len(), 4);
+        let old_rows = s.table("t").unwrap().num_rows();
         let new_values: Vec<f64> = (0..300).map(|i| 20.0 + (i % 7) as f64).collect();
         let estimate =
             |k: usize| AppendAdjustment::estimate(&sample_revs(&s, k), &new_values, old_rows, 300);
-        let (want, other) = (estimate(2), estimate(0));
+        let (want, other) = (estimate(0), estimate(1));
         assert_ne!(want.mu_shift.to_bits(), other.mu_shift.to_bits());
         let batch: Vec<Vec<Value>> = new_values
             .iter()
             .enumerate()
             .map(|(i, v)| vec![((i % 100) as f64).into(), "us".into(), (*v).into()])
             .collect();
-        s.ingest(&batch).unwrap();
+        s.ingest("t", &batch).unwrap();
         for (after, old) in avg_observations(&s).iter().zip(&before) {
             let expect = want.adjust(*old);
             assert_eq!(after.answer.to_bits(), expect.answer.to_bits());
@@ -2099,25 +1844,30 @@ mod tests {
 
     #[test]
     fn round_robin_rotation_advances_per_query() {
-        let mut s = SessionBuilder::new(base_rotation_table())
-            .sample_fraction(0.2)
-            .batch_size(100)
-            .num_samples(3)
+        let s = Database::builder()
+            .register_table_with(
+                "t",
+                base_rotation_table(),
+                TableOptions {
+                    sample_fraction: 0.2,
+                    batch_size: 100,
+                    num_samples: 3,
+                    seed: 4,
+                    ..TableOptions::default()
+                },
+            )
             .sample_rotation(SampleRotation::RoundRobin)
-            .seed(4)
             .build()
             .unwrap();
         let sql = "SELECT AVG(rev) FROM t WHERE week <= 50";
-        assert_eq!(s.active_sample(), 0);
-        let mut answers = Vec::new();
-        for expect_next in [1, 2, 0, 1] {
+        let answer = || {
             let r = s
-                .execute(sql, Mode::NoLearn, StopPolicy::TupleBudget(400))
+                .query(sql, &opts(Mode::NoLearn, StopPolicy::TupleBudget(400)))
                 .unwrap()
                 .unwrap_answered();
-            answers.push(r.rows[0].values[0].raw_answer);
-            assert_eq!(s.active_sample(), expect_next, "advances after the query");
-        }
+            r.rows[0].values[0].raw_answer
+        };
+        let answers: Vec<f64> = (0..4).map(|_| answer()).collect();
         // Queries 0 and 3 hit sample 0 again: identical answers; the
         // middle queries saw different samples, so some answer differs.
         assert_eq!(answers[0].to_bits(), answers[3].to_bits());
@@ -2125,17 +1875,16 @@ mod tests {
             answers[0] != answers[1] || answers[1] != answers[2],
             "rotation must change the scanned sample: {answers:?}"
         );
-        // Unsupported queries do not advance the rotation.
-        let before = s.active_sample();
+        // Unsupported queries do not advance the rotation: the next
+        // answered query scans sample 1, as the second one did.
         let out = s
-            .execute(
+            .query(
                 "SELECT AVG(rev) FROM t WHERE region LIKE '%u%'",
-                Mode::NoLearn,
-                StopPolicy::ScanAll,
+                &opts(Mode::NoLearn, StopPolicy::ScanAll),
             )
             .unwrap();
         assert!(!out.is_answered());
-        assert_eq!(s.active_sample(), before);
+        assert_eq!(answer().to_bits(), answers[1].to_bits());
     }
 
     fn base_rotation_table() -> Table {
@@ -2168,33 +1917,8 @@ mod tests {
         dir
     }
 
-    fn session_persistent(rows: usize, dir: &std::path::Path) -> VerdictSession {
-        let schema = Schema::new(vec![
-            ColumnDef::numeric_dimension("week"),
-            ColumnDef::categorical_dimension("region"),
-            ColumnDef::measure("rev"),
-        ])
-        .unwrap();
-        let mut t = Table::new(schema);
-        let mut state = 1u64;
-        for i in 0..rows {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let u = (state >> 11) as f64 / (1u64 << 53) as f64;
-            let week = 1.0 + (i % 100) as f64;
-            let region = ["us", "eu", "jp"][i % 3];
-            let rev = 100.0 + 20.0 * (week / 15.0).sin() + 5.0 * (u - 0.5);
-            t.push_row(vec![week.into(), region.into(), rev.into()])
-                .unwrap();
-        }
-        SessionBuilder::new(t)
-            .sample_fraction(0.2)
-            .batch_size(200)
-            .seed(5)
-            .persist_to(dir)
-            .build()
-            .unwrap()
+    fn session_persistent(rows: usize, dir: &std::path::Path) -> Database {
+        builder(rows).persist_to(dir).build().unwrap()
     }
 
     #[test]
@@ -2202,22 +1926,21 @@ mod tests {
         let dir = temp_store("warm");
         let sql = "SELECT AVG(rev) FROM t WHERE week BETWEEN 25 AND 45";
         let (bound_before, raw_before) = {
-            let mut s = session_persistent(30_000, &dir);
+            let s = session_persistent(30_000, &dir);
             assert!(s.is_persistent());
             for lo in (0..90).step_by(10) {
-                s.execute(
+                s.query(
                     &format!(
                         "SELECT AVG(rev) FROM t WHERE week BETWEEN {lo} AND {}",
                         lo + 10
                     ),
-                    Mode::Verdict,
-                    StopPolicy::ScanAll,
+                    &opts(Mode::Verdict, StopPolicy::ScanAll),
                 )
                 .unwrap();
             }
-            s.train().unwrap();
+            s.train("t").unwrap();
             let r = s
-                .execute(sql, Mode::Verdict, StopPolicy::ScanAll)
+                .query(sql, &opts(Mode::Verdict, StopPolicy::ScanAll))
                 .unwrap()
                 .unwrap_answered();
             let cell = &r.rows[0].values[0];
@@ -2225,11 +1948,11 @@ mod tests {
             (cell.improved.error, cell.raw_error)
         };
         // "Restart": a brand-new session recovered purely from disk.
-        let mut s = VerdictSession::open_with(&dir, OpenOptions::new()).unwrap();
-        let report = s.recovery_report().expect("warm start").clone();
+        let s = Database::open_with(&dir, OpenOptions::new()).unwrap();
+        let report = s.recovery_report("t").unwrap().expect("warm start").clone();
         assert!(report.records_replayed > 0 || report.snapshot_last_seq > 0);
         let r = s
-            .execute(sql, Mode::Verdict, StopPolicy::ScanAll)
+            .query(sql, &opts(Mode::Verdict, StopPolicy::ScanAll))
             .unwrap()
             .unwrap_answered();
         let cell = &r.rows[0].values[0];
@@ -2248,25 +1971,24 @@ mod tests {
     fn cold_session_has_no_model_but_warm_does() {
         let dir = temp_store("coldwarm");
         {
-            let mut s = session_persistent(20_000, &dir);
+            let s = session_persistent(20_000, &dir);
             for lo in (0..90).step_by(10) {
-                s.execute(
+                s.query(
                     &format!(
                         "SELECT AVG(rev) FROM t WHERE week BETWEEN {lo} AND {}",
                         lo + 10
                     ),
-                    Mode::Verdict,
-                    StopPolicy::ScanAll,
+                    &opts(Mode::Verdict, StopPolicy::ScanAll),
                 )
                 .unwrap();
             }
-            s.train().unwrap();
+            s.train("t").unwrap();
         }
-        let warm = VerdictSession::open_with(&dir, OpenOptions::new()).unwrap();
-        assert!(warm.snapshot().has_model(&AggKey::avg("rev")));
+        let warm = Database::open_with(&dir, OpenOptions::new()).unwrap();
+        assert!(warm.snapshot("t").unwrap().has_model(&AggKey::avg("rev")));
         // A cold session over the same table knows nothing.
         let cold = session(20_000);
-        assert!(!cold.snapshot().has_model(&AggKey::avg("rev")));
+        assert!(!cold.snapshot("t").unwrap().has_model(&AggKey::avg("rev")));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -2276,29 +1998,33 @@ mod tests {
     #[test]
     fn train_surfaces_parked_store_error_before_refitting() {
         let dir = temp_store("parked-train");
-        let mut s = session_persistent(20_000, &dir);
+        let s = session_persistent(20_000, &dir);
         for lo in (0..90).step_by(10) {
-            s.execute(
+            s.query(
                 &format!(
                     "SELECT AVG(rev) FROM t WHERE week BETWEEN {lo} AND {}",
                     lo + 10
                 ),
-                Mode::Verdict,
-                StopPolicy::ScanAll,
+                &opts(Mode::Verdict, StopPolicy::ScanAll),
             )
             .unwrap();
         }
-        let before = s.snapshot().state_bytes();
-        let store = s.shard.store.as_ref().expect("persistent session");
+        let before = s.snapshot("t").unwrap().state_bytes();
+        let shard = s.shard("t").unwrap();
+        let store = shard.store.as_ref().expect("persistent table");
         store
             .lock()
             .park_error(StoreError::Mismatch("injected failure".into()));
-        assert!(matches!(s.train(), Err(Error::Store(_))));
-        assert_eq!(s.snapshot().state_bytes(), before, "nothing was refit");
-        assert!(!s.snapshot().has_model(&AggKey::avg("rev")));
+        assert!(matches!(s.train("t"), Err(Error::Store(_))));
+        assert_eq!(
+            s.snapshot("t").unwrap().state_bytes(),
+            before,
+            "nothing was refit"
+        );
+        assert!(!s.snapshot("t").unwrap().has_model(&AggKey::avg("rev")));
         // Surfacing consumed the error: the retry trains and checkpoints.
-        s.train().unwrap();
-        assert!(s.snapshot().has_model(&AggKey::avg("rev")));
+        s.train("t").unwrap();
+        assert!(s.snapshot("t").unwrap().has_model(&AggKey::avg("rev")));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -2317,7 +2043,10 @@ mod tests {
         for i in 0..100 {
             t.push_row(vec![(i as f64).into(), 1.0.into()]).unwrap();
         }
-        let err = SessionBuilder::new(t).persist_to(&dir).build();
+        let err = Database::builder()
+            .register_table("t", t)
+            .persist_to(&dir)
+            .build();
         assert!(
             matches!(err, Err(Error::Store(_))),
             "must refuse to clobber"
@@ -2329,34 +2058,32 @@ mod tests {
     fn reopened_session_keeps_logging_and_compacting() {
         let dir = temp_store("relog");
         {
-            let mut s = session_persistent(5000, &dir);
-            s.execute(
+            let s = session_persistent(5000, &dir);
+            s.query(
                 "SELECT AVG(rev) FROM t WHERE week BETWEEN 1 AND 20",
-                Mode::Verdict,
-                StopPolicy::ScanAll,
+                &opts(Mode::Verdict, StopPolicy::ScanAll),
             )
             .unwrap();
         }
         {
-            let mut s = VerdictSession::open_with(&dir, OpenOptions::new()).unwrap();
-            let observed_before = s.snapshot().stats().observed;
-            s.execute(
+            let s = Database::open_with(&dir, OpenOptions::new()).unwrap();
+            let observed_before = s.snapshot("t").unwrap().stats().observed;
+            s.query(
                 "SELECT AVG(rev) FROM t WHERE week BETWEEN 30 AND 60",
-                Mode::Verdict,
-                StopPolicy::ScanAll,
+                &opts(Mode::Verdict, StopPolicy::ScanAll),
             )
             .unwrap();
-            assert!(s.snapshot().stats().observed > observed_before);
+            assert!(s.snapshot("t").unwrap().stats().observed > observed_before);
             s.checkpoint().unwrap();
         }
-        // Third generation of the session still sees everything.
-        let s = VerdictSession::open_with(&dir, OpenOptions::new()).unwrap();
+        // The third open of the store still sees everything.
+        let s = Database::open_with(&dir, OpenOptions::new()).unwrap();
         assert_eq!(
-            s.recovery_report().unwrap().records_replayed,
+            s.recovery_report("t").unwrap().unwrap().records_replayed,
             0,
             "checkpoint folded the log"
         );
-        assert!(s.snapshot().synopsis_len(&AggKey::avg("rev")) >= 2);
+        assert!(s.snapshot("t").unwrap().synopsis_len(&AggKey::avg("rev")) >= 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -2364,18 +2091,17 @@ mod tests {
     fn store_policy_override_after_open_is_honored() {
         let dir = temp_store("policy");
         {
-            let mut s = session_persistent(5000, &dir);
-            s.execute(
+            let s = session_persistent(5000, &dir);
+            s.query(
                 "SELECT AVG(rev) FROM t WHERE week BETWEEN 1 AND 20",
-                Mode::Verdict,
-                StopPolicy::ScanAll,
+                &opts(Mode::Verdict, StopPolicy::ScanAll),
             )
             .unwrap();
         }
         // Warm start with an aggressive compaction policy: every query
         // must fold the log into a new snapshot generation.
         {
-            let mut s = VerdictSession::open_with(
+            let s = Database::open_with(
                 &dir,
                 OpenOptions::new().with_store_policy(verdict_store::StorePolicy {
                     compact_after_records: 1,
@@ -2383,17 +2109,16 @@ mod tests {
                 }),
             )
             .unwrap();
-            let gen_before = s.recovery_report().unwrap().snapshot_gen;
-            s.execute(
+            let gen_before = s.recovery_report("t").unwrap().unwrap().snapshot_gen;
+            s.query(
                 "SELECT AVG(rev) FROM t WHERE week BETWEEN 30 AND 50",
-                Mode::Verdict,
-                StopPolicy::ScanAll,
+                &opts(Mode::Verdict, StopPolicy::ScanAll),
             )
             .unwrap();
             drop(s);
-            let s = VerdictSession::open_with(&dir, OpenOptions::new()).unwrap();
+            let s = Database::open_with(&dir, OpenOptions::new()).unwrap();
             assert!(
-                s.recovery_report().unwrap().snapshot_gen > gen_before,
+                s.recovery_report("t").unwrap().unwrap().snapshot_gen > gen_before,
                 "override must reach the store (gen did not advance)"
             );
         }
@@ -2401,29 +2126,12 @@ mod tests {
     }
 
     #[test]
-    fn memory_budget_on_a_resident_store_refused() {
-        let dir = temp_store("resident-budget");
-        {
-            let _s = session_persistent(2000, &dir);
-        }
-        let err = VerdictSession::open_with(&dir, OpenOptions::new().with_memory_budget(1 << 20));
-        assert!(
-            matches!(err, Err(Error::Aqp(_))),
-            "a resident store has no partition cache to bound"
-        );
-        // The refusal left the store openable.
-        assert!(VerdictSession::open_with(&dir, OpenOptions::new()).is_ok());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn count_answer_scales_to_base() {
-        let mut s = session(10_000);
+        let s = session(10_000);
         let r = s
-            .execute(
+            .query(
                 "SELECT COUNT(*) FROM t WHERE week <= 10",
-                Mode::NoLearn,
-                StopPolicy::ScanAll,
+                &opts(Mode::NoLearn, StopPolicy::ScanAll),
             )
             .unwrap()
             .unwrap_answered();

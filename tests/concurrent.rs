@@ -1,5 +1,5 @@
 //! Concurrency invariants of the snapshot-isolated engine: writers and
-//! readers hammer one promoted single-table [`Database`] from many threads, and
+//! readers hammer one single-table [`Database`] from many threads, and
 //! afterwards (a) every snippet any writer produced is in the synopsis —
 //! nothing lost to a race, (b) the epochs readers observed only ever
 //! moved forward, and (c) a checkpoint + reopen recovers a learned state
@@ -10,8 +10,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use verdict::core::{AggKey, EngineStats};
 use verdict::{
-    Database, Mode, OpenOptions, QueryOptions, SampleRotation, SessionBuilder, StopPolicy,
-    VerdictSession,
+    Database, Mode, OpenOptions, QueryOptions, SampleRotation, StopPolicy, TableOptions,
 };
 use verdict_storage::{ColumnDef, Schema, Table};
 
@@ -77,16 +76,21 @@ fn stress_writers_and_readers_lose_nothing() {
     const READS_PER_READER: usize = 30;
 
     let dir = temp_store("stress");
-    let session = SessionBuilder::new(base_table(20_000))
-        .sample_fraction(0.2)
-        .batch_size(200)
-        .seed(5)
-        .num_samples(2)
+    let session = Database::builder()
+        .register_table_with(
+            "t",
+            base_table(20_000),
+            TableOptions {
+                sample_fraction: 0.2,
+                batch_size: 200,
+                seed: 5,
+                num_samples: 2,
+                ..TableOptions::default()
+            },
+        )
         .sample_rotation(SampleRotation::RoundRobin)
         .persist_to(&dir)
         .build()
-        .unwrap()
-        .into_database("t")
         .unwrap();
     assert!(session.is_persistent());
 
@@ -141,13 +145,16 @@ fn stress_writers_and_readers_lose_nothing() {
     session.checkpoint().unwrap();
     let expected_bytes = session.snapshot("t").unwrap().state_bytes();
     drop(session); // releases the store's writer lock
-    let reopened = VerdictSession::open_with(&dir, OpenOptions::new()).unwrap();
+    let reopened = Database::open_with(&dir, OpenOptions::new()).unwrap();
     assert_eq!(
-        reopened.snapshot().state_bytes(),
+        reopened.snapshot("t").unwrap().state_bytes(),
         expected_bytes,
         "recovered state diverged from the in-memory state"
     );
-    assert!(reopened.snapshot().has_model(&AggKey::avg("rev")));
+    assert!(reopened
+        .snapshot("t")
+        .unwrap()
+        .has_model(&AggKey::avg("rev")));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -168,14 +175,19 @@ fn stress_writers_readers_and_ingester() {
     const BASE_ROWS: usize = 20_000;
 
     let dir = temp_store("ingest-stress");
-    let session = SessionBuilder::new(base_table(BASE_ROWS))
-        .sample_fraction(0.2)
-        .batch_size(200)
-        .seed(5)
+    let session = Database::builder()
+        .register_table_with(
+            "t",
+            base_table(BASE_ROWS),
+            TableOptions {
+                sample_fraction: 0.2,
+                batch_size: 200,
+                seed: 5,
+                ..TableOptions::default()
+            },
+        )
         .persist_to(&dir)
         .build()
-        .unwrap()
-        .into_database("t")
         .unwrap();
 
     std::thread::scope(|scope| {
@@ -243,11 +255,11 @@ fn stress_writers_readers_and_ingester() {
     let expected_bytes = session.snapshot("t").unwrap().state_bytes();
     let expected_rows = session.table("t").unwrap().num_rows();
     drop(session);
-    let reopened = VerdictSession::open_with(&dir, OpenOptions::new()).unwrap();
-    assert_eq!(reopened.table().num_rows(), expected_rows);
-    assert_eq!(reopened.snapshot().data_epoch(), INGESTS as u64);
+    let reopened = Database::open_with(&dir, OpenOptions::new()).unwrap();
+    assert_eq!(reopened.table("t").unwrap().num_rows(), expected_rows);
+    assert_eq!(reopened.snapshot("t").unwrap().data_epoch(), INGESTS as u64);
     assert_eq!(
-        reopened.snapshot().state_bytes(),
+        reopened.snapshot("t").unwrap().state_bytes(),
         expected_bytes,
         "recovered state diverged from the in-memory state"
     );
@@ -258,13 +270,18 @@ fn stress_writers_readers_and_ingester() {
 /// moves, no snippet recorded — the writer mutex is never taken.
 #[test]
 fn nolearn_queries_do_not_touch_the_learn_path() {
-    let session = SessionBuilder::new(base_table(5_000))
-        .sample_fraction(0.2)
-        .batch_size(200)
-        .seed(5)
+    let session = Database::builder()
+        .register_table_with(
+            "t",
+            base_table(5_000),
+            TableOptions {
+                sample_fraction: 0.2,
+                batch_size: 200,
+                seed: 5,
+                ..TableOptions::default()
+            },
+        )
         .build()
-        .unwrap()
-        .into_database("t")
         .unwrap();
     let before = session.snapshot("t").unwrap();
     for _ in 0..5 {
@@ -281,51 +298,30 @@ fn nolearn_queries_do_not_touch_the_learn_path() {
     assert_eq!(after.stats(), EngineStats::default());
 }
 
-/// Promotion preserves the serial session's active sample, and pinned
-/// reads are a pure function of the snapshot: they always scan the fixed
-/// sample, even on a round-robin session whose rotation counter is being
+/// Pinned reads are a pure function of the snapshot: they always scan
+/// sample 0, even on a round-robin table whose rotation counter is being
 /// advanced by interleaved live queries.
 #[test]
-fn promotion_keeps_active_sample_and_pinned_reads_ignore_rotation() {
+fn pinned_reads_ignore_rotation() {
     let sql = "SELECT AVG(rev) FROM t WHERE week <= 50";
     let policy = StopPolicy::TupleBudget(400);
 
-    // Serial session scanning sample 2 of 3 — the answer must not shift
-    // across into_database().
-    let mut serial = SessionBuilder::new(base_table(10_000))
-        .sample_fraction(0.2)
-        .batch_size(200)
-        .seed(9)
-        .num_samples(3)
-        .build()
-        .unwrap();
-    serial.set_active_sample(2).unwrap();
-    let want = serial
-        .execute(sql, Mode::NoLearn, policy)
-        .unwrap()
-        .unwrap_answered();
-    let promoted = serial.into_database("t").unwrap();
-    let got = promoted
-        .query(sql, &opts(Mode::NoLearn, policy))
-        .unwrap()
-        .unwrap_answered();
-    assert_eq!(
-        got.rows[0].values[0].raw_answer.to_bits(),
-        want.rows[0].values[0].raw_answer.to_bits(),
-        "promotion changed which sample Fixed rotation scans"
-    );
-
     // Round-robin table: live queries rotate, pinned reads must not —
     // same pinned answer before and after the rotation counter moves.
-    let rotating = SessionBuilder::new(base_table(10_000))
-        .sample_fraction(0.2)
-        .batch_size(200)
-        .seed(9)
-        .num_samples(3)
+    let rotating = Database::builder()
+        .register_table_with(
+            "t",
+            base_table(10_000),
+            TableOptions {
+                sample_fraction: 0.2,
+                batch_size: 200,
+                seed: 9,
+                num_samples: 3,
+                ..TableOptions::default()
+            },
+        )
         .sample_rotation(SampleRotation::RoundRobin)
         .build()
-        .unwrap()
-        .into_database("t")
         .unwrap();
     let snap = rotating.snapshot("t").unwrap();
     let a = rotating
@@ -350,13 +346,18 @@ fn promotion_keeps_active_sample_and_pinned_reads_ignore_rotation() {
 /// publish newer state: the isolation half of "snapshot isolation".
 #[test]
 fn pinned_snapshot_is_isolated_from_writers() {
-    let session = SessionBuilder::new(base_table(10_000))
-        .sample_fraction(0.2)
-        .batch_size(200)
-        .seed(5)
+    let session = Database::builder()
+        .register_table_with(
+            "t",
+            base_table(10_000),
+            TableOptions {
+                sample_fraction: 0.2,
+                batch_size: 200,
+                seed: 5,
+                ..TableOptions::default()
+            },
+        )
         .build()
-        .unwrap()
-        .into_database("t")
         .unwrap();
     let sql = "SELECT AVG(rev) FROM t WHERE week BETWEEN 20 AND 60";
     let pinned = session.snapshot("t").unwrap();

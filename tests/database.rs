@@ -7,7 +7,7 @@ use verdict::sql::SqlError;
 use verdict::storage::Value;
 use verdict::workload::multi::{orders_events, TwoTableSpec};
 use verdict::{
-    CatalogError, Database, Error, Mode, QueryOptions, SessionBuilder, StopPolicy, TableOptions,
+    CatalogError, Database, Error, QueryOptions, SessionBuilder, StopPolicy, TableOptions,
 };
 
 fn spec() -> TwoTableSpec {
@@ -363,21 +363,6 @@ fn ad_hoc_statement_errors_are_the_prepared_paths() {
         }
     }
     assert_eq!(db.snapshot("orders").unwrap().state_bytes(), before);
-
-    // The session facade runs the same path.
-    let (orders, _) = orders_events(&spec());
-    let mut session = SessionBuilder::new(orders).build().unwrap();
-    assert!(matches!(
-        session.execute(
-            "SELECT AVG(amount) FROM t WHERE day > ?",
-            Mode::Verdict,
-            StopPolicy::ScanAll
-        ),
-        Err(Error::Sql(SqlError::PlaceholderCount {
-            expected: 1,
-            got: 0
-        }))
-    ));
 }
 
 /// The serving-path guarantee: prepare-once/bind-many answers must be
@@ -586,38 +571,45 @@ fn open_with_reapplies_non_persisted_options() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `memory_budget` bounds the partition cache of out-of-core tables; a
+/// resident table has none, so the builder refuses the knob rather than
+/// let a caller believe memory is capped.
+#[test]
+fn memory_budget_is_refused_on_a_resident_table() {
+    let (orders, _) = orders_events(&spec());
+    let built = Database::builder()
+        .register_table("orders", orders)
+        .memory_budget(40_000)
+        .build();
+    assert!(matches!(built, Err(Error::Aqp(_))));
+}
+
+/// A store written through `SessionBuilder::persist_to` keeps the flat
+/// single-table layout, and `Database::open` serves it as table `t` with
+/// a lenient `FROM` and its learned model intact.
 #[test]
 fn legacy_v2_store_opens_as_single_table_database() {
     let dir = std::env::temp_dir().join(format!("verdict-db-v2compat-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let (orders, _) = orders_events(&spec());
 
-    // A store written by the *session* API (v2 single-table layout).
+    // A store written by the session builder (v2 single-table layout).
     {
-        let mut session = SessionBuilder::new(orders)
+        let db = SessionBuilder::new(orders)
             .sample_fraction(0.2)
             .batch_size(250)
             .seed(5)
             .persist_to(&dir)
             .build()
+            .unwrap()
+            .into_database("orders")
             .unwrap();
-        for lo in (0..90).step_by(10) {
-            session
-                .execute(
-                    &format!(
-                        "SELECT AVG(amount) FROM whatever WHERE day BETWEEN {lo} AND {}",
-                        lo + 10
-                    ),
-                    Mode::Verdict,
-                    StopPolicy::ScanAll,
-                )
-                .unwrap();
-        }
-        session.train().unwrap();
+        warm_orders(&db);
+        db.train("orders").unwrap();
     }
 
-    // The session front door keeps the single-table layout: the store
-    // sits at the directory root, with no catalog manifest around it.
+    // The session builder keeps the single-table layout: the store sits
+    // at the directory root, with no catalog manifest around it.
     for file in ["wal.vlog", "LOCK"] {
         assert!(dir.join(file).is_file(), "{file} missing at the store root");
     }
@@ -649,30 +641,46 @@ fn legacy_v2_store_opens_as_single_table_database() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `VerdictSession::into_database` promotes the session's table under
+/// the given name: it learns what a builder-registered twin learns, byte
+/// for byte, and resolves `FROM` strictly.
 #[test]
 fn session_promotes_into_database() {
     let (orders, _) = orders_events(&spec());
-    let mut session = SessionBuilder::new(orders)
+    let twin = Database::builder()
+        .register_table_with(
+            "orders",
+            orders.clone(),
+            TableOptions {
+                sample_fraction: 0.2,
+                batch_size: 250,
+                seed: 5,
+                ..Default::default()
+            },
+        )
+        .build()
+        .unwrap();
+    let db = SessionBuilder::new(orders)
         .sample_fraction(0.2)
         .batch_size(250)
         .seed(5)
         .build()
+        .unwrap()
+        .into_database("orders")
         .unwrap();
-    for lo in [10, 30, 50] {
-        let sql = format!("SELECT AVG(amount) FROM t WHERE day BETWEEN {lo} AND 80");
-        session
-            .execute(&sql, Mode::Verdict, StopPolicy::ScanAll)
-            .unwrap();
-    }
-    let want_state = session.snapshot().state_bytes();
-    let db = session.into_database("orders").unwrap();
     assert_eq!(db.table_names(), &["orders".to_owned()]);
+    for lo in [10, 30, 50] {
+        let sql = format!("SELECT AVG(amount) FROM orders WHERE day BETWEEN {lo} AND 80");
+        for db in [&db, &twin] {
+            db.query(&sql, &QueryOptions::new()).unwrap();
+        }
+    }
     let snapshot = db.snapshot("orders").unwrap();
     assert_eq!(snapshot.table_name(), "orders");
     assert_eq!(
         snapshot.state_bytes(),
-        want_state,
-        "promotion must publish the session's learned state byte for byte"
+        twin.snapshot("orders").unwrap().state_bytes(),
+        "promotion must publish the session's table to learn byte for byte"
     );
     // Strict FROM resolution after promotion.
     assert!(matches!(

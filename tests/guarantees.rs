@@ -3,10 +3,26 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use verdict::{Mode, QueryOutcome, SessionBuilder, StopPolicy};
+use verdict::{Database, Mode, QueryOptions, QueryOutcome, StopPolicy, TableOptions};
 use verdict_workload::synthetic::{generate_table, SyntheticSpec};
 
-fn synthetic_session(rows: usize, seed: u64) -> verdict::VerdictSession {
+fn opts(mode: Mode, policy: StopPolicy) -> QueryOptions {
+    QueryOptions::new().with_mode(mode).with_policy(policy)
+}
+
+/// Ground truth of a single-aggregate, ungrouped query over the base
+/// table.
+fn exact(db: &Database, sql: &str) -> f64 {
+    let table = db.table("t").unwrap();
+    let q = verdict_sql::parse_query(sql).unwrap();
+    let plan = verdict_sql::plan_scan(&q, &table, &[], 1).unwrap();
+    plan.aggregates[0]
+        .agg
+        .eval_exact(&table, &plan.group_predicates[0])
+        .unwrap()
+}
+
+fn synthetic_session(rows: usize, seed: u64) -> Database {
     let mut rng = StdRng::seed_from_u64(seed);
     let spec = SyntheticSpec {
         rows,
@@ -17,26 +33,34 @@ fn synthetic_session(rows: usize, seed: u64) -> verdict::VerdictSession {
         ..Default::default()
     };
     let table = generate_table(&spec, &mut rng);
-    SessionBuilder::new(table)
-        .sample_fraction(0.1)
-        .batch_size(500)
-        .seed(seed)
+    Database::builder()
+        .register_table_with(
+            "t",
+            table,
+            TableOptions {
+                sample_fraction: 0.1,
+                batch_size: 500,
+                seed,
+                ..TableOptions::default()
+            },
+        )
         .build()
         .unwrap()
 }
 
 /// Warm up with overlapping range queries and train.
-fn warmed(rows: usize, seed: u64) -> verdict::VerdictSession {
-    let mut s = synthetic_session(rows, seed);
+fn warmed(rows: usize, seed: u64) -> Database {
+    let s = synthetic_session(rows, seed);
     for i in 0..20 {
         let lo = (i % 10) as f64;
         let sql = format!(
             "SELECT AVG(m) FROM t WHERE d0 BETWEEN {lo} AND {}",
             lo + 1.0
         );
-        s.execute(&sql, Mode::Verdict, StopPolicy::ScanAll).unwrap();
+        s.query(&sql, &opts(Mode::Verdict, StopPolicy::ScanAll))
+            .unwrap();
     }
-    s.train().unwrap();
+    s.train("t").unwrap();
     s
 }
 
@@ -44,7 +68,7 @@ fn warmed(rows: usize, seed: u64) -> verdict::VerdictSession {
 fn error_bounds_cover_truth_at_95pct() {
     // Verdict's 95% bounds must cover the exact answer in at least ~95% of
     // queries (Figure 5's claim). Allow slack for the finite query count.
-    let mut s = warmed(100_000, 21);
+    let s = warmed(100_000, 21);
     let mut rng = StdRng::seed_from_u64(22);
     let mut covered = 0usize;
     let mut total = 0usize;
@@ -53,17 +77,13 @@ fn error_bounds_cover_truth_at_95pct() {
         let hi = lo + 0.5 + rng.gen::<f64>() * 1.5;
         let sql = format!("SELECT AVG(m) FROM t WHERE d0 BETWEEN {lo} AND {hi}");
         let QueryOutcome::Answered(r) = s
-            .execute(&sql, Mode::Verdict, StopPolicy::TupleBudget(4000))
+            .query(&sql, &opts(Mode::Verdict, StopPolicy::TupleBudget(4000)))
             .unwrap()
         else {
             continue;
         };
         let cell = &r.rows[0].values[0];
-        let q = verdict_sql::parse_query(&sql).unwrap();
-        let plan = verdict_sql::plan_scan(&q, &s.table(), &[], 1).unwrap();
-        let exact = s
-            .exact(&plan.aggregates[0].agg, &plan.group_predicates[0])
-            .unwrap();
+        let exact = exact(&s, &sql);
         if !cell.improved.bound(0.95).is_finite() {
             continue;
         }
@@ -81,7 +101,7 @@ fn error_bounds_cover_truth_at_95pct() {
 fn improved_answers_reduce_actual_error_on_average() {
     // The headline claim: given the same scanned data, Verdict's answers
     // are closer to the truth on average than the raw AQP answers.
-    let mut s = warmed(100_000, 31);
+    let s = warmed(100_000, 31);
     let mut rng = StdRng::seed_from_u64(32);
     let mut raw_errs = Vec::new();
     let mut verdict_errs = Vec::new();
@@ -90,17 +110,13 @@ fn improved_answers_reduce_actual_error_on_average() {
         let hi = lo + 0.5 + rng.gen::<f64>() * 1.5;
         let sql = format!("SELECT AVG(m) FROM t WHERE d0 BETWEEN {lo} AND {hi}");
         let QueryOutcome::Answered(r) = s
-            .execute(&sql, Mode::Verdict, StopPolicy::TupleBudget(1500))
+            .query(&sql, &opts(Mode::Verdict, StopPolicy::TupleBudget(1500)))
             .unwrap()
         else {
             continue;
         };
         let cell = &r.rows[0].values[0];
-        let q = verdict_sql::parse_query(&sql).unwrap();
-        let plan = verdict_sql::plan_scan(&q, &s.table(), &[], 1).unwrap();
-        let exact = s
-            .exact(&plan.aggregates[0].agg, &plan.group_predicates[0])
-            .unwrap();
+        let exact = exact(&s, &sql);
         raw_errs.push((cell.raw_answer - exact).abs());
         verdict_errs.push((cell.improved.answer - exact).abs());
     }
@@ -117,27 +133,24 @@ fn unseen_ranges_still_get_valid_answers() {
     // Warm-up only covers d0 in [0, 10]; query a range the synopsis has
     // never seen (extrapolation) — the answer must stay near the raw one
     // or be validated away, never silently wrong.
-    let mut s = synthetic_session(50_000, 41);
+    let s = synthetic_session(50_000, 41);
     for i in 0..8 {
         let lo = i as f64 * 0.5;
         let sql = format!(
             "SELECT AVG(m) FROM t WHERE d0 BETWEEN {lo} AND {}",
             lo + 0.5
         );
-        s.execute(&sql, Mode::Verdict, StopPolicy::ScanAll).unwrap();
+        s.query(&sql, &opts(Mode::Verdict, StopPolicy::ScanAll))
+            .unwrap();
     }
-    s.train().unwrap();
+    s.train("t").unwrap();
     let sql = "SELECT AVG(m) FROM t WHERE d0 BETWEEN 8.5 AND 9.5";
     let r = s
-        .execute(sql, Mode::Verdict, StopPolicy::ScanAll)
+        .query(sql, &opts(Mode::Verdict, StopPolicy::ScanAll))
         .unwrap()
         .unwrap_answered();
     let cell = &r.rows[0].values[0];
-    let q = verdict_sql::parse_query(sql).unwrap();
-    let plan = verdict_sql::plan_scan(&q, &s.table(), &[], 1).unwrap();
-    let exact = s
-        .exact(&plan.aggregates[0].agg, &plan.group_predicates[0])
-        .unwrap();
+    let exact = exact(&s, sql);
     // 99.9%-ish sanity: answer within 5 bounds of truth.
     let bound = cell.improved.bound(0.95).max(cell.raw_error * 2.0);
     assert!(
@@ -149,7 +162,7 @@ fn unseen_ranges_still_get_valid_answers() {
 
 #[test]
 fn freq_counts_never_negative() {
-    let mut s = warmed(50_000, 51);
+    let s = warmed(50_000, 51);
     let mut rng = StdRng::seed_from_u64(52);
     for _ in 0..30 {
         let lo = rng.gen::<f64>() * 9.0;
@@ -158,7 +171,7 @@ fn freq_counts_never_negative() {
             lo + 0.2
         );
         let QueryOutcome::Answered(r) = s
-            .execute(&sql, Mode::Verdict, StopPolicy::TupleBudget(1000))
+            .query(&sql, &opts(Mode::Verdict, StopPolicy::TupleBudget(1000)))
             .unwrap()
         else {
             continue;
@@ -176,14 +189,14 @@ fn freq_counts_never_negative() {
 
 #[test]
 fn nolearn_and_verdict_agree_when_untrained() {
-    let mut s = synthetic_session(20_000, 61);
+    let s = synthetic_session(20_000, 61);
     let sql = "SELECT AVG(m) FROM t WHERE d0 BETWEEN 1 AND 3";
     let a = s
-        .execute(sql, Mode::NoLearn, StopPolicy::ScanAll)
+        .query(sql, &opts(Mode::NoLearn, StopPolicy::ScanAll))
         .unwrap()
         .unwrap_answered();
     let b = s
-        .execute(sql, Mode::Verdict, StopPolicy::ScanAll)
+        .query(sql, &opts(Mode::Verdict, StopPolicy::ScanAll))
         .unwrap()
         .unwrap_answered();
     let ca = &a.rows[0].values[0];

@@ -4,9 +4,9 @@
 //!   pre-existing snippet's stored answer equals the hand-computed
 //!   `θ' = θ + µ·|r_a|/(|r|+|r_a|)` and its error is never smaller than
 //!   before.
-//! - Crash mid-ingest: a session killed with a torn ingest frame reopens
-//!   to byte-identical state as of the last complete batch, through both
-//!   front doors (session facade and `Database::open`), with the
+//! - Crash mid-ingest: a database killed with a torn ingest frame
+//!   reopens to byte-identical state as of the last complete batch,
+//!   through `Database::open_with` and `Database::open`, with the
 //!   maintained sample rebuilt exactly.
 //! - Pinned parity: a read pinned to a snapshot stays bit-identical
 //!   across a concurrent ingest.
@@ -16,11 +16,9 @@ use proptest::prelude::*;
 use verdict::core::append::AppendAdjustment;
 use verdict::core::persist::{Encoder, EngineState, Persist};
 use verdict::core::AggKey;
+use verdict::store::catalog::table_dir;
 use verdict::store::tablecodec::encode_table;
-use verdict::{
-    Database, Mode, OpenOptions, QueryOptions, QueryResult, SessionBuilder, StopPolicy,
-    TableOptions, VerdictSession,
-};
+use verdict::{Database, Mode, OpenOptions, QueryOptions, QueryResult, StopPolicy, TableOptions};
 use verdict_storage::{ColumnDef, PartitionSpec, Schema, Table, Value};
 
 /// Deterministic base table: numeric `week` (1..=20), categorical
@@ -66,21 +64,27 @@ fn shifted_batch(rows: usize, shift: f64) -> Vec<Vec<Value>> {
         .collect()
 }
 
-fn warmed_session(rows: usize, seed: u64) -> VerdictSession {
-    let mut s = SessionBuilder::new(base_table(rows))
-        .sample_fraction(0.2)
-        .batch_size(200)
-        .seed(seed)
+fn warmed_session(rows: usize, seed: u64) -> Database {
+    let s = Database::builder()
+        .register_table_with(
+            "t",
+            base_table(rows),
+            TableOptions {
+                sample_fraction: 0.2,
+                batch_size: 200,
+                seed,
+                ..TableOptions::default()
+            },
+        )
         .build()
         .unwrap();
     for lo in (1..20).step_by(3) {
-        s.execute(
+        s.query(
             &format!(
                 "SELECT AVG(rev), COUNT(*) FROM t WHERE week BETWEEN {lo} AND {}",
                 lo + 3
             ),
-            Mode::Verdict,
-            StopPolicy::ScanAll,
+            &opts(Mode::Verdict, StopPolicy::ScanAll),
         )
         .unwrap();
     }
@@ -92,15 +96,15 @@ fn first_cell(r: &QueryResult) -> (u64, u64) {
     (c.improved.answer.to_bits(), c.improved.error.to_bits())
 }
 
-/// The session's per-key synopses, decoded from its published state.
-fn synopses(s: &VerdictSession) -> Vec<(AggKey, verdict::core::QuerySynopsis)> {
-    EngineState::from_bytes(&s.snapshot().state_bytes())
+/// The table's per-key synopses, decoded from its published state.
+fn synopses(s: &Database) -> Vec<(AggKey, verdict::core::QuerySynopsis)> {
+    EngineState::from_bytes(&s.snapshot("t").unwrap().state_bytes())
         .unwrap()
         .synopses
 }
 
-fn opts(mode: Mode) -> QueryOptions {
-    QueryOptions::new().with_mode(mode)
+fn opts(mode: Mode, policy: StopPolicy) -> QueryOptions {
+    QueryOptions::new().with_mode(mode).with_policy(policy)
 }
 
 fn table_bytes(t: &Table) -> Vec<u8> {
@@ -123,13 +127,13 @@ proptest! {
         batch_rows in 50usize..400,
         seed in 0u64..4,
     ) {
-        let mut session = warmed_session(6_000, seed);
-        let old_rows = session.table().num_rows();
+        let session = warmed_session(6_000, seed);
+        let old_rows = session.table("t").unwrap().num_rows();
 
         // Hand-compute the expected adjustments from the *current*
         // sample and the batch, before ingest mutates either.
         let batch = shifted_batch(batch_rows, shift);
-        let old_values: Vec<f64> = session.snapshot().samples()[0]
+        let old_values: Vec<f64> = session.snapshot("t").unwrap().samples()[0]
             .table()
             .column("rev")
             .unwrap()
@@ -150,17 +154,17 @@ proptest! {
         prop_assert!(!before.is_empty());
         let total_snippets: usize = before.iter().map(|(_, o)| o.len()).sum();
 
-        let report = session.ingest(&batch).unwrap();
+        let report = session.ingest("t", &batch).unwrap();
         prop_assert_eq!(report.appended_rows, batch_rows);
         prop_assert_eq!(report.adjusted_keys, before.len());
         prop_assert_eq!(report.adjusted_snippets, total_snippets);
         prop_assert!(report.skipped_keys.is_empty());
         prop_assert_eq!(report.data_epoch, 1);
-        prop_assert_eq!(session.table().num_rows(), old_rows + batch_rows);
+        prop_assert_eq!(session.table("t").unwrap().num_rows(), old_rows + batch_rows);
         // One dictionary: the maintained sample encodes categorical
         // labels with the base table's codes, including labels the batch
         // introduced ("apac"), whether or not their rows were admitted.
-        let snapshot = session.snapshot();
+        let snapshot = session.snapshot("t").unwrap();
         prop_assert_eq!(
             snapshot.samples()[0]
                 .table()
@@ -197,15 +201,15 @@ proptest! {
     }
 }
 
-/// The values of `column` over sample `k` of a resident session.
-fn sample_values(s: &VerdictSession, k: usize, column: &str) -> Vec<f64> {
-    let snapshot = s.snapshot();
+/// The values of `column` over sample `k` of a resident table.
+fn sample_values(s: &Database, k: usize, column: &str) -> Vec<f64> {
+    let snapshot = s.snapshot("t").unwrap();
     let table = snapshot.samples()[k].table();
     table.column(column).unwrap().numeric().unwrap().to_vec()
 }
 
 /// The stored observations of every `AVG` synopsis.
-fn avg_observations(s: &VerdictSession) -> Vec<(AggKey, Vec<verdict::core::Observation>)> {
+fn avg_observations(s: &Database) -> Vec<(AggKey, Vec<verdict::core::Observation>)> {
     synopses(s)
         .into_iter()
         .filter(|(key, _)| !key.is_freq())
@@ -216,41 +220,46 @@ fn avg_observations(s: &VerdictSession) -> Vec<(AggKey, Vec<verdict::core::Obser
         .collect()
 }
 
-/// The shift of every ingest comes from running moments of the fixed
-/// sample, which fold only the rows it admitted since the last ingest;
-/// what they give must be, bit for bit, the estimate over the whole
-/// sample as it stands — ingest after ingest, for a key first seen
-/// between ingests, and after `set_active_sample` switches the sample.
+/// The shift of every ingest comes from running moments of sample 0,
+/// which fold only the rows it admitted since the last ingest; what they
+/// give must be, bit for bit, the estimate over the whole sample as it
+/// stands — ingest after ingest, and for a key first seen between
+/// ingests.
 #[test]
 fn running_shift_moments_equal_a_fresh_pass_over_the_sample() {
-    let mut s = SessionBuilder::new(base_table(6_000))
-        .sample_fraction(0.2)
-        .batch_size(200)
-        .num_samples(2)
-        .seed(3)
+    let s = Database::builder()
+        .register_table_with(
+            "t",
+            base_table(6_000),
+            TableOptions {
+                sample_fraction: 0.2,
+                batch_size: 200,
+                num_samples: 2,
+                seed: 3,
+                ..TableOptions::default()
+            },
+        )
         .build()
         .unwrap();
-    let warm = |s: &mut VerdictSession, agg: &str| {
+    let warm = |s: &Database, agg: &str| {
         for lo in (1..20).step_by(4) {
             let sql = format!("SELECT {agg} FROM t WHERE week BETWEEN {lo} AND {}", lo + 3);
-            s.execute(&sql, Mode::Verdict, StopPolicy::ScanAll).unwrap();
+            s.query(&sql, &opts(Mode::Verdict, StopPolicy::ScanAll))
+                .unwrap();
         }
     };
-    warm(&mut s, "AVG(rev), COUNT(*)");
-    s.train().unwrap();
+    warm(&s, "AVG(rev), COUNT(*)");
+    s.train("t").unwrap();
     for k in 0..5usize {
         if k == 2 {
-            warm(&mut s, "AVG(week)");
-        }
-        if k == 3 {
-            s.set_active_sample(1).unwrap();
+            warm(&s, "AVG(week)");
         }
         let rows = 150 + 40 * k;
         let batch = shifted_batch(rows, k as f64);
-        let old_rows = s.table().num_rows();
+        let old_rows = s.table("t").unwrap().num_rows();
         let before = avg_observations(&s);
         assert_eq!(before.len(), if k < 2 { 1 } else { 2 });
-        // The hand-computed estimate: the whole fixed sample vs the batch.
+        // The hand-computed estimate: the whole of sample 0 vs the batch.
         let want: Vec<AppendAdjustment> = before
             .iter()
             .map(|(key, _)| {
@@ -259,11 +268,11 @@ fn running_shift_moments_equal_a_fresh_pass_over_the_sample() {
                 };
                 let index = if column == "rev" { 2 } else { 0 };
                 let new: Vec<f64> = batch.iter().map(|r| r[index].as_num().unwrap()).collect();
-                let old = sample_values(&s, s.active_sample(), column);
+                let old = sample_values(&s, 0, column);
                 AppendAdjustment::estimate(&old, &new, old_rows, rows)
             })
             .collect();
-        s.ingest(&batch).unwrap();
+        s.ingest("t", &batch).unwrap();
         let after = avg_observations(&s);
         for (((key, old), want), (_, after)) in before.iter().zip(&want).zip(&after) {
             for (got, old) in after.iter().zip(old) {
@@ -284,8 +293,8 @@ fn running_shift_moments_equal_a_fresh_pass_over_the_sample() {
 /// nor in later ingests, once the sample has admitted such rows.
 #[test]
 fn non_finite_measures_never_poison_the_synopsis() {
-    let mut s = warmed_session(6_000, 2);
-    s.train().unwrap();
+    let s = warmed_session(6_000, 2);
+    s.train("t").unwrap();
     let mut batch = shifted_batch(300, 5.0);
     for (i, row) in batch.iter_mut().enumerate().filter(|(i, _)| i % 10 == 0) {
         let odd = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][(i / 10) % 3];
@@ -293,7 +302,7 @@ fn non_finite_measures_never_poison_the_synopsis() {
     }
     for batch in [batch, shifted_batch(200, 7.0)] {
         let before = synopses(&s);
-        s.ingest(&batch).unwrap();
+        s.ingest("t", &batch).unwrap();
         for ((key, old), (_, new)) in before.iter().zip(&synopses(&s)) {
             for (old, new) in old.entries().iter().zip(new.entries()) {
                 let (old, new) = (old.observation, new.observation);
@@ -307,7 +316,7 @@ fn non_finite_measures_never_poison_the_synopsis() {
             }
         }
     }
-    let snapshot = s.snapshot();
+    let snapshot = s.snapshot("t").unwrap();
     let revs = snapshot.samples()[0].table().column("rev").unwrap();
     assert!(
         revs.numeric().unwrap().iter().any(|v| !v.is_finite()),
@@ -321,30 +330,36 @@ fn temp_store(name: &str) -> std::path::PathBuf {
     dir
 }
 
-fn persistent_warmed(dir: &std::path::Path) -> VerdictSession {
-    let mut s = SessionBuilder::new(base_table(6_000))
-        .sample_fraction(0.2)
-        .batch_size(200)
-        .seed(7)
+fn persistent_warmed(dir: &std::path::Path) -> Database {
+    let s = Database::builder()
+        .register_table_with(
+            "t",
+            base_table(6_000),
+            TableOptions {
+                sample_fraction: 0.2,
+                batch_size: 200,
+                seed: 7,
+                ..TableOptions::default()
+            },
+        )
         .persist_to(dir)
         .build()
         .unwrap();
     for lo in (1..20).step_by(3) {
-        s.execute(
+        s.query(
             &format!(
                 "SELECT AVG(rev), COUNT(*) FROM t WHERE week BETWEEN {lo} AND {}",
                 lo + 3
             ),
-            Mode::Verdict,
-            StopPolicy::ScanAll,
+            &opts(Mode::Verdict, StopPolicy::ScanAll),
         )
         .unwrap();
     }
-    s.train().unwrap();
+    s.train("t").unwrap();
     s
 }
 
-/// Acceptance: a session killed mid-ingest (torn last ingest frame)
+/// Acceptance: a database killed mid-ingest (torn last ingest frame)
 /// reopens to byte-identical state as of the last complete batch — on
 /// the serial path and on the concurrent path — including the maintained
 /// sample (proven by a bit-identical raw answer).
@@ -352,24 +367,24 @@ fn persistent_warmed(dir: &std::path::Path) -> VerdictSession {
 fn mid_ingest_crash_reopens_byte_identical() {
     let dir = temp_store("crash");
     let sql = "SELECT AVG(rev) FROM t WHERE week BETWEEN 5 AND 15";
-    let wal = dir.join("wal.vlog");
+    let wal = table_dir(&dir, "t").join("wal.vlog");
 
     let (want_state, want_rows, want_answer, want_sample_bytes) = {
-        let mut s = persistent_warmed(&dir);
-        s.ingest(&shifted_batch(300, 4.0)).unwrap();
+        let s = persistent_warmed(&dir);
+        s.ingest("t", &shifted_batch(300, 4.0)).unwrap();
         // Everything after this point will be torn off.
         let wal_len_after_batch1 = std::fs::metadata(&wal).unwrap().len();
-        let state = s.snapshot().state_bytes();
-        let rows = s.table().num_rows();
+        let state = s.snapshot("t").unwrap().state_bytes();
+        let rows = s.table("t").unwrap().num_rows();
         let answer = first_cell(
-            &s.execute(sql, Mode::NoLearn, StopPolicy::ScanAll)
+            &s.query(sql, &opts(Mode::NoLearn, StopPolicy::ScanAll))
                 .unwrap()
                 .unwrap_answered(),
         );
-        let sample_bytes = table_bytes(s.snapshot().samples()[0].table());
+        let sample_bytes = table_bytes(s.snapshot("t").unwrap().samples()[0].table());
         // NOTE: the NoLearn query above appended nothing to the WAL, so
         // batch 2's ingest record starts exactly at wal_len_after_batch1.
-        s.ingest(&shifted_batch(200, 9.0)).unwrap();
+        s.ingest("t", &shifted_batch(200, 9.0)).unwrap();
         let wal_len_after_batch2 = std::fs::metadata(&wal).unwrap().len();
         drop(s);
         // The crash: tear the second ingest frame in half.
@@ -383,20 +398,20 @@ fn mid_ingest_crash_reopens_byte_identical() {
     // Serial reopen: byte-identical state, same table, same sample, same
     // raw answer bits.
     {
-        let mut s = VerdictSession::open_with(&dir, OpenOptions::new()).unwrap();
-        let report = s.recovery_report().unwrap();
+        let s = Database::open_with(&dir, OpenOptions::new()).unwrap();
+        let report = s.recovery_report("t").unwrap().unwrap();
         assert_eq!(report.ingests_replayed, 1, "only the complete batch");
         assert!(report.torn_bytes > 0, "the torn frame was truncated");
-        assert_eq!(s.snapshot().state_bytes(), want_state);
-        assert_eq!(s.table().num_rows(), want_rows);
+        assert_eq!(s.snapshot("t").unwrap().state_bytes(), want_state);
+        assert_eq!(s.table("t").unwrap().num_rows(), want_rows);
         assert_eq!(
-            table_bytes(s.snapshot().samples()[0].table()),
+            table_bytes(s.snapshot("t").unwrap().samples()[0].table()),
             want_sample_bytes,
             "maintained sample (rows, codes, AND dictionaries) must \
              rebuild bit-identically"
         );
         let got = first_cell(
-            &s.execute(sql, Mode::NoLearn, StopPolicy::ScanAll)
+            &s.query(sql, &opts(Mode::NoLearn, StopPolicy::ScanAll))
                 .unwrap()
                 .unwrap_answered(),
         );
@@ -410,7 +425,7 @@ fn mid_ingest_crash_reopens_byte_identical() {
         assert_eq!(db.table("t").unwrap().num_rows(), want_rows);
         assert_eq!(db.data_epoch("t").unwrap(), 1);
         let got = first_cell(
-            &db.query(sql, &opts(Mode::NoLearn))
+            &db.query(sql, &opts(Mode::NoLearn, StopPolicy::ScanAll))
                 .unwrap()
                 .unwrap_answered(),
         );
@@ -426,25 +441,33 @@ fn checkpoint_after_ingest_replays_nothing() {
     let dir = temp_store("fold");
     let sql = "SELECT AVG(rev) FROM t WHERE week BETWEEN 5 AND 15";
     let (want_state, want_rows, want_answer) = {
-        let mut s = persistent_warmed(&dir);
-        s.ingest(&shifted_batch(250, 3.0)).unwrap();
+        let s = persistent_warmed(&dir);
+        s.ingest("t", &shifted_batch(250, 3.0)).unwrap();
         s.checkpoint().unwrap();
         let answer = first_cell(
-            &s.execute(sql, Mode::NoLearn, StopPolicy::ScanAll)
+            &s.query(sql, &opts(Mode::NoLearn, StopPolicy::ScanAll))
                 .unwrap()
                 .unwrap_answered(),
         );
-        (s.snapshot().state_bytes(), s.table().num_rows(), answer)
+        (
+            s.snapshot("t").unwrap().state_bytes(),
+            s.table("t").unwrap().num_rows(),
+            answer,
+        )
     };
-    let mut s = VerdictSession::open_with(&dir, OpenOptions::new()).unwrap();
-    let report = s.recovery_report().unwrap();
+    let s = Database::open_with(&dir, OpenOptions::new()).unwrap();
+    let report = s.recovery_report("t").unwrap().unwrap();
     assert_eq!(report.records_replayed, 0, "checkpoint folded the log");
     assert_eq!(report.ingests_replayed, 0);
-    assert_eq!(s.table().num_rows(), want_rows);
-    assert_eq!(s.snapshot().state_bytes(), want_state);
-    assert_eq!(s.snapshot().data_epoch(), 1, "data epoch survives the fold");
+    assert_eq!(s.table("t").unwrap().num_rows(), want_rows);
+    assert_eq!(s.snapshot("t").unwrap().state_bytes(), want_state);
+    assert_eq!(
+        s.snapshot("t").unwrap().data_epoch(),
+        1,
+        "data epoch survives the fold"
+    );
     let got = first_cell(
-        &s.execute(sql, Mode::NoLearn, StopPolicy::ScanAll)
+        &s.query(sql, &opts(Mode::NoLearn, StopPolicy::ScanAll))
             .unwrap()
             .unwrap_answered(),
     );
@@ -533,7 +556,7 @@ fn unlabeled_codes_survive_checkpoint_and_reopen() {
             .iter()
             .flat_map(|sql| {
                 let r = db
-                    .query(sql, &opts(Mode::NoLearn))
+                    .query(sql, &opts(Mode::NoLearn, StopPolicy::ScanAll))
                     .unwrap()
                     .unwrap_answered();
                 r.rows
@@ -546,7 +569,8 @@ fn unlabeled_codes_survive_checkpoint_and_reopen() {
     };
     let mut live = Vec::new();
     for name in ["res", "paged"] {
-        db.query(&sqls(name)[0], &opts(Mode::Verdict)).unwrap();
+        db.query(&sqls(name)[0], &opts(Mode::Verdict, StopPolicy::ScanAll))
+            .unwrap();
         db.ingest(name, &raw(3_000, 150)).unwrap();
         db.checkpoint_table(name).unwrap();
         db.ingest(name, &raw(3_150, 90)).unwrap();
@@ -586,14 +610,10 @@ fn unlabeled_codes_survive_checkpoint_and_reopen() {
 /// epochs are published, from multiple threads at once.
 #[test]
 fn pinned_snapshot_parity_across_concurrent_ingest() {
-    let mut serial = warmed_session(6_000, 7);
-    serial.train().unwrap();
+    let serial = warmed_session(6_000, 7);
+    serial.train("t").unwrap();
     let concurrent = warmed_session(6_000, 7);
-    let concurrent = {
-        let mut c = concurrent;
-        c.train().unwrap();
-        c.into_database("t").unwrap()
-    };
+    concurrent.train("t").unwrap();
 
     let sqls: Vec<String> = (0..4)
         .map(|i| {
@@ -607,7 +627,7 @@ fn pinned_snapshot_parity_across_concurrent_ingest() {
     let pinned = concurrent.snapshot("t").unwrap();
     let pinned_data_epoch = pinned.data_epoch();
 
-    // Reference: the identically-built serial session (bit-parity of the
+    // Reference: the identically-built serial database (bit-parity of the
     // concurrent read path against serial is the established invariant;
     // here we extend it across ingest).
     let want: Vec<(u64, u64)> = sqls
@@ -615,7 +635,7 @@ fn pinned_snapshot_parity_across_concurrent_ingest() {
         .map(|sql| {
             first_cell(
                 &serial
-                    .execute(sql, Mode::Verdict, StopPolicy::ScanAll)
+                    .query(sql, &opts(Mode::Verdict, StopPolicy::ScanAll))
                     .unwrap()
                     .unwrap_answered(),
             )
@@ -640,7 +660,10 @@ fn pinned_snapshot_parity_across_concurrent_ingest() {
                 for (sql, want) in sqls.iter().zip(want.iter()) {
                     let got = first_cell(
                         &concurrent
-                            .query(sql, &opts(Mode::Verdict).pinned(pinned.clone()))
+                            .query(
+                                sql,
+                                &opts(Mode::Verdict, StopPolicy::ScanAll).pinned(pinned.clone()),
+                            )
                             .unwrap()
                             .unwrap_answered(),
                     );
@@ -654,11 +677,14 @@ fn pinned_snapshot_parity_across_concurrent_ingest() {
     // reports a wider (or equal) model error — Lemma 3 lowered
     // confidence in the old answers.
     let now = concurrent
-        .query(&sqls[0], &opts(Mode::Verdict))
+        .query(&sqls[0], &opts(Mode::Verdict, StopPolicy::ScanAll))
         .unwrap()
         .unwrap_answered();
     let pinned_again = concurrent
-        .query(&sqls[0], &opts(Mode::Verdict).pinned(pinned))
+        .query(
+            &sqls[0],
+            &opts(Mode::Verdict, StopPolicy::ScanAll).pinned(pinned),
+        )
         .unwrap()
         .unwrap_answered();
     assert!(
@@ -679,54 +705,60 @@ fn warm_start_then_ingest_matches_unrestarted_session() {
     let dir = temp_store("warmingest");
     let sql = "SELECT AVG(rev) FROM t WHERE week BETWEEN 3 AND 12";
     // Reference session: never restarted.
-    let mut reference = warmed_session(6_000, 7);
-    reference.train().unwrap();
-    reference.ingest(&shifted_batch(300, 4.0)).unwrap();
-    reference.ingest(&shifted_batch(150, 6.0)).unwrap();
-    reference.ingest(&shifted_batch(120, 8.0)).unwrap();
+    let reference = warmed_session(6_000, 7);
+    reference.train("t").unwrap();
+    reference.ingest("t", &shifted_batch(300, 4.0)).unwrap();
+    reference.ingest("t", &shifted_batch(150, 6.0)).unwrap();
+    reference.ingest("t", &shifted_batch(120, 8.0)).unwrap();
     // Capture the state *before* the probe query (a `Mode::Verdict`
     // execute observes snippets, mutating the state being compared).
-    let want_state = reference.snapshot().state_bytes();
+    let want_state = reference.snapshot("t").unwrap().state_bytes();
     let want = first_cell(
         &reference
-            .execute(sql, Mode::Verdict, StopPolicy::ScanAll)
+            .query(sql, &opts(Mode::Verdict, StopPolicy::ScanAll))
             .unwrap()
             .unwrap_answered(),
     );
 
     // Same history, but with a restart between the two ingests.
     {
-        let mut s = SessionBuilder::new(base_table(6_000))
-            .sample_fraction(0.2)
-            .batch_size(200)
-            .seed(7)
+        let s = Database::builder()
+            .register_table_with(
+                "t",
+                base_table(6_000),
+                TableOptions {
+                    sample_fraction: 0.2,
+                    batch_size: 200,
+                    seed: 7,
+                    ..TableOptions::default()
+                },
+            )
             .persist_to(&dir)
             .build()
             .unwrap();
         for lo in (1..20).step_by(3) {
-            s.execute(
+            s.query(
                 &format!(
                     "SELECT AVG(rev), COUNT(*) FROM t WHERE week BETWEEN {lo} AND {}",
                     lo + 3
                 ),
-                Mode::Verdict,
-                StopPolicy::ScanAll,
+                &opts(Mode::Verdict, StopPolicy::ScanAll),
             )
             .unwrap();
         }
-        s.train().unwrap();
-        s.ingest(&shifted_batch(300, 4.0)).unwrap();
+        s.train("t").unwrap();
+        s.ingest("t", &shifted_batch(300, 4.0)).unwrap();
     }
-    let mut s = VerdictSession::open_with(&dir, OpenOptions::new()).unwrap();
-    s.ingest(&shifted_batch(150, 6.0)).unwrap();
-    s.ingest(&shifted_batch(120, 8.0)).unwrap();
+    let s = Database::open_with(&dir, OpenOptions::new()).unwrap();
+    s.ingest("t", &shifted_batch(150, 6.0)).unwrap();
+    s.ingest("t", &shifted_batch(120, 8.0)).unwrap();
     assert_eq!(
-        s.snapshot().state_bytes(),
+        s.snapshot("t").unwrap().state_bytes(),
         want_state,
         "state after restart+ingest must match the unrestarted session"
     );
     let got = first_cell(
-        &s.execute(sql, Mode::Verdict, StopPolicy::ScanAll)
+        &s.query(sql, &opts(Mode::Verdict, StopPolicy::ScanAll))
             .unwrap()
             .unwrap_answered(),
     );

@@ -10,9 +10,11 @@ use std::time::Duration;
 
 use verdict::obs::MetricsHub;
 use verdict::storage::{ColumnDef, PartitionSpec, Schema, Table, Value};
-use verdict::{
-    Database, Mode, QueryOptions, QueryOutcome, SessionBuilder, StopPolicy, VerdictSession,
-};
+use verdict::{Database, Mode, QueryOptions, QueryOutcome, StopPolicy, TableOptions};
+
+fn opts(mode: Mode, policy: StopPolicy) -> QueryOptions {
+    QueryOptions::new().with_mode(mode).with_policy(policy)
+}
 
 fn base_table(rows: usize) -> Table {
     let schema = Schema::new(vec![
@@ -70,33 +72,40 @@ fn temp_store(name: &str) -> std::path::PathBuf {
 #[test]
 fn inference_workers_count_one_per_serial_pass() {
     let hub = Arc::new(MetricsHub::new());
-    let mut session = SessionBuilder::new(base_table(8_000))
-        .sample_fraction(0.2)
-        .batch_size(200)
-        .seed(5)
+    let session = Database::builder()
+        .register_table_with(
+            "t",
+            base_table(8_000),
+            TableOptions {
+                sample_fraction: 0.2,
+                batch_size: 200,
+                seed: 5,
+                ..TableOptions::default()
+            },
+        )
         .metrics(Arc::clone(&hub))
         .query_log(64)
         .build()
         .unwrap();
-    let run = |session: &mut VerdictSession, queries: usize| {
+    let run = |session: &Database, queries: usize| {
         for k in 0..queries {
             session
-                .execute(&avg_sql(k * 10), Mode::Verdict, StopPolicy::ScanAll)
+                .query(&avg_sql(k * 10), &opts(Mode::Verdict, StopPolicy::ScanAll))
                 .unwrap()
                 .unwrap_answered();
         }
     };
-    let infer_workers = |session: &VerdictSession| {
+    let infer_workers = |session: &Database| {
         let snap = session.metrics_snapshot().expect("hub attached");
         snap.counter("verdict_infer_workers_total", Some("t"))
             .unwrap_or(0)
     };
     const COLD: usize = 6;
     const TRAINED: usize = 4;
-    run(&mut session, COLD);
+    run(&session, COLD);
     assert_eq!(infer_workers(&session), 0, "no model, no pass");
-    session.train().unwrap();
-    run(&mut session, TRAINED);
+    session.train("t").unwrap();
+    run(&session, TRAINED);
     assert_eq!(infer_workers(&session), TRAINED as u64);
     let traces = session.recent_queries(COLD + TRAINED);
     let per_query: Vec<u64> = traces.iter().rev().map(|t| t.infer_workers).collect();
@@ -108,15 +117,22 @@ fn inference_workers_count_one_per_serial_pass() {
     assert_eq!(per_query, want);
 }
 
-/// Serial session: counters, stage histograms, traces, and gauges all
+/// Serial queries: counters, stage histograms, traces, and gauges all
 /// move coherently through query / unsupported / ingest / train.
 #[test]
 fn serial_session_reports_metrics_and_traces() {
     let hub = Arc::new(MetricsHub::new());
-    let mut session = SessionBuilder::new(base_table(8_000))
-        .sample_fraction(0.2)
-        .batch_size(200)
-        .seed(5)
+    let session = Database::builder()
+        .register_table_with(
+            "t",
+            base_table(8_000),
+            TableOptions {
+                sample_fraction: 0.2,
+                batch_size: 200,
+                seed: 5,
+                ..TableOptions::default()
+            },
+        )
         .metrics(Arc::clone(&hub))
         .query_log(64)
         .build()
@@ -125,7 +141,7 @@ fn serial_session_reports_metrics_and_traces() {
     const ANSWERED: usize = 6;
     for k in 0..ANSWERED {
         let r = session
-            .execute(&avg_sql(k * 10), Mode::Verdict, StopPolicy::ScanAll)
+            .query(&avg_sql(k * 10), &opts(Mode::Verdict, StopPolicy::ScanAll))
             .unwrap()
             .unwrap_answered();
         assert!(r.elapsed > Duration::ZERO, "wall clock always populated");
@@ -133,7 +149,10 @@ fn serial_session_reports_metrics_and_traces() {
     // One statement outside the supported class.
     assert!(matches!(
         session
-            .execute("SELECT MIN(rev) FROM t", Mode::Verdict, StopPolicy::ScanAll)
+            .query(
+                "SELECT MIN(rev) FROM t",
+                &opts(Mode::Verdict, StopPolicy::ScanAll)
+            )
             .unwrap(),
         QueryOutcome::Unsupported(_)
     ));
@@ -141,10 +160,10 @@ fn serial_session_reports_metrics_and_traces() {
     // counts a query after parse/resolve (the serial path used to count
     // it before).
     assert!(session
-        .execute("SELEKT oops", Mode::Verdict, StopPolicy::ScanAll)
+        .query("SELEKT oops", &opts(Mode::Verdict, StopPolicy::ScanAll))
         .is_err());
-    session.train().unwrap();
-    let report = session.ingest(&batch(500, 0)).unwrap();
+    session.train("t").unwrap();
+    let report = session.ingest("t", &batch(500, 0)).unwrap();
     assert!(report.elapsed > Duration::ZERO);
     assert!(report.shift_elapsed > Duration::ZERO);
     assert!(report.shift_elapsed + report.refit_elapsed <= report.elapsed);
@@ -307,7 +326,7 @@ fn database_labels_tables_and_flags_prepared_path() {
     assert!(json.contains("\"table\":\"events\""));
 }
 
-/// 4 reader threads + 1 ingester hammer one promoted session; the
+/// 4 reader threads + 1 ingester hammer one database; the
 /// counters must balance exactly afterwards — no query lost or double
 /// counted by the lock-free recording path.
 #[test]
@@ -318,15 +337,20 @@ fn concurrent_stress_keeps_metrics_coherent() {
     const ROWS_PER_BATCH: usize = 200;
 
     let hub = Arc::new(MetricsHub::new());
-    let session = SessionBuilder::new(base_table(10_000))
-        .sample_fraction(0.2)
-        .batch_size(200)
-        .seed(5)
+    let session = Database::builder()
+        .register_table_with(
+            "t",
+            base_table(10_000),
+            TableOptions {
+                sample_fraction: 0.2,
+                batch_size: 200,
+                seed: 5,
+                ..TableOptions::default()
+            },
+        )
         .metrics(Arc::clone(&hub))
         .query_log(1024)
         .build()
-        .unwrap()
-        .into_database("t")
         .unwrap();
 
     std::thread::scope(|scope| {
@@ -385,19 +409,22 @@ fn concurrent_stress_keeps_metrics_coherent() {
 #[test]
 fn metrics_never_change_answers() {
     let run = |observed: bool| -> Vec<(f64, f64, f64, f64, usize)> {
-        let mut builder = SessionBuilder::new(base_table(8_000))
-            .sample_fraction(0.2)
-            .batch_size(200)
-            .seed(5);
+        let options = TableOptions {
+            sample_fraction: 0.2,
+            batch_size: 200,
+            seed: 5,
+            ..TableOptions::default()
+        };
+        let mut builder = Database::builder().register_table_with("t", base_table(8_000), options);
         if observed {
             builder = builder.metrics(Arc::new(MetricsHub::new())).query_log(128);
         }
-        let mut session = builder.build().unwrap();
+        let session = builder.build().unwrap();
         let mut out = Vec::new();
         for phase in 0..2 {
             for k in 0..5 {
                 let r = session
-                    .execute(&avg_sql(k * 10), Mode::Verdict, StopPolicy::ScanAll)
+                    .query(&avg_sql(k * 10), &opts(Mode::Verdict, StopPolicy::ScanAll))
                     .unwrap()
                     .unwrap_answered();
                 let cell = &r.rows[0].values[0];
@@ -410,8 +437,8 @@ fn metrics_never_change_answers() {
                 ));
             }
             if phase == 0 {
-                session.train().unwrap();
-                session.ingest(&batch(400, 0)).unwrap();
+                session.train("t").unwrap();
+                session.ingest("t", &batch(400, 0)).unwrap();
             }
         }
         out
@@ -432,16 +459,23 @@ fn metrics_never_change_answers() {
 /// numbers keep counting every push.
 #[test]
 fn query_log_ring_bounds_retention() {
-    let mut session = SessionBuilder::new(base_table(4_000))
-        .sample_fraction(0.2)
-        .batch_size(200)
-        .seed(5)
+    let session = Database::builder()
+        .register_table_with(
+            "t",
+            base_table(4_000),
+            TableOptions {
+                sample_fraction: 0.2,
+                batch_size: 200,
+                seed: 5,
+                ..TableOptions::default()
+            },
+        )
         .query_log(4)
         .build()
         .unwrap();
     for k in 0..10 {
         session
-            .execute(&avg_sql(k * 9), Mode::Verdict, StopPolicy::ScanAll)
+            .query(&avg_sql(k * 9), &opts(Mode::Verdict, StopPolicy::ScanAll))
             .unwrap()
             .unwrap_answered();
     }
@@ -450,7 +484,7 @@ fn query_log_ring_bounds_retention() {
     assert_eq!(log.total_pushed(), 10);
     let seqs: Vec<u64> = session.recent_queries(10).iter().map(|t| t.seq).collect();
     assert_eq!(seqs, vec![9, 8, 7, 6]);
-    // A session without a log reports nothing but still serves queries.
+    // A database without a log reports nothing but still serves queries.
     assert!(session.metrics_snapshot().is_none());
 }
 
@@ -461,10 +495,17 @@ fn query_log_ring_bounds_retention() {
 fn reports_carry_store_work() {
     let dir = temp_store("reports");
     let hub = Arc::new(MetricsHub::new());
-    let mut session = SessionBuilder::new(base_table(6_000))
-        .sample_fraction(0.2)
-        .batch_size(200)
-        .seed(5)
+    let session = Database::builder()
+        .register_table_with(
+            "t",
+            base_table(6_000),
+            TableOptions {
+                sample_fraction: 0.2,
+                batch_size: 200,
+                seed: 5,
+                ..TableOptions::default()
+            },
+        )
         .persist_to(&dir)
         .metrics(Arc::clone(&hub))
         .build()
@@ -472,11 +513,11 @@ fn reports_carry_store_work() {
 
     for k in 0..4 {
         session
-            .execute(&avg_sql(k * 10), Mode::Verdict, StopPolicy::ScanAll)
+            .query(&avg_sql(k * 10), &opts(Mode::Verdict, StopPolicy::ScanAll))
             .unwrap()
             .unwrap_answered();
     }
-    let ingest = session.ingest(&batch(300, 0)).unwrap();
+    let ingest = session.ingest("t", &batch(300, 0)).unwrap();
     assert!(ingest.wal_bytes > 0, "WAL-logged ingest reports its bytes");
 
     let ckpt = session.checkpoint().unwrap();
@@ -506,13 +547,20 @@ fn reports_carry_store_work() {
 }
 
 /// A non-persistent checkpoint is a no-op and says so: the report is all
-/// zeros on both the session and database fronts.
+/// zeros for one table and for the whole catalog.
 #[test]
 fn in_memory_checkpoint_reports_zero_work() {
-    let mut session: VerdictSession = SessionBuilder::new(base_table(2_000))
-        .sample_fraction(0.2)
-        .batch_size(200)
-        .seed(5)
+    let session = Database::builder()
+        .register_table_with(
+            "t",
+            base_table(2_000),
+            TableOptions {
+                sample_fraction: 0.2,
+                batch_size: 200,
+                seed: 5,
+                ..TableOptions::default()
+            },
+        )
         .build()
         .unwrap();
     let report = session.checkpoint().unwrap();
@@ -538,20 +586,27 @@ fn in_memory_checkpoint_reports_zero_work() {
 fn paged_faults_report_their_time() {
     let dir = temp_store("faults");
     let hub = Arc::new(MetricsHub::new());
-    let mut session = SessionBuilder::new(base_table(6_000))
-        .sample_fraction(0.25)
-        .batch_size(150)
-        .seed(3)
-        .partition_by(PartitionSpec::range("week", vec![25.0, 50.0, 75.0]))
+    let session = Database::builder()
+        .register_table_with(
+            "t",
+            base_table(6_000),
+            TableOptions {
+                sample_fraction: 0.25,
+                batch_size: 150,
+                seed: 3,
+                partition: Some(PartitionSpec::range("week", vec![25.0, 50.0, 75.0])),
+                ..TableOptions::default()
+            },
+        )
         .persist_to(&dir)
         .memory_budget(1)
         .metrics(Arc::clone(&hub))
         .query_log(8)
         .build()
         .unwrap();
-    assert!(session.is_paged());
+    assert!(session.snapshot("t").unwrap().samples()[0].is_paged());
     session
-        .execute(&avg_sql(1), Mode::Verdict, StopPolicy::ScanAll)
+        .query(&avg_sql(1), &opts(Mode::Verdict, StopPolicy::ScanAll))
         .unwrap()
         .unwrap_answered();
     let snap = session.metrics_snapshot().expect("hub attached");
@@ -563,10 +618,9 @@ fn paged_faults_report_their_time() {
     assert_eq!(t.partition_cache_misses, misses);
     assert_eq!(t.partition_fault_ns, c("verdict_partition_fault_ns_total"));
     assert!(t.partition_fault_ns <= t.elapsed_ns);
-    assert_eq!(
-        session.partition_cache().unwrap().fault_ns,
-        t.partition_fault_ns
-    );
+    let snapshot = session.snapshot("t").unwrap();
+    let cache = snapshot.samples()[0].paged_rep().unwrap().partition_store();
+    assert_eq!(cache.counters().fault_ns, t.partition_fault_ns);
     drop(session);
     let _ = std::fs::remove_dir_all(&dir);
 }

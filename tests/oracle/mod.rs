@@ -1,6 +1,6 @@
-//! What the two parity suites hold `VerdictSession::execute` to: the
-//! shared fixture, and [`check`], which answers one query through the
-//! session and re-derives everything it reported and recorded from the
+//! What the two parity suites hold `Database::query` to: the shared
+//! fixture, and [`check`], which answers one query through the database
+//! and re-derives everything it reported and recorded from the
 //! oracles in `verdict-aqp` — [`BatchEstimator`] (one snippet's estimator
 //! over a batch prefix) and, on request, the row-wise scan kernel — using
 //! only public pieces (`plan_scan`, `EngineView::improve_batch` of the
@@ -35,7 +35,9 @@ use verdict::core::{
 use verdict::linalg::{Cholesky, Matrix};
 use verdict::obs::MetricsHub;
 use verdict::sql::{parse_query, plan_scan, ScanPlan};
-use verdict::{Mode, QueryResult, SessionBuilder, SessionSnapshot, StopPolicy, VerdictSession};
+use verdict::{
+    Database, Mode, QueryOptions, QueryResult, SessionSnapshot, StopPolicy, TableOptions,
+};
 use verdict_storage::{AggregateFn, ColumnDef, GroupKey, Schema, Table};
 
 pub const REGIONS: [&str; 10] = ["r0", "r1", "r2", "r3", "r4", "r5", "r6", "r7", "r8", "r9"];
@@ -65,13 +67,17 @@ pub fn base_table(rows: usize) -> Table {
     t
 }
 
-/// A session over [`base_table`]; `hub` attaches a metrics hub and query
-/// log, so a checked run also proves observability cannot perturb answers.
-pub fn session(rows: usize, hub: bool) -> VerdictSession {
-    let mut b = SessionBuilder::new(base_table(rows))
-        .sample_fraction(0.25)
-        .batch_size(150)
-        .seed(17);
+/// A one-table database (table `t`) over [`base_table`]; `hub` attaches
+/// a metrics hub and query log, so a checked run also proves
+/// observability cannot perturb answers.
+pub fn session(rows: usize, hub: bool) -> Database {
+    let options = TableOptions {
+        sample_fraction: 0.25,
+        batch_size: 150,
+        seed: 17,
+        ..TableOptions::default()
+    };
+    let mut b = Database::builder().register_table_with("t", base_table(rows), options);
     if hub {
         b = b.metrics(Arc::new(MetricsHub::new())).query_log(32);
     }
@@ -249,19 +255,20 @@ fn assert_bits(got: f64, want: f64, what: &str, sql: &str) {
     );
 }
 
-/// Answers `sql` through the session and checks, against the estimator
+/// Answers `sql` through the database and checks, against the estimator
 /// oracle (and the row-wise kernel when `rowwise`), every cell's raw and
 /// improved answer at its reported batch prefix, every stop point, and
 /// exactly what the query recorded into the synopsis. Returns the result.
 pub fn check(
-    s: &mut VerdictSession,
+    db: &Database,
     sql: &str,
     mode: Mode,
     policy: StopPolicy,
     rowwise: bool,
 ) -> QueryResult {
-    let before = s.snapshot();
-    let result = s.execute(sql, mode, policy).unwrap().unwrap_answered();
+    let before = db.snapshot("t").unwrap();
+    let opts = QueryOptions::new().with_mode(mode).with_policy(policy);
+    let result = db.query(sql, &opts).unwrap().unwrap_answered();
     let sample = &before.samples()[0];
     let plan = plan_of(&before, sql, &result);
     assert_eq!(result.rows.len(), plan.groups.len(), "{sql}");
@@ -400,7 +407,7 @@ pub fn check(
         result.tuples_scanned, deepest,
         "one scan, as deep as its last cell: {sql}"
     );
-    let got = synopses(&s.snapshot());
+    let got = synopses(&db.snapshot("t").unwrap());
     assert!(got.keys().eq(want.keys()), "synopsis key set after {sql}");
     for (key, synopsis) in &want {
         assert!(

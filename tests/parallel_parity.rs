@@ -9,12 +9,12 @@
 //! Partition pruning gets its own consistency check: a pruned partition's
 //! rows still count toward `tuples_scanned` (the scan position is a
 //! property of the sample prefix, not of how much work the executor
-//! skipped), so a partitioned session reports the same scan accounting
+//! skipped), so a partitioned table reports the same scan accounting
 //! as an unpartitioned one, bit for bit.
 
 use proptest::prelude::*;
 use verdict::core::persist::{EngineState, Persist};
-use verdict::{Mode, QueryOutcome, QueryResult, SessionBuilder, StopPolicy, VerdictSession};
+use verdict::{Database, Mode, QueryOptions, QueryOutcome, QueryResult, StopPolicy, TableOptions};
 use verdict_storage::{ColumnDef, PartitionSpec, Schema, Table, Value};
 
 const REGIONS: [&str; 10] = ["r0", "r1", "r2", "r3", "r4", "r5", "r6", "r7", "r8", "r9"];
@@ -55,17 +55,24 @@ fn layouts() -> [Option<PartitionSpec>; 3] {
     ]
 }
 
-fn session(rows: usize, layout: Option<PartitionSpec>, threads: usize) -> VerdictSession {
-    let mut b = SessionBuilder::new(base_table(rows))
-        .sample_fraction(0.25)
-        .batch_size(150)
-        .seed(17)
+fn session(rows: usize, layout: Option<PartitionSpec>, threads: usize) -> Database {
+    let options = TableOptions {
+        sample_fraction: 0.25,
+        batch_size: 150,
+        seed: 17,
+        partition: layout,
+        ..TableOptions::default()
+    };
+    Database::builder()
+        .register_table_with("t", base_table(rows), options)
         .parallelism(threads)
-        .query_log(16);
-    if let Some(spec) = layout {
-        b = b.partition_by(spec);
-    }
-    b.build().unwrap()
+        .query_log(16)
+        .build()
+        .unwrap()
+}
+
+fn opts(mode: Mode, policy: StopPolicy) -> QueryOptions {
+    QueryOptions::new().with_mode(mode).with_policy(policy)
 }
 
 #[derive(Debug, Clone)]
@@ -181,9 +188,9 @@ fn assert_results_match(parallel: &QueryResult, serial: &QueryResult, sql: &str)
 
 /// The recorded synopses must be identical: a parallel scan feeds the
 /// learned state exactly what the serial scan did, bit for bit.
-fn assert_synopses_match(parallel: &VerdictSession, serial: &VerdictSession) {
-    let a = EngineState::from_bytes(&parallel.snapshot().state_bytes()).unwrap();
-    let b = EngineState::from_bytes(&serial.snapshot().state_bytes()).unwrap();
+fn assert_synopses_match(parallel: &Database, serial: &Database) {
+    let a = EngineState::from_bytes(&parallel.snapshot("t").unwrap().state_bytes()).unwrap();
+    let b = EngineState::from_bytes(&serial.snapshot("t").unwrap().state_bytes()).unwrap();
     assert_eq!(a.synopses.len(), b.synopses.len(), "synopsis key sets");
     for ((ka, sa), (kb, sb)) in a.synopses.iter().zip(b.synopses.iter()) {
         assert_eq!(ka, kb);
@@ -204,10 +211,10 @@ fn assert_synopses_match(parallel: &VerdictSession, serial: &VerdictSession) {
     }
 }
 
-fn run_all(sessions: &mut [VerdictSession], sql: &str, mode: Mode, policy: StopPolicy) {
+fn run_all(sessions: &[Database], sql: &str, mode: Mode, policy: StopPolicy) {
     let outcomes: Vec<QueryOutcome> = sessions
-        .iter_mut()
-        .map(|s| s.execute(sql, mode, policy).unwrap())
+        .iter()
+        .map(|s| s.query(sql, &opts(mode, policy)).unwrap())
         .collect();
     let mut it = outcomes.into_iter();
     let reference = it.next().unwrap();
@@ -246,9 +253,9 @@ fn cross_partition_batch(rows: usize, tag: usize) -> Vec<Vec<Value>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    /// The headline property: for every partition layout, sessions at 2,
+    /// The headline property: for every partition layout, databases at 2,
     /// 4, and 8 threads answer a random Verdict-mode query sequence
-    /// bit-identically to the single-threaded session — per query and in
+    /// bit-identically to the single-threaded database — per query and in
     /// the synopsis left behind — with cross-partition ingest batches
     /// interleaved so parity also covers the evolving-table path.
     #[test]
@@ -256,19 +263,19 @@ proptest! {
         specs in prop::collection::vec(query_spec(), 8..=8),
     ) {
         for layout in layouts() {
-            let mut sessions: Vec<VerdictSession> = [1usize, 2, 4, 8]
+            let sessions: Vec<Database> = [1usize, 2, 4, 8]
                 .iter()
                 .map(|&t| session(6_000, layout.clone(), t))
                 .collect();
             for (i, spec) in specs.iter().enumerate() {
-                run_all(&mut sessions, &spec.sql, Mode::Verdict, spec.policy);
+                run_all(&sessions, &spec.sql, Mode::Verdict, spec.policy);
                 if i == 3 {
                     // Mid-sequence ingest hitting every partition: the
                     // partitioned samples and maps must evolve in
                     // lock-step across thread counts.
                     let b = cross_partition_batch(900, i * 31);
                     let reports: Vec<_> =
-                        sessions.iter_mut().map(|s| s.ingest(&b).unwrap()).collect();
+                        sessions.iter().map(|s| s.ingest("t", &b).unwrap()).collect();
                     for r in &reports[1..] {
                         prop_assert_eq!(r.appended_rows, reports[0].appended_rows);
                         prop_assert_eq!(&r.admitted_rows, &reports[0].admitted_rows);
@@ -288,11 +295,11 @@ proptest! {
 /// partition's rows count toward `tuples_scanned` exactly as if they had
 /// been scanned — the scan position is a property of the sample prefix,
 /// not of how much work the executor skipped. Two `ScanAll` queries on
-/// the same partitioned session, one pruning 24 of 25 partitions and one
+/// the same partitioned table, one pruning 24 of 25 partitions and one
 /// pruning none, must report the same `tuples_scanned`.
 #[test]
 fn pruned_partitions_count_toward_tuples_scanned() {
-    let mut parted = session(
+    let parted = session(
         8_000,
         Some(PartitionSpec::range(
             "week",
@@ -303,17 +310,17 @@ fn pruned_partitions_count_toward_tuples_scanned() {
     let full = "SELECT COUNT(*), AVG(rev) FROM t WHERE week BETWEEN 1 AND 25";
     let narrow = "SELECT COUNT(*), AVG(rev) FROM t WHERE week = 3";
     let rf = parted
-        .execute(full, Mode::NoLearn, StopPolicy::ScanAll)
+        .query(full, &opts(Mode::NoLearn, StopPolicy::ScanAll))
         .unwrap()
         .unwrap_answered();
     let tf = parted.recent_queries(1)[0].clone();
     let rn = parted
-        .execute(narrow, Mode::NoLearn, StopPolicy::ScanAll)
+        .query(narrow, &opts(Mode::NoLearn, StopPolicy::ScanAll))
         .unwrap()
         .unwrap_answered();
     let tn = parted.recent_queries(1)[0].clone();
 
-    assert!(tn.partitions > 0, "partitioned session reports its layout");
+    assert!(tn.partitions > 0, "partitioned table reports its layout");
     assert!(
         tn.partitions_pruned as f64 >= 0.9 * tn.partitions as f64,
         "an equality predicate on the partition column must prune \
@@ -339,14 +346,14 @@ fn pruned_partitions_count_toward_tuples_scanned() {
 /// silent zero.
 #[test]
 fn appended_rows_survive_partition_pruning() {
-    let mut parted = session(
+    let parted = session(
         4_000,
         Some(PartitionSpec::range("week", vec![6.0, 12.0, 18.0])),
         4,
     );
     let sql = "SELECT COUNT(*) FROM t WHERE week BETWEEN 26 AND 30";
     let pre = parted
-        .execute(sql, Mode::NoLearn, StopPolicy::ScanAll)
+        .query(sql, &opts(Mode::NoLearn, StopPolicy::ScanAll))
         .unwrap()
         .unwrap_answered();
     assert_eq!(pre.rows[0].values[0].raw_answer, 0.0, "no such weeks yet");
@@ -361,9 +368,9 @@ fn appended_rows_survive_partition_pruning() {
             ]
         })
         .collect();
-    parted.ingest(&batch).unwrap();
+    parted.ingest("t", &batch).unwrap();
     let post = parted
-        .execute(sql, Mode::NoLearn, StopPolicy::ScanAll)
+        .query(sql, &opts(Mode::NoLearn, StopPolicy::ScanAll))
         .unwrap()
         .unwrap_answered();
     assert!(
@@ -375,18 +382,18 @@ fn appended_rows_survive_partition_pruning() {
 
 /// The morsel counters reach the query log: a multi-threaded scan
 /// reports the morsels its workers claimed and the threads it ran on, and
-/// a single-threaded session reports no morsel and one thread — the
+/// a single-threaded database reports no morsel and one thread — the
 /// serial path never pays for the scheduler.
 #[test]
 fn morsel_counters_reach_the_query_log() {
-    let mut parallel = session(6_000, None, 4);
-    let mut serial = session(6_000, None, 1);
+    let parallel = session(6_000, None, 4);
+    let serial = session(6_000, None, 1);
     let sql = "SELECT AVG(rev) FROM t WHERE week BETWEEN 1 AND 25";
     parallel
-        .execute(sql, Mode::NoLearn, StopPolicy::ScanAll)
+        .query(sql, &opts(Mode::NoLearn, StopPolicy::ScanAll))
         .unwrap();
     serial
-        .execute(sql, Mode::NoLearn, StopPolicy::ScanAll)
+        .query(sql, &opts(Mode::NoLearn, StopPolicy::ScanAll))
         .unwrap();
     let tp = &parallel.recent_queries(1)[0];
     let ts = &serial.recent_queries(1)[0];

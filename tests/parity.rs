@@ -1,4 +1,4 @@
-//! Executor parity: what `execute` answers, where it stops, and what it
+//! Executor parity: what `Database::query` answers, where it stops, and what it
 //! records must equal, bit for bit, what the per-snippet estimator oracle
 //! (`verdict_aqp::BatchEstimator`, one per `(group, primitive)` snippet
 //! over the cell's batch prefix) says — for arbitrary supported queries,
@@ -6,9 +6,9 @@
 //! scan changes *how much work* a query costs, never *what it answers or
 //! learns*. Plus the regression tests for the shared-scan cost semantics:
 //! a stop-policy budget bounds the one query-wide scan. And since a
-//! promoted database drives the *same* planner→scan→infer core against a
+//! pinned read drives the *same* planner→scan→infer core against a
 //! published snapshot, the suite also holds multithreaded reads at a fixed
-//! epoch to the session facade, bit for bit.
+//! epoch to serial live queries, bit for bit.
 
 mod oracle;
 
@@ -16,9 +16,13 @@ use oracle::{check, plan_of, prim_keys, query_spec, rowwise_driver, session};
 use proptest::prelude::*;
 use verdict::core::{EngineStats, Observation, Region, Snippet};
 use verdict::{
-    Mode, QueryOptions, QueryResult, SessionBuilder, SessionSnapshot, StopPolicy, VerdictSession,
+    Database, Mode, QueryOptions, QueryResult, SessionSnapshot, StopPolicy, TableOptions,
 };
 use verdict_storage::{ColumnDef, Schema, Table};
+
+fn opts(mode: Mode, policy: StopPolicy) -> QueryOptions {
+    QueryOptions::new().with_mode(mode).with_policy(policy)
+}
 
 /// Bitwise identity of two results, cell for cell: `f64`'s `Debug`
 /// rendering round-trips, so equal renderings are equal bits (and a NaN
@@ -36,9 +40,9 @@ proptest! {
     /// query sequence (the synopsis must stay untouched).
     #[test]
     fn shared_scan_matches_legacy_nolearn(specs in prop::collection::vec(query_spec(1), 18..=18)) {
-        let mut s = session(6_000, false);
+        let s = session(6_000, false);
         for spec in &specs {
-            check(&mut s, &spec.sql, Mode::NoLearn, spec.policy, false);
+            check(&s, &spec.sql, Mode::NoLearn, spec.policy, false);
         }
     }
 
@@ -47,28 +51,28 @@ proptest! {
     /// engage them.
     #[test]
     fn shared_scan_matches_legacy_verdict(specs in prop::collection::vec(query_spec(1), 12..=12)) {
-        let mut s = session(6_000, false);
+        let s = session(6_000, false);
         // Warm-up: overlapping range queries populate the synopses.
         for lo in (0..24).step_by(3) {
             let sql = format!(
                 "SELECT AVG(rev), COUNT(*) FROM t WHERE week BETWEEN {lo} AND {}",
                 lo + 4
             );
-            check(&mut s, &sql, Mode::Verdict, StopPolicy::ScanAll, false);
+            check(&s, &sql, Mode::Verdict, StopPolicy::ScanAll, false);
         }
-        s.train().unwrap();
+        s.train("t").unwrap();
         // Guard against trivial parity: the trained model must actually
         // engage on an overlapping query.
         let probe = "SELECT AVG(rev) FROM t WHERE week BETWEEN 5 AND 15";
-        let p = check(&mut s, probe, Mode::Verdict, StopPolicy::ScanAll, false);
+        let p = check(&s, probe, Mode::Verdict, StopPolicy::ScanAll, false);
         prop_assert!(p.rows[0].values[0].improved.used_model, "model must engage");
         // One batch over 50 (region, week) groups leaves some with fewer
         // than two matches: infinite AVG errors, which are never recorded.
         let sparse = "SELECT region, week, AVG(rev), COUNT(*) FROM t GROUP BY region, week";
-        let r = check(&mut s, sparse, Mode::Verdict, StopPolicy::TupleBudget(1), false);
+        let r = check(&s, sparse, Mode::Verdict, StopPolicy::TupleBudget(1), false);
         prop_assert!(r.rows.iter().any(|row| row.values[0].raw_error.is_infinite()));
         for spec in &specs {
-            check(&mut s, &spec.sql, Mode::Verdict, spec.policy, false);
+            check(&s, &spec.sql, Mode::Verdict, spec.policy, false);
         }
     }
 }
@@ -88,10 +92,10 @@ proptest! {
 fn trained_and_ingested_state_equals_the_all_pairs_twin() {
     use verdict::core::persist::Persist;
     use verdict::core::EngineState;
-    let mut s = session(6_000, false);
+    let s = session(6_000, false);
     let grouped = "SELECT region, AVG(rev), COUNT(*) FROM t WHERE week BETWEEN 4 AND 18 \
                    GROUP BY region";
-    let queries = |s: &mut VerdictSession| {
+    let queries = |s: &Database| {
         for lo in (0..24).step_by(3) {
             let sql = format!(
                 "SELECT AVG(rev), COUNT(*) FROM t WHERE week BETWEEN {lo} AND {}",
@@ -101,8 +105,8 @@ fn trained_and_ingested_state_equals_the_all_pairs_twin() {
         }
         check(s, grouped, Mode::Verdict, StopPolicy::ScanAll, false)
     };
-    let assert_twin = |s: &VerdictSession, refit_of: Option<&SessionSnapshot>, when: &str| {
-        let snapshot = s.snapshot();
+    let assert_twin = |s: &Database, refit_of: Option<&SessionSnapshot>, when: &str| {
+        let snapshot = s.snapshot("t").unwrap();
         let twin = oracle::all_pairs_twin(&snapshot, refit_of);
         let state = snapshot.state_bytes();
         let got = EngineState::from_bytes(&state).unwrap();
@@ -129,11 +133,11 @@ fn trained_and_ingested_state_equals_the_all_pairs_twin() {
             .collect::<Vec<_>>()
     };
 
-    queries(&mut s);
-    s.train().unwrap();
+    queries(&s);
+    s.train("t").unwrap();
     assert_twin(&s, None, "after train");
-    let trained = params(&s.snapshot());
-    let engaged = queries(&mut s);
+    let trained = params(&s.snapshot("t").unwrap());
+    let engaged = queries(&s);
     assert!(engaged.rows.len() >= 8, "{} groups", engaged.rows.len());
     assert!(engaged
         .rows
@@ -147,16 +151,16 @@ fn trained_and_ingested_state_equals_the_all_pairs_twin() {
             vec![week.into(), oracle::REGIONS[i % 10].into(), rev.into()]
         })
         .collect();
-    let before = s.snapshot();
-    let report = s.ingest(&batch).unwrap();
+    let before = s.snapshot("t").unwrap();
+    let report = s.ingest("t", &batch).unwrap();
     assert!(report.adjusted_snippets > 0);
     assert_twin(&s, Some(&before), "after ingest");
     assert_eq!(
-        params(&s.snapshot()),
+        params(&s.snapshot("t").unwrap()),
         trained,
         "an ingest keeps lengthscales"
     );
-    queries(&mut s);
+    queries(&s);
 }
 
 /// Acceptance: a query with ≥8 groups × 2 aggregates is answered from one
@@ -165,12 +169,15 @@ fn trained_and_ingested_state_equals_the_all_pairs_twin() {
 /// bit-matches its own estimator.
 #[test]
 fn eight_groups_two_aggregates_one_scan() {
-    let mut s = session(8_000, false);
+    let s = session(8_000, false);
     let sql = "SELECT region, AVG(rev), SUM(rev) FROM t GROUP BY region";
-    let r = check(&mut s, sql, Mode::NoLearn, StopPolicy::ScanAll, false);
+    let r = check(&s, sql, Mode::NoLearn, StopPolicy::ScanAll, false);
     assert!(r.rows.len() >= 8, "{} groups", r.rows.len());
     assert_eq!(r.rows[0].values.len(), 2);
-    assert_eq!(r.tuples_scanned, s.snapshot().samples()[0].len());
+    assert_eq!(
+        r.tuples_scanned,
+        s.snapshot("t").unwrap().samples()[0].len()
+    );
 }
 
 /// A grouped statement under an error target no cell ever meets evaluates
@@ -183,15 +190,16 @@ fn eight_groups_two_aggregates_one_scan() {
 /// `EngineView::improve_batch` for every live cell after every batch.
 #[test]
 fn unmet_error_target_infers_once_and_combines_per_batch() {
-    let mut s = session(6_000, true);
+    let s = session(6_000, true);
     for lo in (0..24).step_by(3) {
         let sql = format!(
             "SELECT AVG(rev), COUNT(*) FROM t WHERE week BETWEEN {lo} AND {}",
             lo + 4
         );
-        s.execute(&sql, Mode::Verdict, StopPolicy::ScanAll).unwrap();
+        s.query(&sql, &opts(Mode::Verdict, StopPolicy::ScanAll))
+            .unwrap();
     }
-    s.train().unwrap();
+    s.train("t").unwrap();
 
     // Three aggregates over two primitive streams (AVG(rev), FREQ(*)).
     let sql = "SELECT region, AVG(rev), SUM(rev), COUNT(*) FROM t \
@@ -200,8 +208,8 @@ fn unmet_error_target_infers_once_and_combines_per_batch() {
         target: 1e-9,
         delta: 0.95,
     };
-    let before = s.snapshot();
-    let result = check(&mut s, sql, Mode::Verdict, policy, false);
+    let before = s.snapshot("t").unwrap();
+    let result = check(&s, sql, Mode::Verdict, policy, false);
     let groups = result.rows.len();
     assert!(groups >= 8, "{groups} groups");
     let cells = result.rows.iter().flat_map(|row| row.values.iter());
@@ -246,19 +254,18 @@ fn unmet_error_target_infers_once_and_combines_per_batch() {
     }
     // The learn path then recorded the final raw primitives.
     want.observed += requests.iter().filter(|(_, o)| o.error.is_finite()).count() as u64;
-    assert_eq!(s.snapshot().stats(), want);
+    assert_eq!(s.snapshot("t").unwrap().stats(), want);
 }
 
 /// Regression: a tuple budget caps the one query-wide shared scan, and
 /// per-cell `tuples_scanned` reports the same stop point for every cell.
 #[test]
 fn tuple_budget_caps_shared_scan() {
-    let mut s = session(20_000, false);
+    let s = session(20_000, false);
     let r = s
-        .execute(
+        .query(
             "SELECT region, AVG(rev), COUNT(*) FROM t GROUP BY region",
-            Mode::NoLearn,
-            StopPolicy::TupleBudget(600),
+            &opts(Mode::NoLearn, StopPolicy::TupleBudget(600)),
         )
         .unwrap()
         .unwrap_answered();
@@ -276,34 +283,32 @@ fn tuple_budget_caps_shared_scan() {
 
 /// Acceptance (snapshot-isolated concurrency): queries served from many
 /// threads at one pinned snapshot epoch are bit-identical — answer,
-/// error, and improved bound — to a serial session holding the same
+/// error, and improved bound — to a serial database holding the same
 /// learned state, across modes and stop policies. Learning is deferred
 /// (the pinned reads absorb nothing), so every thread reads exactly the
 /// published epoch it pinned.
 #[test]
 fn concurrent_reads_at_fixed_epoch_match_serial() {
     let build = || session(6_000, false);
-    let warm_up = |s: &mut VerdictSession| {
+    let warm_up = |s: &Database| {
         for lo in (0..24).step_by(3) {
             let sql = format!(
                 "SELECT AVG(rev), COUNT(*) FROM t WHERE week BETWEEN {lo} AND {}",
                 lo + 4
             );
-            s.execute(&sql, Mode::Verdict, StopPolicy::ScanAll).unwrap();
+            s.query(&sql, &opts(Mode::Verdict, StopPolicy::ScanAll))
+                .unwrap();
         }
-        s.train().unwrap();
+        s.train("t").unwrap();
     };
-    let mut serial = build();
-    warm_up(&mut serial);
-    let concurrent = {
-        let mut s = build();
-        warm_up(&mut s);
-        s.into_database("t").unwrap()
-    };
+    let serial = build();
+    warm_up(&serial);
+    let concurrent = build();
+    warm_up(&concurrent);
     let snapshot = concurrent.snapshot("t").unwrap();
 
     // A mixed workload: grouped/ungrouped, every aggregate family, every
-    // stop policy. The serial session observes between queries, but
+    // stop policy. The serial database observes between queries, but
     // answers depend only on the trained models, so the pinned snapshot
     // (same post-training state) must reproduce them exactly.
     let workload: Vec<(String, Mode, StopPolicy)> = (0..16)
@@ -344,7 +349,7 @@ fn concurrent_reads_at_fixed_epoch_match_serial() {
         .iter()
         .map(|(sql, mode, policy)| {
             serial
-                .execute(sql, *mode, *policy)
+                .query(sql, &opts(*mode, *policy))
                 .unwrap()
                 .unwrap_answered()
         })
@@ -428,14 +433,21 @@ fn signed_zero_and_nan_group_keys_agree() {
         };
         t.push_row(vec![k.into(), ((i % 7) as f64).into()]).unwrap();
     }
-    let mut s = SessionBuilder::new(t)
-        .sample_fraction(1.0)
-        .batch_size(50)
-        .seed(2)
+    let s = Database::builder()
+        .register_table_with(
+            "t",
+            t,
+            TableOptions {
+                sample_fraction: 1.0,
+                batch_size: 50,
+                seed: 2,
+                ..TableOptions::default()
+            },
+        )
         .build()
         .unwrap();
     let sql = "SELECT k, COUNT(*), AVG(v) FROM t GROUP BY k";
-    let rs = check(&mut s, sql, Mode::NoLearn, StopPolicy::ScanAll, false);
+    let rs = check(&s, sql, Mode::NoLearn, StopPolicy::ScanAll, false);
     // Three groups: {0.0 (both zeros), 1.0, NaN}; the zero group owns
     // half the table, the NaN group's cells are empty.
     assert_eq!(

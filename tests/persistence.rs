@@ -1,11 +1,12 @@
-//! End-to-end persistence guarantees through the public session API:
-//! reopened sessions answer identically, and crash-truncated stores
+//! End-to-end persistence guarantees through the public database API:
+//! reopened databases answer identically, and crash-truncated stores
 //! recover to a valid prefix of the learned state.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use verdict::store::catalog::table_dir;
 use verdict::workload::synthetic::{generate_table, SyntheticSpec};
-use verdict::{Mode, OpenOptions, SessionBuilder, StopPolicy, VerdictSession};
+use verdict::{Database, Mode, OpenOptions, QueryOptions, StopPolicy, TableOptions};
 use verdict_storage::Table;
 
 fn test_table(rows: usize) -> Table {
@@ -23,17 +24,20 @@ fn temp_store(name: &str) -> std::path::PathBuf {
     dir
 }
 
-fn warm_up(session: &mut verdict::VerdictSession) {
+fn opts(mode: Mode, policy: StopPolicy) -> QueryOptions {
+    QueryOptions::new().with_mode(mode).with_policy(policy)
+}
+
+fn warm_up(session: &Database) {
     for i in 0..14 {
         let lo = i as f64 * 0.7;
         session
-            .execute(
+            .query(
                 &format!(
                     "SELECT AVG(m) FROM t WHERE d0 BETWEEN {lo} AND {}",
                     lo + 0.7
                 ),
-                Mode::Verdict,
-                StopPolicy::ScanAll,
+                &opts(Mode::Verdict, StopPolicy::ScanAll),
             )
             .expect("warm-up query");
     }
@@ -53,28 +57,35 @@ fn reopened_session_answers_identically() {
     let dir = temp_store("identical");
     let mut answers = Vec::new();
     {
-        let mut s = SessionBuilder::new(test_table(30_000))
-            .sample_fraction(0.1)
-            .batch_size(400)
-            .seed(3)
+        let s = Database::builder()
+            .register_table_with(
+                "t",
+                test_table(30_000),
+                TableOptions {
+                    sample_fraction: 0.1,
+                    batch_size: 400,
+                    seed: 3,
+                    ..TableOptions::default()
+                },
+            )
             .persist_to(&dir)
             .build()
             .expect("persistent session");
-        warm_up(&mut s);
-        s.train().expect("train");
+        warm_up(&s);
+        s.train("t").expect("train");
         for sql in TEST_QUERIES {
             let r = s
-                .execute(sql, Mode::Verdict, StopPolicy::ScanAll)
+                .query(sql, &opts(Mode::Verdict, StopPolicy::ScanAll))
                 .expect("query")
                 .unwrap_answered();
             let cell = r.rows[0].values[0];
             answers.push((cell.improved.answer, cell.improved.error, cell.raw_error));
         }
     }
-    let mut s = VerdictSession::open_with(&dir, OpenOptions::new()).expect("open");
+    let s = Database::open_with(&dir, OpenOptions::new()).expect("open");
     for (sql, (answer, error, raw_error)) in TEST_QUERIES.iter().zip(&answers) {
         let r = s
-            .execute(sql, Mode::Verdict, StopPolicy::ScanAll)
+            .query(sql, &opts(Mode::Verdict, StopPolicy::ScanAll))
             .expect("query after reopen")
             .unwrap_answered();
         let cell = r.rows[0].values[0];
@@ -101,31 +112,45 @@ fn warm_start_beats_cold_start() {
     let dir = temp_store("beats-cold");
     let sql = "SELECT AVG(m) FROM t WHERE d0 BETWEEN 3 AND 6";
     {
-        let mut s = SessionBuilder::new(test_table(30_000))
-            .sample_fraction(0.1)
-            .batch_size(400)
-            .seed(3)
+        let s = Database::builder()
+            .register_table_with(
+                "t",
+                test_table(30_000),
+                TableOptions {
+                    sample_fraction: 0.1,
+                    batch_size: 400,
+                    seed: 3,
+                    ..TableOptions::default()
+                },
+            )
             .persist_to(&dir)
             .build()
             .expect("persistent session");
-        warm_up(&mut s);
-        s.train().expect("train");
+        warm_up(&s);
+        s.train("t").expect("train");
     }
-    let mut warm = VerdictSession::open_with(&dir, OpenOptions::new()).expect("open");
+    let warm = Database::open_with(&dir, OpenOptions::new()).expect("open");
     let warm_cell = warm
-        .execute(sql, Mode::Verdict, StopPolicy::ScanAll)
+        .query(sql, &opts(Mode::Verdict, StopPolicy::ScanAll))
         .expect("warm query")
         .unwrap_answered()
         .rows[0]
         .values[0];
-    let mut cold = SessionBuilder::new(test_table(30_000))
-        .sample_fraction(0.1)
-        .batch_size(400)
-        .seed(3)
+    let cold = Database::builder()
+        .register_table_with(
+            "t",
+            test_table(30_000),
+            TableOptions {
+                sample_fraction: 0.1,
+                batch_size: 400,
+                seed: 3,
+                ..TableOptions::default()
+            },
+        )
         .build()
         .expect("cold");
     let cold_cell = cold
-        .execute(sql, Mode::Verdict, StopPolicy::ScanAll)
+        .query(sql, &opts(Mode::Verdict, StopPolicy::ScanAll))
         .expect("cold query")
         .unwrap_answered()
         .rows[0]
@@ -147,10 +172,17 @@ fn warm_start_beats_cold_start() {
 fn crash_truncation_always_recovers() {
     let dir = temp_store("crash");
     {
-        let mut s = SessionBuilder::new(test_table(10_000))
-            .sample_fraction(0.1)
-            .batch_size(400)
-            .seed(3)
+        let s = Database::builder()
+            .register_table_with(
+                "t",
+                test_table(10_000),
+                TableOptions {
+                    sample_fraction: 0.1,
+                    batch_size: 400,
+                    seed: 3,
+                    ..TableOptions::default()
+                },
+            )
             .persist_to(&dir)
             .build()
             .expect("persistent session");
@@ -158,26 +190,25 @@ fn crash_truncation_always_recovers() {
         // log.
         for i in 0..6 {
             let lo = i as f64 * 1.4;
-            s.execute(
+            s.query(
                 &format!(
                     "SELECT AVG(m) FROM t WHERE d0 BETWEEN {lo} AND {}",
                     lo + 1.4
                 ),
-                Mode::Verdict,
-                StopPolicy::ScanAll,
+                &opts(Mode::Verdict, StopPolicy::ScanAll),
             )
             .expect("logged query");
         }
     }
-    let wal = dir.join("wal.vlog");
+    let wal = table_dir(&dir, "t").join("wal.vlog");
     let full = std::fs::read(&wal).expect("log bytes");
     let mut prev_replayed = 0u64;
     // Sweep truncation points across the whole file, including inside the
     // header and mid-record.
     for cut in (0..full.len()).step_by(11).chain([full.len() - 1]) {
         std::fs::write(&wal, &full[..cut]).expect("truncate");
-        let mut s = VerdictSession::open_with(&dir, OpenOptions::new()).expect("open after crash");
-        let report = s.recovery_report().expect("report").clone();
+        let s = Database::open_with(&dir, OpenOptions::new()).expect("open after crash");
+        let report = s.recovery_report("t").unwrap().expect("report").clone();
         // The recovery is a valid prefix of what was logged: never more
         // records than were written, never fewer than a shorter cut
         // recovered, and the in-memory state mirrors the replay exactly.
@@ -193,24 +224,29 @@ fn crash_truncation_always_recovers() {
         );
         prev_replayed = report.records_replayed;
         assert_eq!(
-            s.snapshot().stats().observed,
+            s.snapshot("t").unwrap().stats().observed,
             report.records_replayed,
             "recovered state diverges from the replay count at cut {cut}"
         );
         // The recovered session still answers queries.
         let r = s
-            .execute(
+            .query(
                 "SELECT AVG(m) FROM t WHERE d0 BETWEEN 1 AND 2",
-                Mode::Verdict,
-                StopPolicy::TupleBudget(400),
+                &opts(Mode::Verdict, StopPolicy::TupleBudget(400)),
             )
             .expect("query on recovered session");
         assert!(r.is_answered());
     }
     // The untruncated log recovers everything.
     std::fs::write(&wal, &full).expect("restore");
-    let s = VerdictSession::open_with(&dir, OpenOptions::new()).expect("open intact");
-    assert_eq!(s.recovery_report().expect("report").records_replayed, 6);
+    let s = Database::open_with(&dir, OpenOptions::new()).expect("open intact");
+    assert_eq!(
+        s.recovery_report("t")
+            .unwrap()
+            .expect("report")
+            .records_replayed,
+        6
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -226,35 +262,41 @@ fn sustained_load_compacts_without_losing_state() {
     };
     let total_queries = 30usize;
     {
-        let mut s = SessionBuilder::new(test_table(10_000))
-            .sample_fraction(0.1)
-            .batch_size(400)
-            .seed(3)
+        let s = Database::builder()
+            .register_table_with(
+                "t",
+                test_table(10_000),
+                TableOptions {
+                    sample_fraction: 0.1,
+                    batch_size: 400,
+                    seed: 3,
+                    ..TableOptions::default()
+                },
+            )
             .persist_to(&dir)
             .store_policy(policy)
             .build()
             .expect("persistent session");
         for i in 0..total_queries {
             let lo = (i % 12) as f64 * 0.8;
-            s.execute(
+            s.query(
                 &format!(
                     "SELECT AVG(m) FROM t WHERE d0 BETWEEN {lo} AND {}",
                     lo + 0.8
                 ),
-                Mode::Verdict,
-                StopPolicy::TupleBudget(500),
+                &opts(Mode::Verdict, StopPolicy::TupleBudget(500)),
             )
             .expect("query");
         }
-        let observed_live = s.snapshot().stats().observed;
+        let observed_live = s.snapshot("t").unwrap().stats().observed;
         drop(s);
-        let s = VerdictSession::open_with(&dir, OpenOptions::new()).expect("open");
+        let s = Database::open_with(&dir, OpenOptions::new()).expect("open");
         assert_eq!(
-            s.snapshot().stats().observed,
+            s.snapshot("t").unwrap().stats().observed,
             observed_live,
             "compaction must not lose or duplicate observations"
         );
-        let report = s.recovery_report().unwrap();
+        let report = s.recovery_report("t").unwrap().unwrap();
         assert!(
             report.snapshot_gen >= 2,
             "sustained load produced snapshots (gen {})",
@@ -262,7 +304,7 @@ fn sustained_load_compacts_without_losing_state() {
         );
     }
     // Old generations pruned: at most keep_generations snapshot files.
-    let snaps = std::fs::read_dir(&dir)
+    let snaps = std::fs::read_dir(table_dir(&dir, "t"))
         .unwrap()
         .filter(|e| {
             e.as_ref()

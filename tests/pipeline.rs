@@ -3,28 +3,39 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use verdict::{Mode, QueryOutcome, SessionBuilder, StopPolicy};
+use verdict::{Database, Mode, QueryOptions, QueryOutcome, StopPolicy, TableOptions};
 use verdict_workload::tpch;
 
-fn tpch_session(rows: usize, seed: u64) -> verdict::VerdictSession {
+fn opts(mode: Mode, policy: StopPolicy) -> QueryOptions {
+    QueryOptions::new().with_mode(mode).with_policy(policy)
+}
+
+fn tpch_session(rows: usize, seed: u64) -> Database {
     let mut rng = StdRng::seed_from_u64(seed);
     let table = tpch::generate_denormalized(rows, &mut rng);
-    SessionBuilder::new(table)
-        .sample_fraction(0.1)
-        .batch_size(500)
-        .seed(seed)
+    Database::builder()
+        .register_table_with(
+            "lineitem",
+            table,
+            TableOptions {
+                sample_fraction: 0.1,
+                batch_size: 500,
+                seed,
+                ..TableOptions::default()
+            },
+        )
         .build()
         .unwrap()
 }
 
 #[test]
 fn all_supported_tpch_templates_execute() {
-    let mut session = tpch_session(20_000, 1);
+    let session = tpch_session(20_000, 1);
     let mut rng = StdRng::seed_from_u64(2);
     for t in tpch::templates().into_iter().filter(|t| t.supported) {
         let sql = tpch::instantiate(&t, &mut rng);
         let out = session
-            .execute(&sql, Mode::Verdict, StopPolicy::ScanAll)
+            .query(&sql, &opts(Mode::Verdict, StopPolicy::ScanAll))
             .unwrap_or_else(|e| panic!("Q{} failed: {e}\n{sql}", t.id));
         assert!(out.is_answered(), "Q{} classified unsupported: {sql}", t.id);
     }
@@ -32,12 +43,12 @@ fn all_supported_tpch_templates_execute() {
 
 #[test]
 fn all_unsupported_tpch_templates_classified() {
-    let mut session = tpch_session(5_000, 3);
+    let session = tpch_session(5_000, 3);
     let mut rng = StdRng::seed_from_u64(4);
     for t in tpch::templates().into_iter().filter(|t| !t.supported) {
         let sql = tpch::instantiate(&t, &mut rng);
         let out = session
-            .execute(&sql, Mode::Verdict, StopPolicy::ScanAll)
+            .query(&sql, &opts(Mode::Verdict, StopPolicy::ScanAll))
             .unwrap();
         assert!(!out.is_answered(), "Q{} should be unsupported: {sql}", t.id);
     }
@@ -45,19 +56,19 @@ fn all_unsupported_tpch_templates_classified() {
 
 #[test]
 fn theorem1_holds_across_tpch_workload() {
-    let mut session = tpch_session(30_000, 5);
+    let session = tpch_session(30_000, 5);
     let mut rng = StdRng::seed_from_u64(6);
     // Train on 30 queries.
     for sql in tpch::generate_supported_queries(30, &mut rng) {
         session
-            .execute(&sql, Mode::Verdict, StopPolicy::ScanAll)
+            .query(&sql, &opts(Mode::Verdict, StopPolicy::ScanAll))
             .unwrap();
     }
-    session.train().unwrap();
+    session.train("lineitem").unwrap();
     // Every cell of every subsequent query obeys β̂ ≤ β.
     for sql in tpch::generate_supported_queries(20, &mut rng) {
         let QueryOutcome::Answered(result) = session
-            .execute(&sql, Mode::Verdict, StopPolicy::ScanAll)
+            .query(&sql, &opts(Mode::Verdict, StopPolicy::ScanAll))
             .unwrap()
         else {
             continue;
@@ -79,20 +90,16 @@ fn theorem1_holds_across_tpch_workload() {
 
 #[test]
 fn group_by_query_returns_group_rows_with_improvements() {
-    let mut session = tpch_session(30_000, 7);
+    let session = tpch_session(30_000, 7);
     let mut rng = StdRng::seed_from_u64(8);
     for sql in tpch::generate_supported_queries(30, &mut rng) {
         session
-            .execute(&sql, Mode::Verdict, StopPolicy::ScanAll)
+            .query(&sql, &opts(Mode::Verdict, StopPolicy::ScanAll))
             .unwrap();
     }
-    session.train().unwrap();
+    session.train("lineitem").unwrap();
     let result = session
-        .execute(
-            "SELECT returnflag, SUM(price), COUNT(*) FROM lineitem WHERE ship_week <= 60 GROUP BY returnflag",
-            Mode::Verdict,
-            StopPolicy::ScanAll,
-        )
+        .query("SELECT returnflag, SUM(price), COUNT(*) FROM lineitem WHERE ship_week <= 60 GROUP BY returnflag", &opts(Mode::Verdict, StopPolicy::ScanAll))
         .unwrap()
         .unwrap_answered();
     assert_eq!(result.rows.len(), 3, "three return flags");
@@ -104,17 +111,19 @@ fn group_by_query_returns_group_rows_with_improvements() {
 
 #[test]
 fn answers_track_exact_values() {
-    let mut session = tpch_session(40_000, 9);
+    let session = tpch_session(40_000, 9);
     let sql = "SELECT AVG(price) FROM lineitem WHERE ship_week BETWEEN 20 AND 60";
     let result = session
-        .execute(sql, Mode::NoLearn, StopPolicy::ScanAll)
+        .query(sql, &opts(Mode::NoLearn, StopPolicy::ScanAll))
         .unwrap()
         .unwrap_answered();
     let cell = &result.rows[0].values[0];
     let q = verdict_sql::parse_query(sql).unwrap();
-    let plan = verdict_sql::plan_scan(&q, &session.table(), &[], 1).unwrap();
-    let exact = session
-        .exact(&plan.aggregates[0].agg, &plan.group_predicates[0])
+    let table = session.table("lineitem").unwrap();
+    let plan = verdict_sql::plan_scan(&q, &table, &[], 1).unwrap();
+    let exact = plan.aggregates[0]
+        .agg
+        .eval_exact(&table, &plan.group_predicates[0])
         .unwrap();
     let rel = (cell.raw_answer - exact).abs() / exact.abs();
     assert!(rel < 0.05, "relative error {rel}");
@@ -130,17 +139,23 @@ fn nmax_caps_group_snippets() {
         nmax: 2,
         ..Default::default()
     };
-    let mut session = SessionBuilder::new(table)
-        .sample_fraction(0.2)
-        .seed(10)
-        .verdict_config(config)
+    let session = Database::builder()
+        .register_table_with(
+            "lineitem",
+            table,
+            TableOptions {
+                sample_fraction: 0.2,
+                seed: 10,
+                config,
+                ..TableOptions::default()
+            },
+        )
         .build()
         .unwrap();
     let result = session
-        .execute(
+        .query(
             "SELECT brand, COUNT(*) FROM lineitem GROUP BY brand",
-            Mode::Verdict,
-            StopPolicy::ScanAll,
+            &opts(Mode::Verdict, StopPolicy::ScanAll),
         )
         .unwrap()
         .unwrap_answered();

@@ -1,4 +1,4 @@
-//! Kernel parity: every session runs the chunked scan kernel (typed
+//! Kernel parity: every table runs the chunked scan kernel (typed
 //! columnar chunks, branch-free predicate masks, zone-map pruning), and
 //! what it answers, where it stops and what it records must be
 //! **bit-identical** to the row-wise kernel oracle
@@ -17,7 +17,7 @@ mod oracle;
 
 use oracle::{base_table, check, plan_of, query_spec, rowwise_driver, session, REGIONS};
 use proptest::prelude::*;
-use verdict::{Mode, SessionBuilder, StopPolicy};
+use verdict::{Database, Mode, StopPolicy, TableOptions};
 use verdict_storage::Value;
 
 /// An ingest batch whose row values extend the week range past the
@@ -38,12 +38,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
     /// NoLearn mode: raw pipeline parity over a random query sequence,
-    /// with metrics and a query log attached to the session.
+    /// with metrics and a query log attached to the database.
     #[test]
     fn chunked_matches_rowwise_nolearn(specs in prop::collection::vec(query_spec(3), 18..=18)) {
-        let mut s = session(6_000, true);
+        let s = session(6_000, true);
         for spec in &specs {
-            check(&mut s, &spec.sql, Mode::NoLearn, spec.policy, true);
+            check(&s, &spec.sql, Mode::NoLearn, spec.policy, true);
         }
     }
 
@@ -51,21 +51,21 @@ proptest! {
     /// with models trained mid-sequence so later queries engage them.
     #[test]
     fn chunked_matches_rowwise_verdict(specs in prop::collection::vec(query_spec(3), 12..=12)) {
-        let mut s = session(6_000, false);
+        let s = session(6_000, false);
         for lo in (0..24).step_by(3) {
             let sql = format!(
                 "SELECT AVG(rev), COUNT(*) FROM t WHERE week BETWEEN {lo} AND {}",
                 lo + 4
             );
-            check(&mut s, &sql, Mode::Verdict, StopPolicy::ScanAll, true);
+            check(&s, &sql, Mode::Verdict, StopPolicy::ScanAll, true);
         }
-        s.train().unwrap();
+        s.train("t").unwrap();
         // Guard against trivial parity: the trained model must engage.
         let probe = "SELECT AVG(rev) FROM t WHERE week BETWEEN 5 AND 15";
-        let p = check(&mut s, probe, Mode::Verdict, StopPolicy::ScanAll, true);
+        let p = check(&s, probe, Mode::Verdict, StopPolicy::ScanAll, true);
         prop_assert!(p.rows[0].values[0].improved.used_model, "model must engage");
         for spec in &specs {
-            check(&mut s, &spec.sql, Mode::Verdict, spec.policy, true);
+            check(&s, &spec.sql, Mode::Verdict, spec.policy, true);
         }
     }
 
@@ -76,19 +76,19 @@ proptest! {
     /// stale zone bounds would silently unselect the appended rows.
     #[test]
     fn chunked_matches_rowwise_across_ingest(specs in prop::collection::vec(query_spec(3), 8..=8)) {
-        let mut s = session(5_000, false);
+        let s = session(5_000, false);
         // Batch sizes chosen to land sample appends on and around the
         // 1024-row chunk boundary of the growing sample table.
         for (i, rows) in [700usize, 1024, 1500, 37].into_iter().enumerate() {
             for spec in specs.iter().skip(i * 2).take(2) {
-                check(&mut s, &spec.sql, Mode::Verdict, spec.policy, true);
+                check(&s, &spec.sql, Mode::Verdict, spec.policy, true);
             }
-            let report = s.ingest(&batch(rows, i * 31)).unwrap();
+            let report = s.ingest("t", &batch(rows, i * 31)).unwrap();
             prop_assert_eq!(report.appended_rows, rows);
             // The appended weeks (26..=30) are outside every pre-ingest
             // zone: this query answers *only* from appended rows.
             check(
-                &mut s,
+                &s,
                 "SELECT COUNT(*), AVG(rev) FROM t WHERE week BETWEEN 26 AND 30",
                 Mode::Verdict,
                 StopPolicy::ScanAll,
@@ -105,13 +105,13 @@ proptest! {
 /// maps.
 #[test]
 fn post_ingest_query_sees_appended_rows_through_zone_maps() {
-    let mut s = session(4_000, false);
+    let s = session(4_000, false);
     // Warm the zone-map cache with a pre-ingest scan.
     let warm = "SELECT COUNT(*) FROM t WHERE week BETWEEN 1 AND 25";
-    check(&mut s, warm, Mode::NoLearn, StopPolicy::ScanAll, true);
-    s.ingest(&batch(2_000, 7)).unwrap();
+    check(&s, warm, Mode::NoLearn, StopPolicy::ScanAll, true);
+    s.ingest("t", &batch(2_000, 7)).unwrap();
     let sql = "SELECT COUNT(*) FROM t WHERE week BETWEEN 26 AND 30";
-    let r = check(&mut s, sql, Mode::NoLearn, StopPolicy::ScanAll, true);
+    let r = check(&s, sql, Mode::NoLearn, StopPolicy::ScanAll, true);
     assert!(
         r.rows[0].values[0].raw_answer > 0.0,
         "appended rows invisible to the chunked kernel: {}",
@@ -124,16 +124,23 @@ fn post_ingest_query_sees_appended_rows_through_zone_maps() {
 /// touches a chunk) reports for the same scan.
 #[test]
 fn query_log_reports_chunk_counters_per_kernel() {
-    let mut s = SessionBuilder::new(base_table(5_000))
-        .sample_fraction(0.5)
-        .batch_size(200)
-        .seed(3)
+    let s = Database::builder()
+        .register_table_with(
+            "t",
+            base_table(5_000),
+            TableOptions {
+                sample_fraction: 0.5,
+                batch_size: 200,
+                seed: 3,
+                ..TableOptions::default()
+            },
+        )
         .query_log(8)
         .build()
         .unwrap();
     let sql = "SELECT region, AVG(rev) FROM t WHERE week BETWEEN 3 AND 9 GROUP BY region";
-    let snapshot = s.snapshot();
-    let r = check(&mut s, sql, Mode::NoLearn, StopPolicy::ScanAll, true);
+    let snapshot = s.snapshot("t").unwrap();
+    let r = check(&s, sql, Mode::NoLearn, StopPolicy::ScanAll, true);
     let trace = &s.recent_queries(1)[0];
     let mut rowwise = rowwise_driver(&snapshot.samples()[0], &plan_of(&snapshot, sql, &r));
     while rowwise.step() {}
